@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench bench-archive bench-staleness bench-query bench-recovery lint vet eslint lint-fix-check ci
+.PHONY: build test test-short bench microbench bench-staleness lint vet eslint lint-fix-check ci
 
 build:
 	$(GO) build ./...
@@ -15,25 +15,14 @@ test:
 test-short:
 	$(GO) test -short -race ./...
 
+# bench runs the repo benchmark (contract in BENCHMARK.json, harness
+# and metric definitions in benchmark/README.md).
 bench:
+	bash benchmark/run.sh
+
+# microbench runs the root package's go-test micro-benchmarks.
+microbench:
 	$(GO) test -bench=. -benchmem
-
-# bench-archive builds the archive query CLI, runs the trace-archive
-# tests under the race detector, and records write/scan throughput in
-# BENCH_archive.json.
-bench-archive:
-	$(GO) build -o /dev/null ./cmd/esquery
-	$(GO) test -race ./internal/archive/
-	ARCHIVE_BENCH_OUT=$(CURDIR)/BENCH_archive.json \
-		$(GO) test -race -run TestRecordArchiveBench ./internal/bench/
-
-# bench-query runs the esql test suite under the race detector and
-# records parse cost, evaluator throughput, and the static-pushdown
-# speedup on a selective predicate in BENCH_query.json.
-bench-query:
-	$(GO) test -race ./internal/query/ ./cmd/esquery/
-	QUERY_BENCH_OUT=$(CURDIR)/BENCH_query.json \
-		$(GO) test -race -run TestRecordQueryBench ./internal/bench/
 
 # bench-staleness runs the straggler-storm chaos suite under the race
 # detector and records the degradation ladder's accuracy-versus-overhead
@@ -42,16 +31,6 @@ bench-staleness:
 	$(GO) test -race -run TestStragglerStormBoundedStaleness ./internal/escope/
 	STALENESS_BENCH_OUT=$(CURDIR)/BENCH_staleness.json \
 		$(GO) test -race -run TestRecordStalenessBench ./internal/bench/
-
-# bench-recovery runs the checkpoint and failover suites under the race
-# detector, then records recovery time and bytes replayed — checkpointed
-# fast path versus full replay, both segment formats, three archive
-# sizes — in BENCH_recovery.json. The run fails unless the fast path
-# replays at least 5x fewer bytes at the largest archive size.
-bench-recovery:
-	$(GO) test -race ./internal/checkpoint/ ./internal/reconfig/
-	RECOVERY_BENCH_OUT=$(CURDIR)/BENCH_recovery.json \
-		$(GO) test -race -run TestRecordRecoveryBench ./internal/bench/
 
 vet:
 	$(GO) vet ./...
@@ -68,5 +47,9 @@ lint-fix-check:
 
 lint: vet eslint lint-fix-check
 
-# ci mirrors the GitHub Actions job, minus the tool installs.
+# ci mirrors the GitHub Actions job, minus the tool installs. The
+# benchmark harness is a module of its own, so the root ./... patterns
+# never reach it; the last step is what notices an API change that
+# breaks benchmark/sut.go.
 ci: build lint test-short
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...

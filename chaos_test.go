@@ -20,14 +20,19 @@ const (
 )
 
 // chaosDelay is the workload's deterministic straggler schedule: every
-// thread gets a distinct (mod 8) delay each iteration, spaced 100us
-// apart. The spacing dominates contention-scale timing noise (monitor
-// gathers, recorder pulls), so each round's last-arrival verdict is
-// fixed by the schedule alone — which is what lets a recovered run be
-// compared byte-for-byte against an uncrashed control whose monitor
-// traffic differed.
+// thread gets a distinct (mod 8) delay each iteration, spaced 400us
+// apart. The spacing has to exceed what the deepest path adds over the
+// shallowest: one modelled hop costs about 100us, so a two-hop subtree
+// starting at delay d arrives within monitor-traffic noise of a one-hop
+// leaf starting at d+100us, and at 100us spacing that near tie flipped
+// a round's verdict in the control as often as in the recovered run.
+// At 400us adjacent delays differ by more than the extra hops plus the
+// contention of monitor gathers and recorder pulls, so each round's
+// last-arrival verdict is fixed by the schedule alone — which is what
+// lets a recovered run be compared byte-for-byte against an uncrashed
+// control whose monitor traffic differed.
 func chaosDelay(thread, iteration int) time.Duration {
-	return time.Duration((iteration*3+thread)%8) * 100 * time.Microsecond
+	return time.Duration((iteration*3+thread)%8) * 400 * time.Microsecond
 }
 
 func chaosRun(t *testing.T, cps *CrashPoints) (out string) {

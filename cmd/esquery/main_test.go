@@ -133,36 +133,6 @@ func TestFilterModeOp(t *testing.T) {
 	}
 }
 
-// TestInfoShowsFormat checks that info labels each segment's block
-// codec, covering a directory that mixes both formats.
-func TestInfoShowsFormat(t *testing.T) {
-	dir := t.TempDir()
-	w, err := archive.Create(archive.Options{Dir: dir, Format: archive.FormatRow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]collect.TraceTuple{{ECID: 1, Op: paths.OpRead, Start: 1, End: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w, err = archive.Create(archive.Options{Dir: dir, Format: archive.FormatColumnar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]collect.TraceTuple{{ECID: 2, Op: paths.OpWrite, Start: 3, End: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out := capture(t, func() error { return runInfo([]string{"-dir", dir}) })
-	if !strings.Contains(out, "row") || !strings.Contains(out, "columnar") {
-		t.Errorf("info should label both segment formats:\n%s", out)
-	}
-}
-
 // TestNegativeSinceRejected checks flag validation.
 func TestNegativeSinceRejected(t *testing.T) {
 	dir := t.TempDir()

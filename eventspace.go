@@ -258,18 +258,6 @@ type (
 	StatsReplay = monitor.StatsReplay
 )
 
-// Archive segment formats for ArchiveOptions.Format. Readers accept
-// both per segment, so mixed-format directories stay fully queryable.
-const (
-	// ArchiveFormatRow stores blocks as rows of 28-byte tuples.
-	ArchiveFormatRow = archive.FormatRow
-	// ArchiveFormatColumnar (the default) stores blocks column by
-	// column with dictionary/delta encodings and per-column CRCs, so
-	// scans decode only the columns a query needs and skip blocks whose
-	// dictionaries cannot match it.
-	ArchiveFormatColumnar = archive.FormatColumnar
-)
-
 // Checkpointed crash recovery (see DESIGN.md "Checkpointed crash
 // recovery"): a recorder attached with System.AttachArchiveCheckpointed
 // periodically snapshots the front-end state its archive implies into a

@@ -49,22 +49,14 @@ func TestFacadeQuickstart(t *testing.T) {
 // the trace archive: recording a run and replaying the archive through
 // the load-balance join offline must reproduce the live single-scope
 // monitor's per-round last-arrival verdicts exactly — same weighted
-// tree, byte for byte in the viz rendering — whichever segment format
-// the recorder wrote. The run is sized so neither side loses tuples
-// (large trace buffers, continuous pulls, no retention), which the test
-// asserts before comparing.
+// tree, byte for byte in the viz rendering. The run is sized so neither
+// side loses tuples (large trace buffers, continuous pulls, no
+// retention), which the test asserts before comparing.
 func TestArchiveReplayMatchesLiveLoadBalance(t *testing.T) {
-	for _, format := range []struct {
-		name string
-		f    int
-	}{{"row", ArchiveFormatRow}, {"columnar", ArchiveFormatColumnar}} {
-		t.Run(format.name, func(t *testing.T) {
-			testArchiveReplayMatchesLiveLoadBalance(t, format.f)
-		})
-	}
+	t.Run("columnar", testArchiveReplayMatchesLiveLoadBalance)
 }
 
-func testArchiveReplayMatchesLiveLoadBalance(t *testing.T, format int) {
+func testArchiveReplayMatchesLiveLoadBalance(t *testing.T) {
 	dir := t.TempDir()
 	var liveOut bytes.Buffer
 	const iters = 60
@@ -89,7 +81,7 @@ func testArchiveReplayMatchesLiveLoadBalance(t *testing.T, format int) {
 		// Small segments force several rotations mid-run; no retention
 		// cap, so nothing recorded is deleted.
 		rec, err := sys.AttachArchive(tree, 200*time.Microsecond, ArchiveOptions{
-			Dir: dir, SegmentBytes: 4096, Format: format,
+			Dir: dir, SegmentBytes: 4096,
 		})
 		if err != nil {
 			return err
@@ -470,20 +462,12 @@ func TestFacadeConstants(t *testing.T) {
 // the alerts are archived as OpAlert control tuples next to the data
 // tuples, and two independent offline paths — decoding the archived
 // alert tuples, and re-running the same statements over the archived
-// data — reproduce the live alert stream exactly, on both segment
-// formats.
+// data — reproduce the live alert stream exactly.
 func TestContinuousQueryAlertFiresAndReplays(t *testing.T) {
-	for _, format := range []struct {
-		name string
-		f    int
-	}{{"row", ArchiveFormatRow}, {"columnar", ArchiveFormatColumnar}} {
-		t.Run(format.name, func(t *testing.T) {
-			testContinuousQueryAlertFiresAndReplays(t, format.f)
-		})
-	}
+	t.Run("columnar", testContinuousQueryAlertFiresAndReplays)
 }
 
-func testContinuousQueryAlertFiresAndReplays(t *testing.T, format int) {
+func testContinuousQueryAlertFiresAndReplays(t *testing.T) {
 	dir := t.TempDir()
 	// Two standing queries: a latency-spike detector the injected chaos
 	// should trip, and an activity alert guaranteed to fire once two
@@ -511,7 +495,7 @@ func testContinuousQueryAlertFiresAndReplays(t *testing.T, format int) {
 			Rules: []FaultRule{{SpikeProb: 0.3, SpikeDelay: 2 * time.Millisecond}},
 		})
 		rec, err := sys.AttachArchiveQueries(tree, 200*time.Microsecond, ArchiveOptions{
-			Dir: dir, SegmentBytes: 4096, Format: format,
+			Dir: dir, SegmentBytes: 4096,
 		}, sources...)
 		if err != nil {
 			return err

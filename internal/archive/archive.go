@@ -15,29 +15,25 @@
 //
 // # On-disk format
 //
-// A segment file is a 64-byte header followed by checksummed blocks of
-// whole tuples. The header's version field selects the block codec for
-// the whole segment; readers accept both versions side by side in one
-// directory:
+// A segment file is a 64-byte header followed by checksummed columnar
+// blocks of whole tuples. The header's version field names the block
+// codec; version 2 below is the only one. Segments of the retired
+// version 1 (row blocks) are refused on open, never repaired:
 //
 //	header (64 B): magic "ESG1", version, flags (sealed), segment id,
 //	               ECID range, stamp range, tuple/block counts, CRC32
 //
-//	v1 row block (FormatRow):
-//	  block   (8 B): tuple count, CRC32(payload)
-//	  payload      : count × 28-byte tuples (collect.TraceTuple encoding)
-//
-//	v2 columnar block (FormatColumnar, the default):
+//	block:
 //	  header (12 B): tuple count, column-area bytes, CRC32(directory)
 //	  directory    : 6 × {encoding, length, CRC32} — one per column
 //	  payloads     : ECID, Op, Ret, Seq, Start, End columns back to
 //	                 back, each dictionary-, delta-, latency- or
 //	                 raw-encoded (see DESIGN.md §12)
 //
-// Columnar blocks carry a CRC per column, so a query filtering on ECID
-// or op kind can verify and decode just a block's dictionary column and
-// skip the block entirely when the dictionary cannot intersect the
-// query — the ≥4x selective-scan win recorded in BENCH_archive.json.
+// Blocks carry a CRC per column, so a query filtering on ECID or op
+// kind can verify and decode just a block's dictionary column and skip
+// the block entirely when the dictionary cannot intersect the query
+// (the benchmark's archive.blocks_skipped_share).
 //
 // The header is written provisionally (unsealed, empty index) when the
 // segment is created and rewritten in place with the final index when
@@ -77,12 +73,6 @@ type Options struct {
 	// block is written out. 0 uses DefaultBlockTuples; the cap is
 	// MaxBlockTuples.
 	BlockTuples int
-	// Format selects the block codec for segments this writer creates:
-	// FormatColumnar (the default) or FormatRow. Readers accept both
-	// formats per segment, so a directory mixing them — e.g. after a
-	// format change, or a reopen by a writer configured differently —
-	// stays fully queryable.
-	Format int
 	// Metrics, when set, accounts archive writes (ops, bytes, latency)
 	// and rotation/retention/truncation events in the self-metrics
 	// registry. nil disables.
@@ -109,24 +99,12 @@ const (
 	MaxBlockTuples = 1 << 16
 )
 
-// Segment formats for Options.Format. The values match the on-disk
-// segment header version.
-const (
-	// FormatRow stores blocks as count × 28-byte tuple rows.
-	FormatRow = segmentVersionRow
-	// FormatColumnar stores blocks column by column with dictionary and
-	// delta encodings plus per-column CRCs; scans decode only the
-	// columns a query needs and skip blocks whose dictionaries cannot
-	// match it.
-	FormatColumnar = segmentVersionCol
-)
-
 func (o *Options) segmentBytes() int64 {
 	if o.SegmentBytes <= 0 {
 		return DefaultSegmentBytes
 	}
-	if o.SegmentBytes < segmentHeaderSize+blockHeaderSize {
-		return segmentHeaderSize + blockHeaderSize
+	if o.SegmentBytes < segmentHeaderSize+v2BlockHeaderSize {
+		return segmentHeaderSize + v2BlockHeaderSize
 	}
 	return o.SegmentBytes
 }
@@ -142,19 +120,9 @@ func (o *Options) blockTuples() int {
 	}
 }
 
-func (o *Options) format() uint16 {
-	if o.Format == 0 {
-		return FormatColumnar
-	}
-	return uint16(o.Format)
-}
-
 func (o *Options) validate() error {
 	if o.Dir == "" {
 		return fmt.Errorf("archive: no directory configured")
-	}
-	if o.Format != 0 && o.Format != FormatRow && o.Format != FormatColumnar {
-		return fmt.Errorf("archive: unknown segment format %d", o.Format)
 	}
 	return nil
 }

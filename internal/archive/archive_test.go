@@ -1,9 +1,13 @@
 package archive
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"eventspace/internal/collect"
@@ -182,7 +186,8 @@ func TestTornTailReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := encodeBlock([]collect.TraceTuple{tuple(9, 999, 1, 2), tuple(9, 1000, 3, 4)})
+	var enc columnarEncoder
+	torn := enc.encodeBlock([]collect.TraceTuple{tuple(9, 999, 1, 2), tuple(9, 1000, 3, 4)})
 	if _, err := f.Write(torn[:len(torn)-5]); err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +269,50 @@ func TestHeaderlessNewestFile(t *testing.T) {
 	defer w2.Close()
 	if st := w2.Stats(); st.ActiveSegment != nextID || st.TornTruncations != 1 {
 		t.Fatalf("stats after header-less reopen: %+v", st)
+	}
+}
+
+// v1Header forges an intact (magic and CRC valid) sealed header of the
+// retired row-block version.
+func v1Header(id uint32) []byte {
+	hdr := encodeHeader(segmentHeader{ID: id, Sealed: true})
+	binary.LittleEndian.PutUint16(hdr[4:6], 1)
+	binary.LittleEndian.PutUint32(hdr[60:64], crc32.ChecksumIEEE(hdr[:60]))
+	return hdr
+}
+
+// TestRetiredVersionRefused: an intact version-1 segment is not crash
+// damage. Reader and writer must both refuse the directory with an
+// error naming the version — whether the segment is the newest file
+// (which reopen would otherwise drop as a header-less leftover) or an
+// older one — and leave the file byte for byte as it was.
+func TestRetiredVersionRefused(t *testing.T) {
+	for _, newer := range []bool{false, true} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, segmentFileName(1))
+		if err := os.WriteFile(path, v1Header(1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if newer {
+			hdr := encodeHeader(segmentHeader{ID: 2, Sealed: true})
+			if err := os.WriteFile(filepath.Join(dir, segmentFileName(2)), hdr, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const want = "unsupported segment version 1"
+		if _, err := OpenReader(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("newer=%v: OpenReader = %v, want %q", newer, err, want)
+		}
+		if _, err := Create(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("newer=%v: Create = %v, want %q", newer, err, want)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("newer=%v: version-1 segment gone after refusal: %v", newer, err)
+		}
+		if !bytes.Equal(got, v1Header(1)) {
+			t.Fatalf("newer=%v: version-1 segment modified by the refusal", newer)
+		}
 	}
 }
 
@@ -515,54 +564,6 @@ func TestReplayStats(t *testing.T) {
 	}
 	if _, _, err := ReplayStats(r, nil, Query{}, 0); err == nil {
 		t.Fatal("stats replay without metadata accepted")
-	}
-}
-
-// TestSummarizeAndTimeSeries covers the aggregation queries.
-func TestSummarizeAndTimeSeries(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Create(Options{Dir: dir, BlockTuples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples := []collect.TraceTuple{
-		{ECID: 1, Op: paths.OpWrite, Seq: 0, Ret: 0, Start: 100, End: 200},
-		{ECID: 1, Op: paths.OpWrite, Seq: 1, Ret: -1, Start: 1100, End: 1300},
-		{ECID: 2, Op: paths.OpRead, Seq: 0, Ret: 0, Start: 150, End: 250},
-	}
-	if err := w.Append(tuples); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums, _, err := r.Summarize(Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sums) != 2 || sums[0].ECID != 1 || sums[1].ECID != 2 {
-		t.Fatalf("summaries %+v", sums)
-	}
-	if sums[0].Tuples != 2 || sums[0].Errors != 1 || sums[0].FirstStart != 100 || sums[0].LastEnd != 1300 {
-		t.Fatalf("ecid 1 summary %+v", sums[0])
-	}
-	if sums[0].MeanLatency() != 150 {
-		t.Fatalf("ecid 1 mean latency %v", sums[0].MeanLatency())
-	}
-	series, _, err := r.TimeSeries(Query{ECIDs: []uint32{1}}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := series[1]
-	if len(pts) != 2 || pts[0].Bucket != 0 || pts[1].Bucket != 1000 || pts[0].Tuples != 1 {
-		t.Fatalf("series %+v", pts)
-	}
-	if _, _, err := r.TimeSeries(Query{}, 0); err == nil {
-		t.Fatal("zero bucket accepted")
 	}
 }
 

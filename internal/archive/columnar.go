@@ -141,10 +141,10 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // on the write path. Not safe for concurrent use; the writer owns one
 // under its lock.
 type columnarEncoder struct {
-	block []byte                // assembled block, valid until the next encodeBlock
-	col   [numColumns][]byte    // per-column payload scratch
-	dict  map[uint64]uint8      // value -> index, cleared per column
-	vals  []uint64              // dictionary values in first-appearance order
+	block []byte             // assembled block, valid until the next encodeBlock
+	col   [numColumns][]byte // per-column payload scratch
+	dict  map[uint64]uint8   // value -> index, cleared per column
+	vals  []uint64           // dictionary values in first-appearance order
 }
 
 // encodeDictOrRaw writes the column dictionary-coded, falling back to
@@ -299,10 +299,10 @@ func frameColumnarBlock(rest []byte) (columnarFrame, bool) {
 	return f, true
 }
 
-// blockDecoder decodes blocks of either format into a reused tuple
-// batch, so a scan's per-block cost is bounds checks and column reads,
-// not allocation. The returned batches alias dec.batch: valid until the
-// next decode. Not safe for concurrent use; each scan owns one.
+// blockDecoder decodes blocks into a reused tuple batch, so a scan's
+// per-block cost is bounds checks and column reads, not allocation. The
+// returned batches alias dec.batch: valid until the next decode. Not
+// safe for concurrent use; each scan owns one.
 type blockDecoder struct {
 	batch []collect.TraceTuple
 	dict  []uint64

@@ -80,74 +80,10 @@ func TestColumnarCompression(t *testing.T) {
 	}
 	var enc columnarEncoder
 	col := len(enc.encodeBlock(tuples))
-	row := len(encodeBlock(tuples))
+	row := len(tuples) * collect.TupleSize
 	if col*2 > row {
 		t.Fatalf("columnar block %d B vs row %d B: expected at least 2x smaller", col, row)
 	}
-}
-
-// TestMixedFormatArchive covers a directory written under both formats:
-// a row-format writer's segments and a columnar writer's segments must
-// read back as one coherent archive, in order. The reopen also crosses
-// formats: the columnar writer finds the row writer's unsealed active
-// segment, seals it as-is, and continues in its own format.
-func TestMixedFormatArchive(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Dir: dir, SegmentBytes: 600, BlockTuples: 8, Format: FormatRow}
-	w, err := Create(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowCorpus := writeCorpus(t, w, 100, 4)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// No Close: the active segment stays unsealed, as after a crash.
-	opts.Format = FormatColumnar
-	w2, err := Create(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.Stats().TuplesRecovered == 0 {
-		t.Fatal("cross-format reopen lost the unsealed row segment")
-	}
-	colCorpus := writeCorpus(t, w2, 100, 4)
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	formats := map[uint16]int{}
-	for _, s := range r.Segments() {
-		formats[s.Format]++
-	}
-	if formats[FormatRow] == 0 || formats[FormatColumnar] == 0 {
-		t.Fatalf("segment formats %v, want both row and columnar", formats)
-	}
-	got, stats, err := r.Select(Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTuples(t, got, append(append([]collect.TraceTuple(nil), rowCorpus...), colCorpus...))
-	if stats.TornSegments != 0 {
-		t.Fatalf("mixed-format read reported tears: %+v", stats)
-	}
-	// Filters behave identically across the boundary.
-	q := Query{ECIDs: []uint32{2}, Ops: []paths.OpKind{paths.OpRead}}
-	var want []collect.TraceTuple
-	for _, tu := range append(append([]collect.TraceTuple(nil), rowCorpus...), colCorpus...) {
-		if q.match(tu) {
-			want = append(want, tu)
-		}
-	}
-	got, _, err = r.Select(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTuples(t, got, want)
 }
 
 // TestColumnarTornTailReopen is the torn-tail contract under the
@@ -155,7 +91,7 @@ func TestMixedFormatArchive(t *testing.T) {
 // and reopen truncates and continues in the same segment.
 func TestColumnarTornTailReopen(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, BlockTuples: 8, Format: FormatColumnar}
+	opts := Options{Dir: dir, BlockTuples: 8}
 	w, err := Create(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +139,7 @@ func TestColumnarTornTailReopen(t *testing.T) {
 // a tear, never as silently wrong tuples.
 func TestColumnarCorruptColumnIsTear(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(Options{Dir: dir, BlockTuples: 4, Format: FormatColumnar})
+	w, err := Create(Options{Dir: dir, BlockTuples: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +177,7 @@ func TestColumnarCorruptColumnIsTear(t *testing.T) {
 // only the blocks holding its collector.
 func TestColumnarBlockSkip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(Options{Dir: dir, BlockTuples: 8, Format: FormatColumnar})
+	w, err := Create(Options{Dir: dir, BlockTuples: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,9 +221,30 @@ func TestColumnarBlockSkip(t *testing.T) {
 	}
 }
 
-// TestOptionsFormatValidation rejects unknown formats.
-func TestOptionsFormatValidation(t *testing.T) {
-	if _, err := Create(Options{Dir: t.TempDir(), Format: 7}); err == nil {
-		t.Fatal("unknown format accepted")
+// TestColumnarAppendSteadyStateZeroAlloc is the write-path allocation
+// gate: a warm writer appending whole 256-tuple blocks into a segment
+// too big to rotate encodes into reused scratch and allocates nothing.
+func TestColumnarAppendSteadyStateZeroAlloc(t *testing.T) {
+	w, err := Create(Options{Dir: t.TempDir(), SegmentBytes: 1 << 30, BlockTuples: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]collect.TraceTuple, 256)
+	for i := range batch {
+		batch[i] = tuple(uint32(1+i%4), uint32(i/4), int64(i)*1000, int64(i)*1000+700)
+	}
+	if err := w.Append(batch); err != nil { // warm the scratch buffers
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := w.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state append allocates %.1f objects per block", allocs)
 	}
 }

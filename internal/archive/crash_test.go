@@ -10,9 +10,8 @@ import (
 )
 
 // crashOpts arms one site on a small archive.
-func crashOpts(dir string, format int, seed uint64, site CrashSite, count int) Options {
+func crashOpts(dir string, seed uint64, site CrashSite, count int) Options {
 	o := smallOpts(dir)
-	o.Format = format
 	o.CrashPoints = &CrashPoints{Seed: seed, Specs: []CrashSpec{{Site: site, Count: count}}}
 	return o
 }
@@ -36,64 +35,61 @@ func runUntilCrash(t *testing.T, w *Writer, n int) int {
 }
 
 // TestCrashInjectionPrefixProperty drives every write-path crash site
-// on both segment formats and several seeds, then proves the recovery
-// invariant: reopening the directory yields exactly a prefix of the
-// appended stream — never a divergent or reordered one — and the
-// reopened writer's cursor agrees with what the reader can prove.
+// on several seeds, then proves the recovery invariant: reopening the
+// directory yields exactly a prefix of the appended stream — never a
+// divergent or reordered one — and the reopened writer's cursor agrees
+// with what the reader can prove.
 func TestCrashInjectionPrefixProperty(t *testing.T) {
 	sites := []CrashSite{CrashBlockFlush, CrashSeal, CrashRotate}
-	formats := []int{FormatRow, FormatColumnar}
 	seeds := []uint64{1, 2, 3}
-	for _, format := range formats {
-		for _, site := range sites {
-			for _, seed := range seeds {
-				t.Run(formatName(format)+"/"+site.String()+"/"+string('0'+rune(seed)), func(t *testing.T) {
-					dir := t.TempDir()
-					// Fire on the second occurrence so the first block /
-					// seal / rotation completes normally first.
-					w, err := Create(crashOpts(dir, format, seed, site, 2))
-					if err != nil {
-						t.Fatal(err)
-					}
-					accepted := runUntilCrash(t, w, 4096)
-					if accepted == 0 {
-						t.Fatal("crash fired before any append")
-					}
-					// The dead writer stays dead.
-					if err := w.Append([]collect.TraceTuple{tuple(9, 9, 9, 9)}); !errors.Is(err, ErrInjectedCrash) {
-						t.Fatalf("append after crash = %v, want ErrInjectedCrash", err)
-					}
-					if err := w.Close(); err != nil && !errors.Is(err, ErrInjectedCrash) {
-						t.Fatalf("close after crash: %v", err)
-					}
+	for _, site := range sites {
+		for _, seed := range seeds {
+			t.Run("columnar/"+site.String()+"/"+string('0'+rune(seed)), func(t *testing.T) {
+				dir := t.TempDir()
+				// Fire on the second occurrence so the first block /
+				// seal / rotation completes normally first.
+				w, err := Create(crashOpts(dir, seed, site, 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				accepted := runUntilCrash(t, w, 4096)
+				if accepted == 0 {
+					t.Fatal("crash fired before any append")
+				}
+				// The dead writer stays dead.
+				if err := w.Append([]collect.TraceTuple{tuple(9, 9, 9, 9)}); !errors.Is(err, ErrInjectedCrash) {
+					t.Fatalf("append after crash = %v, want ErrInjectedCrash", err)
+				}
+				if err := w.Close(); err != nil && !errors.Is(err, ErrInjectedCrash) {
+					t.Fatalf("close after crash: %v", err)
+				}
 
-					// Reopen crash-safely and prove the prefix property.
-					w2, err := Create(Options{Dir: dir, SegmentBytes: 600, BlockTuples: 8, Format: format})
-					if err != nil {
-						t.Fatalf("reopen after %v crash: %v", site, err)
-					}
-					cur := w2.Position()
-					if err := w2.Close(); err != nil {
-						t.Fatal(err)
-					}
-					// The append whose flush crashed returns an error but
-					// may have persisted its block first, so the durable
-					// stream can be one tuple longer than the accepted
-					// count — never more.
-					got, _ := selectAll(t, dir, Query{})
-					if len(got) > accepted+1 {
-						t.Fatalf("recovered %d tuples from %d accepted appends", len(got), accepted)
-					}
-					want := make([]collect.TraceTuple, len(got))
-					for i := range want {
-						want[i] = tuple(uint32(1+i%3), uint32(i), int64(1000+10*i), int64(1005+10*i))
-					}
-					sameTuples(t, got, want)
-					if cur.Tuples != uint64(len(got)) {
-						t.Fatalf("reopened cursor covers %d tuples, archive holds %d", cur.Tuples, len(got))
-					}
-				})
-			}
+				// Reopen crash-safely and prove the prefix property.
+				w2, err := Create(smallOpts(dir))
+				if err != nil {
+					t.Fatalf("reopen after %v crash: %v", site, err)
+				}
+				cur := w2.Position()
+				if err := w2.Close(); err != nil {
+					t.Fatal(err)
+				}
+				// The append whose flush crashed returns an error but
+				// may have persisted its block first, so the durable
+				// stream can be one tuple longer than the accepted
+				// count — never more.
+				got, _ := selectAll(t, dir, Query{})
+				if len(got) > accepted+1 {
+					t.Fatalf("recovered %d tuples from %d accepted appends", len(got), accepted)
+				}
+				want := make([]collect.TraceTuple, len(got))
+				for i := range want {
+					want[i] = tuple(uint32(1+i%3), uint32(i), int64(1000+10*i), int64(1005+10*i))
+				}
+				sameTuples(t, got, want)
+				if cur.Tuples != uint64(len(got)) {
+					t.Fatalf("reopened cursor covers %d tuples, archive holds %d", cur.Tuples, len(got))
+				}
+			})
 		}
 	}
 }
@@ -102,49 +98,47 @@ func TestCrashInjectionPrefixProperty(t *testing.T) {
 // a mid-flush crash leaves a partial block the reader ignores and the
 // reopen truncates, with the truncation accounted in the stats.
 func TestCrashBlockFlushLeavesTornTail(t *testing.T) {
-	for _, format := range []int{FormatRow, FormatColumnar} {
-		t.Run(formatName(format), func(t *testing.T) {
-			dir := t.TempDir()
-			// Seed 7 tears mid-block for both formats (keep fraction
-			// strictly inside (0,1) is guaranteed by tearLen only when
-			// the fraction is nonzero; the prefix property holds either
-			// way, this test just wants some torn bytes).
-			w, err := Create(crashOpts(dir, format, 7, CrashBlockFlush, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			accepted := runUntilCrash(t, w, 4096)
-			w.Close()
+	t.Run("columnar", func(t *testing.T) {
+		dir := t.TempDir()
+		// Seed 7 tears mid-block (keep fraction strictly inside (0,1)
+		// is guaranteed by tearLen only when the fraction is nonzero;
+		// the prefix property holds either way, this test just wants
+		// some torn bytes).
+		w, err := Create(crashOpts(dir, 7, CrashBlockFlush, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted := runUntilCrash(t, w, 4096)
+		w.Close()
 
-			r, err := OpenReader(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int(r.Tuples()) >= accepted {
-				t.Fatalf("reader sees %d tuples, crash should have lost the in-flight block of %d appended", r.Tuples(), accepted)
-			}
-			segs := r.Segments()
-			last := segs[len(segs)-1]
-			if !last.Torn {
-				t.Fatal("newest segment not marked torn after mid-flush crash")
-			}
-			if last.TornBytes <= 0 {
-				t.Fatalf("TornBytes = %d, want > 0", last.TornBytes)
-			}
+		r, err := OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(r.Tuples()) >= accepted {
+			t.Fatalf("reader sees %d tuples, crash should have lost the in-flight block of %d appended", r.Tuples(), accepted)
+		}
+		segs := r.Segments()
+		last := segs[len(segs)-1]
+		if !last.Torn {
+			t.Fatal("newest segment not marked torn after mid-flush crash")
+		}
+		if last.TornBytes <= 0 {
+			t.Fatalf("TornBytes = %d, want > 0", last.TornBytes)
+		}
 
-			w2, err := Create(Options{Dir: dir, SegmentBytes: 600, BlockTuples: 8, Format: format})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := w2.Stats()
-			if st.TornTruncations == 0 {
-				t.Fatal("reopen did not truncate the torn tail")
-			}
-			if err := w2.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		w2, err := Create(smallOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := w2.Stats()
+		if st.TornTruncations == 0 {
+			t.Fatal("reopen did not truncate the torn tail")
+		}
+		if err := w2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestCrashRotateDropsHeaderlessFile verifies the rotate crash leaves a
@@ -153,7 +147,7 @@ func TestCrashBlockFlushLeavesTornTail(t *testing.T) {
 // id.
 func TestCrashRotateDropsHeaderlessFile(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(crashOpts(dir, FormatRow, 1, CrashRotate, 1))
+	w, err := Create(crashOpts(dir, 1, CrashRotate, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +174,7 @@ func TestCrashRotateDropsHeaderlessFile(t *testing.T) {
 		t.Fatalf("SkippedFiles = %v, want [%s]", got, last.path)
 	}
 
-	w2, err := Create(Options{Dir: dir, SegmentBytes: 600, BlockTuples: 8, Format: FormatRow})
+	w2, err := Create(smallOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +194,7 @@ func TestCrashRotateDropsHeaderlessFile(t *testing.T) {
 // that a clean reopen continues it.
 func TestCrashSealKeepsUnsealedHeader(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Create(crashOpts(dir, FormatColumnar, 1, CrashSeal, 1))
+	w, err := Create(crashOpts(dir, 1, CrashSeal, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +247,4 @@ func TestCrashPointsFireOnce(t *testing.T) {
 	if nilPlan.Fired() != nil {
 		t.Fatal("nil plan reports fired sites")
 	}
-}
-
-// formatName labels subtests.
-func formatName(format int) string {
-	if format == FormatRow {
-		return "row"
-	}
-	return "columnar"
 }

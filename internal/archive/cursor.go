@@ -3,7 +3,7 @@
 // the durable position of the stream; Reader.ScanFrom replays only the
 // tuples archived after that position. Recovery time then scales with
 // the suffix written since the last checkpoint, not with the archive —
-// the bounded-time failover the recovery benchmark pins down.
+// the bounded-time failover the benchmark reports as recover_ms.
 //
 // A cursor is only honoured when the directory still proves it: the
 // tuple counts of the segments before the cursor must sum to exactly
@@ -14,14 +14,7 @@
 // (older checkpoint, then full replay) instead of silently diverging.
 package archive
 
-import (
-	"encoding/binary"
-	"fmt"
-	"os"
-
-	"eventspace/internal/collect"
-	"eventspace/internal/hrtime"
-)
+import "eventspace/internal/collect"
 
 // Cursor marks a durable position in an archive directory's tuple
 // stream, in directory-lifetime coordinates (reopen after a crash
@@ -36,28 +29,6 @@ type Cursor struct {
 	// SegTuples counts the tuples already persisted into that segment
 	// at capture.
 	SegTuples uint64
-}
-
-// frameBlock returns the tuple count and byte size of the block at the
-// start of rest without decoding its payload — the cursor fast path
-// skips covered blocks this way. ok=false is the torn-tail signature.
-func frameBlock(version uint16, rest []byte) (count uint64, size int64, ok bool) {
-	if version == segmentVersionCol {
-		f, ok := frameColumnarBlock(rest)
-		if !ok {
-			return 0, 0, false
-		}
-		return uint64(f.count), f.size, true
-	}
-	if len(rest) < blockHeaderSize {
-		return 0, 0, false
-	}
-	c := binary.LittleEndian.Uint32(rest[0:4])
-	if c == 0 || c > MaxBlockTuples ||
-		int64(c) > (int64(len(rest))-blockHeaderSize)/collect.TupleSize {
-		return 0, 0, false
-	}
-	return uint64(c), blockHeaderSize + int64(c)*collect.TupleSize, true
 }
 
 // ScanFrom streams every tuple archived after cur that matches q, in
@@ -75,103 +46,5 @@ func frameBlock(version uint16, rest []byte) (count uint64, size int64, ok bool)
 // Callers treat that error as "this checkpoint is unusable here" and
 // fall back to an older checkpoint or a full Scan.
 func (r *Reader) ScanFrom(cur Cursor, q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
-	stats := ScanStats{Segments: len(r.segs)}
-	start := hrtime.Now()
-	var bytes int
-	defer func() {
-		r.opScan.Record(hrtime.Since(start), bytes, nil)
-	}()
-
-	var prefix uint64
-	curSeg := -1
-	for i, s := range r.segs {
-		switch {
-		case s.ID < cur.Segment:
-			prefix += s.Index.Tuples
-		case s.ID == cur.Segment:
-			curSeg = i
-		}
-	}
-	if curSeg < 0 {
-		return stats, fmt.Errorf("archive: cursor segment %d not in archive", cur.Segment)
-	}
-	if got := prefix + cur.SegTuples; got != cur.Tuples {
-		return stats, fmt.Errorf("archive: cursor mismatch: directory proves %d tuples before the cursor, cursor claims %d", got, cur.Tuples)
-	}
-	if have := r.segs[curSeg].Index.Tuples; have < cur.SegTuples {
-		return stats, fmt.Errorf("archive: cursor segment %d holds %d tuples, cursor covers %d", cur.Segment, have, cur.SegTuples)
-	}
-
-	// Everything before the cursor segment is covered by the checkpoint:
-	// skipped wholesale, never read.
-	for _, s := range r.segs[:curSeg] {
-		stats.SegmentsSkipped++
-		stats.BytesSkipped += uint64(s.Bytes)
-		stats.TuplesSkipped += s.Index.Tuples
-	}
-
-	var dec blockDecoder
-	for _, s := range r.segs[curSeg:] {
-		covered := uint64(0)
-		if s.ID == cur.Segment {
-			covered = cur.SegTuples
-		}
-		uncovered := s.Index.Tuples - covered
-		if uncovered == 0 || !s.Index.overlapECIDs(q.ECIDs) || !s.Index.overlapStamps(q.MinStamp, q.MaxStamp) {
-			stats.SegmentsSkipped++
-			stats.BytesSkipped += uint64(s.Bytes)
-			stats.TuplesSkipped += uncovered
-			continue
-		}
-		buf, err := os.ReadFile(s.Path)
-		if err != nil {
-			return stats, fmt.Errorf("archive: %v", err)
-		}
-		bytes += len(buf)
-		stats.BytesScanned += uint64(len(buf))
-		h, err := decodeHeader(buf)
-		if err != nil {
-			return stats, fmt.Errorf("archive: segment %s: %v", s.Path, err)
-		}
-		stats.SegmentsScanned++
-		off := int64(segmentHeaderSize)
-		// Jump the covered prefix frame by frame: whole covered blocks
-		// are sized but never decoded; the block straddling the cursor
-		// is decoded once and its covered head dropped.
-		for skip := covered; skip > 0; {
-			count, size, ok := frameBlock(h.Version, buf[off:])
-			if !ok {
-				return stats, fmt.Errorf("archive: segment %s: torn before cursor position", s.Path)
-			}
-			if count <= skip {
-				skip -= count
-				off += size
-				stats.BlocksSkipped++
-				stats.TuplesSkipped += count
-				continue
-			}
-			batch, size, ok := decodeNextBlock(h.Version, buf[off:], &dec)
-			if !ok {
-				return stats, fmt.Errorf("archive: segment %s: torn before cursor position", s.Path)
-			}
-			off += size
-			stats.BlocksScanned++
-			stats.TuplesSkipped += skip
-			stats.TuplesScanned += uint64(len(batch)) - skip
-			for _, t := range batch[skip:] {
-				if !q.match(t) {
-					continue
-				}
-				stats.TuplesMatched++
-				if !fn(t) {
-					return stats, nil
-				}
-			}
-			skip = 0
-		}
-		if scanBlocks(buf, off, h.Version, &q, &dec, &stats, fn) {
-			return stats, nil
-		}
-	}
-	return stats, nil
+	return r.scan(&cur, q, fn)
 }

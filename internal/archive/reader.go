@@ -2,11 +2,9 @@ package archive
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"eventspace/internal/collect"
 	"eventspace/internal/hrtime"
@@ -69,7 +67,6 @@ type SegmentInfo struct {
 	ID        uint32
 	Path      string
 	Bytes     int64
-	Format    uint16 // block codec: FormatRow or FormatColumnar
 	Sealed    bool
 	Torn      bool  // the segment carries a damaged tail (ignored by reads)
 	TornBytes int64 // bytes in the damaged tail beyond the last intact block
@@ -77,7 +74,7 @@ type SegmentInfo struct {
 }
 
 // ScanStats reports what one query actually touched — the pushdown
-// accounting that the query-scan benchmark and tests pin down.
+// accounting that the benchmark and tests pin down.
 type ScanStats struct {
 	Segments        int    // segments in the archive
 	SegmentsSkipped int    // skipped wholesale via the header index
@@ -86,7 +83,7 @@ type ScanStats struct {
 	BlocksSkipped   uint64 // blocks skipped undecoded (dictionary or cursor skips)
 	TuplesScanned   uint64 // tuples decoded
 	TuplesMatched   uint64 // tuples that passed the filters
-	TuplesSkipped   uint64 // tuples jumped over without decoding (cursor scans)
+	TuplesSkipped   uint64 // tuples jumped over without decoding (index or cursor skips)
 	BytesScanned    uint64 // segment bytes read off disk
 	BytesSkipped    uint64 // segment bytes never read (index or cursor skips)
 	TornSegments    int    // scanned segments with a damaged tail
@@ -140,7 +137,7 @@ func OpenReaderMetrics(dir string, reg *metrics.Registry) (*Reader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("archive: segment %s: %v", s.path, err)
 		}
-		info := SegmentInfo{ID: hdr.ID, Path: s.path, Bytes: s.size, Format: hdr.Version, Sealed: hdr.Sealed, Index: hdr.Index}
+		info := SegmentInfo{ID: hdr.ID, Path: s.path, Bytes: s.size, Sealed: hdr.Sealed, Index: hdr.Index}
 		if !hdr.Sealed {
 			// No trustworthy index: recover it from the blocks.
 			res, err := scanSegment(buf)
@@ -199,21 +196,64 @@ func (r *Reader) Tuples() uint64 {
 // end a segment's scan without failing the query.
 //
 // Segments are walked block by block into one reused decode batch —
-// never materialized whole — and columnar blocks whose ECID/op
-// dictionaries cannot intersect q are skipped after a dictionary-only
-// CRC check, without decoding any column.
+// never materialized whole — and blocks whose ECID/op dictionaries
+// cannot intersect q are skipped after a dictionary-only CRC check,
+// without decoding any column.
 func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
+	return r.scan(nil, q, fn)
+}
+
+// scan is the one per-segment walk behind Scan (cur == nil: the whole
+// archive) and ScanFrom (only what was archived after *cur).
+func (r *Reader) scan(cur *Cursor, q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
 	stats := ScanStats{Segments: len(r.segs)}
 	start := hrtime.Now()
 	var bytes int
 	defer func() {
 		r.opScan.Record(hrtime.Since(start), bytes, nil)
 	}()
-	var dec blockDecoder
-	for _, s := range r.segs {
-		if s.Index.empty() || !s.Index.overlapECIDs(q.ECIDs) || !s.Index.overlapStamps(q.MinStamp, q.MaxStamp) {
+
+	first := 0 // index of the first segment cur does not wholly cover
+	if cur != nil {
+		var prefix uint64
+		first = -1
+		for i, s := range r.segs {
+			switch {
+			case s.ID < cur.Segment:
+				prefix += s.Index.Tuples
+			case s.ID == cur.Segment:
+				first = i
+			}
+		}
+		if first < 0 {
+			return stats, fmt.Errorf("archive: cursor segment %d not in archive", cur.Segment)
+		}
+		if got := prefix + cur.SegTuples; got != cur.Tuples {
+			return stats, fmt.Errorf("archive: cursor mismatch: directory proves %d tuples before the cursor, cursor claims %d", got, cur.Tuples)
+		}
+		if have := r.segs[first].Index.Tuples; have < cur.SegTuples {
+			return stats, fmt.Errorf("archive: cursor segment %d holds %d tuples, cursor covers %d", cur.Segment, have, cur.SegTuples)
+		}
+		// Everything before the cursor segment is covered by the
+		// checkpoint: skipped wholesale, never read.
+		for _, s := range r.segs[:first] {
 			stats.SegmentsSkipped++
 			stats.BytesSkipped += uint64(s.Bytes)
+			stats.TuplesSkipped += s.Index.Tuples
+		}
+	}
+
+	var dec blockDecoder
+	for _, s := range r.segs[first:] {
+		covered := uint64(0)
+		if cur != nil && s.ID == cur.Segment {
+			covered = cur.SegTuples
+		}
+		uncovered := s.Index.Tuples - covered
+		if uncovered == 0 || !s.Index.overlapECIDs(q.ECIDs) || !s.Index.overlapStamps(q.MinStamp, q.MaxStamp) {
+			stats.SegmentsSkipped++
+			stats.BytesSkipped += uint64(s.Bytes)
+			stats.TuplesSkipped += uncovered
 			continue
 		}
 		buf, err := os.ReadFile(s.Path)
@@ -222,12 +262,46 @@ func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, err
 		}
 		bytes += len(buf)
 		stats.BytesScanned += uint64(len(buf))
-		h, err := decodeHeader(buf)
-		if err != nil {
+		if _, err := decodeHeader(buf); err != nil {
 			return stats, fmt.Errorf("archive: segment %s: %v", s.Path, err)
 		}
 		stats.SegmentsScanned++
-		if scanBlocks(buf, segmentHeaderSize, h.Version, &q, &dec, &stats, fn) {
+		off := int64(segmentHeaderSize)
+		// Jump the covered prefix frame by frame: whole covered blocks
+		// are sized but never decoded; the block straddling the cursor
+		// is decoded once and its covered head dropped.
+		for skip := covered; skip > 0; {
+			f, ok := frameColumnarBlock(buf[off:])
+			if !ok {
+				return stats, fmt.Errorf("archive: segment %s: torn before cursor position", s.Path)
+			}
+			if count := uint64(f.count); count <= skip {
+				skip -= count
+				off += f.size
+				stats.BlocksSkipped++
+				stats.TuplesSkipped += count
+				continue
+			}
+			batch, err := dec.decodeColumnar(&f)
+			if err != nil {
+				return stats, fmt.Errorf("archive: segment %s: torn before cursor position", s.Path)
+			}
+			off += f.size
+			stats.BlocksScanned++
+			stats.TuplesSkipped += skip
+			stats.TuplesScanned += uint64(len(batch)) - skip
+			for _, t := range batch[skip:] {
+				if !q.match(t) {
+					continue
+				}
+				stats.TuplesMatched++
+				if !fn(t) {
+					return stats, nil
+				}
+			}
+			skip = 0
+		}
+		if _, stopped := scanBlocks(buf, off, &q, &dec, &stats, fn); stopped {
 			return stats, nil
 		}
 	}
@@ -236,44 +310,30 @@ func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, err
 
 // scanBlocks walks one segment image block by block from byte offset
 // off (segmentHeaderSize for a whole-segment walk; past it when a
-// cursor scan already skipped a prefix), skipping columnar blocks the
-// query cannot match, and streams decoded tuples through fn. It reports
-// whether fn stopped the scan. A torn tail ends the walk and is
-// counted, matching the recovery semantics of scanSegment.
-func scanBlocks(buf []byte, off int64, version uint16, q *Query, dec *blockDecoder, stats *ScanStats, fn func(collect.TraceTuple) bool) (stopped bool) {
-	for {
-		rest := buf[off:]
-		if len(rest) == 0 {
-			return false
+// cursor scan already skipped a prefix), skipping blocks the query
+// cannot match, and streams decoded tuples through fn. It returns the
+// offset just past the last intact block it walked and whether fn
+// stopped the scan. A block that does not frame or decode — partial
+// header or directory, short payload, CRC mismatch, invalid count — is
+// a torn tail: it ends the walk and is counted.
+func scanBlocks(buf []byte, off int64, q *Query, dec *blockDecoder, stats *ScanStats, fn func(collect.TraceTuple) bool) (end int64, stopped bool) {
+	for off < int64(len(buf)) {
+		f, ok := frameColumnarBlock(buf[off:])
+		if !ok {
+			stats.TornSegments++
+			break
 		}
-		var batch []collect.TraceTuple
-		if version == segmentVersionCol {
-			f, ok := frameColumnarBlock(rest)
-			if !ok {
-				stats.TornSegments++
-				return false
-			}
-			if dec.skipColumnar(&f, q) {
-				stats.BlocksSkipped++
-				off += f.size
-				continue
-			}
-			b, err := dec.decodeColumnar(&f)
-			if err != nil {
-				stats.TornSegments++
-				return false
-			}
-			batch = b
+		if dec.skipColumnar(&f, q) {
+			stats.BlocksSkipped++
 			off += f.size
-		} else {
-			b, size, ok := decodeNextBlock(version, rest, dec)
-			if !ok {
-				stats.TornSegments++
-				return false
-			}
-			batch = b
-			off += size
+			continue
 		}
+		batch, err := dec.decodeColumnar(&f)
+		if err != nil {
+			stats.TornSegments++
+			break
+		}
+		off += f.size
 		stats.BlocksScanned++
 		stats.TuplesScanned += uint64(len(batch))
 		for _, t := range batch {
@@ -282,10 +342,11 @@ func scanBlocks(buf []byte, off int64, version uint16, q *Query, dec *blockDecod
 			}
 			stats.TuplesMatched++
 			if !fn(t) {
-				return true
+				return off, true
 			}
 		}
 	}
+	return off, false
 }
 
 // Select materializes the matching tuples in archive order.
@@ -296,117 +357,4 @@ func (r *Reader) Select(q Query) ([]collect.TraceTuple, ScanStats, error) {
 		return true
 	})
 	return out, stats, err
-}
-
-// CollectorSummary aggregates one collector's archived tuples.
-type CollectorSummary struct {
-	ECID       uint32
-	Tuples     uint64
-	Errors     uint64 // tuples with Ret < 0 (failed operations)
-	FirstStart hrtime.Stamp
-	LastEnd    hrtime.Stamp
-	TotalLatNS int64 // sum of End-Start
-}
-
-// MeanLatency returns the collector's mean operation latency.
-func (c CollectorSummary) MeanLatency() time.Duration {
-	if c.Tuples == 0 {
-		return 0
-	}
-	return time.Duration(c.TotalLatNS / int64(c.Tuples))
-}
-
-// Summarize aggregates matching tuples per collector, in ECID order.
-// Summaries accumulate in a flat slice — the map holds only indexes
-// into it, so aggregation costs one allocation per distinct collector,
-// not one per collector plus map-bucket churn.
-func (r *Reader) Summarize(q Query) ([]CollectorSummary, ScanStats, error) {
-	var out []CollectorSummary
-	by := make(map[uint32]int)
-	stats, err := r.Scan(q, func(t collect.TraceTuple) bool {
-		i, ok := by[t.ECID]
-		if !ok {
-			i = len(out)
-			out = append(out, CollectorSummary{ECID: t.ECID, FirstStart: math.MaxInt64})
-			by[t.ECID] = i
-		}
-		c := &out[i]
-		c.Tuples++
-		if t.Ret < 0 {
-			c.Errors++
-		}
-		if t.Start < c.FirstStart {
-			c.FirstStart = t.Start
-		}
-		if t.End > c.LastEnd {
-			c.LastEnd = t.End
-		}
-		c.TotalLatNS += t.End - t.Start
-		return true
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ECID < out[j].ECID })
-	return out, stats, nil
-}
-
-// SeriesPoint is one bucket of a per-collector time series.
-type SeriesPoint struct {
-	Bucket     hrtime.Stamp // bucket start (tuple Start stamps)
-	Tuples     uint64
-	TotalLatNS int64
-}
-
-// MeanLatency returns the bucket's mean operation latency.
-func (p SeriesPoint) MeanLatency() time.Duration {
-	if p.Tuples == 0 {
-		return 0
-	}
-	return time.Duration(p.TotalLatNS / int64(p.Tuples))
-}
-
-// TimeSeries buckets matching tuples by their Start stamp into windows
-// of the given width, per collector. Buckets are returned in time
-// order. The series is computed entirely from tuple stamps: replaying
-// it any number of times yields identical output.
-func (r *Reader) TimeSeries(q Query, bucket time.Duration) (map[uint32][]SeriesPoint, ScanStats, error) {
-	if bucket <= 0 {
-		return nil, ScanStats{}, fmt.Errorf("archive: time series bucket %v", bucket)
-	}
-	// Points accumulate in per-collector slices; the bucket maps hold
-	// indexes into them rather than per-bucket heap objects. Tuples
-	// arrive in rough time order, so the common case is appending to or
-	// revisiting the newest bucket.
-	type series struct {
-		pts []SeriesPoint
-		by  map[hrtime.Stamp]int
-	}
-	acc := make(map[uint32]*series)
-	stats, err := r.Scan(q, func(t collect.TraceTuple) bool {
-		b := t.Start - t.Start%int64(bucket)
-		s, ok := acc[t.ECID]
-		if !ok {
-			s = &series{by: make(map[hrtime.Stamp]int)}
-			acc[t.ECID] = s
-		}
-		i, ok := s.by[b]
-		if !ok {
-			i = len(s.pts)
-			s.pts = append(s.pts, SeriesPoint{Bucket: b})
-			s.by[b] = i
-		}
-		s.pts[i].Tuples++
-		s.pts[i].TotalLatNS += t.End - t.Start
-		return true
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make(map[uint32][]SeriesPoint, len(acc))
-	for id, s := range acc {
-		sort.Slice(s.pts, func(i, j int) bool { return s.pts[i].Bucket < s.pts[j].Bucket })
-		out[id] = s.pts
-	}
-	return out, stats, nil
 }

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -62,19 +63,17 @@ type WriterStats struct {
 // order. A Writer is the sink end of the archive: wire it to a puller
 // with escope.ArchiveSink, or call Append from a monitor tap.
 type Writer struct {
-	opts    Options
-	version uint16 // block codec for segments this writer creates
+	opts Options
 
 	mu       sync.Mutex
 	f        *os.File
 	active   writerSegment
 	index    SegmentIndex
 	pending  []collect.TraceTuple
-	enc      columnarEncoder       // reused columnar block scratch
-	rowBuf   []byte                // reused row block scratch
-	rawBatch []collect.TraceTuple  // reused AppendRaw decode batch
-	sealed   []writerSegment       // older segments, oldest first
-	total    int64                 // bytes on disk across sealed + active
+	enc      columnarEncoder      // reused block scratch
+	rawBatch []collect.TraceTuple // reused AppendRaw decode batch
+	sealed   []writerSegment      // older segments, oldest first
+	total    int64                // bytes on disk across sealed + active
 	closed   bool
 	stats    WriterStats
 	writeErr error // first unrecoverable file-system error, sticky
@@ -101,7 +100,7 @@ func Create(opts Options) (*Writer, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: %v", err)
 	}
-	w := &Writer{opts: opts, version: opts.format()}
+	w := &Writer{opts: opts}
 	if reg := opts.Metrics; reg != nil {
 		label := filepath.Base(opts.Dir)
 		w.opWrite = reg.Op(metrics.KindArchive, "archive("+label+")")
@@ -142,8 +141,8 @@ func listSegments(dir string) ([]writerSegment, error) {
 
 // segmentTuples returns the tuple count a segment file holds: the
 // header index for sealed segments, a block scan for unsealed ones. A
-// file without a valid header counts zero, matching the reader, which
-// skips such files.
+// file without a valid header counts zero; one with an intact header of
+// an unsupported version is an error, as it is for the reader.
 func segmentTuples(path string) (uint64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -153,6 +152,9 @@ func segmentTuples(path string) (uint64, error) {
 		return 0, nil
 	}
 	hdr, err := decodeHeader(buf)
+	if errors.Is(err, errUnsupportedVersion) {
+		return 0, fmt.Errorf("archive: segment %s: %w", path, err)
+	}
 	if err != nil {
 		return 0, nil
 	}
@@ -168,7 +170,8 @@ func segmentTuples(path string) (uint64, error) {
 
 // reopen restores the writer's state from the directory: older segments
 // count toward retention, and the newest is validated, truncated past
-// its last intact block, and either continued (unsealed) or sealed off.
+// its last intact block, and continued if unsealed; after a sealed one
+// a fresh segment starts.
 func (w *Writer) reopen() error {
 	segs, err := listSegments(w.opts.Dir)
 	if err != nil {
@@ -197,6 +200,10 @@ func (w *Writer) reopen() error {
 		}
 		res, err := scanSegment(buf)
 		switch {
+		case errors.Is(err, errUnsupportedVersion):
+			// An intact segment from a retired format, not crash
+			// damage: refuse the directory and leave the file alone.
+			return fmt.Errorf("archive: segment %s: %w", last.path, err)
 		case err != nil:
 			// The newest file never got a valid header (crash between
 			// create and the first write). Drop it and start fresh
@@ -221,7 +228,7 @@ func (w *Writer) reopen() error {
 			fallthrough
 		default:
 			w.baseTuples += res.Index.Tuples
-			if !res.Header.Sealed && res.Header.Version == w.version {
+			if !res.Header.Sealed {
 				// Continue appending where the previous run stopped.
 				f, err := os.OpenFile(last.path, os.O_RDWR, 0o644)
 				if err != nil {
@@ -241,28 +248,6 @@ func (w *Writer) reopen() error {
 				w.stats.TotalBytes = w.total
 				return nil
 			}
-			if !res.Header.Sealed {
-				// The previous run wrote this segment in another block
-				// format. Blocks within a segment must share one codec,
-				// so seal it with its recovered index and start a fresh
-				// segment in the writer's own format.
-				hdr := encodeHeader(segmentHeader{
-					ID: res.Header.ID, Version: res.Header.Version,
-					Sealed: true, Index: res.Index,
-				})
-				f, err := os.OpenFile(last.path, os.O_RDWR, 0o644)
-				if err != nil {
-					return fmt.Errorf("archive: %v", err)
-				}
-				if _, err := f.WriteAt(hdr, 0); err != nil {
-					f.Close()
-					return fmt.Errorf("archive: %v", err)
-				}
-				if err := f.Close(); err != nil {
-					return fmt.Errorf("archive: %v", err)
-				}
-				w.stats.TuplesRecovered = res.Index.Tuples
-			}
 		}
 	}
 	w.sealed = segs
@@ -277,7 +262,7 @@ func (w *Writer) newSegment(id uint32) error {
 	if err != nil {
 		return fmt.Errorf("archive: %v", err)
 	}
-	hdr := encodeHeader(segmentHeader{ID: id, Version: w.version})
+	hdr := encodeHeader(segmentHeader{ID: id})
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return fmt.Errorf("archive: %v", err)
@@ -358,15 +343,9 @@ func (w *Writer) flushLocked(n int) error {
 		return nil
 	}
 	batch := w.pending[:n]
-	// Both codecs encode into writer-owned scratch reused across
-	// blocks: the steady-state flush path allocates nothing.
-	var buf []byte
-	if w.version == segmentVersionCol {
-		buf = w.enc.encodeBlock(batch)
-	} else {
-		buf = encodeRowBlockInto(w.rowBuf[:0], batch)
-		w.rowBuf = buf
-	}
+	// The encoder's scratch is writer-owned and reused across blocks:
+	// the steady-state flush path allocates nothing.
+	buf := w.enc.encodeBlock(batch)
 	if frac, fire := w.opts.CrashPoints.hit(CrashBlockFlush); fire {
 		// Persist only a torn prefix of the block and die: the index,
 		// stats and pending buffer are untouched, exactly as a power cut
@@ -413,7 +392,7 @@ func (w *Writer) sealLocked() error {
 		w.writeErr = ErrInjectedCrash
 		return w.writeErr
 	}
-	hdr := encodeHeader(segmentHeader{ID: w.active.id, Version: w.version, Sealed: true, Index: w.index})
+	hdr := encodeHeader(segmentHeader{ID: w.active.id, Sealed: true, Index: w.index})
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
 		w.writeErr = fmt.Errorf("archive: sealing segment %d: %v", w.active.id, err)
 		return w.writeErr

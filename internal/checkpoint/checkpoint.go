@@ -36,10 +36,6 @@ type Config struct {
 	EveryTuples uint64
 	// Keep is how many chain files are retained (0 = DefaultKeep).
 	Keep int
-	// Window is the statistics sliding-median window the shadow runs
-	// with; it must match the window recovery replays with (the
-	// failover path uses the analysis default, 0).
-	Window int
 	// CrashPoints, when set, arms the CrashCheckpoint injection site on
 	// checkpoint writes. Test-only; share the archive writer's plan.
 	CrashPoints *archive.CrashPoints
@@ -99,7 +95,9 @@ func New(w *archive.Writer, inner Sink, engine *query.Engine, infos []archive.Co
 	if err != nil {
 		return nil, err
 	}
-	stats, err := monitor.NewStatsReplay(stPorts, cfg.Window)
+	// Window 0 (the analysis default) is what recovery's chain-less rung
+	// replays with; the shadow must match it.
+	stats, err := monitor.NewStatsReplay(stPorts, 0)
 	if err != nil {
 		return nil, err
 	}

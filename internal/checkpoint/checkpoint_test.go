@@ -178,112 +178,104 @@ func TestDecodeRejectsDamage(t *testing.T) {
 }
 
 // TestCheckpointRecoveryEquivalence is the tentpole proof at package
-// level, on both archive formats: shadows restored from the newest
-// checkpoint and fed only the archive suffix after its cursor end
-// byte-identical to a full replay of the whole archive — and the suffix
-// is a small fraction of the archive.
+// level: shadows restored from the newest checkpoint and fed only the
+// archive suffix after its cursor end byte-identical to a full replay
+// of the whole archive — and the suffix is a small fraction of the
+// archive.
 func TestCheckpointRecoveryEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format int
-	}{
-		{"row", archive.FormatRow},
-		{"columnar", archive.FormatColumnar},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			w, err := archive.Create(archive.Options{Dir: dir, Format: tc.format, SegmentBytes: 2000, BlockTuples: 16})
-			if err != nil {
+	t.Run("columnar", func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := archive.Create(archive.Options{Dir: dir, SegmentBytes: 2000, BlockTuples: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos := testInfos()
+		ck, err := New(w, w, nil, infos, Config{EveryTuples: 64, Keep: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples := testStream(60)
+		for i := 0; i < len(tuples); i += 24 {
+			end := i + 24
+			if end > len(tuples) {
+				end = len(tuples)
+			}
+			if err := ck.AppendRaw(encodeBatch(tuples[i:end])); err != nil {
 				t.Fatal(err)
 			}
-			infos := testInfos()
-			ck, err := New(w, w, nil, infos, Config{EveryTuples: 64, Keep: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tuples := testStream(60)
-			for i := 0; i < len(tuples); i += 24 {
-				end := i + 24
-				if end > len(tuples) {
-					end = len(tuples)
-				}
-				if err := ck.AppendRaw(encodeBatch(tuples[i:end])); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := ck.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			cks := ck.Stats()
-			if cks.Written < 4 {
-				t.Fatalf("only %d checkpoints written", cks.Written)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := ck.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		cks := ck.Stats()
+		if cks.Written < 4 {
+			t.Fatalf("only %d checkpoints written", cks.Written)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			entries, err := List(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(entries) != 3 {
-				t.Fatalf("chain holds %d entries, want pruned to 3", len(entries))
-			}
-			cp, info, ok := LoadNewest(dir)
-			if !ok || info.Skipped != 0 {
-				t.Fatalf("LoadNewest ok=%v info=%+v", ok, info)
-			}
-			if cp.Seq != cks.Seq {
-				t.Fatalf("newest checkpoint seq %d, want %d", cp.Seq, cks.Seq)
-			}
+		entries, err := List(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 3 {
+			t.Fatalf("chain holds %d entries, want pruned to 3", len(entries))
+		}
+		cp, info, ok := LoadNewest(dir)
+		if !ok || info.Skipped != 0 {
+			t.Fatalf("LoadNewest ok=%v info=%+v", ok, info)
+		}
+		if cp.Seq != cks.Seq {
+			t.Fatalf("newest checkpoint seq %d, want %d", cp.Seq, cks.Seq)
+		}
 
-			r, err := archive.OpenReader(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			fullLA, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fullStats, _, err := archive.ReplayStats(r, infos, archive.Query{}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+		r, err := archive.OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		fullLA, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullStats, _, err := archive.ReplayStats(r, infos, archive.Query{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			laPorts, _ := archive.LastArrivalPorts(infos)
-			stPorts, _ := archive.StatsPorts(infos)
-			la, err := monitor.NewLastArrivalReplayFrom(laPorts, cp.LA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := monitor.NewStatsReplayFrom(stPorts, cp.Stats)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scan, err := r.ScanFrom(cp.Cursor, archive.Query{}, func(tu collect.TraceTuple) bool {
-				la.Feed(tu)
-				stats.Feed(tu)
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scan.TuplesSkipped != cp.Cursor.Tuples {
-				t.Fatalf("suffix scan skipped %d tuples, cursor covers %d", scan.TuplesSkipped, cp.Cursor.Tuples)
-			}
-
-			if !reflect.DeepEqual(la.State(), fullLA.State()) {
-				t.Fatal("checkpoint+suffix load-balance state diverged from full replay")
-			}
-			if !reflect.DeepEqual(stats.State(), fullStats.State()) {
-				t.Fatal("checkpoint+suffix statistics state diverged from full replay")
-			}
-			if la.Lost() != 0 || fullLA.Lost() != 0 {
-				t.Fatalf("lost rounds: fast %d full %d", la.Lost(), fullLA.Lost())
-			}
+		laPorts, _ := archive.LastArrivalPorts(infos)
+		stPorts, _ := archive.StatsPorts(infos)
+		la, err := monitor.NewLastArrivalReplayFrom(laPorts, cp.LA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := monitor.NewStatsReplayFrom(stPorts, cp.Stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, err := r.ScanFrom(cp.Cursor, archive.Query{}, func(tu collect.TraceTuple) bool {
+			la.Feed(tu)
+			stats.Feed(tu)
+			return true
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scan.TuplesSkipped != cp.Cursor.Tuples {
+			t.Fatalf("suffix scan skipped %d tuples, cursor covers %d", scan.TuplesSkipped, cp.Cursor.Tuples)
+		}
+
+		if !reflect.DeepEqual(la.State(), fullLA.State()) {
+			t.Fatal("checkpoint+suffix load-balance state diverged from full replay")
+		}
+		if !reflect.DeepEqual(stats.State(), fullStats.State()) {
+			t.Fatal("checkpoint+suffix statistics state diverged from full replay")
+		}
+		if la.Lost() != 0 || fullLA.Lost() != 0 {
+			t.Fatalf("lost rounds: fast %d full %d", la.Lost(), fullLA.Lost())
+		}
+	})
 }
 
 // TestCheckpointerCrashFallsBack: an injected crash mid-checkpoint-write

@@ -163,29 +163,20 @@ func (s *System) AttachReconfig(lb *monitor.LoadBalance, pol reconfig.Policy) (*
 
 // FailoverLoadBalance replaces a lost front-end's load-balance monitor:
 // the dead monitor's state is rebuilt deterministically from its sealed
-// trace archive (dir), and a replacement single-scope monitor seeded
-// from that state is built and started. The replacement's source
-// cursors start after the newest retained tuple and its joins ignore
-// rounds the archive already completed, so no round is lost or counted
-// twice. Call it at a workload quiesce point, after sealing the old
-// archive (ArchiveRecorder.Stop).
+// trace archive (dir) — through the same checkpoint ladder
+// RecoverLoadBalance rides, when the recorder left a chain — and a
+// replacement single-scope monitor seeded from that state is built and
+// started. The replacement's source cursors start after the newest
+// retained tuple and its joins ignore rounds the archive already
+// completed, so no round is lost or counted twice. Call it at a
+// workload quiesce point, after sealing the old archive
+// (ArchiveRecorder.Stop).
 func (s *System) FailoverLoadBalance(tree *cluster.Tree, cfg monitor.Config, dir string) (*monitor.LoadBalance, *reconfig.FailoverState, error) {
 	st, err := reconfig.RebuildFrontEnd(dir, s.Metrics())
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = s.Metrics()
-	}
-	lb, err := monitor.NewLoadBalanceFrom(s.tb, tree, monitor.SingleScope, cfg, s.cs, st.Resume)
-	if err != nil {
-		return nil, nil, err
-	}
-	lb.Start()
-	s.mu.Lock()
-	s.monitors = append(s.monitors, lb)
-	s.mu.Unlock()
-	return lb, st, nil
+	return s.loadBalanceFrom(tree, cfg, st)
 }
 
 // RecoverLoadBalance is FailoverLoadBalance for a crashed front end:
@@ -207,6 +198,12 @@ func (s *System) RecoverLoadBalance(tree *cluster.Tree, cfg monitor.Config, dir 
 	if err != nil {
 		return nil, nil, err
 	}
+	return s.loadBalanceFrom(tree, cfg, st)
+}
+
+// loadBalanceFrom builds and starts the replacement single-scope
+// monitor a failover or recovery handoff seeds.
+func (s *System) loadBalanceFrom(tree *cluster.Tree, cfg monitor.Config, st *reconfig.FailoverState) (*monitor.LoadBalance, *reconfig.FailoverState, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = s.Metrics()
 	}

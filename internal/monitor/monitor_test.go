@@ -234,14 +234,39 @@ func TestStatsmComputesWrapperAndThreadStats(t *testing.T) {
 	}, "statsm analyzed too few rounds")
 	root := tree.Nodes[0]
 	rootID := root.CollectiveEC.ID()
+	// A gather can land between two of the five record writes, so wait
+	// for every kind, not just one.
+	kinds := []int{analysis.KindDown, analysis.KindUp, analysis.KindTotal, analysis.KindArrivalWait, analysis.KindDepartureWait}
 	waitFor(t, 10*time.Second, func() bool {
-		_, ok := sm.Tree().Get(rootID, analysis.KindTotal)
-		return ok
-	}, "no total-latency record reached the front-end")
+		for _, kind := range kinds {
+			if _, ok := sm.Tree().Get(rootID, kind); !ok {
+				return false
+			}
+		}
+		return true
+	}, "wrapper-statistics records did not all reach the front-end")
+	// The thread and TCP records travel on the second gather thread;
+	// wait for them too before stopping it. Per-thread records are
+	// published on every other analysis batch only, so a host whose last
+	// batch with new rounds was an odd one has published none: drive one
+	// more round at a time until a batch of the right parity sees it.
+	c0 := root.ContribECs[0].ID()
+	waitFor(t, 10*time.Second, func() bool {
+		if _, ok := sm.Tree().Get(c0, analysis.KindArrivalWait); ok {
+			return true
+		}
+		runApp(t, tree, 1, -1, 0)
+		return false
+	}, "no per-thread arrival-wait record")
+	linkID := tree.Links[0].ClientEC.ID()
+	waitFor(t, 10*time.Second, func() bool {
+		rec, ok := sm.Tree().Get(linkID, analysis.KindTCP)
+		return ok && rec.Count > 0
+	}, "no TCP stats record at the front-end")
 	sm.Stop()
 	sm.Stop() // idempotent
 
-	for _, kind := range []int{analysis.KindDown, analysis.KindUp, analysis.KindTotal, analysis.KindArrivalWait, analysis.KindDepartureWait} {
+	for _, kind := range kinds {
 		rec, ok := sm.Tree().Get(rootID, kind)
 		if !ok {
 			t.Fatalf("no %s record for root", analysis.KindName(kind))
@@ -255,18 +280,9 @@ func TestStatsmComputesWrapperAndThreadStats(t *testing.T) {
 	if tot.Mean <= 0 {
 		t.Fatalf("total mean = %v", tot.Mean)
 	}
-	// Per-thread records exist for the root's first contributor.
-	c0 := root.ContribECs[0].ID()
-	if _, ok := sm.Tree().Get(c0, analysis.KindArrivalWait); !ok {
-		t.Fatal("no per-thread arrival-wait record")
-	}
 	// TCP statistics were computed at the destination host.
 	if sm.TCPSamples() == 0 {
 		t.Fatal("no TCP latency samples")
-	}
-	linkID := tree.Links[0].ClientEC.ID()
-	if rec, ok := sm.Tree().Get(linkID, analysis.KindTCP); !ok || rec.Count == 0 {
-		t.Fatal("no TCP stats record at the front-end")
 	}
 	if r := sm.WrapperGatherRate(); r <= 0 || r > 1 {
 		t.Fatalf("wrapper gather rate = %v", r)

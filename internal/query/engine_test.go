@@ -129,72 +129,64 @@ func encodeBatch(ts []collect.TraceTuple) []byte {
 // TestEngineLiveMatchesReplay is the determinism contract of DESIGN.md
 // §14: alerts fired live while archiving must be reproduced exactly by
 // (a) decoding the archived alert tuples and (b) re-running the same
-// statements over the archived data tuples — on both archive formats.
+// statements over the archived data tuples.
 func TestEngineLiveMatchesReplay(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format int
-	}{
-		{"row", archive.FormatRow},
-		{"columnar", archive.FormatColumnar},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			w, err := archive.Create(archive.Options{
-				Dir: dir, Format: tc.format, SegmentBytes: 600, BlockTuples: 8,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stmts := []*Stmt{
-				mustParse(t, "alert when count() > 1 window 2us"),
-				mustParse(t, "alert when errors() > 0 by ecid window 5us"),
-			}
-			eng := NewEngine(w)
-			eng.SetExpected(3)
-			for _, s := range stmts {
-				if err := eng.Register(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tuples := testTuples()
-			for i := 0; i < len(tuples); i += 7 {
-				end := i + 7
-				if end > len(tuples) {
-					end = len(tuples)
-				}
-				if err := eng.AppendRaw(encodeBatch(tuples[i:end])); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			live := eng.Alerts()
-			if len(live) == 0 {
-				t.Fatal("no alerts fired during the live run")
-			}
-
-			r, err := archive.OpenReader(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			archived, _, err := archive.ReplayAlerts(r, archive.Query{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(archived, live) {
-				t.Errorf("archived alerts %v != live %v", archived, live)
-			}
-			regen, err := Replay(r, stmts, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(regen, live) {
-				t.Errorf("regenerated alerts %v != live %v", regen, live)
-			}
+	t.Run("columnar", func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := archive.Create(archive.Options{
+			Dir: dir, SegmentBytes: 600, BlockTuples: 8,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts := []*Stmt{
+			mustParse(t, "alert when count() > 1 window 2us"),
+			mustParse(t, "alert when errors() > 0 by ecid window 5us"),
+		}
+		eng := NewEngine(w)
+		eng.SetExpected(3)
+		for _, s := range stmts {
+			if err := eng.Register(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tuples := testTuples()
+		for i := 0; i < len(tuples); i += 7 {
+			end := i + 7
+			if end > len(tuples) {
+				end = len(tuples)
+			}
+			if err := eng.AppendRaw(encodeBatch(tuples[i:end])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		live := eng.Alerts()
+		if len(live) == 0 {
+			t.Fatal("no alerts fired during the live run")
+		}
+
+		r, err := archive.OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		archived, _, err := archive.ReplayAlerts(r, archive.Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(archived, live) {
+			t.Errorf("archived alerts %v != live %v", archived, live)
+		}
+		regen, err := Replay(r, stmts, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(regen, live) {
+			t.Errorf("regenerated alerts %v != live %v", regen, live)
+		}
+	})
 }
 
 // TestEnginePruningInvisible: the engine's buffer pruning must never

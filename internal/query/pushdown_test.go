@@ -13,69 +13,61 @@ import (
 // statement in the corpus, scanning with the extracted pushdown must
 // yield exactly the tuples (or aggregate results) of a full scan —
 // the pushdown may only skip data the evaluator would reject anyway.
-// Runs on both archive formats with small segments so the header index
-// and the columnar block dictionaries both get a chance to skip.
+// Runs with small segments so the header index and the block
+// dictionaries both get a chance to skip.
 func TestPushdownConservative(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format int
-	}{
-		{"row", archive.FormatRow},
-		{"columnar", archive.FormatColumnar},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := writeFixtureArchive(t, t.TempDir(), tc.format, 600)
-			for _, src := range readCorpus(t) {
-				if strings.HasPrefix(src, "!") {
-					continue
-				}
-				stmt, err := Parse(src)
-				if err != nil {
-					t.Fatalf("parse %q: %v", src, err)
-				}
-				if stmt.Alert {
-					continue
-				}
-				if stmt.Star {
-					collect := func(q archive.Query) []uint32 {
-						var seqs []uint32
-						_, err := ScanQuery(r, stmt, q, func(tu collect.TraceTuple) bool {
-							seqs = append(seqs, tu.Seq)
-							return true
-						})
-						if err != nil {
-							t.Fatalf("scan %q: %v", src, err)
-						}
-						return seqs
-					}
-					pushed := collect(stmt.Pushdown())
-					full := collect(archive.Query{})
-					if !reflect.DeepEqual(pushed, full) {
-						t.Errorf("%q: pushdown seqs %v != full scan %v", src, pushed, full)
-					}
-					continue
-				}
-				pushed, _, err := RunQuery(r, stmt, stmt.Pushdown())
-				if err != nil {
-					t.Fatalf("run %q: %v", src, err)
-				}
-				full, _, err := RunQuery(r, stmt, archive.Query{})
-				if err != nil {
-					t.Fatalf("full run %q: %v", src, err)
-				}
-				if !reflect.DeepEqual(pushed, full) {
-					t.Errorf("%q: pushdown result %+v != full scan %+v", src, pushed, full)
-				}
+	t.Run("columnar", func(t *testing.T) {
+		r := writeFixtureArchive(t, t.TempDir(), 600)
+		for _, src := range readCorpus(t) {
+			if strings.HasPrefix(src, "!") {
+				continue
 			}
-		})
-	}
+			stmt, err := Parse(src)
+			if err != nil {
+				t.Fatalf("parse %q: %v", src, err)
+			}
+			if stmt.Alert {
+				continue
+			}
+			if stmt.Star {
+				collect := func(q archive.Query) []uint32 {
+					var seqs []uint32
+					_, err := ScanQuery(r, stmt, q, func(tu collect.TraceTuple) bool {
+						seqs = append(seqs, tu.Seq)
+						return true
+					})
+					if err != nil {
+						t.Fatalf("scan %q: %v", src, err)
+					}
+					return seqs
+				}
+				pushed := collect(stmt.Pushdown())
+				full := collect(archive.Query{})
+				if !reflect.DeepEqual(pushed, full) {
+					t.Errorf("%q: pushdown seqs %v != full scan %v", src, pushed, full)
+				}
+				continue
+			}
+			pushed, _, err := RunQuery(r, stmt, stmt.Pushdown())
+			if err != nil {
+				t.Fatalf("run %q: %v", src, err)
+			}
+			full, _, err := RunQuery(r, stmt, archive.Query{})
+			if err != nil {
+				t.Fatalf("full run %q: %v", src, err)
+			}
+			if !reflect.DeepEqual(pushed, full) {
+				t.Errorf("%q: pushdown result %+v != full scan %+v", src, pushed, full)
+			}
+		}
+	})
 }
 
 // TestPushdownSkipsSegments: a selective stamp predicate must actually
-// skip segments via the header index — the mechanism behind the ≥3×
-// speedup the query benchmark pins down.
+// skip segments via the header index — the mechanism behind the
+// benchmark's query_selective_ms and archive.segments_skipped_share.
 func TestPushdownSkipsSegments(t *testing.T) {
-	r := writeFixtureArchive(t, t.TempDir(), archive.FormatColumnar, 600)
+	r := writeFixtureArchive(t, t.TempDir(), 600)
 	stmt := mustParse(t, "select * where start >= 25us")
 	stats, err := Scan(r, stmt, func(collect.TraceTuple) bool { return true })
 	if err != nil {

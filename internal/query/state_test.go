@@ -118,80 +118,72 @@ func TestEngineRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestReplayFromMatchesFullReplay proves the recovery fast path on both
-// archive formats: engine state checkpointed mid-archive plus a
+// TestReplayFromMatchesFullReplay proves the recovery fast path:
+// engine state checkpointed mid-archive plus a
 // suffix-only scan from the matching cursor regenerates exactly the
 // alert stream of a full-archive replay (and of the live run).
 func TestReplayFromMatchesFullReplay(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format int
-	}{
-		{"row", archive.FormatRow},
-		{"columnar", archive.FormatColumnar},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			w, err := archive.Create(archive.Options{
-				Dir: dir, Format: tc.format, SegmentBytes: 600, BlockTuples: 8,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stmts := stateStmts(t)
-			eng := NewEngine(w)
-			eng.SetExpected(3)
-			for _, s := range stmts {
-				if err := eng.Register(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			tuples := testTuples()
-			const split = 28
-			if err := eng.AppendRaw(encodeBatch(tuples[:split])); err != nil {
-				t.Fatal(err)
-			}
-			// Checkpoint instant: everything appended so far is durable,
-			// the cursor covers it, and the engine snapshot is taken at
-			// the same stream position.
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			cur := w.Position()
-			st := eng.State()
-
-			if err := eng.AppendRaw(encodeBatch(tuples[split:])); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			live := eng.Alerts()
-			if len(live) == 0 {
-				t.Fatal("no alerts fired during the live run")
-			}
-
-			r, err := archive.OpenReader(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			fullRegen, err := Replay(r, stmts, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := ReplayFrom(r, cur, stmts, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fullRegen, live) {
-				t.Errorf("full replay %v != live %v", alertKeys(fullRegen), alertKeys(live))
-			}
-			if !reflect.DeepEqual(fast, live) {
-				t.Errorf("checkpointed replay %v != live %v", alertKeys(fast), alertKeys(live))
-			}
+	t.Run("columnar", func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := archive.Create(archive.Options{
+			Dir: dir, SegmentBytes: 600, BlockTuples: 8,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts := stateStmts(t)
+		eng := NewEngine(w)
+		eng.SetExpected(3)
+		for _, s := range stmts {
+			if err := eng.Register(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tuples := testTuples()
+		const split = 28
+		if err := eng.AppendRaw(encodeBatch(tuples[:split])); err != nil {
+			t.Fatal(err)
+		}
+		// Checkpoint instant: everything appended so far is durable,
+		// the cursor covers it, and the engine snapshot is taken at
+		// the same stream position.
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		cur := w.Position()
+		st := eng.State()
+
+		if err := eng.AppendRaw(encodeBatch(tuples[split:])); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		live := eng.Alerts()
+		if len(live) == 0 {
+			t.Fatal("no alerts fired during the live run")
+		}
+
+		r, err := archive.OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		fullRegen, err := Replay(r, stmts, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := ReplayFrom(r, cur, stmts, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fullRegen, live) {
+			t.Errorf("full replay %v != live %v", alertKeys(fullRegen), alertKeys(live))
+		}
+		if !reflect.DeepEqual(fast, live) {
+			t.Errorf("checkpointed replay %v != live %v", alertKeys(fast), alertKeys(live))
+		}
+	})
 }
 
 // TestEngineStateCanonical: snapshots of behaviorally identical engines

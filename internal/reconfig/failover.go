@@ -6,18 +6,23 @@
 // packages it as a handoff a replacement monitor is seeded from
 // (monitor.NewLoadBalanceFrom / monitor.NewStatsmFrom).
 //
-// Two paths exist:
+// There is one recovery routine, the checkpoint ladder: walk the sidecar
+// checkpoint chain newest-first, restore the monitor shadows (and the
+// continuous-query engine) from the first rung that validates, and
+// replay only the archive suffix after that checkpoint's cursor —
+// O(suffix) recovery. Every failure on a rung (torn frame, CRC
+// mismatch, cursor drift after retention, port-roster mismatch) falls
+// back to the next older rung, and the bottom rung is the same replay
+// started from nothing over the whole archive — a cold restart is a
+// replay from the empty checkpoint. Damage degrades recovery time,
+// never its result. Both entry points ride it:
 //
-//   - RebuildFrontEnd: full replay of a cleanly sealed archive — O(archive)
-//     recovery, the pre-checkpoint contract.
-//   - RecoverFrontEnd: the checkpointed fast path. It walks the sidecar
-//     checkpoint chain newest-first, restores the monitor shadows (and the
-//     continuous-query engine) from the first rung that validates, and
-//     replays only the archive suffix after the checkpoint's cursor —
-//     O(suffix) recovery. Every failure on a rung (torn frame, CRC
-//     mismatch, cursor drift after retention, port-roster mismatch) falls
-//     back to the next older rung and ultimately to full replay; damage
-//     degrades recovery time, never its result.
+//   - RecoverFrontEnd, for a crashed front end: the handoff asks the
+//     replacement to re-read the retained trace windows (Resume.ReRead),
+//     closing the gather gap the crash opened.
+//   - RebuildFrontEnd, for a cleanly sealed archive: nothing was left
+//     ungathered, so ReRead stays unset and the replacement starts at
+//     the windows' ends.
 //
 // The determinism contract: the replay must lose no rounds (Lost() == 0).
 // Then the replacement's weighted tree continues exactly where the dead
@@ -84,15 +89,14 @@ type FailoverState struct {
 	CloseErr      error
 }
 
-// RebuildFrontEnd replays a sealed archive directory into a failover
-// handoff — the full-replay path. reg, when set, records the rebuild in
-// self-metrics (a KindReconfig op plus the reconfig.failovers counter);
-// nil disables. It fails when the archive's joins evicted rounds — a
-// lossy rebuild would silently double-count on resume, so it is refused
-// outright.
+// RebuildFrontEnd rebuilds a failover handoff from a cleanly sealed
+// archive directory. reg, when set, records the rebuild in self-metrics
+// (a KindReconfig op plus the reconfig.failovers counter); nil disables.
+// It fails when the archive's joins evicted rounds — a lossy rebuild
+// would silently double-count on resume, so it is refused outright.
 func RebuildFrontEnd(dir string, reg *metrics.Registry) (*FailoverState, error) {
 	start := hrtime.Now()
-	st, err := rebuildFrontEnd(dir, reg)
+	st, err := recoverFrontEnd(dir, reg, nil)
 	if reg != nil {
 		reg.Op(metrics.KindReconfig, "failover("+dir+")").Record(hrtime.Since(start), 0, err)
 	}
@@ -100,27 +104,6 @@ func RebuildFrontEnd(dir string, reg *metrics.Registry) (*FailoverState, error) 
 		reg.Counter("reconfig.failovers").Inc()
 	}
 	return st, err
-}
-
-func rebuildFrontEnd(dir string, reg *metrics.Registry) (*FailoverState, error) {
-	infos, err := archive.ReadMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(infos) == 0 {
-		return nil, fmt.Errorf("reconfig: failover: archive %s has no collector metadata", dir)
-	}
-	r, err := archive.OpenReaderMetrics(dir, reg)
-	if err != nil {
-		return nil, err
-	}
-	st, err := replayFull(r, infos, nil)
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	finishRepair(st, r)
-	return st, nil
 }
 
 // RecoverFrontEnd rebuilds a crashed front end through the checkpoint
@@ -138,6 +121,7 @@ func RecoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 		reg.Op(metrics.KindReconfig, "recover("+dir+")").Record(hrtime.Since(start), 0, err)
 	}
 	if err == nil {
+		st.Resume.ReRead = true
 		reg.Counter("reconfig.recoveries").Inc()
 		if st.Checkpointed {
 			reg.Counter("reconfig.recoveries.checkpointed").Inc()
@@ -146,6 +130,8 @@ func RecoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 	return st, err
 }
 
+// recoverFrontEnd walks the ladder: each chain entry newest-first, then
+// the chain-less bottom rung, whose failure is the recovery's failure.
 func recoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*FailoverState, error) {
 	infos, err := archive.ReadMeta(dir)
 	if err != nil {
@@ -162,96 +148,37 @@ func recoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 	if err != nil {
 		entries = nil // an unlistable chain is just an absent chain
 	}
+	var st *FailoverState
 	fallbacks := 0
-	for i := len(entries) - 1; i >= 0; i-- {
+	for i := len(entries) - 1; i >= 0 && st == nil; i-- {
 		cp, err := checkpoint.Load(entries[i].Path)
+		if err == nil {
+			st, err = replay(r, infos, &cp, stmts)
+		}
 		if err != nil {
 			fallbacks++
-			continue
 		}
-		st, err := replayFromCheckpoint(r, infos, cp, stmts)
-		if err != nil {
-			fallbacks++
-			continue
-		}
-		st.Checkpointed = true
-		st.CheckpointSeq = cp.Seq
-		st.Fallbacks = fallbacks
-		st.ChainEntries = len(entries)
-		st.Resume.ReRead = true
-		finishRepair(st, r)
-		return st, nil
 	}
-	st, err := replayFull(r, infos, stmts)
-	if err != nil {
-		r.Close()
-		return nil, err
+	if st == nil {
+		if st, err = replay(r, infos, nil, stmts); err != nil {
+			r.Close()
+			return nil, err
+		}
 	}
 	st.Fallbacks = fallbacks
 	st.ChainEntries = len(entries)
-	st.Resume.ReRead = true
 	finishRepair(st, r)
 	return st, nil
 }
 
-// replayFull is the bottom rung: both shadows (and the engine, when
-// statements are supplied) replayed over the whole archive.
-func replayFull(r *archive.Reader, infos []archive.CollectorInfo, stmts []*query.Stmt) (*FailoverState, error) {
-	rep, scan, err := archive.ReplayLastArrival(r, infos, archive.Query{})
-	if err != nil {
-		return nil, err
-	}
-	if lost := rep.Lost(); lost > 0 {
-		return nil, fmt.Errorf("reconfig: failover: replay evicted %d rounds; the handoff would not be faithful", lost)
-	}
-	sr, _, err := archive.ReplayStats(r, infos, archive.Query{}, 0)
-	if err != nil {
-		return nil, err
-	}
-	fed, matched := rep.Fed()
-	st := &FailoverState{
-		Resume:          rep.Resume(),
-		Stats:           sr.Tree(),
-		RoundsRecovered: rep.Weighted().Total(),
-		TuplesFed:       fed,
-		TuplesMatched:   matched,
-		BytesReplayed:   scan.BytesScanned,
-		BytesSkipped:    scan.BytesSkipped,
-	}
-	if len(stmts) > 0 {
-		eng := query.NewEngine(nil)
-		// The coverage() roster must match the crashed recorder's, which
-		// was the archived collector set.
-		eng.SetExpected(len(infos))
-		for _, s := range stmts {
-			if err := eng.Register(s); err != nil {
-				return nil, err
-			}
-		}
-		var offerErr error
-		if _, err := r.Scan(archive.Query{}, func(t collect.TraceTuple) bool {
-			if err := eng.Offer(t); err != nil {
-				offerErr = err
-				return false
-			}
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		if offerErr != nil {
-			return nil, offerErr
-		}
-		es := eng.State()
-		st.Engine = &es
-	}
-	return st, nil
-}
-
-// replayFromCheckpoint is one ladder rung: restore every shadow from cp
-// and feed all three from a single suffix scan after cp.Cursor. Any
-// mismatch — roster drift, cursor invalidated by retention, torn data
-// before the cursor — errors, and the caller falls back a rung.
-func replayFromCheckpoint(r *archive.Reader, infos []archive.CollectorInfo, cp checkpoint.Checkpoint, stmts []*query.Stmt) (*FailoverState, error) {
+// replay is the one ladder rung: last-arrival join, statistics tree and
+// (when statements are supplied) query engine start from cp's snapshot,
+// or from nothing when cp is nil, and are all fed from a single scan of
+// what the archive holds after that point — the suffix behind
+// cp.Cursor, or everything. Any mismatch — roster drift, cursor
+// invalidated by retention, torn data before the cursor, evicted rounds
+// — errors, and the caller falls back a rung.
+func replay(r *archive.Reader, infos []archive.CollectorInfo, cp *checkpoint.Checkpoint, stmts []*query.Stmt) (*FailoverState, error) {
 	laPorts, err := archive.LastArrivalPorts(infos)
 	if err != nil {
 		return nil, err
@@ -260,44 +187,65 @@ func replayFromCheckpoint(r *archive.Reader, infos []archive.CollectorInfo, cp c
 	if err != nil {
 		return nil, err
 	}
-	rep, err := monitor.NewLastArrivalReplayFrom(laPorts, cp.LA)
+	var rep *monitor.LastArrivalReplay
+	if cp == nil {
+		rep, err = monitor.NewLastArrivalReplay(laPorts)
+	} else {
+		rep, err = monitor.NewLastArrivalReplayFrom(laPorts, cp.LA)
+	}
 	if err != nil {
 		return nil, err
 	}
-	sr, err := monitor.NewStatsReplayFrom(stPorts, cp.Stats)
+	var sr *monitor.StatsReplay
+	if cp == nil {
+		sr, err = monitor.NewStatsReplay(stPorts, 0)
+	} else {
+		sr, err = monitor.NewStatsReplayFrom(stPorts, cp.Stats)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if len(stmts) > 0 && !cp.HasEngine {
-		// The caller wants the engine recovered but this checkpoint never
-		// snapshotted one (it predates the statements). Fall back a rung
-		// rather than hand back a cold engine as if it were recovered.
-		return nil, fmt.Errorf("reconfig: recover: checkpoint %d has no engine snapshot", cp.Seq)
 	}
 	var eng *query.Engine
 	if len(stmts) > 0 {
+		if cp != nil && !cp.HasEngine {
+			// The caller wants the engine recovered but this checkpoint
+			// never snapshotted one (it predates the statements). Fall
+			// back a rung rather than hand back a cold engine as if it
+			// were recovered.
+			return nil, fmt.Errorf("reconfig: recover: checkpoint %d has no engine snapshot", cp.Seq)
+		}
 		eng = query.NewEngine(nil)
+		// The coverage() roster must match the crashed recorder's, which
+		// was the archived collector set; a snapshot carries its own.
+		eng.SetExpected(len(infos))
 		for _, s := range stmts {
 			if err := eng.Register(s); err != nil {
 				return nil, err
 			}
 		}
-		if err := eng.Restore(cp.Engine); err != nil {
-			return nil, err
+		if cp != nil {
+			if err := eng.Restore(cp.Engine); err != nil {
+				return nil, err
+			}
 		}
 	}
 	var offerErr error
-	scan, err := r.ScanFrom(cp.Cursor, archive.Query{}, func(t collect.TraceTuple) bool {
+	feed := func(t collect.TraceTuple) bool {
 		rep.Feed(t)
 		sr.Feed(t)
 		if eng != nil {
-			if err := eng.Offer(t); err != nil {
-				offerErr = err
+			if offerErr = eng.Offer(t); offerErr != nil {
 				return false
 			}
 		}
 		return true
-	})
+	}
+	var scan archive.ScanStats
+	if cp == nil {
+		scan, err = r.Scan(archive.Query{}, feed)
+	} else {
+		scan, err = r.ScanFrom(cp.Cursor, archive.Query{}, feed)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -317,6 +265,10 @@ func replayFromCheckpoint(r *archive.Reader, infos []archive.CollectorInfo, cp c
 		TuplesSkipped:   scan.TuplesSkipped,
 		BytesReplayed:   scan.BytesScanned,
 		BytesSkipped:    scan.BytesSkipped,
+	}
+	if cp != nil {
+		st.Checkpointed = true
+		st.CheckpointSeq = cp.Seq
 	}
 	if eng != nil {
 		es := eng.State()

@@ -13,6 +13,7 @@ import (
 	"eventspace/internal/archive"
 	"eventspace/internal/checkpoint"
 	"eventspace/internal/collect"
+	"eventspace/internal/metrics"
 	"eventspace/internal/monitor"
 	"eventspace/internal/paths"
 	"eventspace/internal/query"
@@ -90,13 +91,15 @@ func failoverStmts(t *testing.T) []*query.Stmt {
 	return stmts
 }
 
-// buildCheckpointedArchive records the test stream through the real
-// recorder sink chain — checkpointer in front of an optional query
-// engine in front of the writer — and leaves a pruned checkpoint chain
-// next to the sealed segments.
-func buildCheckpointedArchive(t *testing.T, dir string, format int, withEngine bool) {
+// buildCheckpointedArchive records rounds of the test stream through
+// the real recorder sink chain — checkpointer (one frame per every data
+// tuples) in front of an optional query engine in front of the writer —
+// and abandons it the way a crash does: a pruned checkpoint chain next
+// to the segments and no final checkpoint, so recovery replays a real
+// suffix, not an empty one.
+func buildCheckpointedArchive(t *testing.T, dir string, rounds int, every uint64, withEngine bool) {
 	t.Helper()
-	w, err := archive.Create(archive.Options{Dir: dir, Format: format, SegmentBytes: 2000, BlockTuples: 16})
+	w, err := archive.Create(archive.Options{Dir: dir, SegmentBytes: 2000, BlockTuples: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +119,11 @@ func buildCheckpointedArchive(t *testing.T, dir string, format int, withEngine b
 		}
 		inner = eng
 	}
-	ck, err := checkpoint.New(w, inner, eng, infos, checkpoint.Config{EveryTuples: 64, Keep: 3})
+	ck, err := checkpoint.New(w, inner, eng, infos, checkpoint.Config{EveryTuples: every, Keep: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuples := failoverStream(60)
+	tuples := failoverStream(rounds)
 	for i := 0; i < len(tuples); i += 24 {
 		end := i + 24
 		if end > len(tuples) {
@@ -130,12 +133,50 @@ func buildCheckpointedArchive(t *testing.T, dir string, format int, withEngine b
 			t.Fatal(err)
 		}
 	}
-	if err := ck.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// reference replays dir through the plain archive joins — the ground
+// truth every recovery rung must hand off — and returns the archive's
+// segment byte total alongside.
+func reference(t *testing.T, dir string) (*monitor.LastArrivalReplay, *monitor.StatsReplay, uint64) {
+	t.Helper()
+	r, err := archive.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos := failoverInfos()
+	la, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if la.Lost() != 0 {
+		t.Fatalf("reference replay lost %d rounds", la.Lost())
+	}
+	sr, _, err := archive.ReplayStats(r, infos, archive.Query{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total uint64
+	for _, s := range r.Segments() {
+		total += uint64(s.Bytes)
+	}
+	return la, sr, total
+}
+
+// matchesReference checks a handoff against the reference joins.
+func matchesReference(t *testing.T, st *FailoverState, la *monitor.LastArrivalReplay, sr *monitor.StatsReplay) {
+	t.Helper()
+	if want := la.Weighted().Total(); st.RoundsRecovered != want || want == 0 {
+		t.Fatalf("rounds recovered %d, want %d", st.RoundsRecovered, want)
+	}
+	weightedEqual(t, st.Resume.Weighted, la.Weighted())
+	if want := la.Resume().Floors; !reflect.DeepEqual(st.Resume.Floors, want) {
+		t.Fatalf("floors diverged: %v vs %v", st.Resume.Floors, want)
+	}
+	statsEqual(t, st.Stats, sr.Tree())
 }
 
 func weightedEqual(t *testing.T, got, want *monitor.WeightedTree) {
@@ -173,66 +214,64 @@ func statsEqual(t *testing.T, got, want *monitor.AnalysisTree) {
 	}
 }
 
-// TestRecoverFrontEndMatchesRebuild: the checkpointed fast path must
-// hand off exactly the state full replay rebuilds, on both formats —
-// while reading only the archive suffix behind the newest checkpoint.
+// TestRecoverFrontEndMatchesRebuild: the checkpointed rung must hand
+// off exactly the state the plain archive joins compute — while reading
+// only the archive suffix behind the newest checkpoint, at least 5x
+// fewer bytes than the archive holds at 3 200 rounds: the bound that
+// makes recovery time a function of the checkpoint cadence, not of
+// archive size. RebuildFrontEnd rides the same ladder and differs only
+// in not asking for a re-read.
 func TestRecoverFrontEndMatchesRebuild(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format int
-	}{
-		{"row", archive.FormatRow},
-		{"columnar", archive.FormatColumnar},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			buildCheckpointedArchive(t, dir, tc.format, false)
-			rb, err := RebuildFrontEnd(dir, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rc, err := RecoverFrontEnd(dir, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rc.Checkpointed || rc.CheckpointSeq == 0 || rc.Fallbacks != 0 {
-				t.Fatalf("expected clean checkpointed recovery, got %+v", rc)
-			}
-			if rc.ChainEntries != 3 {
-				t.Fatalf("chain entries %d, want pruned to 3", rc.ChainEntries)
-			}
-			if rc.TuplesSkipped == 0 {
-				t.Fatal("checkpointed recovery skipped no tuples — fast path not taken")
-			}
-			if rc.BytesReplayed >= rb.BytesReplayed {
-				t.Fatalf("checkpointed recovery replayed %d bytes, full replay %d — no saving",
-					rc.BytesReplayed, rb.BytesReplayed)
-			}
-			if !rc.Resume.ReRead {
-				t.Fatal("crash recovery handoff must re-read the retained windows")
-			}
-			if rb.Resume.ReRead {
-				t.Fatal("clean-seal failover handoff must not re-read")
-			}
-			if rc.RoundsRecovered != rb.RoundsRecovered || rc.RoundsRecovered == 0 {
-				t.Fatalf("rounds recovered %d, want %d", rc.RoundsRecovered, rb.RoundsRecovered)
-			}
-			weightedEqual(t, rc.Resume.Weighted, rb.Resume.Weighted)
-			if !reflect.DeepEqual(rc.Resume.Floors, rb.Resume.Floors) {
-				t.Fatalf("floors diverged: %v vs %v", rc.Resume.Floors, rb.Resume.Floors)
-			}
-			statsEqual(t, rc.Stats, rb.Stats)
-		})
-	}
+	t.Run("columnar", func(t *testing.T) {
+		dir := t.TempDir()
+		buildCheckpointedArchive(t, dir, 3200, 512, false)
+		la, sr, total := reference(t, dir)
+		rc, err := RecoverFrontEnd(dir, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rc.Checkpointed || rc.CheckpointSeq == 0 || rc.Fallbacks != 0 {
+			t.Fatalf("expected clean checkpointed recovery, got %+v", rc)
+		}
+		if rc.ChainEntries != 3 {
+			t.Fatalf("chain entries %d, want pruned to 3", rc.ChainEntries)
+		}
+		if rc.TuplesSkipped == 0 {
+			t.Fatal("checkpointed recovery skipped no tuples — fast path not taken")
+		}
+		if rc.BytesReplayed == 0 || rc.BytesReplayed*5 > total {
+			t.Fatalf("checkpointed recovery replayed %d of the archive's %d bytes, want at least 5x fewer",
+				rc.BytesReplayed, total)
+		}
+		if !rc.Resume.ReRead {
+			t.Fatal("crash recovery handoff must re-read the retained windows")
+		}
+		matchesReference(t, rc, la, sr)
+
+		rb, err := RebuildFrontEnd(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rb.Resume.ReRead {
+			t.Fatal("clean-seal failover handoff must not re-read")
+		}
+		if rb.CheckpointSeq != rc.CheckpointSeq || rb.BytesReplayed != rc.BytesReplayed {
+			t.Fatalf("rebuild took another route than recovery: %+v vs %+v", rb, rc)
+		}
+		matchesReference(t, rb, la, sr)
+	})
 }
 
 // TestRecoverFrontEndEngineResumesMidStreak: with standing statements,
 // recovery restores the query engine from the checkpoint and advances
-// it over the suffix — ending in exactly the state a full replay of the
-// archive produces, streaks and dedup memory included.
+// it over the suffix — ending in exactly the state the chain-less rung
+// reaches by replaying the whole archive, streaks and dedup memory
+// included. The chain-less rung feeds joins, statistics and engine from
+// one pass: a single scan, reading each segment byte once.
 func TestRecoverFrontEndEngineResumesMidStreak(t *testing.T) {
 	dir := t.TempDir()
-	buildCheckpointedArchive(t, dir, archive.FormatColumnar, true)
+	buildCheckpointedArchive(t, dir, 60, 64, true)
+	la, sr, total := reference(t, dir)
 	stmts := failoverStmts(t)
 	rc, err := RecoverFrontEnd(dir, nil, stmts)
 	if err != nil {
@@ -244,7 +283,8 @@ func TestRecoverFrontEndEngineResumesMidStreak(t *testing.T) {
 	if rc.Engine == nil {
 		t.Fatal("no engine state recovered")
 	}
-	// Destroy the chain: the same recovery must now take the full-replay
+	matchesReference(t, rc, la, sr)
+	// Destroy the chain: the same recovery must now take the chain-less
 	// rung and still produce the identical engine state.
 	entries, err := checkpoint.List(dir)
 	if err != nil || len(entries) == 0 {
@@ -255,32 +295,42 @@ func TestRecoverFrontEndEngineResumesMidStreak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, err := RecoverFrontEnd(dir, nil, stmts)
+	reg := metrics.New()
+	full, err := RecoverFrontEnd(dir, reg, stmts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if full.Checkpointed || full.ChainEntries != 0 {
-		t.Fatalf("expected full-replay rung, got %+v", full)
+		t.Fatalf("expected the chain-less rung, got %+v", full)
 	}
 	if full.Engine == nil {
-		t.Fatal("full replay produced no engine state")
+		t.Fatal("chain-less rung produced no engine state")
 	}
 	if !reflect.DeepEqual(*rc.Engine, *full.Engine) {
-		t.Fatalf("recovered engine state diverged from full replay:\n got %+v\nwant %+v", *rc.Engine, *full.Engine)
+		t.Fatalf("recovered engine state diverged from the chain-less rung:\n got %+v\nwant %+v", *rc.Engine, *full.Engine)
 	}
-	weightedEqual(t, rc.Resume.Weighted, full.Resume.Weighted)
+	matchesReference(t, full, la, sr)
+	if full.BytesReplayed != total {
+		t.Fatalf("chain-less rung replayed %d bytes, the archive holds %d", full.BytesReplayed, total)
+	}
+	scans := uint64(0)
+	for _, op := range reg.Snapshot().ByKind(metrics.KindArchive) {
+		if op.Name == "archive-scan("+dir+")" {
+			scans += op.Ops
+		}
+	}
+	if scans != 1 {
+		t.Fatalf("chain-less rung scanned the archive %d times, want 1", scans)
+	}
 }
 
 // TestRecoverFrontEndFallbackLadder: a torn chain head falls back to
-// the previous checkpoint; a fully torn chain falls back to full
-// replay. Both rungs reproduce the rebuild state exactly.
+// the previous checkpoint; a fully torn chain falls back to the
+// chain-less rung. Both reproduce the reference state exactly.
 func TestRecoverFrontEndFallbackLadder(t *testing.T) {
 	dir := t.TempDir()
-	buildCheckpointedArchive(t, dir, archive.FormatRow, false)
-	rb, err := RebuildFrontEnd(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buildCheckpointedArchive(t, dir, 60, 64, false)
+	la, sr, _ := reference(t, dir)
 	entries, err := checkpoint.List(dir)
 	if err != nil || len(entries) != 3 {
 		t.Fatalf("chain: %v %v", entries, err)
@@ -300,10 +350,9 @@ func TestRecoverFrontEndFallbackLadder(t *testing.T) {
 	if !rc.Checkpointed || rc.Fallbacks != 1 || rc.CheckpointSeq != entries[1].Seq {
 		t.Fatalf("expected fallback to seq %d, got %+v", entries[1].Seq, rc)
 	}
-	weightedEqual(t, rc.Resume.Weighted, rb.Resume.Weighted)
-	statsEqual(t, rc.Stats, rb.Stats)
+	matchesReference(t, rc, la, sr)
 
-	// Tear the whole chain: the ladder bottoms out at full replay.
+	// Tear the whole chain: the ladder bottoms out at the chain-less rung.
 	for _, e := range entries[:2] {
 		buf, err := os.ReadFile(e.Path)
 		if err != nil {
@@ -318,13 +367,12 @@ func TestRecoverFrontEndFallbackLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rc.Checkpointed || rc.Fallbacks != 3 || rc.TuplesSkipped != 0 {
-		t.Fatalf("expected full-replay rung after 3 fallbacks, got %+v", rc)
+		t.Fatalf("expected the chain-less rung after 3 fallbacks, got %+v", rc)
 	}
 	if rc.ChainEntries != 3 {
 		t.Fatalf("chain entries %d, want 3 (torn frames still on disk)", rc.ChainEntries)
 	}
-	weightedEqual(t, rc.Resume.Weighted, rb.Resume.Weighted)
-	statsEqual(t, rc.Stats, rb.Stats)
+	matchesReference(t, rc, la, sr)
 }
 
 // TestFailoverSurfacesRepairContext is the regression test for the
@@ -388,13 +436,15 @@ func TestFailoverSurfacesRepairContext(t *testing.T) {
 		t.Fatal("damaged archive recovered no rounds at all")
 	}
 
-	// The checkpointed path surfaces the same context.
-	rc, err := RecoverFrontEnd(dir, nil, nil)
+	// The damage costs tuples, never correctness: the handoff is what
+	// the plain joins compute over the surviving blocks.
+	r, err := archive.OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.TornSegments != st.TornSegments || rc.CloseErr == nil {
-		t.Fatalf("recover path dropped repair context: %+v", rc)
+	la, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	weightedEqual(t, rc.Resume.Weighted, st.Resume.Weighted)
+	weightedEqual(t, st.Resume.Weighted, la.Weighted())
 }

@@ -32,8 +32,6 @@ import (
 	"time"
 )
 
-var _ = fmt.Sprintf // retained for diagnostics in tests
-
 // clock is the process-global virtual clock. A singleton keeps the
 // instrumentation burden on callers low (mirroring package hrtime).
 type clock struct {
