@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"math"
 	"testing"
 
 	"eventspace/internal/collect"
@@ -143,6 +144,64 @@ func TestScanFromSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTuples(t, got, full[60:])
+}
+
+// TestReopenCountsNegativeStamps pins the recovered index to the block
+// frames: the writer accepts negative stamps, so reopening an unsealed
+// segment that holds them must count them — the writer's position and
+// the sealed header are built from that count, and a cursor's frame
+// skip lands on the wrong tuple if it is short.
+func TestReopenCountsNegativeStamps(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, BlockTuples: 4} // one segment, left unsealed
+	w, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := []collect.TraceTuple{
+		tuple(1, 0, -1, 5), tuple(2, 1, math.MinInt64, 0), tuple(1, 2, -7, -3),
+	}
+	if err := w.Append(early); err != nil {
+		t.Fatal(err)
+	}
+	cur := captureCursor(t, w, 6, 3) // crash here: no Close
+	if cur.Tuples != 9 {
+		t.Fatalf("cursor covers %d tuples, want 9", cur.Tuples)
+	}
+
+	w2, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pos := w2.Position(); pos != cur {
+		t.Fatalf("reopened position %+v, want %+v (the frames on disk)", pos, cur)
+	}
+	captureCursor(t, w2, 5, 9)
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Tuples() != 14 {
+		t.Fatalf("sealed header counts %d tuples, want 14", r.Tuples())
+	}
+	all := Query{MinStamp: math.MinInt64}
+	full, _, err := r.Select(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTuples(t, full[:3], early)
+	var got []collect.TraceTuple
+	if _, err := r.ScanFrom(cur, all, func(t collect.TraceTuple) bool {
+		got = append(got, t)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sameTuples(t, got, full[9:])
 }
 
 // TestScanFromRejectsInvalidCursors pins the validation ladder: a

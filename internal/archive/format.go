@@ -54,9 +54,6 @@ type SegmentIndex struct {
 	Blocks             uint32
 }
 
-// empty reports whether the index has absorbed no tuples.
-func (x *SegmentIndex) empty() bool { return x.Tuples == 0 }
-
 // add folds one tuple into the index. Stamps use the tuple's own
 // Start/End timestamps — the archive never consults a clock.
 func (x *SegmentIndex) add(t collect.TraceTuple) {
@@ -161,7 +158,10 @@ func scanSegment(buf []byte) (scanResult, error) {
 	res := scanResult{Header: h}
 	var dec blockDecoder
 	var stats ScanStats
-	res.ValidBytes, _ = scanBlocks(buf, segmentHeaderSize, &Query{}, &dec, &stats, func(t collect.TraceTuple) bool {
+	// The index must count every tuple the frames hold — the zero Query
+	// would drop negative stamps, which the writer accepts.
+	all := Query{MinStamp: math.MinInt64}
+	res.ValidBytes, _ = scanBlocks(buf, segmentHeaderSize, &all, &dec, &stats, func(t collect.TraceTuple) bool {
 		res.Index.add(t)
 		return true
 	})

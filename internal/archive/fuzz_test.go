@@ -39,6 +39,11 @@ func FuzzSegmentDecode(f *testing.F) {
 	flipped[len(flipped)-1] ^= 0xff // column CRC mismatch in the last block
 	f.Add(flipped)
 	f.Add(append(encodeHeader(segmentHeader{ID: 3, Sealed: true}), whole[segmentHeaderSize:]...))
+	// Negative stamps: the writer accepts them, so the index counts them.
+	f.Add(append(encodeHeader(segmentHeader{ID: 4}), enc.encodeBlock([]collect.TraceTuple{
+		{ECID: 1, Seq: 0, Start: -1, End: 5},
+		{ECID: 1, Seq: 1, Start: math.MinInt64, End: math.MaxInt64},
+	})...))
 	// A version-1 header followed by one of its row blocks (count,
 	// payload CRC, one 28-byte tuple).
 	row := (&collect.TraceTuple{ECID: 1, Seq: 0, Start: 10, End: 20}).Encode()
@@ -56,6 +61,24 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 		if !res.Torn && res.ValidBytes != int64(len(data)) {
 			t.Fatalf("not torn but ValidBytes %d < %d", res.ValidBytes, len(data))
+		}
+		// The recovered index counts exactly what the intact frames
+		// hold, whatever the tuples' stamps — a reopen seals this count
+		// into the header and cursors skip by it.
+		var framed uint64
+		var blocks uint32
+		for off := int64(segmentHeaderSize); off < res.ValidBytes; {
+			fr, ok := frameColumnarBlock(data[off:res.ValidBytes])
+			if !ok {
+				t.Fatalf("valid prefix does not frame at offset %d", off)
+			}
+			framed += uint64(fr.count)
+			blocks++
+			off += fr.size
+		}
+		if res.Index.Tuples != framed || res.Index.Blocks != blocks {
+			t.Fatalf("index counts %d tuples in %d blocks, frames hold %d in %d",
+				res.Index.Tuples, res.Index.Blocks, framed, blocks)
 		}
 		// The recovered prefix must itself rescan identically — the
 		// invariant behind truncate-and-continue reopens.

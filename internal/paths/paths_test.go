@@ -548,13 +548,7 @@ func TestGatherHelpersOverlapSlowChildren(t *testing.T) {
 		return time.Since(start)
 	}
 	seq := elapsed(0)
-	// Interference from parallel package tests only slows a gather
-	// down, so a parallel attempt that looks slow is retried before it
-	// counts.
 	par := elapsed(children)
-	for i := 0; i < 2 && par*2 >= seq; i++ {
-		par = elapsed(children)
-	}
 	if par*2 >= seq {
 		t.Fatalf("parallel gather %v not ~%dx faster than sequential %v: helpers do not overlap",
 			par, children, seq)
