@@ -2,6 +2,7 @@ package archive
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -123,7 +124,7 @@ func OpenReaderMetrics(dir string, reg *metrics.Registry) (*Reader, error) {
 		r.opScan = reg.Op(metrics.KindArchive, "archive-scan("+dir+")")
 	}
 	for _, s := range segs {
-		buf, err := os.ReadFile(s.path)
+		buf, err := readHeader(s.path)
 		if err != nil {
 			return nil, fmt.Errorf("archive: %v", err)
 		}
@@ -140,6 +141,9 @@ func OpenReaderMetrics(dir string, reg *metrics.Registry) (*Reader, error) {
 		info := SegmentInfo{ID: hdr.ID, Path: s.path, Bytes: s.size, Sealed: hdr.Sealed, Index: hdr.Index}
 		if !hdr.Sealed {
 			// No trustworthy index: recover it from the blocks.
+			if buf, err = os.ReadFile(s.path); err != nil {
+				return nil, fmt.Errorf("archive: %v", err)
+			}
 			res, err := scanSegment(buf)
 			if err != nil {
 				return nil, fmt.Errorf("archive: segment %s: %v", s.path, err)
@@ -154,6 +158,23 @@ func OpenReaderMetrics(dir string, reg *metrics.Registry) (*Reader, error) {
 	}
 	sort.Slice(r.segs, func(i, j int) bool { return r.segs[i].ID < r.segs[j].ID })
 	return r, nil
+}
+
+// readHeader returns the first segmentHeaderSize bytes of the file at
+// path, fewer when the file is shorter: opening a sealed segment must
+// not cost a read of its blocks.
+func readHeader(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	buf := make([]byte, segmentHeaderSize)
+	n, err := f.ReadAt(buf, 0)
+	if err == io.EOF {
+		err = nil
+	}
+	return buf[:n], err
 }
 
 // Dir returns the archive directory.
