@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -132,22 +133,35 @@ func TestTCPLatency(t *testing.T) {
 	}
 }
 
-func mkRound(t *testing.T, k int, t2, t3 int64, arr, dep []int64) *Round {
+// keep makes a RoundMetrics safe to hold after emit returns: Per is the
+// joiner's scratch, overwritten by the next completed round.
+func keep(m RoundMetrics) RoundMetrics {
+	m.Per = slices.Clone(m.Per)
+	return m
+}
+
+// mkRound builds a complete k-contributor round in a fresh joiner's
+// table; the joiner analyzes it.
+func mkRound(t *testing.T, k int, t2, t3 int64, arr, dep []int64) (*Joiner, *Round) {
 	t.Helper()
-	r := &Round{Seq: 1, Contribs: make(map[int]collect.TraceTuple), wantK: k}
-	r.Collective = collect.TraceTuple{Seq: 1, Start: t2, End: t3}
-	r.haveColl = true
-	for i := 0; i < k; i++ {
-		r.Contribs[i] = collect.TraceTuple{Seq: 1, Start: arr[i], End: dep[i]}
+	j, err := NewJoiner(k, 1, func(RoundMetrics) {})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return r
+	r := j.rounds.Open(1)
+	r.Collective = collect.TraceTuple{Seq: 1, Start: t2, End: t3}
+	r.HaveColl = true
+	for i := 0; i < k; i++ {
+		r.Set(i, collect.TraceTuple{Seq: 1, Start: arr[i], End: dep[i]})
+	}
+	return j, r
 }
 
 func TestAnalyzeRoundMetrics(t *testing.T) {
 	// Three contributors: arrivals at 10, 30, 20; collective runs 35..40;
 	// departures at 50, 44, 47.
-	r := mkRound(t, 3, 35, 40, []int64{10, 30, 20}, []int64{50, 44, 47})
-	m, err := AnalyzeRound(r)
+	j, r := mkRound(t, 3, 35, 40, []int64{10, 30, 20}, []int64{50, 44, 47})
+	m, err := j.AnalyzeRound(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,15 +197,18 @@ func TestAnalyzeRoundMetrics(t *testing.T) {
 }
 
 func TestAnalyzeRoundIncomplete(t *testing.T) {
-	r := &Round{Seq: 1, Contribs: map[int]collect.TraceTuple{}, wantK: 2}
-	if _, err := AnalyzeRound(r); err == nil {
+	j, err := NewJoiner(2, 1, func(RoundMetrics) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.AnalyzeRound(j.rounds.Open(1)); err == nil {
 		t.Fatal("incomplete round analyzed")
 	}
 }
 
 func TestAnalyzeRoundTieBreaksDeterministic(t *testing.T) {
-	r := mkRound(t, 3, 10, 20, []int64{5, 5, 5}, []int64{25, 25, 25})
-	m, err := AnalyzeRound(r)
+	j, r := mkRound(t, 3, 10, 20, []int64{5, 5, 5}, []int64{25, 25, 25})
+	m, err := j.AnalyzeRound(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +219,7 @@ func TestAnalyzeRoundTieBreaksDeterministic(t *testing.T) {
 
 func TestJoinerEmitsCompletedRounds(t *testing.T) {
 	var got []RoundMetrics
-	j, err := NewJoiner(2, 8, func(m RoundMetrics) { got = append(got, m) })
+	j, err := NewJoiner(2, 8, func(m RoundMetrics) { got = append(got, keep(m)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +241,7 @@ func TestJoinerEmitsCompletedRounds(t *testing.T) {
 
 func TestJoinerOutOfOrderDelivery(t *testing.T) {
 	var got []RoundMetrics
-	j, _ := NewJoiner(2, 8, func(m RoundMetrics) { got = append(got, m) })
+	j, _ := NewJoiner(2, 8, func(m RoundMetrics) { got = append(got, keep(m)) })
 	// Collective tuple arrives before contributors, and rounds interleave.
 	j.AddCollective(collect.TraceTuple{Seq: 1, Start: 25, End: 30})
 	j.AddCollective(collect.TraceTuple{Seq: 0, Start: 25, End: 30})
@@ -261,8 +278,8 @@ func TestJoinerValidation(t *testing.T) {
 		t.Fatal("nil emit accepted")
 	}
 	j, err := NewJoiner(2, 0, func(RoundMetrics) {})
-	if err != nil || j.maxPending != 64 {
-		t.Fatalf("maxPending default: %d %v", j.maxPending, err)
+	if err != nil || j.rounds.MaxPending() != 64 {
+		t.Fatalf("maxPending default: %d %v", j.rounds.MaxPending(), err)
 	}
 }
 
@@ -378,8 +395,8 @@ func TestResultString(t *testing.T) {
 
 func TestRoundMetricsDurationsConsistent(t *testing.T) {
 	// Total == Down + Up for every contributor (algebraic identity).
-	r := mkRound(t, 4, 100, 140, []int64{10, 40, 25, 33}, []int64{200, 150, 170, 160})
-	m, err := AnalyzeRound(r)
+	j, r := mkRound(t, 4, 100, 140, []int64{10, 40, 25, 33}, []int64{200, 150, 170, 160})
+	m, err := j.AnalyzeRound(r)
 	if err != nil {
 		t.Fatal(err)
 	}

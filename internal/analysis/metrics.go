@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"eventspace/internal/collect"
@@ -17,21 +16,6 @@ func TCPLatency(client, server collect.TraceTuple) time.Duration {
 	return time.Duration((client.End - client.Start) - (server.End - server.Start))
 }
 
-// Round is one completed collective operation: the collective wrapper's
-// tuple (t2 = Start, t3 = End) plus each contributor's tuple
-// (t1_i = Start, t4_i = End), joined on the operation sequence number.
-type Round struct {
-	Seq        uint32
-	Collective collect.TraceTuple
-	Contribs   map[int]collect.TraceTuple
-	wantK      int
-	haveColl   bool
-}
-
-// Complete reports whether all contributor tuples and the collective
-// tuple have arrived.
-func (r *Round) Complete() bool { return r.haveColl && len(r.Contribs) == r.wantK }
-
 // ContributorMetrics are the section 3 per-contributor figures for one
 // collective round.
 type ContributorMetrics struct {
@@ -45,89 +29,57 @@ type ContributorMetrics struct {
 	DepartureWait time.Duration // t4_i - t4_f (f = first departer)
 }
 
-// RoundMetrics is the full analysis of one collective round.
+// RoundMetrics is the full analysis of one collective round. Per is
+// scratch the Joiner reuses for its next round: it is valid only for
+// the duration of the emit call that delivers it, and a consumer that
+// keeps a RoundMetrics longer copies Per first.
 type RoundMetrics struct {
 	Seq         uint32
-	Per         []ContributorMetrics // one per contributor, indexed by rank order of contributor id
+	Per         []ContributorMetrics // one per contributor, indexed by contributor id
 	LastArrival int                  // contributor that arrived last
 	FirstDepart int                  // contributor that departed first
 }
 
-// AnalyzeRound computes the section 3 metrics for a complete round.
-func AnalyzeRound(r *Round) (RoundMetrics, error) {
-	if !r.Complete() {
-		return RoundMetrics{}, fmt.Errorf("analysis: round %d incomplete (%d/%d contributors, collective=%v)",
-			r.Seq, len(r.Contribs), r.wantK, r.haveColl)
-	}
-	ids := make([]int, 0, len(r.Contribs))
-	for id := range r.Contribs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+// rankKey orders one contributor among a round's arrivals or
+// departures: by stamp, ties broken on contributor id for determinism.
+type rankKey struct {
+	stamp int64
+	id    int
+}
 
-	t2 := r.Collective.Start
-	t3 := r.Collective.End
+func (a rankKey) before(b rankKey) bool {
+	return a.stamp < b.stamp || (a.stamp == b.stamp && a.id < b.id)
+}
 
-	// Rank arrivals by t1 and departures by t4; ties break on id for
-	// determinism.
-	byArrival := append([]int(nil), ids...)
-	sort.Slice(byArrival, func(a, b int) bool {
-		ta, tb := r.Contribs[byArrival[a]].Start, r.Contribs[byArrival[b]].Start
-		if ta != tb {
-			return ta < tb
+// sortRankKeys is a Shell sort: in place, nothing allocated, no
+// comparison callback. Fan-in is 2–8 in the 8-way trees, where it is
+// little more than an insertion sort; a flat tree's fan-in is its host
+// count, where the wider gaps keep it well under quadratic.
+//
+//lint:hotpath twice per completed round
+func sortRankKeys(keys []rankKey) {
+	for _, gap := range [...]int{701, 301, 132, 57, 23, 10, 4, 1} {
+		for i := gap; i < len(keys); i++ {
+			k, j := keys[i], i
+			for ; j >= gap && k.before(keys[j-gap]); j -= gap {
+				keys[j] = keys[j-gap]
+			}
+			keys[j] = k
 		}
-		return byArrival[a] < byArrival[b]
-	})
-	byDeparture := append([]int(nil), ids...)
-	sort.Slice(byDeparture, func(a, b int) bool {
-		ta, tb := r.Contribs[byDeparture[a]].End, r.Contribs[byDeparture[b]].End
-		if ta != tb {
-			return ta < tb
-		}
-		return byDeparture[a] < byDeparture[b]
-	})
-	arrivalRank := make(map[int]int, len(ids))
-	departureRank := make(map[int]int, len(ids))
-	for rank, id := range byArrival {
-		arrivalRank[id] = rank
 	}
-	for rank, id := range byDeparture {
-		departureRank[id] = rank
-	}
-	last := byArrival[len(byArrival)-1]
-	first := byDeparture[0]
-	t1Last := r.Contribs[last].Start
-	t4First := r.Contribs[first].End
-
-	out := RoundMetrics{Seq: r.Seq, LastArrival: last, FirstDepart: first}
-	for _, id := range ids {
-		c := r.Contribs[id]
-		out.Per = append(out.Per, ContributorMetrics{
-			Contributor:   id,
-			Down:          time.Duration(t2 - c.Start),
-			Up:            time.Duration(c.End - t3),
-			Total:         time.Duration((c.End - c.Start) - (t3 - t2)),
-			ArrivalRank:   arrivalRank[id],
-			DepartureRank: departureRank[id],
-			ArrivalWait:   time.Duration(t1Last - c.Start),
-			DepartureWait: time.Duration(c.End - t4First),
-		})
-	}
-	return out, nil
 }
 
 // Joiner assembles rounds from the tuple streams of one collective
-// wrapper's event collectors: k contributor collectors plus the collective
-// collector. Because trace buffers are bounded, some rounds never
-// complete; the joiner keeps at most maxPending partial rounds and evicts
-// the oldest, counting them as lost.
+// wrapper's event collectors — k contributor collectors plus the
+// collective collector — over a Rounds table, and analyzes each round
+// as it completes.
 type Joiner struct {
-	k          int
-	maxPending int
-	pending    map[uint32]*Round
-	order      []uint32 // insertion order for eviction
-	emit       func(RoundMetrics)
-	lost       uint64
+	rounds *Rounds
+	emit   func(RoundMetrics)
+	// Analysis scratch, fan-in long: a completed round is analyzed in
+	// place, so a warm joiner allocates nothing per round.
+	per  []ContributorMetrics
+	keys []rankKey
 }
 
 // NewJoiner creates a joiner for a k-contributor collective. emit is
@@ -142,49 +94,41 @@ func NewJoiner(k, maxPending int, emit func(RoundMetrics)) (*Joiner, error) {
 	if emit == nil {
 		return nil, fmt.Errorf("analysis: joiner: nil emit")
 	}
-	return &Joiner{k: k, maxPending: maxPending, pending: make(map[uint32]*Round), emit: emit}, nil
+	return &Joiner{
+		rounds: NewRounds(k, maxPending), emit: emit,
+		per: make([]ContributorMetrics, k), keys: make([]rankKey, k),
+	}, nil
 }
+
+// K returns the joiner's fan-in.
+func (j *Joiner) K() int { return j.rounds.K() }
 
 // Lost reports how many partial rounds were evicted.
-func (j *Joiner) Lost() uint64 { return j.lost }
+func (j *Joiner) Lost() uint64 { return j.rounds.Lost() }
 
 // Pending reports how many partial rounds are buffered.
-func (j *Joiner) Pending() int { return len(j.pending) }
-
-func (j *Joiner) round(seq uint32) *Round {
-	r, ok := j.pending[seq]
-	if !ok {
-		r = &Round{Seq: seq, Contribs: make(map[int]collect.TraceTuple, j.k), wantK: j.k}
-		j.pending[seq] = r
-		j.order = append(j.order, seq)
-		if len(j.pending) > j.maxPending {
-			// Evict the oldest still-pending round.
-			for len(j.order) > 0 {
-				old := j.order[0]
-				j.order = j.order[1:]
-				if _, ok := j.pending[old]; ok && old != seq {
-					delete(j.pending, old)
-					j.lost++
-					break
-				}
-			}
-		}
-	}
-	return r
-}
+func (j *Joiner) Pending() int { return j.rounds.Pending() }
 
 // AddCollective feeds the collective wrapper's tuple for its round.
+//
+//lint:hotpath the statistics fold, once per collective tuple
 func (j *Joiner) AddCollective(t collect.TraceTuple) {
-	r := j.round(t.Seq)
+	r := j.rounds.Open(t.Seq)
 	r.Collective = t
-	r.haveColl = true
+	r.HaveColl = true
 	j.finish(r)
 }
 
-// AddContributor feeds contributor i's tuple for its round.
+// AddContributor feeds contributor i's tuple for its round. An i
+// outside [0, k) is ignored: it could only index past the round's slot.
+//
+//lint:hotpath the statistics fold, once per contributor tuple
 func (j *Joiner) AddContributor(i int, t collect.TraceTuple) {
-	r := j.round(t.Seq)
-	r.Contribs[i] = t
+	if i < 0 || i >= len(j.per) {
+		return
+	}
+	r := j.rounds.Open(t.Seq)
+	r.Set(i, t)
 	j.finish(r)
 }
 
@@ -192,10 +136,56 @@ func (j *Joiner) finish(r *Round) {
 	if !r.Complete() {
 		return
 	}
-	delete(j.pending, r.Seq)
-	if m, err := AnalyzeRound(r); err == nil {
-		j.emit(m)
+	m := j.analyze(r)
+	j.rounds.Done(r)
+	j.emit(m)
+}
+
+// AnalyzeRound computes the section 3 metrics for a complete round of
+// this joiner's fan-in. The result's Per is the joiner's scratch.
+func (j *Joiner) AnalyzeRound(r *Round) (RoundMetrics, error) {
+	if !r.Complete() || len(r.Contribs) != len(j.per) {
+		return RoundMetrics{}, fmt.Errorf("analysis: round %d incomplete (%d/%d contributors, collective=%v)",
+			r.Seq, r.n, len(j.per), r.HaveColl)
 	}
+	return j.analyze(r), nil
+}
+
+// analyze fills the scratch with a complete round's metrics: arrivals
+// ranked by t1 and departures by t4, each by sorting the key scratch.
+func (j *Joiner) analyze(r *Round) RoundMetrics {
+	t2 := r.Collective.Start
+	t3 := r.Collective.End
+	per, keys := j.per, j.keys
+
+	for id, c := range r.Contribs {
+		keys[id] = rankKey{stamp: c.Start, id: id}
+	}
+	sortRankKeys(keys)
+	for rank, key := range keys {
+		per[key.id].ArrivalRank = rank
+	}
+	last := keys[len(keys)-1]
+
+	for id, c := range r.Contribs {
+		keys[id] = rankKey{stamp: c.End, id: id}
+	}
+	sortRankKeys(keys)
+	for rank, key := range keys {
+		per[key.id].DepartureRank = rank
+	}
+	first := keys[0]
+
+	for id, c := range r.Contribs {
+		p := &per[id]
+		p.Contributor = id
+		p.Down = time.Duration(t2 - c.Start)
+		p.Up = time.Duration(c.End - t3)
+		p.Total = time.Duration((c.End - c.Start) - (t3 - t2))
+		p.ArrivalWait = time.Duration(last.stamp - c.Start)
+		p.DepartureWait = time.Duration(c.End - first.stamp)
+	}
+	return RoundMetrics{Seq: r.Seq, Per: per, LastArrival: last.id, FirstDepart: first.id}
 }
 
 // OrderCounter accumulates the arrival (or departure) order distribution:

@@ -10,7 +10,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"eventspace/internal/collect"
 )
@@ -35,14 +34,13 @@ func (s *Stream) State() StreamState {
 		N: s.n, Mean: s.mean, M2: s.m2, Min: s.min, Max: s.max,
 		Window: s.window,
 	}
-	if len(s.ring) < s.window {
-		// Not yet full: arrival order is slice order.
-		st.Ring = append(st.Ring, s.ring...)
-	} else {
-		// Full: the oldest sample sits at head.
-		st.Ring = append(st.Ring, s.ring[s.head:]...)
-		st.Ring = append(st.Ring, s.ring[:s.head]...)
+	if len(s.ring) == 0 {
+		return st
 	}
+	// Oldest first: from head (0 until the ring has filled) around.
+	st.Ring = make([]float64, 0, len(s.ring))
+	st.Ring = append(st.Ring, s.ring[s.head:]...)
+	st.Ring = append(st.Ring, s.ring[:s.head]...)
 	return st
 }
 
@@ -60,26 +58,15 @@ func NewStreamFrom(st StreamState) (*Stream, error) {
 	if uint64(len(st.Ring)) > st.N {
 		return nil, fmt.Errorf("analysis: stream state ring %d exceeds sample count %d", len(st.Ring), st.N)
 	}
-	s := &Stream{
-		n: st.N, mean: st.Mean, m2: st.M2, min: st.Min, max: st.Max,
-		window: window,
+	if window > MaxMedianWindow {
+		return nil, fmt.Errorf("analysis: stream state window %d exceeds %d", window, MaxMedianWindow)
 	}
+	s := NewStream(window)
+	s.n, s.mean, s.m2, s.min, s.max = st.N, st.Mean, st.M2, st.Min, st.Max
 	// Oldest-first with head 0 reproduces the original eviction order:
 	// the next insertion after the window fills replaces index 0.
 	s.ring = append(s.ring, st.Ring...)
-	s.sorted = append(s.sorted, st.Ring...)
-	insertionSortFloat64s(s.sorted)
 	return s, nil
-}
-
-// insertionSortFloat64s sorts in place; rings are at most a median
-// window long, so simplicity beats sort.Float64s' interface costs.
-func insertionSortFloat64s(a []float64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // ContribState is one contributor tuple buffered in a partial round.
@@ -97,9 +84,9 @@ type RoundState struct {
 }
 
 // JoinerState is a Joiner's portable snapshot: configuration, loss
-// count, and the live partial rounds in insertion order. Stale
-// insertion-order entries (rounds since completed or evicted) are
-// compressed away, so the state is canonical.
+// count, and the live partial rounds in insertion order — the order
+// they will be evicted in. Nothing else about the joiner's past is in
+// it, so the state is canonical.
 type JoinerState struct {
 	K          int
 	MaxPending int
@@ -109,51 +96,31 @@ type JoinerState struct {
 
 // State snapshots the joiner.
 func (j *Joiner) State() JoinerState {
-	st := JoinerState{K: j.k, MaxPending: j.maxPending, Lost: j.lost}
-	taken := make(map[uint32]bool, len(j.pending))
-	for _, seq := range j.order {
-		r, ok := j.pending[seq]
-		if !ok || taken[seq] {
-			continue
-		}
-		taken[seq] = true
-		rs := RoundState{Seq: r.Seq, Collective: r.Collective, HaveColl: r.haveColl}
-		ids := make([]int, 0, len(r.Contribs))
-		for id := range r.Contribs {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			rs.Contribs = append(rs.Contribs, ContribState{ID: int32(id), Tuple: r.Contribs[id]})
-		}
-		st.Pending = append(st.Pending, rs)
+	t := j.rounds
+	st := JoinerState{K: t.K(), MaxPending: t.MaxPending(), Lost: t.Lost()}
+	for r := t.Oldest(); r != nil; r = r.Next() {
+		st.Pending = append(st.Pending, RoundState{
+			Seq: r.Seq, Collective: r.Collective, HaveColl: r.HaveColl,
+			Contribs: r.ContribStates(),
+		})
 	}
 	return st
 }
 
 // Restore overwrites the joiner's buffered state from a snapshot while
-// keeping its emit hook. The snapshot's k must match the joiner's.
+// keeping its emit hook. The snapshot's k must match the joiner's, and
+// its rounds must fit the joiner's slots (see Rounds.Load).
 func (j *Joiner) Restore(st JoinerState) error {
-	if st.K != j.k {
-		return fmt.Errorf("analysis: joiner state k=%d, joiner has k=%d", st.K, j.k)
+	if st.K != j.rounds.K() {
+		return fmt.Errorf("analysis: joiner state k=%d, joiner has k=%d", st.K, j.rounds.K())
 	}
-	if st.MaxPending >= 1 {
-		j.maxPending = st.MaxPending
-	}
-	j.lost = st.Lost
-	j.pending = make(map[uint32]*Round, len(st.Pending))
-	j.order = j.order[:0]
+	j.rounds.Reset(st.MaxPending, st.Lost)
 	for _, rs := range st.Pending {
-		if len(rs.Contribs) > j.k {
-			return fmt.Errorf("analysis: joiner state round %d holds %d contributors, k=%d", rs.Seq, len(rs.Contribs), j.k)
+		r, err := j.rounds.Load(rs.Seq, rs.Contribs)
+		if err != nil {
+			return err
 		}
-		r := &Round{Seq: rs.Seq, Collective: rs.Collective, haveColl: rs.HaveColl,
-			Contribs: make(map[int]collect.TraceTuple, j.k), wantK: j.k}
-		for _, c := range rs.Contribs {
-			r.Contribs[int(c.ID)] = c.Tuple
-		}
-		j.pending[rs.Seq] = r
-		j.order = append(j.order, rs.Seq)
+		r.Collective, r.HaveColl = rs.Collective, rs.HaveColl
 	}
 	return nil
 }

@@ -76,7 +76,7 @@ func TestJoinerSplitEquivalence(t *testing.T) {
 		base := int64(1000 + 100*int64(seq))
 		events = append(events, event{-1, joinTuple(99, seq, base+10, base+20)})
 		for c := 0; c < k; c++ {
-			events = append(events, event{c, joinTuple(uint32(c), seq, base + int64(c), base + 30 + int64(c))})
+			events = append(events, event{c, joinTuple(uint32(c), seq, base+int64(c), base+30+int64(c))})
 		}
 	}
 	// Shuffle within a small horizon so rounds interleave and some are
@@ -98,18 +98,18 @@ func TestJoinerSplitEquivalence(t *testing.T) {
 	}
 	for _, split := range []int{0, 7, 33, 120, len(events)} {
 		var fullOut, splitOut []RoundMetrics
-		full, err := NewJoiner(k, 64, func(m RoundMetrics) { fullOut = append(fullOut, m) })
+		full, err := NewJoiner(k, 64, func(m RoundMetrics) { fullOut = append(fullOut, keep(m)) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		run(full, events)
 
-		head, err := NewJoiner(k, 64, func(m RoundMetrics) { splitOut = append(splitOut, m) })
+		head, err := NewJoiner(k, 64, func(m RoundMetrics) { splitOut = append(splitOut, keep(m)) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		run(head, events[:split])
-		tail, err := NewJoinerFrom(head.State(), func(m RoundMetrics) { splitOut = append(splitOut, m) })
+		tail, err := NewJoinerFrom(head.State(), func(m RoundMetrics) { splitOut = append(splitOut, keep(m)) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,5 +141,86 @@ func TestJoinerStateRejectsMismatchedK(t *testing.T) {
 	st.K = 4
 	if err := j.Restore(st); err == nil {
 		t.Fatal("k mismatch accepted")
+	}
+}
+
+// queued counts the entries of the table's eviction queue.
+func queued(t *Rounds) int {
+	n := 0
+	for r := t.Oldest(); r != nil; r = r.Next() {
+		n++
+	}
+	return n
+}
+
+// TestJoinerOrderStaysBounded: a joiner that never overflows keeps no
+// trace of the rounds that passed through it. (PR 17's insertion-order
+// slice dropped entries only while evicting, so it grew by one entry
+// per round for ever and every State() walked all of it: 2.4 ms per
+// call after a million rounds, against 3.8 µs after a thousand.)
+func TestJoinerOrderStaysBounded(t *testing.T) {
+	j, err := NewJoiner(2, 64, func(RoundMetrics) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Contributor 1 runs a round ahead, so round seq+1 opens before
+	// round seq closes: one or two rounds pending at any time.
+	seq := uint32(0)
+	j.AddContributor(1, collect.TraceTuple{Seq: seq, Start: 2, End: 8})
+	feed := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			j.AddContributor(0, collect.TraceTuple{Seq: seq, Start: 1, End: 9})
+			j.AddContributor(1, collect.TraceTuple{Seq: seq + 1, Start: 2, End: 8})
+			j.AddCollective(collect.TraceTuple{Seq: seq, Start: 3, End: 5})
+			seq++
+		}
+	}
+	feed(1000)
+	early := testing.AllocsPerRun(10, func() { j.State() })
+	feed(199_000)
+	if n := queued(j.rounds); n != j.Pending() || n > 64 {
+		t.Fatalf("after 200000 rounds the eviction queue holds %d entries for %d pending rounds", n, j.Pending())
+	}
+	if late := testing.AllocsPerRun(10, func() { j.State() }); late != early {
+		t.Fatalf("State() allocates %v times after 200000 rounds, %v after 1000", late, early)
+	}
+	if j.Lost() != 0 || j.Pending() != 1 {
+		t.Fatalf("lost %d pending %d", j.Lost(), j.Pending())
+	}
+}
+
+// TestJoinerRefusesWhatASlotCannotHold: contributor ids index a
+// fan-in-sized slot, so one outside [0, k) is ignored when fed and
+// rejected — as is a repeated id or a repeated round — when it arrives
+// in a snapshot.
+func TestJoinerRefusesWhatASlotCannotHold(t *testing.T) {
+	j, err := NewJoiner(2, 8, func(RoundMetrics) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.AddContributor(2, collect.TraceTuple{Seq: 1})
+	j.AddContributor(-1, collect.TraceTuple{Seq: 1})
+	if j.Pending() != 0 {
+		t.Fatalf("out-of-range contributors opened %d rounds", j.Pending())
+	}
+	j.AddContributor(1, collect.TraceTuple{Seq: 1, Start: 4})
+	good := j.State()
+	for name, damage := range map[string]func(st *JoinerState){
+		"id = k":  func(st *JoinerState) { st.Pending[0].Contribs[0].ID = 2 },
+		"id = -1": func(st *JoinerState) { st.Pending[0].Contribs[0].ID = -1 },
+		"repeated id": func(st *JoinerState) {
+			st.Pending[0].Contribs = append(st.Pending[0].Contribs, st.Pending[0].Contribs[0])
+		},
+		"repeated seq": func(st *JoinerState) { st.Pending = append(st.Pending, st.Pending[0]) },
+	} {
+		st := good
+		st.Pending = []RoundState{{Seq: 1, Contribs: append([]ContribState(nil), good.Pending[0].Contribs...)}}
+		damage(&st)
+		if _, err := NewJoinerFrom(st, func(RoundMetrics) {}); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+	}
+	if _, err := NewJoinerFrom(good, func(RoundMetrics) {}); err != nil {
+		t.Fatalf("undamaged snapshot refused: %v", err)
 	}
 }

@@ -86,24 +86,24 @@ func LoadNewest(dir string) (Checkpoint, ChainInfo, bool) {
 	return Checkpoint{}, info, false
 }
 
-// write persists one checkpoint frame through the crash seam: an armed
-// CrashCheckpoint site tears the write mid-frame, leaving a file whose
-// CRC cannot validate — exactly the torn state LoadNewest must skip.
-func write(dir string, cp Checkpoint, cps *archive.CrashPoints) (int, error) {
-	buf := Encode(cp)
-	f, err := os.OpenFile(filepath.Join(dir, FileName(cp.Seq)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// write persists checkpoint seq's encoded frame through the crash seam:
+// an armed CrashCheckpoint site tears the write mid-frame, leaving a
+// file whose CRC cannot validate — exactly the torn state LoadNewest
+// must skip.
+func write(dir string, seq uint32, frame []byte, cps *archive.CrashPoints) error {
+	f, err := os.OpenFile(filepath.Join(dir, FileName(seq)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	crashed, werr := cps.TornWrite(archive.CrashCheckpoint, f, buf)
+	crashed, werr := cps.TornWrite(archive.CrashCheckpoint, f, frame)
 	cerr := f.Close()
 	if werr != nil {
-		return len(buf), werr
+		return werr
 	}
 	if crashed {
-		return len(buf), archive.ErrInjectedCrash
+		return archive.ErrInjectedCrash
 	}
-	return len(buf), cerr
+	return cerr
 }
 
 // prune deletes chain entries beyond the newest keep. Deleting oldest

@@ -71,7 +71,8 @@ type Checkpointer struct {
 	err     error
 	written uint64
 	bytes   uint64
-	batch   []collect.TraceTuple
+	batch   []collect.TraceTuple // decode scratch, reused per batch
+	frame   []byte               // encode scratch, reused per checkpoint
 }
 
 // New builds a checkpointer over a recorder's writer and sink chain.
@@ -129,6 +130,20 @@ func (c *Checkpointer) AppendRaw(data []byte) error {
 	if err := c.inner.AppendRaw(data); err != nil {
 		return err
 	}
+	if err := c.fold(data); err != nil {
+		return err
+	}
+	if c.since >= c.every {
+		if err := c.checkpointLocked(); err != nil {
+			c.err = err
+			return err
+		}
+	}
+	return nil
+}
+
+// fold decodes a batch into the shadows and advances the cadence count.
+func (c *Checkpointer) fold(data []byte) error {
 	var err error
 	c.batch, err = collect.DecodeAppend(c.batch[:0], data)
 	if err != nil {
@@ -142,12 +157,6 @@ func (c *Checkpointer) AppendRaw(data []byte) error {
 				c.at = t.Start
 			}
 			c.since++
-		}
-	}
-	if c.since >= c.every {
-		if err := c.checkpointLocked(); err != nil {
-			c.err = err
-			return err
 		}
 	}
 	return nil
@@ -191,8 +200,9 @@ func (c *Checkpointer) writeLocked() (int, error) {
 		cp.HasEngine = true
 		cp.Engine = c.engine.State()
 	}
-	n, err := write(c.dir, cp, c.cps)
-	if err != nil {
+	c.frame = appendEncode(c.frame[:0], cp)
+	n := len(c.frame)
+	if err := write(c.dir, cp.Seq, c.frame, c.cps); err != nil {
 		return n, err
 	}
 	c.seq = cp.Seq

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -358,7 +359,7 @@ func TestLoadNewestAllTorn(t *testing.T) {
 	cp := snapshotFromStream(t, 40)
 	for seq := uint32(1); seq <= 2; seq++ {
 		cp.Seq = seq
-		if _, err := write(dir, cp, nil); err != nil {
+		if err := write(dir, seq, Encode(cp), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,5 +391,121 @@ func BenchmarkCheckpointEncodeTuples(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		encodeTuples(dst, ts)
+	}
+}
+
+// TestGoldenFrame pins the on-disk frame across refactors of the
+// shadows: testdata/frame-151.eckpt is Encode(snapshotFromStream(t,
+// 151)) as PR 17's map-and-sort joins and mirrored median windows
+// produced it, and whatever folds tuples now must encode the same
+// bytes — checkpoints written before and after are interchangeable.
+func TestGoldenFrame(t *testing.T) {
+	want, err := os.ReadFile("testdata/frame-151.eckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Encode(snapshotFromStream(t, 151))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame drifted from the golden: %d bytes, golden %d", len(got), len(want))
+	}
+}
+
+// foldFixture is an 8-way tree's port set in collector metadata — a
+// root joining seven child nodes and a thread of its own, every child
+// joining eight threads, 72 collectors — and batches of complete rounds
+// over it, laid out collector by collector as a scope pull delivers
+// them (so every round of a batch is pending until the batch's last
+// contributor).
+func foldFixture(rounds int) ([]archive.CollectorInfo, [][]byte) {
+	var infos []archive.CollectorInfo
+	id := uint32(1)
+	node := func(name string, fanin int) {
+		infos = append(infos, archive.CollectorInfo{ID: id, Role: collect.RoleCollective, Tree: "T", Node: name, Contributor: -1})
+		id++
+		for c := 0; c < fanin; c++ {
+			infos = append(infos, archive.CollectorInfo{ID: id, Role: collect.RoleContributor, Tree: "T", Node: name, Contributor: c})
+			id++
+		}
+	}
+	node("root", 8)
+	for i := 0; i < 7; i++ {
+		node(string(rune('a'+i)), 8)
+	}
+	rng := rand.New(rand.NewSource(17))
+	var batches [][]byte
+	const perBatch = 64
+	for first := 0; first < rounds; first += perBatch {
+		var ts []collect.TraceTuple
+		for _, in := range infos {
+			for r := 0; r < perBatch; r++ {
+				seq := uint32(first + r + 1)
+				base := int64(seq) * 500_000
+				tu := collect.TraceTuple{ECID: in.ID, Op: paths.OpWrite, Seq: seq, Start: base + rng.Int63n(40_000)}
+				tu.End = tu.Start + 100_000 + rng.Int63n(40_000)
+				if in.Role == collect.RoleCollective {
+					tu.Start, tu.End = base+50_000, base+90_000
+				}
+				ts = append(ts, tu)
+			}
+		}
+		batches = append(batches, encodeBatch(ts))
+	}
+	return infos, batches
+}
+
+// BenchmarkCheckpointFold is the zero-alloc gate of the fold: warm
+// shadows, then the DecodeAppend + Feed loop AppendRaw runs, one op per
+// batch of 64 complete rounds (4608 tuples). The cadence write is
+// excluded — it allocates the snapshot by design.
+func BenchmarkCheckpointFold(b *testing.B) {
+	infos, batches := foldFixture(64 * 16)
+	dir := b.TempDir()
+	w, err := archive.Create(archive.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	ck, err := New(w, w, nil, infos, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, batch := range batches { // warm: slots pooled, windows full
+		if err := ck.fold(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ck.fold(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batches[0])/collect.TupleSize), "ns/tuple")
+}
+
+// TestRestoreRejectsOutOfRangeContributor: a frame can pass both CRCs
+// and still carry a contributor id that would index past a round slot;
+// the restore refuses it — so recovery falls back a rung — for an id
+// one past the fan-in and for a negative one, in either shadow.
+func TestRestoreRejectsOutOfRangeContributor(t *testing.T) {
+	infos := testInfos()
+	laPorts, _ := archive.LastArrivalPorts(infos)
+	stPorts, _ := archive.StatsPorts(infos)
+	// After 147 tuples both shadows hold a partial round of node "a".
+	for _, id := range []int32{3, -1} {
+		cp := snapshotFromStream(t, 147)
+		cp.Stats.Nodes[0].Joiner.Pending[0].Contribs[0].ID = id
+		cp.LA.Joins[0].Join.Pending[0].Contribs[0].ID = id
+		got, err := Decode(Encode(cp))
+		if err != nil {
+			t.Fatalf("id %d: frame did not survive the codec: %v", id, err)
+		}
+		if _, err := monitor.NewLastArrivalReplayFrom(laPorts, got.LA); err == nil {
+			t.Errorf("id %d: load-balance shadow restored", id)
+		}
+		if _, err := monitor.NewStatsReplayFrom(stPorts, got.Stats); err == nil {
+			t.Errorf("id %d: statistics shadow restored", id)
+		}
 	}
 }

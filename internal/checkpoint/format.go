@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"eventspace/internal/analysis"
 	"eventspace/internal/archive"
@@ -88,7 +89,7 @@ var ErrInvalid = errors.New("checkpoint: invalid or torn checkpoint")
 
 const (
 	tupleSize = collect.TupleSize // 28
-	alertSize = 8 + 2 + 4 + 8    // QueryHash, Group, Seq, At
+	alertSize = 8 + 2 + 4 + 8     // QueryHash, Group, Seq, At
 )
 
 //lint:hotpath checkpoint tuple-block encode; gated by BenchmarkCheckpointEncodeTuples' zero-alloc check
@@ -109,12 +110,12 @@ type enc struct {
 	off int
 }
 
-func (e *enc) u8(v uint8)   { e.buf[e.off] = v; e.off++ }
-func (e *enc) u16(v uint16) { binary.LittleEndian.PutUint16(e.buf[e.off:], v); e.off += 2 }
-func (e *enc) u32(v uint32) { binary.LittleEndian.PutUint32(e.buf[e.off:], v); e.off += 4 }
-func (e *enc) u64(v uint64) { binary.LittleEndian.PutUint64(e.buf[e.off:], v); e.off += 8 }
-func (e *enc) i32(v int32)  { e.u32(uint32(v)) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
+func (e *enc) u8(v uint8)    { e.buf[e.off] = v; e.off++ }
+func (e *enc) u16(v uint16)  { binary.LittleEndian.PutUint16(e.buf[e.off:], v); e.off += 2 }
+func (e *enc) u32(v uint32)  { binary.LittleEndian.PutUint32(e.buf[e.off:], v); e.off += 4 }
+func (e *enc) u64(v uint64)  { binary.LittleEndian.PutUint64(e.buf[e.off:], v); e.off += 8 }
+func (e *enc) i32(v int32)   { e.u32(uint32(v)) }
+func (e *enc) i64(v int64)   { e.u64(uint64(v)) }
 func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
 func (e *enc) str(s string) {
 	e.u16(uint16(len(s)))
@@ -193,9 +194,9 @@ func (d *dec) u64() uint64 {
 	return v
 }
 
-func (d *dec) i32() int32    { return int32(d.u32()) }
-func (d *dec) i64() int64    { return int64(d.u64()) }
-func (d *dec) f64() float64  { return math.Float64frombits(d.u64()) }
+func (d *dec) i32() int32   { return int32(d.u32()) }
+func (d *dec) i64() int64   { return int64(d.u64()) }
+func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
 func (d *dec) str() string {
 	n := int(d.u16())
@@ -578,12 +579,19 @@ func decodeEngine(d *dec) query.EngineState {
 }
 
 // Encode frames a checkpoint into its on-disk byte form.
-func Encode(cp Checkpoint) []byte {
+func Encode(cp Checkpoint) []byte { return appendEncode(nil, cp) }
+
+// appendEncode appends cp's frame to dst, growing it only when its
+// capacity falls short: a checkpointer encodes every frame of a run
+// into one buffer.
+func appendEncode(dst []byte, cp Checkpoint) []byte {
 	payloadLen := (2 + 4 + cursorSize()) + (2 + 4 + laSize(cp.LA)) + (2 + 4 + statsSize(cp.Stats))
 	if cp.HasEngine {
 		payloadLen += 2 + 4 + engineSize(cp.Engine)
 	}
-	buf := make([]byte, headerSize+payloadLen)
+	start := len(dst)
+	dst = slices.Grow(dst, headerSize+payloadLen)[:start+headerSize+payloadLen]
+	buf := dst[start:]
 	e := &enc{buf: buf, off: headerSize}
 
 	e.u16(secCursor)
@@ -617,7 +625,7 @@ func Encode(cp Checkpoint) []byte {
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(payloadLen))
 	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(buf[headerSize:]))
 	binary.LittleEndian.PutUint32(buf[20:24], crc32.ChecksumIEEE(buf[0:20]))
-	return buf
+	return dst
 }
 
 // Decode parses a framed checkpoint, validating both CRCs and every

@@ -2,13 +2,19 @@ package checkpoint
 
 import (
 	"testing"
+
+	"eventspace/internal/analysis"
+	"eventspace/internal/collect"
+	"eventspace/internal/monitor"
 )
 
 // FuzzCheckpointDecode hammers the frame decoder with torn, bit-flipped
-// and adversarial inputs. The contract: Decode never panics, and a
-// frame that decodes successfully re-encodes into a frame that decodes
-// to the same checkpoint — corrupt bytes can never masquerade as a
-// CRC-passing checkpoint that then misbehaves.
+// and adversarial inputs. The contract: Decode never panics; a frame
+// that decodes successfully re-encodes into a frame that decodes to the
+// same checkpoint — corrupt bytes can never masquerade as a CRC-passing
+// checkpoint that then misbehaves — and restoring it into shadows and
+// feeding them either fails cleanly or works: contributor ids in a
+// frame index fixed-size round slots, so none may reach one unchecked.
 func FuzzCheckpointDecode(f *testing.F) {
 	// Corpus: valid frames of growing complexity, their torn prefixes,
 	// and a few degenerate shapes.
@@ -21,6 +27,17 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ECK1"))
 	f.Add(make([]byte, headerSize))
+	// Well-formed frames whose pending rounds carry a contributor id one
+	// past the fan-in, and a negative one — once in each shadow. (After
+	// 147 tuples both shadows hold a partial round of node "a".)
+	for _, id := range []int32{3, -1} {
+		cp := snapshotFromStream(f, 147)
+		cp.Stats.Nodes[0].Joiner.Pending[0].Contribs[0].ID = id
+		f.Add(Encode(cp))
+		cp = snapshotFromStream(f, 147)
+		cp.LA.Joins[0].Join.Pending[0].Contribs[0].ID = id
+		f.Add(Encode(cp))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := Decode(data)
@@ -35,5 +52,87 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if cp2.Seq != cp.Seq || cp2.Cursor != cp.Cursor || cp2.HasEngine != cp.HasEngine {
 			t.Fatalf("re-encode round trip drifted: %+v vs %+v", cp2, cp)
 		}
+		restoreAndFeed(cp)
 	})
+}
+
+// restoreAndFeed restores every shadow a decoded frame describes and
+// feeds each one tuple per port. Errors are fine; the fuzzer is looking
+// for panics. The ports are built from the state's own node set, as the
+// archived collector metadata would supply them — which is also what
+// bounds a fan-in or a window in the product, so the harness bounds
+// them too rather than allocate whatever a fuzzed frame asks for.
+func restoreAndFeed(cp Checkpoint) {
+	const maxFanin, maxWindow = 64, 1024
+	sane := func(k int) bool { return k >= 1 && k <= maxFanin }
+	feed := func(ecid, seq uint32) collect.TraceTuple {
+		return collect.TraceTuple{ECID: ecid, Seq: seq, Start: 5, End: 9}
+	}
+	// A sequence number the snapshot holds pending, so the fed tuples
+	// land in restored slots as well as fresh ones.
+	seq := uint32(1)
+
+	laPorts := make(map[uint32]monitor.ReplayPort)
+	ecid := uint32(1)
+	for _, nj := range cp.LA.Joins {
+		if !sane(nj.Join.K) {
+			return
+		}
+		if len(nj.Join.Pending) > 0 {
+			seq = nj.Join.Pending[0].Seq
+		}
+		for c := 0; c < nj.Join.K; c++ {
+			laPorts[ecid] = monitor.ReplayPort{Node: nj.Node, Contributor: c, Fanin: nj.Join.K}
+			ecid++
+		}
+	}
+	if la, err := monitor.NewLastArrivalReplayFrom(laPorts, cp.LA); err == nil {
+		for id := range laPorts {
+			la.Feed(feed(id, seq))
+		}
+		la.State()
+	}
+
+	if cp.Stats.Window > maxWindow {
+		return
+	}
+	stPorts := make(map[uint32]monitor.ReplayStatsPort)
+	for _, ns := range cp.Stats.Nodes {
+		k := ns.Joiner.K
+		if !sane(k) {
+			return
+		}
+		if len(ns.Joiner.Pending) > 0 {
+			seq = ns.Joiner.Pending[0].Seq
+		}
+		for c := -1; c < k; c++ {
+			stPorts[ecid] = monitor.ReplayStatsPort{NodeID: ns.NodeID, Contributor: c, Fanin: k}
+			ecid++
+		}
+		// The same state through the analysis constructors directly.
+		if j, err := analysis.NewJoinerFrom(ns.Joiner, func(analysis.RoundMetrics) {}); err == nil {
+			j.AddCollective(feed(0, seq))
+			for c := -1; c <= k; c++ {
+				j.AddContributor(c, feed(0, seq))
+			}
+			j.State()
+		}
+		for _, ss := range []analysis.StreamState{ns.Down, ns.Up, ns.Total, ns.ArrWait, ns.DepWait} {
+			if ss.Window > maxWindow {
+				continue
+			}
+			if s, err := analysis.NewStreamFrom(ss); err == nil {
+				s.Add(1.5)
+				s.Snapshot()
+				s.State()
+			}
+		}
+	}
+	if st, err := monitor.NewStatsReplayFrom(stPorts, cp.Stats); err == nil {
+		for id := range stPorts {
+			st.Feed(feed(id, seq))
+		}
+		st.Tree()
+		st.State()
+	}
 }

@@ -19,13 +19,11 @@ import (
 
 // lbJoin joins contributor tuples per round and reports the last arriver.
 // The load-balance monitor does not need the collective tuple: the last
-// arrival is the contributor tuple with the largest down timestamp.
+// arrival is the contributor tuple with the largest down timestamp. It
+// sits on the same pending-round table as analysis.Joiner and adds only
+// the failover floor.
 type lbJoin struct {
-	k          int
-	maxPending int
-	pending    map[uint32]map[int]collect.TraceTuple
-	order      []uint32
-	lost       uint64
+	rounds *analysis.Rounds
 	// floor drops tuples of rounds already completed before a front-end
 	// failover: a replay-seeded join ignores Seq <= floor so re-read
 	// tuples cannot double-count a finished round. maxDone tracks the
@@ -34,47 +32,41 @@ type lbJoin struct {
 	maxDone uint32
 }
 
-func newLBJoin(k int) *lbJoin {
-	return &lbJoin{k: k, maxPending: 256, pending: make(map[uint32]map[int]collect.TraceTuple)}
+// lbMaxPending is the live join's eviction bound.
+const lbMaxPending = 256
+
+func newLBJoin(k, maxPending int) *lbJoin {
+	return &lbJoin{rounds: analysis.NewRounds(k, maxPending)}
 }
 
 // add feeds a contributor tuple; when the round completes it returns the
-// last-arriving contributor and true.
+// last-arriving contributor and true. A contributor outside [0, k) is
+// ignored: it could only index past the round's slot.
+//
+//lint:hotpath the last-arrival fold, once per contributor tuple
 func (j *lbJoin) add(contributor int, t collect.TraceTuple) (int, bool) {
 	if j.floor > 0 && t.Seq <= j.floor {
 		return 0, false
 	}
-	m, ok := j.pending[t.Seq]
-	if !ok {
-		m = make(map[int]collect.TraceTuple, j.k)
-		j.pending[t.Seq] = m
-		j.order = append(j.order, t.Seq)
-		if len(j.pending) > j.maxPending {
-			for len(j.order) > 0 {
-				old := j.order[0]
-				j.order = j.order[1:]
-				if _, ok := j.pending[old]; ok && old != t.Seq {
-					delete(j.pending, old)
-					j.lost++
-					break
-				}
-			}
-		}
-	}
-	m[contributor] = t
-	if len(m) < j.k {
+	if contributor < 0 || contributor >= j.rounds.K() {
 		return 0, false
 	}
-	delete(j.pending, t.Seq)
+	r := j.rounds.Open(t.Seq)
+	r.Set(contributor, t)
+	if !r.Full() {
+		return 0, false
+	}
 	if t.Seq > j.maxDone {
 		j.maxDone = t.Seq
 	}
+	// Largest Start wins; ties go to the higher contributor index.
 	last, lastStart := -1, int64(-1)
-	for c, tu := range m {
-		if tu.Start > lastStart || (tu.Start == lastStart && c > last) {
-			last, lastStart = c, tu.Start
+	for c := range r.Contribs {
+		if start := r.Contribs[c].Start; start >= lastStart {
+			last, lastStart = c, start
 		}
 	}
+	j.rounds.Done(r)
 	return last, true
 }
 
@@ -286,7 +278,7 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 		if err != nil {
 			return err
 		}
-		join := newLBJoin(n.AR.Fanin())
+		join := newLBJoin(n.AR.Fanin(), lbMaxPending)
 		join.floor = lb.floors[n.Name]
 		perPort := len(readers)
 		cost := lb.cfg.AnalysisCostPerTuple
@@ -345,7 +337,7 @@ func (lb *LoadBalance) buildDistributed(tb *cluster.Testbed, spec *escope.Spec) 
 		}
 		st := &lbNodeState{
 			node:   n,
-			join:   newLBJoin(n.AR.Fanin()),
+			join:   newLBJoin(n.AR.Fanin(), lbMaxPending),
 			counts: make([]uint64, n.AR.Fanin()),
 		}
 		for _, ec := range n.ContribECs {

@@ -139,24 +139,50 @@ func (c *Config) analysisThreads() int {
 // arrived last. Visualizations weight the spanning-tree edges with it.
 type WeightedTree struct {
 	mu    sync.RWMutex
-	nodes map[string]map[int]uint64 // node name -> contributor -> last-arrival count
+	nodes map[string]*weightedRow
+}
+
+// weightedRow is one node's contributor -> last-arrival count. A row
+// with no counts yet is not part of the tree as readers see it.
+type weightedRow struct {
+	tree   *WeightedTree // whose mu guards counts
+	counts map[int]uint64
 }
 
 // NewWeightedTree returns an empty weighted tree.
 func NewWeightedTree() *WeightedTree {
-	return &WeightedTree{nodes: make(map[string]map[int]uint64)}
+	return &WeightedTree{nodes: make(map[string]*weightedRow)}
+}
+
+// row resolves a node's row once, for a writer that then adds to it
+// without the name lookup (the replay's resolved ports).
+func (w *WeightedTree) row(node string) *weightedRow {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.rowLocked(node)
+}
+
+func (w *WeightedTree) rowLocked(node string) *weightedRow {
+	r, ok := w.nodes[node]
+	if !ok {
+		r = &weightedRow{tree: w, counts: make(map[int]uint64)}
+		w.nodes[node] = r
+	}
+	return r
+}
+
+// add folds last-arrival counts for the row's contributor.
+func (r *weightedRow) add(contributor int, n uint64) {
+	r.tree.mu.Lock()
+	r.counts[contributor] += n
+	r.tree.mu.Unlock()
 }
 
 // Add folds last-arrival counts for a node's contributor.
 func (w *WeightedTree) Add(node string, contributor int, n uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	m, ok := w.nodes[node]
-	if !ok {
-		m = make(map[int]uint64)
-		w.nodes[node] = m
-	}
-	m[contributor] += n
+	w.rowLocked(node).counts[contributor] += n
 }
 
 // Set overwrites the count (used with cumulative intermediate results,
@@ -164,19 +190,17 @@ func (w *WeightedTree) Add(node string, contributor int, n uint64) {
 func (w *WeightedTree) Set(node string, contributor int, n uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	m, ok := w.nodes[node]
-	if !ok {
-		m = make(map[int]uint64)
-		w.nodes[node] = m
-	}
-	m[contributor] = n
+	w.rowLocked(node).counts[contributor] = n
 }
 
 // Count returns a node contributor's last-arrival count.
 func (w *WeightedTree) Count(node string, contributor int) uint64 {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return w.nodes[node][contributor]
+	if r, ok := w.nodes[node]; ok {
+		return r.counts[contributor]
+	}
+	return 0
 }
 
 // Nodes returns the node names present.
@@ -184,8 +208,10 @@ func (w *WeightedTree) Nodes() []string {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	out := make([]string, 0, len(w.nodes))
-	for n := range w.nodes {
-		out = append(out, n)
+	for n, r := range w.nodes {
+		if len(r.counts) > 0 {
+			out = append(out, n)
+		}
 	}
 	return out
 }
@@ -194,8 +220,12 @@ func (w *WeightedTree) Nodes() []string {
 func (w *WeightedTree) Counts(node string) map[int]uint64 {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	out := make(map[int]uint64, len(w.nodes[node]))
-	for k, v := range w.nodes[node] {
+	var counts map[int]uint64
+	if r, ok := w.nodes[node]; ok {
+		counts = r.counts
+	}
+	out := make(map[int]uint64, len(counts))
+	for k, v := range counts {
 		out[k] = v
 	}
 	return out
@@ -206,8 +236,8 @@ func (w *WeightedTree) Total() uint64 {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	var n uint64
-	for _, m := range w.nodes {
-		for _, v := range m {
+	for _, r := range w.nodes {
+		for _, v := range r.counts {
 			n += v
 		}
 	}

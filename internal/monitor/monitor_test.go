@@ -68,7 +68,7 @@ func runApp(t *testing.T, tree *cluster.Tree, rounds, slowPort int, delay time.D
 }
 
 func TestLBJoinFindsLastArrival(t *testing.T) {
-	j := newLBJoin(3)
+	j := newLBJoin(3, lbMaxPending)
 	if _, done := j.add(0, collect.TraceTuple{Seq: 0, Start: 10}); done {
 		t.Fatal("done with 1/3")
 	}
@@ -89,16 +89,15 @@ func TestLBJoinFindsLastArrival(t *testing.T) {
 }
 
 func TestLBJoinEvicts(t *testing.T) {
-	j := newLBJoin(2)
-	j.maxPending = 4
+	j := newLBJoin(2, 4)
 	for seq := uint32(0); seq < 20; seq++ {
 		j.add(0, collect.TraceTuple{Seq: seq})
 	}
-	if len(j.pending) > 4 {
-		t.Fatalf("pending = %d", len(j.pending))
+	if j.rounds.Pending() > 4 {
+		t.Fatalf("pending = %d", j.rounds.Pending())
 	}
-	if j.lost != 16 {
-		t.Fatalf("lost = %d", j.lost)
+	if j.rounds.Lost() != 16 {
+		t.Fatalf("lost = %d", j.rounds.Lost())
 	}
 }
 

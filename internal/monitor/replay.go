@@ -31,14 +31,58 @@ type ReplayPort struct {
 	Fanin       int    // the node's contributor count
 }
 
+// portTable maps an ECID to its resolved port — the one lookup a
+// replay pays per tuple. It is an open-addressed table filled once, at
+// construction, and at most half full: sized by the number of ports,
+// whatever the ECIDs are (they come from collectors.meta on disk), and
+// probed from a multiplicative hash, which spreads the registry's
+// consecutive ids one to a slot.
+type portTable[P any] struct {
+	slots []portSlot[P] // a power of two long
+	shift uint32        // 32 - log2(len(slots))
+}
+
+type portSlot[P any] struct {
+	ecid uint32
+	used bool
+	port P
+}
+
+func newPortTable[P any](ports int) *portTable[P] {
+	size, bits := 2, uint32(1)
+	for size < 2*ports {
+		size, bits = 2*size, bits+1
+	}
+	return &portTable[P]{slots: make([]portSlot[P], size), shift: 32 - bits}
+}
+
+// slot returns ecid's slot, or the free slot where it would go.
+func (t *portTable[P]) slot(ecid uint32) *portSlot[P] {
+	for i := int(ecid * 0x9E3779B1 >> t.shift); ; i = (i + 1) & (len(t.slots) - 1) {
+		if s := &t.slots[i]; !s.used || s.ecid == ecid {
+			return s
+		}
+	}
+}
+
+func (t *portTable[P]) put(ecid uint32, port P) { *t.slot(ecid) = portSlot[P]{ecid, true, port} }
+
+// laPort is a ReplayPort resolved at construction: the tuple's ECID
+// leads straight to its node's join and weighted-tree row.
+type laPort struct {
+	join        *lbJoin
+	row         *weightedRow
+	contributor int
+}
+
 // LastArrivalReplay re-runs the load-balance monitor's last-arrival
 // reduction over archived trace tuples. It mirrors the single-scope
 // reduce wrapper exactly: per node, rounds join on the tuple sequence
 // number and the last arrival is the contributor tuple with the largest
 // Start stamp (ties broken toward the higher contributor index).
 type LastArrivalReplay struct {
-	ports    map[uint32]ReplayPort // contributor ECID -> port
-	joins    map[string]*lbJoin    // node name -> join
+	ports    *portTable[laPort] // contributor ECID -> resolved port
+	joins    map[string]*lbJoin // node name -> join, for snapshots
 	weighted *WeightedTree
 
 	fed     uint64
@@ -50,7 +94,7 @@ type LastArrivalReplay struct {
 // collector metadata).
 func NewLastArrivalReplay(ports map[uint32]ReplayPort) (*LastArrivalReplay, error) {
 	r := &LastArrivalReplay{
-		ports:    make(map[uint32]ReplayPort, len(ports)),
+		ports:    newPortTable[laPort](len(ports)),
 		joins:    make(map[string]*lbJoin),
 		weighted: NewWeightedTree(),
 	}
@@ -61,12 +105,14 @@ func NewLastArrivalReplay(ports map[uint32]ReplayPort) (*LastArrivalReplay, erro
 		if p.Contributor < 0 || p.Contributor >= p.Fanin {
 			return nil, fmt.Errorf("monitor: replay port %d: contributor %d outside fanin %d", id, p.Contributor, p.Fanin)
 		}
-		r.ports[id] = p
-		if _, ok := r.joins[p.Node]; !ok {
-			j := newLBJoin(p.Fanin)
-			j.maxPending = replayMaxPending
+		j, ok := r.joins[p.Node]
+		if !ok {
+			j = newLBJoin(p.Fanin, replayMaxPending)
 			r.joins[p.Node] = j
+		} else if k := j.rounds.K(); k != p.Fanin {
+			return nil, fmt.Errorf("monitor: replay port %d: fanin %d, node %q has %d", id, p.Fanin, p.Node, k)
 		}
+		r.ports.put(id, laPort{join: j, row: r.weighted.row(p.Node), contributor: p.Contributor})
 	}
 	return r, nil
 }
@@ -74,15 +120,18 @@ func NewLastArrivalReplay(ports map[uint32]ReplayPort) (*LastArrivalReplay, erro
 // Feed offers one archived tuple to the join. Tuples from collectors
 // outside the port map (collective wrappers, stub collectors) are
 // ignored, exactly as the live reduce ignores unknown ECIDs.
+//
+//lint:hotpath the checkpointer's last-arrival fold, once per archived tuple
 func (r *LastArrivalReplay) Feed(t collect.TraceTuple) {
 	r.fed++
-	p, ok := r.ports[t.ECID]
-	if !ok {
+	s := r.ports.slot(t.ECID)
+	if !s.used {
 		return
 	}
 	r.matched++
-	if last, done := r.joins[p.Node].add(p.Contributor, t); done {
-		r.weighted.Add(p.Node, last, 1)
+	p := &s.port
+	if last, done := p.join.add(p.contributor, t); done {
+		p.row.add(last, 1)
 	}
 }
 
@@ -135,7 +184,7 @@ func (r *LastArrivalReplay) Fed() (fed, matched uint64) { return r.fed, r.matche
 func (r *LastArrivalReplay) Lost() uint64 {
 	var n uint64
 	for _, j := range r.joins {
-		n += j.lost
+		n += j.rounds.Lost()
 	}
 	return n
 }
@@ -157,13 +206,32 @@ type statsReplayNode struct {
 	rounds                            uint64
 }
 
+// fold is the node's joiner emit hook: one completed round into the
+// five latency streams, in microseconds.
+func (st *statsReplayNode) fold(m analysis.RoundMetrics) {
+	st.rounds++
+	for _, c := range m.Per {
+		st.down.Add(float64(c.Down) / float64(time.Microsecond))
+		st.up.Add(float64(c.Up) / float64(time.Microsecond))
+		st.total.Add(float64(c.Total) / float64(time.Microsecond))
+		st.arrWait.Add(float64(c.ArrivalWait) / float64(time.Microsecond))
+		st.depWait.Add(float64(c.DepartureWait) / float64(time.Microsecond))
+	}
+}
+
+// statsPort is a ReplayStatsPort resolved at construction.
+type statsPort struct {
+	node        *statsReplayNode
+	contributor int // -1 for the collective tuple
+}
+
 // StatsReplay re-runs statsm's wrapper-statistics computation over
 // archived trace tuples: per-node round joins and the five latency
 // streams (down, up, total, arrival wait, departure wait) in
 // microseconds.
 type StatsReplay struct {
-	ports  map[uint32]ReplayStatsPort
-	nodes  map[uint32]*statsReplayNode // keyed by NodeID
+	ports  *portTable[statsPort]       // ECID -> resolved port
+	nodes  map[uint32]*statsReplayNode // keyed by NodeID, for snapshots
 	window int                         // sliding-median window, kept for snapshots
 
 	fed     uint64
@@ -175,7 +243,7 @@ type StatsReplay struct {
 // analysis default).
 func NewStatsReplay(ports map[uint32]ReplayStatsPort, window int) (*StatsReplay, error) {
 	r := &StatsReplay{
-		ports:  make(map[uint32]ReplayStatsPort, len(ports)),
+		ports:  newPortTable[statsPort](len(ports)),
 		nodes:  make(map[uint32]*statsReplayNode),
 		window: window,
 	}
@@ -186,49 +254,44 @@ func NewStatsReplay(ports map[uint32]ReplayStatsPort, window int) (*StatsReplay,
 		if p.Contributor >= p.Fanin {
 			return nil, fmt.Errorf("monitor: stats replay port %d: contributor %d outside fanin %d", id, p.Contributor, p.Fanin)
 		}
-		r.ports[id] = p
-		if _, ok := r.nodes[p.NodeID]; ok {
-			continue
-		}
-		st := &statsReplayNode{
-			down:    analysis.NewStream(window),
-			up:      analysis.NewStream(window),
-			total:   analysis.NewStream(window),
-			arrWait: analysis.NewStream(window),
-			depWait: analysis.NewStream(window),
-		}
-		joiner, err := analysis.NewJoiner(p.Fanin, replayMaxPending, func(m analysis.RoundMetrics) {
-			st.rounds++
-			for _, c := range m.Per {
-				st.down.Add(float64(c.Down) / float64(time.Microsecond))
-				st.up.Add(float64(c.Up) / float64(time.Microsecond))
-				st.total.Add(float64(c.Total) / float64(time.Microsecond))
-				st.arrWait.Add(float64(c.ArrivalWait) / float64(time.Microsecond))
-				st.depWait.Add(float64(c.DepartureWait) / float64(time.Microsecond))
+		st, ok := r.nodes[p.NodeID]
+		if !ok {
+			st = &statsReplayNode{
+				down:    analysis.NewStream(window),
+				up:      analysis.NewStream(window),
+				total:   analysis.NewStream(window),
+				arrWait: analysis.NewStream(window),
+				depWait: analysis.NewStream(window),
 			}
-		})
-		if err != nil {
-			return nil, err
+			joiner, err := analysis.NewJoiner(p.Fanin, replayMaxPending, st.fold)
+			if err != nil {
+				return nil, err
+			}
+			st.joiner = joiner
+			r.nodes[p.NodeID] = st
+		} else if k := st.joiner.K(); k != p.Fanin {
+			return nil, fmt.Errorf("monitor: stats replay port %d: fanin %d, node %d has %d", id, p.Fanin, p.NodeID, k)
 		}
-		st.joiner = joiner
-		r.nodes[p.NodeID] = st
+		r.ports.put(id, statsPort{node: st, contributor: p.Contributor})
 	}
 	return r, nil
 }
 
 // Feed offers one archived tuple to the statistics join.
+//
+//lint:hotpath the checkpointer's statistics fold, once per archived tuple
 func (r *StatsReplay) Feed(t collect.TraceTuple) {
 	r.fed++
-	p, ok := r.ports[t.ECID]
-	if !ok {
+	s := r.ports.slot(t.ECID)
+	if !s.used {
 		return
 	}
 	r.matched++
-	st := r.nodes[p.NodeID]
-	if p.Contributor < 0 {
-		st.joiner.AddCollective(t)
+	p := &s.port
+	if p.contributor < 0 {
+		p.node.joiner.AddCollective(t)
 	} else {
-		st.joiner.AddContributor(p.Contributor, t)
+		p.node.joiner.AddContributor(p.contributor, t)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"eventspace/internal/analysis"
-	"eventspace/internal/collect"
 )
 
 // LBJoinRoundState is one partial load-balance round.
@@ -31,53 +30,29 @@ type LBJoinState struct {
 	Pending    []LBJoinRoundState // live rounds in insertion order
 }
 
-// state snapshots the join, compressing stale insertion-order entries.
+// state snapshots the join.
 func (j *lbJoin) state() LBJoinState {
-	st := LBJoinState{K: j.k, MaxPending: j.maxPending, Lost: j.lost, Floor: j.floor, MaxDone: j.maxDone}
-	taken := make(map[uint32]bool, len(j.pending))
-	for _, seq := range j.order {
-		m, ok := j.pending[seq]
-		if !ok || taken[seq] {
-			continue
-		}
-		taken[seq] = true
-		rs := LBJoinRoundState{Seq: seq}
-		ids := make([]int, 0, len(m))
-		for id := range m {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			rs.Contribs = append(rs.Contribs, analysis.ContribState{ID: int32(id), Tuple: m[id]})
-		}
-		st.Pending = append(st.Pending, rs)
+	t := j.rounds
+	st := LBJoinState{K: t.K(), MaxPending: t.MaxPending(), Lost: t.Lost(), Floor: j.floor, MaxDone: j.maxDone}
+	for r := t.Oldest(); r != nil; r = r.Next() {
+		st.Pending = append(st.Pending, LBJoinRoundState{Seq: r.Seq, Contribs: r.ContribStates()})
 	}
 	return st
 }
 
-// restore overwrites the join with the snapshotted state.
+// restore overwrites the join with the snapshotted state, which must
+// fit the join's slots (see analysis.Rounds.Load).
 func (j *lbJoin) restore(st LBJoinState) error {
-	if st.K != j.k {
-		return fmt.Errorf("monitor: join state k=%d, join has k=%d", st.K, j.k)
+	if st.K != j.rounds.K() {
+		return fmt.Errorf("monitor: join state k=%d, join has k=%d", st.K, j.rounds.K())
 	}
-	if st.MaxPending >= 1 {
-		j.maxPending = st.MaxPending
-	}
-	j.lost = st.Lost
+	j.rounds.Reset(st.MaxPending, st.Lost)
 	j.floor = st.Floor
 	j.maxDone = st.MaxDone
-	j.pending = make(map[uint32]map[int]collect.TraceTuple, len(st.Pending))
-	j.order = j.order[:0]
 	for _, rs := range st.Pending {
-		if len(rs.Contribs) > j.k {
-			return fmt.Errorf("monitor: join state round %d holds %d contributors, k=%d", rs.Seq, len(rs.Contribs), j.k)
+		if _, err := j.rounds.Load(rs.Seq, rs.Contribs); err != nil {
+			return err
 		}
-		m := make(map[int]collect.TraceTuple, j.k)
-		for _, c := range rs.Contribs {
-			m[int(c.ID)] = c.Tuple
-		}
-		j.pending[rs.Seq] = m
-		j.order = append(j.order, rs.Seq)
 	}
 	return nil
 }

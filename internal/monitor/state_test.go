@@ -27,13 +27,13 @@ func replayStream(t *testing.T, rounds int) (map[uint32]ReplayPort, map[uint32]R
 		6: {Node: "b", Contributor: 2, Fanin: 3},
 	}
 	statsPorts := map[uint32]ReplayStatsPort{
-		1: {NodeID: 10, Contributor: 0, Fanin: 3},
-		2: {NodeID: 10, Contributor: 1, Fanin: 3},
-		3: {NodeID: 10, Contributor: 2, Fanin: 3},
+		1:  {NodeID: 10, Contributor: 0, Fanin: 3},
+		2:  {NodeID: 10, Contributor: 1, Fanin: 3},
+		3:  {NodeID: 10, Contributor: 2, Fanin: 3},
 		10: {NodeID: 10, Contributor: -1, Fanin: 3},
-		4: {NodeID: 20, Contributor: 0, Fanin: 3},
-		5: {NodeID: 20, Contributor: 1, Fanin: 3},
-		6: {NodeID: 20, Contributor: 2, Fanin: 3},
+		4:  {NodeID: 20, Contributor: 0, Fanin: 3},
+		5:  {NodeID: 20, Contributor: 1, Fanin: 3},
+		6:  {NodeID: 20, Contributor: 2, Fanin: 3},
 		20: {NodeID: 20, Contributor: -1, Fanin: 3},
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -197,5 +197,78 @@ func TestStateRestoreRejectsMismatchedPorts(t *testing.T) {
 	}
 	if _, err := NewStatsReplayFrom(otherStats, sst); err == nil {
 		t.Fatal("mismatched stats roster accepted")
+	}
+}
+
+// TestLBJoinOrderStaysBounded is analysis.TestJoinerOrderStaysBounded
+// for the last-arrival join: 200000 complete rounds through a join that
+// never overflows leave its eviction queue and its state() cost where
+// they were after 1000.
+func TestLBJoinOrderStaysBounded(t *testing.T) {
+	j := newLBJoin(2, lbMaxPending)
+	// Contributor 1 runs a round ahead: one or two rounds pending.
+	seq := uint32(1)
+	j.add(1, collect.TraceTuple{Seq: seq, Start: 2})
+	feed := func(rounds int) {
+		for i := 0; i < rounds; i++ {
+			j.add(1, collect.TraceTuple{Seq: seq + 1, Start: 2})
+			if _, done := j.add(0, collect.TraceTuple{Seq: seq, Start: 1}); !done {
+				t.Fatalf("round %d did not complete", seq)
+			}
+			seq++
+		}
+	}
+	feed(1000)
+	early := testing.AllocsPerRun(10, func() { j.state() })
+	feed(199_000)
+	queued := 0
+	for r := j.rounds.Oldest(); r != nil; r = r.Next() {
+		queued++
+	}
+	if queued != j.rounds.Pending() || queued > lbMaxPending {
+		t.Fatalf("after 200000 rounds the eviction queue holds %d entries for %d pending rounds", queued, j.rounds.Pending())
+	}
+	if late := testing.AllocsPerRun(10, func() { j.state() }); late != early {
+		t.Fatalf("state() allocates %v times after 200000 rounds, %v after 1000", late, early)
+	}
+	if j.rounds.Lost() != 0 || j.rounds.Pending() != 1 || j.maxDone != seq-1 {
+		t.Fatalf("lost %d pending %d maxDone %d", j.rounds.Lost(), j.rounds.Pending(), j.maxDone)
+	}
+}
+
+// TestLBJoinRefusesWhatASlotCannotHold: a contributor outside [0, k) is
+// ignored when fed, and a snapshot carrying one — snapshots come from
+// files — fails the restore instead of indexing past the slot.
+func TestLBJoinRefusesWhatASlotCannotHold(t *testing.T) {
+	j := newLBJoin(2, lbMaxPending)
+	j.add(2, collect.TraceTuple{Seq: 1})
+	j.add(-1, collect.TraceTuple{Seq: 1})
+	if j.rounds.Pending() != 0 {
+		t.Fatalf("out-of-range contributors opened %d rounds", j.rounds.Pending())
+	}
+	j.add(0, collect.TraceTuple{Seq: 1, Start: 7})
+	for _, id := range []int32{2, -1} {
+		st := j.state()
+		st.Pending[0].Contribs[0].ID = id
+		if err := newLBJoin(2, lbMaxPending).restore(st); err == nil {
+			t.Errorf("snapshot with contributor id %d accepted", id)
+		}
+	}
+	if err := newLBJoin(2, lbMaxPending).restore(j.state()); err != nil {
+		t.Fatalf("undamaged snapshot refused: %v", err)
+	}
+
+	// Ports of one node must agree on its fan-in: the join is sized once.
+	if _, err := NewLastArrivalReplay(map[uint32]ReplayPort{
+		1: {Node: "a", Contributor: 0, Fanin: 2},
+		2: {Node: "a", Contributor: 2, Fanin: 3},
+	}); err == nil {
+		t.Error("ports disagreeing on a node's fan-in accepted")
+	}
+	if _, err := NewStatsReplay(map[uint32]ReplayStatsPort{
+		1: {NodeID: 9, Contributor: 0, Fanin: 2},
+		2: {NodeID: 9, Contributor: 2, Fanin: 3},
+	}, 0); err == nil {
+		t.Error("stats ports disagreeing on a node's fan-in accepted")
 	}
 }

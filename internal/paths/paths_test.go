@@ -1,7 +1,5 @@
 package paths
 
-//lint:file-allow wallclock asserts real elapsed time to prove gather helpers run in parallel
-
 import (
 	"bytes"
 	"errors"
@@ -13,6 +11,7 @@ import (
 
 	"eventspace/internal/hrtime"
 	"eventspace/internal/pastset"
+	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 )
 
@@ -517,14 +516,21 @@ func TestGatherChildErrorWins(t *testing.T) {
 }
 
 // Helper threads must genuinely overlap slow children: with every child
-// blocked the same modelled time, parallel gathering finishes in roughly
-// one child's time while sequential pays the sum. (This is the mechanism
-// behind the Table 2 sequential/parallel gather-rate crossover.)
+// blocked the same modelled time, parallel gathering finishes in one
+// child's time while sequential pays the sum. (This is the mechanism
+// behind the Table 2 sequential/parallel gather-rate crossover.) Both
+// gathers run under the virtual clock, so the elapsed times are
+// modelled — children x delay against delay — whatever the host is
+// doing.
 func TestGatherHelpersOverlapSlowChildren(t *testing.T) {
+	vclock.Enable(0)
+	defer vclock.Disable()
+	defer vclock.Quiesce(10 * time.Second)
+
 	_, c1, _ := testNet(t)
 	h := c1.Hosts()[0]
 	const children = 4
-	const delay = 50 * time.Millisecond // modelled; 0.5ms real at scale 0.01
+	const delay = 50 * time.Millisecond
 	mk := func(i int) Wrapper {
 		return NewFunc(fmt.Sprintf("slow%d", i), h, func(ctx *Ctx, req Request) (Reply, error) {
 			hrtime.Sleep(delay)
@@ -540,12 +546,16 @@ func TestGatherHelpersOverlapSlowChildren(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
-		rep, err := g.Op(nil, Request{Kind: OpRead})
-		if err != nil || rep.Ret != children {
-			t.Fatalf("helpers=%d: %+v, %v", helpers, rep, err)
-		}
-		return time.Since(start)
+		ch := make(chan time.Duration, 1)
+		vclock.Go(func() {
+			start := hrtime.Now()
+			rep, err := g.Op(nil, Request{Kind: OpRead})
+			if err != nil || rep.Ret != children {
+				t.Errorf("helpers=%d: %+v, %v", helpers, rep, err)
+			}
+			ch <- time.Duration(hrtime.Since(start))
+		})
+		return <-ch
 	}
 	seq := elapsed(0)
 	par := elapsed(children)
