@@ -44,6 +44,13 @@ type Engine struct {
 	maxWindow int64                // widest window any query looks back
 	watermark hrtime.Stamp         // running max of tuple Start stamps
 
+	// prune's memo: of buf[:counted], live tuples start after liveAt.
+	// The horizon moves once per tick of the slowest query, so between
+	// two moves a tuple is counted once, not once per later tuple.
+	liveAt  hrtime.Stamp
+	live    int
+	counted int
+
 	seq     uint32 // dense per-engine alert sequence
 	alerts  []collect.AlertTuple
 	onAlert func(collect.AlertTuple)
@@ -329,11 +336,16 @@ func (e *Engine) fire(st *standing, g uint16, now hrtime.Stamp) error {
 // prune drops retained tuples no future tick can see. A tuple with
 // Start s is visible to a tick T when T-W < s <= T for some window W;
 // future ticks all exceed the oldest query's lastTick, so anything at
-// or before minLastTick - maxWindow is dead. Pruning is amortized: it
-// runs only when the buffer has doubled past the live region.
+// or before minLastTick - maxWindow is dead. Pruning is amortized: the
+// buffer is compacted only once it has doubled past the live region.
+// That is a test on the live count after every tuple — the buffer is in
+// the checkpoint frame, so a compaction may come neither earlier nor
+// later than that — but the count is carried from call to call while
+// the horizon stands still, so a tuple is counted once per horizon.
 func (e *Engine) prune() {
 	if len(e.queries) == 0 {
 		e.buf = e.buf[:0]
+		e.live, e.counted = 0, 0
 		return
 	}
 	if len(e.buf) < 1024 {
@@ -346,22 +358,26 @@ func (e *Engine) prune() {
 		}
 	}
 	horizon := min - e.maxWindow
-	live := 0
-	for _, t := range e.buf {
-		if t.Start > horizon {
-			live++
+	if horizon != e.liveAt {
+		e.liveAt, e.live, e.counted = horizon, 0, 0
+	}
+	for i := e.counted; i < len(e.buf); i++ {
+		if e.buf[i].Start > horizon {
+			e.live++
 		}
 	}
-	if live*2 > len(e.buf) {
+	e.counted = len(e.buf)
+	if e.live*2 > len(e.buf) {
 		return
 	}
 	kept := e.buf[:0]
-	for _, t := range e.buf {
-		if t.Start > horizon {
-			kept = append(kept, t)
+	for i := range e.buf {
+		if e.buf[i].Start > horizon {
+			kept = append(kept, e.buf[i])
 		}
 	}
 	e.buf = kept
+	e.counted = len(kept) // all of them live, which e.live already says
 }
 
 // Replay regenerates the alert stream an engine with the given standing

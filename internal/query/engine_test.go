@@ -2,6 +2,7 @@ package query
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"eventspace/internal/archive"
@@ -214,5 +215,101 @@ func TestEnginePruningInvisible(t *testing.T) {
 	}
 	if len(a.Alerts()) == 0 {
 		t.Fatal("expected alerts from the dense stream")
+	}
+}
+
+// refPrune is the pruning rule in plain form — recount the whole buffer
+// after every tuple — applied to a shadow of the engine's buffer.
+func refPrune(e *Engine, buf []collect.TraceTuple) []collect.TraceTuple {
+	if len(buf) < 1024 {
+		return buf
+	}
+	min := e.queries[0].lastTick
+	for _, st := range e.queries[1:] {
+		if st.lastTick < min {
+			min = st.lastTick
+		}
+	}
+	live := 0
+	for _, t := range buf {
+		if t.Start > min-e.maxWindow {
+			live++
+		}
+	}
+	if live*2 > len(buf) {
+		return buf
+	}
+	kept := make([]collect.TraceTuple, 0, live)
+	for _, t := range buf {
+		if t.Start > min-e.maxWindow {
+			kept = append(kept, t)
+		}
+	}
+	return kept
+}
+
+// TestEnginePruneMatchesRecount: the buffer is in the checkpoint frame,
+// so the carried live count must compact exactly when a recount per
+// tuple would — over out-of-order stamps, two tick rates, and an engine
+// rolled back to its own earlier snapshot in mid-stream.
+func TestEnginePruneMatchesRecount(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		e := NewEngine(nullSink{})
+		for _, src := range []string{
+			"alert when count() > 40 by ecid window 5us",
+			"alert when errors() > 0 window 1us every 1us",
+		} {
+			if err := e.Register(mustParse(t, src)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rnd := seed * 0x9E3779B97F4A7C15
+		tuples := make([]collect.TraceTuple, 8000)
+		for i := range tuples {
+			rnd = rnd*6364136223846793005 + 1442695040888963407
+			start := hrtime.Stamp(int64(i)*7 - int64(rnd>>40%3000)) // up to 3 us late
+			tuples[i] = collect.TraceTuple{ECID: uint32(1 + rnd>>60), Op: paths.OpRead, Start: start, End: start + 10}
+		}
+		// The rollback lands inside one tick of the slower query, where
+		// the count carried past the snapshot is stale but its horizon
+		// still matches.
+		cut, resume := 3000+int(seed)*1111, 40
+		var snap EngineState
+		var ref, refSnap []collect.TraceTuple
+		compactions := 0
+		for i := 0; i < len(tuples); i++ {
+			switch {
+			case i == cut && snap.Queries == nil:
+				snap, refSnap = e.State(), slices.Clone(ref)
+			case i == cut+resume && refSnap != nil:
+				if err := e.Restore(snap); err != nil {
+					t.Fatal(err)
+				}
+				ref, refSnap, i = refSnap, nil, cut
+			}
+			if err := e.Offer(tuples[i]); err != nil {
+				t.Fatal(err)
+			}
+			before := len(ref) + 1
+			ref = refPrune(e, append(ref, tuples[i]))
+			if len(ref) < before {
+				compactions++
+			}
+			if len(e.buf) != len(ref) || (len(ref) < before || i%16 == 0) && !slices.Equal(e.buf, ref) {
+				t.Fatalf("seed %d tuple %d: buffer holds %d tuples, a recount per tuple keeps %d", seed, i, len(e.buf), len(ref))
+			}
+			live := 0
+			for _, c := range e.buf[:e.counted] {
+				if c.Start > e.liveAt {
+					live++
+				}
+			}
+			if live != e.live {
+				t.Fatalf("seed %d tuple %d: carried count %d, %d of the %d counted tuples are live", seed, i, e.live, live, e.counted)
+			}
+		}
+		if compactions < 5 {
+			t.Fatalf("seed %d: %d compactions, the stream never exercised the rule", seed, compactions)
+		}
 	}
 }

@@ -95,6 +95,7 @@ func (e *Engine) Restore(st EngineState) error {
 	e.watermark = st.Watermark
 	e.seq = st.Seq
 	e.buf = append(e.buf[:0], st.Buf...)
+	e.live, e.counted = 0, 0 // prune's memo counted the buffer this replaces
 	e.alerts = append(e.alerts[:0], st.Alerts...)
 	for i, qs := range st.Queries {
 		q := e.queries[i]
