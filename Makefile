@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness lint vet eslint lint-fix-check ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates lint vet eslint lint-fix-check ci
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ bench-staleness:
 	STALENESS_BENCH_OUT=$(CURDIR)/BENCH_staleness.json \
 		$(GO) test -race -run TestRecordStalenessBench ./internal/bench/
 
+# read-gates are the read side's allocation gates, run without the race
+# detector (which allocates on its own): a warm scan allocates a
+# constant, an aggregate allocates per cell and not per tuple, and the
+# aggregate benchmark still runs (one iteration, as a smoke test).
+read-gates:
+	$(GO) test -count=1 -run 'TestScanSteadyStateAllocs' ./internal/archive/
+	$(GO) test -count=1 -run 'TestRunAllocsScaleWithCells' -bench 'BenchmarkAggregateRun' -benchtime 1x ./internal/query/
+
 vet:
 	$(GO) vet ./...
 
@@ -51,5 +59,5 @@ lint: vet eslint lint-fix-check
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint test-short
+ci: build lint test-short read-gates
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

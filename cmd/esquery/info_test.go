@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -130,5 +131,33 @@ func TestInfoWithoutCheckpoints(t *testing.T) {
 	})
 	if strings.Contains(out, "checkpoints") {
 		t.Fatalf("checkpoint section printed for chainless archive:\n%s", out)
+	}
+}
+
+// TestInfoStampRangeIsStartRange: a segment's "stamps [lo,hi]" is its
+// range of Start stamps — what -since/-until are matched against. The
+// test archive's mode tuple carries its scope hash in End; the range
+// must end at the last data tuple's Start, not reach for the hash.
+func TestInfoStampRangeIsStartRange(t *testing.T) {
+	dir := t.TempDir()
+	writeTestArchive(t, dir)
+	out := capture(t, func() error {
+		return runInfo([]string{"-dir", dir})
+	})
+	if !strings.Contains(out, "stamps [0,") || !strings.Contains(out, ",9000]") {
+		t.Fatalf("segment stamp ranges should start at 0 and end at 9000:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		i := strings.Index(line, "stamps [")
+		if i < 0 {
+			continue
+		}
+		var lo, hi int64
+		if _, err := fmt.Sscanf(line[i:], "stamps [%d,%d]", &lo, &hi); err != nil {
+			t.Fatalf("unparseable stamp range in %q: %v", line, err)
+		}
+		if lo < 0 || hi > 9000 || lo > hi {
+			t.Errorf("stamp range [%d,%d] outside the archive's Start stamps [0,9000]: %q", lo, hi, line)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -304,32 +305,54 @@ func TestStreamMatchesReference(t *testing.T) {
 }
 
 // TestSelectKthMatchesSort: selection agrees with a full sort for every
-// k, on random, repeated, ordered and constant inputs.
+// k, on random, repeated, ordered and constant inputs — as float64 (the
+// sliding-window median) and as int64 (esql's percentiles, whose
+// latencies repeat heavily).
 func TestSelectKthMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	fills := []func(i int) float64{
+		func(int) float64 { return rng.Float64() * 1000 },
+		func(int) float64 { return float64(rng.Intn(3)) },
+		func(i int) float64 { return float64(i) },
+		func(i int) float64 { return float64(-i) },
+		func(int) float64 { return 2 },
+	}
 	for n := 1; n <= 40; n++ {
-		for _, fill := range []func(i int) float64{
-			func(int) float64 { return rng.Float64() },
-			func(int) float64 { return float64(rng.Intn(3)) },
-			func(i int) float64 { return float64(i) },
-			func(i int) float64 { return float64(-i) },
-			func(int) float64 { return 2 },
-		} {
+		for _, fill := range fills {
 			in := make([]float64, n)
+			ints := make([]int64, n)
 			for i := range in {
 				in[i] = fill(i)
+				ints[i] = int64(in[i]) // truncation only adds duplicates
 			}
-			sorted := slices.Clone(in)
-			slices.Sort(sorted)
-			for k := 0; k < n; k++ {
-				a := slices.Clone(in)
-				if got := selectKth(a, k); got != sorted[k] {
-					t.Fatalf("n=%d k=%d: selected %v, sorted[k] = %v (input %v)", n, k, got, sorted[k], in)
-				}
-				if k > 0 && slices.Max(a[:k]) > a[k] {
-					t.Fatalf("n=%d k=%d: an element before k exceeds it: %v", n, k, a)
-				}
-			}
+			selectMatchesSort(t, in)
+			selectMatchesSort(t, ints)
+		}
+	}
+	// Two values over a long input: the partition must make progress
+	// through runs of elements equal to the pivot.
+	dup := make([]int64, 1000)
+	for i := range dup {
+		dup[i] = int64(rng.Intn(2)) - 1
+	}
+	selectMatchesSort(t, dup)
+}
+
+// selectMatchesSort checks SelectKth against a sorted copy for every k.
+func selectMatchesSort[T cmp.Ordered](t *testing.T, in []T) {
+	t.Helper()
+	sorted := slices.Clone(in)
+	slices.Sort(sorted)
+	for k := range in {
+		a := slices.Clone(in)
+		if got := SelectKth(a, k); got != sorted[k] {
+			t.Fatalf("n=%d k=%d: selected %v, sorted[k] = %v (input %v)", len(in), k, got, sorted[k], in)
+		}
+		if k > 0 && slices.Max(a[:k]) > a[k] {
+			t.Fatalf("n=%d k=%d: an element before k exceeds it: %v", len(in), k, a)
+		}
+		if k+1 < len(a) && slices.Min(a[k+1:]) < a[k] {
+			t.Fatalf("n=%d k=%d: an element after k is below it: %v", len(in), k, a)
 		}
 	}
 }

@@ -15,6 +15,7 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -119,7 +120,7 @@ func (s *Stream) Median() float64 {
 		return 0
 	}
 	s.scratch = append(s.scratch[:0], s.ring...)
-	upper := selectKth(s.scratch, n/2)
+	upper := SelectKth(s.scratch, n/2)
 	if n%2 == 1 {
 		return upper
 	}
@@ -128,12 +129,14 @@ func (s *Stream) Median() float64 {
 	return (slices.Max(s.scratch[:n/2]) + upper) / 2
 }
 
-// selectKth reorders a so that a[k] is its k-th smallest element, with
+// SelectKth reorders a so that a[k] is its k-th smallest element, with
 // nothing larger before it and nothing smaller after it, and returns
 // a[k] (Hoare's selection: partition around the middle element, keep
 // the side holding k). A median costs a few passes over the window
-// where sorting it would cost a dozen.
-func selectKth(a []float64, k int) float64 {
+// where sorting it would cost a dozen. It is the one selection routine
+// in the tree: the sliding-window median here and esql's nearest-rank
+// percentiles. k must index a; a must hold no NaN.
+func SelectKth[T cmp.Ordered](a []T, k int) T {
 	lo, hi := 0, len(a)-1
 	for lo < hi {
 		pivot := a[lo+(hi-lo)/2]

@@ -113,7 +113,7 @@ func TestRoundTripRotations(t *testing.T) {
 	for qi, q := range queries {
 		var want []collect.TraceTuple
 		for _, tu := range corpus {
-			if q.match(tu) {
+			if q.match(&tu) {
 				want = append(want, tu)
 			}
 		}

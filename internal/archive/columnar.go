@@ -2,7 +2,6 @@ package archive
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 
 	"eventspace/internal/collect"
@@ -66,9 +65,6 @@ const (
 
 // colRawWidth is each column's fixed-width encoding size in bytes.
 var colRawWidth = [numColumns]int{4, 2, 2, 4, 8, 8}
-
-// colName labels columns in error messages.
-var colName = [numColumns]string{"ecid", "op", "ret", "seq", "start", "end"}
 
 // colValue extracts one column of a tuple as a uint64 (narrower columns
 // are zero-extended; signed ones carry their bit pattern).
@@ -299,6 +295,22 @@ func frameColumnarBlock(rest []byte) (columnarFrame, bool) {
 	return f, true
 }
 
+// Columns is a set of tuple fields: the projection a batch scan asks
+// the block decoder for (Reader.ScanBatches).
+type Columns uint8
+
+// One bit per tuple field, in column order.
+const (
+	ColECID Columns = 1 << iota
+	ColOp
+	ColRet
+	ColSeq
+	ColStart
+	ColEnd
+
+	AllColumns Columns = 1<<numColumns - 1
+)
+
 // blockDecoder decodes blocks into a reused tuple batch, so a scan's
 // per-block cost is bounds checks and column reads, not allocation. The
 // returned batches alias dec.batch: valid until the next decode. Not
@@ -308,52 +320,62 @@ type blockDecoder struct {
 	dict  []uint64
 }
 
-// decodeColumnar fully validates and decodes a framed version-2 block.
-// Any failure (column CRC, short payload, bad dictionary index, varint
-// overrun) is a torn/corrupt block.
-func (d *blockDecoder) decodeColumnar(f *columnarFrame) ([]collect.TraceTuple, error) {
+// decodeColumnar validates a framed version-2 block and decodes the
+// columns in cols into the reused batch; the other fields of the
+// returned tuples hold whatever an earlier block left there. ok=false
+// is a torn or corrupt block.
+func (d *blockDecoder) decodeColumnar(f *columnarFrame, cols Columns) (batch []collect.TraceTuple, ok bool) {
 	if cap(d.batch) < f.count {
 		d.batch = make([]collect.TraceTuple, f.count)
 	}
-	batch := d.batch[:f.count]
-	for c := 0; c < numColumns; c++ {
-		if err := d.decodeColumn(f, c, batch); err != nil {
-			return nil, err
-		}
-	}
-	d.batch = batch
-	return batch, nil
+	d.batch = d.batch[:f.count]
+	return d.batch, decodeColumns(f, cols, d.batch)
 }
 
-// decodeColumn validates one column's CRC and decodes it into the
-// batch. Column order matters only for latency, which reconstructs End
-// from the already-decoded Start.
-func (d *blockDecoder) decodeColumn(f *columnarFrame, col int, batch []collect.TraceTuple) error {
-	p := f.col[col]
-	if crc32.ChecksumIEEE(p) != f.crc[col] {
-		return fmt.Errorf("archive: %s column CRC mismatch", colName[col])
+// decodeColumns is the masked block decode. Every column's CRC is
+// checked whatever the mask — a block is torn for a projected reader
+// exactly when it is torn for a full one — and only the decode of the
+// columns outside cols is skipped. Any failure (column CRC, short
+// payload, bad dictionary index, varint overrun) reports false.
+//
+//lint:hotpath once per scanned block; the per-value loops of every read
+func decodeColumns(f *columnarFrame, cols Columns, batch []collect.TraceTuple) bool {
+	if cols&ColEnd != 0 {
+		cols |= ColStart // latency-coded End is rebuilt from the block's Start
 	}
+	for c := 0; c < numColumns; c++ {
+		if crc32.ChecksumIEEE(f.col[c]) != f.crc[c] {
+			return false
+		}
+		if cols&(1<<c) != 0 && !decodeColumn(f, c, batch) {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeColumn decodes one checksummed column into the batch. Column
+// order matters only for latency, which reconstructs End from the
+// already-decoded Start.
+func decodeColumn(f *columnarFrame, col int, batch []collect.TraceTuple) bool {
+	p := f.col[col]
+	w := colRawWidth[col]
 	switch f.enc[col] {
 	case colEncRaw:
-		w := colRawWidth[col]
 		if len(p) != len(batch)*w {
-			return fmt.Errorf("archive: %s column: %d raw bytes for %d tuples", colName[col], len(p), len(batch))
+			return false
 		}
 		for i := range batch {
 			setColValue(&batch[i], col, readColValue(p[i*w:], col))
 		}
 	case colEncDict:
-		n, vals, idx, err := d.splitDict(p, col)
-		if err != nil {
-			return err
+		n, vals, idx, ok := splitDict(p, col)
+		if !ok || len(idx) != len(batch) {
+			return false
 		}
-		if len(idx) != len(batch) {
-			return fmt.Errorf("archive: %s column: %d dictionary indexes for %d tuples", colName[col], len(idx), len(batch))
-		}
-		w := colRawWidth[col]
 		for i, ix := range idx {
 			if int(ix) >= n {
-				return fmt.Errorf("archive: %s column: dictionary index %d out of %d", colName[col], ix, n)
+				return false
 			}
 			setColValue(&batch[i], col, readColValue(vals[int(ix)*w:], col))
 		}
@@ -363,49 +385,45 @@ func (d *blockDecoder) decodeColumn(f *columnarFrame, col int, batch []collect.T
 		for i := range batch {
 			u, n := binary.Uvarint(p[off:])
 			if n <= 0 {
-				return fmt.Errorf("archive: %s column: truncated varint at %d", colName[col], off)
+				return false
 			}
 			off += n
 			prev += uint64(unzigzag(u))
 			setColValue(&batch[i], col, prev)
 		}
-		if off != len(p) {
-			return fmt.Errorf("archive: %s column: %d trailing bytes", colName[col], len(p)-off)
-		}
+		return off == len(p)
 	case colEncLatency:
 		if col != colEnd {
-			return fmt.Errorf("archive: latency encoding on %s column", colName[col])
+			return false
 		}
 		off := 0
 		for i := range batch {
 			u, n := binary.Uvarint(p[off:])
 			if n <= 0 {
-				return fmt.Errorf("archive: %s column: truncated varint at %d", colName[col], off)
+				return false
 			}
 			off += n
 			batch[i].End = int64(uint64(batch[i].Start) + uint64(unzigzag(u)))
 		}
-		if off != len(p) {
-			return fmt.Errorf("archive: %s column: %d trailing bytes", colName[col], len(p)-off)
-		}
+		return off == len(p)
 	default:
-		return fmt.Errorf("archive: %s column: unknown encoding %d", colName[col], f.enc[col])
+		return false
 	}
-	return nil
+	return true
 }
 
 // splitDict splits a dictionary payload into its value table and index
 // bytes, validating the framing.
-func (d *blockDecoder) splitDict(p []byte, col int) (n int, vals, idx []byte, err error) {
+func splitDict(p []byte, col int) (n int, vals, idx []byte, ok bool) {
 	if len(p) < 2 {
-		return 0, nil, nil, fmt.Errorf("archive: %s column: short dictionary", colName[col])
+		return 0, nil, nil, false
 	}
 	n = int(binary.LittleEndian.Uint16(p[0:2]))
 	w := colRawWidth[col]
 	if n == 0 || n > v2MaxDictEntries || len(p) < 2+n*w {
-		return 0, nil, nil, fmt.Errorf("archive: %s column: dictionary of %d values in %d bytes", colName[col], n, len(p))
+		return 0, nil, nil, false
 	}
-	return n, p[2 : 2+n*w], p[2+n*w:], nil
+	return n, p[2 : 2+n*w], p[2+n*w:], true
 }
 
 // dictValues checksums the column and decodes just its dictionary
@@ -418,8 +436,8 @@ func (d *blockDecoder) dictValues(f *columnarFrame, col int) ([]uint64, bool) {
 	if crc32.ChecksumIEEE(p) != f.crc[col] {
 		return nil, false
 	}
-	n, vals, _, err := d.splitDict(p, col)
-	if err != nil {
+	n, vals, _, ok := splitDict(p, col)
+	if !ok {
 		return nil, false
 	}
 	w := colRawWidth[col]

@@ -46,5 +46,5 @@ type Cursor struct {
 // Callers treat that error as "this checkpoint is unusable here" and
 // fall back to an older checkpoint or a full Scan.
 func (r *Reader) ScanFrom(cur Cursor, q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
-	return r.scan(&cur, q, fn)
+	return r.scanTuples(&cur, q, fn)
 }

@@ -54,12 +54,17 @@ type SegmentIndex struct {
 	Blocks             uint32
 }
 
-// add folds one tuple into the index. Stamps use the tuple's own
-// Start/End timestamps — the archive never consults a clock.
+// add folds one tuple into the index. The stamp range is the range of
+// Start — the one stamp a Query bounds, so the range is exact, and the
+// one field that is a timestamp in every tuple: control tuples carry
+// payload in End (an alert's query hash), which must not pass for a
+// time. Segments sealed before this rule indexed max End — for data
+// tuples never below Start, so merely conservative. The archive never
+// consults a clock.
 func (x *SegmentIndex) add(t collect.TraceTuple) {
 	if x.Tuples == 0 {
 		x.MinECID, x.MaxECID = t.ECID, t.ECID
-		x.MinStamp, x.MaxStamp = t.Start, t.End
+		x.MinStamp, x.MaxStamp = t.Start, t.Start
 	} else {
 		if t.ECID < x.MinECID {
 			x.MinECID = t.ECID
@@ -70,8 +75,8 @@ func (x *SegmentIndex) add(t collect.TraceTuple) {
 		if t.Start < x.MinStamp {
 			x.MinStamp = t.Start
 		}
-		if t.End > x.MaxStamp {
-			x.MaxStamp = t.End
+		if t.Start > x.MaxStamp {
+			x.MaxStamp = t.Start
 		}
 	}
 	x.Tuples++
@@ -161,10 +166,13 @@ func scanSegment(buf []byte) (scanResult, error) {
 	// The index must count every tuple the frames hold — the zero Query
 	// would drop negative stamps, which the writer accepts.
 	all := Query{MinStamp: math.MinInt64}
-	res.ValidBytes, _ = scanBlocks(buf, segmentHeaderSize, &all, &dec, &stats, func(t collect.TraceTuple) bool {
-		res.Index.add(t)
+	w := blockWalk{q: &all, cols: AllColumns, dec: &dec, stats: &stats, fn: func(batch []collect.TraceTuple) bool {
+		for i := range batch {
+			res.Index.add(batch[i])
+		}
 		return true
-	})
+	}}
+	res.ValidBytes, _ = w.blocks(buf, segmentHeaderSize)
 	res.Index.Blocks = uint32(stats.BlocksScanned)
 	res.Torn = stats.TornSegments > 0
 	return res, nil

@@ -10,6 +10,9 @@ import (
 	"eventspace/internal/paths"
 )
 
+// colName labels columns in failure messages.
+var colName = [numColumns]string{"ecid", "op", "ret", "seq", "start", "end"}
+
 // FuzzSegmentDecode fuzzes the segment parser the reader and the
 // crash-safe reopen both rely on: arbitrary bytes must never panic, and
 // the recovered prefix must stay internally consistent (ValidBytes
@@ -95,22 +98,26 @@ func FuzzSegmentDecode(f *testing.F) {
 // FuzzColumnarRoundTrip fuzzes the columnar block codec's losslessness:
 // any tuple batch — the fuzz input is carved into 28-byte rows, so
 // every field takes adversarial values, overflow stamps included — must
-// encode, frame and decode back exactly.
+// encode, frame and decode back exactly. It also draws a column mask
+// and a byte to damage: the masked decode must agree with the full one
+// on the masked fields, and fail on exactly the blocks the full one
+// fails on.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	seed := make([]byte, 3*collect.TupleSize)
 	for i := range seed {
 		seed[i] = byte(i * 7)
 	}
-	f.Add(seed)
+	f.Add(seed, uint8(ColECID|ColEnd), uint16(0))
 	var zeros [collect.TupleSize]byte
-	f.Add(zeros[:])
+	f.Add(zeros[:], uint8(0), uint16(0))
+	f.Add(seed, uint8(ColSeq), uint16(70)) // damage inside a column payload
 	adversarial := collect.TraceTuple{
 		ECID: math.MaxUint32, Op: paths.OpKind(math.MaxUint16), Ret: math.MinInt16,
 		Seq: math.MaxUint32, Start: math.MinInt64, End: math.MaxInt64,
 	}
-	f.Add(adversarial.Encode())
+	f.Add(adversarial.Encode(), uint8(AllColumns), uint16(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, mask uint8, damage uint16) {
 		n := len(data) / collect.TupleSize
 		if n == 0 {
 			return
@@ -140,13 +147,40 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			t.Fatalf("frame consumed %d of %d bytes", fr.size, len(block))
 		}
 		var dec blockDecoder
-		got, err := dec.decodeColumnar(&fr)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
+		got, ok := dec.decodeColumnar(&fr, AllColumns)
+		if !ok {
+			t.Fatal("encoded block does not decode")
 		}
 		for i := range tuples {
 			if got[i] != tuples[i] {
 				t.Fatalf("tuple %d round-tripped to %+v, want %+v", i, got[i], tuples[i])
+			}
+		}
+
+		// A second decoder, so the fields outside the mask are not
+		// leftovers of the full decode. damage 0 leaves the block whole;
+		// anything else flips one byte past the directory, which only a
+		// column CRC can notice.
+		cols := Columns(mask) & AllColumns
+		if damage != 0 {
+			at := v2BlockHeaderSize + v2DirSize + int(damage)%(len(block)-v2BlockHeaderSize-v2DirSize)
+			block[at] ^= 0x5a
+			if fr, ok = frameColumnarBlock(block); !ok {
+				t.Fatal("payload damage broke the framing")
+			}
+		}
+		_, fullOK := dec.decodeColumnar(&fr, AllColumns)
+		var masked blockDecoder
+		proj, maskedOK := masked.decodeColumnar(&fr, cols)
+		if maskedOK != fullOK || fullOK != (damage == 0) {
+			t.Fatalf("damage %d: full decode ok=%v, mask %06b ok=%v", damage, fullOK, cols, maskedOK)
+		}
+		for i := 0; maskedOK && i < n; i++ {
+			for c := 0; c < numColumns; c++ {
+				if cols&(1<<c) != 0 && colValue(&proj[i], c) != colValue(&tuples[i], c) {
+					t.Fatalf("mask %06b: tuple %d %s = %d, want %d", cols, i, colName[c],
+						colValue(&proj[i], c), colValue(&tuples[i], c))
+				}
 			}
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"eventspace/internal/collect"
 	"eventspace/internal/hrtime"
@@ -29,7 +30,7 @@ type Query struct {
 }
 
 // match applies the per-tuple filters.
-func (q *Query) match(t collect.TraceTuple) bool {
+func (q *Query) match(t *collect.TraceTuple) bool {
 	if len(q.ECIDs) > 0 {
 		ok := false
 		for _, id := range q.ECIDs {
@@ -61,6 +62,18 @@ func (q *Query) match(t collect.TraceTuple) bool {
 		return false
 	}
 	return true
+}
+
+// columns is the set of fields match reads.
+func (q *Query) columns() Columns {
+	cols := ColStart
+	if len(q.ECIDs) > 0 {
+		cols |= ColECID
+	}
+	if len(q.Ops) > 0 {
+		cols |= ColOp
+	}
+	return cols
 }
 
 // SegmentInfo describes one archived segment for tooling.
@@ -101,6 +114,8 @@ type Reader struct {
 	// header-less newest segment). Close surfaces them so recovery paths
 	// can report the damage they silently worked around.
 	skipped []string
+
+	scratch atomic.Pointer[scanScratch] // the idle scan buffers, nil while a scan has them
 
 	opScan *metrics.Op
 }
@@ -221,12 +236,85 @@ func (r *Reader) Tuples() uint64 {
 // cannot intersect q are skipped after a dictionary-only CRC check,
 // without decoding any column.
 func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
-	return r.scan(nil, q, fn)
+	return r.scanTuples(nil, q, fn)
 }
 
-// scan is the one per-segment walk behind Scan (cur == nil: the whole
-// archive) and ScanFrom (only what was archived after *cur).
-func (r *Reader) scan(cur *Cursor, q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
+// ScanBatches is Scan a block at a time, for readers that fold tuples
+// instead of keeping them: fn receives each scanned block's matching
+// tuples, in archive order, non-matching ones compacted out (a block
+// with none is not delivered). Only the fields in cols, and those q
+// itself filters on, are decoded; the rest of each tuple is
+// unspecified. The batch is the decoder's own scratch: fn may reorder
+// or overwrite it and must not keep it past its return. The stats are
+// those of a Scan with the same q — every column of a block is
+// checksummed whatever cols says, so a projected read tears exactly
+// where a full one does.
+func (r *Reader) ScanBatches(q Query, cols Columns, fn func([]collect.TraceTuple) bool) (ScanStats, error) {
+	return r.scan(nil, q, cols, fn)
+}
+
+// scanTuples adapts the batch walk to a per-tuple callback with every
+// column decoded. A stop inside a batch takes the tuples fn never saw
+// back out of TuplesMatched.
+func (r *Reader) scanTuples(cur *Cursor, q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
+	var unseen int
+	stats, err := r.scan(cur, q, AllColumns, func(batch []collect.TraceTuple) bool {
+		for i := range batch {
+			if !fn(batch[i]) {
+				unseen = len(batch) - i - 1
+				return false
+			}
+		}
+		return true
+	})
+	stats.TuplesMatched -= uint64(unseen)
+	return stats, err
+}
+
+// scanScratch is what one scan reads and decodes into: the current
+// segment's image and the block decoder's batch. A Reader keeps the
+// last one between scans, so a warm scan allocates neither; nothing a
+// callback sees aliases img.
+type scanScratch struct {
+	img []byte
+	dec blockDecoder
+}
+
+// readSegment reads the whole file at path into buf's storage, growing
+// it when the file is larger, and returns the image.
+func readSegment(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	buf = buf[:0]
+	if fi, err := f.Stat(); err == nil && fi.Size() >= int64(cap(buf)) {
+		// One byte of room past the expected size, so the read that
+		// finds EOF needs no growth.
+		buf = make([]byte, 0, fi.Size()+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// scan is the one per-segment walk behind Scan and ScanBatches
+// (cur == nil: the whole archive) and ScanFrom (only what was archived
+// after *cur): framing, index and dictionary skips, the cursor prefix,
+// tear accounting and the stats. It decodes cols plus the fields q
+// filters on, and hands fn each block's matches as one batch.
+func (r *Reader) scan(cur *Cursor, q Query, cols Columns, fn func([]collect.TraceTuple) bool) (ScanStats, error) {
 	stats := ScanStats{Segments: len(r.segs)}
 	start := hrtime.Now()
 	var bytes int
@@ -264,7 +352,15 @@ func (r *Reader) scan(cur *Cursor, q Query, fn func(collect.TraceTuple) bool) (S
 		}
 	}
 
-	var dec blockDecoder
+	// Take the reader's scratch for the length of the scan; a scan that
+	// finds it taken (a concurrent one, or one started from a callback)
+	// works in a fresh one.
+	scr := r.scratch.Swap(nil)
+	if scr == nil {
+		scr = new(scanScratch)
+	}
+	defer r.scratch.Store(scr)
+	w := blockWalk{q: &q, cols: cols | q.columns(), dec: &scr.dec, stats: &stats, fn: fn}
 	for _, s := range r.segs[first:] {
 		covered := uint64(0)
 		if cur != nil && s.ID == cur.Segment {
@@ -277,7 +373,8 @@ func (r *Reader) scan(cur *Cursor, q Query, fn func(collect.TraceTuple) bool) (S
 			stats.TuplesSkipped += uncovered
 			continue
 		}
-		buf, err := os.ReadFile(s.Path)
+		buf, err := readSegment(s.Path, scr.img)
+		scr.img = buf
 		if err != nil {
 			return stats, fmt.Errorf("archive: %v", err)
 		}
@@ -303,68 +400,82 @@ func (r *Reader) scan(cur *Cursor, q Query, fn func(collect.TraceTuple) bool) (S
 				stats.TuplesSkipped += count
 				continue
 			}
-			batch, err := dec.decodeColumnar(&f)
-			if err != nil {
+			batch, ok := w.dec.decodeColumnar(&f, w.cols)
+			if !ok {
 				return stats, fmt.Errorf("archive: segment %s: torn before cursor position", s.Path)
 			}
 			off += f.size
 			stats.BlocksScanned++
 			stats.TuplesSkipped += skip
 			stats.TuplesScanned += uint64(len(batch)) - skip
-			for _, t := range batch[skip:] {
-				if !q.match(t) {
-					continue
-				}
-				stats.TuplesMatched++
-				if !fn(t) {
-					return stats, nil
-				}
+			if !w.emit(batch[skip:]) {
+				return stats, nil
 			}
 			skip = 0
 		}
-		if _, stopped := scanBlocks(buf, off, &q, &dec, &stats, fn); stopped {
+		if _, stopped := w.blocks(buf, off); stopped {
 			return stats, nil
 		}
 	}
 	return stats, nil
 }
 
-// scanBlocks walks one segment image block by block from byte offset
-// off (segmentHeaderSize for a whole-segment walk; past it when a
-// cursor scan already skipped a prefix), skipping blocks the query
-// cannot match, and streams decoded tuples through fn. It returns the
-// offset just past the last intact block it walked and whether fn
-// stopped the scan. A block that does not frame or decode — partial
-// header or directory, short payload, CRC mismatch, invalid count — is
-// a torn tail: it ends the walk and is counted.
-func scanBlocks(buf []byte, off int64, q *Query, dec *blockDecoder, stats *ScanStats, fn func(collect.TraceTuple) bool) (end int64, stopped bool) {
+// blockWalk is one scan's state between blocks: what to match and
+// decode, where to count it, and who gets the matches.
+type blockWalk struct {
+	q     *Query
+	cols  Columns // fields to decode: the caller's plus q's own
+	dec   *blockDecoder
+	stats *ScanStats
+	fn    func([]collect.TraceTuple) bool
+}
+
+// emit compacts a decoded batch down to q's matches, in place, and
+// hands them to fn. It reports false when fn stopped the scan.
+func (w *blockWalk) emit(batch []collect.TraceTuple) bool {
+	n := 0
+	for i := range batch {
+		if w.q.match(&batch[i]) {
+			if n != i {
+				batch[n] = batch[i]
+			}
+			n++
+		}
+	}
+	w.stats.TuplesMatched += uint64(n)
+	return n == 0 || w.fn(batch[:n])
+}
+
+// blocks walks one segment image block by block from byte offset off
+// (segmentHeaderSize for a whole-segment walk; past it when a cursor
+// scan already skipped a prefix), skipping blocks the query cannot
+// match, and emits each decoded block. It returns the offset just past
+// the last intact block it walked and whether fn stopped the scan. A
+// block that does not frame or decode — partial header or directory,
+// short payload, CRC mismatch, invalid count — is a torn tail: it ends
+// the walk and is counted.
+func (w *blockWalk) blocks(buf []byte, off int64) (end int64, stopped bool) {
 	for off < int64(len(buf)) {
 		f, ok := frameColumnarBlock(buf[off:])
 		if !ok {
-			stats.TornSegments++
+			w.stats.TornSegments++
 			break
 		}
-		if dec.skipColumnar(&f, q) {
-			stats.BlocksSkipped++
+		if w.dec.skipColumnar(&f, w.q) {
+			w.stats.BlocksSkipped++
 			off += f.size
 			continue
 		}
-		batch, err := dec.decodeColumnar(&f)
-		if err != nil {
-			stats.TornSegments++
+		batch, ok := w.dec.decodeColumnar(&f, w.cols)
+		if !ok {
+			w.stats.TornSegments++
 			break
 		}
 		off += f.size
-		stats.BlocksScanned++
-		stats.TuplesScanned += uint64(len(batch))
-		for _, t := range batch {
-			if !q.match(t) {
-				continue
-			}
-			stats.TuplesMatched++
-			if !fn(t) {
-				return off, true
-			}
+		w.stats.BlocksScanned++
+		w.stats.TuplesScanned += uint64(len(batch))
+		if !w.emit(batch) {
+			return off, true
 		}
 	}
 	return off, false

@@ -55,6 +55,7 @@ type Engine struct {
 	alerts  []collect.AlertTuple
 	onAlert func(collect.AlertTuple)
 
+	env    aggEnv // the tick under evaluation; its scratch outlives it
 	enc    []byte // reused alert-tuple encode buffer
 	opEval *metrics.Op
 }
@@ -248,7 +249,8 @@ func (e *Engine) tick(st *standing, now hrtime.Stamp) error {
 			inWin = append(inWin, t)
 		}
 	}
-	env := &aggEnv{all: e.buf, windowAll: inWin, tick: now, expected: e.expected}
+	env := &e.env
+	env.all, env.windowAll, env.tick, env.expected = e.buf, inWin, now, e.expected
 	present := make(map[uint16]bool)
 	if st.stmt.By == FieldECID {
 		groups := make(map[uint16][]collect.TraceTuple)

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 
 	"eventspace/internal/archive"
 	"eventspace/internal/collect"
@@ -169,147 +168,6 @@ func compare(op BinOp, x, y Value) bool {
 	}
 }
 
-// computeAgg evaluates one aggregate over a tuple set. expected is the
-// coverage() denominator (the collector roster size). Empty sets yield
-// zero values — count()/errors() 0, everything else the zero of its
-// kind — which is the honest answer for "nothing in the window".
-func computeAgg(a *Agg, tuples []collect.TraceTuple, expected int) Value {
-	switch a.Kind {
-	case AggCount:
-		return Value{K: KInt, I: int64(len(tuples))}
-	case AggErrors:
-		var n int64
-		for _, t := range tuples {
-			if t.Ret < 0 {
-				n++
-			}
-		}
-		return Value{K: KInt, I: n}
-	case AggCoverage:
-		if expected <= 0 {
-			return Value{K: KFloat}
-		}
-		seen := make(map[uint32]struct{}, expected)
-		for _, t := range tuples {
-			seen[t.ECID] = struct{}{}
-		}
-		return Value{K: KFloat, F: float64(len(seen)) / float64(expected)}
-	case AggDistinct:
-		seen := make(map[int64]struct{}, 16)
-		for _, t := range tuples {
-			seen[fieldVal(t, a.Arg)] = struct{}{}
-		}
-		return Value{K: KInt, I: int64(len(seen))}
-	case AggSum:
-		var s int64
-		for _, t := range tuples {
-			s += fieldVal(t, a.Arg)
-		}
-		return Value{K: fieldKind(a.Arg), I: s}
-	case AggMean:
-		if len(tuples) == 0 {
-			return Value{K: a.typ()}
-		}
-		var s int64
-		for _, t := range tuples {
-			s += fieldVal(t, a.Arg)
-		}
-		if a.typ() == KDur {
-			return Value{K: KDur, I: s / int64(len(tuples))}
-		}
-		return Value{K: KFloat, F: float64(s) / float64(len(tuples))}
-	case AggMin, AggMax:
-		if len(tuples) == 0 {
-			return Value{K: fieldKind(a.Arg)}
-		}
-		best := fieldVal(tuples[0], a.Arg)
-		for _, t := range tuples[1:] {
-			v := fieldVal(t, a.Arg)
-			if (a.Kind == AggMin && v < best) || (a.Kind == AggMax && v > best) {
-				best = v
-			}
-		}
-		return Value{K: fieldKind(a.Arg), I: best}
-	case AggMedian, AggP50, AggP90, AggP99:
-		if len(tuples) == 0 {
-			return Value{K: fieldKind(a.Arg)}
-		}
-		vals := make([]int64, len(tuples))
-		for i, t := range tuples {
-			vals[i] = fieldVal(t, a.Arg)
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		q := 0.50
-		switch a.Kind {
-		case AggP90:
-			q = 0.90
-		case AggP99:
-			q = 0.99
-		}
-		// Nearest-rank percentile: the smallest value with at least
-		// q*n values at or below it.
-		idx := int(q*float64(len(vals))+0.9999999) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(vals) {
-			idx = len(vals) - 1
-		}
-		return Value{K: fieldKind(a.Arg), I: vals[idx]}
-	}
-	return Value{}
-}
-
-// aggEnv is the tuple scope an alert condition evaluates against at one
-// tick: the group's query-window tuples, the full (all-group) retained
-// buffer for private-window aggregates, the tick stamp, and the
-// coverage roster size.
-type aggEnv struct {
-	group     []collect.TraceTuple // this group's tuples in the query window
-	windowAll []collect.TraceTuple // all groups' tuples in the query window
-	all       []collect.TraceTuple // full retained buffer (private windows)
-	tick      hrtime.Stamp
-	expected  int
-
-	// scratch is reused across aggregate calls for private-window
-	// filtering, so a tick evaluation does not allocate per aggregate.
-	scratch []collect.TraceTuple
-}
-
-// evalWhen evaluates an aggregate-context expression. Aggregates with a
-// private window select tuples from the full retained buffer (all
-// groups) within (tick-window, tick]; coverage() always counts across
-// all groups, bounded by the query window unless it carries its own.
-func evalWhen(e Expr, env *aggEnv) Value {
-	switch n := e.(type) {
-	case *Lit:
-		return n.Val
-	case *Agg:
-		tuples := env.group
-		if n.Kind == AggCoverage {
-			tuples = env.windowAll
-		}
-		if n.Window > 0 {
-			env.scratch = env.scratch[:0]
-			lo := env.tick - int64(n.Window)
-			for _, t := range env.all {
-				if t.Start > lo && t.Start <= env.tick {
-					env.scratch = append(env.scratch, t)
-				}
-			}
-			tuples = env.scratch
-		}
-		return computeAgg(n, tuples, env.expected)
-	case *Not:
-		return boolValue(!evalWhen(n.X, env).Bool())
-	case *In:
-		return evalIn(n, evalWhen(n.X, env))
-	case *Binary:
-		return evalBinary(n, evalWhen(n.X, env), evalWhen(n.Y, env))
-	}
-	return Value{}
-}
-
 // Row is one result row of an aggregate select: its group key (ecid; 0
 // when ungrouped), its window bucket (tuple-Start stamp of the bucket's
 // left edge; 0 when unwindowed), and one value per select column.
@@ -365,61 +223,4 @@ func ScanQuery(r *archive.Reader, s *Stmt, aq archive.Query, fn func(collect.Tra
 // and every select column is computed per cell.
 func Run(r *archive.Reader, s *Stmt) (*Result, archive.ScanStats, error) {
 	return RunQuery(r, s, s.Pushdown())
-}
-
-// RunQuery is Run with an explicit pushdown query (see ScanQuery).
-func RunQuery(r *archive.Reader, s *Stmt, aq archive.Query) (*Result, archive.ScanStats, error) {
-	if s.Alert {
-		return nil, archive.ScanStats{}, fmt.Errorf("query: Run wants a select statement (replay alerts with an Engine)")
-	}
-	if s.Star {
-		return nil, archive.ScanStats{}, fmt.Errorf("query: Run wants an aggregate select (stream select * with Scan)")
-	}
-	type cellKey struct {
-		group  uint32
-		bucket hrtime.Stamp
-	}
-	cells := make(map[cellKey][]collect.TraceTuple)
-	var matched uint64
-	stats, err := r.Scan(aq, func(t collect.TraceTuple) bool {
-		if s.Where != nil && !evalRow(s.Where, t).Bool() {
-			return true
-		}
-		matched++
-		key := cellKey{}
-		if s.By == FieldECID {
-			key.group = t.ECID
-		}
-		if s.Window > 0 {
-			key.bucket = t.Start - t.Start%int64(s.Window)
-		}
-		cells[key] = append(cells[key], t)
-		return true
-	})
-	stats.TuplesMatched = matched
-	if err != nil {
-		return nil, stats, err
-	}
-	res := &Result{Grouped: s.By != FieldNone, Windowed: s.Window > 0}
-	for _, c := range s.Cols {
-		res.Cols = append(res.Cols, c.String())
-	}
-	keys := make([]cellKey, 0, len(cells))
-	for k := range cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].group != keys[j].group {
-			return keys[i].group < keys[j].group
-		}
-		return keys[i].bucket < keys[j].bucket
-	})
-	for _, k := range keys {
-		row := Row{Group: k.group, Bucket: k.bucket}
-		for _, c := range s.Cols {
-			row.Vals = append(row.Vals, computeAgg(c, cells[k], 0))
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, stats, nil
 }
