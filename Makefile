@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates lint vet eslint lint-fix-check ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates lint vet eslint lint-fix-check ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,14 @@ read-gates:
 	$(GO) test -count=1 -run 'TestScanSteadyStateAllocs' ./internal/archive/
 	$(GO) test -count=1 -run 'TestRunAllocsScaleWithCells' -bench 'BenchmarkAggregateRun' -benchtime 1x ./internal/query/
 
+# checkpoint-gates are the checkpointer's zero-alloc gates, as the CI
+# job states them: the tuple-block encode, the warm frame encode through
+# a kept codec, and the fold must each report 0 allocs/op (and all
+# three must have run).
+checkpoint-gates:
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint(EncodeTuples|EncodeFrame|Fold)' -benchmem ./internal/checkpoint/ | \
+		awk '{ print } /allocs\/op/ { n++ } /allocs\/op/ && !/ 0 allocs\/op/ { bad = 1 } END { exit bad || n < 3 }'
+
 vet:
 	$(GO) vet ./...
 
@@ -59,5 +67,5 @@ lint: vet eslint lint-fix-check
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint test-short read-gates
+ci: build lint test-short read-gates checkpoint-gates
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

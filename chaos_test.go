@@ -96,7 +96,7 @@ func chaosRun(t *testing.T, cps *CrashPoints) (out string) {
 		if !st.Resume.ReRead {
 			t.Error("crash recovery handoff must re-read retained windows")
 		}
-		rec2, err := sys.ResumeArchiveFrom(tree, chaosPull, ArchiveOptions{
+		rec2, err := sys.ResumeArchive(tree, chaosPull, ArchiveOptions{
 			Dir: dir2, SegmentBytes: 4096,
 		}, st, nil)
 		if err != nil {

@@ -40,6 +40,13 @@
 //	    return nil
 //	})
 //
+// A run can also be recorded: System.AttachArchive archives a tree's
+// trace tuples (given alert statements, through a continuous-query
+// engine), AttachArchiveCheckpointed adds the recovery chain, and after
+// a front-end loss FailoverLoadBalance or RecoverLoadBalance rebuilds
+// the monitor from the archive and ResumeArchive continues the
+// recording from the handoff they return.
+//
 // See the examples directory for complete programs and EXPERIMENTS.md for
 // the paper-versus-measured results.
 package eventspace
@@ -158,8 +165,7 @@ type (
 	ModeReplay = monitor.ModeReplay
 )
 
-// Degradation-ladder rungs (MonitorConfig.ScopeMode /
-// LoadBalance.SetScopeMode). Strict is the paper's behaviour: every
+// Degradation-ladder rungs (LoadBalance.SetScopeMode). Strict is the paper's behaviour: every
 // gather round waits for every child. Bounded-staleness cuts stragglers
 // at the breaker deadline and coasts on stale data within the bound.
 // Summary-only additionally sheds gathered payloads at the ingest queue,
@@ -265,8 +271,8 @@ type (
 // System.RecoverLoadBalance restores from the newest valid checkpoint
 // and replays only the archive suffix behind it — falling back rung by
 // rung to full replay when the chain is damaged — and
-// System.ResumeArchiveFrom continues recording (and alerting,
-// mid-streak) from the recovered state.
+// System.ResumeArchive continues recording (and alerting, mid-streak)
+// from the recovered state.
 type (
 	// ArchiveCursor is a durable position in an archive's tuple stream
 	// (ArchiveWriter.Position); checkpoints anchor their replay suffix
@@ -278,11 +284,6 @@ type (
 	// Checkpointer rides a recorder's sink chain, snapshotting monitor
 	// and query-engine state on cadence (ArchiveRecorder.Checkpointer).
 	Checkpointer = checkpoint.Checkpointer
-	// Checkpoint is one decoded snapshot frame.
-	Checkpoint = checkpoint.Checkpoint
-	// CheckpointChainInfo describes a directory's checkpoint chain walk
-	// (entries found, invalid frames skipped).
-	CheckpointChainInfo = checkpoint.ChainInfo
 	// CrashPoints is a seeded crash-injection plan for an archive
 	// writer and its checkpointer (ArchiveOptions.CrashPoints) —
 	// test-only, for proving recovery invariants.
@@ -304,29 +305,6 @@ const (
 // ErrInjectedCrash is the sticky error a writer or checkpointer reports
 // after its armed crash point fired.
 var ErrInjectedCrash = archive.ErrInjectedCrash
-
-// LoadNewestCheckpoint walks dir's checkpoint chain newest-first and
-// returns the first frame that validates, with the walk's accounting.
-// ok is false when no valid checkpoint exists.
-func LoadNewestCheckpoint(dir string) (Checkpoint, CheckpointChainInfo, bool) {
-	return checkpoint.LoadNewest(dir)
-}
-
-// RecoverFrontEnd rebuilds a crashed front end's state through the
-// checkpoint recovery ladder without building a replacement monitor —
-// the offline counterpart of System.RecoverLoadBalance. alerts are the
-// crashed recorder's standing esql alert statements (none is fine).
-func RecoverFrontEnd(dir string, reg *MetricsRegistry, alerts ...string) (*FailoverState, error) {
-	stmts := make([]*query.Stmt, 0, len(alerts))
-	for _, src := range alerts {
-		st, err := query.Parse(src)
-		if err != nil {
-			return nil, err
-		}
-		stmts = append(stmts, st)
-	}
-	return reconfig.RecoverFrontEnd(dir, reg, stmts)
-}
 
 // NewArchiveWriter opens (or crash-safely reopens) an archive directory
 // for appending.
@@ -363,8 +341,8 @@ func ReplayModes(r *ArchiveReader, scope string, q ArchiveQuery) (*ModeReplay, e
 // typed query language over trace tuples. One-shot selects run against
 // an archive with predicate pushdown into the header-index and columnar
 // block-skip paths (cmd/esquery "query"); standing alert statements run
-// continuously on the live gather stream
-// (System.AttachArchiveQueries), firing alerts that are archived as
+// continuously on the live gather stream (System.AttachArchive with
+// alert statements), firing alerts that are archived as
 // OpAlert control tuples and regenerate byte-identically on replay.
 type (
 	// QueryStmt is a parsed, type-checked esql statement. Its String is

@@ -225,7 +225,7 @@ func TestFrontEndFailoverResumesByteIdentical(t *testing.T) {
 		}
 		rec2, err := sys.ResumeArchive(tree, 200*time.Microsecond, ArchiveOptions{
 			Dir: dir2, SegmentBytes: 4096,
-		})
+		}, st, nil)
 		if err != nil {
 			return err
 		}
@@ -494,7 +494,7 @@ func testContinuousQueryAlertFiresAndReplays(t *testing.T) {
 			Seed:  11,
 			Rules: []FaultRule{{SpikeProb: 0.3, SpikeDelay: 2 * time.Millisecond}},
 		})
-		rec, err := sys.AttachArchiveQueries(tree, 200*time.Microsecond, ArchiveOptions{
+		rec, err := sys.AttachArchive(tree, 200*time.Microsecond, ArchiveOptions{
 			Dir: dir, SegmentBytes: 4096,
 		}, sources...)
 		if err != nil {

@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,11 +71,8 @@ type ChainInfo struct {
 // recorded in ChainInfo, never trusted. ok is false when no entry
 // validates (recovery then falls back to full replay).
 func LoadNewest(dir string) (Checkpoint, ChainInfo, bool) {
-	entries, err := List(dir)
+	entries, _ := List(dir) // an unlistable chain is an absent one
 	info := ChainInfo{Entries: len(entries)}
-	if err != nil || len(entries) == 0 {
-		return Checkpoint{}, info, false
-	}
 	for i := len(entries) - 1; i >= 0; i-- {
 		cp, err := Load(entries[i].Path)
 		if err != nil {
@@ -106,21 +105,20 @@ func write(dir string, seq uint32, frame []byte, cps *archive.CrashPoints) error
 	return cerr
 }
 
-// prune deletes chain entries beyond the newest keep. Deleting oldest
-// first keeps the fallback ladder intact if pruning itself is cut short.
-func prune(dir string, keep int) error {
-	if keep < 1 {
-		keep = 1
-	}
-	entries, err := List(dir)
-	if err != nil {
-		return err
-	}
+// prune deletes the chain files beyond the newest keep, oldest first —
+// which keeps the fallback ladder intact if pruning itself is cut short.
+// The chain is the checkpointer's own record of it (what New listed plus
+// what it has written since), so a checkpoint costs one Remove, not a
+// directory listing. A file already gone is what pruning wanted.
+func (c *Checkpointer) prune() error {
 	var first error
-	for i := 0; i < len(entries)-keep; i++ {
-		if err := os.Remove(entries[i].Path); err != nil && first == nil {
+	drop := max(len(c.chain)-c.keep, 0)
+	for _, seq := range c.chain[:drop] {
+		err := os.Remove(filepath.Join(c.dir, FileName(seq)))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) && first == nil {
 			first = err
 		}
 	}
+	c.chain = append(c.chain[:0], c.chain[drop:]...)
 	return first
 }

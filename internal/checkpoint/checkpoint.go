@@ -65,14 +65,15 @@ type Checkpointer struct {
 	cps   *archive.CrashPoints
 	met   *metrics.Registry
 
-	seq     uint32
+	seq     uint32   // newest chain sequence on disk
+	chain   []uint32 // the sequences on disk, oldest first
 	since   uint64
 	at      hrtime.Stamp
 	err     error
 	written uint64
 	bytes   uint64
 	batch   []collect.TraceTuple // decode scratch, reused per batch
-	frame   []byte               // encode scratch, reused per checkpoint
+	enc     codec                // encode scratch, reused per checkpoint
 }
 
 // New builds a checkpointer over a recorder's writer and sink chain.
@@ -110,11 +111,22 @@ func New(w *archive.Writer, inner Sink, engine *query.Engine, infos []archive.Co
 	if keep == 0 {
 		keep = DefaultKeep
 	}
-	return &Checkpointer{
+	c := &Checkpointer{
 		inner: inner, w: w, engine: engine, la: la, stats: stats,
-		dir: w.Dir(), every: every, keep: keep,
+		dir: w.Dir(), every: every, keep: max(keep, 1),
 		cps: cfg.CrashPoints, met: cfg.Metrics,
-	}, nil
+	}
+	// A reopened directory may already hold a chain: numbering continues
+	// after its newest entry, so a new frame is never the one pruned.
+	entries, err := List(c.dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		c.chain = append(c.chain, e.Seq)
+		c.seq = e.Seq
+	}
+	return c, nil
 }
 
 // AppendRaw forwards the batch downstream, feeds the shadows, and
@@ -134,10 +146,7 @@ func (c *Checkpointer) AppendRaw(data []byte) error {
 		return err
 	}
 	if c.since >= c.every {
-		if err := c.checkpointLocked(); err != nil {
-			c.err = err
-			return err
-		}
+		return c.checkpointLocked()
 	}
 	return nil
 }
@@ -171,13 +180,10 @@ func (c *Checkpointer) Checkpoint() error {
 	if c.err != nil {
 		return c.err
 	}
-	if err := c.checkpointLocked(); err != nil {
-		c.err = err
-		return err
-	}
-	return nil
+	return c.checkpointLocked()
 }
 
+// checkpointLocked writes one checkpoint; a failure is sticky.
 func (c *Checkpointer) checkpointLocked() error {
 	start := hrtime.Now()
 	n, err := c.writeLocked()
@@ -185,6 +191,7 @@ func (c *Checkpointer) checkpointLocked() error {
 	if err == nil {
 		c.met.Counter("checkpoint.writes").Inc()
 	}
+	c.err = err
 	return err
 }
 
@@ -200,12 +207,13 @@ func (c *Checkpointer) writeLocked() (int, error) {
 		cp.HasEngine = true
 		cp.Engine = c.engine.State()
 	}
-	c.frame = appendEncode(c.frame[:0], cp)
-	n := len(c.frame)
-	if err := write(c.dir, cp.Seq, c.frame, c.cps); err != nil {
+	frame := c.enc.encode(cp)
+	n := len(frame)
+	if err := write(c.dir, cp.Seq, frame, c.cps); err != nil {
 		return n, err
 	}
 	c.seq = cp.Seq
+	c.chain = append(c.chain, cp.Seq)
 	c.since = 0
 	c.written++
 	c.bytes += uint64(n)
@@ -218,7 +226,7 @@ func (c *Checkpointer) writeLocked() (int, error) {
 	}
 	c.la.Feed(mark)
 	c.stats.Feed(mark)
-	return n, prune(c.dir, c.keep)
+	return n, c.prune()
 }
 
 // Stats is a checkpointer's accounting snapshot.

@@ -2,12 +2,16 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"reflect"
 	"testing"
 
+	"eventspace/internal/analysis"
 	"eventspace/internal/archive"
 	"eventspace/internal/collect"
 	"eventspace/internal/monitor"
@@ -126,26 +130,54 @@ func snapshotFromStream(t testing.TB, n int) Checkpoint {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 37, 151, 320} {
-		cp := snapshotFromStream(t, n)
+	check := func(name string, cp Checkpoint) {
+		t.Helper()
 		got, err := Decode(Encode(cp))
 		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(got, cp) {
-			t.Fatalf("n=%d: round-trip diverged:\n got %+v\nwant %+v", n, got, cp)
+			t.Fatalf("%s: round-trip diverged:\n got %+v\nwant %+v", name, got, cp)
 		}
+	}
+	for _, n := range []int{0, 37, 151, 320} {
+		cp := snapshotFromStream(t, n)
+		check(fmt.Sprintf("n=%d", n), cp)
 		// Without the engine section too (recorder without queries).
 		cp.HasEngine = false
 		cp.Engine = query.EngineState{}
-		got, err = Decode(Encode(cp))
-		if err != nil {
-			t.Fatalf("n=%d no-engine: %v", n, err)
-		}
-		if !reflect.DeepEqual(got, cp) {
-			t.Fatalf("n=%d: no-engine round-trip diverged", n)
-		}
+		check(fmt.Sprintf("n=%d no-engine", n), cp)
 	}
+	// Empty lists at every level: list is the one place a zero count is
+	// handled, and each must read back as nil beside non-empty siblings.
+	check("nothing at all", Checkpoint{})
+	check("nothing at all, engine section", Checkpoint{HasEngine: true})
+	tu := collect.TraceTuple{ECID: 1, Op: paths.OpWrite, Seq: 9, Start: 5, End: 8}
+	check("empty inner lists", Checkpoint{
+		Seq: 2, At: 5, Cursor: archive.Cursor{Tuples: 1},
+		LA: monitor.LastArrivalState{
+			Fed: 1,
+			Joins: []monitor.NamedLBJoinState{
+				{Node: "idle", Join: monitor.LBJoinState{K: 2, MaxPending: 8}}, // no pending rounds
+				{Node: "open", Join: monitor.LBJoinState{K: 2, MaxPending: 8, Pending: []monitor.LBJoinRoundState{
+					{Seq: 9}, // a round with no contributor yet
+					{Seq: 10, Contribs: []analysis.ContribState{{ID: 1, Tuple: tu}}},
+				}}},
+			},
+		},
+		Stats: monitor.StatsState{Nodes: []monitor.StatsNodeState{
+			{NodeID: 10, Joiner: analysis.JoinerState{K: 2, MaxPending: 8}}, // no pending rounds, five empty rings
+			{NodeID: 20, Rounds: 1,
+				Joiner: analysis.JoinerState{K: 2, MaxPending: 8, Pending: []analysis.RoundState{{Seq: 9, HaveColl: true, Collective: tu}}},
+				Up:     analysis.StreamState{N: 1, Mean: 3, Min: 3, Max: 3, Window: 4, Ring: []float64{3}}},
+		}},
+		HasEngine: true,
+		Engine: query.EngineState{Expected: 2, Queries: []query.StandingState{
+			{Hash: 1}, // no streaks, nothing fired
+			{Hash: 2, Anchored: true, Fired: []uint16{7}},
+			{Hash: 3, Streak: []query.GroupStreak{{Group: 7, Count: 2}}},
+		}},
+	})
 }
 
 // TestEncodeCanonical: two identical states encode bit-identically —
@@ -352,6 +384,78 @@ func TestCheckpointerCrashFallsBack(t *testing.T) {
 	}
 }
 
+// TestReopenedDirectoryContinuesChain: a checkpointer over a directory
+// that already holds a chain numbers on from its newest entry. Starting
+// again at 1 beside an old 2/3/4 made every new frame the chain's oldest
+// — the one prune deletes — so recovery stayed pinned to the stale
+// frame while its suffix grew without bound.
+func TestReopenedDirectoryContinuesChain(t *testing.T) {
+	dir := t.TempDir()
+	infos := testInfos()
+	tuples := testStream(60)
+	session := func(tuples []collect.TraceTuple, frames int) Stats {
+		t.Helper()
+		w, err := archive.Create(archive.Options{Dir: dir, SegmentBytes: 4000, BlockTuples: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := New(w, w, nil, infos, Config{Keep: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < frames; i++ {
+			if err := ck.AppendRaw(encodeBatch(tuples[i*8 : i*8+8])); err != nil {
+				t.Fatal(err)
+			}
+			if err := ck.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return ck.Stats()
+	}
+	session(tuples, 4)
+	last := session(tuples[32:], 2)
+	if last.Seq != 6 || last.Written != 2 {
+		t.Fatalf("second session ended at seq %d after %d writes, want 6 after 2", last.Seq, last.Written)
+	}
+	entries, err := List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []uint32
+	for _, e := range entries {
+		seqs = append(seqs, e.Seq)
+	}
+	if !reflect.DeepEqual(seqs, []uint32{4, 5, 6}) {
+		t.Fatalf("chain holds %v, want the newest three [4 5 6]", seqs)
+	}
+	cp, info, ok := LoadNewest(dir)
+	if !ok || info.Skipped != 0 || cp.Seq != last.Seq {
+		t.Fatalf("LoadNewest ok=%v skipped=%d seq=%d, want the last frame written (%d)", ok, info.Skipped, cp.Seq, last.Seq)
+	}
+	if cp.Cursor.Tuples == 0 {
+		t.Fatal("newest frame's cursor does not cover the reopened archive")
+	}
+}
+
+// TestDecodeRejectsRepeatedSection: a section is walked into the
+// checkpoint it belongs to, so a frame may carry each at most once —
+// even one whose CRCs vouch for it.
+func TestDecodeRejectsRepeatedSection(t *testing.T) {
+	frame := Encode(snapshotFromStream(t, 40))
+	cursorSec := frame[headerSize : headerSize+6+8+8+4+8]
+	bad := append(append([]byte(nil), frame...), cursorSec...)
+	binary.LittleEndian.PutUint32(bad[12:16], uint32(len(bad)-headerSize))
+	binary.LittleEndian.PutUint32(bad[16:20], crc32.ChecksumIEEE(bad[headerSize:]))
+	binary.LittleEndian.PutUint32(bad[20:24], crc32.ChecksumIEEE(bad[0:20]))
+	if _, err := Decode(bad); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("frame with two cursor sections: err %v, want ErrInvalid", err)
+	}
+}
+
 // TestLoadNewestAllTorn: when every chain entry is damaged, LoadNewest
 // reports no checkpoint — the caller's cue for full replay.
 func TestLoadNewestAllTorn(t *testing.T) {
@@ -395,18 +499,45 @@ func BenchmarkCheckpointEncodeTuples(b *testing.B) {
 }
 
 // TestGoldenFrame pins the on-disk frame across refactors of the
-// shadows: testdata/frame-151.eckpt is Encode(snapshotFromStream(t,
-// 151)) as PR 17's map-and-sort joins and mirrored median windows
-// produced it, and whatever folds tuples now must encode the same
-// bytes — checkpoints written before and after are interchangeable.
+// shadows and of the codec, in both header-flag shapes:
+// testdata/frame-151.eckpt is Encode(snapshotFromStream(t, 151)) as
+// PR 17's map-and-sort joins and mirrored median windows produced it,
+// frame-151-lean.eckpt the same snapshot without its engine section as
+// PR 19's size/encode/decode triples wrote it. Whatever folds tuples and
+// walks sections now must encode the same bytes — checkpoints written
+// before and after are interchangeable.
 func TestGoldenFrame(t *testing.T) {
-	want, err := os.ReadFile("testdata/frame-151.eckpt")
-	if err != nil {
-		t.Fatal(err)
+	full := snapshotFromStream(t, 151)
+	lean := full
+	lean.HasEngine, lean.Engine = false, query.EngineState{}
+	for _, g := range []struct {
+		file string
+		cp   Checkpoint
+	}{{"testdata/frame-151.eckpt", full}, {"testdata/frame-151-lean.eckpt", lean}} {
+		want, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Encode(g.cp); !bytes.Equal(got, want) {
+			t.Errorf("%s: frame drifted from the golden: %d bytes, golden %d", g.file, len(got), len(want))
+		}
+		if got, err := Decode(want); err != nil || !reflect.DeepEqual(got, g.cp) {
+			t.Errorf("%s: golden does not decode to the snapshot (err %v)", g.file, err)
+		}
 	}
-	got := Encode(snapshotFromStream(t, 151))
-	if !bytes.Equal(got, want) {
-		t.Fatalf("frame drifted from the golden: %d bytes, golden %d", len(got), len(want))
+}
+
+// BenchmarkCheckpointEncodeFrame is the zero-alloc gate of the
+// append-mode codec: the golden-frame checkpoint encoded warm through a
+// kept codec, as a checkpointer encodes every frame of a run.
+func BenchmarkCheckpointEncodeFrame(b *testing.B) {
+	cp := snapshotFromStream(b, 151)
+	var c codec
+	b.SetBytes(int64(len(c.encode(cp))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.encode(cp)
 	}
 }
 

@@ -110,6 +110,13 @@ func (s *System) Tree(name string) (*cluster.Tree, bool) {
 	return t, ok
 }
 
+// adopt puts a started monitor under the system's Close.
+func (s *System) adopt(m interface{ Stop() }) {
+	s.mu.Lock()
+	s.monitors = append(s.monitors, m)
+	s.mu.Unlock()
+}
+
 // AttachLoadBalance builds and starts a load-balance monitor over tree.
 func (s *System) AttachLoadBalance(tree *cluster.Tree, mode monitor.LoadBalanceMode, cfg monitor.Config) (*monitor.LoadBalance, error) {
 	if cfg.Metrics == nil {
@@ -120,25 +127,27 @@ func (s *System) AttachLoadBalance(tree *cluster.Tree, mode monitor.LoadBalanceM
 		return nil, err
 	}
 	lb.Start()
-	s.mu.Lock()
-	s.monitors = append(s.monitors, lb)
-	s.mu.Unlock()
+	s.adopt(lb)
 	return lb, nil
 }
 
 // AttachStatsm builds and starts the statistics monitor over tree.
 func (s *System) AttachStatsm(tree *cluster.Tree, cfg monitor.Config) (*monitor.Statsm, error) {
+	return s.attachStatsm(tree, cfg, nil)
+}
+
+// attachStatsm starts a statistics monitor whose published analysis
+// tree begins at seed (nil: empty).
+func (s *System) attachStatsm(tree *cluster.Tree, cfg monitor.Config, seed *monitor.AnalysisTree) (*monitor.Statsm, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = s.Metrics()
 	}
-	sm, err := monitor.NewStatsm(s.tb, tree, cfg, s.cs)
+	sm, err := monitor.NewStatsmFrom(s.tb, tree, cfg, s.cs, seed)
 	if err != nil {
 		return nil, err
 	}
 	sm.Start()
-	s.mu.Lock()
-	s.monitors = append(s.monitors, sm)
-	s.mu.Unlock()
+	s.adopt(sm)
 	return sm, nil
 }
 
@@ -155,9 +164,7 @@ func (s *System) AttachReconfig(lb *monitor.LoadBalance, pol reconfig.Policy) (*
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.monitors = append(s.monitors, m)
-	s.mu.Unlock()
+	s.adopt(m)
 	return m, nil
 }
 
@@ -186,7 +193,7 @@ func (s *System) FailoverLoadBalance(tree *cluster.Tree, cfg monitor.Config, dir
 // and a replacement single-scope monitor is seeded from it. alerts,
 // when given, must be the crashed recorder's standing statements; the
 // returned state then carries the recovered query-engine snapshot for
-// ResumeArchiveFrom. Unlike the clean-seal path, the replacement
+// ResumeArchive. Unlike the clean-seal path, the replacement
 // re-reads the retained trace windows (the crash left a gather gap),
 // with the resume floors blocking any double count.
 func (s *System) RecoverLoadBalance(tree *cluster.Tree, cfg monitor.Config, dir string, alerts ...string) (*monitor.LoadBalance, *reconfig.FailoverState, error) {
@@ -212,9 +219,7 @@ func (s *System) loadBalanceFrom(tree *cluster.Tree, cfg monitor.Config, st *rec
 		return nil, nil, err
 	}
 	lb.Start()
-	s.mu.Lock()
-	s.monitors = append(s.monitors, lb)
-	s.mu.Unlock()
+	s.adopt(lb)
 	return lb, st, nil
 }
 
@@ -225,18 +230,7 @@ func (s *System) FailoverStatsm(tree *cluster.Tree, cfg monitor.Config, st *reco
 	if st == nil {
 		return nil, fmt.Errorf("core: nil failover state")
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = s.Metrics()
-	}
-	sm, err := monitor.NewStatsmFrom(s.tb, tree, cfg, s.cs, st.Stats)
-	if err != nil {
-		return nil, err
-	}
-	sm.Start()
-	s.mu.Lock()
-	s.monitors = append(s.monitors, sm)
-	s.mu.Unlock()
-	return sm, nil
+	return s.attachStatsm(tree, cfg, st.Stats)
 }
 
 // ArchiveRecorder records a tree's raw trace tuples into a persistent
@@ -250,7 +244,7 @@ type ArchiveRecorder struct {
 	writer *archive.Writer
 	// sink is what gathered batches are appended through: the writer
 	// directly, or a continuous-query engine interposed in front of it
-	// (AttachArchiveQueries). The final drain in Stop uses the same
+	// (AttachArchive with alerts). The final drain in Stop uses the same
 	// sink, so standing queries see every tuple the archive records.
 	sink   escope.RawSink
 	engine *query.Engine
@@ -265,41 +259,29 @@ type ArchiveRecorder struct {
 // directory (so offline tooling can replay without the live registry),
 // and a puller drains every event collector's trace buffer into the
 // archive every pull interval (0 pulls continuously).
-func (s *System) AttachArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options) (*ArchiveRecorder, error) {
-	return s.attachArchive(tree, pull, opts, recorderSpec{})
-}
-
-// AttachArchiveQueries is AttachArchive with standing continuous
-// queries: each esql alert statement is parsed, registered with a
+//
+// With alerts, each esql alert statement is parsed, registered with a
 // query.Engine interposed between the gather thread and the archive
 // writer, and evaluated against every batch the recorder archives.
 // Fired alerts are archived as OpAlert control tuples in firing order;
 // replaying the archived data tuples through the same statements
 // (query.Replay, esquery replay -alerts) regenerates the identical
 // stream. The engine's coverage() roster is the tree's collector set.
-func (s *System) AttachArchiveQueries(tree *cluster.Tree, pull time.Duration, opts archive.Options, alerts ...string) (*ArchiveRecorder, error) {
-	stmts, err := parseAlerts(alerts)
-	if err != nil {
-		return nil, err
-	}
-	return s.attachArchive(tree, pull, opts, recorderSpec{stmts: stmts})
+func (s *System) AttachArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options, alerts ...string) (*ArchiveRecorder, error) {
+	return s.attachArchive(tree, pull, opts, recorderSpec{alerts: alerts})
 }
 
-// AttachArchiveCheckpointed is AttachArchive (or, with alert statements,
-// AttachArchiveQueries) plus crash recoverability: a checkpointer rides
-// the recorder's sink chain, periodically snapshotting the front-end
-// state the archive implies — the load-balance and statistics replay
-// shadows, the writer's durable cursor, and the standing-query engine —
-// into a sidecar chain of ckpt-*.eckpt files next to the segments.
+// AttachArchiveCheckpointed is AttachArchive plus crash recoverability:
+// a checkpointer rides the recorder's sink chain, periodically
+// snapshotting the front-end state the archive implies — the
+// load-balance and statistics replay shadows, the writer's durable
+// cursor, and the standing-query engine — into a sidecar chain of
+// ckpt-*.eckpt files next to the segments.
 // After a crash, RecoverLoadBalance (or reconfig.RecoverFrontEnd)
 // restores from the newest valid checkpoint and replays only the
 // archive suffix behind it, instead of the whole archive.
 func (s *System) AttachArchiveCheckpointed(tree *cluster.Tree, pull time.Duration, opts archive.Options, ckpt checkpoint.Config, alerts ...string) (*ArchiveRecorder, error) {
-	stmts, err := parseAlerts(alerts)
-	if err != nil {
-		return nil, err
-	}
-	return s.attachArchive(tree, pull, opts, recorderSpec{stmts: stmts, ckpt: &ckpt})
+	return s.attachArchive(tree, pull, opts, recorderSpec{alerts: alerts, ckpt: &ckpt})
 }
 
 func parseAlerts(alerts []string) ([]*query.Stmt, error) {
@@ -317,51 +299,40 @@ func parseAlerts(alerts []string) ([]*query.Stmt, error) {
 	return stmts, nil
 }
 
-// ResumeArchive is AttachArchive for the recorder that continues after a
-// front-end failover: its source cursors start after the newest retained
-// tuple, so tuples the sealed pre-failover archive already holds are not
-// archived again. Point opts.Dir at a fresh directory; scanning the
-// sealed and resumed archives in sequence then covers the whole run with
-// no duplicates.
-func (s *System) ResumeArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options) (*ArchiveRecorder, error) {
-	return s.attachArchive(tree, pull, opts, recorderSpec{fromEnd: true})
-}
-
-// ResumeArchiveFrom is ResumeArchive seeded from a recovery handoff: the
-// resumed recorder continues a crashed (or sealed) recorder's run. Its
-// source cursors follow the handoff — after a checkpointed crash
-// recovery (Resume.ReRead) the retained trace windows are re-read so the
-// gather gap the crash opened is re-archived; after a clean-seal
-// failover they start at the windows' ends as ResumeArchive does. With
+// ResumeArchive is AttachArchive for the recorder that continues a
+// crashed or sealed recorder's run after a front-end failover, seeded
+// from the recovery handoff. Its source cursors follow the handoff:
+// after a clean-seal failover they start after the newest retained
+// tuple, so tuples the sealed archive already holds are not archived
+// again; after a checkpointed crash recovery (Resume.ReRead) the
+// retained trace windows are re-read, so the gather gap the crash opened
+// is re-archived. Point opts.Dir at a fresh directory; scanning the old
+// and resumed archives in sequence then covers the whole run. With
 // alert statements, the new engine is restored from the handoff's
 // recovered engine state, so alert streaks continue mid-streak instead
 // of restarting cold. ckpt, when non-nil, checkpoints the resumed
 // recorder too.
-func (s *System) ResumeArchiveFrom(tree *cluster.Tree, pull time.Duration, opts archive.Options, st *reconfig.FailoverState, ckpt *checkpoint.Config, alerts ...string) (*ArchiveRecorder, error) {
+func (s *System) ResumeArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options, st *reconfig.FailoverState, ckpt *checkpoint.Config, alerts ...string) (*ArchiveRecorder, error) {
 	if st == nil || st.Resume == nil {
 		return nil, fmt.Errorf("core: nil failover state")
 	}
-	stmts, err := parseAlerts(alerts)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) == 0 && st.Engine != nil {
+	if len(alerts) == 0 && st.Engine != nil {
 		return nil, fmt.Errorf("core: recovered engine state but no alert statements to restore it into")
 	}
 	return s.attachArchive(tree, pull, opts, recorderSpec{
 		fromEnd: !st.Resume.ReRead,
-		stmts:   stmts,
+		alerts:  alerts,
 		engine:  st.Engine,
 		ckpt:    ckpt,
 	})
 }
 
 // recorderSpec collects attachArchive's variants: failover resume
-// (fromEnd), standing queries (stmts), a recovered engine snapshot to
-// restore into them (engine), and checkpointing (ckpt).
+// (fromEnd), standing alert statements (alerts), a recovered engine
+// snapshot to restore into them (engine), and checkpointing (ckpt).
 type recorderSpec struct {
 	fromEnd bool
-	stmts   []*query.Stmt
+	alerts  []string
 	engine  *query.EngineState
 	ckpt    *checkpoint.Config
 }
@@ -369,6 +340,10 @@ type recorderSpec struct {
 func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options, spec recorderSpec) (*ArchiveRecorder, error) {
 	if !tree.Spec.Instrument {
 		return nil, fmt.Errorf("core: archive recorder needs an instrumented tree")
+	}
+	stmts, err := parseAlerts(spec.alerts)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = s.Metrics()
@@ -404,11 +379,11 @@ func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 		w.Close()
 		return nil, err
 	}
-	if len(spec.stmts) > 0 {
+	if len(stmts) > 0 {
 		eng := query.NewEngine(w)
 		eng.SetExpected(len(tree.Collectors.All()))
 		eng.UseMetrics(opts.Metrics, tree.Name)
-		for _, st := range spec.stmts {
+		for _, st := range stmts {
 			if err := eng.Register(st); err != nil {
 				return fail(err)
 			}
@@ -442,9 +417,7 @@ func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 		rec.sink = ck
 	}
 	rec.puller = scope.StartPuller(pull, escope.ArchiveSink(rec.sink))
-	s.mu.Lock()
-	s.monitors = append(s.monitors, rec)
-	s.mu.Unlock()
+	s.adopt(rec)
 	return rec, nil
 }
 
@@ -466,11 +439,11 @@ func (r *ArchiveRecorder) RecordModes(lb *monitor.LoadBalance) {
 func (r *ArchiveRecorder) Writer() *archive.Writer { return r.writer }
 
 // Engine exposes the recorder's continuous-query engine (nil unless the
-// recorder was attached with AttachArchiveQueries).
+// recorder was attached with alert statements).
 func (r *ArchiveRecorder) Engine() *query.Engine { return r.engine }
 
 // Alerts returns the alerts the recorder's standing queries have fired
-// so far, in firing order (nil without AttachArchiveQueries).
+// so far, in firing order (nil without alert statements).
 func (r *ArchiveRecorder) Alerts() []collect.AlertTuple {
 	if r.engine == nil {
 		return nil
@@ -607,20 +580,13 @@ func (s *System) RunWorkload(wl Workload) (time.Duration, error) {
 						hrtime.Sleep(d)
 					}
 				}
+				trees := wl.Trees // gsum: every tree, every iteration
 				if wl.Compute > 0 {
+					// compute-gsum: compute, then one tree in rotation.
 					host.Occupy(wl.Compute)
-					tr := wl.Trees[it%len(wl.Trees)]
-					if _, err := tr.Ports[pi].Entry.Op(ctx, paths.Request{Kind: paths.OpWrite, Value: int64(pi)}); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					continue
+					trees = wl.Trees[it%len(wl.Trees):][:1]
 				}
-				for _, tr := range wl.Trees {
+				for _, tr := range trees {
 					if _, err := tr.Ports[pi].Entry.Op(ctx, paths.Request{Kind: paths.OpWrite, Value: int64(pi)}); err != nil {
 						mu.Lock()
 						if firstErr == nil {

@@ -112,7 +112,6 @@ type LoadBalance struct {
 
 	feElems map[uint32]*pastset.Element // per collective wrapper, on the front-end
 	names   map[uint32]string           // wrapper id -> node name
-	fanins  map[uint32]int
 
 	// Distributed-analysis state.
 	cs       *cosched.Set
@@ -162,14 +161,12 @@ func newLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMod
 		weighted: NewWeightedTree(),
 		feElems:  make(map[uint32]*pastset.Element),
 		names:    make(map[uint32]string),
-		fanins:   make(map[uint32]int),
 		cs:       cs,
 		stop:     make(chan struct{}),
 	}
 	for _, n := range tree.Nodes {
 		id := n.CollectiveEC.ID()
 		lb.names[id] = n.Name
-		lb.fanins[id] = n.AR.Fanin()
 		elem, err := tb.FrontEnd.Registry.Create(fmt.Sprintf("lb/%s/%s/%s", mode, tree.Name, n.Name), 4096)
 		if err != nil {
 			return nil, err
@@ -185,21 +182,17 @@ func newLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMod
 	spec.Health = cfg.Health
 	spec.Retry = cfg.Retry
 	spec.Breaker = cfg.Breaker
-	spec.Mode = cfg.ScopeMode
 	spec.Metrics = cfg.Metrics
 
 	// The ingest queue decouples the gather thread from the front-end
 	// analysis: the puller pushes gathered batches, a drainer applies
 	// them, and under overload the oldest batch is shed instead of the
-	// event-scope tree stalling. In summary-only mode it folds batches
-	// into counters without retaining payloads.
-	lb.ingest = collect.NewIngestQueue(cfg.IngestCap)
+	// event-scope tree stalling. In summary-only mode (SetScopeMode) it
+	// folds batches into counters without retaining payloads.
+	lb.ingest = collect.NewIngestQueue(collect.DefaultIngestCap)
 	lb.ingest.SetMetrics(
 		cfg.Metrics.Counter(spec.Name+"/ingest.shed.batches"),
 		cfg.Metrics.Counter(spec.Name+"/ingest.shed.tuples"))
-	if cfg.ScopeMode == escope.ModeSummary {
-		lb.ingest.SetSummaryOnly(true)
-	}
 
 	switch mode {
 	case SingleScope:
@@ -280,7 +273,6 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 		}
 		join := newLBJoin(n.AR.Fanin(), lbMaxPending)
 		join.floor = lb.floors[n.Name]
-		perPort := len(readers)
 		cost := lb.cfg.AnalysisCostPerTuple
 		host := n.Host
 		reduce := paths.NewTransform("lb/reduce("+n.Name+")", n.Host, gather, func(rep paths.Reply) (paths.Reply, error) {
@@ -288,10 +280,8 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 			if err != nil {
 				return paths.Reply{}, err
 			}
-			// The concatenation is in child order: reader i's batch
-			// holds contributor i's tuples; contributor identity comes
-			// from the tuple's ECID.
-			_ = perPort
+			// Contributor identity comes from the tuple's ECID, not from
+			// its place in the gathered concatenation.
 			var out []byte
 			nrec := 0
 			for _, tu := range tuples {
@@ -376,18 +366,12 @@ func (lb *LoadBalance) analysisLoop(ha *lbHostAnalysis) {
 		processed := 0
 		for _, st := range ha.nodes {
 			for i, cur := range st.cursors {
-				batch = cur.DrainInto(batch[:0])
-				for _, raw := range batch {
-					tu, err := collect.Decode(raw.Data)
-					if err != nil {
-						continue
-					}
+				processed += drainTuples(cur, &batch, func(tu collect.TraceTuple) {
 					if last, done := st.join.add(i, tu); done {
 						st.counts[last]++
 						st.dirty = true
 					}
-					processed++
-				}
+				})
 			}
 		}
 		if processed > 0 && lb.cfg.AnalysisCostPerTuple > 0 {

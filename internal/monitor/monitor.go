@@ -45,8 +45,6 @@ type Config struct {
 	// TCPStatsAt selects where TCP/IP connection statistics are
 	// computed (statsm); TCPStatsOff disables them.
 	TCPStatsAt TCPStatsPlacement
-	// MedianWindow sizes the NWS sliding-window median (default 100).
-	MedianWindow int
 	// ReadBatch bounds how many records one event-scope read returns per
 	// source buffer (default 1, matching PastSet's one-tuple-per-read
 	// operation — the property that makes sequential gathering too slow
@@ -65,17 +63,9 @@ type Config struct {
 	// straggler circuit breaker: outside escope.ModeStrict each gather
 	// round's wait on a child is bounded by the policy's round deadline
 	// and slow children are skipped and served stale within the
-	// staleness bound. nil keeps unbounded gathers.
+	// staleness bound. nil keeps unbounded gathers. The scope starts on
+	// the ladder's strict rung; the monitor's SetScopeMode moves it.
 	Breaker *escope.BreakerPolicy
-	// ScopeMode is the monitor scope's initial degradation-ladder rung
-	// (escope.ModeStrict when unset). Move it at runtime with the
-	// monitor's SetScopeMode.
-	ScopeMode escope.Mode
-	// IngestCap bounds the monitor's ingest queue, in gathered batches
-	// (0: collect.DefaultIngestCap). When analysis falls behind the
-	// gather thread, the oldest undigested batch is shed instead of
-	// stalling the event-scope tree.
-	IngestCap int
 	// Metrics, when set, wires the monitor's event scopes and stubs into
 	// the self-metrics registry ("monitor the monitor"). nil disables.
 	Metrics *metrics.Registry

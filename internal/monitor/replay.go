@@ -2,9 +2,7 @@ package monitor
 
 import (
 	"fmt"
-	"time"
 
-	"eventspace/internal/analysis"
 	"eventspace/internal/collect"
 )
 
@@ -197,31 +195,9 @@ type ReplayStatsPort struct {
 	Fanin       int    // the node's contributor count
 }
 
-// statsReplayNode is one node's offline statistics state: the same
-// joiner-plus-streams pipeline statsm runs per node, minus the
-// intermediate buffers and gather scopes.
-type statsReplayNode struct {
-	joiner                            *analysis.Joiner
-	down, up, total, arrWait, depWait *analysis.Stream
-	rounds                            uint64
-}
-
-// fold is the node's joiner emit hook: one completed round into the
-// five latency streams, in microseconds.
-func (st *statsReplayNode) fold(m analysis.RoundMetrics) {
-	st.rounds++
-	for _, c := range m.Per {
-		st.down.Add(float64(c.Down) / float64(time.Microsecond))
-		st.up.Add(float64(c.Up) / float64(time.Microsecond))
-		st.total.Add(float64(c.Total) / float64(time.Microsecond))
-		st.arrWait.Add(float64(c.ArrivalWait) / float64(time.Microsecond))
-		st.depWait.Add(float64(c.DepartureWait) / float64(time.Microsecond))
-	}
-}
-
 // statsPort is a ReplayStatsPort resolved at construction.
 type statsPort struct {
-	node        *statsReplayNode
+	node        *wrapperStats
 	contributor int // -1 for the collective tuple
 }
 
@@ -230,9 +206,9 @@ type statsPort struct {
 // streams (down, up, total, arrival wait, departure wait) in
 // microseconds.
 type StatsReplay struct {
-	ports  *portTable[statsPort]       // ECID -> resolved port
-	nodes  map[uint32]*statsReplayNode // keyed by NodeID, for snapshots
-	window int                         // sliding-median window, kept for snapshots
+	ports  *portTable[statsPort]    // ECID -> resolved port
+	nodes  map[uint32]*wrapperStats // keyed by NodeID, for snapshots
+	window int                      // sliding-median window, kept for snapshots
 
 	fed     uint64
 	matched uint64
@@ -244,7 +220,7 @@ type StatsReplay struct {
 func NewStatsReplay(ports map[uint32]ReplayStatsPort, window int) (*StatsReplay, error) {
 	r := &StatsReplay{
 		ports:  newPortTable[statsPort](len(ports)),
-		nodes:  make(map[uint32]*statsReplayNode),
+		nodes:  make(map[uint32]*wrapperStats),
 		window: window,
 	}
 	for id, p := range ports {
@@ -256,18 +232,10 @@ func NewStatsReplay(ports map[uint32]ReplayStatsPort, window int) (*StatsReplay,
 		}
 		st, ok := r.nodes[p.NodeID]
 		if !ok {
-			st = &statsReplayNode{
-				down:    analysis.NewStream(window),
-				up:      analysis.NewStream(window),
-				total:   analysis.NewStream(window),
-				arrWait: analysis.NewStream(window),
-				depWait: analysis.NewStream(window),
-			}
-			joiner, err := analysis.NewJoiner(p.Fanin, replayMaxPending, st.fold)
-			if err != nil {
+			st = new(wrapperStats)
+			if err := st.build(p.Fanin, replayMaxPending, window, st.fold); err != nil {
 				return nil, err
 			}
-			st.joiner = joiner
 			r.nodes[p.NodeID] = st
 		} else if k := st.joiner.K(); k != p.Fanin {
 			return nil, fmt.Errorf("monitor: stats replay port %d: fanin %d, node %d has %d", id, p.Fanin, p.NodeID, k)
@@ -303,14 +271,8 @@ func (r *StatsReplay) Tree() *AnalysisTree {
 		if st.rounds == 0 {
 			continue
 		}
-		for kind, str := range map[int]*analysis.Stream{
-			analysis.KindDown:          st.down,
-			analysis.KindUp:            st.up,
-			analysis.KindTotal:         st.total,
-			analysis.KindArrivalWait:   st.arrWait,
-			analysis.KindDepartureWait: st.depWait,
-		} {
-			at.Update(analysis.StatsRecordFrom(id, kind, str.Snapshot()))
+		for _, rec := range st.records(id) {
+			at.Update(rec)
 		}
 	}
 	return at

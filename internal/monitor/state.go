@@ -69,14 +69,8 @@ type WeightedCount struct {
 func weightedCounts(w *WeightedTree) []WeightedCount {
 	var out []WeightedCount
 	for _, node := range w.Nodes() {
-		counts := w.Counts(node)
-		ids := make([]int, 0, len(counts))
-		for c := range counts {
-			ids = append(ids, c)
-		}
-		sort.Ints(ids)
-		for _, c := range ids {
-			out = append(out, WeightedCount{Node: node, Contributor: int32(c), Count: counts[c]})
+		for c, n := range w.Counts(node) {
+			out = append(out, WeightedCount{Node: node, Contributor: int32(c), Count: n})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -157,6 +151,11 @@ type StatsNodeState struct {
 	DepWait analysis.StreamState
 }
 
+// streams lists the node's stream states in kind order.
+func (ns *StatsNodeState) streams() [wrapperKinds]*analysis.StreamState {
+	return [...]*analysis.StreamState{&ns.Down, &ns.Up, &ns.Total, &ns.ArrWait, &ns.DepWait}
+}
+
 // StatsState is a StatsReplay's portable snapshot.
 type StatsState struct {
 	Window  int
@@ -174,12 +173,7 @@ func (r *StatsReplay) State() StatsState {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		n := r.nodes[id]
-		st.Nodes = append(st.Nodes, StatsNodeState{
-			NodeID: id, Rounds: n.rounds, Joiner: n.joiner.State(),
-			Down: n.down.State(), Up: n.up.State(), Total: n.total.State(),
-			ArrWait: n.arrWait.State(), DepWait: n.depWait.State(),
-		})
+		st.Nodes = append(st.Nodes, r.nodes[id].state(id))
 	}
 	return st
 }
@@ -200,25 +194,8 @@ func NewStatsReplayFrom(ports map[uint32]ReplayStatsPort, st StatsState) (*Stats
 		if !ok {
 			return nil, fmt.Errorf("monitor: stats state node %d matches no port", ns.NodeID)
 		}
-		n.rounds = ns.Rounds
-		// The joiner keeps its original emit closure — it dereferences
-		// the node's stream fields at call time, so replacing the
-		// streams below stays visible to it.
-		if err := n.joiner.Restore(ns.Joiner); err != nil {
+		if err := n.restore(ns); err != nil {
 			return nil, err
-		}
-		for _, s := range []struct {
-			dst **analysis.Stream
-			st  analysis.StreamState
-		}{
-			{&n.down, ns.Down}, {&n.up, ns.Up}, {&n.total, ns.Total},
-			{&n.arrWait, ns.ArrWait}, {&n.depWait, ns.DepWait},
-		} {
-			str, err := analysis.NewStreamFrom(s.st)
-			if err != nil {
-				return nil, err
-			}
-			*s.dst = str
 		}
 	}
 	r.fed, r.matched = st.Fed, st.Matched

@@ -272,3 +272,45 @@ func TestLBJoinRefusesWhatASlotCannotHold(t *testing.T) {
 		t.Error("stats ports disagreeing on a node's fan-in accepted")
 	}
 }
+
+// TestWrapperStatsRoundsToRecords drives the wrapper-statistics operator
+// alone: one two-contributor round in, the five result records out — in
+// kind order, in microseconds — and nothing before the round completes.
+func TestWrapperStatsRoundsToRecords(t *testing.T) {
+	ws := new(wrapperStats)
+	if err := ws.build(2, 8, 4, ws.fold); err != nil {
+		t.Fatal(err)
+	}
+	// Contributors arrive at 0 and 2 us, the collective runs 5..6 us, and
+	// they depart at 8 and 9 us.
+	ws.joiner.AddContributor(0, collect.TraceTuple{Seq: 1, Start: 0, End: 8000})
+	ws.joiner.AddCollective(collect.TraceTuple{Seq: 1, Start: 5000, End: 6000})
+	if ws.rounds != 0 || ws.records(7)[0].Count != 0 {
+		t.Fatalf("statistics before the round completed: rounds %d, %+v", ws.rounds, ws.records(7)[0])
+	}
+	ws.joiner.AddContributor(1, collect.TraceTuple{Seq: 1, Start: 2000, End: 9000})
+	if ws.rounds != 1 {
+		t.Fatalf("rounds %d after one complete round", ws.rounds)
+	}
+	want := []struct {
+		kind           int
+		mean, min, max float32
+	}{
+		{analysis.KindDown, 4, 3, 5},
+		{analysis.KindUp, 2.5, 2, 3},
+		{analysis.KindTotal, 6.5, 6, 7},
+		{analysis.KindArrivalWait, 1, 0, 2},
+		{analysis.KindDepartureWait, 0.5, 0, 1},
+	}
+	got := ws.records(7)
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		r := got[i]
+		if r.ID != 7 || int(r.Kind) != w.kind || r.Count != 2 || r.Mean != w.mean || r.Min != w.min || r.Max != w.max {
+			t.Errorf("record %d: %+v, want id 7 kind %s count 2 mean %v min %v max %v",
+				i, r, analysis.KindName(w.kind), w.mean, w.min, w.max)
+		}
+	}
+}

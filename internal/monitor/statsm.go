@@ -26,10 +26,8 @@ import (
 // the two-way TCP/IP latencies — and store them in result buffers that two
 // gather threads move to the front-end.
 type Statsm struct {
-	cfg  Config
-	tree *cluster.Tree
-	fe   *vnet.Host
-	cs   *cosched.Set
+	cfg Config
+	cs  *cosched.Set
 
 	hosts []*statsHost
 
@@ -67,19 +65,18 @@ type statsHost struct {
 	conns []*vnet.Conn
 }
 
-// statsNode carries one collective wrapper's statistics.
+// statsNode carries one collective wrapper's statistics: the wrapper
+// operator, fed from the wrapper's trace buffers, plus the per-thread
+// wait streams only the live monitor publishes.
 type statsNode struct {
+	wrapperStats
 	node    *cluster.Node
-	joiner  *analysis.Joiner
 	cursors []*pastset.Cursor // contributor EC buffers
 	collCur *pastset.Cursor   // collective EC buffer
 
-	down, up, total  *analysis.Stream
-	arrWait, depWait *analysis.Stream
-	perThreadArr     []*analysis.Stream
-	perThreadDep     []*analysis.Stream
-	rounds           uint64
-	dirty            bool
+	perThreadArr []*analysis.Stream
+	perThreadDep []*analysis.Stream
+	dirty        bool
 }
 
 // statsLink carries one connection's TCP latency statistics. The local
@@ -117,6 +114,9 @@ func NewStatsmFrom(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosc
 	return sm, nil
 }
 
+// statsMaxPending is the live wrapper joins' eviction bound.
+const statsMaxPending = 256
+
 // NewStatsm builds the statistics monitor over an instrumented tree.
 func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.Set) (*Statsm, error) {
 	if !tree.Spec.Instrument {
@@ -124,18 +124,12 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 	}
 	sm := &Statsm{
 		cfg:   cfg,
-		tree:  tree,
-		fe:    tb.FrontEnd,
 		cs:    cs,
 		atree: NewAnalysisTree(),
 		stop:  make(chan struct{}),
 	}
-	win := cfg.MedianWindow
-	if win <= 0 {
-		win = analysis.DefaultMedianWindow
-	}
+	const win = analysis.DefaultMedianWindow
 	byHost := make(map[*vnet.Host]*statsHost)
-	var order []*vnet.Host
 	hostFor := func(h *vnet.Host) (*statsHost, error) {
 		sh, ok := byHost[h]
 		if ok {
@@ -151,7 +145,7 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 		}
 		sh = &statsHost{host: h, wrapperElem: we, threadElem: te}
 		byHost[h] = sh
-		order = append(order, h)
+		sm.hosts = append(sm.hosts, sh)
 		return sh, nil
 	}
 
@@ -161,31 +155,18 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 			return nil, err
 		}
 		k := n.AR.Fanin()
-		st := &statsNode{
-			node:    n,
-			collCur: n.CollectiveEC.Buffer().NewCursor(),
-			down:    analysis.NewStream(win),
-			up:      analysis.NewStream(win),
-			total:   analysis.NewStream(win),
-			arrWait: analysis.NewStream(win),
-			depWait: analysis.NewStream(win),
-		}
+		st := &statsNode{node: n, collCur: n.CollectiveEC.Buffer().NewCursor()}
 		for i := 0; i < k; i++ {
 			st.cursors = append(st.cursors, n.ContribECs[i].Buffer().NewCursor())
 			st.perThreadArr = append(st.perThreadArr, analysis.NewStream(win))
 			st.perThreadDep = append(st.perThreadDep, analysis.NewStream(win))
 		}
-		st.joiner, err = analysis.NewJoiner(k, 256, func(m analysis.RoundMetrics) {
-			st.rounds++
+		err = st.build(k, statsMaxPending, win, func(m analysis.RoundMetrics) {
+			st.fold(m)
 			st.dirty = true
 			for _, c := range m.Per {
-				st.down.Add(float64(c.Down) / float64(time.Microsecond))
-				st.up.Add(float64(c.Up) / float64(time.Microsecond))
-				st.total.Add(float64(c.Total) / float64(time.Microsecond))
-				st.arrWait.Add(float64(c.ArrivalWait) / float64(time.Microsecond))
-				st.depWait.Add(float64(c.DepartureWait) / float64(time.Microsecond))
-				st.perThreadArr[c.Contributor].Add(float64(c.ArrivalWait) / float64(time.Microsecond))
-				st.perThreadDep[c.Contributor].Add(float64(c.DepartureWait) / float64(time.Microsecond))
+				st.perThreadArr[c.Contributor].Add(micros(c.ArrivalWait))
+				st.perThreadDep[c.Contributor].Add(micros(c.DepartureWait))
 			}
 		})
 		if err != nil {
@@ -241,51 +222,51 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 		}
 	}
 
-	for _, h := range order {
-		sm.hosts = append(sm.hosts, byHost[h])
+	// Two gathers over the same hosts: wrapper statistics and per-thread
+	// statistics travel in scopes of their own.
+	scope := func(name string, thread bool) (*escope.Scope, error) {
+		spec := escope.Spec{
+			Name:           "statsm/" + name + "/" + tree.Name,
+			FrontEnd:       tb.FrontEnd,
+			GatewayHelpers: cfg.GatewayHelpers,
+			RootHelpers:    cfg.RootHelpers,
+			Health:         cfg.Health,
+			Retry:          cfg.Retry,
+			Metrics:        cfg.Metrics,
+		}
+		for _, sh := range sm.hosts {
+			elem := sh.wrapperElem
+			if thread {
+				elem = sh.threadElem
+			}
+			spec.Sources = append(spec.Sources, escope.Source{
+				Host: sh.host, Elem: elem, RecSize: analysis.StatsRecordSize, BatchCap: cfg.readBatch(),
+			})
+		}
+		return escope.Build(tb.Net, spec)
 	}
-
-	var werr error
-	sm.wrapperScope, werr = escope.Build(tb.Net, escope.Spec{
-		Name:           "statsm/wscope/" + tree.Name,
-		FrontEnd:       tb.FrontEnd,
-		GatewayHelpers: cfg.GatewayHelpers,
-		RootHelpers:    cfg.RootHelpers,
-		Sources:        statsSources(order, byHost, false, cfg.readBatch()),
-		Health:         cfg.Health,
-		Retry:          cfg.Retry,
-		Metrics:        cfg.Metrics,
-	})
-	if werr != nil {
-		return nil, werr
+	var err error
+	if sm.wrapperScope, err = scope("wscope", false); err != nil {
+		return nil, err
 	}
-	sm.threadScope, werr = escope.Build(tb.Net, escope.Spec{
-		Name:           "statsm/tscope/" + tree.Name,
-		FrontEnd:       tb.FrontEnd,
-		GatewayHelpers: cfg.GatewayHelpers,
-		RootHelpers:    cfg.RootHelpers,
-		Sources:        statsSources(order, byHost, true, cfg.readBatch()),
-		Health:         cfg.Health,
-		Retry:          cfg.Retry,
-		Metrics:        cfg.Metrics,
-	})
-	if werr != nil {
-		return nil, werr
+	if sm.threadScope, err = scope("tscope", true); err != nil {
+		return nil, err
 	}
 	return sm, nil
 }
 
-func statsSources(order []*vnet.Host, byHost map[*vnet.Host]*statsHost, thread bool, batchCap int) []escope.Source {
-	var out []escope.Source
-	for _, h := range order {
-		sh := byHost[h]
-		elem := sh.wrapperElem
-		if thread {
-			elem = sh.threadElem
+// drainTuples empties cur through the reused batch and hands fn every
+// trace tuple that decodes; it returns how many did.
+func drainTuples(cur *pastset.Cursor, batch *[]pastset.Tuple, fn func(collect.TraceTuple)) int {
+	*batch = cur.DrainInto((*batch)[:0])
+	n := 0
+	for _, raw := range *batch {
+		if tu, err := collect.Decode(raw.Data); err == nil {
+			fn(tu)
+			n++
 		}
-		out = append(out, escope.Source{Host: h, Elem: elem, RecSize: analysis.StatsRecordSize, BatchCap: batchCap})
 	}
-	return out
+	return n
 }
 
 // analysisBatch drains and processes everything available on one host.
@@ -298,21 +279,9 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
 	processed := 0
 
 	for _, st := range sh.nodes {
-		*batch = st.collCur.DrainInto((*batch)[:0])
-		for _, raw := range *batch {
-			if tu, err := collect.Decode(raw.Data); err == nil {
-				st.joiner.AddCollective(tu)
-				processed++
-			}
-		}
+		processed += drainTuples(st.collCur, batch, st.joiner.AddCollective)
 		for i, cur := range st.cursors {
-			*batch = cur.DrainInto((*batch)[:0])
-			for _, raw := range *batch {
-				if tu, err := collect.Decode(raw.Data); err == nil {
-					st.joiner.AddContributor(i, tu)
-					processed++
-				}
-			}
+			processed += drainTuples(cur, batch, func(tu collect.TraceTuple) { st.joiner.AddContributor(i, tu) })
 		}
 	}
 
@@ -333,13 +302,7 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
 	}
 	sh.batches++
 	for _, ls := range sh.links {
-		*batch = ls.localCur.DrainInto((*batch)[:0])
-		for _, raw := range *batch {
-			if tu, err := collect.Decode(raw.Data); err == nil {
-				ls.pendingLocal[tu.Seq] = tu
-				processed++
-			}
-		}
+		processed += drainTuples(ls.localCur, batch, func(tu collect.TraceTuple) { ls.pendingLocal[tu.Seq] = tu })
 	}
 	sh.mu.Unlock()
 
@@ -374,8 +337,7 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
 			if ls.localIsClient {
 				client, server = lt, rt
 			}
-			lat := analysis.TCPLatency(client, server)
-			ls.stream.Add(float64(lat) / float64(time.Microsecond))
+			ls.stream.Add(micros(analysis.TCPLatency(client, server)))
 			ls.samples++
 			ls.dirty = true
 		}
@@ -394,15 +356,7 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
 			continue
 		}
 		st.dirty = false
-		id := st.node.CollectiveEC.ID()
-		for kind, str := range map[int]*analysis.Stream{
-			analysis.KindDown:          st.down,
-			analysis.KindUp:            st.up,
-			analysis.KindTotal:         st.total,
-			analysis.KindArrivalWait:   st.arrWait,
-			analysis.KindDepartureWait: st.depWait,
-		} {
-			rec := analysis.StatsRecordFrom(id, kind, str.Snapshot())
+		for _, rec := range st.records(st.node.CollectiveEC.ID()) {
 			if _, err := sh.wrapperElem.Write(rec.Encode()); err != nil {
 				break
 			}

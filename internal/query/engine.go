@@ -55,8 +55,9 @@ type Engine struct {
 	alerts  []collect.AlertTuple
 	onAlert func(collect.AlertTuple)
 
-	env    aggEnv // the tick under evaluation; its scratch outlives it
-	enc    []byte // reused alert-tuple encode buffer
+	env    aggEnv               // the tick under evaluation; its scratch outlives it
+	batch  []collect.TraceTuple // AppendRaw's decode scratch, reused per batch
+	enc    []byte               // reused alert-tuple encode buffer
 	opEval *metrics.Op
 }
 
@@ -172,17 +173,18 @@ func (e *Engine) AppendRaw(data []byte) error {
 			return err
 		}
 	}
-	tuples, err := collect.DecodeAll(data)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var err error
+	e.batch, err = collect.DecodeAppend(e.batch[:0], data)
 	if err != nil {
 		return fmt.Errorf("query: %v", err)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	start := hrtime.Now()
 	defer func() {
 		e.opEval.Record(hrtime.Since(start), len(data), nil)
 	}()
-	for _, t := range tuples {
+	for _, t := range e.batch {
 		if err := e.offer(t); err != nil {
 			return err
 		}

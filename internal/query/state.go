@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 
-	"eventspace/internal/archive"
 	"eventspace/internal/collect"
 	"eventspace/internal/hrtime"
 )
@@ -111,32 +110,4 @@ func (e *Engine) Restore(st EngineState) error {
 		}
 	}
 	return nil
-}
-
-// ReplayFrom regenerates the alert stream from a checkpointed engine
-// state plus the archive suffix after cur — the fast path equivalent of
-// Replay over the whole archive. stmts must be the same statements, in
-// the same order, that produced the state.
-func ReplayFrom(r *archive.Reader, cur archive.Cursor, stmts []*Stmt, st EngineState) ([]collect.AlertTuple, error) {
-	e := NewEngine(nil)
-	for _, s := range stmts {
-		if err := e.Register(s); err != nil {
-			return nil, err
-		}
-	}
-	if err := e.Restore(st); err != nil {
-		return nil, err
-	}
-	var offerErr error
-	_, err := r.ScanFrom(cur, archive.Query{}, func(t collect.TraceTuple) bool {
-		if err := e.Offer(t); err != nil {
-			offerErr = err
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = offerErr
-	}
-	return e.Alerts(), err
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eventspace/internal/archive"
+	"eventspace/internal/collect"
 )
 
 // stateStmts is the statement mix used by the snapshot tests: an
@@ -173,10 +174,26 @@ func TestReplayFromMatchesFullReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := ReplayFrom(r, cur, stmts, st)
-		if err != nil {
+		// The fast path: a fresh engine restored from the snapshot and
+		// offered only the archive suffix after the cursor.
+		re := NewEngine(nil)
+		for _, s := range stmts {
+			if err := re.Register(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := re.Restore(st); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := r.ScanFrom(cur, archive.Query{}, func(tu collect.TraceTuple) bool {
+			if err := re.Offer(tu); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		fast := re.Alerts()
 		if !reflect.DeepEqual(fullRegen, live) {
 			t.Errorf("full replay %v != live %v", alertKeys(fullRegen), alertKeys(live))
 		}

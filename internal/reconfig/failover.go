@@ -144,10 +144,7 @@ func recoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 	if err != nil {
 		return nil, err
 	}
-	entries, err := checkpoint.List(dir)
-	if err != nil {
-		entries = nil // an unlistable chain is just an absent chain
-	}
+	entries, _ := checkpoint.List(dir) // an unlistable chain is just an absent chain
 	var st *FailoverState
 	fallbacks := 0
 	for i := len(entries) - 1; i >= 0 && st == nil; i-- {
