@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates lint vet eslint lint-fix-check ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates gather-gates lint vet eslint lint-fix-check ci
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,17 @@ checkpoint-gates:
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint(EncodeTuples|EncodeFrame|Fold)' -benchmem ./internal/checkpoint/ | \
 		awk '{ print } /allocs\/op/ { n++ } /allocs\/op/ && !/ 0 allocs\/op/ { bad = 1 } END { exit bad || n < 3 }'
 
+# gather-gates are the gather path's allocation gates, run without the
+# race detector: a warm benchmark-shaped pull allocates at most three
+# tuple sizes per tuple and a number of objects that does not depend on
+# how much was written (the test; the benchmark prints ns/tuple, B/tuple
+# and allocs/pull beside it), and a warm batch drain into a sized buffer
+# reports 0 allocs/op.
+gather-gates:
+	$(GO) test -count=1 -run 'TestScopePullAllocGates' -bench 'BenchmarkScopePull' -benchtime 20x ./internal/escope/
+	$(GO) test -run '^$$' -bench 'BenchmarkDrainBytesInto' -benchmem ./internal/pastset/ | \
+		awk '{ print } /allocs\/op/ { n++ } /allocs\/op/ && !/ 0 allocs\/op/ { bad = 1 } END { exit bad || n < 1 }'
+
 vet:
 	$(GO) vet ./...
 
@@ -67,5 +78,5 @@ lint: vet eslint lint-fix-check
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint test-short read-gates checkpoint-gates
+ci: build lint test-short read-gates checkpoint-gates gather-gates
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -306,10 +306,6 @@ const (
 // after its armed crash point fired.
 var ErrInjectedCrash = archive.ErrInjectedCrash
 
-// NewArchiveWriter opens (or crash-safely reopens) an archive directory
-// for appending.
-func NewArchiveWriter(opts ArchiveOptions) (*ArchiveWriter, error) { return archive.Create(opts) }
-
 // OpenArchive opens an archive directory for querying.
 func OpenArchive(dir string) (*ArchiveReader, error) { return archive.OpenReader(dir) }
 

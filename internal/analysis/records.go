@@ -82,6 +82,13 @@ func StatsRecordFrom(id uint32, kind int, r Result) StatsRecord {
 // Encode packs the record into a fresh slice.
 func (r StatsRecord) Encode() []byte {
 	buf := make([]byte, StatsRecordSize)
+	r.EncodeTo(buf)
+	return buf
+}
+
+// EncodeTo packs the record into buf, which must be at least
+// StatsRecordSize bytes; every byte of the record is written.
+func (r StatsRecord) EncodeTo(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[0:4], r.ID)
 	buf[4] = r.Kind
 	buf[5] = 0
@@ -91,7 +98,6 @@ func (r StatsRecord) Encode() []byte {
 	binary.LittleEndian.PutUint32(buf[16:20], math.Float32bits(r.Max))
 	binary.LittleEndian.PutUint32(buf[20:24], math.Float32bits(r.Std))
 	binary.LittleEndian.PutUint32(buf[24:28], math.Float32bits(r.Median))
-	return buf
 }
 
 // DecodeStatsRecord unpacks a stats record.
@@ -141,10 +147,17 @@ type LastArrivalRecord struct {
 // Encode packs the record into a fresh slice.
 func (r LastArrivalRecord) Encode() []byte {
 	buf := make([]byte, LastArrivalRecordSize)
+	r.EncodeTo(buf)
+	return buf
+}
+
+// EncodeTo packs the record into buf, which must be at least
+// LastArrivalRecordSize bytes; every byte of the record is written.
+func (r LastArrivalRecord) EncodeTo(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[0:4], r.Node)
 	binary.LittleEndian.PutUint16(buf[4:6], r.Contributor)
+	binary.LittleEndian.PutUint16(buf[6:8], 0)
 	binary.LittleEndian.PutUint64(buf[8:16], r.Count)
-	return buf
 }
 
 // DecodeLastArrivalRecord unpacks a last-arrival record.

@@ -159,14 +159,14 @@ func (s BreakerState) String() string {
 
 // BreakerHealth is a point-in-time snapshot of one child's breaker.
 type BreakerHealth struct {
-	Name     string // breaker's wrapper name
-	Target   string // host (or gateway) the guarded link leads to
-	State    BreakerState
-	Overruns int          // consecutive deadline overruns
-	LastData hrtime.Stamp // stamp of the last data delivered (fresh or stale)
-	HasData  bool         // whether any data was ever delivered
-	Pending  bool         // an abandoned call is still running
-	NextTrial hrtime.Stamp
+	Name          string // breaker's wrapper name
+	Target        string // host (or gateway) the guarded link leads to
+	State         BreakerState
+	Overruns      int          // consecutive deadline overruns
+	LastData      hrtime.Stamp // stamp of the last data delivered (fresh or stale)
+	HasData       bool         // whether any data was ever delivered
+	Pending       bool         // an abandoned call is still running
+	NextTrial     hrtime.Stamp
 	TotalOverruns uint64
 	Trips         uint64 // times the breaker opened
 	Skips         uint64 // rounds that skipped the child entirely
@@ -213,16 +213,16 @@ type breaker struct {
 	// the guards' probe jitter.
 	seed uint64
 
-	mu         sync.Mutex
-	state      BreakerState
-	overruns   int // consecutive
-	reopenWait time.Duration
-	nextTrial  hrtime.Stamp
-	step       uint64
-	pending    *inflight
-	lastData   hrtime.Stamp
-	hasData    bool
-	trips      uint64
+	mu          sync.Mutex
+	state       BreakerState
+	overruns    int // consecutive
+	reopenWait  time.Duration
+	nextTrial   hrtime.Stamp
+	step        uint64
+	pending     *inflight
+	lastData    hrtime.Stamp
+	hasData     bool
+	trips       uint64
 	totOverruns uint64
 
 	skips  atomic.Uint64
@@ -344,11 +344,14 @@ func (b *breaker) admit(now hrtime.Stamp) bool {
 }
 
 // timedCall races the child call against the round deadline. On timeout
-// the call keeps running in the background and is parked as pending.
+// the call keeps running in the background and is parked as pending — so
+// it may not be handed the caller's window: by the time it writes its
+// payload the parent has long handed that buffer out as a reply.
 func (b *breaker) timedCall(ctx *paths.Ctx, req paths.Request) (paths.Reply, error, bool) {
 	fl := &inflight{ev: vclock.NewEvent()}
 	child := b.child
 	bgCtx := &paths.Ctx{Thread: ctx.Thread}
+	req.Window = nil
 	vclock.Go(func() {
 		rep, err := child.Op(bgCtx, req)
 		fl.mu.Lock()

@@ -119,6 +119,19 @@ func pullUntil(t *testing.T, s *Scope, d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
+// waitUntil polls cond until it holds or the deadline passes. Unlike
+// pullUntil it pulls nothing itself: it is for conditions that pull and
+// must see every reply (a pull made on the side would drain the record
+// the condition is waiting for, and discard it).
+func waitUntil(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(500 * time.Microsecond) {
+		if cond() {
+			return true
+		}
+	}
+	return false
+}
+
 func TestScopeCoverageDipsAndRecovers(t *testing.T) {
 	r := newRig(t)
 	good, bad := r.c1.Hosts()[0], r.c2.Hosts()[1]
@@ -177,7 +190,7 @@ func TestScopeCoverageDipsAndRecovers(t *testing.T) {
 		Events: []vnet.FaultEvent{{Kind: vnet.FaultRestart, Host: bad.Name()}},
 	})
 	sawMissed := false
-	recovered := pullUntil(t, scope, 10*time.Second, func() bool {
+	recovered := waitUntil(10*time.Second, func() bool {
 		rep, err := scope.Pull(nil)
 		if err == nil {
 			for _, b := range rep.Data {

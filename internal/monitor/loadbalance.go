@@ -167,7 +167,7 @@ func newLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMod
 	for _, n := range tree.Nodes {
 		id := n.CollectiveEC.ID()
 		lb.names[id] = n.Name
-		elem, err := tb.FrontEnd.Registry.Create(fmt.Sprintf("lb/%s/%s/%s", mode, tree.Name, n.Name), 4096)
+		elem, err := tb.FrontEnd.Registry.CreateFixed(fmt.Sprintf("lb/%s/%s/%s", mode, tree.Name, n.Name), 4096, analysis.LastArrivalRecordSize)
 		if err != nil {
 			return nil, err
 		}
@@ -316,8 +316,8 @@ func (lb *LoadBalance) buildDistributed(tb *cluster.Testbed, spec *escope.Spec) 
 	for _, n := range lb.tree.Nodes {
 		ha, ok := byHost[n.Host]
 		if !ok {
-			interm, err := n.Host.Registry.Create(
-				fmt.Sprintf("lbint/%s/%s", lb.tree.Name, n.Host.Name()), lb.cfg.intermediateCap())
+			interm, err := n.Host.Registry.CreateFixed(
+				fmt.Sprintf("lbint/%s/%s", lb.tree.Name, n.Host.Name()), lb.cfg.intermediateCap(), analysis.LastArrivalRecordSize)
 			if err != nil {
 				return err
 			}
@@ -397,7 +397,9 @@ func (lb *LoadBalance) analysisLoop(ha *lbHostAnalysis) {
 				}
 				ha.written[key] = cnt
 				rec := analysis.LastArrivalRecord{Node: id, Contributor: uint16(c), Count: cnt}
-				if _, err := ha.interm.Write(rec.Encode()); err != nil {
+				var scratch [analysis.LastArrivalRecordSize]byte
+				rec.EncodeTo(scratch[:])
+				if _, err := ha.interm.WriteCopy(scratch[:]); err != nil {
 					return
 				}
 			}

@@ -135,11 +135,11 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 		if ok {
 			return sh, nil
 		}
-		we, err := h.Registry.Create(fmt.Sprintf("statsm/w/%s/%s", tree.Name, h.Name()), cfg.intermediateCap())
+		we, err := h.Registry.CreateFixed(fmt.Sprintf("statsm/w/%s/%s", tree.Name, h.Name()), cfg.intermediateCap(), analysis.StatsRecordSize)
 		if err != nil {
 			return nil, err
 		}
-		te, err := h.Registry.Create(fmt.Sprintf("statsm/t/%s/%s", tree.Name, h.Name()), cfg.intermediateCap())
+		te, err := h.Registry.CreateFixed(fmt.Sprintf("statsm/t/%s/%s", tree.Name, h.Name()), cfg.intermediateCap(), analysis.StatsRecordSize)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +357,7 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
 		}
 		st.dirty = false
 		for _, rec := range st.records(st.node.CollectiveEC.ID()) {
-			if _, err := sh.wrapperElem.Write(rec.Encode()); err != nil {
+			if err := writeStats(sh.wrapperElem, rec); err != nil {
 				break
 			}
 		}
@@ -368,10 +368,10 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
 				ecID := st.node.ContribECs[i].ID()
 				ra := analysis.StatsRecordFrom(ecID, analysis.KindArrivalWait, st.perThreadArr[i].Snapshot())
 				rd := analysis.StatsRecordFrom(ecID, analysis.KindDepartureWait, st.perThreadDep[i].Snapshot())
-				if _, err := sh.threadElem.Write(ra.Encode()); err != nil {
+				if err := writeStats(sh.threadElem, ra); err != nil {
 					break
 				}
-				if _, err := sh.threadElem.Write(rd.Encode()); err != nil {
+				if err := writeStats(sh.threadElem, rd); err != nil {
 					break
 				}
 			}
@@ -383,7 +383,7 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
 		}
 		ls.dirty = false
 		rec := analysis.StatsRecordFrom(ls.link.ClientEC.ID(), analysis.KindTCP, ls.stream.Snapshot())
-		if _, err := sh.wrapperElem.Write(rec.Encode()); err != nil {
+		if err := writeStats(sh.wrapperElem, rec); err != nil {
 			break
 		}
 	}
@@ -394,6 +394,16 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
 		sh.host.Occupy(time.Duration(processed) * sm.cfg.AnalysisCostPerTuple)
 	}
 	return processed
+}
+
+// writeStats publishes one statistics record into a host's fixed-record
+// result buffer; the scratch stays on the stack (WriteCopy retains
+// nothing).
+func writeStats(elem *pastset.Element, rec analysis.StatsRecord) error {
+	var scratch [analysis.StatsRecordSize]byte
+	rec.EncodeTo(scratch[:])
+	_, err := elem.WriteCopy(scratch[:])
+	return err
 }
 
 // analysisLoop is one analysis thread.

@@ -8,6 +8,13 @@
 // (mutex + memory copy), blocking reads with per-reader cursors, and a
 // per-host registry of elements.
 //
+// Elements come in two kinds. A variable element keeps a ring of Tuples
+// and retains the payload slices it is handed. A fixed-record element
+// (trace buffers, the monitors' intermediate result buffers) keeps one
+// byte arena and nothing else: a write is lock, one record-sized copy,
+// unlock; a batch read is at most two block copies; payload bytes are
+// copied on both sides and never shared with a writer or a reader.
+//
 // The gather-rate accounting central to the paper's Tables 1-3 lives here:
 // each element counts tuples written and tuples lost to overwrite, and each
 // cursor counts tuples delivered and tuples skipped because the reader fell
@@ -17,6 +24,7 @@ package pastset
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,10 +57,11 @@ var (
 // For variable elements (NewElement), payload bytes are owned by the
 // element after Write and by the reader after a read; neither side may
 // mutate them afterwards. For fixed-record elements (NewElementFixed),
-// writes copy into an element-owned arena and reads copy back out into
-// cursor-owned storage: a returned payload is valid only until the next
-// read through the same cursor, and writers may freely reuse their input
-// buffer — the zero-allocation contract of the collector write path.
+// writes copy into an element-owned arena and reads copy back out: a
+// fixed element stores no Tuple at all, the view is synthesised on the
+// way out over cursor-owned storage (see Cursor), and writers may freely
+// reuse their input buffer — the zero-allocation contract of the
+// collector write path.
 type Tuple struct {
 	Seq  uint64
 	Data []byte
@@ -75,44 +84,51 @@ type Element struct {
 
 	mu     sync.Mutex
 	cond   *vclock.Cond
-	ring   []Tuple
-	arena  []byte // slot storage for fixed elements (cap * recSize bytes)
-	first  uint64 // sequence number of the oldest retained tuple
-	next   uint64 // sequence number the next write will receive
-	lost   uint64 // tuples discarded by the overwrite policy
+	ring   []Tuple // slot storage of a variable element (cap tuples)
+	arena  []byte  // slot storage of a fixed element (cap * recSize bytes)
+	first  uint64  // sequence number of the oldest retained tuple
+	next   uint64  // sequence number the next write will receive
+	wslot  int     // slot the next write lands in: next % cap, counted not divided
+	lost   uint64  // tuples discarded by the overwrite policy
 	closed bool
 }
 
-// NewElement creates a bounded element. Capacity must be at least 1.
-func NewElement(name string, capacity int) (*Element, error) {
+func newElement(name string, capacity int) (*Element, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("pastset: element %q: capacity %d < 1", name, capacity)
 	}
-	e := &Element{name: name, cap: capacity, ring: make([]Tuple, capacity)}
+	e := &Element{name: name, cap: capacity}
 	e.cond = vclock.NewCond(&e.mu)
 	return e, nil
 }
 
+// NewElement creates a bounded element. Capacity must be at least 1.
+func NewElement(name string, capacity int) (*Element, error) {
+	e, err := newElement(name, capacity)
+	if err != nil {
+		return nil, err
+	}
+	e.ring = make([]Tuple, capacity)
+	return e, nil
+}
+
 // NewElementFixed creates a bounded element whose records all have the
-// same size. Fixed elements store payloads in one preallocated arena:
-// WriteCopy copies the record in without retaining the caller's buffer,
-// and reads copy it back out, so the steady-state write path performs no
-// allocation at all (the trace-buffer hot path, DESIGN.md §12).
+// same size. A fixed element is its arena and nothing else: WriteCopy
+// copies the record into its slot without retaining the caller's buffer,
+// sequence numbers follow from the slot's position, and reads copy whole
+// runs of slots back out, so the steady-state write path performs no
+// allocation at all and touches one cache line of storage (the
+// trace-buffer hot path, DESIGN.md §12).
 func NewElementFixed(name string, capacity, recSize int) (*Element, error) {
 	if recSize < 1 {
 		return nil, fmt.Errorf("pastset: element %q: record size %d < 1", name, recSize)
 	}
-	e, err := NewElement(name, capacity)
+	e, err := newElement(name, capacity)
 	if err != nil {
 		return nil, err
 	}
 	e.recSize = recSize
 	e.arena = make([]byte, capacity*recSize)
-	// Ring slots alias their arena slot permanently; writes refresh the
-	// bytes and the sequence number in place.
-	for i := range e.ring {
-		e.ring[i].Data = e.arena[i*recSize : (i+1)*recSize : (i+1)*recSize]
-	}
 	return e, nil
 }
 
@@ -153,8 +169,8 @@ func (e *Element) Write(data []byte) (uint64, error) {
 		e.mu.Unlock()
 		return 0, ErrClosed
 	}
-	seq := e.advanceLocked()
-	e.ring[seq%uint64(e.cap)] = Tuple{Seq: seq, Data: data}
+	seq, slot := e.advanceLocked()
+	e.ring[slot] = Tuple{Seq: seq, Data: data}
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	return seq, nil
@@ -181,26 +197,27 @@ func (e *Element) WriteCopy(data []byte) (uint64, error) {
 		e.mu.Unlock()
 		return 0, ErrClosed
 	}
-	seq := e.advanceLocked()
-	slot := &e.ring[seq%uint64(e.cap)]
-	slot.Seq = seq
-	copy(slot.Data, data)
+	seq, slot := e.advanceLocked()
+	copy(e.arena[slot*e.recSize:], data)
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	return seq, nil
 }
 
-// advanceLocked claims the next sequence number, applying the overwrite
-// policy; caller holds mu.
-func (e *Element) advanceLocked() uint64 {
-	seq := e.next
+// advanceLocked claims the next sequence number and the slot it is
+// stored in, applying the overwrite policy; caller holds mu.
+func (e *Element) advanceLocked() (seq uint64, slot int) {
+	seq, slot = e.next, e.wslot
 	if int(e.next-e.first) == e.cap {
 		// Overwrite the oldest tuple.
 		e.first++
 		e.lost++
 	}
 	e.next++
-	return seq
+	if e.wslot++; e.wslot == e.cap {
+		e.wslot = 0
+	}
+	return seq, slot
 }
 
 // Len reports the number of retained tuples.
@@ -234,7 +251,7 @@ func (e *Element) Latest() (Tuple, error) {
 		}
 		return Tuple{}, ErrEmpty
 	}
-	t := e.ring[(e.next-1)%uint64(e.cap)]
+	t := e.at(e.next - 1)
 	if e.recSize != 0 {
 		t.Data = append([]byte(nil), t.Data...)
 	}
@@ -258,9 +275,39 @@ func (e *Element) Closed() bool {
 	return e.closed
 }
 
+// slotOf returns the slot holding the retained sequence number seq,
+// counted back from the write slot; caller holds mu.
+func (e *Element) slotOf(seq uint64) int {
+	slot := e.wslot - int(e.next-seq)
+	if slot < 0 {
+		slot += e.cap
+	}
+	return slot
+}
+
 // at returns the retained tuple with sequence number seq; caller holds mu.
+// A fixed element's tuple is a view of its arena slot, good only until mu
+// is released.
 func (e *Element) at(seq uint64) Tuple {
-	return e.ring[seq%uint64(e.cap)]
+	slot := e.slotOf(seq)
+	if rs := e.recSize; rs != 0 {
+		return Tuple{Seq: seq, Data: e.arena[slot*rs : (slot+1)*rs : (slot+1)*rs]}
+	}
+	return e.ring[slot]
+}
+
+// appendRecords appends the n retained records from sequence number seq on
+// to dst; caller holds mu. The retained window wraps the arena at most
+// once, so this is at most two block copies.
+func (e *Element) appendRecords(dst []byte, seq uint64, n int) []byte {
+	rs, start := e.recSize, e.slotOf(seq)
+	head := n
+	if start+n > e.cap {
+		head = e.cap - start
+	}
+	dst = slices.Grow(dst, n*rs)
+	dst = append(dst, e.arena[start*rs:(start+head)*rs]...)
+	return append(dst, e.arena[:(n-head)*rs]...)
 }
 
 // Cursor is a per-reader position into an element's tuple stream. Cursors
@@ -273,12 +320,15 @@ func (e *Element) at(seq uint64) Tuple {
 // gather rates while the reader thread runs).
 //
 // Reads from a fixed-record element copy payloads out of the element's
-// arena into cursor-owned storage: the returned Tuple.Data slices are
-// valid until the next read through the same cursor. Readers that batch
-// (DrainInto, DrainBytesInto) and finish with a batch before draining
-// again — the monitor and gather loops' shape — therefore run
-// allocation-free once the cursor's buffer has grown to the working-set
-// size.
+// arena, never alias it. TryNext, Next and DrainInto copy into one buffer
+// the cursor owns and hand out Tuple.Data slices of that buffer: they are
+// valid until the next read through the same cursor, which overwrites
+// them, and a reader that keeps one longer must copy it. DrainBytesInto
+// copies into the caller's destination instead and leaves the cursor's
+// buffer alone, so what it appended is the caller's for good. Readers
+// that batch and finish with a batch before draining again — the monitor
+// and gather loops' shape — run allocation-free once the buffer in use
+// has grown to the working-set size.
 type Cursor struct {
 	e       *Element
 	pos     uint64        // next sequence number to deliver
@@ -376,16 +426,9 @@ func (c *Cursor) DrainInto(dst []Tuple) []Tuple {
 		return dst
 	}
 	if rs := c.e.recSize; rs != 0 {
-		if cap(c.buf) < n*rs {
-			c.buf = make([]byte, n*rs)
-		}
-		buf := c.buf[:n*rs]
+		c.buf = c.e.appendRecords(c.buf[:0], c.pos, n)
 		for i := 0; i < n; i++ {
-			t := c.e.at(c.pos)
-			out := buf[i*rs : (i+1)*rs : (i+1)*rs]
-			copy(out, t.Data)
-			t.Data = out
-			dst = append(dst, t)
+			dst = append(dst, Tuple{Seq: c.pos, Data: c.buf[i*rs : (i+1)*rs : (i+1)*rs]})
 			c.pos++
 		}
 		c.read.Add(uint64(n))
@@ -405,8 +448,12 @@ func (c *Cursor) DrainInto(dst []Tuple) []Tuple {
 // must be recSize bytes; a mismatch stops the drain at the offending
 // record (which stays unconsumed) and reports it. It never blocks — an
 // empty drain is a valid result. This is the batch-reader fast path: one
-// lock, one bounds-checked copy per record, no Tuple structs, and the
-// destination is caller-owned so a pull loop can recycle it.
+// lock, no Tuple structs, and the destination is caller-owned — a reply
+// frame being built in place, or a buffer a pull loop recycles. A fixed
+// element's records leave as at most two block copies (the window wraps
+// the arena at most once); a variable element's are checked and copied
+// one by one. A destination with room for the batch is not reallocated;
+// a short one grows as append grows it.
 func (c *Cursor) DrainBytesInto(dst []byte, max, recSize int) ([]byte, int, error) {
 	c.e.mu.Lock()
 	defer c.e.mu.Unlock()
@@ -418,18 +465,17 @@ func (c *Cursor) DrainBytesInto(dst []byte, max, recSize int) ([]byte, int, erro
 	if n == 0 {
 		return dst, 0, nil
 	}
-	if c.e.recSize != 0 && c.e.recSize != recSize {
-		return dst, 0, fmt.Errorf("%w: %q: element records %d bytes, reader wants %d",
-			ErrRecordSize, c.e.name, c.e.recSize, recSize)
+	if c.e.recSize != 0 {
+		if c.e.recSize != recSize {
+			return dst, 0, fmt.Errorf("%w: %q: element records %d bytes, reader wants %d",
+				ErrRecordSize, c.e.name, c.e.recSize, recSize)
+		}
+		dst = c.e.appendRecords(dst, c.pos, n)
+		c.pos += uint64(n)
+		c.read.Add(uint64(n))
+		return dst, n, nil
 	}
-	// One grow up front: after the first few drains the destination has
-	// reached the pull batch's working-set size and stops allocating.
-	need := len(dst) + n*recSize
-	if cap(dst) < need {
-		grown := make([]byte, len(dst), need)
-		copy(grown, dst)
-		dst = grown
-	}
+	dst = slices.Grow(dst, n*recSize)
 	for i := 0; i < n; i++ {
 		t := c.e.at(c.pos)
 		if len(t.Data) != recSize {

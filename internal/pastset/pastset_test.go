@@ -657,3 +657,32 @@ func BenchmarkCursorTryNext(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDrainBytesInto is the gather path's warm batch drain: 64
+// records written, then drained into a buffer already sized for them —
+// at most two block copies into the caller's memory and no allocation
+// (make gather-gates holds it at 0 allocs/op). The capacity is the trace
+// buffers', so the window wraps the arena every 59th batch or so.
+func BenchmarkDrainBytesInto(b *testing.B) {
+	const batch, rs = 64, 28
+	e, err := NewElementFixed("b", 3750, rs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := e.NewCursor()
+	rec := make([]byte, rs)
+	dst := make([]byte, 0, batch*rs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < batch; k++ {
+			if _, err := e.WriteCopy(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		out, n, err := c.DrainBytesInto(dst, 0, rs)
+		if err != nil || n != batch || &out[0] != &dst[:1][0] {
+			b.Fatalf("drained %d records, %v; in place: %v", n, err, err == nil && &out[0] == &dst[:1][0])
+		}
+	}
+}

@@ -41,11 +41,11 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func FuzzDecodeReply(f *testing.F) {
-	f.Add(encodeReply(Reply{Ret: 1, Value: -9, Data: []byte("result")}))
-	f.Add(encodeReply(Reply{}))
+	f.Add(encodeReply(nil, Reply{Ret: 1, Value: -9, Data: []byte("result")}))
+	f.Add(encodeReply(nil, Reply{}))
 	errFrame := encodeErrorReply(&RemoteError{Msg: "boom"})
 	f.Add(errFrame)
-	valid := encodeReply(Reply{Data: []byte("abcdef")})
+	valid := encodeReply(nil, Reply{Data: []byte("abcdef")})
 	for i := 0; i < len(valid); i++ {
 		f.Add(valid[:i])
 	}
@@ -63,7 +63,7 @@ func FuzzDecodeReply(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(encodeReply(rep), buf) {
+		if !bytes.Equal(encodeReply(nil, rep), buf) {
 			t.Fatalf("decode/encode mismatch for %x", buf)
 		}
 	})

@@ -32,6 +32,7 @@ type Gather struct {
 	children atomic.Pointer[[]Wrapper]
 	mutMu    sync.Mutex // serializes child-set mutations
 	helpers  int
+	lastSize atomic.Int64 // payload bytes of the previous reply: the next buffer's size
 	met      atomic.Pointer[metrics.Op]
 }
 
@@ -130,40 +131,91 @@ func (g *Gather) gather(ctx *Ctx, req Request) (Reply, error) {
 		return Reply{}, fmt.Errorf("paths: %s: unsupported op %v", g.name, req.Kind)
 	}
 	children := *g.children.Load()
+	var (
+		out   []byte
+		total int
+		err   error
+	)
+	if g.helpers == 0 {
+		out, total, err = g.gatherSequential(ctx, req, children)
+	} else {
+		out, total, err = g.gatherParallel(ctx, req, children)
+	}
+	if err != nil {
+		return Reply{}, err
+	}
+	g.lastSize.Store(int64(len(out)))
+	if len(out) == 0 {
+		out = nil // an empty reply holds on to nobody's buffer
+	}
+	return Reply{Data: out, Ret: int16(min(total, 1<<15-1))}, nil
+}
+
+// gatherSequential reads the children one after the other in the calling
+// thread, each handed the tail of the output as its window: a child that
+// appends to it (a BatchReader, a nested sequential gather) has put its
+// payload in place, any other child's payload is copied behind the last.
+// The output is the caller's window when that has room for a reply the
+// size of the previous one, else a fresh buffer of that size — the traffic
+// is a steady stream, and a short guess only costs an append growth.
+// Every child is read even after one has failed (a read drains its
+// source, and which sources a failing round drains is part of the
+// model); the first failure in child order is the one reported.
+func (g *Gather) gatherSequential(ctx *Ctx, req Request, children []Wrapper) (out []byte, total int, err error) {
+	out = req.Window
+	if guess := int(g.lastSize.Load()); cap(out) < guess {
+		out = make([]byte, 0, guess)
+	}
+	for _, c := range children {
+		req.Window = window(out)
+		rep, cerr := c.Op(ctx, req)
+		switch {
+		case err != nil:
+		case cerr != nil:
+			err = fmt.Errorf("paths: %s: child %s: %w", g.name, c.Name(), cerr)
+		default:
+			out = extend(out, rep.Data)
+			total += int(rep.Ret)
+		}
+	}
+	return out, total, err
+}
+
+// gatherParallel reads the children on helper threads. They run
+// concurrently, so none of them gets a window; the output is sized once
+// from the sum of what they returned.
+func (g *Gather) gatherParallel(ctx *Ctx, req Request, children []Wrapper) (out []byte, total int, err error) {
+	out, req.Window = req.Window, nil
 	replies := make([]Reply, len(children))
 	errs := make([]error, len(children))
-	if g.helpers == 0 {
-		for i, c := range children {
+	sem := vclock.NewSem(g.helpers)
+	wg := vclock.NewWaitGroup()
+	for i, c := range children {
+		i, c := i, c
+		wg.Add(1)
+		vclock.Go(func() {
+			defer wg.Done()
+			sem.Acquire()
+			defer sem.Release()
 			replies[i], errs[i] = c.Op(ctx, req)
-		}
-	} else {
-		sem := vclock.NewSem(g.helpers)
-		wg := vclock.NewWaitGroup()
-		for i, c := range children {
-			i, c := i, c
-			wg.Add(1)
-			vclock.Go(func() {
-				defer wg.Done()
-				sem.Acquire()
-				defer sem.Release()
-				replies[i], errs[i] = c.Op(ctx, req)
-			})
-		}
-		wg.Wait()
+		})
 	}
-	var out Reply
-	var buf []byte
-	total := 0
+	wg.Wait()
+	size := 0
 	for i := range replies {
 		if errs[i] != nil {
-			return Reply{}, fmt.Errorf("paths: %s: child %s: %w", g.name, children[i].Name(), errs[i])
+			return nil, 0, fmt.Errorf("paths: %s: child %s: %w", g.name, children[i].Name(), errs[i])
 		}
-		buf = append(buf, replies[i].Data...)
+		size += len(replies[i].Data)
 		total += int(replies[i].Ret)
 	}
-	out.Data = buf
-	out.Ret = int16(min(total, 1<<15-1))
-	return out, nil
+	if cap(out) < size {
+		out = make([]byte, 0, size)
+	}
+	for i := range replies {
+		out = append(out, replies[i].Data...)
+	}
+	return out, total, nil
 }
 
 // RouteFunc maps a fixed-size record to the PastSet element it should be
@@ -210,10 +262,12 @@ func (s *Scatter) Op(ctx *Ctx, req Request) (Reply, error) {
 		if elem == nil {
 			continue // routed to nowhere: filtered out
 		}
-		// Copy: the element retains the record beyond this call.
-		cp := make([]byte, s.recSize)
-		copy(cp, rec)
-		if _, err := elem.Write(cp); err != nil {
+		// A fixed element copies the record into its arena; a variable
+		// one retains the slice beyond this call and needs its own.
+		if elem.RecordSize() == 0 {
+			rec = append([]byte(nil), rec...)
+		}
+		if _, err := elem.Write(rec); err != nil {
 			return Reply{}, fmt.Errorf("paths: %s: %w", s.name, err)
 		}
 		n++

@@ -82,11 +82,53 @@ type Request struct {
 	Kind  OpKind
 	Value int64
 	Data  []byte
+	// Window is the read path's one buffer-passing rule. An OpRead may
+	// carry a zero-length slice of a buffer its caller is building a
+	// reply in; the wrapper that produces the reply's payload may append
+	// to it and return the result as Reply.Data, and the caller, finding
+	// the payload already at the tail of its buffer, adopts it there
+	// instead of copying (extend). It is a hint, never an obligation:
+	//
+	//   - A wrapper may ignore it and return bytes of its own; the caller
+	//     then copies, as it always did.
+	//   - Only the wrapper whose Reply.Data is returned unchanged all the
+	//     way up may append to it, and only until its Op returns. Nobody
+	//     retains a window.
+	//   - A wrapper that rewrites its child's reply (Transform), or whose
+	//     child call may outlive its own Op (escope's deadline-bounded
+	//     breaker), clears the window before forwarding.
+	//   - A wrapper that sends one request to several children hands each
+	//     a window of its own, one after the other (a sequential Gather),
+	//     or none (a Gather with helpers): two children appending to the
+	//     same window would overwrite each other.
+	//   - Whoever allocates the buffer behind a window (a gather without
+	//     one, a Service per call) allocates it fresh for that call: a
+	//     reply's bytes are never reused, so a Reply may be retained
+	//     indefinitely by whoever receives it.
+	//
+	// It is never encoded on the wire and does not count in WireSize.
+	Window []byte
 }
 
 // WireSize returns the modelled on-the-wire size of the request in bytes:
 // a small header plus the payload.
 func (r Request) WireSize() int { return 16 + len(r.Data) }
+
+// extend appends data to out. Data a child appended to the window it was
+// handed already sits at out's tail and is adopted where it is; anything
+// else is copied. The two outcomes hold the same bytes, so the check is
+// purely a saved copy.
+func extend(out, data []byte) []byte {
+	n := len(out)
+	if len(data) > 0 && len(data) <= cap(out)-n && &data[0] == &out[:n+1][n] {
+		return out[:n+len(data)]
+	}
+	return append(out, data...)
+}
+
+// window returns the zero-length tail of out: what a child may append to
+// so that its payload lands where extend will look for it.
+func window(out []byte) []byte { return out[len(out):len(out):cap(out)] }
 
 // Reply is the result travelling back up a path.
 type Reply struct {
@@ -257,12 +299,14 @@ func (r *BatchReader) drain(ctx *Ctx, req Request) (Reply, error) {
 	if req.Kind != OpRead {
 		return Reply{}, fmt.Errorf("paths: %s: unsupported op %v", r.name, req.Kind)
 	}
-	// One lock acquisition and one bounds-checked copy per record; the
-	// reply buffer is freshly sized because it is handed up the gather
-	// tree and retained beyond this call.
-	out, n, err := r.cursor.DrainBytesInto(nil, r.max, r.recSize)
+	// One lock acquisition, straight into the caller's window: under a
+	// gather or a service target that is the reply frame being built.
+	out, n, err := r.cursor.DrainBytesInto(req.Window, r.max, r.recSize)
 	if err != nil {
 		return Reply{}, fmt.Errorf("paths: %s: %v", r.name, err)
+	}
+	if n == 0 {
+		return Reply{}, nil
 	}
 	return Reply{Data: out, Ret: int16(min(n, 1<<15-1))}, nil
 }
@@ -282,11 +326,14 @@ func NewTransform(name string, host *vnet.Host, next Wrapper, fn func(Reply) (Re
 	return &Transform{base: base{name, host}, next: next, fn: fn}
 }
 
-// Op forwards the request and applies the transform to the reply.
+// Op forwards the request and applies the transform to the reply. What
+// comes back is the transform's, not the child's, so the child does not
+// get to write into the caller's window.
 func (t *Transform) Op(ctx *Ctx, req Request) (Reply, error) {
 	if t.next == nil {
 		return Reply{}, fmt.Errorf("%s: %w", t.name, ErrNoNext)
 	}
+	req.Window = nil
 	rep, err := t.next.Op(ctx, req)
 	if err != nil {
 		return Reply{}, err

@@ -23,12 +23,19 @@ import (
 type Service struct {
 	mu      sync.RWMutex
 	nextID  uint32
-	targets map[uint32]Wrapper
+	targets map[uint32]*target
+}
+
+// target is one registered continuation and the payload size of its
+// previous read reply, which sizes the next reply frame.
+type target struct {
+	w        Wrapper
+	lastSize atomic.Int64
 }
 
 // NewService returns an empty dispatch table.
 func NewService() *Service {
-	return &Service{targets: make(map[uint32]Wrapper)}
+	return &Service{targets: make(map[uint32]*target)}
 }
 
 // Register adds a continuation wrapper and returns its target id for use
@@ -37,7 +44,7 @@ func (s *Service) Register(w Wrapper) uint32 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	s.targets[s.nextID] = w
+	s.targets[s.nextID] = &target{w: w}
 	return s.nextID
 }
 
@@ -49,23 +56,37 @@ func (s *Service) Register(w Wrapper) uint32 {
 // into the reply as a status-tagged error frame. That keeps the two
 // failure classes separable at the caller — a transport error can only
 // come from the transport itself.
+//
+// A read is handed the reply frame to fill: a fresh buffer per call, the
+// header's room reserved in front and the rest — as much as the target's
+// previous reply took — as the request's window, so a chain that appends
+// its payload there has built the frame in place and only the header is
+// left to write.
 func (s *Service) Handler() vnet.Handler {
 	return func(payload []byte) ([]byte, error) {
-		target, ctx, req, err := decodeRequest(payload)
+		id, ctx, req, err := decodeRequest(payload)
 		if err != nil {
 			return encodeErrorReply(err), nil
 		}
 		s.mu.RLock()
-		w, ok := s.targets[target]
+		t, ok := s.targets[id]
 		s.mu.RUnlock()
 		if !ok {
-			return encodeErrorReply(fmt.Errorf("paths: unknown remote target %d", target)), nil
+			return encodeErrorReply(fmt.Errorf("paths: unknown remote target %d", id)), nil
 		}
-		rep, err := w.Op(&ctx, req)
+		var frame []byte
+		if req.Kind == OpRead {
+			frame = make([]byte, replyHeaderLen, replyHeaderLen+int(t.lastSize.Load()))
+			req.Window = window(frame)
+		}
+		rep, err := t.w.Op(&ctx, req)
 		if err != nil {
 			return encodeErrorReply(err), nil
 		}
-		return encodeReply(rep), nil
+		if frame != nil {
+			t.lastSize.Store(int64(len(rep.Data)))
+		}
+		return encodeReply(frame, rep), nil
 	}
 }
 
@@ -289,18 +310,24 @@ func decodeRequest(buf []byte) (target uint32, ctx Ctx, req Request, err error) 
 	return target, ctx, req, nil
 }
 
-func encodeReply(rep Reply) []byte {
-	buf := make([]byte, 0, 15+len(rep.Data))
-	buf = append(buf, replyOK)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(rep.Ret))
-	buf = append(buf, tmp[:2]...)
-	binary.LittleEndian.PutUint64(tmp[:8], uint64(rep.Value))
-	buf = append(buf, tmp[:8]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(rep.Data)))
-	buf = append(buf, tmp[:4]...)
-	buf = append(buf, rep.Data...)
-	return buf
+// replyHeaderLen is the size of an OK reply frame up to its data.
+const replyHeaderLen = 1 + 2 + 8 + 4
+
+// encodeReply encodes rep as an OK frame. frame is the header's room a
+// Handler reserved in front of the window it handed down (nil: none); a
+// payload the chain appended to that window is already in place behind
+// it and only the header is written. A payload from anywhere else is
+// copied behind the header, into a new frame if this one is too short.
+func encodeReply(frame []byte, rep Reply) []byte {
+	if cap(frame) < replyHeaderLen+len(rep.Data) {
+		frame = make([]byte, replyHeaderLen, replyHeaderLen+len(rep.Data))
+	}
+	frame = frame[:replyHeaderLen]
+	frame[0] = replyOK
+	binary.LittleEndian.PutUint16(frame[1:3], uint16(rep.Ret))
+	binary.LittleEndian.PutUint64(frame[3:11], uint64(rep.Value))
+	binary.LittleEndian.PutUint32(frame[11:15], uint32(len(rep.Data)))
+	return extend(frame, rep.Data)
 }
 
 // encodeErrorReply encodes an application error as a status-tagged frame.

@@ -29,6 +29,7 @@ package vclock
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -41,6 +42,16 @@ type clock struct {
 	running int   // registered goroutines currently runnable
 	live    int   // registered goroutines alive (runnable or blocked)
 	timers  timerHeap
+
+	// Lock-free mirrors of active and now for Active and Now, which every
+	// timestamp calls: written under mu wherever the locked fields change
+	// (Enable, Disable, advanceLocked), read without it. The locked
+	// fields stay the source of truth for the scheduler. The time's
+	// mirror is stored before the timer channels of its instant are
+	// closed, so a goroutine woken from a sleep never reads a time older
+	// than its deadline.
+	activeA atomic.Bool
+	nowA    atomic.Int64
 }
 
 var c clock
@@ -101,8 +112,9 @@ func Enable(start int64) {
 	if c.live != 0 || c.running != 0 {
 		panic(fmt.Sprintf("vclock: Enable with %d live / %d running goroutines", c.live, c.running))
 	}
-	c.active = true
-	c.now = start
+	c.active, c.now = true, start
+	c.nowA.Store(start)
+	c.activeA.Store(true)
 	c.timers = c.timers[:0]
 }
 
@@ -111,6 +123,7 @@ func Disable() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.active = false
+	c.activeA.Store(false)
 	// Release any leftover timers so no goroutine hangs forever.
 	for len(c.timers) > 0 {
 		t := c.timers.pop()
@@ -120,19 +133,12 @@ func Disable() {
 	c.live = 0
 }
 
-// Active reports whether virtual time is in effect.
-func Active() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.active
-}
+// Active reports whether virtual time is in effect. It takes no lock.
+func Active() bool { return c.activeA.Load() }
 
-// Now returns the current virtual time in nanoseconds (0 when disabled).
-func Now() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+// Now returns the current virtual time in nanoseconds (the time the clock
+// last stood at when disabled, 0 if it never ran). It takes no lock.
+func Now() int64 { return c.nowA.Load() }
 
 // advanceLocked fires due timers or jumps to the next deadline whenever
 // nothing is runnable. Caller holds c.mu.
@@ -141,6 +147,7 @@ func (c *clock) advanceLocked() {
 		next := c.timers[0].when
 		if next > c.now {
 			c.now = next
+			c.nowA.Store(next)
 		}
 		for len(c.timers) > 0 && c.timers[0].when <= c.now {
 			t := c.timers.pop()

@@ -420,6 +420,10 @@ func TestDeterministicTiming(t *testing.T) {
 		defer Disable()
 		rng := rand.New(rand.NewSource(99))
 		wg := NewWaitGroup()
+		// The spawner counts as runnable until every sleeper exists:
+		// otherwise an early sleeper can find itself the only registered
+		// goroutine and take the clock forward before the rest start.
+		Register()
 		for i := 0; i < 20; i++ {
 			d := time.Duration(rng.Intn(1000)+1) * time.Microsecond
 			wg.Add(1)
@@ -435,6 +439,7 @@ func TestDeterministicTiming(t *testing.T) {
 			wg.Wait()
 			end <- Now()
 		})
+		Unregister()
 		v := <-end
 		Quiesce(5 * time.Second)
 		return v
@@ -507,4 +512,72 @@ func TestSleepOutsideIdleModelJumps(t *testing.T) {
 
 func TestSleepOutsideDisabledReturns(t *testing.T) {
 	SleepOutside(time.Hour) // clock inactive: must not block
+}
+
+// TestNowActiveLockFree hammers the lock-free Now and Active from
+// unregistered goroutines while the clock is enabled, slept through and
+// disabled, cycle after cycle (the race detector checks the mirrors
+// against the locked fields' writers), and holds the ordering a stamp
+// relies on: a registered goroutine woken from a sleep never reads a time
+// older than the deadline it slept to, and an outside reader never sees
+// time run backwards within one enabled phase.
+func TestNowActiveLockFree(t *testing.T) {
+	var phase atomic.Int64 // odd while a cycle's clock is enabled
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				before := phase.Load()
+				a, b := Now(), Now()
+				if before%2 == 1 && phase.Load() == before {
+					if !Active() && phase.Load() == before {
+						t.Error("Active() false inside an enabled phase")
+					}
+					if b < a {
+						t.Errorf("Now ran backwards inside one phase: %d then %d", a, b)
+					}
+				}
+			}
+		}()
+	}
+	for cycle := 0; cycle < 50; cycle++ {
+		start := int64(cycle) * 1000
+		Enable(start)
+		phase.Add(1)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			g := g
+			wg.Add(1)
+			Go(func() {
+				defer wg.Done()
+				for i := 1; i <= 25; i++ {
+					d := time.Duration(g+i) * time.Microsecond
+					deadline := Now() + int64(d)
+					Sleep(d)
+					if now := Now(); now < deadline {
+						t.Errorf("woke at %d, before the deadline %d slept to", now, deadline)
+					}
+				}
+			})
+		}
+		wg.Wait()
+		if !Quiesce(5 * time.Second) {
+			t.Fatal("model did not quiesce")
+		}
+		phase.Add(1)
+		Disable()
+		if Active() {
+			t.Fatal("Active() true after Disable")
+		}
+	}
+	close(stop)
+	readers.Wait()
 }
