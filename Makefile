@@ -4,7 +4,11 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates gather-gates lint vet eslint lint-fix-check ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates gather-gates pastset-leaf lint vet eslint lint-fix-check ci
+
+# zero-allocs passes a -benchmem listing through and fails unless at
+# least $(1) benchmarks ran and every one of them reports 0 allocs/op.
+zero-allocs = awk '{ print } /allocs\/op/ { n++ } /allocs\/op/ && !/ 0 allocs\/op/ { bad = 1 } END { exit bad || n < $(1) }'
 
 build:
 	$(GO) build ./...
@@ -45,19 +49,26 @@ read-gates:
 # a kept codec, and the fold must each report 0 allocs/op (and all
 # three must have run).
 checkpoint-gates:
-	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint(EncodeTuples|EncodeFrame|Fold)' -benchmem ./internal/checkpoint/ | \
-		awk '{ print } /allocs\/op/ { n++ } /allocs\/op/ && !/ 0 allocs\/op/ { bad = 1 } END { exit bad || n < 3 }'
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint(EncodeTuples|EncodeFrame|Fold)' -benchmem ./internal/checkpoint/ | $(call zero-allocs,3)
 
 # gather-gates are the gather path's allocation gates, run without the
 # race detector: a warm benchmark-shaped pull allocates at most three
 # tuple sizes per tuple and a number of objects that does not depend on
 # how much was written (the test; the benchmark prints ns/tuple, B/tuple
-# and allocs/pull beside it), and a warm batch drain into a sized buffer
-# reports 0 allocs/op.
+# and allocs/pull beside it), and an element write, a warm batch drain
+# into a sized buffer and the allreduce result store's write each report
+# 0 allocs/op.
 gather-gates:
 	$(GO) test -count=1 -run 'TestScopePullAllocGates' -bench 'BenchmarkScopePull' -benchtime 20x ./internal/escope/
-	$(GO) test -run '^$$' -bench 'BenchmarkDrainBytesInto' -benchmem ./internal/pastset/ | \
-		awk '{ print } /allocs\/op/ { n++ } /allocs\/op/ && !/ 0 allocs\/op/ { bad = 1 } END { exit bad || n < 1 }'
+	$(GO) test -run '^$$' -bench 'Benchmark(DrainBytesInto|ElementWrite)' -benchmem ./internal/pastset/ | $(call zero-allocs,2)
+	$(GO) test -run '^$$' -bench 'BenchmarkValueStoreWrite' -benchmem ./internal/paths/ | $(call zero-allocs,1)
+
+# pastset-leaf holds internal/pastset to importing nothing else of this
+# module: it carries no clock, so whatever threads a clock through the
+# packages that park on it (ROADMAP item 1) has this one fewer to visit.
+pastset-leaf:
+	@deps=$$($(GO) list -deps ./internal/pastset | grep '^eventspace/' | grep -vx 'eventspace/internal/pastset'); \
+		if [ -n "$$deps" ]; then echo "internal/pastset is not a leaf, it imports:" $$deps; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -78,5 +89,5 @@ lint: vet eslint lint-fix-check
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint test-short read-gates checkpoint-gates gather-gates
+ci: build lint pastset-leaf test-short read-gates checkpoint-gates gather-gates
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

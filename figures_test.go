@@ -66,13 +66,13 @@ func TestFigure1Structure(t *testing.T) {
 			return err
 		}
 		for _, lk := range tree.Links {
-			cli, err1 := lk.ClientEC.Buffer().Latest()
-			srv, err2 := lk.ServerEC.Buffer().Latest()
+			cli, err1 := lk.ClientEC.Buffer().Latest(nil)
+			srv, err2 := lk.ServerEC.Buffer().Latest(nil)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("link %s missing tuples: %v %v", lk.Name, err1, err2)
 			}
-			ct, _ := collect.Decode(cli.Data)
-			st, _ := collect.Decode(srv.Data)
+			ct, _ := collect.Decode(cli)
+			st, _ := collect.Decode(srv)
 			if lat := analysis.TCPLatency(ct, st); lat <= 0 {
 				t.Errorf("link %s TCP latency %v", lk.Name, lat)
 			}

@@ -283,29 +283,6 @@ func TestJoinerValidation(t *testing.T) {
 	}
 }
 
-func TestOrderCounter(t *testing.T) {
-	c := NewOrderCounter(3)
-	c.Observe(0, 2)
-	c.Observe(0, 2)
-	c.Observe(1, 0)
-	c.Observe(2, 2)
-	c.Observe(-1, 0) // ignored
-	c.Observe(0, 9)  // ignored
-	if c.Count(0, 2) != 2 || c.Count(1, 0) != 1 {
-		t.Fatal("counts wrong")
-	}
-	if c.Count(-1, 0) != 0 || c.Count(0, 99) != 0 {
-		t.Fatal("out-of-range count nonzero")
-	}
-	last := c.LastCounts()
-	if last[0] != 2 || last[1] != 0 || last[2] != 1 {
-		t.Fatalf("LastCounts = %v", last)
-	}
-	if c.Total() != 4 {
-		t.Fatalf("Total = %d", c.Total())
-	}
-}
-
 func TestStatsRecordCodec(t *testing.T) {
 	in := StatsRecordFrom(42, KindUp, Result{Count: 7, Mean: 1.5, Min: 1, Max: 2, Std: 0.5, Median: 1.25})
 	out, err := DecodeStatsRecord(in.Encode())

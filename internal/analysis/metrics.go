@@ -187,56 +187,3 @@ func (j *Joiner) analyze(r *Round) RoundMetrics {
 	}
 	return RoundMetrics{Seq: r.Seq, Per: per, LastArrival: last.id, FirstDepart: first.id}
 }
-
-// OrderCounter accumulates the arrival (or departure) order distribution:
-// how many times each contributor held each rank, and in particular the
-// last-arrival counts driving the load-balance monitor's weighted tree.
-type OrderCounter struct {
-	k      int
-	counts [][]uint64 // [contributor][rank]
-}
-
-// NewOrderCounter creates a counter for k contributors.
-func NewOrderCounter(k int) *OrderCounter {
-	c := &OrderCounter{k: k, counts: make([][]uint64, k)}
-	for i := range c.counts {
-		c.counts[i] = make([]uint64, k)
-	}
-	return c
-}
-
-// Observe records that contributor i held the given rank.
-func (c *OrderCounter) Observe(contributor, rank int) {
-	if contributor < 0 || contributor >= c.k || rank < 0 || rank >= c.k {
-		return
-	}
-	c.counts[contributor][rank]++
-}
-
-// Count returns how often contributor i held the given rank.
-func (c *OrderCounter) Count(contributor, rank int) uint64 {
-	if contributor < 0 || contributor >= c.k || rank < 0 || rank >= c.k {
-		return 0
-	}
-	return c.counts[contributor][rank]
-}
-
-// LastCounts returns each contributor's count of last-place ranks.
-func (c *OrderCounter) LastCounts() []uint64 {
-	out := make([]uint64, c.k)
-	for i := range c.counts {
-		out[i] = c.counts[i][c.k-1]
-	}
-	return out
-}
-
-// Total returns the number of observations folded in per contributor slot.
-func (c *OrderCounter) Total() uint64 {
-	var n uint64
-	for _, row := range c.counts {
-		for _, v := range row {
-			n += v
-		}
-	}
-	return n
-}

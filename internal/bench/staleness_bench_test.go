@@ -67,7 +67,9 @@ func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		elems[i] = pastset.MustNewElement(fmt.Sprintf("trace%d", i), 4096)
+		if elems[i], err = pastset.NewElementFixed(fmt.Sprintf("trace%d", i), 4096, stalenessRecSize); err != nil {
+			t.Fatal(err)
+		}
 		sources[i] = escope.Source{Host: h, Elem: elems[i], RecSize: stalenessRecSize}
 	}
 	scope, err := escope.Build(n, escope.Spec{
@@ -108,7 +110,7 @@ func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) 
 		for _, e := range elems {
 			rec := make([]byte, stalenessRecSize)
 			rec[0] = byte(r)
-			if _, err := e.Write(rec); err != nil {
+			if _, err := e.WriteCopy(rec); err != nil {
 				t.Fatal(err)
 			}
 			res.written++

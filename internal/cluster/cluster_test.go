@@ -232,10 +232,10 @@ func TestBuildTreeEightWayInstrumented(t *testing.T) {
 	}
 	// TCP latency from any link's EC pair is positive.
 	lk := tree.Links[0]
-	cli, _ := lk.ClientEC.Buffer().Latest()
-	srv, _ := lk.ServerEC.Buffer().Latest()
-	ct, err1 := collect.Decode(cli.Data)
-	st, err2 := collect.Decode(srv.Data)
+	cli, _ := lk.ClientEC.Buffer().Latest(nil)
+	srv, _ := lk.ServerEC.Buffer().Latest(nil)
+	ct, err1 := collect.Decode(cli)
+	st, err2 := collect.Decode(srv)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

@@ -341,7 +341,7 @@ func BuildTree(tb *Testbed, spec TreeSpec) (*Tree, error) {
 	clusters := tb.Clusters
 
 	result := func(h *vnet.Host, tag string) (*paths.ValueStore, error) {
-		elem, err := h.Registry.Create(fmt.Sprintf("result/%s%s", spec.Name, tag), 64)
+		elem, err := h.Registry.CreateFixed(fmt.Sprintf("result/%s%s", spec.Name, tag), 64, 8)
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 	"eventspace/internal/paths"
 )
 
-// CheckpointMark is a decoded checkpoint marker: the checkpoint's chain
+// CheckpointMark is a checkpoint marker: the checkpoint's chain
 // sequence number, the count of durable tuples the checkpoint covers
 // (its archive cursor), and the stamp of the newest data tuple folded
 // into the snapshot.
@@ -36,17 +36,4 @@ func EncodeCheckpointMark(m CheckpointMark) TraceTuple {
 		Start: m.At,
 		End:   hrtime.Stamp(m.Tuples),
 	}
-}
-
-// DecodeCheckpointMark unpacks a marker from a trace tuple, reporting
-// false for data tuples and non-checkpoint control tuples.
-func DecodeCheckpointMark(t TraceTuple) (CheckpointMark, bool) {
-	if t.ECID != ControlECID || t.Op != paths.OpCheckpoint {
-		return CheckpointMark{}, false
-	}
-	return CheckpointMark{
-		Seq:    t.Seq,
-		Tuples: uint64(t.End),
-		At:     t.Start,
-	}, true
 }

@@ -146,13 +146,12 @@ func TestCollectorRecordsTuples(t *testing.T) {
 	if ec.Buffer().Stats().Written != 5 {
 		t.Fatalf("recorded %d tuples", ec.Buffer().Stats().Written)
 	}
-	c := ec.Buffer().NewCursor()
+	raw, n, err := ec.Buffer().NewCursor().DrainBytesInto(nil, 0, TupleSize)
+	if err != nil || n != 5 {
+		t.Fatalf("drained %d tuples, %v", n, err)
+	}
 	for i := 0; i < 5; i++ {
-		raw, err := c.TryNext()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tu, err := Decode(raw.Data)
+		tu, err := Decode(raw[i*TupleSize:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,8 +180,8 @@ func TestCollectorRecordsErrors(t *testing.T) {
 	if _, err := ec.Op(nil, paths.Request{Kind: paths.OpRead}); err == nil {
 		t.Fatal("error swallowed")
 	}
-	raw, _ := ec.Buffer().Latest()
-	tu, _ := Decode(raw.Data)
+	raw, _ := ec.Buffer().Latest(nil)
+	tu, _ := Decode(raw)
 	if tu.Ret != -1 {
 		t.Fatalf("error tuple Ret = %d, want -1", tu.Ret)
 	}

@@ -365,7 +365,7 @@ func runStragglerStorm(t *testing.T, seed uint64, mode Mode, rounds int) stormRe
 		if err != nil {
 			t.Fatal(err)
 		}
-		elems[i] = pastset.MustNewElement(fmt.Sprintf("trace%d", i), 4096)
+		elems[i] = testElem(t, fmt.Sprintf("trace%d", i), 4096, 16)
 		sources[i] = Source{Host: h, Elem: elems[i], RecSize: 16}
 	}
 
@@ -404,7 +404,7 @@ func runStragglerStorm(t *testing.T, seed uint64, mode Mode, rounds int) stormRe
 		for _, e := range elems {
 			rec := make([]byte, 16)
 			rec[0] = byte(r)
-			if _, err := e.Write(rec); err != nil {
+			if _, err := e.WriteCopy(rec); err != nil {
 				t.Fatal(err)
 			}
 		}

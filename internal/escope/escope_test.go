@@ -42,10 +42,20 @@ func newRig(t *testing.T) *rig {
 	return &rig{net: n, c1: c1, c2: c2, fe: fe}
 }
 
+// testElem creates an element of recSize-byte records.
+func testElem(t testing.TB, name string, capacity, recSize int) *pastset.Element {
+	t.Helper()
+	e, err := pastset.NewElementFixed(name, capacity, recSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func fill(t *testing.T, e *pastset.Element, recs ...[]byte) {
 	t.Helper()
 	for _, r := range recs {
-		if _, err := e.Write(r); err != nil {
+		if _, err := e.WriteCopy(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,7 +72,7 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(r.net, Spec{Name: "s", FrontEnd: r.fe, Sources: []Source{{}}}); err == nil {
 		t.Fatal("incomplete source accepted")
 	}
-	e := pastset.MustNewElement("x", 4)
+	e := testElem(t, "x", 4, 1)
 	if _, err := Build(r.net, Spec{Name: "s", FrontEnd: r.fe, Sources: []Source{
 		{Host: r.c1.Hosts()[0], Elem: e, RecSize: 0},
 	}}); err == nil {
@@ -73,8 +83,8 @@ func TestBuildValidation(t *testing.T) {
 func TestSingleClusterScopePullsAllTuples(t *testing.T) {
 	r := newRig(t)
 	h0, h1 := r.c1.Hosts()[0], r.c1.Hosts()[1]
-	e0 := pastset.MustNewElement("t0", 16)
-	e1 := pastset.MustNewElement("t1", 16)
+	e0 := testElem(t, "t0", 16, 2)
+	e1 := testElem(t, "t1", 16, 2)
 	fill(t, e0, []byte{1, 1}, []byte{1, 2})
 	fill(t, e1, []byte{2, 1})
 	scope, err := Build(r.net, Spec{
@@ -117,9 +127,9 @@ func TestSingleClusterScopePullsAllTuples(t *testing.T) {
 func TestMultiClusterScopeGathersThroughGateways(t *testing.T) {
 	r := newRig(t)
 	srcs := []Source{
-		{Host: r.c1.Hosts()[0], Elem: pastset.MustNewElement("a0", 8), RecSize: 1},
-		{Host: r.c1.Hosts()[2], Elem: pastset.MustNewElement("a2", 8), RecSize: 1},
-		{Host: r.c2.Hosts()[1], Elem: pastset.MustNewElement("b1", 8), RecSize: 1},
+		{Host: r.c1.Hosts()[0], Elem: testElem(t, "a0", 8, 1), RecSize: 1},
+		{Host: r.c1.Hosts()[2], Elem: testElem(t, "a2", 8, 1), RecSize: 1},
+		{Host: r.c2.Hosts()[1], Elem: testElem(t, "b1", 8, 1), RecSize: 1},
 	}
 	fill(t, srcs[0].Elem, []byte{10})
 	fill(t, srcs[1].Elem, []byte{11})
@@ -147,8 +157,8 @@ func TestMultiClusterScopeGathersThroughGateways(t *testing.T) {
 
 func TestScopeWithSourceOnGatewayAndFrontEnd(t *testing.T) {
 	r := newRig(t)
-	gwElem := pastset.MustNewElement("gw", 8)
-	feElem := pastset.MustNewElement("fe", 8)
+	gwElem := testElem(t, "gw", 8, 1)
+	feElem := testElem(t, "fe", 8, 1)
 	fill(t, gwElem, []byte{7})
 	fill(t, feElem, []byte{9})
 	scope, err := Build(r.net, Spec{
@@ -172,7 +182,7 @@ func TestScopeWithSourceOnGatewayAndFrontEnd(t *testing.T) {
 func TestScopeTransformRunsAtSource(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("t", 16)
+	e := testElem(t, "t", 16, 1)
 	fill(t, e, []byte{3}, []byte{9}, []byte{5})
 	// Reduce at the source: keep only the max record.
 	scope, err := Build(r.net, Spec{
@@ -210,7 +220,7 @@ func TestScopeTransformRunsAtSource(t *testing.T) {
 func TestGatherRateReflectsOverwrites(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("t", 2) // tiny: will overwrite
+	e := testElem(t, "t", 2, 1) // tiny: will overwrite
 	scope, err := Build(r.net, Spec{
 		Name:     "slow",
 		FrontEnd: r.fe,
@@ -221,7 +231,7 @@ func TestGatherRateReflectsOverwrites(t *testing.T) {
 	}
 	defer scope.Close()
 	for i := 0; i < 10; i++ {
-		e.Write([]byte{byte(i)})
+		e.WriteCopy([]byte{byte(i)})
 	}
 	if _, err := scope.Pull(nil); err != nil {
 		t.Fatal(err)
@@ -235,7 +245,7 @@ func TestGatherRateReflectsOverwrites(t *testing.T) {
 func TestPullerDrainsContinuously(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("t", 1024)
+	e := testElem(t, "t", 1024, 1)
 	scope, err := Build(r.net, Spec{
 		Name:     "drain",
 		FrontEnd: r.fe,
@@ -254,7 +264,7 @@ func TestPullerDrainsContinuously(t *testing.T) {
 		return nil
 	})
 	for i := 0; i < 50; i++ {
-		e.Write([]byte{byte(i)})
+		e.WriteCopy([]byte{byte(i)})
 		time.Sleep(time.Millisecond)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -285,7 +295,7 @@ func TestPullerDrainsContinuously(t *testing.T) {
 func TestPullerCountsErrors(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("t", 8)
+	e := testElem(t, "t", 8, 1)
 	scope, err := Build(r.net, Spec{
 		Name:     "err",
 		FrontEnd: r.fe,
@@ -310,7 +320,7 @@ func TestPullerCountsErrors(t *testing.T) {
 func TestEmptyScopeRateIsOne(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("t", 8)
+	e := testElem(t, "t", 8, 1)
 	scope, err := Build(r.net, Spec{
 		Name:     "empty",
 		FrontEnd: r.fe,

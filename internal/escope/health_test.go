@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
 	"eventspace/internal/vnet"
 )
@@ -135,8 +134,8 @@ func waitUntil(d time.Duration, cond func() bool) bool {
 func TestScopeCoverageDipsAndRecovers(t *testing.T) {
 	r := newRig(t)
 	good, bad := r.c1.Hosts()[0], r.c2.Hosts()[1]
-	eGood := pastset.MustNewElement("good", 64)
-	eBad := pastset.MustNewElement("bad", 64)
+	eGood := testElem(t, "good", 64, 1)
+	eBad := testElem(t, "bad", 64, 1)
 	fill(t, eGood, []byte{1})
 	fill(t, eBad, []byte{2})
 	scope, err := Build(r.net, Spec{
@@ -218,7 +217,7 @@ func TestScopeCoverageDipsAndRecovers(t *testing.T) {
 func TestScopeWithoutHealthStillFailsFast(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("x", 8)
+	e := testElem(t, "x", 8, 1)
 	fill(t, e, []byte{1})
 	scope, err := Build(r.net, Spec{
 		Name:     "legacy",

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"eventspace/internal/hrtime"
-	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
 	"eventspace/internal/vnet"
 )
@@ -20,7 +19,7 @@ import (
 func TestPullerStopConcurrent(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("t", 8)
+	e := testElem(t, "t", 8, 1)
 	scope, err := Build(r.net, Spec{
 		Name:     "stoprace",
 		FrontEnd: r.fe,
@@ -65,7 +64,7 @@ func killConns(s *Scope) {
 func TestRedialPrunesReplacedConns(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("t", 64)
+	e := testElem(t, "t", 64, 1)
 	fill(t, e, []byte{1})
 	scope, err := Build(r.net, Spec{
 		Name:     "redial",
@@ -116,7 +115,7 @@ func TestPullerErrorBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := pastset.MustNewElement("t", 8)
+	e := testElem(t, "t", 8, 1)
 	scope, err := Build(n, Spec{
 		Name:     "hot",
 		FrontEnd: fe,
@@ -221,7 +220,7 @@ func TestPullerSinkErrorBackoff(t *testing.T) {
 func TestCloseConcurrentWithRedialStorm(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("t", 64)
+	e := testElem(t, "t", 64, 1)
 	fill(t, e, []byte{1})
 	scope, err := Build(r.net, Spec{
 		Name:     "closerace",
@@ -272,7 +271,7 @@ func TestCloseConcurrentWithRedialStorm(t *testing.T) {
 func TestCloseConcurrentWithStartPuller(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	e := pastset.MustNewElement("t", 8)
+	e := testElem(t, "t", 8, 1)
 	fill(t, e, []byte{1})
 	scope, err := Build(r.net, Spec{
 		Name:     "startclose",
@@ -318,8 +317,8 @@ func TestCloseConcurrentWithStartPuller(t *testing.T) {
 func TestCloseConcurrentWithBreakerInflight(t *testing.T) {
 	r := newRig(t)
 	h0, h1 := r.c1.Hosts()[0], r.c1.Hosts()[1]
-	e0 := pastset.MustNewElement("t0", 64)
-	e1 := pastset.MustNewElement("t1", 64)
+	e0 := testElem(t, "t0", 64, 1)
+	e1 := testElem(t, "t1", 64, 1)
 	fill(t, e0, []byte{1})
 	fill(t, e1, []byte{2})
 	scope, err := Build(r.net, Spec{

@@ -24,7 +24,7 @@ func repairRig(t *testing.T) (*rig, *Scope, map[string]*pastset.Element) {
 		Retry:    &paths.RetryPolicy{MaxAttempts: 2, BaseBackoff: 50 * time.Microsecond},
 	}
 	for _, h := range append(append([]*vnet.Host(nil), r.c1.Hosts()...), r.c2.Hosts()...) {
-		e := pastset.MustNewElement("src-"+h.Name(), 64)
+		e := testElem(t, "src-"+h.Name(), 64, 1)
 		fill(t, e, []byte{1})
 		elems[h.Name()] = e
 		spec.Sources = append(spec.Sources, Source{Host: h, Elem: e, RecSize: 1})
@@ -63,7 +63,7 @@ func TestTopologySnapshotsClusters(t *testing.T) {
 		t.Fatalf("cluster b = %+v", b)
 	}
 	// Scopes without health tracking are not repairable.
-	e := pastset.MustNewElement("nh", 8)
+	e := testElem(t, "nh", 8, 1)
 	plain, err := Build(r.net, Spec{Name: "plain", FrontEnd: r.fe,
 		Sources: []Source{{Host: r.c1.Hosts()[0], Elem: e, RecSize: 1}}})
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package hrtime provides the high-resolution monotonic timestamps used by
-// event collectors, the calibrated busy-work primitive used to model
-// application computation, and the global virtual-time scale applied to
-// modelled network delays.
+// event collectors, the clock-aware sleeps every modelled delay goes
+// through, and the global virtual-time scale applied to modelled network
+// delays. Computation is modelled as a delay too: vnet.Host.Occupy holds
+// a CPU slot across a Sleep.
 //
 // The paper's event collectors record two timestamps per communication
 // operation using the host's cycle counter. Go's time package exposes a
@@ -11,7 +12,6 @@ package hrtime
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -125,81 +125,3 @@ func SleepUnscaled(d time.Duration) {
 		runtime.Gosched()
 	}
 }
-
-// spinCalibration holds the measured iterations-per-microsecond of the
-// busy-work loop, computed once on first use.
-var spinCalibration struct {
-	once      sync.Once
-	perMicro  float64
-	minirants uint64 // defeat dead-code elimination
-}
-
-// spin executes n dependent integer operations.
-func spin(n int) uint64 {
-	var acc uint64 = 0x9e3779b97f4a7c15
-	for i := 0; i < n; i++ {
-		acc ^= acc << 13
-		acc ^= acc >> 7
-		acc ^= acc << 17
-	}
-	return acc
-}
-
-// calibrate measures the spin rate as the fastest of several short
-// probes. Interference (a descheduled goroutine, a busy sibling core)
-// can only slow a probe down, so the fastest one is the closest to the
-// undisturbed rate; a single long probe that gets descheduled
-// under-measures perMicro and every later Work call burns too little.
-func calibrate() {
-	const (
-		probes = 8
-		probe  = 1 << 17
-	)
-	best := time.Duration(0)
-	for i := 0; i < probes; i++ {
-		start := time.Now()
-		spinCalibration.minirants += spin(probe)
-		elapsed := time.Since(start)
-		if elapsed <= 0 {
-			elapsed = time.Nanosecond
-		}
-		if best == 0 || elapsed < best {
-			best = elapsed
-		}
-	}
-	spinCalibration.perMicro = float64(probe) / (float64(best) / float64(time.Microsecond))
-	if spinCalibration.perMicro < 1 {
-		spinCalibration.perMicro = 1
-	}
-}
-
-// Work busy-spins for approximately d of CPU time. Unlike Sleep it consumes
-// a processor, so it must be called while holding a vnet CPU slot; it is the
-// building block for modelled application computation whose duration must
-// not depend on trace content. d is not scaled by the virtual-time factor:
-// computation is real work in this reproduction.
-func Work(d time.Duration) uint64 {
-	if d <= 0 {
-		return 0
-	}
-	spinCalibration.once.Do(calibrate)
-	n := int(spinCalibration.perMicro * float64(d) / float64(time.Microsecond))
-	if n < 1 {
-		n = 1
-	}
-	return spin(n)
-}
-
-// WorkIterations converts a duration to the spin iteration count that Work
-// would use, for callers that want to split work into slices.
-func WorkIterations(d time.Duration) int {
-	spinCalibration.once.Do(calibrate)
-	n := int(spinCalibration.perMicro * float64(d) / float64(time.Microsecond))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// WorkN runs n spin iterations (see WorkIterations).
-func WorkN(n int) uint64 { return spin(n) }

@@ -61,43 +61,3 @@ func TestSleepHonorsScale(t *testing.T) {
 		t.Fatalf("Sleep(10ms) returned after %v", el)
 	}
 }
-
-func TestWorkBurnsRoughlyRequestedTime(t *testing.T) {
-	// Warm the calibration.
-	Work(time.Microsecond)
-	start := time.Now()
-	Work(20 * time.Millisecond)
-	el := time.Since(start)
-	if el < 5*time.Millisecond {
-		t.Fatalf("Work(20ms) burned only %v", el)
-	}
-	if el > 400*time.Millisecond {
-		t.Fatalf("Work(20ms) burned %v", el)
-	}
-}
-
-func TestWorkZeroAndNegative(t *testing.T) {
-	if Work(0) != 0 {
-		t.Fatal("Work(0) did work")
-	}
-	if Work(-time.Second) != 0 {
-		t.Fatal("Work(<0) did work")
-	}
-}
-
-func TestWorkIterationsPositive(t *testing.T) {
-	if n := WorkIterations(time.Millisecond); n < 1 {
-		t.Fatalf("WorkIterations = %d", n)
-	}
-	if n := WorkIterations(0); n != 1 {
-		t.Fatalf("WorkIterations(0) = %d, want clamp to 1", n)
-	}
-	// WorkN with the returned count must not panic and returns a value.
-	WorkN(WorkIterations(10 * time.Microsecond))
-}
-
-func BenchmarkNow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Now()
-	}
-}

@@ -6,30 +6,29 @@ import (
 )
 
 // LockedSend flags blocking communication while holding a mutex: a
-// channel send (outside a select with a default case) or a blocking
-// PastSet read (Cursor.Next) issued between mu.Lock() and mu.Unlock().
-// The consumer of that channel or element often needs the same lock to
-// make progress — the classic tuple-space deadlock. The scan is
+// channel send (outside a select with a default case) issued between
+// mu.Lock() and mu.Unlock(). The consumer of that channel often needs
+// the same lock to make progress — the classic tuple-space deadlock
+// (PastSet reads never block, so sends are the whole class). The scan is
 // lexical per function: Lock()/RLock() acquire, Unlock()/RUnlock()
 // release, a deferred Unlock holds to function end, and goroutine
 // bodies launched under the lock are scanned lock-free (they run
 // later).
 var LockedSend = &Analyzer{
 	Name: "lockedsend",
-	Doc: "flag channel sends and blocking PastSet ops (Cursor.Next) while holding a mutex; " +
-		"the reader may need the same lock, deadlocking the monitor",
+	Doc: "flag blocking channel sends while holding a mutex; " +
+		"the receiver may need the same lock, deadlocking the monitor",
 	Run: runLockedSend,
 }
 
 func runLockedSend(pass *Pass) error {
-	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
 			}
-			scanLocked(pass, info, fn.Body.List, map[string]bool{})
+			scanLocked(pass, fn.Body.List, map[string]bool{})
 		}
 	}
 	return nil
@@ -78,7 +77,7 @@ func anyHeld(held map[string]bool) string {
 // scanned with a copy of the held set (acquisitions inside a branch do
 // not leak out — a lexical approximation that matches this codebase's
 // lock discipline).
-func scanLocked(pass *Pass, info *types.Info, stmts []ast.Stmt, held map[string]bool) {
+func scanLocked(pass *Pass, stmts []ast.Stmt, held map[string]bool) {
 	for _, stmt := range stmts {
 		if name, op := lockCall(stmt); op != 0 {
 			held[name] = op > 0
@@ -88,14 +87,14 @@ func scanLocked(pass *Pass, info *types.Info, stmts []ast.Stmt, held map[string]
 		case *ast.DeferStmt:
 			// defer mu.Unlock() keeps the lock held to function end for
 			// this scan; defer mu.Lock() would be nonsense — ignore.
-			scanLockedExprs(pass, info, s.Call, held)
+			scanLockedExprs(pass, s.Call, held)
 		case *ast.GoStmt:
 			// The goroutine body runs without this frame's locks.
 			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				scanLocked(pass, info, lit.Body.List, map[string]bool{})
+				scanLocked(pass, lit.Body.List, map[string]bool{})
 			}
 			for _, arg := range s.Call.Args {
-				scanLockedExprs(pass, info, arg, held)
+				scanLockedExprs(pass, arg, held)
 			}
 		case *ast.SendStmt:
 			if m := anyHeld(held); m != "" {
@@ -103,41 +102,41 @@ func scanLocked(pass *Pass, info *types.Info, stmts []ast.Stmt, held map[string]
 					"channel send %s <- ... while holding %s; the receiver may need the lock — send after unlocking or use a select with default",
 					types.ExprString(s.Chan), m)
 			}
-			scanLockedExprs(pass, info, s.Value, held)
+			scanLockedExprs(pass, s.Value, held)
 		case *ast.SelectStmt:
-			scanSelect(pass, info, s, held)
+			scanSelect(pass, s, held)
 		case *ast.BlockStmt:
-			scanLocked(pass, info, s.List, copyHeld(held))
+			scanLocked(pass, s.List, copyHeld(held))
 		case *ast.IfStmt:
 			if s.Init != nil {
-				scanLocked(pass, info, []ast.Stmt{s.Init}, held)
+				scanLocked(pass, []ast.Stmt{s.Init}, held)
 			}
-			scanLockedExprs(pass, info, s.Cond, held)
-			scanLocked(pass, info, s.Body.List, copyHeld(held))
+			scanLockedExprs(pass, s.Cond, held)
+			scanLocked(pass, s.Body.List, copyHeld(held))
 			if s.Else != nil {
-				scanLocked(pass, info, []ast.Stmt{s.Else}, copyHeld(held))
+				scanLocked(pass, []ast.Stmt{s.Else}, copyHeld(held))
 			}
 		case *ast.ForStmt:
-			scanLocked(pass, info, s.Body.List, copyHeld(held))
+			scanLocked(pass, s.Body.List, copyHeld(held))
 		case *ast.RangeStmt:
-			scanLockedExprs(pass, info, s.X, held)
-			scanLocked(pass, info, s.Body.List, copyHeld(held))
+			scanLockedExprs(pass, s.X, held)
+			scanLocked(pass, s.Body.List, copyHeld(held))
 		case *ast.SwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					scanLocked(pass, info, cc.Body, copyHeld(held))
+					scanLocked(pass, cc.Body, copyHeld(held))
 				}
 			}
 		case *ast.TypeSwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					scanLocked(pass, info, cc.Body, copyHeld(held))
+					scanLocked(pass, cc.Body, copyHeld(held))
 				}
 			}
 		case *ast.LabeledStmt:
-			scanLocked(pass, info, []ast.Stmt{s.Stmt}, held)
+			scanLocked(pass, []ast.Stmt{s.Stmt}, held)
 		default:
-			scanLockedExprs(pass, info, stmt, held)
+			scanLockedExprs(pass, stmt, held)
 		}
 	}
 }
@@ -153,7 +152,7 @@ func copyHeld(held map[string]bool) map[string]bool {
 // scanSelect handles select statements: with a default case the comm
 // operations are non-blocking and allowed under a lock; without one
 // they block and are flagged. Case bodies are always scanned.
-func scanSelect(pass *Pass, info *types.Info, s *ast.SelectStmt, held map[string]bool) {
+func scanSelect(pass *Pass, s *ast.SelectStmt, held map[string]bool) {
 	hasDefault := false
 	for _, c := range s.Body.List {
 		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
@@ -172,21 +171,21 @@ func scanSelect(pass *Pass, info *types.Info, s *ast.SelectStmt, held map[string
 					types.ExprString(send.Chan), m)
 			}
 		}
-		scanLocked(pass, info, cc.Body, copyHeld(held))
+		scanLocked(pass, cc.Body, copyHeld(held))
 	}
 }
 
-// scanLockedExprs walks an arbitrary node for blocking calls (PastSet
-// Cursor.Next) and nested function literals. Literals other than
-// goroutine bodies run inline, so they inherit the held set.
-func scanLockedExprs(pass *Pass, info *types.Info, n ast.Node, held map[string]bool) {
+// scanLockedExprs walks an arbitrary node for sends and nested function
+// literals. Literals other than goroutine bodies run inline, so they
+// inherit the held set.
+func scanLockedExprs(pass *Pass, n ast.Node, held map[string]bool) {
 	if n == nil {
 		return
 	}
 	ast.Inspect(n, func(node ast.Node) bool {
 		switch e := node.(type) {
 		case *ast.FuncLit:
-			scanLocked(pass, info, e.Body.List, copyHeld(held))
+			scanLocked(pass, e.Body.List, copyHeld(held))
 			return false
 		case *ast.SendStmt:
 			if m := anyHeld(held); m != "" {
@@ -194,41 +193,7 @@ func scanLockedExprs(pass *Pass, info *types.Info, n ast.Node, held map[string]b
 					"channel send %s <- ... while holding %s; the receiver may need the lock — send after unlocking or use a select with default",
 					types.ExprString(e.Chan), m)
 			}
-		case *ast.CallExpr:
-			if m := anyHeld(held); m != "" {
-				if name, ok := blockingPastSetCall(info, e); ok {
-					pass.Reportf(e.Pos(),
-						"blocking PastSet call %s while holding %s; Next blocks until a writer appends, and the writer may need the lock — use TryNext or DrainInto under a lock",
-						name, m)
-				}
-			}
 		}
 		return true
 	})
-}
-
-// blockingPastSetCall reports whether call is a method call that blocks
-// on PastSet data: (*pastset.Cursor).Next.
-func blockingPastSetCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Next" {
-		return "", false
-	}
-	selection, ok := info.Selections[sel]
-	if !ok || selection.Kind() != types.MethodVal {
-		return "", false
-	}
-	recv := selection.Recv()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Cursor" || obj.Pkg() == nil || obj.Pkg().Path() != "eventspace/internal/pastset" {
-		return "", false
-	}
-	return types.ExprString(sel), true
 }

@@ -1,18 +1,12 @@
-// Package lockedsend is a lint fixture: blocking sends and blocking
-// PastSet reads while holding a mutex are the monitor's deadlock
-// class.
+// Package lockedsend is a lint fixture: blocking sends while holding a
+// mutex are the monitor's deadlock class.
 package lockedsend
 
-import (
-	"sync"
-
-	"eventspace/internal/pastset"
-)
+import "sync"
 
 type S struct {
 	mu sync.Mutex
 	ch chan int
-	c  *pastset.Cursor
 }
 
 // badSend blocks on the channel while the receiver may be stuck on mu.
@@ -53,26 +47,6 @@ func (s *S) blockingSelect() {
 	select {
 	case s.ch <- 1: // want `blocking select send s\.ch <- \.\.\. while holding s\.mu`
 	}
-}
-
-// badNext blocks on a PastSet cursor while holding the lock the writer
-// may need.
-func (s *S) badNext() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, _ = s.c.Next() // want `blocking PastSet call s\.c\.Next while holding s\.mu`
-}
-
-// goodNext: no lock held.
-func (s *S) goodNext() {
-	_, _ = s.c.Next()
-}
-
-// tryNext is the non-blocking API and is always allowed.
-func (s *S) tryNext() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, _ = s.c.TryNext()
 }
 
 // goroutineUnderLock: the goroutine body runs without this frame's

@@ -33,15 +33,6 @@ func (r *Recorder) StartModel() {
 	})
 }
 
-// StartBracketed is the other legal form: explicit registration.
-func (r *Recorder) StartBracketed() {
-	go func() {
-		vclock.Register()
-		defer vclock.Unregister()
-		vclock.Sleep(time.Millisecond)
-	}()
-}
-
 // StartTransitive reaches the blocking Pop two local calls deep.
 func (r *Recorder) StartTransitive() {
 	go r.drainLoop() // want `unregistered goroutine .*Pop \(via drainOne\)`

@@ -8,28 +8,26 @@ import (
 // VCRegister enforces the virtual clock's conservatism contract
 // (vclock package doc): every goroutine that executes modelled work —
 // anything that parks on the discrete-event clock — must be a
-// registered model participant, started with vclock.Go or bracketed
-// with vclock.Register/Unregister. A plain `go` goroutine that reaches
-// a vclock-blocking call corrupts the runnable count: its sleep
-// decrements a credit it never added, the clock runs ahead of (or
-// stalls behind) the model, and the run deadlocks. This is exactly the
-// PR-4 archive-drain bug — an unregistered driver goroutine pulling a
-// scope during Stop — promoted from a runtime hang to a static error.
+// registered model participant, started with vclock.Go. A plain `go`
+// goroutine that reaches a vclock-blocking call corrupts the runnable
+// count: its sleep decrements a credit it never added, the clock runs
+// ahead of (or stalls behind) the model, and the run deadlocks. This is
+// exactly the PR-4 archive-drain bug — an unregistered driver goroutine
+// pulling a scope during Stop — promoted from a runtime hang to a static
+// error.
 //
 // "Reaches" is computed transitively over the package's own functions
 // (a fixed point over local calls), with a curated table of blocking
 // roots: the vclock primitives themselves, hrtime's clock-aware sleeps,
-// blocking PastSet reads, and the cross-package model entry points
-// (paths operations, escope pulls, vnet calls and occupancy). The
-// deliberately-unregistered escape hatches (hrtime.SleepOutside,
-// vclock.SleepOutside) are not roots, and a body that calls
-// vclock.Register is trusted to pair it with Unregister. Test files are
-// exempt: test drivers park on ordinary channels by design.
+// and the cross-package model entry points (paths operations, escope
+// pulls, vnet calls and occupancy). The deliberately-unregistered escape
+// hatches (hrtime.SleepOutside, vclock.SleepOutside) are not roots. Test
+// files are exempt: test drivers park on ordinary channels by design.
 var VCRegister = &Analyzer{
 	Name: "vcregister",
 	Doc: "require goroutines that reach vclock-blocking calls (paths ops, escope pulls, " +
-		"modelled sleeps, PastSet reads) to be registered model goroutines — vclock.Go or " +
-		"Register/Unregister — so an unregistered sleep cannot stall the virtual clock",
+		"modelled sleeps) to be registered model goroutines, started with vclock.Go, " +
+		"so an unregistered sleep cannot stall the virtual clock",
 	Run: runVCRegister,
 }
 
@@ -50,7 +48,6 @@ var vcBlockingMethods = map[[3]string]bool{
 	{"eventspace/internal/vclock", "WaitGroup", "Wait"}: true,
 	{"eventspace/internal/vclock", "Event", "Wait"}:     true,
 	{"eventspace/internal/vclock", "Queue", "Pop"}:      true,
-	{"eventspace/internal/pastset", "Cursor", "Next"}:   true,
 	{"eventspace/internal/escope", "Scope", "Pull"}:     true,
 	{"eventspace/internal/paths", "Wrapper", "Op"}:      true,
 	{"eventspace/internal/paths", "Remote", "Op"}:       true,
@@ -123,12 +120,9 @@ func runVCRegister(pass *Pass) error {
 			if root == "" {
 				return true
 			}
-			if callsRegister(pass, body) {
-				return true
-			}
 			pass.Reportf(goStmt.Pos(),
 				"unregistered goroutine (%s) reaches the vclock-blocking call %s; "+
-					"start it with vclock.Go or bracket it with vclock.Register/Unregister — "+
+					"start it with vclock.Go — "+
 					"an unregistered modelled wait corrupts the clock's runnable count and stalls RunVirtual "+
 					"(the archive final-drain deadlock class)",
 				what, root)
@@ -159,24 +153,6 @@ func directBlockingCall(pass *Pass, body ast.Node) string {
 		if pkgPath, typ, meth, ok := methodCallOn(pass.Pkg.Info, call); ok {
 			if vcBlockingMethods[[3]string{pkgPath, typ, meth}] {
 				found = fmt.Sprintf("(%s.%s).%s", shortPkg(pkgPath), typ, meth)
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// callsRegister reports whether body registers itself with the clock.
-func callsRegister(pass *Pass, body ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if pkgFuncCall(pass.Pkg.Info, call, "eventspace/internal/vclock", "Register") {
-				found = true
 				return false
 			}
 		}

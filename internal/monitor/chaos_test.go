@@ -61,7 +61,9 @@ func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
 	elems := make([]*pastset.Element, len(ironHosts))
 	srcs := make([]escope.Source, len(ironHosts))
 	for i, h := range ironHosts {
-		elems[i] = pastset.MustNewElement("hb", 4096)
+		if elems[i], err = pastset.NewElementFixed("hb", 4096, 3); err != nil {
+			t.Fatal(err)
+		}
 		srcs[i] = escope.Source{Host: h, Elem: elems[i], RecSize: 3}
 	}
 	hb, err := escope.Build(tb.Net, escope.Spec{
@@ -110,12 +112,11 @@ func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
 				default:
 				}
 				// A crashed host's processes stop; a partitioned host
-				// keeps producing into its local buffer. The element
-				// retains the written slice, so each record is fresh.
+				// keeps producing into its local buffer.
 				if !tb.Net.HostDown(h) {
 					rec := []byte{byte(i), 0, 0}
 					binary.LittleEndian.PutUint16(rec[1:], seq)
-					e.Write(rec)
+					e.WriteCopy(rec)
 				}
 				time.Sleep(100 * time.Microsecond)
 			}

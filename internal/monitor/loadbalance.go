@@ -353,7 +353,7 @@ func (lb *LoadBalance) analysisLoop(ha *lbHostAnalysis) {
 	if lb.cs != nil {
 		waiter = lb.cs.For(ha.host).NewWaiter()
 	}
-	var batch []pastset.Tuple
+	var batch []byte
 	for {
 		select {
 		case <-lb.stop:
@@ -468,13 +468,15 @@ func (lb *LoadBalance) Start() {
 	lb.wg.Add(1)
 	vclock.Go(func() {
 		defer lb.wg.Done()
-		var batch []pastset.Tuple
+		var batch []byte
 		for {
 			idle := true
 			for id, cur := range cursors {
-				batch = cur.DrainInto(batch[:0])
-				for _, raw := range batch {
-					r, err := analysis.DecodeLastArrivalRecord(raw.Data)
+				// The front-end buffers are created with this record
+				// size (newLoadBalance), so the drain cannot refuse it.
+				batch, _, _ = cur.DrainBytesInto(batch[:0], 0, analysis.LastArrivalRecordSize)
+				for off := 0; off < len(batch); off += analysis.LastArrivalRecordSize {
+					r, err := analysis.DecodeLastArrivalRecord(batch[off : off+analysis.LastArrivalRecordSize])
 					if err != nil {
 						continue
 					}

@@ -8,6 +8,7 @@ import (
 
 	"eventspace/internal/analysis"
 	"eventspace/internal/collect"
+	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
 )
 
@@ -312,5 +313,63 @@ func TestWrapperStatsRoundsToRecords(t *testing.T) {
 			t.Errorf("record %d: %+v, want id 7 kind %s count 2 mean %v min %v max %v",
 				i, r, analysis.KindName(w.kind), w.mean, w.min, w.max)
 		}
+	}
+}
+
+// TestDrainTuplesOverWrappedBuffer: over a trace buffer that has wrapped
+// and lapped its reader, drainTuples hands its callback exactly the
+// records DrainBytesInto drains, in order, and returns their count — the
+// number the modelled analysis CPU is charged for.
+func TestDrainTuplesOverWrappedBuffer(t *testing.T) {
+	buf, err := pastset.NewElementFixed("trace", 8, collect.TupleSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ref := buf.NewCursor(), buf.NewCursor()
+	var batch []byte
+	var scratch [collect.TupleSize]byte
+	seq := uint32(0)
+	// The second burst crosses the arena's end, the fourth overwrites
+	// five records nobody read, the fifth is empty.
+	for _, burst := range []int{5, 6, 8, 13, 0, 3} {
+		for i := 0; i < burst; i++ {
+			seq++
+			collect.TraceTuple{ECID: 7, Op: paths.OpWrite, Seq: seq, Start: int64(seq) * 10, End: int64(seq)*10 + 3}.EncodeTo(scratch[:])
+			if _, err := buf.WriteCopy(scratch[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var tuples []collect.TraceTuple
+		n := drainTuples(got, &batch, func(tu collect.TraceTuple) { tuples = append(tuples, tu) })
+		raw, want, err := ref.DrainBytesInto(nil, 0, collect.TupleSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTuples, err := collect.DecodeAll(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want || len(tuples) != n || (n > 0 && !reflect.DeepEqual(tuples, wantTuples)) {
+			t.Fatalf("burst of %d: drainTuples returned %d and handed over %v; DrainBytesInto drained %d: %v",
+				burst, n, tuples, want, wantTuples)
+		}
+		if n > 0 && tuples[n-1].Seq != seq {
+			t.Fatalf("burst of %d: newest tuple handed over is %d, written %d", burst, tuples[n-1].Seq, seq)
+		}
+	}
+	if got.Skipped() != 5 || got.Read() != ref.Read() {
+		t.Fatalf("read/skipped = %d/%d, reference cursor %d/%d", got.Read(), got.Skipped(), ref.Read(), ref.Skipped())
+	}
+
+	// A cursor over anything but a trace buffer hands nothing over.
+	other, err := pastset.NewElementFixed("other", 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.WriteCopy([]byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if n := drainTuples(other.NewCursor(), &batch, func(collect.TraceTuple) { t.Error("callback on a 4-byte record") }); n != 0 {
+		t.Fatalf("drained %d records of a buffer that holds no trace tuples", n)
 	}
 }

@@ -255,16 +255,18 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 	return sm, nil
 }
 
-// drainTuples empties cur through the reused batch and hands fn every
-// trace tuple that decodes; it returns how many did.
-func drainTuples(cur *pastset.Cursor, batch *[]pastset.Tuple, fn func(collect.TraceTuple)) int {
-	*batch = cur.DrainInto((*batch)[:0])
-	n := 0
-	for _, raw := range *batch {
-		if tu, err := collect.Decode(raw.Data); err == nil {
-			fn(tu)
-			n++
-		}
+// drainTuples empties cur, a cursor over a trace buffer, into the
+// loop-owned batch and hands fn the trace tuples in order; it returns how
+// many records it drained (the count the modelled analysis CPU is
+// charged for).
+func drainTuples(cur *pastset.Cursor, batch *[]byte, fn func(collect.TraceTuple)) int {
+	// The drain refuses a buffer of any other record size and hands
+	// back nothing, so the error needs no branch of its own.
+	raw, n, _ := cur.DrainBytesInto((*batch)[:0], 0, collect.TupleSize)
+	*batch = raw
+	for off := 0; off < len(raw); off += collect.TupleSize {
+		tu, _ := collect.Decode(raw[off : off+collect.TupleSize]) // whole records: cannot be short
+		fn(tu)
 	}
 	return n
 }
@@ -274,7 +276,7 @@ func drainTuples(cur *pastset.Cursor, batch *[]pastset.Tuple, fn func(collect.Tr
 // remote trace read and the modelled analysis CPU occupancy) happens
 // outside the host lock so a second analysis thread is never stalled
 // behind a sleeping one.
-func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]pastset.Tuple) int {
+func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]byte) int {
 	sh.mu.Lock()
 	processed := 0
 
@@ -413,7 +415,7 @@ func (sm *Statsm) analysisLoop(sh *statsHost) {
 	if sm.cs != nil {
 		waiter = sm.cs.For(sh.host).NewWaiter()
 	}
-	var batch []pastset.Tuple
+	var batch []byte
 	for {
 		select {
 		case <-sm.stop:

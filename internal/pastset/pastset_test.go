@@ -1,46 +1,61 @@
 package pastset
 
-//lint:file-allow wallclock blocking-read tests need real timeouts to catch a hang
-
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
-func mustWrite(t *testing.T, e *Element, data []byte) uint64 {
+// newElem creates an element of 1-byte records, the shape of most tests
+// here: the byte is the record's serial number.
+func newElem(t testing.TB, capacity int) *Element {
 	t.Helper()
-	seq, err := e.Write(data)
+	e, err := NewElementFixed("e", capacity, 1)
 	if err != nil {
-		t.Fatalf("Write: %v", err)
+		t.Fatal(err)
+	}
+	return e
+}
+
+func mustWrite(t *testing.T, e *Element, b byte) uint64 {
+	t.Helper()
+	seq, err := e.WriteCopy([]byte{b})
+	if err != nil {
+		t.Fatalf("WriteCopy: %v", err)
 	}
 	return seq
 }
 
+// drain returns every unread record of a 1-byte-record element, up to
+// max (0: all).
+func drain(t *testing.T, c *Cursor, max int) []byte {
+	t.Helper()
+	out, n, err := c.DrainBytesInto(nil, max, 1)
+	if err != nil || n != len(out) {
+		t.Fatalf("DrainBytesInto = %d records, %d bytes, %v", n, len(out), err)
+	}
+	return out
+}
+
 func TestNewElementRejectsBadCapacity(t *testing.T) {
 	for _, c := range []int{0, -1, -100} {
-		if _, err := NewElement("x", c); err == nil {
+		if _, err := NewElementFixed("x", c, 1); err == nil {
 			t.Errorf("capacity %d: want error", c)
+		}
+		if _, err := NewElementFixed("x", 4, c); err == nil {
+			t.Errorf("record size %d: want error", c)
 		}
 	}
 }
 
-func TestMustNewElementPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("want panic")
-		}
-	}()
-	MustNewElement("x", 0)
-}
-
 func TestWriteAssignsMonotonicSeq(t *testing.T) {
-	e := MustNewElement("e", 4)
+	e := newElem(t, 4)
 	for i := 0; i < 10; i++ {
-		seq := mustWrite(t, e, []byte{byte(i)})
+		seq := mustWrite(t, e, byte(i))
 		if seq != uint64(i) {
 			t.Fatalf("write %d: seq = %d", i, seq)
 		}
@@ -48,44 +63,30 @@ func TestWriteAssignsMonotonicSeq(t *testing.T) {
 }
 
 func TestBoundedOverwriteDiscardsOldest(t *testing.T) {
-	e := MustNewElement("e", 3)
+	e := newElem(t, 3)
 	for i := 0; i < 5; i++ {
-		mustWrite(t, e, []byte{byte(i)})
+		mustWrite(t, e, byte(i))
 	}
 	st := e.Stats()
 	if st.Written != 5 || st.Overwritten != 2 || st.Retained != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 	c := e.NewCursor()
-	for want := 2; want < 5; want++ {
-		tu, err := c.TryNext()
-		if err != nil {
-			t.Fatalf("TryNext: %v", err)
-		}
-		if tu.Data[0] != byte(want) {
-			t.Fatalf("got tuple %d, want %d", tu.Data[0], want)
-		}
+	if got := drain(t, c, 0); !bytes.Equal(got, []byte{2, 3, 4}) {
+		t.Fatalf("delivered %v, want [2 3 4]", got)
 	}
-	if _, err := c.TryNext(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("want ErrEmpty, got %v", err)
+	if got := drain(t, c, 0); len(got) != 0 {
+		t.Fatalf("second drain delivered %v", got)
 	}
 }
 
 func TestCursorSkipAccounting(t *testing.T) {
-	e := MustNewElement("e", 2)
+	e := newElem(t, 2)
 	c := e.NewCursor()
 	for i := 0; i < 6; i++ {
-		mustWrite(t, e, []byte{byte(i)})
+		mustWrite(t, e, byte(i))
 	}
-	var got []byte
-	for {
-		tu, err := c.TryNext()
-		if err != nil {
-			break
-		}
-		got = append(got, tu.Data[0])
-	}
-	if len(got) != 2 || got[0] != 4 || got[1] != 5 {
+	if got := drain(t, c, 0); !bytes.Equal(got, []byte{4, 5}) {
 		t.Fatalf("delivered %v, want [4 5]", got)
 	}
 	if c.Skipped() != 4 {
@@ -100,7 +101,7 @@ func TestCursorSkipAccounting(t *testing.T) {
 }
 
 func TestCursorRateNoTraffic(t *testing.T) {
-	e := MustNewElement("e", 2)
+	e := newElem(t, 2)
 	c := e.NewCursor()
 	if r := c.Rate(); r != 1 {
 		t.Fatalf("Rate with no traffic = %v, want 1", r)
@@ -108,83 +109,39 @@ func TestCursorRateNoTraffic(t *testing.T) {
 }
 
 func TestCursorAtEndSkipsHistory(t *testing.T) {
-	e := MustNewElement("e", 8)
-	mustWrite(t, e, []byte{1})
-	mustWrite(t, e, []byte{2})
+	e := newElem(t, 8)
+	mustWrite(t, e, 1)
+	mustWrite(t, e, 2)
 	c := e.NewCursorAtEnd()
-	if _, err := c.TryNext(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("want ErrEmpty, got %v", err)
+	if got := drain(t, c, 0); len(got) != 0 {
+		t.Fatalf("history delivered: %v", got)
 	}
-	mustWrite(t, e, []byte{3})
-	tu, err := c.TryNext()
-	if err != nil || tu.Data[0] != 3 {
-		t.Fatalf("got %v %v, want tuple 3", tu, err)
+	mustWrite(t, e, 3)
+	if got := drain(t, c, 0); !bytes.Equal(got, []byte{3}) {
+		t.Fatalf("got %v, want tuple 3", got)
 	}
 	if c.Skipped() != 0 {
 		t.Fatalf("Skipped = %d, want 0 (history skipped before cursor start does not count)", c.Skipped())
 	}
 }
 
-func TestBlockingNextWakesOnWrite(t *testing.T) {
-	e := MustNewElement("e", 2)
-	c := e.NewCursor()
-	done := make(chan Tuple, 1)
-	go func() {
-		tu, err := c.Next()
-		if err != nil {
-			t.Errorf("Next: %v", err)
-		}
-		done <- tu
-	}()
-	time.Sleep(5 * time.Millisecond)
-	mustWrite(t, e, []byte{42})
-	select {
-	case tu := <-done:
-		if tu.Data[0] != 42 {
-			t.Fatalf("got %v", tu)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked reader not woken by write")
-	}
-}
-
-func TestBlockingNextWakesOnClose(t *testing.T) {
-	e := MustNewElement("e", 2)
-	c := e.NewCursor()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.Next()
-		errc <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	e.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("want ErrClosed, got %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked reader not woken by close")
-	}
-}
-
 func TestCloseDrainsRetainedThenErrClosed(t *testing.T) {
-	e := MustNewElement("e", 4)
-	mustWrite(t, e, []byte{1})
-	mustWrite(t, e, []byte{2})
+	e := newElem(t, 4)
+	mustWrite(t, e, 1)
+	mustWrite(t, e, 2)
 	e.Close()
-	if _, err := e.Write([]byte{3}); !errors.Is(err, ErrClosed) {
+	if _, err := e.WriteCopy([]byte{3}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after close: %v", err)
 	}
 	c := e.NewCursor()
-	for i := 1; i <= 2; i++ {
-		tu, err := c.Next()
-		if err != nil || tu.Data[0] != byte(i) {
-			t.Fatalf("drain %d: %v %v", i, tu, err)
-		}
+	if got := drain(t, c, 0); !bytes.Equal(got, []byte{1, 2}) {
+		t.Fatalf("drain after close = %v, want [1 2]", got)
 	}
-	if _, err := c.Next(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("after drain: %v", err)
+	if got := drain(t, c, 0); len(got) != 0 {
+		t.Fatalf("drained and closed, yet delivered %v", got)
+	}
+	if st := e.Stats(); st.Written != 2 {
+		t.Fatalf("refused write counted: %+v", st)
 	}
 	if !e.Closed() {
 		t.Fatal("Closed() = false")
@@ -192,73 +149,78 @@ func TestCloseDrainsRetainedThenErrClosed(t *testing.T) {
 }
 
 func TestLatest(t *testing.T) {
-	e := MustNewElement("e", 2)
-	if _, err := e.Latest(); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("Latest empty: %v", err)
+	e := newElem(t, 2)
+	if got, err := e.Latest([]byte{9}); !errors.Is(err, ErrEmpty) || !bytes.Equal(got, []byte{9}) {
+		t.Fatalf("Latest empty: %v %v", got, err)
 	}
-	mustWrite(t, e, []byte{1})
-	mustWrite(t, e, []byte{2})
-	mustWrite(t, e, []byte{3})
-	tu, err := e.Latest()
-	if err != nil || tu.Data[0] != 3 {
-		t.Fatalf("Latest = %v %v", tu, err)
+	mustWrite(t, e, 1)
+	mustWrite(t, e, 2)
+	mustWrite(t, e, 3)
+	// The newest record is appended to what the caller already holds.
+	got, err := e.Latest([]byte{9})
+	if err != nil || !bytes.Equal(got, []byte{9, 3}) {
+		t.Fatalf("Latest = %v %v, want [9 3]", got, err)
+	}
+	// It is a copy: a later write does not reach it.
+	mustWrite(t, e, 4)
+	mustWrite(t, e, 5)
+	if got[1] != 3 {
+		t.Fatalf("returned record mutated by overwrite: %v", got)
 	}
 	e.Close()
 	// Latest still returns retained newest after close.
-	if tu, err = e.Latest(); err != nil || tu.Data[0] != 3 {
-		t.Fatalf("Latest after close = %v %v", tu, err)
+	if got, err = e.Latest(nil); err != nil || !bytes.Equal(got, []byte{5}) {
+		t.Fatalf("Latest after close = %v %v", got, err)
 	}
 }
 
 func TestLatestClosedEmpty(t *testing.T) {
-	e := MustNewElement("e", 2)
+	e := newElem(t, 2)
 	e.Close()
-	if _, err := e.Latest(); !errors.Is(err, ErrClosed) {
+	if _, err := e.Latest(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
 
+// TestDrainInto: a drain appends every retained unread record, oldest
+// first, after whatever the destination already holds, and a second
+// drain appends nothing.
 func TestDrainInto(t *testing.T) {
-	e := MustNewElement("e", 8)
+	e := newElem(t, 8)
 	for i := 0; i < 5; i++ {
-		mustWrite(t, e, []byte{byte(i)})
+		mustWrite(t, e, byte(i))
 	}
 	c := e.NewCursor()
-	got := c.DrainInto(nil)
-	if len(got) != 5 {
-		t.Fatalf("drained %d tuples", len(got))
+	got, n, err := c.DrainBytesInto([]byte("hdr"), 0, 1)
+	if err != nil || n != 5 || !bytes.Equal(got, []byte{'h', 'd', 'r', 0, 1, 2, 3, 4}) {
+		t.Fatalf("drained %d records %v, %v", n, got, err)
 	}
-	for i, tu := range got {
-		if tu.Data[0] != byte(i) || tu.Seq != uint64(i) {
-			t.Fatalf("tuple %d = %+v", i, tu)
-		}
-	}
-	if got = c.DrainInto(got[:0]); len(got) != 0 {
-		t.Fatalf("second drain returned %d tuples", len(got))
+	if got, n, err = c.DrainBytesInto(got[:3], 0, 1); err != nil || n != 0 || string(got) != "hdr" {
+		t.Fatalf("second drain returned %d records %v, %v", n, got, err)
 	}
 }
 
 func TestLag(t *testing.T) {
-	e := MustNewElement("e", 4)
+	e := newElem(t, 4)
 	c := e.NewCursor()
 	if c.Lag() != 0 {
 		t.Fatalf("lag = %d", c.Lag())
 	}
 	for i := 0; i < 3; i++ {
-		mustWrite(t, e, nil)
+		mustWrite(t, e, 0)
 	}
 	if c.Lag() != 3 {
 		t.Fatalf("lag = %d, want 3", c.Lag())
 	}
-	if _, err := c.TryNext(); err != nil {
-		t.Fatal(err)
+	if got := drain(t, c, 1); len(got) != 1 {
+		t.Fatalf("capped drain delivered %v", got)
 	}
 	if c.Lag() != 2 {
 		t.Fatalf("lag = %d, want 2", c.Lag())
 	}
 	// Overflow: lag never exceeds capacity.
 	for i := 0; i < 10; i++ {
-		mustWrite(t, e, nil)
+		mustWrite(t, e, 0)
 	}
 	if c.Lag() != 4 {
 		t.Fatalf("lag after overflow = %d, want 4", c.Lag())
@@ -266,35 +228,64 @@ func TestLag(t *testing.T) {
 }
 
 func TestMultipleCursorsIndependent(t *testing.T) {
-	e := MustNewElement("e", 8)
+	e := newElem(t, 8)
 	c1 := e.NewCursor()
 	c2 := e.NewCursor()
 	for i := 0; i < 4; i++ {
-		mustWrite(t, e, []byte{byte(i)})
+		mustWrite(t, e, byte(i))
 	}
-	for i := 0; i < 4; i++ {
-		if tu, err := c1.TryNext(); err != nil || tu.Data[0] != byte(i) {
-			t.Fatalf("c1 %d: %v %v", i, tu, err)
+	for i, c := range []*Cursor{c1, c2} {
+		if got := drain(t, c, 0); !bytes.Equal(got, []byte{0, 1, 2, 3}) {
+			t.Fatalf("cursor %d delivered %v", i, got)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		if tu, err := c2.TryNext(); err != nil || tu.Data[0] != byte(i) {
-			t.Fatalf("c2 %d: %v %v", i, tu, err)
+}
+
+// drainUntilClosed drains c block by block while writers run, handing fn
+// each block, and returns once the element is closed and empty. Closed
+// is sampled before the drain that finds nothing, so no record written
+// before Close is missed.
+func drainUntilClosed(t *testing.T, c *Cursor, fn func(block []byte)) {
+	var buf []byte
+	for {
+		closed := c.Element().Closed()
+		var n int
+		var err error
+		if buf, n, err = c.DrainBytesInto(buf[:0], 0, 1); err != nil {
+			t.Errorf("drain: %v", err)
+			return
+		}
+		fn(buf)
+		if n == 0 {
+			if closed {
+				return
+			}
+			runtime.Gosched()
 		}
 	}
 }
 
 func TestConcurrentWritersSingleReader(t *testing.T) {
 	const writers, perWriter = 8, 500
-	e := MustNewElement("e", writers*perWriter) // big enough: no loss
+	e := newElem(t, writers*perWriter) // big enough: no loss
 	c := e.NewCursor()
+	counts := make(map[byte]int)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		drainUntilClosed(t, c, func(block []byte) {
+			for _, w := range block {
+				counts[w]++
+			}
+		})
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, err := e.Write([]byte{byte(w)}); err != nil {
+				if _, err := e.WriteCopy([]byte{byte(w)}); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
@@ -303,14 +294,7 @@ func TestConcurrentWritersSingleReader(t *testing.T) {
 	}
 	wg.Wait()
 	e.Close()
-	counts := make(map[byte]int)
-	for {
-		tu, err := c.Next()
-		if err != nil {
-			break
-		}
-		counts[tu.Data[0]]++
-	}
+	<-done
 	for w := 0; w < writers; w++ {
 		if counts[byte(w)] != perWriter {
 			t.Fatalf("writer %d: delivered %d tuples, want %d", w, counts[byte(w)], perWriter)
@@ -323,24 +307,28 @@ func TestConcurrentWritersSingleReader(t *testing.T) {
 
 func TestConcurrentReadersEachSeeFullStream(t *testing.T) {
 	const readers, writes = 4, 1000
-	e := MustNewElement("e", writes)
+	e := newElem(t, writes)
 	var wg sync.WaitGroup
 	totals := make([]uint64, readers)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
+		c := e.NewCursor()
 		go func(r int) {
 			defer wg.Done()
-			c := e.NewCursor()
-			for {
-				if _, err := c.Next(); err != nil {
-					break
+			next := byte(0) // every block continues the stream where the last one stopped
+			drainUntilClosed(t, c, func(block []byte) {
+				for _, b := range block {
+					if b != next {
+						t.Errorf("reader %d: record %d out of order, want %d", r, b, next)
+					}
+					next++
 				}
-			}
+			})
 			totals[r] = c.Read()
 		}(r)
 	}
 	for i := 0; i < writes; i++ {
-		mustWrite(t, e, nil)
+		mustWrite(t, e, byte(i))
 	}
 	e.Close()
 	wg.Wait()
@@ -358,9 +346,9 @@ func TestQuickConservation(t *testing.T) {
 	f := func(capRaw uint8, nRaw uint16) bool {
 		capacity := int(capRaw%64) + 1
 		n := int(nRaw % 2048)
-		e := MustNewElement("q", capacity)
+		e := newElem(t, capacity)
 		for i := 0; i < n; i++ {
-			if _, err := e.Write([]byte{byte(i)}); err != nil {
+			if _, err := e.WriteCopy([]byte{byte(i)}); err != nil {
 				return false
 			}
 		}
@@ -376,18 +364,22 @@ func TestQuickConservation(t *testing.T) {
 		}
 		c := e.NewCursor()
 		want := n - st.Retained
+		// Drained in blocks of at most seven, so the suffix is stitched
+		// from several reads across the arena's wrap.
 		for {
-			tu, err := c.TryNext()
-			if errors.Is(err, ErrEmpty) {
-				break
-			}
+			block, k, err := c.DrainBytesInto(nil, 7, 1)
 			if err != nil {
 				return false
 			}
-			if tu.Seq != uint64(want) || tu.Data[0] != byte(want) {
-				return false
+			if k == 0 {
+				break
 			}
-			want++
+			for _, b := range block {
+				if b != byte(want) {
+					return false
+				}
+				want++
+			}
 		}
 		return want == n && int(c.Read()) == st.Retained
 	}
@@ -397,25 +389,29 @@ func TestQuickConservation(t *testing.T) {
 }
 
 // Property: read + skipped of a cursor created before any write equals
-// total written, for any interleaving of write bursts and drains.
+// total written, and read equals the records the drains handed over, for
+// any interleaving of write bursts and capped or uncapped drains.
 func TestQuickCursorAccounting(t *testing.T) {
 	f := func(capRaw uint8, bursts []uint8) bool {
 		capacity := int(capRaw%16) + 1
-		e := MustNewElement("q", capacity)
+		e := newElem(t, capacity)
 		c := e.NewCursor()
-		var written uint64
+		var written, delivered uint64
+		take := func(max int) {
+			_, n, _ := c.DrainBytesInto(nil, max, 1)
+			delivered += uint64(n)
+		}
 		for _, b := range bursts {
-			n := int(b % 32)
-			for i := 0; i < n; i++ {
-				e.Write(nil)
+			for i := 0; i < int(b%32); i++ {
+				e.WriteCopy([]byte{0})
 				written++
 			}
 			if b%2 == 0 {
-				c.DrainInto(nil)
+				take(int(b % 5))
 			}
 		}
-		c.DrainInto(nil)
-		return c.Read()+c.Skipped() == written
+		take(0)
+		return c.Read() == delivered && delivered+c.Skipped() == written
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -424,11 +420,11 @@ func TestQuickCursorAccounting(t *testing.T) {
 
 func TestRegistryCreateLookupRemove(t *testing.T) {
 	r := NewRegistry()
-	e, err := r.Create("a", 4)
+	e, err := r.CreateFixed("a", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Create("a", 4); !errors.Is(err, ErrExists) {
+	if _, err := r.CreateFixed("a", 4, 1); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate create: %v", err)
 	}
 	got, err := r.Lookup("a")
@@ -449,45 +445,38 @@ func TestRegistryCreateLookupRemove(t *testing.T) {
 	}
 }
 
-func TestRegistryNamesAndCloseAll(t *testing.T) {
+func TestRegistryNames(t *testing.T) {
 	r := NewRegistry()
-	var elems []*Element
 	for i := 0; i < 5; i++ {
-		e, err := r.Create(fmt.Sprintf("e%d", i), 2)
-		if err != nil {
+		if _, err := r.CreateFixed(fmt.Sprintf("e%d", i), 2, 1); err != nil {
 			t.Fatal(err)
 		}
-		elems = append(elems, e)
 	}
 	if n := len(r.Names()); n != 5 {
 		t.Fatalf("Names() returned %d entries", n)
-	}
-	r.CloseAll()
-	for i, e := range elems {
-		if !e.Closed() {
-			t.Fatalf("element %d not closed", i)
-		}
 	}
 }
 
 func TestRegistryCreateBadCapacity(t *testing.T) {
 	r := NewRegistry()
-	if _, err := r.Create("bad", 0); err == nil {
+	if _, err := r.CreateFixed("bad", 0, 1); err == nil {
 		t.Fatal("want error for capacity 0")
+	}
+	if _, err := r.CreateFixed("bad", 4, 0); err == nil {
+		t.Fatal("want error for record size 0")
+	}
+	if len(r.Names()) != 0 {
+		t.Fatalf("refused elements registered: %v", r.Names())
 	}
 }
 
-// TestFixedElementCopySemantics pins the fixed-record ownership rules:
-// writes copy in (the caller's buffer is reusable immediately) and reads
-// copy out (an overwrite of the arena slot never mutates a delivered
-// payload).
+// TestFixedElementCopySemantics pins the ownership rule: writes copy in
+// (the caller's buffer is reusable immediately) and reads copy out (an
+// overwrite of the arena slot never mutates a delivered payload).
 func TestFixedElementCopySemantics(t *testing.T) {
 	e, err := NewElementFixed("fixed", 2, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.RecordSize() != 4 {
-		t.Fatalf("RecordSize = %d", e.RecordSize())
 	}
 	scratch := []byte{1, 1, 1, 1}
 	if _, err := e.WriteCopy(scratch); err != nil {
@@ -499,119 +488,101 @@ func TestFixedElementCopySemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := e.NewCursor()
-	first, err := c.TryNext()
+	first, _, err := c.DrainBytesInto(nil, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(first.Data) != string([]byte{1, 1, 1, 1}) {
-		t.Fatalf("first record = %v", first.Data)
+	if !bytes.Equal(first, []byte{1, 1, 1, 1}) {
+		t.Fatalf("first record = %v", first)
 	}
 	// Overwrite the first record's arena slot (capacity 2: two more
 	// writes lap it); a batch drained earlier must not change.
-	got := append([]byte(nil), first.Data...)
 	e.WriteCopy([]byte{7, 7, 7, 7})
 	e.WriteCopy([]byte{8, 8, 8, 8})
-	if string(first.Data) != string(got) {
-		// first.Data is cursor-owned; the arena overwrite above must
-		// not reach it.
-		t.Fatalf("delivered payload mutated by overwrite: %v", first.Data)
+	if !bytes.Equal(first, []byte{1, 1, 1, 1}) {
+		t.Fatalf("delivered payload mutated by overwrite: %v", first)
 	}
-	// Size and mode guards.
-	if _, err := e.WriteCopy([]byte{1, 2}); err == nil {
-		t.Fatal("short record accepted")
+	// Size guard, both ways; a refused write claims no sequence number.
+	for _, bad := range [][]byte{{1, 2}, {1, 2, 3, 4, 5}, nil} {
+		if _, err := e.WriteCopy(bad); !errors.Is(err, ErrRecordSize) {
+			t.Fatalf("%d-byte record: %v, want ErrRecordSize", len(bad), err)
+		}
 	}
-	if _, err := e.Write([]byte{1, 2, 3}); err == nil {
-		t.Fatal("Write with wrong size accepted on fixed element")
-	}
-	v := MustNewElement("var", 2)
-	if _, err := v.WriteCopy([]byte{1}); err == nil {
-		t.Fatal("WriteCopy on variable element accepted")
+	if st := e.Stats(); st.Written != 4 {
+		t.Fatalf("refused writes counted: %+v", st)
 	}
 }
 
-// TestFixedElementDrainInto checks that a drained batch shares one
-// cursor-owned buffer and stays intact until the next read.
+// TestFixedElementDrainInto checks that a batch drained into a warm
+// caller-owned buffer lands in that buffer, whole across the arena's
+// wrap, and that the write-then-drain cycle then allocates nothing.
 func TestFixedElementDrainInto(t *testing.T) {
 	e, err := NewElementFixed("fixed", 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := byte(0); i < 5; i++ {
-		e.Write([]byte{i, i})
-	}
 	c := e.NewCursor()
-	batch := c.DrainInto(nil)
-	if len(batch) != 5 {
-		t.Fatalf("drained %d", len(batch))
-	}
-	for i, tu := range batch {
-		if tu.Seq != uint64(i) || tu.Data[0] != byte(i) || tu.Data[1] != byte(i) {
-			t.Fatalf("tuple %d = %+v", i, tu)
-		}
-	}
-	// Steady state: the write-then-drain cycle does not allocate once
-	// the cursor's copy-out buffer is warm.
 	rec := []byte{0, 0}
+	batch := make([]byte, 0, 5*2)
+	serial := byte(0)
+	// Five records into eight slots: the window wraps on most cycles.
 	if avg := testing.AllocsPerRun(50, func() {
-		for i := byte(0); i < 5; i++ {
-			rec[0], rec[1] = i, i
+		want := serial
+		for i := 0; i < 5; i++ {
+			rec[0], rec[1] = serial, serial
+			serial++
 			if _, err := e.WriteCopy(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
-		batch = c.DrainInto(batch[:0])
-		if len(batch) != 5 {
-			t.Fatalf("drained %d", len(batch))
+		out, n, err := c.DrainBytesInto(batch, 0, 2)
+		if err != nil || n != 5 || &out[0] != &batch[:1][0] {
+			t.Fatalf("drained %d records, %v; in place: %v", n, err, err == nil && &out[0] == &batch[:1][0])
+		}
+		for i := 0; i < n; i++ {
+			if out[2*i] != want || out[2*i+1] != want {
+				t.Fatalf("record %d = %v, want %d", i, out[2*i:2*i+2], want)
+			}
+			want++
 		}
 	}); avg != 0 {
-		t.Fatalf("warm write+DrainInto cycle allocates %.2f allocs/op", avg)
+		t.Fatalf("warm write+drain cycle allocates %.2f allocs/op", avg)
 	}
 }
 
-// TestDrainBytesInto covers the raw batch drain both element modes use.
+// TestDrainBytesInto covers the batch cap and the record-size check.
 func TestDrainBytesInto(t *testing.T) {
-	for _, fixed := range []bool{true, false} {
-		var e *Element
-		if fixed {
-			e, _ = NewElementFixed("f", 16, 2)
-		} else {
-			e = MustNewElement("v", 16)
-		}
-		for i := byte(0); i < 6; i++ {
-			e.Write([]byte{i, i})
-		}
-		c := e.NewCursor()
-		buf, n, err := c.DrainBytesInto(nil, 4, 2)
-		if err != nil || n != 4 || len(buf) != 8 {
-			t.Fatalf("fixed=%v: drain = %d records %d bytes, %v", fixed, n, len(buf), err)
-		}
-		for i := byte(0); i < 4; i++ {
-			if buf[2*i] != i || buf[2*i+1] != i {
-				t.Fatalf("fixed=%v: bytes %v", fixed, buf)
-			}
-		}
-		buf, n, err = c.DrainBytesInto(buf[:0], 0, 2)
-		if err != nil || n != 2 || len(buf) != 4 {
-			t.Fatalf("fixed=%v: second drain = %d records, %v", fixed, n, err)
-		}
-		if c.Read() != 6 {
-			t.Fatalf("fixed=%v: cursor read %d", fixed, c.Read())
+	e, _ := NewElementFixed("f", 16, 2)
+	for i := byte(0); i < 6; i++ {
+		e.WriteCopy([]byte{i, i})
+	}
+	c := e.NewCursor()
+	buf, n, err := c.DrainBytesInto(nil, 4, 2)
+	if err != nil || n != 4 || len(buf) != 8 {
+		t.Fatalf("drain = %d records %d bytes, %v", n, len(buf), err)
+	}
+	for i := byte(0); i < 4; i++ {
+		if buf[2*i] != i || buf[2*i+1] != i {
+			t.Fatalf("bytes %v", buf)
 		}
 	}
-	// Record-size mismatch: the fixed element rejects the whole drain,
-	// the variable element stops at the offending record.
+	buf, n, err = c.DrainBytesInto(buf[:0], 0, 2)
+	if err != nil || n != 2 || len(buf) != 4 {
+		t.Fatalf("second drain = %d records, %v", n, err)
+	}
+	if c.Read() != 6 {
+		t.Fatalf("cursor read %d", c.Read())
+	}
+	// Record-size mismatch: the whole drain is refused and nothing is
+	// consumed, so a reader asking for the right size still gets it.
 	f, _ := NewElementFixed("f2", 4, 2)
-	f.Write([]byte{1, 1})
-	if _, n, err := f.NewCursor().DrainBytesInto(nil, 0, 3); err == nil || n != 0 {
-		t.Fatal("record-size mismatch accepted on fixed element")
+	f.WriteCopy([]byte{1, 1})
+	cur := f.NewCursor()
+	if _, n, err := cur.DrainBytesInto(nil, 0, 3); !errors.Is(err, ErrRecordSize) || n != 0 {
+		t.Fatalf("record-size mismatch: %d records, %v", n, err)
 	}
-	v := MustNewElement("v2", 4)
-	v.Write([]byte{1, 1})
-	v.Write([]byte{2, 2, 2})
-	cur := v.NewCursor()
-	buf, n, err := cur.DrainBytesInto(nil, 0, 2)
-	if err == nil || n != 1 || len(buf) != 2 {
-		t.Fatalf("ragged variable drain = %d records %v bytes, %v", n, buf, err)
+	if buf, n, err := cur.DrainBytesInto(nil, 0, 2); err != nil || n != 1 || !bytes.Equal(buf, []byte{1, 1}) || cur.Read() != 1 {
+		t.Fatalf("after the refused drain: %d records %v, %v; read %d", n, buf, err, cur.Read())
 	}
 }
 
@@ -633,28 +604,15 @@ func TestFixedWriteCopyZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkElementWrite(b *testing.B) {
-	e := MustNewElement("b", 4096)
+	e, err := NewElementFixed("b", 4096, 28)
+	if err != nil {
+		b.Fatal(err)
+	}
 	data := make([]byte, 28)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Write(data)
-	}
-}
-
-func BenchmarkCursorTryNext(b *testing.B) {
-	e := MustNewElement("b", 1<<16)
-	for i := 0; i < 1<<16; i++ {
-		e.Write(nil)
-	}
-	c := e.NewCursor()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.TryNext(); err != nil {
-			b.StopTimer()
-			c = e.NewCursor()
-			b.StartTimer()
-		}
+		e.WriteCopy(data)
 	}
 }
 

@@ -15,22 +15,6 @@ type ReduceFunc func(a, b int64) int64
 // Sum is the global-sum reduction used by the paper's gsum benchmark.
 func Sum(a, b int64) int64 { return a + b }
 
-// Max reduction.
-func Max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min reduction.
-func Min(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // CollectiveNotifier receives the synchronization-phase events the
 // coscheduling controller keys off (section 4.1, "Coscheduling"). AllSent
 // fires on a host once every local contributor has arrived and the
@@ -178,11 +162,3 @@ type arPort struct {
 }
 
 func (p *arPort) Op(ctx *Ctx, req Request) (Reply, error) { return p.ar.Op(ctx, req) }
-
-// Barrier returns an Allreduce configured as a pure synchronization
-// barrier (reduction ignored, value zero), terminating in the given next
-// wrapper. It exists because other synchronizing collectives "will have
-// similar metrics" (section 3) and gives tests a second collective.
-func Barrier(name string, host *vnet.Host, n int, next Wrapper) (*Allreduce, error) {
-	return NewAllreduce(name, host, n, func(a, b int64) int64 { return 0 }, next)
-}

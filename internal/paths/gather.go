@@ -262,12 +262,7 @@ func (s *Scatter) Op(ctx *Ctx, req Request) (Reply, error) {
 		if elem == nil {
 			continue // routed to nowhere: filtered out
 		}
-		// A fixed element copies the record into its arena; a variable
-		// one retains the slice beyond this call and needs its own.
-		if elem.RecordSize() == 0 {
-			rec = append([]byte(nil), rec...)
-		}
-		if _, err := elem.Write(rec); err != nil {
+		if _, err := elem.WriteCopy(rec); err != nil {
 			return Reply{}, fmt.Errorf("paths: %s: %w", s.name, err)
 		}
 		n++

@@ -202,7 +202,8 @@ type ValueStore struct {
 	elem *pastset.Element
 }
 
-// NewValueStore creates a storage wrapper over elem on host.
+// NewValueStore creates a storage wrapper over elem, an element of 8-byte
+// records, on host.
 func NewValueStore(name string, host *vnet.Host, elem *pastset.Element) *ValueStore {
 	return &ValueStore{base: base{name, host}, elem: elem}
 }
@@ -214,21 +215,19 @@ func (s *ValueStore) Element() *pastset.Element { return s.elem }
 func (s *ValueStore) Op(ctx *Ctx, req Request) (Reply, error) {
 	switch req.Kind {
 	case OpWrite:
-		buf := make([]byte, 8)
-		binary.LittleEndian.PutUint64(buf, uint64(req.Value))
-		if _, err := s.elem.Write(buf); err != nil {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], uint64(req.Value))
+		if _, err := s.elem.WriteCopy(buf[:]); err != nil {
 			return Reply{}, err
 		}
 		return Reply{Value: req.Value}, nil
 	case OpRead:
-		t, err := s.elem.Latest()
+		var buf [8]byte
+		val, err := s.elem.Latest(buf[:0])
 		if err != nil {
 			return Reply{}, err
 		}
-		if len(t.Data) < 8 {
-			return Reply{}, fmt.Errorf("paths: %s: short value tuple (%d bytes)", s.name, len(t.Data))
-		}
-		return Reply{Value: int64(binary.LittleEndian.Uint64(t.Data))}, nil
+		return Reply{Value: int64(binary.LittleEndian.Uint64(val))}, nil
 	default:
 		return Reply{}, fmt.Errorf("paths: %s: unsupported op %v", s.name, req.Kind)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"eventspace/internal/hrtime"
-	"eventspace/internal/pastset"
 	"eventspace/internal/vnet"
 )
 
@@ -29,7 +28,7 @@ func TestRemoteOverRealTCP(t *testing.T) {
 	}
 
 	// The service terminates paths in a PastSet element on the server.
-	elem := pastset.MustNewElement("remote-values", 64)
+	elem := testElem(t, "remote-values", 64, 8)
 	svc := NewService()
 	target := svc.Register(NewValueStore("store", serverHost, elem))
 
@@ -75,7 +74,7 @@ func TestAllreduceOverRealTCP(t *testing.T) {
 	rootHost, _ := n.AddStandaloneHost("root", 2)
 	leafHost, _ := n.AddStandaloneHost("leaf", 2)
 
-	elem := pastset.MustNewElement("result", 64)
+	elem := testElem(t, "result", 64, 8)
 	store := NewValueStore("store", rootHost, elem)
 	ar, err := NewAllreduce("ar", rootHost, 2, Sum, store)
 	if err != nil {

@@ -77,8 +77,7 @@ const treeRec = 4 // record size of every leaf element
 type nodeKind int
 
 const (
-	leafFixed     nodeKind = iota // BatchReader over a fixed element
-	leafVar                       // BatchReader over a variable element
+	leafElem      nodeKind = iota // BatchReader over an element
 	leafOwn                       // Func that ignores the window and returns bytes of its own
 	leafWindow                    // Func that appends to the window
 	leafFail                      // Func that fails every other call
@@ -115,13 +114,11 @@ func (g *treeGen) draw(depth int) *nodeSpec {
 		pick = g.rng.Intn(10)
 	}
 	switch {
-	case pick < 4:
-		n.kind = leafFixed
-		if g.rng.Intn(3) == 0 {
+	case pick < 6:
+		n.kind = leafElem
+		if pick < 4 && g.rng.Intn(3) == 0 {
 			n.max = 1 + g.rng.Intn(3)
 		}
-	case pick < 6:
-		n.kind = leafVar
 	case pick < 8:
 		n.kind = leafOwn
 		if g.failing {
@@ -181,17 +178,8 @@ func (r *treeRig) build(n *nodeSpec) Wrapper {
 		next = r.build(n.children[0])
 	}
 	switch n.kind {
-	case leafFixed, leafVar:
-		var elem *pastset.Element
-		var err error
-		if n.kind == leafFixed {
-			elem, err = pastset.NewElementFixed(n.name, 8, treeRec)
-		} else {
-			elem, err = pastset.NewElement(n.name, 8)
-		}
-		if err != nil {
-			r.t.Fatal(err)
-		}
+	case leafElem:
+		elem := testElem(r.t, n.name, 8, treeRec)
 		r.elems = append(r.elems, elem)
 		return NewBatchReader(n.name, h, elem, treeRec, n.max)
 	case leafOwn:
@@ -314,10 +302,10 @@ func TestGatherMatchesAppendReference(t *testing.T) {
 					for k := rng.Intn(7) * rng.Intn(2); k > 0; k-- {
 						serial++
 						rec := []byte{byte(i), serial, byte(round), 0xEE}
-						if _, err := got.elems[i].Write(bytes.Clone(rec)); err != nil {
+						if _, err := got.elems[i].WriteCopy(rec); err != nil {
 							t.Fatal(err)
 						}
-						if _, err := ref.elems[i].Write(bytes.Clone(rec)); err != nil {
+						if _, err := ref.elems[i].WriteCopy(rec); err != nil {
 							t.Fatal(err)
 						}
 					}

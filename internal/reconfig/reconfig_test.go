@@ -39,6 +39,16 @@ func wan4(seed int64, hostsPer int) cluster.TestbedSpec {
 	return spec
 }
 
+// testElem creates an element of 1-byte records.
+func testElem(t *testing.T, name string, capacity int) *pastset.Element {
+	t.Helper()
+	e, err := pastset.NewElementFixed(name, capacity, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // guardedScope builds a health-tracked scope with one 1-byte-record
 // source per compute host of every cluster in tb.
 func guardedScope(t *testing.T, tb *cluster.Testbed) (*escope.Scope, map[string]*pastset.Element) {
@@ -51,8 +61,8 @@ func guardedScope(t *testing.T, tb *cluster.Testbed) (*escope.Scope, map[string]
 		Retry:    &paths.RetryPolicy{MaxAttempts: 2, BaseBackoff: 50 * time.Microsecond},
 	}
 	for _, h := range tb.Hosts() {
-		e := pastset.MustNewElement("src-"+h.Name(), 64)
-		if _, err := e.Write([]byte{1}); err != nil {
+		e := testElem(t, "src-"+h.Name(), 64)
+		if _, err := e.WriteCopy([]byte{1}); err != nil {
 			t.Fatal(err)
 		}
 		elems[h.Name()] = e
@@ -154,7 +164,7 @@ func runGatewayCrash(t *testing.T, seed int64) []reconfig.RepairStep {
 	// Fresh records on the orphaned hosts prove delivery over the new
 	// paths, and coverage must heal within five monitored rounds.
 	for _, h := range orphans {
-		if _, err := elems[h.Name()].Write([]byte{9}); err != nil {
+		if _, err := elems[h.Name()].WriteCopy([]byte{9}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +277,7 @@ func TestGatewayCrashPromotesUnderFanInCap(t *testing.T) {
 		t.Fatalf("cluster a not rebuilt on %s: %+v", promoted, topo)
 	}
 	for _, h := range a.Hosts() {
-		if _, err := elems[h.Name()].Write([]byte{9}); err != nil {
+		if _, err := elems[h.Name()].WriteCopy([]byte{9}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -376,7 +386,7 @@ func TestAttachValidation(t *testing.T) {
 		t.Fatal("nil scope accepted")
 	}
 	tb := lanRig(t)
-	e := pastset.MustNewElement("x", 8)
+	e := testElem(t, "x", 8)
 	plain, err := escope.Build(tb.Net, escope.Spec{
 		Name: "plain", FrontEnd: tb.FrontEnd,
 		Sources: []escope.Source{{Host: tb.Clusters[0].Hosts()[0], Elem: e, RecSize: 1}},

@@ -17,13 +17,13 @@
 //
 // The clock is conservative: it needs to know about every goroutine that
 // participates in the model and about every blocking point. Participants
-// are spawned with Go (or bracketed with Register/Unregister); blocking
-// synchronization uses the clock-aware Cond, Sem, WaitGroup, Event and
-// Queue primitives, which behave like their sync counterparts when the
-// clock is disabled. A registered goroutine must never block on a plain
-// channel or sync primitive while the clock is active — the clock would
-// consider it runnable and stall (ErrStalled panics flag the inverse
-// case, where everyone is blocked but no timer is pending).
+// are spawned with Go, the one way into the model; blocking synchronization
+// uses the clock-aware Cond, Sem, WaitGroup, Event and Queue primitives,
+// which behave like their sync counterparts when the clock is disabled. A
+// registered goroutine must never block on a plain channel or sync
+// primitive while the clock is active — the clock would consider it
+// runnable and stall (ErrStalled panics flag the inverse case, where
+// everyone is blocked but no timer is pending).
 package vclock
 
 import (
@@ -187,28 +187,6 @@ func Go(fn func()) {
 		}()
 		fn()
 	}()
-}
-
-// Register marks the calling goroutine as a model participant; it must be
-// paired with Unregister. No-ops while the clock is disabled.
-func Register() {
-	c.mu.Lock()
-	if c.active {
-		c.running++
-		c.live++
-	}
-	c.mu.Unlock()
-}
-
-// Unregister removes the calling goroutine from the model.
-func Unregister() {
-	c.mu.Lock()
-	if c.active {
-		c.running--
-		c.live--
-		c.advanceLocked()
-	}
-	c.mu.Unlock()
 }
 
 // Sleep suspends the calling registered goroutine for d of virtual time.

@@ -319,18 +319,24 @@ func TestQueuePopBlocksUntilPush(t *testing.T) {
 	})
 }
 
+// TestRegisterUnregister: Go has registered fn by the time it returns,
+// and fn leaves the model when it returns.
 func TestRegisterUnregister(t *testing.T) {
 	withClock(t, func() {
 		done := make(chan struct{})
-		go func() { // plain goroutine joining the model explicitly
-			Register()
-			defer Unregister()
+		Go(func() {
 			Sleep(time.Millisecond)
 			close(done)
-		}()
+		})
+		if _, _, live, _ := Stats(); live != 1 {
+			t.Errorf("live = %d right after Go, want 1", live)
+		}
 		<-done
 		if Now() != int64(time.Millisecond) {
 			t.Errorf("Now = %d", Now())
+		}
+		if !Quiesce(5 * time.Second) {
+			t.Error("fn returned and is still registered")
 		}
 	})
 }
@@ -420,26 +426,25 @@ func TestDeterministicTiming(t *testing.T) {
 		defer Disable()
 		rng := rand.New(rand.NewSource(99))
 		wg := NewWaitGroup()
-		// The spawner counts as runnable until every sleeper exists:
-		// otherwise an early sleeper can find itself the only registered
-		// goroutine and take the clock forward before the rest start.
-		Register()
-		for i := 0; i < 20; i++ {
-			d := time.Duration(rng.Intn(1000)+1) * time.Microsecond
-			wg.Add(1)
-			Go(func() {
-				defer wg.Done()
-				Sleep(d)
-				Sleep(d)
-				Sleep(d / 2)
-			})
-		}
 		end := make(chan int64, 1)
+		// The spawner is a model goroutine, runnable until every sleeper
+		// exists: otherwise an early sleeper can find itself the only
+		// registered goroutine and take the clock forward before the
+		// rest start.
 		Go(func() {
+			for i := 0; i < 20; i++ {
+				d := time.Duration(rng.Intn(1000)+1) * time.Microsecond
+				wg.Add(1)
+				Go(func() {
+					defer wg.Done()
+					Sleep(d)
+					Sleep(d)
+					Sleep(d / 2)
+				})
+			}
 			wg.Wait()
 			end <- Now()
 		})
-		Unregister()
 		v := <-end
 		Quiesce(5 * time.Second)
 		return v

@@ -76,14 +76,3 @@ func CoverageDetail(w io.Writer, cov escope.Coverage) error {
 	}
 	return nil
 }
-
-// Transitions renders a guard transition log (as captured by a scope
-// transition hook) in arrival order.
-func Transitions(w io.Writer, trs []escope.Transition) error {
-	fmt.Fprintf(w, "guard transitions: %d\n", len(trs))
-	for _, tr := range trs {
-		fmt.Fprintf(w, "  @%v %s [%s] %s -> %s (cluster %q)\n",
-			time.Duration(tr.At), tr.Target, tr.Role, tr.From, tr.To, tr.Cluster)
-	}
-	return nil
-}

@@ -241,17 +241,3 @@ func Topology(w io.Writer, tb *cluster.Testbed) error {
 	}
 	return nil
 }
-
-// Rows renders experiment rows as a right-padded table (the esbench
-// output format).
-func Rows(w io.Writer, title string, rows []fmt.Stringer) error {
-	if _, err := fmt.Fprintf(w, "== %s ==\n", title); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "  %s\n", r.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -124,15 +124,6 @@ func (h *Host) Occupy(d time.Duration) {
 	h.busyNS.Add(int64(hrtime.ScaleDelay(d)))
 }
 
-// OccupyUnscaled claims a CPU slot and busy-works for the real duration d.
-// It is used by microbenchmarks that need genuine CPU burn.
-func (h *Host) OccupyUnscaled(d time.Duration) {
-	h.Acquire()
-	hrtime.Work(d)
-	h.Release()
-	h.busyNS.Add(int64(d))
-}
-
 // BusyTime reports the accumulated modelled CPU occupancy of the host.
 func (h *Host) BusyTime() time.Duration { return time.Duration(h.busyNS.Load()) }
 
