@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates gather-gates pastset-leaf lint vet eslint lint-fix-check ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates gather-gates collect-gates pastset-leaf one-clock-switch lint vet eslint lint-fix-check ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -63,12 +63,26 @@ gather-gates:
 	$(GO) test -run '^$$' -bench 'Benchmark(DrainBytesInto|ElementWrite)' -benchmem ./internal/pastset/ | $(call zero-allocs,2)
 	$(GO) test -run '^$$' -bench 'BenchmarkValueStoreWrite' -benchmem ./internal/paths/ | $(call zero-allocs,1)
 
+# collect-gates are the collection path's zero-alloc gates: the event
+# collector's write (with and without self-metrics), the ingest queue's
+# shed and the breaker's decision each report 0 allocs/op.
+collect-gates:
+	$(GO) test -run '^$$' -bench 'Benchmark(EventCollectorWrite|IngestShed)' -benchmem ./internal/collect/ | $(call zero-allocs,3)
+	$(GO) test -run '^$$' -bench 'BenchmarkBreakerDecision' -benchmem ./internal/escope/ | $(call zero-allocs,1)
+
 # pastset-leaf holds internal/pastset to importing nothing else of this
 # module: it carries no clock, so whatever threads a clock through the
 # packages that park on it (ROADMAP item 1) has this one fewer to visit.
 pastset-leaf:
 	@deps=$$($(GO) list -deps ./internal/pastset | grep '^eventspace/' | grep -vx 'eventspace/internal/pastset'); \
 		if [ -n "$$deps" ]; then echo "internal/pastset is not a leaf, it imports:" $$deps; exit 1; fi
+
+# one-clock-switch holds core.RunVirtual to being the only non-test code
+# that enables, quiesces or disables the process-global virtual clock:
+# the instance clock (ROADMAP item 1) then has one function to change.
+one-clock-switch:
+	@sites=$$(grep -rnE 'vclock\.(Enable|Disable|Quiesce)\(' --include=*.go . | grep -v _test.go | grep -v '^./internal/vclock/' | cut -d: -f1 | sort -u); \
+		if [ "$$sites" != "./internal/core/core.go" ]; then echo "the virtual clock is switched outside internal/core/core.go:" $$sites; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -89,5 +103,5 @@ lint: vet eslint lint-fix-check
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint pastset-leaf test-short read-gates checkpoint-gates gather-gates
+ci: build lint pastset-leaf one-clock-switch test-short read-gates checkpoint-gates gather-gates collect-gates
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

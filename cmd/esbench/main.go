@@ -16,7 +16,8 @@
 // The default quick mode scales host counts and iterations down so the
 // whole suite completes in minutes; -full uses the paper's host counts.
 // Everything executes under the discrete-event virtual clock, so results
-// are exact and machine-independent.
+// depend on the model and not on the machine (EXPERIMENTS.md gives the
+// run-to-run spread that tie order at one virtual instant leaves).
 package main
 
 import (

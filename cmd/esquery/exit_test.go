@@ -19,16 +19,16 @@ func TestExitStatus(t *testing.T) {
 		stderr string // substring the diagnostics must contain
 	}{
 		{"ok info", []string{"info", "-dir", dir}, 0, ""},
-		{"ok filter", []string{"filter", "-dir", dir, "-ecids", "1"}, 0, ""},
+		{"ok replay", []string{"replay", "-dir", dir, "-ecids", "1"}, 0, ""},
 		{"ok query", []string{"query", "-dir", dir, "-q", "select count()"}, 0, ""},
 		{"no args", []string{}, 2, "usage"},
 		{"unknown subcommand", []string{"frobnicate"}, 2, `unknown subcommand "frobnicate"`},
-		{"unknown flag", []string{"filter", "-dir", dir, "-bogus"}, 2, "-bogus"},
-		{"bad flag value", []string{"filter", "-dir", dir, "-since", "soon"}, 2, "-since"},
-		{"bad ecid list", []string{"filter", "-dir", dir, "-ecids", "abc"}, 2, "-ecids"},
-		{"bad op name", []string{"filter", "-dir", dir, "-ops", "bogus"}, 2, "-ops"},
-		{"negative since", []string{"filter", "-dir", dir, "-since", "-5"}, 2, "-since"},
-		{"missing dir", []string{"filter"}, 2, "-dir is required"},
+		{"unknown flag", []string{"replay", "-dir", dir, "-bogus"}, 2, "-bogus"},
+		{"bad flag value", []string{"replay", "-dir", dir, "-since", "soon"}, 2, "-since"},
+		{"bad ecid list", []string{"replay", "-dir", dir, "-ecids", "abc"}, 2, "-ecids"},
+		{"bad op name", []string{"replay", "-dir", dir, "-ops", "bogus"}, 2, "-ops"},
+		{"negative since", []string{"replay", "-dir", dir, "-since", "-5"}, 2, "-since"},
+		{"missing dir", []string{"replay"}, 2, "-dir is required"},
 		{"missing query", []string{"query", "-dir", dir}, 2, "-q is required"},
 		{"bad esql", []string{"query", "-dir", dir, "-q", "select bogus("}, 2, "esql"},
 		{"missing archive", []string{"info", "-dir", dir + "/nope"}, 1, ""},

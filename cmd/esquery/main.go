@@ -9,19 +9,16 @@
 //
 //	esquery info    -dir DIR
 //	esquery query   -dir DIR -q "select * where ecid in (1, 2) and latency > 500us limit 10"
-//	esquery filter  -dir DIR [-ecids 1,2] [-ops read,write,mode,alert] [-min N] [-max N]
-//	                [-since D] [-until D] [-limit N]
-//	esquery summarize -dir DIR [filters] [-bucket D]
-//	esquery replay  -dir DIR [filters] [-monitor loadbalance|stats|alerts]
+//	esquery replay  -dir DIR [-ecids 1,2] [-ops read,write,mode,alert] [-min N] [-max N]
+//	                [-since D] [-until D] [-monitor loadbalance|stats|alerts]
 //	                [-window N] [-alerts "stmt[; stmt]"]
 //	esquery watch   -dir DIR -q "alert when ..." [-poll D] [-once]
 //
 // info lists the segments and their header indexes; query runs one esql
 // statement (select * streams tuples, aggregate selects print a result
 // table, alert statements replay the archive's data tuples through the
-// continuous-query engine); filter and summarize are flag sugar that
-// compiles to esql and runs through the same evaluator; replay feeds
-// the archive through the load-balance or statistics join offline — or,
+// continuous-query engine); replay feeds the archive — narrowed by its
+// filter flags — through the load-balance or statistics join offline, or,
 // with -monitor alerts, regenerates an alert stream and verifies it
 // against the archived alert tuples; watch tails a live archive
 // directory, evaluating standing alert statements as segments grow.
@@ -59,7 +56,7 @@ func usagef(format string, args ...any) error {
 }
 
 func printUsage(w io.Writer) {
-	fmt.Fprintln(w, "usage: esquery <info|query|filter|summarize|replay|watch> -dir DIR [flags]")
+	fmt.Fprintln(w, "usage: esquery <info|query|replay|watch> -dir DIR [flags]")
 	fmt.Fprintln(w, "run 'esquery <subcommand> -h' for the subcommand's flags")
 }
 
@@ -80,10 +77,6 @@ func run(args []string, stderr io.Writer) int {
 		err = runInfo(rest)
 	case "query":
 		err = runQuery(rest)
-	case "filter":
-		err = runFilter(rest)
-	case "summarize":
-		err = runSummarize(rest)
 	case "replay":
 		err = runReplay(rest)
 	case "watch":
@@ -127,8 +120,8 @@ func parseFlags(fs *flag.FlagSet, args []string) error {
 }
 
 // queryFlags registers the shared -dir and filter flags on fs. The
-// filter flags are sugar: they compile to an esql predicate and run
-// through the same evaluator and pushdown as an explicit -q statement.
+// filter flags narrow what replay scans: they compile to an esql
+// predicate and ride the same pushdown as an explicit -q statement.
 type queryFlags struct {
 	dir   *string
 	ecids *string
@@ -199,29 +192,6 @@ func (qf *queryFlags) predicate() (string, error) {
 		conj = append(conj, fmt.Sprintf("start <= %d", max))
 	}
 	return strings.Join(conj, " and "), nil
-}
-
-// compile builds the esql statement the flags express and parses it
-// through the one evaluator code path.
-func (qf *queryFlags) compile(selectList string, trailer string) (*query.Stmt, error) {
-	pred, err := qf.predicate()
-	if err != nil {
-		return nil, err
-	}
-	src := "select " + selectList
-	if pred != "" {
-		src += " where " + pred
-	}
-	if trailer != "" {
-		src += " " + trailer
-	}
-	stmt, err := query.Parse(src)
-	if err != nil {
-		// The flags were already validated; a parse failure here is a
-		// compiler bug, not a user error.
-		return nil, fmt.Errorf("internal: flags compiled to bad esql %q: %v", src, err)
-	}
-	return stmt, nil
 }
 
 // open opens the archive named by -dir.
@@ -301,7 +271,7 @@ func printCheckpoints(r *archive.Reader) {
 	}
 }
 
-// printTuple renders one tuple in the filter/select-* line format.
+// printTuple renders one tuple in the select-* line format.
 func printTuple(t collect.TraceTuple) bool {
 	fmt.Printf("ec %4d  %-5s ret %3d  seq %8d  start %12d  end %12d  lat %s\n",
 		t.ECID, t.Op, t.Ret, t.Seq, t.Start, t.End, time.Duration(t.End-t.Start))
@@ -317,78 +287,6 @@ func streamStmt(r *archive.Reader, stmt *query.Stmt) error {
 	}
 	fmt.Printf("%d tuples matched (%d scanned, %d/%d segments skipped)\n",
 		stats.TuplesMatched, stats.TuplesScanned, stats.SegmentsSkipped, stats.Segments)
-	return nil
-}
-
-func runFilter(args []string) error {
-	fs := newFlagSet("esquery filter")
-	qf := addQueryFlags(fs)
-	limit := fs.Int("limit", 0, "stop after N matching tuples (0: no limit)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	trailer := ""
-	if *limit > 0 {
-		trailer = fmt.Sprintf("limit %d", *limit)
-	}
-	stmt, err := qf.compile("*", trailer)
-	if err != nil {
-		return err
-	}
-	r, err := qf.open()
-	if err != nil {
-		return err
-	}
-	return streamStmt(r, stmt)
-}
-
-func runSummarize(args []string) error {
-	fs := newFlagSet("esquery summarize")
-	qf := addQueryFlags(fs)
-	bucket := fs.Duration("bucket", 0, "also print a per-collector time series with this bucket width")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	stmt, err := qf.compile("count(), errors(), min(start), max(end), mean(latency)", "by ecid")
-	if err != nil {
-		return err
-	}
-	r, err := qf.open()
-	if err != nil {
-		return err
-	}
-	res, stats, err := query.Run(r, stmt)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-6s %10s %8s %14s %14s %12s\n", "ecid", "tuples", "errors", "first-start", "last-end", "mean-lat")
-	for _, row := range res.Rows {
-		fmt.Printf("%-6d %10d %8d %14d %14d %12s\n",
-			row.Group, row.Vals[0].I, row.Vals[1].I, row.Vals[2].I, row.Vals[3].I,
-			time.Duration(row.Vals[4].I))
-	}
-	fmt.Printf("%d tuples matched (%d/%d segments skipped)\n",
-		stats.TuplesMatched, stats.SegmentsSkipped, stats.Segments)
-	if *bucket > 0 {
-		series, err := qf.compile("count(), mean(latency)", fmt.Sprintf("by ecid window %s", *bucket))
-		if err != nil {
-			return err
-		}
-		sres, _, err := query.Run(r, series)
-		if err != nil {
-			return err
-		}
-		var cur uint32
-		started := false
-		for _, row := range sres.Rows {
-			if !started || row.Group != cur {
-				fmt.Printf("ec %d series (bucket %s):\n", row.Group, *bucket)
-				cur, started = row.Group, true
-			}
-			fmt.Printf("  %12d  %8d tuples  mean-lat %s\n",
-				row.Bucket, row.Vals[0].I, time.Duration(row.Vals[1].I))
-		}
-	}
 	return nil
 }
 
@@ -512,13 +410,14 @@ func runReplay(args []string) error {
 	}
 	var q archive.Query
 	if pred != "" {
-		// The replay filters reuse the esql compile + pushdown path; for
+		// The replay filters reuse the esql parse + pushdown path; for
 		// these flag shapes the extraction is exact, not just
-		// conservative, so the Query is the same one the old flag
-		// plumbing built.
-		stmt, err := qf.compile("*", "")
+		// conservative.
+		stmt, err := query.Parse("select * where " + pred)
 		if err != nil {
-			return err
+			// The flags were already validated; a parse failure here is a
+			// compiler bug, not a user error.
+			return fmt.Errorf("internal: flags compiled to bad esql predicate %q: %v", pred, err)
 		}
 		q = stmt.Pushdown()
 	}

@@ -15,9 +15,16 @@ import (
 // writeTestArchive builds a small archive with tuples at known stamps:
 // ten tuples on ECID 1, Start = i microseconds (0..9), plus one mode
 // control tuple at 4us. Small segments force several rotations so the
-// stamp-range pushdown has segments to skip.
+// stamp-range pushdown has segments to skip. The metadata sidecar names
+// ECID 1 a contributor, which is all the load-balance replay needs.
 func writeTestArchive(t *testing.T, dir string) {
 	t.Helper()
+	err := archive.WriteMeta(dir, []archive.CollectorInfo{
+		{ID: 1, Name: "c-a", Role: collect.RoleContributor, Tree: "T", Node: "a", Contributor: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, err := archive.Create(archive.Options{Dir: dir, SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
@@ -67,34 +74,34 @@ func capture(t *testing.T, fn func() error) string {
 	return out
 }
 
-// TestFilterSinceUntil exercises the -since/-until stamp-range flags:
-// only tuples whose Start falls inside the model-time window are
-// printed, and segments wholly outside the window are skipped by the
-// header-index pushdown.
-func TestFilterSinceUntil(t *testing.T) {
+// TestQuerySelectStarStampRange exercises a stamp-range select *: only
+// tuples whose Start falls inside the model-time window are printed, and
+// segments wholly outside the window are skipped by the header-index
+// pushdown.
+func TestQuerySelectStarStampRange(t *testing.T) {
 	dir := t.TempDir()
 	writeTestArchive(t, dir)
 
 	out := capture(t, func() error {
-		return runFilter([]string{"-dir", dir, "-ops", "read", "-since", "2us", "-until", "5us"})
+		return runQuery([]string{"-dir", dir, "-q", "select * where op in (read) and start >= 2000 and start <= 5000"})
 	})
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	// Tuples at 2000, 3000, 4000, 5000 ns plus the trailing stats line.
 	if len(lines) != 5 {
-		t.Fatalf("filter printed %d lines, want 5:\n%s", len(lines), out)
+		t.Fatalf("query printed %d lines, want 5:\n%s", len(lines), out)
 	}
 	for _, want := range []string{"start         2000", "start         5000"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("filter output missing %q:\n%s", want, out)
+			t.Errorf("query output missing %q:\n%s", want, out)
 		}
 	}
 	for _, reject := range []string{"start         1000", "start         6000"} {
 		if strings.Contains(out, reject) {
-			t.Errorf("filter output leaked out-of-range tuple %q:\n%s", reject, out)
+			t.Errorf("query output leaked out-of-range tuple %q:\n%s", reject, out)
 		}
 	}
 	if !strings.Contains(out, "4 tuples matched") {
-		t.Errorf("filter stats line wrong:\n%s", out)
+		t.Errorf("query stats line wrong:\n%s", out)
 	}
 	// The small segments guarantee at least one was skipped unscanned.
 	if strings.Contains(out, "0/") {
@@ -102,34 +109,37 @@ func TestFilterSinceUntil(t *testing.T) {
 	}
 }
 
-// TestSummarizeSinceUntil checks the same window through summarize, and
-// that -since/-until override -min/-max.
-func TestSummarizeSinceUntil(t *testing.T) {
+// TestReplaySinceUntil checks the same window through replay's filter
+// flags, and that -since/-until override -min/-max.
+func TestReplaySinceUntil(t *testing.T) {
 	dir := t.TempDir()
 	writeTestArchive(t, dir)
 
 	out := capture(t, func() error {
-		return runSummarize([]string{"-dir", dir, "-min", "999999", "-since", "7us"})
+		return runReplay([]string{"-dir", dir, "-ops", "read", "-since", "2us", "-until", "5us"})
 	})
-	if !strings.Contains(out, "3 tuples matched") {
-		t.Errorf("summarize window [7us,∞) should match stamps 7000..9000:\n%s", out)
+	if !strings.Contains(out, "replayed 4 tuples") || strings.Contains(out, "0/") {
+		t.Errorf("replay window [2us,5us] should feed stamps 2000..5000 and skip segments:\n%s", out)
 	}
-	if !strings.Contains(out, "7000") {
-		t.Errorf("summarize first-start should be 7000:\n%s", out)
+	out = capture(t, func() error {
+		return runReplay([]string{"-dir", dir, "-min", "999999", "-since", "7us"})
+	})
+	if !strings.Contains(out, "replayed 3 tuples") {
+		t.Errorf("replay window [7us,∞) should feed stamps 7000..9000:\n%s", out)
 	}
 }
 
-// TestFilterModeOp checks that mode control tuples are selectable and
+// TestQueryModeOp checks that mode control tuples are selectable and
 // rendered with their op name.
-func TestFilterModeOp(t *testing.T) {
+func TestQueryModeOp(t *testing.T) {
 	dir := t.TempDir()
 	writeTestArchive(t, dir)
 
 	out := capture(t, func() error {
-		return runFilter([]string{"-dir", dir, "-ops", "mode"})
+		return runQuery([]string{"-dir", dir, "-q", "select * where op in (mode)"})
 	})
 	if !strings.Contains(out, "mode") || !strings.Contains(out, "1 tuples matched") {
-		t.Errorf("mode filter should match exactly the control tuple:\n%s", out)
+		t.Errorf("mode select should match exactly the control tuple:\n%s", out)
 	}
 }
 
@@ -137,7 +147,7 @@ func TestFilterModeOp(t *testing.T) {
 func TestNegativeSinceRejected(t *testing.T) {
 	dir := t.TempDir()
 	writeTestArchive(t, dir)
-	if err := runFilter([]string{"-dir", dir, "-since", "-1us"}); err == nil {
+	if err := runReplay([]string{"-dir", dir, "-since", "-1us"}); err == nil {
 		t.Fatal("negative -since accepted")
 	}
 }

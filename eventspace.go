@@ -74,7 +74,8 @@ import (
 type (
 	// System is one EventSpace instance over a virtual testbed.
 	System = core.System
-	// Workload drives application threads over one or more trees.
+	// Workload drives application threads over one or more trees: one
+	// allreduce per iteration, alternating over the trees.
 	Workload = core.Workload
 
 	// TestbedSpec describes the virtual testbed (clusters, sites, WAN).
@@ -391,7 +392,9 @@ func New(spec TestbedSpec, strategy Strategy) (*System, error) {
 }
 
 // RunVirtual executes fn under the discrete-event virtual clock: modelled
-// delays cost no real time and results are exact and deterministic.
+// delays cost no real time and results depend only on the model (ties at
+// one virtual instant resolve in either order; EXPERIMENTS.md gives the
+// measured run-to-run spread).
 func RunVirtual(fn func() error) error { return core.RunVirtual(fn) }
 
 // SleepOutside waits d of model time from the driver goroutine (the

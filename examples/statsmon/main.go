@@ -20,8 +20,9 @@ func run(strategy eventspace.Strategy, label string) error {
 	return eventspace.RunVirtual(func() error {
 		const rounds = 2400
 
-		// gsum alternates between two identical trees; only the first
-		// is monitored, as in the paper's experiments.
+		// gsum alternates between two identical trees, one allreduce per
+		// iteration, so each completes half the rounds; only the first is
+		// monitored, as in the paper's experiments.
 		buildTrees := func(sys *eventspace.System, instrument bool) ([]*eventspace.Tree, error) {
 			var trees []*eventspace.Tree
 			for _, name := range []string{"g1", "g2"} {

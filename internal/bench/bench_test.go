@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -79,25 +80,81 @@ func TestRunRepeatableUnderVirtualClock(t *testing.T) {
 	}
 }
 
+// TestRunWithMonitors runs every monitor kind, with and without
+// self-metrics, and holds what a Run owes its caller whatever it
+// assembles: traffic counted, the kind's rates sampled (and no others),
+// a self-metrics snapshot exactly when asked for, and every goroutine it
+// started — the monitor threads the System adopted and the analysis-only
+// ones Run stops itself — gone when it returns.
 func TestRunWithMonitors(t *testing.T) {
-	for _, kind := range []MonitorKind{CollectorsOnly, LBSingleScope, LBDistributed, Statsm, StatsmNoGather} {
-		spec := tinySpec()
-		spec.Monitor = kind
-		spec.MonitorCfg.PullInterval = 300 * time.Microsecond
-		spec.MonitorCfg.AnalysisInterval = 300 * time.Microsecond
-		res, err := Run(spec)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
+	inUnit := func(rates ...float64) bool {
+		for _, r := range rates {
+			if r <= 0 || r > 1 {
+				return false
+			}
 		}
-		switch kind {
-		case LBSingleScope, LBDistributed:
-			if res.GatherRate <= 0 || res.GatherRate > 1 {
-				t.Fatalf("%v: gather rate %v", kind, res.GatherRate)
+		return true
+	}
+	for _, kind := range []MonitorKind{NoMonitor, CollectorsOnly, LBSingleScope, LBDistributed, Statsm, StatsmNoGather} {
+		for _, self := range []bool{false, true} {
+			spec := tinySpec()
+			spec.Monitor = kind
+			spec.SelfMetrics = self
+			spec.MonitorCfg.PullInterval = 300 * time.Microsecond
+			spec.MonitorCfg.AnalysisInterval = 300 * time.Microsecond
+			before := runtime.NumGoroutine()
+			res, err := Run(spec)
+			if err != nil {
+				t.Fatalf("%v: %v", kind, err)
 			}
-		case Statsm:
-			if res.WrapperGatherRate <= 0 || res.ThreadGatherRate <= 0 {
-				t.Fatalf("%v: rates %v/%v", kind, res.WrapperGatherRate, res.ThreadGatherRate)
+			if res.Messages == 0 {
+				t.Errorf("%v: no messages counted", kind)
 			}
+			if (res.Self != nil) != self {
+				t.Errorf("%v: SelfMetrics=%v but Self=%v", kind, self, res.Self)
+			}
+			lb, sm := res.GatherRate, res.WrapperGatherRate+res.ThreadGatherRate
+			switch kind {
+			case LBSingleScope, LBDistributed:
+				if !inUnit(res.GatherRate, res.TraceReadRate) || sm != 0 {
+					t.Errorf("%v: rates %+v", kind, res)
+				}
+			case Statsm, StatsmNoGather:
+				if !inUnit(res.WrapperGatherRate, res.ThreadGatherRate, res.TraceReadRate) || lb != 0 {
+					t.Errorf("%v: rates %+v", kind, res)
+				}
+			default:
+				if lb != 0 || sm != 0 {
+					t.Errorf("%v: rates without a monitor: %+v", kind, res)
+				}
+			}
+			deadline := time.Now().Add(time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%v: %d goroutines before the run, %d a second after it", kind, before, n)
+			}
+		}
+	}
+}
+
+// TestSection5PinnedToParent holds the unmonitored per-allreduce latency of
+// the quick preset's four topologies to the values the last commit whose
+// bench.Run assembled its own system printed (esbench -markdown, PR 23's
+// parent), within the run-to-run tolerance the simulator has.
+func TestSection5PinnedToParent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment shape test")
+	}
+	rows, err := Section5Topology(QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{530 * time.Microsecond, 546 * time.Microsecond, 1106 * time.Microsecond, 37708 * time.Microsecond}
+	for i, r := range rows {
+		if diff := (r.PerOp - want[i]).Abs(); float64(diff) > 0.01*float64(want[i]) {
+			t.Errorf("%s: per op %v, parent printed %v", r.Config, r.PerOp, want[i])
 		}
 	}
 }
@@ -224,11 +281,4 @@ func TestTopoNames(t *testing.T) {
 		}
 	}()
 	o.topo("nope")
-}
-
-func TestAllreducesPerIteration(t *testing.T) {
-	spec := tinySpec()
-	if allreducesPerIteration(spec) != 1 {
-		t.Fatal("one allreduce per iteration, alternating trees")
-	}
 }

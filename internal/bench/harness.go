@@ -4,27 +4,24 @@
 // section 6.1, the per-topology allreduce latencies of section 5, and the
 // scalability series of sections 6.2-6.3.
 //
-// A Run builds a testbed and one or more spanning trees, optionally
-// attaches a monitor, drives every application thread for a fixed number
-// of iterations, and reports the wall time together with the monitor's
-// gather rates. Overhead compares a monitored run against an unmonitored
-// base run of the same specification, repeated and averaged exactly as the
-// paper averages at least three repetitions.
+// A Run is a core.System run: it builds a system with one or more spanning
+// trees, optionally attaches a monitor, runs the workload for a fixed
+// number of iterations, and reports the modelled time together with the
+// monitor's gather rates. Overhead compares a monitored run against an
+// unmonitored base run of the same specification, repeated and averaged
+// exactly as the paper averages at least three repetitions.
 package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"eventspace/internal/cluster"
+	"eventspace/internal/core"
 	"eventspace/internal/cosched"
 	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/monitor"
-	"eventspace/internal/paths"
-	"eventspace/internal/vclock"
-	"eventspace/internal/vnet"
 )
 
 // Workload selects the micro-benchmark.
@@ -137,18 +134,17 @@ type RunResult struct {
 	Self *metrics.Snapshot
 }
 
-// Run executes one specification under the discrete-event virtual clock
-// and returns its measurements. Virtual execution means the measured
-// durations depend only on the model — never on how loaded or small the
-// machine running the experiment is (section "Virtual time" in
-// DESIGN.md).
+// Run executes one specification as a core.System run under the
+// discrete-event virtual clock and returns its measurements: the measured
+// durations depend only on the model, never on how loaded or small the
+// machine running the experiment is (section "Virtual time" in DESIGN.md).
+// A failed collective fails the run.
 func Run(spec RunSpec) (RunResult, error) {
 	if spec.Iterations <= 0 {
 		return RunResult{}, fmt.Errorf("bench: iterations %d", spec.Iterations)
 	}
-	trees := spec.Trees
-	if trees <= 0 {
-		trees = 1
+	if spec.Monitor < NoMonitor || spec.Monitor > StatsmNoGather {
+		return RunResult{}, fmt.Errorf("bench: unknown monitor kind %d", spec.Monitor)
 	}
 	oldScale := hrtime.Scale()
 	if spec.TimeScale > 0 {
@@ -156,218 +152,123 @@ func Run(spec RunSpec) (RunResult, error) {
 	}
 	defer hrtime.SetScale(oldScale)
 
-	vclock.Enable(0)
-	defer func() {
-		vclock.Quiesce(10 * time.Second)
-		vclock.Disable()
-	}()
+	var res RunResult
+	err := core.RunVirtual(func() error { return runSystem(spec, &res) })
+	return res, err
+}
 
-	tb, err := cluster.NewTestbed(spec.Testbed)
-	if err != nil {
-		return RunResult{}, err
-	}
-
-	var cs *cosched.Set
+// runSystem assembles spec's system, attaches its monitors, drives the
+// workload and samples the rates into res; the caller holds the clock.
+func runSystem(spec RunSpec, res *RunResult) error {
+	// Only the statistics monitor coschedules its analysis threads with
+	// the application; a None waiter admits immediately.
+	strategy := cosched.None
 	if spec.Monitor == Statsm || spec.Monitor == StatsmNoGather {
-		cs = cosched.NewSet(spec.MonitorCfg.Strategy)
+		strategy = spec.MonitorCfg.Strategy
 	}
-
-	var selfReg *metrics.Registry
+	sys, err := core.New(spec.Testbed, strategy)
+	if err != nil {
+		return err
+	}
+	defer sys.Close()
 	if spec.SelfMetrics {
-		selfReg = metrics.New()
-		if spec.MonitorCfg.Metrics == nil {
-			spec.MonitorCfg.Metrics = selfReg
-		}
+		sys.UseMetrics(metrics.New())
 	}
 
-	instrument := spec.Monitor != NoMonitor
-	built := make([]*cluster.Tree, trees)
-	for i := range built {
-		ts := cluster.TreeSpec{
+	trees := make([]*cluster.Tree, max(spec.Trees, 1))
+	for i := range trees {
+		trees[i], err = sys.BuildTree(cluster.TreeSpec{
 			Name:           fmt.Sprintf("T%d", i+1),
 			Fanout:         spec.Fanout,
 			ThreadsPerHost: 1,
-			Instrument:     instrument,
+			Instrument:     spec.Monitor != NoMonitor,
 			TraceBufCap:    spec.TraceBufCap,
 			WANAllToAll:    spec.Testbed.WAN,
-			Metrics:        selfReg,
-		}
-		if cs != nil {
-			ts.Notifier = func(h *vnet.Host) paths.CollectiveNotifier { return cs.For(h) }
-		}
-		built[i], err = cluster.BuildTree(tb, ts)
+		})
 		if err != nil {
-			return RunResult{}, err
+			return err
 		}
-		defer built[i].Close()
 	}
-
-	monitored := built
-	if spec.MonitorTrees > 0 && spec.MonitorTrees < len(built) {
-		monitored = built[:spec.MonitorTrees]
-	} else if spec.MonitorTrees == 0 && len(built) > 1 {
-		monitored = built[:1]
-	}
+	monitored := trees[:min(max(spec.MonitorTrees, 1), len(trees))]
 
 	// Per the paper's methodology, event scopes are set up and analysis
 	// threads started before the monitored application.
-	var stopMonitor func()
-	var collectRates func(*RunResult)
-	switch spec.Monitor {
-	case NoMonitor, CollectorsOnly:
-		stopMonitor = func() {}
-		collectRates = func(*RunResult) {}
-	case LBSingleScope, LBDistributed:
-		mode := monitor.SingleScope
-		if spec.Monitor == LBDistributed {
-			mode = monitor.Distributed
-		}
-		lbs := make([]*monitor.LoadBalance, len(monitored))
-		for i, tr := range monitored {
-			lbs[i], err = monitor.NewLoadBalance(tb, tr, mode, spec.MonitorCfg, nil)
+	var lbs []*monitor.LoadBalance
+	var sms []*monitor.Statsm
+	for _, tr := range monitored {
+		switch spec.Monitor {
+		case LBSingleScope, LBDistributed:
+			mode := monitor.SingleScope
+			if spec.Monitor == LBDistributed {
+				mode = monitor.Distributed
+			}
+			lb, err := sys.AttachLoadBalance(tr, mode, spec.MonitorCfg)
 			if err != nil {
-				return RunResult{}, err
+				return err
 			}
-			lbs[i].Start()
-		}
-		stopMonitor = func() {
-			for _, lb := range lbs {
-				lb.Stop()
-			}
-		}
-		collectRates = func(r *RunResult) {
-			var rate, trr float64
-			for _, lb := range lbs {
-				rate += lb.GatherRate()
-				trr += lb.TraceReadRate()
-			}
-			r.GatherRate = rate / float64(len(lbs))
-			r.TraceReadRate = trr / float64(len(lbs))
-		}
-	case Statsm, StatsmNoGather:
-		sms := make([]*monitor.Statsm, len(monitored))
-		for i, tr := range monitored {
-			sms[i], err = monitor.NewStatsm(tb, tr, spec.MonitorCfg, cs)
+			lbs = append(lbs, lb)
+		case Statsm:
+			sm, err := sys.AttachStatsm(tr, spec.MonitorCfg)
 			if err != nil {
-				return RunResult{}, err
+				return err
 			}
-			if spec.Monitor == Statsm {
-				sms[i].Start()
-			} else {
-				sms[i].StartAnalysisOnly()
+			sms = append(sms, sm)
+		case StatsmNoGather:
+			// The System attaches whole monitors only; the analysis-only
+			// rows of Table 3 start and stop theirs here.
+			cfg := spec.MonitorCfg
+			if cfg.Metrics == nil {
+				cfg.Metrics = sys.Metrics()
 			}
+			sm, err := monitor.NewStatsm(sys.Testbed(), tr, cfg, sys.Cosched())
+			if err != nil {
+				return err
+			}
+			sm.StartAnalysisOnly()
+			defer sm.Stop()
+			sms = append(sms, sm)
 		}
-		stopMonitor = func() {
-			for _, sm := range sms {
-				sm.Stop()
-			}
-		}
-		collectRates = func(r *RunResult) {
-			var w, th, trr float64
-			for _, sm := range sms {
-				w += sm.WrapperGatherRate()
-				th += sm.ThreadGatherRate()
-				trr += sm.TraceReadRate()
-			}
-			r.WrapperGatherRate = w / float64(len(sms))
-			r.ThreadGatherRate = th / float64(len(sms))
-			r.TraceReadRate = trr / float64(len(sms))
-		}
-	default:
-		return RunResult{}, fmt.Errorf("bench: unknown monitor kind %d", spec.Monitor)
 	}
 
+	wl := core.Workload{Trees: trees, Iterations: 10}
+	if spec.Workload == ComputeGsum {
+		wl.Compute = spec.ComputeDuration
+	}
 	// Warm up connections and steady state (not measured).
-	driveThreads(built, tb, spec, 10)
-
-	msgsBefore := tb.Net.Messages()
-	duration := driveThreads(built, tb, spec, spec.Iterations)
-
-	res := RunResult{
+	if _, err := sys.RunWorkload(wl); err != nil {
+		return err
+	}
+	msgsBefore := sys.Testbed().Net.Messages()
+	wl.Iterations = spec.Iterations
+	duration, err := sys.RunWorkload(wl)
+	if err != nil {
+		return err
+	}
+	*res = RunResult{
 		Duration: duration,
-		PerOp:    duration / time.Duration(spec.Iterations*allreducesPerIteration(spec)),
+		PerOp:    duration / time.Duration(spec.Iterations),
 		Rounds:   uint64(spec.Iterations),
-		Messages: tb.Net.Messages() - msgsBefore,
+		Messages: sys.Testbed().Net.Messages() - msgsBefore,
 	}
 	// Give gather threads a short drain window before sampling rates,
 	// mirroring the paper's monitors which keep running after the app.
-	if spec.Monitor != NoMonitor && spec.Monitor != CollectorsOnly {
-		modelSleep(20 * time.Millisecond)
+	if len(lbs)+len(sms) > 0 {
+		hrtime.SleepOutside(20 * time.Millisecond)
 	}
-	collectRates(&res)
-	if selfReg != nil {
-		snap := selfReg.Snapshot()
+	for _, lb := range lbs {
+		res.GatherRate += lb.GatherRate() / float64(len(lbs))
+		res.TraceReadRate += lb.TraceReadRate() / float64(len(lbs))
+	}
+	for _, sm := range sms {
+		res.WrapperGatherRate += sm.WrapperGatherRate() / float64(len(sms))
+		res.ThreadGatherRate += sm.ThreadGatherRate() / float64(len(sms))
+		res.TraceReadRate += sm.TraceReadRate() / float64(len(sms))
+	}
+	if reg := sys.Metrics(); reg != nil {
+		snap := reg.Snapshot()
 		res.Self = &snap
 	}
-	stopMonitor()
-	return res, nil
-}
-
-// modelSleep waits d of model time from the unregistered driver
-// goroutine without perturbing the clock's runnable accounting.
-func modelSleep(d time.Duration) {
-	hrtime.SleepOutside(d)
-}
-
-// allreducesPerIteration returns how many collective calls one iteration
-// performs. Both workloads call exactly one allreduce per iteration,
-// alternating over the configured trees.
-func allreducesPerIteration(spec RunSpec) int {
-	return 1
-}
-
-// driveThreads runs every tree's thread ports for the given number of
-// iterations of the workload and returns the modelled duration of the
-// run. Start and end times are captured from inside the model: the
-// threads line up at a start gate and a registered starter stamps the
-// virtual clock when it opens the gate, so idle clock jumps between
-// phases (the monitor's pacing timers firing while the application is
-// being set up) never leak into the measurement.
-func driveThreads(trees []*cluster.Tree, tb *cluster.Testbed, spec RunSpec, iterations int) time.Duration {
-	ports := trees[0].Ports
-	var wg sync.WaitGroup
-	gate := vclock.NewEvent()
-	var mu sync.Mutex
-	var startNS, endNS int64
-	for pi := range ports {
-		pi := pi
-		wg.Add(1)
-		vclock.Go(func() {
-			defer wg.Done()
-			gate.Wait()
-			ctx := &paths.Ctx{Thread: ports[pi].Name}
-			host := ports[pi].Host
-			for it := 0; it < iterations; it++ {
-				// Both workloads alternate between the identical
-				// trees, one allreduce per iteration ("threads
-				// alternate between using two identical allreduce
-				// trees"), so the collective call frequency does not
-				// depend on the tree count — the property behind the
-				// sections 6.2/6.3 scalability results.
-				tr := trees[it%len(trees)]
-				if spec.Workload == ComputeGsum {
-					host.Occupy(spec.ComputeDuration)
-				}
-				tr.Ports[pi].Entry.Op(ctx, paths.Request{Kind: paths.OpWrite, Value: int64(pi)})
-			}
-			now := hrtime.Now()
-			mu.Lock()
-			if now > endNS {
-				endNS = now
-			}
-			mu.Unlock()
-		})
-	}
-	vclock.Go(func() {
-		mu.Lock()
-		startNS = hrtime.Now()
-		mu.Unlock()
-		gate.Fire(nil, nil)
-	})
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return time.Duration(endNS - startNS)
+	return nil
 }
 
 // TuneCompute measures the base allreduce latency of the spec's topology

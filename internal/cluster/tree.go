@@ -95,6 +95,18 @@ func (t *Tree) Close() {
 	}
 }
 
+// Abort fails every collective wrapper of the tree with err, releasing
+// the threads blocked in them: once one participant has lost its path to
+// the tree (no redial layer), no later round can complete.
+func (t *Tree) Abort(err error) {
+	for _, n := range t.Nodes {
+		n.AR.Abort(err)
+	}
+	for _, ex := range t.Exchanges {
+		ex.Abort(err)
+	}
+}
+
 // ECCount returns the number of event collectors in the tree.
 func (t *Tree) ECCount() int { return len(t.Collectors.All()) }
 

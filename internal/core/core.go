@@ -529,13 +529,13 @@ func (s *System) Close() {
 }
 
 // Workload drives a system's trees from application threads, mirroring
-// the paper's micro-benchmarks: with Compute == 0 and several Trees it is
-// gsum; with Compute > 0 it is compute-gsum.
+// the paper's micro-benchmarks: with Compute == 0 it is gsum; with
+// Compute > 0 it is compute-gsum.
 type Workload struct {
-	// Trees the threads operate on. Gsum alternates over all trees each
-	// iteration; compute-gsum rotates one tree per iteration.
+	// Trees the threads operate on: every thread calls one allreduce per
+	// iteration, on Trees[iteration % len(Trees)].
 	Trees []*cluster.Tree
-	// Iterations per thread.
+	// Iterations per thread (with n trees, each completes 1/n of them).
 	Iterations int
 	// Compute is the per-iteration modelled computation (compute-gsum).
 	Compute time.Duration
@@ -546,8 +546,10 @@ type Workload struct {
 }
 
 // RunWorkload executes the workload and returns the modelled duration of
-// the run (measured from inside the model so virtual-time idling never
-// leaks in).
+// the run, or the first error a collective returned. The threads line up
+// at a gate and a registered starter stamps the virtual clock as it opens
+// it, so idle clock jumps between phases (a monitor's pacing timers firing
+// during set-up) never leak into the measurement.
 func (s *System) RunWorkload(wl Workload) (time.Duration, error) {
 	if len(wl.Trees) == 0 {
 		return 0, fmt.Errorf("core: workload has no trees")
@@ -565,6 +567,7 @@ func (s *System) RunWorkload(wl Workload) (time.Duration, error) {
 	gate := vclock.NewEvent()
 	var mu sync.Mutex
 	var startNS, endNS int64
+	var failOnce sync.Once
 	var firstErr error
 	for pi := range ports {
 		pi := pi
@@ -573,28 +576,29 @@ func (s *System) RunWorkload(wl Workload) (time.Duration, error) {
 			defer wg.Done()
 			gate.Wait()
 			ctx := &paths.Ctx{Thread: ports[pi].Name}
-			host := ports[pi].Host
 			for it := 0; it < wl.Iterations; it++ {
 				if wl.Delay != nil {
 					if d := wl.Delay(pi, it); d > 0 {
 						hrtime.Sleep(d)
 					}
 				}
-				trees := wl.Trees // gsum: every tree, every iteration
 				if wl.Compute > 0 {
-					// compute-gsum: compute, then one tree in rotation.
-					host.Occupy(wl.Compute)
-					trees = wl.Trees[it%len(wl.Trees):][:1]
+					ports[pi].Host.Occupy(wl.Compute)
 				}
-				for _, tr := range trees {
-					if _, err := tr.Ports[pi].Entry.Op(ctx, paths.Request{Kind: paths.OpWrite, Value: int64(pi)}); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
+				// "Threads alternate between using two identical allreduce
+				// trees": the collective call frequency does not depend on
+				// the tree count (the sections 6.2/6.3 scalability results).
+				tr := wl.Trees[it%len(wl.Trees)]
+				if _, err := tr.Ports[pi].Entry.Op(ctx, paths.Request{Kind: paths.OpWrite, Value: int64(pi)}); err != nil {
+					// The collective is broken for every thread: release
+					// the ones still waiting in it for this one.
+					failOnce.Do(func() {
+						firstErr = err
+						for _, tr := range wl.Trees {
+							tr.Abort(err)
 						}
-						mu.Unlock()
-						return
-					}
+					})
+					return
 				}
 			}
 			now := hrtime.Now()
@@ -606,24 +610,20 @@ func (s *System) RunWorkload(wl Workload) (time.Duration, error) {
 		})
 	}
 	vclock.Go(func() {
-		mu.Lock()
 		startNS = hrtime.Now()
-		mu.Unlock()
 		gate.Fire(nil, nil)
 	})
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
 	if firstErr != nil {
 		return 0, firstErr
 	}
 	return time.Duration(endNS - startNS), nil
 }
 
-// RunVirtual executes fn under the discrete-event virtual clock: the
-// system's modelled delays cost no real time and timing is exact and
-// deterministic. It quiesces and disables the clock afterwards. All
-// Systems used inside fn must be created and closed inside fn.
+// RunVirtual executes fn under the discrete-event virtual clock — the one
+// place the process-global clock is switched on — so modelled delays cost
+// no real time; it quiesces and disables the clock afterwards. All Systems
+// used inside fn must be created and closed inside fn.
 func RunVirtual(fn func() error) error {
 	vclock.Enable(0)
 	defer func() {

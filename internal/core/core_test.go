@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"eventspace/internal/cosched"
 	"eventspace/internal/monitor"
 	"eventspace/internal/vclock"
+	"eventspace/internal/vnet"
 )
 
 func newSystem(t *testing.T, strategy cosched.Strategy) *System {
@@ -77,9 +79,16 @@ func TestRunWorkloadGsum(t *testing.T) {
 		if d <= 0 {
 			t.Fatalf("duration = %v", d)
 		}
-		// Every tree completed every round.
-		if t1.Nodes[0].AR.Rounds() != 20 || t2.Nodes[0].AR.Rounds() != 20 {
+		// The threads alternate: each tree completed half the iterations.
+		if t1.Nodes[0].AR.Rounds() != 10 || t2.Nodes[0].AR.Rounds() != 10 {
 			t.Fatalf("rounds = %d/%d", t1.Nodes[0].AR.Rounds(), t2.Nodes[0].AR.Rounds())
+		}
+		// Compute-gsum rotates over the trees the same way.
+		if _, err := s.RunWorkload(Workload{Trees: []*cluster.Tree{t1, t2}, Iterations: 6, Compute: 100 * time.Microsecond}); err != nil {
+			t.Fatal(err)
+		}
+		if t1.Nodes[0].AR.Rounds() != 13 || t2.Nodes[0].AR.Rounds() != 13 {
+			t.Fatalf("after compute-gsum: rounds = %d/%d", t1.Nodes[0].AR.Rounds(), t2.Nodes[0].AR.Rounds())
 		}
 		s.Close()
 		return nil
@@ -106,6 +115,50 @@ func TestRunWorkloadComputeGsum(t *testing.T) {
 			t.Fatalf("compute-gsum %v not slower than gsum %v", d, base)
 		}
 		s.Close()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunWorkloadSurfacesCollectiveError crashes one compute host in the
+// middle of a run: its thread's allreduce fails, the survivors — who would
+// otherwise wait for its contribution forever — are released, and
+// RunWorkload reports the error instead of a duration.
+func TestRunWorkloadSurfacesCollectiveError(t *testing.T) {
+	err := RunVirtual(func() error {
+		s := newSystem(t, cosched.None)
+		tree := instrumented(t, s, "T")
+		victim := s.Testbed().Clusters[0].Hosts()[2]
+		d, err := s.RunWorkload(Workload{
+			Trees: []*cluster.Tree{tree}, Iterations: 200,
+			// The plan goes in from inside the model, once thread 0 has
+			// completed 20 rounds: a plan installed by the driver could
+			// fire before the threads are even spawned.
+			Delay: func(thread, iteration int) time.Duration {
+				if thread == 0 && iteration == 20 {
+					s.Testbed().Net.InjectFaults(vnet.FaultPlan{Events: []vnet.FaultEvent{
+						{Kind: vnet.FaultCrash, Host: victim.Name()},
+					}})
+				}
+				return 0
+			},
+		})
+		if !errors.Is(err, vnet.ErrConnClosed) && !errors.Is(err, vnet.ErrHostDown) {
+			t.Errorf("RunWorkload = %v, %v; want the crashed host's connection error", d, err)
+		}
+		if d != 0 {
+			t.Errorf("failed run reported a duration: %v", d)
+		}
+		if rounds := tree.Nodes[0].AR.Rounds(); rounds < 20 || rounds >= 200 {
+			t.Errorf("crash was not mid-run: %d rounds completed", rounds)
+		}
+		s.Close()
+		if !vclock.Quiesce(5 * time.Second) {
+			_, running, live, timers := vclock.Stats()
+			t.Errorf("threads outlived the failed run: running=%d live=%d timers=%d", running, live, timers)
+		}
 		return nil
 	})
 	if err != nil {

@@ -49,6 +49,7 @@ type Allreduce struct {
 	acc     int64
 	result  int64
 	resErr  error
+	aborted error // set by Abort: the collective has failed for good
 }
 
 // NewAllreduce creates an allreduce wrapper on host joining n contributor
@@ -85,11 +86,26 @@ func (a *Allreduce) Rounds() uint64 {
 	return a.gen
 }
 
+// Abort fails the collective for good: contributors blocked in the
+// current round, and every later Op, return err. A contributor that lost
+// its path to the tree never arrives again, so without this the survivors
+// of a broken round wait for it forever.
+func (a *Allreduce) Abort(err error) {
+	a.mu.Lock()
+	a.aborted = err
+	a.cond.Broadcast()
+	a.mu.Unlock()
+}
+
 // Op contributes directly to the wrapper. Most callers should go through
 // a Port so instrumentation can distinguish contributors; Op itself is the
 // shared synchronization point.
 func (a *Allreduce) Op(ctx *Ctx, req Request) (Reply, error) {
 	a.mu.Lock()
+	if err := a.aborted; err != nil {
+		a.mu.Unlock()
+		return Reply{}, err
+	}
 	g := a.gen
 	if a.arrived == 0 {
 		a.acc = req.Value
@@ -121,8 +137,12 @@ func (a *Allreduce) Op(ctx *Ctx, req Request) (Reply, error) {
 		}
 		return Reply{Value: rep.Value}, nil
 	}
-	for a.gen == g {
+	for a.gen == g && a.aborted == nil {
 		a.cond.Wait()
+	}
+	if err := a.aborted; err != nil && a.gen == g {
+		a.mu.Unlock()
+		return Reply{}, err
 	}
 	res, err := a.result, a.resErr
 	a.mu.Unlock()

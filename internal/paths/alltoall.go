@@ -30,10 +30,11 @@ type Exchange struct {
 	peerMu sync.RWMutex
 	peers  map[int]Wrapper // stubs to remote deposit targets
 
-	mu     sync.Mutex
-	cond   *vclock.Cond
-	round  uint64
-	rounds map[uint64]*exchangeRound
+	mu      sync.Mutex
+	cond    *vclock.Cond
+	round   uint64
+	rounds  map[uint64]*exchangeRound
+	aborted error // set by Abort: the exchange has failed for good
 }
 
 type exchangeRound struct {
@@ -125,9 +126,22 @@ func (e *Exchange) deposit(from int, round uint64, v int64) {
 	_ = from
 }
 
+// Abort fails the exchange for good (see Allreduce.Abort): a participant
+// waiting for a peer's value, and every later Op, return err.
+func (e *Exchange) Abort(err error) {
+	e.mu.Lock()
+	e.aborted = err
+	e.cond.Broadcast()
+	e.mu.Unlock()
+}
+
 // Op runs one exchange round with the caller's contribution.
 func (e *Exchange) Op(ctx *Ctx, req Request) (Reply, error) {
 	e.mu.Lock()
+	if err := e.aborted; err != nil {
+		e.mu.Unlock()
+		return Reply{}, err
+	}
 	round := e.round
 	e.round++
 	e.mu.Unlock()
@@ -173,8 +187,12 @@ func (e *Exchange) Op(ctx *Ctx, req Request) (Reply, error) {
 	}
 
 	e.mu.Lock()
-	for e.rounds[round].n < e.k {
+	for e.rounds[round].n < e.k && e.aborted == nil {
 		e.cond.Wait()
+	}
+	if err := e.aborted; err != nil && e.rounds[round].n < e.k {
+		e.mu.Unlock()
+		return Reply{}, err
 	}
 	acc := e.rounds[round].acc
 	delete(e.rounds, round)

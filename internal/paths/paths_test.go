@@ -275,6 +275,54 @@ func TestAllreduceErrorPropagatesToAllWaiters(t *testing.T) {
 	}
 }
 
+// TestAbortReleasesWaiters: a contributor whose peers will never arrive
+// is released by Abort with the abort's error, blocked or not yet called,
+// in an allreduce and in an all-to-all exchange.
+func TestAbortReleasesWaiters(t *testing.T) {
+	n, c1, _ := testNet(t)
+	h0, h1 := c1.Hosts()[0], c1.Hosts()[1]
+	sink := NewFunc("sink", h0, func(ctx *Ctx, req Request) (Reply, error) { return Reply{Value: req.Value}, nil })
+	ar, _ := NewAllreduce("ar", h0, 3, Sum, sink)
+
+	// Participant 0 of a two-way exchange whose peer accepts the value
+	// and never sends its own.
+	ex0, _ := NewExchange("ex0", h0, 0, 2, Sum, nil)
+	ex1, _ := NewExchange("ex1", h1, 1, 2, Sum, nil)
+	svc := NewService()
+	conn := n.Dial(h0, h1, svc.Handler())
+	defer conn.Close()
+	if err := ex0.ConnectPeer(1, NewRemote("s01", h0, conn, RegisterExchangeTarget(svc, ex1))); err != nil {
+		t.Fatal(err)
+	}
+
+	lost := errors.New("participant lost")
+	ops := []func() (Reply, error){
+		func() (Reply, error) { return ar.Port(0).Op(nil, Request{Kind: OpWrite, Value: 1}) },
+		func() (Reply, error) { return ar.Port(1).Op(nil, Request{Kind: OpWrite, Value: 1}) },
+		func() (Reply, error) { return ex0.Op(nil, Request{Kind: OpWrite, Value: 1}) },
+	}
+	errs := make([]error, len(ops))
+	var wg sync.WaitGroup
+	for i, op := range ops {
+		wg.Add(1)
+		go func(i int, op func() (Reply, error)) {
+			defer wg.Done()
+			_, errs[i] = op()
+		}(i, op)
+	}
+	ar.Abort(lost)
+	ex0.Abort(lost)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, lost) {
+			t.Errorf("op %d returned %v, want the abort's error", i, err)
+		}
+	}
+	if _, err := ar.Port(2).Op(nil, Request{Kind: OpWrite, Value: 1}); !errors.Is(err, lost) {
+		t.Errorf("Op after Abort returned %v", err)
+	}
+}
+
 type recordingNotifier struct {
 	mu       sync.Mutex
 	sent     int

@@ -339,9 +339,8 @@ func (a *Agg) typ() Kind {
 		return KFloat
 	case AggMean:
 		// Mean of a duration field truncates to whole nanoseconds (the
-		// same integer division the archive's summaries use, so the
-		// esquery summarize sugar is byte-identical); means of integer
-		// fields stay fractional.
+		// same integer division the archive's summaries use); means of
+		// integer fields stay fractional.
 		if fieldKind(a.Arg) == KDur {
 			return KDur
 		}
