@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates gather-gates collect-gates pastset-leaf one-clock-switch lint vet eslint lint-fix-check ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates gather-gates collect-gates pastset-leaf one-clock-switch lint vet eslint lint-fix-check ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -50,6 +50,15 @@ read-gates:
 # three must have run).
 checkpoint-gates:
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint(EncodeTuples|EncodeFrame|Fold)' -benchmem ./internal/checkpoint/ | $(call zero-allocs,3)
+
+# append-gates are the archive writer's zero-alloc gates: a warm writer
+# appending whole blocks (the test, which must have run and passed) and
+# benchmark-shaped 3 904-tuple replies through AppendRaw (the benchmark,
+# which also prints ns/tuple) allocates nothing. A fixed iteration count
+# keeps the benchmark's segment file to some 25 MB.
+append-gates:
+	$(GO) test -count=1 -v -run '^TestColumnarAppendSteadyStateZeroAlloc$$' ./internal/archive/ | grep -- '--- PASS: TestColumnarAppendSteadyStateZeroAlloc'
+	$(GO) test -run '^$$' -bench 'BenchmarkWriterAppendRaw' -benchtime 500x -benchmem ./internal/archive/ | $(call zero-allocs,1)
 
 # gather-gates are the gather path's allocation gates, run without the
 # race detector: a warm benchmark-shaped pull allocates at most three
@@ -103,5 +112,5 @@ lint: vet eslint lint-fix-check
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint pastset-leaf one-clock-switch test-short read-gates checkpoint-gates gather-gates collect-gates
+ci: build lint pastset-leaf one-clock-switch test-short read-gates checkpoint-gates append-gates gather-gates collect-gates
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sync"
 
 	"eventspace/internal/collect"
 )
@@ -26,7 +25,7 @@ type Round struct {
 	// Live rounds form a FIFO list through their slots, oldest first:
 	// the eviction order, and the order State lists rounds in.
 	prev, next *Round
-	chain      *Round // next live round in the same index bucket
+	chain      *Round // next live round in the same index bucket; next idle slot once retired
 }
 
 func newRound(k int) *Round {
@@ -80,11 +79,17 @@ func (r *Round) ContribStates() []ContribState {
 // buffers are bounded, some rounds never complete; the table keeps at
 // most maxPending of them and evicts the oldest, counting it as lost.
 //
-// Folding a tuple costs one index lookup and one 28-byte store: slots
-// are recycled through a pool, so a warm table allocates nothing, and
-// both the index and the eviction order are chains through the live
-// slots, so they hold exactly Pending() entries however many rounds
-// have passed through.
+// Folding a tuple costs one index lookup and one 28-byte store: a
+// retired slot goes on the table's own free list (threaded through the
+// slots, like everything else here) and the next round takes it from
+// there, so a table allocates only while its high-water mark of pending
+// rounds rises — a garbage collection in between changes nothing. Both
+// the index and the eviction order are chains through the live slots,
+// so they hold exactly Pending() entries however many rounds have
+// passed through.
+//
+// A Rounds is not safe for concurrent use: each table is driven by one
+// analysis thread, or under its owner's lock.
 type Rounds struct {
 	k          int
 	maxPending int
@@ -98,7 +103,14 @@ type Rounds struct {
 	mask   uint32
 	oldest *Round
 	newest *Round
-	pool   sync.Pool // idle slots
+	free   *Round // idle slots, linked through chain
+	// grow makes a slot when the free list is empty: the table's one
+	// allocation, which a table that has seen its high-water mark of
+	// pending rounds never reaches (TestRoundsWarmTableSurvivesGC). It
+	// is a function value, as the pool's New was, so that the hot-path
+	// analysis — which follows package-local calls — holds Open and the
+	// folds above it to allocating nothing else.
+	grow func() *Round
 }
 
 // maxIndex caps the index: the eviction bound can come from a snapshot
@@ -112,9 +124,10 @@ func NewRounds(k, maxPending int) *Rounds {
 	for size < maxPending && size < maxIndex {
 		size *= 2
 	}
-	t := &Rounds{k: k, maxPending: maxPending, index: make([]*Round, size), mask: uint32(size - 1)}
-	t.pool.New = func() any { return newRound(k) }
-	return t
+	return &Rounds{
+		k: k, maxPending: maxPending, index: make([]*Round, size), mask: uint32(size - 1),
+		grow: func() *Round { return newRound(k) },
+	}
 }
 
 // K returns the fan-in.
@@ -137,7 +150,7 @@ func (t *Rounds) Oldest() *Round { return t.oldest }
 // tuple of a round that already completed starts it afresh. Starting a
 // round beyond maxPending evicts the oldest.
 //
-//lint:hotpath one lookup per folded tuple; slots come from the pool
+//lint:hotpath one lookup per folded tuple; slots come from the free list
 func (t *Rounds) Open(seq uint32) *Round {
 	if r := t.find(seq); r != nil {
 		return r
@@ -161,7 +174,12 @@ func (t *Rounds) find(seq uint32) *Round {
 
 // start takes a slot for seq and queues it as the newest live round.
 func (t *Rounds) start(seq uint32) *Round {
-	r := t.pool.Get().(*Round)
+	r := t.free
+	if r == nil {
+		r = t.grow()
+	} else {
+		t.free = r.chain
+	}
 	r.Seq = seq
 	bucket := &t.index[seq&t.mask]
 	r.chain, *bucket = *bucket, r
@@ -185,7 +203,7 @@ func (t *Rounds) Done(r *Round) {
 	for *link != r {
 		link = &(*link).chain
 	}
-	*link, r.chain = r.chain, nil
+	*link = r.chain
 	t.pending--
 	if r.prev != nil {
 		r.prev.next = r.next
@@ -201,7 +219,7 @@ func (t *Rounds) Done(r *Round) {
 	r.Collective, r.HaveColl = collect.TraceTuple{}, false // the zero tuple is what a snapshot stores
 	r.n = 0
 	clear(r.have)
-	t.pool.Put(r)
+	r.chain, t.free = t.free, r
 }
 
 // Reset empties the table and installs a snapshot's eviction bound

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"eventspace/internal/collect"
@@ -222,5 +223,48 @@ func TestJoinerRefusesWhatASlotCannotHold(t *testing.T) {
 	}
 	if _, err := NewJoinerFrom(good, func(RoundMetrics) {}); err != nil {
 		t.Fatalf("undamaged snapshot refused: %v", err)
+	}
+}
+
+// TestRoundsWarmTableSurvivesGC: a table that has reached its high-water
+// mark of pending rounds allocates nothing, and a garbage collection in
+// between does not change that. (Slots used to idle in a sync.Pool,
+// which every collection empties: the first rounds after each GC
+// allocated their slots again.)
+func TestRoundsWarmTableSurvivesGC(t *testing.T) {
+	const k, depth = 8, 4
+	tab := NewRounds(k, 64)
+	seq := uint32(0)
+	// depth rounds stay open at a time: the oldest completes as a new
+	// one opens, the way a pull reply interleaves collectors.
+	cycle := func() {
+		r := tab.Open(seq)
+		for i := 0; i < k; i++ {
+			r.Set(i, collect.TraceTuple{Seq: seq, Start: 1, End: 9})
+		}
+		if seq >= depth {
+			tab.Done(tab.Oldest())
+		}
+		seq++
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	// Counted directly: testing.AllocsPerRun warms up with one call of
+	// its own, which is exactly the call that would pay for the GC.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("a warm table allocated %d objects over 1000 rounds after a collection", n)
+	}
+	if tab.Pending() != depth || queued(tab) != depth {
+		t.Fatalf("pending %d, queued %d, want %d", tab.Pending(), queued(tab), depth)
 	}
 }

@@ -8,7 +8,7 @@
 // The recovery checkpointer runs these beside every archived tuple, so
 // the per-tuple paths are built to cost a lookup, a store and a few
 // arithmetic operations and to allocate nothing once warm: rounds join
-// in pooled fixed-size slots (Rounds, under Joiner and the load-balance
+// in recycled fixed-size slots (Rounds, under Joiner and the load-balance
 // monitor's join alike), a completed round is analyzed over the
 // joiner's own scratch, and a Stream keeps only what its snapshot
 // stores, computing the median when it is asked for.

@@ -132,45 +132,101 @@ func readColValue(b []byte, col int) uint64 {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// columnarEncoder turns tuple batches into version-2 blocks. All its
-// buffers are reused across blocks, so a warm encoder allocates nothing
-// on the write path. Not safe for concurrent use; the writer owns one
-// under its lock.
-type columnarEncoder struct {
-	block []byte             // assembled block, valid until the next encodeBlock
-	col   [numColumns][]byte // per-column payload scratch
-	dict  map[uint64]uint8   // value -> index, cleared per column
-	vals  []uint64           // dictionary values in first-appearance order
+// dictSlots sizes the encoder's value table: a power of two at least
+// twice the dictionary limit, so a probe sequence always ends at a free
+// slot.
+const dictSlots = 2 * v2MaxDictEntries
+
+// dictSlot is one entry of the value table. A slot belongs to the column
+// being encoded only while its gen equals the encoder's.
+type dictSlot struct {
+	val uint64
+	gen uint32
+	idx uint8
 }
 
-// encodeDictOrRaw writes the column dictionary-coded, falling back to
-// raw fixed-width values when the batch has more than 256 distinct
-// values. Returns the encoding chosen.
-func (e *columnarEncoder) encodeDictOrRaw(tuples []collect.TraceTuple, col int) byte {
-	if e.dict == nil {
-		e.dict = make(map[uint64]uint8, v2MaxDictEntries)
+// columnarEncoder turns tuple batches into version-2 blocks. All its
+// scratch is reused across blocks, so a warm encoder appending to a
+// buffer with room allocates nothing on the write path. Not safe for
+// concurrent use; the writer owns one under its lock.
+//
+// Dictionary columns are built without a hash map. A pull reply is a
+// concatenation of per-collector drains, so ECID, Op and Ret equal the
+// previous tuple's almost every time: a one-entry memo answers those,
+// and only the first tuple of a run probes the table — a fixed
+// open-addressed array whose slots carry the generation they were
+// written in, so starting a column is one increment, never a clear.
+type columnarEncoder struct {
+	col   [numColumns][]byte       // per-column payload scratch
+	vals  [v2MaxDictEntries]uint64 // dictionary values in first-appearance order
+	idx   []uint8                  // the column's per-tuple dictionary indexes
+	gen   uint32                   // generation of the column being encoded
+	slots [dictSlots]dictSlot
+}
+
+// dictHome is the slot a value's probe sequence starts at: the top bits
+// of a Fibonacci hash, so neither consecutive ids nor values sharing
+// their low bits pile up.
+func dictHome(v uint64) uint32 { return uint32(v * 0x9e3779b97f4a7c15 >> 55) }
+
+// dictIndexes is the one pass over a dictionary column: it finds each
+// tuple's dictionary index (memo, then table), storing it in idx —
+// which is len(tuples) long — and the distinct values, in
+// first-appearance order, in e.vals[:n]. The 257th distinct value
+// abandons the pass: ok=false.
+//
+//lint:hotpath three columns of every appended tuple; one probe per run, none per repeat
+func (e *columnarEncoder) dictIndexes(tuples []collect.TraceTuple, col int, idx []uint8) (n int, ok bool) {
+	if e.gen++; e.gen == 0 {
+		// The counter wrapped: a slot last written 2^32 columns ago
+		// would pass for live. Forget them all; zero is never live.
+		e.slots = [dictSlots]dictSlot{}
+		e.gen = 1
 	}
-	clear(e.dict)
-	e.vals = e.vals[:0]
+	var prev uint64
+	var prevIdx uint8
 	for i := range tuples {
 		v := colValue(&tuples[i], col)
-		if _, ok := e.dict[v]; !ok {
-			if len(e.vals) == v2MaxDictEntries {
-				return e.encodeRaw(tuples, col)
+		if v != prev || n == 0 {
+			h := dictHome(v)
+			for e.slots[h].gen == e.gen && e.slots[h].val != v {
+				h = (h + 1) % dictSlots
 			}
-			e.dict[v] = uint8(len(e.vals))
-			e.vals = append(e.vals, v)
+			s := &e.slots[h]
+			if s.gen != e.gen {
+				if n == v2MaxDictEntries {
+					return n, false
+				}
+				*s = dictSlot{val: v, gen: e.gen, idx: uint8(n)}
+				e.vals[n] = v
+				n++
+			}
+			prev, prevIdx = v, s.idx
 		}
+		idx[i] = prevIdx
+	}
+	return n, true
+}
+
+// encodeDictOrRaw writes the column dictionary-coded — u16 count, the
+// values, then the indexes dictIndexes kept in scratch — falling back
+// to raw fixed-width values when the batch has more than 256 distinct
+// values. Returns the encoding chosen.
+func (e *columnarEncoder) encodeDictOrRaw(tuples []collect.TraceTuple, col int) byte {
+	if cap(e.idx) < len(tuples) {
+		e.idx = make([]uint8, len(tuples))
+	}
+	idx := e.idx[:len(tuples)]
+	n, ok := e.dictIndexes(tuples, col, idx)
+	if !ok {
+		return e.encodeRaw(tuples, col)
 	}
 	p := e.col[col][:0]
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(e.vals)))
-	for _, v := range e.vals {
+	p = binary.LittleEndian.AppendUint16(p, uint16(n))
+	for _, v := range e.vals[:n] {
 		p = appendColValue(p, col, v)
 	}
-	for i := range tuples {
-		p = append(p, e.dict[colValue(&tuples[i], col)])
-	}
-	e.col[col] = p
+	e.col[col] = append(p, idx...)
 	return colEncDict
 }
 
@@ -209,9 +265,10 @@ func (e *columnarEncoder) encodeLatency(tuples []collect.TraceTuple) byte {
 	return colEncLatency
 }
 
-// encodeBlock assembles one version-2 block. The returned slice aliases
-// the encoder's scratch buffer: it is valid until the next call.
-func (e *columnarEncoder) encodeBlock(tuples []collect.TraceTuple) []byte {
+// appendBlock assembles one version-2 block at the end of dst and
+// returns the extended slice: the writer collects the blocks of one
+// call behind each other and hands them to the file in one write.
+func (e *columnarEncoder) appendBlock(dst []byte, tuples []collect.TraceTuple) []byte {
 	var enc [numColumns]byte
 	enc[colECID] = e.encodeDictOrRaw(tuples, colECID)
 	enc[colOp] = e.encodeDictOrRaw(tuples, colOp)
@@ -224,8 +281,8 @@ func (e *columnarEncoder) encodeBlock(tuples []collect.TraceTuple) []byte {
 	for c := range e.col {
 		colBytes += len(e.col[c])
 	}
-	b := e.block[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(tuples)))
+	at := len(dst)
+	b := binary.LittleEndian.AppendUint32(dst, uint32(len(tuples)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(colBytes))
 	b = binary.LittleEndian.AppendUint32(b, 0) // directory CRC, patched below
 	for c := 0; c < numColumns; c++ {
@@ -233,11 +290,11 @@ func (e *columnarEncoder) encodeBlock(tuples []collect.TraceTuple) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.col[c])))
 		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(e.col[c]))
 	}
-	binary.LittleEndian.PutUint32(b[8:12], crc32.ChecksumIEEE(b[v2BlockHeaderSize:v2BlockHeaderSize+v2DirSize]))
+	dir := b[at+v2BlockHeaderSize : at+v2BlockHeaderSize+v2DirSize]
+	binary.LittleEndian.PutUint32(b[at+8:at+12], crc32.ChecksumIEEE(dir))
 	for c := 0; c < numColumns; c++ {
 		b = append(b, e.col[c]...)
 	}
-	e.block = b
 	return b
 }
 

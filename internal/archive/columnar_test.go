@@ -2,6 +2,7 @@ package archive
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -246,5 +247,39 @@ func TestColumnarAppendSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady-state append allocates %.1f objects per block", allocs)
+	}
+}
+
+// BenchmarkWriterAppendRaw is the append as the record path drives it:
+// benchmark-shaped replies (3 904 tuples, 61 runs of 64) through
+// AppendRaw at the default block size into a segment too big to
+// rotate. One op is one reply; it also reports ns/tuple. Part of make
+// append-gates: a warm writer reports 0 allocs/op.
+func BenchmarkWriterAppendRaw(b *testing.B) {
+	w, err := Create(Options{Dir: b.TempDir(), SegmentBytes: 1 << 40})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reply := encodeTuples(benchReply(rand.New(rand.NewSource(2403)), 0))
+	// Warm the scratch buffers: the partial block a reply leaves pending
+	// cycles through 64, 128, 192 and 0 tuples, and the output buffer
+	// grows to the call that finds the most of them.
+	for i := 0; i < 4; i++ {
+		if err := w.AppendRaw(reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(reply)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.AppendRaw(reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*replyRuns*replyRunLen), "ns/tuple")
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
 	}
 }

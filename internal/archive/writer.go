@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,9 +70,9 @@ type Writer struct {
 	f        *os.File
 	active   writerSegment
 	index    SegmentIndex
-	pending  []collect.TraceTuple
-	enc      columnarEncoder      // reused block scratch
-	rawBatch []collect.TraceTuple // reused AppendRaw decode batch
+	pending  []collect.TraceTuple // appended tuples not yet in a block
+	enc      columnarEncoder      // reused column scratch
+	out      []byte               // blocks encoded by the running call, not yet handed to f
 	sealed   []writerSegment      // older segments, oldest first
 	total    int64                // bytes on disk across sealed + active
 	closed   bool
@@ -140,11 +141,13 @@ func listSegments(dir string) ([]writerSegment, error) {
 }
 
 // segmentTuples returns the tuple count a segment file holds: the
-// header index for sealed segments, a block scan for unsealed ones. A
-// file without a valid header counts zero; one with an intact header of
-// an unsupported version is an error, as it is for the reader.
+// header index for sealed segments — read from the header alone, so
+// reopening costs a sector per older segment, not the archive — and a
+// block scan of the whole file for unsealed ones. A file without a
+// valid header counts zero; one with an intact header of an
+// unsupported version is an error, as it is for the reader.
 func segmentTuples(path string) (uint64, error) {
-	buf, err := os.ReadFile(path)
+	buf, err := readHeader(path)
 	if err != nil {
 		return 0, fmt.Errorf("archive: %v", err)
 	}
@@ -160,6 +163,9 @@ func segmentTuples(path string) (uint64, error) {
 	}
 	if hdr.Sealed {
 		return hdr.Index.Tuples, nil
+	}
+	if buf, err = os.ReadFile(path); err != nil {
+		return 0, fmt.Errorf("archive: %v", err)
 	}
 	res, err := scanSegment(buf)
 	if err != nil {
@@ -292,26 +298,17 @@ func (w *Writer) Append(tuples []collect.TraceTuple) error {
 	if w.writeErr != nil {
 		return w.writeErr
 	}
-	return w.appendLocked(tuples)
-}
-
-// appendLocked buffers tuples and flushes whole blocks.
-func (w *Writer) appendLocked(tuples []collect.TraceTuple) error {
 	w.pending = append(w.pending, tuples...)
-	bt := w.opts.blockTuples()
-	for len(w.pending) >= bt {
-		if err := w.flushLocked(bt); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.drainLocked(false)
 }
 
-// AppendRaw decodes a concatenation of encoded tuples (an event-scope
-// pull reply) and appends them. The decode batch is reused across
-// calls, so steady-state archiving of gather replies does not allocate
-// per payload. A trailing partial tuple is reported via collect's
-// offset-carrying error after the whole tuples before it were appended.
+// AppendRaw appends a concatenation of encoded tuples (an event-scope
+// pull reply). The reply is decoded once, straight behind the partial
+// block the previous call left pending, and its whole blocks are
+// encoded from there, so steady-state archiving of gather replies
+// copies each tuple once and allocates nothing. A trailing partial
+// tuple is reported via collect's offset-carrying error after the whole
+// tuples before it were appended.
 func (w *Writer) AppendRaw(data []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -321,61 +318,89 @@ func (w *Writer) AppendRaw(data []byte) error {
 	if w.writeErr != nil {
 		return w.writeErr
 	}
-	tuples, err := collect.DecodeAppend(w.rawBatch[:0], data)
-	if tuples != nil {
-		w.rawBatch = tuples[:0]
+	// Grown with a block to spare, for the partial block a later call
+	// finds pending: replies of one size size the buffer once.
+	if whole := len(data) / collect.TupleSize; cap(w.pending)-len(w.pending) < whole {
+		w.pending = slices.Grow(w.pending, whole+w.opts.blockTuples())
 	}
-	if len(tuples) > 0 {
-		if aerr := w.appendLocked(tuples); aerr != nil {
-			return aerr
-		}
+	var err error
+	w.pending, err = collect.DecodeAppend(w.pending, data)
+	if derr := w.drainLocked(false); derr != nil {
+		return derr
 	}
 	return err
 }
 
-// flushLocked writes the first n pending tuples (n <= 0: all) as one
-// block, updating the index and rotating when the segment is full.
-func (w *Writer) flushLocked(n int) error {
-	if n <= 0 || n > len(w.pending) {
-		n = len(w.pending)
+// drainLocked encodes the pending tuples' whole blocks (all: and the
+// partial block behind them) where they lie and hands them to the
+// segment file in one write; what stays pending moves to the front
+// once. Blocks pile up in w.out only until the segment is full or an
+// armed crash tears the next one: a rotation seals a file that already
+// has its last block, and a torn block lands behind the whole ones
+// before it.
+func (w *Writer) drainLocked(all bool) error {
+	bt := w.opts.blockTuples()
+	// pending[done:off] is encoded in w.out and not yet written.
+	done, off := 0, 0
+	for off < len(w.pending) && (all || len(w.pending)-off >= bt) {
+		batch := w.pending[off:min(off+bt, len(w.pending))]
+		if frac, fire := w.opts.CrashPoints.hit(CrashBlockFlush); fire {
+			// Persist only a torn prefix of the block and die: the index,
+			// stats and pending buffer do not cover it, exactly as a power
+			// cut mid-write would leave them.
+			if err := w.writeOutLocked(w.pending[done:off]); err != nil {
+				return err
+			}
+			buf := w.enc.appendBlock(w.out[:0], batch)
+			if keep := tearLen(len(buf), frac); keep > 0 {
+				w.f.Write(buf[:keep])
+			}
+			w.writeErr = ErrInjectedCrash
+			return w.writeErr
+		}
+		w.out = w.enc.appendBlock(w.out, batch)
+		off += len(batch)
+		if w.active.size+int64(len(w.out)) >= w.opts.segmentBytes() {
+			if err := w.writeOutLocked(w.pending[done:off]); err != nil {
+				return err
+			}
+			done = off
+			if err := w.rotateLocked(); err != nil {
+				return err
+			}
+		}
 	}
-	if n == 0 {
+	err := w.writeOutLocked(w.pending[done:off])
+	w.pending = w.pending[:copy(w.pending, w.pending[off:])]
+	return err
+}
+
+// writeOutLocked hands the blocks in w.out — batch, encoded — to the
+// segment file in one write. Only once the file has them do the index,
+// the sizes and the stats (and so Position) cover them; a failed write
+// leaves all of those where they were and the writer sticky-dead.
+func (w *Writer) writeOutLocked(batch []collect.TraceTuple) error {
+	if len(w.out) == 0 {
 		return nil
 	}
-	batch := w.pending[:n]
-	// The encoder's scratch is writer-owned and reused across blocks:
-	// the steady-state flush path allocates nothing.
-	buf := w.enc.encodeBlock(batch)
-	if frac, fire := w.opts.CrashPoints.hit(CrashBlockFlush); fire {
-		// Persist only a torn prefix of the block and die: the index,
-		// stats and pending buffer are untouched, exactly as a power cut
-		// mid-write would leave them.
-		if keep := tearLen(len(buf), frac); keep > 0 {
-			w.f.Write(buf[:keep])
-		}
-		w.writeErr = ErrInjectedCrash
-		return w.writeErr
-	}
 	start := hrtime.Now()
-	_, err := w.f.Write(buf)
-	w.opWrite.Record(hrtime.Since(start), len(buf), err)
+	_, err := w.f.Write(w.out)
+	w.opWrite.Record(hrtime.Since(start), len(w.out), err)
 	if err != nil {
 		w.writeErr = fmt.Errorf("archive: segment %d: %v", w.active.id, err)
 		return w.writeErr
 	}
-	for _, t := range batch {
-		w.index.add(t)
+	for i := range batch {
+		w.index.add(batch[i])
 	}
-	w.index.Blocks++
-	w.pending = w.pending[:copy(w.pending, w.pending[n:])]
-	w.active.size += int64(len(buf))
-	w.total += int64(len(buf))
-	w.stats.TuplesWritten += uint64(n)
-	w.stats.BytesWritten += uint64(len(buf))
+	bt := w.opts.blockTuples()
+	w.index.Blocks += uint32((len(batch) + bt - 1) / bt) // only the last block can be short
+	w.active.size += int64(len(w.out))
+	w.total += int64(len(w.out))
+	w.stats.TuplesWritten += uint64(len(batch))
+	w.stats.BytesWritten += uint64(len(w.out))
 	w.stats.TotalBytes = w.total
-	if w.active.size >= w.opts.segmentBytes() {
-		return w.rotateLocked()
-	}
+	w.out = w.out[:0]
 	return nil
 }
 
@@ -459,7 +484,7 @@ func (w *Writer) Flush() error {
 	if w.writeErr != nil {
 		return w.writeErr
 	}
-	return w.flushLocked(0)
+	return w.drainLocked(true)
 }
 
 // Rotate flushes and seals the active segment, starting a fresh one.
@@ -472,7 +497,7 @@ func (w *Writer) Rotate() error {
 	if w.writeErr != nil {
 		return w.writeErr
 	}
-	if err := w.flushLocked(0); err != nil {
+	if err := w.drainLocked(true); err != nil {
 		return err
 	}
 	return w.rotateLocked()
@@ -494,7 +519,7 @@ func (w *Writer) Close() error {
 		}
 		return w.writeErr
 	}
-	if err := w.flushLocked(0); err != nil {
+	if err := w.drainLocked(true); err != nil {
 		if w.f != nil {
 			w.f.Close()
 			w.f = nil
@@ -512,10 +537,11 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Position returns the writer's current durable cursor: the tuples
-// already persisted to disk, in directory-lifetime coordinates. Tuples
-// still buffered in a partial block are NOT covered — call Flush first
-// when the cursor must cover everything appended so far. A checkpoint
+// Position returns the writer's current durable cursor: the tuples of
+// every block the segment files have accepted, in directory-lifetime
+// coordinates. Tuples still buffered in a partial block are NOT covered
+// — call Flush first when the cursor must cover everything appended so
+// far — and neither is a block whose write failed or was torn. A checkpoint
 // stamped with this cursor owns exactly the archive prefix before it;
 // Reader.ScanFrom replays the suffix after it.
 func (w *Writer) Position() Cursor {

@@ -59,11 +59,12 @@ type Checkpointer struct {
 	la     *monitor.LastArrivalReplay
 	stats  *monitor.StatsReplay
 
-	dir   string
-	every uint64
-	keep  int
-	cps   *archive.CrashPoints
-	met   *metrics.Registry
+	dir     string
+	every   uint64
+	keep    int
+	cps     *archive.CrashPoints
+	opWrite *metrics.Op      // checkpoint writes; nil without a registry
+	cWrites *metrics.Counter // checkpoints persisted
 
 	seq     uint32   // newest chain sequence on disk
 	chain   []uint32 // the sequences on disk, oldest first
@@ -114,7 +115,11 @@ func New(w *archive.Writer, inner Sink, engine *query.Engine, infos []archive.Co
 	c := &Checkpointer{
 		inner: inner, w: w, engine: engine, la: la, stats: stats,
 		dir: w.Dir(), every: every, keep: max(keep, 1),
-		cps: cfg.CrashPoints, met: cfg.Metrics,
+		cps: cfg.CrashPoints,
+	}
+	if reg := cfg.Metrics; reg != nil {
+		c.opWrite = reg.Op(metrics.KindCheckpoint, "checkpoint("+c.dir+")")
+		c.cWrites = reg.Counter("checkpoint.writes")
 	}
 	// A reopened directory may already hold a chain: numbering continues
 	// after its newest entry, so a new frame is never the one pruned.
@@ -187,9 +192,9 @@ func (c *Checkpointer) Checkpoint() error {
 func (c *Checkpointer) checkpointLocked() error {
 	start := hrtime.Now()
 	n, err := c.writeLocked()
-	c.met.Op(metrics.KindCheckpoint, "checkpoint("+c.dir+")").Record(hrtime.Since(start), n, err)
+	c.opWrite.Record(hrtime.Since(start), n, err)
 	if err == nil {
-		c.met.Counter("checkpoint.writes").Inc()
+		c.cWrites.Inc()
 	}
 	c.err = err
 	return err
