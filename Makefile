@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates gather-gates collect-gates pastset-leaf one-clock-switch lint vet eslint lint-fix-check ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates pastset-leaf one-clock-switch lint vet eslint lint-fix-check ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -60,6 +60,16 @@ append-gates:
 	$(GO) test -count=1 -v -run '^TestColumnarAppendSteadyStateZeroAlloc$$' ./internal/archive/ | grep -- '--- PASS: TestColumnarAppendSteadyStateZeroAlloc'
 	$(GO) test -run '^$$' -bench 'BenchmarkWriterAppendRaw' -benchtime 500x -benchmem ./internal/archive/ | $(call zero-allocs,1)
 
+# engine-gates are the continuous-query engine's zero-alloc gates: a
+# warm engine takes benchmark-shaped replies — ticks, window scans,
+# grouping, compactions — without allocating (the test, which must have
+# run and passed), and the same replies through AppendRaw with the
+# benchmark's three standing alerts report 0 allocs/op (the benchmark,
+# which also prints ns/tuple).
+engine-gates:
+	$(GO) test -count=1 -v -run '^TestEngineWarmTickZeroAlloc$$' ./internal/query/ | grep -- '--- PASS: TestEngineWarmTickZeroAlloc'
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineAppendRaw' -benchtime 2000x -benchmem ./internal/query/ | $(call zero-allocs,1)
+
 # gather-gates are the gather path's allocation gates, run without the
 # race detector: a warm benchmark-shaped pull allocates at most three
 # tuple sizes per tuple and a number of objects that does not depend on
@@ -112,5 +122,5 @@ lint: vet eslint lint-fix-check
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint pastset-leaf one-clock-switch test-short read-gates checkpoint-gates append-gates gather-gates collect-gates
+ci: build lint pastset-leaf one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -548,16 +548,12 @@ func runWatch(args []string) error {
 		}
 		var seen uint64
 		var offerErr error
-		_, err = r.Scan(archive.Query{}, func(t collect.TraceTuple) bool {
-			seen++
-			if seen <= fed {
-				return true
+		_, err = r.ScanBatches(nil, archive.Query{}, archive.AllColumns, func(batch []collect.TraceTuple) bool {
+			if skip := max(fed, seen) - seen; skip < uint64(len(batch)) {
+				offerErr = eng.Offer(batch[skip:])
 			}
-			if oerr := eng.Offer(t); oerr != nil {
-				offerErr = oerr
-				return false
-			}
-			return true
+			seen += uint64(len(batch))
+			return offerErr == nil
 		})
 		if err == nil {
 			err = offerErr

@@ -151,3 +151,19 @@ func TestNegativeSinceRejected(t *testing.T) {
 		t.Fatal("negative -since accepted")
 	}
 }
+
+// TestWatchOnce evaluates a standing alert over what the archive holds:
+// the data tuples tick it once a microsecond, and it fires on the first
+// tick and then holds.
+func TestWatchOnce(t *testing.T) {
+	dir := t.TempDir()
+	writeTestArchive(t, dir)
+
+	out := capture(t, func() error {
+		return runWatch([]string{"-dir", dir, "-q", "alert when count() > 0 window 1us", "-once"})
+	})
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "#0") || !strings.Contains(lines[0], "1µs") {
+		t.Fatalf("watch printed %q, want one alert at 1µs", out)
+	}
+}

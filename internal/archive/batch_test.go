@@ -46,7 +46,7 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 		}
 		for _, cols := range fieldMasks {
 			var got []collect.TraceTuple
-			stats, err := r.ScanBatches(q, cols, func(batch []collect.TraceTuple) bool {
+			stats, err := r.ScanBatches(nil, q, cols, func(batch []collect.TraceTuple) bool {
 				if len(batch) == 0 {
 					t.Fatal("empty batch delivered")
 				}
@@ -147,7 +147,7 @@ func TestMaskedDecodeTearsLikeFull(t *testing.T) {
 			t.Fatalf("%s column damaged: full scan %+v, want 2 blocks, 16 tuples, 1 tear", colName[c], full)
 		}
 		for _, cols := range fieldMasks {
-			got, err := r.ScanBatches(Query{}, cols, func([]collect.TraceTuple) bool { return true })
+			got, err := r.ScanBatches(nil, Query{}, cols, func([]collect.TraceTuple) bool { return true })
 			if err != nil {
 				t.Fatal(err)
 			}

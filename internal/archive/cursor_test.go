@@ -74,6 +74,19 @@ func TestScanFromMatchesSuffix(t *testing.T) {
 		if stats.BytesScanned >= uint64(totalBytes(r)) {
 			t.Fatalf("ScanFrom read the whole archive (%d of %d bytes)", stats.BytesScanned, totalBytes(r))
 		}
+		// The batch walk from the same cursor is the same suffix.
+		var batched []collect.TraceTuple
+		bstats, err := r.ScanBatches(&cur, Query{}, AllColumns, func(b []collect.TraceTuple) bool {
+			batched = append(batched, b...)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTuples(t, batched, full[100:])
+		if bstats != stats {
+			t.Fatalf("ScanBatches from the cursor: stats %+v, ScanFrom's %+v", bstats, stats)
+		}
 
 		// Filters compose with the cursor.
 		var filtered []collect.TraceTuple

@@ -239,18 +239,20 @@ func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, err
 	return r.scanTuples(nil, q, fn)
 }
 
-// ScanBatches is Scan a block at a time, for readers that fold tuples
-// instead of keeping them: fn receives each scanned block's matching
+// ScanBatches is Scan a block at a time, for readers that fold or copy
+// tuples a batch at a time: fn receives each scanned block's matching
 // tuples, in archive order, non-matching ones compacted out (a block
-// with none is not delivered). Only the fields in cols, and those q
+// with none is not delivered). A nil cur walks the whole archive; a
+// non-nil one only what was archived after it, validated and skipped
+// exactly as ScanFrom does. Only the fields in cols, and those q
 // itself filters on, are decoded; the rest of each tuple is
 // unspecified. The batch is the decoder's own scratch: fn may reorder
 // or overwrite it and must not keep it past its return. The stats are
-// those of a Scan with the same q — every column of a block is
-// checksummed whatever cols says, so a projected read tears exactly
-// where a full one does.
-func (r *Reader) ScanBatches(q Query, cols Columns, fn func([]collect.TraceTuple) bool) (ScanStats, error) {
-	return r.scan(nil, q, cols, fn)
+// those of a Scan (or ScanFrom) with the same q — every column of a
+// block is checksummed whatever cols says, so a projected read tears
+// exactly where a full one does.
+func (r *Reader) ScanBatches(cur *Cursor, q Query, cols Columns, fn func([]collect.TraceTuple) bool) (ScanStats, error) {
+	return r.scan(cur, q, cols, fn)
 }
 
 // scanTuples adapts the batch walk to a per-tuple callback with every

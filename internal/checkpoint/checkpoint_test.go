@@ -115,7 +115,7 @@ func snapshotFromStream(t testing.TB, n int) Checkpoint {
 	for _, tu := range testStream(40)[:n] {
 		la.Feed(tu)
 		stats.Feed(tu)
-		if err := eng.Offer(tu); err != nil {
+		if err := eng.Offer([]collect.TraceTuple{tu}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,7 +2,7 @@ package query
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"eventspace/internal/archive"
@@ -43,6 +43,7 @@ type Engine struct {
 	buf       []collect.TraceTuple // retained data tuples, arrival order
 	maxWindow int64                // widest window any query looks back
 	watermark hrtime.Stamp         // running max of tuple Start stamps
+	seeded    bool                 // watermark holds a tuple's stamp, not its zero start
 
 	// prune's memo: of buf[:counted], live tuples start after liveAt.
 	// The horizon moves once per tick of the slowest query, so between
@@ -59,6 +60,23 @@ type Engine struct {
 	batch  []collect.TraceTuple // AppendRaw's decode scratch, reused per batch
 	enc    []byte               // reused alert-tuple encode buffer
 	opEval *metrics.Op
+
+	// A tick's scratch, kept from tick to tick: the query window, the
+	// same tuples scattered by ECID, the window's distinct ECIDs, and
+	// per-ECID slots, current where stamped with gen.
+	win     []collect.TraceTuple
+	grouped []collect.TraceTuple
+	order   []uint16
+	slots   []ecidSlot
+	gen     uint32
+}
+
+// ecidSlot is one ECID's grouping scratch. gen is the grouped tick that
+// last saw the ECID; pos counts its tuples, then is where the next one
+// is scattered to, and ends one past the ECID's group.
+type ecidSlot struct {
+	gen uint32
+	pos int32
 }
 
 // standing is one registered alert statement and its trigger state.
@@ -68,8 +86,24 @@ type standing struct {
 
 	anchored bool         // lastTick was anchored at the first tuple
 	lastTick hrtime.Stamp // last evaluated tick
-	streak   map[uint16]int
-	fired    map[uint16]bool
+	from     int          // buf[:from] all start at or before the last tick's window
+	trig     []trigger    // by group, grown on demand
+	active   []uint16     // the groups whose trigger is not zero
+}
+
+// trigger is one group's edge-trigger state: how many consecutive ticks
+// its condition has held, and whether it fired in that run.
+type trigger struct {
+	streak int
+	fired  bool
+}
+
+// trigger returns group g's trigger, growing the table to hold it.
+func (st *standing) trigger(g uint16) *trigger {
+	if int(g) >= len(st.trig) {
+		st.trig = append(st.trig, make([]trigger, int(g)+1-len(st.trig))...)
+	}
+	return &st.trig[g]
 }
 
 // NewEngine builds an engine that forwards raw batches to sink (nil for
@@ -114,12 +148,7 @@ func (e *Engine) Register(s *Stmt) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.queries = append(e.queries, &standing{
-		stmt:   s,
-		hash:   s.Hash(),
-		streak: make(map[uint16]int),
-		fired:  make(map[uint16]bool),
-	})
+	e.queries = append(e.queries, &standing{stmt: s, hash: s.Hash()})
 	if w := int64(s.Window); w > e.maxWindow {
 		e.maxWindow = w
 	}
@@ -181,42 +210,48 @@ func (e *Engine) AppendRaw(data []byte) error {
 		return fmt.Errorf("query: %v", err)
 	}
 	start := hrtime.Now()
-	defer func() {
-		e.opEval.Record(hrtime.Since(start), len(data), nil)
-	}()
-	for _, t := range e.batch {
-		if err := e.offer(t); err != nil {
-			return err
-		}
-	}
-	return nil
+	err = e.offer(e.batch)
+	e.opEval.Record(hrtime.Since(start), len(data), err)
+	return err
 }
 
-// Offer evaluates one already-decoded tuple without forwarding it —
-// the replay path, where the tuples come back out of an archive.
-func (e *Engine) Offer(t collect.TraceTuple) error {
+// Offer evaluates already-decoded tuples without forwarding them — the
+// replay path, where the tuples come back out of an archive a block at
+// a time. The engine copies what it keeps; batch is not retained.
+func (e *Engine) Offer(batch []collect.TraceTuple) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.offer(t)
+	return e.offer(batch)
 }
 
-// offer ingests one tuple: control tuples (including archived alerts)
-// are ignored, so replaying an archive that already holds alert tuples
-// regenerates the stream from the data tuples alone.
-func (e *Engine) offer(t collect.TraceTuple) error {
-	if t.ECID == collect.ControlECID {
-		return nil
-	}
-	e.buf = append(e.buf, t)
-	if t.Start > e.watermark {
-		e.watermark = t.Start
-	}
-	for _, st := range e.queries {
-		if err := e.advance(st); err != nil {
-			return err
+// offer ingests a batch in order: control tuples (including archived
+// alerts) are ignored, so replaying an archive that already holds alert
+// tuples regenerates the stream from the data tuples alone.
+func (e *Engine) offer(batch []collect.TraceTuple) error {
+	for i := range batch {
+		t := &batch[i]
+		if t.ECID == collect.ControlECID {
+			continue
 		}
+		e.buf = append(e.buf, *t)
+		// The first data tuple seeds the watermark, so a stream whose
+		// stamps never rise above zero still crosses ticks.
+		raised := !e.seeded || t.Start > e.watermark
+		if raised {
+			e.watermark, e.seeded = t.Start, true
+		}
+		for _, st := range e.queries {
+			// Only a risen watermark, or a query's first tuple, can
+			// cross one of its ticks.
+			if !raised && st.anchored {
+				continue
+			}
+			if err := e.advance(st); err != nil {
+				return err
+			}
+		}
+		e.prune()
 	}
-	e.prune()
 	return nil
 }
 
@@ -228,7 +263,7 @@ func (e *Engine) advance(st *standing) error {
 	every := int64(st.stmt.Every)
 	if !st.anchored {
 		st.anchored = true
-		st.lastTick = e.watermark - e.watermark%every
+		st.lastTick = bucketOf(e.watermark, every)
 	}
 	for e.watermark >= st.lastTick+every {
 		st.lastTick += every
@@ -241,60 +276,102 @@ func (e *Engine) advance(st *standing) error {
 
 // tick evaluates one standing query at tick stamp now.
 func (e *Engine) tick(st *standing, now hrtime.Stamp) error {
-	window := int64(st.stmt.Window)
-	lo := now - window
-	// One pass collects the in-window tuples across all groups; the
-	// grouped case then splits them by ECID.
-	var inWin []collect.TraceTuple
-	for _, t := range e.buf {
+	lo := now - int64(st.stmt.Window)
+	// Ticks only rise, so a tuple at or before this tick's lo is outside
+	// every later window of the query too: the cursor passes it for good.
+	for st.from < len(e.buf) && e.buf[st.from].Start <= lo {
+		st.from++
+	}
+	win := e.win[:0]
+	for _, t := range e.buf[st.from:] {
 		if t.Start > lo && t.Start <= now {
-			inWin = append(inWin, t)
+			win = append(win, t)
 		}
 	}
+	e.win = win
 	env := &e.env
-	env.all, env.windowAll, env.tick, env.expected = e.buf, inWin, now, e.expected
-	present := make(map[uint16]bool)
-	if st.stmt.By == FieldECID {
-		groups := make(map[uint16][]collect.TraceTuple)
-		var order []uint16
-		for _, t := range inWin {
-			if t.ECID > 0xffff {
-				return fmt.Errorf("query: ecid %d too large to group by", t.ECID)
-			}
-			g := uint16(t.ECID)
-			if _, ok := groups[g]; !ok {
-				order = append(order, g)
-			}
-			groups[g] = append(groups[g], t)
+	env.all, env.windowAll, env.tick, env.expected = e.buf, win, now, e.expected
+	grouped := st.stmt.By == FieldECID
+	if grouped {
+		if err := e.group(win); err != nil {
+			return err
 		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		for _, g := range order {
-			present[g] = true
-			env.group = groups[g]
+		start := 0
+		for _, g := range e.order {
+			end := int(e.slots[g].pos)
+			env.group = e.grouped[start:end]
+			start = end
 			if err := e.judge(st, g, now, env); err != nil {
 				return err
 			}
 		}
 	} else {
-		present[0] = true
-		env.group = inWin
+		env.group = win
 		if err := e.judge(st, 0, now, env); err != nil {
 			return err
 		}
 	}
 	// Groups that fell silent lose their streak and re-arm: a condition
 	// cannot be "sustained" by absence.
-	for g := range st.streak {
-		if !present[g] {
-			delete(st.streak, g)
+	active := st.active[:0]
+	for _, g := range st.active {
+		if tr := &st.trig[g]; *tr != (trigger{}) && e.present(g, grouped) {
+			active = append(active, g)
+		} else {
+			*tr = trigger{}
 		}
 	}
-	for g := range st.fired {
-		if !present[g] {
-			delete(st.fired, g)
+	st.active = active
+	return nil
+}
+
+// group scatters the window into e.grouped by ECID — groups in
+// ascending ECID order, each in window order — and lists the distinct
+// ECIDs, sorted, in e.order. Group g ends at e.slots[g].pos.
+func (e *Engine) group(win []collect.TraceTuple) error {
+	e.gen++
+	if e.gen == 0 { // wrapped: no slot may keep a stamp from the last lap
+		clear(e.slots)
+		e.gen = 1
+	}
+	e.order = e.order[:0]
+	for i := range win {
+		id := win[i].ECID
+		if id > 0xffff {
+			return fmt.Errorf("query: ecid %d too large to group by", id)
 		}
+		if int(id) >= len(e.slots) {
+			e.slots = append(e.slots, make([]ecidSlot, int(id)+1-len(e.slots))...)
+		}
+		s := &e.slots[id]
+		if s.gen != e.gen {
+			s.gen, s.pos = e.gen, 0
+			e.order = append(e.order, uint16(id))
+		}
+		s.pos++
+	}
+	slices.Sort(e.order)
+	var off int32
+	for _, g := range e.order {
+		s := &e.slots[g]
+		s.pos, off = off, off+s.pos
+	}
+	e.grouped = slices.Grow(e.grouped[:0], len(win))[:len(win)]
+	for i := range win {
+		s := &e.slots[win[i].ECID]
+		e.grouped[s.pos] = win[i]
+		s.pos++
 	}
 	return nil
+}
+
+// present reports whether group g had tuples in the tick just judged.
+// An ungrouped query has the one group 0, present even when empty.
+func (e *Engine) present(g uint16, grouped bool) bool {
+	if !grouped {
+		return g == 0
+	}
+	return int(g) < len(e.slots) && e.slots[g].gen == e.gen
 }
 
 // judge evaluates the condition for one group at one tick, maintains
@@ -302,16 +379,19 @@ func (e *Engine) tick(st *standing, now hrtime.Stamp) error {
 // alert fires once when the streak reaches the "for N rounds" bound and
 // re-arms only after the condition goes false.
 func (e *Engine) judge(st *standing, g uint16, now hrtime.Stamp, env *aggEnv) error {
+	tr := st.trigger(g)
 	if !evalWhen(st.stmt.When, env).Bool() {
-		st.streak[g] = 0
-		st.fired[g] = false
+		*tr = trigger{}
 		return nil
 	}
-	st.streak[g]++
-	if st.streak[g] < st.stmt.For || st.fired[g] {
+	if *tr == (trigger{}) {
+		st.active = append(st.active, g)
+	}
+	tr.streak++
+	if tr.streak < st.stmt.For || tr.fired {
 		return nil
 	}
-	st.fired[g] = true
+	tr.fired = true
 	return e.fire(st, g, now)
 }
 
@@ -382,6 +462,9 @@ func (e *Engine) prune() {
 	}
 	e.buf = kept
 	e.counted = len(kept) // all of them live, which e.live already says
+	for _, st := range e.queries {
+		st.from = 0
+	}
 }
 
 // Replay regenerates the alert stream an engine with the given standing
@@ -399,12 +482,9 @@ func Replay(r *archive.Reader, stmts []*Stmt, expected int) ([]collect.AlertTupl
 		}
 	}
 	var offerErr error
-	_, err := r.Scan(archive.Query{}, func(t collect.TraceTuple) bool {
-		if err := e.Offer(t); err != nil {
-			offerErr = err
-			return false
-		}
-		return true
+	_, err := r.ScanBatches(nil, archive.Query{}, archive.AllColumns, func(batch []collect.TraceTuple) bool {
+		offerErr = e.Offer(batch)
+		return offerErr == nil
 	})
 	if err == nil {
 		err = offerErr

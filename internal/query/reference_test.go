@@ -6,14 +6,16 @@ import (
 
 	"eventspace/internal/archive"
 	"eventspace/internal/collect"
+	"eventspace/internal/hrtime"
 )
 
 // The tuple-materialising aggregate path the streaming one (run.go,
-// agg.go) replaced, kept as the reference the differential tests
-// compare against: plain, obviously right, and slow. Its one shared
-// piece is bucketOf — the reference had the truncating bucket the
-// streaming path fixed, and a reference that disagrees on purpose
-// proves nothing.
+// agg.go) replaced, and the full-buffer tick the cursor one (engine.go)
+// replaced, kept as the references the differential tests compare
+// against: plain, obviously right, and slow. Their shared pieces are
+// bucketOf — the references had the truncating bucket and tick anchor
+// the product fixed, and a reference that disagrees on purpose proves
+// nothing — and the engine's judge, prune and state.
 
 // refComputeAgg evaluates one aggregate over a materialised tuple set:
 // a map per distinct count, a fresh sorted copy per percentile.
@@ -157,4 +159,86 @@ func refRunQuery(r *archive.Reader, s *Stmt, aq archive.Query) (*Result, archive
 		res.Rows = append(res.Rows, row)
 	}
 	return res, stats, nil
+}
+
+// refOffer ingests one tuple the way the engine did before it took
+// batches: every query's tick loop runs on every tuple, whether or not
+// the watermark moved, and a tick is refTick.
+func refOffer(e *Engine, t collect.TraceTuple) error {
+	if t.ECID == collect.ControlECID {
+		return nil
+	}
+	e.buf = append(e.buf, t)
+	if !e.seeded || t.Start > e.watermark {
+		e.watermark, e.seeded = t.Start, true
+	}
+	for _, st := range e.queries {
+		every := int64(st.stmt.Every)
+		if !st.anchored {
+			st.anchored = true
+			st.lastTick = bucketOf(e.watermark, every)
+		}
+		for e.watermark >= st.lastTick+every {
+			st.lastTick += every
+			if err := refTick(e, st, st.lastTick); err != nil {
+				return err
+			}
+		}
+	}
+	e.prune()
+	return nil
+}
+
+// refTick evaluates one standing query at tick stamp now from a fresh
+// pass over the whole buffer, grouping through maps; judge and the
+// trigger table are the engine's.
+func refTick(e *Engine, st *standing, now hrtime.Stamp) error {
+	lo := now - int64(st.stmt.Window)
+	var inWin []collect.TraceTuple
+	for _, t := range e.buf {
+		if t.Start > lo && t.Start <= now {
+			inWin = append(inWin, t)
+		}
+	}
+	env := &e.env
+	env.all, env.windowAll, env.tick, env.expected = e.buf, inWin, now, e.expected
+	present := make(map[uint16]bool)
+	if st.stmt.By == FieldECID {
+		groups := make(map[uint16][]collect.TraceTuple)
+		var order []uint16
+		for _, t := range inWin {
+			if t.ECID > 0xffff {
+				return fmt.Errorf("query: ecid %d too large to group by", t.ECID)
+			}
+			g := uint16(t.ECID)
+			if _, ok := groups[g]; !ok {
+				order = append(order, g)
+			}
+			groups[g] = append(groups[g], t)
+		}
+		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+		for _, g := range order {
+			present[g] = true
+			env.group = groups[g]
+			if err := e.judge(st, g, now, env); err != nil {
+				return err
+			}
+		}
+	} else {
+		present[0] = true
+		env.group = inWin
+		if err := e.judge(st, 0, now, env); err != nil {
+			return err
+		}
+	}
+	active := st.active[:0]
+	for _, g := range st.active {
+		if tr := &st.trig[g]; *tr != (trigger{}) && present[g] {
+			active = append(active, g)
+		} else {
+			*tr = trigger{}
+		}
+	}
+	st.active = active
+	return nil
 }

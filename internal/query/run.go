@@ -227,7 +227,7 @@ func RunQuery(r *archive.Reader, s *Stmt, aq archive.Query) (*Result, archive.Sc
 		run.arenaCell = make([]int32, 0, hint)
 	}
 
-	stats, err := r.ScanBatches(aq, need, func(batch []collect.TraceTuple) bool {
+	stats, err := r.ScanBatches(nil, aq, need, func(batch []collect.TraceTuple) bool {
 		run.feed(batch)
 		return true
 	})

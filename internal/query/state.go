@@ -5,14 +5,11 @@
 // checkpoint fires exactly the alerts the original engine would have,
 // resuming mid-streak. Snapshots are canonical: streaks are stored only
 // when nonzero and fired flags only when set, sorted by group, because
-// a zero/absent entry is behaviorally indistinguishable from a missing
-// one (judge treats absence as zero, and the silent-group sweep only
-// ever deletes).
+// a zero trigger is behaviorally indistinguishable from a missing one.
 package query
 
 import (
 	"fmt"
-	"sort"
 
 	"eventspace/internal/collect"
 	"eventspace/internal/hrtime"
@@ -54,22 +51,14 @@ func (e *Engine) State() EngineState {
 	st.Alerts = append(st.Alerts, e.alerts...)
 	for _, q := range e.queries {
 		qs := StandingState{Hash: q.hash, Anchored: q.anchored, LastTick: q.lastTick}
-		groups := make([]uint16, 0, len(q.streak))
-		for g, n := range q.streak {
-			if n != 0 {
-				groups = append(groups, g)
+		for g, tr := range q.trig {
+			if tr.streak != 0 {
+				qs.Streak = append(qs.Streak, GroupStreak{Group: uint16(g), Count: int32(tr.streak)})
+			}
+			if tr.fired {
+				qs.Fired = append(qs.Fired, uint16(g))
 			}
 		}
-		sort.Slice(groups, func(i, j int) bool { return groups[i] < groups[j] })
-		for _, g := range groups {
-			qs.Streak = append(qs.Streak, GroupStreak{Group: g, Count: int32(q.streak[g])})
-		}
-		for g, f := range q.fired {
-			if f {
-				qs.Fired = append(qs.Fired, g)
-			}
-		}
-		sort.Slice(qs.Fired, func(i, j int) bool { return qs.Fired[i] < qs.Fired[j] })
 		st.Queries = append(st.Queries, qs)
 	}
 	return st
@@ -92,6 +81,9 @@ func (e *Engine) Restore(st EngineState) error {
 	}
 	e.expected = st.Expected
 	e.watermark = st.Watermark
+	// The frame has no "saw a tuple" bit: a snapshot with an anchored
+	// query, or a watermark off zero, was taken after one.
+	e.seeded = st.Watermark != 0
 	e.seq = st.Seq
 	e.buf = append(e.buf[:0], st.Buf...)
 	e.live, e.counted = 0, 0 // prune's memo counted the buffer this replaces
@@ -100,13 +92,20 @@ func (e *Engine) Restore(st EngineState) error {
 		q := e.queries[i]
 		q.anchored = qs.Anchored
 		q.lastTick = qs.LastTick
-		q.streak = make(map[uint16]int, len(qs.Streak))
+		q.from = 0 // the cursor indexed the buffer this replaces
+		e.seeded = e.seeded || qs.Anchored
+		clear(q.trig)
 		for _, gs := range qs.Streak {
-			q.streak[gs.Group] = int(gs.Count)
+			q.trigger(gs.Group).streak = int(gs.Count)
 		}
-		q.fired = make(map[uint16]bool, len(qs.Fired))
 		for _, g := range qs.Fired {
-			q.fired[g] = true
+			q.trigger(g).fired = true
+		}
+		q.active = q.active[:0]
+		for g, tr := range q.trig {
+			if tr != (trigger{}) {
+				q.active = append(q.active, uint16(g))
+			}
 		}
 	}
 	return nil

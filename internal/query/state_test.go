@@ -35,10 +35,8 @@ func TestEngineSplitEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, tu := range tuples {
-			if err := full.Offer(tu); err != nil {
-				t.Fatal(err)
-			}
+		if err := full.Offer(tuples); err != nil {
+			t.Fatal(err)
 		}
 
 		head := NewEngine(nullSink{})
@@ -48,10 +46,8 @@ func TestEngineSplitEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, tu := range tuples[:split] {
-			if err := head.Offer(tu); err != nil {
-				t.Fatal(err)
-			}
+		if err := head.Offer(tuples[:split]); err != nil {
+			t.Fatal(err)
 		}
 		st := head.State()
 
@@ -64,10 +60,8 @@ func TestEngineSplitEquivalence(t *testing.T) {
 		if err := tail.Restore(st); err != nil {
 			t.Fatalf("split %d: %v", split, err)
 		}
-		for _, tu := range tuples[split:] {
-			if err := tail.Offer(tu); err != nil {
-				t.Fatal(err)
-			}
+		if err := tail.Offer(tuples[split:]); err != nil {
+			t.Fatal(err)
 		}
 
 		if got, want := tail.Alerts(), full.Alerts(); !reflect.DeepEqual(got, want) {
@@ -86,10 +80,8 @@ func TestEngineSplitEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, tu := range testTuples() {
-		if err := e.Offer(tu); err != nil {
-			t.Fatal(err)
-		}
+	if err := e.Offer(testTuples()); err != nil {
+		t.Fatal(err)
 	}
 	if len(e.Alerts()) == 0 {
 		t.Fatal("corpus fired no alerts; split test proves nothing")
@@ -186,7 +178,7 @@ func TestReplayFromMatchesFullReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := r.ScanFrom(cur, archive.Query{}, func(tu collect.TraceTuple) bool {
-			if err := re.Offer(tu); err != nil {
+			if err := re.Offer([]collect.TraceTuple{tu}); err != nil {
 				t.Fatal(err)
 			}
 			return true
@@ -218,10 +210,8 @@ func TestEngineStateCanonical(t *testing.T) {
 		return e
 	}
 	e := mk()
-	for _, tu := range testTuples() {
-		if err := e.Offer(tu); err != nil {
-			t.Fatal(err)
-		}
+	if err := e.Offer(testTuples()); err != nil {
+		t.Fatal(err)
 	}
 	st := e.State()
 	re := mk()

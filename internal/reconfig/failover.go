@@ -226,23 +226,21 @@ func replay(r *archive.Reader, infos []archive.CollectorInfo, cp *checkpoint.Che
 			}
 		}
 	}
+	var cur *archive.Cursor
+	if cp != nil {
+		cur = &cp.Cursor
+	}
 	var offerErr error
-	feed := func(t collect.TraceTuple) bool {
-		rep.Feed(t)
-		sr.Feed(t)
-		if eng != nil {
-			if offerErr = eng.Offer(t); offerErr != nil {
-				return false
-			}
+	scan, err := r.ScanBatches(cur, archive.Query{}, archive.AllColumns, func(batch []collect.TraceTuple) bool {
+		for _, t := range batch {
+			rep.Feed(t)
+			sr.Feed(t)
 		}
-		return true
-	}
-	var scan archive.ScanStats
-	if cp == nil {
-		scan, err = r.Scan(archive.Query{}, feed)
-	} else {
-		scan, err = r.ScanFrom(cp.Cursor, archive.Query{}, feed)
-	}
+		if eng != nil {
+			offerErr = eng.Offer(batch)
+		}
+		return offerErr == nil
+	})
 	if err != nil {
 		return nil, err
 	}
