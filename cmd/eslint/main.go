@@ -4,15 +4,15 @@
 // multichecker in the x/tools mold, built on the standard library
 // only, and runs in CI alongside go vet and staticcheck:
 //
-//	go run ./cmd/eslint ./...        # whole module (the usual form)
+//	go run ./cmd/eslint ./...        # whole module, whole suite
 //	go run ./cmd/eslint -list        # describe the analyzers
-//	go run ./cmd/eslint -run wallclock,goroleak ./...
 //	go run ./cmd/eslint -json ./...  # machine-readable findings
-//	go run ./cmd/eslint -check-annotations   # audit //lint:allow only
 //
-// Packages are analyzed in parallel (one worker per CPU by default;
-// -workers overrides) with deterministic output order, and the summary
-// line reports wall time so CI logs track the suite's cost.
+// Every run executes every analyzer, so the same run also reports each
+// //lint:allow that lacks a reason, names an unknown analyzer, or
+// suppresses no finding. Packages are analyzed in parallel (one worker
+// per CPU) with deterministic output order, and the summary line
+// reports wall time so CI logs track the suite's cost.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"eventspace/internal/lint"
@@ -44,13 +43,9 @@ type jsonDiag struct {
 
 func run() int {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	only := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	workers := flag.Int("workers", 0, "packages analyzed in parallel (0 = one per CPU)")
-	annotations := flag.Bool("check-annotations", false,
-		"audit //lint:allow annotations only (reasons present, analyzer names known); skips analysis")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: eslint [-list] [-run names] [-json] [-workers n] [-check-annotations] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: eslint [-list] [-json] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -61,22 +56,6 @@ func run() int {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *only != "" {
-		byName := make(map[string]*lint.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "eslint: unknown analyzer %q (try -list)\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	// The only supported patterns are the whole module (./... or no
@@ -100,21 +79,6 @@ func run() int {
 	}
 
 	start := time.Now()
-
-	if *annotations {
-		diags, err := lint.AuditAnnotations(root, lint.Suite())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "eslint:", err)
-			return 2
-		}
-		return report(diags, root, *asJSON, func(n int) string {
-			if n > 0 {
-				return fmt.Sprintf("eslint: %d malformed annotation(s) in %v", n, time.Since(start).Round(time.Millisecond))
-			}
-			return fmt.Sprintf("eslint: annotations clean in %v", time.Since(start).Round(time.Millisecond))
-		})
-	}
-
 	loader, err := lint.NewLoader(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eslint:", err)
@@ -125,7 +89,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "eslint:", err)
 		return 2
 	}
-	perPkg, err := lint.RunPackages(pkgs, analyzers, *workers)
+	perPkg, err := lint.RunPackages(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eslint:", err)
 		return 2
@@ -134,25 +98,14 @@ func run() int {
 	for _, d := range perPkg {
 		diags = append(diags, d...)
 	}
-	return report(diags, root, *asJSON, func(n int) string {
-		elapsed := time.Since(start).Round(time.Millisecond)
-		if n > 0 {
-			return fmt.Sprintf("eslint: %d finding(s) across %d package(s) in %v", n, len(pkgs), elapsed)
-		}
-		return fmt.Sprintf("eslint: clean — %d package(s), %d analyzer(s) in %v", len(pkgs), len(analyzers), elapsed)
-	})
-}
 
-// report prints the findings (plain or JSON, paths relative to root)
-// plus a summary line on stderr, and returns the exit status.
-func report(diags []lint.Diagnostic, root string, asJSON bool, summary func(n int) string) int {
 	rel := func(name string) string {
 		if r, err := filepath.Rel(root, name); err == nil {
 			return r
 		}
 		return name
 	}
-	if asJSON {
+	if *asJSON {
 		out := make([]jsonDiag, 0, len(diags))
 		for _, d := range diags {
 			out = append(out, jsonDiag{
@@ -171,9 +124,11 @@ func report(diags []lint.Diagnostic, root string, asJSON bool, summary func(n in
 			fmt.Printf("%s:%d:%d: %s (%s)\n", rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 		}
 	}
-	fmt.Fprintln(os.Stderr, summary(len(diags)))
+	elapsed := time.Since(start).Round(time.Millisecond)
 	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "eslint: %d finding(s) across %d package(s) in %v\n", len(diags), len(pkgs), elapsed)
 		return 1
 	}
+	fmt.Fprintf(os.Stderr, "eslint: clean — %d package(s), %d analyzer(s) in %v\n", len(pkgs), len(analyzers), elapsed)
 	return 0
 }

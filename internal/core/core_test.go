@@ -297,8 +297,9 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
-// TestArchiveStopDrainsRegistered locks in the PR-4 deadlock fix at
-// runtime (internal/lint's vcregister analyzer guards it statically):
+// TestArchiveStopDrainsRegistered locks in the archive final-drain
+// deadlock fix at runtime (internal/lint's goroleak guards it
+// statically by flagging any plain go statement in core and archive):
 // ArchiveRecorder.Stop's final drain performs modelled network work, so
 // it must run as a registered model goroutine. Run unregistered, its
 // modelled sleeps would corrupt the clock's runnable count and Stop

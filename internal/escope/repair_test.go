@@ -1,7 +1,5 @@
 package escope
 
-//lint:file-allow wallclock tests poll real goroutine progress against wall-clock deadlines
-
 import (
 	"testing"
 	"time"

@@ -17,22 +17,25 @@ import (
 // its buffers and connections forever, and under the virtual clock
 // keeps the model alive after the driver finished.
 //
-// Launches via both plain `go` statements and vclock.Go are checked
-// (registration is vcregister's concern; leaking is leaking either
-// way). Named package-local functions are resolved one level deep;
-// dynamic callees (func values, cross-package calls) are skipped.
-// Test files are exempt: test goroutines die with the test binary.
+// Launches via both plain `go` statements and vclock.Go are checked for
+// a stop path, and a plain `go` statement is a finding of its own:
+// every goroutine here runs model code, and one the virtual clock did
+// not start corrupts its runnable count when it parks (the archive
+// final-drain deadlock). Named package-local functions are resolved
+// one level deep; dynamic callees (func values, cross-package calls)
+// are skipped. Test files are exempt: test goroutines die with the
+// test binary.
 var Goroleak = &Analyzer{
 	Name: "goroleak",
-	Doc: "require every goroutine in instrumented packages to have a reachable stop path " +
+	Doc: "require every goroutine in instrumented packages to be a vclock.Go launch with a reachable stop path " +
 		"(a terminating CFG: stop-channel return, context cancellation, or bounded loop); " +
 		"non-terminating bodies are the Puller/Recorder leak class",
 	Run: runGoroleak,
 }
 
 // goroutinePkgs are the packages whose goroutines must be provably
-// stoppable (and, for vcregister, clock-registered): the instrumented
-// set plus the core façade that owns recorder/monitor lifecycles.
+// stoppable and clock-registered: the instrumented set plus the core
+// façade that owns recorder/monitor lifecycles.
 var goroutinePkgs = func() map[string]bool {
 	m := map[string]bool{"eventspace/internal/core": true}
 	for p := range instrumentedPkgs {
@@ -51,6 +54,13 @@ func runGoroleak(pass *Pass) error {
 			fun, launch := launchSite(pass, n)
 			if fun == nil || isTestFile(pass, n) {
 				return true
+			}
+			if _, plain := n.(*ast.GoStmt); plain {
+				pass.Reportf(n.Pos(),
+					"plain go statement in %s: start it with vclock.Go — "+
+						"an unregistered goroutine that parks on the virtual clock corrupts its runnable count and stalls RunVirtual "+
+						"(the archive final-drain deadlock class)",
+					pass.Pkg.Types.Name())
 			}
 			body, what := launchBody(pass.Pkg, decls, fun)
 			if body == nil {

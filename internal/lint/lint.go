@@ -4,10 +4,10 @@
 // (hrtime/vclock), never wall time, so RunVirtual traces stay exact;
 // the self-metrics write path must stay nil-safe so the disabled
 // configuration costs one nil check; stop channels must close exactly
-// once (the Puller.Stop bug class); 64-bit atomics must stay 8-byte
-// aligned for 32-bit targets; and nothing may block on a channel or a
-// PastSet read while holding a mutex. Each invariant is an Analyzer
-// here, run by cmd/eslint in CI alongside vet and staticcheck.
+// once (the Puller.Stop bug class); every goroutine there must be a
+// stoppable vclock.Go launch; marked hot paths must not allocate; and
+// retries must be decided by the error classifier. Each invariant is an
+// Analyzer here, run by cmd/eslint in CI alongside vet and staticcheck.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is built on the standard library
@@ -20,8 +20,9 @@
 //	//lint:allow wallclock tests poll a real goroutine
 //
 // on the flagged line or the line above, or per file with
-// //lint:file-allow. An annotation without a reason is itself a
-// finding and suppresses nothing.
+// //lint:file-allow. An annotation without a reason, one naming an
+// unknown analyzer, and one that suppresses no finding are each
+// themselves a finding.
 package lint
 
 import (
@@ -46,14 +47,11 @@ type Analyzer struct {
 }
 
 // Suite is every analyzer in the order reports are printed. The first
-// five are per-statement AST matchers; the last four (goroleak,
-// vcregister, hotalloc, errclass) are dataflow analyzers built on the
+// three are per-statement AST matchers; the last three (goroleak,
+// hotalloc, errclass) are dataflow analyzers built on the
 // internal/lint/cfg control-flow graphs.
 func Suite() []*Analyzer {
-	return []*Analyzer{
-		Wallclock, CloseOnce, NilSafe, AtomicAlign, LockedSend,
-		Goroleak, VCRegister, Hotalloc, ErrClass,
-	}
+	return []*Analyzer{Wallclock, CloseOnce, NilSafe, Goroleak, Hotalloc, ErrClass}
 }
 
 // A Diagnostic is one finding, positioned and attributed.
@@ -90,22 +88,35 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // reason.
 var allowRe = regexp.MustCompile(`^//\s*lint:(allow|file-allow)\s+([a-zA-Z0-9_,-]+)(?:[ \t]+(\S.*))?$`)
 
-// allowIndex is a package's parsed //lint:allow annotations.
-type allowIndex struct {
-	// line[file][analyzer] holds the lines carrying a valid line-scoped
-	// allow for that analyzer.
-	line map[string]map[string]map[int]bool
-	// file[file][analyzer] marks a valid file-scoped allow.
-	file map[string]map[string]bool
-	// malformed are annotations missing their mandatory reason.
-	malformed []Diagnostic
+// allowKey is what one annotation suppresses: one analyzer's findings
+// on a line and the line below it, or in a whole file (line 0).
+type allowKey struct {
+	file, analyzer string
+	line           int
 }
 
-func buildAllowIndex(pkg *Package) *allowIndex {
-	idx := &allowIndex{
-		line: make(map[string]map[string]map[int]bool),
-		file: make(map[string]map[string]bool),
+// An allow is one analyzer name of one valid annotation.
+type allow struct {
+	pos  token.Position
+	text string // "lint:allow goroleak", for the unused-allow finding
+	used bool
+}
+
+// buildAllowIndex parses a package's annotations. It indexes the
+// allows for the analyzers about to run, and returns as findings the
+// annotations that can never suppress anything: a missing reason, or
+// an analyzer name the suite does not have.
+func buildAllowIndex(pkg *Package, analyzers []*Analyzer) (map[allowKey]*allow, []Diagnostic) {
+	known := make(map[string]bool)
+	for _, a := range Suite() {
+		known[a.Name] = true
 	}
+	running := make(map[string]bool)
+	for _, a := range analyzers {
+		running[a.Name] = true
+	}
+	allows := make(map[allowKey]*allow)
+	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -115,7 +126,7 @@ func buildAllowIndex(pkg *Package) *allowIndex {
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				if strings.TrimSpace(m[3]) == "" {
-					idx.malformed = append(idx.malformed, Diagnostic{
+					diags = append(diags, Diagnostic{
 						Pos:      pos,
 						Analyzer: "lint",
 						Message:  fmt.Sprintf("lint:%s %s needs a reason; a bare annotation suppresses nothing", m[1], m[2]),
@@ -124,63 +135,69 @@ func buildAllowIndex(pkg *Package) *allowIndex {
 				}
 				for _, name := range strings.Split(m[2], ",") {
 					name = strings.TrimSpace(name)
-					if name == "" {
-						continue
-					}
-					if m[1] == "file-allow" {
-						byAn := idx.file[pos.Filename]
-						if byAn == nil {
-							byAn = make(map[string]bool)
-							idx.file[pos.Filename] = byAn
+					switch {
+					case name == "":
+					case !known[name]:
+						diags = append(diags, Diagnostic{
+							Pos:      pos,
+							Analyzer: "lint",
+							Message:  fmt.Sprintf("lint:%s names unknown analyzer %q; the annotation suppresses nothing", m[1], name),
+						})
+					case running[name]:
+						key := allowKey{pos.Filename, name, pos.Line}
+						if m[1] == "file-allow" {
+							key.line = 0
 						}
-						byAn[name] = true
-						continue
+						allows[key] = &allow{pos: pos, text: "lint:" + m[1] + " " + name}
 					}
-					byAn := idx.line[pos.Filename]
-					if byAn == nil {
-						byAn = make(map[string]map[int]bool)
-						idx.line[pos.Filename] = byAn
-					}
-					if byAn[name] == nil {
-						byAn[name] = make(map[int]bool)
-					}
-					byAn[name][pos.Line] = true
 				}
 			}
 		}
 	}
-	return idx
+	return allows, diags
 }
 
-// suppresses reports whether d is covered by an annotation: a
+// suppress reports whether d is covered by an annotation — a
 // file-allow for its analyzer, or a line allow on the same line or the
-// line above.
-func (idx *allowIndex) suppresses(d Diagnostic) bool {
-	if idx.file[d.Pos.Filename][d.Analyzer] {
-		return true
+// line above — and marks that annotation used.
+func suppress(allows map[allowKey]*allow, d Diagnostic) bool {
+	for _, line := range [...]int{0, d.Pos.Line, d.Pos.Line - 1} {
+		if a := allows[allowKey{d.Pos.Filename, d.Analyzer, line}]; a != nil {
+			a.used = true
+			return true
+		}
 	}
-	lines := idx.line[d.Pos.Filename][d.Analyzer]
-	return lines[d.Pos.Line] || lines[d.Pos.Line-1]
+	return false
 }
 
 // RunPackage runs the analyzers over one package and returns the
-// unsuppressed findings, sorted by position. Malformed annotations
-// (missing reasons) are reported under the pseudo-analyzer "lint".
+// unsuppressed findings, sorted by position. Annotation findings — a
+// missing reason, an unknown analyzer, an allow for a run analyzer
+// that suppressed nothing — are reported under the pseudo-analyzer
+// "lint".
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	idx := buildAllowIndex(pkg)
-	diags := append([]Diagnostic(nil), idx.malformed...)
+	allows, diags := buildAllowIndex(pkg, analyzers)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
 			Pkg:      pkg,
 			report: func(d Diagnostic) {
-				if !idx.suppresses(d) {
+				if !suppress(allows, d) {
 					diags = append(diags, d)
 				}
 			},
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
+		}
+	}
+	for _, a := range allows {
+		if !a.used {
+			diags = append(diags, Diagnostic{
+				Pos:      a.pos,
+				Analyzer: "lint",
+				Message:  a.text + " suppresses no finding; delete it",
+			})
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -194,7 +211,10 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return diags, nil
 }

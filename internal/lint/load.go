@@ -19,9 +19,7 @@ import (
 type Package struct {
 	// Path is the import path the package was checked under. Analyzers
 	// scope themselves by it (see instrumentedPkgs).
-	Path string
-	// Dir is the directory the files came from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -73,12 +71,6 @@ func NewLoader(root string) (*Loader, error) {
 		loadedAs: make(map[string][]*Package),
 	}, nil
 }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.module }
 
 // Import resolves one import path: module-internal paths against the
 // module tree (test-free), everything else through the source
@@ -219,7 +211,7 @@ func (l *Loader) loadAs(dir, path string) ([]*Package, error) {
 			return nil, fmt.Errorf("type-checking %s (with tests): %w", path, err)
 		}
 		pkgs = append(pkgs, &Package{
-			Path: path, Dir: dir, Fset: l.fset,
+			Path: path, Fset: l.fset,
 			Files: files, Types: tpkg, Info: info,
 		})
 	}
@@ -231,7 +223,7 @@ func (l *Loader) loadAs(dir, path string) ([]*Package, error) {
 			return nil, fmt.Errorf("type-checking %s_test: %w", path, err)
 		}
 		pkgs = append(pkgs, &Package{
-			Path: path + "_test", Dir: dir, Fset: l.fset,
+			Path: path + "_test", Fset: l.fset,
 			Files: xtest, Types: tpkg, Info: info,
 		})
 	}

@@ -8,8 +8,7 @@ import (
 
 // Shared call-resolution helpers for the dataflow analyzers: mapping
 // goroutine launch sites to the bodies they run, and call expressions
-// to the package-level functions or (possibly interface) methods they
-// invoke.
+// to the functions or methods they invoke.
 
 // isTestFile reports whether pos sits in a _test.go file.
 func isTestFile(pass *Pass, n ast.Node) bool {
@@ -80,34 +79,6 @@ func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) boo
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
-}
-
-// methodCallOn resolves a method call's receiver to (package path, type
-// name, method name). Pointer receivers are unwrapped; interface
-// receivers resolve to the interface's own named type, so curated root
-// tables can name interfaces (paths.Wrapper) and concrete types alike.
-func methodCallOn(info *types.Info, call *ast.CallExpr) (pkgPath, typeName, method string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", "", false
-	}
-	selection, found := info.Selections[sel]
-	if !found || selection.Kind() != types.MethodVal {
-		return "", "", "", false
-	}
-	recv := selection.Recv()
-	if ptr, isPtr := recv.(*types.Pointer); isPtr {
-		recv = ptr.Elem()
-	}
-	named, isNamed := recv.(*types.Named)
-	if !isNamed {
-		return "", "", "", false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return "", "", "", false
-	}
-	return obj.Pkg().Path(), obj.Name(), sel.Sel.Name, true
 }
 
 // localCallees returns the package-local functions (and methods) a body

@@ -5,20 +5,14 @@ import (
 	"sync"
 )
 
-// RunPackages runs the analyzers over every package with bounded
-// parallelism and returns per-package findings in the input order, so
-// output stays deterministic regardless of scheduling. Analysis is
-// read-only over each package's own syntax and types — packages share
-// only the FileSet and the loader's completed import cache, both safe
-// to read concurrently — which makes per-package fan-out the natural
-// unit. workers <= 0 means one worker per CPU.
-func RunPackages(pkgs []*Package, analyzers []*Analyzer, workers int) ([][]Diagnostic, error) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
+// RunPackages runs the analyzers over every package, one worker per
+// CPU, and returns per-package findings in the input order, so output
+// stays deterministic regardless of scheduling. Analysis is read-only
+// over each package's own syntax and types — packages share only the
+// FileSet and the loader's completed import cache, both safe to read
+// concurrently — which makes per-package fan-out the natural unit.
+func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([][]Diagnostic, error) {
+	workers := min(runtime.NumCPU(), len(pkgs))
 	results := make([][]Diagnostic, len(pkgs))
 	errs := make([]error, len(pkgs))
 	next := make(chan int)

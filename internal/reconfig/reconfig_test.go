@@ -1,7 +1,5 @@
 package reconfig_test
 
-//lint:file-allow wallclock chaos tests poll real goroutine progress against wall-clock deadlines
-
 import (
 	"fmt"
 	"testing"
@@ -401,9 +399,9 @@ func TestAttachValidation(t *testing.T) {
 }
 
 // TestStopUnwindsRegisteredRepairGoroutine pins the manager's clock
-// contract (the PR-4 bug class, statically guarded by internal/lint's
-// vcregister analyzer): the repair goroutine blocks on a vclock.Queue,
-// so Attach must start it via vclock.Go — under the virtual clock it
+// contract (the archive final-drain bug class; internal/lint's goroleak
+// flags any plain go statement here): the repair goroutine blocks on a
+// vclock.Queue, so Attach must start it via vclock.Go — under the virtual clock it
 // registers immediately — and Stop must unwind it completely, leaving
 // no live model goroutine to stall a later Quiesce.
 func TestStopUnwindsRegisteredRepairGoroutine(t *testing.T) {
