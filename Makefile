@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates pastset-leaf one-clock-switch lint vet eslint ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch lint vet eslint ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -89,12 +89,17 @@ collect-gates:
 	$(GO) test -run '^$$' -bench 'Benchmark(EventCollectorWrite|IngestShed)' -benchmem ./internal/collect/ | $(call zero-allocs,3)
 	$(GO) test -run '^$$' -bench 'BenchmarkBreakerDecision' -benchmem ./internal/escope/ | $(call zero-allocs,1)
 
-# pastset-leaf holds internal/pastset to importing nothing else of this
-# module: it carries no clock, so whatever threads a clock through the
-# packages that park on it (ROADMAP item 1) has this one fewer to visit.
-pastset-leaf:
-	@deps=$$($(GO) list -deps ./internal/pastset | grep '^eventspace/' | grep -vx 'eventspace/internal/pastset'); \
-		if [ -n "$$deps" ]; then echo "internal/pastset is not a leaf, it imports:" $$deps; exit 1; fi
+# leaf-packages holds internal/pastset and internal/wire to importing
+# nothing else of this module. pastset carries no clock, so whatever
+# threads a clock through the packages that park on it (ROADMAP item 1)
+# has this one fewer to visit; wire is the codec every binary format is
+# declared with, which paths and analysis can use only while it sits
+# below them.
+leaf-packages:
+	@for p in pastset wire; do \
+		deps=$$($(GO) list -deps ./internal/$$p | grep '^eventspace/' | grep -vx "eventspace/internal/$$p"); \
+		if [ -n "$$deps" ]; then echo "internal/$$p is not a leaf, it imports:" $$deps; exit 1; fi; \
+	done
 
 # one-clock-switch holds core.RunVirtual to being the only non-test code
 # that enables, quiesces or disables the process-global virtual clock:
@@ -118,5 +123,5 @@ lint: vet eslint
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint pastset-leaf one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates
+ci: build lint leaf-packages one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

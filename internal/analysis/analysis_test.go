@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"slices"
 	"sort"
 	"testing"
@@ -285,14 +287,14 @@ func TestJoinerValidation(t *testing.T) {
 
 func TestStatsRecordCodec(t *testing.T) {
 	in := StatsRecordFrom(42, KindUp, Result{Count: 7, Mean: 1.5, Min: 1, Max: 2, Std: 0.5, Median: 1.25})
-	out, err := DecodeStatsRecord(in.Encode())
-	if err != nil {
-		t.Fatal(err)
+	out, err := DecodeStatsRecords(in.Append(nil))
+	if err != nil || len(out) != 1 {
+		t.Fatal(out, err)
 	}
-	if out != in {
-		t.Fatalf("round trip: %+v != %+v", out, in)
+	if out[0] != in {
+		t.Fatalf("round trip: %+v != %+v", out[0], in)
 	}
-	if _, err := DecodeStatsRecord(make([]byte, 10)); err == nil {
+	if _, err := DecodeStatsRecords(make([]byte, 10)); err == nil {
 		t.Fatal("short record accepted")
 	}
 }
@@ -307,10 +309,11 @@ func TestStatsRecordCountSaturates(t *testing.T) {
 func TestQuickStatsRecordCodec(t *testing.T) {
 	f := func(id uint32, kind uint8, count uint16, mean, min, max, std, med float32) bool {
 		in := StatsRecord{ID: id, Kind: kind, Count: count, Mean: mean, Min: min, Max: max, Std: std, Median: med}
-		out, err := DecodeStatsRecord(in.Encode())
-		if err != nil {
+		recs, err := DecodeStatsRecords(in.Append(nil))
+		if err != nil || len(recs) != 1 {
 			return false
 		}
+		out := recs[0]
 		// NaN != NaN; compare bit patterns.
 		return out.ID == in.ID && out.Kind == in.Kind && out.Count == in.Count &&
 			math.Float32bits(out.Mean) == math.Float32bits(in.Mean) &&
@@ -324,7 +327,7 @@ func TestQuickStatsRecordCodec(t *testing.T) {
 func TestDecodeStatsRecords(t *testing.T) {
 	a := StatsRecordFrom(1, KindDown, Result{Count: 1})
 	b := StatsRecordFrom(2, KindUp, Result{Count: 2})
-	recs, err := DecodeStatsRecords(append(a.Encode(), b.Encode()...))
+	recs, err := DecodeStatsRecords(b.Append(a.Append(nil)))
 	if err != nil || len(recs) != 2 || recs[0].ID != 1 || recs[1].ID != 2 {
 		t.Fatalf("DecodeStatsRecords: %+v %v", recs, err)
 	}
@@ -335,19 +338,75 @@ func TestDecodeStatsRecords(t *testing.T) {
 
 func TestLastArrivalRecordCodec(t *testing.T) {
 	in := LastArrivalRecord{Node: 5, Contributor: 3, Count: 1 << 40}
-	out, err := DecodeLastArrivalRecord(in.Encode())
+	out, err := DecodeLastArrivalRecord(in.Append(nil))
 	if err != nil || out != in {
 		t.Fatalf("round trip: %+v %v", out, err)
 	}
 	if _, err := DecodeLastArrivalRecord(make([]byte, 8)); err == nil {
 		t.Fatal("short record accepted")
 	}
-	recs, err := DecodeLastArrivalRecords(append(in.Encode(), in.Encode()...))
-	if err != nil || len(recs) != 2 {
-		t.Fatalf("batch decode: %v %v", recs, err)
+	// Append extends dst in place: two records back to back.
+	two := in.Append(in.Append(make([]byte, 0, 2*LastArrivalRecordSize)))
+	if got, err := DecodeLastArrivalRecord(two[LastArrivalRecordSize:]); len(two) != 2*LastArrivalRecordSize || err != nil || got != in {
+		t.Fatalf("second of two appended records: %+v %v", got, err)
 	}
-	if _, err := DecodeLastArrivalRecords(make([]byte, 20)); err == nil {
-		t.Fatal("ragged payload accepted")
+}
+
+// goldenStats and goldenLastArrivals are the records whose encodings
+// testdata/stats-records.bin and testdata/lastarrival-records.bin hold,
+// written by the hand-written encoders the record walks replaced.
+var (
+	goldenStats = []StatsRecord{
+		StatsRecordFrom(42, KindUp, Result{Count: 7, Mean: 1.5, Min: 1, Max: 2, Std: 0.5, Median: 1.25}),
+		StatsRecordFrom(0xfedcba98, KindTCP, Result{Count: 1 << 20, Mean: 12345.678, Min: 0, Max: math.MaxFloat32, Std: 1e-30, Median: -7.5}),
+		{ID: 1, Kind: KindDepartureWait, Mean: float32(math.Inf(1)), Min: float32(math.Inf(-1)), Max: math.Float32frombits(0x7fc00001), Median: 3},
+	}
+	goldenLastArrivals = []LastArrivalRecord{
+		{Node: 5, Contributor: 3, Count: 1 << 40},
+		{Node: 0xffffffff, Contributor: 0xffff, Count: math.MaxUint64},
+		{Node: 7, Contributor: 0, Count: 1},
+	}
+)
+
+// TestRecordGoldens pins the bytes of the two result records that cross
+// the event scopes, in both directions: the walks encode the goldens'
+// bytes exactly, and decode them back bit for bit (NaN payload included).
+func TestRecordGoldens(t *testing.T) {
+	stats, err := os.ReadFile("testdata/stats-records.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc []byte
+	for _, r := range goldenStats {
+		enc = r.Append(enc)
+	}
+	if !bytes.Equal(enc, stats) {
+		t.Errorf("stats records drifted from the golden:\n got %x\nwant %x", enc, stats)
+	}
+	dec, err := DecodeStatsRecords(stats)
+	if err != nil || len(dec) != len(goldenStats) {
+		t.Fatalf("decode stats golden: %d records, %v", len(dec), err)
+	}
+	for i, r := range dec {
+		if !bytes.Equal(r.Append(nil), goldenStats[i].Append(nil)) {
+			t.Errorf("stats record %d decoded as %+v, want %+v", i, r, goldenStats[i])
+		}
+	}
+
+	la, err := os.ReadFile("testdata/lastarrival-records.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc = enc[:0]
+	for i, r := range goldenLastArrivals {
+		enc = r.Append(enc)
+		got, err := DecodeLastArrivalRecord(la[i*LastArrivalRecordSize:])
+		if err != nil || got != r {
+			t.Errorf("last-arrival record %d decoded as %+v (%v), want %+v", i, got, err, r)
+		}
+	}
+	if !bytes.Equal(enc, la) {
+		t.Errorf("last-arrival records drifted from the golden:\n got %x\nwant %x", enc, la)
 	}
 }
 

@@ -1,9 +1,10 @@
 package analysis
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+
+	"eventspace/internal/wire"
 )
 
 // Fixed-size binary records for intermediate and final analysis results.
@@ -79,42 +80,26 @@ func StatsRecordFrom(id uint32, kind int, r Result) StatsRecord {
 	}
 }
 
-// Encode packs the record into a fresh slice.
-func (r StatsRecord) Encode() []byte {
-	buf := make([]byte, StatsRecordSize)
-	r.EncodeTo(buf)
-	return buf
+// walk is the stats record's one declaration:
+//
+//	id u32 | kind u8 | reserved u8 | count u16 | mean, min, max, std, median f32
+func (r *StatsRecord) walk(c *wire.Codec) {
+	c.U32(&r.ID)
+	c.U8(&r.Kind)
+	c.Pad(1)
+	c.U16(&r.Count)
+	c.F32(&r.Mean)
+	c.F32(&r.Min)
+	c.F32(&r.Max)
+	c.F32(&r.Std)
+	c.F32(&r.Median)
 }
 
-// EncodeTo packs the record into buf, which must be at least
-// StatsRecordSize bytes; every byte of the record is written.
-func (r StatsRecord) EncodeTo(buf []byte) {
-	binary.LittleEndian.PutUint32(buf[0:4], r.ID)
-	buf[4] = r.Kind
-	buf[5] = 0
-	binary.LittleEndian.PutUint16(buf[6:8], r.Count)
-	binary.LittleEndian.PutUint32(buf[8:12], math.Float32bits(r.Mean))
-	binary.LittleEndian.PutUint32(buf[12:16], math.Float32bits(r.Min))
-	binary.LittleEndian.PutUint32(buf[16:20], math.Float32bits(r.Max))
-	binary.LittleEndian.PutUint32(buf[20:24], math.Float32bits(r.Std))
-	binary.LittleEndian.PutUint32(buf[24:28], math.Float32bits(r.Median))
-}
-
-// DecodeStatsRecord unpacks a stats record.
-func DecodeStatsRecord(buf []byte) (StatsRecord, error) {
-	if len(buf) < StatsRecordSize {
-		return StatsRecord{}, fmt.Errorf("analysis: short stats record (%d bytes)", len(buf))
-	}
-	return StatsRecord{
-		ID:     binary.LittleEndian.Uint32(buf[0:4]),
-		Kind:   buf[4],
-		Count:  binary.LittleEndian.Uint16(buf[6:8]),
-		Mean:   math.Float32frombits(binary.LittleEndian.Uint32(buf[8:12])),
-		Min:    math.Float32frombits(binary.LittleEndian.Uint32(buf[12:16])),
-		Max:    math.Float32frombits(binary.LittleEndian.Uint32(buf[16:20])),
-		Std:    math.Float32frombits(binary.LittleEndian.Uint32(buf[20:24])),
-		Median: math.Float32frombits(binary.LittleEndian.Uint32(buf[24:28])),
-	}, nil
+// Append appends the record's StatsRecordSize bytes to dst.
+func (r StatsRecord) Append(dst []byte) []byte {
+	c := wire.Writer(dst)
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // DecodeStatsRecords unpacks a concatenation of stats records.
@@ -122,13 +107,10 @@ func DecodeStatsRecords(buf []byte) ([]StatsRecord, error) {
 	if len(buf)%StatsRecordSize != 0 {
 		return nil, fmt.Errorf("analysis: payload %d bytes is not whole stats records", len(buf))
 	}
-	out := make([]StatsRecord, 0, len(buf)/StatsRecordSize)
-	for off := 0; off < len(buf); off += StatsRecordSize {
-		r, err := DecodeStatsRecord(buf[off : off+StatsRecordSize])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+	out := make([]StatsRecord, len(buf)/StatsRecordSize)
+	c := wire.Reader(buf)
+	for i := range out {
+		out[i].walk(&c)
 	}
 	return out, nil
 }
@@ -144,47 +126,29 @@ type LastArrivalRecord struct {
 	Count       uint64
 }
 
-// Encode packs the record into a fresh slice.
-func (r LastArrivalRecord) Encode() []byte {
-	buf := make([]byte, LastArrivalRecordSize)
-	r.EncodeTo(buf)
-	return buf
+// walk is the last-arrival record's one declaration:
+//
+//	node u32 | contributor u16 | reserved u16 | count u64
+func (r *LastArrivalRecord) walk(c *wire.Codec) {
+	c.U32(&r.Node)
+	c.U16(&r.Contributor)
+	c.Pad(2)
+	c.U64(&r.Count)
 }
 
-// EncodeTo packs the record into buf, which must be at least
-// LastArrivalRecordSize bytes; every byte of the record is written.
-func (r LastArrivalRecord) EncodeTo(buf []byte) {
-	binary.LittleEndian.PutUint32(buf[0:4], r.Node)
-	binary.LittleEndian.PutUint16(buf[4:6], r.Contributor)
-	binary.LittleEndian.PutUint16(buf[6:8], 0)
-	binary.LittleEndian.PutUint64(buf[8:16], r.Count)
+// Append appends the record's LastArrivalRecordSize bytes to dst.
+func (r LastArrivalRecord) Append(dst []byte) []byte {
+	c := wire.Writer(dst)
+	r.walk(&c)
+	return c.Bytes()
 }
 
 // DecodeLastArrivalRecord unpacks a last-arrival record.
 func DecodeLastArrivalRecord(buf []byte) (LastArrivalRecord, error) {
-	if len(buf) < LastArrivalRecordSize {
+	var r LastArrivalRecord
+	c := wire.Reader(buf)
+	if r.walk(&c); c.Err() != nil {
 		return LastArrivalRecord{}, fmt.Errorf("analysis: short last-arrival record (%d bytes)", len(buf))
 	}
-	return LastArrivalRecord{
-		Node:        binary.LittleEndian.Uint32(buf[0:4]),
-		Contributor: binary.LittleEndian.Uint16(buf[4:6]),
-		Count:       binary.LittleEndian.Uint64(buf[8:16]),
-	}, nil
-}
-
-// DecodeLastArrivalRecords unpacks a concatenation of last-arrival
-// records.
-func DecodeLastArrivalRecords(buf []byte) ([]LastArrivalRecord, error) {
-	if len(buf)%LastArrivalRecordSize != 0 {
-		return nil, fmt.Errorf("analysis: payload %d bytes is not whole last-arrival records", len(buf))
-	}
-	out := make([]LastArrivalRecord, 0, len(buf)/LastArrivalRecordSize)
-	for off := 0; off < len(buf); off += LastArrivalRecordSize {
-		r, err := DecodeLastArrivalRecord(buf[off : off+LastArrivalRecordSize])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return r, nil
 }

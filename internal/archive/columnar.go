@@ -6,18 +6,13 @@ import (
 
 	"eventspace/internal/collect"
 	"eventspace/internal/paths"
+	"eventspace/internal/wire"
 )
 
-// Columnar (version 2) block layout. Instead of count × 28-byte row
-// tuples, a block stores the batch column by column so that each column
-// can use the encoding its values actually need:
-//
-//	off  size  field
-//	  0     4  tuple count
-//	  4     4  column-area bytes (directory + payloads)
-//	  8     4  CRC32(directory)
-//	 12    54  directory: 6 × (encoding u8, payload len u32, CRC32 u32)
-//	 66     …  column payloads, in column order, back to back
+// Columnar (version 2) block layout, declared by columnarFrame.walk.
+// Instead of count × 28-byte row tuples, a block stores the batch column
+// by column so that each column can use the encoding its values actually
+// need.
 //
 // Columns are fixed: ECID, Op, Ret, Seq, Start, End. Each payload
 // carries its own CRC so a reader can validate just the columns a query
@@ -265,48 +260,59 @@ func (e *columnarEncoder) encodeLatency(tuples []collect.TraceTuple) byte {
 	return colEncLatency
 }
 
+// columnarFrame is a version-2 block: its fixed front — header and
+// directory — and its column payloads, which a read slices out of the
+// segment image without checksumming or decoding them.
+type columnarFrame struct {
+	count, colBytes, dirCRC uint32
+	enc                     [numColumns]byte
+	n, crc                  [numColumns]uint32 // payload lengths and CRCs
+	col                     [numColumns][]byte
+	size                    int64 // total framed size, header included
+}
+
+// walk is the block's one declaration:
+//
+//	off  size  field
+//	  0     4  tuple count
+//	  4     4  column-area bytes (directory + payloads)
+//	  8     4  CRC32(directory)
+//	 12    54  directory: 6 × (encoding u8, payload len u32, CRC32 u32)
+//	 66     …  column payloads, in column order, back to back
+func (f *columnarFrame) walk(c *wire.Codec) {
+	c.U32(&f.count)
+	c.U32(&f.colBytes)
+	c.U32(&f.dirCRC)
+	for col := range f.enc {
+		c.U8(&f.enc[col])
+		c.U32(&f.n[col])
+		c.U32(&f.crc[col])
+	}
+	for col := range f.col {
+		c.Raw(&f.col[col], int(f.n[col]))
+	}
+}
+
 // appendBlock assembles one version-2 block at the end of dst and
 // returns the extended slice: the writer collects the blocks of one
 // call behind each other and hands them to the file in one write.
 func (e *columnarEncoder) appendBlock(dst []byte, tuples []collect.TraceTuple) []byte {
-	var enc [numColumns]byte
-	enc[colECID] = e.encodeDictOrRaw(tuples, colECID)
-	enc[colOp] = e.encodeDictOrRaw(tuples, colOp)
-	enc[colRet] = e.encodeDictOrRaw(tuples, colRet)
-	enc[colSeq] = e.encodeDelta(tuples, colSeq)
-	enc[colStart] = e.encodeDelta(tuples, colStart)
-	enc[colEnd] = e.encodeLatency(tuples)
-
-	colBytes := v2DirSize
-	for c := range e.col {
-		colBytes += len(e.col[c])
+	f := columnarFrame{count: uint32(len(tuples)), colBytes: v2DirSize}
+	f.enc[colECID] = e.encodeDictOrRaw(tuples, colECID)
+	f.enc[colOp] = e.encodeDictOrRaw(tuples, colOp)
+	f.enc[colRet] = e.encodeDictOrRaw(tuples, colRet)
+	f.enc[colSeq] = e.encodeDelta(tuples, colSeq)
+	f.enc[colStart] = e.encodeDelta(tuples, colStart)
+	f.enc[colEnd] = e.encodeLatency(tuples)
+	for col, p := range e.col {
+		f.col[col], f.n[col], f.crc[col] = p, uint32(len(p)), crc32.ChecksumIEEE(p)
+		f.colBytes += uint32(len(p))
 	}
-	at := len(dst)
-	b := binary.LittleEndian.AppendUint32(dst, uint32(len(tuples)))
-	b = binary.LittleEndian.AppendUint32(b, uint32(colBytes))
-	b = binary.LittleEndian.AppendUint32(b, 0) // directory CRC, patched below
-	for c := 0; c < numColumns; c++ {
-		b = append(b, enc[c])
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.col[c])))
-		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(e.col[c]))
-	}
-	dir := b[at+v2BlockHeaderSize : at+v2BlockHeaderSize+v2DirSize]
-	binary.LittleEndian.PutUint32(b[at+8:at+12], crc32.ChecksumIEEE(dir))
-	for c := 0; c < numColumns; c++ {
-		b = append(b, e.col[c]...)
-	}
-	return b
-}
-
-// columnarFrame is a version-2 block located inside a segment image:
-// header and directory validated, column payloads sliced out but not
-// yet checksummed or decoded.
-type columnarFrame struct {
-	count int
-	size  int64 // total framed size, header included
-	enc   [numColumns]byte
-	crc   [numColumns]uint32
-	col   [numColumns][]byte
+	at := len(dst) + v2BlockHeaderSize
+	c := wire.Writer(dst)
+	f.walk(&c)
+	c.Fill32(at-4, crc32.ChecksumIEEE(c.Bytes()[at:at+v2DirSize]))
+	return c.Bytes()
 }
 
 // frameColumnarBlock locates the next version-2 block at the start of
@@ -314,41 +320,19 @@ type columnarFrame struct {
 // to run on every block — leaving per-column CRCs to the decode (or the
 // skip check) so untouched columns cost nothing. ok=false means a torn
 // or corrupt tail.
-func frameColumnarBlock(rest []byte) (columnarFrame, bool) {
-	var f columnarFrame
-	if len(rest) < v2BlockHeaderSize+v2DirSize {
+func frameColumnarBlock(rest []byte) (f columnarFrame, ok bool) {
+	c := wire.Reader(rest)
+	f.walk(&c)
+	f.size = int64(c.Pos())
+	if c.Err() != nil || f.count == 0 || f.count > MaxBlockTuples || f.size != v2BlockHeaderSize+int64(f.colBytes) ||
+		crc32.ChecksumIEEE(rest[v2BlockHeaderSize:v2BlockHeaderSize+v2DirSize]) != f.dirCRC {
 		return f, false
 	}
-	count := binary.LittleEndian.Uint32(rest[0:4])
-	if count == 0 || count > MaxBlockTuples {
-		return f, false
-	}
-	colBytes := int64(binary.LittleEndian.Uint32(rest[4:8]))
-	if colBytes < v2DirSize || v2BlockHeaderSize+colBytes > int64(len(rest)) {
-		return f, false
-	}
-	dir := rest[v2BlockHeaderSize : v2BlockHeaderSize+v2DirSize]
-	if crc32.ChecksumIEEE(dir) != binary.LittleEndian.Uint32(rest[8:12]) {
-		return f, false
-	}
-	f.count = int(count)
-	off := int64(v2BlockHeaderSize + v2DirSize)
-	end := v2BlockHeaderSize + colBytes
-	for c := 0; c < numColumns; c++ {
-		ent := dir[c*v2DirEntrySize : (c+1)*v2DirEntrySize]
-		f.enc[c] = ent[0]
-		n := int64(binary.LittleEndian.Uint32(ent[1:5]))
-		f.crc[c] = binary.LittleEndian.Uint32(ent[5:9])
-		if f.enc[c] > colEncLatency || n > end-off {
+	for _, enc := range f.enc {
+		if enc > colEncLatency {
 			return f, false
 		}
-		f.col[c] = rest[off : off+n]
-		off += n
 	}
-	if off != end {
-		return f, false
-	}
-	f.size = end
 	return f, true
 }
 
@@ -382,7 +366,7 @@ type blockDecoder struct {
 // returned tuples hold whatever an earlier block left there. ok=false
 // is a torn or corrupt block.
 func (d *blockDecoder) decodeColumnar(f *columnarFrame, cols Columns) (batch []collect.TraceTuple, ok bool) {
-	if cap(d.batch) < f.count {
+	if cap(d.batch) < int(f.count) {
 		d.batch = make([]collect.TraceTuple, f.count)
 	}
 	d.batch = d.batch[:f.count]

@@ -1,37 +1,22 @@
 package archive
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"eventspace/internal/collect"
 	"eventspace/internal/hrtime"
+	"eventspace/internal/wire"
 )
 
-// Segment header layout (64 bytes, little endian):
-//
-//	off  size  field
-//	  0     4  magic "ESG1"
-//	  4     2  version (2: columnar blocks)
-//	  6     2  flags (bit 0: sealed)
-//	  8     4  segment id
-//	 12     4  min ECID        ┐
-//	 16     4  max ECID        │ index over the segment's tuples,
-//	 20     8  min stamp       │ valid once sealed; recovered by a
-//	 28     8  max stamp       │ block scan otherwise
-//	 36     8  tuple count     │
-//	 44     4  block count     ┘
-//	 48    12  reserved (zero)
-//	 60     4  CRC32(header[0:60])
-//
-// The version names the block codec for the whole segment. Version 2
-// (columnar blocks, see columnar.go) is the only one written or read;
-// version 1 (row blocks: 8-byte header + count × 28-byte tuples) is
-// retired, and a segment carrying it is refused with an error — never
-// treated as crash damage, so never truncated or deleted.
+// Segment header: 64 bytes at the front of every segment file, declared
+// by segmentHeader.walk. Its version names the block codec for the whole
+// segment. Version 2 (columnar blocks, see columnar.go) is the only one
+// written or read; version 1 (row blocks: 8-byte header + count ×
+// 28-byte tuples) is retired, and a segment carrying it is refused with
+// an error — never treated as crash damage, so never truncated or
+// deleted.
 const (
 	segmentMagic      = 0x31475345 // "ESG1" little-endian
 	segmentVersion    = 2
@@ -87,54 +72,64 @@ type segmentHeader struct {
 	ID     uint32
 	Sealed bool
 	Index  SegmentIndex
+
+	magic   uint32
+	version uint16
+}
+
+// walk is the header's one declaration:
+//
+//	off  size  field
+//	  0     4  magic "ESG1"
+//	  4     2  version (2: columnar blocks)
+//	  6     2  flags (bit 0: sealed)
+//	  8     4  segment id
+//	 12     4  min ECID        ┐
+//	 16     4  max ECID        │ index over the segment's tuples,
+//	 20     8  min stamp       │ valid once sealed; recovered by a
+//	 28     8  max stamp       │ block scan otherwise
+//	 36     8  tuple count     │
+//	 44     4  block count     ┘
+//	 48    12  reserved (zero)
+//	 60     4  CRC32(header[0:60])
+func (h *segmentHeader) walk(c *wire.Codec) {
+	c.U32(&h.magic)
+	c.U16(&h.version)
+	var flags uint16
+	if h.Sealed {
+		flags = flagSealed
+	}
+	c.U16(&flags)
+	h.Sealed = flags&flagSealed != 0
+	c.U32(&h.ID)
+	c.U32(&h.Index.MinECID)
+	c.U32(&h.Index.MaxECID)
+	c.I64(&h.Index.MinStamp)
+	c.I64(&h.Index.MaxStamp)
+	c.U64(&h.Index.Tuples)
+	c.U32(&h.Index.Blocks)
+	c.Pad(12)
+	c.CRC32(0)
 }
 
 func encodeHeader(h segmentHeader) []byte {
-	buf := make([]byte, segmentHeaderSize)
-	binary.LittleEndian.PutUint32(buf[0:4], segmentMagic)
-	binary.LittleEndian.PutUint16(buf[4:6], segmentVersion)
-	var flags uint16
-	if h.Sealed {
-		flags |= flagSealed
-	}
-	binary.LittleEndian.PutUint16(buf[6:8], flags)
-	binary.LittleEndian.PutUint32(buf[8:12], h.ID)
-	binary.LittleEndian.PutUint32(buf[12:16], h.Index.MinECID)
-	binary.LittleEndian.PutUint32(buf[16:20], h.Index.MaxECID)
-	binary.LittleEndian.PutUint64(buf[20:28], uint64(h.Index.MinStamp))
-	binary.LittleEndian.PutUint64(buf[28:36], uint64(h.Index.MaxStamp))
-	binary.LittleEndian.PutUint64(buf[36:44], h.Index.Tuples)
-	binary.LittleEndian.PutUint32(buf[44:48], h.Index.Blocks)
-	binary.LittleEndian.PutUint32(buf[60:64], crc32.ChecksumIEEE(buf[:60]))
-	return buf
+	h.magic, h.version = segmentMagic, segmentVersion
+	c := wire.Writer(make([]byte, 0, segmentHeaderSize))
+	h.walk(&c)
+	return c.Bytes()
 }
 
-func decodeHeader(buf []byte) (segmentHeader, error) {
-	if len(buf) < segmentHeaderSize {
-		return segmentHeader{}, fmt.Errorf("archive: short segment header (%d bytes)", len(buf))
+func decodeHeader(buf []byte) (h segmentHeader, err error) {
+	c := wire.Reader(buf)
+	switch h.walk(&c); {
+	case h.magic != segmentMagic:
+		err = fmt.Errorf("archive: bad segment magic %#x", h.magic)
+	case c.Err() != nil:
+		err = fmt.Errorf("archive: segment header: %w", c.Err())
+	case h.version != segmentVersion:
+		err = fmt.Errorf("%w %d", errUnsupportedVersion, h.version)
 	}
-	if m := binary.LittleEndian.Uint32(buf[0:4]); m != segmentMagic {
-		return segmentHeader{}, fmt.Errorf("archive: bad segment magic %#x", m)
-	}
-	if got, want := crc32.ChecksumIEEE(buf[:60]), binary.LittleEndian.Uint32(buf[60:64]); got != want {
-		return segmentHeader{}, fmt.Errorf("archive: segment header CRC mismatch (%#x != %#x)", got, want)
-	}
-	if v := binary.LittleEndian.Uint16(buf[4:6]); v != segmentVersion {
-		return segmentHeader{}, fmt.Errorf("%w %d", errUnsupportedVersion, v)
-	}
-	h := segmentHeader{
-		ID:     binary.LittleEndian.Uint32(buf[8:12]),
-		Sealed: binary.LittleEndian.Uint16(buf[6:8])&flagSealed != 0,
-	}
-	h.Index = SegmentIndex{
-		MinECID:  binary.LittleEndian.Uint32(buf[12:16]),
-		MaxECID:  binary.LittleEndian.Uint32(buf[16:20]),
-		MinStamp: int64(binary.LittleEndian.Uint64(buf[20:28])),
-		MaxStamp: int64(binary.LittleEndian.Uint64(buf[28:36])),
-		Tuples:   binary.LittleEndian.Uint64(buf[36:44]),
-		Blocks:   binary.LittleEndian.Uint32(buf[44:48]),
-	}
-	return h, nil
+	return h, err
 }
 
 // scanResult is what scanSegment recovered from a segment's bytes.

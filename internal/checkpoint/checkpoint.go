@@ -74,7 +74,7 @@ type Checkpointer struct {
 	written uint64
 	bytes   uint64
 	batch   []collect.TraceTuple // decode scratch, reused per batch
-	enc     codec                // encode scratch, reused per checkpoint
+	enc     encoder              // encode scratch, reused per checkpoint
 }
 
 // New builds a checkpointer over a recorder's writer and sink chain.

@@ -532,7 +532,7 @@ func TestGoldenFrame(t *testing.T) {
 // kept codec, as a checkpointer encodes every frame of a run.
 func BenchmarkCheckpointEncodeFrame(b *testing.B) {
 	cp := snapshotFromStream(b, 151)
-	var c codec
+	var c encoder
 	b.SetBytes(int64(len(c.encode(cp))))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,11 +15,9 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"slices"
 
 	"eventspace/internal/analysis"
@@ -28,6 +26,7 @@ import (
 	"eventspace/internal/hrtime"
 	"eventspace/internal/monitor"
 	"eventspace/internal/query"
+	"eventspace/internal/wire"
 )
 
 // Checkpoint is one recovery snapshot: the archive cursor it covers and
@@ -49,21 +48,12 @@ type Checkpoint struct {
 	Engine    query.EngineState
 }
 
-// File framing. A checkpoint file is a 24-byte header followed by the
-// CRC'd payload:
-//
-//	[0:4]   magic "ECK1"
-//	[4:6]   version (1), little-endian
-//	[6:8]   flags (bit 0: engine section present)
-//	[8:12]  chain sequence
-//	[12:16] payload length
-//	[16:20] payload CRC32 (IEEE)
-//	[20:24] header CRC32 over bytes [0:20]
-//
-// The payload is a sequence of sections, each `id u16, len u32, body`.
-// All integers are little-endian; floats are IEEE-754 bit patterns.
-// Everything is written in one canonical order with sorted keys, so two
-// checkpoints of identical state are bit-identical.
+// File framing. A checkpoint file is a 24-byte header (frameHeader.walk)
+// followed by the CRC'd payload: a sequence of sections, each
+// `id u16, len u32, body`, walked by Checkpoint.section. All integers are
+// little-endian; floats are IEEE-754 bit patterns. Everything is written
+// in one canonical order with sorted keys, so two checkpoints of
+// identical state are bit-identical.
 const (
 	headerSize = 24
 	version    = 1
@@ -80,7 +70,8 @@ const (
 	maxPayload = 1 << 30
 )
 
-var magic = [4]byte{'E', 'C', 'K', '1'}
+// magic is "ECK1" read as a little-endian u32.
+const magic = 'E' | 'C'<<8 | 'K'<<16 | '1'<<24
 
 // ErrInvalid reports a torn, truncated, or CRC-corrupt checkpoint
 // frame. Callers skip the frame and fall back to an older checkpoint
@@ -113,210 +104,99 @@ func encodeTuples(dst []byte, ts []collect.TraceTuple) int {
 	return off
 }
 
-// codec walks a frame's fields in one direction, so every section below
-// lists its fields once and that one walk is both its encoder and its
-// decoder. Writing (w) appends each field to buf. Reading consumes it
-// from buf[off:] and validates the remaining length first: a torn or
-// bit-flipped payload sets err — after which every field reads as zero
-// — and never panics.
-type codec struct {
-	buf []byte
-	off int // read cursor
-	w   bool
-	err error
-}
-
-func (c *codec) fail(what string) {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: truncated %s at offset %d", ErrInvalid, what, c.off)
-	}
-}
-
-// take consumes the next n bytes of a read; nil once the walk has failed.
-func (c *codec) take(n int) []byte {
-	if c.err == nil && n > len(c.buf)-c.off {
-		c.fail("field")
-	}
-	if c.err != nil {
-		return nil
-	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
-// word carries an n-byte little-endian integer: a write appends v, a
-// read returns the one it consumed.
-func (c *codec) word(n int, v uint64) uint64 {
-	if c.w {
-		c.buf = binary.LittleEndian.AppendUint64(c.buf, v)[:len(c.buf)+n]
-		return v
-	}
-	var b [8]byte
-	copy(b[:], c.take(n))
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// put stores what a read produced; a write leaves the caller's state
-// untouched.
-func put[T any](c *codec, dst *T, v T) {
-	if !c.w {
-		*dst = v
-	}
-}
-
-func (c *codec) u8(v *uint8)    { put(c, v, uint8(c.word(1, uint64(*v)))) }
-func (c *codec) u16(v *uint16)  { put(c, v, uint16(c.word(2, uint64(*v)))) }
-func (c *codec) u32(v *uint32)  { put(c, v, uint32(c.word(4, uint64(*v)))) }
-func (c *codec) u64(v *uint64)  { put(c, v, c.word(8, *v)) }
-func (c *codec) i32(v *int32)   { put(c, v, int32(c.word(4, uint64(uint32(*v))))) }
-func (c *codec) i64(v *int64)   { put(c, v, int64(c.word(8, uint64(*v)))) }
-func (c *codec) f64(v *float64) { put(c, v, math.Float64frombits(c.word(8, math.Float64bits(*v)))) }
-
-// int is a count or bound the snapshot types hold as an int: an i32 on disk.
-func (c *codec) int(v *int) { put(c, v, int(int32(c.word(4, uint64(uint32(*v)))))) }
-
-func (c *codec) bool(v *bool) {
-	var u uint8
-	if *v {
-		u = 1
-	}
-	put(c, v, c.word(1, uint64(u)) != 0)
-}
-
-func (c *codec) str(s *string) {
-	n := c.word(2, uint64(len(*s)))
-	if c.w {
-		c.buf = append(c.buf, *s...)
-	} else if b := c.take(int(n)); b != nil {
-		*s = string(b)
-	}
-}
-
-func (c *codec) tuple(t *collect.TraceTuple) {
-	if c.w {
-		c.buf = slices.Grow(c.buf, tupleSize)[:len(c.buf)+tupleSize]
-		t.EncodeTo(c.buf[len(c.buf)-tupleSize:])
-	} else if b := c.take(tupleSize); b != nil {
+// tuple carries one trace tuple in its 28-byte collector layout.
+func tuple(c *wire.Codec, t *collect.TraceTuple) {
+	if b := c.Next(tupleSize); c.Writing() {
+		t.EncodeTo(b)
+	} else if b != nil {
 		*t, _ = collect.Decode(b) // fails on a short buffer only, and b is a whole tuple
 	}
 }
 
-// count carries a list's length. A read refuses a count whose elements,
-// at no less than minSize encoded bytes apiece, cannot fit in the bytes
-// that remain — before anything is allocated, which is what keeps a
-// fuzzed frame from demanding gigabytes.
-func (c *codec) count(n, minSize int) int {
-	u := c.word(4, uint64(n))
-	if !c.w && c.err == nil && u*uint64(minSize) > uint64(len(c.buf)-c.off) {
-		c.fail("element count")
-	}
-	if c.err != nil {
-		return 0
-	}
-	return int(u)
-}
-
-// list walks a counted list with elem, one call per element. It is the
-// one place a zero count is handled: an empty list reads back as nil.
-func list[T any](c *codec, s *[]T, minSize int, elem func(*codec, *T)) {
-	n := c.count(len(*s), minSize)
-	if !c.w && n > 0 {
-		*s = make([]T, n)
-	}
-	for i := 0; i < n && c.err == nil; i++ {
-		elem(c, &(*s)[i])
-	}
-}
-
-// tuples is list(c, ts, tupleSize, (*codec).tuple) a block at a time.
-func (c *codec) tuples(ts *[]collect.TraceTuple) {
-	n := c.count(len(*ts), tupleSize)
-	if c.w {
-		c.buf = slices.Grow(c.buf, n*tupleSize)
-		c.buf = c.buf[:len(c.buf)+encodeTuples(c.buf[len(c.buf):len(c.buf)+n*tupleSize], *ts)]
-	} else if b := c.take(n * tupleSize); n > 0 && b != nil {
-		out, err := collect.DecodeAppend(make([]collect.TraceTuple, 0, n), b)
-		if err != nil {
-			c.fail("tuple block")
-		}
-		*ts = out
+// tuples is wire.List(c, ts, tupleSize, tuple) a block at a time.
+func tuples(c *wire.Codec, ts *[]collect.TraceTuple) {
+	n := c.Count(len(*ts), tupleSize)
+	if b := c.Next(n * tupleSize); c.Writing() {
+		encodeTuples(b, *ts)
+	} else if n > 0 && b != nil {
+		// DecodeAppend fails on a ragged buffer only, and b is whole tuples.
+		*ts, _ = collect.DecodeAppend(make([]collect.TraceTuple, 0, n), b)
 	}
 }
 
 // Section bodies.
 
-func cursor(c *codec, cp *Checkpoint) {
-	c.i64(&cp.At)
-	c.u64(&cp.Cursor.Tuples)
-	c.u32(&cp.Cursor.Segment)
-	c.u64(&cp.Cursor.SegTuples)
+func cursor(c *wire.Codec, cp *Checkpoint) {
+	c.I64(&cp.At)
+	c.U64(&cp.Cursor.Tuples)
+	c.U32(&cp.Cursor.Segment)
+	c.U64(&cp.Cursor.SegTuples)
 }
 
-func contrib(c *codec, cs *analysis.ContribState) {
-	c.i32(&cs.ID)
-	c.tuple(&cs.Tuple)
+func contrib(c *wire.Codec, cs *analysis.ContribState) {
+	c.I32(&cs.ID)
+	tuple(c, &cs.Tuple)
 }
 
-func lbRound(c *codec, r *monitor.LBJoinRoundState) {
-	c.u32(&r.Seq)
-	list(c, &r.Contribs, contribMin, contrib)
+func lbRound(c *wire.Codec, r *monitor.LBJoinRoundState) {
+	c.U32(&r.Seq)
+	wire.List(c, &r.Contribs, contribMin, contrib)
 }
 
-func lbJoin(c *codec, j *monitor.LBJoinState) {
-	c.int(&j.K)
-	c.int(&j.MaxPending)
-	c.u64(&j.Lost)
-	c.u32(&j.Floor)
-	c.u32(&j.MaxDone)
-	list(c, &j.Pending, lbRoundMin, lbRound)
+func lbJoin(c *wire.Codec, j *monitor.LBJoinState) {
+	c.Int(&j.K)
+	c.Int(&j.MaxPending)
+	c.U64(&j.Lost)
+	c.U32(&j.Floor)
+	c.U32(&j.MaxDone)
+	wire.List(c, &j.Pending, lbRoundMin, lbRound)
 }
 
-func weighted(c *codec, w *monitor.WeightedCount) {
-	c.str(&w.Node)
-	c.i32(&w.Contributor)
-	c.u64(&w.Count)
+func weighted(c *wire.Codec, w *monitor.WeightedCount) {
+	c.Str(&w.Node)
+	c.I32(&w.Contributor)
+	c.U64(&w.Count)
 }
 
-func namedJoin(c *codec, nj *monitor.NamedLBJoinState) {
-	c.str(&nj.Node)
+func namedJoin(c *wire.Codec, nj *monitor.NamedLBJoinState) {
+	c.Str(&nj.Node)
 	lbJoin(c, &nj.Join)
 }
 
-func la(c *codec, st *monitor.LastArrivalState) {
-	c.u64(&st.Fed)
-	c.u64(&st.Matched)
-	list(c, &st.Weighted, 2+4+8, weighted)
-	list(c, &st.Joins, 2+lbJoinMin, namedJoin)
+func la(c *wire.Codec, st *monitor.LastArrivalState) {
+	c.U64(&st.Fed)
+	c.U64(&st.Matched)
+	wire.List(c, &st.Weighted, 2+4+8, weighted)
+	wire.List(c, &st.Joins, 2+lbJoinMin, namedJoin)
 }
 
-func round(c *codec, r *analysis.RoundState) {
-	c.u32(&r.Seq)
-	c.bool(&r.HaveColl)
-	c.tuple(&r.Collective)
-	list(c, &r.Contribs, contribMin, contrib)
+func round(c *wire.Codec, r *analysis.RoundState) {
+	c.U32(&r.Seq)
+	c.Bool(&r.HaveColl)
+	tuple(c, &r.Collective)
+	wire.List(c, &r.Contribs, contribMin, contrib)
 }
 
-func joiner(c *codec, j *analysis.JoinerState) {
-	c.int(&j.K)
-	c.int(&j.MaxPending)
-	c.u64(&j.Lost)
-	list(c, &j.Pending, roundMin, round)
+func joiner(c *wire.Codec, j *analysis.JoinerState) {
+	c.Int(&j.K)
+	c.Int(&j.MaxPending)
+	c.U64(&j.Lost)
+	wire.List(c, &j.Pending, roundMin, round)
 }
 
-func stream(c *codec, s *analysis.StreamState) {
-	c.u64(&s.N)
-	c.f64(&s.Mean)
-	c.f64(&s.M2)
-	c.f64(&s.Min)
-	c.f64(&s.Max)
-	c.int(&s.Window)
-	list(c, &s.Ring, 8, (*codec).f64)
+func stream(c *wire.Codec, s *analysis.StreamState) {
+	c.U64(&s.N)
+	c.F64(&s.Mean)
+	c.F64(&s.M2)
+	c.F64(&s.Min)
+	c.F64(&s.Max)
+	c.Int(&s.Window)
+	wire.List(c, &s.Ring, 8, (*wire.Codec).F64)
 }
 
-func statsNode(c *codec, ns *monitor.StatsNodeState) {
-	c.u32(&ns.NodeID)
-	c.u64(&ns.Rounds)
+func statsNode(c *wire.Codec, ns *monitor.StatsNodeState) {
+	c.U32(&ns.NodeID)
+	c.U64(&ns.Rounds)
 	joiner(c, &ns.Joiner)
 	stream(c, &ns.Down)
 	stream(c, &ns.Up)
@@ -325,45 +205,45 @@ func statsNode(c *codec, ns *monitor.StatsNodeState) {
 	stream(c, &ns.DepWait)
 }
 
-func stats(c *codec, st *monitor.StatsState) {
-	c.int(&st.Window)
-	c.u64(&st.Fed)
-	c.u64(&st.Matched)
-	list(c, &st.Nodes, statsNodeMin, statsNode)
+func stats(c *wire.Codec, st *monitor.StatsState) {
+	c.Int(&st.Window)
+	c.U64(&st.Fed)
+	c.U64(&st.Matched)
+	wire.List(c, &st.Nodes, statsNodeMin, statsNode)
 }
 
-func alert(c *codec, a *collect.AlertTuple) {
-	c.u64(&a.QueryHash)
-	c.u16(&a.Group)
-	c.u32(&a.Seq)
-	c.i64(&a.At)
+func alert(c *wire.Codec, a *collect.AlertTuple) {
+	c.U64(&a.QueryHash)
+	c.U16(&a.Group)
+	c.U32(&a.Seq)
+	c.I64(&a.At)
 }
 
-func streak(c *codec, gs *query.GroupStreak) {
-	c.u16(&gs.Group)
-	c.i32(&gs.Count)
+func streak(c *wire.Codec, gs *query.GroupStreak) {
+	c.U16(&gs.Group)
+	c.I32(&gs.Count)
 }
 
-func standing(c *codec, q *query.StandingState) {
-	c.u64(&q.Hash)
-	c.bool(&q.Anchored)
-	c.i64(&q.LastTick)
-	list(c, &q.Streak, 2+4, streak)
-	list(c, &q.Fired, 2, (*codec).u16)
+func standing(c *wire.Codec, q *query.StandingState) {
+	c.U64(&q.Hash)
+	c.Bool(&q.Anchored)
+	c.I64(&q.LastTick)
+	wire.List(c, &q.Streak, 2+4, streak)
+	wire.List(c, &q.Fired, 2, (*wire.Codec).U16)
 }
 
-func engine(c *codec, st *query.EngineState) {
-	c.int(&st.Expected)
-	c.i64(&st.Watermark)
-	c.u32(&st.Seq)
-	c.tuples(&st.Buf)
-	list(c, &st.Alerts, alertSize, alert)
-	list(c, &st.Queries, standingMin, standing)
+func engine(c *wire.Codec, st *query.EngineState) {
+	c.Int(&st.Expected)
+	c.I64(&st.Watermark)
+	c.U32(&st.Seq)
+	tuples(c, &st.Buf)
+	wire.List(c, &st.Alerts, alertSize, alert)
+	wire.List(c, &st.Queries, standingMin, standing)
 }
 
 // section walks section id's body over cp, in c's direction; false for
 // an id this version does not know.
-func (cp *Checkpoint) section(c *codec, id uint16) bool {
+func (cp *Checkpoint) section(c *wire.Codec, id uint16) bool {
 	switch id {
 	case secCursor:
 		cursor(c, cp)
@@ -379,34 +259,61 @@ func (cp *Checkpoint) section(c *codec, id uint16) bool {
 	return true
 }
 
-// Encode frames a checkpoint into its on-disk byte form.
-func Encode(cp Checkpoint) []byte { return new(codec).encode(cp) }
+// frameHeader is a checkpoint file's fixed front.
+type frameHeader struct {
+	magic, seq, length, payloadCRC uint32
+	version, flags                 uint16
+}
 
-// encode overwrites c's buffer with cp's frame and returns it, growing
-// the buffer only when its capacity falls short: a checkpointer encodes
-// every frame of a run through one codec. Each section's length, like
-// the frame header, is filled in once its body has been walked.
-func (c *codec) encode(cp Checkpoint) []byte {
-	c.buf, c.w = slices.Grow(c.buf[:0], headerSize)[:headerSize], true
-	ids, flags := []uint16{secCursor, secLA, secStats, secEngine}, uint16(flagEngine)
+// walk is the header's one declaration:
+//
+//	[0:4]   magic "ECK1"
+//	[4:6]   version (1)
+//	[6:8]   flags (bit 0: engine section present)
+//	[8:12]  chain sequence
+//	[12:16] payload length
+//	[16:20] payload CRC32 (IEEE)
+//	[20:24] header CRC32 over bytes [0:20]
+func (h *frameHeader) walk(c *wire.Codec) {
+	c.U32(&h.magic)
+	c.U16(&h.version)
+	c.U16(&h.flags)
+	c.U32(&h.seq)
+	c.U32(&h.length)
+	c.U32(&h.payloadCRC)
+	c.CRC32(0)
+}
+
+// Encode frames a checkpoint into its on-disk byte form.
+func Encode(cp Checkpoint) []byte { return new(encoder).encode(cp) }
+
+// encoder encodes every frame of a run into one kept buffer, growing it
+// only when its capacity falls short. It keeps the walk's Codec too: the
+// section walks hand it to list elements, which would move a local one
+// to the heap on every frame.
+type encoder struct{ c wire.Codec }
+
+// encode overwrites the encoder's buffer with cp's frame and returns it.
+// Each section's length, like the frame header, is filled in once its
+// body has been walked.
+func (e *encoder) encode(cp Checkpoint) []byte {
+	c := &e.c
+	*c = wire.Writer(slices.Grow(c.Bytes()[:0], headerSize)[:headerSize])
+	ids, h := []uint16{secCursor, secLA, secStats, secEngine}, frameHeader{magic: magic, version: version, seq: cp.Seq, flags: flagEngine}
 	if !cp.HasEngine {
-		ids, flags = ids[:3], 0
+		ids, h.flags = ids[:3], 0
 	}
 	for _, id := range ids {
-		c.u16(&id)
-		body := len(c.buf) + 4
-		c.buf = append(c.buf, 0, 0, 0, 0)
+		c.U16(&id)
+		at := c.Pos()
+		c.Pad(4) // the body's length
 		cp.section(c, id)
-		binary.LittleEndian.PutUint32(c.buf[body-4:], uint32(len(c.buf)-body))
+		c.Fill32(at, uint32(c.Pos()-at-4))
 	}
-	buf := c.buf
-	copy(buf[0:4], magic[:])
-	binary.LittleEndian.PutUint16(buf[4:6], version)
-	binary.LittleEndian.PutUint16(buf[6:8], flags)
-	binary.LittleEndian.PutUint32(buf[8:12], cp.Seq)
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(buf)-headerSize))
-	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(buf[headerSize:]))
-	binary.LittleEndian.PutUint32(buf[20:24], crc32.ChecksumIEEE(buf[0:20]))
+	buf := c.Bytes()
+	h.length, h.payloadCRC = uint32(len(buf)-headerSize), crc32.ChecksumIEEE(buf[headerSize:])
+	hc := wire.Writer(buf[:0])
+	h.walk(&hc)
 	return buf
 }
 
@@ -414,63 +321,50 @@ func (c *codec) encode(cp Checkpoint) []byte {
 // field bound. Any tear, truncation, or corruption yields ErrInvalid.
 func Decode(buf []byte) (Checkpoint, error) {
 	var cp Checkpoint
-	if len(buf) < headerSize {
-		return cp, fmt.Errorf("%w: %d-byte frame shorter than the header", ErrInvalid, len(buf))
-	}
-	if [4]byte(buf[0:4]) != magic {
+	var h frameHeader
+	hc := wire.Reader(buf)
+	switch h.walk(&hc); {
+	case h.magic != magic:
 		return cp, fmt.Errorf("%w: bad magic", ErrInvalid)
+	case hc.Err() != nil:
+		return cp, fmt.Errorf("%w: header: %v", ErrInvalid, hc.Err())
+	case h.version != version:
+		return cp, fmt.Errorf("%w: version %d", ErrInvalid, h.version)
+	case h.length > maxPayload || int(h.length) != len(buf)-headerSize:
+		return cp, fmt.Errorf("%w: payload length %d, frame holds %d", ErrInvalid, h.length, len(buf)-headerSize)
+	case crc32.ChecksumIEEE(buf[headerSize:]) != h.payloadCRC:
+		return cp, fmt.Errorf("%w: payload CRC mismatch", ErrInvalid)
 	}
-	if got, want := crc32.ChecksumIEEE(buf[0:20]), binary.LittleEndian.Uint32(buf[20:24]); got != want {
-		return cp, fmt.Errorf("%w: header CRC %08x, want %08x", ErrInvalid, got, want)
-	}
-	if v := binary.LittleEndian.Uint16(buf[4:6]); v != version {
-		return cp, fmt.Errorf("%w: version %d", ErrInvalid, v)
-	}
-	flags := binary.LittleEndian.Uint16(buf[6:8])
-	cp.Seq = binary.LittleEndian.Uint32(buf[8:12])
-	payloadLen := binary.LittleEndian.Uint32(buf[12:16])
-	if payloadLen > maxPayload || int(payloadLen) != len(buf)-headerSize {
-		return cp, fmt.Errorf("%w: payload length %d, frame holds %d", ErrInvalid, payloadLen, len(buf)-headerSize)
-	}
-	payload := buf[headerSize:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(buf[16:20]); got != want {
-		return cp, fmt.Errorf("%w: payload CRC %08x, want %08x", ErrInvalid, got, want)
-	}
-
+	cp.Seq = h.seq
 	var have uint // bit id: section id was decoded
-	for off := 0; off < len(payload); {
-		if off+6 > len(payload) {
-			return cp, fmt.Errorf("%w: truncated section header", ErrInvalid)
-		}
-		id := binary.LittleEndian.Uint16(payload[off:])
-		n := int(binary.LittleEndian.Uint32(payload[off+2:]))
-		off += 6
-		if n < 0 || off+n > len(payload) {
-			return cp, fmt.Errorf("%w: section %d overruns payload", ErrInvalid, id)
-		}
-		if have&(1<<id) != 0 {
+	for p := wire.Reader(buf[headerSize:]); p.Pos() < int(h.length); {
+		var id uint16
+		var n uint32
+		p.U16(&id)
+		p.U32(&n)
+		d := wire.Reader(p.Next(int(n)))
+		switch {
+		case p.Err() != nil:
+			return cp, fmt.Errorf("%w: section %d overruns payload: %v", ErrInvalid, id, p.Err())
+		case have&(1<<id) != 0:
 			return cp, fmt.Errorf("%w: section %d appears twice", ErrInvalid, id)
-		}
-		d := &codec{buf: payload[off : off+n]}
-		// Unknown sections are skipped for forward compatibility; the
-		// payload CRC already vouched for their bytes.
-		if cp.section(d, id) {
-			if d.err != nil {
-				return cp, d.err
-			}
-			if d.off != n {
-				return cp, fmt.Errorf("%w: section %d decoded %d of %d bytes", ErrInvalid, id, d.off, n)
-			}
+		case !cp.section(&d, id):
+			// Unknown sections are skipped for forward compatibility; the
+			// payload CRC already vouched for their bytes.
+		case d.Err() != nil:
+			return cp, fmt.Errorf("%w: section %d: %v", ErrInvalid, id, d.Err())
+		case d.Pos() != int(n):
+			return cp, fmt.Errorf("%w: section %d decoded %d of %d bytes", ErrInvalid, id, d.Pos(), n)
+		default:
 			have |= 1 << id
 		}
-		off += n
 	}
 	const required = 1<<secCursor | 1<<secLA | 1<<secStats
 	if have&required != required {
 		return cp, fmt.Errorf("%w: missing required section", ErrInvalid)
 	}
 	cp.HasEngine = have&(1<<secEngine) != 0
-	if cp.HasEngine != (flags&flagEngine != 0) {
+	if cp.HasEngine != (h.flags&flagEngine != 0) {
 		return cp, fmt.Errorf("%w: engine section does not match header flags", ErrInvalid)
 	}
 	return cp, nil

@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
+	"math"
+	"reflect"
 	"testing"
 
 	"eventspace/internal/analysis"
@@ -11,8 +14,9 @@ import (
 // FuzzCheckpointDecode hammers the frame decoder with torn, bit-flipped
 // and adversarial inputs. The contract: Decode never panics; a frame
 // that decodes successfully re-encodes into a frame that decodes to the
-// same checkpoint — corrupt bytes can never masquerade as a CRC-passing
-// checkpoint that then misbehaves — and restoring it into shadows and
+// same checkpoint, every section of it — corrupt bytes can never
+// masquerade as a CRC-passing checkpoint that then misbehaves — and
+// restoring it into shadows and
 // feeding them either fails cleanly or works: contributor ids in a
 // frame index fixed-size round slots, so none may reach one unchecked.
 func FuzzCheckpointDecode(f *testing.F) {
@@ -49,11 +53,45 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
-		if cp2.Seq != cp.Seq || cp2.Cursor != cp.Cursor || cp2.HasEngine != cp.HasEngine {
-			t.Fatalf("re-encode round trip drifted: %+v vs %+v", cp2, cp)
+		if !bytes.Equal(Encode(cp2), re) {
+			t.Fatal("re-decoded checkpoint encodes to different bytes")
+		}
+		want, _ := Decode(data) // a copy of cp that canonical may rewrite
+		canonical(reflect.ValueOf(&want).Elem())
+		canonical(reflect.ValueOf(&cp2).Elem())
+		if !reflect.DeepEqual(cp2, want) {
+			t.Fatalf("re-encode round trip drifted: %+v vs %+v", cp2, want)
 		}
 		restoreAndFeed(cp)
 	})
+}
+
+// canonical rewrites v in place so that reflect.DeepEqual sees through
+// the two differences that do not make checkpoints differ: an empty slice
+// becomes nil, and a NaN (never equal to itself) becomes zero — the
+// byte comparison beside it already holds NaN payloads to their bits.
+func canonical(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		if math.IsNaN(v.Float()) {
+			v.SetFloat(0)
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			v.SetZero()
+		}
+		for i := 0; i < v.Len(); i++ {
+			canonical(v.Index(i))
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			canonical(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			canonical(v.Field(i))
+		}
+	}
 }
 
 // restoreAndFeed restores every shadow a decoded frame describes and

@@ -43,13 +43,10 @@ type Source struct {
 	Elem     *pastset.Element
 	RecSize  int // fixed record size of the buffer's tuples
 	BatchCap int // max records per pull; 0 = drain fully
-	// Transform, when set, is a data-manipulation stage applied on the
-	// source host before the data leaves it — the paper's "data can be
-	// reduced or filtered close to the source".
-	Transform func(paths.Reply) (paths.Reply, error)
-	// Custom, when set, replaces the Elem/RecSize/Transform chain with
-	// an arbitrary wrapper on Host (e.g. a per-node reduce over several
-	// trace buffers). Readers lists the batch readers underneath it so
+	// Custom, when set, replaces the Elem/RecSize reader with an
+	// arbitrary wrapper on Host (e.g. a per-node reduce over several
+	// trace buffers — the paper's "data can be reduced or filtered close
+	// to the source"). Readers lists the batch readers underneath it so
 	// gather-rate accounting still works.
 	Custom  paths.Wrapper
 	Readers []*paths.BatchReader
@@ -406,10 +403,6 @@ func Build(net *vnet.Network, spec Spec) (*Scope, error) {
 			}
 			s.readers = append(s.readers, rd)
 			chain = rd
-			if src.Transform != nil {
-				chain = paths.NewTransform(
-					fmt.Sprintf("%s/tr%d", spec.Name, i), src.Host, chain, src.Transform)
-			}
 		}
 		hc, ok := byHost[src.Host]
 		if !ok {

@@ -179,44 +179,6 @@ func TestScopeWithSourceOnGatewayAndFrontEnd(t *testing.T) {
 	}
 }
 
-func TestScopeTransformRunsAtSource(t *testing.T) {
-	r := newRig(t)
-	h := r.c1.Hosts()[0]
-	e := testElem(t, "t", 16, 1)
-	fill(t, e, []byte{3}, []byte{9}, []byte{5})
-	// Reduce at the source: keep only the max record.
-	scope, err := Build(r.net, Spec{
-		Name:     "red",
-		FrontEnd: r.fe,
-		Sources: []Source{{
-			Host: h, Elem: e, RecSize: 1,
-			Transform: func(rep paths.Reply) (paths.Reply, error) {
-				var best byte
-				for _, b := range rep.Data {
-					if b > best {
-						best = b
-					}
-				}
-				if len(rep.Data) == 0 {
-					return paths.Reply{}, nil
-				}
-				return paths.Reply{Data: []byte{best}, Ret: 1}, nil
-			},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scope.Close()
-	rep, err := scope.Pull(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Data) != 1 || rep.Data[0] != 9 {
-		t.Fatalf("reduced pull = % x", rep.Data)
-	}
-}
-
 func TestGatherRateReflectsOverwrites(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]

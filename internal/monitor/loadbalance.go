@@ -291,7 +291,7 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 				}
 				if last, done := join.add(ec.Meta().Contributor, tu); done {
 					rec := analysis.LastArrivalRecord{Node: id, Contributor: uint16(last), Count: 1}
-					out = append(out, rec.Encode()...)
+					out = rec.Append(out)
 					nrec++
 				}
 			}
@@ -398,8 +398,7 @@ func (lb *LoadBalance) analysisLoop(ha *lbHostAnalysis) {
 				ha.written[key] = cnt
 				rec := analysis.LastArrivalRecord{Node: id, Contributor: uint16(c), Count: cnt}
 				var scratch [analysis.LastArrivalRecordSize]byte
-				rec.EncodeTo(scratch[:])
-				if _, err := ha.interm.WriteCopy(scratch[:]); err != nil {
+				if _, err := ha.interm.WriteCopy(rec.Append(scratch[:0])); err != nil {
 					return
 				}
 			}

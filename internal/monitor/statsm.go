@@ -403,8 +403,7 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]byte) int {
 // nothing).
 func writeStats(elem *pastset.Element, rec analysis.StatsRecord) error {
 	var scratch [analysis.StatsRecordSize]byte
-	rec.EncodeTo(scratch[:])
-	_, err := elem.WriteCopy(scratch[:])
+	_, err := elem.WriteCopy(rec.Append(scratch[:0]))
 	return err
 }
 

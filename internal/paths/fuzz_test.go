@@ -41,11 +41,11 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func FuzzDecodeReply(f *testing.F) {
-	f.Add(encodeReply(nil, Reply{Ret: 1, Value: -9, Data: []byte("result")}))
-	f.Add(encodeReply(nil, Reply{}))
+	f.Add(encodeReply(nil, replyOK, Reply{Ret: 1, Value: -9, Data: []byte("result")}))
+	f.Add(encodeReply(nil, replyOK, Reply{}))
 	errFrame := encodeErrorReply(&RemoteError{Msg: "boom"})
 	f.Add(errFrame)
-	valid := encodeReply(nil, Reply{Data: []byte("abcdef")})
+	valid := encodeReply(nil, replyOK, Reply{Data: []byte("abcdef")})
 	for i := 0; i < len(valid); i++ {
 		f.Add(valid[:i])
 	}
@@ -63,7 +63,7 @@ func FuzzDecodeReply(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(encodeReply(nil, rep), buf) {
+		if !bytes.Equal(encodeReply(nil, replyOK, rep), buf) {
 			t.Fatalf("decode/encode mismatch for %x", buf)
 		}
 	})

@@ -10,6 +10,7 @@ import (
 	"eventspace/internal/pastset"
 	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
+	"eventspace/internal/wire"
 )
 
 // Gather reads from several child paths, concatenates their payloads and
@@ -174,7 +175,7 @@ func (g *Gather) gatherSequential(ctx *Ctx, req Request, children []Wrapper) (ou
 		case cerr != nil:
 			err = fmt.Errorf("paths: %s: child %s: %w", g.name, c.Name(), cerr)
 		default:
-			out = extend(out, rep.Data)
+			out = wire.Extend(out, rep.Data)
 			total += int(rep.Ret)
 		}
 	}

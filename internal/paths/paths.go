@@ -87,7 +87,7 @@ type Request struct {
 	// reply in; the wrapper that produces the reply's payload may append
 	// to it and return the result as Reply.Data, and the caller, finding
 	// the payload already at the tail of its buffer, adopts it there
-	// instead of copying (extend). It is a hint, never an obligation:
+	// instead of copying (wire.Extend). It is a hint, never an obligation:
 	//
 	//   - A wrapper may ignore it and return bytes of its own; the caller
 	//     then copies, as it always did.
@@ -114,20 +114,8 @@ type Request struct {
 // a small header plus the payload.
 func (r Request) WireSize() int { return 16 + len(r.Data) }
 
-// extend appends data to out. Data a child appended to the window it was
-// handed already sits at out's tail and is adopted where it is; anything
-// else is copied. The two outcomes hold the same bytes, so the check is
-// purely a saved copy.
-func extend(out, data []byte) []byte {
-	n := len(out)
-	if len(data) > 0 && len(data) <= cap(out)-n && &data[0] == &out[:n+1][n] {
-		return out[:n+len(data)]
-	}
-	return append(out, data...)
-}
-
 // window returns the zero-length tail of out: what a child may append to
-// so that its payload lands where extend will look for it.
+// so that its payload lands where wire.Extend will look for it.
 func window(out []byte) []byte { return out[len(out):len(out):cap(out)] }
 
 // Reply is the result travelling back up a path.

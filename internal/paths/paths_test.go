@@ -431,7 +431,7 @@ func TestQuickRequestCodecRoundTrip(t *testing.T) {
 func TestQuickReplyCodecRoundTrip(t *testing.T) {
 	f := func(ret int16, value int64, data []byte) bool {
 		rep := Reply{Ret: ret, Value: value, Data: data}
-		got, err := decodeReply(encodeReply(nil, rep))
+		got, err := decodeReply(encodeReply(nil, replyOK, rep))
 		if err != nil {
 			return false
 		}
@@ -449,7 +449,7 @@ func TestDecodeRejectsTruncatedFrames(t *testing.T) {
 			t.Fatalf("truncated request at %d accepted", cut)
 		}
 	}
-	fullRep := encodeReply(nil, Reply{Ret: 1, Value: 2, Data: []byte("abc")})
+	fullRep := encodeReply(nil, replyOK, Reply{Ret: 1, Value: 2, Data: []byte("abc")})
 	for cut := 0; cut < len(fullRep); cut++ {
 		if _, err := decodeReply(fullRep[:cut]); err == nil {
 			t.Fatalf("truncated reply at %d accepted", cut)

@@ -1,7 +1,6 @@
 package paths
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -9,6 +8,7 @@ import (
 	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/vnet"
+	"eventspace/internal/wire"
 )
 
 // Inter-host communication: a Remote wrapper (the paper's "stub") encodes
@@ -86,7 +86,7 @@ func (s *Service) Handler() vnet.Handler {
 		if frame != nil {
 			t.lastSize.Store(int64(len(rep.Data)))
 		}
-		return encodeReply(frame, rep), nil
+		return encodeReply(frame, replyOK, rep), nil
 	}
 }
 
@@ -248,121 +248,111 @@ func (r *Remote) Close() error {
 }
 
 // Wire format. Native little-endian, mirroring the paper's "binary format
-// in memory using native byte ordering".
-//
-// request: target u32 | kind u16 | value i64 | threadLen u16 | thread |
-//
-//	dataLen u32 | data
-//
-// reply:   status u8 | body
-//
-//	status 0: body = ret i16 | value i64 | dataLen u32 | data
-//	status 1: body = application error message (UTF-8)
+// in memory using native byte ordering": a request frame is declared by
+// request, a reply frame by reply.
 const (
 	replyOK       byte = 0
 	replyAppError byte = 1
 )
 
+// request walks a request frame,
+//
+//	target u32 | kind u16 | value i64 | threadLen u16 | thread | dataLen u32 | data
+//
+// and returns the data length it declares, which a read checks against
+// the data actually there.
+func request(c *wire.Codec, target *uint32, ctx *Ctx, req *Request) (dataLen uint32) {
+	c.U32(target)
+	c.U16((*uint16)(&req.Kind))
+	c.I64(&req.Value)
+	c.Str(&ctx.Thread)
+	dataLen = uint32(len(req.Data))
+	c.U32(&dataLen)
+	c.Rest(&req.Data)
+	return dataLen
+}
+
 func encodeRequest(target uint32, ctx *Ctx, req Request) []byte {
-	thread := ""
+	var cx Ctx
 	if ctx != nil {
-		thread = ctx.Thread
+		cx = *ctx
 	}
-	buf := make([]byte, 0, 20+len(thread)+len(req.Data))
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], target)
-	buf = append(buf, tmp[:4]...)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(req.Kind))
-	buf = append(buf, tmp[:2]...)
-	binary.LittleEndian.PutUint64(tmp[:8], uint64(req.Value))
-	buf = append(buf, tmp[:8]...)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(thread)))
-	buf = append(buf, tmp[:2]...)
-	buf = append(buf, thread...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(req.Data)))
-	buf = append(buf, tmp[:4]...)
-	buf = append(buf, req.Data...)
-	return buf
+	c := wire.Writer(make([]byte, 0, 20+len(cx.Thread)+len(req.Data)))
+	request(&c, &target, &cx, &req)
+	return c.Bytes()
 }
 
 func decodeRequest(buf []byte) (target uint32, ctx Ctx, req Request, err error) {
-	if len(buf) < 16 {
-		return 0, Ctx{}, Request{}, fmt.Errorf("paths: short request frame (%d bytes)", len(buf))
+	c := wire.Reader(buf)
+	n := request(&c, &target, &ctx, &req)
+	switch {
+	case len(buf) < 16:
+		err = fmt.Errorf("paths: short request frame (%d bytes)", len(buf))
+	case c.Err() != nil:
+		err = fmt.Errorf("paths: truncated request frame")
+	case int(n) != len(req.Data):
+		err = fmt.Errorf("paths: request data length %d, frame has %d", n, len(req.Data))
+	default:
+		return target, ctx, req, nil
 	}
-	target = binary.LittleEndian.Uint32(buf[0:4])
-	req.Kind = OpKind(binary.LittleEndian.Uint16(buf[4:6]))
-	req.Value = int64(binary.LittleEndian.Uint64(buf[6:14]))
-	tlen := int(binary.LittleEndian.Uint16(buf[14:16]))
-	rest := buf[16:]
-	if len(rest) < tlen+4 {
-		return 0, Ctx{}, Request{}, fmt.Errorf("paths: truncated request frame")
-	}
-	ctx.Thread = string(rest[:tlen])
-	rest = rest[tlen:]
-	dlen := int(binary.LittleEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	if len(rest) != dlen {
-		return 0, Ctx{}, Request{}, fmt.Errorf("paths: request data length %d, frame has %d", dlen, len(rest))
-	}
-	if dlen > 0 {
-		req.Data = rest
-	}
-	return target, ctx, req, nil
+	return 0, Ctx{}, Request{}, err
 }
 
 // replyHeaderLen is the size of an OK reply frame up to its data.
 const replyHeaderLen = 1 + 2 + 8 + 4
+
+// reply walks a reply frame, a status byte and then
+//
+//	replyOK:       ret i16 | value i64 | dataLen u32 | data
+//	replyAppError: the application error message (UTF-8) as data
+//
+// and returns the data length an OK frame declares, as request does.
+func reply(c *wire.Codec, status *byte, rep *Reply) (dataLen uint32) {
+	if c.U8(status); *status == replyOK {
+		c.I16(&rep.Ret)
+		c.I64(&rep.Value)
+		dataLen = uint32(len(rep.Data))
+		c.U32(&dataLen)
+	}
+	c.Rest(&rep.Data)
+	return dataLen
+}
 
 // encodeReply encodes rep as an OK frame. frame is the header's room a
 // Handler reserved in front of the window it handed down (nil: none); a
 // payload the chain appended to that window is already in place behind
 // it and only the header is written. A payload from anywhere else is
 // copied behind the header, into a new frame if this one is too short.
-func encodeReply(frame []byte, rep Reply) []byte {
+func encodeReply(frame []byte, status byte, rep Reply) []byte {
 	if cap(frame) < replyHeaderLen+len(rep.Data) {
-		frame = make([]byte, replyHeaderLen, replyHeaderLen+len(rep.Data))
+		frame = make([]byte, 0, replyHeaderLen+len(rep.Data))
 	}
-	frame = frame[:replyHeaderLen]
-	frame[0] = replyOK
-	binary.LittleEndian.PutUint16(frame[1:3], uint16(rep.Ret))
-	binary.LittleEndian.PutUint64(frame[3:11], uint64(rep.Value))
-	binary.LittleEndian.PutUint32(frame[11:15], uint32(len(rep.Data)))
-	return extend(frame, rep.Data)
+	c := wire.Writer(frame[:0])
+	reply(&c, &status, &rep)
+	return c.Bytes()
 }
 
 // encodeErrorReply encodes an application error as a status-tagged frame.
 func encodeErrorReply(err error) []byte {
-	msg := err.Error()
-	buf := make([]byte, 0, 1+len(msg))
-	buf = append(buf, replyAppError)
-	return append(buf, msg...)
+	return encodeReply(nil, replyAppError, Reply{Data: []byte(err.Error())})
 }
 
 func decodeReply(buf []byte) (Reply, error) {
-	if len(buf) < 1 {
-		return Reply{}, fmt.Errorf("paths: empty reply frame")
-	}
-	status, body := buf[0], buf[1:]
-	switch status {
-	case replyAppError:
-		return Reply{}, &RemoteError{Msg: string(body)}
-	case replyOK:
-	default:
-		return Reply{}, fmt.Errorf("paths: unknown reply status %d", status)
-	}
-	if len(body) < 14 {
-		return Reply{}, fmt.Errorf("paths: short reply frame (%d bytes)", len(buf))
-	}
+	var status byte
 	var rep Reply
-	rep.Ret = int16(binary.LittleEndian.Uint16(body[0:2]))
-	rep.Value = int64(binary.LittleEndian.Uint64(body[2:10]))
-	dlen := int(binary.LittleEndian.Uint32(body[10:14]))
-	rest := body[14:]
-	if len(rest) != dlen {
-		return Reply{}, fmt.Errorf("paths: reply data length %d, frame has %d", dlen, len(rest))
-	}
-	if dlen > 0 {
-		rep.Data = rest
+	c := wire.Reader(buf)
+	n := reply(&c, &status, &rep)
+	switch {
+	case len(buf) == 0:
+		return Reply{}, fmt.Errorf("paths: empty reply frame")
+	case status == replyAppError:
+		return Reply{}, &RemoteError{Msg: string(rep.Data)}
+	case status != replyOK:
+		return Reply{}, fmt.Errorf("paths: unknown reply status %d", status)
+	case c.Err() != nil:
+		return Reply{}, fmt.Errorf("paths: short reply frame (%d bytes)", len(buf))
+	case int(n) != len(rep.Data):
+		return Reply{}, fmt.Errorf("paths: reply data length %d, frame has %d", n, len(rep.Data))
 	}
 	return rep, nil
 }

@@ -75,7 +75,7 @@ func (f *flakyCaller) Call(payload []byte) ([]byte, error) {
 	if f.calls <= f.n {
 		return nil, f.err
 	}
-	return encodeReply(nil, f.reply), nil
+	return encodeReply(nil, replyOK, f.reply), nil
 }
 
 func (f *flakyCaller) Close() error { return nil }

@@ -13,6 +13,7 @@ import (
 	"eventspace/internal/pastset"
 	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
+	"eventspace/internal/wire"
 )
 
 // refGather is the gather this package shipped before requests carried a
@@ -355,27 +356,27 @@ func TestGatherMatchesAppendReference(t *testing.T) {
 func TestExtendAdoptsInPlace(t *testing.T) {
 	out := append(make([]byte, 0, 16), 1, 2, 3)
 	data := append(window(out), 4, 5)
-	got := extend(out, data)
+	got := wire.Extend(out, data)
 	if !bytes.Equal(got, []byte{1, 2, 3, 4, 5}) || &got[0] != &out[0] || &got[3] != &data[0] {
 		t.Fatalf("in-window payload not adopted in place: %v", got)
 	}
-	foreign := extend(got, []byte{6})
+	foreign := wire.Extend(got, []byte{6})
 	if !bytes.Equal(foreign, []byte{1, 2, 3, 4, 5, 6}) {
 		t.Fatalf("foreign payload: %v", foreign)
 	}
 	big := append(window(out), make([]byte, 32)...) // outgrew the window: lives elsewhere
-	if got := extend(out, big); len(got) != 3+32 || &got[0] == &out[0] {
+	if got := wire.Extend(out, big); len(got) != 3+32 || &got[0] == &out[0] {
 		t.Fatalf("outgrown window: len %d, reused %v", len(got), &got[0] == &out[0])
 	}
 	inside := out[:8][5:8] // same buffer, not at the tail
 	copy(inside, []byte{7, 8, 9})
-	if got := extend(out, inside); !bytes.Equal(got, []byte{1, 2, 3, 7, 8, 9}) {
+	if got := wire.Extend(out, inside); !bytes.Equal(got, []byte{1, 2, 3, 7, 8, 9}) {
 		t.Fatalf("payload elsewhere in the buffer: %v", got)
 	}
-	if got := extend(out, nil); len(got) != 3 {
+	if got := wire.Extend(out, nil); len(got) != 3 {
 		t.Fatalf("empty payload: %v", got)
 	}
-	if got := extend(nil, []byte{1}); !bytes.Equal(got, []byte{1}) {
+	if got := wire.Extend(nil, []byte{1}); !bytes.Equal(got, []byte{1}) {
 		t.Fatalf("nil output: %v", got)
 	}
 }
@@ -425,19 +426,19 @@ func TestWireGoldens(t *testing.T) {
 	writeReq.Window = append(make([]byte, 0, 8), 1)[:0]
 	check("request-write.bin", encodeRequest(0x01020304, &Ctx{Thread: "t"}, writeReq))
 
-	check("reply-data.bin", encodeReply(nil, rep))
+	check("reply-data.bin", encodeReply(nil, replyOK, rep))
 	frame := make([]byte, replyHeaderLen, replyHeaderLen+len(rep.Data))
 	inPlace := rep
 	inPlace.Data = append(window(frame), rep.Data...)
-	got := encodeReply(frame, inPlace)
+	got := encodeReply(frame, replyOK, inPlace)
 	check("reply-data.bin", got)
 	if &got[0] != &frame[0] {
 		t.Error("a payload appended to the frame's window was not completed in place")
 	}
 	short := make([]byte, replyHeaderLen, replyHeaderLen+8) // the guess fell short: the payload lives elsewhere
-	check("reply-data.bin", encodeReply(short, rep))
-	check("reply-empty.bin", encodeReply(nil, Reply{}))
-	check("reply-empty.bin", encodeReply(make([]byte, replyHeaderLen, 64), Reply{}))
+	check("reply-data.bin", encodeReply(short, replyOK, rep))
+	check("reply-empty.bin", encodeReply(nil, replyOK, Reply{}))
+	check("reply-empty.bin", encodeReply(make([]byte, replyHeaderLen, 64), replyOK, Reply{}))
 	check("reply-apperror.bin", encodeErrorReply(appErr))
 
 	// And back: the decoders read the pinned frames as the inputs.
@@ -472,7 +473,7 @@ func TestHandlerBuildsReadReplyInPlace(t *testing.T) {
 		return Reply{Data: out, Ret: 2}, nil
 	}))
 	h := svc.Handler()
-	want := encodeReply(nil, Reply{Data: payload, Ret: 2})
+	want := encodeReply(nil, replyOK, Reply{Data: payload, Ret: 2})
 	for call := 0; call < 3; call++ {
 		frame, err := h(encodeRequest(target, &Ctx{}, Request{Kind: OpRead}))
 		if err != nil || !bytes.Equal(frame, want) {
