@@ -46,10 +46,11 @@ read-gates:
 
 # checkpoint-gates are the checkpointer's zero-alloc gates, as the CI
 # job states them: the tuple-block encode, the warm frame encode through
-# a kept codec, and the fold must each report 0 allocs/op (and all
-# three must have run).
+# a kept codec, the job's fold, and the gather thread's share of
+# AppendRaw over benchmark-shaped replies (which also prints ns/tuple)
+# must each report 0 allocs/op (and all four must have run).
 checkpoint-gates:
-	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint(EncodeTuples|EncodeFrame|Fold)' -benchmem ./internal/checkpoint/ | $(call zero-allocs,3)
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint(EncodeTuples|EncodeFrame|Fold|AppendRaw)' -benchmem ./internal/checkpoint/ | $(call zero-allocs,4)
 
 # append-gates are the archive writer's zero-alloc gates: a warm writer
 # appending whole blocks (the test, which must have run and passed) and

@@ -51,6 +51,10 @@ func writeCheckpointedArchive(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 	}
+	// Settle the last frame (its mark lands in the writer) before sealing.
+	if err := ck.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"eventspace/internal/analysis"
 	"eventspace/internal/archive"
 	"eventspace/internal/collect"
+	"eventspace/internal/hrtime"
 	"eventspace/internal/monitor"
 	"eventspace/internal/paths"
 	"eventspace/internal/query"
@@ -541,13 +543,10 @@ func BenchmarkCheckpointEncodeFrame(b *testing.B) {
 	}
 }
 
-// foldFixture is an 8-way tree's port set in collector metadata — a
-// root joining seven child nodes and a thread of its own, every child
-// joining eight threads, 72 collectors — and batches of complete rounds
-// over it, laid out collector by collector as a scope pull delivers
-// them (so every round of a batch is pending until the batch's last
-// contributor).
-func foldFixture(rounds int) ([]archive.CollectorInfo, [][]byte) {
+// treeInfos is a two-level tree's port set in collector metadata: a
+// root joining rootFanin threads and children child nodes joining eight
+// threads each, one collective collector per node.
+func treeInfos(rootFanin, children int) []archive.CollectorInfo {
 	var infos []archive.CollectorInfo
 	id := uint32(1)
 	node := func(name string, fanin int) {
@@ -558,38 +557,53 @@ func foldFixture(rounds int) ([]archive.CollectorInfo, [][]byte) {
 			id++
 		}
 	}
-	node("root", 8)
-	for i := 0; i < 7; i++ {
+	node("root", rootFanin)
+	for i := 0; i < children; i++ {
 		node(string(rune('a'+i)), 8)
 	}
+	return infos
+}
+
+// treeRounds lays out n complete rounds over infos, numbered from first,
+// collector by collector as a scope pull delivers them (so every round
+// is pending until the last contributor).
+func treeRounds(rng *rand.Rand, infos []archive.CollectorInfo, first uint32, n int) []collect.TraceTuple {
+	ts := make([]collect.TraceTuple, 0, n*len(infos))
+	for _, in := range infos {
+		for r := 0; r < n; r++ {
+			seq := first + uint32(r)
+			base := int64(seq) * 500_000
+			tu := collect.TraceTuple{ECID: in.ID, Op: paths.OpWrite, Seq: seq, Start: base + rng.Int63n(40_000)}
+			tu.End = tu.Start + 100_000 + rng.Int63n(40_000)
+			if in.Role == collect.RoleCollective {
+				tu.Start, tu.End = base+50_000, base+90_000
+			}
+			ts = append(ts, tu)
+		}
+	}
+	return ts
+}
+
+// foldFixture is batches of 64 complete rounds (treeRounds) over a tree
+// of rootFanin and children (treeInfos).
+func foldFixture(rounds, rootFanin, children int) ([]archive.CollectorInfo, [][]byte) {
+	infos := treeInfos(rootFanin, children)
 	rng := rand.New(rand.NewSource(17))
 	var batches [][]byte
 	const perBatch = 64
 	for first := 0; first < rounds; first += perBatch {
-		var ts []collect.TraceTuple
-		for _, in := range infos {
-			for r := 0; r < perBatch; r++ {
-				seq := uint32(first + r + 1)
-				base := int64(seq) * 500_000
-				tu := collect.TraceTuple{ECID: in.ID, Op: paths.OpWrite, Seq: seq, Start: base + rng.Int63n(40_000)}
-				tu.End = tu.Start + 100_000 + rng.Int63n(40_000)
-				if in.Role == collect.RoleCollective {
-					tu.Start, tu.End = base+50_000, base+90_000
-				}
-				ts = append(ts, tu)
-			}
-		}
-		batches = append(batches, encodeBatch(ts))
+		batches = append(batches, encodeBatch(treeRounds(rng, infos, uint32(first+1), perBatch)))
 	}
 	return infos, batches
 }
 
-// BenchmarkCheckpointFold is the zero-alloc gate of the fold: warm
-// shadows, then the DecodeAppend + Feed loop AppendRaw runs, one op per
-// batch of 64 complete rounds (4608 tuples). The cadence write is
-// excluded — it allocates the snapshot by design.
+// BenchmarkCheckpointFold is the zero-alloc gate of the job's fold: warm
+// shadows, then the DecodeAppend + Feed loop a job runs, one op per
+// batch of 64 complete rounds over an 8-way tree (a root joining seven
+// child nodes and a thread of its own: 72 collectors, 4608 tuples). The
+// cadence write is excluded — it allocates the snapshot by design.
 func BenchmarkCheckpointFold(b *testing.B) {
-	infos, batches := foldFixture(64 * 16)
+	infos, batches := foldFixture(64*16, 8, 7)
 	dir := b.TempDir()
 	w, err := archive.Create(archive.Options{Dir: dir})
 	if err != nil {
@@ -601,18 +615,62 @@ func BenchmarkCheckpointFold(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, batch := range batches { // warm: slots pooled, windows full
-		if err := ck.fold(batch); err != nil {
-			b.Fatal(err)
-		}
+		ck.fold(batch)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ck.fold(batches[i%len(batches)]); err != nil {
+		ck.fold(batches[i%len(batches)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batches[0])/collect.TupleSize), "ns/tuple")
+}
+
+// discard is a sink that keeps nothing.
+type discard struct{}
+
+func (discard) AppendRaw([]byte) error { return nil }
+
+// BenchmarkCheckpointAppendRaw is the zero-alloc gate of the gather
+// thread's share of the fold: the cadence count, the reply's copy and the
+// job's launch, over warm benchmark-shaped replies (61 collectors, 64
+// complete rounds: 3 904 tuples) in front of a sink that keeps nothing.
+// An op is a call and the settling of its job, so allocs/op covers
+// both; ns/tuple times the call alone, which finds no job to wait for.
+// The cadence never fires, as a frame allocates its snapshot by design.
+func BenchmarkCheckpointAppendRaw(b *testing.B) {
+	infos, batches := foldFixture(64*16, 6, 6)
+	w, err := archive.Create(archive.Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	ck, err := New(w, discard{}, nil, infos, Config{EveryTuples: math.MaxUint64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, batch := range batches { // warm: shadows, both batch copies
+		if err := ck.AppendRaw(batch); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batches[0])/collect.TupleSize), "ns/tuple")
+	if err := ck.Err(); err != nil {
+		b.Fatal(err)
+	}
+	var caller int64 // ns
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := hrtime.Now()
+		err := ck.AppendRaw(batches[i%len(batches)])
+		caller += hrtime.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ck.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(caller)/float64(b.N)/float64(len(batches[0])/collect.TupleSize), "ns/tuple")
 }
 
 // TestRestoreRejectsOutOfRangeContributor: a frame can pass both CRCs

@@ -69,6 +69,13 @@ func Decode(buf []byte) (TraceTuple, error) {
 	if len(buf) < TupleSize {
 		return TraceTuple{}, fmt.Errorf("collect: short trace tuple (%d bytes)", len(buf))
 	}
+	return decode(buf), nil
+}
+
+// decode unpacks the tuple at the front of buf, which holds at least
+// TupleSize bytes.
+func decode(buf []byte) TraceTuple {
+	_ = buf[TupleSize-1]
 	return TraceTuple{
 		ECID:  binary.LittleEndian.Uint32(buf[0:4]),
 		Op:    paths.OpKind(binary.LittleEndian.Uint16(buf[4:6])),
@@ -76,7 +83,7 @@ func Decode(buf []byte) (TraceTuple, error) {
 		Seq:   binary.LittleEndian.Uint32(buf[8:12]),
 		Start: int64(binary.LittleEndian.Uint64(buf[12:20])),
 		End:   int64(binary.LittleEndian.Uint64(buf[20:28])),
-	}, nil
+	}
 }
 
 // PartialTupleError reports a payload that ends mid-tuple: Offset is
@@ -106,20 +113,19 @@ func DecodeAll(buf []byte) ([]TraceTuple, error) {
 // are appended to dst and the extended slice returned. Loops that decode
 // batch after batch pass dst[:0] to recycle the backing array, so the
 // steady state allocates nothing (the archive reader's block decoder and
-// the writer's raw-append path both run this way).
+// the writer's raw-append path both run this way). dst is grown once and
+// filled in place.
 func DecodeAppend(dst []TraceTuple, buf []byte) ([]TraceTuple, error) {
 	whole := len(buf) / TupleSize
-	if need := len(dst) + whole; cap(dst) < need {
-		grown := make([]TraceTuple, len(dst), need)
+	n := len(dst)
+	if need := n + whole; cap(dst) < need {
+		grown := make([]TraceTuple, n, need)
 		copy(grown, dst)
 		dst = grown
 	}
-	for off := 0; off+TupleSize <= len(buf); off += TupleSize {
-		t, err := Decode(buf[off : off+TupleSize])
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, t)
+	dst = dst[:n+whole]
+	for i, out := 0, dst[n:]; i < len(out); i++ {
+		out[i] = decode(buf[i*TupleSize:])
 	}
 	if rem := len(buf) % TupleSize; rem != 0 {
 		return dst, &PartialTupleError{Offset: whole * TupleSize, Remaining: rem}

@@ -2,6 +2,8 @@ package collect
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -345,6 +347,42 @@ func TestDecodeAppendReusesCapacity(t *testing.T) {
 	var pe *PartialTupleError
 	if !errors.As(err, &pe) || len(batch) != 1 || batch[0] != a {
 		t.Fatalf("partial DecodeAppend = %+v, %v", batch, err)
+	}
+}
+
+// TestDecodeAppendMatchesDecode holds the in-place batch decode to
+// per-tuple Decode and append: seeded payloads of every length from
+// empty to a few tuples past a whole number (ragged tails included),
+// appended behind a non-empty dst both with and without spare capacity.
+func TestDecodeAppendMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	payload := make([]byte, 9*TupleSize)
+	rng.Read(payload)
+	head := []TraceTuple{{ECID: 7, Seq: 1, Start: -3, End: 9}}
+	for n := 0; n <= len(payload); n++ {
+		buf := payload[:n]
+		want := append([]TraceTuple(nil), head...)
+		for off := 0; off+TupleSize <= n; off += TupleSize {
+			tu, err := Decode(buf[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, tu)
+		}
+		for _, spare := range []int{0, 16} {
+			dst := append(make([]TraceTuple, 0, len(head)+spare), head...)
+			got, err := DecodeAppend(dst, buf)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d spare=%d: DecodeAppend diverged from per-tuple Decode", n, spare)
+			}
+			var pe *PartialTupleError
+			switch rem := n % TupleSize; {
+			case rem == 0 && err != nil:
+				t.Fatalf("n=%d: whole payload reported %v", n, err)
+			case rem != 0 && (!errors.As(err, &pe) || pe.Offset != n-rem || pe.Remaining != rem):
+				t.Fatalf("n=%d: ragged tail reported %v, want offset %d remaining %d", n, err, n-rem, rem)
+			}
+		}
 	}
 }
 

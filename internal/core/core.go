@@ -489,7 +489,9 @@ func (r *ArchiveRecorder) Stop() {
 			// from a cleanly stopped archive then replays (almost) no
 			// suffix. An injected checkpoint crash surfaces here like any
 			// stop error; the seal still proceeds so the archive itself
-			// stays replayable.
+			// stays replayable. Checkpoint settles the checkpointer's job
+			// in flight on every path, error or not, so nothing appends to
+			// the writer after the Close below.
 			if err := r.ckpt.Checkpoint(); err != nil && r.stopErr == nil {
 				r.stopErr = err
 			}

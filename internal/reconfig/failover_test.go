@@ -133,6 +133,10 @@ func buildCheckpointedArchive(t *testing.T, dir string, rounds int, every uint64
 			t.Fatal(err)
 		}
 	}
+	// Settle the last frame (its mark lands in the writer) before sealing.
+	if err := ck.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
