@@ -436,7 +436,7 @@ func runReplay(args []string) error {
 			if err != nil {
 				return err
 			}
-			fed, matched := rep.Fed()
+			fed, matched, _ := rep.Fed()
 			fmt.Printf("replayed %d tuples (%d contributor tuples, %d rounds lost, %d/%d segments skipped)\n",
 				fed, matched, rep.Lost(), stats.SegmentsSkipped, stats.Segments)
 			return viz.WeightedTree(os.Stdout, rep.Weighted())
@@ -445,7 +445,7 @@ func runReplay(args []string) error {
 		if err != nil {
 			return err
 		}
-		fed, matched := rep.Fed()
+		fed, _, matched := rep.Fed()
 		fmt.Printf("replayed %d tuples (%d joined, %d rounds, %d/%d segments skipped)\n",
 			fed, matched, rep.RoundsAnalyzed(), stats.SegmentsSkipped, stats.Segments)
 		return viz.AnalysisTree(os.Stdout, rep.Tree(), nil)

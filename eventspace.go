@@ -18,8 +18,9 @@
 //   - internal/vnet — the virtual cluster testbed (hosts with CPU slots,
 //     links, gateways, a real-TCP transport for the wire format);
 //   - internal/wantrace — the Longcut WAN emulator's delay model;
-//   - internal/vclock — the discrete-event virtual clock that makes
-//     experiments exact, deterministic and fast;
+//   - internal/vclock — the discrete-event virtual clock that runs
+//     experiments fast, in modelled time (ties at one virtual instant
+//     resolve in either order; see RunVirtual);
 //   - internal/collect, internal/escope, internal/analysis,
 //     internal/cosched, internal/monitor — EventSpace itself;
 //   - internal/cluster — the paper's testbed and tree generators;
@@ -199,7 +200,7 @@ type (
 	// (System.FailoverLoadBalance / System.FailoverStatsm).
 	FailoverState = reconfig.FailoverState
 	// LoadBalanceResume seeds a replacement load-balance monitor after a
-	// front-end failover (LastArrivalReplay.Resume).
+	// front-end failover (ArchiveReplay.Resume).
 	LoadBalanceResume = monitor.LoadBalanceResume
 )
 
@@ -241,8 +242,7 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
 // Trace archive: the persistent flight recorder (see DESIGN.md "Trace
 // archive"). Record a run with System.AttachArchive, query it back with
 // OpenArchive, and replay it through the monitors' joins with
-// ReplayLastArrival / ReplayStats — or from the command line with
-// cmd/esquery.
+// ReplayArchive — or from the command line with cmd/esquery.
 type (
 	// ArchiveOptions configures an archive writer (directory, segment
 	// size cap, retention cap, block size, self-metrics).
@@ -259,10 +259,9 @@ type (
 	// CollectorInfo is one collector's identity in the archive's
 	// metadata sidecar.
 	CollectorInfo = archive.CollectorInfo
-	// LastArrivalReplay re-runs the load-balance reduction offline.
-	LastArrivalReplay = monitor.LastArrivalReplay
-	// StatsReplay re-runs statsm's wrapper statistics offline.
-	StatsReplay = monitor.StatsReplay
+	// ArchiveReplay re-runs the load-balance reduction and statsm's
+	// wrapper statistics offline, from one feed.
+	ArchiveReplay = monitor.Replay
 )
 
 // Checkpointed crash recovery (see DESIGN.md "Checkpointed crash
@@ -313,16 +312,10 @@ func OpenArchive(dir string) (*ArchiveReader, error) { return archive.OpenReader
 // ReadArchiveMeta loads an archive's collector-metadata sidecar.
 func ReadArchiveMeta(dir string) ([]CollectorInfo, error) { return archive.ReadMeta(dir) }
 
-// ReplayLastArrival re-runs the load-balance monitor's last-arrival
-// reduction over archived tuples matching q.
-func ReplayLastArrival(r *ArchiveReader, infos []CollectorInfo, q ArchiveQuery) (*LastArrivalReplay, error) {
-	rep, _, err := archive.ReplayLastArrival(r, infos, q)
-	return rep, err
-}
-
-// ReplayStats re-runs statsm's wrapper-statistics computation over
-// archived tuples matching q (window < 1 uses the analysis default).
-func ReplayStats(r *ArchiveReader, infos []CollectorInfo, q ArchiveQuery, window int) (*StatsReplay, error) {
+// ReplayArchive re-runs the load-balance monitor's last-arrival
+// reduction and statsm's wrapper-statistics computation over archived
+// tuples matching q (window < 1 uses the analysis default median window).
+func ReplayArchive(r *ArchiveReader, infos []CollectorInfo, q ArchiveQuery, window int) (*ArchiveReplay, error) {
 	rep, _, err := archive.ReplayStats(r, infos, q, window)
 	return rep, err
 }

@@ -124,7 +124,7 @@ func testArchiveReplayMatchesLiveLoadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayLastArrival(r, infos, ArchiveQuery{})
+	rep, err := ReplayArchive(r, infos, ArchiveQuery{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestFrontEndFailoverResumesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayLastArrival(r1, infos, ArchiveQuery{})
+	rep, err := ReplayArchive(r1, infos, ArchiveQuery{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	larep, err := ReplayLastArrival(r, infos, ArchiveQuery{})
+	larep, err := ReplayArchive(r, infos, ArchiveQuery{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

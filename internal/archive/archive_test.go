@@ -506,9 +506,9 @@ func TestReplayLastArrivalDeterministic(t *testing.T) {
 		if got := wt.Count("n1", 0); got != 5 {
 			t.Fatalf("n1 contributor 0 last %d times, want 5", got)
 		}
-		fed, matched := rep.Fed()
-		if fed != uint64(len(order)) || matched != 30 {
-			t.Fatalf("fed/matched = %d/%d", fed, matched)
+		fed, contributors, joined := rep.Fed()
+		if fed != uint64(len(order)) || contributors != 30 || joined != 45 {
+			t.Fatalf("fed/contributors/joined = %d/%d/%d", fed, contributors, joined)
 		}
 	}
 	check(tuples)
@@ -567,15 +567,19 @@ func TestReplayStats(t *testing.T) {
 	}
 }
 
-// TestLastArrivalReplayValidation covers the port validation paths.
+// TestLastArrivalReplayValidation covers the roster validation paths.
 func TestLastArrivalReplayValidation(t *testing.T) {
-	if _, err := monitor.NewLastArrivalReplay(map[uint32]monitor.ReplayPort{1: {Node: "n", Contributor: 0, Fanin: 0}}); err == nil {
-		t.Fatal("fanin 0 accepted")
+	for name, roster := range map[string][]monitor.ReplayNode{
+		"no contributors":             {{Name: "n", Collective: 9, HasCollective: true}},
+		"node twice":                  {{Name: "n", Contributors: []uint32{1}}, {Name: "n", Contributors: []uint32{2}}},
+		"ECID twice":                  {{Name: "n", Contributors: []uint32{1, 1}}},
+		"collective is a contributor": {{Name: "n", Contributors: []uint32{1}, Collective: 1, HasCollective: true}},
+	} {
+		if _, err := monitor.NewReplay(roster, 0); err == nil {
+			t.Errorf("%s: roster accepted", name)
+		}
 	}
-	if _, err := monitor.NewLastArrivalReplay(map[uint32]monitor.ReplayPort{1: {Node: "n", Contributor: 2, Fanin: 2}}); err == nil {
-		t.Fatal("contributor out of range accepted")
-	}
-	if _, err := monitor.NewStatsReplay(map[uint32]monitor.ReplayStatsPort{1: {NodeID: 9, Contributor: 0, Fanin: 0}}, 0); err == nil {
-		t.Fatal("stats fanin 0 accepted")
+	if _, err := monitor.NewReplay([]monitor.ReplayNode{{Name: "n", Contributors: []uint32{1, 2}}}, 0); err != nil {
+		t.Fatalf("node without a collective refused: %v", err)
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"eventspace/internal/collect"
@@ -189,6 +192,77 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 						colValue(&proj[i], c), colValue(&tuples[i], c))
 				}
 			}
+		}
+	})
+}
+
+// FuzzReplayMeta feeds the replay arbitrary collectors.meta bytes — the
+// one input a replay takes from outside the archive's CRCs — and
+// arbitrary tuples. The contract: ReadMeta or NewReplay refuses the
+// sidecar, or the replay takes every tuple without panicking, and its
+// snapshot pair restores into a fresh replay over the same sidecar and
+// snapshots back to the same pair.
+func FuzzReplayMeta(f *testing.F) {
+	dir := f.TempDir()
+	sidecar := func(infos []CollectorInfo) []byte {
+		if err := WriteMeta(dir, infos); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, MetaFileName))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	var tuples []byte
+	for i, tu := range replayRound([2]uint32{1, 2}, 10, 1, [2]int64{100, 150}) {
+		tuples = append(tuples, tu.Encode()...)
+		f.Add(sidecar(replayMeta()[:3+i]), tuples)
+	}
+	bad := replayMeta()
+	bad[1].Contributor = -1 // misread as the collective until refused
+	f.Add(sidecar(bad), tuples)
+	bad = append(replayMeta(), CollectorInfo{ID: 2, Role: collect.RoleContributor, Tree: "T", Node: "n1", Contributor: 2})
+	f.Add(sidecar(bad), tuples)
+	f.Add([]byte("1\t1\t0\t\"T\"\t\"n\"\t\"c\"\n"), tuples)
+
+	f.Fuzz(func(t *testing.T, meta, raw []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, MetaFileName), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		infos, err := ReadMeta(dir)
+		if err != nil {
+			return
+		}
+		rep, err := NewReplay(infos, 4)
+		if err != nil {
+			return
+		}
+		// Every listed collector writes a round, then the fuzzed tuples
+		// go in: the roster's ports see traffic whatever the bytes hold.
+		for _, in := range infos {
+			rep.Feed(collect.TraceTuple{ECID: in.ID, Op: paths.OpWrite, Seq: 1, Start: int64(in.ID), End: int64(in.ID) + 9})
+		}
+		for ; len(raw) >= collect.TupleSize; raw = raw[collect.TupleSize:] {
+			tu, err := collect.Decode(raw[:collect.TupleSize])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.Feed(tu)
+		}
+		rep.Tree()
+		la, stats := rep.State()
+		again, err := NewReplay(infos, 4)
+		if err != nil {
+			t.Fatalf("second build over the same sidecar: %v", err)
+		}
+		if err := again.Restore(la, stats); err != nil {
+			t.Fatalf("snapshot refused by a replay over the same sidecar: %v", err)
+		}
+		la2, stats2 := again.State()
+		if !reflect.DeepEqual(la2, la) || !reflect.DeepEqual(stats2, stats) {
+			t.Fatal("restored replay snapshots to a different pair")
 		}
 	})
 }

@@ -8,100 +8,88 @@ import (
 	"eventspace/internal/paths"
 )
 
-// lastArrivalPorts derives the load-balance replay wiring from archived
-// collector metadata: every contributor collector becomes a port onto
-// its node's join, with the node's fan-in counted from the metadata
-// itself.
-func lastArrivalPorts(infos []CollectorInfo) (map[uint32]monitor.ReplayPort, error) {
+// NewReplay builds the front end's replay from archived collector
+// metadata. One walk groups the contributor and collective collectors by
+// tree node, each contributor at its index; stub collectors take no
+// part. window is the statistics' sliding median window (values < 1 use
+// the analysis default). A roster no live tree could have written is
+// refused rather than misread: an ECID listed twice, a node with two
+// collective collectors or with a collective and no contributors, a
+// contributor index that is negative, taken, or leaves a gap below the
+// node's fan-in.
+func NewReplay(infos []CollectorInfo, window int) (*monitor.Replay, error) {
 	if len(infos) == 0 {
 		return nil, fmt.Errorf("archive: no collector metadata (missing %s?)", MetaFileName)
 	}
 	type nodeKey struct{ tree, node string }
-	fanin := make(map[nodeKey]int)
-	for _, in := range infos {
-		if in.Role == collect.RoleContributor {
-			fanin[nodeKey{in.Tree, in.Node}]++
-		}
+	type node struct {
+		monitor.ReplayNode
+		byIndex map[int]uint32 // contributor index -> ECID
 	}
-	ports := make(map[uint32]monitor.ReplayPort)
+	var nodes []*node
+	byKey := make(map[nodeKey]*node)
+	ids := make(map[uint32]bool, len(infos))
 	for _, in := range infos {
-		if in.Role != collect.RoleContributor {
+		if ids[in.ID] {
+			return nil, fmt.Errorf("archive: %s lists ECID %d twice", MetaFileName, in.ID)
+		}
+		ids[in.ID] = true
+		if in.Role != collect.RoleContributor && in.Role != collect.RoleCollective {
 			continue
 		}
-		ports[in.ID] = monitor.ReplayPort{
-			Node:        in.Node,
-			Contributor: in.Contributor,
-			Fanin:       fanin[nodeKey{in.Tree, in.Node}],
+		key := nodeKey{in.Tree, in.Node}
+		n := byKey[key]
+		if n == nil {
+			n = &node{ReplayNode: monitor.ReplayNode{Name: in.Node}, byIndex: make(map[int]uint32)}
+			byKey[key] = n
+			nodes = append(nodes, n)
 		}
+		if in.Role == collect.RoleCollective {
+			if n.HasCollective {
+				return nil, fmt.Errorf("archive: %s: node %q has two collective collectors", MetaFileName, in.Node)
+			}
+			n.Collective, n.HasCollective = in.ID, true
+			continue
+		}
+		if _, taken := n.byIndex[in.Contributor]; taken || in.Contributor < 0 {
+			return nil, fmt.Errorf("archive: %s: node %q: contributor index %d is negative or taken", MetaFileName, in.Node, in.Contributor)
+		}
+		n.byIndex[in.Contributor] = in.ID
 	}
-	if len(ports) == 0 {
+	if len(nodes) == 0 {
 		return nil, fmt.Errorf("archive: metadata has no contributor collectors")
 	}
-	return ports, nil
-}
-
-// statsPorts derives the statistics replay wiring: contributor and
-// collective collectors both feed their node's round join, keyed by the
-// node's collective ECID.
-func statsPorts(infos []CollectorInfo) (map[uint32]monitor.ReplayStatsPort, error) {
-	if len(infos) == 0 {
-		return nil, fmt.Errorf("archive: no collector metadata (missing %s?)", MetaFileName)
-	}
-	type nodeKey struct{ tree, node string }
-	fanin := make(map[nodeKey]int)
-	collective := make(map[nodeKey]uint32)
-	for _, in := range infos {
-		switch in.Role {
-		case collect.RoleContributor:
-			fanin[nodeKey{in.Tree, in.Node}]++
-		case collect.RoleCollective:
-			collective[nodeKey{in.Tree, in.Node}] = in.ID
+	roster := make([]monitor.ReplayNode, len(nodes))
+	for i, n := range nodes {
+		n.Contributors = make([]uint32, len(n.byIndex))
+		for c := range n.Contributors {
+			id, ok := n.byIndex[c]
+			if !ok {
+				return nil, fmt.Errorf("archive: %s: node %q has %d contributors but none at index %d", MetaFileName, n.Name, len(n.byIndex), c)
+			}
+			n.Contributors[c] = id
 		}
+		roster[i] = n.ReplayNode
 	}
-	ports := make(map[uint32]monitor.ReplayStatsPort)
-	for _, in := range infos {
-		key := nodeKey{in.Tree, in.Node}
-		id, ok := collective[key]
-		if !ok {
-			continue
-		}
-		switch in.Role {
-		case collect.RoleContributor:
-			ports[in.ID] = monitor.ReplayStatsPort{NodeID: id, Contributor: in.Contributor, Fanin: fanin[key]}
-		case collect.RoleCollective:
-			ports[in.ID] = monitor.ReplayStatsPort{NodeID: id, Contributor: -1, Fanin: fanin[key]}
-		}
-	}
-	if len(ports) == 0 {
-		return nil, fmt.Errorf("archive: metadata has no collective/contributor collectors")
-	}
-	return ports, nil
+	return monitor.NewReplay(roster, window)
 }
 
-// LastArrivalPorts exposes the load-balance replay wiring derivation
-// for callers that drive the replay shadows themselves (the recovery
-// checkpointer and the checkpointed failover path).
-func LastArrivalPorts(infos []CollectorInfo) (map[uint32]monitor.ReplayPort, error) {
-	return lastArrivalPorts(infos)
-}
-
-// StatsPorts exposes the statistics replay wiring derivation.
-func StatsPorts(infos []CollectorInfo) (map[uint32]monitor.ReplayStatsPort, error) {
-	return statsPorts(infos)
-}
-
-// ReplayLastArrival scans the archive and re-runs the load-balance
-// monitor's last-arrival reduction offline. infos is the archived
-// collector metadata (ReadMeta, or MetaFromRegistry against a live
-// registry); q restricts which tuples are replayed (zero Query: all).
-// The result's Weighted() tree matches the live single-scope monitor's
+// ReplayLastArrival is ReplayStats at the analysis default's median
+// window: one scan rebuilds both of the front end's trees, and the
+// result's Weighted() tree matches the live single-scope monitor's
 // verdicts whenever neither side lost rounds.
-func ReplayLastArrival(r *Reader, infos []CollectorInfo, q Query) (*monitor.LastArrivalReplay, ScanStats, error) {
-	ports, err := lastArrivalPorts(infos)
-	if err != nil {
-		return nil, ScanStats{}, err
-	}
-	rep, err := monitor.NewLastArrivalReplay(ports)
+func ReplayLastArrival(r *Reader, infos []CollectorInfo, q Query) (*monitor.Replay, ScanStats, error) {
+	return ReplayStats(r, infos, q, 0)
+}
+
+// ReplayStats scans the archive and re-runs the front end's joins
+// offline: the load-balance monitor's last-arrival reduction and statsm's
+// wrapper statistics. infos is the archived collector metadata
+// (ReadMeta, or MetaFromRegistry against a live registry); q restricts
+// which tuples are replayed (zero Query: all); window is the sliding
+// median window (values < 1 use the analysis default).
+func ReplayStats(r *Reader, infos []CollectorInfo, q Query, window int) (*monitor.Replay, ScanStats, error) {
+	rep, err := NewReplay(infos, window)
 	if err != nil {
 		return nil, ScanStats{}, err
 	}
@@ -153,26 +141,4 @@ func ReplayAlerts(r *Reader, q Query) ([]collect.AlertTuple, ScanStats, error) {
 		return nil, stats, err
 	}
 	return out, stats, nil
-}
-
-// ReplayStats scans the archive and re-runs statsm's wrapper-statistics
-// computation offline. window is the sliding median window (values < 1
-// use the analysis default).
-func ReplayStats(r *Reader, infos []CollectorInfo, q Query, window int) (*monitor.StatsReplay, ScanStats, error) {
-	ports, err := statsPorts(infos)
-	if err != nil {
-		return nil, ScanStats{}, err
-	}
-	rep, err := monitor.NewStatsReplay(ports, window)
-	if err != nil {
-		return nil, ScanStats{}, err
-	}
-	stats, err := r.Scan(q, func(t collect.TraceTuple) bool {
-		rep.Feed(t)
-		return true
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	return rep, stats, nil
 }

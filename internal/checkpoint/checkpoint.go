@@ -48,8 +48,8 @@ type Config struct {
 
 // Checkpointer interposes on a recorder's sink chain: every batch is
 // forwarded downstream first (the archive stays the source of truth),
-// then folded into shadow replays of the load-balance and statistics
-// monitors. On cadence it flushes the writer, snapshots the shadows —
+// then folded into a shadow replay of the load-balance and statistics
+// monitors. On cadence it flushes the writer, snapshots the shadow —
 // and the live query engine, when one is interposed — at exactly the
 // writer's durable cursor, and persists the snapshot as the next chain
 // file.
@@ -57,8 +57,8 @@ type Config struct {
 // Only the ordered part of that runs on the caller's thread (the
 // recorder's gather thread): the forward, the cadence count and, on
 // cadence, what must be read at the writer's cursor — the flush, the
-// cursor and the engine's state. Decoding the batch into the shadows
-// and, on cadence, snapshotting them, encoding, writing and pruning run
+// cursor and the engine's state. Decoding the batch into the shadow
+// and, on cadence, snapshotting it, encoding, writing and pruning run
 // in a job: a registered model goroutine (vclock.Go) that blocks on
 // nothing and so takes no virtual time, at most one in flight. Every
 // call into the checkpointer — AppendRaw, Checkpoint, Stats, Err —
@@ -96,18 +96,17 @@ type Checkpointer struct {
 
 	// The job's side: the job owns it while one is in flight, the
 	// caller's thread (under mu) otherwise; busy and done hand it over.
-	next  []byte // the batch the job folds
-	fr    frame  // the frame the job persists, when fr.due
-	la    *monitor.LastArrivalReplay
-	stats *monitor.StatsReplay
-	chain []uint32             // the sequences on disk, oldest first
-	batch []collect.TraceTuple // decode scratch, reused per batch
-	enc   encoder              // encode scratch, reused per checkpoint
+	next   []byte               // the batch the job folds
+	fr     frame                // the frame the job persists, when fr.due
+	shadow *monitor.Replay      // both monitors' joins, fed every archived tuple
+	chain  []uint32             // the sequences on disk, oldest first
+	batch  []collect.TraceTuple // decode scratch, reused per batch
+	enc    encoder              // encode scratch, reused per checkpoint
 }
 
 // frame is one checkpoint on its way to disk. The caller's thread begins
 // it with what must be read at the writer's cursor; the job adds the
-// shadows, writes the file and reports how that went.
+// shadow's state, writes the file and reports how that went.
 type frame struct {
 	due   bool
 	start hrtime.Stamp // when the caller's thread began it
@@ -120,27 +119,15 @@ type frame struct {
 // New builds a checkpointer over a recorder's writer and sink chain.
 // inner is what batches are forwarded to (w itself, or a query engine
 // writing through to w — pass that engine as engine too so snapshots
-// include it). infos is the archived collector metadata; the shadows'
+// include it). infos is the archived collector metadata; the shadow's
 // join wiring derives from it exactly as recovery's replay will.
 func New(w *archive.Writer, inner Sink, engine *query.Engine, infos []archive.CollectorInfo, cfg Config) (*Checkpointer, error) {
 	if w == nil || inner == nil {
 		return nil, fmt.Errorf("checkpoint: nil writer or sink")
 	}
-	laPorts, err := archive.LastArrivalPorts(infos)
-	if err != nil {
-		return nil, err
-	}
-	stPorts, err := archive.StatsPorts(infos)
-	if err != nil {
-		return nil, err
-	}
-	la, err := monitor.NewLastArrivalReplay(laPorts)
-	if err != nil {
-		return nil, err
-	}
 	// Window 0 (the analysis default) is what recovery's chain-less rung
 	// replays with; the shadow must match it.
-	stats, err := monitor.NewStatsReplay(stPorts, 0)
+	shadow, err := archive.NewReplay(infos, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +140,7 @@ func New(w *archive.Writer, inner Sink, engine *query.Engine, infos []archive.Co
 		keep = DefaultKeep
 	}
 	c := &Checkpointer{
-		inner: inner, w: w, engine: engine, la: la, stats: stats,
+		inner: inner, w: w, engine: engine, shadow: shadow,
 		dir: w.Dir(), every: every, keep: max(keep, 1),
 		cps: cfg.CrashPoints, done: make(chan struct{}, 1),
 	}
@@ -264,7 +251,7 @@ func (c *Checkpointer) begin() error {
 }
 
 // job is the fold's other half, run by vclock.Go: it decodes the batch
-// into the shadows and persists the frame, when one is due.
+// into the shadow and persists the frame, when one is due.
 func (c *Checkpointer) job() {
 	c.fold(c.next)
 	if c.fr.due {
@@ -273,20 +260,19 @@ func (c *Checkpointer) job() {
 	c.done <- struct{}{}
 }
 
-// fold decodes a batch of whole tuples into the shadows.
+// fold decodes a batch of whole tuples into the shadow.
 func (c *Checkpointer) fold(data []byte) {
 	c.batch, _ = collect.DecodeAppend(c.batch[:0], data) // AppendRaw hands over whole tuples only
 	for _, t := range c.batch {
-		c.la.Feed(t)
-		c.stats.Feed(t)
+		c.shadow.Feed(t)
 	}
 }
 
-// persist snapshots the shadows into the frame begun on the caller's
+// persist snapshots the shadow into the frame begun on the caller's
 // thread, writes the file through the crash seam and prunes the chain.
 func (c *Checkpointer) persist() {
 	f := &c.fr
-	f.cp.LA, f.cp.Stats = c.la.State(), c.stats.State()
+	f.cp.LA, f.cp.Stats = c.shadow.State()
 	buf := c.enc.encode(f.cp)
 	f.n = len(buf)
 	if f.err = write(c.dir, f.cp.Seq, buf, c.cps); f.err == nil {
@@ -303,7 +289,7 @@ func (c *Checkpointer) persist() {
 // land finishes a persisted frame on the caller's thread. A torn frame
 // leaves no mark and the checkpointer sticky-dead. A whole one gets its
 // marker control tuple, behind the frame's cursor, so suffix replay sees
-// it; the shadows are fed it too, keeping them in lockstep with the
+// it; the shadow is fed it too, keeping it in lockstep with the
 // archive content a recovered shadow would be fed.
 func (c *Checkpointer) land() {
 	f := c.fr
@@ -320,8 +306,7 @@ func (c *Checkpointer) land() {
 		c.err = err
 		return
 	}
-	c.la.Feed(mark)
-	c.stats.Feed(mark)
+	c.shadow.Feed(mark)
 	c.err = f.prune
 }
 

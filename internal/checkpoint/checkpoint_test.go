@@ -80,23 +80,10 @@ func encodeBatch(ts []collect.TraceTuple) []byte {
 }
 
 // snapshotFromStream builds a nontrivial checkpoint by running the
-// shadows (and a query engine) over a prefix of the test stream.
+// shadow (and a query engine) over a prefix of the test stream.
 func snapshotFromStream(t testing.TB, n int) Checkpoint {
 	t.Helper()
-	infos := testInfos()
-	laPorts, err := archive.LastArrivalPorts(infos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stPorts, err := archive.StatsPorts(infos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	la, err := monitor.NewLastArrivalReplay(laPorts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := monitor.NewStatsReplay(stPorts, 16)
+	rep, err := archive.NewReplay(testInfos(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,17 +102,17 @@ func snapshotFromStream(t testing.TB, n int) Checkpoint {
 		}
 	}
 	for _, tu := range testStream(40)[:n] {
-		la.Feed(tu)
-		stats.Feed(tu)
+		rep.Feed(tu)
 		if err := eng.Offer([]collect.TraceTuple{tu}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	la, stats := rep.State()
 	return Checkpoint{
 		Seq: 7, At: 123456,
 		Cursor:    archive.Cursor{Tuples: uint64(n), Segment: 3, SegTuples: 17},
-		LA:        la.State(),
-		Stats:     stats.State(),
+		LA:        la,
+		Stats:     stats,
 		HasEngine: true,
 		Engine:    eng.State(),
 	}
@@ -213,8 +200,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 }
 
 // TestCheckpointRecoveryEquivalence is the tentpole proof at package
-// level: shadows restored from the newest checkpoint and fed only the
-// archive suffix after its cursor end byte-identical to a full replay
+// level: a shadow restored from the newest checkpoint and fed only the
+// archive suffix after its cursor ends byte-identical to a full replay
 // of the whole archive — and the suffix is a small fraction of the
 // archive.
 func TestCheckpointRecoveryEquivalence(t *testing.T) {
@@ -270,28 +257,13 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		fullLA, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
+		full, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullStats, _, err := archive.ReplayStats(r, infos, archive.Query{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		laPorts, _ := archive.LastArrivalPorts(infos)
-		stPorts, _ := archive.StatsPorts(infos)
-		la, err := monitor.NewLastArrivalReplayFrom(laPorts, cp.LA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := monitor.NewStatsReplayFrom(stPorts, cp.Stats)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := restored(t, infos, cp)
 		scan, err := r.ScanFrom(cp.Cursor, archive.Query{}, func(tu collect.TraceTuple) bool {
-			la.Feed(tu)
-			stats.Feed(tu)
+			rep.Feed(tu)
 			return true
 		})
 		if err != nil {
@@ -301,14 +273,9 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 			t.Fatalf("suffix scan skipped %d tuples, cursor covers %d", scan.TuplesSkipped, cp.Cursor.Tuples)
 		}
 
-		if !reflect.DeepEqual(la.State(), fullLA.State()) {
-			t.Fatal("checkpoint+suffix load-balance state diverged from full replay")
-		}
-		if !reflect.DeepEqual(stats.State(), fullStats.State()) {
-			t.Fatal("checkpoint+suffix statistics state diverged from full replay")
-		}
-		if la.Lost() != 0 || fullLA.Lost() != 0 {
-			t.Fatalf("lost rounds: fast %d full %d", la.Lost(), fullLA.Lost())
+		sameState(t, "checkpoint+suffix", rep, full)
+		if rep.Lost() != 0 || full.Lost() != 0 {
+			t.Fatalf("lost rounds: fast %d full %d", rep.Lost(), full.Lost())
 		}
 	})
 }
@@ -366,23 +333,44 @@ func TestCheckpointerCrashFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	fullLA, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
+	full, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	laPorts, _ := archive.LastArrivalPorts(infos)
-	la, err := monitor.NewLastArrivalReplayFrom(laPorts, cp.LA)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := restored(t, infos, cp)
 	if _, err := r.ScanFrom(cp.Cursor, archive.Query{}, func(tu collect.TraceTuple) bool {
-		la.Feed(tu)
+		rep.Feed(tu)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(la.State(), fullLA.State()) {
-		t.Fatal("fallback recovery diverged from full replay")
+	sameState(t, "fallback recovery", rep, full)
+}
+
+// restored is a replay over infos restored from cp, as recovery builds
+// one.
+func restored(t *testing.T, infos []archive.CollectorInfo, cp Checkpoint) *monitor.Replay {
+	t.Helper()
+	rep, err := archive.NewReplay(infos, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Restore(cp.LA, cp.Stats); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// sameState fails unless two replays snapshot to the same pair.
+func sameState(t *testing.T, what string, got, want *monitor.Replay) {
+	t.Helper()
+	gla, gst := got.State()
+	wla, wst := want.State()
+	if !reflect.DeepEqual(gla, wla) {
+		t.Fatalf("%s: load-balance state diverged from full replay", what)
+	}
+	if !reflect.DeepEqual(gst, wst) {
+		t.Fatalf("%s: statistics state diverged from full replay", what)
 	}
 }
 
@@ -598,7 +586,7 @@ func foldFixture(rounds, rootFanin, children int) ([]archive.CollectorInfo, [][]
 }
 
 // BenchmarkCheckpointFold is the zero-alloc gate of the job's fold: warm
-// shadows, then the DecodeAppend + Feed loop a job runs, one op per
+// shadow, then the DecodeAppend + Feed loop a job runs, one op per
 // batch of 64 complete rounds over an 8-way tree (a root joining seven
 // child nodes and a thread of its own: 72 collectors, 4608 tuples). The
 // cadence write is excluded — it allocates the snapshot by design.
@@ -676,25 +664,30 @@ func BenchmarkCheckpointAppendRaw(b *testing.B) {
 // TestRestoreRejectsOutOfRangeContributor: a frame can pass both CRCs
 // and still carry a contributor id that would index past a round slot;
 // the restore refuses it — so recovery falls back a rung — for an id
-// one past the fan-in and for a negative one, in either shadow.
+// one past the fan-in and for a negative one, in either half of the
+// snapshot.
 func TestRestoreRejectsOutOfRangeContributor(t *testing.T) {
 	infos := testInfos()
-	laPorts, _ := archive.LastArrivalPorts(infos)
-	stPorts, _ := archive.StatsPorts(infos)
-	// After 147 tuples both shadows hold a partial round of node "a".
+	// After 147 tuples both halves hold a partial round of node "a".
 	for _, id := range []int32{3, -1} {
-		cp := snapshotFromStream(t, 147)
-		cp.Stats.Nodes[0].Joiner.Pending[0].Contribs[0].ID = id
-		cp.LA.Joins[0].Join.Pending[0].Contribs[0].ID = id
-		got, err := Decode(Encode(cp))
-		if err != nil {
-			t.Fatalf("id %d: frame did not survive the codec: %v", id, err)
-		}
-		if _, err := monitor.NewLastArrivalReplayFrom(laPorts, got.LA); err == nil {
-			t.Errorf("id %d: load-balance shadow restored", id)
-		}
-		if _, err := monitor.NewStatsReplayFrom(stPorts, got.Stats); err == nil {
-			t.Errorf("id %d: statistics shadow restored", id)
+		for half, damage := range map[string]func(*Checkpoint){
+			"load-balance": func(cp *Checkpoint) { cp.LA.Joins[0].Join.Pending[0].Contribs[0].ID = id },
+			"statistics":   func(cp *Checkpoint) { cp.Stats.Nodes[0].Joiner.Pending[0].Contribs[0].ID = id },
+		} {
+			cp := snapshotFromStream(t, 147)
+			damage(&cp)
+			got, err := Decode(Encode(cp))
+			if err != nil {
+				t.Fatalf("id %d in the %s half: frame did not survive the codec: %v", id, half, err)
+			}
+			rep, err := archive.NewReplay(infos, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.Restore(got.LA, got.Stats); err == nil {
+				t.Errorf("id %d in the %s half: shadow restored", id, half)
+			}
 		}
 	}
+	restored(t, infos, snapshotFromStream(t, 147)) // the undamaged frame restores
 }

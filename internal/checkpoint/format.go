@@ -1,7 +1,7 @@
 // Package checkpoint bounds front-end recovery time: instead of
 // replaying a crashed front end's whole trace archive, recovery loads
 // the newest valid checkpoint — a deterministic snapshot of the
-// monitor-replay shadows, the continuous-query engine, and the archive
+// monitor-replay shadow, the continuous-query engine, and the archive
 // cursor they cover — and replays only the archive suffix written after
 // it. Checkpoints are sidecar files (ckpt-*.eckpt) next to the archive
 // segments, CRC-framed so torn or bit-flipped frames are detected and
@@ -39,7 +39,8 @@ type Checkpoint struct {
 	// Cursor is the durable archive position the snapshot covers:
 	// recovery replays only tuples after it.
 	Cursor archive.Cursor
-	// LA and Stats are the monitor-replay shadows.
+	// LA and Stats are the monitor-replay shadow's snapshot pair
+	// (monitor.Replay.State).
 	LA    monitor.LastArrivalState
 	Stats monitor.StatsState
 	// Engine is the continuous-query engine snapshot; HasEngine is false

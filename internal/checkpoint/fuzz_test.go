@@ -16,9 +16,9 @@ import (
 // that decodes successfully re-encodes into a frame that decodes to the
 // same checkpoint, every section of it — corrupt bytes can never
 // masquerade as a CRC-passing checkpoint that then misbehaves — and
-// restoring it into shadows and
-// feeding them either fails cleanly or works: contributor ids in a
-// frame index fixed-size round slots, so none may reach one unchecked.
+// restoring it into a shadow and feeding it either fails cleanly or
+// works: contributor ids in a frame index fixed-size round slots, so
+// none may reach one unchecked.
 func FuzzCheckpointDecode(f *testing.F) {
 	// Corpus: valid frames of growing complexity, their torn prefixes,
 	// and a few degenerate shapes.
@@ -32,8 +32,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte("ECK1"))
 	f.Add(make([]byte, headerSize))
 	// Well-formed frames whose pending rounds carry a contributor id one
-	// past the fan-in, and a negative one — once in each shadow. (After
-	// 147 tuples both shadows hold a partial round of node "a".)
+	// past the fan-in, and a negative one — once in each half. (After
+	// 147 tuples both halves hold a partial round of node "a".)
 	for _, id := range []int32{3, -1} {
 		cp := snapshotFromStream(f, 147)
 		cp.Stats.Nodes[0].Joiner.Pending[0].Contribs[0].ID = id
@@ -94,12 +94,14 @@ func canonical(v reflect.Value) {
 	}
 }
 
-// restoreAndFeed restores every shadow a decoded frame describes and
-// feeds each one tuple per port. Errors are fine; the fuzzer is looking
-// for panics. The ports are built from the state's own node set, as the
-// archived collector metadata would supply them — which is also what
-// bounds a fan-in or a window in the product, so the harness bounds
-// them too rather than allocate whatever a fuzzed frame asks for.
+// restoreAndFeed restores the shadow a decoded frame describes and
+// feeds it one tuple per port. Errors are fine; the fuzzer is looking
+// for panics. The roster is built from the state's own node sets, as the
+// archived collector metadata would supply it — one node per join, the
+// statistics nodes paired with the joins in order while their fan-ins
+// agree — which is also what bounds a fan-in or a window in the product,
+// so the harness bounds them too rather than allocate whatever a fuzzed
+// frame asks for.
 func restoreAndFeed(cp Checkpoint) {
 	const maxFanin, maxWindow = 64, 1024
 	sane := func(k int) bool { return k >= 1 && k <= maxFanin }
@@ -109,32 +111,42 @@ func restoreAndFeed(cp Checkpoint) {
 	// A sequence number the snapshot holds pending, so the fed tuples
 	// land in restored slots as well as fresh ones.
 	seq := uint32(1)
+	if cp.Stats.Window > maxWindow {
+		return
+	}
 
-	laPorts := make(map[uint32]monitor.ReplayPort)
-	ecid := uint32(1)
-	for _, nj := range cp.LA.Joins {
+	var roster []monitor.ReplayNode
+	ecid := uint32(1 << 30) // clear of the small collective ids frames carry
+	for i, nj := range cp.LA.Joins {
 		if !sane(nj.Join.K) {
 			return
 		}
 		if len(nj.Join.Pending) > 0 {
 			seq = nj.Join.Pending[0].Seq
 		}
+		n := monitor.ReplayNode{Name: nj.Node}
 		for c := 0; c < nj.Join.K; c++ {
-			laPorts[ecid] = monitor.ReplayPort{Node: nj.Node, Contributor: c, Fanin: nj.Join.K}
+			n.Contributors = append(n.Contributors, ecid)
 			ecid++
 		}
-	}
-	if la, err := monitor.NewLastArrivalReplayFrom(laPorts, cp.LA); err == nil {
-		for id := range laPorts {
-			la.Feed(feed(id, seq))
+		if i < len(cp.Stats.Nodes) && cp.Stats.Nodes[i].Joiner.K == nj.Join.K {
+			n.Collective, n.HasCollective = cp.Stats.Nodes[i].NodeID, true
 		}
-		la.State()
+		roster = append(roster, n)
+	}
+	if rep, err := monitor.NewReplay(roster, 0); err == nil && rep.Restore(cp.LA, cp.Stats) == nil {
+		for _, n := range roster {
+			for _, id := range n.Contributors {
+				rep.Feed(feed(id, seq))
+			}
+			rep.Feed(feed(n.Collective, seq))
+		}
+		rep.Tree()
+		rep.State()
 	}
 
-	if cp.Stats.Window > maxWindow {
-		return
-	}
-	stPorts := make(map[uint32]monitor.ReplayStatsPort)
+	// Every statistics node's state through the analysis constructors
+	// directly, paired with a join or not.
 	for _, ns := range cp.Stats.Nodes {
 		k := ns.Joiner.K
 		if !sane(k) {
@@ -143,11 +155,6 @@ func restoreAndFeed(cp Checkpoint) {
 		if len(ns.Joiner.Pending) > 0 {
 			seq = ns.Joiner.Pending[0].Seq
 		}
-		for c := -1; c < k; c++ {
-			stPorts[ecid] = monitor.ReplayStatsPort{NodeID: ns.NodeID, Contributor: c, Fanin: k}
-			ecid++
-		}
-		// The same state through the analysis constructors directly.
 		if j, err := analysis.NewJoinerFrom(ns.Joiner, func(analysis.RoundMetrics) {}); err == nil {
 			j.AddCollective(feed(0, seq))
 			for c := -1; c <= k; c++ {
@@ -165,12 +172,5 @@ func restoreAndFeed(cp Checkpoint) {
 				s.State()
 			}
 		}
-	}
-	if st, err := monitor.NewStatsReplayFrom(stPorts, cp.Stats); err == nil {
-		for id := range stPorts {
-			st.Feed(feed(id, seq))
-		}
-		st.Tree()
-		st.State()
 	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 // refCheckpointer is the checkpointer with its whole fold on the caller's
-// thread: AppendRaw forwards, decodes, feeds both shadows and, on
+// thread: AppendRaw forwards, decodes, feeds the shadow and, on
 // cadence, flushes, snapshots, writes the frame, appends the mark and
 // prunes before it returns. It drives a Checkpointer's fields (built by
 // New) without ever starting a job. TestCheckpointerMatchesReference
@@ -51,8 +51,7 @@ func (r refCheckpointer) fold(data []byte) error {
 		return err
 	}
 	for _, t := range c.batch {
-		c.la.Feed(t)
-		c.stats.Feed(t)
+		c.shadow.Feed(t)
 		if t.ECID != collect.ControlECID {
 			if t.Start > c.at {
 				c.at = t.Start
@@ -91,7 +90,8 @@ func (r refCheckpointer) writeLocked() (int, error) {
 		return 0, err
 	}
 	cur := c.w.Position()
-	cp := Checkpoint{Seq: c.seq + 1, At: c.at, Cursor: cur, LA: c.la.State(), Stats: c.stats.State()}
+	cp := Checkpoint{Seq: c.seq + 1, At: c.at, Cursor: cur}
+	cp.LA, cp.Stats = c.shadow.State()
 	if c.engine != nil {
 		cp.HasEngine = true
 		cp.Engine = c.engine.State()
@@ -110,8 +110,7 @@ func (r refCheckpointer) writeLocked() (int, error) {
 	if err := c.w.Append([]collect.TraceTuple{mark}); err != nil {
 		return n, err
 	}
-	c.la.Feed(mark)
-	c.stats.Feed(mark)
+	c.shadow.Feed(mark)
 	return n, c.prune()
 }
 

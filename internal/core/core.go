@@ -274,7 +274,7 @@ func (s *System) AttachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 // AttachArchiveCheckpointed is AttachArchive plus crash recoverability:
 // a checkpointer rides the recorder's sink chain, periodically
 // snapshotting the front-end state the archive implies — the
-// load-balance and statistics replay shadows, the writer's durable
+// load-balance and statistics replay shadow, the writer's durable
 // cursor, and the standing-query engine — into a sidecar chain of
 // ckpt-*.eckpt files next to the segments.
 // After a crash, RecoverLoadBalance (or reconfig.RecoverFrontEnd)

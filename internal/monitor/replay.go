@@ -20,13 +20,24 @@ import (
 // evictions would break the determinism contract with the live run.
 const replayMaxPending = 4096
 
-// ReplayPort maps one archived contributor event collector onto the
-// load-balance join: which node it feeds, as which contributor, and the
-// node's fan-in.
-type ReplayPort struct {
-	Node        string // node name (the weighted-tree key)
-	Contributor int    // contributor index on that node
-	Fanin       int    // the node's contributor count
+// ReplayNode is one tree node of an archived collector roster: the
+// collectors whose tuples the front end's joins take.
+type ReplayNode struct {
+	Name          string   // node name: the last-arrival join and weighted-tree key
+	Contributors  []uint32 // contributor collectors' ECIDs, by contributor index
+	Collective    uint32   // the collective collector's ECID: the statistics key
+	HasCollective bool     // without one the node has no statistics join
+}
+
+// replayPort is what one ECID resolves to: the joins of its node that
+// take its tuples. A contributor feeds the last-arrival join and, when
+// its node has a collective collector, the statistics join; the
+// collective feeds the statistics join alone.
+type replayPort struct {
+	join        *lbJoin       // nil for the collective collector
+	row         *weightedRow  // the join's weighted-tree row
+	stats       *wrapperStats // nil when the node has no collective collector
+	contributor int           // -1 for the collective collector
 }
 
 // portTable maps an ECID to its resolved port — the one lookup a
@@ -35,27 +46,27 @@ type ReplayPort struct {
 // whatever the ECIDs are (they come from collectors.meta on disk), and
 // probed from a multiplicative hash, which spreads the registry's
 // consecutive ids one to a slot.
-type portTable[P any] struct {
-	slots []portSlot[P] // a power of two long
-	shift uint32        // 32 - log2(len(slots))
+type portTable struct {
+	slots []portSlot // a power of two long
+	shift uint32     // 32 - log2(len(slots))
 }
 
-type portSlot[P any] struct {
+type portSlot struct {
 	ecid uint32
 	used bool
-	port P
+	port replayPort
 }
 
-func newPortTable[P any](ports int) *portTable[P] {
+func newPortTable(ports int) *portTable {
 	size, bits := 2, uint32(1)
 	for size < 2*ports {
 		size, bits = 2*size, bits+1
 	}
-	return &portTable[P]{slots: make([]portSlot[P], size), shift: 32 - bits}
+	return &portTable{slots: make([]portSlot, size), shift: 32 - bits}
 }
 
 // slot returns ecid's slot, or the free slot where it would go.
-func (t *portTable[P]) slot(ecid uint32) *portSlot[P] {
+func (t *portTable) slot(ecid uint32) *portSlot {
 	for i := int(ecid * 0x9E3779B1 >> t.shift); ; i = (i + 1) & (len(t.slots) - 1) {
 		if s := &t.slots[i]; !s.used || s.ecid == ecid {
 			return s
@@ -63,79 +74,117 @@ func (t *portTable[P]) slot(ecid uint32) *portSlot[P] {
 	}
 }
 
-func (t *portTable[P]) put(ecid uint32, port P) { *t.slot(ecid) = portSlot[P]{ecid, true, port} }
-
-// laPort is a ReplayPort resolved at construction: the tuple's ECID
-// leads straight to its node's join and weighted-tree row.
-type laPort struct {
-	join        *lbJoin
-	row         *weightedRow
-	contributor int
-}
-
-// LastArrivalReplay re-runs the load-balance monitor's last-arrival
-// reduction over archived trace tuples. It mirrors the single-scope
-// reduce wrapper exactly: per node, rounds join on the tuple sequence
-// number and the last arrival is the contributor tuple with the largest
-// Start stamp (ties broken toward the higher contributor index).
-type LastArrivalReplay struct {
-	ports    *portTable[laPort] // contributor ECID -> resolved port
-	joins    map[string]*lbJoin // node name -> join, for snapshots
-	weighted *WeightedTree
-
-	fed     uint64
-	matched uint64
-}
-
-// NewLastArrivalReplay builds a replay driver from the contributor-ECID
-// port map (see archive.ReplayLastArrival for the wiring from archived
-// collector metadata).
-func NewLastArrivalReplay(ports map[uint32]ReplayPort) (*LastArrivalReplay, error) {
-	r := &LastArrivalReplay{
-		ports:    newPortTable[laPort](len(ports)),
-		joins:    make(map[string]*lbJoin),
-		weighted: NewWeightedTree(),
+// put gives ecid its port; an ECID has one.
+func (t *portTable) put(ecid uint32, port replayPort) error {
+	s := t.slot(ecid)
+	if s.used {
+		return fmt.Errorf("monitor: replay roster lists ECID %d twice", ecid)
 	}
-	for id, p := range ports {
-		if p.Fanin < 1 {
-			return nil, fmt.Errorf("monitor: replay port %d: fanin %d < 1", id, p.Fanin)
+	*s = portSlot{ecid, true, port}
+	return nil
+}
+
+// Replay re-runs the front end's two reductions over archived trace
+// tuples from one feed: the load-balance monitor's last-arrival join
+// into a weighted tree, and statsm's wrapper statistics — per-node round
+// joins and the five latency streams (down, up, total, arrival wait,
+// departure wait) in microseconds — into an analysis tree. A tuple's ECID
+// is looked up once and the tuple goes to every join of its node that
+// takes it. The last-arrival half mirrors the single-scope reduce
+// wrapper exactly: per node, rounds join on the tuple sequence number and
+// the last arrival is the contributor tuple with the largest Start stamp
+// (ties broken toward the higher contributor index).
+type Replay struct {
+	ports    *portTable
+	joins    map[string]*lbJoin       // node name -> last-arrival join, for snapshots
+	nodes    map[uint32]*wrapperStats // collective ECID -> statistics, for snapshots
+	weighted *WeightedTree
+	window   int // sliding-median window, kept for snapshots
+
+	fed          uint64
+	contributors uint64 // tuples a last-arrival join took
+	joined       uint64 // tuples a statistics join took
+}
+
+// NewReplay builds a replay over a collector roster (see
+// archive.NewReplay for the roster archived collector metadata gives).
+// window is the sliding median window (values < 1 use the analysis
+// default). A node without contributors, and a node name or an ECID
+// listed twice, are refused.
+func NewReplay(roster []ReplayNode, window int) (*Replay, error) {
+	ports := 0
+	for _, n := range roster {
+		ports += len(n.Contributors) + 1
+	}
+	r := &Replay{
+		ports:    newPortTable(ports),
+		joins:    make(map[string]*lbJoin),
+		nodes:    make(map[uint32]*wrapperStats),
+		weighted: NewWeightedTree(),
+		window:   window,
+	}
+	for _, n := range roster {
+		k := len(n.Contributors)
+		if k == 0 {
+			return nil, fmt.Errorf("monitor: replay node %q has no contributors", n.Name)
 		}
-		if p.Contributor < 0 || p.Contributor >= p.Fanin {
-			return nil, fmt.Errorf("monitor: replay port %d: contributor %d outside fanin %d", id, p.Contributor, p.Fanin)
+		if _, dup := r.joins[n.Name]; dup {
+			return nil, fmt.Errorf("monitor: replay roster lists node %q twice", n.Name)
 		}
-		j, ok := r.joins[p.Node]
-		if !ok {
-			j = newLBJoin(p.Fanin, replayMaxPending)
-			r.joins[p.Node] = j
-		} else if k := j.rounds.K(); k != p.Fanin {
-			return nil, fmt.Errorf("monitor: replay port %d: fanin %d, node %q has %d", id, p.Fanin, p.Node, k)
+		join := newLBJoin(k, replayMaxPending)
+		r.joins[n.Name] = join
+		var st *wrapperStats
+		if n.HasCollective {
+			st = new(wrapperStats)
+			if err := st.build(k, replayMaxPending, window, st.fold); err != nil {
+				return nil, err
+			}
+			if err := r.ports.put(n.Collective, replayPort{stats: st, contributor: -1}); err != nil {
+				return nil, err
+			}
+			r.nodes[n.Collective] = st
 		}
-		r.ports.put(id, laPort{join: j, row: r.weighted.row(p.Node), contributor: p.Contributor})
+		row := r.weighted.row(n.Name)
+		for c, id := range n.Contributors {
+			if err := r.ports.put(id, replayPort{join: join, row: row, stats: st, contributor: c}); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return r, nil
 }
 
-// Feed offers one archived tuple to the join. Tuples from collectors
-// outside the port map (collective wrappers, stub collectors) are
+// Feed offers one archived tuple to its node's joins. Tuples from
+// collectors outside the roster (stub collectors, control tuples) are
 // ignored, exactly as the live reduce ignores unknown ECIDs.
 //
-//lint:hotpath the checkpointer's last-arrival fold, once per archived tuple
-func (r *LastArrivalReplay) Feed(t collect.TraceTuple) {
+//lint:hotpath the checkpointer's fold, once per archived tuple
+func (r *Replay) Feed(t collect.TraceTuple) {
 	r.fed++
 	s := r.ports.slot(t.ECID)
 	if !s.used {
 		return
 	}
-	r.matched++
 	p := &s.port
-	if last, done := p.join.add(p.contributor, t); done {
-		p.row.add(last, 1)
+	if p.join != nil {
+		r.contributors++
+		if last, done := p.join.add(p.contributor, t); done {
+			p.row.add(last, 1)
+		}
+	}
+	if p.stats != nil {
+		r.joined++
+		if p.contributor < 0 {
+			p.stats.joiner.AddCollective(t)
+		} else {
+			p.stats.joiner.AddContributor(p.contributor, t)
+		}
 	}
 }
 
 // Weighted returns the reconstructed weighted tree. Compare it (e.g.
 // via viz.WeightedTree) against the live monitor's Weighted() output.
-func (r *LastArrivalReplay) Weighted() *WeightedTree { return r.weighted }
+func (r *Replay) Weighted() *WeightedTree { return r.weighted }
 
 // LoadBalanceResume is the state handoff for a front-end failover: the
 // weighted tree reconstructed from the dead front-end's sealed archive,
@@ -158,7 +207,7 @@ type LoadBalanceResume struct {
 // monitor can be seeded from (NewLoadBalanceFrom). Call it after feeding
 // the sealed archive completely; Lost() must be zero for the handoff to
 // be faithful.
-func (r *LastArrivalReplay) Resume() *LoadBalanceResume {
+func (r *Replay) Resume() *LoadBalanceResume {
 	res := &LoadBalanceResume{Weighted: NewWeightedTree(), Floors: make(map[string]uint32)}
 	for _, node := range r.weighted.Nodes() {
 		for c, n := range r.weighted.Counts(node) {
@@ -173,13 +222,17 @@ func (r *LastArrivalReplay) Resume() *LoadBalanceResume {
 	return res
 }
 
-// Fed returns how many tuples were offered and how many belonged to a
-// known contributor collector.
-func (r *LastArrivalReplay) Fed() (fed, matched uint64) { return r.fed, r.matched }
+// Fed returns how many tuples were offered, how many of them a
+// last-arrival join took (contributor tuples) and how many a statistics
+// join took (contributor and collective tuples of nodes with a
+// collective collector).
+func (r *Replay) Fed() (fed, contributors, joined uint64) {
+	return r.fed, r.contributors, r.joined
+}
 
-// Lost sums rounds evicted from the replay joins — nonzero means the
-// determinism contract with the live run is void for this replay.
-func (r *LastArrivalReplay) Lost() uint64 {
+// Lost sums rounds evicted from the last-arrival joins — nonzero means
+// the determinism contract with the live run is void for this replay.
+func (r *Replay) Lost() uint64 {
 	var n uint64
 	for _, j := range r.joins {
 		n += j.rounds.Lost()
@@ -187,85 +240,9 @@ func (r *LastArrivalReplay) Lost() uint64 {
 	return n
 }
 
-// ReplayStatsPort maps one archived event collector onto the statistics
-// join: which node's round it belongs to and as what.
-type ReplayStatsPort struct {
-	NodeID      uint32 // the node's collective EC id (the stats-record key)
-	Contributor int    // contributor index, or -1 for the collective tuple
-	Fanin       int    // the node's contributor count
-}
-
-// statsPort is a ReplayStatsPort resolved at construction.
-type statsPort struct {
-	node        *wrapperStats
-	contributor int // -1 for the collective tuple
-}
-
-// StatsReplay re-runs statsm's wrapper-statistics computation over
-// archived trace tuples: per-node round joins and the five latency
-// streams (down, up, total, arrival wait, departure wait) in
-// microseconds.
-type StatsReplay struct {
-	ports  *portTable[statsPort]    // ECID -> resolved port
-	nodes  map[uint32]*wrapperStats // keyed by NodeID, for snapshots
-	window int                      // sliding-median window, kept for snapshots
-
-	fed     uint64
-	matched uint64
-}
-
-// NewStatsReplay builds a statistics replay driver from the ECID port
-// map. window is the sliding median window (values < 1 use the
-// analysis default).
-func NewStatsReplay(ports map[uint32]ReplayStatsPort, window int) (*StatsReplay, error) {
-	r := &StatsReplay{
-		ports:  newPortTable[statsPort](len(ports)),
-		nodes:  make(map[uint32]*wrapperStats),
-		window: window,
-	}
-	for id, p := range ports {
-		if p.Fanin < 1 {
-			return nil, fmt.Errorf("monitor: stats replay port %d: fanin %d < 1", id, p.Fanin)
-		}
-		if p.Contributor >= p.Fanin {
-			return nil, fmt.Errorf("monitor: stats replay port %d: contributor %d outside fanin %d", id, p.Contributor, p.Fanin)
-		}
-		st, ok := r.nodes[p.NodeID]
-		if !ok {
-			st = new(wrapperStats)
-			if err := st.build(p.Fanin, replayMaxPending, window, st.fold); err != nil {
-				return nil, err
-			}
-			r.nodes[p.NodeID] = st
-		} else if k := st.joiner.K(); k != p.Fanin {
-			return nil, fmt.Errorf("monitor: stats replay port %d: fanin %d, node %d has %d", id, p.Fanin, p.NodeID, k)
-		}
-		r.ports.put(id, statsPort{node: st, contributor: p.Contributor})
-	}
-	return r, nil
-}
-
-// Feed offers one archived tuple to the statistics join.
-//
-//lint:hotpath the checkpointer's statistics fold, once per archived tuple
-func (r *StatsReplay) Feed(t collect.TraceTuple) {
-	r.fed++
-	s := r.ports.slot(t.ECID)
-	if !s.used {
-		return
-	}
-	r.matched++
-	p := &s.port
-	if p.contributor < 0 {
-		p.node.joiner.AddCollective(t)
-	} else {
-		p.node.joiner.AddContributor(p.contributor, t)
-	}
-}
-
 // Tree materializes the reconstructed analysis tree: the five wrapper
 // statistics per node, as statsm would have published them.
-func (r *StatsReplay) Tree() *AnalysisTree {
+func (r *Replay) Tree() *AnalysisTree {
 	at := NewAnalysisTree()
 	for id, st := range r.nodes {
 		if st.rounds == 0 {
@@ -278,15 +255,11 @@ func (r *StatsReplay) Tree() *AnalysisTree {
 	return at
 }
 
-// RoundsAnalyzed sums completed rounds over all nodes.
-func (r *StatsReplay) RoundsAnalyzed() uint64 {
+// RoundsAnalyzed sums the rounds the statistics joins completed.
+func (r *Replay) RoundsAnalyzed() uint64 {
 	var n uint64
 	for _, st := range r.nodes {
 		n += st.rounds
 	}
 	return n
 }
-
-// Fed returns how many tuples were offered and how many belonged to a
-// known collector.
-func (r *StatsReplay) Fed() (fed, matched uint64) { return r.fed, r.matched }

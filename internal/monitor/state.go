@@ -1,10 +1,10 @@
-// Snapshot/restore for the replay shadows. The recovery checkpointer
-// keeps a LastArrivalReplay and a StatsReplay fed with every tuple the
-// archive persists; checkpointing snapshots them with these types, and
-// recovery restores them and replays only the archive suffix written
-// after the checkpoint. The equivalence contract matches
-// analysis/state.go: a restored shadow fed the remaining tuples ends in
-// exactly the state a full replay of the whole archive produces.
+// Snapshot/restore for the replay shadow. The recovery checkpointer
+// keeps a Replay fed with every tuple the archive persists;
+// checkpointing snapshots it with these types, and recovery restores it
+// and replays only the archive suffix written after the checkpoint. The
+// equivalence contract matches analysis/state.go: a restored shadow fed
+// the remaining tuples ends in exactly the state a full replay of the
+// whole archive produces.
 package monitor
 
 import (
@@ -88,55 +88,16 @@ type NamedLBJoinState struct {
 	Join LBJoinState
 }
 
-// LastArrivalState is a LastArrivalReplay's portable snapshot. The port
-// map is not stored — it derives from the archived collector metadata
-// and must be supplied again at restore; a mismatch fails the restore
-// so recovery falls back to full replay instead of joining wrongly.
+// LastArrivalState is the last-arrival half of a Replay's portable
+// snapshot. The roster is not stored — it derives from the archived
+// collector metadata and must be supplied again at restore; a mismatch
+// fails the restore so recovery falls back to full replay instead of
+// joining wrongly.
 type LastArrivalState struct {
 	Fed      uint64
 	Matched  uint64
 	Weighted []WeightedCount
 	Joins    []NamedLBJoinState // sorted by node name
-}
-
-// State snapshots the replay.
-func (r *LastArrivalReplay) State() LastArrivalState {
-	st := LastArrivalState{Fed: r.fed, Matched: r.matched, Weighted: weightedCounts(r.weighted)}
-	names := make([]string, 0, len(r.joins))
-	for name := range r.joins {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st.Joins = append(st.Joins, NamedLBJoinState{Node: name, Join: r.joins[name].state()})
-	}
-	return st
-}
-
-// NewLastArrivalReplayFrom rebuilds a replay from ports and a snapshot.
-// The snapshot's join set must match the ports' node set exactly.
-func NewLastArrivalReplayFrom(ports map[uint32]ReplayPort, st LastArrivalState) (*LastArrivalReplay, error) {
-	r, err := NewLastArrivalReplay(ports)
-	if err != nil {
-		return nil, err
-	}
-	if len(st.Joins) != len(r.joins) {
-		return nil, fmt.Errorf("monitor: replay state has %d joins, ports define %d nodes", len(st.Joins), len(r.joins))
-	}
-	for _, nj := range st.Joins {
-		j, ok := r.joins[nj.Node]
-		if !ok {
-			return nil, fmt.Errorf("monitor: replay state join %q matches no port node", nj.Node)
-		}
-		if err := j.restore(nj.Join); err != nil {
-			return nil, err
-		}
-	}
-	for _, wc := range st.Weighted {
-		r.weighted.Add(wc.Node, int(wc.Contributor), wc.Count)
-	}
-	r.fed, r.matched = st.Fed, st.Matched
-	return r, nil
 }
 
 // StatsNodeState is one node's statistics-replay state.
@@ -156,7 +117,7 @@ func (ns *StatsNodeState) streams() [wrapperKinds]*analysis.StreamState {
 	return [...]*analysis.StreamState{&ns.Down, &ns.Up, &ns.Total, &ns.ArrWait, &ns.DepWait}
 }
 
-// StatsState is a StatsReplay's portable snapshot.
+// StatsState is the statistics half of a Replay's portable snapshot.
 type StatsState struct {
 	Window  int
 	Fed     uint64
@@ -164,9 +125,18 @@ type StatsState struct {
 	Nodes   []StatsNodeState // sorted by NodeID
 }
 
-// State snapshots the replay.
-func (r *StatsReplay) State() StatsState {
-	st := StatsState{Window: r.window, Fed: r.fed, Matched: r.matched}
+// State snapshots the replay as the pair a checkpoint frame stores.
+func (r *Replay) State() (LastArrivalState, StatsState) {
+	la := LastArrivalState{Fed: r.fed, Matched: r.contributors, Weighted: weightedCounts(r.weighted)}
+	names := make([]string, 0, len(r.joins))
+	for name := range r.joins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		la.Joins = append(la.Joins, NamedLBJoinState{Node: name, Join: r.joins[name].state()})
+	}
+	st := StatsState{Window: r.window, Fed: r.fed, Matched: r.joined}
 	ids := make([]uint32, 0, len(r.nodes))
 	for id := range r.nodes {
 		ids = append(ids, id)
@@ -175,29 +145,46 @@ func (r *StatsReplay) State() StatsState {
 	for _, id := range ids {
 		st.Nodes = append(st.Nodes, r.nodes[id].state(id))
 	}
-	return st
+	return la, st
 }
 
-// NewStatsReplayFrom rebuilds a statistics replay from ports and a
-// snapshot. The snapshot's node set must match the ports' exactly.
-func NewStatsReplayFrom(ports map[uint32]ReplayStatsPort, st StatsState) (*StatsReplay, error) {
-	r, err := NewStatsReplay(ports, st.Window)
-	if err != nil {
-		return nil, err
+// Restore overwrites the replay with a snapshot pair. The pair must be
+// one replay's: both halves fed the same tuples, their node sets exactly
+// the roster's. A failed restore leaves the replay half-overwritten, so
+// the caller drops it.
+func (r *Replay) Restore(la LastArrivalState, stats StatsState) error {
+	if la.Fed != stats.Fed {
+		return fmt.Errorf("monitor: replay state halves were fed %d and %d tuples", la.Fed, stats.Fed)
 	}
-	if len(st.Nodes) != len(r.nodes) {
-		return nil, fmt.Errorf("monitor: stats state has %d nodes, ports define %d", len(st.Nodes), len(r.nodes))
+	if len(la.Joins) != len(r.joins) || len(stats.Nodes) != len(r.nodes) {
+		return fmt.Errorf("monitor: replay state has %d joins and %d statistics nodes, the roster %d and %d",
+			len(la.Joins), len(stats.Nodes), len(r.joins), len(r.nodes))
 	}
-	for i := range st.Nodes {
-		ns := &st.Nodes[i]
+	for _, nj := range la.Joins {
+		j, ok := r.joins[nj.Node]
+		if !ok {
+			return fmt.Errorf("monitor: replay state join %q matches no roster node", nj.Node)
+		}
+		if err := j.restore(nj.Join); err != nil {
+			return err
+		}
+	}
+	for i := range stats.Nodes {
+		ns := &stats.Nodes[i]
 		n, ok := r.nodes[ns.NodeID]
 		if !ok {
-			return nil, fmt.Errorf("monitor: stats state node %d matches no port", ns.NodeID)
+			return fmt.Errorf("monitor: replay state node %d matches no roster collective", ns.NodeID)
 		}
 		if err := n.restore(ns); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	r.fed, r.matched = st.Fed, st.Matched
-	return r, nil
+	for _, row := range r.weighted.nodes {
+		clear(row.counts)
+	}
+	for _, wc := range la.Weighted {
+		r.weighted.Add(wc.Node, int(wc.Contributor), wc.Count)
+	}
+	r.window, r.fed, r.contributors, r.joined = stats.Window, la.Fed, la.Matched, stats.Matched
+	return nil
 }

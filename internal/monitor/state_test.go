@@ -3,7 +3,6 @@ package monitor
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"eventspace/internal/analysis"
@@ -12,30 +11,14 @@ import (
 	"eventspace/internal/paths"
 )
 
-// replayStream fabricates a contributor tuple stream over two 3-fanin
-// nodes, shuffled within a small horizon so rounds interleave and some
-// are always pending mid-stream.
-func replayStream(t *testing.T, rounds int) (map[uint32]ReplayPort, map[uint32]ReplayStatsPort, []collect.TraceTuple) {
+// replayStream fabricates a tuple stream over two 3-fanin nodes with a
+// collective collector each, shuffled within a small horizon so rounds
+// interleave and some are always pending mid-stream.
+func replayStream(t *testing.T, rounds int) ([]ReplayNode, []collect.TraceTuple) {
 	t.Helper()
-	// Node "a": contributor ECIDs 1,2,3 + collective 10.
-	// Node "b": contributor ECIDs 4,5,6 + collective 20.
-	lbPorts := map[uint32]ReplayPort{
-		1: {Node: "a", Contributor: 0, Fanin: 3},
-		2: {Node: "a", Contributor: 1, Fanin: 3},
-		3: {Node: "a", Contributor: 2, Fanin: 3},
-		4: {Node: "b", Contributor: 0, Fanin: 3},
-		5: {Node: "b", Contributor: 1, Fanin: 3},
-		6: {Node: "b", Contributor: 2, Fanin: 3},
-	}
-	statsPorts := map[uint32]ReplayStatsPort{
-		1:  {NodeID: 10, Contributor: 0, Fanin: 3},
-		2:  {NodeID: 10, Contributor: 1, Fanin: 3},
-		3:  {NodeID: 10, Contributor: 2, Fanin: 3},
-		10: {NodeID: 10, Contributor: -1, Fanin: 3},
-		4:  {NodeID: 20, Contributor: 0, Fanin: 3},
-		5:  {NodeID: 20, Contributor: 1, Fanin: 3},
-		6:  {NodeID: 20, Contributor: 2, Fanin: 3},
-		20: {NodeID: 20, Contributor: -1, Fanin: 3},
+	roster := []ReplayNode{
+		{Name: "a", Contributors: []uint32{1, 2, 3}, Collective: 10, HasCollective: true},
+		{Name: "b", Contributors: []uint32{4, 5, 6}, Collective: 20, HasCollective: true},
 	}
 	rng := rand.New(rand.NewSource(3))
 	var tuples []collect.TraceTuple
@@ -60,45 +43,55 @@ func replayStream(t *testing.T, rounds int) (map[uint32]ReplayPort, map[uint32]R
 			tuples[i], tuples[j] = tuples[j], tuples[i]
 		}
 	})
-	return lbPorts, statsPorts, tuples
+	return roster, tuples
+}
+
+func newTestReplay(t *testing.T, roster []ReplayNode, window int, tuples []collect.TraceTuple) *Replay {
+	t.Helper()
+	r, err := NewReplay(roster, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tu := range tuples {
+		r.Feed(tu)
+	}
+	return r
+}
+
+// splitReplay snapshots a replay of tuples[:split], restores the
+// snapshot into a fresh replay over the same roster and feeds it the
+// suffix. It returns that replay and a straight-through one.
+func splitReplay(t *testing.T, roster []ReplayNode, tuples []collect.TraceTuple, split int) (full, tail *Replay) {
+	t.Helper()
+	if split > len(tuples) {
+		t.Fatalf("split %d past the stream's %d tuples", split, len(tuples))
+	}
+	full = newTestReplay(t, roster, 32, tuples)
+	la, stats := newTestReplay(t, roster, 32, tuples[:split]).State()
+	tail = newTestReplay(t, roster, 0, nil)
+	if err := tail.Restore(la, stats); err != nil {
+		t.Fatalf("split %d: %v", split, err)
+	}
+	for _, tu := range tuples[split:] {
+		tail.Feed(tu)
+	}
+	return full, tail
 }
 
 // TestLastArrivalReplaySplitEquivalence is the checkpoint contract for
-// the load-balance shadow: snapshot mid-stream, restore, feed the
-// suffix — the weighted tree, floors, and counters match a
-// straight-through replay exactly.
+// the load-balance half of the shadow: snapshot mid-stream, restore,
+// feed the suffix — the last-arrival state, floors, and counters match
+// a straight-through replay exactly.
 func TestLastArrivalReplaySplitEquivalence(t *testing.T) {
-	ports, _, tuples := replayStream(t, 50)
+	roster, tuples := replayStream(t, 50)
 	for _, split := range []int{0, 13, 101, 250, len(tuples)} {
-		full, err := NewLastArrivalReplay(ports)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tu := range tuples {
-			full.Feed(tu)
-		}
-
-		head, err := NewLastArrivalReplay(ports)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tu := range tuples[:split] {
-			head.Feed(tu)
-		}
-		tail, err := NewLastArrivalReplayFrom(ports, head.State())
-		if err != nil {
-			t.Fatalf("split %d: %v", split, err)
-		}
-		for _, tu := range tuples[split:] {
-			tail.Feed(tu)
-		}
-
-		if !reflect.DeepEqual(tail.State(), full.State()) {
+		full, tail := splitReplay(t, roster, tuples, split)
+		fullLA, _ := full.State()
+		if tailLA, _ := tail.State(); !reflect.DeepEqual(tailLA, fullLA) {
 			t.Fatalf("split %d: restored replay state diverged from straight-through", split)
 		}
-		fullRes, tailRes := full.Resume(), tail.Resume()
-		if !reflect.DeepEqual(tailRes.Floors, fullRes.Floors) {
-			t.Fatalf("split %d: floors %v, want %v", split, tailRes.Floors, fullRes.Floors)
+		if got, want := tail.Resume().Floors, full.Resume().Floors; !reflect.DeepEqual(got, want) {
+			t.Fatalf("split %d: floors %v, want %v", split, got, want)
 		}
 		if tail.Lost() != full.Lost() {
 			t.Fatalf("split %d: lost %d, want %d", split, tail.Lost(), full.Lost())
@@ -107,53 +100,26 @@ func TestLastArrivalReplaySplitEquivalence(t *testing.T) {
 }
 
 // TestStatsReplaySplitEquivalence is the same contract for the
-// statistics shadow: the reconstructed analysis tree and every counter
+// statistics half: the reconstructed analysis tree and every counter
 // match a straight-through replay after any split.
 func TestStatsReplaySplitEquivalence(t *testing.T) {
-	_, ports, tuples := replayStream(t, 50)
+	roster, tuples := replayStream(t, 50)
+	kinds := []int{analysis.KindDown, analysis.KindUp, analysis.KindTotal, analysis.KindArrivalWait, analysis.KindDepartureWait}
 	for _, split := range []int{0, 27, 199, len(tuples)} {
-		full, err := NewStatsReplay(ports, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tu := range tuples {
-			full.Feed(tu)
-		}
-
-		head, err := NewStatsReplay(ports, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tu := range tuples[:split] {
-			head.Feed(tu)
-		}
-		tail, err := NewStatsReplayFrom(ports, head.State())
-		if err != nil {
-			t.Fatalf("split %d: %v", split, err)
-		}
-		for _, tu := range tuples[split:] {
-			tail.Feed(tu)
-		}
-
-		if !reflect.DeepEqual(tail.State(), full.State()) {
+		full, tail := splitReplay(t, roster, tuples, split)
+		_, fullStats := full.State()
+		if _, tailStats := tail.State(); !reflect.DeepEqual(tailStats, fullStats) {
 			t.Fatalf("split %d: restored stats state diverged from straight-through", split)
 		}
 		if tail.RoundsAnalyzed() != full.RoundsAnalyzed() {
 			t.Fatalf("split %d: rounds %d, want %d", split, tail.RoundsAnalyzed(), full.RoundsAnalyzed())
 		}
 		fullTree, tailTree := full.Tree(), tail.Tree()
-		fullIDs, tailIDs := fullTree.IDs(), tailTree.IDs()
-		sort.Slice(fullIDs, func(i, j int) bool { return fullIDs[i] < fullIDs[j] })
-		sort.Slice(tailIDs, func(i, j int) bool { return tailIDs[i] < tailIDs[j] })
-		if !reflect.DeepEqual(tailIDs, fullIDs) {
-			t.Fatalf("split %d: tree ids %v, want %v", split, tailIDs, fullIDs)
-		}
-		kinds := []int{analysis.KindDown, analysis.KindUp, analysis.KindTotal, analysis.KindArrivalWait, analysis.KindDepartureWait}
-		for _, id := range fullIDs {
+		for _, id := range []uint32{10, 20} {
 			for _, kind := range kinds {
 				want, wok := fullTree.Get(id, kind)
 				got, gok := tailTree.Get(id, kind)
-				if gok != wok || got != want {
+				if !wok || gok != wok || got != want {
 					t.Fatalf("split %d: node %d %s = %+v, want %+v", split, id, analysis.KindName(kind), got, want)
 				}
 			}
@@ -161,43 +127,35 @@ func TestStatsReplaySplitEquivalence(t *testing.T) {
 	}
 }
 
-// TestStateRestoreRejectsMismatchedPorts verifies a snapshot cannot be
-// applied against a different node roster — the fallback-to-full-replay
-// trigger in the recovery ladder.
+// TestStateRestoreRejectsMismatchedPorts verifies a snapshot no replay
+// over the restoring roster could have taken is refused — the
+// fallback-to-full-replay trigger in the recovery ladder.
 func TestStateRestoreRejectsMismatchedPorts(t *testing.T) {
-	ports, statsPorts, tuples := replayStream(t, 10)
-	rep, err := NewLastArrivalReplay(ports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tu := range tuples {
-		rep.Feed(tu)
-	}
-	st := rep.State()
-
-	other := map[uint32]ReplayPort{
-		1: {Node: "c", Contributor: 0, Fanin: 2},
-		2: {Node: "c", Contributor: 1, Fanin: 2},
-	}
-	if _, err := NewLastArrivalReplayFrom(other, st); err == nil {
-		t.Fatal("mismatched port roster accepted")
-	}
-
-	srep, err := NewStatsReplay(statsPorts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tu := range tuples {
-		srep.Feed(tu)
-	}
-	sst := srep.State()
-	otherStats := map[uint32]ReplayStatsPort{
-		1: {NodeID: 30, Contributor: 0, Fanin: 3},
-		2: {NodeID: 30, Contributor: 1, Fanin: 3},
-		3: {NodeID: 30, Contributor: 2, Fanin: 3},
-	}
-	if _, err := NewStatsReplayFrom(otherStats, sst); err == nil {
-		t.Fatal("mismatched stats roster accepted")
+	roster, tuples := replayStream(t, 10)
+	for _, tc := range []struct {
+		name   string
+		roster []ReplayNode // the restoring replay's; nil: the stream's
+		edit   func(*LastArrivalState, *StatsState)
+	}{
+		{name: "other nodes", roster: []ReplayNode{{Name: "c", Contributors: []uint32{1, 2}}}},
+		{name: "no collectives", roster: []ReplayNode{
+			{Name: "a", Contributors: []uint32{1, 2, 3}}, {Name: "b", Contributors: []uint32{4, 5, 6}}}},
+		{name: "other collective", roster: []ReplayNode{roster[0],
+			{Name: "b", Contributors: []uint32{4, 5, 6}, Collective: 30, HasCollective: true}}},
+		{name: "halves fed apart", edit: func(la *LastArrivalState, _ *StatsState) { la.Fed++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			la, stats := newTestReplay(t, roster, 32, tuples).State()
+			if tc.edit != nil {
+				tc.edit(&la, &stats)
+			}
+			if tc.roster == nil {
+				tc.roster = roster
+			}
+			if err := newTestReplay(t, tc.roster, 0, nil).Restore(la, stats); err == nil {
+				t.Fatal("mismatched snapshot accepted")
+			}
+		})
 	}
 }
 
@@ -259,18 +217,13 @@ func TestLBJoinRefusesWhatASlotCannotHold(t *testing.T) {
 		t.Fatalf("undamaged snapshot refused: %v", err)
 	}
 
-	// Ports of one node must agree on its fan-in: the join is sized once.
-	if _, err := NewLastArrivalReplay(map[uint32]ReplayPort{
-		1: {Node: "a", Contributor: 0, Fanin: 2},
-		2: {Node: "a", Contributor: 2, Fanin: 3},
-	}); err == nil {
-		t.Error("ports disagreeing on a node's fan-in accepted")
-	}
-	if _, err := NewStatsReplay(map[uint32]ReplayStatsPort{
-		1: {NodeID: 9, Contributor: 0, Fanin: 2},
-		2: {NodeID: 9, Contributor: 2, Fanin: 3},
+	// A node's join is sized once, by its contributor count: a roster
+	// naming one node twice, which could give it two, is refused.
+	if _, err := NewReplay([]ReplayNode{
+		{Name: "a", Contributors: []uint32{1, 2}},
+		{Name: "a", Contributors: []uint32{3, 4, 5}},
 	}, 0); err == nil {
-		t.Error("stats ports disagreeing on a node's fan-in accepted")
+		t.Error("roster naming a node twice accepted")
 	}
 }
 

@@ -98,7 +98,7 @@ type statsLink struct {
 }
 
 // NewStatsmFrom builds a statistics monitor whose published analysis
-// tree starts from an archive-replayed snapshot (StatsReplay.Tree)
+// tree starts from an archive-replayed snapshot (Replay.Tree)
 // instead of empty — the front-end failover path. The seeded records
 // stand until the replacement's own analysis threads publish fresher
 // ones for the same node/kind, so a reader never observes the

@@ -15,7 +15,7 @@ const wrapperKinds = analysis.KindDepartureWait - analysis.KindDown + 1
 // sequence number, folded into five latency streams — down, up, total,
 // arrival wait, departure wait — in microseconds. The live monitor
 // (statsNode: trace-buffer cursors in, result records out) and the
-// archive replay (StatsReplay: archived tuples in, analysis tree out)
+// archive replay (Replay: archived tuples in, analysis tree out)
 // are this one operator behind different feeds.
 type wrapperStats struct {
 	joiner  *analysis.Joiner

@@ -7,7 +7,7 @@
 // (monitor.NewLoadBalanceFrom / monitor.NewStatsmFrom).
 //
 // There is one recovery routine, the checkpoint ladder: walk the sidecar
-// checkpoint chain newest-first, restore the monitor shadows (and the
+// checkpoint chain newest-first, restore the monitor shadow (and the
 // continuous-query engine) from the first rung that validates, and
 // replay only the archive suffix after that checkpoint's cursor —
 // O(suffix) recovery. Every failure on a rung (torn frame, CRC
@@ -47,11 +47,12 @@ type FailoverState struct {
 	// Resume seeds a replacement load-balance monitor: the weighted tree
 	// as of the seal, plus per-node join floors.
 	Resume *monitor.LoadBalanceResume
-	// Stats seeds a replacement statistics monitor (StatsReplay.Tree).
+	// Stats seeds a replacement statistics monitor (Replay.Tree).
 	Stats *monitor.AnalysisTree
 	// RoundsRecovered is the number of last-arrival verdicts rebuilt.
 	RoundsRecovered uint64
-	// TuplesFed / TuplesMatched account the replay's input.
+	// TuplesFed / TuplesMatched account the replay's input: every tuple
+	// offered, and the contributor tuples the last-arrival joins took.
 	TuplesFed     uint64
 	TuplesMatched uint64
 
@@ -168,39 +169,22 @@ func recoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 	return st, nil
 }
 
-// replay is the one ladder rung: last-arrival join, statistics tree and
-// (when statements are supplied) query engine start from cp's snapshot,
+// replay is the one ladder rung: the monitors' replay and (when
+// statements are supplied) the query engine start from cp's snapshot,
 // or from nothing when cp is nil, and are all fed from a single scan of
 // what the archive holds after that point — the suffix behind
 // cp.Cursor, or everything. Any mismatch — roster drift, cursor
 // invalidated by retention, torn data before the cursor, evicted rounds
 // — errors, and the caller falls back a rung.
 func replay(r *archive.Reader, infos []archive.CollectorInfo, cp *checkpoint.Checkpoint, stmts []*query.Stmt) (*FailoverState, error) {
-	laPorts, err := archive.LastArrivalPorts(infos)
+	rep, err := archive.NewReplay(infos, 0)
 	if err != nil {
 		return nil, err
 	}
-	stPorts, err := archive.StatsPorts(infos)
-	if err != nil {
-		return nil, err
-	}
-	var rep *monitor.LastArrivalReplay
-	if cp == nil {
-		rep, err = monitor.NewLastArrivalReplay(laPorts)
-	} else {
-		rep, err = monitor.NewLastArrivalReplayFrom(laPorts, cp.LA)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var sr *monitor.StatsReplay
-	if cp == nil {
-		sr, err = monitor.NewStatsReplay(stPorts, 0)
-	} else {
-		sr, err = monitor.NewStatsReplayFrom(stPorts, cp.Stats)
-	}
-	if err != nil {
-		return nil, err
+	if cp != nil {
+		if err := rep.Restore(cp.LA, cp.Stats); err != nil {
+			return nil, err
+		}
 	}
 	var eng *query.Engine
 	if len(stmts) > 0 {
@@ -234,7 +218,6 @@ func replay(r *archive.Reader, infos []archive.CollectorInfo, cp *checkpoint.Che
 	scan, err := r.ScanBatches(cur, archive.Query{}, archive.AllColumns, func(batch []collect.TraceTuple) bool {
 		for _, t := range batch {
 			rep.Feed(t)
-			sr.Feed(t)
 		}
 		if eng != nil {
 			offerErr = eng.Offer(batch)
@@ -250,10 +233,10 @@ func replay(r *archive.Reader, infos []archive.CollectorInfo, cp *checkpoint.Che
 	if lost := rep.Lost(); lost > 0 {
 		return nil, fmt.Errorf("reconfig: recover: replay evicted %d rounds; the handoff would not be faithful", lost)
 	}
-	fed, matched := rep.Fed()
+	fed, matched, _ := rep.Fed()
 	st := &FailoverState{
 		Resume:          rep.Resume(),
-		Stats:           sr.Tree(),
+		Stats:           rep.Tree(),
 		RoundsRecovered: rep.Weighted().Total(),
 		TuplesFed:       fed,
 		TuplesMatched:   matched,

@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -145,42 +146,38 @@ func buildCheckpointedArchive(t *testing.T, dir string, rounds int, every uint64
 // reference replays dir through the plain archive joins — the ground
 // truth every recovery rung must hand off — and returns the archive's
 // segment byte total alongside.
-func reference(t *testing.T, dir string) (*monitor.LastArrivalReplay, *monitor.StatsReplay, uint64) {
+func reference(t *testing.T, dir string) (*monitor.Replay, uint64) {
 	t.Helper()
 	r, err := archive.OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	infos := failoverInfos()
-	la, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
+	rep, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if la.Lost() != 0 {
-		t.Fatalf("reference replay lost %d rounds", la.Lost())
-	}
-	sr, _, err := archive.ReplayStats(r, infos, archive.Query{}, 0)
-	if err != nil {
-		t.Fatal(err)
+	if rep.Lost() != 0 {
+		t.Fatalf("reference replay lost %d rounds", rep.Lost())
 	}
 	var total uint64
 	for _, s := range r.Segments() {
 		total += uint64(s.Bytes)
 	}
-	return la, sr, total
+	return rep, total
 }
 
 // matchesReference checks a handoff against the reference joins.
-func matchesReference(t *testing.T, st *FailoverState, la *monitor.LastArrivalReplay, sr *monitor.StatsReplay) {
+func matchesReference(t *testing.T, st *FailoverState, rep *monitor.Replay) {
 	t.Helper()
-	if want := la.Weighted().Total(); st.RoundsRecovered != want || want == 0 {
+	if want := rep.Weighted().Total(); st.RoundsRecovered != want || want == 0 {
 		t.Fatalf("rounds recovered %d, want %d", st.RoundsRecovered, want)
 	}
-	weightedEqual(t, st.Resume.Weighted, la.Weighted())
-	if want := la.Resume().Floors; !reflect.DeepEqual(st.Resume.Floors, want) {
+	weightedEqual(t, st.Resume.Weighted, rep.Weighted())
+	if want := rep.Resume().Floors; !reflect.DeepEqual(st.Resume.Floors, want) {
 		t.Fatalf("floors diverged: %v vs %v", st.Resume.Floors, want)
 	}
-	statsEqual(t, st.Stats, sr.Tree())
+	statsEqual(t, st.Stats, rep.Tree())
 }
 
 func weightedEqual(t *testing.T, got, want *monitor.WeightedTree) {
@@ -229,7 +226,7 @@ func TestRecoverFrontEndMatchesRebuild(t *testing.T) {
 	t.Run("columnar", func(t *testing.T) {
 		dir := t.TempDir()
 		buildCheckpointedArchive(t, dir, 3200, 512, false)
-		la, sr, total := reference(t, dir)
+		want, total := reference(t, dir)
 		rc, err := RecoverFrontEnd(dir, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +247,7 @@ func TestRecoverFrontEndMatchesRebuild(t *testing.T) {
 		if !rc.Resume.ReRead {
 			t.Fatal("crash recovery handoff must re-read the retained windows")
 		}
-		matchesReference(t, rc, la, sr)
+		matchesReference(t, rc, want)
 
 		rb, err := RebuildFrontEnd(dir, nil)
 		if err != nil {
@@ -262,7 +259,7 @@ func TestRecoverFrontEndMatchesRebuild(t *testing.T) {
 		if rb.CheckpointSeq != rc.CheckpointSeq || rb.BytesReplayed != rc.BytesReplayed {
 			t.Fatalf("rebuild took another route than recovery: %+v vs %+v", rb, rc)
 		}
-		matchesReference(t, rb, la, sr)
+		matchesReference(t, rb, want)
 	})
 }
 
@@ -275,7 +272,7 @@ func TestRecoverFrontEndMatchesRebuild(t *testing.T) {
 func TestRecoverFrontEndEngineResumesMidStreak(t *testing.T) {
 	dir := t.TempDir()
 	buildCheckpointedArchive(t, dir, 60, 64, true)
-	la, sr, total := reference(t, dir)
+	want, total := reference(t, dir)
 	stmts := failoverStmts(t)
 	rc, err := RecoverFrontEnd(dir, nil, stmts)
 	if err != nil {
@@ -287,7 +284,7 @@ func TestRecoverFrontEndEngineResumesMidStreak(t *testing.T) {
 	if rc.Engine == nil {
 		t.Fatal("no engine state recovered")
 	}
-	matchesReference(t, rc, la, sr)
+	matchesReference(t, rc, want)
 	// Destroy the chain: the same recovery must now take the chain-less
 	// rung and still produce the identical engine state.
 	entries, err := checkpoint.List(dir)
@@ -313,7 +310,7 @@ func TestRecoverFrontEndEngineResumesMidStreak(t *testing.T) {
 	if !reflect.DeepEqual(*rc.Engine, *full.Engine) {
 		t.Fatalf("recovered engine state diverged from the chain-less rung:\n got %+v\nwant %+v", *rc.Engine, *full.Engine)
 	}
-	matchesReference(t, full, la, sr)
+	matchesReference(t, full, want)
 	if full.BytesReplayed != total {
 		t.Fatalf("chain-less rung replayed %d bytes, the archive holds %d", full.BytesReplayed, total)
 	}
@@ -334,7 +331,7 @@ func TestRecoverFrontEndEngineResumesMidStreak(t *testing.T) {
 func TestRecoverFrontEndFallbackLadder(t *testing.T) {
 	dir := t.TempDir()
 	buildCheckpointedArchive(t, dir, 60, 64, false)
-	la, sr, _ := reference(t, dir)
+	want, _ := reference(t, dir)
 	entries, err := checkpoint.List(dir)
 	if err != nil || len(entries) != 3 {
 		t.Fatalf("chain: %v %v", entries, err)
@@ -354,7 +351,7 @@ func TestRecoverFrontEndFallbackLadder(t *testing.T) {
 	if !rc.Checkpointed || rc.Fallbacks != 1 || rc.CheckpointSeq != entries[1].Seq {
 		t.Fatalf("expected fallback to seq %d, got %+v", entries[1].Seq, rc)
 	}
-	matchesReference(t, rc, la, sr)
+	matchesReference(t, rc, want)
 
 	// Tear the whole chain: the ladder bottoms out at the chain-less rung.
 	for _, e := range entries[:2] {
@@ -376,7 +373,7 @@ func TestRecoverFrontEndFallbackLadder(t *testing.T) {
 	if rc.ChainEntries != 3 {
 		t.Fatalf("chain entries %d, want 3 (torn frames still on disk)", rc.ChainEntries)
 	}
-	matchesReference(t, rc, la, sr)
+	matchesReference(t, rc, want)
 }
 
 // TestFailoverSurfacesRepairContext is the regression test for the
@@ -446,9 +443,66 @@ func TestFailoverSurfacesRepairContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	la, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
+	rep, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	weightedEqual(t, st.Resume.Weighted, la.Weighted())
+	weightedEqual(t, st.Resume.Weighted, rep.Weighted())
+}
+
+// TestBadMetaRefused hand-writes sidecars no live tree could have
+// written and requires every replay entry point to refuse them rather
+// than misread the archive: a contributor with a negative index (which
+// the statistics join once took for the node's collective), an ECID
+// listed twice (whose fan-in count then waited for a contributor that
+// never arrives), two contributors of one node at one index, an index
+// that leaves a gap below the fan-in, and a node with two collectives.
+func TestBadMetaRefused(t *testing.T) {
+	line := func(id uint32, role collect.Role, contributor int, node string) string {
+		return fmt.Sprintf("%d\t%d\t%d\t%q\t%q\t%q\n", id, uint8(role), contributor, "T", node, fmt.Sprint("ec", id))
+	}
+	// Node "a" as failoverInfos lists it, plus one bad line.
+	good := line(10, collect.RoleCollective, -1, "a") + line(1, collect.RoleContributor, 0, "a") +
+		line(2, collect.RoleContributor, 1, "a") + line(3, collect.RoleContributor, 2, "a")
+	for name, bad := range map[string]string{
+		"negative index":  line(4, collect.RoleContributor, -1, "a"),
+		"ECID twice":      line(3, collect.RoleContributor, 3, "a"),
+		"index taken":     line(4, collect.RoleContributor, 2, "a"),
+		"index gap":       line(4, collect.RoleContributor, 4, "a"),
+		"two collectives": line(20, collect.RoleCollective, -1, "a"),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := archive.Create(archive.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(failoverStream(5)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, meta := range []string{good, good + bad} {
+				if err := os.WriteFile(filepath.Join(dir, archive.MetaFileName), []byte(meta), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				infos, err := archive.ReadMeta(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := archive.OpenReader(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _, laErr := archive.ReplayLastArrival(r, infos, archive.Query{})
+				_, _, statsErr := archive.ReplayStats(r, infos, archive.Query{}, 0)
+				r.Close()
+				_, recErr := RecoverFrontEnd(dir, nil, nil)
+				if refuse := meta != good; (laErr != nil) != refuse || (statsErr != nil) != refuse || (recErr != nil) != refuse {
+					t.Fatalf("bad line %v: ReplayLastArrival %v, ReplayStats %v, RecoverFrontEnd %v", refuse, laErr, statsErr, recErr)
+				}
+			}
+		})
+	}
 }
