@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"eventspace/internal/archive"
 	"eventspace/internal/viz"
 )
 
@@ -35,7 +36,7 @@ func chaosDelay(thread, iteration int) time.Duration {
 	return time.Duration((iteration*3+thread)%8) * 400 * time.Microsecond
 }
 
-func chaosRun(t *testing.T, cps *CrashPoints) (out string) {
+func chaosRun(t *testing.T, cps *archive.CrashPoints) (out string) {
 	t.Helper()
 	dir1, dir2 := t.TempDir(), t.TempDir()
 	var vizOut bytes.Buffer
@@ -205,13 +206,13 @@ func TestCrashMatrixRecoversByteIdentical(t *testing.T) {
 	}
 	control := chaosControl(t)
 	sites := []struct {
-		site  CrashSite
+		site  archive.CrashSite
 		count int
 	}{
-		{CrashBlockFlush, 3},
-		{CrashSeal, 1},
-		{CrashRotate, 1},
-		{CrashCheckpoint, 2},
+		{archive.CrashBlockFlush, 3},
+		{archive.CrashSeal, 1},
+		{archive.CrashRotate, 1},
+		{archive.CrashCheckpoint, 2},
 	}
 	for _, sc := range sites {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -219,7 +220,7 @@ func TestCrashMatrixRecoversByteIdentical(t *testing.T) {
 			sc := sc
 			seed := seed
 			t.Run(name, func(t *testing.T) {
-				cps := &CrashPoints{Seed: seed, Specs: []CrashSpec{{Site: sc.site, Count: sc.count}}}
+				cps := &archive.CrashPoints{Seed: seed, Specs: []archive.CrashSpec{{Site: sc.site, Count: sc.count}}}
 				got := chaosRun(t, cps)
 				if got != control {
 					t.Fatalf("recovered run diverged from uncrashed control\n--- control ---\n%s--- recovered ---\n%s",

@@ -32,6 +32,12 @@ func TestExitStatus(t *testing.T) {
 		{"missing query", []string{"query", "-dir", dir}, 2, "-q is required"},
 		{"bad esql", []string{"query", "-dir", dir, "-q", "select bogus("}, 2, "esql"},
 		{"missing archive", []string{"info", "-dir", dir + "/nope"}, 1, ""},
+		{"alerts with a filter", []string{"replay", "-dir", dir, "-monitor", "alerts", "-alerts", "alert when count() > 0", "-since", "1us"}, 2, "-since"},
+		{"alerts with window", []string{"replay", "-dir", dir, "-monitor", "alerts", "-alerts", "alert when count() > 0", "-window", "8"}, 2, "-window"},
+		{"loadbalance with window", []string{"replay", "-dir", dir, "-window", "8"}, 2, "-window"},
+		{"loadbalance with alerts", []string{"replay", "-dir", dir, "-alerts", "alert when count() > 0"}, 2, "-alerts"},
+		{"stats with alerts", []string{"replay", "-dir", dir, "-monitor", "stats", "-alerts", "alert when count() > 0"}, 2, "-alerts"},
+		{"ok stats with window", []string{"replay", "-dir", dir, "-monitor", "stats", "-window", "8"}, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,6 +23,13 @@
 // against the archived alert tuples; watch tails a live archive
 // directory, evaluating standing alert statements as segments grow.
 //
+// replay refuses a flag its -monitor mode would ignore: -window belongs
+// to stats, -alerts to alerts, and alerts takes no filter flag (the
+// engine needs the whole stream to regenerate faithfully). loadbalance
+// and stats share one roster walk, with two deliberate rules: it refuses
+// a node that has only a collective (no contributors to rank), and over
+// metadata with no collective at all stats prints an empty tree.
+//
 // Select predicates are pushed down into the archive's header-index and
 // columnar block-skip paths, so selective queries touch only the
 // segments they must.
@@ -398,11 +405,24 @@ func parseAlertList(src string) ([]*query.Stmt, error) {
 func runReplay(args []string) error {
 	fs := newFlagSet("esquery replay")
 	qf := addQueryFlags(fs)
-	mon := fs.String("monitor", "loadbalance", "what to replay: loadbalance, stats, or alerts")
-	window := fs.Int("window", 0, "sliding median window for stats replay (0: default)")
+	mon := fs.String("monitor", "loadbalance", "what to replay: loadbalance, stats (an empty tree when no node has a collective), or alerts; loadbalance and stats refuse a node with only a collective")
+	window := fs.Int("window", 0, "sliding median window for -monitor stats (0: default)")
 	alertsSrc := fs.String("alerts", "", "standing alert statements for -monitor alerts, ';'-separated")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	// The flags each mode would drop without a word.
+	ignored := map[string][]string{
+		"loadbalance": {"window", "alerts"},
+		"stats":       {"alerts"},
+		"alerts":      {"ecids", "ops", "min", "max", "since", "until", "window"},
+	}[*mon]
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range ignored {
+		if set[name] {
+			return usagef("-%s does not apply to -monitor %s", name, *mon)
+		}
 	}
 	pred, err := qf.predicate()
 	if err != nil {
@@ -462,8 +482,7 @@ func runReplay(args []string) error {
 			expected = len(infos)
 		}
 		// Regenerate from the data tuples, then verify against the alert
-		// tuples the live engine archived. The filter flags do not apply
-		// here: the engine needs the whole stream to be faithful.
+		// tuples the live engine archived.
 		regen, err := query.Replay(r, stmts, expected)
 		if err != nil {
 			return err

@@ -85,9 +85,9 @@ func main() {
 		fmt.Println("\n== statsm analysis tree ==")
 		viz.AnalysisTree(os.Stdout, sm.Tree(), tree)
 		fmt.Println("\n== gather accounting ==")
-		viz.GatherReport(os.Stdout, "load-balance scope", lb.GatherRate(), 0)
-		viz.GatherReport(os.Stdout, "statsm wrapper scope", sm.WrapperGatherRate(), 0)
-		viz.GatherReport(os.Stdout, "statsm thread scope", sm.ThreadGatherRate(), 0)
+		viz.GatherReport(os.Stdout, "load-balance scope", lb.GatherRate())
+		viz.GatherReport(os.Stdout, "statsm wrapper scope", sm.WrapperGatherRate())
+		viz.GatherReport(os.Stdout, "statsm thread scope", sm.ThreadGatherRate())
 		fmt.Println("\n== self-metrics ==")
 		viz.SelfMetrics(os.Stdout, reg.Snapshot())
 		return nil

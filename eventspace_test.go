@@ -6,43 +6,31 @@ import (
 	"testing"
 	"time"
 
+	"eventspace/internal/archive"
 	"eventspace/internal/collect"
+	"eventspace/internal/monitor"
+	"eventspace/internal/query"
 	"eventspace/internal/viz"
+	"eventspace/internal/vnet"
 )
 
-// TestFacadeQuickstart runs the doc-comment quick start end to end.
-func TestFacadeQuickstart(t *testing.T) {
-	err := RunVirtual(func() error {
-		sys, err := New(SingleTin(8), CoschedAfterUnblock)
-		if err != nil {
-			return err
-		}
-		defer sys.Close()
-		tree, err := sys.BuildTree(TreeSpec{
-			Name: "T", Fanout: 8, ThreadsPerHost: 1, Instrument: true, TraceBufCap: 256,
-		})
-		if err != nil {
-			return err
-		}
-		cfg := DefaultMonitorConfig()
-		cfg.PullInterval = 300 * time.Microsecond
-		cfg.AnalysisInterval = 300 * time.Microsecond
-		lb, err := sys.AttachLoadBalance(tree, Distributed, cfg)
-		if err != nil {
-			return err
-		}
-		if _, err := sys.RunWorkload(Workload{Trees: []*Tree{tree}, Iterations: 100}); err != nil {
-			return err
-		}
-		if lb.TraceReadRate() <= 0 {
-			t.Error("monitor read nothing")
-		}
-		sys.Close()
-		return nil
-	})
+// replayArchive replays a recorded archive through the load-balance
+// join and statsm's wrapper statistics, as esquery replay does.
+func replayArchive(t *testing.T, dir string) *monitor.Replay {
+	t.Helper()
+	r, err := archive.OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	infos, err := archive.ReadMeta(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err := archive.ReplayStats(r, infos, archive.Query{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 // TestArchiveReplayMatchesLiveLoadBalance is the determinism contract of
@@ -116,18 +104,7 @@ func testArchiveReplayMatchesLiveLoadBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenArchive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	infos, err := ReadArchiveMeta(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReplayArchive(r, infos, ArchiveQuery{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := replayArchive(t, dir)
 	if lost := rep.Lost(); lost != 0 {
 		t.Fatalf("replay evicted %d incomplete rounds", lost)
 	}
@@ -256,23 +233,12 @@ func TestFrontEndFailoverResumesByteIdentical(t *testing.T) {
 
 	// Offline: the sealed and resumed archives, fed in sequence into one
 	// replay, must reproduce the failover run's live weighted tree.
-	r1, err := OpenArchive(dir1)
+	rep := replayArchive(t, dir1)
+	r2, err := archive.OpenReader(dir2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos, err := ReadArchiveMeta(dir1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReplayArchive(r1, infos, ArchiveQuery{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := OpenArchive(dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r2.Scan(ArchiveQuery{}, func(tu collect.TraceTuple) bool {
+	if _, err := r2.Scan(archive.Query{}, func(tu collect.TraceTuple) bool {
 		rep.Feed(tu)
 		return true
 	}); err != nil {
@@ -384,11 +350,11 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenArchive(dir)
+	r, err := archive.OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayModes(r, scopeName, ArchiveQuery{})
+	rep, _, err := archive.ReplayModes(r, scopeName, archive.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,14 +375,7 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 			liveModes.String(), repModes.String())
 	}
 	// The interleaved control tuples must not perturb the data replay.
-	infos, err := ReadArchiveMeta(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	larep, err := ReplayArchive(r, infos, ArchiveQuery{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	larep := replayArchive(t, dir)
 	if lost := larep.Lost(); lost != 0 {
 		t.Fatalf("data replay evicted %d rounds", lost)
 	}
@@ -435,7 +394,7 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 
 func TestFacadeTopologies(t *testing.T) {
 	for _, spec := range []TestbedSpec{
-		SingleTin(4), LANMulti(3, 3), LANMultiFour(3, 2, 2), WANMulti(2, 2, 1, 0),
+		SingleTin(4), LANMulti(3, 3), WANMulti(2, 2, 1, 0),
 	} {
 		if len(spec.Clusters) == 0 {
 			t.Fatal("empty topology")
@@ -476,7 +435,7 @@ func testContinuousQueryAlertFiresAndReplays(t *testing.T) {
 		"alert when p99(latency) > 1ms by ecid window 1ms",
 		"alert when count() > 0 window 1ms for 2 rounds",
 	}
-	var live []AlertTuple
+	var live []collect.AlertTuple
 	err := RunVirtual(func() error {
 		sys, err := New(SingleTin(8), CoschedAfterUnblock)
 		if err != nil {
@@ -492,7 +451,7 @@ func testContinuousQueryAlertFiresAndReplays(t *testing.T) {
 		// Latency chaos: a third of all message legs take an extra 2ms.
 		sys.Testbed().Net.InjectFaults(FaultPlan{
 			Seed:  11,
-			Rules: []FaultRule{{SpikeProb: 0.3, SpikeDelay: 2 * time.Millisecond}},
+			Rules: []vnet.FaultRule{{SpikeProb: 0.3, SpikeDelay: 2 * time.Millisecond}},
 		})
 		rec, err := sys.AttachArchive(tree, 200*time.Microsecond, ArchiveOptions{
 			Dir: dir, SegmentBytes: 4096,
@@ -518,24 +477,24 @@ func testContinuousQueryAlertFiresAndReplays(t *testing.T) {
 		t.Fatal("no alerts fired during the chaos run")
 	}
 
-	r, err := OpenArchive(dir)
+	r, err := archive.OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	archived, err := ReplayAlerts(r, ArchiveQuery{})
+	archived, _, err := archive.ReplayAlerts(r, archive.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(archived, live) {
 		t.Fatalf("archived alert tuples differ from live:\narchived %v\nlive     %v", archived, live)
 	}
-	stmts := make([]*QueryStmt, len(sources))
+	stmts := make([]*query.Stmt, len(sources))
 	for i, src := range sources {
-		if stmts[i], err = ParseQuery(src); err != nil {
+		if stmts[i], err = query.Parse(src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	regen, err := RegenerateAlerts(r, stmts, 0)
+	regen, err := query.Replay(r, stmts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,9 +177,9 @@ func TestFigure3Monitors(t *testing.T) {
 			return err
 		}
 		root := tree.Nodes[0]
-		for _, lb := range []*monitor.LoadBalance{single, dist} {
-			if got := lb.Weighted().Count(root.Name, 0); got < rounds/2 {
-				t.Errorf("%v monitor: straggler count %d of %d", lb.Mode(), got, rounds)
+		for mode, lb := range map[monitor.LoadBalanceMode]*monitor.LoadBalance{monitor.SingleScope: single, monitor.Distributed: dist} {
+			if got := lb.Weighted().Counts(root.Name)[0]; got < rounds/2 {
+				t.Errorf("%v monitor: straggler count %d of %d", mode, got, rounds)
 			}
 		}
 		return nil

@@ -18,14 +18,14 @@ func TestStreamBasicStats(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.Count() != 8 {
-		t.Fatalf("Count = %d", s.Count())
+	if s.n != 8 {
+		t.Fatalf("Count = %d", s.n)
 	}
-	if got := s.Mean(); math.Abs(got-5) > 1e-9 {
+	if got := s.mean; math.Abs(got-5) > 1e-9 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
+	if s.min != 2 || s.max != 9 {
+		t.Fatalf("Min/Max = %v/%v", s.min, s.max)
 	}
 	// Sample std of this classic set is sqrt(32/7).
 	if got := s.Std(); math.Abs(got-math.Sqrt(32.0/7)) > 1e-9 {
@@ -38,11 +38,11 @@ func TestStreamBasicStats(t *testing.T) {
 
 func TestStreamEmptyAndSingle(t *testing.T) {
 	s := NewStream(10)
-	if s.Mean() != 0 || s.Std() != 0 || s.Median() != 0 || s.Count() != 0 {
+	if s.mean != 0 || s.Std() != 0 || s.Median() != 0 || s.n != 0 {
 		t.Fatal("empty stream stats nonzero")
 	}
 	s.Add(-3)
-	if s.Mean() != -3 || s.Min() != -3 || s.Max() != -3 || s.Std() != 0 || s.Median() != -3 {
+	if s.mean != -3 || s.min != -3 || s.max != -3 || s.Std() != 0 || s.Median() != -3 {
 		t.Fatalf("single-sample stats: %+v", s.Snapshot())
 	}
 }
@@ -64,8 +64,8 @@ func TestStreamSlidingWindowMedian(t *testing.T) {
 	}
 	// Mean is over all samples, not the window.
 	want := (100*3 + 1 + 2 + 3) / 6.0
-	if math.Abs(s.Mean()-want) > 1e-9 {
-		t.Fatalf("Mean = %v, want %v", s.Mean(), want)
+	if math.Abs(s.mean-want) > 1e-9 {
+		t.Fatalf("Mean = %v, want %v", s.mean, want)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestQuickStreamMatchesReference(t *testing.T) {
 			}
 		}
 		mean := sum / float64(len(all))
-		if math.Abs(s.Mean()-mean) > 1e-6*(1+math.Abs(mean)) || s.Min() != mn || s.Max() != mx {
+		if math.Abs(s.mean-mean) > 1e-6*(1+math.Abs(mean)) || s.min != mn || s.max != mx {
 			return false
 		}
 		// Reference windowed median.
@@ -163,10 +163,7 @@ func TestAnalyzeRoundMetrics(t *testing.T) {
 	// Three contributors: arrivals at 10, 30, 20; collective runs 35..40;
 	// departures at 50, 44, 47.
 	j, r := mkRound(t, 3, 35, 40, []int64{10, 30, 20}, []int64{50, 44, 47})
-	m, err := j.AnalyzeRound(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := j.analyze(r)
 	if m.LastArrival != 1 {
 		t.Fatalf("LastArrival = %d", m.LastArrival)
 	}
@@ -198,22 +195,9 @@ func TestAnalyzeRoundMetrics(t *testing.T) {
 	}
 }
 
-func TestAnalyzeRoundIncomplete(t *testing.T) {
-	j, err := NewJoiner(2, 1, func(RoundMetrics) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.AnalyzeRound(j.rounds.Open(1)); err == nil {
-		t.Fatal("incomplete round analyzed")
-	}
-}
-
 func TestAnalyzeRoundTieBreaksDeterministic(t *testing.T) {
 	j, r := mkRound(t, 3, 10, 20, []int64{5, 5, 5}, []int64{25, 25, 25})
-	m, err := j.AnalyzeRound(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := j.analyze(r)
 	if m.LastArrival != 2 || m.FirstDepart != 0 {
 		t.Fatalf("tie break: last=%d first=%d", m.LastArrival, m.FirstDepart)
 	}
@@ -233,8 +217,8 @@ func TestJoinerEmitsCompletedRounds(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("emitted %d rounds", len(got))
 	}
-	if j.Pending() != 0 || j.Lost() != 0 {
-		t.Fatalf("pending=%d lost=%d", j.Pending(), j.Lost())
+	if j.rounds.Pending() != 0 || j.rounds.Lost() != 0 {
+		t.Fatalf("pending=%d lost=%d", j.rounds.Pending(), j.rounds.Lost())
 	}
 	if got[0].LastArrival != 1 {
 		t.Fatalf("LastArrival = %d", got[0].LastArrival)
@@ -264,11 +248,11 @@ func TestJoinerEvictsOldest(t *testing.T) {
 	for seq := uint32(0); seq < 10; seq++ {
 		j.AddContributor(0, collect.TraceTuple{Seq: seq})
 	}
-	if j.Pending() > 3 {
-		t.Fatalf("pending = %d, cap 3", j.Pending())
+	if j.rounds.Pending() > 3 {
+		t.Fatalf("pending = %d, cap 3", j.rounds.Pending())
 	}
-	if j.Lost() != 7 {
-		t.Fatalf("lost = %d, want 7", j.Lost())
+	if j.rounds.Lost() != 7 {
+		t.Fatalf("lost = %d, want 7", j.rounds.Lost())
 	}
 }
 
@@ -432,10 +416,7 @@ func TestResultString(t *testing.T) {
 func TestRoundMetricsDurationsConsistent(t *testing.T) {
 	// Total == Down + Up for every contributor (algebraic identity).
 	j, r := mkRound(t, 4, 100, 140, []int64{10, 40, 25, 33}, []int64{200, 150, 170, 160})
-	m, err := j.AnalyzeRound(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := j.analyze(r)
 	for _, c := range m.Per {
 		if c.Total != c.Down+c.Up {
 			t.Fatalf("contributor %d: total %v != down %v + up %v", c.Contributor, c.Total, c.Down, c.Up)
@@ -449,8 +430,8 @@ func TestStreamSnapshotMatchesAccessors(t *testing.T) {
 		s.Add(float64(i))
 	}
 	snap := s.Snapshot()
-	if snap.Mean != s.Mean() || snap.Min != s.Min() || snap.Max != s.Max() ||
-		snap.Std != s.Std() || snap.Median != s.Median() || snap.Count != s.Count() {
+	if snap.Mean != s.mean || snap.Min != s.min || snap.Max != s.max ||
+		snap.Std != s.Std() || snap.Median != s.Median() || snap.Count != s.n {
 		t.Fatalf("snapshot mismatch: %+v", snap)
 	}
 	_ = time.Microsecond

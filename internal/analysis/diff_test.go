@@ -186,7 +186,7 @@ func TestJoinerMatchesReference(t *testing.T) {
 							if want := ref.state(); !reflect.DeepEqual(st, want) {
 								t.Fatalf("step %d: state before the cut\n got %+v\nwant %+v", step, st, want)
 							}
-							if j, err = NewJoinerFrom(st, emit); err != nil {
+							if err := j.Restore(st); err != nil {
 								t.Fatal(err)
 							}
 							out := ref.out
@@ -211,9 +211,9 @@ func TestJoinerMatchesReference(t *testing.T) {
 							}
 							ref.add(ev.contributor, ev.t)
 						}
-						if len(got) != len(ref.out) || j.Lost() != ref.lost || j.Pending() != len(ref.pending) {
+						if len(got) != len(ref.out) || j.rounds.Lost() != ref.lost || j.rounds.Pending() != len(ref.pending) {
 							t.Fatalf("step %d: emitted %d lost %d pending %d, reference %d %d %d",
-								step, len(got), j.Lost(), j.Pending(), len(ref.out), ref.lost, len(ref.pending))
+								step, len(got), j.rounds.Lost(), j.rounds.Pending(), len(ref.out), ref.lost, len(ref.pending))
 						}
 					}
 					if !reflect.DeepEqual(got, ref.out) {
@@ -222,7 +222,7 @@ func TestJoinerMatchesReference(t *testing.T) {
 					if st, want := j.State(), ref.state(); !reflect.DeepEqual(st, want) {
 						t.Fatalf("final state\n got %+v\nwant %+v", st, want)
 					}
-					t.Logf("%d rounds emitted, %d lost, %d pending", len(got), j.Lost(), j.Pending())
+					t.Logf("%d rounds emitted, %d lost, %d pending", len(got), j.rounds.Lost(), j.rounds.Pending())
 					if len(got) == 0 {
 						t.Fatal("driver emitted no round")
 					}

@@ -100,15 +100,6 @@ func NewJoiner(k, maxPending int, emit func(RoundMetrics)) (*Joiner, error) {
 	}, nil
 }
 
-// K returns the joiner's fan-in.
-func (j *Joiner) K() int { return j.rounds.K() }
-
-// Lost reports how many partial rounds were evicted.
-func (j *Joiner) Lost() uint64 { return j.rounds.Lost() }
-
-// Pending reports how many partial rounds are buffered.
-func (j *Joiner) Pending() int { return j.rounds.Pending() }
-
 // AddCollective feeds the collective wrapper's tuple for its round.
 //
 //lint:hotpath the statistics fold, once per collective tuple
@@ -139,16 +130,6 @@ func (j *Joiner) finish(r *Round) {
 	m := j.analyze(r)
 	j.rounds.Done(r)
 	j.emit(m)
-}
-
-// AnalyzeRound computes the section 3 metrics for a complete round of
-// this joiner's fan-in. The result's Per is the joiner's scratch.
-func (j *Joiner) AnalyzeRound(r *Round) (RoundMetrics, error) {
-	if !r.Complete() || len(r.Contribs) != len(j.per) {
-		return RoundMetrics{}, fmt.Errorf("analysis: round %d incomplete (%d/%d contributors, collective=%v)",
-			r.Seq, r.n, len(j.per), r.HaveColl)
-	}
-	return j.analyze(r), nil
 }
 
 // analyze fills the scratch with a complete round's metrics: arrivals

@@ -124,16 +124,3 @@ func (j *Joiner) Restore(st JoinerState) error {
 	}
 	return nil
 }
-
-// NewJoinerFrom rebuilds a joiner from a snapshot, emitting completed
-// rounds through emit exactly as the original would have.
-func NewJoinerFrom(st JoinerState, emit func(RoundMetrics)) (*Joiner, error) {
-	j, err := NewJoiner(st.K, st.MaxPending, emit)
-	if err != nil {
-		return nil, err
-	}
-	if err := j.Restore(st); err != nil {
-		return nil, err
-	}
-	return j, nil
-}

@@ -110,8 +110,11 @@ func TestJoinerSplitEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		run(head, events[:split])
-		tail, err := NewJoinerFrom(head.State(), func(m RoundMetrics) { splitOut = append(splitOut, keep(m)) })
+		tail, err := NewJoiner(k, 64, func(m RoundMetrics) { splitOut = append(splitOut, keep(m)) })
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tail.Restore(head.State()); err != nil {
 			t.Fatal(err)
 		}
 		run(tail, events[split:])
@@ -124,11 +127,11 @@ func TestJoinerSplitEquivalence(t *testing.T) {
 				t.Fatalf("split %d: round %d = %+v, want %+v", split, i, splitOut[i], fullOut[i])
 			}
 		}
-		if tail.Lost() != full.Lost() {
-			t.Fatalf("split %d: lost %d, want %d", split, tail.Lost(), full.Lost())
+		if tail.rounds.Lost() != full.rounds.Lost() {
+			t.Fatalf("split %d: lost %d, want %d", split, tail.rounds.Lost(), full.rounds.Lost())
 		}
-		if tail.Pending() != full.Pending() {
-			t.Fatalf("split %d: pending %d, want %d", split, tail.Pending(), full.Pending())
+		if tail.rounds.Pending() != full.rounds.Pending() {
+			t.Fatalf("split %d: pending %d, want %d", split, tail.rounds.Pending(), full.rounds.Pending())
 		}
 	}
 }
@@ -179,14 +182,14 @@ func TestJoinerOrderStaysBounded(t *testing.T) {
 	feed(1000)
 	early := testing.AllocsPerRun(10, func() { j.State() })
 	feed(199_000)
-	if n := queued(j.rounds); n != j.Pending() || n > 64 {
-		t.Fatalf("after 200000 rounds the eviction queue holds %d entries for %d pending rounds", n, j.Pending())
+	if n := queued(j.rounds); n != j.rounds.Pending() || n > 64 {
+		t.Fatalf("after 200000 rounds the eviction queue holds %d entries for %d pending rounds", n, j.rounds.Pending())
 	}
 	if late := testing.AllocsPerRun(10, func() { j.State() }); late != early {
 		t.Fatalf("State() allocates %v times after 200000 rounds, %v after 1000", late, early)
 	}
-	if j.Lost() != 0 || j.Pending() != 1 {
-		t.Fatalf("lost %d pending %d", j.Lost(), j.Pending())
+	if j.rounds.Lost() != 0 || j.rounds.Pending() != 1 {
+		t.Fatalf("lost %d pending %d", j.rounds.Lost(), j.rounds.Pending())
 	}
 }
 
@@ -201,8 +204,8 @@ func TestJoinerRefusesWhatASlotCannotHold(t *testing.T) {
 	}
 	j.AddContributor(2, collect.TraceTuple{Seq: 1})
 	j.AddContributor(-1, collect.TraceTuple{Seq: 1})
-	if j.Pending() != 0 {
-		t.Fatalf("out-of-range contributors opened %d rounds", j.Pending())
+	if j.rounds.Pending() != 0 {
+		t.Fatalf("out-of-range contributors opened %d rounds", j.rounds.Pending())
 	}
 	j.AddContributor(1, collect.TraceTuple{Seq: 1, Start: 4})
 	good := j.State()
@@ -217,11 +220,11 @@ func TestJoinerRefusesWhatASlotCannotHold(t *testing.T) {
 		st := good
 		st.Pending = []RoundState{{Seq: 1, Contribs: append([]ContribState(nil), good.Pending[0].Contribs...)}}
 		damage(&st)
-		if _, err := NewJoinerFrom(st, func(RoundMetrics) {}); err == nil {
+		if err := j.Restore(st); err == nil {
 			t.Errorf("%s: snapshot accepted", name)
 		}
 	}
-	if _, err := NewJoinerFrom(good, func(RoundMetrics) {}); err != nil {
+	if err := j.Restore(good); err != nil {
 		t.Fatalf("undamaged snapshot refused: %v", err)
 	}
 }

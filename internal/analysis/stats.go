@@ -91,18 +91,6 @@ func (s *Stream) Add(x float64) {
 	}
 }
 
-// Count returns the number of samples seen.
-func (s *Stream) Count() uint64 { return s.n }
-
-// Mean returns the running mean (0 with no samples).
-func (s *Stream) Mean() float64 { return s.mean }
-
-// Min returns the smallest sample seen.
-func (s *Stream) Min() float64 { return s.min }
-
-// Max returns the largest sample seen.
-func (s *Stream) Max() float64 { return s.max }
-
 // Std returns the sample standard deviation (0 with fewer than 2 samples).
 func (s *Stream) Std() float64 {
 	if s.n < 2 {

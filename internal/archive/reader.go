@@ -482,13 +482,3 @@ func (w *blockWalk) blocks(buf []byte, off int64) (end int64, stopped bool) {
 	}
 	return off, false
 }
-
-// Select materializes the matching tuples in archive order.
-func (r *Reader) Select(q Query) ([]collect.TraceTuple, ScanStats, error) {
-	var out []collect.TraceTuple
-	stats, err := r.Scan(q, func(t collect.TraceTuple) bool {
-		out = append(out, t)
-		return true
-	})
-	return out, stats, err
-}

@@ -487,22 +487,6 @@ func (w *Writer) Flush() error {
 	return w.drainLocked(true)
 }
 
-// Rotate flushes and seals the active segment, starting a fresh one.
-func (w *Writer) Rotate() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("archive: writer closed")
-	}
-	if w.writeErr != nil {
-		return w.writeErr
-	}
-	if err := w.drainLocked(true); err != nil {
-		return err
-	}
-	return w.rotateLocked()
-}
-
 // Close flushes buffered tuples, seals the active segment, and releases
 // the writer. Close is idempotent.
 func (w *Writer) Close() error {

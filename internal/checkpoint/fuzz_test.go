@@ -155,7 +155,7 @@ func restoreAndFeed(cp Checkpoint) {
 		if len(ns.Joiner.Pending) > 0 {
 			seq = ns.Joiner.Pending[0].Seq
 		}
-		if j, err := analysis.NewJoinerFrom(ns.Joiner, func(analysis.RoundMetrics) {}); err == nil {
+		if j, err := analysis.NewJoiner(k, ns.Joiner.MaxPending, func(analysis.RoundMetrics) {}); err == nil && j.Restore(ns.Joiner) == nil {
 			j.AddCollective(feed(0, seq))
 			for c := -1; c <= k; c++ {
 				j.AddContributor(c, feed(0, seq))

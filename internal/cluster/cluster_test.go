@@ -263,6 +263,9 @@ func TestBuildTreeLANMulti(t *testing.T) {
 	if !ok {
 		t.Fatal("no inter node")
 	}
+	if _, ok := tree.NodeByName("nope"); ok {
+		t.Fatal("ghost node found")
+	}
 	if inter.AR.Fanin() != 2 {
 		t.Fatalf("inter fanin = %d", inter.AR.Fanin())
 	}
@@ -367,23 +370,6 @@ func TestBuildTwoIdenticalTrees(t *testing.T) {
 	defer t2.Close()
 	runTree(t, t1, 3)
 	runTree(t, t2, 3)
-}
-
-func TestNodesOnHost(t *testing.T) {
-	fastScale(t)
-	tb, _ := NewTestbed(SingleTin(3))
-	tree, err := BuildTree(tb, TreeSpec{Name: "T", ThreadsPerHost: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.Close()
-	root := tb.Clusters[0].Hosts()[0]
-	if got := tree.NodesOnHost(root); len(got) != 1 {
-		t.Fatalf("NodesOnHost(root) = %d", len(got))
-	}
-	if _, ok := tree.NodeByName("nope"); ok {
-		t.Fatal("ghost node found")
-	}
 }
 
 func TestThreadsPerHostDefaultsToCPUs(t *testing.T) {

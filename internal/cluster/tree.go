@@ -120,17 +120,6 @@ func (t *Tree) NodeByName(name string) (*Node, bool) {
 	return nil, false
 }
 
-// NodesOnHost returns the tree's collective wrappers on one host.
-func (t *Tree) NodesOnHost(h *vnet.Host) []*Node {
-	var out []*Node
-	for _, n := range t.Nodes {
-		if n.Host == h {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // treeBuilder carries shared state during construction.
 type treeBuilder struct {
 	tb   *Testbed

@@ -341,22 +341,3 @@ func (r *Registry) All() []*EventCollector {
 	}
 	return out
 }
-
-// OnHost returns every collector whose trace buffer lives on host, in id
-// order.
-func (r *Registry) OnHost(host *vnet.Host) []*EventCollector {
-	var out []*EventCollector
-	for _, ec := range r.All() {
-		if ec.Host() == host {
-			out = append(out, ec)
-		}
-	}
-	return out
-}
-
-// SetAllEnabled flips recording on every registered collector.
-func (r *Registry) SetAllEnabled(on bool) {
-	for _, ec := range r.All() {
-		ec.SetEnabled(on)
-	}
-}

@@ -257,14 +257,11 @@ func TestRegistryLookupAndEnumeration(t *testing.T) {
 	if got := reg.All(); len(got) != 4 {
 		t.Fatalf("All() = %d collectors", len(got))
 	}
-	if got := reg.OnHost(h); len(got) != 4 {
-		t.Fatalf("OnHost = %d collectors", len(got))
-	}
-	reg.SetAllEnabled(false)
 	for _, ec := range reg.All() {
+		ec.SetEnabled(false)
 		ec.Op(nil, paths.Request{Kind: paths.OpWrite})
 		if ec.Buffer().Stats().Written != 0 {
-			t.Fatal("SetAllEnabled(false) did not disable")
+			t.Fatal("SetEnabled(false) did not disable")
 		}
 	}
 }

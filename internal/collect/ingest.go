@@ -87,12 +87,6 @@ func (q *IngestQueue) SetMetrics(shedBatches, shedTuples *metrics.Counter) {
 // batches stay queued for the drainer).
 func (q *IngestQueue) SetSummaryOnly(on bool) { q.summary.Store(on) }
 
-// SummaryOnly reports whether summary-only mode is active.
-func (q *IngestQueue) SummaryOnly() bool { return q.summary.Load() }
-
-// Cap returns the ring capacity in batches.
-func (q *IngestQueue) Cap() int { return len(q.buf) }
-
 // Len returns the number of batches currently retained.
 func (q *IngestQueue) Len() int {
 	q.mu.Lock()

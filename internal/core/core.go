@@ -102,14 +102,6 @@ func (s *System) BuildTree(spec cluster.TreeSpec) (*cluster.Tree, error) {
 	return tree, nil
 }
 
-// Tree looks a built tree up by name.
-func (s *System) Tree(name string) (*cluster.Tree, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.trees[name]
-	return t, ok
-}
-
 // adopt puts a started monitor under the system's Close.
 func (s *System) adopt(m interface{ Stop() }) {
 	s.mu.Lock()
@@ -435,13 +427,6 @@ func (r *ArchiveRecorder) RecordModes(lb *monitor.LoadBalance) {
 	})
 }
 
-// Writer exposes the recorder's archive writer (e.g. for Stats).
-func (r *ArchiveRecorder) Writer() *archive.Writer { return r.writer }
-
-// Engine exposes the recorder's continuous-query engine (nil unless the
-// recorder was attached with alert statements).
-func (r *ArchiveRecorder) Engine() *query.Engine { return r.engine }
-
 // Alerts returns the alerts the recorder's standing queries have fired
 // so far, in firing order (nil without alert statements).
 func (r *ArchiveRecorder) Alerts() []collect.AlertTuple {
@@ -450,14 +435,6 @@ func (r *ArchiveRecorder) Alerts() []collect.AlertTuple {
 	}
 	return r.engine.Alerts()
 }
-
-// Puller exposes the recorder's gather thread, for accounting.
-func (r *ArchiveRecorder) Puller() *escope.Puller { return r.puller }
-
-// Checkpointer exposes the recorder's checkpointer (nil unless the
-// recorder was attached with AttachArchiveCheckpointed or resumed with
-// a checkpoint config).
-func (r *ArchiveRecorder) Checkpointer() *checkpoint.Checkpointer { return r.ckpt }
 
 // Stop halts the recorder: the gather thread is stopped, one final pull
 // drains what the buffers still hold, and the archive is sealed. It is

@@ -47,11 +47,8 @@ func TestBuildTreeAndLookup(t *testing.T) {
 	err := RunVirtual(func() error {
 		s := newSystem(t, cosched.None)
 		tree := instrumented(t, s, "T")
-		if got, ok := s.Tree("T"); !ok || got != tree {
-			t.Fatal("Tree lookup failed")
-		}
-		if _, ok := s.Tree("nope"); ok {
-			t.Fatal("ghost tree")
+		if s.trees["T"] != tree {
+			t.Fatal("tree not registered by name")
 		}
 		if _, err := s.BuildTree(cluster.TreeSpec{Name: "T"}); err == nil {
 			t.Fatal("duplicate tree accepted")

@@ -76,9 +76,6 @@ func NewController(strategy Strategy) *Controller {
 	return c
 }
 
-// Strategy returns the controller's strategy.
-func (c *Controller) Strategy() Strategy { return c.strategy }
-
 func (c *Controller) bump() {
 	c.mu.Lock()
 	c.seq++
@@ -162,9 +159,6 @@ type Set struct {
 func NewSet(strategy Strategy) *Set {
 	return &Set{strategy: strategy, m: make(map[*vnet.Host]*Controller)}
 }
-
-// Strategy returns the set's strategy.
-func (s *Set) Strategy() Strategy { return s.strategy }
 
 // For returns host's controller, creating it on first use.
 func (s *Set) For(h *vnet.Host) *Controller {

@@ -30,7 +30,6 @@ import (
 	"eventspace/internal/metrics"
 	"eventspace/internal/paths"
 	"eventspace/internal/vclock"
-	"eventspace/internal/vnet"
 )
 
 // Mode is a rung of a scope's degradation ladder.
@@ -203,7 +202,6 @@ func (fl *inflight) result() (rep paths.Reply, err error, at hrtime.Stamp, done 
 // inert (pure pass-through) while its scope is in ModeStrict.
 type breaker struct {
 	name   string
-	host   *vnet.Host // the gathering side's host
 	target string
 	child  paths.Wrapper // the health guard
 	pol    *BreakerPolicy
@@ -236,10 +234,9 @@ type breaker struct {
 	mStales   *metrics.Counter
 }
 
-func newBreaker(name, target string, host *vnet.Host, child paths.Wrapper, pol *BreakerPolicy, mode *atomic.Int32) *breaker {
+func newBreaker(name, target string, child paths.Wrapper, pol *BreakerPolicy, mode *atomic.Int32) *breaker {
 	return &breaker{
 		name:   name,
-		host:   host,
 		target: target,
 		child:  child,
 		pol:    pol,
@@ -248,8 +245,7 @@ func newBreaker(name, target string, host *vnet.Host, child paths.Wrapper, pol *
 	}
 }
 
-func (b *breaker) Name() string     { return b.name }
-func (b *breaker) Host() *vnet.Host { return b.host }
+func (b *breaker) Name() string { return b.name }
 
 // Op runs one gather round's visit of the child. In ModeStrict it
 // forwards untouched. Otherwise: a late result from a previously
@@ -447,13 +443,6 @@ func (b *breaker) onGuardTransition(tr Transition) {
 		b.reopenWait = 0
 		b.mu.Unlock()
 	}
-}
-
-// State returns the breaker's current state.
-func (b *breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }
 
 func (b *breaker) snapshot() BreakerHealth {

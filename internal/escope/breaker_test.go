@@ -18,8 +18,7 @@ import (
 // slowChild is a wrapper whose replies the test can hold back at will,
 // standing in for a straggling guard+stub chain underneath a breaker.
 type slowChild struct {
-	host *vnet.Host
-	ops  atomic.Int64
+	ops atomic.Int64
 
 	mu   sync.Mutex
 	hold chan struct{}
@@ -27,8 +26,7 @@ type slowChild struct {
 	err  error
 }
 
-func (c *slowChild) Name() string     { return "slowchild" }
-func (c *slowChild) Host() *vnet.Host { return c.host }
+func (c *slowChild) Name() string { return "slowchild" }
 
 func (c *slowChild) Op(ctx *paths.Ctx, req paths.Request) (paths.Reply, error) {
 	c.ops.Add(1)
@@ -71,7 +69,7 @@ func (c *slowChild) set(rep paths.Reply, err error) {
 func testBreaker(pol *BreakerPolicy, child paths.Wrapper, m Mode) (*breaker, *atomic.Int32) {
 	var mode atomic.Int32
 	mode.Store(int32(m))
-	return newBreaker("test!breaker", "child", nil, child, pol, &mode), &mode
+	return newBreaker("test!breaker", "child", child, pol, &mode), &mode
 }
 
 func TestBreakerStrictModePassThrough(t *testing.T) {
@@ -209,7 +207,7 @@ func TestBreakerStalenessBoundForcesTrial(t *testing.T) {
 	// ten seconds ahead of the scheduled reopen — and closes on success.
 	child.set(paths.Reply{}, nil)
 	child.release()
-	for i := 0; i < 2000 && b.State() != BreakerClosed; i++ {
+	for i := 0; i < 2000 && b.snapshot().State != BreakerClosed; i++ {
 		if _, err := b.Op(ctx, req); err != nil {
 			t.Fatal(err)
 		}

@@ -198,13 +198,6 @@ func (s *Scope) dropConn(c *vnet.Conn) {
 	s.connsMu.Unlock()
 }
 
-// trackedConns reports how many live connections the scope tracks.
-func (s *Scope) trackedConns() int {
-	s.connsMu.Lock()
-	defer s.connsMu.Unlock()
-	return len(s.conns)
-}
-
 func hashName(s string) uint64 {
 	var h uint64 = 14695981039346656037
 	for i := 0; i < len(s); i++ {
@@ -254,7 +247,7 @@ func (s *Scope) stubTo(label string, from, to *vnet.Host, entry paths.Wrapper, r
 	if s.health == nil {
 		return stub, nil, stub
 	}
-	g := newGuard(name+"!guard", to.Name(), from, stub, s.health)
+	g := newGuard(name+"!guard", to.Name(), stub, s.health)
 	g.role, g.cluster = role, cluster
 	g.mFaults, g.mDeaths, g.mRecoveries = s.cHealthFaults, s.cHealthDeaths, s.cHealthRecoveries
 	if s.breakerPol == nil {
@@ -267,7 +260,7 @@ func (s *Scope) stubTo(label string, from, to *vnet.Host, entry paths.Wrapper, r
 	// hook. The breaker registers itself here (Build runs
 	// single-threaded; repair callers hold treeMu) so the repair
 	// primitives get breakers on rebuilt links for free.
-	br := newBreaker(name+"!breaker", to.Name(), from, g, s.breakerPol, &s.mode)
+	br := newBreaker(name+"!breaker", to.Name(), g, s.breakerPol, &s.mode)
 	g.br = br
 	br.op = s.met.Op(metrics.KindBreaker, br.name)
 	br.mTrips, br.mOverruns = s.cBreakerTrips, s.cBreakerOverruns
@@ -605,15 +598,6 @@ func (s *Scope) Breakers() []BreakerHealth {
 // Name returns the scope's name.
 func (s *Scope) Name() string { return s.name }
 
-// Root returns the scope's root wrapper (on the front-end).
-func (s *Scope) Root() paths.Wrapper { return s.root }
-
-// FrontEnd returns the host the scope gathers to.
-func (s *Scope) FrontEnd() *vnet.Host { return s.frontEnd }
-
-// Readers returns the scope's source readers, for accounting.
-func (s *Scope) Readers() []*paths.BatchReader { return s.readers }
-
 // Pull performs one on-demand gather through the scope, returning the
 // concatenated records of every source.
 func (s *Scope) Pull(ctx *paths.Ctx) (paths.Reply, error) {
@@ -859,12 +843,8 @@ func (p *Puller) Stop() {
 	<-p.done
 }
 
-// Pulls reports successful pulls; Errors reports failed pulls or sink
-// errors; Backoffs reports loop iterations that waited on the error
-// backoff instead of the configured interval.
-func (p *Puller) Pulls() uint64    { return p.pulls.Load() }
-func (p *Puller) Errors() uint64   { return p.errcnt.Load() }
-func (p *Puller) Backoffs() uint64 { return p.backoffs.Load() }
+// Pulls reports successful pulls.
+func (p *Puller) Pulls() uint64 { return p.pulls.Load() }
 
 // RawSink persists a raw record batch. archive.Writer satisfies it; the
 // indirection keeps escope independent of the archive's storage format.

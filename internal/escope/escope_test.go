@@ -119,7 +119,7 @@ func TestSingleClusterScopePullsAllTuples(t *testing.T) {
 	if scope.Pulls() != 1 {
 		t.Fatalf("Pulls = %d", scope.Pulls())
 	}
-	if scope.Name() != "lb" || scope.Root() == nil || len(scope.Readers()) != 2 {
+	if scope.Name() != "lb" || scope.root == nil || len(scope.readers) != 2 {
 		t.Fatal("accessors wrong")
 	}
 }
@@ -270,7 +270,7 @@ func TestPullerCountsErrors(t *testing.T) {
 	scope.Close()
 	p := scope.StartPuller(time.Millisecond, nil)
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Errors() == 0 {
+	for p.errcnt.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no errors counted after close")
 		}

@@ -19,7 +19,6 @@ import (
 	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/paths"
-	"eventspace/internal/vnet"
 )
 
 // ChildState is a guarded child's health state.
@@ -144,7 +143,6 @@ type ChildHealth struct {
 // Application errors pass through untouched.
 type guard struct {
 	name    string
-	host    *vnet.Host
 	target  string
 	role    GuardRole
 	cluster string
@@ -186,10 +184,9 @@ type guard struct {
 	mRecoveries *metrics.Counter
 }
 
-func newGuard(name, target string, host *vnet.Host, child paths.Wrapper, policy *HealthPolicy) *guard {
+func newGuard(name, target string, child paths.Wrapper, policy *HealthPolicy) *guard {
 	return &guard{
 		name:       name,
-		host:       host,
 		target:     target,
 		child:      child,
 		policy:     policy,
@@ -218,8 +215,7 @@ func (g *guard) fire(tr Transition, changed bool) {
 	}
 }
 
-func (g *guard) Name() string     { return g.name }
-func (g *guard) Host() *vnet.Host { return g.host }
+func (g *guard) Name() string { return g.name }
 
 // shouldAttempt decides whether this operation reaches the child: always
 // while alive or suspect, only at probe times while dead.
@@ -315,13 +311,6 @@ func (g *guard) Op(ctx *paths.Ctx, req paths.Request) (paths.Reply, error) {
 		return paths.Reply{}, nil
 	}
 	return paths.Reply{}, err
-}
-
-// State returns the guard's current health state.
-func (g *guard) State() ChildState {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.state
 }
 
 func (g *guard) snapshot() ChildHealth {

@@ -12,13 +12,11 @@ import (
 
 // toggleChild is a wrapper whose failure mode the test flips at will.
 type toggleChild struct {
-	host *vnet.Host
-	err  error
-	ops  int
+	err error
+	ops int
 }
 
-func (c *toggleChild) Name() string     { return "toggle" }
-func (c *toggleChild) Host() *vnet.Host { return c.host }
+func (c *toggleChild) Name() string { return "toggle" }
 func (c *toggleChild) Op(ctx *paths.Ctx, req paths.Request) (paths.Reply, error) {
 	c.ops++
 	if c.err != nil {
@@ -30,16 +28,16 @@ func (c *toggleChild) Op(ctx *paths.Ctx, req paths.Request) (paths.Reply, error)
 func TestGuardStateMachine(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	child := &toggleChild{host: h}
+	child := &toggleChild{}
 	pol := &HealthPolicy{DeadAfter: 2, ProbeBase: 2 * time.Millisecond, ProbeMax: 4 * time.Millisecond}
-	g := newGuard("g", h.Name(), h, child, pol)
+	g := newGuard("g", h.Name(), child, pol)
 
 	// Healthy: ops pass through, state alive.
 	if rep, err := g.Op(nil, paths.Request{Kind: paths.OpRead}); err != nil || rep.Ret != 1 {
 		t.Fatalf("healthy op: %+v, %v", rep, err)
 	}
-	if g.State() != Alive {
-		t.Fatalf("state = %v", g.State())
+	if g.snapshot().State != Alive {
+		t.Fatalf("state = %v", g.snapshot().State)
 	}
 
 	// First transport fault: absorbed, suspect. Second: dead.
@@ -47,12 +45,12 @@ func TestGuardStateMachine(t *testing.T) {
 	if rep, err := g.Op(nil, paths.Request{Kind: paths.OpRead}); err != nil || rep.Ret != 0 {
 		t.Fatalf("fault op: %+v, %v", rep, err)
 	}
-	if g.State() != Suspect {
-		t.Fatalf("after 1 fault: %v", g.State())
+	if g.snapshot().State != Suspect {
+		t.Fatalf("after 1 fault: %v", g.snapshot().State)
 	}
 	g.Op(nil, paths.Request{Kind: paths.OpRead})
-	if g.State() != Dead {
-		t.Fatalf("after 2 faults: %v", g.State())
+	if g.snapshot().State != Dead {
+		t.Fatalf("after 2 faults: %v", g.snapshot().State)
 	}
 
 	// While dead and before the probe time, ops are skipped entirely.
@@ -93,13 +91,13 @@ func TestGuardStateMachine(t *testing.T) {
 func TestGuardPropagatesApplicationErrors(t *testing.T) {
 	r := newRig(t)
 	h := r.c1.Hosts()[0]
-	child := &toggleChild{host: h, err: &paths.RemoteError{Msg: "bad request"}}
-	g := newGuard("g", h.Name(), h, child, &HealthPolicy{})
+	child := &toggleChild{err: &paths.RemoteError{Msg: "bad request"}}
+	g := newGuard("g", h.Name(), child, &HealthPolicy{})
 	if _, err := g.Op(nil, paths.Request{Kind: paths.OpRead}); !paths.IsRemote(err) {
 		t.Fatalf("err = %v, want RemoteError", err)
 	}
 	// Application errors are not health signals.
-	if g.State() != Alive || g.snapshot().Faults != 0 {
+	if g.snapshot().State != Alive || g.snapshot().Faults != 0 {
 		t.Fatalf("app error changed health: %+v", g.snapshot())
 	}
 }

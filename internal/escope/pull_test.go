@@ -13,7 +13,6 @@ import (
 	"eventspace/internal/hrtime"
 	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
-	"eventspace/internal/vnet"
 )
 
 // pullRig is the repo benchmark's monitored side (benchmark/sut.go,
@@ -227,8 +226,7 @@ type windowChild struct {
 	done    chan struct{} // closed when a held call has returned
 }
 
-func (c *windowChild) Name() string     { return "windowchild" }
-func (c *windowChild) Host() *vnet.Host { return nil }
+func (c *windowChild) Name() string { return "windowchild" }
 
 func (c *windowChild) Op(_ *paths.Ctx, req paths.Request) (paths.Reply, error) {
 	c.mu.Lock()

@@ -13,6 +13,13 @@ import (
 	"eventspace/internal/vnet"
 )
 
+// trackedConns reports how many live connections the scope tracks.
+func (s *Scope) trackedConns() int {
+	s.connsMu.Lock()
+	defer s.connsMu.Unlock()
+	return len(s.conns)
+}
+
 // TestPullerStopConcurrent is the regression test for the Stop double-close
 // race: two goroutines that both saw the stop channel open could both
 // close it. Run with -race.
@@ -129,7 +136,7 @@ func TestPullerErrorBackoff(t *testing.T) {
 	defer p.Stop()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Errors() < 5 {
+	for p.errcnt.Load() < 5 {
 		if time.Now().After(deadline) {
 			t.Fatal("puller produced fewer than 5 errors")
 		}
@@ -138,13 +145,13 @@ func TestPullerErrorBackoff(t *testing.T) {
 	// By the fifth consecutive error the backoff is well above zero: a
 	// 100ms window must see far fewer iterations than a hot loop's
 	// hundreds of thousands.
-	before := p.Errors()
+	before := p.errcnt.Load()
 	time.Sleep(100 * time.Millisecond)
-	window := p.Errors() - before
+	window := p.errcnt.Load() - before
 	if window > 1000 {
 		t.Fatalf("%d errors in 100ms: puller is hot-looping", window)
 	}
-	if p.Backoffs() == 0 {
+	if p.backoffs.Load() == 0 {
 		t.Fatal("no backoffs counted")
 	}
 }
@@ -153,12 +160,10 @@ func TestPullerErrorBackoff(t *testing.T) {
 // non-empty payload, so pulls always succeed with data and the sink
 // always runs.
 type constSource struct {
-	host *vnet.Host
 	data []byte
 }
 
-func (c *constSource) Name() string     { return "const" }
-func (c *constSource) Host() *vnet.Host { return c.host }
+func (c *constSource) Name() string { return "const" }
 func (c *constSource) Op(*paths.Ctx, paths.Request) (paths.Reply, error) {
 	return paths.Reply{Data: c.data}, nil
 }
@@ -182,7 +187,7 @@ func TestPullerSinkErrorBackoff(t *testing.T) {
 	scope, err := Build(n, Spec{
 		Name:     "sinkhot",
 		FrontEnd: fe,
-		Sources:  []Source{{Host: c.Hosts()[0], Custom: &constSource{host: c.Hosts()[0], data: []byte{1, 2, 3}}}},
+		Sources:  []Source{{Host: c.Hosts()[0], Custom: &constSource{data: []byte{1, 2, 3}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,19 +199,19 @@ func TestPullerSinkErrorBackoff(t *testing.T) {
 	defer p.Stop()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for p.Errors() < 5 {
+	for p.errcnt.Load() < 5 {
 		if time.Now().After(deadline) {
 			t.Fatal("puller produced fewer than 5 sink errors")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	before := p.Errors()
+	before := p.errcnt.Load()
 	time.Sleep(100 * time.Millisecond)
-	window := p.Errors() - before
+	window := p.errcnt.Load() - before
 	if window > 1000 {
 		t.Fatalf("%d sink errors in 100ms: puller is hot-looping", window)
 	}
-	if p.Backoffs() == 0 {
+	if p.backoffs.Load() == 0 {
 		t.Fatal("no backoffs counted for sink errors")
 	}
 }
@@ -375,8 +380,8 @@ func TestCloseConcurrentWithBreakerInflight(t *testing.T) {
 func TestCoverageStalenessUnprovenGuard(t *testing.T) {
 	time.Sleep(5 * time.Millisecond) // ensure the clock is well past 0
 	pol := &HealthPolicy{}
-	proven := newGuard("g-ok", "h1", nil, nil, pol)
-	unproven := newGuard("g-never", "h2", nil, nil, pol)
+	proven := newGuard("g-ok", "h1", nil, pol)
+	unproven := newGuard("g-never", "h2", nil, pol)
 	proven.noteSuccess()
 	okAt := proven.lastOK
 	unproven.lastOK = 0 // built at the virtual epoch, never succeeded

@@ -237,7 +237,7 @@ func TestProbeJitterDecorrelatesGuards(t *testing.T) {
 	draw := func() [n]time.Duration {
 		var waits [n]time.Duration
 		for i := 0; i < n; i++ {
-			g := newGuard(string(rune('a'+i))+"!guard", "h", nil, nil, pol)
+			g := newGuard(string(rune('a'+i))+"!guard", "h", nil, pol)
 			g.mu.Lock()
 			waits[i] = g.jitteredWaitLocked()
 			g.mu.Unlock()
@@ -259,7 +259,7 @@ func TestProbeJitterDecorrelatesGuards(t *testing.T) {
 		t.Fatalf("jitter not deterministic across runs:\n%v\n%v", first, second)
 	}
 	// Consecutive probes of one guard draw fresh jitter too.
-	g := newGuard("a!guard", "h", nil, nil, pol)
+	g := newGuard("a!guard", "h", nil, pol)
 	g.mu.Lock()
 	w1 := g.jitteredWaitLocked()
 	w2 := g.jitteredWaitLocked()

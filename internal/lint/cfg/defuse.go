@@ -6,23 +6,19 @@ import (
 )
 
 // DefUse indexes, for one function body, which expressions each local
-// variable was assigned from and where it is read. It is a flow-
+// variable was assigned from. It is a flow-
 // insensitive over-approximation: every assignment anywhere in the
 // body counts as a possible definition, which is the conservative
 // direction for the analyzers built on it (a value "may come from" a
 // classifier call, a stop channel field, a context's Done channel).
 type DefUse struct {
 	defs map[types.Object][]ast.Expr
-	uses map[types.Object][]*ast.Ident
 }
 
 // NewDefUse builds the def-use index of a function body using the
 // package's type information.
 func NewDefUse(info *types.Info, body ast.Node) *DefUse {
-	d := &DefUse{
-		defs: make(map[types.Object][]ast.Expr),
-		uses: make(map[types.Object][]*ast.Ident),
-	}
+	d := &DefUse{defs: make(map[types.Object][]ast.Expr)}
 	if body == nil {
 		return d
 	}
@@ -42,12 +38,6 @@ func NewDefUse(info *types.Info, body ast.Node) *DefUse {
 			for _, lhs := range []ast.Expr{n.Key, n.Value} {
 				if obj := lhsObject(info, lhs); obj != nil {
 					d.defs[obj] = append(d.defs[obj], n.X)
-				}
-			}
-		case *ast.Ident:
-			if obj, ok := info.Uses[n]; ok {
-				if _, isVar := obj.(*types.Var); isVar {
-					d.uses[obj] = append(d.uses[obj], n)
 				}
 			}
 		}
@@ -94,11 +84,6 @@ func lhsObject(info *types.Info, e ast.Expr) types.Object {
 // (a parameter, a captured outer variable, or declared without value).
 func (d *DefUse) DefExprs(obj types.Object) []ast.Expr {
 	return d.defs[obj]
-}
-
-// Uses returns every read of obj in the body.
-func (d *DefUse) Uses(obj types.Object) []*ast.Ident {
-	return d.uses[obj]
 }
 
 // FlowsFromCall reports whether expr is — or, when expr is an

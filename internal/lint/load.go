@@ -174,6 +174,24 @@ func newInfo() *types.Info {
 	}
 }
 
+// FindModuleRoot walks up from dir to the directory holding go.mod.
+func FindModuleRoot(dir string) (string, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("no go.mod above %s", dir)
+		}
+		dir = parent
+	}
+}
+
 // LoadAs parses and type-checks one directory, test files included,
 // under the given import path. Fixtures use this to pose as
 // instrumented packages. When the directory holds an external _test

@@ -275,22 +275,6 @@ type Op struct {
 	lat   Histogram
 }
 
-// Kind returns the site's kind (KindStub on a nil site).
-func (o *Op) Kind() Kind {
-	if o == nil {
-		return KindStub
-	}
-	return o.kind
-}
-
-// Name returns the site's name ("" on a nil site).
-func (o *Op) Name() string {
-	if o == nil {
-		return ""
-	}
-	return o.name
-}
-
 // Record accounts one operation: its hrtime duration in nanoseconds,
 // the payload bytes it moved, and whether it failed.
 func (o *Op) Record(durNS int64, bytes int, err error) {
@@ -312,14 +296,6 @@ func (o *Op) Record(durNS int64, bytes int, err error) {
 type Counter struct {
 	name string
 	n    atomic.Uint64
-}
-
-// Name returns the counter's name ("" on a nil counter).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
 }
 
 // Inc adds one.

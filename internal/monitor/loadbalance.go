@@ -542,9 +542,6 @@ func (lb *LoadBalance) Weighted() *WeightedTree { return lb.weighted }
 // (reconfig) and topology inspection.
 func (lb *LoadBalance) Scope() *escope.Scope { return lb.scope }
 
-// Mode returns the monitor's mode.
-func (lb *LoadBalance) Mode() LoadBalanceMode { return lb.mode }
-
 // GatherRate reports the fraction of source tuples the monitor's event
 // scope read before they were discarded: raw trace tuples in single-scope
 // mode, intermediate result tuples in distributed mode (Tables 1 and 2).
@@ -581,9 +578,6 @@ func (lb *LoadBalance) RoundsObserved() uint64 { return lb.weighted.Total() }
 // complete by construction (a fault fails the pull instead).
 func (lb *LoadBalance) Coverage() escope.Coverage { return lb.scope.Coverage() }
 
-// ChildHealth snapshots the health guards of the monitor's event scope.
-func (lb *LoadBalance) ChildHealth() []escope.ChildHealth { return lb.scope.Health() }
-
 // SetScopeMode moves the monitor along the degradation ladder: the event
 // scope's breakers observe the new rung on their next decision, and
 // summary-only additionally sheds gathered payloads at the ingest queue,
@@ -608,7 +602,3 @@ func (lb *LoadBalance) SetScopeModeHook(fn func(escope.ModeChange)) { lb.scope.S
 // IngestStats snapshots the monitor's ingest-queue accounting (shed and
 // summarized batches under overload).
 func (lb *LoadBalance) IngestStats() collect.IngestStats { return lb.ingest.Stats() }
-
-// Breakers snapshots the straggler circuit breakers of the monitor's
-// event scope (empty without a Config.Breaker policy).
-func (lb *LoadBalance) Breakers() []escope.BreakerHealth { return lb.scope.Breakers() }

@@ -70,7 +70,3 @@ func (r *ModeReplay) Changes() []escope.ModeChange {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
-
-// Fed returns how many tuples were offered and how many were this
-// scope's mode transitions.
-func (r *ModeReplay) Fed() (fed, matched uint64) { return r.fed, r.matched }

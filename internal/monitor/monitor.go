@@ -183,16 +183,6 @@ func (w *WeightedTree) Set(node string, contributor int, n uint64) {
 	w.rowLocked(node).counts[contributor] = n
 }
 
-// Count returns a node contributor's last-arrival count.
-func (w *WeightedTree) Count(node string, contributor int) uint64 {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if r, ok := w.nodes[node]; ok {
-		return r.counts[contributor]
-	}
-	return 0
-}
-
 // Nodes returns the node names present.
 func (w *WeightedTree) Nodes() []string {
 	w.mu.RLock()
@@ -278,11 +268,4 @@ func (a *AnalysisTree) IDs() []uint32 {
 		out = append(out, id)
 	}
 	return out
-}
-
-// Updates counts record installations (monotone; used to check liveness).
-func (a *AnalysisTree) Updates() uint64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.updates
 }

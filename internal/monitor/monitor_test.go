@@ -155,12 +155,12 @@ func TestLoadBalanceSingleScopeFindsImbalance(t *testing.T) {
 	// unanimity.
 	waitFor(t, 10*time.Second, func() bool {
 		root := tree.Nodes[0]
-		return lb.Weighted().Count(root.Name, 0) >= rounds/2
+		return lb.Weighted().Counts(root.Name)[0] >= rounds/2
 	}, "single-scope monitor did not attribute last arrivals to the slow thread")
 	lb.Stop()
 	lb.Stop() // idempotent
-	if lb.Mode() != SingleScope {
-		t.Fatal("mode accessor wrong")
+	if lb.mode != SingleScope {
+		t.Fatal("mode wrong")
 	}
 	root := tree.Nodes[0]
 	counts := lb.Weighted().Counts(root.Name)
@@ -191,7 +191,7 @@ func TestLoadBalanceDistributedTracksCumulativeState(t *testing.T) {
 	runApp(t, tree, rounds, 0, 10*time.Millisecond)
 	root := tree.Nodes[0]
 	waitFor(t, 10*time.Second, func() bool {
-		return lb.Weighted().Count(root.Name, 0) >= rounds/2
+		return lb.Weighted().Counts(root.Name)[0] >= rounds/2
 	}, "distributed monitor did not reach the expected last-arrival count")
 	lb.Stop()
 	counts := lb.Weighted().Counts(root.Name)
@@ -365,11 +365,11 @@ func TestWeightedTree(t *testing.T) {
 	w.Add("n", 0, 2)
 	w.Add("n", 0, 3)
 	w.Add("n", 1, 1)
-	if w.Count("n", 0) != 5 || w.Count("n", 1) != 1 {
+	if w.Counts("n")[0] != 5 || w.Counts("n")[1] != 1 {
 		t.Fatal("Add counts wrong")
 	}
 	w.Set("n", 0, 7)
-	if w.Count("n", 0) != 7 {
+	if w.Counts("n")[0] != 7 {
 		t.Fatal("Set did not overwrite")
 	}
 	if w.Total() != 8 {
@@ -378,12 +378,12 @@ func TestWeightedTree(t *testing.T) {
 	if len(w.Nodes()) != 1 {
 		t.Fatal("Nodes wrong")
 	}
-	if w.Count("ghost", 0) != 0 {
+	if w.Counts("ghost")[0] != 0 {
 		t.Fatal("ghost count nonzero")
 	}
 	c := w.Counts("n")
 	c[0] = 999
-	if w.Count("n", 0) == 999 {
+	if w.Counts("n")[0] == 999 {
 		t.Fatal("Counts returned a live reference")
 	}
 }
@@ -401,7 +401,7 @@ func TestAnalysisTree(t *testing.T) {
 	if _, ok := a.Get(2, analysis.KindUp); ok {
 		t.Fatal("ghost record")
 	}
-	if len(a.IDs()) != 1 || a.Updates() != 2 {
+	if len(a.IDs()) != 1 || a.updates != 2 {
 		t.Fatal("IDs/Updates wrong")
 	}
 }

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -546,27 +545,6 @@ func (sm *Statsm) RoundsAnalyzed() uint64 {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Coverage annotates statsm's view with who it is hearing from, merged
-// over its two event scopes: a host counts as reporting only when both
-// the wrapper-statistics and per-thread-statistics gathers reach it.
-func (sm *Statsm) Coverage() escope.Coverage {
-	w, t := sm.wrapperScope.Coverage(), sm.threadScope.Coverage()
-	missing := make(map[string]bool)
-	for _, h := range w.Missing {
-		missing[h] = true
-	}
-	for _, h := range t.Missing {
-		missing[h] = true
-	}
-	cov := escope.Coverage{Expected: w.Expected, Staleness: max(w.Staleness, t.Staleness)}
-	for h := range missing {
-		cov.Missing = append(cov.Missing, h)
-	}
-	sort.Strings(cov.Missing)
-	cov.Reporting = cov.Expected - len(cov.Missing)
-	return cov
 }
 
 // TCPSamples sums the TCP latency samples over all links.

@@ -35,7 +35,7 @@ var (
 	ErrEmpty = errors.New("pastset: element empty")
 	// ErrExists is returned when creating an element under a taken name.
 	ErrExists = errors.New("pastset: element already exists")
-	// ErrNotFound is returned when looking up an unknown element.
+	// ErrNotFound is returned when removing an unknown element.
 	ErrNotFound = errors.New("pastset: element not found")
 	// ErrRecordSize is returned when a payload's size, or the size a
 	// reader asks for, does not match the element's record size.
@@ -86,9 +86,6 @@ func NewElementFixed(name string, capacity, recSize int) (*Element, error) {
 
 // Name returns the element's name.
 func (e *Element) Name() string { return e.name }
-
-// Capacity returns the overwrite threshold.
-func (e *Element) Capacity() int { return e.cap }
 
 // WriteCopy appends one record by copying it into the element's arena,
 // discarding the oldest retained record if the element is at capacity,
@@ -167,13 +164,6 @@ func (e *Element) Close() {
 	e.mu.Unlock()
 }
 
-// Closed reports whether Close has been called.
-func (e *Element) Closed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
-
 // slotOf returns the slot holding the retained sequence number seq,
 // counted back from the write slot; caller holds mu.
 func (e *Element) slotOf(seq uint64) int {
@@ -233,9 +223,6 @@ func (e *Element) NewCursorAtEnd() *Cursor {
 	defer e.mu.Unlock()
 	return &Cursor{e: e, pos: e.next}
 }
-
-// Element returns the element this cursor reads from.
-func (c *Cursor) Element() *Element { return c.e }
 
 // advance normalizes the cursor against the retained window; caller holds mu.
 func (c *Cursor) advance() {
@@ -329,17 +316,6 @@ func (r *Registry) CreateFixed(name string, capacity, recSize int) (*Element, er
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	r.elems[name] = e
-	return e, nil
-}
-
-// Lookup finds a registered element by name.
-func (r *Registry) Lookup(name string) (*Element, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.elems[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
 	return e, nil
 }
 

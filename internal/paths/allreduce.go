@@ -76,9 +76,6 @@ func (a *Allreduce) SetNotifier(n CollectiveNotifier) { a.notifier = n }
 // Fanin returns the number of contributor ports.
 func (a *Allreduce) Fanin() int { return a.n }
 
-// Next returns the upstream wrapper (towards the root).
-func (a *Allreduce) Next() Wrapper { return a.next }
-
 // Rounds reports the number of completed allreduce rounds.
 func (a *Allreduce) Rounds() uint64 {
 	a.mu.Lock()

@@ -63,9 +63,6 @@ func NewExchange(name string, host *vnet.Host, id, k int, reduce ReduceFunc, nex
 	return e, nil
 }
 
-// ID returns this participant's index.
-func (e *Exchange) ID() int { return e.id }
-
 // Participants returns the exchange size k.
 func (e *Exchange) Participants() int { return e.k }
 

@@ -51,13 +51,6 @@ func NewGather(name string, host *vnet.Host, children []Wrapper, helpers int) (*
 	return g, nil
 }
 
-// Helpers reports the helper-thread count (0 = sequential gathering).
-func (g *Gather) Helpers() int { return g.helpers }
-
-// Children returns the current child snapshot. Callers must not mutate
-// the returned slice.
-func (g *Gather) Children() []Wrapper { return *g.children.Load() }
-
 // AddChild appends a child to the gather at runtime.
 func (g *Gather) AddChild(c Wrapper) {
 	g.mutMu.Lock()

@@ -64,8 +64,8 @@ func TestGatherChildMutation(t *testing.T) {
 	// reply until children come back.
 	g.RemoveChild(d)
 	g.RemoveChild(c)
-	if len(g.Children()) != 0 {
-		t.Fatalf("children = %d, want 0", len(g.Children()))
+	if len(*g.children.Load()) != 0 {
+		t.Fatalf("children = %d, want 0", len(*g.children.Load()))
 	}
 	rep, err := g.Op(nil, Request{Kind: OpRead})
 	if err != nil || len(rep.Data) != 0 || rep.Ret != 0 {

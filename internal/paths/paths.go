@@ -106,13 +106,9 @@ type Request struct {
 	//     reply's bytes are never reused, so a Reply may be retained
 	//     indefinitely by whoever receives it.
 	//
-	// It is never encoded on the wire and does not count in WireSize.
+	// It is never encoded on the wire.
 	Window []byte
 }
-
-// WireSize returns the modelled on-the-wire size of the request in bytes:
-// a small header plus the payload.
-func (r Request) WireSize() int { return 16 + len(r.Data) }
 
 // window returns the zero-length tail of out: what a child may append to
 // so that its payload lands where wire.Extend will look for it.
@@ -125,9 +121,6 @@ type Reply struct {
 	Ret   int16 // return code recorded in trace tuples (e.g. tuple count)
 }
 
-// WireSize returns the modelled on-the-wire size of the reply in bytes.
-func (r Reply) WireSize() int { return 16 + len(r.Data) }
-
 // Ctx identifies the thread performing an operation. It travels with the
 // operation, including across hosts.
 type Ctx struct {
@@ -138,33 +131,8 @@ type Ctx struct {
 type Wrapper interface {
 	// Name identifies the wrapper in configurations and visualizations.
 	Name() string
-	// Host is the host whose resources the wrapper's code uses.
-	Host() *vnet.Host
 	// Op performs the operation, usually delegating to the next wrapper.
 	Op(ctx *Ctx, req Request) (Reply, error)
-}
-
-// Path is a thread's entry into the communication system: a named head
-// wrapper.
-type Path struct {
-	name string
-	head Wrapper
-}
-
-// NewPath names a wrapper chain.
-func NewPath(name string, head Wrapper) *Path {
-	return &Path{name: name, head: head}
-}
-
-// Name returns the path's name.
-func (p *Path) Name() string { return p.name }
-
-// Head returns the first wrapper of the path.
-func (p *Path) Head() Wrapper { return p.head }
-
-// Op performs an operation through the path.
-func (p *Path) Op(ctx *Ctx, req Request) (Reply, error) {
-	return p.head.Op(ctx, req)
 }
 
 // base carries the name/host boilerplate shared by wrapper implementations.
@@ -173,8 +141,7 @@ type base struct {
 	host *vnet.Host
 }
 
-func (b base) Name() string     { return b.name }
-func (b base) Host() *vnet.Host { return b.host }
+func (b base) Name() string { return b.name }
 
 // ErrNoNext is returned when a wrapper that requires a next stage has none.
 var ErrNoNext = errors.New("paths: wrapper has no next stage")
@@ -195,9 +162,6 @@ type ValueStore struct {
 func NewValueStore(name string, host *vnet.Host, elem *pastset.Element) *ValueStore {
 	return &ValueStore{base: base{name, host}, elem: elem}
 }
-
-// Element returns the underlying PastSet element.
-func (s *ValueStore) Element() *pastset.Element { return s.elem }
 
 // Op stores written values; reads return the newest stored value.
 func (s *ValueStore) Op(ctx *Ctx, req Request) (Reply, error) {

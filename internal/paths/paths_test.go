@@ -58,7 +58,7 @@ func TestValueStoreWriteRead(t *testing.T) {
 	h := c1.Hosts()[0]
 	elem := testElem(t, "v", 4, 8)
 	s := NewValueStore("store", h, elem)
-	if s.Element() != elem {
+	if s.elem != elem {
 		t.Fatal("Element() mismatch")
 	}
 	ctx := &Ctx{Thread: "t0"}
@@ -201,7 +201,7 @@ func TestAllreduceLocalRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ar.Fanin() != 4 || ar.Next() != store {
+	if ar.Fanin() != 4 || ar.next != store {
 		t.Fatal("accessors wrong")
 	}
 	const rounds = 50
@@ -246,8 +246,8 @@ func TestAllreducePortNames(t *testing.T) {
 	next := NewFunc("sink", h, func(ctx *Ctx, req Request) (Reply, error) { return Reply{Value: req.Value}, nil })
 	ar, _ := NewAllreduce("ar", h, 2, Sum, next)
 	p := ar.Port(1)
-	if p.Name() != "ar.port1" || p.Host() != h {
-		t.Fatalf("port = %q on %v", p.Name(), p.Host().Name())
+	if p.Name() != "ar.port1" {
+		t.Fatalf("port = %q", p.Name())
 	}
 }
 
@@ -542,7 +542,7 @@ func TestGatherSequentialAndParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Helpers() != helpers || len(g.Children()) != 3 {
+		if g.helpers != helpers || len(*g.children.Load()) != 3 {
 			t.Fatal("accessors wrong")
 		}
 		rep, err := g.Op(nil, Request{Kind: OpRead})
@@ -745,7 +745,7 @@ func TestExchangeValidation(t *testing.T) {
 	if _, err := e.Op(nil, Request{Kind: OpWrite, Value: 1}); err == nil {
 		t.Fatal("op with missing peers accepted")
 	}
-	if e.ID() != 0 || e.Participants() != 3 {
+	if e.id != 0 || e.Participants() != 3 {
 		t.Fatal("accessors wrong")
 	}
 }
@@ -798,30 +798,5 @@ func TestExchangeStoresViaNext(t *testing.T) {
 func TestReduceFuncs(t *testing.T) {
 	if Sum(2, 3) != 5 {
 		t.Fatal("reduce funcs broken")
-	}
-}
-
-func TestPathWrapsHead(t *testing.T) {
-	_, c1, _ := testNet(t)
-	h := c1.Hosts()[0]
-	f := NewFunc("f", h, func(ctx *Ctx, req Request) (Reply, error) { return Reply{Value: 7}, nil })
-	p := NewPath("p", f)
-	if p.Name() != "p" || p.Head() != f {
-		t.Fatal("accessors wrong")
-	}
-	rep, err := p.Op(nil, Request{Kind: OpWrite})
-	if err != nil || rep.Value != 7 {
-		t.Fatalf("path op: %+v %v", rep, err)
-	}
-}
-
-func TestWireSizes(t *testing.T) {
-	r := Request{Data: make([]byte, 10)}
-	if r.WireSize() != 26 {
-		t.Fatalf("request wire size = %d", r.WireSize())
-	}
-	rep := Reply{Data: make([]byte, 5)}
-	if rep.WireSize() != 21 {
-		t.Fatalf("reply wire size = %d", rep.WireSize())
 	}
 }

@@ -155,11 +155,6 @@ func (r *Remote) SetMetrics(m *RemoteMetrics) *Remote {
 	return r
 }
 
-// Retries reports transport-fault retries performed; Reconnects reports
-// successful redials.
-func (r *Remote) Retries() uint64    { return r.retries.Load() }
-func (r *Remote) Reconnects() uint64 { return r.reconnect.Load() }
-
 func (r *Remote) transport() (vnet.Caller, uint32, *RetryPolicy) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

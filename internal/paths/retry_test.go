@@ -92,8 +92,8 @@ func TestRemoteRetriesTransientFault(t *testing.T) {
 	if fc.calls != 3 {
 		t.Fatalf("calls = %d, want 3", fc.calls)
 	}
-	if r.Retries() != 2 {
-		t.Fatalf("Retries = %d, want 2", r.Retries())
+	if r.retries.Load() != 2 {
+		t.Fatalf("Retries = %d, want 2", r.retries.Load())
 	}
 }
 
@@ -157,8 +157,8 @@ func TestRemoteRedialsDeadConn(t *testing.T) {
 	if err != nil || rep.Value != 5 {
 		t.Fatalf("Op = %+v, %v", rep, err)
 	}
-	if r.Reconnects() != 1 {
-		t.Fatalf("Reconnects = %d, want 1", r.Reconnects())
+	if r.reconnect.Load() != 1 {
+		t.Fatalf("Reconnects = %d, want 1", r.reconnect.Load())
 	}
 	r.Close()
 }
@@ -203,19 +203,19 @@ func TestRedialRespectsDeadline(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("deadline ignored: Op ran %v", elapsed)
 	}
-	if r.Retries() == 0 {
+	if r.retries.Load() == 0 {
 		t.Fatal("no retries before the deadline")
 	}
-	if r.Retries() >= 999 {
-		t.Fatalf("retries = %d: the deadline did not bound the loop", r.Retries())
+	if r.retries.Load() >= 999 {
+		t.Fatalf("retries = %d: the deadline did not bound the loop", r.retries.Load())
 	}
-	if got, want := r.Reconnects(), uint64(redials); got != want {
+	if got, want := r.reconnect.Load(), uint64(redials); got != want {
 		t.Fatalf("Reconnects = %d, redial func ran %d times", got, want)
 	}
 	// Every retry of a dead connection redials: the counters move in
 	// lockstep.
-	if r.Reconnects() != r.Retries() {
-		t.Fatalf("Reconnects = %d, Retries = %d: counters incoherent", r.Reconnects(), r.Retries())
+	if r.reconnect.Load() != r.retries.Load() {
+		t.Fatalf("Reconnects = %d, Retries = %d: counters incoherent", r.reconnect.Load(), r.retries.Load())
 	}
 }
 

@@ -263,13 +263,12 @@ func (a AggKind) needsArg() bool {
 	return true
 }
 
-// Expr is an esql expression node. Every node renders back to canonical
-// esql via String — Parse(expr.String()) yields an equal tree, which
-// the golden corpus and the parser fuzzer both pin down.
+// Expr is an esql expression node: one of *Lit, *FieldRef, *Agg, *Not,
+// *Binary or *In. Every node renders back to canonical esql via String —
+// Parse(expr.String()) yields an equal tree, which the golden corpus and
+// the parser fuzzer both pin down.
 type Expr interface {
 	String() string
-	// typ is the expression's checked result kind (set by the checker).
-	typ() Kind
 }
 
 // Lit is a literal value.
@@ -278,7 +277,6 @@ type Lit struct {
 }
 
 func (l *Lit) String() string { return l.Val.String() }
-func (l *Lit) typ() Kind      { return l.Val.K }
 
 // FieldRef reads a tuple field. Legal in row context (where clauses and
 // aggregate arguments), illegal at the top level of an alert condition.
@@ -287,8 +285,6 @@ type FieldRef struct {
 }
 
 func (f *FieldRef) String() string { return f.F.String() }
-
-func (f *FieldRef) typ() Kind { return fieldKind(f.F) }
 
 // fieldKind maps a field to its value kind.
 func fieldKind(f Field) Kind {
@@ -356,7 +352,6 @@ type Not struct {
 }
 
 func (n *Not) String() string { return "not " + maybeParen(n.X) }
-func (n *Not) typ() Kind      { return KBool }
 
 // BinOp is a binary operator token.
 type BinOp uint8
@@ -447,8 +442,6 @@ func (b *Binary) String() string {
 	return x + " " + b.Op.String() + " " + y
 }
 
-func (b *Binary) typ() Kind { return b.t }
-
 // In is set membership: X in (v1, v2, ...) / X not in (...).
 type In struct {
 	X    Expr
@@ -472,8 +465,6 @@ func (in *In) String() string {
 	b.WriteByte(')')
 	return b.String()
 }
-
-func (in *In) typ() Kind { return KBool }
 
 // maybeParen wraps composite operands so the canonical form re-parses
 // unambiguously.

@@ -165,12 +165,12 @@ func AnalysisTree(w io.Writer, at *monitor.AnalysisTree, tree *cluster.Tree) err
 }
 
 // GatherReport renders an event scope's delivery accounting.
-func GatherReport(w io.Writer, label string, rate float64, pulls uint64) error {
+func GatherReport(w io.Writer, label string, rate float64) error {
 	status := "all tuples gathered"
 	if rate < 0.99 {
 		status = "tuples discarded"
 	}
-	_, err := fmt.Fprintf(w, "%s: gather rate %5.1f%% over %d pulls (%s)\n", label, rate*100, pulls, status)
+	_, err := fmt.Fprintf(w, "%s: gather rate %5.1f%% (%s)\n", label, rate*100, status)
 	return err
 }
 

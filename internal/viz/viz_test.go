@@ -137,16 +137,16 @@ func TestAnalysisTreeEmpty(t *testing.T) {
 
 func TestGatherReport(t *testing.T) {
 	var buf bytes.Buffer
-	if err := GatherReport(&buf, "lb", 0.55, 123); err != nil {
+	if err := GatherReport(&buf, "lb", 0.55); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "tuples discarded") {
-		t.Fatal("low rate not flagged")
+	if got, want := buf.String(), "lb: gather rate  55.0% (tuples discarded)\n"; got != want {
+		t.Fatalf("low rate rendered %q, want %q", got, want)
 	}
 	buf.Reset()
-	GatherReport(&buf, "lb", 1.0, 10)
-	if !strings.Contains(buf.String(), "all tuples gathered") {
-		t.Fatal("full rate not reported")
+	GatherReport(&buf, "lb", 1.0)
+	if got, want := buf.String(), "lb: gather rate 100.0% (all tuples gathered)\n"; got != want {
+		t.Fatalf("full rate rendered %q, want %q", got, want)
 	}
 }
 

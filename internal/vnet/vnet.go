@@ -124,9 +124,6 @@ func (h *Host) Occupy(d time.Duration) {
 	h.busyNS.Add(int64(hrtime.ScaleDelay(d)))
 }
 
-// BusyTime reports the accumulated modelled CPU occupancy of the host.
-func (h *Host) BusyTime() time.Duration { return time.Duration(h.busyNS.Load()) }
-
 // Cluster is a set of hosts sharing an intra-cluster link and a gateway.
 // All traffic to or from the cluster transits the gateway host.
 type Cluster struct {
@@ -148,9 +145,6 @@ func (c *Cluster) Hosts() []*Host { return c.hosts }
 
 // Gateway returns the cluster's gateway host.
 func (c *Cluster) Gateway() *Host { return c.gateway }
-
-// Intra returns the cluster's internal link spec.
-func (c *Cluster) Intra() LinkSpec { return c.intra }
 
 // WANDelayFunc computes the one-way delay for a message of size bytes
 // between two WAN sites. It is provided by the Longcut emulator in package
@@ -190,9 +184,6 @@ func NewNetwork(inter LinkSpec, cost CostModel) *Network {
 // set, messages between clusters at different sites use it instead of the
 // LAN inter-cluster link.
 func (n *Network) SetWANDelay(f WANDelayFunc) { n.wanDelay = f }
-
-// Cost returns the network's cost model.
-func (n *Network) Cost() CostModel { return n.cost }
 
 // Messages reports the total messages transmitted through the network.
 func (n *Network) Messages() uint64 { return n.msgs.Load() }
@@ -256,17 +247,6 @@ func (n *Network) AddStandaloneHost(name string, cpus int) (*Host, error) {
 	return n.addHost(name, cpus, nil)
 }
 
-// Host looks up a host by name.
-func (n *Network) Host(name string) (*Host, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	h, ok := n.hosts[name]
-	if !ok {
-		return nil, fmt.Errorf("vnet: host %q not found", name)
-	}
-	return h, nil
-}
-
 // ClusterByName looks up a cluster by name.
 func (n *Network) ClusterByName(name string) (*Cluster, error) {
 	n.mu.RLock()
@@ -276,17 +256,6 @@ func (n *Network) ClusterByName(name string) (*Cluster, error) {
 		return nil, fmt.Errorf("vnet: cluster %q not found", name)
 	}
 	return c, nil
-}
-
-// Clusters returns all clusters in unspecified order.
-func (n *Network) Clusters() []*Cluster {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]*Cluster, 0, len(n.clusters))
-	for _, c := range n.clusters {
-		out = append(out, c)
-	}
-	return out
 }
 
 // interSegmentDelay returns the delay of the gateway-to-gateway segment.

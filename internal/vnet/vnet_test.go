@@ -72,11 +72,8 @@ func TestAddClusterCreatesHostsAndGateway(t *testing.T) {
 	if c.Site() != "tromso" || c.Name() != "tin" {
 		t.Fatalf("cluster meta = %q %q", c.Name(), c.Site())
 	}
-	h, err := n.Host("tin-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Cluster() != c {
+	h := n.hosts["tin-2"]
+	if h == nil || h.Cluster() != c {
 		t.Fatal("host not linked to cluster")
 	}
 	if h.CPUs() != 1 {
@@ -85,8 +82,8 @@ func TestAddClusterCreatesHostsAndGateway(t *testing.T) {
 	if got, err := n.ClusterByName("tin"); err != nil || got != c {
 		t.Fatalf("ClusterByName = %v, %v", got, err)
 	}
-	if len(n.Clusters()) != 1 {
-		t.Fatalf("Clusters() = %d", len(n.Clusters()))
+	if len(n.clusters) != 1 {
+		t.Fatalf("clusters = %d", len(n.clusters))
 	}
 }
 
@@ -106,9 +103,6 @@ func TestAddClusterRejectsDuplicatesAndBadArgs(t *testing.T) {
 	}
 	if _, err := n.AddStandaloneHost("c-0", 1); err == nil {
 		t.Fatal("duplicate host name accepted")
-	}
-	if _, err := n.Host("nope"); err == nil {
-		t.Fatal("missing host lookup succeeded")
 	}
 	if _, err := n.ClusterByName("nope"); err == nil {
 		t.Fatal("missing cluster lookup succeeded")
@@ -137,7 +131,7 @@ func TestOneWayDelayTopology(t *testing.T) {
 	a0, a1 := c1.Hosts()[0], c1.Hosts()[1]
 	b0 := c2.Hosts()[0]
 
-	if d := n.OneWayDelay(a0, a0, 8); d != n.Cost().LocalLatency {
+	if d := n.OneWayDelay(a0, a0, 8); d != n.cost.LocalLatency {
 		t.Fatalf("same-host delay = %v", d)
 	}
 	if d := n.OneWayDelay(a0, a1, 8); d != GigabitEthernet.Delay(8) {
@@ -202,8 +196,8 @@ func TestHostOccupySerializesOnSlots(t *testing.T) {
 	if el := time.Since(start); el < 3*d {
 		t.Fatalf("3 occupations of %v on 1 CPU took %v (< %v): not serialized", d, el, 3*d)
 	}
-	if bt := h.BusyTime(); bt < 3*d {
-		t.Fatalf("BusyTime = %v, want >= %v", bt, 3*d)
+	if bt := time.Duration(h.busyNS.Load()); bt < 3*d {
+		t.Fatalf("busy time = %v, want >= %v", bt, 3*d)
 	}
 }
 

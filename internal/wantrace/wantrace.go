@@ -200,9 +200,6 @@ func (e *Emulator) Delay(fromSite, toSite string, size int) time.Duration {
 	return d
 }
 
-// Degraded reports how many delays were degraded by emulator overload.
-func (e *Emulator) Degraded() uint64 { return e.degraded.Load() }
-
 // MaxRTT returns the largest base RTT in the topology (Tromsø-Aalborg).
 func MaxRTT() time.Duration {
 	var max time.Duration

@@ -117,8 +117,8 @@ func TestEmulatorDelayInExpectedRange(t *testing.T) {
 			t.Fatalf("delay %d = %v, outside [15ms,21ms]", i, d)
 		}
 	}
-	if e.Degraded() != 0 {
-		t.Fatalf("Degraded = %d with no threshold set", e.Degraded())
+	if e.degraded.Load() != 0 {
+		t.Fatalf("Degraded = %d with no threshold set", e.degraded.Load())
 	}
 }
 
@@ -158,8 +158,8 @@ func TestEmulatorDegradationCountsOverThreshold(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e2.Delay(Tromso, Aalborg, 8)
 	}
-	if e2.Degraded() != 0 {
-		t.Fatalf("sequential calls degraded %d times", e2.Degraded())
+	if e2.degraded.Load() != 0 {
+		t.Fatalf("sequential calls degraded %d times", e2.degraded.Load())
 	}
 }
 
