@@ -37,11 +37,12 @@ bench-staleness:
 		$(GO) test -race -run TestRecordStalenessBench ./internal/bench/
 
 # read-gates are the read side's allocation gates, run without the race
-# detector (which allocates on its own): a warm scan allocates a
-# constant, an aggregate allocates per cell and not per tuple, and the
-# aggregate benchmark still runs (one iteration, as a smoke test).
+# detector (which allocates on its own): a warm scan — full or selective
+# — allocates a constant, an aggregate allocates per cell and not per
+# tuple, and the selective-scan and aggregate benchmarks still run (one
+# iteration each, as a smoke test).
 read-gates:
-	$(GO) test -count=1 -run 'TestScanSteadyStateAllocs' ./internal/archive/
+	$(GO) test -count=1 -run 'TestScanSteadyStateAllocs' -bench 'BenchmarkScanSelective' -benchtime 1x ./internal/archive/
 	$(GO) test -count=1 -run 'TestRunAllocsScaleWithCells' -bench 'BenchmarkAggregateRun' -benchtime 1x ./internal/query/
 
 # checkpoint-gates are the checkpointer's zero-alloc gates, as the CI

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"math/rand"
 	"os"
 	"runtime"
 	"sync"
@@ -158,6 +159,157 @@ func TestMaskedDecodeTearsLikeFull(t *testing.T) {
 	}
 }
 
+// selectCorpus writes the archive the selective decode is held to the
+// reference over: several segments of blocks three collectors wide, the
+// first stamps negative, one block with more than 256 distinct ECIDs and
+// ops (so both columns are raw-coded), a Seq column damaged in a block
+// of the second segment, and a torn block at the end of the newest,
+// unsealed segment.
+func selectCorpus(t *testing.T, dir string) *Reader {
+	t.Helper()
+	w, err := Create(Options{Dir: dir, SegmentBytes: 4096, BlockTuples: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint32
+	appendBlock := func(batch []collect.TraceTuple) {
+		if err := w.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 40; round++ {
+		var batch []collect.TraceTuple
+		for c := 0; c < 3; c++ {
+			ecid := uint32(1 + (round*3+c)%10)
+			for i := 0; i < 12; i++ {
+				start := int64(round)*10_000 + int64(c)*1_000 + int64(i)*50 - 25_000
+				batch = append(batch, tuple(ecid, seq, start, start+300+int64(i)))
+				seq++
+			}
+		}
+		appendBlock(batch)
+		if round == 20 {
+			wide := make([]collect.TraceTuple, 300)
+			for i := range wide {
+				start := int64(round)*10_000 + int64(i)*20 - 25_000
+				wide[i] = collect.TraceTuple{ECID: uint32(1 + i), Op: paths.OpKind(i), Seq: seq, Start: start, End: start + 90}
+				seq++
+			}
+			appendBlock(wide)
+		}
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) < 4 {
+		t.Fatalf("listSegments: %d segments, %v", len(segs), err)
+	}
+	// Damage the Seq column of the second block of the second segment.
+	img, err := os.ReadFile(segs[1].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, ok := frameColumnarBlock(img[segmentHeaderSize:])
+	if !ok {
+		t.Fatal("second segment does not frame")
+	}
+	at := segmentHeaderSize + f.size
+	if f, ok = frameColumnarBlock(img[at:]); !ok {
+		t.Fatal("second segment holds one block")
+	}
+	at += v2BlockHeaderSize + v2DirSize + int64(len(f.col[colECID])+len(f.col[colOp])+len(f.col[colRet]))
+	img[at] ^= 0x10
+	if err := os.WriteFile(segs[1].path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The crash: the newest segment stays unsealed, a block torn behind it.
+	last, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc columnarEncoder
+	torn := enc.encodeBlock([]collect.TraceTuple{tuple(3, seq, 500_000, 500_100), tuple(7, seq+1, 500_050, 500_200)})
+	if _, err := last.Write(torn[:len(torn)-3]); err != nil {
+		t.Fatal(err)
+	}
+	last.Close()
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestScanSelectMatchesReference holds the selective decode to the walk
+// it replaced (referenceScan: every scanned block decoded whole, every
+// row tested by match) under the filter matrix, over the whole archive
+// and from cursors at block boundaries and inside blocks: the same
+// tuples in the same order, the same ScanStats, the same failures.
+func TestScanSelectMatchesReference(t *testing.T) {
+	r := selectCorpus(t, t.TempDir())
+	queries := []Query{
+		{},
+		{ECIDs: []uint32{3, 7}},
+		{ECIDs: []uint32{3, 7}, MinStamp: 40_000, MaxStamp: 44_000},
+		{ECIDs: []uint32{3, 7, 150}, MinStamp: 170_000},
+		{Ops: []paths.OpKind{paths.OpRead}},
+		{Ops: []paths.OpKind{paths.OpWrite, paths.OpKind(200)}, ECIDs: []uint32{2, 200}},
+		{ECIDs: []uint32{2}, Ops: []paths.OpKind{paths.OpWrite}, MinStamp: 1},
+		{MaxStamp: 30_000},
+		{MinStamp: -20_000, MaxStamp: 1},
+		{MinStamp: 100_000, MaxStamp: 101_000},
+		{ECIDs: []uint32{999}},
+	}
+	// Cursors at every segment's start, inside its first block, at its
+	// first block's end, past its damaged block and at its end.
+	cursors := []*Cursor{nil}
+	var prefix uint64
+	for _, s := range r.Segments() {
+		for _, in := range []uint64{0, 5, 36, 50, s.Index.Tuples} {
+			if in <= s.Index.Tuples {
+				cursors = append(cursors, &Cursor{Tuples: prefix + in, Segment: s.ID, SegTuples: in})
+			}
+		}
+		prefix += s.Index.Tuples
+	}
+	var matched, skipped, torn, refused int
+	for qi, q := range queries {
+		for _, cur := range cursors {
+			want, wantStats, wantErr := referenceScan(r, cur, q)
+			var got []collect.TraceTuple
+			keep := func(tu collect.TraceTuple) bool {
+				got = append(got, tu)
+				return true
+			}
+			var stats ScanStats
+			var err error
+			if cur == nil {
+				stats, err = r.Scan(q, keep)
+			} else {
+				stats, err = r.ScanFrom(*cur, q, keep)
+			}
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("query %d cursor %+v: error %v, reference %v", qi, cur, err, wantErr)
+			}
+			if err != nil {
+				refused++
+				continue
+			}
+			if stats != wantStats {
+				t.Fatalf("query %d cursor %+v: stats %+v, reference %+v", qi, cur, stats, wantStats)
+			}
+			sameTuples(t, got, want)
+			matched += len(got)
+			skipped += int(stats.BlocksSkipped)
+			torn += stats.TornSegments
+		}
+	}
+	if matched == 0 || skipped == 0 || torn == 0 || refused == 0 {
+		t.Fatalf("the matrix missed a case: %d matched, %d blocks skipped, %d tears, %d cursors refused", matched, skipped, torn, refused)
+	}
+}
+
 // TestIndexStampRangeIgnoresControlPayload is ROADMAP 3a's regression:
 // alert tuples carry their query hash in End, and a segment index that
 // took its upper stamp from End claimed to reach the hash — so no
@@ -237,9 +389,12 @@ func TestIndexStampRangeIgnoresControlPayload(t *testing.T) {
 }
 
 // TestScanSteadyStateAllocs is the read side's allocation gate: a warm
-// full scan reads every segment into the reader's one image buffer and
-// decodes into its one batch, so what it allocates is a constant (a
-// file handle per segment), not a function of the archive's size.
+// scan reads every segment into the reader's one image buffer and
+// decodes into its one batch — a selective one selecting rows in the
+// decoder's one selection vector — so what it allocates is a constant
+// (a file handle per segment), not a function of the archive's size.
+// Both a full scan and a selective one (an ECID set and a stamp window)
+// are held to it.
 func TestScanSteadyStateAllocs(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(Options{Dir: dir, SegmentBytes: 256 << 10})
@@ -270,27 +425,90 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	if len(r.Segments()) < 4 || bytes < 1<<20 {
 		t.Fatalf("fixture too small to tell: %d segments, %d bytes", len(r.Segments()), bytes)
 	}
-	var sum int64
-	scan := func() {
-		stats, err := r.Scan(Query{}, func(tu collect.TraceTuple) bool {
-			sum += tu.End - tu.Start
-			return true
-		})
-		if err != nil || stats.TuplesMatched != r.Tuples() {
-			t.Fatalf("scan matched %d of %d tuples: %v", stats.TuplesMatched, r.Tuples(), err)
+	selective := Query{ECIDs: []uint32{3, 7}, MinStamp: 10_000_000, MaxStamp: 14_000_000}
+	var inWindow uint64
+	for n := 100_000; n <= 140_000; n++ {
+		if id := uint32(1 + n%len(batch)%61); id == 3 || id == 7 {
+			inWindow++
 		}
 	}
-	scan()       // warm: the reader's image buffer grows to the largest segment
-	runtime.GC() // a collection between scans must not cost the buffer
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	scan()
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	if got > 64<<10 {
-		t.Fatalf("a warm scan of %d bytes in %d segments allocated %d bytes, want at most 64 KB", bytes, len(r.Segments()), got)
+	for _, c := range []struct {
+		name string
+		q    Query
+		want uint64
+	}{{"full", Query{}, r.Tuples()}, {"selective", selective, inWindow}} {
+		var sum int64
+		scan := func() {
+			stats, err := r.Scan(c.q, func(tu collect.TraceTuple) bool {
+				sum += tu.End - tu.Start
+				return true
+			})
+			if err != nil || stats.TuplesMatched != c.want {
+				t.Fatalf("%s scan matched %d tuples, want %d: %v", c.name, stats.TuplesMatched, c.want, err)
+			}
+		}
+		scan()       // warm: the reader's image buffer grows to the largest segment
+		runtime.GC() // a collection between scans must not cost the buffer
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		scan()
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		if got > 64<<10 {
+			t.Fatalf("a warm %s scan of %d bytes in %d segments allocated %d bytes, want at most 64 KB", c.name, bytes, len(r.Segments()), got)
+		}
 	}
+}
+
+// BenchmarkScanSelective is the repo benchmark's selective query
+// against the archive alone: collectors 3 and 7 over a 4 ms stamp
+// window, in a six-segment archive of benchmark-shaped replies (61
+// collectors, runs of 64, default blocks). Successive queries step the
+// window through 40 strata of the archive's span. One op is one query;
+// make read-gates runs it once as a smoke test.
+func BenchmarkScanSelective(b *testing.B) {
+	dir := b.TempDir()
+	w, err := Create(Options{Dir: dir, SegmentBytes: 256 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const replies = 48
+	rng := rand.New(rand.NewSource(2404))
+	for k := 0; k < replies; k++ {
+		if err := w.AppendRaw(encodeTuples(benchReply(rng, uint32(k*replyRunLen)))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(r.Segments()) < 4 {
+		b.Fatalf("%d segments, want several", len(r.Segments()))
+	}
+	const window, strata = 4_000_000, 40
+	stratum := (replies*replyRunLen*500_000 - window) / strata
+	var matched uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := int64(1 + i%strata*stratum)
+		q := Query{ECIDs: []uint32{3, 7}, MinStamp: from, MaxStamp: from + window - 1}
+		stats, err := r.Scan(q, func(collect.TraceTuple) bool { return true })
+		if err != nil {
+			b.Fatal(err)
+		}
+		matched += stats.TuplesMatched
+	}
+	b.StopTimer()
+	if matched == 0 {
+		b.Fatal("no query matched a tuple")
+	}
+	b.ReportMetric(float64(matched)/float64(b.N), "tuples/query")
 }
 
 // TestScansShareAReader: the reader's scan buffers are taken for the

@@ -358,36 +358,50 @@ const (
 // safe for concurrent use; each scan owns one.
 type blockDecoder struct {
 	batch []collect.TraceTuple
-	dict  []uint64
+	sel   []uint16                // a filtered decode's selection vector: the rows it keeps, ascending
+	keep  [v2MaxDictEntries]uint8 // a filter column's keep table: 1 for each dictionary entry the query keeps
+}
+
+// grow sizes the batch and the selection vector for an n-tuple block.
+func (d *blockDecoder) grow(n int) {
+	if cap(d.batch) < n {
+		d.batch = make([]collect.TraceTuple, n)
+		d.sel = make([]uint16, n)
+	}
+	d.batch, d.sel = d.batch[:n], d.sel[:n]
 }
 
 // decodeColumnar validates a framed version-2 block and decodes the
-// columns in cols into the reused batch; the other fields of the
-// returned tuples hold whatever an earlier block left there. ok=false
-// is a torn or corrupt block.
+// columns in cols, every row, into the reused batch; the other fields of
+// the returned tuples hold whatever an earlier block left there.
+// ok=false is a torn or corrupt block.
 func (d *blockDecoder) decodeColumnar(f *columnarFrame, cols Columns) (batch []collect.TraceTuple, ok bool) {
-	if cap(d.batch) < int(f.count) {
-		d.batch = make([]collect.TraceTuple, f.count)
-	}
-	d.batch = d.batch[:f.count]
-	return d.batch, decodeColumns(f, cols, d.batch)
+	d.grow(int(f.count))
+	return d.batch, checksums(f) && decodeColumns(f, cols, d.batch)
 }
 
-// decodeColumns is the masked block decode. Every column's CRC is
-// checked whatever the mask — a block is torn for a projected reader
-// exactly when it is torn for a full one — and only the decode of the
-// columns outside cols is skipped. Any failure (column CRC, short
+// checksums reports whether every column payload matches its CRC. Both
+// decodes check all six whatever they decode, so a block is torn for a
+// projected or filtered reader exactly when it is torn for a full one.
+func checksums(f *columnarFrame) bool {
+	for c := range f.col {
+		if crc32.ChecksumIEEE(f.col[c]) != f.crc[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeColumns is the masked whole-block decode of checksummed
+// columns: only the columns in cols are decoded. Any failure (short
 // payload, bad dictionary index, varint overrun) reports false.
 //
-//lint:hotpath once per scanned block; the per-value loops of every read
+//lint:hotpath once per block of an unfiltered scan; the per-value loops of every full read
 func decodeColumns(f *columnarFrame, cols Columns, batch []collect.TraceTuple) bool {
 	if cols&ColEnd != 0 {
 		cols |= ColStart // latency-coded End is rebuilt from the block's Start
 	}
 	for c := 0; c < numColumns; c++ {
-		if crc32.ChecksumIEEE(f.col[c]) != f.crc[c] {
-			return false
-		}
 		if cols&(1<<c) != 0 && !decodeColumn(f, c, batch) {
 			return false
 		}
@@ -453,6 +467,180 @@ func decodeColumn(f *columnarFrame, col int, batch []collect.TraceTuple) bool {
 	return true
 }
 
+// selectColumnar is the late-materializing decode behind a filtered
+// scan (q.columns() != 0). It checksums all six columns, decodes only
+// q's filter columns to select the rows, from row from on, that q keeps,
+// and then decodes the columns in cols at the selected rows alone,
+// compacted to the front of the batch. A block with no selected row
+// decodes nothing more. A value no selected row needs is checksummed but
+// never decoded, so its structure is not verified — the rule a
+// projection already follows for whole columns. ok=false is a torn or
+// corrupt block.
+func (d *blockDecoder) selectColumnar(f *columnarFrame, q *Query, cols Columns, from int) (batch []collect.TraceTuple, ok bool) {
+	d.grow(int(f.count))
+	if !checksums(f) {
+		return nil, false
+	}
+	sel, have, ok := d.selectRows(f, q, from)
+	if !ok {
+		return nil, false
+	}
+	if cols&ColEnd != 0 {
+		cols |= ColStart // latency-coded End is rebuilt from the rows' Start
+	}
+	return d.batch[:len(sel)], gatherColumns(f, cols&^have, sel, d.batch)
+}
+
+// selectRows builds the block's selection vector: the rows from row
+// from on, narrowed by each of q's filter columns in turn — ECID, Op,
+// then Start — so a later filter reads only the rows an earlier one
+// kept. The Start filter leaves the kept rows' Start in the batch,
+// compacted like the rows; have reports the columns left there.
+//
+//lint:hotpath once per scanned block of a filtered scan; its filter loops touch every candidate row
+func (d *blockDecoder) selectRows(f *columnarFrame, q *Query, from int) (sel []uint16, have Columns, ok bool) {
+	sel = d.sel[:len(d.sel)-from]
+	for j := range sel {
+		sel[j] = uint16(from + j)
+	}
+	filters := q.columns()
+	for _, col := range [...]int{colECID, colOp} {
+		if filters&(1<<col) != 0 && len(sel) > 0 {
+			if sel, ok = d.keepRows(f, col, q, sel); !ok {
+				return nil, 0, false
+			}
+		}
+	}
+	if filters&ColStart == 0 || len(sel) == 0 {
+		return sel, 0, true
+	}
+	if !gatherColumn(f, colStart, sel, d.batch) {
+		return nil, 0, false
+	}
+	lo, hi := q.stamps()
+	k := 0
+	for j, i := range sel {
+		if s := d.batch[j].Start; s >= lo && s <= hi {
+			d.batch[k].Start, sel[k] = s, i
+			k++
+		}
+	}
+	return sel[:k], ColStart, true
+}
+
+// keepRows narrows sel to the rows whose value in col (ECID or Op) q
+// keeps. A dictionary column costs one keep-table lookup per candidate
+// row; a raw one (more than 256 distinct values in the block) decodes
+// each candidate and looks it up in q's set.
+func (d *blockDecoder) keepRows(f *columnarFrame, col int, q *Query, sel []uint16) ([]uint16, bool) {
+	k := 0
+	if f.enc[col] != colEncDict {
+		if !gatherColumn(f, col, sel, d.batch) {
+			return nil, false
+		}
+		for j, i := range sel {
+			if q.keeps(col, colValue(&d.batch[j], col)) {
+				sel[k] = i
+				k++
+			}
+		}
+		return sel[:k], true
+	}
+	n, idx, _, ok := d.keepTable(f, col, q)
+	if !ok || len(idx) != int(f.count) {
+		return nil, false
+	}
+	for _, i := range sel {
+		ix := idx[i]
+		if int(ix) >= n {
+			return nil, false
+		}
+		sel[k] = i
+		k += int(d.keep[ix])
+	}
+	return sel[:k], true
+}
+
+// gatherColumns decodes the columns in cols at the rows in sel into
+// batch[:len(sel)]: decodeColumns compacted to the selected rows.
+//
+//lint:hotpath once per scanned block of a filtered scan; the per-value loops of the rows it keeps
+func gatherColumns(f *columnarFrame, cols Columns, sel []uint16, batch []collect.TraceTuple) bool {
+	if len(sel) == 0 {
+		return true
+	}
+	for c := 0; c < numColumns; c++ {
+		if cols&(1<<c) != 0 && !gatherColumn(f, c, sel, batch) {
+			return false
+		}
+	}
+	return true
+}
+
+// gatherColumn is decodeColumn at the rows in sel alone: row sel[j]'s
+// value goes to batch[j]. A raw or dictionary column is read at just
+// those rows; a delta or latency one is walked from its first row to the
+// last selected one. Latency needs those rows' Start in batch already.
+func gatherColumn(f *columnarFrame, col int, sel []uint16, batch []collect.TraceTuple) bool {
+	p := f.col[col]
+	w := colRawWidth[col]
+	switch f.enc[col] {
+	case colEncRaw:
+		if len(p) != int(f.count)*w {
+			return false
+		}
+		for j, i := range sel {
+			setColValue(&batch[j], col, readColValue(p[int(i)*w:], col))
+		}
+	case colEncDict:
+		n, vals, idx, ok := splitDict(p, col)
+		if !ok || len(idx) != int(f.count) {
+			return false
+		}
+		for j, i := range sel {
+			ix := int(idx[i])
+			if ix >= n {
+				return false
+			}
+			setColValue(&batch[j], col, readColValue(vals[ix*w:], col))
+		}
+	case colEncDelta:
+		var prev uint64
+		off := 0
+		for i, j := 0, 0; j < len(sel); i++ {
+			u, n := binary.Uvarint(p[off:])
+			if n <= 0 {
+				return false
+			}
+			off += n
+			prev += uint64(unzigzag(u))
+			if i == int(sel[j]) {
+				setColValue(&batch[j], col, prev)
+				j++
+			}
+		}
+	case colEncLatency:
+		if col != colEnd {
+			return false
+		}
+		off := 0
+		for i, j := 0, 0; j < len(sel); i++ {
+			u, n := binary.Uvarint(p[off:])
+			if n <= 0 {
+				return false
+			}
+			off += n
+			if i == int(sel[j]) {
+				batch[j].End = int64(uint64(batch[j].Start) + uint64(unzigzag(u)))
+				j++
+			}
+		}
+	default:
+		return false
+	}
+	return true
+}
+
 // splitDict splits a dictionary payload into its value table and index
 // bytes, validating the framing.
 func splitDict(p []byte, col int) (n int, vals, idx []byte, ok bool) {
@@ -467,64 +655,45 @@ func splitDict(p []byte, col int) (n int, vals, idx []byte, ok bool) {
 	return n, p[2 : 2+n*w], p[2+n*w:], true
 }
 
-// dictValues checksums the column and decodes just its dictionary
-// values (not the per-tuple indexes) into the decoder's scratch. The
-// CRC check first is what keeps the skip path honest: a corrupt block
-// is never silently skipped — the check fails, the caller falls through
-// to the full decode, and the decode reports the tear.
-func (d *blockDecoder) dictValues(f *columnarFrame, col int) ([]uint64, bool) {
-	p := f.col[col]
-	if crc32.ChecksumIEEE(p) != f.crc[col] {
-		return nil, false
-	}
-	n, vals, _, ok := splitDict(p, col)
+// keepTable fills d.keep from the dictionary of column col (ECID or
+// Op): 1 for each entry q keeps, 0 for the rest. It returns the
+// dictionary's size and index bytes and whether q keeps any entry;
+// ok=false is a malformed dictionary.
+func (d *blockDecoder) keepTable(f *columnarFrame, col int, q *Query) (n int, idx []byte, kept, ok bool) {
+	n, vals, idx, ok := splitDict(f.col[col], col)
 	if !ok {
-		return nil, false
+		return 0, nil, false, false
 	}
 	w := colRawWidth[col]
-	d.dict = d.dict[:0]
-	for i := 0; i < n; i++ {
-		d.dict = append(d.dict, readColValue(vals[i*w:], col))
+	for e := 0; e < n; e++ {
+		d.keep[e] = 0
+		if q.keeps(col, readColValue(vals[e*w:], col)) {
+			d.keep[e] = 1
+			kept = true
+		}
 	}
-	return d.dict, true
+	return n, idx, kept, true
 }
 
 // skipColumnar reports whether the block's dictionaries prove no tuple
 // in it can match q, without decoding the block. This is the columnar
 // pushdown: a query for one collector or one op kind touches only the
 // dictionary bytes of blocks it skips.
+//
+//lint:hotpath once per block of a filtered scan, skipped or not
 func (d *blockDecoder) skipColumnar(f *columnarFrame, q *Query) bool {
-	if len(q.ECIDs) > 0 && f.enc[colECID] == colEncDict {
-		if vals, ok := d.dictValues(f, colECID); ok && !dictHasECID(vals, q.ECIDs) {
-			return true
-		}
-	}
-	if len(q.Ops) > 0 && f.enc[colOp] == colEncDict {
-		if vals, ok := d.dictValues(f, colOp); ok && !dictHasOp(vals, q.Ops) {
-			return true
-		}
-	}
-	return false
+	return d.dictExcludes(f, colECID, q) || d.dictExcludes(f, colOp, q)
 }
 
-func dictHasECID(vals []uint64, ecids []uint32) bool {
-	for _, v := range vals {
-		for _, id := range ecids {
-			if uint32(v) == id {
-				return true
-			}
-		}
+// dictExcludes reports whether col is a dictionary column q filters on
+// and q keeps none of its entries. The CRC check first is what keeps the
+// skip path honest: a corrupt block is never silently skipped — the
+// check fails, the caller falls through to the decode, and the decode
+// reports the tear.
+func (d *blockDecoder) dictExcludes(f *columnarFrame, col int, q *Query) bool {
+	if q.columns()&(1<<col) == 0 || f.enc[col] != colEncDict || crc32.ChecksumIEEE(f.col[col]) != f.crc[col] {
+		return false
 	}
-	return false
-}
-
-func dictHasOp(vals []uint64, ops []paths.OpKind) bool {
-	for _, v := range vals {
-		for _, op := range ops {
-			if paths.OpKind(uint16(v)) == op {
-				return true
-			}
-		}
-	}
-	return false
+	_, _, kept, ok := d.keepTable(f, col, q)
+	return ok && !kept
 }

@@ -201,20 +201,52 @@ func TestReopenCountsNegativeStamps(t *testing.T) {
 	if r.Tuples() != 14 {
 		t.Fatalf("sealed header counts %d tuples, want 14", r.Tuples())
 	}
-	all := Query{MinStamp: math.MinInt64}
-	full, _, err := r.Select(all)
+	full, _, err := r.Select(Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameTuples(t, full[:3], early)
 	var got []collect.TraceTuple
-	if _, err := r.ScanFrom(cur, all, func(t collect.TraceTuple) bool {
+	if _, err := r.ScanFrom(cur, Query{}, func(t collect.TraceTuple) bool {
 		got = append(got, t)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	sameTuples(t, got, full[9:])
+}
+
+// TestZeroQueryKeepsNegativeStamps: a stamp bound at or below zero is no
+// bound, so the zero Query — and any query whose only lower bound is not
+// positive — returns every tuple the writer accepted, negative Starts
+// included, as many as the reader counts.
+func TestZeroQueryKeepsNegativeStamps(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []collect.TraceTuple{tuple(1, 0, -5, 0), tuple(2, 1, 10, 15)}
+	if err := w.Append(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []Query{{}, {MinStamp: -3}, {MaxStamp: 20}, {ECIDs: []uint32{1, 2}}} {
+		got, stats, err := r.Select(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(len(got)) != r.Tuples() || stats.TuplesMatched != r.Tuples() {
+			t.Fatalf("%+v: %d tuples, %d matched, the reader counts %d", q, len(got), stats.TuplesMatched, r.Tuples())
+		}
+		sameTuples(t, got, want)
+	}
 }
 
 // TestScanFromRejectsInvalidCursors pins the validation ladder: a

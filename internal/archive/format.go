@@ -3,7 +3,6 @@ package archive
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"eventspace/internal/collect"
 	"eventspace/internal/hrtime"
@@ -158,10 +157,7 @@ func scanSegment(buf []byte) (scanResult, error) {
 	res := scanResult{Header: h}
 	var dec blockDecoder
 	var stats ScanStats
-	// The index must count every tuple the frames hold — the zero Query
-	// would drop negative stamps, which the writer accepts.
-	all := Query{MinStamp: math.MinInt64}
-	w := blockWalk{q: &all, cols: AllColumns, dec: &dec, stats: &stats, fn: func(batch []collect.TraceTuple) bool {
+	w := blockWalk{q: &Query{}, cols: AllColumns, dec: &dec, stats: &stats, fn: func(batch []collect.TraceTuple) bool {
 		for i := range batch {
 			res.Index.add(batch[i])
 		}
@@ -188,11 +184,7 @@ func (x *SegmentIndex) overlapECIDs(ecids []uint32) bool {
 }
 
 // overlapStamps reports whether the index's stamp range intersects
-// [min, max] (max <= 0 means unbounded).
-func (x *SegmentIndex) overlapStamps(min, max hrtime.Stamp) bool {
-	hi := max
-	if hi <= 0 {
-		hi = math.MaxInt64
-	}
-	return x.MinStamp <= hi && x.MaxStamp >= min
+// [lo, hi] (Query.stamps).
+func (x *SegmentIndex) overlapStamps(lo, hi hrtime.Stamp) bool {
+	return x.MinStamp <= hi && x.MaxStamp >= lo
 }

@@ -105,23 +105,36 @@ func FuzzSegmentDecode(f *testing.F) {
 // for byte what the map-based reference encoder writes. It also draws a
 // column mask and a byte to damage: the masked decode must agree with
 // the full one on the masked fields, and fail on exactly the blocks the
-// full one fails on.
+// full one fails on. And it draws a Query — an ECID set and an op set,
+// each one value taken from the batch and one made up, stamp bounds,
+// and a first row as a cursor would leave it: the selective decode must
+// return exactly the rows the full decode and the reference match keep,
+// in order, fail on exactly the blocks the full decode fails on, and a
+// block the dictionaries skip must hold no row the query keeps.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	seed := make([]byte, 3*collect.TupleSize)
 	for i := range seed {
 		seed[i] = byte(i * 7)
 	}
-	f.Add(seed, uint8(ColECID|ColEnd), uint16(0))
+	f.Add(seed, uint8(ColECID|ColEnd), uint16(0), uint8(3), uint32(1), uint16(0), int64(0), int64(0))
 	var zeros [collect.TupleSize]byte
-	f.Add(zeros[:], uint8(0), uint16(0))
-	f.Add(seed, uint8(ColSeq), uint16(70)) // damage inside a column payload
+	f.Add(zeros[:], uint8(0), uint16(0), uint8(0), uint32(0), uint16(0), int64(1), int64(0))
+	f.Add(seed, uint8(ColSeq), uint16(70), uint8(1), uint32(2), uint16(0), int64(0), int64(0)) // damage inside a column payload
 	adversarial := collect.TraceTuple{
 		ECID: math.MaxUint32, Op: paths.OpKind(math.MaxUint16), Ret: math.MinInt16,
 		Seq: math.MaxUint32, Start: math.MinInt64, End: math.MaxInt64,
 	}
-	f.Add(adversarial.Encode(), uint8(AllColumns), uint16(0))
+	f.Add(adversarial.Encode(), uint8(AllColumns), uint16(0), uint8(2), uint32(7), uint16(9), int64(-4), int64(math.MaxInt64))
+	// Runs of collectors under a stamp window, from the third row on.
+	var runs []byte
+	for i := 0; i < 40; i++ {
+		tu := collect.TraceTuple{ECID: uint32(1 + i/8), Op: paths.OpKind(i % 3), Seq: uint32(i), Start: int64(1000 * i), End: int64(1000*i + 300)}
+		runs = append(runs, tu.Encode()...)
+	}
+	f.Add(runs, uint8(ColEnd), uint16(0), uint8(1|2<<2), uint32(10), uint16(1), int64(4000), int64(30_000))
+	f.Add(runs, uint8(ColEnd), uint16(0), uint8(1), uint32(10), uint16(0), int64(0), int64(0)) // End without a Start filter
 
-	f.Fuzz(func(t *testing.T, data []byte, mask uint8, damage uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, mask uint8, damage uint16, filter uint8, ecid uint32, op uint16, lo, hi int64) {
 		n := len(data) / collect.TupleSize
 		if n == 0 {
 			return
@@ -190,6 +203,51 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 				if cols&(1<<c) != 0 && colValue(&proj[i], c) != colValue(&tuples[i], c) {
 					t.Fatalf("mask %06b: tuple %d %s = %d, want %d", cols, i, colName[c],
 						colValue(&proj[i], c), colValue(&tuples[i], c))
+				}
+			}
+		}
+
+		q := Query{MinStamp: lo, MaxStamp: hi}
+		if filter&1 != 0 {
+			q.ECIDs = []uint32{tuples[int(ecid)%n].ECID, ecid}
+		}
+		if filter&2 != 0 {
+			q.Ops = []paths.OpKind{tuples[int(op)%n].Op, paths.OpKind(op)}
+		}
+		if q.columns() == 0 {
+			return // the zero Query takes the whole-block decode above
+		}
+		from := int(filter>>2) % n
+		var want []collect.TraceTuple
+		for i := from; i < n; i++ {
+			if q.match(&tuples[i]) {
+				want = append(want, tuples[i])
+			}
+		}
+		var sd blockDecoder
+		if fullOK && sd.skipColumnar(&fr, &q) {
+			for i := range tuples {
+				if q.match(&tuples[i]) {
+					t.Fatalf("%+v: the dictionaries skip a block whose tuple %d matches", q, i)
+				}
+			}
+		}
+		read := cols | q.columns()
+		got, selOK := sd.selectColumnar(&fr, &q, read, from)
+		if selOK != fullOK {
+			t.Fatalf("damage %d, %+v: full decode ok=%v, selective ok=%v", damage, q, fullOK, selOK)
+		}
+		if !selOK {
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%+v from row %d: %d rows selected, the reference keeps %d", q, from, len(got), len(want))
+		}
+		for i := range want {
+			for c := 0; c < numColumns; c++ {
+				if read&(1<<c) != 0 && colValue(&got[i], c) != colValue(&want[i], c) {
+					t.Fatalf("%+v mask %06b: row %d %s = %d, want %d", q, read, i, colName[c],
+						colValue(&got[i], c), colValue(&want[i], c))
 				}
 			}
 		}

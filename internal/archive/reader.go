@@ -3,7 +3,9 @@ package archive
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -15,65 +17,60 @@ import (
 )
 
 // Query selects tuples out of an archive. The zero value matches
-// everything. Filters are pushed down to the per-segment header index:
-// a segment whose ECID or stamp range cannot intersect the query is
-// skipped without reading its blocks.
+// everything, and a scan hands its blocks through whole. Filters are
+// pushed down to the per-segment header index — a segment whose ECID or
+// stamp range cannot intersect the query is skipped without reading its
+// blocks — and to each block's ECID and Op dictionaries, which skip a
+// block without decoding it. In a block neither skips, only the filter
+// columns are decoded, to select the rows; the other fields are decoded
+// for the selected rows alone.
 type Query struct {
 	// ECIDs restricts to these event-collector ids (empty: all).
 	ECIDs []uint32
 	// Ops restricts to these operation kinds (empty: all).
 	Ops []paths.OpKind
 	// MinStamp / MaxStamp bound the tuple's Start timestamp,
-	// inclusive. MaxStamp <= 0 means unbounded above.
+	// inclusive. MinStamp <= 0 means unbounded below, MaxStamp <= 0
+	// unbounded above: a Query cannot bound a stamp at or below zero.
 	MinStamp hrtime.Stamp
 	MaxStamp hrtime.Stamp
 }
 
-// match applies the per-tuple filters.
-func (q *Query) match(t *collect.TraceTuple) bool {
-	if len(q.ECIDs) > 0 {
-		ok := false
-		for _, id := range q.ECIDs {
-			if t.ECID == id {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if len(q.Ops) > 0 {
-		ok := false
-		for _, op := range q.Ops {
-			if t.Op == op {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if t.Start < q.MinStamp {
-		return false
-	}
-	if q.MaxStamp > 0 && t.Start > q.MaxStamp {
-		return false
-	}
-	return true
-}
-
-// columns is the set of fields match reads.
+// columns is the set of fields q filters on: empty for the zero Query.
 func (q *Query) columns() Columns {
-	cols := ColStart
+	var cols Columns
 	if len(q.ECIDs) > 0 {
 		cols |= ColECID
 	}
 	if len(q.Ops) > 0 {
 		cols |= ColOp
 	}
+	if q.MinStamp > 0 || q.MaxStamp > 0 {
+		cols |= ColStart
+	}
 	return cols
+}
+
+// stamps returns q's inclusive bounds on Start, the unset ones widened
+// to the whole int64 range.
+func (q *Query) stamps() (lo, hi hrtime.Stamp) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	if q.MinStamp > 0 {
+		lo = q.MinStamp
+	}
+	if q.MaxStamp > 0 {
+		hi = q.MaxStamp
+	}
+	return lo, hi
+}
+
+// keeps reports whether v, a value of the ECID or Op column, is in q's
+// set for that column.
+func (q *Query) keeps(col int, v uint64) bool {
+	if col == colECID {
+		return slices.Contains(q.ECIDs, uint32(v))
+	}
+	return slices.Contains(q.Ops, paths.OpKind(uint16(v)))
 }
 
 // SegmentInfo describes one archived segment for tooling.
@@ -93,9 +90,9 @@ type ScanStats struct {
 	Segments        int    // segments in the archive
 	SegmentsSkipped int    // skipped wholesale via the header index
 	SegmentsScanned int    // segments whose blocks were read
-	BlocksScanned   uint64 // blocks decoded
+	BlocksScanned   uint64 // blocks whose filter columns were decoded (every column, for the zero Query)
 	BlocksSkipped   uint64 // blocks skipped undecoded (dictionary or cursor skips)
-	TuplesScanned   uint64 // tuples decoded
+	TuplesScanned   uint64 // tuples in the scanned blocks (past the cursor)
 	TuplesMatched   uint64 // tuples that passed the filters
 	TuplesSkipped   uint64 // tuples jumped over without decoding (index or cursor skips)
 	BytesScanned    uint64 // segment bytes read off disk
@@ -234,7 +231,9 @@ func (r *Reader) Tuples() uint64 {
 // Segments are walked block by block into one reused decode batch —
 // never materialized whole — and blocks whose ECID/op dictionaries
 // cannot intersect q are skipped after a dictionary-only CRC check,
-// without decoding any column.
+// without decoding any column. Every other block has all its columns
+// checksummed; under a filter only the filter columns are then decoded
+// whole, and the rest only at the rows q keeps (see Query).
 func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
 	return r.scanTuples(nil, q, fn)
 }
@@ -369,7 +368,7 @@ func (r *Reader) scan(cur *Cursor, q Query, cols Columns, fn func([]collect.Trac
 			covered = cur.SegTuples
 		}
 		uncovered := s.Index.Tuples - covered
-		if uncovered == 0 || !s.Index.overlapECIDs(q.ECIDs) || !s.Index.overlapStamps(q.MinStamp, q.MaxStamp) {
+		if uncovered == 0 || !s.Index.overlapECIDs(q.ECIDs) || !s.Index.overlapStamps(q.stamps()) {
 			stats.SegmentsSkipped++
 			stats.BytesSkipped += uint64(s.Bytes)
 			stats.TuplesSkipped += uncovered
@@ -402,15 +401,13 @@ func (r *Reader) scan(cur *Cursor, q Query, cols Columns, fn func([]collect.Trac
 				stats.TuplesSkipped += count
 				continue
 			}
-			batch, ok := w.dec.decodeColumnar(&f, w.cols)
+			ok, stopped := w.block(&f, int(skip))
 			if !ok {
 				return stats, fmt.Errorf("archive: segment %s: torn before cursor position", s.Path)
 			}
 			off += f.size
-			stats.BlocksScanned++
 			stats.TuplesSkipped += skip
-			stats.TuplesScanned += uint64(len(batch)) - skip
-			if !w.emit(batch[skip:]) {
+			if stopped {
 				return stats, nil
 			}
 			skip = 0
@@ -422,7 +419,7 @@ func (r *Reader) scan(cur *Cursor, q Query, cols Columns, fn func([]collect.Trac
 	return stats, nil
 }
 
-// blockWalk is one scan's state between blocks: what to match and
+// blockWalk is one scan's state between blocks: what to select and
 // decode, where to count it, and who gets the matches.
 type blockWalk struct {
 	q     *Query
@@ -432,30 +429,35 @@ type blockWalk struct {
 	fn    func([]collect.TraceTuple) bool
 }
 
-// emit compacts a decoded batch down to q's matches, in place, and
-// hands them to fn. It reports false when fn stopped the scan.
-func (w *blockWalk) emit(batch []collect.TraceTuple) bool {
-	n := 0
-	for i := range batch {
-		if w.q.match(&batch[i]) {
-			if n != i {
-				batch[n] = batch[i]
-			}
-			n++
-		}
+// block decodes one framed block from row from on (0 but in the block
+// that straddles a cursor) and hands q's rows to fn: the whole decoded
+// block under the zero Query, the selected rows under a filter. ok=false
+// means the block is torn; stopped, that fn stopped the scan.
+func (w *blockWalk) block(f *columnarFrame, from int) (ok, stopped bool) {
+	var batch []collect.TraceTuple
+	if w.q.columns() == 0 {
+		batch, ok = w.dec.decodeColumnar(f, w.cols)
+		batch = batch[from:]
+	} else {
+		batch, ok = w.dec.selectColumnar(f, w.q, w.cols, from)
 	}
-	w.stats.TuplesMatched += uint64(n)
-	return n == 0 || w.fn(batch[:n])
+	if !ok {
+		return false, false
+	}
+	w.stats.BlocksScanned++
+	w.stats.TuplesScanned += uint64(int(f.count) - from)
+	w.stats.TuplesMatched += uint64(len(batch))
+	return true, len(batch) > 0 && !w.fn(batch)
 }
 
 // blocks walks one segment image block by block from byte offset off
 // (segmentHeaderSize for a whole-segment walk; past it when a cursor
 // scan already skipped a prefix), skipping blocks the query cannot
-// match, and emits each decoded block. It returns the offset just past
-// the last intact block it walked and whether fn stopped the scan. A
-// block that does not frame or decode — partial header or directory,
-// short payload, CRC mismatch, invalid count — is a torn tail: it ends
-// the walk and is counted.
+// match, and hands each scanned block's rows to fn. It returns the
+// offset just past the last intact block it walked and whether fn
+// stopped the scan. A block that does not frame or decode — partial
+// header or directory, short payload, CRC mismatch, invalid count — is
+// a torn tail: it ends the walk and is counted.
 func (w *blockWalk) blocks(buf []byte, off int64) (end int64, stopped bool) {
 	for off < int64(len(buf)) {
 		f, ok := frameColumnarBlock(buf[off:])
@@ -468,15 +470,13 @@ func (w *blockWalk) blocks(buf []byte, off int64) (end int64, stopped bool) {
 			off += f.size
 			continue
 		}
-		batch, ok := w.dec.decodeColumnar(&f, w.cols)
+		ok, stopped := w.block(&f, 0)
 		if !ok {
 			w.stats.TornSegments++
 			break
 		}
 		off += f.size
-		w.stats.BlocksScanned++
-		w.stats.TuplesScanned += uint64(len(batch))
-		if !w.emit(batch) {
+		if stopped {
 			return off, true
 		}
 	}

@@ -3,8 +3,12 @@ package archive
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"slices"
 	"testing"
 
 	"eventspace/internal/collect"
@@ -160,4 +164,112 @@ func TestDictEncodeGenerationWrap(t *testing.T) {
 	if enc.gen != 8 {
 		t.Fatalf("generation after the wrap and nine columns = %d, want 8", enc.gen)
 	}
+}
+
+// match is the row-at-a-time filter the selective decode replaced, kept
+// as its reference: whether q keeps t. A stamp bound at or below zero
+// is no bound.
+func (q *Query) match(t *collect.TraceTuple) bool {
+	return (len(q.ECIDs) == 0 || slices.Contains(q.ECIDs, t.ECID)) &&
+		(len(q.Ops) == 0 || slices.Contains(q.Ops, t.Op)) &&
+		(q.MinStamp <= 0 || t.Start >= q.MinStamp) &&
+		(q.MaxStamp <= 0 || t.Start <= q.MaxStamp)
+}
+
+// referenceScan is the walk the selective decode replaced, kept as its
+// reference: the same segment, cursor and dictionary skips, but every
+// scanned block decoded whole and its rows tested one at a time by
+// match. cur == nil walks the whole archive. It returns the rows q
+// keeps, in archive order, and the stats a scan must report.
+func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanStats, error) {
+	stats := ScanStats{Segments: len(r.segs)}
+	first := 0
+	if cur != nil {
+		for first < len(r.segs) && r.segs[first].ID < cur.Segment {
+			s := r.segs[first]
+			stats.SegmentsSkipped++
+			stats.BytesSkipped += uint64(s.Bytes)
+			stats.TuplesSkipped += s.Index.Tuples
+			first++
+		}
+	}
+	// excludes is the dictionary skip: a checksummed dictionary of a
+	// filter column none of whose values q keeps.
+	excludes := func(f *columnarFrame, col int) bool {
+		if f.enc[col] != colEncDict || crc32.ChecksumIEEE(f.col[col]) != f.crc[col] {
+			return false
+		}
+		n, vals, _, ok := splitDict(f.col[col], col)
+		if !ok {
+			return false
+		}
+		for e := 0; e < n; e++ {
+			var t collect.TraceTuple
+			setColValue(&t, col, readColValue(vals[e*colRawWidth[col]:], col))
+			if col == colECID && slices.Contains(q.ECIDs, t.ECID) || col == colOp && slices.Contains(q.Ops, t.Op) {
+				return false
+			}
+		}
+		return true
+	}
+	var out []collect.TraceTuple
+	var dec blockDecoder
+	for _, s := range r.segs[first:] {
+		var skip uint64
+		if cur != nil && s.ID == cur.Segment {
+			skip = cur.SegTuples
+		}
+		x := s.Index
+		stampsMeet := (q.MaxStamp <= 0 || x.MinStamp <= q.MaxStamp) && (q.MinStamp <= 0 || x.MaxStamp >= q.MinStamp)
+		if x.Tuples == skip || !x.overlapECIDs(q.ECIDs) || !stampsMeet {
+			stats.SegmentsSkipped++
+			stats.BytesSkipped += uint64(s.Bytes)
+			stats.TuplesSkipped += x.Tuples - skip
+			continue
+		}
+		buf, err := os.ReadFile(s.Path)
+		if err != nil {
+			return out, stats, err
+		}
+		stats.BytesScanned += uint64(len(buf))
+		stats.SegmentsScanned++
+		for off := int64(segmentHeaderSize); off < int64(len(buf)) || skip > 0; {
+			f, ok := frameColumnarBlock(buf[off:])
+			if ok && uint64(f.count) <= skip {
+				skip -= uint64(f.count)
+				off += f.size
+				stats.BlocksSkipped++
+				stats.TuplesSkipped += uint64(f.count)
+				continue
+			}
+			if ok && skip == 0 && (len(q.ECIDs) > 0 && excludes(&f, colECID) || len(q.Ops) > 0 && excludes(&f, colOp)) {
+				off += f.size
+				stats.BlocksSkipped++
+				continue
+			}
+			var batch []collect.TraceTuple
+			if ok {
+				batch, ok = dec.decodeColumnar(&f, AllColumns)
+			}
+			if !ok {
+				if skip > 0 {
+					return out, stats, fmt.Errorf("segment %s: torn before cursor position", s.Path)
+				}
+				stats.TornSegments++
+				break
+			}
+			off += f.size
+			stats.BlocksScanned++
+			stats.TuplesSkipped += skip
+			stats.TuplesScanned += uint64(len(batch)) - skip
+			for i := range batch[skip:] {
+				if tu := batch[skip:][i]; q.match(&tu) {
+					out = append(out, tu)
+					stats.TuplesMatched++
+				}
+			}
+			skip = 0
+		}
+	}
+	return out, stats, nil
 }

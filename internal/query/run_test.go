@@ -147,7 +147,7 @@ func TestRunMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q: %v", src, err)
 			}
-			for _, aq := range []archive.Query{s.Pushdown(), {MinStamp: math.MinInt64}} {
+			for _, aq := range []archive.Query{s.Pushdown(), {}} {
 				got, gotStats, gotErr := RunQuery(r, s, aq)
 				want, wantStats, wantErr := refRunQuery(r, s, aq)
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
