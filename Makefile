@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch lint vet eslint ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch recovery-e2e lint vet eslint ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -110,6 +110,19 @@ one-clock-switch:
 	@sites=$$(grep -rnE 'vclock\.(Enable|Disable|Quiesce)\(' --include=*.go . | grep -v _test.go | grep -v '^./internal/vclock/' | cut -d: -f1 | sort -u); \
 		if [ "$$sites" != "./internal/core/core.go" ]; then echo "the virtual clock is switched outside internal/core/core.go:" $$sites; exit 1; fi
 
+# recovery-e2e runs the front-end recovery end-to-end tests under the
+# race detector: the crash matrix (it skips under -short, so test-short
+# never reaches it) and the clean-seal failover at the root, the
+# checkpoint ladder in internal/reconfig, System.Recover's undo of a
+# partial start in internal/core, and the load-balance monitor's
+# floors-only deduplication and refused-build release in
+# internal/monitor.
+recovery-e2e:
+	$(GO) test -race -count=1 -run 'TestCrashMatrix|TestFrontEndFailover' .
+	$(GO) test -race -count=1 -run 'TestRecoverFrontEnd|TestFailover' ./internal/reconfig/
+	$(GO) test -race -count=1 -run 'TestRecover' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestLoadBalanceResume|TestLoadBalanceRefused' ./internal/monitor/
+
 vet:
 	$(GO) vet ./...
 
@@ -125,5 +138,5 @@ lint: vet eslint
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint leaf-packages one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates
+ci: build lint leaf-packages one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates recovery-e2e
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

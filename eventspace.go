@@ -37,9 +37,9 @@
 // A run can also be recorded: System.AttachArchive archives a tree's
 // trace tuples (given alert statements, through a continuous-query
 // engine), AttachArchiveCheckpointed adds the recovery chain, and after
-// a front-end loss FailoverLoadBalance or RecoverLoadBalance rebuilds
-// the monitor from the archive and ResumeArchive continues the
-// recording from the handoff they return. cmd/esquery queries and
+// a front-end loss System.Recover rebuilds the front end from the
+// archive and restarts what a PipelineSpec names: the monitors and the
+// recording (Example_recover). cmd/esquery queries and
 // replays an archive; cmd/esviz and cmd/esrun render the monitoring
 // views, and EXPERIMENTS.md holds the paper-versus-measured results.
 package eventspace
@@ -149,6 +149,10 @@ type (
 	// CheckpointConfig tunes a recorder's checkpointer (cadence in
 	// tuples, chain length, metrics).
 	CheckpointConfig = checkpoint.Config
+	// PipelineSpec names what System.Recover starts over a front end it
+	// rebuilt from an archive: the monitors, a resumed recorder and its
+	// standing alerts.
+	PipelineSpec = core.PipelineSpec
 	// ArchiveRecorder records a tree's trace tuples into an archive
 	// alongside the live monitors (System.AttachArchive).
 	ArchiveRecorder = core.ArchiveRecorder

@@ -176,12 +176,17 @@ func TestFrontEndFailoverResumesByteIdentical(t *testing.T) {
 		// The front-end "dies": its monitor and in-memory state are gone.
 		lb.Stop()
 
-		// Failover: a replacement monitor seeded from the sealed archive,
-		// plus a recorder continuing into a fresh directory.
-		lb2, st, err := sys.FailoverLoadBalance(tree, cfg, dir1)
+		// Recovery from the sealed archive: a replacement monitor and a
+		// replacement statsm seeded from it, plus a recorder continuing
+		// into a fresh directory.
+		p, err := sys.Recover(dir1, PipelineSpec{
+			Tree: tree, LoadBalance: &cfg, Statsm: &cfg, Sealed: true,
+			Archive: &ArchiveOptions{Dir: dir2, SegmentBytes: 4096}, Pull: 200 * time.Microsecond,
+		})
 		if err != nil {
 			return err
 		}
+		st, lb2, rec2 := p.State, p.LoadBalance, p.Recorder
 		if st.RoundsRecovered != want1 {
 			t.Errorf("failover recovered %d rounds, want %d", st.RoundsRecovered, want1)
 		}
@@ -191,20 +196,10 @@ func TestFrontEndFailoverResumesByteIdentical(t *testing.T) {
 		if lb2.RoundsObserved() != want1 {
 			t.Errorf("replacement starts at %d rounds, want %d", lb2.RoundsObserved(), want1)
 		}
-		// The statistics side of the handoff: a replacement statsm starts
+		// The statistics side of the handoff: the replacement statsm starts
 		// from the archive-replayed analysis tree, not from zero.
-		sm2, err := sys.FailoverStatsm(tree, cfg, st)
-		if err != nil {
-			return err
-		}
-		if len(sm2.Tree().IDs()) == 0 {
+		if len(p.Statsm.Tree().IDs()) == 0 {
 			t.Error("failover statsm seeded with an empty analysis tree")
-		}
-		rec2, err := sys.ResumeArchive(tree, 200*time.Microsecond, ArchiveOptions{
-			Dir: dir2, SegmentBytes: 4096,
-		}, st, nil)
-		if err != nil {
-			return err
 		}
 		if _, err := sys.RunWorkload(Workload{Trees: []*Tree{tree}, Iterations: it2}); err != nil {
 			return err

@@ -10,6 +10,7 @@ package eventspace_test
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"eventspace"
@@ -442,4 +443,88 @@ func Example_chaos() {
 	// host crashed: coverage 1/2 missing [iron-0]
 	// host restarted: coverage 2/2 missing []
 	// fault log: crash iron-0
+}
+
+// Front-end recovery: a load-balance monitor and a checkpointed recorder
+// watch gsum until the front end is lost at a quiesce point. Recover
+// rebuilds the lost state from the archive, through its newest
+// checkpoint, and starts a replacement monitor and a recorder that
+// continues into a fresh directory; the replacement then counts the
+// second phase on top of the first. The archive needs a directory, the
+// one thing this program takes from the operating system.
+func Example_recover() {
+	dir, err := os.MkdirTemp("", "eventspace-recover")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer os.RemoveAll(dir)
+	const rounds = 40
+	err = eventspace.RunVirtual(func() error {
+		sys, err := eventspace.New(eventspace.SingleTin(8), eventspace.CoschedAfterUnblock)
+		if err != nil {
+			return err
+		}
+		defer sys.Close()
+		tree, err := sys.BuildTree(eventspace.TreeSpec{
+			Name: "gsum", Fanout: 8, ThreadsPerHost: 1, Instrument: true, TraceBufCap: 1024,
+		})
+		if err != nil {
+			return err
+		}
+		cfg := eventspace.DefaultMonitorConfig()
+		cfg.PullInterval = 200 * time.Microsecond
+		lb, err := sys.AttachLoadBalance(tree, eventspace.SingleScope, cfg)
+		if err != nil {
+			return err
+		}
+		rec, err := sys.AttachArchiveCheckpointed(tree, 200*time.Microsecond,
+			eventspace.ArchiveOptions{Dir: dir + "/before"}, eventspace.CheckpointConfig{EveryTuples: 128})
+		if err != nil {
+			return err
+		}
+		work := func() error {
+			_, err := sys.RunWorkload(eventspace.Workload{Trees: []*eventspace.Tree{tree}, Iterations: rounds})
+			return err
+		}
+		// observed waits until a monitor has counted want rounds.
+		observed := func(m interface{ RoundsObserved() uint64 }, want uint64) bool {
+			for i := 0; i < 5000 && m.RoundsObserved() < want; i++ {
+				eventspace.SleepOutside(100 * time.Microsecond)
+			}
+			return m.RoundsObserved() == want
+		}
+		if err := work(); err != nil {
+			return err
+		}
+		if !observed(lb, rounds) {
+			return fmt.Errorf("phase 1: monitor counted %d rounds", lb.RoundsObserved())
+		}
+
+		// The front end is lost here: the recorder seals its archive and
+		// the monitor's in-memory state is gone.
+		rec.Stop()
+		lb.Stop()
+		p, err := sys.Recover(dir+"/before", eventspace.PipelineSpec{
+			Tree: tree, LoadBalance: &cfg, Sealed: rec.Err() == nil,
+			Archive: &eventspace.ArchiveOptions{Dir: dir + "/after"}, Pull: 200 * time.Microsecond,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("rounds recovered: %d\n", p.State.RoundsRecovered)
+		fmt.Printf("recovered through a checkpoint: %t\n", p.State.Checkpointed)
+		if err := work(); err != nil {
+			return err
+		}
+		fmt.Printf("replacement saw every round of both phases: %t\n", observed(p.LoadBalance, 2*rounds))
+		return nil
+	})
+	if err != nil {
+		fmt.Println(err)
+	}
+	// Output:
+	// rounds recovered: 40
+	// recovered through a checkpoint: true
+	// replacement saw every round of both phases: true
 }

@@ -183,9 +183,8 @@ func TestWriteFailureLeavesPositionBehind(t *testing.T) {
 }
 
 // TestReopenReadsSealedHeadersOnly: reopening a directory learns the
-// older segments' tuple counts from their 64-byte sealed headers. (It
-// used to read every segment whole — every ResumeArchive and front-end
-// failover paid for the archive's size.)
+// older segments' tuple counts from their 64-byte sealed headers, so a
+// reopen does not pay for the archive's size.
 func TestReopenReadsSealedHeadersOnly(t *testing.T) {
 	const segBytes = 256 << 10
 	dir := t.TempDir()

@@ -220,7 +220,7 @@ func runSystem(spec RunSpec, res *RunResult) error {
 			if cfg.Metrics == nil {
 				cfg.Metrics = sys.Metrics()
 			}
-			sm, err := monitor.NewStatsm(sys.Testbed(), tr, cfg, sys.Cosched())
+			sm, err := monitor.NewStatsm(sys.Testbed(), tr, cfg, sys.Cosched(), nil)
 			if err != nil {
 				return err
 			}

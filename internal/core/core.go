@@ -111,10 +111,16 @@ func (s *System) adopt(m interface{ Stop() }) {
 
 // AttachLoadBalance builds and starts a load-balance monitor over tree.
 func (s *System) AttachLoadBalance(tree *cluster.Tree, mode monitor.LoadBalanceMode, cfg monitor.Config) (*monitor.LoadBalance, error) {
+	return s.attachLoadBalance(tree, mode, cfg, nil)
+}
+
+// attachLoadBalance starts a load-balance monitor that continues resume
+// (nil: starts empty).
+func (s *System) attachLoadBalance(tree *cluster.Tree, mode monitor.LoadBalanceMode, cfg monitor.Config, resume *monitor.LoadBalanceResume) (*monitor.LoadBalance, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = s.Metrics()
 	}
-	lb, err := monitor.NewLoadBalance(s.tb, tree, mode, cfg, s.cs)
+	lb, err := monitor.NewLoadBalance(s.tb, tree, mode, cfg, s.cs, resume)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +140,7 @@ func (s *System) attachStatsm(tree *cluster.Tree, cfg monitor.Config, seed *moni
 	if cfg.Metrics == nil {
 		cfg.Metrics = s.Metrics()
 	}
-	sm, err := monitor.NewStatsmFrom(s.tb, tree, cfg, s.cs, seed)
+	sm, err := monitor.NewStatsm(s.tb, tree, cfg, s.cs, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -160,69 +166,100 @@ func (s *System) AttachReconfig(lb *monitor.LoadBalance, pol reconfig.Policy) (*
 	return m, nil
 }
 
-// FailoverLoadBalance replaces a lost front-end's load-balance monitor:
-// the dead monitor's state is rebuilt deterministically from its sealed
-// trace archive (dir) — through the same checkpoint ladder
-// RecoverLoadBalance rides, when the recorder left a chain — and a
-// replacement single-scope monitor seeded from that state is built and
-// started. The replacement's source cursors start after the newest
-// retained tuple and its joins ignore rounds the archive already
-// completed, so no round is lost or counted twice. Call it at a
-// workload quiesce point, after sealing the old archive
-// (ArchiveRecorder.Stop).
-func (s *System) FailoverLoadBalance(tree *cluster.Tree, cfg monitor.Config, dir string) (*monitor.LoadBalance, *reconfig.FailoverState, error) {
-	st, err := reconfig.RebuildFrontEnd(dir, s.Metrics())
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.loadBalanceFrom(tree, cfg, st)
+// PipelineSpec names what Recover starts over a rebuilt front end. A nil
+// LoadBalance, Statsm or Archive leaves that part out.
+type PipelineSpec struct {
+	// Tree is the instrumented tree the lost front end monitored.
+	Tree *cluster.Tree
+	// LoadBalance configures a single-scope load-balance monitor that
+	// continues the replayed weighted tree.
+	LoadBalance *monitor.Config
+	// Statsm configures a statistics monitor whose published analysis
+	// tree starts from the replayed one.
+	Statsm *monitor.Config
+	// Archive configures a recorder that continues the recording into
+	// Archive.Dir, a fresh directory: scanning the old directory and
+	// then the new one covers the whole run. It pulls every Pull (0:
+	// continuously) and, with Checkpoint set, checkpoints too.
+	Archive    *archive.Options
+	Pull       time.Duration
+	Checkpoint *checkpoint.Config
+	// Alerts are the lost recorder's standing alert statements. The
+	// replay advances their engine state and the resumed recorder
+	// restores it, so alert streaks continue mid-streak.
+	Alerts []string
+	// Sealed reports that the lost recorder stopped cleanly (its Err was
+	// nil): its archive already holds every tuple the trace buffers
+	// retain, so the resumed recorder starts after them. Otherwise it
+	// re-reads them, closing the gather gap a crash opened.
+	Sealed bool
 }
 
-// RecoverLoadBalance is FailoverLoadBalance for a crashed front end:
-// the dead monitor's state is rebuilt through the checkpoint recovery
-// ladder (reconfig.RecoverFrontEnd) — newest valid checkpoint plus
-// archive suffix, falling back to full replay when the chain is torn —
-// and a replacement single-scope monitor is seeded from it. alerts,
-// when given, must be the crashed recorder's standing statements; the
-// returned state then carries the recovered query-engine snapshot for
-// ResumeArchive. Unlike the clean-seal path, the replacement
-// re-reads the retained trace windows (the crash left a gather gap),
-// with the resume floors blocking any double count.
-func (s *System) RecoverLoadBalance(tree *cluster.Tree, cfg monitor.Config, dir string, alerts ...string) (*monitor.LoadBalance, *reconfig.FailoverState, error) {
-	stmts, err := parseAlerts(alerts)
+// Pipeline is what Recover rebuilt and started; a part the spec left out
+// is nil.
+type Pipeline struct {
+	// State is the rebuilt handoff: rounds recovered, the ladder rung
+	// taken and the repair context the archive reader surfaced.
+	State       *reconfig.FailoverState
+	LoadBalance *monitor.LoadBalance
+	Statsm      *monitor.Statsm
+	Recorder    *ArchiveRecorder
+}
+
+// Recover rebuilds a lost front end from its archive in dir and starts
+// what spec names over spec.Tree. The rebuild is the checkpoint ladder,
+// reconfig.RecoverFrontEnd: the newest valid checkpoint plus the archive
+// suffix behind it, falling back rung by rung to a full replay. The
+// replacement load-balance monitor re-reads the retained trace windows,
+// and its joins drop every round at or below the replayed per-node
+// floors, so no round is lost or counted twice whether the old front end
+// crashed or sealed cleanly. Call it at a workload quiesce point, after
+// stopping the old monitors and recorder.
+//
+// The alert statements are parsed before anything is rebuilt. If a
+// later step fails, Recover stops what it already started and returns
+// the error, so a retry finds the monitors' buffer names free.
+func (s *System) Recover(dir string, spec PipelineSpec) (*Pipeline, error) {
+	stmts, err := parseAlerts(spec.Alerts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st, err := reconfig.RecoverFrontEnd(dir, s.Metrics(), stmts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s.loadBalanceFrom(tree, cfg, st)
-}
-
-// loadBalanceFrom builds and starts the replacement single-scope
-// monitor a failover or recovery handoff seeds.
-func (s *System) loadBalanceFrom(tree *cluster.Tree, cfg monitor.Config, st *reconfig.FailoverState) (*monitor.LoadBalance, *reconfig.FailoverState, error) {
-	if cfg.Metrics == nil {
-		cfg.Metrics = s.Metrics()
+	p := &Pipeline{State: st}
+	fail := func(err error) (*Pipeline, error) {
+		if p.Statsm != nil {
+			p.Statsm.Stop()
+		}
+		if p.LoadBalance != nil {
+			p.LoadBalance.Stop()
+		}
+		return nil, err
 	}
-	lb, err := monitor.NewLoadBalanceFrom(s.tb, tree, monitor.SingleScope, cfg, s.cs, st.Resume)
-	if err != nil {
-		return nil, nil, err
+	if spec.LoadBalance != nil {
+		if p.LoadBalance, err = s.attachLoadBalance(spec.Tree, monitor.SingleScope, *spec.LoadBalance, st.Resume); err != nil {
+			return fail(err)
+		}
 	}
-	lb.Start()
-	s.adopt(lb)
-	return lb, st, nil
-}
-
-// FailoverStatsm is FailoverLoadBalance's statistics counterpart: a
-// replacement statistics monitor whose published analysis tree starts
-// from the archive-replayed snapshot in st.
-func (s *System) FailoverStatsm(tree *cluster.Tree, cfg monitor.Config, st *reconfig.FailoverState) (*monitor.Statsm, error) {
-	if st == nil {
-		return nil, fmt.Errorf("core: nil failover state")
+	if spec.Statsm != nil {
+		if p.Statsm, err = s.attachStatsm(spec.Tree, *spec.Statsm, st.Stats); err != nil {
+			return fail(err)
+		}
 	}
-	return s.attachStatsm(tree, cfg, st.Stats)
+	if spec.Archive != nil {
+		p.Recorder, err = s.attachArchive(spec.Tree, spec.Pull, *spec.Archive, recorderSpec{
+			fromEnd: spec.Sealed,
+			stmts:   stmts,
+			engine:  st.Engine,
+			ckpt:    spec.Checkpoint,
+		})
+		if err != nil {
+			return fail(err)
+		}
+	}
+	return p, nil
 }
 
 // ArchiveRecorder records a tree's raw trace tuples into a persistent
@@ -260,7 +297,7 @@ type ArchiveRecorder struct {
 // (query.Replay, esquery replay -alerts) regenerates the identical
 // stream. The engine's coverage() roster is the tree's collector set.
 func (s *System) AttachArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options, alerts ...string) (*ArchiveRecorder, error) {
-	return s.attachArchive(tree, pull, opts, recorderSpec{alerts: alerts})
+	return s.record(tree, pull, opts, nil, alerts)
 }
 
 // AttachArchiveCheckpointed is AttachArchive plus crash recoverability:
@@ -269,11 +306,20 @@ func (s *System) AttachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 // load-balance and statistics replay shadow, the writer's durable
 // cursor, and the standing-query engine — into a sidecar chain of
 // ckpt-*.eckpt files next to the segments.
-// After a crash, RecoverLoadBalance (or reconfig.RecoverFrontEnd)
-// restores from the newest valid checkpoint and replays only the
-// archive suffix behind it, instead of the whole archive.
+// After a crash, Recover (or reconfig.RecoverFrontEnd) restores from
+// the newest valid checkpoint and replays only the archive suffix
+// behind it, instead of the whole archive.
 func (s *System) AttachArchiveCheckpointed(tree *cluster.Tree, pull time.Duration, opts archive.Options, ckpt checkpoint.Config, alerts ...string) (*ArchiveRecorder, error) {
-	return s.attachArchive(tree, pull, opts, recorderSpec{alerts: alerts, ckpt: &ckpt})
+	return s.record(tree, pull, opts, &ckpt, alerts)
+}
+
+// record parses a fresh recorder's alert statements and attaches it.
+func (s *System) record(tree *cluster.Tree, pull time.Duration, opts archive.Options, ckpt *checkpoint.Config, alerts []string) (*ArchiveRecorder, error) {
+	stmts, err := parseAlerts(alerts)
+	if err != nil {
+		return nil, err
+	}
+	return s.attachArchive(tree, pull, opts, recorderSpec{stmts: stmts, ckpt: ckpt})
 }
 
 func parseAlerts(alerts []string) ([]*query.Stmt, error) {
@@ -291,40 +337,13 @@ func parseAlerts(alerts []string) ([]*query.Stmt, error) {
 	return stmts, nil
 }
 
-// ResumeArchive is AttachArchive for the recorder that continues a
-// crashed or sealed recorder's run after a front-end failover, seeded
-// from the recovery handoff. Its source cursors follow the handoff:
-// after a clean-seal failover they start after the newest retained
-// tuple, so tuples the sealed archive already holds are not archived
-// again; after a checkpointed crash recovery (Resume.ReRead) the
-// retained trace windows are re-read, so the gather gap the crash opened
-// is re-archived. Point opts.Dir at a fresh directory; scanning the old
-// and resumed archives in sequence then covers the whole run. With
-// alert statements, the new engine is restored from the handoff's
-// recovered engine state, so alert streaks continue mid-streak instead
-// of restarting cold. ckpt, when non-nil, checkpoints the resumed
-// recorder too.
-func (s *System) ResumeArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options, st *reconfig.FailoverState, ckpt *checkpoint.Config, alerts ...string) (*ArchiveRecorder, error) {
-	if st == nil || st.Resume == nil {
-		return nil, fmt.Errorf("core: nil failover state")
-	}
-	if len(alerts) == 0 && st.Engine != nil {
-		return nil, fmt.Errorf("core: recovered engine state but no alert statements to restore it into")
-	}
-	return s.attachArchive(tree, pull, opts, recorderSpec{
-		fromEnd: !st.Resume.ReRead,
-		alerts:  alerts,
-		engine:  st.Engine,
-		ckpt:    ckpt,
-	})
-}
-
-// recorderSpec collects attachArchive's variants: failover resume
-// (fromEnd), standing alert statements (alerts), a recovered engine
-// snapshot to restore into them (engine), and checkpointing (ckpt).
+// recorderSpec collects attachArchive's variants: a recovered recorder
+// that starts after the retained windows (fromEnd), standing alert
+// statements (stmts), a recovered engine snapshot to restore into them
+// (engine), and checkpointing (ckpt).
 type recorderSpec struct {
 	fromEnd bool
-	alerts  []string
+	stmts   []*query.Stmt
 	engine  *query.EngineState
 	ckpt    *checkpoint.Config
 }
@@ -332,10 +351,6 @@ type recorderSpec struct {
 func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options, spec recorderSpec) (*ArchiveRecorder, error) {
 	if !tree.Spec.Instrument {
 		return nil, fmt.Errorf("core: archive recorder needs an instrumented tree")
-	}
-	stmts, err := parseAlerts(spec.alerts)
-	if err != nil {
-		return nil, err
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = s.Metrics()
@@ -371,11 +386,11 @@ func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 		w.Close()
 		return nil, err
 	}
-	if len(stmts) > 0 {
+	if len(spec.stmts) > 0 {
 		eng := query.NewEngine(w)
 		eng.SetExpected(len(tree.Collectors.All()))
 		eng.UseMetrics(opts.Metrics, tree.Name)
-		for _, st := range stmts {
+		for _, st := range spec.stmts {
 			if err := eng.Register(st); err != nil {
 				return fail(err)
 			}

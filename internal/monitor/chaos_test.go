@@ -48,7 +48,7 @@ func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
 	cfg.PullInterval = 5 * time.Millisecond
 	cfg.Health = &escope.HealthPolicy{DeadAfter: 2, ProbeBase: time.Millisecond, ProbeMax: 4 * time.Millisecond}
 	cfg.Retry = &paths.RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond}
-	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil)
+	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestLoadBalanceCoverageDipsOnNodeCrash(t *testing.T) {
 	cfg.PullInterval = 2 * time.Millisecond
 	cfg.Health = &escope.HealthPolicy{DeadAfter: 2, ProbeBase: time.Millisecond, ProbeMax: 4 * time.Millisecond}
 	cfg.Retry = &paths.RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond}
-	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil)
+	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,12 +98,10 @@ type LoadBalance struct {
 	tree *cluster.Tree
 	fe   *vnet.Host
 
-	// Failover seeding (NewLoadBalanceFrom): source readers start at the
-	// end of the retained windows and joins drop rounds at or below the
-	// handoff floors, so the replacement monitor continues instead of
-	// recounting.
-	fromEnd bool
-	floors  map[string]uint32
+	// Recovery seeding (NewLoadBalance with a resume handoff): joins drop
+	// rounds at or below the handoff floors, so the replacement re-reads
+	// the retained windows and continues instead of recounting.
+	floors map[string]uint32
 
 	scope    *escope.Scope
 	puller   *escope.Puller
@@ -140,20 +138,23 @@ type lbNodeState struct {
 // NewLoadBalance builds a load-balance monitor over an instrumented tree.
 // cs may be nil (no coscheduling); when set, it must be the same set wired
 // into the tree's notifier.
-func NewLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMode, cfg Config, cs *cosched.Set) (*LoadBalance, error) {
-	return newLoadBalance(tb, tree, mode, cfg, cs, nil, false)
-}
-
-// newLoadBalance is the shared constructor; a non-nil floors map marks a
-// failover resume (joins floored per node), and fromEnd additionally
-// starts the source readers after the newest retained tuple.
-func newLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMode, cfg Config, cs *cosched.Set, floors map[string]uint32, fromEnd bool) (*LoadBalance, error) {
+//
+// resume, when non-nil, continues a lost front end's archive-replayed
+// state instead of starting empty: the weighted tree starts from the
+// handoff's, and each node's join ignores rounds at or below its floor,
+// so re-reading the retained trace windows counts only the rounds the
+// archive did not complete — a round half-joined at the handoff exactly
+// once. Single-scope mode only: the distributed monitor's cumulative
+// intermediate records live on the compute hosts and survive the front
+// end on their own.
+func NewLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMode, cfg Config, cs *cosched.Set, resume *LoadBalanceResume) (*LoadBalance, error) {
 	if !tree.Spec.Instrument {
 		return nil, fmt.Errorf("monitor: load balance needs an instrumented tree")
 	}
+	if resume != nil && mode != SingleScope {
+		return nil, fmt.Errorf("monitor: a resume handoff seeds single-scope mode only (distributed state is host-resident and would be overwritten by the seed)")
+	}
 	lb := &LoadBalance{
-		fromEnd:  fromEnd,
-		floors:   floors,
 		mode:     mode,
 		cfg:      cfg,
 		tree:     tree,
@@ -164,12 +165,32 @@ func newLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMod
 		cs:       cs,
 		stop:     make(chan struct{}),
 	}
+	if resume != nil {
+		lb.floors = resume.Floors
+		for _, node := range resume.Weighted.Nodes() {
+			for c, n := range resume.Weighted.Counts(node) {
+				lb.weighted.Add(node, c, n)
+			}
+		}
+	}
+	if err := lb.build(tb); err != nil {
+		// Whatever build registered would block the next monitor over
+		// this tree from taking the same buffer names.
+		lb.release()
+		return nil, err
+	}
+	return lb, nil
+}
+
+// build registers the monitor's buffers and builds its event scope.
+func (lb *LoadBalance) build(tb *cluster.Testbed) error {
+	mode, cfg, tree := lb.mode, lb.cfg, lb.tree
 	for _, n := range tree.Nodes {
 		id := n.CollectiveEC.ID()
 		lb.names[id] = n.Name
 		elem, err := tb.FrontEnd.Registry.CreateFixed(fmt.Sprintf("lb/%s/%s/%s", mode, tree.Name, n.Name), 4096, analysis.LastArrivalRecordSize)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		lb.feElems[id] = elem
 	}
@@ -197,55 +218,22 @@ func newLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMod
 	switch mode {
 	case SingleScope:
 		if err := lb.buildSingleScopeSources(&spec); err != nil {
-			return nil, err
+			return err
 		}
 	case Distributed:
-		if err := lb.buildDistributed(tb, &spec); err != nil {
-			return nil, err
+		if err := lb.buildDistributed(&spec); err != nil {
+			return err
 		}
 	default:
-		return nil, fmt.Errorf("monitor: unknown load-balance mode %d", mode)
+		return fmt.Errorf("monitor: unknown load-balance mode %d", mode)
 	}
 
 	scope, err := escope.Build(tb.Net, spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lb.scope = scope
-	return lb, nil
-}
-
-// NewLoadBalanceFrom builds a load-balance monitor that continues from a
-// dead front-end's archive-replayed state instead of starting empty: the
-// weighted tree is seeded from the handoff, the source readers start
-// after the newest retained tuple, and each node's join ignores rounds
-// the old front-end already completed. Single-scope mode only — the
-// distributed monitor's cumulative intermediate records live on the
-// compute hosts and survive the front-end on their own, so it needs no
-// handoff.
-func NewLoadBalanceFrom(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMode, cfg Config, cs *cosched.Set, resume *LoadBalanceResume) (*LoadBalance, error) {
-	if mode != SingleScope {
-		return nil, fmt.Errorf("monitor: failover resume supports single-scope mode only (distributed state is host-resident and would be overwritten by the seed)")
-	}
-	if resume == nil {
-		return nil, fmt.Errorf("monitor: nil resume handoff")
-	}
-	// Checkpointed recovery (ReRead) re-reads the retained windows from
-	// the start: the floors block every round the handoff already
-	// counted, so the only effect is closing the gather gap between the
-	// last archived tuple and the crash.
-	lb, err := newLoadBalance(tb, tree, mode, cfg, cs, resume.Floors, !resume.ReRead)
-	if err != nil {
-		return nil, err
-	}
-	if resume.Weighted != nil {
-		for _, node := range resume.Weighted.Nodes() {
-			for c, n := range resume.Weighted.Counts(node) {
-				lb.weighted.Add(node, c, n)
-			}
-		}
-	}
-	return lb, nil
+	return nil
 }
 
 // buildSingleScopeSources creates one source per collective wrapper: a
@@ -257,12 +245,8 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 		id := n.CollectiveEC.ID()
 		var readers []*paths.BatchReader
 		var chains []paths.Wrapper
-		newReader := paths.NewBatchReader
-		if lb.fromEnd {
-			newReader = paths.NewBatchReaderAtEnd
-		}
 		for i, ec := range n.ContribECs {
-			rd := newReader(
+			rd := paths.NewBatchReader(
 				fmt.Sprintf("lb/rd(%s.c%d)", n.Name, i), n.Host, ec.Buffer(), collect.TupleSize, lb.cfg.readBatch())
 			readers = append(readers, rd)
 			chains = append(chains, rd)
@@ -310,9 +294,8 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 
 // buildDistributed creates per-host analysis state and sources over the
 // hosts' intermediate-result buffers.
-func (lb *LoadBalance) buildDistributed(tb *cluster.Testbed, spec *escope.Spec) error {
+func (lb *LoadBalance) buildDistributed(spec *escope.Spec) error {
 	byHost := make(map[*vnet.Host]*lbHostAnalysis)
-	var order []*vnet.Host
 	for _, n := range lb.tree.Nodes {
 		ha, ok := byHost[n.Host]
 		if !ok {
@@ -323,7 +306,7 @@ func (lb *LoadBalance) buildDistributed(tb *cluster.Testbed, spec *escope.Spec) 
 			}
 			ha = &lbHostAnalysis{host: n.Host, interm: interm, written: make(map[[2]uint32]uint64)}
 			byHost[n.Host] = ha
-			order = append(order, n.Host)
+			lb.hosts = append(lb.hosts, ha)
 		}
 		st := &lbNodeState{
 			node:   n,
@@ -335,11 +318,9 @@ func (lb *LoadBalance) buildDistributed(tb *cluster.Testbed, spec *escope.Spec) 
 		}
 		ha.nodes = append(ha.nodes, st)
 	}
-	for _, h := range order {
-		ha := byHost[h]
-		lb.hosts = append(lb.hosts, ha)
+	for _, ha := range lb.hosts {
 		spec.Sources = append(spec.Sources, escope.Source{
-			Host: h, Elem: ha.interm, RecSize: analysis.LastArrivalRecordSize,
+			Host: ha.host, Elem: ha.interm, RecSize: analysis.LastArrivalRecordSize,
 			BatchCap: lb.cfg.readBatch(),
 		})
 	}
@@ -522,17 +503,22 @@ func (lb *LoadBalance) Stop() {
 		close(lb.stop)
 		lb.wg.Wait()
 		lb.scope.Close()
-		// The front-end analysis buffers die with the monitor: a
-		// replacement built after a failover re-creates them under the
-		// same names (the host registry models front-end memory, and the
-		// paper's front-end state is not persistent).
-		for _, e := range lb.feElems {
-			_ = lb.fe.Registry.Remove(e.Name())
-		}
-		for _, ha := range lb.hosts {
-			_ = ha.host.Registry.Remove(ha.interm.Name())
-		}
+		lb.release()
 	})
+}
+
+// release removes the buffers the monitor registered. The front-end
+// analysis buffers die with the monitor: a replacement built after a
+// front-end loss re-creates them under the same names (the host registry
+// models front-end memory, and the paper's front-end state is not
+// persistent).
+func (lb *LoadBalance) release() {
+	for _, e := range lb.feElems {
+		_ = lb.fe.Registry.Remove(e.Name())
+	}
+	for _, ha := range lb.hosts {
+		_ = ha.host.Registry.Remove(ha.interm.Name())
+	}
 }
 
 // Weighted returns the front-end weighted tree.

@@ -109,10 +109,10 @@ func TestLoadBalanceRejectsUninstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tree.Close()
-	if _, err := NewLoadBalance(tb, tree, SingleScope, DefaultConfig(), nil); err == nil {
+	if _, err := NewLoadBalance(tb, tree, SingleScope, DefaultConfig(), nil, nil); err == nil {
 		t.Fatal("uninstrumented tree accepted")
 	}
-	if _, err := NewStatsm(tb, tree, DefaultConfig(), nil); err == nil {
+	if _, err := NewStatsm(tb, tree, DefaultConfig(), nil, nil); err == nil {
 		t.Fatal("statsm accepted uninstrumented tree")
 	}
 }
@@ -141,7 +141,7 @@ func TestLoadBalanceSingleScopeFindsImbalance(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
 	cfg.PullInterval = 5 * time.Millisecond
-	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil)
+	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestLoadBalanceDistributedTracksCumulativeState(t *testing.T) {
 	cfg.AnalysisCostPerTuple = 0
 	cfg.PullInterval = 5 * time.Millisecond
 	cfg.AnalysisInterval = 2 * time.Millisecond
-	lb, err := NewLoadBalance(tb, tree, Distributed, cfg, nil)
+	lb, err := NewLoadBalance(tb, tree, Distributed, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestStatsmComputesWrapperAndThreadStats(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
 	cfg.Strategy = cosched.None
-	sm, err := NewStatsm(tb, tree, cfg, nil)
+	sm, err := NewStatsm(tb, tree, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestStatsmWithCoscheduling(t *testing.T) {
 	tb, tree := buildRig(t, cs)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
-	sm, err := NewStatsm(tb, tree, cfg, cs)
+	sm, err := NewStatsm(tb, tree, cfg, cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestStatsmTCPPlacementSource(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
 	cfg.TCPStatsAt = TCPStatsAtSource
-	sm, err := NewStatsm(tb, tree, cfg, nil)
+	sm, err := NewStatsm(tb, tree, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestStatsmTCPOff(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
 	cfg.TCPStatsAt = TCPStatsOff
-	sm, err := NewStatsm(tb, tree, cfg, nil)
+	sm, err := NewStatsm(tb, tree, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,25 +186,20 @@ func (r *Replay) Feed(t collect.TraceTuple) {
 // via viz.WeightedTree) against the live monitor's Weighted() output.
 func (r *Replay) Weighted() *WeightedTree { return r.weighted }
 
-// LoadBalanceResume is the state handoff for a front-end failover: the
-// weighted tree reconstructed from the dead front-end's sealed archive,
-// plus per-node join floors (the highest round each node completed) so
-// the replacement monitor never double-counts a finished round.
+// LoadBalanceResume is the state handoff for a front-end recovery: the
+// weighted tree reconstructed from the dead front end's archive, plus
+// per-node join floors (the highest round each node completed). A
+// replacement monitor seeded with it re-reads the retained trace
+// windows and its joins ignore Seq <= floor, so a finished round is
+// never counted twice and a round half-joined at the handoff is
+// completed from the re-read tuples.
 type LoadBalanceResume struct {
 	Weighted *WeightedTree
 	Floors   map[string]uint32 // node name -> highest completed Seq
-	// ReRead makes the replacement monitor's source readers start at the
-	// beginning of the retained trace windows instead of after the
-	// newest tuple. Checkpointed recovery sets it: tuples the dead
-	// front end gathered but the checkpoint+suffix already covers are
-	// blocked by the per-node floors (joins ignore Seq <= floor, and
-	// identical re-fed contributor tuples are idempotent), so re-reading
-	// closes the gather gap without double-counting a finished round.
-	ReRead bool
 }
 
 // Resume snapshots the replay into a handoff a replacement load-balance
-// monitor can be seeded from (NewLoadBalanceFrom). Call it after feeding
+// monitor can be seeded from (NewLoadBalance). Call it after feeding
 // the sealed archive completely; Lost() must be zero for the handoff to
 // be faithful.
 func (r *Replay) Resume() *LoadBalanceResume {

@@ -96,35 +96,27 @@ type statsLink struct {
 	dirty         bool
 }
 
-// NewStatsmFrom builds a statistics monitor whose published analysis
-// tree starts from an archive-replayed snapshot (Replay.Tree)
-// instead of empty — the front-end failover path. The seeded records
-// stand until the replacement's own analysis threads publish fresher
-// ones for the same node/kind, so a reader never observes the
-// statistics reset to zero across the failover.
-func NewStatsmFrom(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.Set, seed *AnalysisTree) (*Statsm, error) {
-	sm, err := NewStatsm(tb, tree, cfg, cs)
-	if err != nil {
-		return nil, err
-	}
-	if seed != nil {
-		sm.atree = seed
-	}
-	return sm, nil
-}
-
 // statsMaxPending is the live wrapper joins' eviction bound.
 const statsMaxPending = 256
 
 // NewStatsm builds the statistics monitor over an instrumented tree.
-func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.Set) (*Statsm, error) {
+// seed, when non-nil, is the analysis tree it publishes from the start
+// instead of an empty one: an archive-replayed snapshot (Replay.Tree)
+// after a front-end loss. The seeded records stand until the monitor's
+// own analysis threads publish fresher ones for the same node/kind, so a
+// reader never observes the statistics reset to zero across the
+// recovery.
+func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.Set, seed *AnalysisTree) (*Statsm, error) {
 	if !tree.Spec.Instrument {
 		return nil, fmt.Errorf("monitor: statsm needs an instrumented tree")
+	}
+	if seed == nil {
+		seed = NewAnalysisTree()
 	}
 	sm := &Statsm{
 		cfg:   cfg,
 		cs:    cs,
-		atree: NewAnalysisTree(),
+		atree: seed,
 		stop:  make(chan struct{}),
 	}
 	const win = analysis.DefaultMedianWindow

@@ -46,7 +46,7 @@ func TestStatsmConcurrentStop(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
 	cfg.Strategy = cosched.None
-	sm, err := NewStatsm(tb, tree, cfg, nil)
+	sm, err := NewStatsm(tb, tree, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestLoadBalanceConcurrentStop(t *testing.T) {
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
-	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil)
+	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLoadBalanceDistributedConcurrentStop(t *testing.T) {
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
-	lb, err := NewLoadBalance(tb, tree, Distributed, cfg, nil)
+	lb, err := NewLoadBalance(tb, tree, Distributed, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

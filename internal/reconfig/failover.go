@@ -1,10 +1,11 @@
-// Front-end failover: when the monitor front-end itself is lost, its
+// Front-end recovery: when the monitor front-end itself is lost, its
 // in-memory analysis state (the weighted tree, the per-node round joins,
-// the statistics streams) dies with it — but the trace archive it sealed
+// the statistics streams) dies with it — but the trace archive it wrote
 // survives. This file rebuilds that state deterministically by replaying
 // the archive through the exact same joins the live monitor ran, and
 // packages it as a handoff a replacement monitor is seeded from
-// (monitor.NewLoadBalanceFrom / monitor.NewStatsmFrom).
+// (monitor.NewLoadBalance with a resume, monitor.NewStatsm with a seed;
+// core's System.Recover starts both).
 //
 // There is one recovery routine, the checkpoint ladder: walk the sidecar
 // checkpoint chain newest-first, restore the monitor shadow (and the
@@ -15,19 +16,14 @@
 // back to the next older rung, and the bottom rung is the same replay
 // started from nothing over the whole archive — a cold restart is a
 // replay from the empty checkpoint. Damage degrades recovery time,
-// never its result. Both entry points ride it:
-//
-//   - RecoverFrontEnd, for a crashed front end: the handoff asks the
-//     replacement to re-read the retained trace windows (Resume.ReRead),
-//     closing the gather gap the crash opened.
-//   - RebuildFrontEnd, for a cleanly sealed archive: nothing was left
-//     ungathered, so ReRead stays unset and the replacement starts at
-//     the windows' ends.
+// never its result. A crashed and a cleanly sealed archive take the same
+// route: the replacement re-reads the retained trace windows either way,
+// and the handoff's per-node floors drop every round already counted.
 //
 // The determinism contract: the replay must lose no rounds (Lost() == 0).
 // Then the replacement's weighted tree continues exactly where the dead
-// front-end's stopped — replaying the failover run's complete archive
-// afterwards reproduces the live output byte for byte.
+// front-end's stopped — replaying the run's complete archive afterwards
+// reproduces the live output byte for byte.
 package reconfig
 
 import (
@@ -90,31 +86,15 @@ type FailoverState struct {
 	CloseErr      error
 }
 
-// RebuildFrontEnd rebuilds a failover handoff from a cleanly sealed
-// archive directory. reg, when set, records the rebuild in self-metrics
-// (a KindReconfig op plus the reconfig.failovers counter); nil disables.
-// It fails when the archive's joins evicted rounds — a lossy rebuild
-// would silently double-count on resume, so it is refused outright.
-func RebuildFrontEnd(dir string, reg *metrics.Registry) (*FailoverState, error) {
-	start := hrtime.Now()
-	st, err := recoverFrontEnd(dir, reg, nil)
-	if reg != nil {
-		reg.Op(metrics.KindReconfig, "failover("+dir+")").Record(hrtime.Since(start), 0, err)
-	}
-	if err == nil {
-		reg.Counter("reconfig.failovers").Inc()
-	}
-	return st, err
-}
-
-// RecoverFrontEnd rebuilds a crashed front end through the checkpoint
-// ladder: newest valid checkpoint plus archive suffix, falling back
-// rung by rung to full replay. stmts, when non-nil, must be the
-// recorder's standing alert statements; the returned state then carries
-// the query engine's recovered state so alerts resume mid-streak. The
-// handoff's Resume.ReRead is set: a crashed front end has a gather gap
-// (tuples still in collector buffers), so the replacement re-reads the
-// retained windows with the floors blocking any double count.
+// RecoverFrontEnd rebuilds a lost front end's state from its archive in
+// dir through the checkpoint ladder: newest valid checkpoint plus
+// archive suffix, falling back rung by rung to full replay. reg, when
+// set, records the recovery in self-metrics (a KindReconfig op plus the
+// reconfig.recoveries counters); nil disables. stmts, when non-nil,
+// must be the recorder's standing alert statements; the returned state
+// then carries the query engine's recovered state so alerts resume
+// mid-streak. It fails when even the bottom rung's joins evicted rounds:
+// a lossy handoff would silently double-count on resume.
 func RecoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*FailoverState, error) {
 	start := hrtime.Now()
 	st, err := recoverFrontEnd(dir, reg, stmts)
@@ -122,7 +102,6 @@ func RecoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 		reg.Op(metrics.KindReconfig, "recover("+dir+")").Record(hrtime.Since(start), 0, err)
 	}
 	if err == nil {
-		st.Resume.ReRead = true
 		reg.Counter("reconfig.recoveries").Inc()
 		if st.Checkpointed {
 			reg.Counter("reconfig.recoveries.checkpointed").Inc()

@@ -220,8 +220,7 @@ func statsEqual(t *testing.T, got, want *monitor.AnalysisTree) {
 // only the archive suffix behind the newest checkpoint, at least 5x
 // fewer bytes than the archive holds at 3 200 rounds: the bound that
 // makes recovery time a function of the checkpoint cadence, not of
-// archive size. RebuildFrontEnd rides the same ladder and differs only
-// in not asking for a re-read.
+// archive size.
 func TestRecoverFrontEndMatchesRebuild(t *testing.T) {
 	t.Run("columnar", func(t *testing.T) {
 		dir := t.TempDir()
@@ -244,22 +243,7 @@ func TestRecoverFrontEndMatchesRebuild(t *testing.T) {
 			t.Fatalf("checkpointed recovery replayed %d of the archive's %d bytes, want at least 5x fewer",
 				rc.BytesReplayed, total)
 		}
-		if !rc.Resume.ReRead {
-			t.Fatal("crash recovery handoff must re-read the retained windows")
-		}
 		matchesReference(t, rc, want)
-
-		rb, err := RebuildFrontEnd(dir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rb.Resume.ReRead {
-			t.Fatal("clean-seal failover handoff must not re-read")
-		}
-		if rb.CheckpointSeq != rc.CheckpointSeq || rb.BytesReplayed != rc.BytesReplayed {
-			t.Fatalf("rebuild took another route than recovery: %+v vs %+v", rb, rc)
-		}
-		matchesReference(t, rb, want)
 	})
 }
 
@@ -414,7 +398,7 @@ func TestFailoverSurfacesRepairContext(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := RebuildFrontEnd(dir, nil)
+	st, err := RecoverFrontEnd(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
