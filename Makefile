@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch recovery-e2e lint vet eslint ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch recovery-e2e monitor-e2e lint vet eslint ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -123,6 +123,17 @@ recovery-e2e:
 	$(GO) test -race -count=1 -run 'TestRecover' ./internal/core/
 	$(GO) test -race -count=1 -run 'TestLoadBalanceResume|TestLoadBalanceRefused' ./internal/monitor/
 
+# monitor-e2e runs the monitors under the race detector, three times
+# over, so a concurrent Stop races the analysis threads' waiter-close
+# teardown: the monitor package, the figure 3 and 4 monitors and the
+# live-versus-replay load balance (both modes) at the root, and the
+# System-level checks in internal/core that stopping one monitor leaves
+# the others' analysis threads running.
+monitor-e2e:
+	$(GO) test -race -count=3 ./internal/monitor/
+	$(GO) test -race -count=3 -run 'TestArchiveReplayMatchesLiveLoadBalance|TestFigure3Monitors|TestFigure4Statsm' .
+	$(GO) test -race -count=3 -run 'TestStoppingOneMonitorLeavesOthersRunning|TestRecoverStatsmKeepsAnalysing' ./internal/core/
+
 vet:
 	$(GO) vet ./...
 
@@ -138,5 +149,5 @@ lint: vet eslint
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint leaf-packages one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates recovery-e2e
+ci: build lint leaf-packages one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates recovery-e2e monitor-e2e
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -14,7 +14,7 @@
 //   - internal/pastset — the PastSet structured shared memory (bounded
 //     tuple buffers with per-reader cursors);
 //   - internal/paths — the PATHS communication system (wrappers, paths,
-//     allreduce spanning trees, remote stubs, gather/scatter, all-to-all);
+//     allreduce spanning trees, remote stubs, gather, all-to-all);
 //   - internal/vnet — the virtual cluster testbed (hosts with CPU slots,
 //     links, gateways, a real-TCP transport for the wire format);
 //   - internal/wantrace — the Longcut WAN emulator's delay model;

@@ -35,16 +35,20 @@ func replayArchive(t *testing.T, dir string) *monitor.Replay {
 
 // TestArchiveReplayMatchesLiveLoadBalance is the determinism contract of
 // the trace archive: recording a run and replaying the archive through
-// the load-balance join offline must reproduce the live single-scope
-// monitor's per-round last-arrival verdicts exactly — same weighted
-// tree, byte for byte in the viz rendering. The run is sized so neither
-// side loses tuples (large trace buffers, continuous pulls, no
-// retention), which the test asserts before comparing.
+// the load-balance join offline must reproduce the live monitor's
+// per-round last-arrival verdicts exactly — same weighted tree, byte for
+// byte in the viz rendering — whether the live monitor joins at the
+// front end (single-scope) or on the compute hosts (distributed). The
+// run is sized so neither side loses tuples (large trace buffers,
+// continuous pulls, no retention), which the test asserts before
+// comparing.
 func TestArchiveReplayMatchesLiveLoadBalance(t *testing.T) {
-	t.Run("columnar", testArchiveReplayMatchesLiveLoadBalance)
+	for _, mode := range []monitor.LoadBalanceMode{SingleScope, Distributed} {
+		t.Run(mode.String(), func(t *testing.T) { testArchiveReplayMatchesLiveLoadBalance(t, mode) })
+	}
 }
 
-func testArchiveReplayMatchesLiveLoadBalance(t *testing.T) {
+func testArchiveReplayMatchesLiveLoadBalance(t *testing.T, mode monitor.LoadBalanceMode) {
 	dir := t.TempDir()
 	var liveOut bytes.Buffer
 	const iters = 60
@@ -60,9 +64,18 @@ func testArchiveReplayMatchesLiveLoadBalance(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// A coscheduled distributed analysis thread runs only in a
+		// collective's window, and the last round's trace tuples can land
+		// just after the last window opens. Collectives on this
+		// uninstrumented tree over the same hosts open more windows
+		// without writing a tuple.
+		flush, err := sys.BuildTree(TreeSpec{Name: "F", Fanout: 4, ThreadsPerHost: 1})
+		if err != nil {
+			return err
+		}
 		cfg := DefaultMonitorConfig()
 		cfg.PullInterval = 200 * time.Microsecond
-		lb, err := sys.AttachLoadBalance(tree, SingleScope, cfg)
+		lb, err := sys.AttachLoadBalance(tree, mode, cfg)
 		if err != nil {
 			return err
 		}
@@ -85,14 +98,19 @@ func testArchiveReplayMatchesLiveLoadBalance(t *testing.T) {
 				t.Errorf("live monitor observed %d rounds, want %d", lb.RoundsObserved(), want)
 				break
 			}
+			if i%100 == 99 {
+				if _, err := sys.RunWorkload(Workload{Trees: []*Tree{flush}, Iterations: 1}); err != nil {
+					return err
+				}
+			}
 			SleepOutside(100 * time.Microsecond)
 		}
 		rec.Stop()
 		if err := rec.Err(); err != nil {
 			return err
 		}
-		if rate := lb.GatherRate(); rate < 1 {
-			t.Errorf("live monitor lost tuples (gather rate %v); comparison not meaningful", rate)
+		if rate := min(lb.GatherRate(), lb.TraceReadRate()); rate < 1 {
+			t.Errorf("live monitor lost tuples (gather or trace read rate %v); comparison not meaningful", rate)
 		}
 		if err := viz.WeightedTree(&liveOut, lb.Weighted()); err != nil {
 			return err

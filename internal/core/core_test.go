@@ -9,6 +9,7 @@ import (
 	"eventspace/internal/archive"
 	"eventspace/internal/cluster"
 	"eventspace/internal/cosched"
+	"eventspace/internal/hrtime"
 	"eventspace/internal/monitor"
 	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
@@ -251,6 +252,53 @@ func TestAttachStatsmGathersStats(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStoppingOneMonitorLeavesOthersRunning: a monitor's Stop ends its
+// own analysis threads only. The coscheduling controllers belong to the
+// System, so a statsm attached before the stop and a distributed
+// load-balance monitor attached after it both keep analysing.
+func TestStoppingOneMonitorLeavesOthersRunning(t *testing.T) {
+	for _, strategy := range []cosched.Strategy{cosched.None, cosched.AfterUnblock} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			err := RunVirtual(func() error {
+				s := newSystem(t, strategy)
+				tree := instrumented(t, s, "T")
+				cfg := monitor.DefaultConfig()
+				cfg.PullInterval = 300 * time.Microsecond
+				sm, err := s.AttachStatsm(tree, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first, err := s.AttachLoadBalance(tree, monitor.Distributed, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first.Stop()
+				lb, err := s.AttachLoadBalance(tree, monitor.Distributed, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.RunWorkload(Workload{Trees: []*cluster.Tree{tree}, Iterations: 60}); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; lb.RoundsObserved() == 0 && i < 200; i++ {
+					hrtime.SleepOutside(100 * time.Microsecond)
+				}
+				if sm.RoundsAnalyzed() == 0 {
+					t.Error("statsm analysed no rounds after another monitor stopped")
+				}
+				if lb.RoundsObserved() == 0 {
+					t.Error("load balance attached after another monitor stopped observed no rounds")
+				}
+				s.Close()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

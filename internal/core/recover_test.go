@@ -72,3 +72,52 @@ func TestRecoverUndoesPartialStart(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecoverStatsmKeepsAnalysing: the statsm Recover starts analyses
+// the workload that follows the recovery. Stopping the lost front end's
+// statsm must not close the System's coscheduling controllers, or the
+// recovered monitor's tree stays frozen at the replayed seed.
+func TestRecoverStatsmKeepsAnalysing(t *testing.T) {
+	sealed := t.TempDir()
+	err := RunVirtual(func() error {
+		s := newSystem(t, cosched.AfterUnblock)
+		tree := instrumented(t, s, "T")
+		cfg := monitor.DefaultConfig()
+		cfg.PullInterval = 300 * time.Microsecond
+		old, err := s.AttachStatsm(tree, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.AttachArchive(tree, time.Millisecond, archive.Options{Dir: sealed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunWorkload(Workload{Trees: []*cluster.Tree{tree}, Iterations: 30}); err != nil {
+			t.Fatal(err)
+		}
+		old.Stop()
+		rec.Stop()
+		if err := rec.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if old.RoundsAnalyzed() == 0 {
+			t.Fatal("the lost statsm analysed nothing")
+		}
+		p, err := s.Recover(sealed, PipelineSpec{Tree: tree, Statsm: &cfg, Sealed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := p.Statsm.RoundsAnalyzed()
+		if _, err := s.RunWorkload(Workload{Trees: []*cluster.Tree{tree}, Iterations: 30}); err != nil {
+			t.Fatal(err)
+		}
+		if after := p.Statsm.RoundsAnalyzed(); after <= before {
+			t.Fatalf("recovered statsm analysed %d rounds before the second phase and %d after", before, after)
+		}
+		s.Close()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

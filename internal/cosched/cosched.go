@@ -117,8 +117,9 @@ func (c *Controller) Close() {
 // thread creates its own waiter and calls Await before every batch of
 // analysis work.
 type Waiter struct {
-	c    *Controller
-	seen uint64
+	c      *Controller
+	seen   uint64
+	closed bool // guarded by c.mu
 }
 
 // NewWaiter creates a waiter starting at the current window count.
@@ -129,21 +130,30 @@ func (c *Controller) NewWaiter() *Waiter {
 }
 
 // Await blocks until the next admission window opens (or returns
-// immediately under Strategy None). It returns false once the controller
-// is closed.
+// immediately under Strategy None). It returns false once the waiter or
+// its controller is closed.
 func (w *Waiter) Await() bool {
-	if w.c.strategy == None {
-		w.c.mu.Lock()
-		defer w.c.mu.Unlock()
-		return !w.c.closed
-	}
 	w.c.mu.Lock()
 	defer w.c.mu.Unlock()
-	for w.c.seq <= w.seen && !w.c.closed {
-		w.c.cond.Wait()
+	if w.c.strategy != None {
+		for w.c.seq <= w.seen && !w.c.closed && !w.closed {
+			w.c.cond.Wait()
+		}
+		w.seen = w.c.seq
 	}
-	w.seen = w.c.seq
-	return !w.c.closed
+	return !w.c.closed && !w.closed
+}
+
+// Close releases this waiter alone, permanently: a blocked Await and
+// every later one return false, while the controller's other waiters
+// keep their windows. A monitor's Stop closes its own threads' waiters
+// this way, since the controllers are shared by every monitor on the
+// host. Close is idempotent.
+func (w *Waiter) Close() {
+	w.c.mu.Lock()
+	w.closed = true
+	w.c.cond.Broadcast()
+	w.c.mu.Unlock()
 }
 
 // Set manages one controller per host, created on demand. Trees wire it in

@@ -171,3 +171,38 @@ func TestMultipleWaitersAllAdmitted(t *testing.T) {
 		}
 	}
 }
+
+// TestWaiterCloseReleasesOnlyItself: closing one waiter unblocks it for
+// good, twice over without harm, and leaves its controller's other
+// waiters gated on the next window.
+func TestWaiterCloseReleasesOnlyItself(t *testing.T) {
+	for _, s := range []Strategy{None, AfterSend, AfterUnblock} {
+		c := NewController(s)
+		closing, other := c.NewWaiter(), c.NewWaiter()
+		done := make(chan bool, 1)
+		go func() { done <- closing.Await() }()
+		if s == None {
+			<-done
+			go func() { done <- closing.Await() }()
+		}
+		time.Sleep(5 * time.Millisecond)
+		closing.Close()
+		closing.Close()
+		select {
+		case ok := <-done:
+			if ok && s != None {
+				t.Fatalf("%v: Await true after its waiter closed", s)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%v: Close did not unblock its waiter", s)
+		}
+		if closing.Await() {
+			t.Fatalf("%v: Await true on a closed waiter", s)
+		}
+		c.AllSent(nil)
+		c.AllReleased(nil)
+		if !other.Await() {
+			t.Fatalf("%v: closing one waiter closed another", s)
+		}
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"eventspace/internal/hrtime"
 	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
-	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 )
 
@@ -96,7 +95,6 @@ type LoadBalance struct {
 	mode LoadBalanceMode
 	cfg  Config
 	tree *cluster.Tree
-	fe   *vnet.Host
 
 	// Recovery seeding (NewLoadBalance with a resume handoff): joins drop
 	// rounds at or below the handoff floors, so the replacement re-reads
@@ -106,33 +104,31 @@ type LoadBalance struct {
 	scope    *escope.Scope
 	puller   *escope.Puller
 	weighted *WeightedTree
-	ingest   *collect.IngestQueue
-
-	feElems map[uint32]*pastset.Element // per collective wrapper, on the front-end
-	names   map[uint32]string           // wrapper id -> node name
+	// rows resolves a gathered record's collective wrapper id to its
+	// node's weighted-tree row, once at construction, as Replay
+	// resolves its ports.
+	rows   map[uint32]*weightedRow
+	ingest *collect.IngestQueue
 
 	// Distributed-analysis state.
-	cs       *cosched.Set
 	hosts    []*lbHostAnalysis
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	threads  *hostThreads
 	stopOnce sync.Once
 }
 
 // lbHostAnalysis is one host's analysis thread state (distributed mode).
 type lbHostAnalysis struct {
-	host    *vnet.Host
-	nodes   []*lbNodeState
-	interm  *pastset.Element
-	written map[[2]uint32]uint64 // (node, contributor) -> last written count
+	host   *vnet.Host
+	nodes  []*lbNodeState
+	interm *pastset.Element
 }
 
 type lbNodeState struct {
-	node    *cluster.Node
-	join    *lbJoin
-	cursors []*pastset.Cursor // per contributor EC buffer
-	counts  []uint64          // last-arrival counts per contributor
-	dirty   bool
+	node      *cluster.Node
+	join      *lbJoin
+	cursors   []*pastset.Cursor // per contributor EC buffer
+	counts    []uint64          // last-arrival counts per contributor
+	published []uint64          // counts last written to the intermediate buffer
 }
 
 // NewLoadBalance builds a load-balance monitor over an instrumented tree.
@@ -158,12 +154,9 @@ func NewLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMod
 		mode:     mode,
 		cfg:      cfg,
 		tree:     tree,
-		fe:       tb.FrontEnd,
 		weighted: NewWeightedTree(),
-		feElems:  make(map[uint32]*pastset.Element),
-		names:    make(map[uint32]string),
-		cs:       cs,
-		stop:     make(chan struct{}),
+		rows:     make(map[uint32]*weightedRow),
+		threads:  newHostThreads(cs),
 	}
 	if resume != nil {
 		lb.floors = resume.Floors
@@ -186,13 +179,7 @@ func NewLoadBalance(tb *cluster.Testbed, tree *cluster.Tree, mode LoadBalanceMod
 func (lb *LoadBalance) build(tb *cluster.Testbed) error {
 	mode, cfg, tree := lb.mode, lb.cfg, lb.tree
 	for _, n := range tree.Nodes {
-		id := n.CollectiveEC.ID()
-		lb.names[id] = n.Name
-		elem, err := tb.FrontEnd.Registry.CreateFixed(fmt.Sprintf("lb/%s/%s/%s", mode, tree.Name, n.Name), 4096, analysis.LastArrivalRecordSize)
-		if err != nil {
-			return err
-		}
-		lb.feElems[id] = elem
+		lb.rows[n.CollectiveEC.ID()] = lb.weighted.row(n.Name)
 	}
 
 	var spec escope.Spec
@@ -206,10 +193,11 @@ func (lb *LoadBalance) build(tb *cluster.Testbed) error {
 	spec.Metrics = cfg.Metrics
 
 	// The ingest queue decouples the gather thread from the front-end
-	// analysis: the puller pushes gathered batches, a drainer applies
-	// them, and under overload the oldest batch is shed instead of the
-	// event-scope tree stalling. In summary-only mode (SetScopeMode) it
-	// folds batches into counters without retaining payloads.
+	// analysis: the puller pushes gathered batches, a drainer folds them
+	// into the weighted tree, and under overload the oldest batch is shed
+	// instead of the event-scope tree stalling. In summary-only mode
+	// (SetScopeMode) it folds batches into counters without retaining
+	// payloads.
 	lb.ingest = collect.NewIngestQueue(collect.DefaultIngestCap)
 	lb.ingest.SetMetrics(
 		cfg.Metrics.Counter(spec.Name+"/ingest.shed.batches"),
@@ -304,14 +292,15 @@ func (lb *LoadBalance) buildDistributed(spec *escope.Spec) error {
 			if err != nil {
 				return err
 			}
-			ha = &lbHostAnalysis{host: n.Host, interm: interm, written: make(map[[2]uint32]uint64)}
+			ha = &lbHostAnalysis{host: n.Host, interm: interm}
 			byHost[n.Host] = ha
 			lb.hosts = append(lb.hosts, ha)
 		}
 		st := &lbNodeState{
-			node:   n,
-			join:   newLBJoin(n.AR.Fanin(), lbMaxPending),
-			counts: make([]uint64, n.AR.Fanin()),
+			node:      n,
+			join:      newLBJoin(n.AR.Fanin(), lbMaxPending),
+			counts:    make([]uint64, n.AR.Fanin()),
+			published: make([]uint64, n.AR.Fanin()),
 		}
 		for _, ec := range n.ContribECs {
 			st.cursors = append(st.cursors, ec.Buffer().NewCursor())
@@ -327,159 +316,96 @@ func (lb *LoadBalance) buildDistributed(spec *escope.Spec) error {
 	return nil
 }
 
-// analysisLoop is one host's distributed analysis thread.
-func (lb *LoadBalance) analysisLoop(ha *lbHostAnalysis) {
-	defer lb.wg.Done()
-	var waiter *cosched.Waiter
-	if lb.cs != nil {
-		waiter = lb.cs.For(ha.host).NewWaiter()
+// analysisPass drains and joins one host's trace buffers, charges the
+// analysis CPU, and publishes the cumulative count of every contributor
+// whose count changed. It returns the number of trace tuples processed.
+func (lb *LoadBalance) analysisPass(ha *lbHostAnalysis, batch *[]byte) int {
+	processed := 0
+	for _, st := range ha.nodes {
+		for i, cur := range st.cursors {
+			processed += drainTuples(cur, batch, func(tu collect.TraceTuple) {
+				if last, done := st.join.add(i, tu); done {
+					st.counts[last]++
+				}
+			})
+		}
 	}
-	var batch []byte
-	for {
-		select {
-		case <-lb.stop:
-			return
-		default:
-		}
-		if waiter != nil && !waiter.Await() {
-			return
-		}
-		processed := 0
-		for _, st := range ha.nodes {
-			for i, cur := range st.cursors {
-				processed += drainTuples(cur, &batch, func(tu collect.TraceTuple) {
-					if last, done := st.join.add(i, tu); done {
-						st.counts[last]++
-						st.dirty = true
-					}
-				})
-			}
-		}
-		if processed > 0 && lb.cfg.AnalysisCostPerTuple > 0 {
-			ha.host.Occupy(time.Duration(processed) * lb.cfg.AnalysisCostPerTuple)
-		}
-		if processed == 0 {
-			// The paper's analysis threads block in PastSet reads when
-			// a trace buffer is empty; back off so an idle analysis
-			// thread does not busy-spin.
-			hrtime.SleepUnscaled(50 * time.Microsecond)
-		}
-		// Write cumulative intermediate results for nodes that changed.
-		for _, st := range ha.nodes {
-			if !st.dirty {
+	if processed > 0 && lb.cfg.AnalysisCostPerTuple > 0 {
+		ha.host.Occupy(time.Duration(processed) * lb.cfg.AnalysisCostPerTuple)
+	}
+	for _, st := range ha.nodes {
+		id := st.node.CollectiveEC.ID()
+		for c, cnt := range st.counts {
+			if st.published[c] == cnt {
 				continue
 			}
-			st.dirty = false
-			id := st.node.CollectiveEC.ID()
-			for c, cnt := range st.counts {
-				key := [2]uint32{id, uint32(c)}
-				if ha.written[key] == cnt {
-					continue
-				}
-				ha.written[key] = cnt
-				rec := analysis.LastArrivalRecord{Node: id, Contributor: uint16(c), Count: cnt}
-				var scratch [analysis.LastArrivalRecordSize]byte
-				if _, err := ha.interm.WriteCopy(rec.Append(scratch[:0])); err != nil {
-					return
-				}
+			st.published[c] = cnt
+			rec := analysis.LastArrivalRecord{Node: id, Contributor: uint16(c), Count: cnt}
+			var scratch [analysis.LastArrivalRecordSize]byte
+			if _, err := ha.interm.WriteCopy(rec.Append(scratch[:0])); err != nil {
+				return processed
 			}
 		}
-		if lb.cfg.AnalysisInterval > 0 {
-			hrtime.Sleep(lb.cfg.AnalysisInterval)
+	}
+	return processed
+}
+
+// fold applies one gathered batch of last-arrival records to the
+// weighted tree: single-scope records each count one observed round,
+// distributed ones carry a cumulative count whose newest value wins.
+// Records of wrappers outside the tree are ignored.
+func (lb *LoadBalance) fold(data []byte) {
+	const size = analysis.LastArrivalRecordSize
+	for off := 0; off+size <= len(data); off += size {
+		r, _ := analysis.DecodeLastArrivalRecord(data[off : off+size]) // whole records: cannot be short
+		row, ok := lb.rows[r.Node]
+		if !ok {
+			continue
+		}
+		if lb.mode == Distributed {
+			row.set(int(r.Contributor), r.Count)
+		} else {
+			row.add(int(r.Contributor), r.Count)
 		}
 	}
 }
 
 // Start launches the monitor's threads: the per-host analysis threads (in
-// distributed mode), the front-end gather thread, and the updater applying
-// gathered records to the weighted tree.
+// distributed mode), the front-end gather thread, and the drainer folding
+// gathered records into the weighted tree.
 func (lb *LoadBalance) Start() {
 	if lb.mode == Distributed {
-		for _, ha := range lb.hosts {
-			ha := ha
-			lb.wg.Add(1)
-			vclock.Go(func() { lb.analysisLoop(ha) })
+		hosts := make([]*vnet.Host, len(lb.hosts))
+		for i, ha := range lb.hosts {
+			hosts[i] = ha.host
 		}
-	}
-	scatter, _ := paths.NewScatter("lb/scatter", lb.fe, analysis.LastArrivalRecordSize,
-		func(rec []byte) (*pastset.Element, error) {
-			r, err := analysis.DecodeLastArrivalRecord(rec)
-			if err != nil {
-				return nil, err
-			}
-			return lb.feElems[r.Node], nil // unknown nodes filtered (nil)
+		lb.threads.start(hosts, lb.cfg.AnalysisInterval, func(i int, batch *[]byte) int {
+			return lb.analysisPass(lb.hosts[i], batch)
 		})
-	// The gather thread only enqueues; applying records to the front-end
-	// buffers happens on the drainer thread below. Push never blocks and
+	}
+	// The gather thread only enqueues; folding records into the weighted
+	// tree happens on the drainer thread below. Push never blocks and
 	// never fails, so a slow front-end analysis can no longer stall the
 	// event-scope tree — it sheds the oldest undigested batch instead.
 	lb.puller = lb.scope.StartPuller(lb.cfg.PullInterval, func(rep paths.Reply) error {
 		lb.ingest.Push(rep.Data)
 		return nil
 	})
-	lb.wg.Add(1)
-	vclock.Go(func() {
-		defer lb.wg.Done()
+	lb.threads.spawn(func() {
 		for {
-			data, ok := lb.ingest.Pop()
-			if !ok {
-				select {
-				case <-lb.stop:
-					// Stop halts the puller before closing lb.stop, so
-					// an empty queue here is final: everything gathered
-					// was applied.
-					return
-				default:
-				}
-				hrtime.SleepUnscaled(50 * time.Microsecond)
+			if data, ok := lb.ingest.Pop(); ok {
+				lb.fold(data)
 				continue
 			}
-			// Scatter filters unknown records itself; a decode error in
-			// one batch must not kill the drainer.
-			_, _ = scatter.Op(nil, paths.Request{Kind: paths.OpWrite, Data: data})
-		}
-	})
-	// Updater thread: reads the front-end buffers and maintains the
-	// weighted tree used by visualizations.
-	cursors := make(map[uint32]*pastset.Cursor, len(lb.feElems))
-	for id, e := range lb.feElems {
-		cursors[id] = e.NewCursor()
-	}
-	lb.wg.Add(1)
-	vclock.Go(func() {
-		defer lb.wg.Done()
-		var batch []byte
-		for {
-			idle := true
-			for id, cur := range cursors {
-				// The front-end buffers are created with this record
-				// size (newLoadBalance), so the drain cannot refuse it.
-				batch, _, _ = cur.DrainBytesInto(batch[:0], 0, analysis.LastArrivalRecordSize)
-				for off := 0; off < len(batch); off += analysis.LastArrivalRecordSize {
-					r, err := analysis.DecodeLastArrivalRecord(batch[off : off+analysis.LastArrivalRecordSize])
-					if err != nil {
-						continue
-					}
-					idle = false
-					name := lb.names[id]
-					if lb.mode == Distributed {
-						// Cumulative counts: newest state wins.
-						lb.weighted.Set(name, int(r.Contributor), r.Count)
-					} else {
-						lb.weighted.Add(name, int(r.Contributor), r.Count)
-					}
-				}
-			}
 			select {
-			case <-lb.stop:
-				if idle {
-					return
-				}
+			case <-lb.threads.stop:
+				// Stop halts the puller before the threads, so an
+				// empty queue here is final: everything gathered was
+				// folded.
+				return
 			default:
 			}
-			if idle {
-				hrtime.SleepUnscaled(100 * time.Microsecond)
-			}
+			hrtime.SleepUnscaled(50 * time.Microsecond)
 		}
 	})
 }
@@ -491,31 +417,19 @@ func (lb *LoadBalance) Start() {
 // sync.Once and late callers block until the first finishes.
 func (lb *LoadBalance) Stop() {
 	lb.stopOnce.Do(func() {
-		if lb.cs != nil {
-			lb.cs.CloseAll()
-		}
-		// The puller stops before lb.stop closes so the ingest drainer
-		// can treat empty-queue-and-stopped as "fully drained" — no
-		// gathered batch is lost at a clean shutdown.
 		if lb.puller != nil {
 			lb.puller.Stop()
 		}
-		close(lb.stop)
-		lb.wg.Wait()
+		lb.threads.halt()
 		lb.scope.Close()
 		lb.release()
 	})
 }
 
-// release removes the buffers the monitor registered. The front-end
-// analysis buffers die with the monitor: a replacement built after a
-// front-end loss re-creates them under the same names (the host registry
-// models front-end memory, and the paper's front-end state is not
-// persistent).
+// release removes the intermediate-result buffers the monitor registered
+// on the compute hosts, so a replacement can re-create them under the
+// same names.
 func (lb *LoadBalance) release() {
-	for _, e := range lb.feElems {
-		_ = lb.fe.Registry.Remove(e.Name())
-	}
 	for _, ha := range lb.hosts {
 		_ = ha.host.Registry.Remove(ha.interm.Name())
 	}

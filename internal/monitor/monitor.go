@@ -12,8 +12,11 @@ import (
 	"eventspace/internal/analysis"
 	"eventspace/internal/cosched"
 	"eventspace/internal/escope"
+	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/paths"
+	"eventspace/internal/vclock"
+	"eventspace/internal/vnet"
 )
 
 // Config holds the knobs shared by the monitors.
@@ -30,8 +33,8 @@ type Config struct {
 	// thread charges its host per trace tuple processed, standing in
 	// for the statistics computation cost on the paper's hosts.
 	AnalysisCostPerTuple time.Duration
-	// AnalysisInterval paces distributed analysis threads between
-	// batches (modelled time).
+	// AnalysisInterval paces the per-host analysis threads between
+	// passes (modelled time).
 	AnalysisInterval time.Duration
 	// Strategy coschedules analysis threads with the application
 	// (statsm experiments; cosched.None reproduces the 5-9% rows).
@@ -39,12 +42,6 @@ type Config struct {
 	// IntermediateCap sizes intermediate-result buffers (the paper uses
 	// one megabyte: 5000 tuples).
 	IntermediateCap int
-	// ThreadsPerHost runs this many analysis threads on each host
-	// (section 6.3.1 tries two); 0 means one.
-	ThreadsPerHost int
-	// TCPStatsAt selects where TCP/IP connection statistics are
-	// computed (statsm); TCPStatsOff disables them.
-	TCPStatsAt TCPStatsPlacement
 	// ReadBatch bounds how many records one event-scope read returns per
 	// source buffer (default 1, matching PastSet's one-tuple-per-read
 	// operation — the property that makes sequential gathering too slow
@@ -71,23 +68,8 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// TCPStatsPlacement selects the host that computes a connection's
-// statistics (section 6.3.1: moving the computation from the source to the
-// destination host changed statsm's overhead).
-type TCPStatsPlacement int
-
-// TCP statistics placements. The path direction runs from the thread to
-// the PastSet buffer, so the stub side is the source and the
-// communication-thread side the destination.
-const (
-	TCPStatsOff TCPStatsPlacement = iota
-	TCPStatsAtSource
-	TCPStatsAtDestination
-)
-
 // DefaultConfig returns the configuration the paper converged on:
-// parallel gathering, coscheduling strategy 2, TCP statistics at the
-// destination, one analysis thread per host.
+// parallel gathering and coscheduling strategy 2.
 func DefaultConfig() Config {
 	return Config{
 		GatewayHelpers:       4,
@@ -95,7 +77,6 @@ func DefaultConfig() Config {
 		AnalysisCostPerTuple: 6 * time.Microsecond,
 		Strategy:             cosched.AfterUnblock,
 		IntermediateCap:      5000,
-		TCPStatsAt:           TCPStatsAtDestination,
 	}
 }
 
@@ -117,11 +98,79 @@ func (c *Config) readBatch() int {
 	}
 }
 
-func (c *Config) analysisThreads() int {
-	if c.ThreadsPerHost <= 0 {
-		return 1
+// hostThreads runs a monitor's threads: one analysis thread per host
+// (section 4.3), plus any front-end thread the monitor spawns beside
+// them.
+type hostThreads struct {
+	cs      *cosched.Set // the System's coscheduling controllers; nil: none
+	stop    chan struct{}
+	waiters []*cosched.Waiter // the analysis threads' own, nil without coscheduling
+	wg      sync.WaitGroup
+	once    sync.Once
+}
+
+func newHostThreads(cs *cosched.Set) *hostThreads {
+	return &hostThreads{cs: cs, stop: make(chan struct{})}
+}
+
+// spawn runs fn on a thread that halt waits for; fn returns once stop
+// is closed.
+func (t *hostThreads) spawn(fn func()) {
+	t.wg.Add(1)
+	vclock.Go(func() {
+		defer t.wg.Done()
+		fn()
+	})
+}
+
+// start runs one analysis thread per host. Each pass it checks for
+// stop, waits for its host's coscheduling window, runs pass over host i
+// with a thread-owned drain buffer, backs off when the pass processed
+// nothing — the paper's threads block in the PastSet read of an empty
+// trace buffer — and sleeps interval. The waiters are created here,
+// before the threads run, so halt can close them.
+func (t *hostThreads) start(hosts []*vnet.Host, interval time.Duration, pass func(i int, batch *[]byte) int) {
+	t.waiters = make([]*cosched.Waiter, len(hosts))
+	for i, h := range hosts {
+		if t.cs != nil {
+			t.waiters[i] = t.cs.For(h).NewWaiter()
+		}
+		w := t.waiters[i]
+		t.spawn(func() {
+			var batch []byte
+			for {
+				select {
+				case <-t.stop:
+					return
+				default:
+				}
+				if w != nil && !w.Await() {
+					return
+				}
+				if pass(i, &batch) == 0 {
+					hrtime.SleepUnscaled(50 * time.Microsecond)
+				}
+				if interval > 0 {
+					hrtime.Sleep(interval)
+				}
+			}
+		})
 	}
-	return c.ThreadsPerHost
+}
+
+// halt stops every thread and waits for them. It closes only this
+// monitor's waiters: the coscheduling controllers belong to the System
+// and gate every other monitor's threads too.
+func (t *hostThreads) halt() {
+	t.once.Do(func() {
+		close(t.stop)
+		for _, w := range t.waiters {
+			if w != nil {
+				w.Close()
+			}
+		}
+	})
+	t.wg.Wait()
 }
 
 // WeightedTree is the front-end structure the load-balance monitor
@@ -168,19 +217,19 @@ func (r *weightedRow) add(contributor int, n uint64) {
 	r.tree.mu.Unlock()
 }
 
+// set overwrites the row's count for a contributor (cumulative
+// intermediate results, where only the newest state matters).
+func (r *weightedRow) set(contributor int, n uint64) {
+	r.tree.mu.Lock()
+	r.counts[contributor] = n
+	r.tree.mu.Unlock()
+}
+
 // Add folds last-arrival counts for a node's contributor.
 func (w *WeightedTree) Add(node string, contributor int, n uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.rowLocked(node).counts[contributor] += n
-}
-
-// Set overwrites the count (used with cumulative intermediate results,
-// where only the newest state matters).
-func (w *WeightedTree) Set(node string, contributor int, n uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.rowLocked(node).counts[contributor] = n
 }
 
 // Nodes returns the node names present.
@@ -224,9 +273,9 @@ func (w *WeightedTree) Total() uint64 {
 	return n
 }
 
-// AnalysisTree is the front-end structure statsm's updater maintains: the
-// newest statistics record per (wrapper id, latency kind). Visualization
-// threads read it.
+// AnalysisTree is the front-end structure statsm's gather threads
+// update: the newest statistics record per (wrapper id, latency kind).
+// Visualization threads read it.
 type AnalysisTree struct {
 	mu      sync.RWMutex
 	records map[uint32]map[uint8]analysis.StatsRecord

@@ -324,42 +324,6 @@ func TestStatsmWithCoscheduling(t *testing.T) {
 	}
 }
 
-func TestStatsmTCPPlacementSource(t *testing.T) {
-	fastScale(t)
-	tb, tree := buildRig(t, nil)
-	cfg := DefaultConfig()
-	cfg.AnalysisCostPerTuple = 0
-	cfg.TCPStatsAt = TCPStatsAtSource
-	sm, err := NewStatsm(tb, tree, cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm.Start()
-	runApp(t, tree, 40, -1, 0)
-	waitFor(t, 10*time.Second, func() bool { return sm.TCPSamples() > 0 },
-		"no TCP samples with source placement")
-	sm.Stop()
-}
-
-func TestStatsmTCPOff(t *testing.T) {
-	fastScale(t)
-	tb, tree := buildRig(t, nil)
-	cfg := DefaultConfig()
-	cfg.AnalysisCostPerTuple = 0
-	cfg.TCPStatsAt = TCPStatsOff
-	sm, err := NewStatsm(tb, tree, cfg, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm.Start()
-	runApp(t, tree, 20, -1, 0)
-	waitFor(t, 10*time.Second, func() bool { return sm.RoundsAnalyzed() > 0 }, "no rounds analyzed")
-	sm.Stop()
-	if sm.TCPSamples() != 0 {
-		t.Fatal("TCP samples computed with TCPStatsOff")
-	}
-}
-
 func TestWeightedTree(t *testing.T) {
 	w := NewWeightedTree()
 	w.Add("n", 0, 2)
@@ -368,9 +332,9 @@ func TestWeightedTree(t *testing.T) {
 	if w.Counts("n")[0] != 5 || w.Counts("n")[1] != 1 {
 		t.Fatal("Add counts wrong")
 	}
-	w.Set("n", 0, 7)
+	w.row("n").set(0, 7)
 	if w.Counts("n")[0] != 7 {
-		t.Fatal("Set did not overwrite")
+		t.Fatal("set did not overwrite")
 	}
 	if w.Total() != 8 {
 		t.Fatalf("Total = %d", w.Total())
@@ -408,15 +372,14 @@ func TestAnalysisTree(t *testing.T) {
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Strategy != cosched.AfterUnblock || cfg.TCPStatsAt != TCPStatsAtDestination {
+	if cfg.Strategy != cosched.AfterUnblock {
 		t.Fatal("defaults diverge from the paper's final configuration")
 	}
-	if cfg.intermediateCap() != 5000 || cfg.analysisThreads() != 1 {
+	if cfg.intermediateCap() != 5000 {
 		t.Fatal("derived defaults wrong")
 	}
 	cfg.IntermediateCap = 10
-	cfg.ThreadsPerHost = 2
-	if cfg.intermediateCap() != 10 || cfg.analysisThreads() != 2 {
+	if cfg.intermediateCap() != 10 {
 		t.Fatal("overrides ignored")
 	}
 }

@@ -10,11 +10,9 @@ import (
 	"eventspace/internal/collect"
 	"eventspace/internal/cosched"
 	"eventspace/internal/escope"
-	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
-	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 )
 
@@ -26,7 +24,6 @@ import (
 // gather threads move to the front-end.
 type Statsm struct {
 	cfg Config
-	cs  *cosched.Set
 
 	hosts []*statsHost
 
@@ -37,13 +34,13 @@ type Statsm struct {
 
 	atree *AnalysisTree
 
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	threads  *hostThreads
 	stopOnce sync.Once
 }
 
-// statsHost is one host's analysis state. Multiple analysis threads on the
-// host share it under mu (section 6.3.1 runs two threads per host).
+// statsHost is one host's analysis state. Its analysis thread holds mu
+// while it changes the state, because the monitor's readers
+// (TraceReadRate, RoundsAnalyzed, TCPSamples) run on other goroutines.
 type statsHost struct {
 	host *vnet.Host
 	mu   sync.Mutex
@@ -78,17 +75,17 @@ type statsNode struct {
 	dirty        bool
 }
 
-// statsLink carries one connection's TCP latency statistics. The local
-// side's tuples are read from the local trace buffer; the peer side's are
-// pulled over the link's own monitor connection — the remote reads that
-// dominate statsm's uncoscheduled overhead in the paper.
+// statsLink carries one connection's TCP latency statistics, computed on
+// the connection's destination host (section 6.3.1: moving the
+// computation there from the source lowered statsm's overhead). The
+// local, server side's tuples are read from the local trace buffer; the
+// client side's are pulled from the source host over the link's own
+// monitor connection — the remote reads that dominate statsm's
+// uncoscheduled overhead in the paper.
 type statsLink struct {
-	link     *cluster.Link
-	localCur *pastset.Cursor
-	remote   paths.Wrapper // batch reader on the peer, behind a stub
-	// localIsClient records which side of the latency formula the
-	// local tuples are.
-	localIsClient bool
+	link          *cluster.Link
+	localCur      *pastset.Cursor
+	remote        paths.Wrapper // batch reader on the peer, behind a stub
 	pendingLocal  map[uint32]collect.TraceTuple
 	pendingRemote map[uint32]collect.TraceTuple
 	stream        *analysis.Stream
@@ -114,10 +111,9 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 		seed = NewAnalysisTree()
 	}
 	sm := &Statsm{
-		cfg:   cfg,
-		cs:    cs,
-		atree: seed,
-		stop:  make(chan struct{}),
+		cfg:     cfg,
+		atree:   seed,
+		threads: newHostThreads(cs),
 	}
 	const win = analysis.DefaultMedianWindow
 	byHost := make(map[*vnet.Host]*statsHost)
@@ -166,51 +162,40 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 		sh.nodes = append(sh.nodes, st)
 	}
 
-	if cfg.TCPStatsAt != TCPStatsOff {
-		for _, lk := range tree.Links {
-			statsSide, peerSide := lk.To, lk.From // destination computes
-			localEC, remoteEC := lk.ServerEC, lk.ClientEC
-			localIsClient := false
-			if cfg.TCPStatsAt == TCPStatsAtSource {
-				statsSide, peerSide = lk.From, lk.To
-				localEC, remoteEC = lk.ClientEC, lk.ServerEC
-				localIsClient = true
-			}
-			sh, err := hostFor(statsSide)
-			if err != nil {
-				return nil, err
-			}
-			// The analysis thread reads the peer's trace buffer over
-			// its own connection. Remote-read failures are already
-			// tolerated (the batch proceeds without the peer's tuples);
-			// the retry policy additionally rides out transient faults.
-			rd := paths.NewBatchReader("statsm/peer("+lk.Name+")", peerSide, remoteEC.Buffer(), collect.TupleSize, 0)
-			svc := paths.NewService()
-			target := svc.Register(rd)
-			conn := tb.Net.Dial(statsSide, peerSide, svc.Handler())
-			sh.conns = append(sh.conns, conn)
-			stub := paths.NewRemote("statsm/stub("+lk.Name+")", statsSide, conn, target)
-			if cfg.Retry != nil {
-				pol := *cfg.Retry
-				stub.SetRetry(&pol)
-			}
-			if cfg.Metrics != nil {
-				stub.SetMetrics(&paths.RemoteMetrics{
-					Op:      cfg.Metrics.Op(metrics.KindStub, stub.Name()),
-					Retries: cfg.Metrics.Counter("statsm/stub.retries"),
-					Redials: cfg.Metrics.Counter("statsm/stub.redials"),
-				})
-			}
-			sh.links = append(sh.links, &statsLink{
-				link:          lk,
-				localCur:      localEC.Buffer().NewCursor(),
-				remote:        stub,
-				localIsClient: localIsClient,
-				pendingLocal:  make(map[uint32]collect.TraceTuple),
-				pendingRemote: make(map[uint32]collect.TraceTuple),
-				stream:        analysis.NewStream(win),
+	for _, lk := range tree.Links {
+		sh, err := hostFor(lk.To)
+		if err != nil {
+			return nil, err
+		}
+		// The analysis thread reads the source's trace buffer over its
+		// own connection. Remote-read failures are already tolerated
+		// (the batch proceeds without the peer's tuples); the retry
+		// policy additionally rides out transient faults.
+		rd := paths.NewBatchReader("statsm/peer("+lk.Name+")", lk.From, lk.ClientEC.Buffer(), collect.TupleSize, 0)
+		svc := paths.NewService()
+		target := svc.Register(rd)
+		conn := tb.Net.Dial(lk.To, lk.From, svc.Handler())
+		sh.conns = append(sh.conns, conn)
+		stub := paths.NewRemote("statsm/stub("+lk.Name+")", lk.To, conn, target)
+		if cfg.Retry != nil {
+			pol := *cfg.Retry
+			stub.SetRetry(&pol)
+		}
+		if cfg.Metrics != nil {
+			stub.SetMetrics(&paths.RemoteMetrics{
+				Op:      cfg.Metrics.Op(metrics.KindStub, stub.Name()),
+				Retries: cfg.Metrics.Counter("statsm/stub.retries"),
+				Redials: cfg.Metrics.Counter("statsm/stub.redials"),
 			})
 		}
+		sh.links = append(sh.links, &statsLink{
+			link:          lk,
+			localCur:      lk.ServerEC.Buffer().NewCursor(),
+			remote:        stub,
+			pendingLocal:  make(map[uint32]collect.TraceTuple),
+			pendingRemote: make(map[uint32]collect.TraceTuple),
+			stream:        analysis.NewStream(win),
+		})
 	}
 
 	// Two gathers over the same hosts: wrapper statistics and per-thread
@@ -265,8 +250,8 @@ func drainTuples(cur *pastset.Cursor, batch *[]byte, fn func(collect.TraceTuple)
 // analysisBatch drains and processes everything available on one host.
 // It returns the number of trace tuples processed. Blocking work (the
 // remote trace read and the modelled analysis CPU occupancy) happens
-// outside the host lock so a second analysis thread is never stalled
-// behind a sleeping one.
+// outside the host lock so a reader is never stalled behind a sleeping
+// analysis thread.
 func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]byte) int {
 	sh.mu.Lock()
 	processed := 0
@@ -326,11 +311,7 @@ func (sm *Statsm) analysisBatch(sh *statsHost, batch *[]byte) int {
 			}
 			delete(ls.pendingLocal, seq)
 			delete(ls.pendingRemote, seq)
-			client, server := rt, lt
-			if ls.localIsClient {
-				client, server = lt, rt
-			}
-			ls.stream.Add(micros(analysis.TCPLatency(client, server)))
+			ls.stream.Add(micros(analysis.TCPLatency(rt, lt)))
 			ls.samples++
 			ls.dirty = true
 		}
@@ -398,45 +379,17 @@ func writeStats(elem *pastset.Element, rec analysis.StatsRecord) error {
 	return err
 }
 
-// analysisLoop is one analysis thread.
-func (sm *Statsm) analysisLoop(sh *statsHost) {
-	defer sm.wg.Done()
-	var waiter *cosched.Waiter
-	if sm.cs != nil {
-		waiter = sm.cs.For(sh.host).NewWaiter()
-	}
-	var batch []byte
-	for {
-		select {
-		case <-sm.stop:
-			return
-		default:
-		}
-		if waiter != nil && !waiter.Await() {
-			return
-		}
-		if sm.analysisBatch(sh, &batch) == 0 {
-			// Back off on an empty trace buffer (the paper's threads
-			// block in the PastSet read).
-			hrtime.SleepUnscaled(50 * time.Microsecond)
-		}
-		if sm.cfg.AnalysisInterval > 0 {
-			hrtime.Sleep(sm.cfg.AnalysisInterval)
-		}
-	}
-}
-
 // StartAnalysisOnly launches only the per-host analysis threads, without
 // the gather threads — the configuration behind Table 3's "Analysis
 // threads" overhead rows.
 func (sm *Statsm) StartAnalysisOnly() {
-	for _, sh := range sm.hosts {
-		sh := sh
-		for i := 0; i < sm.cfg.analysisThreads(); i++ {
-			sm.wg.Add(1)
-			vclock.Go(func() { sm.analysisLoop(sh) })
-		}
+	hosts := make([]*vnet.Host, len(sm.hosts))
+	for i, sh := range sm.hosts {
+		hosts[i] = sh.host
 	}
+	sm.threads.start(hosts, sm.cfg.AnalysisInterval, func(i int, batch *[]byte) int {
+		return sm.analysisBatch(sm.hosts[i], batch)
+	})
 }
 
 // Start launches the analysis threads and both gather threads.
@@ -463,17 +416,13 @@ func (sm *Statsm) Start() {
 // sync.Once and late callers block until the first finishes.
 func (sm *Statsm) Stop() {
 	sm.stopOnce.Do(func() {
-		if sm.cs != nil {
-			sm.cs.CloseAll()
-		}
-		close(sm.stop)
+		sm.threads.halt()
 		if sm.wrapperPull != nil {
 			sm.wrapperPull.Stop()
 		}
 		if sm.threadPull != nil {
 			sm.threadPull.Stop()
 		}
-		sm.wg.Wait()
 		sm.wrapperScope.Close()
 		sm.threadScope.Close()
 		for _, sh := range sm.hosts {

@@ -7,7 +7,6 @@ import (
 
 	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
-	"eventspace/internal/pastset"
 	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 	"eventspace/internal/wire"
@@ -210,56 +209,4 @@ func (g *Gather) gatherParallel(ctx *Ctx, req Request, children []Wrapper) (out 
 		out = append(out, replies[i].Data...)
 	}
 	return out, total, nil
-}
-
-// RouteFunc maps a fixed-size record to the PastSet element it should be
-// scattered into.
-type RouteFunc func(record []byte) (*pastset.Element, error)
-
-// Scatter divides a concatenated payload into fixed-size records and
-// writes each to the element chosen by the route function. The front-end
-// monitors use it to split a gathered tuple into per-wrapper buffers
-// (figure 3).
-type Scatter struct {
-	base
-	recSize int
-	route   RouteFunc
-}
-
-// NewScatter creates a scatter wrapper for recSize-byte records.
-func NewScatter(name string, host *vnet.Host, recSize int, route RouteFunc) (*Scatter, error) {
-	if recSize <= 0 {
-		return nil, fmt.Errorf("paths: scatter %q: record size %d", name, recSize)
-	}
-	if route == nil {
-		return nil, fmt.Errorf("paths: scatter %q: nil route", name)
-	}
-	return &Scatter{base: base{name, host}, recSize: recSize, route: route}, nil
-}
-
-// Op splits req.Data into records and writes each to its routed element.
-// Ret reports the record count.
-func (s *Scatter) Op(ctx *Ctx, req Request) (Reply, error) {
-	if req.Kind != OpWrite {
-		return Reply{}, fmt.Errorf("paths: %s: unsupported op %v", s.name, req.Kind)
-	}
-	if len(req.Data)%s.recSize != 0 {
-		return Reply{}, fmt.Errorf("paths: %s: payload %d bytes not a multiple of record size %d", s.name, len(req.Data), s.recSize)
-	}
-	n := 0
-	for off := 0; off < len(req.Data); off += s.recSize {
-		rec := req.Data[off : off+s.recSize]
-		elem, err := s.route(rec)
-		if err != nil {
-			return Reply{}, fmt.Errorf("paths: %s: %w", s.name, err)
-		}
-		if elem == nil {
-			continue // routed to nowhere: filtered out
-		}
-		if _, err := elem.WriteCopy(rec); err != nil {
-			return Reply{}, fmt.Errorf("paths: %s: %w", s.name, err)
-		}
-		n++
-	}
-	return Reply{Ret: int16(min(n, 1<<15-1))}, nil
 }

@@ -6,7 +6,7 @@
 // thread and end in a PastSet buffer. Each wrapper runs code before and
 // after invoking the next wrapper in the path. Wrappers implement storage
 // (PastSet element access), data manipulation (reduction, filtering,
-// conversion), gathering and scattering, inter-host communication (a stub
+// conversion), gathering, inter-host communication (a stub
 // forwarding operations to a communication thread on another host), and
 // collective operations (the allreduce wrapper that joins several
 // contributor paths into a spanning tree, and the all-to-all exchange used

@@ -620,58 +620,6 @@ func TestGatherHelpersOverlapSlowChildren(t *testing.T) {
 	}
 }
 
-func TestScatterRoutesRecords(t *testing.T) {
-	_, c1, _ := testNet(t)
-	h := c1.Hosts()[0]
-	e1 := testElem(t, "a", 8, 2)
-	e2 := testElem(t, "b", 8, 2)
-	sc, err := NewScatter("sc", h, 2, func(rec []byte) (*pastset.Element, error) {
-		switch rec[0] {
-		case 1:
-			return e1, nil
-		case 2:
-			return e2, nil
-		case 3:
-			return nil, nil // filtered
-		default:
-			return nil, fmt.Errorf("bad tag %d", rec[0])
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sc.Op(nil, Request{Kind: OpWrite, Data: []byte{1, 10, 2, 20, 3, 30, 1, 11}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ret != 3 {
-		t.Fatalf("scattered %d records, want 3", rep.Ret)
-	}
-	if e1.Stats().Written != 2 || e2.Stats().Written != 1 {
-		t.Fatalf("routing wrong: e1=%d e2=%d", e1.Stats().Written, e2.Stats().Written)
-	}
-	if _, err := sc.Op(nil, Request{Kind: OpWrite, Data: []byte{9, 9}}); err == nil {
-		t.Fatal("route error swallowed")
-	}
-	if _, err := sc.Op(nil, Request{Kind: OpWrite, Data: []byte{1}}); err == nil {
-		t.Fatal("ragged payload accepted")
-	}
-	if _, err := sc.Op(nil, Request{Kind: OpRead}); err == nil {
-		t.Fatal("read on scatter accepted")
-	}
-}
-
-func TestScatterValidation(t *testing.T) {
-	_, c1, _ := testNet(t)
-	h := c1.Hosts()[0]
-	if _, err := NewScatter("s", h, 0, func([]byte) (*pastset.Element, error) { return nil, nil }); err == nil {
-		t.Fatal("record size 0 accepted")
-	}
-	if _, err := NewScatter("s", h, 4, nil); err == nil {
-		t.Fatal("nil route accepted")
-	}
-}
-
 func TestExchangeAllToAll(t *testing.T) {
 	n, c1, c2 := testNet(t)
 	hosts := []*vnet.Host{c1.Hosts()[0], c1.Hosts()[1], c2.Hosts()[0]}
