@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch recovery-e2e monitor-e2e lint vet eslint ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch recovery-e2e monitor-e2e fault-e2e lint vet eslint ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -134,6 +134,14 @@ monitor-e2e:
 	$(GO) test -race -count=3 -run 'TestArchiveReplayMatchesLiveLoadBalance|TestFigure3Monitors|TestFigure4Statsm' .
 	$(GO) test -race -count=3 -run 'TestStoppingOneMonitorLeavesOthersRunning|TestRecoverStatsmKeepsAnalysing' ./internal/core/
 
+# fault-e2e repeats the host-crash transition test under the race
+# detector and a shuffled order, 200 times: once HostDown reports a
+# crashed host, a call on a connection dialled before the crash fails
+# with ErrConnClosed, never ErrHostDown (a fault event applies in one
+# critical section).
+fault-e2e:
+	$(GO) test -race -shuffle=on -count=200 -run '^TestCrashFailsCallsAndRestartRecovers$$' ./internal/vnet/
+
 vet:
 	$(GO) vet ./...
 
@@ -149,5 +157,5 @@ lint: vet eslint
 # benchmark harness is a module of its own, so the root ./... patterns
 # never reach it; the last step is what notices an API change that
 # breaks benchmark/sut.go.
-ci: build lint leaf-packages one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates recovery-e2e monitor-e2e
+ci: build lint leaf-packages one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates recovery-e2e monitor-e2e fault-e2e
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...

@@ -60,7 +60,7 @@ func chaosRun(t *testing.T, cps *archive.CrashPoints) (out string) {
 		}
 		rec, err := sys.AttachArchiveCheckpointed(tree, chaosPull, ArchiveOptions{
 			Dir: dir1, SegmentBytes: 4096, CrashPoints: cps,
-		}, CheckpointConfig{EveryTuples: 256, Keep: 3})
+		}, CheckpointConfig{EveryTuples: 256})
 		if err != nil {
 			return err
 		}
@@ -155,7 +155,7 @@ func chaosControl(t *testing.T) string {
 		}
 		rec, err := sys.AttachArchiveCheckpointed(tree, chaosPull, ArchiveOptions{
 			Dir: dir, SegmentBytes: 4096,
-		}, CheckpointConfig{EveryTuples: 256, Keep: 3})
+		}, CheckpointConfig{EveryTuples: 256})
 		if err != nil {
 			return err
 		}

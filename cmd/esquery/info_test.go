@@ -31,7 +31,7 @@ func writeCheckpointedArchive(t *testing.T, dir string) {
 	if err := archive.WriteMeta(dir, infos); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := checkpoint.New(w, w, nil, infos, checkpoint.Config{EveryTuples: 8, Keep: 3})
+	ck, err := checkpoint.New(w, w, nil, infos, checkpoint.Config{EveryTuples: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestInfoWithoutCheckpoints(t *testing.T) {
 
 // TestInfoStampRangeIsStartRange: a segment's "stamps [lo,hi]" is its
 // range of Start stamps — what -since/-until are matched against. The
-// test archive's mode tuple carries its scope hash in End; the range
+// test archive's alert tuple carries its query hash in End; the range
 // must end at the last data tuple's Start, not reach for the hash.
 func TestInfoStampRangeIsStartRange(t *testing.T) {
 	dir := t.TempDir()

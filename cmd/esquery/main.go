@@ -1,6 +1,6 @@
 // Command esquery queries and replays EventSpace trace archives: the
-// persistent segment directories written by System.AttachArchive (or an
-// archive.Writer directly). Everything it prints is computed from the
+// persistent segment directories written by
+// System.AttachArchiveCheckpointed (or an archive.Writer directly). Everything it prints is computed from the
 // archived tuples' own timestamps, so running it twice over the same
 // archive produces byte-identical output (watch, which follows a live
 // directory, is the one exception).
@@ -9,7 +9,7 @@
 //
 //	esquery info    -dir DIR
 //	esquery query   -dir DIR -q "select * where ecid in (1, 2) and latency > 500us limit 10"
-//	esquery replay  -dir DIR [-ecids 1,2] [-ops read,write,mode,alert] [-min N] [-max N]
+//	esquery replay  -dir DIR [-ecids 1,2] [-ops read,write,alert] [-min N] [-max N]
 //	                [-since D] [-until D] [-monitor loadbalance|stats|alerts]
 //	                [-window N] [-alerts "stmt[; stmt]"]
 //	esquery watch   -dir DIR -q "alert when ..." [-poll D] [-once]
@@ -143,7 +143,7 @@ func addQueryFlags(fs *flag.FlagSet) *queryFlags {
 	return &queryFlags{
 		dir:   fs.String("dir", "", "archive directory (required)"),
 		ecids: fs.String("ecids", "", "comma-separated event-collector ids to keep (empty: all)"),
-		ops:   fs.String("ops", "", "comma-separated op kinds to keep: read,write,mode,alert (empty: all)"),
+		ops:   fs.String("ops", "", "comma-separated op kinds to keep: read,write,alert (empty: all)"),
 		min:   fs.Int64("min", 0, "minimum tuple Start stamp, inclusive"),
 		max:   fs.Int64("max", 0, "maximum tuple Start stamp, inclusive (0: unbounded)"),
 		since: fs.Duration("since", 0, "minimum tuple Start as model time past the virtual epoch (e.g. 800us); overrides -min"),
@@ -171,10 +171,10 @@ func (qf *queryFlags) predicate() (string, error) {
 		for _, s := range strings.Split(*qf.ops, ",") {
 			op := strings.TrimSpace(s)
 			switch op {
-			case "read", "write", "mode", "alert":
+			case "read", "write", "alert":
 				ops = append(ops, op)
 			default:
-				return "", usagef("-ops: unknown op %q (want read, write, mode or alert)", s)
+				return "", usagef("-ops: unknown op %q (want read, write or alert)", s)
 			}
 		}
 		conj = append(conj, "op in ("+strings.Join(ops, ", ")+")")

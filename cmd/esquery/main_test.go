@@ -13,7 +13,7 @@ import (
 )
 
 // writeTestArchive builds a small archive with tuples at known stamps:
-// ten tuples on ECID 1, Start = i microseconds (0..9), plus one mode
+// ten tuples on ECID 1, Start = i microseconds (0..9), plus one alert
 // control tuple at 4us. Small segments force several rotations so the
 // stamp-range pushdown has segments to skip. The metadata sidecar names
 // ECID 1 a contributor, which is all the load-balance replay needs.
@@ -38,8 +38,8 @@ func writeTestArchive(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 	}
-	err = w.Append([]collect.TraceTuple{collect.EncodeMode(collect.ModeTuple{
-		ScopeHash: collect.HashName("s"), From: 0, To: 1, Seq: 1, At: 4000,
+	err = w.Append([]collect.TraceTuple{collect.EncodeAlert(collect.AlertTuple{
+		QueryHash: collect.HashName("s"), Group: 1, Seq: 1, At: 4000,
 	})})
 	if err != nil {
 		t.Fatal(err)
@@ -129,17 +129,17 @@ func TestReplaySinceUntil(t *testing.T) {
 	}
 }
 
-// TestQueryModeOp checks that mode control tuples are selectable and
-// rendered with their op name.
+// TestQueryModeOp checks that control tuples are selectable by op kind
+// and rendered with their op name.
 func TestQueryModeOp(t *testing.T) {
 	dir := t.TempDir()
 	writeTestArchive(t, dir)
 
 	out := capture(t, func() error {
-		return runQuery([]string{"-dir", dir, "-q", "select * where op in (mode)"})
+		return runQuery([]string{"-dir", dir, "-q", "select * where op in (alert)"})
 	})
-	if !strings.Contains(out, "mode") || !strings.Contains(out, "1 tuples matched") {
-		t.Errorf("mode select should match exactly the control tuple:\n%s", out)
+	if !strings.Contains(out, "alert") || !strings.Contains(out, "1 tuples matched") {
+		t.Errorf("alert select should match exactly the control tuple:\n%s", out)
 	}
 }
 

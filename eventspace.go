@@ -34,12 +34,12 @@
 // others hunt a load imbalance, climb statsm's coscheduling ladder,
 // monitor a WAN multi-cluster, and ride out crashes and a straggler.
 //
-// A run can also be recorded: System.AttachArchive archives a tree's
-// trace tuples (given alert statements, through a continuous-query
-// engine), AttachArchiveCheckpointed adds the recovery chain, and after
-// a front-end loss System.Recover rebuilds the front end from the
-// archive and restarts what a PipelineSpec names: the monitors and the
-// recording (Example_recover). cmd/esquery queries and
+// A run can also be recorded: System.AttachArchiveCheckpointed archives
+// a tree's trace tuples (given alert statements, through a
+// continuous-query engine) next to a checkpoint chain, and after a
+// front-end loss System.Recover rebuilds the front end from the archive
+// and restarts what a PipelineSpec names: the monitors and a recording
+// that checkpoints in turn (Example_recover). cmd/esquery queries and
 // replays an archive; cmd/esviz and cmd/esrun render the monitoring
 // views, and EXPERIMENTS.md holds the paper-versus-measured results.
 package eventspace
@@ -147,14 +147,15 @@ type (
 	// size cap, retention cap, block size, self-metrics).
 	ArchiveOptions = archive.Options
 	// CheckpointConfig tunes a recorder's checkpointer (cadence in
-	// tuples, chain length, metrics).
+	// tuples, metrics).
 	CheckpointConfig = checkpoint.Config
 	// PipelineSpec names what System.Recover starts over a front end it
 	// rebuilt from an archive: the monitors, a resumed recorder and its
 	// standing alerts.
 	PipelineSpec = core.PipelineSpec
 	// ArchiveRecorder records a tree's trace tuples into an archive
-	// alongside the live monitors (System.AttachArchive).
+	// and a checkpoint chain alongside the live monitors
+	// (System.AttachArchiveCheckpointed).
 	ArchiveRecorder = core.ArchiveRecorder
 	// MetricsRegistry collects per-wrapper cost accounting for the
 	// monitoring stack itself (see DESIGN.md "Self-metrics"). Install it

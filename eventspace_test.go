@@ -9,6 +9,7 @@ import (
 	"eventspace/internal/archive"
 	"eventspace/internal/collect"
 	"eventspace/internal/monitor"
+	"eventspace/internal/paths"
 	"eventspace/internal/query"
 	"eventspace/internal/viz"
 	"eventspace/internal/vnet"
@@ -81,9 +82,9 @@ func testArchiveReplayMatchesLiveLoadBalance(t *testing.T, mode monitor.LoadBala
 		}
 		// Small segments force several rotations mid-run; no retention
 		// cap, so nothing recorded is deleted.
-		rec, err := sys.AttachArchive(tree, 200*time.Microsecond, ArchiveOptions{
+		rec, err := sys.AttachArchiveCheckpointed(tree, 200*time.Microsecond, ArchiveOptions{
 			Dir: dir, SegmentBytes: 4096,
-		})
+		}, CheckpointConfig{})
 		if err != nil {
 			return err
 		}
@@ -168,9 +169,9 @@ func TestFrontEndFailoverResumesByteIdentical(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		rec, err := sys.AttachArchive(tree, 200*time.Microsecond, ArchiveOptions{
+		rec, err := sys.AttachArchiveCheckpointed(tree, 200*time.Microsecond, ArchiveOptions{
 			Dir: dir1, SegmentBytes: 4096,
-		})
+		}, CheckpointConfig{})
 		if err != nil {
 			return err
 		}
@@ -275,15 +276,13 @@ func TestFrontEndFailoverResumesByteIdentical(t *testing.T) {
 
 // TestDegradedRunReplaysByteIdentical is the degradation-ladder
 // acceptance contract: a run that walks the ladder (strict ->
-// bounded-staleness mid-traffic, then summary-only at quiesce) while an
-// archive recorder captures both data and mode-transition control
-// tuples must replay byte-identically — the offline mode history
-// renders exactly as the live scope's log, and the data replay is
-// undisturbed by the interleaved control tuples.
+// bounded-staleness mid-traffic, then summary-only at quiesce) while a
+// checkpointing recorder interleaves checkpoint marks with the data
+// loses no tuple and sheds nothing, and its archive replays to the live
+// weighted tree byte for byte.
 func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	var liveModes, liveTree bytes.Buffer
-	var scopeName string
+	var liveTree bytes.Buffer
 	const it1, it2 = 30, 30
 	err := RunVirtual(func() error {
 		sys, err := New(SingleTin(8), CoschedAfterUnblock)
@@ -307,17 +306,15 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		scopeName = lb.Scope().Name()
 		if lb.ScopeMode() != ModeStrict {
 			t.Errorf("initial mode %v, want strict", lb.ScopeMode())
 		}
-		rec, err := sys.AttachArchive(tree, 200*time.Microsecond, ArchiveOptions{
+		rec, err := sys.AttachArchiveCheckpointed(tree, 200*time.Microsecond, ArchiveOptions{
 			Dir: dir, SegmentBytes: 4096,
-		})
+		}, CheckpointConfig{EveryTuples: 256})
 		if err != nil {
 			return err
 		}
-		rec.RecordModes(lb)
 		if _, err := sys.RunWorkload(Workload{Trees: []*Tree{tree}, Iterations: it1}); err != nil {
 			return err
 		}
@@ -350,9 +347,6 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 		if st := lb.IngestStats(); st.ShedBatches != 0 || st.ShedTuples != 0 {
 			t.Errorf("ingest shed %d batches / %d tuples in an unloaded run", st.ShedBatches, st.ShedTuples)
 		}
-		if err := viz.Modes(&liveModes, scopeName, lb.ScopeModeLog()); err != nil {
-			return err
-		}
 		if err := viz.WeightedTree(&liveTree, lb.Weighted()); err != nil {
 			return err
 		}
@@ -367,25 +361,17 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _, err := archive.ReplayModes(r, scopeName, archive.Query{})
-	if err != nil {
+	marks := 0
+	if _, err := r.Scan(archive.Query{
+		ECIDs: []uint32{collect.ControlECID}, Ops: []paths.OpKind{paths.OpCheckpoint},
+	}, func(collect.TraceTuple) bool {
+		marks++
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	changes := rep.Changes()
-	if len(changes) != 2 {
-		t.Fatalf("replayed %d mode transitions, want 2 (got %+v)", len(changes), changes)
-	}
-	if changes[0].From != ModeStrict || changes[0].To != ModeBounded ||
-		changes[1].From != ModeBounded || changes[1].To != ModeSummary {
-		t.Fatalf("replayed ladder %+v, want strict->bounded->summary", changes)
-	}
-	var repModes bytes.Buffer
-	if err := viz.Modes(&repModes, scopeName, changes); err != nil {
-		t.Fatal(err)
-	}
-	if liveModes.String() != repModes.String() {
-		t.Fatalf("mode history diverged\n--- live ---\n%s--- replay ---\n%s",
-			liveModes.String(), repModes.String())
+	if marks == 0 {
+		t.Fatal("the recorder interleaved no checkpoint marks")
 	}
 	// The interleaved control tuples must not perturb the data replay.
 	larep := replayArchive(t, dir)
@@ -400,7 +386,7 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 		t.Fatalf("degraded run's data diverged from its archive\n--- live ---\n%s--- replay ---\n%s",
 			liveTree.String(), repTree.String())
 	}
-	if repTree.Len() == 0 || repModes.Len() == 0 {
+	if repTree.Len() == 0 {
 		t.Fatal("empty renderings compared")
 	}
 }
@@ -466,9 +452,9 @@ func testContinuousQueryAlertFiresAndReplays(t *testing.T) {
 			Seed:  11,
 			Rules: []vnet.FaultRule{{SpikeProb: 0.3, SpikeDelay: 2 * time.Millisecond}},
 		})
-		rec, err := sys.AttachArchive(tree, 200*time.Microsecond, ArchiveOptions{
+		rec, err := sys.AttachArchiveCheckpointed(tree, 200*time.Microsecond, ArchiveOptions{
 			Dir: dir, SegmentBytes: 4096,
-		}, sources...)
+		}, CheckpointConfig{}, sources...)
 		if err != nil {
 			return err
 		}

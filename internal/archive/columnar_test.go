@@ -25,7 +25,7 @@ func TestColumnarBlockRoundTrip(t *testing.T) {
 			return ts
 		}(),
 		"overflow": {
-			{ECID: 0, Op: paths.OpMode, Ret: -32768, Seq: math.MaxUint32, Start: math.MaxInt64, End: math.MinInt64},
+			{ECID: 0, Op: paths.OpAlert, Ret: -32768, Seq: math.MaxUint32, Start: math.MaxInt64, End: math.MinInt64},
 			{ECID: math.MaxUint32, Op: paths.OpKind(math.MaxUint16), Ret: 32767, Seq: 0, Start: math.MinInt64, End: math.MaxInt64},
 			{ECID: 7, Op: paths.OpRead, Ret: 0, Seq: 3, Start: -1, End: 1},
 		},
@@ -200,7 +200,7 @@ func TestColumnarBlockSkip(t *testing.T) {
 	}
 
 	// An op kind no tuple carries: every block skipped, nothing decoded.
-	_, stats := selectAll(t, dir, Query{Ops: []paths.OpKind{paths.OpMode}})
+	_, stats := selectAll(t, dir, Query{Ops: []paths.OpKind{paths.OpAlert}})
 	if stats.TuplesScanned != 0 || stats.BlocksSkipped == 0 || stats.BlocksScanned != 0 {
 		t.Fatalf("op pushdown decoded tuples: %+v", stats)
 	}

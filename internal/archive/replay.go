@@ -103,24 +103,6 @@ func ReplayStats(r *Reader, infos []CollectorInfo, q Query, window int) (*monito
 	return rep, stats, nil
 }
 
-// ReplayModes scans the archive for the named scope's degradation-mode
-// control tuples and reconstructs its mode-transition history. The
-// ECID/op restriction rides the header-index pushdown, so segments
-// without control tuples are skipped without decoding.
-func ReplayModes(r *Reader, scope string, q Query) (*monitor.ModeReplay, ScanStats, error) {
-	q.ECIDs = []uint32{collect.ControlECID}
-	q.Ops = []paths.OpKind{paths.OpMode}
-	rep := monitor.NewModeReplay(scope)
-	stats, err := r.Scan(q, func(t collect.TraceTuple) bool {
-		rep.Feed(t)
-		return true
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	return rep, stats, nil
-}
-
 // ReplayAlerts scans the archive for continuous-query alert control
 // tuples and returns them in archive (firing) order. The ECID/op
 // restriction rides the header-index pushdown, so segments without

@@ -85,11 +85,11 @@ func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) 
 			ReopenMax:      8 * time.Millisecond,
 			StalenessBound: 25 * time.Millisecond,
 		},
-		Mode: mode,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scope.SetMode(mode)
 	defer scope.Close()
 	// Factor 80 inflates each slowed host's service time ~2.4–7.3ms
 	// against a ~300µs healthy round trip and a 1ms round deadline.

@@ -112,7 +112,7 @@ func write(dir string, seq uint32, frame []byte, cps *archive.CrashPoints) error
 // directory listing. A file already gone is what pruning wanted.
 func (c *Checkpointer) prune() error {
 	var first error
-	drop := max(len(c.chain)-c.keep, 0)
+	drop := max(len(c.chain)-keep, 0)
 	for _, seq := range c.chain[:drop] {
 		err := os.Remove(filepath.Join(c.dir, FileName(seq)))
 		if err != nil && !errors.Is(err, fs.ErrNotExist) && first == nil {

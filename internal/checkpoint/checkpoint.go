@@ -26,9 +26,9 @@ type Sink interface {
 // zero: one checkpoint per this many newly archived data tuples.
 const DefaultEveryTuples = 4096
 
-// DefaultKeep is the chain length retained on disk. Three rungs give
-// the recovery ladder two fallbacks before full replay.
-const DefaultKeep = 3
+// keep is the chain length retained on disk. Three rungs give the
+// recovery ladder two fallbacks before full replay.
+const keep = 3
 
 // Config tunes a Checkpointer.
 type Config struct {
@@ -37,8 +37,6 @@ type Config struct {
 	// cadence is counted in tuples, not time, so checkpoint placement —
 	// and therefore the recovered byte stream — is deterministic.
 	EveryTuples uint64
-	// Keep is how many chain files are retained (0 = DefaultKeep).
-	Keep int
 	// CrashPoints, when set, arms the CrashCheckpoint injection site on
 	// checkpoint writes. Test-only; share the archive writer's plan.
 	CrashPoints *archive.CrashPoints
@@ -76,7 +74,6 @@ type Checkpointer struct {
 
 	dir     string
 	every   uint64
-	keep    int
 	cps     *archive.CrashPoints
 	opWrite *metrics.Op      // checkpoint writes; nil without a registry
 	cWrites *metrics.Counter // checkpoints persisted
@@ -135,13 +132,9 @@ func New(w *archive.Writer, inner Sink, engine *query.Engine, infos []archive.Co
 	if every == 0 {
 		every = DefaultEveryTuples
 	}
-	keep := cfg.Keep
-	if keep == 0 {
-		keep = DefaultKeep
-	}
 	c := &Checkpointer{
 		inner: inner, w: w, engine: engine, shadow: shadow,
-		dir: w.Dir(), every: every, keep: max(keep, 1),
+		dir: w.Dir(), every: every,
 		cps: cfg.CrashPoints, done: make(chan struct{}, 1),
 	}
 	c.run = c.job

@@ -212,7 +212,7 @@ func TestCheckpointRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		infos := testInfos()
-		ck, err := New(w, w, nil, infos, Config{EveryTuples: 64, Keep: 3})
+		ck, err := New(w, w, nil, infos, Config{EveryTuples: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestCheckpointerCrashFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	infos := testInfos()
-	ck, err := New(w, w, nil, infos, Config{EveryTuples: 48, Keep: 3, CrashPoints: cps})
+	ck, err := New(w, w, nil, infos, Config{EveryTuples: 48, CrashPoints: cps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestReopenedDirectoryContinuesChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck, err := New(w, w, nil, infos, Config{Keep: 3})
+		ck, err := New(w, w, nil, infos, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,9 +57,6 @@ type TestbedSpec struct {
 	// WANInaccuracyThreshold reproduces the emulator's degradation with
 	// many concurrent emulated connections (0 disables).
 	WANInaccuracyThreshold int
-	// FrontEndCPUs sizes the monitor front-end host (default 2: the
-	// paper uses a Pentium 4 1.8 GHz outside the clusters).
-	FrontEndCPUs int
 }
 
 // Testbed is a built virtual testbed.
@@ -93,11 +90,9 @@ func NewTestbed(spec TestbedSpec) (*Testbed, error) {
 		}
 		tb.Clusters = append(tb.Clusters, c)
 	}
-	feCPUs := spec.FrontEndCPUs
-	if feCPUs < 1 {
-		feCPUs = 2
-	}
-	fe, err := net.AddStandaloneHost("frontend", feCPUs)
+	// The monitor front end: the paper uses a Pentium 4 1.8 GHz outside
+	// the clusters, modelled with two CPUs.
+	fe, err := net.AddStandaloneHost("frontend", 2)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,6 @@ type TreeSpec struct {
 	// ThreadsPerHost is the number of computation threads per host
 	// ("one computation thread per CPU"); 0 uses the host's CPU count.
 	ThreadsPerHost int
-	// Reduce combines contributions (default paths.Sum).
-	Reduce paths.ReduceFunc
 	// Instrument inserts event collectors at every figure-1 position.
 	Instrument bool
 	// TraceBufCap sizes each collector's trace buffer (default 3750).
@@ -175,11 +173,7 @@ func (b *treeBuilder) node(name string, host *vnet.Host, fanin int, next paths.W
 	if err != nil {
 		return nil, err
 	}
-	reduce := b.spec.Reduce
-	if reduce == nil {
-		reduce = paths.Sum
-	}
-	ar, err := paths.NewAllreduce(name, host, fanin, reduce, upChain)
+	ar, err := paths.NewAllreduce(name, host, fanin, paths.Sum, upChain)
 	if err != nil {
 		return nil, err
 	}
@@ -350,11 +344,6 @@ func BuildTree(tb *Testbed, spec TreeSpec) (*Tree, error) {
 		return paths.NewValueStore(spec.Name+"/store"+tag, h, elem), nil
 	}
 
-	reduce := spec.Reduce
-	if reduce == nil {
-		reduce = paths.Sum
-	}
-
 	switch {
 	case len(clusters) == 1:
 		store, err := result(clusters[0].Hosts()[0], "")
@@ -378,7 +367,7 @@ func BuildTree(tb *Testbed, spec TreeSpec) (*Tree, error) {
 			if err != nil {
 				return nil, err
 			}
-			ex, err := paths.NewExchange(fmt.Sprintf("%s/x(%s)", spec.Name, c.Name()), root, i, k, reduce, store)
+			ex, err := paths.NewExchange(fmt.Sprintf("%s/x(%s)", spec.Name, c.Name()), root, i, k, paths.Sum, store)
 			if err != nil {
 				return nil, err
 			}

@@ -1,16 +1,34 @@
-// Alert control tuples. A continuous query (internal/query) firing on
-// the live gather stream is recorded as a control tuple on the reserved
-// collector id 0, exactly like degradation-mode transitions (modes.go):
-// the alert is archived alongside the data tuples that caused it, and
-// replaying the archive regenerates the identical alert stream from the
-// data tuples alone — the byte-for-byte contract the determinism tests
-// pin down.
+// Control tuples. Real event collectors are numbered from 1, leaving
+// collector id 0 free as a control channel inside the 28-byte tuple
+// format. A continuous query (internal/query) firing on the live gather
+// stream is recorded as a control tuple on that reserved id: the alert
+// is archived alongside the data tuples that caused it, and replaying
+// the archive regenerates the identical alert stream from the data
+// tuples alone — the byte-for-byte contract the determinism tests pin
+// down. Checkpoint marks (checkpoint.go) ride the same channel.
 package collect
 
 import (
 	"eventspace/internal/hrtime"
 	"eventspace/internal/paths"
 )
+
+// ControlECID is the reserved collector id carried by control tuples.
+// Registry-assigned collector ids start at 1, so id 0 never collides
+// with trace data.
+const ControlECID uint32 = 0
+
+// HashName is the FNV-64 hash used to tie a control tuple to what it
+// describes: tuple space has no room for a name, so the hash of one (an
+// alert's canonical query text) rides in the End field.
+func HashName(s string) uint64 {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
 
 // AlertTuple is a decoded continuous-query alert: the identity of the
 // standing query (as the FNV-64 hash of its canonical esql text), the

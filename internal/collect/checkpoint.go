@@ -1,13 +1,12 @@
 // Checkpoint control tuples. When the recovery checkpointer
 // (internal/checkpoint) persists a monitor-state snapshot, it appends a
 // marker control tuple into the archive stream on the reserved
-// collector id 0, exactly like degradation-mode transitions (modes.go)
-// and continuous-query alerts (alert.go). The marker carries the
-// checkpoint's chain sequence and the archive cursor it covers, so
-// offline tooling can see where bounded-time recovery may begin without
-// opening the sidecar chain. Markers are ignored by every replay join —
-// like all control tuples — so archives with and without checkpoints
-// replay byte-identically.
+// collector id 0, exactly like continuous-query alerts (alert.go). The
+// marker carries the checkpoint's chain sequence and the archive cursor
+// it covers, so offline tooling can see where bounded-time recovery may
+// begin without opening the sidecar chain. Markers are ignored by every
+// replay join — like all control tuples — so archives with and without
+// checkpoints replay byte-identically.
 package collect
 
 import (

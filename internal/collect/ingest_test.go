@@ -1,11 +1,6 @@
 package collect
 
-import (
-	"testing"
-
-	"eventspace/internal/hrtime"
-	"eventspace/internal/paths"
-)
+import "testing"
 
 func batch(tuples int) []byte {
 	return make([]byte, tuples*TupleSize)
@@ -113,38 +108,5 @@ func BenchmarkIngestShed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Push(data)
-	}
-}
-
-func TestModeTupleRoundTrip(t *testing.T) {
-	m := ModeTuple{
-		ScopeHash: HashName("lb/scope"),
-		From:      0,
-		To:        2,
-		Seq:       7,
-		At:        hrtime.Stamp(123456789),
-	}
-	tt := EncodeMode(m)
-	if tt.ECID != ControlECID || tt.Op != paths.OpMode {
-		t.Fatalf("encoded control fields = %d/%v", tt.ECID, tt.Op)
-	}
-	// Survives the binary wire format used by buffers and the archive.
-	dec, err := Decode(tt.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := DecodeMode(dec)
-	if !ok {
-		t.Fatal("DecodeMode rejected a mode tuple")
-	}
-	if got != m {
-		t.Fatalf("round trip: got %+v want %+v", got, m)
-	}
-	// Ordinary data tuples are not misread as control tuples.
-	if _, ok := DecodeMode(TraceTuple{ECID: 1, Op: paths.OpRead}); ok {
-		t.Fatal("data tuple decoded as mode tuple")
-	}
-	if _, ok := DecodeMode(TraceTuple{ECID: ControlECID, Op: paths.OpRead}); ok {
-		t.Fatal("non-mode control tuple decoded as mode tuple")
 	}
 }

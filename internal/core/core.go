@@ -180,10 +180,10 @@ type PipelineSpec struct {
 	// Archive configures a recorder that continues the recording into
 	// Archive.Dir, a fresh directory: scanning the old directory and
 	// then the new one covers the whole run. It pulls every Pull (0:
-	// continuously) and, with Checkpoint set, checkpoints too.
-	Archive    *archive.Options
-	Pull       time.Duration
-	Checkpoint *checkpoint.Config
+	// continuously) and checkpoints with the default checkpoint.Config,
+	// so a second loss recovers from its chain too.
+	Archive *archive.Options
+	Pull    time.Duration
 	// Alerts are the lost recorder's standing alert statements. The
 	// replay advances their engine state and the resumed recorder
 	// restores it, so alert streaks continue mid-streak.
@@ -253,7 +253,6 @@ func (s *System) Recover(dir string, spec PipelineSpec) (*Pipeline, error) {
 			fromEnd: spec.Sealed,
 			stmts:   stmts,
 			engine:  st.Engine,
-			ckpt:    spec.Checkpoint,
 		})
 		if err != nil {
 			return fail(err)
@@ -264,57 +263,49 @@ func (s *System) Recover(dir string, spec PipelineSpec) (*Pipeline, error) {
 
 // ArchiveRecorder records a tree's raw trace tuples into a persistent
 // archive: its own event scope over every trace buffer, pulled by a
-// gather thread whose sink is the archive writer. It rides alongside
-// the live monitors — PastSet cursors are independent, so recording
-// does not steal tuples from them.
+// gather thread whose sink chain ends at the archive writer. It rides
+// alongside the live monitors — PastSet cursors are independent, so
+// recording does not steal tuples from them. Every recorder checkpoints:
+// a checkpointer heads its sink chain, so the front end it implies can
+// be rebuilt from the newest checkpoint after a crash.
 type ArchiveRecorder struct {
 	scope  *escope.Scope
 	puller *escope.Puller
 	writer *archive.Writer
-	// sink is what gathered batches are appended through: the writer
-	// directly, or a continuous-query engine interposed in front of it
-	// (AttachArchive with alerts). The final drain in Stop uses the same
-	// sink, so standing queries see every tuple the archive records.
-	sink   escope.RawSink
 	engine *query.Engine
-	ckpt   *checkpoint.Checkpointer
+	// ckpt heads the chain gathered batches are appended through:
+	// checkpointer -> engine (with alerts) -> writer. The final drain in
+	// Stop enters it too, so standing queries see every tuple the
+	// archive records.
+	ckpt *checkpoint.Checkpointer
 
 	stopOnce sync.Once
 	stopErr  error
 }
 
-// AttachArchive builds and starts a trace recorder over an instrumented
-// tree: the collector metadata sidecar is written into the archive
-// directory (so offline tooling can replay without the live registry),
-// and a puller drains every event collector's trace buffer into the
-// archive every pull interval (0 pulls continuously).
+// AttachArchiveCheckpointed builds and starts a trace recorder over an
+// instrumented tree: the collector metadata sidecar is written into the
+// archive directory (so offline tooling can replay without the live
+// registry), and a puller drains every event collector's trace buffer
+// into the archive every pull interval (0 pulls continuously).
 //
-// With alerts, each esql alert statement is parsed, registered with a
-// query.Engine interposed between the gather thread and the archive
-// writer, and evaluated against every batch the recorder archives.
-// Fired alerts are archived as OpAlert control tuples in firing order;
-// replaying the archived data tuples through the same statements
-// (query.Replay, esquery replay -alerts) regenerates the identical
-// stream. The engine's coverage() roster is the tree's collector set.
-func (s *System) AttachArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options, alerts ...string) (*ArchiveRecorder, error) {
-	return s.record(tree, pull, opts, nil, alerts)
-}
-
-// AttachArchiveCheckpointed is AttachArchive plus crash recoverability:
-// a checkpointer rides the recorder's sink chain, periodically
+// A checkpointer rides the recorder's sink chain, periodically
 // snapshotting the front-end state the archive implies — the
 // load-balance and statistics replay shadow, the writer's durable
 // cursor, and the standing-query engine — into a sidecar chain of
-// ckpt-*.eckpt files next to the segments.
-// After a crash, Recover (or reconfig.RecoverFrontEnd) restores from
-// the newest valid checkpoint and replays only the archive suffix
-// behind it, instead of the whole archive.
+// ckpt-*.eckpt files next to the segments. After a crash, Recover (or
+// reconfig.RecoverFrontEnd) restores from the newest valid checkpoint
+// and replays only the archive suffix behind it, instead of the whole
+// archive.
+//
+// With alerts, each esql alert statement is parsed, registered with a
+// query.Engine interposed in front of the archive writer, and evaluated
+// against every batch the recorder archives. Fired alerts are archived
+// as OpAlert control tuples in firing order; replaying the archived
+// data tuples through the same statements (query.Replay, esquery replay
+// -alerts) regenerates the identical stream. The engine's coverage()
+// roster is the tree's collector set.
 func (s *System) AttachArchiveCheckpointed(tree *cluster.Tree, pull time.Duration, opts archive.Options, ckpt checkpoint.Config, alerts ...string) (*ArchiveRecorder, error) {
-	return s.record(tree, pull, opts, &ckpt, alerts)
-}
-
-// record parses a fresh recorder's alert statements and attaches it.
-func (s *System) record(tree *cluster.Tree, pull time.Duration, opts archive.Options, ckpt *checkpoint.Config, alerts []string) (*ArchiveRecorder, error) {
 	stmts, err := parseAlerts(alerts)
 	if err != nil {
 		return nil, err
@@ -340,12 +331,12 @@ func parseAlerts(alerts []string) ([]*query.Stmt, error) {
 // recorderSpec collects attachArchive's variants: a recovered recorder
 // that starts after the retained windows (fromEnd), standing alert
 // statements (stmts), a recovered engine snapshot to restore into them
-// (engine), and checkpointing (ckpt).
+// (engine), and the checkpoint cadence (ckpt).
 type recorderSpec struct {
 	fromEnd bool
 	stmts   []*query.Stmt
 	engine  *query.EngineState
-	ckpt    *checkpoint.Config
+	ckpt    checkpoint.Config
 }
 
 func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts archive.Options, spec recorderSpec) (*ArchiveRecorder, error) {
@@ -380,7 +371,8 @@ func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 		w.Close()
 		return nil, err
 	}
-	rec := &ArchiveRecorder{scope: scope, writer: w, sink: w}
+	rec := &ArchiveRecorder{scope: scope, writer: w}
+	var sink checkpoint.Sink = w
 	fail := func(err error) (*ArchiveRecorder, error) {
 		scope.Close()
 		w.Close()
@@ -401,45 +393,26 @@ func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 			}
 		}
 		rec.engine = eng
-		rec.sink = eng
+		sink = eng
 	}
-	if spec.ckpt != nil {
-		cfg := *spec.ckpt
-		if cfg.Metrics == nil {
-			cfg.Metrics = opts.Metrics
-		}
-		if cfg.CrashPoints == nil {
-			cfg.CrashPoints = opts.CrashPoints
-		}
-		// The checkpointer interposes at the head of the sink chain
-		// (puller -> checkpointer -> engine -> writer): it forwards each
-		// batch downstream first, then folds it into its shadows, so a
-		// snapshot taken at the writer's durable cursor has seen exactly
-		// the tuples the archive holds.
-		ck, err := checkpoint.New(w, rec.sink, rec.engine, meta, cfg)
-		if err != nil {
-			return fail(err)
-		}
-		rec.ckpt = ck
-		rec.sink = ck
+	cfg := spec.ckpt
+	if cfg.Metrics == nil {
+		cfg.Metrics = opts.Metrics
 	}
-	rec.puller = scope.StartPuller(pull, escope.ArchiveSink(rec.sink))
+	if cfg.CrashPoints == nil {
+		cfg.CrashPoints = opts.CrashPoints
+	}
+	// The checkpointer interposes at the head of the sink chain
+	// (puller -> checkpointer -> engine -> writer): it forwards each
+	// batch downstream first, then folds it into its shadows, so a
+	// snapshot taken at the writer's durable cursor has seen exactly
+	// the tuples the archive holds.
+	if rec.ckpt, err = checkpoint.New(w, sink, rec.engine, meta, cfg); err != nil {
+		return fail(err)
+	}
+	rec.puller = scope.StartPuller(pull, escope.ArchiveSink(rec.ckpt))
 	s.adopt(rec)
 	return rec, nil
-}
-
-// RecordModes wires a load-balance monitor's degradation-ladder
-// transitions into this archive as control tuples: every mode change —
-// past ones included, via the hook's backlog replay — is appended
-// alongside the trace tuples, so archive replay reproduces a degraded
-// run's mode history byte-identically. Writer appends are serialized
-// internally, so the hook is safe against the recorder's own puller.
-func (r *ArchiveRecorder) RecordModes(lb *monitor.LoadBalance) {
-	lb.SetScopeModeHook(func(ch escope.ModeChange) {
-		// A failing append surfaces through the writer's own error
-		// state at seal time; the mode hook must not block or panic.
-		_ = r.writer.Append([]collect.TraceTuple{monitor.EncodeModeChange(ch)})
-	})
 }
 
 // Alerts returns the alerts the recorder's standing queries have fired
@@ -468,25 +441,23 @@ func (r *ArchiveRecorder) Stop() {
 			defer close(done)
 			rep, err := r.scope.Pull(&paths.Ctx{Thread: r.scope.Name() + "/final"})
 			if err == nil && len(rep.Data) > 0 {
-				// The drain goes through the same sink as the puller, so
+				// The drain goes through the same chain as the puller, so
 				// standing queries evaluate the final batch too.
-				if err := r.sink.AppendRaw(rep.Data); err != nil {
+				if err := r.ckpt.AppendRaw(rep.Data); err != nil {
 					r.stopErr = err
 				}
 			}
 		})
 		<-done
-		if r.ckpt != nil {
-			// A final forced checkpoint right before the seal: recovery
-			// from a cleanly stopped archive then replays (almost) no
-			// suffix. An injected checkpoint crash surfaces here like any
-			// stop error; the seal still proceeds so the archive itself
-			// stays replayable. Checkpoint settles the checkpointer's job
-			// in flight on every path, error or not, so nothing appends to
-			// the writer after the Close below.
-			if err := r.ckpt.Checkpoint(); err != nil && r.stopErr == nil {
-				r.stopErr = err
-			}
+		// A final forced checkpoint right before the seal: recovery from
+		// a cleanly stopped archive then replays (almost) no suffix. An
+		// injected checkpoint crash surfaces here like any stop error;
+		// the seal still proceeds so the archive itself stays replayable.
+		// Checkpoint settles the checkpointer's job in flight on every
+		// path, error or not, so nothing appends to the writer after the
+		// Close below.
+		if err := r.ckpt.Checkpoint(); err != nil && r.stopErr == nil {
+			r.stopErr = err
 		}
 		r.scope.Close()
 		if err := r.writer.Close(); err != nil && r.stopErr == nil {

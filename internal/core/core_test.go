@@ -7,6 +7,7 @@ import (
 
 	"eventspace/internal/analysis"
 	"eventspace/internal/archive"
+	"eventspace/internal/checkpoint"
 	"eventspace/internal/cluster"
 	"eventspace/internal/cosched"
 	"eventspace/internal/hrtime"
@@ -356,7 +357,7 @@ func TestArchiveStopDrainsRegistered(t *testing.T) {
 	err := RunVirtual(func() error {
 		s := newSystem(t, cosched.None)
 		tree := instrumented(t, s, "T")
-		rec, err := s.AttachArchive(tree, time.Millisecond, archive.Options{Dir: dir})
+		rec, err := s.AttachArchiveCheckpointed(tree, time.Millisecond, archive.Options{Dir: dir}, checkpoint.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,20 @@
 package core
 
 import (
+	"bytes"
+	"os"
 	"testing"
 	"time"
 
 	"eventspace/internal/archive"
+	"eventspace/internal/checkpoint"
 	"eventspace/internal/cluster"
 	"eventspace/internal/cosched"
 	"eventspace/internal/metrics"
 	"eventspace/internal/monitor"
+	"eventspace/internal/reconfig"
 	"eventspace/internal/vclock"
+	"eventspace/internal/viz"
 )
 
 // TestRecoverUndoesPartialStart: a Recover whose last step fails — a
@@ -24,7 +29,7 @@ func TestRecoverUndoesPartialStart(t *testing.T) {
 		reg := metrics.New()
 		s.UseMetrics(reg)
 		tree := instrumented(t, s, "T")
-		rec, err := s.AttachArchive(tree, time.Millisecond, archive.Options{Dir: sealed})
+		rec, err := s.AttachArchiveCheckpointed(tree, time.Millisecond, archive.Options{Dir: sealed}, checkpoint.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +93,7 @@ func TestRecoverStatsmKeepsAnalysing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := s.AttachArchive(tree, time.Millisecond, archive.Options{Dir: sealed})
+		rec, err := s.AttachArchiveCheckpointed(tree, time.Millisecond, archive.Options{Dir: sealed}, checkpoint.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,5 +124,83 @@ func TestRecoverStatsmKeepsAnalysing(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoveredRecorderCheckpoints: the recorder Recover starts
+// checkpoints like the first one, so a second loss of the front end
+// recovers from the resumed directory's own chain — and that recovery
+// equals a full replay of the same directory with the chain stripped.
+func TestRecoveredRecorderCheckpoints(t *testing.T) {
+	sealed, resumed := t.TempDir(), t.TempDir()
+	err := RunVirtual(func() error {
+		s := newSystem(t, cosched.None)
+		tree := instrumented(t, s, "T")
+		rec, err := s.AttachArchiveCheckpointed(tree, time.Millisecond, archive.Options{Dir: sealed}, checkpoint.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunWorkload(Workload{Trees: []*cluster.Tree{tree}, Iterations: 8}); err != nil {
+			t.Fatal(err)
+		}
+		rec.Stop()
+		if err := rec.Err(); err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.Recover(sealed, PipelineSpec{
+			Tree: tree, Archive: &archive.Options{Dir: resumed}, Pull: time.Millisecond, Sealed: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.RunWorkload(Workload{Trees: []*cluster.Tree{tree}, Iterations: 40}); err != nil {
+			t.Fatal(err)
+		}
+		p.Recorder.Stop()
+		if err := p.Recorder.Err(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fast, err := reconfig.RecoverFrontEnd(resumed, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fast.Checkpointed || fast.ChainEntries < 1 {
+		t.Fatalf("resumed recorder left no usable chain: checkpointed=%v chain=%d", fast.Checkpointed, fast.ChainEntries)
+	}
+	entries, err := checkpoint.List(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := os.Remove(e.Path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full, err := reconfig.RecoverFrontEnd(resumed, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Checkpointed {
+		t.Fatal("recovery took a checkpoint from a stripped chain")
+	}
+	if fast.RoundsRecovered != full.RoundsRecovered || full.RoundsRecovered == 0 {
+		t.Fatalf("checkpointed recovery rebuilt %d rounds, full replay %d", fast.RoundsRecovered, full.RoundsRecovered)
+	}
+	var got, want bytes.Buffer
+	if err := viz.WeightedTree(&got, fast.Resume.Weighted); err != nil {
+		t.Fatal(err)
+	}
+	if err := viz.WeightedTree(&want, full.Resume.Weighted); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("checkpointed recovery diverged from full replay\n--- checkpointed ---\n%s--- full ---\n%s", got.String(), want.String())
 	}
 }

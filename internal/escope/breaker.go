@@ -13,10 +13,7 @@
 //
 // The breaker is active only in the bounded-staleness and summary-only
 // rungs of a scope's mode ladder (ModeStrict leaves gathers untouched,
-// exactly the paper's behaviour). Mode transitions are first-class
-// events: the scope logs them and hands them to a hook so the trace
-// archive records them as control tuples — replaying an archive
-// reproduces a degraded run byte-identically, mode changes included.
+// exactly the paper's behaviour); Scope.SetMode moves the rung.
 package escope
 
 import (
@@ -61,16 +58,6 @@ func (m Mode) String() string {
 		return "summary-only"
 	}
 	return fmt.Sprintf("Mode(%d)", int32(m))
-}
-
-// ModeChange is one degradation-ladder transition of a scope. Stamps are
-// modelled time and Seq is a dense per-scope sequence, so a run's mode
-// history is deterministic and replayable.
-type ModeChange struct {
-	Scope    string
-	From, To Mode
-	Seq      uint32
-	At       hrtime.Stamp
 }
 
 // BreakerPolicy configures the per-child straggler circuit breakers of a

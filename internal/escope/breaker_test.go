@@ -381,11 +381,11 @@ func runStragglerStorm(t *testing.T, seed uint64, mode Mode, rounds int) stormRe
 		Sources:     sources,
 		Health:      &HealthPolicy{},
 		Breaker:     pol,
-		Mode:        mode,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scope.SetMode(mode)
 	defer scope.Close()
 
 	// Factor 80: each message served by a slowed host takes an extra

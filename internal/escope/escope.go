@@ -87,10 +87,6 @@ type Spec struct {
 	// and served stale within the staleness bound, and Coverage reports
 	// them as Stale/Skipped. nil keeps unbounded gathers.
 	Breaker *BreakerPolicy
-	// Mode is the scope's initial degradation-ladder rung (ModeStrict
-	// when unset). Change it at runtime with SetMode; every change is
-	// logged and delivered to the mode hook.
-	Mode Mode
 	// Metrics, when set, wires every wrapper the build creates (stubs,
 	// readers, gathers), the scope's pulls and its pullers into the
 	// self-metrics registry. nil disables self-metrics entirely.
@@ -131,13 +127,8 @@ type Scope struct {
 	retry      *paths.RetryPolicy
 	breakerPol *BreakerPolicy
 
-	// Degradation-ladder state: the current mode (read on every breaker
-	// decision, hence atomic) and the transition log with its hook.
-	mode     atomic.Int32
-	modeMu   sync.Mutex
-	modeSeq  uint32
-	modeLog  []ModeChange
-	modeHook func(ModeChange)
+	// The degradation-ladder rung, read on every breaker decision.
+	mode atomic.Int32
 
 	// Connection bookkeeping: the scope tracks exactly the live
 	// connections (redial replaces its stub's entry instead of
@@ -512,7 +503,6 @@ func Build(net *vnet.Network, spec Spec) (*Scope, error) {
 	// (the legacy shape, one less wrapper on the pull path).
 	if spec.Health == nil && len(rootChildren) == 1 {
 		s.root = rootChildren[0]
-		s.SetMode(spec.Mode)
 		return s, nil
 	}
 	root, err := s.instrumentGather(paths.NewGather(spec.Name+"/root", spec.FrontEnd, rootChildren, spec.RootHelpers))
@@ -523,64 +513,16 @@ func Build(net *vnet.Network, spec Spec) (*Scope, error) {
 	if spec.Health != nil {
 		s.rootG = root
 	}
-	s.SetMode(spec.Mode)
 	return s, nil
 }
 
-// SetMode moves the scope to a degradation-ladder rung. A real change
-// (the initial Build call included, when the spec starts off-strict) is
-// appended to the mode log and delivered to the mode hook outside every
-// scope lock. Safe to call at any time; breakers observe the new mode on
-// their next decision.
-func (s *Scope) SetMode(m Mode) {
-	s.modeMu.Lock()
-	cur := Mode(s.mode.Load())
-	if cur == m {
-		s.modeMu.Unlock()
-		return
-	}
-	s.mode.Store(int32(m))
-	ch := ModeChange{Scope: s.name, From: cur, To: m, Seq: s.modeSeq, At: hrtime.Now()}
-	s.modeSeq++
-	s.modeLog = append(s.modeLog, ch)
-	hook := s.modeHook
-	s.modeMu.Unlock()
-	if hook != nil {
-		hook(ch)
-	}
-}
+// SetMode moves the scope to a degradation-ladder rung (a built scope
+// starts at ModeStrict). Safe to call at any time; breakers observe the
+// new mode on their next decision.
+func (s *Scope) SetMode(m Mode) { s.mode.Store(int32(m)) }
 
 // Mode returns the scope's current degradation-ladder rung.
 func (s *Scope) Mode() Mode { return Mode(s.mode.Load()) }
-
-// ModeLog returns every mode transition so far, in order.
-func (s *Scope) ModeLog() []ModeChange {
-	s.modeMu.Lock()
-	defer s.modeMu.Unlock()
-	out := make([]ModeChange, len(s.modeLog))
-	copy(out, s.modeLog)
-	return out
-}
-
-// SetModeHook installs (or, with nil, removes) the function receiving
-// every mode transition. Transitions that already happened — including
-// the Build-time one when the scope starts off-strict — are replayed
-// into the hook immediately, so a late-attached recorder (the archive)
-// still captures the full mode history. The hook runs outside scope
-// locks and must not block.
-func (s *Scope) SetModeHook(fn func(ModeChange)) {
-	s.modeMu.Lock()
-	s.modeHook = fn
-	backlog := make([]ModeChange, len(s.modeLog))
-	copy(backlog, s.modeLog)
-	s.modeMu.Unlock()
-	if fn == nil {
-		return
-	}
-	for _, ch := range backlog {
-		fn(ch)
-	}
-}
 
 // Breakers returns a snapshot of every straggler circuit breaker in the
 // scope (empty without a BreakerPolicy).

@@ -338,11 +338,11 @@ func TestCloseConcurrentWithBreakerInflight(t *testing.T) {
 		// A deadline far below the rig's modelled RTT: every round
 		// overruns, parking an inflight call on a breaker goroutine.
 		Breaker: &BreakerPolicy{RoundDeadline: time.Nanosecond},
-		Mode:    ModeBounded,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scope.SetMode(ModeBounded)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i := 0; i < 3; i++ {

@@ -481,8 +481,7 @@ func (lb *LoadBalance) Coverage() escope.Coverage { return lb.scope.Coverage() }
 // SetScopeMode moves the monitor along the degradation ladder: the event
 // scope's breakers observe the new rung on their next decision, and
 // summary-only additionally sheds gathered payloads at the ingest queue,
-// keeping only aggregate counts. Every change is logged by the scope and
-// delivered to the mode hook (see SetScopeModeHook).
+// keeping only aggregate counts.
 func (lb *LoadBalance) SetScopeMode(m escope.Mode) {
 	lb.scope.SetMode(m)
 	lb.ingest.SetSummaryOnly(m == escope.ModeSummary)
@@ -490,14 +489,6 @@ func (lb *LoadBalance) SetScopeMode(m escope.Mode) {
 
 // ScopeMode returns the current degradation-ladder rung.
 func (lb *LoadBalance) ScopeMode() escope.Mode { return lb.scope.Mode() }
-
-// ScopeModeLog returns every mode transition so far, in order.
-func (lb *LoadBalance) ScopeModeLog() []escope.ModeChange { return lb.scope.ModeLog() }
-
-// SetScopeModeHook installs the function receiving every mode
-// transition (past transitions are replayed into it on install). The
-// archive recorder uses it to persist mode changes as control tuples.
-func (lb *LoadBalance) SetScopeModeHook(fn func(escope.ModeChange)) { lb.scope.SetModeHook(fn) }
 
 // IngestStats snapshots the monitor's ingest-queue accounting (shed and
 // summarized batches under overload).

@@ -65,7 +65,7 @@ func diffStream(seed int64, rounds int) []collect.TraceTuple {
 		}
 		if seq%50 == 0 {
 			ts = append(ts,
-				collect.EncodeMode(collect.ModeTuple{ScopeHash: collect.HashName("s"), From: 0, To: 1, Seq: seq, At: base}),
+				collect.EncodeAlert(collect.AlertTuple{QueryHash: collect.HashName("s"), Group: 1, Seq: seq, At: base}),
 				collect.EncodeCheckpointMark(collect.CheckpointMark{Seq: seq / 50, Tuples: uint64(len(ts)), At: base}))
 		}
 	}

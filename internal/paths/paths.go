@@ -37,15 +37,14 @@ type OpKind uint16
 const (
 	OpWrite OpKind = iota + 1 // write a value/tuple (allreduce contributions are writes)
 	OpRead                    // read tuples (event scopes pull trace data)
-	// OpMode marks a control tuple: a monitor degradation-mode transition
-	// recorded into the trace stream so archive replay reproduces
-	// degraded runs. Control tuples carry the reserved collector id 0 and
-	// never travel down a path as requests.
-	OpMode
+	// Value 3 is reserved. It marked degradation-mode transitions, a
+	// control kind no longer recorded; keeping the slot leaves OpAlert
+	// and OpCheckpoint at the values archives already hold.
+	_
 	// OpAlert marks a control tuple: a continuous query firing on the
-	// live gather stream. Like OpMode it rides the reserved collector
-	// id 0, is archived alongside data tuples, and never travels down a
-	// path as a request — replaying an archive regenerates the identical
+	// live gather stream. Control tuples carry the reserved collector
+	// id 0, are archived alongside data tuples, and never travel down a
+	// path as requests — replaying an archive regenerates the identical
 	// alert stream from the data tuples alone.
 	OpAlert
 	// OpCheckpoint marks a control tuple: a recovery checkpoint was
@@ -64,8 +63,6 @@ func (k OpKind) String() string {
 		return "write"
 	case OpRead:
 		return "read"
-	case OpMode:
-		return "mode"
 	case OpAlert:
 		return "alert"
 	case OpCheckpoint:

@@ -96,7 +96,7 @@ type Kind uint8
 // Value kinds. Int covers ecid/ret/seq and integer literals; Dur covers
 // start/end/latency (nanoseconds of modelled time) and duration
 // literals; Float covers fractional literals and mean/coverage results;
-// Op is an operation-kind literal (read/write/mode/alert); Bool is the
+// Op is an operation-kind literal (read/write/alert); Bool is the
 // result of comparisons and boolean combinators.
 const (
 	KInvalid Kind = iota
@@ -557,6 +557,5 @@ func (s *Stmt) String() string {
 }
 
 // Hash returns the FNV-64 hash of the statement's canonical rendering —
-// the query identity recorded in alert control tuples (the same hash
-// mode tuples use for scope names).
+// the query identity recorded in alert control tuples.
 func (s *Stmt) Hash() uint64 { return collect.HashName(s.String()) }

@@ -14,8 +14,6 @@ func opLiteral(s string) (paths.OpKind, bool) {
 		return paths.OpRead, true
 	case "write":
 		return paths.OpWrite, true
-	case "mode":
-		return paths.OpMode, true
 	case "alert":
 		return paths.OpAlert, true
 	}

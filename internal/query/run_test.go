@@ -68,7 +68,7 @@ func writeDiffArchive(t *testing.T, dir string, seed int64, tear bool) *archive.
 		}
 		if round%5 == 2 {
 			batch = append(batch,
-				collect.EncodeMode(collect.ModeTuple{ScopeHash: collect.HashName("scope"), From: 0, To: 1, Seq: uint32(round), At: stamp}),
+				collect.EncodeAlert(collect.AlertTuple{QueryHash: collect.HashName("scope"), Group: 1, Seq: uint32(round), At: stamp}),
 				collect.EncodeAlert(collect.AlertTuple{QueryHash: 0xfeedfacecafebeef, Group: 3, Seq: uint32(round), At: stamp}))
 		}
 		if err := w.Append(batch); err != nil {

@@ -120,7 +120,7 @@ func buildCheckpointedArchive(t *testing.T, dir string, rounds int, every uint64
 		}
 		inner = eng
 	}
-	ck, err := checkpoint.New(w, inner, eng, infos, checkpoint.Config{EveryTuples: every, Keep: 3})
+	ck, err := checkpoint.New(w, inner, eng, infos, checkpoint.Config{EveryTuples: every})
 	if err != nil {
 		t.Fatal(err)
 	}

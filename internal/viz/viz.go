@@ -17,7 +17,6 @@ import (
 	"eventspace/internal/analysis"
 	"eventspace/internal/cluster"
 	"eventspace/internal/collect"
-	"eventspace/internal/escope"
 	"eventspace/internal/monitor"
 )
 
@@ -172,27 +171,6 @@ func GatherReport(w io.Writer, label string, rate float64) error {
 	}
 	_, err := fmt.Fprintf(w, "%s: gather rate %5.1f%% (%s)\n", label, rate*100, status)
 	return err
-}
-
-// Modes renders a scope's degradation-ladder history: one line per mode
-// transition, stamped in modelled time. Live (Scope.ModeLog) and
-// archive-replayed (monitor.ModeReplay.Changes) histories render
-// byte-identically when the run was recorded faithfully.
-func Modes(w io.Writer, label string, changes []escope.ModeChange) error {
-	if _, err := fmt.Fprintf(w, "== degradation ladder: %s ==\n", label); err != nil {
-		return err
-	}
-	if len(changes) == 0 {
-		_, err := fmt.Fprintln(w, "  (never left strict mode)")
-		return err
-	}
-	for _, ch := range changes {
-		if _, err := fmt.Fprintf(w, "  #%-3d %12v  %s -> %s\n",
-			ch.Seq, time.Duration(ch.At), ch.From, ch.To); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Alerts renders a continuous-query alert stream: one line per fired

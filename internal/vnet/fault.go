@@ -280,13 +280,9 @@ func (inj *Injector) run(events []FaultEvent) {
 			hrtime.Sleep(ev.At - elapsed)
 			elapsed = ev.At
 		}
-		inj.mu.Lock()
-		if inj.stopped {
-			inj.mu.Unlock()
+		if !inj.apply(ev) {
 			return
 		}
-		inj.mu.Unlock()
-		inj.apply(ev)
 	}
 }
 
@@ -306,31 +302,36 @@ func (n *Network) ClearFaults() {
 	}
 }
 
-func (inj *Injector) apply(ev FaultEvent) {
+// apply performs one scheduled event, reporting false when the injector
+// was stopped first. The whole transition — state change, connection
+// resets and log entry — is one critical section under inj.mu, which
+// every observer (HostDown, Call's fault checks, Log) also takes: once
+// HostDown reports a crashed host, every connection it had is already
+// reset, so a call on one fails with ErrConnClosed, never ErrHostDown.
+// Lock order is inj.mu, then the network's connection locks; nothing
+// holding those takes inj.mu.
+func (inj *Injector) apply(ev FaultEvent) bool {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	if inj.stopped {
+		return false
+	}
 	target := ev.Host
 	if target == "" {
 		target = ev.Cluster
 	}
 	switch ev.Kind {
 	case FaultCrash:
-		inj.mu.Lock()
 		inj.down[ev.Host] = true
-		inj.mu.Unlock()
 		inj.net.resetConnsMatching(func(c *Conn) bool {
 			return c.client.name == ev.Host || c.server.name == ev.Host
 		})
 	case FaultRestart:
-		inj.mu.Lock()
 		delete(inj.down, ev.Host)
-		inj.mu.Unlock()
 	case FaultPartition:
-		inj.mu.Lock()
 		inj.partitioned[ev.Cluster] = true
-		inj.mu.Unlock()
 	case FaultHeal:
-		inj.mu.Lock()
 		delete(inj.partitioned, ev.Cluster)
-		inj.mu.Unlock()
 	case FaultReset:
 		inj.net.resetConnsMatching(func(c *Conn) bool {
 			for _, h := range []*Host{c.client, c.server} {
@@ -345,7 +346,6 @@ func (inj *Injector) apply(ev FaultEvent) {
 		})
 	case FaultSlow, FaultFast:
 		clear := ev.Kind == FaultFast || ev.Factor <= 1
-		inj.mu.Lock()
 		for _, name := range inj.slowTargets(ev) {
 			if clear {
 				delete(inj.slow, name)
@@ -353,14 +353,12 @@ func (inj *Injector) apply(ev FaultEvent) {
 				inj.slow[name] = ev.Factor
 			}
 		}
-		inj.mu.Unlock()
 		if ev.Kind == FaultSlow && !clear {
 			target = fmt.Sprintf("%s x%g", target, ev.Factor)
 		}
 	}
-	inj.mu.Lock()
 	inj.log = append(inj.log, FaultRecord{At: ev.At, Kind: ev.Kind, Target: target})
-	inj.mu.Unlock()
+	return true
 }
 
 // Log returns the scheduled events applied so far, in application order.

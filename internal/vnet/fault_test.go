@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -133,6 +134,38 @@ func TestCrashFailsCallsAndRestartRecovers(t *testing.T) {
 	}
 	if _, err := conn2.Call([]byte{4}); err != nil {
 		t.Fatalf("call after restart: %v", err)
+	}
+}
+
+// TestCrashResetsConnsBeforeHostDown: a crash is one transition. From
+// the moment HostDown reports the host crashed, every connection dialled
+// to it before the crash is already reset, so a call on any of them
+// fails with ErrConnClosed, never ErrHostDown. Many connections widen
+// the window a two-step crash (mark down, then reset) would leave open.
+func TestCrashResetsConnsBeforeHostDown(t *testing.T) {
+	fastScale(t, 1)
+	n := newTestNet(t)
+	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
+	client, server := c.Hosts()[0], c.Hosts()[1]
+	echo := func(p []byte) ([]byte, error) { return p, nil }
+	conns := make([]*Conn, 256)
+	for i := range conns {
+		conns[i] = n.Dial(client, server, echo)
+	}
+	defer n.ClearFaults()
+
+	n.InjectFaults(FaultPlan{Events: []FaultEvent{{At: 0, Kind: FaultCrash, Host: server.Name()}}})
+	deadline := time.Now().Add(2 * time.Second)
+	for !n.HostDown(server) {
+		if time.Now().After(deadline) {
+			t.Fatal("crash not applied")
+		}
+		runtime.Gosched()
+	}
+	for i, conn := range conns {
+		if _, err := conn.Call([]byte{1}); !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("conn %d dialled before the crash: %v, want ErrConnClosed", i, err)
+		}
 	}
 }
 
