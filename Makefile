@@ -86,10 +86,14 @@ gather-gates:
 
 # collect-gates are the collection path's zero-alloc gates: the event
 # collector's write (with and without self-metrics), the ingest queue's
-# shed and the breaker's decision each report 0 allocs/op.
+# shed and the breaker's decision each report 0 allocs/op. The collector's
+# self-metrics contract (exact counts from its sequence counter under
+# concurrent writers, at the 32-bit boundary and across registry swaps)
+# runs under -race.
 collect-gates:
 	$(GO) test -run '^$$' -bench 'Benchmark(EventCollectorWrite|IngestShed)' -benchmem ./internal/collect/ | $(call zero-allocs,3)
 	$(GO) test -run '^$$' -bench 'BenchmarkBreakerDecision' -benchmem ./internal/escope/ | $(call zero-allocs,1)
+	$(GO) test -race -count=20 -run 'TestCollectorSelfMetrics' ./internal/collect/
 
 # leaf-packages holds internal/pastset and internal/wire to importing
 # nothing else of this module. pastset carries no clock, so whatever

@@ -11,8 +11,9 @@
 // scratch buffer and copied into the buffer's preallocated arena
 // (pastset.Element.WriteCopy), so recording performs zero heap
 // allocations per operation — the CI bench gate pins this at
-// 0 allocs/op, the same discipline the disabled path's ≤1ns check
-// enforces on the other branch.
+// 0 allocs/op. Self-metrics stay off the write too: an attached site
+// counts writes from the collector's sequence counter, and only one
+// write in 64 takes a third timestamp for its latency histogram.
 package collect
 
 import (
@@ -31,6 +32,11 @@ import (
 // TupleSize is the encoded size of a trace tuple: the paper's 28 bytes
 // (about 37 450 tuples per megabyte).
 const TupleSize = 28
+
+// latencySample is the self-metrics sampling period: the writes whose
+// sequence number is a multiple of it are timed. Sampling by sequence
+// number times the same writes on every run.
+const latencySample = 64
 
 // TraceTuple is the record an event collector writes per operation:
 // event collector identifier, PastSet operation type, tuple sequence
@@ -191,10 +197,12 @@ type EventCollector struct {
 	meta Meta
 	next paths.Wrapper
 	buf  *pastset.Element
-	seq  atomic.Uint32
+	seq  atomic.Uint64 // writes made; the tuple carries its low 32 bits
 
 	enabled atomic.Bool
 	met     atomic.Pointer[metrics.Op]
+	metMu   sync.Mutex // serializes SetMetrics
+	release func()     // folds seq into met's site; guarded by metMu
 }
 
 // Name returns the collector's name.
@@ -217,10 +225,25 @@ func (e *EventCollector) Buffer() *pastset.Element { return e.buf }
 // this un-instrumented behaviour.
 func (e *EventCollector) SetEnabled(on bool) { e.enabled.Store(on) }
 
-// SetMetrics installs the collector's self-metrics site, which records
-// the cost of each tuple write (the paper's "cost of monitoring": encode
-// plus buffer write, not the traced operation itself). nil disables.
-func (e *EventCollector) SetMetrics(op *metrics.Op) { e.met.Store(op) }
+// SetMetrics installs the collector's self-metrics site. Its Ops and
+// Bytes are exact: the writes made since this call, read from the
+// collector's sequence counter when the registry is snapshot. Its
+// latency histogram holds the cost of one write in 64 (the paper's
+// "cost of monitoring": encode plus buffer write, not the traced
+// operation itself). nil detaches; a detach or a re-attach first folds
+// the writes made so far into the old site.
+func (e *EventCollector) SetMetrics(op *metrics.Op) {
+	e.metMu.Lock()
+	defer e.metMu.Unlock()
+	if op == e.met.Load() {
+		return
+	}
+	if e.release != nil {
+		e.release()
+	}
+	e.met.Store(op)
+	e.release = op.Keep(&e.seq, TupleSize)
+}
 
 // Op timestamps the next wrapper's operation and records a trace tuple.
 // Failed operations record Ret = -1 before the error propagates.
@@ -233,11 +256,12 @@ func (e *EventCollector) Op(ctx *paths.Ctx, req paths.Request) (paths.Reply, err
 	start := hrtime.Now()
 	rep, err := e.next.Op(ctx, req)
 	end := hrtime.Now()
+	seq := e.seq.Add(1) - 1
 	t := TraceTuple{
 		ECID:  e.id,
 		Op:    req.Kind,
 		Ret:   rep.Ret,
-		Seq:   e.seq.Add(1) - 1,
+		Seq:   uint32(seq),
 		Start: start,
 		End:   end,
 	}
@@ -251,8 +275,10 @@ func (e *EventCollector) Op(ctx *paths.Ctx, req paths.Request) (paths.Reply, err
 	var scratch [TupleSize]byte
 	t.EncodeTo(scratch[:])
 	_, _ = e.buf.WriteCopy(scratch[:])
-	if m := e.met.Load(); m != nil {
-		m.Record(hrtime.Now()-end, TupleSize, nil)
+	if seq%latencySample == 0 {
+		if m := e.met.Load(); m != nil {
+			m.Observe(hrtime.Now() - end)
+		}
 	}
 	return rep, err
 }
@@ -274,21 +300,15 @@ func NewRegistry() *Registry {
 }
 
 // UseMetrics wires every collector created afterwards (and all existing
-// ones) into the self-metrics registry. nil detaches new collectors.
+// ones) into the self-metrics registry, each on its own KindCollector
+// site (see EventCollector.SetMetrics). nil detaches them all, folding
+// each one's final count into the site it leaves.
 func (r *Registry) UseMetrics(mr *metrics.Registry) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.met = mr
-	ecs := make([]*EventCollector, 0, len(r.byID))
 	for _, ec := range r.byID {
-		ecs = append(ecs, ec)
-	}
-	r.mu.Unlock()
-	for _, ec := range ecs {
-		if mr == nil {
-			ec.SetMetrics(nil)
-		} else {
-			ec.SetMetrics(mr.Op(metrics.KindCollector, ec.Name()))
-		}
+		ec.SetMetrics(mr.Op(metrics.KindCollector, ec.Name()))
 	}
 }
 
@@ -296,7 +316,8 @@ func (r *Registry) UseMetrics(mr *metrics.Registry) {
 // buffer of bufCap tuples registered in the host's PastSet registry under
 // "trace/<name>". Trace buffers are fixed-record elements: the 28-byte
 // tuples live in a preallocated arena, which is what keeps the recording
-// hot path at zero allocations per operation. Collectors start enabled.
+// hot path at zero allocations per operation. Collectors start enabled,
+// attached to the registry's self-metrics as of the moment they join it.
 func (r *Registry) New(name string, host *vnet.Host, meta Meta, next paths.Wrapper, bufCap int) (*EventCollector, error) {
 	if next == nil {
 		return nil, fmt.Errorf("collect: collector %q: %w", name, paths.ErrNoNext)
@@ -305,19 +326,16 @@ func (r *Registry) New(name string, host *vnet.Host, meta Meta, next paths.Wrapp
 	if err != nil {
 		return nil, fmt.Errorf("collect: collector %q: %v", name, err)
 	}
+	// Joining the registry and attaching to its metrics is one critical
+	// section, so a concurrent UseMetrics either sees the collector or
+	// has already set the registry it attaches to.
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.next++
-	id := r.next
-	r.mu.Unlock()
-	ec := &EventCollector{name: name, host: host, id: id, meta: meta, next: next, buf: buf}
+	ec := &EventCollector{name: name, host: host, id: r.next, meta: meta, next: next, buf: buf}
 	ec.enabled.Store(true)
-	r.mu.Lock()
-	r.byID[id] = ec
-	mr := r.met
-	r.mu.Unlock()
-	if mr != nil {
-		ec.SetMetrics(mr.Op(metrics.KindCollector, name))
-	}
+	r.byID[ec.id] = ec
+	ec.SetMetrics(r.met.Op(metrics.KindCollector, name))
 	return ec, nil
 }
 

@@ -2,8 +2,11 @@ package collect
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -444,8 +447,28 @@ func TestCollectorSelfMetrics(t *testing.T) {
 	if len(sites) != 1 || sites[0].Name != "ec-met" {
 		t.Fatalf("collector sites = %+v", sites)
 	}
-	if sites[0].Ops != 3 || sites[0].Lat.Count != 3 || sites[0].Bytes != 3*TupleSize {
+	if sites[0].Ops != 3 || sites[0].Lat.Count != 1 || sites[0].Bytes != 3*TupleSize {
 		t.Fatalf("site = %+v, want 3 writes of %d bytes", sites[0], TupleSize)
+	}
+	// Counts stay exact while only the writes whose sequence number is
+	// a multiple of latencySample are timed.
+	for _, c := range []struct{ writes, timed uint64 }{{64, 1}, {65, 2}, {129, 3}} {
+		mr := metrics.New()
+		reg := NewRegistry()
+		reg.UseMetrics(mr)
+		ec, err := reg.New(fmt.Sprintf("ec-sampled-%d", c.writes), h, Meta{}, inner, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < c.writes; i++ {
+			if _, err := ec.Op(&paths.Ctx{}, paths.Request{Kind: paths.OpWrite}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := mr.Snapshot().ByKind(metrics.KindCollector)[0]
+		if got.Ops != c.writes || got.Bytes != c.writes*TupleSize || got.Lat.Count != c.timed {
+			t.Fatalf("%d writes: site = %+v, want %d timed", c.writes, got, c.timed)
+		}
 	}
 	// UseMetrics also wires collectors that already exist, and nil
 	// detaches them.
@@ -468,5 +491,142 @@ func TestCollectorSelfMetrics(t *testing.T) {
 	}
 	if got := mr2.Snapshot().ByKind(metrics.KindCollector); got[0].Ops != 1 {
 		t.Fatalf("detached collector still recorded: %+v", got)
+	}
+}
+
+// drainSeqs returns the Seq of every tuple in ec's trace buffer.
+func drainSeqs(t *testing.T, ec *EventCollector) []uint32 {
+	t.Helper()
+	raw, _, err := ec.Buffer().NewCursor().DrainBytesInto(nil, 0, TupleSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := DecodeAll(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make([]uint32, len(tuples))
+	for i, tu := range tuples {
+		seqs[i] = tu.Seq
+	}
+	return seqs
+}
+
+func TestCollectorSelfMetricsConcurrent(t *testing.T) {
+	const writers, per = 4, 10000
+	h := testHost(t)
+	mr := metrics.New()
+	reg := NewRegistry()
+	reg.UseMetrics(mr)
+	inner := paths.NewFunc("inner", h, func(ctx *paths.Ctx, req paths.Request) (paths.Reply, error) {
+		return paths.Reply{}, nil
+	})
+	ec, err := reg.New("ec-conc", h, Meta{}, inner, writers*per)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if _, err := ec.Op(&paths.Ctx{}, paths.Request{Kind: paths.OpWrite}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got := mr.Snapshot().ByKind(metrics.KindCollector)[0]
+	if got.Ops != writers*per || got.Bytes != writers*per*TupleSize || got.Lat.Count != writers*per/latencySample {
+		t.Fatalf("site = %+v, want %d writes, %d timed", got, writers*per, writers*per/latencySample)
+	}
+	seqs := drainSeqs(t, ec)
+	if len(seqs) != writers*per {
+		t.Fatalf("buffer holds %d tuples, want %d", len(seqs), writers*per)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for i, s := range seqs {
+		if s != uint32(i) {
+			t.Fatalf("sorted seq[%d] = %d: not a permutation of 0..%d", i, s, writers*per-1)
+		}
+	}
+}
+
+// TestCollectorSelfMetricsSeqWrap crosses the tuple's 32-bit sequence
+// boundary: the tuples wrap, the site's count does not.
+func TestCollectorSelfMetricsSeqWrap(t *testing.T) {
+	h := testHost(t)
+	reg := NewRegistry()
+	inner := paths.NewFunc("inner", h, func(ctx *paths.Ctx, req paths.Request) (paths.Reply, error) {
+		return paths.Reply{}, nil
+	})
+	ec, err := reg.New("ec-wrap", h, Meta{}, inner, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec.seq.Store(1<<32 - 2)
+	mr := metrics.New()
+	reg.UseMetrics(mr)
+	for i := 0; i < 4; i++ {
+		if _, err := ec.Op(&paths.Ctx{}, paths.Request{Kind: paths.OpWrite}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := drainSeqs(t, ec), []uint32{0xFFFFFFFE, 0xFFFFFFFF, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("tuple seqs = %#x, want %#x", got, want)
+	}
+	if got := mr.Snapshot().ByKind(metrics.KindCollector)[0]; got.Ops != 4 || got.Bytes != 4*TupleSize {
+		t.Fatalf("site = %+v, want 4 writes", got)
+	}
+}
+
+// TestCollectorSelfMetricsRegistryRace creates collectors while the
+// registry's metrics are swapped underneath: every collector must end on
+// the site of the registry's final metrics registry, and a collector
+// created during a detach must not stay attached to the old one.
+func TestCollectorSelfMetricsRegistryRace(t *testing.T) {
+	const creators, per = 2, 200
+	h := testHost(t)
+	reg := NewRegistry()
+	inner := paths.NewFunc("inner", h, func(ctx *paths.Ctx, req paths.Request) (paths.Reply, error) {
+		return paths.Reply{}, nil
+	})
+	choices := []*metrics.Registry{nil, metrics.New(), metrics.New()}
+	done := make(chan struct{})
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+				reg.UseMetrics(choices[i%len(choices)])
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < creators; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if _, err := reg.New(fmt.Sprintf("ec-%d-%d", c, i), h, Meta{}, inner, 4); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(done)
+	<-swapped
+	for _, ec := range reg.All() {
+		if got, want := ec.met.Load(), reg.met.Op(metrics.KindCollector, ec.Name()); got != want {
+			t.Fatalf("%s: attached to %p, registry's metrics give %p", ec.Name(), got, want)
+		}
 	}
 }

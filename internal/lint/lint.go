@@ -252,7 +252,7 @@ var instrumentedPkgs = map[string]bool{
 }
 
 // nilSafePkgs are the packages whose exported pointer-receiver methods
-// must be no-ops on nil receivers (the ≤1ns-disabled contract).
+// must be no-ops on nil receivers (the disabled configuration).
 var nilSafePkgs = map[string]bool{
 	"eventspace/internal/metrics": true,
 }

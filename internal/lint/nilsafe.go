@@ -6,11 +6,11 @@ import (
 )
 
 // NilSafe verifies the self-metrics disabled contract: a nil *Registry
-// hands out nil *Op and nil *Counter values, and every collector write
+// hands out nil *Op and nil *Counter values, and every instrumented
 // site calls methods on them unconditionally, so every exported
 // pointer-receiver method in the metrics package that touches receiver
-// state must open with a nil guard. A missing guard turns the
-// "≤1ns when disabled" promise into a panic on the hot path.
+// state must open with a nil guard. A missing guard turns the disabled
+// configuration into a panic on the hot path.
 var NilSafe = &Analyzer{
 	Name: "nilsafe",
 	Doc: "require exported pointer-receiver methods in the metrics package to guard r == nil " +

@@ -12,7 +12,8 @@
 // atomic counters and a fixed-bucket latency histogram with
 // power-of-two bucket bounds. Registration (Registry.Op, Registry.
 // Counter) takes a mutex but happens only at build time; the hot path
-// is a handful of atomic adds. Durations are hrtime durations, so runs
+// is a handful of atomic adds, or none where the owner already keeps
+// the count (Op.Keep). Durations are hrtime durations, so runs
 // under the discrete-event virtual clock record exact, deterministic
 // distributions.
 //
@@ -41,7 +42,9 @@ const (
 	// KindGather measures a paths.Gather over its children.
 	KindGather
 	// KindCollector measures an event collector's own tuple write (the
-	// paper's 1.1 µs figure), not the operation it instruments.
+	// paper's 1.1 µs figure), not the operation it instruments. Ops and
+	// bytes are exact, kept by the collector's sequence counter; the
+	// histogram holds one write in 64.
 	KindCollector
 	// KindReader measures a paths.BatchReader drain.
 	KindReader
@@ -273,6 +276,15 @@ type Op struct {
 	errs  atomic.Uint64
 	bytes atomic.Uint64
 	lat   Histogram
+
+	mu   sync.Mutex // guards kept; taken by Keep, its release and Snapshot
+	kept []*keptCount
+}
+
+// keptCount is a count its owner keeps, read into the site from base.
+type keptCount struct {
+	c          *atomic.Uint64
+	base, size uint64
 }
 
 // Record accounts one operation: its hrtime duration in nanoseconds,
@@ -289,6 +301,58 @@ func (o *Op) Record(durNS int64, bytes int, err error) {
 		o.bytes.Add(uint64(bytes))
 	}
 	o.lat.Observe(durNS)
+}
+
+// Observe records one latency without counting an operation: for a
+// site whose operations are counted by Keep and only some of which are
+// timed.
+func (o *Op) Observe(durNS int64) {
+	if o == nil {
+		return
+	}
+	o.lat.Observe(durNS)
+}
+
+// Keep makes c, a count of operations its owner increments anyway, part
+// of the site: until the returned release runs, the site's Ops grow by
+// what c grows by and its Bytes by size for each, with no call per
+// operation. Snapshot reads c. release folds c's final growth into the
+// site and stops reading c; the owner calls it once, before it keeps c
+// on another site. On a nil site the release does nothing.
+func (o *Op) Keep(c *atomic.Uint64, size uint64) (release func()) {
+	if o == nil {
+		return func() {}
+	}
+	k := &keptCount{c: c, base: c.Load(), size: size}
+	o.mu.Lock()
+	o.kept = append(o.kept, k)
+	o.mu.Unlock()
+	return func() {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		for i, kk := range o.kept {
+			if kk == k {
+				n := k.c.Load() - k.base
+				o.ops.Add(n)
+				o.bytes.Add(n * k.size)
+				o.kept = append(o.kept[:i], o.kept[i+1:]...)
+				return
+			}
+		}
+	}
+}
+
+// counts reads the site's op and byte counts, the kept ones included.
+func (o *Op) counts() (ops, bytes uint64) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ops, bytes = o.ops.Load(), o.bytes.Load()
+	for _, k := range o.kept {
+		n := k.c.Load() - k.base
+		ops += n
+		bytes += n * k.size
+	}
+	return ops, bytes
 }
 
 // Counter is a named monotonic count (retries, redials, health
@@ -382,7 +446,8 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// OpStats is one site's snapshot.
+// OpStats is one site's snapshot. Lat.Count is below Ops on a site that
+// times only some of its operations (KindCollector).
 type OpStats struct {
 	Kind  Kind
 	Name  string
@@ -417,12 +482,13 @@ func (r *Registry) Snapshot() Snapshot {
 	ctrs := append([]*Counter(nil), r.ctrOrder...)
 	r.mu.Unlock()
 	for _, o := range ops {
+		n, bytes := o.counts()
 		s.Ops = append(s.Ops, OpStats{
 			Kind:  o.kind,
 			Name:  o.name,
-			Ops:   o.ops.Load(),
+			Ops:   n,
 			Errs:  o.errs.Load(),
-			Bytes: o.bytes.Load(),
+			Bytes: bytes,
 			Lat:   o.lat.snapshot(),
 		})
 	}

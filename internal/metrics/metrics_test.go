@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,6 +95,8 @@ func TestNilRegistryIsNoop(t *testing.T) {
 		t.Fatal("nil registry handed out a site")
 	}
 	op.Record(5, 5, nil) // must not panic
+	op.Observe(5)
+	op.Keep(new(atomic.Uint64), 5)()
 	c := r.Counter("y")
 	if c != nil {
 		t.Fatal("nil registry handed out a counter")
@@ -149,6 +152,35 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	if s.Counters[0].Value != workers*per {
 		t.Fatalf("counter = %d", s.Counters[0].Value)
+	}
+}
+
+// TestOpKeep pins a kept count: the site reads its growth since Keep,
+// release folds the final growth in and stops reading, and Observe
+// times without counting.
+func TestOpKeep(t *testing.T) {
+	r := New()
+	op := r.Op(KindCollector, "kept")
+	var a, b atomic.Uint64
+	a.Store(100)
+	releaseA := op.Keep(&a, 28)
+	releaseB := op.Keep(&b, 28)
+	a.Add(3)
+	b.Add(2)
+	op.Observe(40)
+	if o := r.Snapshot().Ops[0]; o.Ops != 5 || o.Bytes != 5*28 || o.Lat.Count != 1 {
+		t.Fatalf("live site = %+v, want 5 ops, 1 timed", o)
+	}
+	releaseA()
+	a.Add(10)
+	b.Add(1)
+	if o := r.Snapshot().Ops[0]; o.Ops != 6 || o.Bytes != 6*28 {
+		t.Fatalf("after release = %+v, want 6 ops", o)
+	}
+	releaseB()
+	b.Add(10)
+	if o := r.Snapshot().Ops[0]; o.Ops != 6 {
+		t.Fatalf("after both releases = %+v, want 6 ops", o)
 	}
 }
 

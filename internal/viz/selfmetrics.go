@@ -32,7 +32,8 @@ func fmtDur(d time.Duration) string {
 
 // SelfMetrics renders the self-metrics snapshot: the cost of monitoring
 // the monitor. One aggregate row per wrapper kind (the paper-style
-// per-operation cost table), capped per-site detail, and the event
+// per-operation cost table), a line for each kind whose latency comes
+// from a sample of its ops, capped per-site detail, and the event
 // counters (retries, redials, health transitions, puller activity).
 func SelfMetrics(w io.Writer, s metrics.Snapshot) error {
 	totals := s.Totals()
@@ -50,6 +51,11 @@ func SelfMetrics(w io.Writer, s metrics.Snapshot) error {
 			fmtDur(time.Duration(t.Lat.Quantile(0.5))),
 			fmtDur(time.Duration(t.Lat.Quantile(0.99))),
 			fmtDur(time.Duration(t.Lat.MaxNS)))
+	}
+	for _, t := range totals {
+		if t.Lat.Count < t.Ops {
+			fmt.Fprintf(w, "  %s latency from %d of %d ops\n", t.Name, t.Lat.Count, t.Ops)
+		}
 	}
 	for _, t := range totals {
 		sites := s.ByKind(t.Kind)

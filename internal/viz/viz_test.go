@@ -3,11 +3,13 @@ package viz
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"eventspace/internal/analysis"
 	"eventspace/internal/cluster"
 	"eventspace/internal/hrtime"
+	"eventspace/internal/metrics"
 	"eventspace/internal/monitor"
 )
 
@@ -174,5 +176,65 @@ func TestBar(t *testing.T) {
 	}
 	if got := bar(0.5, 10); strings.Count(got, "#") != 5 {
 		t.Fatalf("half bar = %q", got)
+	}
+}
+
+func TestSelfMetricsRendering(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SelfMetrics(&buf, metrics.New().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "self-metrics: no instrumented sites\n"; got != want {
+		t.Fatalf("empty registry rendered %q, want %q", got, want)
+	}
+
+	reg := metrics.New()
+	stub := reg.Op(metrics.KindStub, "stub-1")
+	stub.Record(100, 10, nil)
+	stub.Record(300, 10, nil)
+	// Two collector sites count 40 000 writes between them and time 625.
+	var a, b atomic.Uint64
+	ecA := reg.Op(metrics.KindCollector, "ec-a")
+	ecB := reg.Op(metrics.KindCollector, "ec-b")
+	ecA.Keep(&a, 28)
+	ecB.Keep(&b, 28)
+	a.Add(30000)
+	b.Add(10000)
+	for i := 0; i < 625; i++ {
+		ecA.Observe(120)
+	}
+	reg.Counter("scope/stub.retries").Add(3)
+	buf.Reset()
+	if err := SelfMetrics(&buf, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	var totals [][]string
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 9 && (f[0] == "stub" || f[0] == "collector") {
+			totals = append(totals, f)
+		}
+	}
+	if len(totals) != 2 {
+		t.Fatalf("want a totals row for stub and collector:\n%s", out)
+	}
+	if got, want := strings.Join(totals[0][:5], " "), "stub 1 2 0 20"; got != want {
+		t.Fatalf("stub totals %q, want %q:\n%s", got, want, out)
+	}
+	if got, want := strings.Join(totals[1][:5], " "), "collector 2 40000 0 1120000"; got != want {
+		t.Fatalf("collector totals %q, want %q:\n%s", got, want, out)
+	}
+	for _, want := range []string{
+		"collector latency from 625 of 40000 ops",
+		"collector sites:",
+		"ec-a", "ec-b",
+		"scope/stub.retries",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("self-metrics rendering missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "stub latency from") || strings.Contains(out, "stub sites:") {
+		t.Fatalf("fully timed single-site stub rendered as sampled or with detail:\n%s", out)
 	}
 }
