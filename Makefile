@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch recovery-e2e monitor-e2e fault-e2e lint vet eslint ci
+.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch recovery-e2e monitor-e2e fault-e2e lint vet eslint fmt-check ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -132,11 +132,15 @@ recovery-e2e:
 # teardown: the monitor package, the figure 3 and 4 monitors and the
 # live-versus-replay load balance (both modes) at the root, and the
 # System-level checks in internal/core that stopping one monitor leaves
-# the others' analysis threads running.
+# the others' analysis threads running. The same runs hold every
+# self-metrics counter to the count its owner keeps ("one count, two
+# views"), a scope's through faults, a straggler storm and a repair,
+# and a whole System's on one registry.
 monitor-e2e:
 	$(GO) test -race -count=3 ./internal/monitor/
 	$(GO) test -race -count=3 -run 'TestArchiveReplayMatchesLiveLoadBalance|TestFigure3Monitors|TestFigure4Statsm' .
-	$(GO) test -race -count=3 -run 'TestStoppingOneMonitorLeavesOthersRunning|TestRecoverStatsmKeepsAnalysing' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestStoppingOneMonitorLeavesOthersRunning|TestRecoverStatsmKeepsAnalysing|TestSystemCountersReadOwners' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestScopeCountersReadOwners' ./internal/escope/
 
 # fault-e2e repeats the host-crash transition test under the race
 # detector and a shuffled order, 200 times: once HostDown reports a
@@ -155,7 +159,12 @@ vet:
 eslint:
 	$(GO) run ./cmd/eslint ./...
 
-lint: vet eslint
+# fmt-check fails when gofmt would change any Go file in the repository
+# (the benchmark module and the lint fixtures included).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt would reformat:" $$out; exit 1; fi
+
+lint: vet eslint fmt-check
 
 # ci mirrors the GitHub Actions job, minus the tool installs. The
 # benchmark harness is a module of its own, so the root ./... patterns

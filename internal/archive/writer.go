@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"eventspace/internal/collect"
 	"eventspace/internal/hrtime"
@@ -85,9 +86,10 @@ type Writer struct {
 	baseTuples uint64
 
 	opWrite *metrics.Op
-	cRot    *metrics.Counter
-	cRet    *metrics.Counter
-	cTrunc  *metrics.Counter
+	// WriterStats' Rotations, RetentionDeletes and TornTruncations, kept
+	// apart from the writer so a registry reading them keeps only them
+	// alive.
+	rotations, retentionDeletes, tornTruncations *atomic.Uint64
 }
 
 // Create opens (or crash-safely reopens) the archive directory and
@@ -101,13 +103,18 @@ func Create(opts Options) (*Writer, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("archive: %v", err)
 	}
-	w := &Writer{opts: opts}
+	w := &Writer{
+		opts:             opts,
+		rotations:        new(atomic.Uint64),
+		retentionDeletes: new(atomic.Uint64),
+		tornTruncations:  new(atomic.Uint64),
+	}
 	if reg := opts.Metrics; reg != nil {
-		label := filepath.Base(opts.Dir)
-		w.opWrite = reg.Op(metrics.KindArchive, "archive("+label+")")
-		w.cRot = reg.Counter("archive(" + label + ")/rotations")
-		w.cRet = reg.Counter("archive(" + label + ")/retention.deletes")
-		w.cTrunc = reg.Counter("archive(" + label + ")/truncations")
+		label := "archive(" + filepath.Base(opts.Dir) + ")"
+		w.opWrite = reg.Op(metrics.KindArchive, label)
+		reg.Count(label+"/rotations", w.rotations)
+		reg.Count(label+"/retention.deletes", w.retentionDeletes)
+		reg.Count(label+"/truncations", w.tornTruncations)
 	}
 	if err := w.reopen(); err != nil {
 		return nil, err
@@ -218,8 +225,7 @@ func (w *Writer) reopen() error {
 			if err := os.Remove(last.path); err != nil {
 				return fmt.Errorf("archive: %v", err)
 			}
-			w.stats.TornTruncations++
-			w.cTrunc.Inc()
+			w.tornTruncations.Add(1)
 			segs = segs[:len(segs)-1]
 			nextID = last.id
 		case res.Torn:
@@ -229,8 +235,7 @@ func (w *Writer) reopen() error {
 			w.total -= last.size - res.ValidBytes
 			last.size = res.ValidBytes
 			segs[len(segs)-1] = last
-			w.stats.TornTruncations++
-			w.cTrunc.Inc()
+			w.tornTruncations.Add(1)
 			fallthrough
 		default:
 			w.baseTuples += res.Index.Tuples
@@ -437,8 +442,7 @@ func (w *Writer) rotateLocked() error {
 		return err
 	}
 	w.sealed = append(w.sealed, w.active)
-	w.stats.Rotations++
-	w.cRot.Inc()
+	w.rotations.Add(1)
 	if _, fire := w.opts.CrashPoints.hit(CrashRotate); fire {
 		// Die between sealing the old segment and writing the new one's
 		// header, leaving the header-less empty file a real crash at
@@ -465,8 +469,7 @@ func (w *Writer) rotateLocked() error {
 			}
 			w.sealed = w.sealed[1:]
 			w.total -= old.size
-			w.stats.RetentionDeletes++
-			w.cRet.Inc()
+			w.retentionDeletes.Add(1)
 		}
 		w.stats.Segments = len(w.sealed) + 1
 		w.stats.TotalBytes = w.total
@@ -548,6 +551,9 @@ func (w *Writer) Stats() WriterStats {
 		s.Segments = len(w.sealed)
 	}
 	s.TotalBytes = w.total
+	s.Rotations = w.rotations.Load()
+	s.RetentionDeletes = w.retentionDeletes.Load()
+	s.TornTruncations = w.tornTruncations.Load()
 	return s
 }
 

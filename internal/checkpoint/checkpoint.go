@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"eventspace/internal/archive"
 	"eventspace/internal/collect"
@@ -75,21 +76,20 @@ type Checkpointer struct {
 	dir     string
 	every   uint64
 	cps     *archive.CrashPoints
-	opWrite *metrics.Op      // checkpoint writes; nil without a registry
-	cWrites *metrics.Counter // checkpoints persisted
-	run     func()           // c.job, bound once so a launch allocates nothing
-	done    chan struct{}    // a job's end; one slot, so the job never waits
+	opWrite *metrics.Op    // checkpoint writes; nil without a registry
+	run     func()         // c.job, bound once so a launch allocates nothing
+	done    chan struct{}  // a job's end; one slot, so the job never waits
+	written *atomic.Uint64 // frames landed; apart from c, so a registry reading it keeps only it alive
 
 	// The caller's side, under mu.
-	seq     uint32 // newest chain sequence on disk
-	since   uint64
-	at      hrtime.Stamp
-	err     error
-	written uint64
-	bytes   uint64
-	bufs    [2][]byte // batch copies: the job folds one while the next call fills the other
-	flip    int       // the one the next batch goes into
-	busy    bool      // a job is in flight
+	seq   uint32 // newest chain sequence on disk
+	since uint64
+	at    hrtime.Stamp
+	err   error
+	bytes uint64
+	bufs  [2][]byte // batch copies: the job folds one while the next call fills the other
+	flip  int       // the one the next batch goes into
+	busy  bool      // a job is in flight
 
 	// The job's side: the job owns it while one is in flight, the
 	// caller's thread (under mu) otherwise; busy and done hand it over.
@@ -136,11 +136,12 @@ func New(w *archive.Writer, inner Sink, engine *query.Engine, infos []archive.Co
 		inner: inner, w: w, engine: engine, shadow: shadow,
 		dir: w.Dir(), every: every,
 		cps: cfg.CrashPoints, done: make(chan struct{}, 1),
+		written: new(atomic.Uint64),
 	}
 	c.run = c.job
 	if reg := cfg.Metrics; reg != nil {
 		c.opWrite = reg.Op(metrics.KindCheckpoint, "checkpoint("+c.dir+")")
-		c.cWrites = reg.Counter("checkpoint.writes")
+		reg.Count("checkpoint.writes", c.written)
 	}
 	// A reopened directory may already hold a chain: numbering continues
 	// after its newest entry, so a new frame is never the one pruned.
@@ -274,9 +275,6 @@ func (c *Checkpointer) persist() {
 	}
 	err := cmp.Or(f.err, f.prune)
 	c.opWrite.Record(hrtime.Since(f.start), f.n, err)
-	if err == nil {
-		c.cWrites.Inc()
-	}
 }
 
 // land finishes a persisted frame on the caller's thread. A torn frame
@@ -292,7 +290,7 @@ func (c *Checkpointer) land() {
 		return
 	}
 	c.seq = f.cp.Seq
-	c.written++
+	c.written.Add(1)
 	c.bytes += uint64(f.n)
 	mark := collect.EncodeCheckpointMark(collect.CheckpointMark{Seq: c.seq, Tuples: f.cp.Cursor.Tuples, At: f.cp.At})
 	if err := c.w.Append([]collect.TraceTuple{mark}); err != nil {
@@ -335,7 +333,7 @@ func (c *Checkpointer) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.settle()
-	return Stats{Seq: c.seq, Written: c.written, Bytes: c.bytes}
+	return Stats{Seq: c.seq, Written: c.written.Load(), Bytes: c.bytes}
 }
 
 // Err settles the job in flight, then returns the sticky error, if any

@@ -77,9 +77,6 @@ func (r refCheckpointer) checkpointLocked() error {
 	start := hrtime.Now()
 	n, err := r.writeLocked()
 	c.opWrite.Record(hrtime.Since(start), n, err)
-	if err == nil {
-		c.cWrites.Inc()
-	}
 	c.err = err
 	return err
 }
@@ -104,7 +101,7 @@ func (r refCheckpointer) writeLocked() (int, error) {
 	c.seq = cp.Seq
 	c.chain = append(c.chain, cp.Seq)
 	c.since = 0
-	c.written++
+	c.written.Add(1)
 	c.bytes += uint64(n)
 	mark := collect.EncodeCheckpointMark(collect.CheckpointMark{Seq: c.seq, Tuples: cur.Tuples, At: c.at})
 	if err := c.w.Append([]collect.TraceTuple{mark}); err != nil {
@@ -118,7 +115,7 @@ func (r refCheckpointer) Stats() Stats {
 	c := r.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Seq: c.seq, Written: c.written, Bytes: c.bytes}
+	return Stats{Seq: c.seq, Written: c.written.Load(), Bytes: c.bytes}
 }
 
 // refRig is one checkpointer over a fresh archive directory, with the

@@ -28,12 +28,12 @@ const DefaultIngestCap = 64
 // IngestStats is a point-in-time snapshot of an ingest queue's
 // accounting.
 type IngestStats struct {
-	Pushed     uint64 // batches offered to the queue
-	Popped     uint64 // batches handed to the drainer
-	Queued     int    // batches currently retained
-	ShedBatches uint64 // batches dropped by shed-oldest backpressure
-	ShedTuples  uint64 // whole trace tuples inside shed batches
-	ShedBytes   uint64 // payload bytes inside shed batches
+	Pushed            uint64 // batches offered to the queue
+	Popped            uint64 // batches handed to the drainer
+	Queued            int    // batches currently retained
+	ShedBatches       uint64 // batches dropped by shed-oldest backpressure
+	ShedTuples        uint64 // whole trace tuples inside shed batches
+	ShedBytes         uint64 // payload bytes inside shed batches
 	SummarizedBatches uint64 // batches folded away in summary-only mode
 	SummarizedTuples  uint64 // whole trace tuples summarized away
 	SummarizedBytes   uint64 // payload bytes summarized away
@@ -52,17 +52,15 @@ type IngestQueue struct {
 	pushed atomic.Uint64
 	popped atomic.Uint64
 
-	shedBatches atomic.Uint64
-	shedTuples  atomic.Uint64
+	// The shed counts a registry reads (RegisterCounts) are allocated
+	// apart from the queue, so the registry keeps only them alive.
+	shedBatches *atomic.Uint64
+	shedTuples  *atomic.Uint64
 	shedBytes   atomic.Uint64
 
 	sumBatches atomic.Uint64
 	sumTuples  atomic.Uint64
 	sumBytes   atomic.Uint64
-
-	// Optional self-metrics counters (nil-safe).
-	cShedBatches *metrics.Counter
-	cShedTuples  *metrics.Counter
 }
 
 // NewIngestQueue creates a queue retaining at most capBatches gathered
@@ -71,15 +69,18 @@ func NewIngestQueue(capBatches int) *IngestQueue {
 	if capBatches <= 0 {
 		capBatches = DefaultIngestCap
 	}
-	return &IngestQueue{buf: make([][]byte, capBatches)}
+	return &IngestQueue{
+		buf:         make([][]byte, capBatches),
+		shedBatches: new(atomic.Uint64),
+		shedTuples:  new(atomic.Uint64),
+	}
 }
 
-// SetMetrics wires the queue's shed accounting into self-metrics
-// counters (nil-safe; nil detaches).
-func (q *IngestQueue) SetMetrics(shedBatches, shedTuples *metrics.Counter) {
-	q.mu.Lock()
-	q.cShedBatches, q.cShedTuples = shedBatches, shedTuples
-	q.mu.Unlock()
+// RegisterCounts hands reg the queue's shed counts, as counters
+// prefix+".shed.batches" and prefix+".shed.tuples" (nil reg: none).
+func (q *IngestQueue) RegisterCounts(reg *metrics.Registry, prefix string) {
+	reg.Count(prefix+".shed.batches", q.shedBatches)
+	reg.Count(prefix+".shed.tuples", q.shedTuples)
 }
 
 // SetSummaryOnly flips summary-only mode: when on, Push folds batches
@@ -125,8 +126,6 @@ func (q *IngestQueue) Push(data []byte) {
 		q.shedBatches.Add(1)
 		q.shedTuples.Add(uint64(len(old) / TupleSize))
 		q.shedBytes.Add(uint64(len(old)))
-		q.cShedBatches.Inc()
-		q.cShedTuples.Add(uint64(len(old) / TupleSize))
 	}
 	tail := q.head + q.n
 	if tail >= len(q.buf) {

@@ -1,6 +1,10 @@
 package collect
 
-import "testing"
+import (
+	"testing"
+
+	"eventspace/internal/metrics"
+)
 
 func batch(tuples int) []byte {
 	return make([]byte, tuples*TupleSize)
@@ -47,6 +51,36 @@ func TestIngestQueueShedsOldest(t *testing.T) {
 	got, ok = q.Pop()
 	if !ok || &got[0] != &c[0] {
 		t.Fatal("second surviving batch should be c")
+	}
+}
+
+// TestIngestShedCountsRegistered: a registry reads the queues' own shed
+// counts, summed over every queue registered under one prefix.
+func TestIngestShedCountsRegistered(t *testing.T) {
+	reg := metrics.New()
+	a, b := NewIngestQueue(1), NewIngestQueue(1)
+	a.RegisterCounts(reg, "lb/ingest")
+	b.RegisterCounts(reg, "lb/ingest")
+	for i := 1; i <= 4; i++ {
+		a.Push(batch(i))
+		b.Push(batch(2 * i))
+	}
+	sa, sb := a.Stats(), b.Stats()
+	want := map[string]uint64{
+		"lb/ingest.shed.batches": sa.ShedBatches + sb.ShedBatches,
+		"lb/ingest.shed.tuples":  sa.ShedTuples + sb.ShedTuples,
+	}
+	if want["lb/ingest.shed.batches"] != 6 || want["lb/ingest.shed.tuples"] != 18 {
+		t.Fatalf("queues shed %+v and %+v, want 6 batches of 18 tuples between them", sa, sb)
+	}
+	got := reg.Snapshot().Counters
+	if len(got) != len(want) {
+		t.Fatalf("counters = %+v, want %v", got, want)
+	}
+	for _, c := range got {
+		if c.Value != want[c.Name] {
+			t.Errorf("%s = %d, the queues count %d", c.Name, c.Value, want[c.Name])
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eventspace/internal/archive"
@@ -37,6 +38,11 @@ type System struct {
 	monitors []interface{ Stop() }
 	closed   bool
 	met      *metrics.Registry
+
+	// Front ends Recover rebuilt, and how many of those started from a
+	// checkpoint; kept apart from the system so a registry reading them
+	// keeps only them alive.
+	recoveries, checkpointed *atomic.Uint64
 }
 
 // New builds a system over the given testbed specification. The strategy
@@ -48,9 +54,11 @@ func New(spec cluster.TestbedSpec, strategy cosched.Strategy) (*System, error) {
 		return nil, err
 	}
 	return &System{
-		tb:    tb,
-		cs:    cosched.NewSet(strategy),
-		trees: make(map[string]*cluster.Tree),
+		tb:           tb,
+		cs:           cosched.NewSet(strategy),
+		trees:        make(map[string]*cluster.Tree),
+		recoveries:   new(atomic.Uint64),
+		checkpointed: new(atomic.Uint64),
 	}, nil
 }
 
@@ -62,11 +70,17 @@ func (s *System) Cosched() *cosched.Set { return s.cs }
 
 // UseMetrics installs a self-metrics registry: every tree built and
 // monitor attached afterwards is wired into it unless its spec/config
-// carries its own. nil disables.
+// carries its own, and it reads the system's recovery counts. nil
+// disables.
 func (s *System) UseMetrics(reg *metrics.Registry) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if reg == s.met {
+		return
+	}
 	s.met = reg
-	s.mu.Unlock()
+	reg.Count("reconfig.recoveries", s.recoveries)
+	reg.Count("reconfig.recoveries.checkpointed", s.checkpointed)
 }
 
 // Metrics returns the installed self-metrics registry (nil when self
@@ -227,6 +241,10 @@ func (s *System) Recover(dir string, spec PipelineSpec) (*Pipeline, error) {
 	st, err := reconfig.RecoverFrontEnd(dir, s.Metrics(), stmts)
 	if err != nil {
 		return nil, err
+	}
+	s.recoveries.Add(1)
+	if st.Checkpointed {
+		s.checkpointed.Add(1)
 	}
 	p := &Pipeline{State: st}
 	fail := func(err error) (*Pipeline, error) {

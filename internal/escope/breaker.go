@@ -198,37 +198,35 @@ type breaker struct {
 	// the guards' probe jitter.
 	seed uint64
 
-	mu          sync.Mutex
-	state       BreakerState
-	overruns    int // consecutive
-	reopenWait  time.Duration
-	nextTrial   hrtime.Stamp
-	step        uint64
-	pending     *inflight
-	lastData    hrtime.Stamp
-	hasData     bool
-	trips       uint64
-	totOverruns uint64
+	mu         sync.Mutex
+	state      BreakerState
+	overruns   int // consecutive
+	reopenWait time.Duration
+	nextTrial  hrtime.Stamp
+	step       uint64
+	pending    *inflight
+	lastData   hrtime.Stamp
+	hasData    bool
 
-	skips  atomic.Uint64
-	stales atomic.Uint64
+	// The counts the scope's registry reads, allocated apart from the
+	// breaker so the registry keeps only them alive.
+	trips, totOverruns, skips, stales *atomic.Uint64
 
-	// Optional self-metrics (nil-safe).
-	op        *metrics.Op
-	mTrips    *metrics.Counter
-	mOverruns *metrics.Counter
-	mSkips    *metrics.Counter
-	mStales   *metrics.Counter
+	op *metrics.Op // guarded calls; nil without self-metrics
 }
 
 func newBreaker(name, target string, child paths.Wrapper, pol *BreakerPolicy, mode *atomic.Int32) *breaker {
 	return &breaker{
-		name:   name,
-		target: target,
-		child:  child,
-		pol:    pol,
-		mode:   mode,
-		seed:   hashName(name),
+		name:        name,
+		target:      target,
+		child:       child,
+		pol:         pol,
+		mode:        mode,
+		seed:        hashName(name),
+		trips:       new(atomic.Uint64),
+		totOverruns: new(atomic.Uint64),
+		skips:       new(atomic.Uint64),
+		stales:      new(atomic.Uint64),
 	}
 }
 
@@ -249,7 +247,6 @@ func (b *breaker) Op(ctx *paths.Ctx, req paths.Request) (paths.Reply, error) {
 	}
 	if !b.admit(now) {
 		b.skips.Add(1)
-		b.mSkips.Inc()
 		return paths.Reply{}, nil
 	}
 	start := hrtime.Now()
@@ -288,7 +285,6 @@ func (b *breaker) consumePending(now hrtime.Stamp) (paths.Reply, bool) {
 		b.overrunLocked(now)
 		b.mu.Unlock()
 		b.skips.Add(1)
-		b.mSkips.Inc()
 		return paths.Reply{}, true
 	}
 	b.pending = nil
@@ -297,7 +293,6 @@ func (b *breaker) consumePending(now hrtime.Stamp) (paths.Reply, bool) {
 		b.hasData = true
 		b.mu.Unlock()
 		b.stales.Add(1)
-		b.mStales.Inc()
 		return rep, true
 	}
 	b.mu.Unlock()
@@ -362,8 +357,7 @@ func (b *breaker) timedCall(ctx *paths.Ctx, req paths.Request) (paths.Reply, err
 // when warranted. Caller holds b.mu.
 func (b *breaker) overrunLocked(now hrtime.Stamp) {
 	b.overruns++
-	b.totOverruns++
-	b.mOverruns.Inc()
+	b.totOverruns.Add(1)
 	trip := false
 	switch b.state {
 	case BreakerHalfOpen:
@@ -389,8 +383,7 @@ func (b *breaker) tripLocked(now hrtime.Stamp) {
 	}
 	b.step++
 	b.nextTrial = now + hrtime.Stamp(paths.Jitter(b.seed, b.step, b.reopenWait))
-	b.trips++
-	b.mTrips.Inc()
+	b.trips.Add(1)
 }
 
 func (b *breaker) noteOverrun(now hrtime.Stamp) {
@@ -443,8 +436,8 @@ func (b *breaker) snapshot() BreakerHealth {
 		HasData:       b.hasData,
 		Pending:       b.pending != nil,
 		NextTrial:     b.nextTrial,
-		TotalOverruns: b.totOverruns,
-		Trips:         b.trips,
+		TotalOverruns: b.totOverruns.Load(),
+		Trips:         b.trips.Load(),
 	}
 	b.mu.Unlock()
 	h.Skips = b.skips.Load()

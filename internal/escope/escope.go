@@ -154,17 +154,6 @@ type Scope struct {
 
 	met    *metrics.Registry
 	pullOp *metrics.Op
-	// Per-scope counters shared by every guard and stub, including the
-	// ones repair creates later (all nil-safe when metrics are off).
-	cHealthFaults     *metrics.Counter
-	cHealthDeaths     *metrics.Counter
-	cHealthRecoveries *metrics.Counter
-	cStubRetries      *metrics.Counter
-	cStubRedials      *metrics.Counter
-	cBreakerTrips     *metrics.Counter
-	cBreakerOverruns  *metrics.Counter
-	cBreakerSkips     *metrics.Counter
-	cBreakerStale     *metrics.Counter
 }
 
 // addConn tracks a live connection. It reports false — and closes the
@@ -211,12 +200,12 @@ func (s *Scope) stubTo(label string, from, to *vnet.Host, entry paths.Wrapper, r
 	s.addConn(conn)
 	name := fmt.Sprintf("%s/stub(%s)", s.name, label)
 	stub := paths.NewRemote(name, from, conn, target)
+	// Every stub, guard and breaker, the ones repair builds included,
+	// hands the registry its own counts; the scope's counters are their
+	// sums, and a link torn down keeps its counts in them.
 	if s.met != nil {
-		stub.SetMetrics(&paths.RemoteMetrics{
-			Op:      s.met.Op(metrics.KindStub, name),
-			Retries: s.cStubRetries,
-			Redials: s.cStubRedials,
-		})
+		stub.SetMetrics(s.met.Op(metrics.KindStub, name))
+		stub.RegisterCounts(s.met, s.name+"/stub")
 	}
 	if s.retry != nil {
 		pol := *s.retry
@@ -240,7 +229,9 @@ func (s *Scope) stubTo(label string, from, to *vnet.Host, entry paths.Wrapper, r
 	}
 	g := newGuard(name+"!guard", to.Name(), stub, s.health)
 	g.role, g.cluster = role, cluster
-	g.mFaults, g.mDeaths, g.mRecoveries = s.cHealthFaults, s.cHealthDeaths, s.cHealthRecoveries
+	s.met.Count(s.name+"/health.faults", g.faults)
+	s.met.Count(s.name+"/health.deaths", g.deaths)
+	s.met.Count(s.name+"/health.recoveries", g.recoveries)
 	if s.breakerPol == nil {
 		g.notify = func(tr Transition) { s.dispatch(g, tr) }
 		return g, g, stub
@@ -254,8 +245,10 @@ func (s *Scope) stubTo(label string, from, to *vnet.Host, entry paths.Wrapper, r
 	br := newBreaker(name+"!breaker", to.Name(), g, s.breakerPol, &s.mode)
 	g.br = br
 	br.op = s.met.Op(metrics.KindBreaker, br.name)
-	br.mTrips, br.mOverruns = s.cBreakerTrips, s.cBreakerOverruns
-	br.mSkips, br.mStales = s.cBreakerSkips, s.cBreakerStale
+	s.met.Count(s.name+"/breaker.trips", br.trips)
+	s.met.Count(s.name+"/breaker.overruns", br.totOverruns)
+	s.met.Count(s.name+"/breaker.skips", br.skips)
+	s.met.Count(s.name+"/breaker.stale", br.stales)
 	g.notify = func(tr Transition) {
 		br.onGuardTransition(tr)
 		s.dispatch(g, tr)
@@ -346,15 +339,6 @@ func Build(net *vnet.Network, spec Spec) (*Scope, error) {
 	if s.met != nil {
 		s.pullOp = s.met.Op(metrics.KindScopePull, spec.Name)
 	}
-	s.cHealthFaults = s.met.Counter(spec.Name + "/health.faults")
-	s.cHealthDeaths = s.met.Counter(spec.Name + "/health.deaths")
-	s.cHealthRecoveries = s.met.Counter(spec.Name + "/health.recoveries")
-	s.cStubRetries = s.met.Counter(spec.Name + "/stub.retries")
-	s.cStubRedials = s.met.Counter(spec.Name + "/stub.redials")
-	s.cBreakerTrips = s.met.Counter(spec.Name + "/breaker.trips")
-	s.cBreakerOverruns = s.met.Counter(spec.Name + "/breaker.overruns")
-	s.cBreakerSkips = s.met.Counter(spec.Name + "/breaker.skips")
-	s.cBreakerStale = s.met.Counter(spec.Name + "/breaker.stale")
 
 	// Per-host chains: reader (+ transform), grouped by host.
 	type hostChains struct {
@@ -690,9 +674,9 @@ type Puller struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	pulls    atomic.Uint64
-	errcnt   atomic.Uint64
-	backoffs atomic.Uint64
+	// The loop's counts, allocated apart from the puller so the scope's
+	// registry keeps only them alive.
+	pulls, errcnt, backoffs *atomic.Uint64
 }
 
 // Error backoff for the pull loop: a pull that fails outright (root
@@ -723,11 +707,14 @@ func growBackoff(b time.Duration) time.Duration {
 // a nil sink discards data (pure drain). Consecutive pull errors back
 // off exponentially (modelled time, capped) instead of hot-looping.
 func (s *Scope) StartPuller(interval time.Duration, sink func(paths.Reply) error) *Puller {
-	p := &Puller{stop: make(chan struct{}), done: make(chan struct{})}
+	p := &Puller{
+		stop: make(chan struct{}), done: make(chan struct{}),
+		pulls: new(atomic.Uint64), errcnt: new(atomic.Uint64), backoffs: new(atomic.Uint64),
+	}
 	ctx := &paths.Ctx{Thread: s.name + "/gather"}
-	cPulls := s.met.Counter(s.name + "/puller.pulls")
-	cErrs := s.met.Counter(s.name + "/puller.errors")
-	cBackoffs := s.met.Counter(s.name + "/puller.backoffs")
+	s.met.Count(s.name+"/puller.pulls", p.pulls)
+	s.met.Count(s.name+"/puller.errors", p.errcnt)
+	s.met.Count(s.name+"/puller.backoffs", p.backoffs)
 	vclock.Go(func() {
 		//lint:allow closeonce this run loop is the done channel's sole closer; Stop closes only p.stop (via stopOnce)
 		defer close(p.done)
@@ -741,16 +728,13 @@ func (s *Scope) StartPuller(interval time.Duration, sink func(paths.Reply) error
 			rep, err := s.Pull(ctx)
 			if err != nil {
 				p.errcnt.Add(1)
-				cErrs.Inc()
 				backoff = growBackoff(backoff)
 			} else {
 				p.pulls.Add(1)
-				cPulls.Inc()
 				sinkErr := false
 				if sink != nil && len(rep.Data) > 0 {
 					if err := sink(rep); err != nil {
 						p.errcnt.Add(1)
-						cErrs.Inc()
 						sinkErr = true
 					}
 				}
@@ -768,7 +752,6 @@ func (s *Scope) StartPuller(interval time.Duration, sink func(paths.Reply) error
 			if backoff > wait {
 				wait = backoff
 				p.backoffs.Add(1)
-				cBackoffs.Inc()
 			}
 			if wait > 0 {
 				hrtime.Sleep(wait)

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"eventspace/internal/hrtime"
-	"eventspace/internal/metrics"
 	"eventspace/internal/paths"
 )
 
@@ -174,14 +173,10 @@ type guard struct {
 	lastOK    hrtime.Stamp
 	proven    bool // true once the child has succeeded at least once
 
-	skips      atomic.Uint64
-	faults     atomic.Uint64
-	recoveries atomic.Uint64
-
-	// Optional per-scope self-metrics counters (nil-safe).
-	mFaults     *metrics.Counter
-	mDeaths     *metrics.Counter
-	mRecoveries *metrics.Counter
+	skips atomic.Uint64
+	// The counts the scope's registry reads, allocated apart from the
+	// guard so the registry keeps only them alive.
+	faults, deaths, recoveries *atomic.Uint64
 }
 
 func newGuard(name, target string, child paths.Wrapper, policy *HealthPolicy) *guard {
@@ -192,6 +187,9 @@ func newGuard(name, target string, child paths.Wrapper, policy *HealthPolicy) *g
 		policy:     policy,
 		jitterSeed: hashName(name),
 		lastOK:     hrtime.Now(),
+		faults:     new(atomic.Uint64),
+		deaths:     new(atomic.Uint64),
+		recoveries: new(atomic.Uint64),
 	}
 }
 
@@ -262,20 +260,18 @@ func (g *guard) noteSuccess() {
 	g.mu.Unlock()
 	if recovered {
 		g.recoveries.Add(1)
-		g.mRecoveries.Inc()
 	}
 	g.fire(tr, from != Alive)
 }
 
 func (g *guard) noteFault() {
 	g.faults.Add(1)
-	g.mFaults.Inc()
 	g.mu.Lock()
 	from := g.state
 	g.fails++
 	if g.fails >= g.policy.deadAfter() {
 		if g.state != Dead {
-			g.mDeaths.Inc()
+			g.deaths.Add(1)
 		}
 		g.state = Dead
 		g.nextProbe = hrtime.Now() + hrtime.Stamp(g.jitteredWaitLocked())

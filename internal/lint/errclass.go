@@ -56,8 +56,8 @@ var errclassClassifiers = map[[2]string]bool{
 	{"eventspace/internal/paths", "Retryable"}: true,
 	{"eventspace/internal/paths", "ConnDead"}:  true,
 	{"eventspace/internal/paths", "IsRemote"}:  true,
-	{"errors", "Is"}:                           true,
-	{"errors", "As"}:                           true,
+	{"errors", "Is"}: true,
+	{"errors", "As"}: true,
 }
 
 func runErrClass(pass *Pass) error {

@@ -6,8 +6,8 @@ import (
 )
 
 // NilSafe verifies the self-metrics disabled contract: a nil *Registry
-// hands out nil *Op and nil *Counter values, and every instrumented
-// site calls methods on them unconditionally, so every exported
+// hands out nil *Op values and ignores Count, and every instrumented
+// site calls them unconditionally, so every exported
 // pointer-receiver method in the metrics package that touches receiver
 // state must open with a nil guard. A missing guard turns the disabled
 // configuration into a panic on the hot path.

@@ -26,16 +26,16 @@ func (r *Record) EncodeTo(dst []byte) int {
 //
 //lint:hotpath fixture: every line below must be flagged
 func (r *Record) EncodeSloppy(dst []byte, v any) string {
-	tmp := make([]byte, 8) // want `call to make`
-	dst = append(dst, tmp...) // want `call to append`
-	s := string(dst) // want `string conversion`
+	tmp := make([]byte, 8)        // want `call to make`
+	dst = append(dst, tmp...)     // want `call to append`
+	s := string(dst)              // want `string conversion`
 	msg := fmt.Sprintf("%d", r.n) // want `call to fmt\.Sprintf`
-	sink = &Record{} // want `&composite literal`
-	sinkSlice = []int{1, 2} // want `slice literal`
-	fn := func() {} // want `function literal`
+	sink = &Record{}              // want `&composite literal`
+	sinkSlice = []int{1, 2}       // want `slice literal`
+	fn := func() {}               // want `function literal`
 	fn()
-	go fn() // want `go statement`
-	box(r.n) // want `interface boxing`
+	go fn()        // want `go statement`
+	box(r.n)       // want `interface boxing`
 	return s + msg // want `string concatenation`
 }
 

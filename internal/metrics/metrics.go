@@ -11,15 +11,17 @@
 // The recording path is lock-free: an operation site is an Op holding
 // atomic counters and a fixed-bucket latency histogram with
 // power-of-two bucket bounds. Registration (Registry.Op, Registry.
-// Counter) takes a mutex but happens only at build time; the hot path
+// Count) takes a mutex but happens only at build time; the hot path
 // is a handful of atomic adds, or none where the owner already keeps
-// the count (Op.Keep). Durations are hrtime durations, so runs
-// under the discrete-event virtual clock record exact, deterministic
-// distributions.
+// the count (Op.Keep). Named counters are never counted here: the
+// registry reads the cells their owners increment anyway (Registry.
+// Count), so every event is counted once. Durations are hrtime
+// durations, so runs under the discrete-event virtual clock record
+// exact, deterministic distributions.
 //
-// Everything is optional: a nil *Registry hands out nil *Op and nil
-// *Counter values whose methods are no-ops, so an uninstrumented build
-// pays only a nil check on each site.
+// Everything is optional: a nil *Registry hands out nil *Op values
+// whose methods are no-ops and ignores Count, so an uninstrumented
+// build pays only a nil check on each site.
 package metrics
 
 import (
@@ -281,11 +283,15 @@ type Op struct {
 	kept []*keptCount
 }
 
-// keptCount is a count its owner keeps, read into the site from base.
+// keptCount is a count its owner keeps, read from base: into a site by
+// Keep, into a named counter (from 0) by Count.
 type keptCount struct {
 	c          *atomic.Uint64
 	base, size uint64
 }
+
+// grown is how far the count has moved since base.
+func (k *keptCount) grown() uint64 { return k.c.Load() - k.base }
 
 // Record accounts one operation: its hrtime duration in nanoseconds,
 // the payload bytes it moved, and whether it failed.
@@ -332,7 +338,7 @@ func (o *Op) Keep(c *atomic.Uint64, size uint64) (release func()) {
 		defer o.mu.Unlock()
 		for i, kk := range o.kept {
 			if kk == k {
-				n := k.c.Load() - k.base
+				n := k.grown()
 				o.ops.Add(n)
 				o.bytes.Add(n * k.size)
 				o.kept = append(o.kept[:i], o.kept[i+1:]...)
@@ -348,42 +354,11 @@ func (o *Op) counts() (ops, bytes uint64) {
 	defer o.mu.Unlock()
 	ops, bytes = o.ops.Load(), o.bytes.Load()
 	for _, k := range o.kept {
-		n := k.c.Load() - k.base
+		n := k.grown()
 		ops += n
 		bytes += n * k.size
 	}
 	return ops, bytes
-}
-
-// Counter is a named monotonic count (retries, redials, health
-// transitions, loop events). Safe on a nil receiver.
-type Counter struct {
-	name string
-	n    atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.n.Add(1)
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.n.Add(n)
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.n.Load()
 }
 
 type opKey struct {
@@ -391,22 +366,21 @@ type opKey struct {
 	name string
 }
 
-// Registry hands out operation sites and counters and snapshots them.
-// A nil *Registry is valid and hands out nil sites: the disabled
-// configuration.
+// Registry hands out operation sites, reads the counts registered with
+// it, and snapshots both. A nil *Registry is valid and hands out nil
+// sites: the disabled configuration.
 type Registry struct {
-	mu       sync.Mutex
-	ops      map[opKey]*Op
-	opOrder  []*Op
-	counters map[string]*Counter
-	ctrOrder []*Counter
+	mu      sync.Mutex
+	ops     map[opKey]*Op
+	opOrder []*Op
+	counts  map[string][]keptCount
 }
 
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		ops:      make(map[opKey]*Op),
-		counters: make(map[string]*Counter),
+		ops:    make(map[opKey]*Op),
+		counts: make(map[string][]keptCount),
 	}
 }
 
@@ -429,21 +403,19 @@ func (r *Registry) Op(kind Kind, name string) *Op {
 	return o
 }
 
-// Counter returns the counter for name, creating it on first use.
-// Returns nil on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
+// Count makes c, a count its owner increments anyway, part of counter
+// name: Snapshot reports name as the sum of every cell registered under
+// it. The registry reads c for as long as it lives, so c is allocated
+// apart from its owner, and an owner torn down keeps its count in the
+// total. Registering the same cell twice counts it twice. A nil
+// registry ignores the call.
+func (r *Registry) Count(name string, c *atomic.Uint64) {
 	if r == nil {
-		return nil
+		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	c := &Counter{name: name}
-	r.counters[name] = c
-	r.ctrOrder = append(r.ctrOrder, c)
-	return c
+	r.counts[name] = append(r.counts[name], keptCount{c: c})
+	r.mu.Unlock()
 }
 
 // OpStats is one site's snapshot. Lat.Count is below Ops on a site that
@@ -457,7 +429,7 @@ type OpStats struct {
 	Lat   HistSnapshot
 }
 
-// CounterStat is one counter's snapshot.
+// CounterStat is one named counter's snapshot: the sum of its cells.
 type CounterStat struct {
 	Name  string
 	Value uint64
@@ -479,7 +451,13 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	ops := append([]*Op(nil), r.opOrder...)
-	ctrs := append([]*Counter(nil), r.ctrOrder...)
+	for name, cells := range r.counts {
+		c := CounterStat{Name: name}
+		for i := range cells {
+			c.Value += cells[i].grown()
+		}
+		s.Counters = append(s.Counters, c)
+	}
 	r.mu.Unlock()
 	for _, o := range ops {
 		n, bytes := o.counts()
@@ -492,16 +470,13 @@ func (r *Registry) Snapshot() Snapshot {
 			Lat:   o.lat.snapshot(),
 		})
 	}
-	for _, c := range ctrs {
-		s.Counters = append(s.Counters, CounterStat{Name: c.name, Value: c.n.Load()})
-	}
 	sort.SliceStable(s.Ops, func(i, j int) bool {
 		if s.Ops[i].Kind != s.Ops[j].Kind {
 			return s.Ops[i].Kind < s.Ops[j].Kind
 		}
 		return s.Ops[i].Name < s.Ops[j].Name
 	})
-	sort.SliceStable(s.Counters, func(i, j int) bool {
+	sort.Slice(s.Counters, func(i, j int) bool {
 		return s.Counters[i].Name < s.Counters[j].Name
 	})
 	return s

@@ -97,15 +97,9 @@ func TestNilRegistryIsNoop(t *testing.T) {
 	op.Record(5, 5, nil) // must not panic
 	op.Observe(5)
 	op.Keep(new(atomic.Uint64), 5)()
-	c := r.Counter("y")
-	if c != nil {
-		t.Fatal("nil registry handed out a counter")
-	}
-	c.Inc()
+	var c atomic.Uint64
+	r.Count("y", &c) // must not panic
 	c.Add(3)
-	if c.Value() != 0 {
-		t.Fatal("nil counter has a value")
-	}
 	if s := r.Snapshot(); len(s.Ops) != 0 || len(s.Counters) != 0 {
 		t.Fatal("nil registry snapshot not empty")
 	}
@@ -119,29 +113,50 @@ func TestRegistryDedupesSites(t *testing.T) {
 	if r.Op(KindReader, "a") == r.Op(KindStub, "a") {
 		t.Fatal("distinct kinds share a site")
 	}
-	if r.Counter("c") != r.Counter("c") {
-		t.Fatal("same name produced distinct counters")
+	var a, b, other atomic.Uint64
+	r.Count("c", &a)
+	r.Count("c", &b)
+	r.Count("d", &other)
+	a.Add(2)
+	b.Add(1)
+	s := r.Snapshot()
+	if len(s.Counters) != 2 || s.Counters[0].Name != "c" || s.Counters[1].Name != "d" {
+		t.Fatalf("counters = %+v, want c and d", s.Counters)
 	}
-	r.Counter("c").Add(2)
-	r.Counter("c").Inc()
-	if got := r.Counter("c").Value(); got != 3 {
-		t.Fatalf("counter = %d, want 3", got)
+	if got := s.Counters[0].Value; got != 3 {
+		t.Fatalf("counter = %d, want 3 (the sum of its cells)", got)
+	}
+	a.Add(4)
+	if got := r.Snapshot().Counters[0].Value; got != 7 {
+		t.Fatalf("counter = %d after its cell grew, want 7", got)
 	}
 }
 
 func TestConcurrentRecording(t *testing.T) {
 	r := New()
 	op := r.Op(KindScopePull, "scope")
-	ctr := r.Counter("events")
+	var shared atomic.Uint64
+	r.Count("events", &shared)
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			// Half the increments land in a cell registered concurrently
+			// with the others' increments and snapshots.
+			own := new(atomic.Uint64)
+			r.Count("events", own)
 			for i := 0; i < per; i++ {
 				op.Record(seed+int64(i), 1, nil)
-				ctr.Inc()
+				if i%2 == 0 {
+					own.Add(1)
+				} else {
+					shared.Add(1)
+				}
+				if i%100 == 0 {
+					r.Snapshot()
+				}
 			}
 		}(int64(w + 1))
 	}

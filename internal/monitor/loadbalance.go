@@ -199,9 +199,7 @@ func (lb *LoadBalance) build(tb *cluster.Testbed) error {
 	// (SetScopeMode) it folds batches into counters without retaining
 	// payloads.
 	lb.ingest = collect.NewIngestQueue(collect.DefaultIngestCap)
-	lb.ingest.SetMetrics(
-		cfg.Metrics.Counter(spec.Name+"/ingest.shed.batches"),
-		cfg.Metrics.Counter(spec.Name+"/ingest.shed.tuples"))
+	lb.ingest.RegisterCounts(cfg.Metrics, spec.Name+"/ingest")
 
 	switch mode {
 	case SingleScope:

@@ -182,11 +182,8 @@ func NewStatsm(tb *cluster.Testbed, tree *cluster.Tree, cfg Config, cs *cosched.
 			stub.SetRetry(&pol)
 		}
 		if cfg.Metrics != nil {
-			stub.SetMetrics(&paths.RemoteMetrics{
-				Op:      cfg.Metrics.Op(metrics.KindStub, stub.Name()),
-				Retries: cfg.Metrics.Counter("statsm/stub.retries"),
-				Redials: cfg.Metrics.Counter("statsm/stub.redials"),
-			})
+			stub.SetMetrics(cfg.Metrics.Op(metrics.KindStub, stub.Name()))
+			stub.RegisterCounts(cfg.Metrics, "statsm/stub")
 		}
 		sh.links = append(sh.links, &statsLink{
 			link:          lk,

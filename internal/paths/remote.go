@@ -109,25 +109,20 @@ type Remote struct {
 	retry  *RetryPolicy
 	redial func(stale vnet.Caller) (vnet.Caller, uint32, error)
 
-	retries   atomic.Uint64
-	reconnect atomic.Uint64
+	// The fault machinery's activations, allocated apart from the stub
+	// so a registry reading them (RegisterCounts) keeps only them alive.
+	retries   *atomic.Uint64
+	reconnect *atomic.Uint64
 
-	met atomic.Pointer[RemoteMetrics]
-}
-
-// RemoteMetrics is a stub's optional self-metrics wiring: Op records
-// each call's latency and reply bytes (retries included in the span);
-// Retries and Redials count the fault machinery's activations. Any
-// field may be nil.
-type RemoteMetrics struct {
-	Op      *metrics.Op
-	Retries *metrics.Counter
-	Redials *metrics.Counter
+	met atomic.Pointer[metrics.Op]
 }
 
 // NewRemote creates a stub on host that invokes target over caller.
 func NewRemote(name string, host *vnet.Host, caller vnet.Caller, target uint32) *Remote {
-	return &Remote{base: base{name, host}, caller: caller, target: target}
+	return &Remote{
+		base: base{name, host}, caller: caller, target: target,
+		retries: new(atomic.Uint64), reconnect: new(atomic.Uint64),
+	}
 }
 
 // SetRetry installs a retry policy. nil restores single-attempt calls.
@@ -149,10 +144,18 @@ func (r *Remote) SetRedial(f func(stale vnet.Caller) (vnet.Caller, uint32, error
 	return r
 }
 
-// SetMetrics installs the stub's self-metrics sites. nil disables.
-func (r *Remote) SetMetrics(m *RemoteMetrics) *Remote {
-	r.met.Store(m)
+// SetMetrics installs the stub's self-metrics site: each call's latency
+// and reply bytes, retries included in the span. nil disables.
+func (r *Remote) SetMetrics(op *metrics.Op) *Remote {
+	r.met.Store(op)
 	return r
+}
+
+// RegisterCounts hands reg the stub's retry and redial counts, as
+// counters prefix+".retries" and prefix+".redials" (nil reg: none).
+func (r *Remote) RegisterCounts(reg *metrics.Registry, prefix string) {
+	reg.Count(prefix+".retries", r.retries)
+	reg.Count(prefix+".redials", r.reconnect)
 }
 
 func (r *Remote) transport() (vnet.Caller, uint32, *RetryPolicy) {
@@ -182,22 +185,19 @@ func (r *Remote) tryReconnect(stale vnet.Caller) bool {
 	r.mu.Unlock()
 	old.Close()
 	r.reconnect.Add(1)
-	if m := r.met.Load(); m != nil {
-		m.Redials.Inc()
-	}
 	return true
 }
 
 // Op encodes the request, performs the remote call, and decodes the
 // reply, retrying transport faults per the installed policy.
 func (r *Remote) Op(ctx *Ctx, req Request) (Reply, error) {
-	m := r.met.Load()
-	if m == nil || m.Op == nil {
+	op := r.met.Load()
+	if op == nil {
 		return r.call(ctx, req)
 	}
 	start := hrtime.Now()
 	rep, err := r.call(ctx, req)
-	m.Op.Record(hrtime.Since(start), len(rep.Data), err)
+	op.Record(hrtime.Since(start), len(rep.Data), err)
 	return rep, err
 }
 
@@ -218,9 +218,6 @@ func (r *Remote) call(ctx *Ctx, req Request) (Reply, error) {
 		}
 		hrtime.Sleep(policy.Backoff(attempt))
 		r.retries.Add(1)
-		if m := r.met.Load(); m != nil {
-			m.Retries.Inc()
-		}
 		if ConnDead(err) {
 			r.tryReconnect(caller)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"eventspace/internal/metrics"
 	"eventspace/internal/vnet"
 )
 
@@ -161,6 +162,45 @@ func TestRemoteRedialsDeadConn(t *testing.T) {
 		t.Fatalf("Reconnects = %d, want 1", r.reconnect.Load())
 	}
 	r.Close()
+}
+
+// TestRemoteRegisterCounts: the counters a stub hands a registry are its
+// own retry and redial counts, summed with every other stub's under the
+// same prefix.
+func TestRemoteRegisterCounts(t *testing.T) {
+	_, c1, _ := testNet(t)
+	h := c1.Hosts()[0]
+	reg := metrics.New()
+	pol := &RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Microsecond}
+	redial := func(vnet.Caller) (vnet.Caller, uint32, error) {
+		return &flakyCaller{reply: Reply{Value: 1}}, 1, nil
+	}
+	var stubs []*Remote
+	for i := 1; i <= 2; i++ {
+		r := NewRemote("stub", h, &flakyCaller{n: i, err: vnet.ErrConnClosed}, 1).SetRetry(pol).SetRedial(redial)
+		r.RegisterCounts(reg, "scope/stub")
+		if _, err := r.Op(&Ctx{}, Request{Kind: OpRead}); err != nil {
+			t.Fatal(err)
+		}
+		stubs = append(stubs, r)
+	}
+	want := map[string]uint64{}
+	for _, r := range stubs {
+		want["scope/stub.retries"] += r.retries.Load()
+		want["scope/stub.redials"] += r.reconnect.Load()
+	}
+	if want["scope/stub.retries"] != 2 || want["scope/stub.redials"] != 2 {
+		t.Fatalf("stubs counted %v, want 2 retries and 2 redials", want)
+	}
+	got := reg.Snapshot().Counters
+	if len(got) != len(want) {
+		t.Fatalf("counters = %+v, want %v", got, want)
+	}
+	for _, c := range got {
+		if c.Value != want[c.Name] {
+			t.Errorf("%s = %d, the stubs count %d", c.Name, c.Value, want[c.Name])
+		}
+	}
 }
 
 // deadCaller always fails with a dead-connection fault.

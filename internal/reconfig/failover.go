@@ -89,8 +89,8 @@ type FailoverState struct {
 // RecoverFrontEnd rebuilds a lost front end's state from its archive in
 // dir through the checkpoint ladder: newest valid checkpoint plus
 // archive suffix, falling back rung by rung to full replay. reg, when
-// set, records the recovery in self-metrics (a KindReconfig op plus the
-// reconfig.recoveries counters); nil disables. stmts, when non-nil,
+// set, records the recovery in self-metrics (a KindReconfig op, and the
+// archive reader's scans); nil disables. stmts, when non-nil,
 // must be the recorder's standing alert statements; the returned state
 // then carries the query engine's recovered state so alerts resume
 // mid-streak. It fails when even the bottom rung's joins evicted rounds:
@@ -100,12 +100,6 @@ func RecoverFrontEnd(dir string, reg *metrics.Registry, stmts []*query.Stmt) (*F
 	st, err := recoverFrontEnd(dir, reg, stmts)
 	if reg != nil {
 		reg.Op(metrics.KindReconfig, "recover("+dir+")").Record(hrtime.Since(start), 0, err)
-	}
-	if err == nil {
-		reg.Counter("reconfig.recoveries").Inc()
-		if st.Checkpointed {
-			reg.Counter("reconfig.recoveries.checkpointed").Inc()
-		}
 	}
 	return st, err
 }

@@ -24,6 +24,7 @@ package reconfig
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"eventspace/internal/escope"
 	"eventspace/internal/hrtime"
@@ -102,7 +103,7 @@ type Policy struct {
 	MaxFanIn int
 	// Metrics, when set, wires the manager into self-metrics: a
 	// KindReconfig op whose histogram is the repair-latency distribution,
-	// plus reparent/promote/abort counters. nil disables.
+	// plus the manager's reparent/promote/abort counts. nil disables.
 	Metrics *metrics.Registry
 	// OnPlan, when set, observes every finished plan (after execution,
 	// in the repair goroutine). Use it for logging; keep it fast.
@@ -122,10 +123,10 @@ type Manager struct {
 
 	stopOnce sync.Once
 
-	op         *metrics.Op
-	cReparents *metrics.Counter
-	cPromotes  *metrics.Counter
-	cAborts    *metrics.Counter
+	op *metrics.Op
+	// Repairs applied and plans aborted, kept apart from the manager so
+	// a registry reading them keeps only them alive.
+	reparents, promotes, aborts *atomic.Uint64
 }
 
 // Attach subscribes a repair manager to the scope's guard transitions
@@ -145,13 +146,17 @@ func Attach(scope *escope.Scope, pol Policy) (*Manager, error) {
 		pol:   pol,
 		queue: vclock.NewQueue[escope.Transition](),
 		done:  make(chan struct{}),
+
+		reparents: new(atomic.Uint64),
+		promotes:  new(atomic.Uint64),
+		aborts:    new(atomic.Uint64),
 	}
 	if pol.Metrics != nil {
 		m.op = pol.Metrics.Op(metrics.KindReconfig, "repair("+scope.Name()+")")
 	}
-	m.cReparents = pol.Metrics.Counter("reconfig.reparents")
-	m.cPromotes = pol.Metrics.Counter("reconfig.promotes")
-	m.cAborts = pol.Metrics.Counter("reconfig.plan-aborts")
+	pol.Metrics.Count("reconfig.reparents", m.reparents)
+	pol.Metrics.Count("reconfig.promotes", m.promotes)
+	pol.Metrics.Count("reconfig.plan-aborts", m.aborts)
 	// The hook runs inside the pulling goroutine; it must not block, so
 	// it only filters and enqueues. Only an uplink death orphans a
 	// cluster — leaf and direct deaths are handled by the guards' own
@@ -252,7 +257,7 @@ func (m *Manager) repair(tr escope.Transition) {
 			if err := m.scope.ReparentHost(mh.Host, assign[i]); err != nil {
 				step.Err = err.Error()
 			} else {
-				m.cReparents.Inc()
+				m.reparents.Add(1)
 			}
 			plan.Steps = append(plan.Steps, step)
 		}
@@ -272,14 +277,14 @@ func (m *Manager) repair(tr escope.Transition) {
 			} else {
 				plan.Reason = "no surviving gateway within fan-in cap and no live promotion candidate"
 			}
-			m.cAborts.Inc()
+			m.aborts.Add(1)
 			break
 		}
 		step := RepairStep{Kind: StepPromote, Host: cand, Cluster: tr.Cluster}
 		if err := m.scope.PromoteGateway(tr.Cluster, cand); err != nil {
 			step.Err = err.Error()
 		} else {
-			m.cPromotes.Inc()
+			m.promotes.Add(1)
 		}
 		plan.Steps = append(plan.Steps, step)
 	}

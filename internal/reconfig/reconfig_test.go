@@ -17,6 +17,17 @@ import (
 	"eventspace/internal/wantrace"
 )
 
+// counter reads one named counter off a registry snapshot (0 when it
+// is not registered).
+func counter(reg *metrics.Registry, name string) uint64 {
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
 func fastScale(t *testing.T) {
 	t.Helper()
 	old := hrtime.Scale()
@@ -155,7 +166,7 @@ func runGatewayCrash(t *testing.T, seed int64) []reconfig.RepairStep {
 			t.Fatalf("unexpected step: %+v", st)
 		}
 	}
-	if got := reg.Counter("reconfig.reparents").Value(); got != uint64(len(orphans)) {
+	if got := counter(reg, "reconfig.reparents"); got != uint64(len(orphans)) {
 		t.Fatalf("reparent counter = %d, want %d", got, len(orphans))
 	}
 
@@ -368,7 +379,7 @@ func TestRepairAbortsWithoutLiveCandidates(t *testing.T) {
 	if len(plan.Steps) != 0 {
 		t.Fatalf("aborted plan executed steps: %+v", plan)
 	}
-	if got := reg.Counter("reconfig.plan-aborts").Value(); got == 0 {
+	if got := counter(reg, "reconfig.plan-aborts"); got == 0 {
 		t.Fatal("abort not counted")
 	}
 	// The cluster survives in the topology for a later restart to heal.

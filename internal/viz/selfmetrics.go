@@ -75,14 +75,16 @@ func SelfMetrics(w io.Writer, s metrics.Snapshot) error {
 			fmt.Fprintf(w, "    ... and %d more\n", len(sites)-len(shown))
 		}
 	}
-	if len(s.Counters) > 0 {
-		fmt.Fprintln(w, "  counters:")
-		for _, c := range s.Counters {
-			if c.Value == 0 {
-				continue
-			}
-			fmt.Fprintf(w, "    %-44s %10d\n", c.Name, c.Value)
+	heading := false
+	for _, c := range s.Counters {
+		if c.Value == 0 {
+			continue
 		}
+		if !heading {
+			fmt.Fprintln(w, "  counters:")
+			heading = true
+		}
+		fmt.Fprintf(w, "    %-44s %10d\n", c.Name, c.Value)
 	}
 	return nil
 }

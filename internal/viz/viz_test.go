@@ -188,6 +188,20 @@ func TestSelfMetricsRendering(t *testing.T) {
 		t.Fatalf("empty registry rendered %q, want %q", got, want)
 	}
 
+	// Registered counters that are all zero print no counters heading.
+	var idle atomic.Uint64
+	quiet := metrics.New()
+	quiet.Op(metrics.KindStub, "stub-0").Record(100, 10, nil)
+	quiet.Count("scope/stub.retries", &idle)
+	quiet.Count("scope/stub.redials", &idle)
+	buf.Reset()
+	if err := SelfMetrics(&buf, quiet.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); strings.Contains(out, "counters:") || strings.Contains(out, "stub.retries") {
+		t.Fatalf("all-zero counters rendered a counters section:\n%s", out)
+	}
+
 	reg := metrics.New()
 	stub := reg.Op(metrics.KindStub, "stub-1")
 	stub.Record(100, 10, nil)
@@ -203,7 +217,9 @@ func TestSelfMetricsRendering(t *testing.T) {
 	for i := 0; i < 625; i++ {
 		ecA.Observe(120)
 	}
-	reg.Counter("scope/stub.retries").Add(3)
+	var retries atomic.Uint64
+	retries.Add(3)
+	reg.Count("scope/stub.retries", &retries)
 	buf.Reset()
 	if err := SelfMetrics(&buf, reg.Snapshot()); err != nil {
 		t.Fatal(err)
