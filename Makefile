@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch recovery-e2e monitor-e2e fault-e2e lint vet eslint fmt-check ci
+.PHONY: build test test-short examples bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch archive-race chaos-e2e checkpoint-reference recovery-e2e monitor-e2e fault-e2e fuzz benchmark-harness lint vet eslint fmt-check ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -18,6 +18,13 @@ test:
 
 test-short:
 	$(GO) test -short -race ./...
+
+# examples runs the package Examples five times. go test -count repeats
+# tests but runs each Example once, so the loop does the repeating: an
+# Output line that rests on a virtual-clock tie fails here rather than
+# at random in a plain go test.
+examples:
+	for i in 1 2 3 4 5; do $(GO) test -count=1 -run '^Example' . || exit 1; done
 
 # bench runs the repo benchmark (contract in BENCHMARK.json, harness
 # and metric definitions in benchmark/README.md).
@@ -85,13 +92,13 @@ gather-gates:
 	$(GO) test -run '^$$' -bench 'BenchmarkValueStoreWrite' -benchmem ./internal/paths/ | $(call zero-allocs,1)
 
 # collect-gates are the collection path's zero-alloc gates: the event
-# collector's write (with and without self-metrics), the ingest queue's
-# shed and the breaker's decision each report 0 allocs/op. The collector's
+# collector's write, with and without self-metrics (two benchmarks), and
+# the breaker's decision each report 0 allocs/op. The collector's
 # self-metrics contract (exact counts from its sequence counter under
 # concurrent writers, at the 32-bit boundary and across registry swaps)
 # runs under -race.
 collect-gates:
-	$(GO) test -run '^$$' -bench 'Benchmark(EventCollectorWrite|IngestShed)' -benchmem ./internal/collect/ | $(call zero-allocs,3)
+	$(GO) test -run '^$$' -bench 'BenchmarkEventCollectorWrite' -benchmem ./internal/collect/ | $(call zero-allocs,2)
 	$(GO) test -run '^$$' -bench 'BenchmarkBreakerDecision' -benchmem ./internal/escope/ | $(call zero-allocs,1)
 	$(GO) test -race -count=20 -run 'TestCollectorSelfMetrics' ./internal/collect/
 
@@ -114,13 +121,31 @@ one-clock-switch:
 	@sites=$$(grep -rnE 'vclock\.(Enable|Disable|Quiesce)\(' --include=*.go . | grep -v _test.go | grep -v '^./internal/vclock/' | cut -d: -f1 | sort -u); \
 		if [ "$$sites" != "./internal/core/core.go" ]; then echo "the virtual clock is switched outside internal/core/core.go:" $$sites; exit 1; fi
 
+# archive-race runs the trace archive's tests under the race detector.
+archive-race:
+	$(GO) test -race ./internal/archive/
+
+# chaos-e2e runs the two chaos end-to-end tests under the race detector,
+# three seeds each: a gateway crash the repair manager mends by
+# re-parenting, after which coverage is whole again, and a straggler
+# storm the bounded-staleness rung rides out.
+chaos-e2e:
+	$(GO) test -race -count=1 -run 'TestGatewayCrashReparentRestoresCoverage/seed[123]' ./internal/reconfig/
+	$(GO) test -race -count=1 -run 'TestStragglerStormBoundedStaleness/seed[123]' ./internal/escope/
+
+# checkpoint-reference holds the checkpointer, whose job runs behind the
+# gather thread, to its synchronous reference under the race detector,
+# five times over.
+checkpoint-reference:
+	$(GO) test -race -count=5 -run 'TestCheckpointerMatchesReference' ./internal/checkpoint/
+
 # recovery-e2e runs the front-end recovery end-to-end tests under the
 # race detector: the crash matrix (it skips under -short, so test-short
 # never reaches it) and the clean-seal failover at the root, the
 # checkpoint ladder in internal/reconfig, System.Recover's undo of a
 # partial start in internal/core, and the load-balance monitor's
-# floors-only deduplication and refused-build release in
-# internal/monitor.
+# floors-only deduplication (a floor at Seq 0 included) and
+# refused-build release in internal/monitor.
 recovery-e2e:
 	$(GO) test -race -count=1 -run 'TestCrashMatrix|TestFrontEndFailover' .
 	$(GO) test -race -count=1 -run 'TestRecoverFrontEnd|TestFailover' ./internal/reconfig/
@@ -150,6 +175,24 @@ monitor-e2e:
 fault-e2e:
 	$(GO) test -race -shuffle=on -count=200 -run '^TestCrashFailsCallsAndRestartRecovers$$' ./internal/vnet/
 
+# fuzz runs every fuzz target briefly (15 s each, two minutes in all).
+# It is CI-only: make ci leaves it out to stay quick to run by hand.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=15s ./internal/paths/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=15s ./internal/paths/
+	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=15s ./internal/archive/
+	$(GO) test -run='^$$' -fuzz=FuzzColumnarRoundTrip -fuzztime=15s ./internal/archive/
+	$(GO) test -run='^$$' -fuzz=FuzzReplayMeta -fuzztime=15s ./internal/archive/
+	$(GO) test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=15s ./internal/query/
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=15s ./internal/checkpoint/
+	$(GO) test -run='^$$' -fuzz=FuzzCodec -fuzztime=15s ./internal/wire/
+
+# benchmark-harness vets and tests the benchmark harness, a module of its
+# own that the root ./... patterns never reach: it is what notices an API
+# change that breaks benchmark/sut.go.
+benchmark-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 vet:
 	$(GO) vet ./...
 
@@ -166,9 +209,6 @@ fmt-check:
 
 lint: vet eslint fmt-check
 
-# ci mirrors the GitHub Actions job, minus the tool installs. The
-# benchmark harness is a module of its own, so the root ./... patterns
-# never reach it; the last step is what notices an API change that
-# breaks benchmark/sut.go.
-ci: build lint leaf-packages one-clock-switch test-short read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates recovery-e2e monitor-e2e fault-e2e
-	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+# ci mirrors the GitHub Actions job, minus the tool installs
+# (staticcheck, govulncheck) and the CI-only fuzz step.
+ci: build lint leaf-packages one-clock-switch test-short examples benchmark-harness archive-race chaos-e2e recovery-e2e monitor-e2e fault-e2e checkpoint-reference read-gates gather-gates checkpoint-gates append-gates engine-gates collect-gates

@@ -132,8 +132,8 @@ const (
 // Degradation-ladder rungs (LoadBalance.SetScopeMode). Strict is the
 // paper's behaviour: every gather round waits for every child.
 // Bounded-staleness cuts stragglers at the breaker deadline and coasts on
-// stale data within the bound. Summary-only additionally sheds gathered
-// payloads at the ingest queue, keeping only aggregate counts.
+// stale data within the bound. Summary-only additionally skips the
+// weighted-tree fold and only counts the gathered batches.
 const (
 	ModeStrict  = escope.ModeStrict
 	ModeBounded = escope.ModeBounded

@@ -331,8 +331,7 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 			}
 			SleepOutside(100 * time.Microsecond)
 		}
-		// Final rung at quiesce, so the shed counters stay zero and the
-		// weighted trees stay comparable.
+		// Final rung at quiesce, so the weighted trees stay comparable.
 		lb.SetScopeMode(ModeSummary)
 		if lb.ScopeMode() != ModeSummary {
 			t.Errorf("mode %v after final rung, want summary-only", lb.ScopeMode())
@@ -343,9 +342,6 @@ func TestDegradedRunReplaysByteIdentical(t *testing.T) {
 		}
 		if rate := lb.GatherRate(); rate < 1 {
 			t.Errorf("degraded run lost tuples (gather rate %v) despite idle breaker", rate)
-		}
-		if st := lb.IngestStats(); st.ShedBatches != 0 || st.ShedTuples != 0 {
-			t.Errorf("ingest shed %d batches / %d tuples in an unloaded run", st.ShedBatches, st.ShedTuples)
 		}
 		if err := viz.WeightedTree(&liveTree, lb.Weighted()); err != nil {
 			return err

@@ -375,8 +375,8 @@ func Example_chaos() {
 		// A straggler, not a crash: the iron cluster's node host, where its
 		// wrappers and trace buffers live, serves 100x slower.
 		// Bounded-staleness cuts it off at the breaker deadline and coasts
-		// on its last data; summary-only also folds gathered batches into
-		// counters at the ingest queue.
+		// on its last data; summary-only also skips the weighted-tree fold
+		// and only counts the gathered batches.
 		node := sys.Testbed().Clusters[1].Hosts()[0].Name()
 		net.InjectFaults(eventspace.FaultPlan{Seed: 7, Events: []eventspace.FaultEvent{
 			{Kind: eventspace.FaultSlow, Host: node, Factor: 100},
@@ -400,10 +400,10 @@ func Example_chaos() {
 		if err := work(100); err != nil {
 			return err
 		}
-		for i := 0; i < 4000 && lb.IngestStats().SummarizedBatches == 0; i++ {
+		for i := 0; i < 4000 && lb.SummarizedBatches() == 0; i++ {
 			eventspace.SleepOutside(time.Millisecond)
 		}
-		fmt.Printf("summary-only: batches folded to counters: %t\n", lb.IngestStats().SummarizedBatches > 0)
+		fmt.Printf("summary-only: batches folded to counters: %t\n", lb.SummarizedBatches() > 0)
 		net.ClearFaults()
 		lb.SetScopeMode(eventspace.ModeStrict)
 

@@ -62,8 +62,9 @@ type WriterStats struct {
 
 // Writer appends trace tuples to a segmented archive directory. All
 // methods are safe for concurrent use; tuples are persisted in Append
-// order. A Writer is the sink end of the archive: wire it to a puller
-// with escope.ArchiveSink, or call Append from a monitor tap.
+// order. A Writer is the sink end of the archive: a recorder's puller
+// reaches it through its checkpointer (query.Sink), or call Append from
+// a monitor tap.
 type Writer struct {
 	opts Options
 

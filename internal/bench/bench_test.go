@@ -259,9 +259,6 @@ func TestOptionsDerivations(t *testing.T) {
 	if (Options{}).repeats() != 1 || (Options{Repeats: 3}).repeats() != 3 {
 		t.Fatal("repeats")
 	}
-	if (Options{}).scale() != 1 {
-		t.Fatal("scale default")
-	}
 	if traceCap(1000) != 200 || traceCap(10) != 32 {
 		t.Fatalf("traceCap = %d, %d", traceCap(1000), traceCap(10))
 	}

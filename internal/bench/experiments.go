@@ -16,20 +16,19 @@ import (
 // few minutes.
 type Options struct {
 	Quick   bool
-	Repeats int     // run repetitions per measurement (paper: >= 3)
-	Scale   float64 // virtual-time scale for LAN experiments
+	Repeats int // run repetitions per measurement (paper: >= 3)
 	WANSeed int64
 }
 
 // DefaultOptions returns the full-size configuration.
 func DefaultOptions() Options {
-	return Options{Repeats: 3, Scale: 1.0, WANSeed: 2005}
+	return Options{Repeats: 3, WANSeed: 2005}
 }
 
 // QuickOptions returns the scaled-down configuration used by `go test
 // -bench` and CI.
 func QuickOptions() Options {
-	return Options{Quick: true, Repeats: 2, Scale: 1.0, WANSeed: 2005}
+	return Options{Quick: true, Repeats: 2, WANSeed: 2005}
 }
 
 func (o Options) repeats() int {
@@ -37,13 +36,6 @@ func (o Options) repeats() int {
 		return 1
 	}
 	return o.Repeats
-}
-
-func (o Options) scale() float64 {
-	if o.Scale <= 0 {
-		return 1
-	}
-	return o.Scale
 }
 
 // Topology sizes. Paper: 32 and 49 Tin hosts; the LAN multi-cluster has
@@ -225,7 +217,7 @@ func (o Options) lbSpec(topology string, kind MonitorKind, parallel bool, wl Wor
 		Iterations:  iters,
 		Monitor:     kind,
 		MonitorCfg:  cfg,
-		TimeScale:   o.scale(),
+		TimeScale:   1,
 		TraceBufCap: traceCap(iters),
 	}
 	return spec
@@ -290,7 +282,7 @@ func Section5Topology(o Options) ([]Row, error) {
 			Workload:   Gsum,
 			Iterations: iters,
 			Monitor:    NoMonitor,
-			TimeScale:  o.scale(),
+			TimeScale:  1,
 		}
 		res, err := Run(spec)
 		if err != nil {
@@ -430,7 +422,7 @@ func (o Options) statsmSpec(topology string, kind MonitorKind, parallel bool, st
 		Iterations:  iters,
 		Monitor:     kind,
 		MonitorCfg:  cfg,
-		TimeScale:   o.scale(),
+		TimeScale:   1,
 		TraceBufCap: traceCap(iters),
 	}
 }

@@ -27,8 +27,7 @@ import (
 const (
 	stalenessHosts = 5
 	stalenessSlow  = 2
-	// Records are trace-tuple sized so the ingest queue's summary-mode
-	// tuple accounting (payload bytes / TupleSize) is exact.
+	// Records are trace-tuple sized, as a raw-trace gather's are.
 	stalenessRecSize = collect.TupleSize
 	stalenessRounds  = 24
 )
@@ -40,15 +39,15 @@ type stalenessRun struct {
 	meanRound time.Duration
 	maxRound  time.Duration
 	written   int // records written into the source elements
-	retained  int // records delivered through the ingest queue
-	observed  int // retained + records folded away in summary-only mode
+	retained  int // records delivered to the monitor
+	observed  int // retained + records summary-only mode counted and dropped
 	stale     int // children coasting on stale data at the end
 	skipped   int // children with no data within the staleness bound
 }
 
-// runStalenessStorm drives one storm under the virtual clock, feeding
-// every gather through a monitor-style ingest queue so summary-only's
-// payload shedding is part of the measurement.
+// runStalenessStorm drives one storm under the virtual clock and, as a
+// load-balance monitor's gather thread does, retains each gathered batch
+// — or, in summary-only mode, only counts it.
 func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) stalenessRun {
 	t.Helper()
 	vclock.Enable(0)
@@ -99,12 +98,8 @@ func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) 
 	}})
 	defer n.ClearFaults()
 
-	ingest := collect.NewIngestQueue(0)
-	if mode == escope.ModeSummary {
-		ingest.SetSummaryOnly(true)
-	}
-
 	var res stalenessRun
+	summarized := 0
 	var total time.Duration
 	for r := 0; r < rounds; r++ {
 		for _, e := range elems {
@@ -115,6 +110,7 @@ func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) 
 			}
 			res.written++
 		}
+		records := 0 // the gathered batch's; the send on ch publishes it
 		ch := make(chan time.Duration, 1)
 		vclock.Go(func() {
 			ctx := &paths.Ctx{Thread: "staleness/driver"}
@@ -124,9 +120,7 @@ func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) 
 				t.Errorf("round %d pull: %v", r, err)
 			}
 			d := time.Duration(hrtime.Since(start))
-			if len(rep.Data) > 0 {
-				ingest.Push(rep.Data)
-			}
+			records = len(rep.Data) / stalenessRecSize
 			hrtime.Sleep(500 * time.Microsecond) // inter-round interval
 			ch <- d
 		})
@@ -135,17 +129,14 @@ func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) 
 		if d > res.maxRound {
 			res.maxRound = d
 		}
-		for {
-			data, ok := ingest.Pop()
-			if !ok {
-				break
-			}
-			res.retained += len(data) / stalenessRecSize
+		if mode == escope.ModeSummary {
+			summarized += records
+		} else {
+			res.retained += records
 		}
 	}
 	res.meanRound = total / time.Duration(rounds)
-	st := ingest.Stats()
-	res.observed = res.retained + int(st.SummarizedTuples)
+	res.observed = res.retained + summarized
 	cov := scope.Coverage()
 	res.stale = len(cov.Stale)
 	res.skipped = len(cov.Skipped)

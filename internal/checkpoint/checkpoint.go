@@ -16,13 +16,6 @@ import (
 	"eventspace/internal/vclock"
 )
 
-// Sink is the raw-batch sink the checkpointer forwards to (the archive
-// writer, or a query engine interposed in front of it). It mirrors
-// escope.RawSink without importing escope.
-type Sink interface {
-	AppendRaw(data []byte) error
-}
-
 // DefaultEveryTuples is the checkpoint cadence when Config leaves it
 // zero: one checkpoint per this many newly archived data tuples.
 const DefaultEveryTuples = 4096
@@ -69,7 +62,7 @@ type Config struct {
 // itself calls Err (or Checkpoint) first.
 type Checkpointer struct {
 	mu     sync.Mutex
-	inner  Sink
+	inner  query.Sink
 	w      *archive.Writer
 	engine *query.Engine
 
@@ -118,7 +111,7 @@ type frame struct {
 // writing through to w — pass that engine as engine too so snapshots
 // include it). infos is the archived collector metadata; the shadow's
 // join wiring derives from it exactly as recovery's replay will.
-func New(w *archive.Writer, inner Sink, engine *query.Engine, infos []archive.CollectorInfo, cfg Config) (*Checkpointer, error) {
+func New(w *archive.Writer, inner query.Sink, engine *query.Engine, infos []archive.CollectorInfo, cfg Config) (*Checkpointer, error) {
 	if w == nil || inner == nil {
 		return nil, fmt.Errorf("checkpoint: nil writer or sink")
 	}

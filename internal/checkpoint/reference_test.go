@@ -138,7 +138,7 @@ func newRefRig(t *testing.T, infos []archive.CollectorInfo, every uint64, alerts
 	if r.w, err = archive.Create(archive.Options{Dir: r.dir, SegmentBytes: 64 << 10, BlockTuples: 256}); err != nil {
 		t.Fatal(err)
 	}
-	var inner Sink = r.w
+	var inner query.Sink = r.w
 	if len(alerts) > 0 {
 		r.eng = query.NewEngine(r.w)
 		r.eng.SetExpected(len(infos))

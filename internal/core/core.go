@@ -390,7 +390,7 @@ func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 		return nil, err
 	}
 	rec := &ArchiveRecorder{scope: scope, writer: w}
-	var sink checkpoint.Sink = w
+	var sink query.Sink = w
 	fail := func(err error) (*ArchiveRecorder, error) {
 		scope.Close()
 		w.Close()
@@ -428,7 +428,7 @@ func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 	if rec.ckpt, err = checkpoint.New(w, sink, rec.engine, meta, cfg); err != nil {
 		return fail(err)
 	}
-	rec.puller = scope.StartPuller(pull, escope.ArchiveSink(rec.ckpt))
+	rec.puller = scope.StartPuller(pull, func(rep paths.Reply) error { return rec.ckpt.AppendRaw(rep.Data) })
 	s.adopt(rec)
 	return rec, nil
 }

@@ -26,7 +26,7 @@ import (
 // statistics monitor with Retry, a repair manager, and a checkpointed
 // recorder whose archive rotates — through a straggler storm and a
 // gateway crash the manager repairs by re-parenting, then a Recover.
-// With everything stopped, each of the 25 counters is registered, and
+// With everything stopped, each of the 23 counters is registered, and
 // each whose owner shows its count equals it; the guard totals keep the
 // links the repair tore down, so they cover the guards still listed.
 // No total taken before the repair exceeds the one after it.
@@ -182,7 +182,6 @@ func TestSystemCountersReadOwners(t *testing.T) {
 			"statsm/stub.retries", "statsm/stub.redials",
 			lbs + "breaker.trips", lbs + "breaker.overruns", lbs + "breaker.skips", lbs + "breaker.stale",
 			lbs + "puller.pulls", lbs + "puller.errors", lbs + "puller.backoffs",
-			lbs + "ingest.shed.batches", lbs + "ingest.shed.tuples",
 			"checkpoint.writes",
 			arch + "rotations", arch + "retention.deletes", arch + "truncations",
 			"reconfig.reparents", "reconfig.promotes", "reconfig.plan-aborts",
@@ -212,9 +211,6 @@ func TestSystemCountersReadOwners(t *testing.T) {
 			want[lbs+"breaker.skips"] += b.Skips
 			want[lbs+"breaker.stale"] += b.Stale
 		}
-		ing := lb.IngestStats()
-		want[lbs+"ingest.shed.batches"] = ing.ShedBatches
-		want[lbs+"ingest.shed.tuples"] = ing.ShedTuples
 		want["checkpoint.writes"] = rec.ckpt.Stats().Written + p.Recorder.ckpt.Stats().Written
 		for prefix, w := range map[string]*archive.Writer{arch: rec.writer, archResumed: p.Recorder.writer} {
 			ws := w.Stats()

@@ -41,7 +41,7 @@ const (
 	// within the policy's staleness bound.
 	ModeBounded
 	// ModeSummary is summary-only monitoring: bounded-staleness gathers
-	// plus payload shedding at the monitor's ingest queue — only
+	// whose batches the monitor counts instead of folding — only
 	// aggregate counts survive. The cheapest rung; the monitor stays
 	// alive under overload it could not otherwise absorb.
 	ModeSummary

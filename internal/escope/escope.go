@@ -770,21 +770,3 @@ func (p *Puller) Stop() {
 
 // Pulls reports successful pulls.
 func (p *Puller) Pulls() uint64 { return p.pulls.Load() }
-
-// RawSink persists a raw record batch. archive.Writer satisfies it; the
-// indirection keeps escope independent of the archive's storage format.
-type RawSink interface {
-	AppendRaw(data []byte) error
-}
-
-// ArchiveSink adapts a raw-batch store (an archive writer) into a puller
-// sink: every gathered reply's payload is appended verbatim. Use it as
-// StartPuller's sink — or compose it with a monitor's own sink — to
-// record a scope's traffic:
-//
-//	scope.StartPuller(interval, escope.ArchiveSink(w))
-func ArchiveSink(w RawSink) func(paths.Reply) error {
-	return func(rep paths.Reply) error {
-		return w.AppendRaw(rep.Data)
-	}
-}

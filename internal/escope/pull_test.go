@@ -169,10 +169,10 @@ func (k keptReplies) changed() int {
 }
 
 // TestRetainedReplySurvivesLaterPulls: a reply owns its bytes for good. A
-// consumer that keeps one (the ingest queue, a breaker's stale slot) must
-// find it unchanged however many pulls of the same scope follow — with
-// and without a root gather on the front end, whose buffer would be the
-// one reused if any were.
+// consumer that keeps one (a breaker's stale slot) must find it
+// unchanged however many pulls of the same scope follow — with and
+// without a root gather on the front end, whose buffer would be the one
+// reused if any were.
 func TestRetainedReplySurvivesLaterPulls(t *testing.T) {
 	for _, health := range []*HealthPolicy{nil, {}} {
 		r := newRig(t)

@@ -66,10 +66,6 @@ const (
 	// the latency of deadline-bounded child gathers (overruns and skips
 	// are accounted in the scope's breaker counters).
 	KindBreaker
-	// KindIngest measures a monitor's bounded ingest-queue drain: the
-	// time from a gathered batch's enqueue to its application, with bytes
-	// counting the batch payload (sheds are accounted in counters).
-	KindIngest
 	// KindQuery measures the continuous-query engine's per-batch
 	// evaluation: the time to ingest one gathered batch through every
 	// standing query, with bytes counting the batch payload.
@@ -100,8 +96,6 @@ func (k Kind) String() string {
 		return "reconfig"
 	case KindBreaker:
 		return "breaker"
-	case KindIngest:
-		return "ingest"
 	case KindQuery:
 		return "query"
 	case KindCheckpoint:

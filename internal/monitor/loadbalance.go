@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eventspace/internal/analysis"
@@ -10,7 +11,6 @@ import (
 	"eventspace/internal/collect"
 	"eventspace/internal/cosched"
 	"eventspace/internal/escope"
-	"eventspace/internal/hrtime"
 	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
 	"eventspace/internal/vnet"
@@ -20,14 +20,10 @@ import (
 // The load-balance monitor does not need the collective tuple: the last
 // arrival is the contributor tuple with the largest down timestamp. It
 // sits on the same pending-round table as analysis.Joiner and adds only
-// the failover floor.
+// maxDone, the highest completed Seq, which a Replay hands a failover as
+// the node's floor.
 type lbJoin struct {
-	rounds *analysis.Rounds
-	// floor drops tuples of rounds already completed before a front-end
-	// failover: a replay-seeded join ignores Seq <= floor so re-read
-	// tuples cannot double-count a finished round. maxDone tracks the
-	// highest completed Seq and becomes the next failover's floor.
-	floor   uint32
+	rounds  *analysis.Rounds
 	maxDone uint32
 }
 
@@ -44,9 +40,6 @@ func newLBJoin(k, maxPending int) *lbJoin {
 //
 //lint:hotpath the last-arrival fold, once per contributor tuple
 func (j *lbJoin) add(contributor int, t collect.TraceTuple) (int, bool) {
-	if j.floor > 0 && t.Seq <= j.floor {
-		return 0, false
-	}
 	if contributor < 0 || contributor >= j.rounds.K() {
 		return 0, false
 	}
@@ -96,9 +89,9 @@ type LoadBalance struct {
 	cfg  Config
 	tree *cluster.Tree
 
-	// Recovery seeding (NewLoadBalance with a resume handoff): joins drop
-	// rounds at or below the handoff floors, so the replacement re-reads
-	// the retained windows and continues instead of recounting.
+	// Recovery seeding (NewLoadBalance with a resume handoff): a node
+	// with a floor drops rounds at or below it, so the replacement
+	// re-reads the retained windows and continues instead of recounting.
 	floors map[string]uint32
 
 	scope    *escope.Scope
@@ -107,8 +100,9 @@ type LoadBalance struct {
 	// rows resolves a gathered record's collective wrapper id to its
 	// node's weighted-tree row, once at construction, as Replay
 	// resolves its ports.
-	rows   map[uint32]*weightedRow
-	ingest *collect.IngestQueue
+	rows map[uint32]*weightedRow
+	// summarized counts the gathered batches summary-only mode skipped.
+	summarized atomic.Uint64
 
 	// Distributed-analysis state.
 	hosts    []*lbHostAnalysis
@@ -192,15 +186,6 @@ func (lb *LoadBalance) build(tb *cluster.Testbed) error {
 	spec.Breaker = cfg.Breaker
 	spec.Metrics = cfg.Metrics
 
-	// The ingest queue decouples the gather thread from the front-end
-	// analysis: the puller pushes gathered batches, a drainer folds them
-	// into the weighted tree, and under overload the oldest batch is shed
-	// instead of the event-scope tree stalling. In summary-only mode
-	// (SetScopeMode) it folds batches into counters without retaining
-	// payloads.
-	lb.ingest = collect.NewIngestQueue(collect.DefaultIngestCap)
-	lb.ingest.RegisterCounts(cfg.Metrics, spec.Name+"/ingest")
-
 	switch mode {
 	case SingleScope:
 		if err := lb.buildSingleScopeSources(&spec); err != nil {
@@ -242,7 +227,7 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 			return err
 		}
 		join := newLBJoin(n.AR.Fanin(), lbMaxPending)
-		join.floor = lb.floors[n.Name]
+		floor, floored := lb.floors[n.Name]
 		cost := lb.cfg.AnalysisCostPerTuple
 		host := n.Host
 		reduce := paths.NewTransform("lb/reduce("+n.Name+")", n.Host, gather, func(rep paths.Reply) (paths.Reply, error) {
@@ -256,7 +241,7 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 			nrec := 0
 			for _, tu := range tuples {
 				ec, ok := lb.tree.Collectors.ByID(tu.ECID)
-				if !ok {
+				if !ok || floored && tu.Seq <= floor {
 					continue
 				}
 				if last, done := join.add(ec.Meta().Contributor, tu); done {
@@ -369,8 +354,9 @@ func (lb *LoadBalance) fold(data []byte) {
 }
 
 // Start launches the monitor's threads: the per-host analysis threads (in
-// distributed mode), the front-end gather thread, and the drainer folding
-// gathered records into the weighted tree.
+// distributed mode) and the front-end gather thread, which folds each
+// gathered batch into the weighted tree itself — so once Stop has halted
+// it, everything gathered is folded.
 func (lb *LoadBalance) Start() {
 	if lb.mode == Distributed {
 		hosts := make([]*vnet.Host, len(lb.hosts))
@@ -381,30 +367,13 @@ func (lb *LoadBalance) Start() {
 			return lb.analysisPass(lb.hosts[i], batch)
 		})
 	}
-	// The gather thread only enqueues; folding records into the weighted
-	// tree happens on the drainer thread below. Push never blocks and
-	// never fails, so a slow front-end analysis can no longer stall the
-	// event-scope tree — it sheds the oldest undigested batch instead.
 	lb.puller = lb.scope.StartPuller(lb.cfg.PullInterval, func(rep paths.Reply) error {
-		lb.ingest.Push(rep.Data)
-		return nil
-	})
-	lb.threads.spawn(func() {
-		for {
-			if data, ok := lb.ingest.Pop(); ok {
-				lb.fold(data)
-				continue
-			}
-			select {
-			case <-lb.threads.stop:
-				// Stop halts the puller before the threads, so an
-				// empty queue here is final: everything gathered was
-				// folded.
-				return
-			default:
-			}
-			hrtime.SleepUnscaled(50 * time.Microsecond)
+		if lb.scope.Mode() == escope.ModeSummary {
+			lb.summarized.Add(1)
+		} else {
+			lb.fold(rep.Data)
 		}
+		return nil
 	})
 }
 
@@ -477,17 +446,14 @@ func (lb *LoadBalance) RoundsObserved() uint64 { return lb.weighted.Total() }
 func (lb *LoadBalance) Coverage() escope.Coverage { return lb.scope.Coverage() }
 
 // SetScopeMode moves the monitor along the degradation ladder: the event
-// scope's breakers observe the new rung on their next decision, and
-// summary-only additionally sheds gathered payloads at the ingest queue,
-// keeping only aggregate counts.
-func (lb *LoadBalance) SetScopeMode(m escope.Mode) {
-	lb.scope.SetMode(m)
-	lb.ingest.SetSummaryOnly(m == escope.ModeSummary)
-}
+// scope's breakers observe the new rung on their next decision, and in
+// summary-only the gather thread skips the fold and only counts the
+// batches (SummarizedBatches).
+func (lb *LoadBalance) SetScopeMode(m escope.Mode) { lb.scope.SetMode(m) }
 
 // ScopeMode returns the current degradation-ladder rung.
 func (lb *LoadBalance) ScopeMode() escope.Mode { return lb.scope.Mode() }
 
-// IngestStats snapshots the monitor's ingest-queue accounting (shed and
-// summarized batches under overload).
-func (lb *LoadBalance) IngestStats() collect.IngestStats { return lb.ingest.Stats() }
+// SummarizedBatches returns how many gathered batches summary-only mode
+// counted instead of folding into the weighted tree.
+func (lb *LoadBalance) SummarizedBatches() uint64 { return lb.summarized.Load() }

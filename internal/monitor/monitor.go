@@ -98,9 +98,8 @@ func (c *Config) readBatch() int {
 	}
 }
 
-// hostThreads runs a monitor's threads: one analysis thread per host
-// (section 4.3), plus any front-end thread the monitor spawns beside
-// them.
+// hostThreads runs a monitor's analysis threads, one per host (section
+// 4.3).
 type hostThreads struct {
 	cs      *cosched.Set // the System's coscheduling controllers; nil: none
 	stop    chan struct{}
@@ -111,16 +110,6 @@ type hostThreads struct {
 
 func newHostThreads(cs *cosched.Set) *hostThreads {
 	return &hostThreads{cs: cs, stop: make(chan struct{})}
-}
-
-// spawn runs fn on a thread that halt waits for; fn returns once stop
-// is closed.
-func (t *hostThreads) spawn(fn func()) {
-	t.wg.Add(1)
-	vclock.Go(func() {
-		defer t.wg.Done()
-		fn()
-	})
 }
 
 // start runs one analysis thread per host. Each pass it checks for
@@ -136,7 +125,9 @@ func (t *hostThreads) start(hosts []*vnet.Host, interval time.Duration, pass fun
 			t.waiters[i] = t.cs.For(h).NewWaiter()
 		}
 		w := t.waiters[i]
-		t.spawn(func() {
+		t.wg.Add(1)
+		vclock.Go(func() {
+			defer t.wg.Done()
 			var batch []byte
 			for {
 				select {

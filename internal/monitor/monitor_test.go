@@ -11,6 +11,7 @@ import (
 	"eventspace/internal/cluster"
 	"eventspace/internal/collect"
 	"eventspace/internal/cosched"
+	"eventspace/internal/escope"
 	"eventspace/internal/hrtime"
 	"eventspace/internal/paths"
 	"eventspace/internal/vnet"
@@ -172,6 +173,44 @@ func TestLoadBalanceSingleScopeFindsImbalance(t *testing.T) {
 	}
 	if rate := lb.GatherRate(); rate <= 0 || rate > 1 {
 		t.Fatalf("gather rate = %v", rate)
+	}
+}
+
+// TestLoadBalanceSummaryOnlySkipsFold: in summary-only mode the gather
+// thread counts each batch and leaves the weighted tree alone; back in
+// strict mode it folds again and stops counting skipped batches.
+func TestLoadBalanceSummaryOnlySkipsFold(t *testing.T) {
+	fastScale(t)
+	tb, tree := buildRig(t, nil)
+	cfg := DefaultConfig()
+	cfg.AnalysisCostPerTuple = 0
+	cfg.PullInterval = 5 * time.Millisecond
+	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.Start()
+	defer lb.Stop()
+
+	lb.SetScopeMode(escope.ModeSummary)
+	runApp(t, tree, 20, -1, 0)
+	waitFor(t, 10*time.Second, func() bool { return lb.SummarizedBatches() > 0 },
+		"summary-only never counted a batch")
+	if n := lb.RoundsObserved(); n != 0 {
+		t.Fatalf("summary-only folded %d rounds into the weighted tree", n)
+	}
+
+	lb.SetScopeMode(escope.ModeStrict)
+	runApp(t, tree, 20, -1, 0)
+	waitFor(t, 10*time.Second, func() bool { return lb.RoundsObserved() > 0 },
+		"strict mode never folded again")
+	skipped, folded := lb.SummarizedBatches(), lb.RoundsObserved()
+	runApp(t, tree, 20, -1, 0)
+	waitFor(t, 10*time.Second, func() bool { return lb.RoundsObserved() > folded },
+		"strict mode stopped folding")
+	lb.Stop()
+	if n := lb.SummarizedBatches(); n != skipped {
+		t.Fatalf("strict mode counted %d more skipped batches", n-skipped)
 	}
 }
 

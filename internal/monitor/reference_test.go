@@ -236,7 +236,7 @@ func (r *refReplay) Resume() *LoadBalanceResume {
 		}
 	}
 	for node, j := range r.la.joins {
-		if j.maxDone > 0 {
+		if len(r.la.weighted.Counts(node)) > 0 {
 			res.Floors[node] = j.maxDone
 		}
 	}

@@ -195,7 +195,10 @@ func (r *Replay) Weighted() *WeightedTree { return r.weighted }
 // completed from the re-read tuples.
 type LoadBalanceResume struct {
 	Weighted *WeightedTree
-	Floors   map[string]uint32 // node name -> highest completed Seq
+	// Floors maps a node name to the highest Seq it completed. Every
+	// node that completed a round has one, 0 included (collectors number
+	// rounds from 0); a node without one completed none.
+	Floors map[string]uint32
 }
 
 // Resume snapshots the replay into a handoff a replacement load-balance
@@ -208,9 +211,9 @@ func (r *Replay) Resume() *LoadBalanceResume {
 		for c, n := range r.weighted.Counts(node) {
 			res.Weighted.Add(node, c, n)
 		}
-	}
-	for node, j := range r.joins {
-		if j.maxDone > 0 {
+		// Only a completed round adds to a row, so a node in the tree
+		// completed one, and its maxDone is a floor even when it is 0.
+		if j, ok := r.joins[node]; ok {
 			res.Floors[node] = j.maxDone
 		}
 	}

@@ -25,7 +25,7 @@ type LBJoinState struct {
 	K          int
 	MaxPending int
 	Lost       uint64
-	Floor      uint32
+	Floor      uint32 // always 0: floors live in the monitor, not the join; kept for the frame layout
 	MaxDone    uint32
 	Pending    []LBJoinRoundState // live rounds in insertion order
 }
@@ -33,7 +33,7 @@ type LBJoinState struct {
 // state snapshots the join.
 func (j *lbJoin) state() LBJoinState {
 	t := j.rounds
-	st := LBJoinState{K: t.K(), MaxPending: t.MaxPending(), Lost: t.Lost(), Floor: j.floor, MaxDone: j.maxDone}
+	st := LBJoinState{K: t.K(), MaxPending: t.MaxPending(), Lost: t.Lost(), MaxDone: j.maxDone}
 	for r := t.Oldest(); r != nil; r = r.Next() {
 		st.Pending = append(st.Pending, LBJoinRoundState{Seq: r.Seq, Contribs: r.ContribStates()})
 	}
@@ -47,7 +47,6 @@ func (j *lbJoin) restore(st LBJoinState) error {
 		return fmt.Errorf("monitor: join state k=%d, join has k=%d", st.K, j.rounds.K())
 	}
 	j.rounds.Reset(st.MaxPending, st.Lost)
-	j.floor = st.Floor
 	j.maxDone = st.MaxDone
 	for _, rs := range st.Pending {
 		if _, err := j.rounds.Load(rs.Seq, rs.Contribs); err != nil {

@@ -11,10 +11,9 @@ import (
 	"eventspace/internal/metrics"
 )
 
-// Sink receives raw tuple batches downstream of the engine. It is the
-// same seam the scope puller writes archives through (escope.RawSink);
-// *archive.Writer satisfies it. The engine holds one structurally so it
-// can interpose on the live stream without importing the scope layer.
+// Sink receives raw tuple batches downstream of an engine or a
+// checkpointer: an *archive.Writer, or an engine interposed in front of
+// one, which is why it is an interface.
 type Sink interface {
 	AppendRaw(data []byte) error
 }
@@ -193,9 +192,9 @@ func (e *Engine) Alerts() []collect.AlertTuple {
 	return append([]collect.AlertTuple(nil), e.alerts...)
 }
 
-// AppendRaw forwards the batch downstream, then evaluates it. It is the
-// escope.RawSink seam: installing the engine as the puller's sink makes
-// every gathered batch flow through the standing queries.
+// AppendRaw forwards the batch downstream, then evaluates it, so an
+// engine in a recorder's sink chain sees every gathered batch go
+// through the standing queries.
 func (e *Engine) AppendRaw(data []byte) error {
 	if e.sink != nil {
 		if err := e.sink.AppendRaw(data); err != nil {

@@ -108,7 +108,7 @@ func buildCheckpointedArchive(t *testing.T, dir string, rounds int, every uint64
 	if err := archive.WriteMeta(dir, infos); err != nil {
 		t.Fatal(err)
 	}
-	var inner checkpoint.Sink = w
+	var inner query.Sink = w
 	var eng *query.Engine
 	if withEngine {
 		eng = query.NewEngine(w)
