@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short examples bench microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch archive-race chaos-e2e checkpoint-reference recovery-e2e monitor-e2e fault-e2e fuzz benchmark-harness lint vet eslint fmt-check ci
+.PHONY: build test test-short examples bench bench-record bench-check microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch archive-race chaos-e2e checkpoint-reference recovery-e2e monitor-e2e fault-e2e fuzz benchmark-harness lint vet eslint fmt-check ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -31,13 +31,58 @@ examples:
 bench:
 	bash benchmark/run.sh
 
+# The benchmark trajectory: BENCH_trajectory.jsonl holds one benchmark
+# record a line, wrapped as
+#   {"commit":C,"pr":N,"runs":R,"kind":K,"record":{...}}
+# with the record last. R is how many runs the record summarises: 1 for
+# a run's own record, more for a median back-filled from CHANGES.md. K
+# says where it came from: bench-record (below), anchor (a ROADMAP
+# anchor's run), pair-median (a PR's parent or change median), and
+# pair-parent / pair-change (one side of a PR's alternating pairs, run
+# from frozen copies of the parent and of the change). C is the commit
+# the records ran at; C+change is C with the uncommitted change of a PR
+# on top (bench-record run before the commit), C+frozen a frozen copy
+# of such a change. Only bench-record entries are bench-check's
+# baseline.
+TRAJECTORY := BENCH_trajectory.jsonl
+trajectory-record = sed -n 's/^{"commit":"[^"]*","pr":[0-9]*,"runs":[0-9]*,"kind":"[^"]*","record":\(.*\)}$$/\1/p'
+
+# bench-record runs the benchmark five times on a fresh seed (SEED=
+# overrides it) and appends each run's record, wrapped with the commit
+# (C, or C+change when the tree holds uncommitted changes) and
+# PR=<number>, to the trajectory. It only reads benchmark/'s output.
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<number> [SEED=<seed>]"; exit 2; }
+	@seed=$${SEED:-$$(date +%s)}; commit=$$(git describe --always --dirty=+change); out=$$(mktemp); \
+		bash benchmark/run.sh -runs 5 -seed $$seed -out $$out || { rm -f $$out; exit 1; }; \
+		while IFS= read -r rec; do \
+			printf '{"commit":"%s","pr":%s,"runs":1,"kind":"bench-record","record":%s}\n' "$$commit" "$(PR)" "$$rec"; \
+		done < $$out >> $(TRAJECTORY); \
+		echo "bench-record: $$(wc -l < $$out) records of seed $$seed appended to $(TRAJECTORY)"; rm -f $$out
+
+# bench-check runs the benchmark twice on a fresh seed and -compares the
+# two runs against the bench-record entries of the newest commit that
+# has any (every other kind is another tree or a median). Two,
+# because -compare scales a set's runs to reference speed only when it
+# holds more than one; a lone run is read unscaled, at this host's speed.
+# CI runs it as a report that never fails the job (its false-positive
+# rate is not yet known), so make ci leaves it out.
+bench-check:
+	@newest=$$(grep -F '"kind":"bench-record",' $(TRAJECTORY) | tail -n 1 | sed 's/^{"commit":"\([^"]*\)".*/\1/'); base=$$(mktemp); out=$$(mktemp); \
+		grep -F "{\"commit\":\"$$newest\"," $(TRAJECTORY) | grep -F '"kind":"bench-record",' | $(trajectory-record) > $$base; \
+		echo "bench-check: against $$(wc -l < $$base) records of $$newest"; \
+		bash benchmark/run.sh -runs 2 -seed $${SEED:-$$(date +%s)} -out $$out > /dev/null && \
+		bash benchmark/run.sh -compare $$base $$out; status=$$?; rm -f $$base $$out; exit $$status
+
 # microbench runs the root package's go-test micro-benchmarks.
 microbench:
 	$(GO) test -bench=. -benchmem
 
 # bench-staleness runs the straggler-storm chaos suite under the race
 # detector and records the degradation ladder's accuracy-versus-overhead
-# table (3 modes x 3 seeds) in BENCH_staleness.json.
+# table (3 modes x 3 seeds) in BENCH_staleness.json. The table is one
+# sample, not a pinned result: the storm's tie order under -race varies,
+# so a rerun moves a few of its figures.
 bench-staleness:
 	$(GO) test -race -run TestStragglerStormBoundedStaleness ./internal/escope/
 	STALENESS_BENCH_OUT=$(CURDIR)/BENCH_staleness.json \
@@ -54,11 +99,12 @@ read-gates:
 
 # checkpoint-gates are the checkpointer's zero-alloc gates, as the CI
 # job states them: the tuple-block encode, the warm frame encode through
-# a kept codec, the job's fold, and the gather thread's share of
-# AppendRaw over benchmark-shaped replies (which also prints ns/tuple)
-# must each report 0 allocs/op (and all four must have run).
+# a kept codec, the fold job's feed, and the gather thread's share of
+# AppendRaw over benchmark-shaped replies (which also prints ns/tuple),
+# lean and with the benchmark's three standing alerts in the chain, must
+# each report 0 allocs/op (and all five must have run).
 checkpoint-gates:
-	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint(EncodeTuples|EncodeFrame|Fold|AppendRaw)' -benchmem ./internal/checkpoint/ | $(call zero-allocs,4)
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint(EncodeTuples|EncodeFrame|Fold|AppendRaw)' -benchmem ./internal/checkpoint/ | $(call zero-allocs,5)
 
 # append-gates are the archive writer's zero-alloc gates: a warm writer
 # appending whole blocks (the test, which must have run and passed) and
@@ -133,11 +179,11 @@ chaos-e2e:
 	$(GO) test -race -count=1 -run 'TestGatewayCrashReparentRestoresCoverage/seed[123]' ./internal/reconfig/
 	$(GO) test -race -count=1 -run 'TestStragglerStormBoundedStaleness/seed[123]' ./internal/escope/
 
-# checkpoint-reference holds the checkpointer, whose job runs behind the
+# checkpoint-reference holds the checkpointer, whose jobs run behind the
 # gather thread, to its synchronous reference under the race detector,
-# five times over.
+# twenty times over.
 checkpoint-reference:
-	$(GO) test -race -count=5 -run 'TestCheckpointerMatchesReference' ./internal/checkpoint/
+	$(GO) test -race -count=20 -run 'TestCheckpointerMatchesReference' ./internal/checkpoint/
 
 # recovery-e2e runs the front-end recovery end-to-end tests under the
 # race detector: the crash matrix (it skips under -short, so test-short

@@ -2,7 +2,7 @@ package checkpoint
 
 import (
 	"cmp"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -39,30 +39,38 @@ type Config struct {
 }
 
 // Checkpointer interposes on a recorder's sink chain: every batch is
-// forwarded downstream first (the archive stays the source of truth),
-// then folded into a shadow replay of the load-balance and statistics
+// forwarded downstream (the archive stays the source of truth) and
+// folded into a shadow replay of the load-balance and statistics
 // monitors. On cadence it flushes the writer, snapshots the shadow —
 // and the live query engine, when one is interposed — at exactly the
 // writer's durable cursor, and persists the snapshot as the next chain
 // file.
 //
 // Only the ordered part of that runs on the caller's thread (the
-// recorder's gather thread): the forward, the cadence count and, on
-// cadence, what must be read at the writer's cursor — the flush, the
-// cursor and the engine's state. Decoding the batch into the shadow
-// and, on cadence, snapshotting it, encoding, writing and pruning run
-// in a job: a registered model goroutine (vclock.Go) that blocks on
-// nothing and so takes no virtual time, at most one in flight. Every
-// call into the checkpointer — AppendRaw, Checkpoint, Stats, Err —
-// first settles a frame in flight: it waits for the job, then goes
-// sticky-dead if the frame tore, or else appends the frame's
-// OpCheckpoint mark, before anything newer reaches the archive. The
-// archive and the chain so get the same bytes in the same order as if
-// all of it ran on the caller's thread. A caller that seals the writer
-// itself calls Err (or Checkpoint) first.
+// recorder's gather thread): one decode of the batch, the forward, the
+// cadence count and, on cadence, what must be read at the writer's
+// cursor — the flush, the cursor and the engine's state. When inner is
+// the writer, or the engine over it, the decoded tuples go to the
+// writer's Append and the engine's Eval, so the batch is decoded once
+// for the whole chain; any other inner gets the raw bytes. The rest
+// runs in jobs:
+// registered model goroutines (vclock.Go) that block on nothing and so
+// take no virtual time, at most one in flight. A fold job feeds the
+// batch to the shadow while the caller's thread forwards it; on
+// cadence, once the fold is settled and the frame begun, a persist job
+// snapshots the shadow, encodes, writes and prunes while the caller's
+// thread goes back to gathering. Every call into the checkpointer —
+// AppendRaw, Checkpoint, Stats, Err — first settles the job in flight:
+// it waits for it, then goes sticky-dead if the frame tore, or else
+// appends the frame's OpCheckpoint mark, before anything newer reaches
+// the archive. The archive and the chain so get the same bytes in the
+// same order as if all of it ran on the caller's thread. A caller that
+// seals the writer itself calls Err (or Checkpoint) first.
 type Checkpointer struct {
 	mu     sync.Mutex
 	inner  query.Sink
+	direct bool          // inner is w, or the engine over w: the decoded batch goes to w
+	eval   *query.Engine // the engine a direct forward evaluates, when inner is it
 	w      *archive.Writer
 	engine *query.Engine
 
@@ -80,23 +88,22 @@ type Checkpointer struct {
 	at    hrtime.Stamp
 	err   error
 	bytes uint64
-	bufs  [2][]byte // batch copies: the job folds one while the next call fills the other
-	flip  int       // the one the next batch goes into
-	busy  bool      // a job is in flight
+	bufs  [2][]collect.TraceTuple // decoded batches: a fold job reads one while the next call fills the other
+	flip  int                     // the one the next batch goes into
+	busy  bool                    // a job is in flight
 
-	// The job's side: the job owns it while one is in flight, the
+	// The jobs' side: a job owns it while one is in flight, the
 	// caller's thread (under mu) otherwise; busy and done hand it over.
-	next   []byte               // the batch the job folds
-	fr     frame                // the frame the job persists, when fr.due
+	next   []collect.TraceTuple // the batch a fold job feeds the shadow
+	fr     frame                // the frame a persist job writes: a job is one when fr.due
 	shadow *monitor.Replay      // both monitors' joins, fed every archived tuple
 	chain  []uint32             // the sequences on disk, oldest first
-	batch  []collect.TraceTuple // decode scratch, reused per batch
 	enc    encoder              // encode scratch, reused per checkpoint
 }
 
 // frame is one checkpoint on its way to disk. The caller's thread begins
-// it with what must be read at the writer's cursor; the job adds the
-// shadow's state, writes the file and reports how that went.
+// it with what must be read at the writer's cursor; the persist job
+// adds the shadow's state, writes the file and reports how that went.
 type frame struct {
 	due   bool
 	start hrtime.Stamp // when the caller's thread began it
@@ -131,6 +138,12 @@ func New(w *archive.Writer, inner query.Sink, engine *query.Engine, infos []arch
 		cps: cfg.CrashPoints, done: make(chan struct{}, 1),
 		written: new(atomic.Uint64),
 	}
+	switch {
+	case inner == query.Sink(w):
+		c.direct = true
+	case engine != nil && inner == query.Sink(engine) && engine.Sink() == query.Sink(w):
+		c.direct, c.eval = true, engine
+	}
 	c.run = c.job
 	if reg := cfg.Metrics; reg != nil {
 		c.opWrite = reg.Op(metrics.KindCheckpoint, "checkpoint("+c.dir+")")
@@ -149,56 +162,81 @@ func New(w *archive.Writer, inner query.Sink, engine *query.Engine, infos []arch
 	return c, nil
 }
 
-// AppendRaw settles a frame in flight, forwards the batch downstream,
-// advances the cadence and hands the fold to a job — on cadence, with a
-// frame begun at the writer's flushed cursor. After an injected
-// checkpoint crash the checkpointer is sticky-dead — the process it
-// models died mid-write, so nothing later reaches the archive either.
-// The crash surfaces from the call after the one that began the frame.
+// AppendRaw decodes the batch, settles the job in flight, starts the
+// batch's fold, forwards the batch downstream and advances the cadence —
+// on cadence, settling the fold and starting a persist job for a frame
+// begun at the writer's flushed cursor. A batch that ends mid-tuple
+// goes everywhere up to the tear before the tear's
+// *collect.PartialTupleError comes back. A failed forward leaves the
+// checkpointer sticky-dead: its shadow has folded a batch the archive
+// may not hold, so no frame may be cut from it. So does an injected
+// checkpoint crash — the process it models died mid-write, so nothing
+// later reaches the archive either; it surfaces from the call after the
+// one that began the frame.
 func (c *Checkpointer) AppendRaw(data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.fr.due {
-		c.settle() // its mark goes ahead of this batch
-	}
+	// The other buffer may still be a fold's: decode into this one first.
+	batch, tail := collect.DecodeAppend(c.bufs[c.flip][:0], data)
+	c.bufs[c.flip] = batch
+	c.settle() // a frame's mark goes ahead of this batch
 	if c.err != nil {
 		return c.err
 	}
-	if err := c.inner.AppendRaw(data); err != nil {
+	c.flip ^= 1
+	c.next = batch
+	c.launch() // the fold
+	if err := c.forward(data, batch); err != nil {
+		c.err = err
 		return err
 	}
-	if rem := len(data) % tupleSize; rem != 0 {
-		return &collect.PartialTupleError{Offset: len(data) - rem, Remaining: rem}
-	}
-	c.count(data)
-	buf := append(c.bufs[c.flip][:0], data...)
-	c.bufs[c.flip], c.flip = buf, c.flip^1
-	c.settle()
-	c.next = buf
+	c.count(batch)
 	if c.since >= c.every {
+		c.settle() // the frame's state is the shadow's as of this batch
 		if err := c.begin(); err != nil {
 			return err
 		}
+		c.launch() // the frame's persist
 	}
-	c.busy = true
-	vclock.Go(c.run)
+	return tail
+}
+
+// forward hands the batch downstream: the decoded tuples to the writer
+// and then the engine's evaluation when the chain is theirs alone, the
+// bytes to any other inner. A ragged tail is not a failure — the whole
+// tuples before it went through, and AppendRaw reports it.
+func (c *Checkpointer) forward(data []byte, batch []collect.TraceTuple) error {
+	if !c.direct {
+		if err := c.inner.AppendRaw(data); err != nil && !errors.As(err, new(*collect.PartialTupleError)) {
+			return err
+		}
+		return nil
+	}
+	if err := c.w.Append(batch); err != nil {
+		return err
+	}
+	if c.eval != nil {
+		return c.eval.Eval(batch)
+	}
 	return nil
 }
 
-// count advances the cadence over a batch of whole tuples: data tuples
-// and the newest data stamp, read off each 28-byte record (ECID at byte
-// 0, Start at byte 12: collect.TraceTuple.EncodeTo) without decoding it.
-func (c *Checkpointer) count(data []byte) {
-	for off := 0; off < len(data); off += tupleSize {
-		rec := data[off : off+tupleSize]
-		if binary.LittleEndian.Uint32(rec[0:4]) == collect.ControlECID {
+// count advances the cadence over a batch: its data tuples and their
+// newest stamp.
+func (c *Checkpointer) count(batch []collect.TraceTuple) {
+	for i := range batch {
+		if batch[i].ECID == collect.ControlECID {
 			continue
 		}
-		if start := int64(binary.LittleEndian.Uint64(rec[12:20])); start > c.at {
-			c.at = start
-		}
+		c.at = max(c.at, batch[i].Start)
 		c.since++
 	}
+}
+
+// launch starts a job; the caller has settled the one before it.
+func (c *Checkpointer) launch() {
+	c.busy = true
+	vclock.Go(c.run)
 }
 
 // settle waits for the job in flight, if any, and lands the frame it
@@ -237,21 +275,22 @@ func (c *Checkpointer) begin() error {
 	return nil
 }
 
-// job is the fold's other half, run by vclock.Go: it decodes the batch
-// into the shadow and persists the frame, when one is due.
+// job is what vclock.Go runs: with a frame begun, the persist job,
+// which writes it behind the gathers that follow; otherwise the fold
+// job, which feeds the batch to the shadow behind its forward.
 func (c *Checkpointer) job() {
-	c.fold(c.next)
 	if c.fr.due {
 		c.persist()
+	} else {
+		c.fold(c.next)
 	}
 	c.done <- struct{}{}
 }
 
-// fold decodes a batch of whole tuples into the shadow.
-func (c *Checkpointer) fold(data []byte) {
-	c.batch, _ = collect.DecodeAppend(c.batch[:0], data) // AppendRaw hands over whole tuples only
-	for _, t := range c.batch {
-		c.shadow.Feed(t)
+// fold feeds decoded tuples to the shadow.
+func (c *Checkpointer) fold(batch []collect.TraceTuple) {
+	for i := range batch {
+		c.shadow.Feed(batch[i])
 	}
 }
 

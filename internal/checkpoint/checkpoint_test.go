@@ -347,6 +347,104 @@ func TestCheckpointerCrashFallsBack(t *testing.T) {
 	sameState(t, "fallback recovery", rep, full)
 }
 
+// TestRaggedBatchReachesShadow: a batch that ends mid-tuple is archived
+// up to the tear, so the shadow must fold it up to the tear too. The
+// checkpointer used to return at the writer's error without folding or
+// counting those tuples: the next frame's cursor covered them while its
+// shadow had never seen them, and checkpoint plus suffix diverged from
+// full replay. Checked over the writer itself and behind a raw-only
+// shim, the two ways a batch reaches it.
+func TestRaggedBatchReachesShadow(t *testing.T) {
+	infos := testInfos()
+	tuples := testStream(60)
+	for _, shim := range []bool{false, true} {
+		t.Run(fmt.Sprintf("shim=%v", shim), func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := archive.Create(archive.Options{Dir: dir, BlockTuples: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inner query.Sink = w
+			if shim {
+				inner = rawOnly{w}
+			}
+			ck, err := New(w, inner, nil, infos, Config{EveryTuples: math.MaxUint64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = ck.AppendRaw(append(encodeBatch(tuples[:160]), 1, 2, 3))
+			var pe *collect.PartialTupleError
+			if !errors.As(err, &pe) || pe.Offset != 160*collect.TupleSize || pe.Remaining != 3 {
+				t.Fatalf("ragged batch: err %v, want the tear after 160 tuples", err)
+			}
+			if err := ck.AppendRaw(encodeBatch(tuples[160:320])); err != nil {
+				t.Fatal(err)
+			}
+			if err := ck.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cp, _, ok := LoadNewest(dir)
+			if !ok || cp.Cursor.Tuples != 320 {
+				t.Fatalf("frame ok=%v covers %d tuples, want 320", ok, cp.Cursor.Tuples)
+			}
+			r, err := archive.OpenReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			full, _, err := archive.ReplayLastArrival(r, infos, archive.Query{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := restored(t, infos, cp)
+			if _, err := r.ScanFrom(cp.Cursor, archive.Query{}, func(tu collect.TraceTuple) bool {
+				rep.Feed(tu)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			sameState(t, "checkpoint+suffix", rep, full)
+		})
+	}
+}
+
+// TestForwardTakesTuplesOnlyIntoTheWriter: the checkpointer hands its
+// decoded batch on only to the chains it knows end at its writer — the
+// writer itself, or the engine over it — and the bytes to anything else,
+// so no shim in a chain is ever stepped over.
+func TestForwardTakesTuplesOnlyIntoTheWriter(t *testing.T) {
+	w, err := archive.Create(archive.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	overW, overShim := query.NewEngine(w), query.NewEngine(rawOnly{w})
+	for _, tc := range []struct {
+		name   string
+		inner  query.Sink
+		engine *query.Engine
+		direct bool
+		eval   *query.Engine
+	}{
+		{"writer", w, nil, true, nil},
+		{"engine", overW, overW, true, overW},
+		{"shimmed-writer", rawOnly{w}, nil, false, nil},
+		{"shimmed-engine", rawOnly{overW}, overW, false, nil},
+		{"engine-over-shim", overShim, overShim, false, nil},
+	} {
+		ck, err := New(w, tc.inner, tc.engine, testInfos(), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.direct != tc.direct || ck.eval != tc.eval {
+			t.Errorf("%s: direct %v, evaluates %p; want %v, %p", tc.name, ck.direct, ck.eval, tc.direct, tc.eval)
+		}
+	}
+}
+
 // restored is a replay over infos restored from cp, as recovery builds
 // one.
 func restored(t *testing.T, infos []archive.CollectorInfo, cp Checkpoint) *monitor.Replay {
@@ -585,13 +683,17 @@ func foldFixture(rounds, rootFanin, children int) ([]archive.CollectorInfo, [][]
 	return infos, batches
 }
 
-// BenchmarkCheckpointFold is the zero-alloc gate of the job's fold: warm
-// shadow, then the DecodeAppend + Feed loop a job runs, one op per
+// BenchmarkCheckpointFold is the zero-alloc gate of the fold job: warm
+// shadow, then the Feed loop a job runs over a decoded batch, one op per
 // batch of 64 complete rounds over an 8-way tree (a root joining seven
 // child nodes and a thread of its own: 72 collectors, 4608 tuples). The
 // cadence write is excluded — it allocates the snapshot by design.
 func BenchmarkCheckpointFold(b *testing.B) {
-	infos, batches := foldFixture(64*16, 8, 7)
+	infos, raw := foldFixture(64*16, 8, 7)
+	batches := make([][]collect.TraceTuple, len(raw))
+	for i := range raw {
+		batches[i], _ = collect.DecodeAppend(nil, raw[i])
+	}
 	dir := b.TempDir()
 	w, err := archive.Create(archive.Options{Dir: dir})
 	if err != nil {
@@ -610,55 +712,93 @@ func BenchmarkCheckpointFold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ck.fold(batches[i%len(batches)])
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batches[0])/collect.TupleSize), "ns/tuple")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batches[0])), "ns/tuple")
 }
 
-// discard is a sink that keeps nothing.
-type discard struct{}
-
-func (discard) AppendRaw([]byte) error { return nil }
-
 // BenchmarkCheckpointAppendRaw is the zero-alloc gate of the gather
-// thread's share of the fold: the cadence count, the reply's copy and the
-// job's launch, over warm benchmark-shaped replies (61 collectors, 64
-// complete rounds: 3 904 tuples) in front of a sink that keeps nothing.
-// An op is a call and the settling of its job, so allocs/op covers
-// both; ns/tuple times the call alone, which finds no job to wait for.
-// The cadence never fires, as a frame allocates its snapshot by design.
+// thread's share of a checkpointed chain: the decode, the fold job's
+// launch, the forward and the cadence count, over warm benchmark-shaped
+// replies (61 collectors, 64 complete rounds: 3 904 tuples, each reply
+// the next 64 rounds, made outside the timer). The chain behind the
+// checkpointer is the product's: the writer (lean), or the benchmark's
+// three standing alerts in an engine in front of it (alerts); the
+// writer never rotates, as opening a segment allocates by design. An
+// op is a call and the settling of its job, so allocs/op covers both;
+// ns/tuple times the call alone, which the fold job runs beside. The
+// cadence never fires, as a frame allocates its snapshot by design.
 func BenchmarkCheckpointAppendRaw(b *testing.B) {
-	infos, batches := foldFixture(64*16, 6, 6)
-	w, err := archive.Create(archive.Options{Dir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	ck, err := New(w, discard{}, nil, infos, Config{EveryTuples: math.MaxUint64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, batch := range batches { // warm: shadows, both batch copies
-		if err := ck.AppendRaw(batch); err != nil {
-			b.Fatal(err)
+	infos := treeInfos(6, 6)
+	for _, withAlerts := range []bool{false, true} {
+		name := "lean"
+		if withAlerts {
+			name = "alerts"
 		}
+		b.Run(name, func(b *testing.B) {
+			w, err := archive.Create(archive.Options{Dir: b.TempDir(), SegmentBytes: 1 << 40})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			var inner query.Sink = w
+			var eng *query.Engine
+			if withAlerts {
+				eng = query.NewEngine(inner)
+				eng.SetExpected(len(infos))
+				for _, src := range []string{
+					"alert when p99(latency) > 400us by ecid window 5ms",
+					"alert when coverage() < 1.0 for 3 rounds every 1ms",
+					"alert when errors() > 0 window 1ms",
+				} {
+					st, err := query.Parse(src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := eng.Register(st); err != nil {
+						b.Fatal(err)
+					}
+				}
+				inner = eng
+			}
+			ck, err := New(w, inner, eng, infos, Config{EveryTuples: math.MaxUint64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(17))
+			var reply []byte
+			first := uint32(1)
+			next := func() {
+				reply = encodeBatch(treeRounds(rng, infos, first, 64))
+				first += 64
+			}
+			for i := 0; i < 16; i++ { // warm: shadows, engine, both batch buffers
+				next()
+				if err := ck.AppendRaw(reply); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := ck.Err(); err != nil {
+				b.Fatal(err)
+			}
+			var caller int64 // ns
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				next()
+				b.StartTimer()
+				t0 := hrtime.Now()
+				err := ck.AppendRaw(reply)
+				caller += hrtime.Since(t0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := ck.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(caller)/float64(b.N)/float64(len(reply)/collect.TupleSize), "ns/tuple")
+		})
 	}
-	if err := ck.Err(); err != nil {
-		b.Fatal(err)
-	}
-	var caller int64 // ns
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := hrtime.Now()
-		err := ck.AppendRaw(batches[i%len(batches)])
-		caller += hrtime.Since(t0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := ck.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(caller)/float64(b.N)/float64(len(batches[0])/collect.TupleSize), "ns/tuple")
 }
 
 // TestRestoreRejectsOutOfRangeContributor: a frame can pass both CRCs

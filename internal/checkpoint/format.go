@@ -15,9 +15,11 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 
 	"eventspace/internal/analysis"
@@ -84,7 +86,7 @@ var ErrInvalid = errors.New("checkpoint: invalid or torn checkpoint")
 // what count holds a length read from disk against.
 const (
 	tupleSize    = collect.TupleSize // 28
-	alertSize    = 8 + 2 + 4 + 8     // QueryHash, Group, Seq, At
+	alertSize    = 8 + 2 + 4 + 8     // QueryHash u64, Group u16, Seq u32, At i64
 	contribMin   = 4 + tupleSize
 	lbRoundMin   = 4 + 4
 	lbJoinMin    = 4 + 4 + 8 + 4 + 4 + 4
@@ -122,6 +124,50 @@ func tuples(c *wire.Codec, ts *[]collect.TraceTuple) {
 	} else if n > 0 && b != nil {
 		// DecodeAppend fails on a ragged buffer only, and b is whole tuples.
 		*ts, _ = collect.DecodeAppend(make([]collect.TraceTuple, 0, n), b)
+	}
+}
+
+// floats is wire.List(c, fs, 8, (*wire.Codec).F64) a block at a time.
+func floats(c *wire.Codec, fs *[]float64) {
+	n := c.Count(len(*fs), 8)
+	b := c.Next(n * 8)
+	if c.Writing() {
+		for i, f := range *fs {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
+		}
+	} else if n > 0 && b != nil {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		*fs = out
+	}
+}
+
+// alerts is wire.List(c, as, alertSize, alert) a block at a time.
+func alerts(c *wire.Codec, as *[]collect.AlertTuple) {
+	n := c.Count(len(*as), alertSize)
+	b := c.Next(n * alertSize)
+	if c.Writing() {
+		for i := range *as {
+			a, r := &(*as)[i], b[i*alertSize:]
+			binary.LittleEndian.PutUint64(r[0:], a.QueryHash)
+			binary.LittleEndian.PutUint16(r[8:], a.Group)
+			binary.LittleEndian.PutUint32(r[10:], a.Seq)
+			binary.LittleEndian.PutUint64(r[14:], uint64(a.At))
+		}
+	} else if n > 0 && b != nil {
+		out := make([]collect.AlertTuple, n)
+		for i := range out {
+			r := b[i*alertSize:]
+			out[i] = collect.AlertTuple{
+				QueryHash: binary.LittleEndian.Uint64(r[0:]),
+				Group:     binary.LittleEndian.Uint16(r[8:]),
+				Seq:       binary.LittleEndian.Uint32(r[10:]),
+				At:        int64(binary.LittleEndian.Uint64(r[14:])),
+			}
+		}
+		*as = out
 	}
 }
 
@@ -192,7 +238,7 @@ func stream(c *wire.Codec, s *analysis.StreamState) {
 	c.F64(&s.Min)
 	c.F64(&s.Max)
 	c.Int(&s.Window)
-	wire.List(c, &s.Ring, 8, (*wire.Codec).F64)
+	floats(c, &s.Ring)
 }
 
 func statsNode(c *wire.Codec, ns *monitor.StatsNodeState) {
@@ -213,13 +259,6 @@ func stats(c *wire.Codec, st *monitor.StatsState) {
 	wire.List(c, &st.Nodes, statsNodeMin, statsNode)
 }
 
-func alert(c *wire.Codec, a *collect.AlertTuple) {
-	c.U64(&a.QueryHash)
-	c.U16(&a.Group)
-	c.U32(&a.Seq)
-	c.I64(&a.At)
-}
-
 func streak(c *wire.Codec, gs *query.GroupStreak) {
 	c.U16(&gs.Group)
 	c.I32(&gs.Count)
@@ -238,7 +277,7 @@ func engine(c *wire.Codec, st *query.EngineState) {
 	c.I64(&st.Watermark)
 	c.U32(&st.Seq)
 	tuples(c, &st.Buf)
-	wire.List(c, &st.Alerts, alertSize, alert)
+	alerts(c, &st.Alerts)
 	wire.List(c, &st.Queries, standingMin, standing)
 }
 

@@ -421,10 +421,10 @@ func (s *System) attachArchive(tree *cluster.Tree, pull time.Duration, opts arch
 		cfg.CrashPoints = opts.CrashPoints
 	}
 	// The checkpointer interposes at the head of the sink chain
-	// (puller -> checkpointer -> engine -> writer): it forwards each
-	// batch downstream first, then folds it into its shadows, so a
-	// snapshot taken at the writer's durable cursor has seen exactly
-	// the tuples the archive holds.
+	// (puller -> checkpointer -> engine -> writer): it folds each batch
+	// into its shadows beside forwarding it downstream, and settles the
+	// fold before it begins a frame at the writer's durable cursor, so
+	// a snapshot has seen exactly the tuples the archive holds.
 	if rec.ckpt, err = checkpoint.New(w, sink, rec.engine, meta, cfg); err != nil {
 		return fail(err)
 	}

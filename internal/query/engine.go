@@ -1,6 +1,8 @@
 package query
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -194,23 +196,49 @@ func (e *Engine) Alerts() []collect.AlertTuple {
 
 // AppendRaw forwards the batch downstream, then evaluates it, so an
 // engine in a recorder's sink chain sees every gathered batch go
-// through the standing queries.
+// through the standing queries. A batch that ends mid-tuple is
+// evaluated up to the tear — what the sink archived of it — before the
+// tear's *collect.PartialTupleError comes back.
 func (e *Engine) AppendRaw(data []byte) error {
+	var tail error
 	if e.sink != nil {
 		if err := e.sink.AppendRaw(data); err != nil {
-			return err
+			if !errors.As(err, new(*collect.PartialTupleError)) {
+				return err
+			}
+			tail = err
 		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var err error
 	e.batch, err = collect.DecodeAppend(e.batch[:0], data)
-	if err != nil {
-		return fmt.Errorf("query: %v", err)
+	tail = cmp.Or(tail, err)
+	if err := e.eval(e.batch, len(data)); err != nil {
+		return err
 	}
+	return tail
+}
+
+// Eval runs a batch its caller has already decoded through the
+// standing queries: AppendRaw's second half, for a caller that handed
+// the batch to the engine's Sink itself. The engine copies what it
+// keeps; batch is not retained.
+func (e *Engine) Eval(batch []collect.TraceTuple) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.eval(batch, len(batch)*collect.TupleSize)
+}
+
+// Sink returns what the engine forwards batches to (nil for none).
+func (e *Engine) Sink() Sink { return e.sink }
+
+// eval runs a batch through the standing queries, accounting its cost
+// as one query-eval op of size bytes.
+func (e *Engine) eval(batch []collect.TraceTuple, size int) error {
 	start := hrtime.Now()
-	err = e.offer(e.batch)
-	e.opEval.Record(hrtime.Since(start), len(data), err)
+	err := e.offer(batch)
+	e.opEval.Record(hrtime.Since(start), size, err)
 	return err
 }
 

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -656,4 +658,63 @@ func BenchmarkEngineAppendRaw(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tuples)), "ns/tuple")
+}
+
+// TestEngineRaggedBatchEvaluatesWholeTuples: a batch that ends mid-tuple
+// is archived up to the tear, so it is evaluated up to the tear before
+// the tear is reported. The engine used to return at its sink's error
+// and never evaluate what the sink had archived, falling behind the
+// archive; a replay of that archive then fired alerts the live engine
+// never did. Evaluated alike, the ragged run's state and alerts equal
+// those of a run fed the same whole tuples, with a sink and without.
+func TestEngineRaggedBatchEvaluatesWholeTuples(t *testing.T) {
+	tuples := testTuples()
+	stmts := []string{
+		"alert when count() > 1 window 2us",
+		"alert when errors() > 0 by ecid window 5us",
+	}
+	for _, withSink := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sink=%v", withSink), func(t *testing.T) {
+			run := func(stray int) *Engine {
+				t.Helper()
+				var sink Sink
+				if withSink {
+					w, err := archive.Create(archive.Options{Dir: t.TempDir(), BlockTuples: 8})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { w.Close() })
+					sink = w
+				}
+				e := NewEngine(sink)
+				e.SetExpected(3)
+				for _, src := range stmts {
+					if err := e.Register(mustParse(t, src)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				head := append(encodeBatch(tuples[:35]), make([]byte, stray)...)
+				err := e.AppendRaw(head)
+				var pe *collect.PartialTupleError
+				switch {
+				case stray == 0 && err != nil:
+					t.Fatal(err)
+				case stray > 0 && (!errors.As(err, &pe) || pe.Offset != 35*collect.TupleSize || pe.Remaining != stray):
+					t.Fatalf("ragged batch: err %v, want the tear at tuple 35", err)
+				}
+				if err := e.AppendRaw(encodeBatch(tuples[35:])); err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			want, got := run(0), run(5)
+			if !reflect.DeepEqual(got.State(), want.State()) {
+				t.Fatalf("ragged run's state diverged: %d alerts and %d retained tuples, whole run %d and %d",
+					len(got.Alerts()), len(got.State().Buf), len(want.Alerts()), len(want.State().Buf))
+			}
+			if len(want.Alerts()) == 0 {
+				t.Fatal("no alert fired: the test compares nothing")
+			}
+		})
+	}
 }
