@@ -92,9 +92,13 @@ bench-staleness:
 # detector (which allocates on its own): a warm scan — full or selective
 # — allocates a constant, an aggregate allocates per cell and not per
 # tuple, and the selective-scan and aggregate benchmarks still run (one
-# iteration each, as a smoke test).
+# iteration each, as a smoke test). The full-scan benchmark, whose op is
+# one tuple (ns/op is ns/tuple), runs over about two scans of its
+# 503 616-tuple archive and must report 0 allocs/op: a warm scan
+# allocates nothing per block or tuple.
 read-gates:
 	$(GO) test -count=1 -run 'TestScanSteadyStateAllocs' -bench 'BenchmarkScanSelective' -benchtime 1x ./internal/archive/
+	$(GO) test -run '^$$' -bench 'BenchmarkScanFull' -benchtime 1000000x -benchmem ./internal/archive/ | $(call zero-allocs,1)
 	$(GO) test -count=1 -run 'TestRunAllocsScaleWithCells' -bench 'BenchmarkAggregateRun' -benchtime 1x ./internal/query/
 
 # checkpoint-gates are the checkpointer's zero-alloc gates, as the CI
@@ -221,13 +225,14 @@ monitor-e2e:
 fault-e2e:
 	$(GO) test -race -shuffle=on -count=200 -run '^TestCrashFailsCallsAndRestartRecovers$$' ./internal/vnet/
 
-# fuzz runs every fuzz target briefly (15 s each, two minutes in all).
+# fuzz runs every fuzz target briefly (15 s each, 2¼ minutes in all).
 # It is CI-only: make ci leaves it out to stay quick to run by hand.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=15s ./internal/paths/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeReply -fuzztime=15s ./internal/paths/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=15s ./internal/archive/
 	$(GO) test -run='^$$' -fuzz=FuzzColumnarRoundTrip -fuzztime=15s ./internal/archive/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeColumn -fuzztime=15s ./internal/archive/
 	$(GO) test -run='^$$' -fuzz=FuzzReplayMeta -fuzztime=15s ./internal/archive/
 	$(GO) test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=15s ./internal/query/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=15s ./internal/checkpoint/

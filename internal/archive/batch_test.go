@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -509,6 +510,90 @@ func BenchmarkScanSelective(b *testing.B) {
 		b.Fatal("no query matched a tuple")
 	}
 	b.ReportMetric(float64(matched)/float64(b.N), "tuples/query")
+}
+
+// scanFullArchive is BenchmarkScanFull's archive: 129 benchmark-shaped
+// replies (61 collectors, runs of 64; 503 616 tuples) through AppendRaw
+// with default options, the shape of the repo benchmark's archive. It is
+// built once per process, on first use, and removed by TestMain, so the
+// benchmark's b.N rounds do not each pay for creating its files.
+var scanFullArchive struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// TestMain removes BenchmarkScanFull's archive once every test and
+// benchmark has run.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if scanFullArchive.dir != "" {
+		os.RemoveAll(scanFullArchive.dir)
+	}
+	os.Exit(code)
+}
+
+// fullScanDir returns scanFullArchive's directory, building it first.
+func fullScanDir() (string, error) {
+	a := &scanFullArchive
+	a.once.Do(func() {
+		if a.dir, a.err = os.MkdirTemp("", "scanfull"); a.err != nil {
+			return
+		}
+		w, err := Create(Options{Dir: a.dir})
+		if err != nil {
+			a.err = err
+			return
+		}
+		rng := rand.New(rand.NewSource(4201))
+		for k := 0; k < 129 && err == nil; k++ {
+			err = w.AppendRaw(encodeTuples(benchReply(rng, uint32(k*replyRunLen))))
+		}
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+		a.err = err
+	})
+	return a.dir, a.err
+}
+
+// BenchmarkScanFull is the repo benchmark's full scan against the
+// archive alone: unfiltered Scans of scanFullArchive, every column of
+// every tuple decoded. One op is one tuple scanned, so ns/op is
+// ns/tuple: the loop scans the archive whole until b.N tuples have gone
+// by, stopping the last scan at the b.N-th. A warm scan allocates
+// nothing per block or tuple — only a constant per scan, the segment
+// files' handles (about 22 allocations for its 503 616 tuples, which
+// TestScanSteadyStateAllocs bounds) — so make read-gates runs it over
+// two scans' worth of tuples and requires 0 allocs/op.
+func BenchmarkScanFull(b *testing.B) {
+	dir, err := fullScanDir()
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sum int64
+	scan := func(limit int) int {
+		n := 0
+		stats, err := r.Scan(Query{}, func(tu collect.TraceTuple) bool {
+			sum += tu.End - tu.Start
+			n++
+			return n < limit
+		})
+		if err != nil || stats.TornSegments != 0 || n < limit && stats.TuplesMatched != r.Tuples() {
+			b.Fatalf("full scan matched %d of %d tuples, %d torn segments: %v", stats.TuplesMatched, r.Tuples(), stats.TornSegments, err)
+		}
+		return n
+	}
+	scan(math.MaxInt) // warm: the reader's image buffer and batch grow to size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; {
+		left -= scan(left)
+	}
 }
 
 // TestScansShareAReader: the reader's scan buffers are taken for the

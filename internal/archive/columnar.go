@@ -80,24 +80,6 @@ func colValue(t *collect.TraceTuple, col int) uint64 {
 	}
 }
 
-// setColValue is colValue's inverse.
-func setColValue(t *collect.TraceTuple, col int, v uint64) {
-	switch col {
-	case colECID:
-		t.ECID = uint32(v)
-	case colOp:
-		t.Op = paths.OpKind(uint16(v))
-	case colRet:
-		t.Ret = int16(uint16(v))
-	case colSeq:
-		t.Seq = uint32(v)
-	case colStart:
-		t.Start = int64(v)
-	default:
-		t.End = int64(v)
-	}
-}
-
 // appendColValue appends v at the column's fixed width.
 func appendColValue(dst []byte, col int, v uint64) []byte {
 	switch colRawWidth[col] {
@@ -107,18 +89,6 @@ func appendColValue(dst []byte, col int, v uint64) []byte {
 		return binary.LittleEndian.AppendUint32(dst, uint32(v))
 	default:
 		return binary.LittleEndian.AppendUint64(dst, v)
-	}
-}
-
-// readColValue reads a fixed-width column value.
-func readColValue(b []byte, col int) uint64 {
-	switch colRawWidth[col] {
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	default:
-		return binary.LittleEndian.Uint64(b)
 	}
 }
 
@@ -356,19 +326,30 @@ const (
 // per-block cost is bounds checks and column reads, not allocation. The
 // returned batches alias dec.batch: valid until the next decode. Not
 // safe for concurrent use; each scan owns one.
+//
+// Columns are decoded by kernels, one tight loop per encoding, and no
+// value goes through a per-value switch or call: a dictionary column is
+// filled straight from its table, one loop per field; a raw, delta or
+// latency column is decoded into the lane, one uint64 per row, and then
+// stored into its field by one loop per column (put). A filtered decode
+// gathers each column into the lane at the selected rows alone.
 type blockDecoder struct {
 	batch []collect.TraceTuple
-	sel   []uint16                // a filtered decode's selection vector: the rows it keeps, ascending
-	keep  [v2MaxDictEntries]uint8 // a filter column's keep table: 1 for each dictionary entry the query keeps
+	sel   []uint16                 // a filtered decode's selection vector: the rows it keeps, ascending
+	lane  []uint64                 // the column being decoded, one value per row (or per selected row)
+	dict  [v2MaxDictEntries]uint64 // a dictionary column's values, decoded once per block
+	keep  [v2MaxDictEntries]uint8  // a filter column's keep table: 1 for each dictionary entry the query keeps
 }
 
-// grow sizes the batch and the selection vector for an n-tuple block.
+// grow sizes the batch, the selection vector and the lane for an
+// n-tuple block.
 func (d *blockDecoder) grow(n int) {
 	if cap(d.batch) < n {
 		d.batch = make([]collect.TraceTuple, n)
 		d.sel = make([]uint16, n)
+		d.lane = make([]uint64, n)
 	}
-	d.batch, d.sel = d.batch[:n], d.sel[:n]
+	d.batch, d.sel, d.lane = d.batch[:n], d.sel[:n], d.lane[:n]
 }
 
 // decodeColumnar validates a framed version-2 block and decodes the
@@ -377,7 +358,7 @@ func (d *blockDecoder) grow(n int) {
 // ok=false is a torn or corrupt block.
 func (d *blockDecoder) decodeColumnar(f *columnarFrame, cols Columns) (batch []collect.TraceTuple, ok bool) {
 	d.grow(int(f.count))
-	return d.batch, checksums(f) && decodeColumns(f, cols, d.batch)
+	return d.batch, checksums(f) && d.decodeColumns(f, cols)
 }
 
 // checksums reports whether every column payload matches its CRC. Both
@@ -393,76 +374,88 @@ func checksums(f *columnarFrame) bool {
 }
 
 // decodeColumns is the masked whole-block decode of checksummed
-// columns: only the columns in cols are decoded. Any failure (short
-// payload, bad dictionary index, varint overrun) reports false.
+// columns into d.batch: only the columns in cols are decoded. Any
+// failure (short payload, bad dictionary index, varint overrun or
+// trailing bytes) reports false.
 //
-//lint:hotpath once per block of an unfiltered scan; the per-value loops of every full read
-func decodeColumns(f *columnarFrame, cols Columns, batch []collect.TraceTuple) bool {
+//lint:hotpath once per block of an unfiltered scan; the column kernels of every full read
+func (d *blockDecoder) decodeColumns(f *columnarFrame, cols Columns) bool {
 	if cols&ColEnd != 0 {
 		cols |= ColStart // latency-coded End is rebuilt from the block's Start
 	}
 	for c := 0; c < numColumns; c++ {
-		if cols&(1<<c) != 0 && !decodeColumn(f, c, batch) {
+		if cols&(1<<c) != 0 && !d.decodeColumn(f, c) {
 			return false
 		}
 	}
 	return true
 }
 
-// decodeColumn decodes one checksummed column into the batch. Column
-// order matters only for latency, which reconstructs End from the
-// already-decoded Start.
-func decodeColumn(f *columnarFrame, col int, batch []collect.TraceTuple) bool {
-	p := f.col[col]
-	w := colRawWidth[col]
+// decodeColumn decodes column col, every row, into d.batch, checking
+// that the payload holds exactly the values the block's count calls
+// for. Column order matters only for latency, which rebuilds End from
+// the rows' already-decoded Start.
+func (d *blockDecoder) decodeColumn(f *columnarFrame, col int) bool {
+	p, w, lane := f.col[col], colRawWidth[col], d.lane
 	switch f.enc[col] {
 	case colEncRaw:
-		if len(p) != len(batch)*w {
+		if len(p) != len(lane)*w {
 			return false
 		}
-		for i := range batch {
-			setColValue(&batch[i], col, readColValue(p[i*w:], col))
-		}
+		rawLane(p, w, lane)
 	case colEncDict:
-		n, vals, idx, ok := splitDict(p, col)
-		if !ok || len(idx) != len(batch) {
+		return d.decodeDict(p, col)
+	case colEncDelta, colEncLatency:
+		if off, ok := varints(p, lane, f.enc[col], col); !ok || off != len(p) {
 			return false
 		}
+	default:
+		return false
+	}
+	put(col, f.enc[col], lane, d.batch)
+	return true
+}
+
+// decodeDict decodes a dictionary column, every row, straight into
+// d.batch: the table once, then one loop filling each row by index.
+func (d *blockDecoder) decodeDict(p []byte, col int) bool {
+	n, idx, ok := d.dictionary(p, col)
+	if !ok || len(idx) != len(d.batch) {
+		return false
+	}
+	batch, dict := d.batch, &d.dict
+	idx = idx[:len(batch)]
+	switch col {
+	case colECID:
 		for i, ix := range idx {
 			if int(ix) >= n {
 				return false
 			}
-			setColValue(&batch[i], col, readColValue(vals[int(ix)*w:], col))
+			batch[i].ECID = uint32(dict[ix])
 		}
-	case colEncDelta:
-		var prev uint64
-		off := 0
-		for i := range batch {
-			u, n := binary.Uvarint(p[off:])
-			if n <= 0 {
+	case colOp:
+		for i, ix := range idx {
+			if int(ix) >= n {
 				return false
 			}
-			off += n
-			prev += uint64(unzigzag(u))
-			setColValue(&batch[i], col, prev)
+			batch[i].Op = paths.OpKind(uint16(dict[ix]))
 		}
-		return off == len(p)
-	case colEncLatency:
-		if col != colEnd {
-			return false
-		}
-		off := 0
-		for i := range batch {
-			u, n := binary.Uvarint(p[off:])
-			if n <= 0 {
+	case colRet:
+		for i, ix := range idx {
+			if int(ix) >= n {
 				return false
 			}
-			off += n
-			batch[i].End = int64(uint64(batch[i].Start) + uint64(unzigzag(u)))
+			batch[i].Ret = int16(uint16(dict[ix]))
 		}
-		return off == len(p)
-	default:
-		return false
+	default: // a column the encoder never dictionary-codes: through the lane
+		lane := d.lane[:len(idx)]
+		for i, ix := range idx {
+			if int(ix) >= n {
+				return false
+			}
+			lane[i] = dict[ix]
+		}
+		put(col, colEncDict, lane, batch)
 	}
 	return true
 }
@@ -488,7 +481,7 @@ func (d *blockDecoder) selectColumnar(f *columnarFrame, q *Query, cols Columns, 
 	if cols&ColEnd != 0 {
 		cols |= ColStart // latency-coded End is rebuilt from the rows' Start
 	}
-	return d.batch[:len(sel)], gatherColumns(f, cols&^have, sel, d.batch)
+	return d.batch[:len(sel)], d.gatherColumns(f, cols&^have, sel)
 }
 
 // selectRows builds the block's selection vector: the rows from row
@@ -514,13 +507,14 @@ func (d *blockDecoder) selectRows(f *columnarFrame, q *Query, from int) (sel []u
 	if filters&ColStart == 0 || len(sel) == 0 {
 		return sel, 0, true
 	}
-	if !gatherColumn(f, colStart, sel, d.batch) {
+	starts, ok := d.gatherLane(f, colStart, sel)
+	if !ok {
 		return nil, 0, false
 	}
 	lo, hi := q.stamps()
 	k := 0
 	for j, i := range sel {
-		if s := d.batch[j].Start; s >= lo && s <= hi {
+		if s := int64(starts[j]); s >= lo && s <= hi {
 			d.batch[k].Start, sel[k] = s, i
 			k++
 		}
@@ -535,11 +529,12 @@ func (d *blockDecoder) selectRows(f *columnarFrame, q *Query, from int) (sel []u
 func (d *blockDecoder) keepRows(f *columnarFrame, col int, q *Query, sel []uint16) ([]uint16, bool) {
 	k := 0
 	if f.enc[col] != colEncDict {
-		if !gatherColumn(f, col, sel, d.batch) {
+		vals, ok := d.gatherLane(f, col, sel)
+		if !ok {
 			return nil, false
 		}
 		for j, i := range sel {
-			if q.keeps(col, colValue(&d.batch[j], col)) {
+			if q.keeps(col, vals[j]) {
 				sel[k] = i
 				k++
 			}
@@ -562,15 +557,15 @@ func (d *blockDecoder) keepRows(f *columnarFrame, col int, q *Query, sel []uint1
 }
 
 // gatherColumns decodes the columns in cols at the rows in sel into
-// batch[:len(sel)]: decodeColumns compacted to the selected rows.
+// d.batch[:len(sel)]: decodeColumns compacted to the selected rows.
 //
-//lint:hotpath once per scanned block of a filtered scan; the per-value loops of the rows it keeps
-func gatherColumns(f *columnarFrame, cols Columns, sel []uint16, batch []collect.TraceTuple) bool {
+//lint:hotpath once per scanned block of a filtered scan; the column kernels at the rows it keeps
+func (d *blockDecoder) gatherColumns(f *columnarFrame, cols Columns, sel []uint16) bool {
 	if len(sel) == 0 {
 		return true
 	}
 	for c := 0; c < numColumns; c++ {
-		if cols&(1<<c) != 0 && !gatherColumn(f, c, sel, batch) {
+		if cols&(1<<c) != 0 && !d.gatherColumn(f, c, sel) {
 			return false
 		}
 	}
@@ -578,81 +573,194 @@ func gatherColumns(f *columnarFrame, cols Columns, sel []uint16, batch []collect
 }
 
 // gatherColumn is decodeColumn at the rows in sel alone: row sel[j]'s
-// value goes to batch[j]. A raw or dictionary column is read at just
-// those rows; a delta or latency one is walked from its first row to the
-// last selected one. Latency needs those rows' Start in batch already.
-func gatherColumn(f *columnarFrame, col int, sel []uint16, batch []collect.TraceTuple) bool {
-	p := f.col[col]
-	w := colRawWidth[col]
+// value goes to d.batch[j]. Latency needs those rows' Start there
+// already.
+func (d *blockDecoder) gatherColumn(f *columnarFrame, col int, sel []uint16) bool {
+	lane, ok := d.gatherLane(f, col, sel)
+	if ok {
+		put(col, f.enc[col], lane, d.batch[:len(sel)])
+	}
+	return ok
+}
+
+// gatherLane decodes column col at the rows in sel, which holds at least
+// one, into the lane: row sel[j]'s value goes to lane[j], a latency
+// column's as End-Start. A raw or dictionary column is read at just
+// those rows (and only their dictionary indexes are checked); a delta or
+// latency one is decoded from its first row to the last selected one,
+// and not checked for bytes past it.
+func (d *blockDecoder) gatherLane(f *columnarFrame, col int, sel []uint16) ([]uint64, bool) {
+	p, w, lane := f.col[col], colRawWidth[col], d.lane[:len(sel)]
 	switch f.enc[col] {
 	case colEncRaw:
 		if len(p) != int(f.count)*w {
-			return false
+			return nil, false
 		}
-		for j, i := range sel {
-			setColValue(&batch[j], col, readColValue(p[int(i)*w:], col))
-		}
+		rawAt(p, w, sel, lane)
 	case colEncDict:
-		n, vals, idx, ok := splitDict(p, col)
+		n, idx, ok := d.dictionary(p, col)
 		if !ok || len(idx) != int(f.count) {
-			return false
+			return nil, false
 		}
 		for j, i := range sel {
-			ix := int(idx[i])
-			if ix >= n {
-				return false
+			ix := idx[i]
+			if int(ix) >= n {
+				return nil, false
 			}
-			setColValue(&batch[j], col, readColValue(vals[ix*w:], col))
+			lane[j] = d.dict[ix]
 		}
-	case colEncDelta:
-		var prev uint64
-		off := 0
-		for i, j := 0, 0; j < len(sel); i++ {
-			u, n := binary.Uvarint(p[off:])
-			if n <= 0 {
-				return false
-			}
-			off += n
-			prev += uint64(unzigzag(u))
-			if i == int(sel[j]) {
-				setColValue(&batch[j], col, prev)
-				j++
-			}
+	case colEncDelta, colEncLatency:
+		rows := d.lane[:int(sel[len(sel)-1])+1]
+		if _, ok := varints(p, rows, f.enc[col], col); !ok {
+			return nil, false
 		}
-	case colEncLatency:
-		if col != colEnd {
-			return false
-		}
-		off := 0
-		for i, j := 0, 0; j < len(sel); i++ {
-			u, n := binary.Uvarint(p[off:])
-			if n <= 0 {
-				return false
-			}
-			off += n
-			if i == int(sel[j]) {
-				batch[j].End = int64(uint64(batch[j].Start) + uint64(unzigzag(u)))
-				j++
-			}
+		for j, i := range sel {
+			lane[j] = rows[i] // in place: sel ascends, so i >= j
 		}
 	default:
-		return false
+		return nil, false
 	}
-	return true
+	return lane, true
 }
 
-// splitDict splits a dictionary payload into its value table and index
-// bytes, validating the framing.
-func splitDict(p []byte, col int) (n int, vals, idx []byte, ok bool) {
+// rawLane reads len(lane) fixed-width values of w bytes from p.
+func rawLane(p []byte, w int, lane []uint64) {
+	switch w {
+	case 2:
+		for i := range lane {
+			lane[i] = uint64(binary.LittleEndian.Uint16(p[2*i:]))
+		}
+	case 4:
+		for i := range lane {
+			lane[i] = uint64(binary.LittleEndian.Uint32(p[4*i:]))
+		}
+	default:
+		for i := range lane {
+			lane[i] = binary.LittleEndian.Uint64(p[8*i:])
+		}
+	}
+}
+
+// rawAt reads the fixed-width values of w bytes at the rows in sel.
+func rawAt(p []byte, w int, sel []uint16, lane []uint64) {
+	lane = lane[:len(sel)]
+	switch w {
+	case 2:
+		for j, i := range sel {
+			lane[j] = uint64(binary.LittleEndian.Uint16(p[2*int(i):]))
+		}
+	case 4:
+		for j, i := range sel {
+			lane[j] = uint64(binary.LittleEndian.Uint32(p[4*int(i):]))
+		}
+	default:
+		for j, i := range sel {
+			lane[j] = binary.LittleEndian.Uint64(p[8*int(i):])
+		}
+	}
+}
+
+// varints decodes len(lane) zigzag varints from the front of p into the
+// lane and returns the bytes they took: a delta column's values summed
+// back up, a latency column's as they are. Values of one to three bytes
+// — every Seq delta, and nearly every Start delta and latency — are
+// tested and extracted from one little-endian word in registers; longer
+// ones, and the last few of a payload, go to binary.Uvarint. ok=false
+// is a truncated or overflowing varint, or a latency encoding on a
+// column other than End.
+func varints(p []byte, lane []uint64, enc byte, col int) (used int, ok bool) {
+	if enc == colEncLatency && col != colEnd {
+		return 0, false
+	}
+	q, i := p, 0 // q is what is left of p
+	for ; i < len(lane) && len(q) >= 8; i++ {
+		var u uint64
+		switch x := binary.LittleEndian.Uint64(q); {
+		case x&0x80 == 0:
+			u, q = x&0x7f, q[1:]
+		case x&0x8000 == 0:
+			u, q = x&0x7f|x>>1&0x3f80, q[2:]
+		case x&0x80_0000 == 0:
+			u, q = x&0x7f|x>>1&0x3f80|x>>2&0x1f_c000, q[3:]
+		default:
+			n := 0
+			if u, n = binary.Uvarint(q); n <= 0 {
+				return len(p) - len(q), false
+			}
+			q = q[n:]
+		}
+		lane[i] = uint64(unzigzag(u))
+	}
+	for ; i < len(lane); i++ { // the payload's last few values
+		u, n := binary.Uvarint(q)
+		if n <= 0 {
+			return len(p) - len(q), false
+		}
+		q = q[n:]
+		lane[i] = uint64(unzigzag(u))
+	}
+	if enc == colEncDelta {
+		var acc uint64
+		for i, v := range lane {
+			acc += v
+			lane[i] = acc
+		}
+	}
+	return len(p) - len(q), true
+}
+
+// put stores a decoded lane into column col of batch, one loop per
+// column; a latency lane (enc) becomes End by adding the rows' Start.
+func put(col int, enc byte, lane []uint64, batch []collect.TraceTuple) {
+	lane = lane[:len(batch)]
+	if enc == colEncLatency {
+		for i := range batch {
+			batch[i].End = batch[i].Start + int64(lane[i])
+		}
+		return
+	}
+	switch col {
+	case colECID:
+		for i := range batch {
+			batch[i].ECID = uint32(lane[i])
+		}
+	case colOp:
+		for i := range batch {
+			batch[i].Op = paths.OpKind(uint16(lane[i]))
+		}
+	case colRet:
+		for i := range batch {
+			batch[i].Ret = int16(uint16(lane[i]))
+		}
+	case colSeq:
+		for i := range batch {
+			batch[i].Seq = uint32(lane[i])
+		}
+	case colStart:
+		for i := range batch {
+			batch[i].Start = int64(lane[i])
+		}
+	default:
+		for i := range batch {
+			batch[i].End = int64(lane[i])
+		}
+	}
+}
+
+// dictionary validates a dictionary payload's framing and decodes its
+// value table, once per block, into d.dict[:n]; it returns n and the
+// index bytes.
+func (d *blockDecoder) dictionary(p []byte, col int) (n int, idx []byte, ok bool) {
 	if len(p) < 2 {
-		return 0, nil, nil, false
+		return 0, nil, false
 	}
 	n = int(binary.LittleEndian.Uint16(p[0:2]))
 	w := colRawWidth[col]
 	if n == 0 || n > v2MaxDictEntries || len(p) < 2+n*w {
-		return 0, nil, nil, false
+		return 0, nil, false
 	}
-	return n, p[2 : 2+n*w], p[2+n*w:], true
+	rawLane(p[2:2+n*w], w, d.dict[:n])
+	return n, p[2+n*w:], true
 }
 
 // keepTable fills d.keep from the dictionary of column col (ECID or
@@ -660,14 +768,13 @@ func splitDict(p []byte, col int) (n int, vals, idx []byte, ok bool) {
 // dictionary's size and index bytes and whether q keeps any entry;
 // ok=false is a malformed dictionary.
 func (d *blockDecoder) keepTable(f *columnarFrame, col int, q *Query) (n int, idx []byte, kept, ok bool) {
-	n, vals, idx, ok := splitDict(f.col[col], col)
+	n, idx, ok = d.dictionary(f.col[col], col)
 	if !ok {
 		return 0, nil, false, false
 	}
-	w := colRawWidth[col]
-	for e := 0; e < n; e++ {
+	for e, v := range d.dict[:n] {
 		d.keep[e] = 0
-		if q.keeps(col, readColValue(vals[e*w:], col)) {
+		if q.keeps(col, v) {
 			d.keep[e] = 1
 			kept = true
 		}

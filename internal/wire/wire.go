@@ -17,17 +17,18 @@ import (
 
 // Codec walks a format's fields in one direction.
 type Codec struct {
-	buf []byte
-	off int // read cursor
-	w   bool
-	err error
+	buf  []byte
+	rest []byte // a sound read walk's unread bytes: nil for a write walk, and once a read fails
+	off  int    // where a read walk failed
+	w    bool
+	err  error
 }
 
 // Writer returns a write walk that appends to buf.
 func Writer(buf []byte) Codec { return Codec{buf: buf, w: true} }
 
 // Reader returns a read walk over buf.
-func Reader(buf []byte) Codec { return Codec{buf: buf} }
+func Reader(buf []byte) Codec { return Codec{buf: buf, rest: buf} }
 
 // Writing reports the walk's direction.
 func (c *Codec) Writing() bool { return c.w }
@@ -40,15 +41,21 @@ func (c *Codec) Err() error { return c.err }
 
 // Pos is the walk's position: the bytes written so far, or consumed.
 func (c *Codec) Pos() int {
-	if c.w {
+	switch {
+	case c.w:
 		return len(c.buf)
+	case c.err != nil:
+		return c.off
 	}
-	return c.off
+	return len(c.buf) - len(c.rest)
 }
 
+// fail records a read walk's first failure, and where it happened.
 func (c *Codec) fail(what string) {
 	if c.err == nil {
+		c.off = c.Pos()
 		c.err = fmt.Errorf("wire: %s at offset %d", what, c.off)
+		c.rest = nil
 	}
 }
 
@@ -68,40 +75,55 @@ func (c *Codec) Next(n int) []byte {
 		c.buf = c.buf[:at+n]
 		return c.buf[at:]
 	}
-	if c.err == nil && n > len(c.buf)-c.off {
-		c.fail("truncated field")
+	if b, ok := c.take(n); ok {
+		return b
 	}
-	if c.err != nil {
-		return nil
+	c.fail("truncated field")
+	return nil
+}
+
+// take is a sound read's fast path: the next n bytes, when they are
+// there. It makes no call, so the compiler inlines it into Next and into
+// word, which carries most fields of every format: a read walk costs
+// one call per field, not a call to word and another to Next. (The
+// advance is written as a self-assignment, which escape analysis knows
+// keeps the buffer where it is.)
+func (c *Codec) take(n int) (b []byte, ok bool) {
+	if ok = n <= len(c.rest); ok {
+		b = c.rest[:n]
+		c.rest = c.rest[n:]
 	}
-	b := c.buf[c.off : c.off+n]
-	c.off += n
-	return b
+	return b, ok
 }
 
 // word carries an n-byte integer: a write stores v, a read returns the
-// one it consumed.
+// one it consumed. A sound read takes its bytes inline and tests n
+// alone.
 func (c *Codec) word(n int, v uint64) uint64 {
-	b := c.Next(n)
-	switch {
-	case b == nil:
-		return 0
-	case c.w && n == 8:
-		binary.LittleEndian.PutUint64(b, v)
-	case c.w && n == 4:
-		binary.LittleEndian.PutUint32(b, uint32(v))
-	case c.w && n == 2:
-		binary.LittleEndian.PutUint16(b, uint16(v))
-	case c.w:
-		b[0] = byte(v)
-	case n == 8:
-		return binary.LittleEndian.Uint64(b)
-	case n == 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	case n == 2:
-		return uint64(binary.LittleEndian.Uint16(b))
-	default:
+	b, ok := c.take(n)
+	if ok {
+		switch n {
+		case 8:
+			return binary.LittleEndian.Uint64(b)
+		case 4:
+			return uint64(binary.LittleEndian.Uint32(b))
+		case 2:
+			return uint64(binary.LittleEndian.Uint16(b))
+		}
 		return uint64(b[0])
+	}
+	if b = c.Next(n); !c.w {
+		return 0 // the read failed
+	}
+	switch n {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	default:
+		b[0] = byte(v)
 	}
 	return v
 }
@@ -171,7 +193,7 @@ func (c *Codec) Raw(b *[]byte, n int) {
 func (c *Codec) Rest(b *[]byte) {
 	if c.w {
 		c.buf = Extend(c.buf, *b)
-	} else if rest := c.Next(len(c.buf) - c.off); len(rest) > 0 {
+	} else if rest := c.Next(len(c.rest)); len(rest) > 0 {
 		*b = rest
 	}
 }
@@ -194,7 +216,7 @@ func Extend(out, data []byte) []byte {
 func (c *Codec) CRC32(from int) {
 	sum := crc32.ChecksumIEEE(c.buf[from:c.Pos()])
 	if got := uint32(c.word(4, uint64(sum))); !c.w && c.err == nil && got != sum {
-		c.fail(fmt.Sprintf("checksum %08x over [%d:%d], want %08x", got, from, c.off-4, sum))
+		c.fail(fmt.Sprintf("checksum %08x over [%d:%d], want %08x", got, from, c.Pos()-4, sum))
 	}
 }
 
@@ -208,7 +230,7 @@ func (c *Codec) Fill32(at int, v uint32) { binary.LittleEndian.PutUint32(c.buf[a
 // keeps a fuzzed input from demanding gigabytes.
 func (c *Codec) Count(n, minSize int) int {
 	u := c.word(4, uint64(n))
-	if !c.w && c.err == nil && u*uint64(minSize) > uint64(len(c.buf)-c.off) {
+	if !c.w && c.err == nil && u*uint64(minSize) > uint64(len(c.rest)) {
 		c.fail("element count")
 	}
 	if c.err != nil {
