@@ -512,63 +512,29 @@ func BenchmarkScanSelective(b *testing.B) {
 	b.ReportMetric(float64(matched)/float64(b.N), "tuples/query")
 }
 
-// scanFullArchive is BenchmarkScanFull's archive: 129 benchmark-shaped
-// replies (61 collectors, runs of 64; 503 616 tuples) through AppendRaw
-// with default options, the shape of the repo benchmark's archive. It is
-// built once per process, on first use, and removed by TestMain, so the
-// benchmark's b.N rounds do not each pay for creating its files.
-var scanFullArchive struct {
-	once sync.Once
-	dir  string
-	err  error
-}
-
-// TestMain removes BenchmarkScanFull's archive once every test and
-// benchmark has run.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if scanFullArchive.dir != "" {
-		os.RemoveAll(scanFullArchive.dir)
-	}
-	os.Exit(code)
-}
-
-// fullScanDir returns scanFullArchive's directory, building it first.
-func fullScanDir() (string, error) {
-	a := &scanFullArchive
-	a.once.Do(func() {
-		if a.dir, a.err = os.MkdirTemp("", "scanfull"); a.err != nil {
-			return
-		}
-		w, err := Create(Options{Dir: a.dir})
-		if err != nil {
-			a.err = err
-			return
-		}
-		rng := rand.New(rand.NewSource(4201))
-		for k := 0; k < 129 && err == nil; k++ {
-			err = w.AppendRaw(encodeTuples(benchReply(rng, uint32(k*replyRunLen))))
-		}
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-		a.err = err
-	})
-	return a.dir, a.err
-}
-
 // BenchmarkScanFull is the repo benchmark's full scan against the
-// archive alone: unfiltered Scans of scanFullArchive, every column of
-// every tuple decoded. One op is one tuple scanned, so ns/op is
-// ns/tuple: the loop scans the archive whole until b.N tuples have gone
-// by, stopping the last scan at the b.N-th. A warm scan allocates
-// nothing per block or tuple — only a constant per scan, the segment
-// files' handles (about 22 allocations for its 503 616 tuples, which
-// TestScanSteadyStateAllocs bounds) — so make read-gates runs it over
-// two scans' worth of tuples and requires 0 allocs/op.
+// archive alone: unfiltered Scans of 129 benchmark-shaped replies (61
+// collectors, runs of 64; 503 616 tuples) written through AppendRaw
+// with default options, every column of every tuple decoded. One op is
+// one tuple scanned, so ns/op is ns/tuple: the loop scans the archive
+// whole until b.N tuples have gone by, stopping the last scan at the
+// b.N-th. A warm scan allocates only a constant per scan, the segment
+// files' handles (about 22 allocations for its 503 616 tuples), so
+// allocs/op reads 0 unless a scan allocates per tuple; per-block
+// allocation is TestScanSteadyStateAllocs' to bound.
 func BenchmarkScanFull(b *testing.B) {
-	dir, err := fullScanDir()
+	dir := b.TempDir()
+	w, err := Create(Options{Dir: dir})
 	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4201))
+	for k := 0; k < 129; k++ {
+		if err := w.AppendRaw(encodeTuples(benchReply(rng, uint32(k*replyRunLen)))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		b.Fatal(err)
 	}
 	r, err := OpenReader(dir)

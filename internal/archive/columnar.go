@@ -416,47 +416,21 @@ func (d *blockDecoder) decodeColumn(f *columnarFrame, col int) bool {
 	return true
 }
 
-// decodeDict decodes a dictionary column, every row, straight into
-// d.batch: the table once, then one loop filling each row by index.
+// decodeDict decodes a dictionary column, every row, into d.batch: the
+// table once, then one loop filling the lane by index, stored by put.
 func (d *blockDecoder) decodeDict(p []byte, col int) bool {
 	n, idx, ok := d.dictionary(p, col)
 	if !ok || len(idx) != len(d.batch) {
 		return false
 	}
-	batch, dict := d.batch, &d.dict
-	idx = idx[:len(batch)]
-	switch col {
-	case colECID:
-		for i, ix := range idx {
-			if int(ix) >= n {
-				return false
-			}
-			batch[i].ECID = uint32(dict[ix])
+	lane, dict := d.lane[:len(idx)], &d.dict
+	for i, ix := range idx {
+		if int(ix) >= n {
+			return false
 		}
-	case colOp:
-		for i, ix := range idx {
-			if int(ix) >= n {
-				return false
-			}
-			batch[i].Op = paths.OpKind(uint16(dict[ix]))
-		}
-	case colRet:
-		for i, ix := range idx {
-			if int(ix) >= n {
-				return false
-			}
-			batch[i].Ret = int16(uint16(dict[ix]))
-		}
-	default: // a column the encoder never dictionary-codes: through the lane
-		lane := d.lane[:len(idx)]
-		for i, ix := range idx {
-			if int(ix) >= n {
-				return false
-			}
-			lane[i] = dict[ix]
-		}
-		put(col, colEncDict, lane, batch)
+		lane[i] = dict[ix]
 	}
+	put(col, colEncDict, lane, d.batch)
 	return true
 }
 

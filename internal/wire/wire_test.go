@@ -205,7 +205,7 @@ func FuzzCodec(f *testing.F) {
 		// count had behind it.
 		checked := func(c *Codec, n *node) {
 			c.Str(&n.name)
-			left := len(c.buf) - c.off - 4
+			left := len(c.buf) - c.Pos() - 4
 			List(c, &n.kids, 4, (*Codec).U32)
 			if len(n.kids) > 0 && len(n.kids)*4 > left {
 				t.Fatalf("%d kids made from %d bytes", len(n.kids), left)
