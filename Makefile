@@ -92,7 +92,8 @@ bench-staleness:
 # detector (which allocates on its own): a warm scan — full or selective
 # — allocates a constant, an aggregate allocates per cell and not per
 # tuple, and the selective-scan and aggregate benchmarks still run (one
-# iteration each, as a smoke test). The full-scan benchmark, whose op is
+# iteration each, as a smoke test; the aggregate's two archives print
+# their cells beside ns/row). The full-scan benchmark, whose op is
 # one tuple (ns/op is ns/tuple), runs over about two scans of its
 # 503 616-tuple archive and must report 0 allocs/op: a warm scan
 # allocates nothing per tuple. That line cannot see a few allocations
@@ -228,7 +229,7 @@ monitor-e2e:
 fault-e2e:
 	$(GO) test -race -shuffle=on -count=200 -run '^TestCrashFailsCallsAndRestartRecovers$$' ./internal/vnet/
 
-# fuzz runs every fuzz target briefly (15 s each, 2¼ minutes in all).
+# fuzz runs every fuzz target briefly (15 s each, 2½ minutes in all).
 # It is CI-only: make ci leaves it out to stay quick to run by hand.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=15s ./internal/paths/
@@ -238,6 +239,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeColumn -fuzztime=15s ./internal/archive/
 	$(GO) test -run='^$$' -fuzz=FuzzReplayMeta -fuzztime=15s ./internal/archive/
 	$(GO) test -run='^$$' -fuzz=FuzzParseQuery -fuzztime=15s ./internal/query/
+	$(GO) test -run='^$$' -fuzz=FuzzCellIndex -fuzztime=15s ./internal/query/
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointDecode -fuzztime=15s ./internal/checkpoint/
 	$(GO) test -run='^$$' -fuzz=FuzzCodec -fuzztime=15s ./internal/wire/
 

@@ -305,7 +305,8 @@ func TestStreamMatchesReference(t *testing.T) {
 }
 
 // TestSelectKthMatchesSort: selection agrees with a full sort for every
-// k, on random, repeated, ordered and constant inputs — as float64 (the
+// k, on random, repeated, ordered and constant inputs, and on inputs
+// whose maximum or minimum repeats at either end — as float64 (the
 // sliding-window median) and as int64 (esql's percentiles, whose
 // latencies repeat heavily).
 func TestSelectKthMatchesSort(t *testing.T) {
@@ -336,9 +337,31 @@ func TestSelectKthMatchesSort(t *testing.T) {
 		dup[i] = int64(rng.Intn(2)) - 1
 	}
 	selectMatchesSort(t, dup)
+	// The extreme ranks' linear path meeting ties: the maximum or the
+	// minimum repeated, first, last, both, and once more in between.
+	for n := 2; n <= 40; n++ {
+		for _, ext := range []int64{100, -100} {
+			for _, at := range [][]int{{0, n - 1}, {0, 1}, {n - 2, n - 1}, {0, n / 2, n - 1}} {
+				in := make([]int64, n)
+				for i := range in {
+					in[i] = int64(rng.Intn(5))
+				}
+				for _, i := range at {
+					in[i] = ext
+				}
+				selectMatchesSort(t, in)
+				floats := make([]float64, n)
+				for i, v := range in {
+					floats[i] = float64(v)
+				}
+				selectMatchesSort(t, floats)
+			}
+		}
+	}
 }
 
-// selectMatchesSort checks SelectKth against a sorted copy for every k.
+// selectMatchesSort checks SelectKth against a sorted copy for every k,
+// and that it only reorders.
 func selectMatchesSort[T cmp.Ordered](t *testing.T, in []T) {
 	t.Helper()
 	sorted := slices.Clone(in)
@@ -353,6 +376,11 @@ func selectMatchesSort[T cmp.Ordered](t *testing.T, in []T) {
 		}
 		if k+1 < len(a) && slices.Min(a[k+1:]) < a[k] {
 			t.Fatalf("n=%d k=%d: an element after k is below it: %v", len(in), k, a)
+		}
+		kept := slices.Clone(a)
+		slices.Sort(kept)
+		if !slices.Equal(kept, sorted) {
+			t.Fatalf("n=%d k=%d: the selection is no permutation of the input: %v", len(in), k, a)
 		}
 	}
 }

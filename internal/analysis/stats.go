@@ -119,12 +119,33 @@ func (s *Stream) Median() float64 {
 
 // SelectKth reorders a so that a[k] is its k-th smallest element, with
 // nothing larger before it and nothing smaller after it, and returns
-// a[k] (Hoare's selection: partition around the middle element, keep
-// the side holding k). A median costs a few passes over the window
-// where sorting it would cost a dozen. It is the one selection routine
-// in the tree: the sliding-window median here and esql's nearest-rank
-// percentiles. k must index a; a must hold no NaN.
+// a[k]. The extreme ranks take one linear scan for the maximum (k is
+// the last index) or the minimum (k = 0) and a swap into place: a
+// nearest-rank p99 over fewer than 101 values is always the maximum.
+// Any other rank takes Hoare's selection: partition around the middle
+// element, keep the side holding k. A median costs a few passes over
+// the window where sorting it would cost a dozen. It is the one
+// selection routine in the tree: the sliding-window median here and
+// esql's nearest-rank percentiles. k must index a; a must hold no NaN.
 func SelectKth[T cmp.Ordered](a []T, k int) T {
+	switch m, x := k, a[k]; k {
+	case len(a) - 1:
+		for i, v := range a {
+			if v > x {
+				m, x = i, v
+			}
+		}
+		a[m], a[k] = a[k], x
+		return x
+	case 0:
+		for i, v := range a {
+			if v < x {
+				m, x = i, v
+			}
+		}
+		a[m], a[k] = a[k], x
+		return x
+	}
 	lo, hi := 0, len(a)-1
 	for lo < hi {
 		pivot := a[lo+(hi-lo)/2]

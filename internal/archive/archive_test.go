@@ -555,6 +555,18 @@ func TestReplayStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The replay reads the archive a batch at a time and never stops
+	// early, so it counts what a per-tuple Scan counts.
+	for _, q := range []Query{{}, {ECIDs: []uint32{2}}, {MinStamp: 500}} {
+		_, got, err := ReplayStats(r, infos, q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.Scan(q, func(collect.TraceTuple) bool { return true })
+		if err != nil || got != want {
+			t.Fatalf("query %+v: replay scan stats %+v, Scan's %+v (%v)", q, got, want, err)
+		}
+	}
 	if rep.RoundsAnalyzed() != 10 {
 		t.Fatalf("rounds analyzed = %d, want 10", rep.RoundsAnalyzed())
 	}

@@ -93,8 +93,10 @@ func ReplayStats(r *Reader, infos []CollectorInfo, q Query, window int) (*monito
 	if err != nil {
 		return nil, ScanStats{}, err
 	}
-	stats, err := r.Scan(q, func(t collect.TraceTuple) bool {
-		rep.Feed(t)
+	stats, err := r.ScanBatches(nil, q, AllColumns, func(batch []collect.TraceTuple) bool {
+		for _, t := range batch {
+			rep.Feed(t)
+		}
 		return true
 	})
 	if err != nil {
@@ -113,9 +115,11 @@ func ReplayAlerts(r *Reader, q Query) ([]collect.AlertTuple, ScanStats, error) {
 	q.ECIDs = []uint32{collect.ControlECID}
 	q.Ops = []paths.OpKind{paths.OpAlert}
 	var out []collect.AlertTuple
-	stats, err := r.Scan(q, func(t collect.TraceTuple) bool {
-		if a, ok := collect.DecodeAlert(t); ok {
-			out = append(out, a)
+	stats, err := r.ScanBatches(nil, q, AllColumns, func(batch []collect.TraceTuple) bool {
+		for _, t := range batch {
+			if a, ok := collect.DecodeAlert(t); ok {
+				out = append(out, a)
+			}
 		}
 		return true
 	})

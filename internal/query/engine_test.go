@@ -176,9 +176,15 @@ func TestEngineLiveMatchesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		archived, _, err := archive.ReplayAlerts(r, archive.Query{})
+		archived, stats, err := archive.ReplayAlerts(r, archive.Query{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Read a batch at a time, the alert scan counts what a per-tuple
+		// Scan under the same pushdown counts.
+		controls := archive.Query{ECIDs: []uint32{collect.ControlECID}, Ops: []paths.OpKind{paths.OpAlert}}
+		if want, err := r.Scan(controls, func(collect.TraceTuple) bool { return true }); err != nil || stats != want {
+			t.Fatalf("alert replay scan stats %+v, Scan's %+v (%v)", stats, want, err)
 		}
 		if !reflect.DeepEqual(archived, live) {
 			t.Errorf("archived alerts %v != live %v", archived, live)

@@ -10,12 +10,14 @@ import (
 )
 
 // The tuple-materialising aggregate path the streaming one (run.go,
-// agg.go) replaced, and the full-buffer tick the cursor one (engine.go)
-// replaced, kept as the references the differential tests compare
-// against: plain, obviously right, and slow. Their shared pieces are
-// bucketOf — the references had the truncating bucket and tick anchor
-// the product fixed, and a reference that disagrees on purpose proves
-// nothing — and the engine's judge, prune and state.
+// agg.go) replaced, the map-backed cell index and row sort the
+// open-addressed table and counting pass replaced, and the full-buffer
+// tick the cursor one (engine.go) replaced, kept as the references the
+// differential tests compare against: plain, obviously right, and slow.
+// Their shared pieces are bucketOf — the references had the truncating
+// bucket and tick anchor the product fixed, and a reference that
+// disagrees on purpose proves nothing — and the engine's judge, prune
+// and state.
 
 // refComputeAgg evaluates one aggregate over a materialised tuple set:
 // a map per distinct count, a fresh sorted copy per percentile.
@@ -159,6 +161,77 @@ func refRunQuery(r *archive.Reader, s *Stmt, aq archive.Query) (*Result, archive
 		res.Rows = append(res.Rows, row)
 	}
 	return res, stats, nil
+}
+
+// refCellIndex is the cell index as a Go map behind the last-cell
+// cache, with the rows' order from a comparison sort of the keys.
+type refCellIndex struct {
+	byECID bool
+	window int64 // 0: unwindowed
+
+	cells map[cellKey]int32
+	keys  []cellKey // cell index -> key
+
+	last    cellKey
+	lastIdx int32 // -1: no cell resolved yet
+}
+
+func newRefCellIndex(byECID bool, window int64) *refCellIndex {
+	return &refCellIndex{byECID: byECID, window: window, cells: make(map[cellKey]int32), lastIdx: -1}
+}
+
+func (x *refCellIndex) keyOf(t *collect.TraceTuple) cellKey {
+	var k cellKey
+	if x.byECID {
+		k.group = t.ECID
+	}
+	if x.window > 0 {
+		k.bucket = x.last.bucket
+		if s := t.Start; x.lastIdx < 0 || s < k.bucket || uint64(s-k.bucket) >= uint64(x.window) {
+			k.bucket = bucketOf(s, x.window)
+		}
+	}
+	return k
+}
+
+func (x *refCellIndex) resolve(batch []collect.TraceTuple, cell []int32, from int) int {
+	cell = cell[:len(batch)]
+	for i := from; i < len(batch); i++ {
+		k := x.keyOf(&batch[i])
+		if k != x.last || x.lastIdx < 0 {
+			idx, ok := x.cells[k]
+			if !ok {
+				return i
+			}
+			x.last, x.lastIdx = k, idx
+		}
+		cell[i] = x.lastIdx
+	}
+	return len(batch)
+}
+
+func (x *refCellIndex) add(t *collect.TraceTuple) {
+	k := x.keyOf(t)
+	idx := int32(len(x.keys))
+	x.cells[k] = idx
+	x.keys = append(x.keys, k)
+	x.last, x.lastIdx = k, idx
+}
+
+// order sorts the cell indexes by group, then bucket.
+func (x *refCellIndex) order() []int32 {
+	byRow := make([]int32, len(x.keys))
+	for c := range byRow {
+		byRow[c] = int32(c)
+	}
+	sort.Slice(byRow, func(i, j int) bool {
+		a, b := x.keys[byRow[i]], x.keys[byRow[j]]
+		if a.group != b.group {
+			return a.group < b.group
+		}
+		return a.bucket < b.bucket
+	})
+	return byRow
 }
 
 // refOffer ingests one tuple the way the engine did before it took

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -170,6 +171,171 @@ func TestRunMatchesReference(t *testing.T) {
 			t.Fatalf("tear=%v but scans counted %d torn segments", tear, torn)
 		}
 	}
+	// The wide case: thousands of cells, several table doublings,
+	// buckets out of order within every group.
+	r := writeWideArchive(t, t.TempDir())
+	for _, src := range []string{
+		"select count(), p99(latency), mean(latency), median(latency), distinct(seq) by ecid window 300ns",
+		"select count(), p90(latency), min(start) window 70ns",
+		"select count(), max(latency) where latency > 300ns by ecid window 1us",
+	} {
+		s, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		got, gotStats, gotErr := RunQuery(r, s, archive.Query{})
+		want, wantStats, wantErr := refRunQuery(r, s, archive.Query{})
+		if gotErr != nil || wantErr != nil || gotStats != wantStats {
+			t.Fatalf("%q: error %v stats %+v, reference %v %+v", src, gotErr, gotStats, wantErr, wantStats)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: result differs from the reference", src)
+		}
+		if len(got.Rows) < 2000 {
+			t.Fatalf("%q: %d rows, want thousands", src, len(got.Rows))
+		}
+	}
+}
+
+// feedCells resolves one batch through a cell index the way aggRun.feed
+// does: resolve until a tuple has no cell, add it, resume.
+func feedCells(batch []collect.TraceTuple, cell []int32, resolve func([]collect.TraceTuple, []int32, int) int, add func(*collect.TraceTuple)) {
+	for i := 0; ; {
+		if i = resolve(batch, cell, i); i == len(batch) {
+			return
+		}
+		add(&batch[i])
+	}
+}
+
+// checkCellIndex decodes a key stream from data, feeds it to the
+// open-addressed cell index and the map-backed reference in the same
+// batches, and requires the same cell of every tuple, the same keys
+// and the same row order. It returns the number of cells.
+//
+// data[0] bit 0 groups by ECID; data[0]>>1 is how many more times the
+// tuple list repeats, each repeat shifting every group and carrying
+// the stamp on, so a short input makes many cells. The window is
+// 1+data[1]%128 shifted left by data[2] (unwindowed from 56 on), so it
+// can have many trailing zero bits. data[3:11] is the first stamp,
+// little-endian: anything down to the int64 minimum, where bucketOf
+// wraps. data[11] sets the batch length. Then each byte pair (g, d) is
+// a tuple: group g scrambled over 32 bits, stamp moved by int8(d)
+// quarter windows, either way, so buckets step backwards too.
+func checkCellIndex(tb testing.TB, data []byte) int {
+	if len(data) < 14 {
+		return 0
+	}
+	byECID := data[0]&1 != 0
+	reps := 1 + int(data[0]>>1)
+	var window int64
+	if shift := data[2]; shift < 56 {
+		window = (1 + int64(data[1]%128)) << shift
+	}
+	stamp := int64(binary.LittleEndian.Uint64(data[3:11]))
+	batchLen := 1 + int(data[11]%64)
+	pairs := data[12:]
+	var tuples []collect.TraceTuple
+	for r := 0; r < reps; r++ {
+		for i := 0; i+1 < len(pairs); i += 2 {
+			stamp += int64(int8(pairs[i+1])) * (window/4 + 1)
+			group := uint32(pairs[i])*0x01000193 + uint32(r)*0x9E3779B1
+			tuples = append(tuples, collect.TraceTuple{ECID: group, Start: stamp})
+		}
+	}
+	x, ref := newCellIndex(byECID, window), newRefCellIndex(byECID, window)
+	cell, refCell := make([]int32, batchLen), make([]int32, batchLen)
+	for len(tuples) > 0 {
+		n := min(batchLen, len(tuples))
+		batch := tuples[:n]
+		tuples = tuples[n:]
+		feedCells(batch, cell, x.resolve, x.add)
+		feedCells(batch, refCell, ref.resolve, ref.add)
+		if !slices.Equal(cell[:n], refCell[:n]) {
+			tb.Fatalf("cells %v, reference %v", cell[:n], refCell[:n])
+		}
+	}
+	if !slices.Equal(x.keys, ref.keys) {
+		tb.Fatalf("%d keys differ from the reference's %d", len(x.keys), len(ref.keys))
+	}
+	if got, want := x.order(), ref.order(); !slices.Equal(got, want) {
+		tb.Fatalf("row order %v, reference %v", got, want)
+	}
+	return len(x.keys)
+}
+
+// FuzzCellIndex holds the open-addressed cell table and the counting
+// row order to the map and the comparison sort they replaced, on key
+// streams decoded from bytes (checkCellIndex). The seeds cover groups
+// in scrambled order, buckets stepping back within a group, negative
+// and near-minimum stamps, windows with many trailing zero bits and
+// enough cells for several table doublings.
+func FuzzCellIndex(f *testing.F) {
+	rng := rand.New(rand.NewSource(44))
+	seed := func(flags, winMul, winShift byte, first int64, batch byte, pairs int, groups int) []byte {
+		data := []byte{flags, winMul, winShift}
+		data = binary.LittleEndian.AppendUint64(data, uint64(first))
+		data = append(data, batch)
+		for i := 0; i < pairs; i++ {
+			data = append(data, byte(rng.Intn(groups)), byte(rng.Intn(9)-2))
+		}
+		return data
+	}
+	seeds := [][]byte{
+		seed(1|31<<1, 77, 7, 1_000_000, 37, 200, 16),     // grouped, 10 ms-like window: many cells
+		seed(1|15<<1, 4, 40, math.MinInt64+5, 9, 120, 5), // near the minimum: stamps wrap
+		seed(1|3<<1, 2, 0, -12_345, 63, 90, 40),          // negative stamps, tiny window
+		seed(0|63<<1, 0, 20, -1<<40, 5, 60, 3),           // ungrouped, 2^20 window
+		seed(1|7<<1, 9, 60, 0, 1, 80, 200),               // grouped, unwindowed
+		seed(1, 127, 55, math.MaxInt64-3, 2, 30, 4),      // near the maximum, widest window
+	}
+	most := 0
+	for _, d := range seeds {
+		most = max(most, checkCellIndex(f, d))
+		f.Add(d)
+	}
+	if most < 2000 {
+		f.Fatalf("the seeds make at most %d cells; want enough for several doublings", most)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCellIndex(t, data)
+	})
+}
+
+// writeWideArchive writes an archive whose aggregate makes thousands of
+// cells, more than the cell table holds before several doublings, in
+// twelve groups spread over 32 bits, with every group's buckets in
+// random order and stamps on both sides of zero.
+func writeWideArchive(t *testing.T, dir string) *archive.Reader {
+	t.Helper()
+	w, err := archive.Create(archive.Options{Dir: dir, SegmentBytes: 20000, BlockTuples: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(44))
+	ecids := []uint32{7, 1<<20 + 3, 42, 0xfffffff0, 9, 1 << 31, 500, 3, 65537, 11, 2, 1 << 24}
+	batch := make([]collect.TraceTuple, 0, 500)
+	for round := 0; round < 16; round++ {
+		batch = batch[:0]
+		for i := 0; i < 500; i++ {
+			start := int64(rng.Intn(8000))*100 - 200_000
+			batch = append(batch, collect.TraceTuple{
+				ECID: ecids[rng.Intn(len(ecids))], Op: paths.OpWrite, Seq: uint32(round*500 + i),
+				Start: start, End: start + int64(rng.Intn(900)),
+			})
+		}
+		if err := w.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := archive.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestRunErrorsMatchReference: statements Run refuses, and a scan that
@@ -278,17 +444,18 @@ func TestComputeAggMatchesReference(t *testing.T) {
 }
 
 // The repo benchmark's record-path shape: 61 collectors, each pull
-// delivering the collectors one after another, 64 rounds apiece, a
-// round every 500 µs — so a 10 ms window holds about twenty of a
-// collector's tuples, and in archive order the cell changes that often.
+// delivering the collectors one after another, 64 rounds apiece — so a
+// 10 ms window holds about twenty of a collector's tuples, and in
+// archive order the cell changes that often.
 const (
 	benchCollectors = 61
 	benchRounds     = 64
 )
 
 // writeBenchArchive writes pulls collector-major pulls of the benchmark
-// shape and returns a reader; tuples = pulls × 61 × 64.
-func writeBenchArchive(tb testing.TB, dir string, pulls int) *archive.Reader {
+// shape, a round every roundNS, and returns a reader; tuples = pulls ×
+// 61 × 64.
+func writeBenchArchive(tb testing.TB, dir string, pulls int, roundNS int64) *archive.Reader {
 	tb.Helper()
 	w, err := archive.Create(archive.Options{Dir: dir})
 	if err != nil {
@@ -301,7 +468,7 @@ func writeBenchArchive(tb testing.TB, dir string, pulls int) *archive.Reader {
 		for c := uint32(1); c <= benchCollectors; c++ {
 			for i := 0; i < benchRounds; i++ {
 				round := int64(p*benchRounds + i)
-				start := round*500_000 + int64(c)*40 + int64(rng.Intn(30))
+				start := round*roundNS + int64(c)*40 + int64(rng.Intn(30))
 				batch = append(batch, collect.TraceTuple{
 					ECID: c, Op: paths.OpWrite, Seq: uint32(round),
 					Start: start, End: start + 300 + int64(rng.Intn(400)),
@@ -335,7 +502,7 @@ func TestRunAllocsScaleWithCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := func(pulls int) (float64, int) {
-		r := writeBenchArchive(t, t.TempDir(), pulls)
+		r := writeBenchArchive(t, t.TempDir(), pulls, 500_000)
 		var rows int
 		n := testing.AllocsPerRun(3, func() {
 			res, _, err := RunQuery(r, s, archive.Query{})
@@ -360,29 +527,43 @@ func TestRunAllocsScaleWithCells(t *testing.T) {
 	}
 }
 
-// BenchmarkAggregateRun is the benchmark's aggregate on an archive of
-// the benchmark's shape (61 collectors, collector-major 64-round
-// batches), reported per archived tuple.
+// BenchmarkAggregateRun is the benchmark's aggregate on archives of the
+// benchmark's shape (61 collectors, collector-major 64-round batches),
+// reported per archived tuple, with the cells (result rows) each query
+// makes. small is 32 pulls at 500 µs rounds: 124 928 tuples, 6 283
+// cells. readback is the readback archive's size and density: 129
+// pulls at 555 µs rounds, 503 616 tuples in 27 999 cells, 18 to a
+// cell, so the cell table outgrows the cache as the readback's does.
 func BenchmarkAggregateRun(b *testing.B) {
-	const pulls = 32
-	r := writeBenchArchive(b, b.TempDir(), pulls)
-	s, err := Parse(benchAggQuery)
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name    string
+		pulls   int
+		roundNS int64
+	}{{"small", 32, 500_000}, {"readback", 129, 555_000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := writeBenchArchive(b, b.TempDir(), bc.pulls, bc.roundNS)
+			s, err := Parse(benchAggQuery)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tuples := float64(r.Tuples())
+			var rows int
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, stats, err := RunQuery(r, s, archive.Query{})
+				if err != nil || len(res.Rows) == 0 || float64(stats.TuplesMatched) != tuples {
+					b.Fatalf("rows %d stats %+v err %v", len(res.Rows), stats, err)
+				}
+				rows = len(res.Rows)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/tuples, "ns/row")
+			b.ReportMetric(float64(rows), "cells")
+			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(b.N)/tuples, "B/row")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs/query")
+		})
 	}
-	tuples := float64(r.Tuples())
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, stats, err := RunQuery(r, s, archive.Query{})
-		if err != nil || len(res.Rows) == 0 || float64(stats.TuplesMatched) != tuples {
-			b.Fatalf("rows %d stats %+v err %v", len(res.Rows), stats, err)
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/tuples, "ns/row")
-	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(b.N)/tuples, "B/row")
-	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs/query")
 }
