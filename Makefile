@@ -10,8 +10,11 @@ GO ?= go
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
 zero-allocs = awk '{ print } /allocs\/op/ { n++ } /allocs\/op/ && !/ 0 allocs\/op/ { bad = 1 } END { exit bad || n < $(1) }'
 
+# build also cross-compiles for darwin/arm64, so the clock's fallback
+# (hrtime without the cycle counter) always compiles.
 build:
 	$(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -145,14 +148,15 @@ gather-gates:
 	$(GO) test -run '^$$' -bench 'Benchmark(DrainBytesInto|ElementWrite)' -benchmem ./internal/pastset/ | $(call zero-allocs,2)
 	$(GO) test -run '^$$' -bench 'BenchmarkValueStoreWrite' -benchmem ./internal/paths/ | $(call zero-allocs,1)
 
-# collect-gates are the collection path's zero-alloc gates: the event
-# collector's write, with and without self-metrics (two benchmarks), and
-# the breaker's decision each report 0 allocs/op. The collector's
+# collect-gates are the collection path's zero-alloc gates: the clock
+# read every stamp takes (hrtime.Now), the event collector's write with
+# and without self-metrics (three benchmarks), and the breaker's decision
+# each report 0 allocs/op. The collector's
 # self-metrics contract (exact counts from its sequence counter under
 # concurrent writers, at the 32-bit boundary and across registry swaps)
 # runs under -race.
 collect-gates:
-	$(GO) test -run '^$$' -bench 'BenchmarkEventCollectorWrite' -benchmem ./internal/collect/ | $(call zero-allocs,2)
+	$(GO) test -run '^$$' -bench 'BenchmarkNow$$|BenchmarkEventCollectorWrite' -benchmem ./internal/hrtime/ ./internal/collect/ | $(call zero-allocs,3)
 	$(GO) test -run '^$$' -bench 'BenchmarkBreakerDecision' -benchmem ./internal/escope/ | $(call zero-allocs,1)
 	$(GO) test -race -count=20 -run 'TestCollectorSelfMetrics' ./internal/collect/
 

@@ -103,6 +103,15 @@ func TestInfoCheckpointColumn(t *testing.T) {
 	if !strings.Contains(out, "replay suffix") || strings.Contains(out, "replay suffix unreadable") {
 		t.Fatalf("suffix not computed:\n%s", out)
 	}
+	// It reads what a full ScanFrom of the suffix would: the same tuples
+	// and bytes, though no column is decoded to count them.
+	stats, err := r.ScanFrom(cp.Cursor, archive.Query{}, func(collect.TraceTuple) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("replay suffix %d tuples / %d B\n", r.Tuples()-stats.TuplesSkipped, stats.BytesScanned); !strings.Contains(out, want) {
+		t.Fatalf("info output missing %q:\n%s", want, out)
+	}
 
 	// A torn chain head is reported, and recovery's fallback is visible.
 	entries, err := checkpoint.List(dir)

@@ -262,7 +262,7 @@ func printCheckpoints(r *archive.Reader) {
 		fmt.Printf("checkpoints (%d): none valid — recovery falls back to full replay\n", len(entries))
 	} else {
 		line := fmt.Sprintf("checkpoints (%d): newest seq %d at stamp %d, cursor %d tuples", len(entries), cp.Seq, cp.At, cp.Cursor.Tuples)
-		if suffix, err := r.ScanFrom(cp.Cursor, archive.Query{}, func(collect.TraceTuple) bool { return true }); err == nil {
+		if suffix, err := r.ScanBatches(&cp.Cursor, archive.Query{}, 0, func([]collect.TraceTuple) bool { return true }); err == nil {
 			line += fmt.Sprintf(", replay suffix %d tuples / %d B", r.Tuples()-suffix.TuplesSkipped, suffix.BytesScanned)
 		} else {
 			line += fmt.Sprintf(", replay suffix unreadable (%v)", err)

@@ -76,20 +76,16 @@ func refAnalyze(seq uint32, r *refRound) RoundMetrics {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	rank := func(stamp func(collect.TraceTuple) int64) ([]int, map[int]int) {
+	order := func(stamp func(collect.TraceTuple) int64) []int {
 		by := append([]int(nil), ids...)
 		sort.Slice(by, func(a, b int) bool {
 			ta, tb := stamp(r.contribs[by[a]]), stamp(r.contribs[by[b]])
 			return ta < tb || (ta == tb && by[a] < by[b])
 		})
-		ranks := make(map[int]int, len(by))
-		for rank, id := range by {
-			ranks[id] = rank
-		}
-		return by, ranks
+		return by
 	}
-	byArrival, arrivalRank := rank(func(t collect.TraceTuple) int64 { return t.Start })
-	byDeparture, departureRank := rank(func(t collect.TraceTuple) int64 { return t.End })
+	byArrival := order(func(t collect.TraceTuple) int64 { return t.Start })
+	byDeparture := order(func(t collect.TraceTuple) int64 { return t.End })
 	last, first := byArrival[len(byArrival)-1], byDeparture[0]
 	t2, t3 := r.coll.Start, r.coll.End
 	out := RoundMetrics{Seq: seq, LastArrival: last, FirstDepart: first}
@@ -100,8 +96,6 @@ func refAnalyze(seq uint32, r *refRound) RoundMetrics {
 			Down:          time.Duration(t2 - c.Start),
 			Up:            time.Duration(c.End - t3),
 			Total:         time.Duration((c.End - c.Start) - (t3 - t2)),
-			ArrivalRank:   arrivalRank[id],
-			DepartureRank: departureRank[id],
 			ArrivalWait:   time.Duration(r.contribs[last].Start - c.Start),
 			DepartureWait: time.Duration(c.End - r.contribs[first].End),
 		})

@@ -23,8 +23,6 @@ type ContributorMetrics struct {
 	Down          time.Duration // t2 - t1_i
 	Up            time.Duration // t4_i - t3
 	Total         time.Duration // (t4_i - t1_i) - (t3 - t2)
-	ArrivalRank   int           // 0 = arrived first
-	DepartureRank int           // 0 = departed first
 	ArrivalWait   time.Duration // t1_l - t1_i (l = last arriver)
 	DepartureWait time.Duration // t4_i - t4_f (f = first departer)
 }
@@ -40,35 +38,6 @@ type RoundMetrics struct {
 	FirstDepart int                  // contributor that departed first
 }
 
-// rankKey orders one contributor among a round's arrivals or
-// departures: by stamp, ties broken on contributor id for determinism.
-type rankKey struct {
-	stamp int64
-	id    int
-}
-
-func (a rankKey) before(b rankKey) bool {
-	return a.stamp < b.stamp || (a.stamp == b.stamp && a.id < b.id)
-}
-
-// sortRankKeys is a Shell sort: in place, nothing allocated, no
-// comparison callback. Fan-in is 2–8 in the 8-way trees, where it is
-// little more than an insertion sort; a flat tree's fan-in is its host
-// count, where the wider gaps keep it well under quadratic.
-//
-//lint:hotpath twice per completed round
-func sortRankKeys(keys []rankKey) {
-	for _, gap := range [...]int{701, 301, 132, 57, 23, 10, 4, 1} {
-		for i := gap; i < len(keys); i++ {
-			k, j := keys[i], i
-			for ; j >= gap && k.before(keys[j-gap]); j -= gap {
-				keys[j] = keys[j-gap]
-			}
-			keys[j] = k
-		}
-	}
-}
-
 // Joiner assembles rounds from the tuple streams of one collective
 // wrapper's event collectors — k contributor collectors plus the
 // collective collector — over a Rounds table, and analyzes each round
@@ -78,8 +47,7 @@ type Joiner struct {
 	emit   func(RoundMetrics)
 	// Analysis scratch, fan-in long: a completed round is analyzed in
 	// place, so a warm joiner allocates nothing per round.
-	per  []ContributorMetrics
-	keys []rankKey
+	per []ContributorMetrics
 }
 
 // NewJoiner creates a joiner for a k-contributor collective. emit is
@@ -96,7 +64,7 @@ func NewJoiner(k, maxPending int, emit func(RoundMetrics)) (*Joiner, error) {
 	}
 	return &Joiner{
 		rounds: NewRounds(k, maxPending), emit: emit,
-		per: make([]ContributorMetrics, k), keys: make([]rankKey, k),
+		per: make([]ContributorMetrics, k),
 	}, nil
 }
 
@@ -132,39 +100,35 @@ func (j *Joiner) finish(r *Round) {
 	j.emit(m)
 }
 
-// analyze fills the scratch with a complete round's metrics: arrivals
-// ranked by t1 and departures by t4, each by sorting the key scratch.
+// analyze fills the scratch with a complete round's metrics. One pass
+// finds the last arrival (largest t1, ties to the higher id) and the
+// first departure (smallest t4, ties to the lower id); a second fills
+// each contributor's figures against them.
 func (j *Joiner) analyze(r *Round) RoundMetrics {
 	t2 := r.Collective.Start
 	t3 := r.Collective.End
-	per, keys := j.per, j.keys
+	cs := r.Contribs
 
-	for id, c := range r.Contribs {
-		keys[id] = rankKey{stamp: c.Start, id: id}
+	last, first := 0, 0
+	for id, c := range cs {
+		if c.Start >= cs[last].Start {
+			last = id
+		}
+		if c.End < cs[first].End {
+			first = id
+		}
 	}
-	sortRankKeys(keys)
-	for rank, key := range keys {
-		per[key.id].ArrivalRank = rank
-	}
-	last := keys[len(keys)-1]
+	t1l, t4f := cs[last].Start, cs[first].End
 
-	for id, c := range r.Contribs {
-		keys[id] = rankKey{stamp: c.End, id: id}
-	}
-	sortRankKeys(keys)
-	for rank, key := range keys {
-		per[key.id].DepartureRank = rank
-	}
-	first := keys[0]
-
-	for id, c := range r.Contribs {
+	per := j.per
+	for id, c := range cs {
 		p := &per[id]
 		p.Contributor = id
 		p.Down = time.Duration(t2 - c.Start)
 		p.Up = time.Duration(c.End - t3)
 		p.Total = time.Duration((c.End - c.Start) - (t3 - t2))
-		p.ArrivalWait = time.Duration(last.stamp - c.Start)
-		p.DepartureWait = time.Duration(c.End - first.stamp)
+		p.ArrivalWait = time.Duration(t1l - c.Start)
+		p.DepartureWait = time.Duration(c.End - t4f)
 	}
-	return RoundMetrics{Seq: r.Seq, Per: per, LastArrival: last.id, FirstDepart: first.id}
+	return RoundMetrics{Seq: r.Seq, Per: per, LastArrival: last, FirstDepart: first}
 }

@@ -5,9 +5,12 @@
 // a CPU slot across a Sleep.
 //
 // The paper's event collectors record two timestamps per communication
-// operation using the host's cycle counter. Go's time package exposes a
-// monotonic clock with nanosecond resolution which serves the same purpose;
-// Stamp values are nanoseconds since an arbitrary process-local epoch.
+// operation using the host's cycle counter, and so do ours where the
+// kernel trusts it: on linux/amd64 with the "tsc" clocksource, Now is a
+// bare RDTSC scaled to nanoseconds by a multiplier calibrated against
+// the monotonic clock at init (counter.go), about half the cost of
+// time.Since. Everywhere else Now is time.Since on Go's monotonic clock.
+// Either way Stamp values are nanoseconds since a process-local epoch.
 package hrtime
 
 import (
@@ -24,14 +27,17 @@ type Stamp = int64
 var epoch = time.Now()
 
 // Now returns the current monotonic timestamp: virtual nanoseconds when
-// the discrete-event clock is active, real monotonic nanoseconds
-// otherwise.
+// the discrete-event clock is active, real nanoseconds otherwise (from
+// the cycle counter where it is in use).
 func Now() Stamp {
 	if vclock.Active() {
 		return vclock.Now()
 	}
-	return int64(time.Since(epoch))
+	return now()
 }
+
+// sinceEpoch is the monotonic clock the counter is calibrated against.
+func sinceEpoch() int64 { return int64(time.Since(epoch)) }
 
 // Since returns the elapsed nanoseconds since s.
 func Since(s Stamp) int64 {

@@ -61,3 +61,12 @@ func TestSleepHonorsScale(t *testing.T) {
 		t.Fatalf("Sleep(10ms) returned after %v", el)
 	}
 }
+
+var nowSink int64
+
+func BenchmarkNow(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		nowSink += Now()
+	}
+}

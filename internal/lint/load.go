@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -121,7 +122,9 @@ func (l *Loader) importModulePkg(path, dir string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses a directory's .go files (with comments). With tests
+// parseDir parses a directory's .go files (with comments) that build
+// for the host, as go vet would check them: a file whose name or
+// //go:build line excludes this GOOS/GOARCH is skipped. With tests
 // true it includes _test.go files of the package itself; files of an
 // external _test package are returned separately.
 func (l *Loader) parseDir(dir string, tests bool) (files, xtest []*ast.File, err error) {
@@ -136,6 +139,11 @@ func (l *Loader) parseDir(dir string, tests bool) (files, xtest []*ast.File, err
 			continue
 		}
 		if !tests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)
