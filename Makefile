@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short examples bench bench-record bench-check microbench bench-staleness read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch archive-race chaos-e2e checkpoint-reference recovery-e2e monitor-e2e fault-e2e fuzz benchmark-harness lint vet eslint fmt-check ci
+.PHONY: build test test-short examples bench bench-record bench-check microbench bench-staleness flake-census read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch model-clock-race archive-race chaos-e2e checkpoint-reference recovery-e2e monitor-e2e fault-e2e fuzz benchmark-harness lint vet eslint fmt-check ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -91,6 +91,14 @@ bench-staleness:
 	STALENESS_BENCH_OUT=$(CURDIR)/BENCH_staleness.json \
 		$(GO) test -race -run TestRecordStalenessBench ./internal/bench/
 
+# flake-census runs the tests of PKGS (default ./...) COUNT times (default
+# 20) in a shuffled order, once plain and once under the race detector,
+# and appends each mode's per-test pass/fail counts, failing shuffle
+# seeds and wall time to BENCH_flakes.json (tools/flake-census.sh states
+# the record). LABEL= names the census, say parent or change.
+flake-census:
+	bash tools/flake-census.sh -count $(or $(COUNT),20) -label "$(LABEL)" $(or $(PKGS),./...)
+
 # read-gates are the read side's allocation gates, run without the race
 # detector (which allocates on its own): a warm scan — full or selective
 # — allocates a constant, an aggregate allocates per cell and not per
@@ -174,10 +182,29 @@ leaf-packages:
 
 # one-clock-switch holds core.RunVirtual to being the only non-test code
 # that enables, quiesces or disables the process-global virtual clock:
-# the instance clock (ROADMAP item 1) then has one function to change.
+# the instance clock (ROADMAP item 1) then has one function to change. It
+# also holds the one time domain: a modelled delay waits on the virtual
+# clock or not at all, so hrtime.SetScale (kept for benchmark/sut.go, a
+# no-op at 0 and 1) appears nowhere else, and the real-time delay path
+# (SleepUnscaled, ScaleDelay) stays gone.
 one-clock-switch:
 	@sites=$$(grep -rnE 'vclock\.(Enable|Disable|Quiesce)\(' --include=*.go . | grep -v _test.go | grep -v '^./internal/vclock/' | cut -d: -f1 | sort -u); \
 		if [ "$$sites" != "./internal/core/core.go" ]; then echo "the virtual clock is switched outside internal/core/core.go:" $$sites; exit 1; fi
+	@sites=$$(grep -rn 'hrtime\.SetScale(' --include=*.go . | grep -v '^./internal/hrtime/' | grep -v '^./benchmark/' | cut -d: -f1 | sort -u); \
+		if [ -n "$$sites" ]; then echo "hrtime.SetScale is called outside internal/hrtime and benchmark/:" $$sites; exit 1; fi
+	@sites=$$(grep -rnE 'SleepUnscaled|ScaleDelay' --include=*.go . | cut -d: -f1 | sort -u); \
+		if [ -n "$$sites" ]; then echo "the real-time delay path is back:" $$sites; exit 1; fi
+
+# MODEL_CLOCK_PKGS are the packages whose tests run the model on the
+# virtual clock rather than on the wall clock at a shrunken delay scale.
+MODEL_CLOCK_PKGS := ./internal/cluster ./internal/collect ./internal/escope ./internal/monitor ./internal/paths ./internal/reconfig ./internal/viz ./internal/vnet
+
+# model-clock-race runs them under the race detector in a shuffled order,
+# five times over: a test that still leans on real-time progress, or a
+# driver that parks on the clock as if it were a model goroutine, shows
+# here.
+model-clock-race:
+	$(GO) test -race -shuffle=on -count=5 $(MODEL_CLOCK_PKGS)
 
 # archive-race runs the trace archive's tests under the race detector.
 archive-race:
@@ -271,4 +298,4 @@ lint: vet eslint fmt-check
 
 # ci mirrors the GitHub Actions job, minus the tool installs
 # (staticcheck, govulncheck) and the CI-only fuzz step.
-ci: build lint leaf-packages one-clock-switch test-short examples benchmark-harness archive-race chaos-e2e recovery-e2e monitor-e2e fault-e2e checkpoint-reference read-gates gather-gates checkpoint-gates append-gates engine-gates collect-gates
+ci: build lint leaf-packages one-clock-switch test-short model-clock-race examples benchmark-harness archive-race chaos-e2e recovery-e2e monitor-e2e fault-e2e checkpoint-reference read-gates gather-gates checkpoint-gates append-gates engine-gates collect-gates

@@ -133,7 +133,6 @@ func BenchmarkAblationGatherHelpers(b *testing.B) {
 					Workload:    bench.Gsum,
 					Iterations:  400,
 					Monitor:     bench.LBDistributed,
-					TimeScale:   1,
 					TraceBufCap: 80,
 				}
 				cfg := monitor.DefaultConfig()
@@ -165,7 +164,6 @@ func BenchmarkAblationCosched(b *testing.B) {
 					Workload:    bench.Gsum,
 					Iterations:  400,
 					Monitor:     bench.StatsmNoGather,
-					TimeScale:   1,
 					TraceBufCap: 80,
 				}
 				cfg := monitor.DefaultConfig()
@@ -200,7 +198,6 @@ func BenchmarkAblationTreeFanout(b *testing.B) {
 					Workload:   bench.Gsum,
 					Iterations: 300,
 					Monitor:    bench.NoMonitor,
-					TimeScale:  1,
 				}
 				res, err := bench.Run(spec)
 				if err != nil {

@@ -137,7 +137,6 @@ func runSelfMetrics() error {
 		Iterations:  300,
 		Monitor:     bench.LBDistributed,
 		MonitorCfg:  cfg,
-		TimeScale:   1,
 		TraceBufCap: 100,
 		SelfMetrics: true,
 	})

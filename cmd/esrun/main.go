@@ -93,7 +93,6 @@ func buildSpec(topology string, hosts int, workload string, iterations int, moni
 		Fanout:      8,
 		Trees:       2,
 		Iterations:  iterations,
-		TimeScale:   1,
 		TraceBufCap: iterations / 5,
 	}
 	switch workload {

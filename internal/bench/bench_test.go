@@ -21,7 +21,6 @@ func tinySpec() RunSpec {
 		Iterations:  60,
 		Monitor:     NoMonitor,
 		MonitorCfg:  monitor.DefaultConfig(),
-		TimeScale:   1,
 		TraceBufCap: 32,
 	}
 }
@@ -36,6 +35,30 @@ func TestRunValidation(t *testing.T) {
 	spec.Monitor = MonitorKind(99)
 	if _, err := Run(spec); err == nil {
 		t.Fatal("unknown monitor accepted")
+	}
+}
+
+// TestRunTimeScale: a run models its delays at their configured value,
+// so the only time scales Run accepts are 0 and 1, both meaning that.
+func TestRunTimeScale(t *testing.T) {
+	for _, tc := range []struct {
+		scale float64
+		ok    bool
+	}{
+		{0, true},
+		{1, true},
+		{0.5, false},
+		{0.01, false},
+		{2, false},
+		{-1, false},
+	} {
+		spec := tinySpec()
+		spec.Iterations = 8
+		spec.TimeScale = tc.scale
+		_, err := Run(spec)
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("TimeScale %v: err = %v, want accepted = %v", tc.scale, err, tc.ok)
+		}
 	}
 }
 

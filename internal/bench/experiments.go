@@ -217,7 +217,6 @@ func (o Options) lbSpec(topology string, kind MonitorKind, parallel bool, wl Wor
 		Iterations:  iters,
 		Monitor:     kind,
 		MonitorCfg:  cfg,
-		TimeScale:   1,
 		TraceBufCap: traceCap(iters),
 	}
 	return spec
@@ -282,7 +281,6 @@ func Section5Topology(o Options) ([]Row, error) {
 			Workload:   Gsum,
 			Iterations: iters,
 			Monitor:    NoMonitor,
-			TimeScale:  1,
 		}
 		res, err := Run(spec)
 		if err != nil {
@@ -422,7 +420,6 @@ func (o Options) statsmSpec(topology string, kind MonitorKind, parallel bool, st
 		Iterations:  iters,
 		Monitor:     kind,
 		MonitorCfg:  cfg,
-		TimeScale:   1,
 		TraceBufCap: traceCap(iters),
 	}
 }

@@ -105,9 +105,9 @@ type RunSpec struct {
 	// (default 1: the paper instruments both gsum trees but monitors
 	// one; the scalability experiments monitor all).
 	MonitorTrees int
-	// TimeScale is the virtual-time factor the run executes under.
-	// 1.0 models the paper's delays faithfully; smaller values shrink
-	// every modelled delay and CPU occupancy proportionally.
+	// TimeScale is kept for callers that still set it: a run is always
+	// on the virtual clock at the paper's delays, so only 0 and 1 (both
+	// meaning exactly that) are accepted. ROADMAP item 2(d) deletes it.
 	TimeScale float64
 	// TraceBufCap overrides the trace buffer size (default 3750).
 	TraceBufCap int
@@ -146,11 +146,9 @@ func Run(spec RunSpec) (RunResult, error) {
 	if spec.Monitor < NoMonitor || spec.Monitor > StatsmNoGather {
 		return RunResult{}, fmt.Errorf("bench: unknown monitor kind %d", spec.Monitor)
 	}
-	oldScale := hrtime.Scale()
-	if spec.TimeScale > 0 {
-		hrtime.SetScale(spec.TimeScale)
+	if spec.TimeScale != 0 && spec.TimeScale != 1 {
+		return RunResult{}, fmt.Errorf("bench: time scale %v: runs model delays at their configured value (0 or 1)", spec.TimeScale)
 	}
-	defer hrtime.SetScale(oldScale)
 
 	var res RunResult
 	err := core.RunVirtual(func() error { return runSystem(spec, &res) })
@@ -284,16 +282,8 @@ func TuneCompute(spec RunSpec, probeIterations int) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	// PerOp is wall time per allreduce; the modelled compute duration is
-	// expressed in unscaled model time, so divide the scale back out.
-	scale := spec.TimeScale
-	if scale <= 0 {
-		scale = hrtime.Scale()
-	}
-	if scale == 0 {
-		return 0, fmt.Errorf("bench: cannot tune compute at time scale 0")
-	}
-	return time.Duration(float64(res.PerOp) / scale), nil
+	// PerOp is modelled time per allreduce, the unit compute is given in.
+	return res.PerOp, nil
 }
 
 // Overhead runs the base (unmonitored) and monitored variants of spec

@@ -4,19 +4,25 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"eventspace/internal/collect"
-	"eventspace/internal/hrtime"
 	"eventspace/internal/paths"
+	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 	"eventspace/internal/wantrace"
 )
 
-func fastScale(t *testing.T) {
+// virtual runs the rest of the test on the discrete-event clock, so the
+// trees' modelled delays cost no real time. The test goroutine is a
+// driver; runTree starts the threads as model goroutines.
+func virtual(t *testing.T) {
 	t.Helper()
-	old := hrtime.Scale()
-	hrtime.SetScale(0.002)
-	t.Cleanup(func() { hrtime.SetScale(old) })
+	vclock.Enable(0)
+	t.Cleanup(func() {
+		vclock.Quiesce(10 * time.Second)
+		vclock.Disable()
+	})
 }
 
 func TestNewTestbedValidation(t *testing.T) {
@@ -134,7 +140,7 @@ func runTree(t *testing.T, tree *Tree, rounds int) {
 	var wg sync.WaitGroup
 	for i, p := range tree.Ports {
 		wg.Add(1)
-		go func(i int, p ThreadPort) {
+		vclock.Go(func() {
 			defer wg.Done()
 			ctx := &paths.Ctx{Thread: p.Name}
 			for r := 0; r < rounds; r++ {
@@ -148,13 +154,13 @@ func runTree(t *testing.T, tree *Tree, rounds int) {
 					return
 				}
 			}
-		}(i, p)
+		})
 	}
 	wg.Wait()
 }
 
 func TestBuildTreeSingleClusterFlat(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := NewTestbed(SingleTin(4))
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +199,7 @@ func TestBuildTreeSingleClusterFlat(t *testing.T) {
 }
 
 func TestBuildTreeEightWayInstrumented(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := NewTestbed(SingleTin(10))
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +251,7 @@ func TestBuildTreeEightWayInstrumented(t *testing.T) {
 }
 
 func TestBuildTreeLANMulti(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := NewTestbed(LANMulti(3, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +282,7 @@ func TestBuildTreeLANMulti(t *testing.T) {
 }
 
 func TestBuildTreeWANAllToAll(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := NewTestbed(WANMulti(2, 2, 3, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +307,7 @@ func TestBuildTreeWANAllToAll(t *testing.T) {
 }
 
 func TestBuildTreeNotifierWired(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := NewTestbed(SingleTin(2))
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +357,7 @@ func TestBuildTreeNeedsName(t *testing.T) {
 }
 
 func TestBuildTwoIdenticalTrees(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := NewTestbed(SingleTin(3))
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +379,7 @@ func TestBuildTwoIdenticalTrees(t *testing.T) {
 }
 
 func TestThreadsPerHostDefaultsToCPUs(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := NewTestbed(TestbedSpec{Clusters: []ClusterSpec{
 		{Name: "copper", Class: Copper, Hosts: 2, Site: wantrace.Tromso},
 	}})
@@ -393,7 +399,7 @@ func TestThreadsPerHostDefaultsToCPUs(t *testing.T) {
 }
 
 func TestTreePortNamesUnique(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, _ := NewTestbed(SingleTin(4))
 	tree, err := BuildTree(tb, TreeSpec{Name: "T", ThreadsPerHost: 1})
 	if err != nil {

@@ -9,18 +9,24 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
-	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/paths"
+	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 )
 
+// testHost returns a host on a fresh network and runs the rest of the
+// test on the discrete-event clock, so collector stamps are modelled
+// time. Goroutines the test starts go through vclock.Go.
 func testHost(t *testing.T) *vnet.Host {
 	t.Helper()
-	old := hrtime.Scale()
-	hrtime.SetScale(0.01)
-	t.Cleanup(func() { hrtime.SetScale(old) })
+	vclock.Enable(0)
+	t.Cleanup(func() {
+		vclock.Quiesce(10 * time.Second)
+		vclock.Disable()
+	})
 	n := vnet.NewNetwork(vnet.FastEthernet, vnet.DefaultCostModel())
 	h, err := n.AddStandaloneHost("h", 2)
 	if err != nil {
@@ -528,7 +534,7 @@ func TestCollectorSelfMetricsConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func() {
+		vclock.Go(func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				if _, err := ec.Op(&paths.Ctx{}, paths.Request{Kind: paths.OpWrite}); err != nil {
@@ -536,7 +542,7 @@ func TestCollectorSelfMetricsConcurrent(t *testing.T) {
 					return
 				}
 			}
-		}()
+		})
 	}
 	wg.Wait()
 	got := mr.Snapshot().ByKind(metrics.KindCollector)[0]
@@ -597,7 +603,7 @@ func TestCollectorSelfMetricsRegistryRace(t *testing.T) {
 	choices := []*metrics.Registry{nil, metrics.New(), metrics.New()}
 	done := make(chan struct{})
 	swapped := make(chan struct{})
-	go func() {
+	vclock.Go(func() {
 		defer close(swapped)
 		for i := 0; ; i++ {
 			select {
@@ -607,11 +613,11 @@ func TestCollectorSelfMetricsRegistryRace(t *testing.T) {
 				reg.UseMetrics(choices[i%len(choices)])
 			}
 		}
-	}()
+	})
 	var wg sync.WaitGroup
 	for c := 0; c < creators; c++ {
 		wg.Add(1)
-		go func(c int) {
+		vclock.Go(func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				if _, err := reg.New(fmt.Sprintf("ec-%d-%d", c, i), h, Meta{}, inner, 4); err != nil {
@@ -619,7 +625,7 @@ func TestCollectorSelfMetricsRegistryRace(t *testing.T) {
 					return
 				}
 			}
-		}(c)
+		})
 	}
 	wg.Wait()
 	close(done)

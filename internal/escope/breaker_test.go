@@ -17,13 +17,16 @@ import (
 
 // slowChild is a wrapper whose replies the test can hold back at will,
 // standing in for a straggling guard+stub chain underneath a breaker.
+// A held call waits on a clock-aware condition, so under the virtual
+// clock the model idles (and deadlines fire) while it is held.
 type slowChild struct {
 	ops atomic.Int64
 
-	mu   sync.Mutex
-	hold chan struct{}
-	rep  paths.Reply
-	err  error
+	mu      sync.Mutex
+	cond    *vclock.Cond // on mu; nil until the first block
+	holding bool
+	rep     paths.Reply
+	err     error
 }
 
 func (c *slowChild) Name() string { return "slowchild" }
@@ -31,33 +34,31 @@ func (c *slowChild) Name() string { return "slowchild" }
 func (c *slowChild) Op(ctx *paths.Ctx, req paths.Request) (paths.Reply, error) {
 	c.ops.Add(1)
 	c.mu.Lock()
-	hold := c.hold
-	c.mu.Unlock()
-	if hold != nil {
-		<-hold
+	defer c.mu.Unlock()
+	for c.holding {
+		c.cond.Wait()
 	}
-	// Re-read after the hold so a reply installed mid-call is observed.
-	c.mu.Lock()
-	rep, err := c.rep, c.err
-	c.mu.Unlock()
-	return rep, err
+	// Read after the hold so a reply installed mid-call is observed.
+	return c.rep, c.err
 }
 
 // block makes subsequent (and in-flight) calls wait until release.
 func (c *slowChild) block() {
 	c.mu.Lock()
-	c.hold = make(chan struct{})
+	if c.cond == nil {
+		c.cond = vclock.NewCond(&c.mu)
+	}
+	c.holding = true
 	c.mu.Unlock()
 }
 
 func (c *slowChild) release() {
 	c.mu.Lock()
-	hold := c.hold
-	c.hold = nil
-	c.mu.Unlock()
-	if hold != nil {
-		close(hold)
+	c.holding = false
+	if c.cond != nil {
+		c.cond.Broadcast()
 	}
+	c.mu.Unlock()
 }
 
 func (c *slowChild) set(rep paths.Reply, err error) {
@@ -73,18 +74,19 @@ func testBreaker(pol *BreakerPolicy, child paths.Wrapper, m Mode) (*breaker, *at
 }
 
 func TestBreakerStrictModePassThrough(t *testing.T) {
+	virtual(t)
 	child := &slowChild{}
 	child.set(paths.Reply{Ret: 1, Data: []byte{42}}, nil)
 	b, mode := testBreaker(&BreakerPolicy{}, child, ModeStrict)
 	ctx := &paths.Ctx{Thread: "t"}
 
-	rep, err := b.Op(ctx, paths.Request{Kind: paths.OpRead})
+	rep, err := op(b, ctx, paths.Request{Kind: paths.OpRead})
 	if err != nil || rep.Ret != 1 || len(rep.Data) != 1 {
 		t.Fatalf("strict pass-through: %+v, %v", rep, err)
 	}
 	appErr := errors.New("app")
 	child.set(paths.Reply{}, appErr)
-	if _, err := b.Op(ctx, paths.Request{Kind: paths.OpRead}); !errors.Is(err, appErr) {
+	if _, err := op(b, ctx, paths.Request{Kind: paths.OpRead}); !errors.Is(err, appErr) {
 		t.Fatalf("strict app error: %v", err)
 	}
 	h := b.snapshot()
@@ -95,7 +97,7 @@ func TestBreakerStrictModePassThrough(t *testing.T) {
 	// Off-strict the breaker engages: a prompt answer is recorded.
 	mode.Store(int32(ModeSummary))
 	child.set(paths.Reply{Ret: 1, Data: []byte{7}}, nil)
-	rep, err = b.Op(ctx, paths.Request{Kind: paths.OpRead})
+	rep, err = op(b, ctx, paths.Request{Kind: paths.OpRead})
 	if err != nil || len(rep.Data) != 1 {
 		t.Fatalf("summary-mode op: %+v, %v", rep, err)
 	}
@@ -105,6 +107,7 @@ func TestBreakerStrictModePassThrough(t *testing.T) {
 }
 
 func TestBreakerDeadlineOverrunTripAndStaleDelivery(t *testing.T) {
+	virtual(t)
 	child := &slowChild{}
 	pol := &BreakerPolicy{
 		RoundDeadline:  2 * time.Millisecond,
@@ -121,7 +124,7 @@ func TestBreakerDeadlineOverrunTripAndStaleDelivery(t *testing.T) {
 	defer child.release()
 
 	// Round 1: the call overruns the deadline and is abandoned.
-	rep, err := b.Op(ctx, req)
+	rep, err := op(b, ctx, req)
 	if err != nil || len(rep.Data) != 0 {
 		t.Fatalf("overrun round: %+v, %v", rep, err)
 	}
@@ -132,7 +135,7 @@ func TestBreakerDeadlineOverrunTripAndStaleDelivery(t *testing.T) {
 
 	// Round 2: the abandoned call is still running — another overrun,
 	// which reaches TripAfter and opens the breaker.
-	if rep, err := b.Op(ctx, req); err != nil || len(rep.Data) != 0 {
+	if rep, err := op(b, ctx, req); err != nil || len(rep.Data) != 0 {
 		t.Fatalf("pending round: %+v, %v", rep, err)
 	}
 	h = b.snapshot()
@@ -146,7 +149,7 @@ func TestBreakerDeadlineOverrunTripAndStaleDelivery(t *testing.T) {
 	child.release()
 	var stale paths.Reply
 	for i := 0; i < 2000; i++ {
-		stale, err = b.Op(ctx, req)
+		stale, err = op(b, ctx, req)
 		if err != nil {
 			t.Fatalf("stale round: %v", err)
 		}
@@ -166,7 +169,7 @@ func TestBreakerDeadlineOverrunTripAndStaleDelivery(t *testing.T) {
 	// Open with fresh-enough data and a distant trial: rounds skip the
 	// child entirely.
 	skips := h.Skips
-	if rep, err := b.Op(ctx, req); err != nil || len(rep.Data) != 0 {
+	if rep, err := op(b, ctx, req); err != nil || len(rep.Data) != 0 {
 		t.Fatalf("skip round: %+v, %v", rep, err)
 	}
 	if h := b.snapshot(); h.Skips != skips+1 || h.State != BreakerOpen {
@@ -179,6 +182,7 @@ func TestBreakerDeadlineOverrunTripAndStaleDelivery(t *testing.T) {
 // must trial the child immediately, ignoring the reopen backoff — and a
 // successful trial closes the circuit.
 func TestBreakerStalenessBoundForcesTrial(t *testing.T) {
+	virtual(t)
 	child := &slowChild{}
 	pol := &BreakerPolicy{
 		RoundDeadline:  2 * time.Millisecond,
@@ -192,8 +196,8 @@ func TestBreakerStalenessBoundForcesTrial(t *testing.T) {
 	req := paths.Request{Kind: paths.OpRead}
 
 	child.block()
-	b.Op(ctx, req) // overrun 1
-	b.Op(ctx, req) // overrun 2 -> open
+	op(b, ctx, req) // overrun 1
+	op(b, ctx, req) // overrun 2 -> open
 	h := b.snapshot()
 	if h.State != BreakerOpen || h.HasData {
 		t.Fatalf("setup: %+v", h)
@@ -208,7 +212,7 @@ func TestBreakerStalenessBoundForcesTrial(t *testing.T) {
 	child.set(paths.Reply{}, nil)
 	child.release()
 	for i := 0; i < 2000 && b.snapshot().State != BreakerClosed; i++ {
-		if _, err := b.Op(ctx, req); err != nil {
+		if _, err := op(b, ctx, req); err != nil {
 			t.Fatal(err)
 		}
 		hrtime.SleepOutside(time.Millisecond)
@@ -220,7 +224,7 @@ func TestBreakerStalenessBoundForcesTrial(t *testing.T) {
 
 	// Closed again: fresh data flows normally.
 	child.set(paths.Reply{Ret: 1, Data: []byte{9}}, nil)
-	rep, err := b.Op(ctx, req)
+	rep, err := op(b, ctx, req)
 	if err != nil || len(rep.Data) != 1 {
 		t.Fatalf("post-recovery op: %+v, %v", rep, err)
 	}

@@ -1,7 +1,5 @@
 package escope
 
-//lint:file-allow wallclock tests poll real goroutine progress against wall-clock deadlines
-
 import (
 	"errors"
 	"sync"
@@ -12,6 +10,7 @@ import (
 	"eventspace/internal/metrics"
 	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
+	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 )
 
@@ -23,11 +22,14 @@ type rig struct {
 	fe  *vnet.Host
 }
 
+// newRig builds the rig and runs the rest of the test on the
+// discrete-event clock: every modelled delay takes its exact modelled
+// value and no real time. The test goroutine is a driver: it waits with
+// SleepOutside, pulls through pull, and starts goroutines with
+// vclock.Go.
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	old := hrtime.Scale()
-	hrtime.SetScale(0.005)
-	t.Cleanup(func() { hrtime.SetScale(old) })
+	virtual(t)
 	n := vnet.NewNetwork(vnet.FastEthernet, vnet.DefaultCostModel())
 	c1, err := n.AddCluster("a", "s1", 3, 2, vnet.GigabitEthernet)
 	if err != nil {
@@ -42,6 +44,38 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	return &rig{net: n, c1: c1, c2: c2, fe: fe}
+}
+
+// virtual runs the rest of the test on the discrete-event clock.
+func virtual(t *testing.T) {
+	t.Helper()
+	vclock.Enable(0)
+	t.Cleanup(func() {
+		vclock.Quiesce(10 * time.Second)
+		vclock.Disable()
+	})
+}
+
+// inModel runs fn as a registered model goroutine and waits for it.
+func inModel(fn func()) {
+	done := make(chan struct{})
+	vclock.Go(func() {
+		defer close(done)
+		fn()
+	})
+	<-done
+}
+
+// pull is s.Pull made from inside the model.
+func pull(s *Scope, ctx *paths.Ctx) (rep paths.Reply, err error) {
+	inModel(func() { rep, err = s.Pull(ctx) })
+	return rep, err
+}
+
+// op is w.Op made from inside the model.
+func op(w paths.Wrapper, ctx *paths.Ctx, req paths.Request) (rep paths.Reply, err error) {
+	inModel(func() { rep, err = w.Op(ctx, req) })
+	return rep, err
 }
 
 // testElem creates an element of recSize-byte records.
@@ -101,7 +135,7 @@ func TestSingleClusterScopePullsAllTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer scope.Close()
-	rep, err := scope.Pull(nil)
+	rep, err := pull(scope, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +175,7 @@ func TestMultiClusterScopeGathersThroughGateways(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer scope.Close()
-	rep, err := scope.Pull(nil)
+	rep, err := pull(scope, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +209,7 @@ func TestScopeWithSourceOnGatewayAndFrontEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer scope.Close()
-	rep, err := scope.Pull(nil)
+	rep, err := pull(scope, nil)
 	if err != nil || rep.Ret != 2 {
 		t.Fatalf("pull: %+v %v", rep, err)
 	}
@@ -197,7 +231,7 @@ func TestGatherRateReflectsOverwrites(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.WriteCopy([]byte{byte(i)})
 	}
-	if _, err := scope.Pull(nil); err != nil {
+	if _, err := pull(scope, nil); err != nil {
 		t.Fatal(err)
 	}
 	// 8 of 10 overwritten before the cursor saw them.
@@ -229,9 +263,9 @@ func TestPullerDrainsContinuously(t *testing.T) {
 	})
 	for i := 0; i < 50; i++ {
 		e.WriteCopy([]byte{byte(i)})
-		time.Sleep(time.Millisecond)
+		hrtime.SleepOutside(time.Millisecond)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := hrtime.Now() + int64(5*time.Second)
 	for {
 		mu.Lock()
 		n := len(got)
@@ -239,10 +273,10 @@ func TestPullerDrainsContinuously(t *testing.T) {
 		if n == 50 {
 			break
 		}
-		if time.Now().After(deadline) {
+		if hrtime.Now() > deadline {
 			t.Fatalf("puller drained %d of 50 tuples", n)
 		}
-		time.Sleep(time.Millisecond)
+		hrtime.SleepOutside(time.Millisecond)
 	}
 	p.Stop()
 	p.Stop() // idempotent
@@ -271,12 +305,12 @@ func TestPullerCountsErrors(t *testing.T) {
 	// Closing the scope's connections makes pulls fail.
 	scope.Close()
 	p := scope.StartPuller(time.Millisecond, nil)
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := hrtime.Now() + int64(5*time.Second)
 	for p.errcnt.Load() == 0 {
-		if time.Now().After(deadline) {
+		if hrtime.Now() > deadline {
 			t.Fatal("no errors counted after close")
 		}
-		time.Sleep(time.Millisecond)
+		hrtime.SleepOutside(time.Millisecond)
 	}
 	p.Stop()
 }
@@ -367,13 +401,13 @@ func counterMap(s metrics.Snapshot) map[string]uint64 {
 func gatherUntil(t *testing.T, s *Scope, d time.Duration, cond func() bool) bool {
 	t.Helper()
 	ctx := &paths.Ctx{Thread: "views/gather"}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	deadline := hrtime.Now() + int64(d)
+	for hrtime.Now() < deadline {
 		if cond() {
 			return true
 		}
-		s.Pull(ctx)
-		time.Sleep(500 * time.Microsecond)
+		pull(s, ctx)
+		hrtime.SleepOutside(500 * time.Microsecond)
 	}
 	return cond()
 }
@@ -465,13 +499,13 @@ func TestScopeCountersReadOwners(t *testing.T) {
 	// the loop backs off.
 	p := scope.StartPuller(0, func(paths.Reply) error { return errors.New("sink down") })
 	o.pullers = append(o.pullers, p)
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := hrtime.Now() + int64(5*time.Second)
 	for p.errcnt.Load() < 3 || p.backoffs.Load() == 0 {
-		if time.Now().After(deadline) {
+		if hrtime.Now() > deadline {
 			t.Fatalf("puller: %d pulls, %d errors, %d backoffs", p.Pulls(), p.errcnt.Load(), p.backoffs.Load())
 		}
 		write()
-		time.Sleep(time.Millisecond)
+		hrtime.SleepOutside(time.Millisecond)
 	}
 	p.Stop()
 

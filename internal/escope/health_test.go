@@ -1,11 +1,10 @@
 package escope
 
-//lint:file-allow wallclock tests poll real goroutine progress against wall-clock deadlines
-
 import (
 	"testing"
 	"time"
 
+	"eventspace/internal/hrtime"
 	"eventspace/internal/paths"
 	"eventspace/internal/vnet"
 )
@@ -66,7 +65,7 @@ func TestGuardStateMachine(t *testing.T) {
 
 	// At probe time exactly one attempt goes through; a failed probe
 	// re-arms the (doubled, capped) backoff.
-	time.Sleep(3 * time.Millisecond)
+	hrtime.SleepOutside(3 * time.Millisecond)
 	g.Op(nil, paths.Request{Kind: paths.OpRead})
 	if child.ops != before+1 {
 		t.Fatalf("probe attempts = %d, want 1", child.ops-before)
@@ -78,7 +77,7 @@ func TestGuardStateMachine(t *testing.T) {
 
 	// The child heals; the next probe recovers it.
 	child.err = nil
-	time.Sleep(5 * time.Millisecond)
+	hrtime.SleepOutside(5 * time.Millisecond)
 	if rep, err := g.Op(nil, paths.Request{Kind: paths.OpRead}); err != nil || rep.Ret != 1 {
 		t.Fatalf("recovery op: %+v, %v", rep, err)
 	}
@@ -105,13 +104,13 @@ func TestGuardPropagatesApplicationErrors(t *testing.T) {
 // pullUntil pulls the scope until cond holds or the deadline passes.
 func pullUntil(t *testing.T, s *Scope, d time.Duration, cond func() bool) bool {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	deadline := hrtime.Now() + int64(d)
+	for hrtime.Now() < deadline {
 		if cond() {
 			return true
 		}
-		s.Pull(nil)
-		time.Sleep(500 * time.Microsecond)
+		pull(s, nil)
+		hrtime.SleepOutside(500 * time.Microsecond)
 	}
 	return cond()
 }
@@ -121,7 +120,7 @@ func pullUntil(t *testing.T, s *Scope, d time.Duration, cond func() bool) bool {
 // must see every reply (a pull made on the side would drain the record
 // the condition is waiting for, and discard it).
 func waitUntil(d time.Duration, cond func() bool) bool {
-	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(500 * time.Microsecond) {
+	for deadline := hrtime.Now() + int64(d); hrtime.Now() < deadline; hrtime.SleepOutside(500 * time.Microsecond) {
 		if cond() {
 			return true
 		}
@@ -151,7 +150,7 @@ func TestScopeCoverageDipsAndRecovers(t *testing.T) {
 	}
 	defer scope.Close()
 
-	rep, err := scope.Pull(nil)
+	rep, err := pull(scope, nil)
 	if err != nil || rep.Ret != 2 {
 		t.Fatalf("healthy pull: %+v, %v", rep, err)
 	}
@@ -173,7 +172,7 @@ func TestScopeCoverageDipsAndRecovers(t *testing.T) {
 		t.Fatalf("degraded coverage: %+v", cov)
 	}
 	// The gather itself still succeeds — that is the whole point.
-	if _, err := scope.Pull(nil); err != nil {
+	if _, err := pull(scope, nil); err != nil {
 		t.Fatalf("degraded pull failed: %v", err)
 	}
 
@@ -188,7 +187,7 @@ func TestScopeCoverageDipsAndRecovers(t *testing.T) {
 	})
 	sawMissed := false
 	recovered := waitUntil(10*time.Second, func() bool {
-		rep, err := scope.Pull(nil)
+		rep, err := pull(scope, nil)
 		if err == nil {
 			for _, b := range rep.Data {
 				if b == 3 {
@@ -226,7 +225,7 @@ func TestScopeWithoutHealthStillFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer scope.Close()
-	if _, err := scope.Pull(nil); err != nil {
+	if _, err := pull(scope, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.net.InjectFaults(vnet.FaultPlan{
@@ -235,9 +234,9 @@ func TestScopeWithoutHealthStillFailsFast(t *testing.T) {
 	})
 	defer r.net.ClearFaults()
 	failed := false
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && !failed {
-		_, err := scope.Pull(nil)
+	deadline := hrtime.Now() + int64(5*time.Second)
+	for hrtime.Now() < deadline && !failed {
+		_, err := pull(scope, nil)
 		failed = err != nil
 	}
 	if !failed {

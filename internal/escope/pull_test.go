@@ -13,13 +13,15 @@ import (
 	"eventspace/internal/hrtime"
 	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
+	"eventspace/internal/vclock"
 )
 
 // pullRig is the repo benchmark's monitored side (benchmark/sut.go,
 // newRecorder): an instrumented 8-way tree on 16 Tins and an archive-
-// shaped scope over its 61 trace buffers on the in-process transport,
-// with every modelled delay scaled to nothing so a pull costs what the
-// read path itself costs.
+// shaped scope over its 61 trace buffers on the in-process transport.
+// It stays on the wall clock, whose subject here is real time and real
+// allocation: modelled delays cost nothing there, so a pull costs what
+// the read path itself costs.
 type pullRig struct {
 	scope *Scope
 	bufs  []*pastset.Element
@@ -29,9 +31,6 @@ type pullRig struct {
 
 func newPullRig(tb testing.TB) *pullRig {
 	tb.Helper()
-	old := hrtime.Scale()
-	hrtime.SetScale(0)
-	tb.Cleanup(func() { hrtime.SetScale(old) })
 	bed, err := cluster.NewTestbed(cluster.SingleTin(16))
 	if err != nil {
 		tb.Fatal(err)
@@ -174,8 +173,8 @@ func (k keptReplies) changed() int {
 // without a root gather on the front end, whose buffer would be the one
 // reused if any were.
 func TestRetainedReplySurvivesLaterPulls(t *testing.T) {
+	r := newRig(t)
 	for _, health := range []*HealthPolicy{nil, {}} {
-		r := newRig(t)
 		var elems []*pastset.Element
 		var srcs []Source
 		for _, h := range r.c1.Hosts() {
@@ -193,22 +192,22 @@ func TestRetainedReplySurvivesLaterPulls(t *testing.T) {
 			t.Fatal(err)
 		}
 		var retained keptReplies
-		for pull := byte(0); pull < 8; pull++ {
+		for n := byte(0); n < 8; n++ {
 			for i, e := range elems {
 				// The same amount every time, so that every level's size
 				// guess is exact and every frame is built in place.
 				for k := byte(0); k < 3; k++ {
-					if _, err := e.WriteCopy([]byte{pull, byte(i), k, 0xFF}); err != nil {
+					if _, err := e.WriteCopy([]byte{n, byte(i), k, 0xFF}); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			rep, err := scope.Pull(&paths.Ctx{Thread: "keep"})
+			rep, err := pull(scope, &paths.Ctx{Thread: "keep"})
 			if err != nil || len(rep.Data) != len(elems)*3*4 {
-				t.Fatalf("health %v pull %d: %d bytes, %v", health != nil, pull, len(rep.Data), err)
+				t.Fatalf("health %v pull %d: %d bytes, %v", health != nil, n, len(rep.Data), err)
 			}
 			if i := retained.changed(); i >= 0 {
-				t.Fatalf("health %v: the reply of pull %d changed during pull %d", health != nil, i, pull)
+				t.Fatalf("health %v: the reply of pull %d changed during pull %d", health != nil, i, n)
 			}
 			retained.keep(rep.Data)
 		}
@@ -217,10 +216,11 @@ func TestRetainedReplySurvivesLaterPulls(t *testing.T) {
 }
 
 // windowChild is a straggler that uses the window: held back at will, it
-// appends its payload to whatever window its request carries.
+// appends its payload to whatever window its request carries. The hold
+// is a clock-aware event, so the model idles while a call is held.
 type windowChild struct {
 	mu      sync.Mutex
-	hold    chan struct{}
+	hold    *vclock.Event
 	payload []byte
 	held    atomic.Int32  // calls that found the hold in place
 	done    chan struct{} // closed when a held call has returned
@@ -234,7 +234,7 @@ func (c *windowChild) Op(_ *paths.Ctx, req paths.Request) (paths.Reply, error) {
 	c.mu.Unlock()
 	if hold != nil {
 		c.held.Add(1)
-		<-hold
+		hold.Wait()
 		defer close(done)
 	}
 	return paths.Reply{Data: append(req.Window, payload...), Ret: 1}, nil
@@ -247,6 +247,7 @@ func (c *windowChild) Op(_ *paths.Ctx, req paths.Request) (paths.Reply, error) {
 // writes; the late payload has to arrive intact as stale data while the
 // replies of the rounds it missed stay exactly as they were handed out.
 func TestBreakerLateReplyLeavesInterimRepliesAlone(t *testing.T) {
+	virtual(t)
 	mk := func() (*pastset.Element, paths.Wrapper) {
 		e, err := pastset.NewElementFixed("e", 64, 4)
 		if err != nil {
@@ -258,7 +259,7 @@ func TestBreakerLateReplyLeavesInterimRepliesAlone(t *testing.T) {
 	after, rdAfter := mk()
 	child := &windowChild{payload: bytes.Repeat([]byte{0xCC}, 8)}
 	pol := &BreakerPolicy{
-		RoundDeadline:  100 * time.Millisecond, // only the first stalled round waits it out; a healthy one on a loaded machine must not
+		RoundDeadline:  100 * time.Millisecond, // only the first stalled round waits it out
 		TripAfter:      100,                    // stay closed: every round admits or awaits the child
 		StalenessBound: time.Hour,
 	}
@@ -274,7 +275,7 @@ func TestBreakerLateReplyLeavesInterimRepliesAlone(t *testing.T) {
 			before.WriteCopy([]byte{1, n, k, 0})
 			after.WriteCopy([]byte{2, n, k, 0})
 		}
-		rep, err := g.Op(ctx, paths.Request{Kind: paths.OpRead})
+		rep, err := op(g, ctx, paths.Request{Kind: paths.OpRead})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +297,7 @@ func TestBreakerLateReplyLeavesInterimRepliesAlone(t *testing.T) {
 	}
 	// The child stalls: the rounds go out without it.
 	child.mu.Lock()
-	child.hold, child.done = make(chan struct{}), make(chan struct{})
+	child.hold, child.done = vclock.NewEvent(), make(chan struct{})
 	child.mu.Unlock()
 	var interim keptReplies
 	for n := byte(10); n < 13; n++ {
@@ -314,7 +315,7 @@ func TestBreakerLateReplyLeavesInterimRepliesAlone(t *testing.T) {
 	hold, done := child.hold, child.done
 	child.hold = nil
 	child.mu.Unlock()
-	close(hold)
+	hold.Fire(nil, nil)
 	<-done
 	delivered := false
 	for n := byte(20); n < 250 && !delivered; n++ {

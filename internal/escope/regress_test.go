@@ -1,7 +1,5 @@
 package escope
 
-//lint:file-allow wallclock regression tests wait on real goroutines with wall-clock deadlines
-
 import (
 	"fmt"
 	"sync"
@@ -10,6 +8,7 @@ import (
 
 	"eventspace/internal/hrtime"
 	"eventspace/internal/paths"
+	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 )
 
@@ -40,6 +39,9 @@ func TestPullerStopConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
+		// The stoppers are drivers, not model goroutines: Stop waits for
+		// the puller on a plain channel, which a registered goroutine
+		// must not block on.
 		go func() {
 			defer wg.Done()
 			p.Stop()
@@ -88,7 +90,7 @@ func TestRedialPrunesReplacedConns(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		killConns(scope)
-		if _, err := scope.Pull(nil); err != nil {
+		if _, err := pull(scope, nil); err != nil {
 			t.Fatalf("pull %d after conn kill: %v", i, err)
 		}
 	}
@@ -99,7 +101,7 @@ func TestRedialPrunesReplacedConns(t *testing.T) {
 	// Sticky Close: a redial after Close must fail and leave nothing
 	// tracked.
 	scope.Close()
-	if _, err := scope.Pull(nil); err == nil {
+	if _, err := pull(scope, nil); err == nil {
 		t.Fatal("pull succeeded after Close")
 	}
 	if got := scope.trackedConns(); got != 0 {
@@ -110,9 +112,9 @@ func TestRedialPrunesReplacedConns(t *testing.T) {
 // TestPullerErrorBackoff is the regression test for the pull-error hot
 // loop: with interval 0 and a persistently failing scope, the gather
 // thread spun at full speed. It must now back off (bounded error rate)
-// and count the backoffs. Runs at real-time scale: newRig's 0.005 scale
-// would shrink the backoff sleeps below the clock's resolution.
+// and count the backoffs, in modelled time.
 func TestPullerErrorBackoff(t *testing.T) {
+	virtual(t)
 	n := vnet.NewNetwork(vnet.FastEthernet, vnet.DefaultCostModel())
 	c, err := n.AddCluster("a", "s1", 2, 2, vnet.GigabitEthernet)
 	if err != nil {
@@ -135,25 +137,35 @@ func TestPullerErrorBackoff(t *testing.T) {
 	p := scope.StartPuller(0, nil)
 	defer p.Stop()
 
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := hrtime.Now() + int64(5*time.Second)
 	for p.errcnt.Load() < 5 {
-		if time.Now().After(deadline) {
+		if hrtime.Now() > deadline {
 			t.Fatal("puller produced fewer than 5 errors")
 		}
-		time.Sleep(time.Millisecond)
+		hrtime.SleepOutside(time.Millisecond)
 	}
 	// By the fifth consecutive error the backoff is well above zero: a
 	// 100ms window must see far fewer iterations than a hot loop's
 	// hundreds of thousands.
-	before := p.errcnt.Load()
-	time.Sleep(100 * time.Millisecond)
-	window := p.errcnt.Load() - before
+	window := errorsIn(p, 100*time.Millisecond)
 	if window > 1000 {
 		t.Fatalf("%d errors in 100ms: puller is hot-looping", window)
 	}
 	if p.backoffs.Load() == 0 {
 		t.Fatal("no backoffs counted")
 	}
+}
+
+// errorsIn counts the errors p makes in d of modelled time. It counts
+// from inside the model: a driver's reads of the counter are no instants
+// of modelled time, since the model runs on between them.
+func errorsIn(p *Puller, d time.Duration) (n uint64) {
+	inModel(func() {
+		before := p.errcnt.Load()
+		hrtime.Sleep(d)
+		n = p.errcnt.Load() - before
+	})
+	return n
 }
 
 // constSource is a local wrapper whose every read returns the same
@@ -173,8 +185,8 @@ func (c *constSource) Op(*paths.Ctx, paths.Request) (paths.Reply, error) {
 // disk is gone) fails every time. The loop counted those errors but
 // never backed off, re-pulling and discarding a batch at full speed.
 // It must now apply the same capped exponential backoff as pull errors.
-// Runs at real-time scale like TestPullerErrorBackoff.
 func TestPullerSinkErrorBackoff(t *testing.T) {
+	virtual(t)
 	n := vnet.NewNetwork(vnet.FastEthernet, vnet.DefaultCostModel())
 	c, err := n.AddCluster("a", "s1", 2, 2, vnet.GigabitEthernet)
 	if err != nil {
@@ -198,16 +210,14 @@ func TestPullerSinkErrorBackoff(t *testing.T) {
 	})
 	defer p.Stop()
 
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := hrtime.Now() + int64(5*time.Second)
 	for p.errcnt.Load() < 5 {
-		if time.Now().After(deadline) {
+		if hrtime.Now() > deadline {
 			t.Fatal("puller produced fewer than 5 sink errors")
 		}
-		time.Sleep(time.Millisecond)
+		hrtime.SleepOutside(time.Millisecond)
 	}
-	before := p.errcnt.Load()
-	time.Sleep(100 * time.Millisecond)
-	window := p.errcnt.Load() - before
+	window := errorsIn(p, 100*time.Millisecond)
 	if window > 1000 {
 		t.Fatalf("%d sink errors in 100ms: puller is hot-looping", window)
 	}
@@ -237,34 +247,30 @@ func TestCloseConcurrentWithRedialStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	// Four pullers drive redials by killing tracked connections between
 	// pulls; one goroutine closes the scope mid-storm.
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func() {
+		vclock.Go(func() {
 			defer wg.Done()
-			<-start
 			ctx := &paths.Ctx{Thread: "storm"}
 			for j := 0; j < 20; j++ {
 				killConns(scope)
 				_, _ = scope.Pull(ctx) // errors expected once Close lands
 			}
-		}()
+		})
 	}
 	wg.Add(1)
-	go func() {
+	vclock.Go(func() {
 		defer wg.Done()
-		<-start
-		time.Sleep(200 * time.Microsecond)
+		hrtime.Sleep(200 * time.Microsecond)
 		scope.Close()
-	}()
-	close(start)
+	})
 	wg.Wait()
 	if got := scope.trackedConns(); got != 0 {
 		t.Fatalf("tracked conns = %d after concurrent Close, want 0 (leak past shutdown)", got)
 	}
-	if _, err := scope.Pull(nil); err == nil {
+	if _, err := pull(scope, nil); err == nil {
 		t.Fatal("pull succeeded after Close")
 	}
 }
@@ -288,22 +294,18 @@ func TestCloseConcurrentWithStartPuller(t *testing.T) {
 	}
 	pullers := make(chan *Puller, 4)
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func() {
+		vclock.Go(func() {
 			defer wg.Done()
-			<-start
 			pullers <- scope.StartPuller(10*time.Microsecond, nil)
-		}()
+		})
 	}
 	wg.Add(1)
-	go func() {
+	vclock.Go(func() {
 		defer wg.Done()
-		<-start
 		scope.Close()
-	}()
-	close(start)
+	})
 	wg.Wait()
 	close(pullers)
 	for p := range pullers {
@@ -344,30 +346,26 @@ func TestCloseConcurrentWithBreakerInflight(t *testing.T) {
 	}
 	scope.SetMode(ModeBounded)
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		go func() {
+		vclock.Go(func() {
 			defer wg.Done()
-			<-start
 			ctx := &paths.Ctx{Thread: "inflight"}
 			for j := 0; j < 10; j++ {
 				_, _ = scope.Pull(ctx)
 			}
-		}()
+		})
 	}
 	wg.Add(1)
-	go func() {
+	vclock.Go(func() {
 		defer wg.Done()
-		<-start
-		time.Sleep(100 * time.Microsecond)
+		hrtime.Sleep(100 * time.Microsecond)
 		scope.Close()
-	}()
-	close(start)
+	})
 	wg.Wait()
 	// Let parked inflight calls run into the closed connections and
 	// finish their accounting before the final bookkeeping check.
-	time.Sleep(2 * time.Millisecond)
+	hrtime.SleepOutside(2 * time.Millisecond)
 	if got := scope.trackedConns(); got != 0 {
 		t.Fatalf("tracked conns = %d after Close with inflight breaker calls, want 0", got)
 	}
@@ -378,7 +376,8 @@ func TestCloseConcurrentWithBreakerInflight(t *testing.T) {
 // LastOK, which pinned Staleness to the age of the scope (the whole run
 // under the virtual clock, where build time is 0).
 func TestCoverageStalenessUnprovenGuard(t *testing.T) {
-	time.Sleep(5 * time.Millisecond) // ensure the clock is well past 0
+	virtual(t)
+	hrtime.SleepOutside(5 * time.Millisecond) // the clock well past 0
 	pol := &HealthPolicy{}
 	proven := newGuard("g-ok", "h1", nil, pol)
 	unproven := newGuard("g-never", "h2", nil, pol)
@@ -389,12 +388,12 @@ func TestCoverageStalenessUnprovenGuard(t *testing.T) {
 		"h1": {proven},
 		"h2": {unproven},
 	}}
-	time.Sleep(2 * time.Millisecond)
+	hrtime.SleepOutside(2 * time.Millisecond)
 	cov := s.Coverage()
 	if cov.Staleness <= 0 {
 		t.Fatal("proven guard contributed no staleness")
 	}
-	if max := time.Duration(hrtime.Now() - okAt); cov.Staleness > max {
-		t.Fatalf("Staleness = %v > %v: unproven guard's epoch LastOK counted", cov.Staleness, max)
+	if want := time.Duration(hrtime.Now() - okAt); cov.Staleness != want {
+		t.Fatalf("Staleness = %v, want the proven guard's %v: unproven guard's epoch LastOK counted", cov.Staleness, want)
 	}
 }

@@ -78,7 +78,7 @@ func TestTopologySnapshotsClusters(t *testing.T) {
 
 func TestReparentHostRestoresCoverage(t *testing.T) {
 	r, scope, elems := repairRig(t)
-	if _, err := scope.Pull(nil); err != nil {
+	if _, err := pull(scope, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,7 +124,7 @@ func TestReparentHostRestoresCoverage(t *testing.T) {
 	// cursors live on the hosts and survived the re-parent).
 	seven := 0
 	if !pullUntil(t, scope, 5*time.Second, func() bool {
-		rep, err := scope.Pull(nil)
+		rep, err := pull(scope, nil)
 		if err == nil {
 			for _, by := range rep.Data {
 				if by == 7 {
@@ -158,7 +158,7 @@ func TestReparentHostRestoresCoverage(t *testing.T) {
 
 func TestPromoteGatewayRebuildsCluster(t *testing.T) {
 	r, scope, elems := repairRig(t)
-	if _, err := scope.Pull(nil); err != nil {
+	if _, err := pull(scope, nil); err != nil {
 		t.Fatal(err)
 	}
 	gw := r.c1.Gateway()
@@ -201,7 +201,7 @@ func TestPromoteGatewayRebuildsCluster(t *testing.T) {
 	}
 	eight := 0
 	if !pullUntil(t, scope, 5*time.Second, func() bool {
-		rep, err := scope.Pull(nil)
+		rep, err := pull(scope, nil)
 		if err == nil {
 			for _, by := range rep.Data {
 				if by == 8 {

@@ -95,10 +95,10 @@ func readEndpoint(ticks func() uint64, mono func() int64) endpoint {
 // tick span, e0.lo to e1.hi, rounded down — and the anchor is e1.hi
 // at e1.ns. The monotonic read happened before e1.hi, so at the anchor
 // the clock reads no later than real time, and at the low rate it can
-// only fall behind from there, never run ahead: a wait on Now (as in
-// SleepUnscaled) never ends early. It fails on endpoints out of order,
-// less than calibrationWindow apart, or with a bracket wider than
-// maxBracket.
+// only fall behind from there, never run ahead: Now never reads later
+// than the monotonic clock it stands in for (TestNowAgreesWithMonotonic).
+// It fails on endpoints out of order, less than calibrationWindow apart,
+// or with a bracket wider than maxBracket.
 func calibrate(e0, e1 endpoint) (counterClock, bool) {
 	elapsed := e1.ns - e0.ns
 	if elapsed < int64(calibrationWindow) || e0.hi < e0.lo || e1.hi < e1.lo || e1.lo <= e0.hi {

@@ -264,15 +264,3 @@ func TestNowAgreesWithMonotonic(t *testing.T) {
 		t.Fatalf("over %v Now gained %d ns on the monotonic clock", time.Duration(elapsed), -drift)
 	}
 }
-
-func TestSleepUnscaledNeverEarly(t *testing.T) {
-	for _, d := range []time.Duration{time.Microsecond, 50 * time.Microsecond, time.Millisecond, 3 * time.Millisecond, 7 * time.Millisecond} {
-		for i := 0; i < 5; i++ {
-			start := time.Now()
-			SleepUnscaled(d)
-			if el := time.Since(start); el < d {
-				t.Fatalf("SleepUnscaled(%v) returned after %v", d, el)
-			}
-		}
-	}
-}

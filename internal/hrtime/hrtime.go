@@ -1,8 +1,14 @@
 // Package hrtime provides the high-resolution monotonic timestamps used by
-// event collectors, the clock-aware sleeps every modelled delay goes
-// through, and the global virtual-time scale applied to modelled network
-// delays. Computation is modelled as a delay too: vnet.Host.Occupy holds
+// event collectors and the clock-aware sleeps every modelled delay goes
+// through. Computation is modelled as a delay too: vnet.Host.Occupy holds
 // a CPU slot across a Sleep.
+//
+// A modelled delay happens only on modelled time. Under the
+// discrete-event clock (package vclock) Sleep and SleepOutside wait
+// exactly d of virtual time; on the wall clock they return at once, so a
+// network hop there costs only the host time of its code. There is no
+// scale between the two: a run either models its delays faithfully or
+// measures the code alone.
 //
 // The paper's event collectors record two timestamps per communication
 // operation using the host's cycle counter, and so do ours where the
@@ -14,8 +20,7 @@
 package hrtime
 
 import (
-	"runtime"
-	"sync/atomic"
+	"fmt"
 	"time"
 
 	"eventspace/internal/vclock"
@@ -44,90 +49,33 @@ func Since(s Stamp) int64 {
 	return Now() - s
 }
 
-// scale is the global virtual-time scale in parts-per-1024 applied by
-// ScaleDelay. 1024 means real time.
-var scale atomic.Int64
-
-func init() { scale.Store(1024) }
-
-// SetScale sets the global delay scale factor. A factor of 1.0 models
-// delays at their configured value; 0.1 shrinks all modelled network
-// delays tenfold so the test suite runs quickly while preserving ratios.
-// Factors are clamped to [0, 16].
+// SetScale is kept only for callers that still toggle a delay scale
+// between wall-clock and modelled phases: 0 (the wall clock, no delays)
+// and 1 (modelled delays at their configured value) are the two states
+// the clock itself already decides, so both do nothing, and any other
+// factor panics. ROADMAP item 2(d) deletes it.
 func SetScale(f float64) {
-	if f < 0 {
-		f = 0
+	if f != 0 && f != 1 {
+		panic(fmt.Sprintf("hrtime: delay scale %v: only 0 and 1 exist, and the clock decides which", f))
 	}
-	if f > 16 {
-		f = 16
-	}
-	scale.Store(int64(f * 1024))
 }
 
-// Scale reports the current global delay scale factor.
-func Scale() float64 {
-	return float64(scale.Load()) / 1024
-}
-
-// ScaleDelay applies the global scale factor to a modelled delay.
-func ScaleDelay(d time.Duration) time.Duration {
-	return time.Duration(int64(d) * scale.Load() / 1024)
-}
-
-// sleepFloor is the coarse-timer granularity margin: time.Sleep on the
-// target environments can overshoot by more than a millisecond, so waits
-// within this distance of their deadline are yield-spun instead.
-const sleepFloor = 2 * time.Millisecond
-
-// Sleep waits for the scaled duration with microsecond-level precision.
-// Sub-microsecond scaled delays are skipped entirely (below any useful
-// resolution). Short delays yield-spin: on a machine with a coarse timer
-// tick, time.Sleep overshoots by over a millisecond, which would destroy
-// the microsecond-scale delay model; yielding keeps other goroutines
-// runnable while this one polls the clock. Long delays sleep coarsely to
-// within the floor and spin the remainder.
+// Sleep waits d of modelled time from a registered model goroutine:
+// exactly d of virtual time under the discrete-event clock, nothing on
+// the wall clock.
 func Sleep(d time.Duration) {
-	sd := ScaleDelay(d)
 	if vclock.Active() {
-		vclock.Sleep(sd)
-		return
+		vclock.Sleep(d)
 	}
-	if sd < time.Microsecond {
-		return
-	}
-	SleepUnscaled(sd)
 }
 
 // SleepOutside waits d of model time from a goroutine that is not a
 // registered model participant — a driver loop polling monitor state
 // between phases. Under the virtual clock it parks on an outside timer
 // that never touches the clock's runnable accounting (see
-// vclock.SleepOutside); with the clock disabled it is an ordinary scaled
-// sleep.
+// vclock.SleepOutside); on the wall clock it returns at once.
 func SleepOutside(d time.Duration) {
-	sd := ScaleDelay(d)
 	if vclock.Active() {
-		vclock.SleepOutside(sd)
-		return
-	}
-	if sd < time.Microsecond {
-		return
-	}
-	SleepUnscaled(sd)
-}
-
-// SleepUnscaled is Sleep without the scale factor: a precise wait for the
-// given duration (virtual when the discrete-event clock is active).
-func SleepUnscaled(d time.Duration) {
-	if vclock.Active() {
-		vclock.Sleep(d)
-		return
-	}
-	deadline := Now() + int64(d)
-	if d > 2*sleepFloor {
-		time.Sleep(d - sleepFloor)
-	}
-	for Now() < deadline {
-		runtime.Gosched()
+		vclock.SleepOutside(d)
 	}
 }

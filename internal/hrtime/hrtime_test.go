@@ -3,6 +3,8 @@ package hrtime
 import (
 	"testing"
 	"time"
+
+	"eventspace/internal/vclock"
 )
 
 func TestNowMonotonic(t *testing.T) {
@@ -17,48 +19,54 @@ func TestNowMonotonic(t *testing.T) {
 	}
 }
 
-func TestScaleRoundTrip(t *testing.T) {
-	old := Scale()
-	defer SetScale(old)
-	SetScale(0.5)
-	if got := Scale(); got < 0.49 || got > 0.51 {
-		t.Fatalf("Scale = %v, want ~0.5", got)
-	}
-	if d := ScaleDelay(time.Millisecond); d < 480*time.Microsecond || d > 520*time.Microsecond {
-		t.Fatalf("ScaleDelay(1ms) = %v at scale 0.5", d)
-	}
-	SetScale(-1)
-	if Scale() != 0 {
-		t.Fatalf("negative scale not clamped: %v", Scale())
-	}
-	if ScaleDelay(time.Hour) != 0 {
-		t.Fatal("scale 0 did not zero delays")
-	}
-	SetScale(100)
-	if Scale() != 16 {
-		t.Fatalf("huge scale not clamped: %v", Scale())
-	}
-}
-
-func TestSleepSkipsSubMicrosecond(t *testing.T) {
-	old := Scale()
-	defer SetScale(old)
-	SetScale(0.0001)
+// On the wall clock a modelled delay costs nothing: Sleep and
+// SleepOutside return without waiting, however long the delay.
+func TestSleepReturnsAtOnceOnWallClock(t *testing.T) {
 	start := time.Now()
-	Sleep(time.Millisecond) // scaled to 100ns: skipped
-	if el := time.Since(start); el > 500*time.Microsecond {
-		t.Fatalf("sub-microsecond sleep took %v", el)
+	Sleep(time.Hour)
+	SleepOutside(time.Hour)
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("wall-clock Sleep and SleepOutside of an hour took %v", el)
 	}
 }
 
-func TestSleepHonorsScale(t *testing.T) {
-	old := Scale()
-	defer SetScale(old)
+// Under the virtual clock Sleep waits exactly its delay, unscaled, and
+// SleepOutside parks a driver until the model reaches its deadline.
+func TestSleepAdvancesVirtualClockExactly(t *testing.T) {
+	vclock.Enable(0)
+	defer vclock.Disable()
+	defer vclock.Quiesce(10 * time.Second)
+	for _, d := range []time.Duration{time.Nanosecond, 300 * time.Nanosecond, 50 * time.Microsecond, 7 * time.Millisecond, time.Hour} {
+		done := make(chan int64, 1)
+		vclock.Go(func() {
+			start := Now()
+			Sleep(d)
+			done <- Since(start)
+		})
+		if got := <-done; got != int64(d) {
+			t.Fatalf("Sleep(%v) advanced Now by %v", d, time.Duration(got))
+		}
+		start := Now()
+		SleepOutside(d)
+		if got := Since(start); got != int64(d) {
+			t.Fatalf("SleepOutside(%v) advanced Now by %v", d, time.Duration(got))
+		}
+	}
+}
+
+// SetScale accepts only the two states the clock decides by itself.
+func TestSetScaleAcceptsOnlyZeroAndOne(t *testing.T) {
+	SetScale(0)
 	SetScale(1)
-	start := time.Now()
-	Sleep(10 * time.Millisecond)
-	if el := time.Since(start); el < 10*time.Millisecond {
-		t.Fatalf("Sleep(10ms) returned after %v", el)
+	for _, f := range []float64{0.5, 0.01, -1, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetScale(%v) did not panic", f)
+				}
+			}()
+			SetScale(f)
+		}()
 	}
 }
 

@@ -231,7 +231,7 @@ func TestVirtualClockDurationsAreExact(t *testing.T) {
 		defer close(done)
 		for i := 1; i <= 3; i++ {
 			start := hrtime.Now()
-			hrtime.SleepUnscaled(time.Duration(i) * time.Millisecond)
+			hrtime.Sleep(time.Duration(i) * time.Millisecond)
 			op.Record(hrtime.Since(start), 0, nil)
 		}
 	})

@@ -1,7 +1,5 @@
 package monitor
 
-//lint:file-allow wallclock chaos workload paces real goroutines with wall-clock sleeps
-
 import (
 	"encoding/binary"
 	"sync"
@@ -10,8 +8,10 @@ import (
 
 	"eventspace/internal/cluster"
 	"eventspace/internal/escope"
+	"eventspace/internal/hrtime"
 	"eventspace/internal/pastset"
 	"eventspace/internal/paths"
+	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 )
 
@@ -23,7 +23,7 @@ import (
 // (delivering the data buffered during the outage) once the cluster
 // heals.
 func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := cluster.NewTestbed(cluster.LANMulti(3, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,8 @@ func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
 	var writers sync.WaitGroup
 	for i, h := range ironHosts {
 		writers.Add(1)
-		go func(i int, h *vnet.Host, e *pastset.Element) {
+		e := elems[i]
+		vclock.Go(func() {
 			defer writers.Done()
 			for seq := uint16(1); ; seq++ {
 				select {
@@ -118,9 +119,9 @@ func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
 					binary.LittleEndian.PutUint16(rec[1:], seq)
 					e.WriteCopy(rec)
 				}
-				time.Sleep(100 * time.Microsecond)
+				hrtime.Sleep(100 * time.Microsecond)
 			}
-		}(i, h, elems[i])
+		})
 	}
 	defer func() { close(stopWriters); writers.Wait() }()
 
@@ -142,7 +143,9 @@ func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
 	})
 	defer tb.Net.ClearFaults()
 
-	// The application runs right through the fault window.
+	// The application runs right through the fault window. Its driver
+	// waits for the threads on a plain WaitGroup, so it is not a model
+	// goroutine; runApp starts the threads as model goroutines.
 	appDone := make(chan struct{})
 	go func() {
 		defer close(appDone)
@@ -186,7 +189,7 @@ func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
 // the crashed host while the retained analysis state stays queryable,
 // then recovers after restart.
 func TestLoadBalanceCoverageDipsOnNodeCrash(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := cluster.NewTestbed(cluster.LANMulti(2, 2))
 	if err != nil {
 		t.Fatal(err)

@@ -139,7 +139,7 @@ func (t *hostThreads) start(hosts []*vnet.Host, interval time.Duration, pass fun
 					return
 				}
 				if pass(i, &batch) == 0 {
-					hrtime.SleepUnscaled(50 * time.Microsecond)
+					hrtime.Sleep(50 * time.Microsecond)
 				}
 				if interval > 0 {
 					hrtime.Sleep(interval)

@@ -1,7 +1,5 @@
 package monitor
 
-//lint:file-allow wallclock the waitFor harness polls real monitors against wall-clock deadlines
-
 import (
 	"sync"
 	"testing"
@@ -14,14 +12,21 @@ import (
 	"eventspace/internal/escope"
 	"eventspace/internal/hrtime"
 	"eventspace/internal/paths"
+	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
 )
 
-func fastScale(t *testing.T) {
+// virtual runs the rest of the test on the discrete-event clock, so
+// monitors and applications run on modelled time: every delay takes its
+// exact modelled value and no real time. The test goroutine is a driver:
+// it polls with waitFor and starts model goroutines with vclock.Go.
+func virtual(t *testing.T) {
 	t.Helper()
-	old := hrtime.Scale()
-	hrtime.SetScale(0.01)
-	t.Cleanup(func() { hrtime.SetScale(old) })
+	vclock.Enable(0)
+	t.Cleanup(func() {
+		vclock.Quiesce(10 * time.Second)
+		vclock.Disable()
+	})
 }
 
 // buildRig creates a 3-host Tin testbed with an instrumented tree, wiring
@@ -51,7 +56,7 @@ func runApp(t *testing.T, tree *cluster.Tree, rounds, slowPort int, delay time.D
 	var wg sync.WaitGroup
 	for i, p := range tree.Ports {
 		wg.Add(1)
-		go func(i int, p cluster.ThreadPort) {
+		vclock.Go(func() {
 			defer wg.Done()
 			ctx := &paths.Ctx{Thread: p.Name}
 			for r := 0; r < rounds; r++ {
@@ -63,7 +68,7 @@ func runApp(t *testing.T, tree *cluster.Tree, rounds, slowPort int, delay time.D
 					return
 				}
 			}
-		}(i, p)
+		})
 	}
 	wg.Wait()
 }
@@ -103,7 +108,7 @@ func TestLBJoinEvicts(t *testing.T) {
 }
 
 func TestLoadBalanceRejectsUninstrumented(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, _ := cluster.NewTestbed(cluster.SingleTin(2))
 	tree, err := cluster.BuildTree(tb, cluster.TreeSpec{Name: "U", ThreadsPerHost: 1})
 	if err != nil {
@@ -124,20 +129,21 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-// waitFor polls until cond or the deadline.
+// waitFor polls cond from the driver every 2 ms of modelled time until
+// it holds, failing after d of modelled time.
 func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 	t.Helper()
-	deadline := time.Now().Add(d)
+	deadline := hrtime.Now() + int64(d)
 	for !cond() {
-		if time.Now().After(deadline) {
+		if hrtime.Now() > deadline {
 			t.Fatal(msg)
 		}
-		time.Sleep(2 * time.Millisecond)
+		hrtime.SleepOutside(2 * time.Millisecond)
 	}
 }
 
 func TestLoadBalanceSingleScopeFindsImbalance(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
@@ -151,12 +157,11 @@ func TestLoadBalanceSingleScopeFindsImbalance(t *testing.T) {
 	// Port 0 is the root host's thread: make it the straggler at the
 	// root node.
 	runApp(t, tree, rounds, 0, 10*time.Millisecond)
-	// Everything was produced; let the monitor drain. Timestamps at the
-	// shrunken test time-scale are noisy, so require a majority, not
-	// unanimity.
+	// Everything was produced; let the monitor drain. In modelled time
+	// the slow thread arrives last at the root in every round.
 	waitFor(t, 10*time.Second, func() bool {
 		root := tree.Nodes[0]
-		return lb.Weighted().Counts(root.Name)[0] >= rounds/2
+		return lb.Weighted().Counts(root.Name)[0] >= rounds
 	}, "single-scope monitor did not attribute last arrivals to the slow thread")
 	lb.Stop()
 	lb.Stop() // idempotent
@@ -165,8 +170,8 @@ func TestLoadBalanceSingleScopeFindsImbalance(t *testing.T) {
 	}
 	root := tree.Nodes[0]
 	counts := lb.Weighted().Counts(root.Name)
-	if counts[0] <= counts[1] || counts[0] <= counts[2] {
-		t.Fatalf("slow thread not dominant: %v", counts)
+	if counts[0] != rounds || counts[1] != 0 || counts[2] != 0 {
+		t.Fatalf("slow thread not the last arriver of every round: %v", counts)
 	}
 	if lb.RoundsObserved() == 0 {
 		t.Fatal("no rounds observed")
@@ -180,7 +185,7 @@ func TestLoadBalanceSingleScopeFindsImbalance(t *testing.T) {
 // thread counts each batch and leaves the weighted tree alone; back in
 // strict mode it folds again and stops counting skipped batches.
 func TestLoadBalanceSummaryOnlySkipsFold(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
@@ -215,7 +220,7 @@ func TestLoadBalanceSummaryOnlySkipsFold(t *testing.T) {
 }
 
 func TestLoadBalanceDistributedTracksCumulativeState(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
@@ -230,7 +235,7 @@ func TestLoadBalanceDistributedTracksCumulativeState(t *testing.T) {
 	runApp(t, tree, rounds, 0, 10*time.Millisecond)
 	root := tree.Nodes[0]
 	waitFor(t, 10*time.Second, func() bool {
-		return lb.Weighted().Counts(root.Name)[0] >= rounds/2
+		return lb.Weighted().Counts(root.Name)[0] >= rounds
 	}, "distributed monitor did not reach the expected last-arrival count")
 	lb.Stop()
 	counts := lb.Weighted().Counts(root.Name)
@@ -255,7 +260,7 @@ func TestStatsmComputesWrapperAndThreadStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full statsm pipeline takes several seconds")
 	}
-	fastScale(t)
+	virtual(t)
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
@@ -334,7 +339,7 @@ func TestStatsmComputesWrapperAndThreadStats(t *testing.T) {
 }
 
 func TestStatsmWithCoscheduling(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	cs := cosched.NewSet(cosched.AfterUnblock)
 	tb, tree := buildRig(t, cs)
 	cfg := DefaultConfig()

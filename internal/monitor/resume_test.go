@@ -17,7 +17,7 @@ import (
 // distributed mode, each host's intermediate one — so the corrected
 // monitor over the same tree can take their names.
 func TestLoadBalanceRefusedBuildReleasesBuffers(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	for _, mode := range []LoadBalanceMode{SingleScope, Distributed} {
 		t.Run(mode.String(), func(t *testing.T) {
 			tb, tree := buildRig(t, nil)
@@ -121,7 +121,7 @@ func (r *resumeRig) sameAsAll(t *testing.T, lb *LoadBalance, rounds uint64) {
 // replacement counts none of the first five again and the sixth once,
 // and ends with the weighted tree a Replay fed every tuple computes.
 func TestLoadBalanceResumeFloorsDeduplicate(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	r := newResumeRig(t)
 	k := r.k
 	for seq := uint32(1); seq <= 5; seq++ {
@@ -155,7 +155,7 @@ func TestLoadBalanceResumeFloorsDeduplicate(t *testing.T) {
 // Round 1 arrives after the replacement starts; its last arriver is not
 // round 0's, so once it is counted the re-read round 0 was folded too.
 func TestLoadBalanceResumeFloorAtSeqZero(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	r := newResumeRig(t)
 	k := r.k
 	for c := 0; c < k; c++ {

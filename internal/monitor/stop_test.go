@@ -17,7 +17,9 @@ import (
 )
 
 // stopConcurrently invokes stop from many goroutines released by one
-// starting gun, maximizing the double-close window.
+// starting gun, maximizing the double-close window. The stoppers are
+// drivers, not model goroutines: Stop waits for the monitor's threads on
+// a plain WaitGroup, which a registered goroutine must not block on.
 func stopConcurrently(t *testing.T, stop func()) {
 	t.Helper()
 	const goroutines = 16
@@ -41,7 +43,7 @@ func stopConcurrently(t *testing.T, stop func()) {
 }
 
 func TestStatsmConcurrentStop(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
@@ -56,7 +58,7 @@ func TestStatsmConcurrentStop(t *testing.T) {
 }
 
 func TestLoadBalanceConcurrentStop(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
@@ -70,7 +72,7 @@ func TestLoadBalanceConcurrentStop(t *testing.T) {
 }
 
 func TestLoadBalanceDistributedConcurrentStop(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0

@@ -24,7 +24,7 @@ func TestGatherChildMutation(t *testing.T) {
 
 	read := func() []byte {
 		t.Helper()
-		rep, err := g.Op(nil, Request{Kind: OpRead})
+		rep, err := op(g, nil, Request{Kind: OpRead})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestGatherChildMutation(t *testing.T) {
 	if len(*g.children.Load()) != 0 {
 		t.Fatalf("children = %d, want 0", len(*g.children.Load()))
 	}
-	rep, err := g.Op(nil, Request{Kind: OpRead})
+	rep, err := op(g, nil, Request{Kind: OpRead})
 	if err != nil || len(rep.Data) != 0 || rep.Ret != 0 {
 		t.Fatalf("empty gather read = %+v, %v", rep, err)
 	}

@@ -16,12 +16,17 @@ import (
 	"eventspace/internal/vnet"
 )
 
-// testNet builds a small two-cluster network at a tiny time scale.
+// testNet builds a small two-cluster network and runs the rest of the
+// test on the discrete-event clock, where every modelled delay takes its
+// exact modelled value and no real time. The test goroutine is a driver:
+// it calls wrappers through op and starts goroutines with vclock.Go.
 func testNet(t *testing.T) (*vnet.Network, *vnet.Cluster, *vnet.Cluster) {
 	t.Helper()
-	old := hrtime.Scale()
-	hrtime.SetScale(0.01)
-	t.Cleanup(func() { hrtime.SetScale(old) })
+	vclock.Enable(0)
+	t.Cleanup(func() {
+		vclock.Quiesce(10 * time.Second)
+		vclock.Disable()
+	})
 	n := vnet.NewNetwork(vnet.FastEthernet, vnet.DefaultCostModel())
 	c1, err := n.AddCluster("a", "s1", 3, 2, vnet.GigabitEthernet)
 	if err != nil {
@@ -32,6 +37,18 @@ func testNet(t *testing.T) (*vnet.Network, *vnet.Cluster, *vnet.Cluster) {
 		t.Fatal(err)
 	}
 	return n, c1, c2
+}
+
+// op is w.Op made from inside the model, where a wrapper may wait on the
+// virtual clock.
+func op(w Wrapper, ctx *Ctx, req Request) (rep Reply, err error) {
+	done := make(chan struct{})
+	vclock.Go(func() {
+		defer close(done)
+		rep, err = w.Op(ctx, req)
+	})
+	<-done
+	return rep, err
 }
 
 // testElem creates an element of recSize-byte records.
@@ -62,15 +79,15 @@ func TestValueStoreWriteRead(t *testing.T) {
 		t.Fatal("Element() mismatch")
 	}
 	ctx := &Ctx{Thread: "t0"}
-	rep, err := s.Op(ctx, Request{Kind: OpWrite, Value: -42})
+	rep, err := op(s, ctx, Request{Kind: OpWrite, Value: -42})
 	if err != nil || rep.Value != -42 {
 		t.Fatalf("write: %+v %v", rep, err)
 	}
-	rep, err = s.Op(ctx, Request{Kind: OpRead})
+	rep, err = op(s, ctx, Request{Kind: OpRead})
 	if err != nil || rep.Value != -42 {
 		t.Fatalf("read: %+v %v", rep, err)
 	}
-	if _, err := s.Op(ctx, Request{Kind: OpKind(9)}); err == nil {
+	if _, err := op(s, ctx, Request{Kind: OpKind(9)}); err == nil {
 		t.Fatal("unsupported op accepted")
 	}
 }
@@ -80,10 +97,10 @@ func TestValueStoreWriteRead(t *testing.T) {
 func TestValueStoreShortTuple(t *testing.T) {
 	_, c1, _ := testNet(t)
 	s := NewValueStore("store", c1.Hosts()[0], testElem(t, "v", 4, 2))
-	if _, err := s.Op(nil, Request{Kind: OpWrite, Value: 1}); !errors.Is(err, pastset.ErrRecordSize) {
+	if _, err := op(s, nil, Request{Kind: OpWrite, Value: 1}); !errors.Is(err, pastset.ErrRecordSize) {
 		t.Fatalf("write into 2-byte records: %v, want ErrRecordSize", err)
 	}
-	if _, err := s.Op(nil, Request{Kind: OpRead}); !errors.Is(err, pastset.ErrEmpty) {
+	if _, err := op(s, nil, Request{Kind: OpRead}); !errors.Is(err, pastset.ErrEmpty) {
 		t.Fatalf("read after the refused write: %v, want ErrEmpty", err)
 	}
 }
@@ -111,7 +128,7 @@ func TestBatchReaderDrainsAndCaps(t *testing.T) {
 		elem.WriteCopy([]byte{byte(i), 0, 0, 0})
 	}
 	r := NewBatchReader("rd", h, elem, 4, 3)
-	rep, err := r.Op(nil, Request{Kind: OpRead})
+	rep, err := op(r, nil, Request{Kind: OpRead})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,16 +140,16 @@ func TestBatchReaderDrainsAndCaps(t *testing.T) {
 	}
 	// Uncapped reader drains the rest.
 	r2 := NewBatchReader("rd2", h, elem, 4, 0)
-	rep, err = r2.Op(nil, Request{Kind: OpRead})
+	rep, err = op(r2, nil, Request{Kind: OpRead})
 	if err != nil || rep.Ret != 10 {
 		t.Fatalf("uncapped: ret=%d err=%v", rep.Ret, err)
 	}
 	// Empty batch is fine.
-	rep, err = r2.Op(nil, Request{Kind: OpRead})
+	rep, err = op(r2, nil, Request{Kind: OpRead})
 	if err != nil || rep.Ret != 0 || len(rep.Data) != 0 {
 		t.Fatalf("empty: %+v %v", rep, err)
 	}
-	if _, err := r2.Op(nil, Request{Kind: OpWrite}); err == nil {
+	if _, err := op(r2, nil, Request{Kind: OpWrite}); err == nil {
 		t.Fatal("write on reader accepted")
 	}
 	if r.Cursor() == nil {
@@ -145,7 +162,7 @@ func TestBatchReaderRejectsWrongRecordSize(t *testing.T) {
 	elem := testElem(t, "trace", 8, 3)
 	elem.WriteCopy([]byte{1, 2, 3})
 	r := NewBatchReader("rd", c1.Hosts()[0], elem, 4, 0)
-	if _, err := r.Op(nil, Request{Kind: OpRead}); err == nil {
+	if _, err := op(r, nil, Request{Kind: OpRead}); err == nil {
 		t.Fatal("wrong-size record accepted")
 	}
 }
@@ -160,19 +177,19 @@ func TestTransform(t *testing.T) {
 		r.Value++
 		return r, nil
 	})
-	rep, err := tr.Op(nil, Request{Kind: OpWrite, Value: 10})
+	rep, err := op(tr, nil, Request{Kind: OpWrite, Value: 10})
 	if err != nil || rep.Value != 21 {
 		t.Fatalf("transform: %+v %v", rep, err)
 	}
 	bad := NewTransform("bad", h, nil, func(r Reply) (Reply, error) { return r, nil })
-	if _, err := bad.Op(nil, Request{}); !errors.Is(err, ErrNoNext) {
+	if _, err := op(bad, nil, Request{}); !errors.Is(err, ErrNoNext) {
 		t.Fatalf("nil next: %v", err)
 	}
 	failing := NewFunc("fail", h, func(ctx *Ctx, req Request) (Reply, error) {
 		return Reply{}, errors.New("inner boom")
 	})
 	tr2 := NewTransform("t2", h, failing, func(r Reply) (Reply, error) { return r, nil })
-	if _, err := tr2.Op(nil, Request{}); err == nil {
+	if _, err := op(tr2, nil, Request{}); err == nil {
 		t.Fatal("inner error swallowed")
 	}
 }
@@ -209,7 +226,7 @@ func TestAllreduceLocalRounds(t *testing.T) {
 	results := make([][]int64, 4)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(i int) {
+		vclock.Go(func() {
 			defer wg.Done()
 			port := ar.Port(i)
 			ctx := &Ctx{Thread: fmt.Sprintf("t%d", i)}
@@ -221,7 +238,7 @@ func TestAllreduceLocalRounds(t *testing.T) {
 				}
 				results[i] = append(results[i], rep.Value)
 			}
-		}(i)
+		})
 	}
 	wg.Wait()
 	for r := 0; r < rounds; r++ {
@@ -262,10 +279,10 @@ func TestAllreduceErrorPropagatesToAllWaiters(t *testing.T) {
 	errs := make([]error, 3)
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		go func(i int) {
+		vclock.Go(func() {
 			defer wg.Done()
 			_, errs[i] = ar.Port(i).Op(nil, Request{Kind: OpWrite, Value: 1})
-		}(i)
+		})
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -305,10 +322,10 @@ func TestAbortReleasesWaiters(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, op := range ops {
 		wg.Add(1)
-		go func(i int, op func() (Reply, error)) {
+		vclock.Go(func() {
 			defer wg.Done()
 			_, errs[i] = op()
-		}(i, op)
+		})
 	}
 	ar.Abort(lost)
 	ex0.Abort(lost)
@@ -318,7 +335,7 @@ func TestAbortReleasesWaiters(t *testing.T) {
 			t.Errorf("op %d returned %v, want the abort's error", i, err)
 		}
 	}
-	if _, err := ar.Port(2).Op(nil, Request{Kind: OpWrite, Value: 1}); !errors.Is(err, lost) {
+	if _, err := op(ar.Port(2), nil, Request{Kind: OpWrite, Value: 1}); !errors.Is(err, lost) {
 		t.Errorf("Op after Abort returned %v", err)
 	}
 }
@@ -343,14 +360,14 @@ func TestAllreduceNotifier(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		go func(i int) {
+		vclock.Go(func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				if _, err := ar.Port(i).Op(nil, Request{Kind: OpWrite, Value: 1}); err != nil {
 					t.Errorf("op: %v", err)
 				}
 			}
-		}(i)
+		})
 	}
 	wg.Wait()
 	if n.sent != rounds || n.released != rounds {
@@ -372,7 +389,7 @@ func TestRemoteThroughService(t *testing.T) {
 	conn := n.Dial(client, server, svc.Handler())
 	defer conn.Close()
 	stub := NewRemote("stub", client, conn, target)
-	rep, err := stub.Op(&Ctx{Thread: "t7"}, Request{Kind: OpWrite, Value: 41, Data: []byte("hi")})
+	rep, err := op(stub, &Ctx{Thread: "t7"}, Request{Kind: OpWrite, Value: 41, Data: []byte("hi")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +404,7 @@ func TestRemoteUnknownTarget(t *testing.T) {
 	conn := n.Dial(c1.Hosts()[0], c2.Hosts()[0], svc.Handler())
 	defer conn.Close()
 	stub := NewRemote("stub", c1.Hosts()[0], conn, 999)
-	if _, err := stub.Op(nil, Request{Kind: OpWrite}); err == nil {
+	if _, err := op(stub, nil, Request{Kind: OpWrite}); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
@@ -401,7 +418,7 @@ func TestRemoteErrorPropagates(t *testing.T) {
 	conn := n.Dial(c1.Hosts()[0], c2.Hosts()[0], svc.Handler())
 	defer conn.Close()
 	stub := NewRemote("stub", c1.Hosts()[0], conn, target)
-	if _, err := stub.Op(nil, Request{Kind: OpWrite}); err == nil {
+	if _, err := op(stub, nil, Request{Kind: OpWrite}); err == nil {
 		t.Fatal("remote error swallowed")
 	}
 }
@@ -493,7 +510,7 @@ func TestTwoLevelTreeAcrossHosts(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, p := range ports {
 		wg.Add(1)
-		go func(i int, p Wrapper) {
+		vclock.Go(func() {
 			defer wg.Done()
 			ctx := &Ctx{Thread: fmt.Sprintf("t%d", i)}
 			for r := 0; r < rounds; r++ {
@@ -507,7 +524,7 @@ func TestTwoLevelTreeAcrossHosts(t *testing.T) {
 					return
 				}
 			}
-		}(i, p)
+		})
 	}
 	wg.Wait()
 	if st := rootElem.Stats(); st.Written != rounds {
@@ -545,7 +562,7 @@ func TestGatherSequentialAndParallel(t *testing.T) {
 		if g.helpers != helpers || len(*g.children.Load()) != 3 {
 			t.Fatal("accessors wrong")
 		}
-		rep, err := g.Op(nil, Request{Kind: OpRead})
+		rep, err := op(g, nil, Request{Kind: OpRead})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -553,7 +570,7 @@ func TestGatherSequentialAndParallel(t *testing.T) {
 		if !bytes.Equal(rep.Data, want) || rep.Ret != 6 {
 			t.Fatalf("helpers=%d: data=% x ret=%d", helpers, rep.Data, rep.Ret)
 		}
-		if _, err := g.Op(nil, Request{Kind: OpWrite}); err == nil {
+		if _, err := op(g, nil, Request{Kind: OpWrite}); err == nil {
 			t.Fatal("write on gather accepted")
 		}
 	}
@@ -565,7 +582,7 @@ func TestGatherChildErrorWins(t *testing.T) {
 	ok := NewFunc("ok", h, func(ctx *Ctx, req Request) (Reply, error) { return Reply{Data: []byte{1}}, nil })
 	bad := NewFunc("bad", h, func(ctx *Ctx, req Request) (Reply, error) { return Reply{}, errors.New("child boom") })
 	g, _ := NewGather("g", h, []Wrapper{ok, bad}, 0)
-	if _, err := g.Op(nil, Request{Kind: OpRead}); err == nil {
+	if _, err := op(g, nil, Request{Kind: OpRead}); err == nil {
 		t.Fatal("child error swallowed")
 	}
 }
@@ -578,10 +595,6 @@ func TestGatherChildErrorWins(t *testing.T) {
 // modelled — children x delay against delay — whatever the host is
 // doing.
 func TestGatherHelpersOverlapSlowChildren(t *testing.T) {
-	vclock.Enable(0)
-	defer vclock.Disable()
-	defer vclock.Quiesce(10 * time.Second)
-
 	_, c1, _ := testNet(t)
 	h := c1.Hosts()[0]
 	const children = 4
@@ -655,7 +668,7 @@ func TestExchangeAllToAll(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < k; i++ {
 		wg.Add(1)
-		go func(i int) {
+		vclock.Go(func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				rep, err := exs[i].Op(nil, Request{Kind: OpWrite, Value: int64((i + 1) * (r + 1))})
@@ -669,7 +682,7 @@ func TestExchangeAllToAll(t *testing.T) {
 					return
 				}
 			}
-		}(i)
+		})
 	}
 	wg.Wait()
 }
@@ -690,7 +703,7 @@ func TestExchangeValidation(t *testing.T) {
 	if err := e.ConnectPeer(5, nil); err == nil {
 		t.Fatal("out-of-range peer accepted")
 	}
-	if _, err := e.Op(nil, Request{Kind: OpWrite, Value: 1}); err == nil {
+	if _, err := op(e, nil, Request{Kind: OpWrite, Value: 1}); err == nil {
 		t.Fatal("op with missing peers accepted")
 	}
 	if e.id != 0 || e.Participants() != 3 {
@@ -723,13 +736,13 @@ func TestExchangeStoresViaNext(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		go func(i int) {
+		vclock.Go(func() {
 			defer wg.Done()
 			rep, err := exs[i].Op(nil, Request{Kind: OpWrite, Value: int64(10 * (i + 1))})
 			if err != nil || rep.Value != 20 {
 				t.Errorf("ex%d: %+v %v", i, rep, err)
 			}
-		}(i)
+		})
 	}
 	wg.Wait()
 	for i, e := range elems {

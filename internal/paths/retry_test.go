@@ -1,7 +1,5 @@
 package paths
 
-//lint:file-allow wallclock asserts real elapsed time against RetryPolicy.Deadline
-
 import (
 	"errors"
 	"fmt"
@@ -9,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/vnet"
 )
@@ -86,7 +85,7 @@ func TestRemoteRetriesTransientFault(t *testing.T) {
 	h := c1.Hosts()[0]
 	fc := &flakyCaller{n: 2, err: vnet.ErrTimeout, reply: Reply{Value: 7}}
 	r := NewRemote("stub", h, fc, 1).SetRetry(&RetryPolicy{MaxAttempts: 4, BaseBackoff: 10 * time.Microsecond})
-	rep, err := r.Op(&Ctx{}, Request{Kind: OpRead})
+	rep, err := op(r, &Ctx{}, Request{Kind: OpRead})
 	if err != nil || rep.Value != 7 {
 		t.Fatalf("Op = %+v, %v", rep, err)
 	}
@@ -103,7 +102,7 @@ func TestRemoteExhaustsAttempts(t *testing.T) {
 	h := c1.Hosts()[0]
 	fc := &flakyCaller{n: 100, err: vnet.ErrTimeout}
 	r := NewRemote("stub", h, fc, 1).SetRetry(&RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Microsecond})
-	if _, err := r.Op(&Ctx{}, Request{Kind: OpRead}); !errors.Is(err, vnet.ErrTimeout) {
+	if _, err := op(r, &Ctx{}, Request{Kind: OpRead}); !errors.Is(err, vnet.ErrTimeout) {
 		t.Fatalf("Op err = %v", err)
 	}
 	if fc.calls != 3 {
@@ -124,7 +123,7 @@ func TestRemoteDoesNotRetryAppError(t *testing.T) {
 	conn := n.Dial(client, server, svc.Handler())
 	defer conn.Close()
 	r := NewRemote("stub", client, conn, target).SetRetry(&RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Microsecond})
-	_, err := r.Op(&Ctx{}, Request{Kind: OpRead})
+	_, err := op(r, &Ctx{}, Request{Kind: OpRead})
 	if !IsRemote(err) {
 		t.Fatalf("err = %v, want RemoteError", err)
 	}
@@ -154,7 +153,7 @@ func TestRemoteRedialsDeadConn(t *testing.T) {
 			}
 			return n.Dial(client, server, svc.Handler()), target, nil
 		})
-	rep, err := r.Op(&Ctx{}, Request{Kind: OpWrite, Value: 5})
+	rep, err := op(r, &Ctx{}, Request{Kind: OpWrite, Value: 5})
 	if err != nil || rep.Value != 5 {
 		t.Fatalf("Op = %+v, %v", rep, err)
 	}
@@ -179,7 +178,7 @@ func TestRemoteRegisterCounts(t *testing.T) {
 	for i := 1; i <= 2; i++ {
 		r := NewRemote("stub", h, &flakyCaller{n: i, err: vnet.ErrConnClosed}, 1).SetRetry(pol).SetRedial(redial)
 		r.RegisterCounts(reg, "scope/stub")
-		if _, err := r.Op(&Ctx{}, Request{Kind: OpRead}); err != nil {
+		if _, err := op(r, &Ctx{}, Request{Kind: OpRead}); err != nil {
 			t.Fatal(err)
 		}
 		stubs = append(stubs, r)
@@ -234,14 +233,15 @@ func TestRedialRespectsDeadline(t *testing.T) {
 			redials++
 			return &deadCaller{}, 1, nil
 		})
-	start := time.Now()
-	_, err := r.Op(&Ctx{}, Request{Kind: OpRead})
-	elapsed := time.Since(start)
+	start := hrtime.Now()
+	_, err := op(r, &Ctx{}, Request{Kind: OpRead})
+	elapsed := time.Duration(hrtime.Since(start))
 	if !errors.Is(err, vnet.ErrConnClosed) {
 		t.Fatalf("err = %v, want ErrConnClosed", err)
 	}
-	if elapsed > time.Second {
-		t.Fatalf("deadline ignored: Op ran %v", elapsed)
+	// The last attempt starts within one capped backoff of the deadline.
+	if elapsed < 3*time.Millisecond || elapsed >= 4*time.Millisecond {
+		t.Fatalf("deadline ignored: Op ran %v, want [3ms, 4ms)", elapsed)
 	}
 	if r.retries.Load() == 0 {
 		t.Fatal("no retries before the deadline")

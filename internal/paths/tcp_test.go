@@ -5,18 +5,16 @@ import (
 	"sync"
 	"testing"
 
-	"eventspace/internal/hrtime"
 	"eventspace/internal/vnet"
 )
 
 // TestRemoteOverRealTCP runs a PATHS service over the real TCP transport:
 // the same wire format the modelled connections use, on an actual network
 // stack with Nagle disabled — the substrate the paper's stubs and
-// communication threads run on.
+// communication threads run on. Both TCP tests stay on the wall clock,
+// where modelled delays are off: their subject is real sockets, whose
+// I/O the virtual clock cannot see.
 func TestRemoteOverRealTCP(t *testing.T) {
-	old := hrtime.Scale()
-	hrtime.SetScale(0.01)
-	t.Cleanup(func() { hrtime.SetScale(old) })
 	n := vnet.NewNetwork(vnet.FastEthernet, vnet.DefaultCostModel())
 	serverHost, err := n.AddStandaloneHost("srv", 2)
 	if err != nil {
@@ -67,9 +65,6 @@ func TestRemoteOverRealTCP(t *testing.T) {
 // TestAllreduceOverRealTCP joins two contributor processes' worth of
 // traffic through a real TCP connection into one allreduce wrapper.
 func TestAllreduceOverRealTCP(t *testing.T) {
-	old := hrtime.Scale()
-	hrtime.SetScale(0.01)
-	t.Cleanup(func() { hrtime.SetScale(old) })
 	n := vnet.NewNetwork(vnet.FastEthernet, vnet.DefaultCostModel())
 	rootHost, _ := n.AddStandaloneHost("root", 2)
 	leafHost, _ := n.AddStandaloneHost("leaf", 2)

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"eventspace/internal/hrtime"
 	"eventspace/internal/pastset"
 	"eventspace/internal/vclock"
 	"eventspace/internal/vnet"
@@ -274,10 +273,10 @@ func newTreeRig(t *testing.T, real bool) *treeRig {
 // empty and, in a share of the trees, one that fails: the same payload,
 // record count and error text, round after round while the size guesses
 // go stale, and every payload handed out earlier still intact at the end.
+//
+// It runs on the wall clock, where modelled delays are off: a share of
+// its stubs are loopback TCP, whose I/O the virtual clock cannot see.
 func TestGatherMatchesAppendReference(t *testing.T) {
-	old := hrtime.Scale()
-	hrtime.SetScale(0)
-	t.Cleanup(func() { hrtime.SetScale(old) })
 	var drawn [nodeRemoteTCP + 1]int
 	failed, succeeded := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {

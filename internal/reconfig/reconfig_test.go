@@ -28,11 +28,27 @@ func counter(reg *metrics.Registry, name string) uint64 {
 	return 0
 }
 
-func fastScale(t *testing.T) {
+// virtual runs the rest of the test on the discrete-event clock, so the
+// scopes, faults and repairs run on modelled time: every delay takes its
+// exact modelled value and no real time. The test goroutine is a driver:
+// it pulls through pull and waits with SleepOutside.
+func virtual(t *testing.T) {
 	t.Helper()
-	old := hrtime.Scale()
-	hrtime.SetScale(0.005)
-	t.Cleanup(func() { hrtime.SetScale(old) })
+	vclock.Enable(0)
+	t.Cleanup(func() {
+		vclock.Quiesce(10 * time.Second)
+		vclock.Disable()
+	})
+}
+
+// pull is s.Pull made from inside the model.
+func pull(s *escope.Scope) {
+	done := make(chan struct{})
+	vclock.Go(func() {
+		defer close(done)
+		s.Pull(nil)
+	})
+	<-done
 }
 
 // wan4 is the acceptance topology: four Tin sub-clusters at the four
@@ -85,15 +101,17 @@ func guardedScope(t *testing.T, tb *cluster.Testbed) (*escope.Scope, map[string]
 	return scope, elems
 }
 
+// pullUntil pulls s every 500 µs of modelled time until cond holds or d
+// of modelled time has passed.
 func pullUntil(t *testing.T, s *escope.Scope, d time.Duration, cond func() bool) bool {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	deadline := hrtime.Now() + int64(d)
+	for hrtime.Now() < deadline {
 		if cond() {
 			return true
 		}
-		s.Pull(nil)
-		time.Sleep(500 * time.Microsecond)
+		pull(s)
+		hrtime.SleepOutside(500 * time.Microsecond)
 	}
 	return cond()
 }
@@ -114,7 +132,7 @@ func clusterByName(topo []escope.ClusterTopology, name string) *escope.ClusterTo
 // rounds of the repair, without a restart.
 func runGatewayCrash(t *testing.T, seed int64) []reconfig.RepairStep {
 	t.Helper()
-	fastScale(t)
+	virtual(t)
 	tb, err := cluster.NewTestbed(wan4(seed, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +197,7 @@ func runGatewayCrash(t *testing.T, seed int64) []reconfig.RepairStep {
 	}
 	rounds := 0
 	for ; rounds < 5; rounds++ {
-		scope.Pull(nil)
+		pull(scope)
 		if cov := scope.Coverage(); cov.Reporting == cov.Expected {
 			break
 		}
@@ -201,13 +219,20 @@ func runGatewayCrash(t *testing.T, seed int64) []reconfig.RepairStep {
 // TestGatewayCrashReparentRestoresCoverage is the acceptance scenario
 // across three WAN seeds: each run must repair by re-parenting within
 // five monitored rounds, and repeating a seed must produce the identical
-// plan (the planner consumes only sorted snapshots and the policy).
+// plan (the planner consumes only sorted snapshots and the policy). Each
+// run has a virtual clock and a testbed of its own.
 func TestGatewayCrashReparentRestoresCoverage(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			first := runGatewayCrash(t, seed)
-			second := runGatewayCrash(t, seed)
+			var runs [2][]reconfig.RepairStep
+			for i := range runs {
+				t.Run(fmt.Sprintf("run%d", i+1), func(t *testing.T) { runs[i] = runGatewayCrash(t, seed) })
+			}
+			if t.Failed() {
+				return
+			}
+			first, second := runs[0], runs[1]
 			if len(first) != len(second) {
 				t.Fatalf("plans differ in length across identical runs:\n%+v\n%+v", first, second)
 			}
@@ -237,7 +262,7 @@ func lanRig(t *testing.T) *cluster.Testbed {
 // cluster is rebuilt around one of its own members instead of being
 // scattered.
 func TestGatewayCrashPromotesUnderFanInCap(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb := lanRig(t)
 	scope, elems := guardedScope(t, tb)
 	planCh := make(chan reconfig.RepairPlan, 4)
@@ -302,7 +327,7 @@ func TestGatewayCrashPromotesUnderFanInCap(t *testing.T) {
 // nothing to work with: the plan aborts explicitly, with a reason and a
 // counted abort, instead of thrashing.
 func TestRepairAbortsWithoutLiveCandidates(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	tb, err := cluster.NewTestbed(cluster.TestbedSpec{Clusters: []cluster.ClusterSpec{
 		{Name: "a", Class: cluster.Tin, Hosts: 2, Site: wantrace.Tromso},
 	}})
@@ -354,12 +379,12 @@ func TestRepairAbortsWithoutLiveCandidates(t *testing.T) {
 	// through the swap.
 	events = append(events, vnet.FaultEvent{Kind: vnet.FaultCrash, Host: a.Gateway().Name()})
 	inj := tb.Net.InjectFaults(vnet.FaultPlan{CallTimeout: 500 * time.Microsecond, Events: events})
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := hrtime.Now() + int64(5*time.Second)
 	for len(inj.Log()) < len(events) {
-		if time.Now().After(deadline) {
+		if hrtime.Now() > deadline {
 			t.Fatalf("fault events never applied: %+v", inj.Log())
 		}
-		time.Sleep(200 * time.Microsecond)
+		hrtime.SleepOutside(200 * time.Microsecond)
 	}
 
 	var plan reconfig.RepairPlan
@@ -390,7 +415,7 @@ func TestRepairAbortsWithoutLiveCandidates(t *testing.T) {
 
 // Attach validates its inputs.
 func TestAttachValidation(t *testing.T) {
-	fastScale(t)
+	virtual(t)
 	if _, err := reconfig.Attach(nil, reconfig.Policy{}); err == nil {
 		t.Fatal("nil scope accepted")
 	}

@@ -5,19 +5,29 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"eventspace/internal/analysis"
 	"eventspace/internal/cluster"
-	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/monitor"
+	"eventspace/internal/vclock"
 )
+
+// virtual runs the rest of the test on the discrete-event clock, where
+// the trees' modelled delays cost no real time.
+func virtual(t *testing.T) {
+	t.Helper()
+	vclock.Enable(0)
+	t.Cleanup(func() {
+		vclock.Quiesce(10 * time.Second)
+		vclock.Disable()
+	})
+}
 
 func testTree(t *testing.T) (*cluster.Testbed, *cluster.Tree) {
 	t.Helper()
-	old := hrtime.Scale()
-	hrtime.SetScale(0.002)
-	t.Cleanup(func() { hrtime.SetScale(old) })
+	virtual(t)
 	tb, err := cluster.NewTestbed(cluster.SingleTin(4))
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +57,7 @@ func TestTreeRendering(t *testing.T) {
 }
 
 func TestTreeRenderingWAN(t *testing.T) {
-	old := hrtime.Scale()
-	hrtime.SetScale(0.002)
-	t.Cleanup(func() { hrtime.SetScale(old) })
+	virtual(t)
 	tb, err := cluster.NewTestbed(cluster.WANMulti(2, 2, 1, 0))
 	if err != nil {
 		t.Fatal(err)

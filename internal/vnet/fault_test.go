@@ -3,21 +3,42 @@ package vnet
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"eventspace/internal/hrtime"
+	"eventspace/internal/vclock"
 )
 
-// pollUntil spins until cond holds or the deadline passes.
+// pollUntil polls cond from a driver every 200 µs of model time until it
+// holds or d has passed. Under the virtual clock d is modelled time, and
+// the poll cannot hang: an idle model lets the clock jump to the next
+// poll. On the wall clock (the TCP tests) it is a busy poll bounded by
+// real time.
 func pollUntil(t *testing.T, d time.Duration, cond func() bool) bool {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
+	deadline := hrtime.Now() + int64(d)
+	for hrtime.Now() < deadline {
 		if cond() {
 			return true
 		}
-		time.Sleep(200 * time.Microsecond)
+		hrtime.SleepOutside(200 * time.Microsecond)
 	}
 	return cond()
+}
+
+// call makes one call from inside the model, returning the modelled
+// time it took and its error.
+func call(conn *Conn, p []byte) (time.Duration, error) {
+	var err error
+	var took int64
+	inModel(func() {
+		start := hrtime.Now()
+		_, err = conn.Call(p)
+		took = hrtime.Since(start)
+	})
+	return time.Duration(took), err
 }
 
 func TestFaultPlanDropSequenceDeterministic(t *testing.T) {
@@ -66,7 +87,7 @@ func TestFaultPlanDropSequenceDeterministic(t *testing.T) {
 }
 
 func TestInjectorEventLogDeterministic(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	plan := FaultPlan{
 		Seed: 7,
 		Events: []FaultEvent{
@@ -100,14 +121,14 @@ func TestInjectorEventLogDeterministic(t *testing.T) {
 }
 
 func TestCrashFailsCallsAndRestartRecovers(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
 	client, server := c.Hosts()[0], c.Hosts()[1]
 	echo := func(p []byte) ([]byte, error) { return p, nil }
 
 	conn := n.Dial(client, server, echo)
-	if _, err := conn.Call([]byte{1}); err != nil {
+	if _, err := call(conn, []byte{1}); err != nil {
 		t.Fatalf("pre-fault call: %v", err)
 	}
 
@@ -116,13 +137,13 @@ func TestCrashFailsCallsAndRestartRecovers(t *testing.T) {
 		t.Fatal("crash not applied")
 	}
 	// The old connection was reset.
-	if _, err := conn.Call([]byte{2}); !errors.Is(err, ErrConnClosed) {
+	if _, err := call(conn, []byte{2}); !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("call on reset conn: %v", err)
 	}
 	// A fresh dial reaches a dead host: fast failure, not a hang.
 	conn2 := n.Dial(client, server, echo)
 	defer conn2.Close()
-	if _, err := conn2.Call([]byte{3}); !errors.Is(err, ErrHostDown) {
+	if _, err := call(conn2, []byte{3}); !errors.Is(err, ErrHostDown) {
 		t.Fatalf("call to down host: %v", err)
 	}
 
@@ -132,7 +153,7 @@ func TestCrashFailsCallsAndRestartRecovers(t *testing.T) {
 	if !pollUntil(t, 2*time.Second, func() bool { return !n.HostDown(server) }) {
 		t.Fatal("restart not applied")
 	}
-	if _, err := conn2.Call([]byte{4}); err != nil {
+	if _, err := call(conn2, []byte{4}); err != nil {
 		t.Fatalf("call after restart: %v", err)
 	}
 }
@@ -143,7 +164,7 @@ func TestCrashFailsCallsAndRestartRecovers(t *testing.T) {
 // fails with ErrConnClosed, never ErrHostDown. Many connections widen
 // the window a two-step crash (mark down, then reset) would leave open.
 func TestCrashResetsConnsBeforeHostDown(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
 	client, server := c.Hosts()[0], c.Hosts()[1]
@@ -155,6 +176,9 @@ func TestCrashResetsConnsBeforeHostDown(t *testing.T) {
 	defer n.ClearFaults()
 
 	n.InjectFaults(FaultPlan{Events: []FaultEvent{{At: 0, Kind: FaultCrash, Host: server.Name()}}})
+	// The driver yield-spins rather than polling on model time, so it
+	// reads HostDown while the injector may still be inside the crash:
+	// that is the moment a two-step crash would show.
 	deadline := time.Now().Add(2 * time.Second)
 	for !n.HostDown(server) {
 		if time.Now().After(deadline) {
@@ -163,14 +187,14 @@ func TestCrashResetsConnsBeforeHostDown(t *testing.T) {
 		runtime.Gosched()
 	}
 	for i, conn := range conns {
-		if _, err := conn.Call([]byte{1}); !errors.Is(err, ErrConnClosed) {
+		if _, err := call(conn, []byte{1}); !errors.Is(err, ErrConnClosed) {
 			t.Fatalf("conn %d dialled before the crash: %v, want ErrConnClosed", i, err)
 		}
 	}
 }
 
 func TestPartitionTimesOutAndHeals(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	a, _ := n.AddCluster("a", "s", 1, 1, GigabitEthernet)
 	b, _ := n.AddCluster("b", "s", 1, 1, GigabitEthernet)
@@ -187,22 +211,22 @@ func TestPartitionTimesOutAndHeals(t *testing.T) {
 	if !pollUntil(t, 2*time.Second, func() bool { return len(inj.Log()) == 1 }) {
 		t.Fatal("partition not applied")
 	}
-	if _, err := cross.Call([]byte{1}); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("cross-partition call: %v", err)
+	if took, err := call(cross, []byte{1}); !errors.Is(err, ErrTimeout) || took != 500*time.Microsecond {
+		t.Fatalf("cross-partition call: %v after %v, want a timeout after 500µs", err, took)
 	}
 	// Intra-cluster traffic inside the partitioned cluster still works.
-	if _, err := intra.Call([]byte{2}); err != nil {
+	if _, err := call(intra, []byte{2}); err != nil {
 		t.Fatalf("intra-cluster call: %v", err)
 	}
 
 	n.ClearFaults()
-	if _, err := cross.Call([]byte{3}); err != nil {
+	if _, err := call(cross, []byte{3}); err != nil {
 		t.Fatalf("call after heal: %v", err)
 	}
 }
 
 func TestDropRuleScopedByCluster(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	a, _ := n.AddCluster("a", "s", 2, 1, GigabitEthernet)
 	b, _ := n.AddCluster("b", "s", 2, 1, GigabitEthernet)
@@ -218,73 +242,84 @@ func TestDropRuleScopedByCluster(t *testing.T) {
 		Rules:       []FaultRule{{Cluster: "b", DropProb: 1}},
 	})
 	defer n.ClearFaults()
-	if _, err := inB.Call([]byte{1}); !errors.Is(err, ErrTimeout) {
+	if _, err := call(inB, []byte{1}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("call under p=1 drop rule: %v", err)
 	}
 	// The rule does not touch cluster a.
 	for i := 0; i < 10; i++ {
-		if _, err := inA.Call([]byte{2}); err != nil {
+		if _, err := call(inA, []byte{2}); err != nil {
 			t.Fatalf("unmatched call %d: %v", i, err)
 		}
 	}
 }
 
 func TestLatencySpikeDelaysCall(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
 	echo := func(p []byte) ([]byte, error) { return p, nil }
 	conn := n.Dial(c.Hosts()[0], c.Hosts()[1], echo)
 	defer conn.Close()
 
-	start := time.Now()
-	if _, err := conn.Call([]byte{1}); err != nil {
+	base, err := call(conn, []byte{1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Since(start)
 
 	n.InjectFaults(FaultPlan{
 		Seed:  3,
 		Rules: []FaultRule{{Cluster: "c", SpikeProb: 1, SpikeDelay: 20 * time.Millisecond}},
 	})
 	defer n.ClearFaults()
-	start = time.Now()
-	if _, err := conn.Call([]byte{2}); err != nil {
+	spiked, err := call(conn, []byte{2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	spiked := time.Since(start)
-	if spiked < base+10*time.Millisecond {
-		t.Fatalf("spiked call took %v (base %v), expected ≥ +10ms", spiked, base)
+	// At probability 1 both the request and the reply leg spike.
+	if spiked != base+40*time.Millisecond {
+		t.Fatalf("spiked call took %v (base %v), want base + 40ms", spiked, base)
 	}
 }
 
+// Close fails a call whose handler is still running, at the instant
+// Close runs, not when the handler would have answered a second later.
 func TestCloseFailsInflightCall(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
-	started := make(chan struct{})
+	started := vclock.NewEvent()
 	conn := n.Dial(c.Hosts()[0], c.Hosts()[1], func(p []byte) ([]byte, error) {
-		close(started)
-		time.Sleep(time.Second)
+		started.Fire(nil, nil)
+		hrtime.Sleep(time.Second)
 		return p, nil
 	})
-	errc := make(chan error, 1)
-	go func() {
-		_, err := conn.Call([]byte{1})
-		errc <- err
-	}()
-	<-started
-	conn.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrConnClosed) {
-			t.Fatalf("inflight call: %v", err)
-		}
-	case <-time.After(500 * time.Millisecond):
-		t.Fatal("inflight call not failed by Close")
+	var err error
+	var failedAt, closedAt int64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	vclock.Go(func() {
+		defer wg.Done()
+		_, err = conn.Call([]byte{1})
+		failedAt = hrtime.Now()
+	})
+	vclock.Go(func() {
+		defer wg.Done()
+		started.Wait()
+		closedAt = hrtime.Now()
+		conn.Close()
+	})
+	wg.Wait()
+	if !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("inflight call: %v", err)
+	}
+	if failedAt != closedAt {
+		t.Fatalf("inflight call failed at %v, Close ran at %v", time.Duration(failedAt), time.Duration(closedAt))
 	}
 }
 
+// The TCP transport is real sockets on the wall clock, where modelled
+// delays are off: its subject is real I/O, which the virtual clock does
+// not see.
 func TestTCPResetConnsForcesRedial(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", func(p []byte) ([]byte, error) { return p, nil })
 	if err != nil {
@@ -353,7 +388,7 @@ func TestFaultPlanSlowSequenceDeterministic(t *testing.T) {
 }
 
 func TestFaultSlowInflatesServiceTime(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
 	client, server := c.Hosts()[0], c.Hosts()[1]
@@ -361,41 +396,47 @@ func TestFaultSlowInflatesServiceTime(t *testing.T) {
 	conn := n.Dial(client, server, echo)
 	defer conn.Close()
 
-	start := time.Now()
-	if _, err := conn.Call([]byte{1}); err != nil {
+	base, err := call(conn, []byte{1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Since(start)
 
-	n.InjectFaults(FaultPlan{
+	plan := FaultPlan{
 		Seed:   3,
 		Events: []FaultEvent{{At: 0, Kind: FaultSlow, Host: server.Name(), Factor: 200}},
-	})
+	}
+	n.InjectFaults(plan)
 	defer n.ClearFaults()
 	if !pollUntil(t, 2*time.Second, func() bool { return n.SlowFactor(server) == 200 }) {
 		t.Fatal("slow fault not applied")
 	}
-	start = time.Now()
-	if _, err := conn.Call([]byte{2}); err != nil {
+	slowed, err := call(conn, []byte{2})
+	if err != nil {
 		t.Fatalf("call to slow host: %v", err)
 	}
-	slowed := time.Since(start)
-	// 199x the 62us base service time jittered by [0.5, 1.5) is >= 6ms.
-	if slowed < base+5*time.Millisecond {
-		t.Fatalf("slowed call took %v (base %v), expected ≥ +5ms", slowed, base)
+	// 199x the 62us base service time jittered by [0.5, 1.5): the first
+	// draw of the plan's slow sequence, exactly.
+	cost := DefaultCostModel()
+	extra := plan.SlowSequence(server.Name(), client.Name(), 200, cost.WakeLatency+cost.RecvCPU+cost.SendCPU, 1)[0]
+	if extra < 6*time.Millisecond || slowed != base+extra {
+		t.Fatalf("slowed call took %v (base %v), want base + %v (≥ 6ms)", slowed, base, extra)
 	}
 }
 
 func TestFaultFastClearsSlowdown(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
 	client, server := c.Hosts()[0], c.Hosts()[1]
 	echo := func(p []byte) ([]byte, error) { return p, nil }
 	conn := n.Dial(client, server, echo)
 	defer conn.Close()
+	base, err := call(conn, []byte{0})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	n.InjectFaults(FaultPlan{
+	inj := n.InjectFaults(FaultPlan{
 		Seed: 5,
 		Events: []FaultEvent{
 			{At: 0, Kind: FaultSlow, Cluster: "c", Factor: 50},
@@ -403,14 +444,19 @@ func TestFaultFastClearsSlowdown(t *testing.T) {
 		},
 	})
 	defer n.ClearFaults()
-	if !pollUntil(t, 2*time.Second, func() bool { return n.SlowFactor(server) == 1 && n.SlowFactor(client) == 1 }) {
+	// Wait for both events: before the first applies, the factors read 1
+	// too.
+	if !pollUntil(t, 2*time.Second, func() bool { return len(inj.Log()) == 2 }) {
+		t.Fatalf("events not applied: log = %v", inj.Log())
+	}
+	if n.SlowFactor(server) != 1 || n.SlowFactor(client) != 1 {
 		t.Fatal("fast fault did not clear the cluster slowdown")
 	}
-	start := time.Now()
-	if _, err := conn.Call([]byte{1}); err != nil {
+	d, err := call(conn, []byte{1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(start); d > 5*time.Millisecond {
-		t.Fatalf("call after FaultFast took %v, slowdown not cleared", d)
+	if d != base {
+		t.Fatalf("call after FaultFast took %v, %v before the slowdown: not cleared", d, base)
 	}
 }

@@ -13,9 +13,10 @@
 // Inter-host messages are modelled with latency + size/bandwidth delays.
 // All traffic entering or leaving a cluster passes through the cluster's
 // gateway host, which charges CPU occupancy per transit — reproducing the
-// paper's shared-gateway bottleneck. Modelled delays honour the global
-// virtual-time scale in package hrtime, so the same topology can run fast
-// in tests and at faithful ratios in benchmarks.
+// paper's shared-gateway bottleneck. Modelled delays are waits on the
+// virtual clock (hrtime.Sleep): under it they take their modelled value
+// and no real time, and on the wall clock they take none at all, so a
+// hop costs only the host time of its code.
 package vnet
 
 import (
@@ -115,13 +116,17 @@ func (h *Host) Acquire() { h.slots.Acquire() }
 // Release returns a CPU slot claimed with Acquire.
 func (h *Host) Release() { h.slots.Release() }
 
-// Occupy claims a CPU slot for the scaled duration d, modelling a compute
-// section. Durations at or below zero only charge the accounting counter.
+// Occupy claims a CPU slot for d of modelled time, modelling a compute
+// section, and charges the time it held the slot to the accounting
+// counter: d under the virtual clock, nothing on the wall clock, where
+// modelled delays cost no time.
 func (h *Host) Occupy(d time.Duration) {
 	h.Acquire()
 	hrtime.Sleep(d)
 	h.Release()
-	h.busyNS.Add(int64(hrtime.ScaleDelay(d)))
+	if vclock.Active() {
+		h.busyNS.Add(int64(d))
+	}
 }
 
 // Cluster is a set of hosts sharing an intra-cluster link and a gateway.

@@ -10,14 +10,30 @@ import (
 	"time"
 
 	"eventspace/internal/hrtime"
+	"eventspace/internal/vclock"
 )
 
-// fastScale shrinks modelled delays for the duration of a test.
-func fastScale(t *testing.T, f float64) {
+// virtual runs the rest of the test on the discrete-event clock, so
+// every modelled delay takes exactly its modelled value and no real
+// time. The test goroutine is a driver: it waits with SleepOutside and
+// runs model code through inModel or vclock.Go.
+func virtual(t *testing.T) {
 	t.Helper()
-	old := hrtime.Scale()
-	hrtime.SetScale(f)
-	t.Cleanup(func() { hrtime.SetScale(old) })
+	vclock.Enable(0)
+	t.Cleanup(func() {
+		vclock.Quiesce(10 * time.Second)
+		vclock.Disable()
+	})
+}
+
+// inModel runs fn as a registered model goroutine and waits for it.
+func inModel(fn func()) {
+	done := make(chan struct{})
+	vclock.Go(func() {
+		defer close(done)
+		fn()
+	})
+	<-done
 }
 
 func newTestNet(t *testing.T) *Network {
@@ -178,51 +194,58 @@ func TestWANDelayUsedAcrossSites(t *testing.T) {
 	}
 }
 
+// occupyAll runs k concurrent occupations of d on h and returns the
+// modelled time until the last one ends.
+func occupyAll(h *Host, k int, d time.Duration) time.Duration {
+	start := hrtime.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		vclock.Go(func() {
+			defer wg.Done()
+			h.Occupy(d)
+		})
+	}
+	wg.Wait()
+	return time.Duration(hrtime.Since(start))
+}
+
 func TestHostOccupySerializesOnSlots(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	h, _ := n.AddStandaloneHost("h", 1)
 	const d = 20 * time.Millisecond
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.Occupy(d)
-		}()
+	if el := occupyAll(h, 3, d); el != 3*d {
+		t.Fatalf("3 occupations of %v on 1 CPU took %v, want %v: not serialized", d, el, 3*d)
 	}
-	wg.Wait()
-	if el := time.Since(start); el < 3*d {
-		t.Fatalf("3 occupations of %v on 1 CPU took %v (< %v): not serialized", d, el, 3*d)
-	}
-	if bt := time.Duration(h.busyNS.Load()); bt < 3*d {
-		t.Fatalf("busy time = %v, want >= %v", bt, 3*d)
+	if bt := time.Duration(h.busyNS.Load()); bt != 3*d {
+		t.Fatalf("busy time = %v, want %v", bt, 3*d)
 	}
 }
 
 func TestHostOccupyParallelWithTwoCPUs(t *testing.T) {
-	fastScale(t, 1)
+	virtual(t)
 	n := newTestNet(t)
 	h, _ := n.AddStandaloneHost("h", 2)
 	const d = 30 * time.Millisecond
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.Occupy(d)
-		}()
-	}
-	wg.Wait()
-	if el := time.Since(start); el > 2*d {
+	if el := occupyAll(h, 2, d); el != d {
 		t.Fatalf("2 occupations of %v on 2 CPUs took %v: not parallel", d, el)
 	}
 }
 
+// On the wall clock a modelled occupation costs no time and charges
+// nothing: busy time counts only what the host actually waited.
+func TestHostOccupyOnWallClockChargesNothing(t *testing.T) {
+	n := newTestNet(t)
+	h, _ := n.AddStandaloneHost("h", 1)
+	h.Occupy(time.Hour)
+	if bt := h.busyNS.Load(); bt != 0 {
+		t.Fatalf("busy time = %v on the wall clock, want 0", time.Duration(bt))
+	}
+}
+
 func TestConnCallRoundTrip(t *testing.T) {
-	fastScale(t, 0.01)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
 	a, b := c.Hosts()[0], c.Hosts()[1]
@@ -230,7 +253,9 @@ func TestConnCallRoundTrip(t *testing.T) {
 		return append([]byte("re:"), p...), nil
 	})
 	defer conn.Close()
-	resp, err := conn.Call([]byte("hello"))
+	var resp []byte
+	var err error
+	inModel(func() { resp, err = conn.Call([]byte("hello")) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,20 +268,22 @@ func TestConnCallRoundTrip(t *testing.T) {
 }
 
 func TestConnHandlerError(t *testing.T) {
-	fastScale(t, 0.01)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
 	conn := n.Dial(c.Hosts()[0], c.Hosts()[1], func(p []byte) ([]byte, error) {
 		return nil, errors.New("boom")
 	})
 	defer conn.Close()
-	if _, err := conn.Call(nil); err == nil || err.Error() != "boom" {
+	var err error
+	inModel(func() { _, err = conn.Call(nil) })
+	if err == nil || err.Error() != "boom" {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestConnSerializesRequests(t *testing.T) {
-	fastScale(t, 0.01)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
 	var mu sync.Mutex
@@ -269,7 +296,7 @@ func TestConnSerializesRequests(t *testing.T) {
 			maxIn = inHandler
 		}
 		mu.Unlock()
-		time.Sleep(time.Millisecond)
+		hrtime.Sleep(time.Millisecond)
 		mu.Lock()
 		inHandler--
 		mu.Unlock()
@@ -279,12 +306,12 @@ func TestConnSerializesRequests(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() {
+		vclock.Go(func() {
 			defer wg.Done()
 			if _, err := conn.Call([]byte{1}); err != nil {
 				t.Errorf("Call: %v", err)
 			}
-		}()
+		})
 	}
 	wg.Wait()
 	if maxIn != 1 {
@@ -292,41 +319,50 @@ func TestConnSerializesRequests(t *testing.T) {
 	}
 }
 
+// Close fails every caller at the instant it runs: the one queued
+// behind a blocked handler and the one inside it. The handler stays
+// blocked until after Close, so neither caller could have been answered.
 func TestConnCloseUnblocksCallers(t *testing.T) {
-	fastScale(t, 0.01)
+	virtual(t)
 	n := newTestNet(t)
 	c, _ := n.AddCluster("c", "s", 2, 1, GigabitEthernet)
-	block := make(chan struct{})
+	block := vclock.NewEvent()
 	conn := n.Dial(c.Hosts()[0], c.Hosts()[1], func(p []byte) ([]byte, error) {
-		<-block
+		block.Wait()
 		return p, nil
 	})
-	errc := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := conn.Call(nil)
-			errc <- err
-		}()
+	type result struct {
+		err error
+		at  int64
 	}
-	time.Sleep(10 * time.Millisecond)
+	results := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		vclock.Go(func() {
+			_, err := conn.Call(nil)
+			results <- result{err, hrtime.Now()}
+		})
+	}
+	hrtime.SleepOutside(10 * time.Millisecond)
+	closedAt := hrtime.Now()
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// At least the queued (not-yet-served) call must fail promptly; the
-	// one inside the handler is released afterwards.
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrConnClosed) {
-			t.Fatalf("err = %v", err)
+	for i := 0; i < 2; i++ {
+		r := <-results
+		if !errors.Is(r.err, ErrConnClosed) {
+			t.Fatalf("err = %v", r.err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("queued caller not unblocked by Close")
+		if r.at != closedAt {
+			t.Fatalf("caller failed at %v, Close ran at %v", time.Duration(r.at), time.Duration(closedAt))
+		}
 	}
-	close(block)
+	block.Fire(nil, nil)
 	if err := conn.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	if _, err := conn.Call(nil); !errors.Is(err, ErrConnClosed) {
+	var err error
+	inModel(func() { _, err = conn.Call(nil) })
+	if !errors.Is(err, ErrConnClosed) {
 		t.Fatalf("call after close: %v", err)
 	}
 }
