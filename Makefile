@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short examples bench bench-record bench-check microbench bench-staleness flake-census read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch model-clock-race archive-race chaos-e2e checkpoint-reference recovery-e2e monitor-e2e fault-e2e fuzz benchmark-harness lint vet eslint fmt-check ci
+.PHONY: build test test-short examples bench bench-record bench-check microbench bench-staleness flake-census read-gates checkpoint-gates append-gates engine-gates gather-gates collect-gates leaf-packages one-clock-switch clock-determinism model-clock-race archive-race chaos-e2e checkpoint-reference recovery-e2e monitor-e2e fault-e2e fuzz benchmark-harness lint vet eslint fmt-check ci
 
 # zero-allocs passes a -benchmem listing through and fails unless at
 # least $(1) benchmarks ran and every one of them reports 0 allocs/op.
@@ -195,6 +195,23 @@ one-clock-switch:
 	@sites=$$(grep -rnE 'SleepUnscaled|ScaleDelay' --include=*.go . | cut -d: -f1 | sort -u); \
 		if [ -n "$$sites" ]; then echo "the real-time delay path is back:" $$sites; exit 1; fi
 
+# clock-determinism holds the virtual clock's run queue to its contract,
+# one seed, one interleaving: the semaphore test that caught the old
+# clock advancing across a hand-off, 10 000 times under the race
+# detector; then the Examples and esbench -markdown (quick preset), each
+# run twice, whose outputs must match byte for byte once go test's
+# wall-clock durations are cut from the Examples' -v lines (esbench
+# writes its wall time to stderr).
+clock-determinism:
+	$(GO) test -race -count=10000 -run '^TestSemParallelSlots$$' ./internal/vclock/
+	@d=$$(mktemp -d); strip='s/ \([0-9.]+s\)$$//; s/\t[0-9.]+s$$//'; \
+		for i in 1 2; do $(GO) test -count=1 -run '^Example' -v . > $$d/raw$$i || { cat $$d/raw$$i; rm -rf $$d; exit 1; }; \
+			sed -E "$$strip" $$d/raw$$i > $$d/examples$$i; done; \
+		for i in 1 2; do $(GO) run ./cmd/esbench -markdown > $$d/esbench$$i 2>/dev/null || { rm -rf $$d; exit 1; }; done; \
+		diff $$d/examples1 $$d/examples2 && diff $$d/esbench1 $$d/esbench2; status=$$?; rm -rf $$d; \
+		if [ $$status -ne 0 ]; then echo "clock-determinism: two runs of one seed differ"; exit 1; fi; \
+		echo "clock-determinism: Examples and esbench -markdown repeat byte for byte"
+
 # MODEL_CLOCK_PKGS are the packages whose tests run the model on the
 # virtual clock rather than on the wall clock at a shrunken delay scale.
 MODEL_CLOCK_PKGS := ./internal/cluster ./internal/collect ./internal/escope ./internal/monitor ./internal/paths ./internal/reconfig ./internal/viz ./internal/vnet
@@ -298,4 +315,4 @@ lint: vet eslint fmt-check
 
 # ci mirrors the GitHub Actions job, minus the tool installs
 # (staticcheck, govulncheck) and the CI-only fuzz step.
-ci: build lint leaf-packages one-clock-switch test-short model-clock-race examples benchmark-harness archive-race chaos-e2e recovery-e2e monitor-e2e fault-e2e checkpoint-reference read-gates gather-gates checkpoint-gates append-gates engine-gates collect-gates
+ci: build lint leaf-packages one-clock-switch test-short clock-determinism model-clock-race examples benchmark-harness archive-race chaos-e2e recovery-e2e monitor-e2e fault-e2e checkpoint-reference read-gates gather-gates checkpoint-gates append-gates engine-gates collect-gates

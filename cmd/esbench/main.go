@@ -111,7 +111,9 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("completed in %v (mode: %s, repeats: %d)\n",
+	// The wall time goes to stderr: stdout holds only modelled results,
+	// which one seed reproduces byte for byte.
+	fmt.Fprintf(os.Stderr, "completed in %v (mode: %s, repeats: %d)\n",
 		time.Since(start).Round(time.Millisecond), mode(*full), opts.Repeats)
 }
 

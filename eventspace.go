@@ -19,8 +19,9 @@
 //     links, gateways, a real-TCP transport for the wire format);
 //   - internal/wantrace — the Longcut WAN emulator's delay model;
 //   - internal/vclock — the discrete-event virtual clock that runs
-//     experiments fast, in modelled time (ties at one virtual instant
-//     resolve in either order; see RunVirtual);
+//     experiments fast, in modelled time, one model goroutine at a time
+//     (ties at one virtual instant run in the order its seed gives; see
+//     RunVirtual);
 //   - internal/collect, internal/escope, internal/analysis,
 //     internal/cosched, internal/monitor — EventSpace itself;
 //   - internal/cluster — the paper's testbed and tree generators;
@@ -173,16 +174,22 @@ func New(spec TestbedSpec, strategy Strategy) (*System, error) {
 }
 
 // RunVirtual executes fn under the discrete-event virtual clock: modelled
-// delays cost no real time and results depend only on the model (ties at
-// one virtual instant resolve in either order; EXPERIMENTS.md gives the
-// measured run-to-run spread).
+// delays cost no real time and results depend only on the model. Model
+// goroutines run one at a time, and ties at one virtual instant run in the
+// order they became ready, so a model runs the same way on every run; what
+// fn does between its own waits runs beside the model, so an fn that
+// starts monitors and then a workload reproduces to the tie only when
+// that gap is idle (EXPERIMENTS.md gives the measured run-to-run spread).
+// When fn succeeds but the model does not wind down — goroutines left
+// parked with nothing to wake them, or still running after ten seconds —
+// RunVirtual returns the clock's stall report, which names each one.
 func RunVirtual(fn func() error) error { return core.RunVirtual(fn) }
 
 // SleepOutside waits d of model time from the driver goroutine (the
 // function passed to RunVirtual), e.g. between polls of monitor state.
 // The driver is not a model participant, so it must not use a model
-// sleep; this parks it on an outside timer that the clock honours
-// without counting the driver as a runnable model goroutine.
+// sleep; this parks it on an outside timer that fires once the model has
+// nothing left to run before it.
 func SleepOutside(d time.Duration) { hrtime.SleepOutside(d) }
 
 // DefaultMonitorConfig returns the configuration the paper converged on:

@@ -4,9 +4,10 @@ package eventspace_test
 // attaches monitors and runs a workload under the discrete-event clock,
 // then prints only shape facts: tree sizes, the dominant last arriver,
 // coverage, the order of an overhead ladder, which side of 50% a gather
-// rate falls. Ties at one virtual instant resolve in either order, so
-// exact rates and counts move by a digit between runs; cmd/esviz and
-// cmd/esrun render the full views.
+// rate falls. The clock runs ties at one virtual instant in a seeded
+// order, but each Example's driver runs beside the model, so exact rates
+// and counts are not promised to the digit; cmd/esviz and cmd/esrun
+// render the full views.
 
 import (
 	"fmt"
@@ -143,11 +144,11 @@ func Example_loadBalance() {
 // Statistics monitoring with coscheduling, section 6.3.1: gsum over two
 // trees, the first monitored by statsm, with analysis threads
 // free-running, under coscheduling strategy 1, and under strategy 2.
-// Coscheduling cut the paper's overhead from 9% to 1%. That both
-// strategies undercut free-running is the reproduced fact; which of the
-// two is lower rests on who takes a CPU slot at the instant a broadcast
-// unblocks, a tie the clock resolves in either order (under -race,
-// strategy 2 lands level with strategy 1).
+// Coscheduling cut the paper's overhead from 9% to 1%, and the run
+// reproduces the whole ladder: free-running above strategy 1 above
+// strategy 2. The last step rests on who takes a CPU slot at the instant
+// a broadcast unblocks, a tie the clock breaks by its seed; under the
+// default seed (first ready, first run) the application does.
 func Example_statsm() {
 	const rounds = 600
 	// gsum alternates between two identical trees, one allreduce per
@@ -208,6 +209,7 @@ func Example_statsm() {
 	}
 	fmt.Printf("overhead free-running > coscheduling 1: %t\n", runs[0].took > runs[1].took)
 	fmt.Printf("overhead free-running > coscheduling 2: %t\n", runs[0].took > runs[2].took)
+	fmt.Printf("overhead coscheduling 1 > coscheduling 2: %t\n", runs[1].took > runs[2].took)
 	// Under strategy 2: the per-wrapper gather discards tuples, the
 	// per-thread one keeps up.
 	last := runs[2]
@@ -217,6 +219,7 @@ func Example_statsm() {
 	// Output:
 	// overhead free-running > coscheduling 1: true
 	// overhead free-running > coscheduling 2: true
+	// overhead coscheduling 1 > coscheduling 2: true
 	// rounds analysed, TCP latencies sampled: true
 	// wrapper statistics gather rate above 50%: false
 	// per-thread statistics gather rate above 50%: true

@@ -91,15 +91,11 @@ func TestRunRepeatableUnderVirtualClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Virtual timing depends only on the model; ties between
-	// simultaneous events may resolve in either order, so allow a
-	// sliver of variation.
-	diff := a.Duration - b.Duration
-	if diff < 0 {
-		diff = -diff
-	}
-	if float64(diff) > 0.01*float64(a.Duration) {
-		t.Fatalf("runs diverge: %v vs %v", a.Duration, b.Duration)
+	// Virtual timing depends only on the model, and a run is one model
+	// goroutine whose ties the clock breaks by its seed: two runs are
+	// the same run.
+	if a.Duration != b.Duration || a.Messages != b.Messages {
+		t.Fatalf("runs diverge: %v and %d messages vs %v and %d", a.Duration, a.Messages, b.Duration, b.Messages)
 	}
 }
 

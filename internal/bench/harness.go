@@ -22,6 +22,7 @@ import (
 	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/monitor"
+	"eventspace/internal/vclock"
 )
 
 // Workload selects the micro-benchmark.
@@ -138,7 +139,10 @@ type RunResult struct {
 // discrete-event virtual clock and returns its measurements: the measured
 // durations depend only on the model, never on how loaded or small the
 // machine running the experiment is (section "Virtual time" in DESIGN.md).
-// A failed collective fails the run.
+// The whole run — set-up, both workloads, rate sampling and teardown —
+// is one model goroutine, so every step happens at a fixed virtual
+// instant and a run depends only on the clock's seed: no driver racing
+// the monitors' timers between steps. A failed collective fails the run.
 func Run(spec RunSpec) (RunResult, error) {
 	if spec.Iterations <= 0 {
 		return RunResult{}, fmt.Errorf("bench: iterations %d", spec.Iterations)
@@ -151,12 +155,22 @@ func Run(spec RunSpec) (RunResult, error) {
 	}
 
 	var res RunResult
-	err := core.RunVirtual(func() error { return runSystem(spec, &res) })
+	err := core.RunVirtual(func() error {
+		var err error
+		var done vclock.WaitGroup
+		done.Add(1)
+		vclock.Go(func() {
+			defer done.Done()
+			err = runSystem(spec, &res)
+		})
+		done.Wait()
+		return err
+	})
 	return res, err
 }
 
 // runSystem assembles spec's system, attaches its monitors, drives the
-// workload and samples the rates into res; the caller holds the clock.
+// workload and samples the rates into res. It runs as a model goroutine.
 func runSystem(spec RunSpec, res *RunResult) error {
 	// Only the statistics monitor coschedules its analysis threads with
 	// the application; a None waiter admits immediately.
@@ -251,7 +265,7 @@ func runSystem(spec RunSpec, res *RunResult) error {
 	// Give gather threads a short drain window before sampling rates,
 	// mirroring the paper's monitors which keep running after the app.
 	if len(lbs)+len(sms) > 0 {
-		hrtime.SleepOutside(20 * time.Millisecond)
+		hrtime.Sleep(20 * time.Millisecond)
 	}
 	for _, lb := range lbs {
 		res.GatherRate += lb.GatherRate() / float64(len(lbs))

@@ -50,7 +50,7 @@ type stalenessRun struct {
 // — or, in summary-only mode, only counts it.
 func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) stalenessRun {
 	t.Helper()
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	defer vclock.Disable()
 	defer vclock.Quiesce(10 * time.Second)
 
@@ -146,9 +146,9 @@ func runStalenessStorm(t *testing.T, seed uint64, mode escope.Mode, rounds int) 
 // TestRecordStalenessBench runs the straggler storm in every scope mode
 // at each seed and, when STALENESS_BENCH_OUT names a file (the Makefile
 // bench-staleness target), records the accuracy-versus-overhead table
-// as JSON. The table is one sample, not a pinned result: under -race
-// the storm's ties resolve in either order, so two runs of one commit
-// differ in a few of its figures. Without the variable it only
+// as JSON. The table is one sample, not a pinned result: the storm's
+// driver polls beside the model, so two runs of one commit can differ
+// in a few of its figures. Without the variable it only
 // sanity-checks the trade: strict stalls on the stragglers,
 // bounded-staleness holds the deadline while observing most of the
 // trace, summary-only retains no payload.

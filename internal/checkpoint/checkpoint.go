@@ -77,10 +77,10 @@ type Checkpointer struct {
 	dir     string
 	every   uint64
 	cps     *archive.CrashPoints
-	opWrite *metrics.Op    // checkpoint writes; nil without a registry
-	run     func()         // c.job, bound once so a launch allocates nothing
-	done    chan struct{}  // a job's end; one slot, so the job never waits
-	written *atomic.Uint64 // frames landed; apart from c, so a registry reading it keeps only it alive
+	opWrite *metrics.Op      // checkpoint writes; nil without a registry
+	run     func()           // c.job, bound once so a launch allocates nothing
+	done    vclock.WaitGroup // the job in flight, until it ends
+	written *atomic.Uint64   // frames landed; apart from c, so a registry reading it keeps only it alive
 
 	// The caller's side, under mu.
 	seq   uint32 // newest chain sequence on disk
@@ -135,7 +135,7 @@ func New(w *archive.Writer, inner query.Sink, engine *query.Engine, infos []arch
 	c := &Checkpointer{
 		inner: inner, w: w, engine: engine, shadow: shadow,
 		dir: w.Dir(), every: every,
-		cps: cfg.CrashPoints, done: make(chan struct{}, 1),
+		cps:     cfg.CrashPoints,
 		written: new(atomic.Uint64),
 	}
 	switch {
@@ -236,19 +236,20 @@ func (c *Checkpointer) count(batch []collect.TraceTuple) {
 // launch starts a job; the caller has settled the one before it.
 func (c *Checkpointer) launch() {
 	c.busy = true
+	c.done.Add(1)
 	vclock.Go(c.run)
 }
 
 // settle waits for the job in flight, if any, and lands the frame it
-// persisted. The wait is a plain channel receive: the job blocks on
-// nothing, so the clock, which counts it as running, cannot move while
-// the caller waits — and a caller outside the model (a driver stopping
-// a recorder) waits the same way.
+// persisted. The job blocks on nothing, so it ends at the instant it
+// started: a model caller parks on the clock until it has run, and a
+// caller outside the model (a driver stopping a recorder) waits for it
+// the same way.
 func (c *Checkpointer) settle() {
 	if !c.busy {
 		return
 	}
-	<-c.done
+	c.done.Wait()
 	c.busy = false
 	if c.fr.due {
 		c.land()
@@ -284,7 +285,7 @@ func (c *Checkpointer) job() {
 	} else {
 		c.fold(c.next)
 	}
-	c.done <- struct{}{}
+	c.done.Done()
 }
 
 // fold feeds decoded tuples to the shadow.

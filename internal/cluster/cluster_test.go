@@ -18,7 +18,7 @@ import (
 // driver; runTree starts the threads as model goroutines.
 func virtual(t *testing.T) {
 	t.Helper()
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	t.Cleanup(func() {
 		vclock.Quiesce(10 * time.Second)
 		vclock.Disable()

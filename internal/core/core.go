@@ -449,14 +449,14 @@ func (r *ArchiveRecorder) Stop() {
 	r.stopOnce.Do(func() {
 		r.puller.Stop()
 		// The final drain performs modelled network work, and Stop may be
-		// the only thing left running (a driver stopping the recorder
-		// after the workload). An unregistered goroutine must not execute
-		// model operations — its sleeps would corrupt the runnable count
-		// and stall the clock — so the pull runs as a model goroutine and
-		// the driver parks on an ordinary channel.
-		done := make(chan struct{})
+		// called by a driver (stopping the recorder after the workload),
+		// which must not execute model operations: the pull runs as a
+		// model goroutine, and the caller, driver or model goroutine,
+		// waits for it on the clock.
+		var done vclock.WaitGroup
+		done.Add(1)
 		vclock.Go(func() {
-			defer close(done)
+			defer done.Done()
 			rep, err := r.scope.Pull(&paths.Ctx{Thread: r.scope.Name() + "/final"})
 			if err == nil && len(rep.Data) > 0 {
 				// The drain goes through the same chain as the puller, so
@@ -466,7 +466,7 @@ func (r *ArchiveRecorder) Stop() {
 				}
 			}
 		})
-		<-done
+		done.Wait()
 		// A final forced checkpoint right before the seal: recovery from
 		// a cleanly stopped archive then replays (almost) no suffix. An
 		// injected checkpoint crash surfaces here like any stop error;
@@ -546,7 +546,7 @@ func (s *System) RunWorkload(wl Workload) (time.Duration, error) {
 			return 0, fmt.Errorf("core: trees have differing thread counts")
 		}
 	}
-	var wg sync.WaitGroup
+	var wg vclock.WaitGroup
 	gate := vclock.NewEvent()
 	var mu sync.Mutex
 	var startNS, endNS int64
@@ -605,13 +605,21 @@ func (s *System) RunWorkload(wl Workload) (time.Duration, error) {
 
 // RunVirtual executes fn under the discrete-event virtual clock — the one
 // place the process-global clock is switched on — so modelled delays cost
-// no real time; it quiesces and disables the clock afterwards. All Systems
-// used inside fn must be created and closed inside fn.
-func RunVirtual(fn func() error) error {
-	vclock.Enable(0)
+// no real time, with ties at one virtual instant broken by
+// vclock.DefaultSeed: the same model runs the same interleaving on every
+// run. It quiesces and disables the clock afterwards. All Systems used
+// inside fn must be created and closed inside fn. When fn succeeds but
+// the model does not quiesce — goroutines left parked with nothing to
+// wake them, or still running after ten seconds — the error is the
+// clock's *vclock.Stall report, naming each one.
+func RunVirtual(fn func() error) (err error) {
+	vclock.Enable(0, vclock.DefaultSeed)
 	defer func() {
-		vclock.Quiesce(10 * time.Second)
+		stall := vclock.Quiesce(10 * time.Second)
 		vclock.Disable()
+		if err == nil {
+			err = stall
+		}
 	}()
 	return fn()
 }

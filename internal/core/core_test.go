@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -154,9 +155,8 @@ func TestRunWorkloadSurfacesCollectiveError(t *testing.T) {
 			t.Errorf("crash was not mid-run: %d rounds completed", rounds)
 		}
 		s.Close()
-		if !vclock.Quiesce(5 * time.Second) {
-			_, running, live, timers := vclock.Stats()
-			t.Errorf("threads outlived the failed run: running=%d live=%d timers=%d", running, live, timers)
+		if err := vclock.Quiesce(5 * time.Second); err != nil {
+			t.Errorf("threads outlived the failed run: %v", err)
 		}
 		return nil
 	})
@@ -348,8 +348,7 @@ func (e errString) Error() string { return string(e) }
 // statically by flagging any plain go statement in core and archive):
 // ArchiveRecorder.Stop's final drain performs modelled network work, so
 // it must run as a registered model goroutine. Run unregistered, its
-// modelled sleeps would corrupt the clock's runnable count and Stop
-// would stall RunVirtual forever. The test drives a workload, stops the
+// modelled sleeps would panic with vclock.ErrUnregistered. The test drives a workload, stops the
 // recorder inside the virtual section, and requires every model
 // goroutine to unwind — then checks the drain actually archived.
 func TestArchiveStopDrainsRegistered(t *testing.T) {
@@ -369,10 +368,8 @@ func TestArchiveStopDrainsRegistered(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Close()
-		if !vclock.Quiesce(5 * time.Second) {
-			_, running, live, timers := vclock.Stats()
-			t.Fatalf("model goroutines leaked past Stop+Close: running=%d live=%d timers=%d",
-				running, live, timers)
+		if err := vclock.Quiesce(5 * time.Second); err != nil {
+			t.Fatalf("model goroutines leaked past Stop+Close: %v", err)
 		}
 		return nil
 	})
@@ -385,5 +382,45 @@ func TestArchiveStopDrainsRegistered(t *testing.T) {
 	}
 	if r.Tuples() == 0 {
 		t.Fatal("final drain archived nothing")
+	}
+}
+
+// TestRunVirtualReportsStall: a model deadlocked on itself — two
+// goroutines each waiting on the other's queue — makes RunVirtual return
+// the clock's stall report, naming both, instead of hanging or
+// returning fn's nil.
+func TestRunVirtualReportsStall(t *testing.T) {
+	start := time.Now()
+	var qa, qb *vclock.Queue[int]
+	err := RunVirtual(func() error {
+		qa, qb = vclock.NewQueue[int](), vclock.NewQueue[int]()
+		vclock.Go(func() {
+			if _, ok := qa.Pop(); ok {
+				_ = qb.Push(1)
+			}
+		})
+		vclock.Go(func() {
+			if _, ok := qb.Pop(); ok {
+				_ = qa.Push(1)
+			}
+		})
+		return nil
+	})
+	qa.Close() // release both, now as plain goroutines
+	qb.Close()
+	var s *vclock.Stall
+	if !errors.As(err, &s) {
+		t.Fatalf("RunVirtual = %v, want a *vclock.Stall", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("the stall took %v to report", waited)
+	}
+	if len(s.Goroutines) != 2 {
+		t.Fatalf("report names %d goroutines, want 2:\n%v", len(s.Goroutines), err)
+	}
+	for _, g := range s.Goroutines {
+		if g.State != "parked in Queue.Pop" || !strings.Contains(g.Site, "TestRunVirtualReportsStall") {
+			t.Errorf("reported %q spawned at %q", g.State, g.Site)
+		}
 	}
 }

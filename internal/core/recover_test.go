@@ -67,9 +67,8 @@ func TestRecoverUndoesPartialStart(t *testing.T) {
 			t.Fatalf("retry started %+v", p)
 		}
 		s.Close()
-		if !vclock.Quiesce(5 * time.Second) {
-			_, running, live, timers := vclock.Stats()
-			t.Fatalf("goroutines outlived Close: running=%d live=%d timers=%d", running, live, timers)
+		if err := vclock.Quiesce(5 * time.Second); err != nil {
+			t.Fatalf("goroutines outlived Close: %v", err)
 		}
 		return nil
 	})

@@ -350,7 +350,7 @@ type stormResult struct {
 // given mode, and returns the timing and coverage evidence.
 func runStragglerStorm(t *testing.T, seed uint64, mode Mode, rounds int) stormResult {
 	t.Helper()
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	defer vclock.Disable()
 	defer vclock.Quiesce(10 * time.Second)
 

@@ -670,9 +670,8 @@ func (s *Scope) Close() {
 // Puller is a gather thread: it pulls the scope in a loop and hands every
 // reply to a sink. Monitors use pullers as their front-end gather threads.
 type Puller struct {
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	stop atomic.Bool
+	done vclock.Event // fired when the loop exits
 
 	// The loop's counts, allocated apart from the puller so the scope's
 	// registry keeps only them alive.
@@ -708,7 +707,6 @@ func growBackoff(b time.Duration) time.Duration {
 // off exponentially (modelled time, capped) instead of hot-looping.
 func (s *Scope) StartPuller(interval time.Duration, sink func(paths.Reply) error) *Puller {
 	p := &Puller{
-		stop: make(chan struct{}), done: make(chan struct{}),
 		pulls: new(atomic.Uint64), errcnt: new(atomic.Uint64), backoffs: new(atomic.Uint64),
 	}
 	ctx := &paths.Ctx{Thread: s.name + "/gather"}
@@ -716,15 +714,9 @@ func (s *Scope) StartPuller(interval time.Duration, sink func(paths.Reply) error
 	s.met.Count(s.name+"/puller.errors", p.errcnt)
 	s.met.Count(s.name+"/puller.backoffs", p.backoffs)
 	vclock.Go(func() {
-		//lint:allow closeonce this run loop is the done channel's sole closer; Stop closes only p.stop (via stopOnce)
-		defer close(p.done)
+		defer p.done.Fire(nil, nil)
 		var backoff time.Duration
-		for {
-			select {
-			case <-p.stop:
-				return
-			default:
-			}
+		for !p.stop.Load() {
 			rep, err := s.Pull(ctx)
 			if err != nil {
 				p.errcnt.Add(1)
@@ -762,10 +754,10 @@ func (s *Scope) StartPuller(interval time.Duration, sink func(paths.Reply) error
 }
 
 // Stop halts the gather thread and waits for it to exit. It is safe to
-// call concurrently and repeatedly.
+// call concurrently and repeatedly, from the model or from a driver.
 func (p *Puller) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	<-p.done
+	p.stop.Store(true)
+	_, _ = p.done.Wait()
 }
 
 // Pulls reports successful pulls.

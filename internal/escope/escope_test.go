@@ -49,7 +49,7 @@ func newRig(t *testing.T) *rig {
 // virtual runs the rest of the test on the discrete-event clock.
 func virtual(t *testing.T) {
 	t.Helper()
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	t.Cleanup(func() {
 		vclock.Quiesce(10 * time.Second)
 		vclock.Disable()

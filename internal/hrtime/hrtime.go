@@ -72,7 +72,7 @@ func Sleep(d time.Duration) {
 // SleepOutside waits d of model time from a goroutine that is not a
 // registered model participant — a driver loop polling monitor state
 // between phases. Under the virtual clock it parks on an outside timer
-// that never touches the clock's runnable accounting (see
+// that fires once the model has nothing due before it (see
 // vclock.SleepOutside); on the wall clock it returns at once.
 func SleepOutside(d time.Duration) {
 	if vclock.Active() {

@@ -33,7 +33,7 @@ func TestSleepReturnsAtOnceOnWallClock(t *testing.T) {
 // Under the virtual clock Sleep waits exactly its delay, unscaled, and
 // SleepOutside parks a driver until the model reaches its deadline.
 func TestSleepAdvancesVirtualClockExactly(t *testing.T) {
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	defer vclock.Disable()
 	defer vclock.Quiesce(10 * time.Second)
 	for _, d := range []time.Duration{time.Nanosecond, 300 * time.Nanosecond, 50 * time.Microsecond, 7 * time.Millisecond, time.Hour} {

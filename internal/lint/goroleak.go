@@ -20,8 +20,8 @@ import (
 // Launches via both plain `go` statements and vclock.Go are checked for
 // a stop path, and a plain `go` statement is a finding of its own:
 // every goroutine here runs model code, and one the virtual clock did
-// not start corrupts its runnable count when it parks (the archive
-// final-drain deadlock). Named package-local functions are resolved
+// not start panics with vclock.ErrUnregistered when it parks (once the
+// archive final-drain deadlock). Named package-local functions are resolved
 // one level deep; dynamic callees (func values, cross-package calls)
 // are skipped. Test files are exempt: test goroutines die with the
 // test binary.
@@ -58,7 +58,7 @@ func runGoroleak(pass *Pass) error {
 			if _, plain := n.(*ast.GoStmt); plain {
 				pass.Reportf(n.Pos(),
 					"plain go statement in %s: start it with vclock.Go — "+
-						"an unregistered goroutine that parks on the virtual clock corrupts its runnable count and stalls RunVirtual "+
+						"an unregistered goroutine that parks on the virtual clock panics with vclock.ErrUnregistered "+
 						"(the archive final-drain deadlock class)",
 					pass.Pkg.Types.Name())
 			}

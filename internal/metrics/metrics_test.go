@@ -224,7 +224,7 @@ func TestTotalsMergeByKind(t *testing.T) {
 func TestVirtualClockDurationsAreExact(t *testing.T) {
 	r := New()
 	op := r.Op(KindScopePull, "virtual")
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	defer vclock.Disable()
 	done := make(chan struct{})
 	vclock.Go(func() {

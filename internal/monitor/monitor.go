@@ -7,6 +7,7 @@ package monitor
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eventspace/internal/analysis"
@@ -102,14 +103,14 @@ func (c *Config) readBatch() int {
 // 4.3).
 type hostThreads struct {
 	cs      *cosched.Set // the System's coscheduling controllers; nil: none
-	stop    chan struct{}
+	stop    atomic.Bool
 	waiters []*cosched.Waiter // the analysis threads' own, nil without coscheduling
-	wg      sync.WaitGroup
+	wg      vclock.WaitGroup
 	once    sync.Once
 }
 
 func newHostThreads(cs *cosched.Set) *hostThreads {
-	return &hostThreads{cs: cs, stop: make(chan struct{})}
+	return &hostThreads{cs: cs}
 }
 
 // start runs one analysis thread per host. Each pass it checks for
@@ -129,12 +130,7 @@ func (t *hostThreads) start(hosts []*vnet.Host, interval time.Duration, pass fun
 		vclock.Go(func() {
 			defer t.wg.Done()
 			var batch []byte
-			for {
-				select {
-				case <-t.stop:
-					return
-				default:
-				}
+			for !t.stop.Load() {
 				if w != nil && !w.Await() {
 					return
 				}
@@ -154,7 +150,7 @@ func (t *hostThreads) start(hosts []*vnet.Host, interval time.Duration, pass fun
 // and gate every other monitor's threads too.
 func (t *hostThreads) halt() {
 	t.once.Do(func() {
-		close(t.stop)
+		t.stop.Store(true)
 		for _, w := range t.waiters {
 			if w != nil {
 				w.Close()

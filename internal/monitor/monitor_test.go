@@ -22,7 +22,7 @@ import (
 // it polls with waitFor and starts model goroutines with vclock.Go.
 func virtual(t *testing.T) {
 	t.Helper()
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	t.Cleanup(func() {
 		vclock.Quiesce(10 * time.Second)
 		vclock.Disable()

@@ -3,6 +3,7 @@ package paths
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 
 	"eventspace/internal/vclock"
@@ -149,9 +150,16 @@ func (e *Exchange) Op(ctx *Ctx, req Request) (Reply, error) {
 		e.peerMu.RUnlock()
 		return Reply{}, fmt.Errorf("paths: exchange %s: %d of %d peers connected", e.name, n, e.k-1)
 	}
+	// Sends start in peer order, not map order: under the virtual clock
+	// the order goroutines start in is part of the schedule.
+	ids := make([]int, 0, e.k-1)
+	for id := range e.peers {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
 	stubs := make([]Wrapper, 0, e.k-1)
-	for _, s := range e.peers {
-		stubs = append(stubs, s)
+	for _, id := range ids {
+		stubs = append(stubs, e.peers[id])
 	}
 	e.peerMu.RUnlock()
 

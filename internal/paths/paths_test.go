@@ -22,7 +22,7 @@ import (
 // it calls wrappers through op and starts goroutines with vclock.Go.
 func testNet(t *testing.T) (*vnet.Network, *vnet.Cluster, *vnet.Cluster) {
 	t.Helper()
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	t.Cleanup(func() {
 		vclock.Quiesce(10 * time.Second)
 		vclock.Disable()

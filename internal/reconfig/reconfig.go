@@ -116,7 +116,7 @@ type Manager struct {
 	pol   Policy
 
 	queue *vclock.Queue[escope.Transition]
-	done  chan struct{}
+	done  vclock.Event // fired when the repair goroutine exits
 
 	mu    sync.Mutex
 	plans []RepairPlan
@@ -145,7 +145,6 @@ func Attach(scope *escope.Scope, pol Policy) (*Manager, error) {
 		scope: scope,
 		pol:   pol,
 		queue: vclock.NewQueue[escope.Transition](),
-		done:  make(chan struct{}),
 
 		reparents: new(atomic.Uint64),
 		promotes:  new(atomic.Uint64),
@@ -171,8 +170,7 @@ func Attach(scope *escope.Scope, pol Policy) (*Manager, error) {
 }
 
 func (m *Manager) run() {
-	//lint:allow closeonce this run loop is the done channel's sole closer; Stop closes only the queue (via stopOnce)
-	defer close(m.done)
+	defer m.done.Fire(nil, nil)
 	for {
 		tr, ok := m.queue.Pop()
 		if !ok {
@@ -319,5 +317,5 @@ func (m *Manager) Stop() {
 		m.scope.SetTransitionHook(nil)
 		m.queue.Close()
 	})
-	<-m.done
+	_, _ = m.done.Wait()
 }

@@ -34,7 +34,7 @@ func counter(reg *metrics.Registry, name string) uint64 {
 // it pulls through pull and waits with SleepOutside.
 func virtual(t *testing.T) {
 	t.Helper()
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	t.Cleanup(func() {
 		vclock.Quiesce(10 * time.Second)
 		vclock.Disable()
@@ -441,24 +441,26 @@ func TestAttachValidation(t *testing.T) {
 // registers immediately — and Stop must unwind it completely, leaving
 // no live model goroutine to stall a later Quiesce.
 func TestStopUnwindsRegisteredRepairGoroutine(t *testing.T) {
+	// The clock goes on before the rig is built, so the rig's connection
+	// threads are model goroutines too.
+	virtual(t)
 	tb := lanRig(t)
 	scope, _ := guardedScope(t, tb)
-	// The rig is built in real time; only the manager's lifetime runs
-	// under the virtual clock.
-	vclock.Enable(0)
-	defer vclock.Disable()
+	_, _, before, _ := vclock.Stats()
 	mgr, err := reconfig.Attach(scope, reconfig.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, live, _ := vclock.Stats(); live != 1 {
-		t.Fatalf("repair goroutine not registered with the clock: live = %d, want 1", live)
+	if _, _, live, _ := vclock.Stats(); live != before+1 {
+		t.Fatalf("repair goroutine not registered with the clock: live = %d, want %d", live, before+1)
 	}
 	mgr.Stop()
 	mgr.Stop() // idempotent: the second call must not hang or panic
-	if !vclock.Quiesce(5 * time.Second) {
-		_, running, live, timers := vclock.Stats()
-		t.Fatalf("repair goroutine still registered after Stop: running=%d live=%d timers=%d",
-			running, live, timers)
+	if _, _, live, _ := vclock.Stats(); live != before {
+		t.Fatalf("repair goroutine still registered after Stop: live = %d, want %d", live, before)
+	}
+	scope.Close()
+	if err := vclock.Quiesce(5 * time.Second); err != nil {
+		t.Fatalf("model goroutines outlived Stop and the scope's Close: %v", err)
 	}
 }

@@ -8,64 +8,135 @@ import (
 // ErrClosed is returned when pushing to a closed Queue.
 var ErrClosed = errors.New("vclock: queue closed")
 
+// waiters is one primitive's parked goroutines, guarded by the
+// primitive's lock. Model goroutines queue in arrival order and park on
+// the run queue; goroutines outside the model (drivers, and every caller
+// while the clock is off) wait on a sync.Cond over the same lock, made on
+// first use. Wakers prefer model goroutines.
+type waiters struct {
+	head, tail *gor
+	out        *sync.Cond
+	nout       int
+}
+
+// wait parks the caller until a signal or broadcast wakes it. The
+// caller holds l, which wait releases while parked and holds again on
+// return. A model-only wait from a goroutine outside the model panics
+// with ErrUnregistered under the active clock.
+func (w *waiters) wait(l sync.Locker, what string, modelOnly bool) {
+	if c.activeA.Load() {
+		c.mu.Lock()
+		if c.active {
+			if g := c.self(); g != nil {
+				g.next = nil
+				if w.tail == nil {
+					w.head = g
+				} else {
+					w.tail.next = g
+				}
+				w.tail = g
+				l.Unlock()
+				c.park(g, what)
+				l.Lock()
+				return
+			}
+			if modelOnly {
+				c.mu.Unlock()
+				panic(ErrUnregistered)
+			}
+		}
+		c.mu.Unlock()
+	}
+	if w.out == nil {
+		w.out = sync.NewCond(l)
+	}
+	w.nout++
+	w.out.Wait()
+}
+
+// signal wakes the longest-parked waiter. Caller holds the lock.
+func (w *waiters) signal() {
+	if g := w.head; g != nil {
+		w.head = g.next
+		if w.head == nil {
+			w.tail = nil
+		}
+		g.next = nil
+		c.mu.Lock()
+		next := c.wakeUp(g)
+		c.mu.Unlock()
+		handOff(next)
+		return
+	}
+	if w.nout > 0 {
+		w.nout--
+		w.out.Signal()
+	}
+}
+
+// broadcast wakes every waiter. Caller holds the lock.
+func (w *waiters) broadcast() {
+	if w.head != nil {
+		var next *gor
+		c.mu.Lock()
+		for g := w.head; g != nil; {
+			n := g.next
+			g.next = nil
+			if r := c.wakeUp(g); r != nil {
+				next = r
+			}
+			g = n
+		}
+		c.mu.Unlock()
+		w.head, w.tail = nil, nil
+		handOff(next)
+	}
+	if w.nout > 0 {
+		w.nout = 0
+		w.out.Broadcast()
+	}
+}
+
 // Cond is a clock-aware condition variable. Wait, Signal and Broadcast
-// must be called with L held; the waker transfers runnability to the
-// goroutines it wakes, so the clock never advances past a pending wakeup.
-// With the clock disabled it behaves exactly like sync.Cond.
+// must be called with L held. Wait is a model-only wait. With the clock
+// disabled it behaves exactly like sync.Cond.
 type Cond struct {
-	L       sync.Locker
-	c       *sync.Cond
-	waiters int
+	L sync.Locker
+	w waiters
 }
 
 // NewCond returns a condition variable bound to l.
-func NewCond(l sync.Locker) *Cond {
-	return &Cond{L: l, c: sync.NewCond(l)}
-}
+func NewCond(l sync.Locker) *Cond { return &Cond{L: l} }
 
 // Wait atomically releases L and suspends the caller until woken.
-func (cv *Cond) Wait() {
-	cv.waiters++
-	block()
-	cv.c.Wait()
-}
+func (cv *Cond) Wait() { cv.w.wait(cv.L, "Cond.Wait", true) }
 
 // Signal wakes one waiter.
-func (cv *Cond) Signal() {
-	if cv.waiters > 0 {
-		cv.waiters--
-		addRunning(1)
-	}
-	cv.c.Signal()
-}
+func (cv *Cond) Signal() { cv.w.signal() }
 
 // Broadcast wakes all waiters.
-func (cv *Cond) Broadcast() {
-	addRunning(cv.waiters)
-	cv.waiters = 0
-	cv.c.Broadcast()
-}
+func (cv *Cond) Broadcast() { cv.w.broadcast() }
 
 // Sem is a clock-aware counting semaphore; it replaces the buffered
-// channel commonly used for CPU slots.
+// channel commonly used for CPU slots. A release wakes the
+// longest-waiting acquirer, which takes the slot when it runs unless the
+// releaser took it back first: a goroutine that releases and acquires
+// again at one instant keeps its slot, as a running thread keeps its CPU
+// across back-to-back compute sections. Acquire is a model-only wait.
 type Sem struct {
 	mu   sync.Mutex
-	cond *Cond
 	free int
+	w    waiters
 }
 
 // NewSem creates a semaphore with n slots.
-func NewSem(n int) *Sem {
-	s := &Sem{free: n}
-	s.cond = NewCond(&s.mu)
-	return s
-}
+func NewSem(n int) *Sem { return &Sem{free: n} }
 
 // Acquire claims a slot, blocking until one is free.
 func (s *Sem) Acquire() {
 	s.mu.Lock()
 	for s.free == 0 {
-		s.cond.Wait()
+		s.w.wait(&s.mu, "Sem.Acquire", true)
 	}
 	s.free--
 	s.mu.Unlock()
@@ -75,24 +146,21 @@ func (s *Sem) Acquire() {
 func (s *Sem) Release() {
 	s.mu.Lock()
 	s.free++
-	s.cond.Signal()
+	s.w.signal()
 	s.mu.Unlock()
 }
 
 // WaitGroup is a clock-aware sync.WaitGroup replacement for joins inside
-// the model (e.g. parallel gather helpers).
+// the model (e.g. parallel gather helpers). Its Wait is open to drivers
+// too: a goroutine outside the model waits without taking part in it.
 type WaitGroup struct {
-	mu   sync.Mutex
-	cond *Cond
-	n    int
+	mu sync.Mutex
+	n  int
+	w  waiters
 }
 
 // NewWaitGroup returns an empty wait group.
-func NewWaitGroup() *WaitGroup {
-	wg := &WaitGroup{}
-	wg.cond = NewCond(&wg.mu)
-	return wg
-}
+func NewWaitGroup() *WaitGroup { return &WaitGroup{} }
 
 // Add adds delta to the counter.
 func (wg *WaitGroup) Add(delta int) {
@@ -103,7 +171,7 @@ func (wg *WaitGroup) Add(delta int) {
 		panic("vclock: negative WaitGroup counter")
 	}
 	if wg.n == 0 {
-		wg.cond.Broadcast()
+		wg.w.broadcast()
 	}
 	wg.mu.Unlock()
 }
@@ -115,27 +183,24 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 func (wg *WaitGroup) Wait() {
 	wg.mu.Lock()
 	for wg.n > 0 {
-		wg.cond.Wait()
+		wg.w.wait(&wg.mu, "WaitGroup.Wait", false)
 	}
 	wg.mu.Unlock()
 }
 
 // Event is a clock-aware one-shot: one goroutine waits for a value
-// another delivers (a request's reply slot).
+// another delivers (a request's reply slot, a job's end). Its Wait is
+// open to drivers too. The zero value is an unfired event.
 type Event struct {
 	mu   sync.Mutex
-	cond *Cond
 	done bool
 	val  []byte
 	err  error
+	w    waiters
 }
 
 // NewEvent returns an unfired event.
-func NewEvent() *Event {
-	e := &Event{}
-	e.cond = NewCond(&e.mu)
-	return e
-}
+func NewEvent() *Event { return &Event{} }
 
 // Fire delivers the value; only the first call wins.
 func (e *Event) Fire(val []byte, err error) {
@@ -143,7 +208,7 @@ func (e *Event) Fire(val []byte, err error) {
 	if !e.done {
 		e.done = true
 		e.val, e.err = val, err
-		e.cond.Broadcast()
+		e.w.broadcast()
 	}
 	e.mu.Unlock()
 }
@@ -152,7 +217,7 @@ func (e *Event) Fire(val []byte, err error) {
 func (e *Event) Wait() ([]byte, error) {
 	e.mu.Lock()
 	for !e.done {
-		e.cond.Wait()
+		e.w.wait(&e.mu, "Event.Wait", false)
 	}
 	val, err := e.val, e.err
 	e.mu.Unlock()
@@ -160,20 +225,17 @@ func (e *Event) Wait() ([]byte, error) {
 }
 
 // Queue is a clock-aware FIFO with close semantics, used as a
-// connection's request queue towards its communication thread.
+// connection's request queue towards its communication thread. Pop is a
+// model-only wait.
 type Queue[T any] struct {
 	mu     sync.Mutex
-	cond   *Cond
 	items  []T
 	closed bool
+	w      waiters
 }
 
 // NewQueue returns an empty queue.
-func NewQueue[T any]() *Queue[T] {
-	q := &Queue[T]{}
-	q.cond = NewCond(&q.mu)
-	return q
-}
+func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 
 // Push appends an item; it fails once the queue is closed.
 func (q *Queue[T]) Push(v T) error {
@@ -183,7 +245,7 @@ func (q *Queue[T]) Push(v T) error {
 		return ErrClosed
 	}
 	q.items = append(q.items, v)
-	q.cond.Signal()
+	q.w.signal()
 	q.mu.Unlock()
 	return nil
 }
@@ -201,10 +263,12 @@ func (q *Queue[T]) Pop() (T, bool) {
 		}
 		if len(q.items) > 0 {
 			v := q.items[0]
+			var zero T
+			q.items[0] = zero
 			q.items = q.items[1:]
 			return v, true
 		}
-		q.cond.Wait()
+		q.w.wait(&q.mu, "Queue.Pop", true)
 	}
 }
 
@@ -219,7 +283,7 @@ func (q *Queue[T]) Close() []T {
 	q.closed = true
 	rest := q.items
 	q.items = nil
-	q.cond.Broadcast()
+	q.w.broadcast()
 	q.mu.Unlock()
 	return rest
 }

@@ -22,6 +22,7 @@ package vnet
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,7 +171,8 @@ type Network struct {
 	faults atomic.Pointer[Injector] // active fault injector, or nil
 
 	connsMu sync.Mutex
-	conns   map[*Conn]struct{} // open modelled connections, for fault resets
+	conns   map[*Conn]uint64 // open modelled connections, for fault resets, by dial order
+	dialled uint64
 }
 
 // NewNetwork creates an empty testbed whose inter-cluster LAN uses the
@@ -181,7 +183,7 @@ func NewNetwork(inter LinkSpec, cost CostModel) *Network {
 		clusters: make(map[string]*Cluster),
 		inter:    inter,
 		cost:     cost,
-		conns:    make(map[*Conn]struct{}),
+		conns:    make(map[*Conn]uint64),
 	}
 }
 
@@ -373,7 +375,8 @@ func (n *Network) Dial(client, server *Host, handler Handler) *Conn {
 		inflight: make(map[*vclock.Event]struct{}),
 	}
 	n.connsMu.Lock()
-	n.conns[c] = struct{}{}
+	n.dialled++
+	n.conns[c] = n.dialled
 	n.connsMu.Unlock()
 	vclock.Go(func() { c.serve(handler) })
 	return c
@@ -502,6 +505,10 @@ func (n *Network) resetConnsMatching(match func(*Conn) bool) {
 			victims = append(victims, c)
 		}
 	}
+	// Close in dial order, not map order: the calls each close fails
+	// wake up in that order, which under the virtual clock is part of
+	// the schedule.
+	sort.Slice(victims, func(i, j int) bool { return n.conns[victims[i]] < n.conns[victims[j]] })
 	n.connsMu.Unlock()
 	for _, c := range victims {
 		c.Close()

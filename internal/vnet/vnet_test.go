@@ -19,7 +19,7 @@ import (
 // runs model code through inModel or vclock.Go.
 func virtual(t *testing.T) {
 	t.Helper()
-	vclock.Enable(0)
+	vclock.Enable(0, vclock.DefaultSeed)
 	t.Cleanup(func() {
 		vclock.Quiesce(10 * time.Second)
 		vclock.Disable()
