@@ -110,9 +110,12 @@ flake-census:
 # allocates nothing per tuple. That line cannot see a few allocations
 # per block (about 3 900 blocks go by in its million ops);
 # TestScanSteadyStateAllocs, which bounds a warm scan to 64 KB in all,
-# catches those.
+# catches those. TestScanReadVolume is the read-volume gate, a count of
+# bytes: on benchmark-shaped segments a selective query reads at most
+# 5 % of the segments it scans, and a cursor scan its suffix's blocks,
+# one block and the block index.
 read-gates:
-	$(GO) test -count=1 -run 'TestScanSteadyStateAllocs' -bench 'BenchmarkScanSelective' -benchtime 1x ./internal/archive/
+	$(GO) test -count=1 -run 'TestScanSteadyStateAllocs|TestScanReadVolume' -bench 'BenchmarkScanSelective' -benchtime 1x ./internal/archive/
 	$(GO) test -run '^$$' -bench 'BenchmarkScanFull' -benchtime 1000000x -benchmem ./internal/archive/ | $(call zero-allocs,1)
 	$(GO) test -count=1 -run 'TestRunAllocsScaleWithCells' -bench 'BenchmarkAggregateRun' -benchtime 1x ./internal/query/
 

@@ -189,8 +189,9 @@ func chaosControl(t *testing.T) string {
 }
 
 // TestCrashMatrixRecoversByteIdentical is the chaos acceptance
-// contract: for every seeded crash site — mid-block-flush, mid-seal,
-// mid-rotate, mid-checkpoint-write — and three injection seeds, a front
+// contract: for every seeded crash site — mid-block-flush, mid-seal
+// before and after the block index write, mid-rotate,
+// mid-checkpoint-write — and three injection seeds, a front
 // end killed at a quiesce point and recovered through the checkpoint
 // ladder must end the run with a weighted tree byte-identical to the
 // same workload run without any crash. Damage moves recovery down the
@@ -206,6 +207,7 @@ func TestCrashMatrixRecoversByteIdentical(t *testing.T) {
 	}{
 		{archive.CrashBlockFlush, 3},
 		{archive.CrashSeal, 1},
+		{archive.CrashSealIndex, 1},
 		{archive.CrashRotate, 1},
 		{archive.CrashCheckpoint, 2},
 	}

@@ -174,3 +174,49 @@ func TestInfoStampRangeIsStartRange(t *testing.T) {
 		}
 	}
 }
+
+// TestInfoSegmentRows pins each segment's row: whether it is sealed,
+// its block count and the bytes of its block index — 12 plus 32 a block
+// once sealed, none while open.
+func TestInfoSegmentRows(t *testing.T) {
+	dir := t.TempDir()
+	w, err := archive.Create(archive.Options{Dir: dir, SegmentBytes: 600, BlockTuples: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for seq := uint32(0); seq < 96; seq++ {
+		tu := collect.TraceTuple{ECID: 1 + seq%3, Op: paths.OpWrite, Seq: seq, Start: int64(seq) * 100, End: int64(seq)*100 + 40}
+		if err := w.Append([]collect.TraceTuple{tu}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil { // the newest segment stays open
+		t.Fatal(err)
+	}
+	out := capture(t, func() error {
+		return runInfo([]string{"-dir", dir})
+	})
+	r, err := archive.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := map[string]int{}
+	for _, s := range r.Segments() {
+		state, index := "sealed", 12+32*int64(s.Index.Blocks)
+		if !s.Sealed {
+			state, index = "open", 0
+		}
+		states[state]++
+		if s.IndexBytes != index {
+			t.Fatalf("segment %d (%s, %d blocks) has %d index bytes, want %d", s.ID, state, s.Index.Blocks, s.IndexBytes, index)
+		}
+		want := fmt.Sprintf("seg %4d  %-11s %8d B  %6d tuples  %4d blocks  index %6d B", s.ID, state, s.Bytes, s.Index.Tuples, s.Index.Blocks, index)
+		if !strings.Contains(out, want) {
+			t.Fatalf("info output missing %q:\n%s", want, out)
+		}
+	}
+	if states["sealed"] == 0 || states["open"] != 1 {
+		t.Fatalf("want sealed segments and one open one, got %v:\n%s", states, out)
+	}
+}

@@ -14,7 +14,8 @@
 //	                [-window N] [-alerts "stmt[; stmt]"]
 //	esquery watch   -dir DIR -q "alert when ..." [-poll D] [-once]
 //
-// info lists the segments and their header indexes; query runs one esql
+// info lists the segments — sealed or open, blocks, block index bytes —
+// and their header indexes; query runs one esql
 // statement (select * streams tuples, aggregate selects print a result
 // table, alert statements replay the archive's data tuples through the
 // continuous-query engine); replay feeds the archive — narrowed by its
@@ -38,6 +39,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -229,8 +231,8 @@ func runInfo(args []string) error {
 		if s.Torn {
 			state += ",torn"
 		}
-		fmt.Printf("  seg %4d  %-11s %8d B  %6d tuples  %4d blocks  ecids [%d,%d]  stamps [%d,%d]\n",
-			s.ID, state, s.Bytes, s.Index.Tuples, s.Index.Blocks,
+		fmt.Printf("  seg %4d  %-11s %8d B  %6d tuples  %4d blocks  index %6d B  ecids [%d,%d]  stamps [%d,%d]\n",
+			s.ID, state, s.Bytes, s.Index.Tuples, s.Index.Blocks, s.IndexBytes,
 			s.Index.MinECID, s.Index.MaxECID, s.Index.MinStamp, s.Index.MaxStamp)
 	}
 	if infos, err := archive.ReadMeta(r.Dir()); err == nil && len(infos) > 0 {
@@ -278,17 +280,20 @@ func printCheckpoints(r *archive.Reader) {
 	}
 }
 
-// printTuple renders one tuple in the select-* line format.
-func printTuple(t collect.TraceTuple) bool {
-	fmt.Printf("ec %4d  %-5s ret %3d  seq %8d  start %12d  end %12d  lat %s\n",
-		t.ECID, t.Op, t.Ret, t.Seq, t.Start, t.End, time.Duration(t.End-t.Start))
-	return true
-}
-
 // streamStmt runs a select-* statement against the archive, printing
-// matching tuples and the pushdown accounting line.
+// matching tuples in the select-* line format and then the pushdown
+// accounting line. query.Scan walks the archive a block at a time; the
+// lines go out through one buffer, not a write each.
 func streamStmt(r *archive.Reader, stmt *query.Stmt) error {
-	stats, err := query.Scan(r, stmt, printTuple)
+	out := bufio.NewWriter(os.Stdout)
+	stats, err := query.Scan(r, stmt, func(t collect.TraceTuple) bool {
+		fmt.Fprintf(out, "ec %4d  %-5s ret %3d  seq %8d  start %12d  end %12d  lat %s\n",
+			t.ECID, t.Op, t.Ret, t.Seq, t.Start, t.End, time.Duration(t.End-t.Start))
+		return true
+	})
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,8 @@
 // durable artifact: a Writer sinks trace-tuple batches (from an
 // escope.Puller sink or a direct monitor tap) into fixed-size segment
 // files, a Reader queries them back with pushdown filters that skip
-// whole segments via the per-segment header index, and the replay layer
+// whole segments via the per-segment header index and single blocks via
+// a sealed segment's block index, and the replay layer
 // feeds archived tuples through the same join/statistics pipelines the
 // live monitors run — deterministically, because everything is keyed by
 // tuple stamps and sequence numbers, never by the clock at replay time.
@@ -16,12 +17,14 @@
 // # On-disk format
 //
 // A segment file is a 64-byte header followed by checksummed columnar
-// blocks of whole tuples. The header's version field names the block
-// codec; version 2 below is the only one. Segments of the retired
-// version 1 (row blocks) are refused on open, never repaired:
+// blocks of whole tuples and, once sealed, a block index. The header's
+// version field names the layout; version 3 below is the only one.
+// Segments of the retired versions 1 (row blocks) and 2 (no block
+// index) are refused on open, never repaired:
 //
 //	header (64 B): magic "ESG1", version, flags (sealed), segment id,
-//	               ECID range, stamp range, tuple/block counts, CRC32
+//	               ECID range, stamp range, tuple/block counts,
+//	               block index offset and length, CRC32
 //
 //	block:
 //	  header (12 B): tuple count, column-area bytes, CRC32(directory)
@@ -30,18 +33,26 @@
 //	                 back, each dictionary-, delta-, latency- or
 //	                 raw-encoded (see DESIGN.md §12)
 //
-// Blocks carry a CRC per column, so a query filtering on ECID or op
-// kind can verify and decode just a block's dictionary column and skip
-// the block entirely when the dictionary cannot intersect the query
-// (the benchmark's archive.blocks_skipped_share).
+//	block index  : a zero word (never a block's tuple count), the block
+//	               count, per block its bytes, tuple count, ECID range
+//	               and Start range, CRC32
+//
+// A query with ECIDs, stamp bounds or a cursor reads a sealed segment
+// through its block index and reads only the blocks whose ranges can
+// match. Blocks carry a CRC per column, so a query filtering on ECID or
+// op kind can verify and decode just a block's dictionary column and
+// skip the block entirely when the dictionary cannot intersect the
+// query (the benchmark's archive.blocks_skipped_share counts both
+// skips).
 //
 // The header is written provisionally (unsealed, empty index) when the
-// segment is created and rewritten in place with the final index when
-// the segment is sealed at rotation or Close. A crash can therefore
-// leave the newest segment with an unsealed header and a torn final
-// block; reopen and read both tolerate that by scanning blocks and
-// truncating at the first invalid one, so at most the final partial
-// block is lost (the round-trip and torn-tail tests pin this down).
+// segment is created. Sealing, at rotation or Close, appends the block
+// index and then rewrites the header in place to point at it. A crash
+// can therefore leave the newest segment with an unsealed header and a
+// torn final block, or with the index bytes of an unfinished seal;
+// reopen and read both tolerate that by scanning blocks and truncating
+// at the first invalid one, so at most the final partial block is lost
+// (the round-trip and torn-tail tests pin this down).
 //
 // Rotation and retention are byte-capped: a segment rotates once its
 // file exceeds Options.SegmentBytes, and after every rotation the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -282,46 +283,49 @@ func TestHeaderlessNewestFile(t *testing.T) {
 	}
 }
 
-// v1Header forges an intact (magic and CRC valid) sealed header of the
-// retired row-block version.
-func v1Header(id uint32) []byte {
+// retiredHeader forges an intact (magic and CRC valid) sealed header of
+// a retired version: 1 (row blocks) or 2 (columnar blocks, no block
+// index).
+func retiredHeader(id uint32, version uint16) []byte {
 	hdr := encodeHeader(segmentHeader{ID: id, Sealed: true})
-	binary.LittleEndian.PutUint16(hdr[4:6], 1)
+	binary.LittleEndian.PutUint16(hdr[4:6], version)
 	binary.LittleEndian.PutUint32(hdr[60:64], crc32.ChecksumIEEE(hdr[:60]))
 	return hdr
 }
 
-// TestRetiredVersionRefused: an intact version-1 segment is not crash
-// damage. Reader and writer must both refuse the directory with an
-// error naming the version — whether the segment is the newest file
-// (which reopen would otherwise drop as a header-less leftover) or an
-// older one — and leave the file byte for byte as it was.
+// TestRetiredVersionRefused: an intact segment of a retired version is
+// not crash damage. Reader and writer must both refuse the directory
+// with an error naming the version — whether the segment is the newest
+// file (which reopen would otherwise drop as a header-less leftover) or
+// an older one — and leave the file byte for byte as it was.
 func TestRetiredVersionRefused(t *testing.T) {
-	for _, newer := range []bool{false, true} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, segmentFileName(1))
-		if err := os.WriteFile(path, v1Header(1), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if newer {
-			hdr := encodeHeader(segmentHeader{ID: 2, Sealed: true})
-			if err := os.WriteFile(filepath.Join(dir, segmentFileName(2)), hdr, 0o644); err != nil {
+	for _, version := range []uint16{1, 2} {
+		for _, newer := range []bool{false, true} {
+			dir := t.TempDir()
+			path := filepath.Join(dir, segmentFileName(1))
+			if err := os.WriteFile(path, retiredHeader(1, version), 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}
-		const want = "unsupported segment version 1"
-		if _, err := OpenReader(dir); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("newer=%v: OpenReader = %v, want %q", newer, err, want)
-		}
-		if _, err := Create(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("newer=%v: Create = %v, want %q", newer, err, want)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("newer=%v: version-1 segment gone after refusal: %v", newer, err)
-		}
-		if !bytes.Equal(got, v1Header(1)) {
-			t.Fatalf("newer=%v: version-1 segment modified by the refusal", newer)
+			if newer {
+				hdr := encodeHeader(segmentHeader{ID: 2, Sealed: true})
+				if err := os.WriteFile(filepath.Join(dir, segmentFileName(2)), hdr, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := fmt.Sprintf("unsupported segment version %d", version)
+			if _, err := OpenReader(dir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("v%d newer=%v: OpenReader = %v, want %q", version, newer, err, want)
+			}
+			if _, err := Create(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("v%d newer=%v: Create = %v, want %q", version, newer, err, want)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("v%d newer=%v: retired segment gone after refusal: %v", version, newer, err)
+			}
+			if !bytes.Equal(got, retiredHeader(1, version)) {
+				t.Fatalf("v%d newer=%v: retired segment modified by the refusal", version, newer)
+			}
 		}
 	}
 }

@@ -160,12 +160,13 @@ func TestMaskedDecodeTearsLikeFull(t *testing.T) {
 	}
 }
 
-// selectCorpus writes the archive the selective decode is held to the
-// reference over: several segments of blocks three collectors wide, the
-// first stamps negative, one block with more than 256 distinct ECIDs and
-// ops (so both columns are raw-coded), a Seq column damaged in a block
-// of the second segment, and a torn block at the end of the newest,
-// unsealed segment.
+// selectCorpus writes the archive the scans are held to the reference
+// over: several segments of blocks three collectors wide, the first
+// stamps negative, one block with more than 256 distinct ECIDs and ops
+// (so both columns are raw-coded), the Seq column of the second block
+// and the Start column of the fourth damaged in the second segment, a
+// damaged block index (its CRC fails) in the third, and a torn block at
+// the end of the newest, unsealed segment.
 func selectCorpus(t *testing.T, dir string) *Reader {
 	t.Helper()
 	w, err := Create(Options{Dir: dir, SegmentBytes: 4096, BlockTuples: 512})
@@ -206,22 +207,44 @@ func selectCorpus(t *testing.T, dir string) *Reader {
 	if err != nil || len(segs) < 4 {
 		t.Fatalf("listSegments: %d segments, %v", len(segs), err)
 	}
-	// Damage the Seq column of the second block of the second segment.
+	// Damage the Seq column of the second block of the second segment,
+	// and the Start column of its fourth.
 	img, err := os.ReadFile(segs[1].path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, ok := frameColumnarBlock(img[segmentHeaderSize:])
-	if !ok {
-		t.Fatal("second segment does not frame")
+	zones, ok := referenceZones(img)
+	if !ok || len(zones) < 5 {
+		t.Fatalf("second segment: %d zones, index whole %v", len(zones), ok)
 	}
-	at := segmentHeaderSize + f.size
-	if f, ok = frameColumnarBlock(img[at:]); !ok {
-		t.Fatal("second segment holds one block")
+	for _, d := range []struct{ block, col int }{{1, colSeq}, {3, colStart}} {
+		at := zones[d.block].at
+		f, ok := frameColumnarBlock(img[at:])
+		if !ok {
+			t.Fatalf("second segment's block %d does not frame", d.block)
+		}
+		at += v2BlockHeaderSize + v2DirSize
+		for c := 0; c < d.col; c++ {
+			at += int64(len(f.col[c]))
+		}
+		img[at] ^= 0x10
 	}
-	at += v2BlockHeaderSize + v2DirSize + int64(len(f.col[colECID])+len(f.col[colOp])+len(f.col[colRet]))
-	img[at] ^= 0x10
 	if err := os.WriteFile(segs[1].path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Damage the third segment's block index: a flipped bit in a zone.
+	if img, err = os.ReadFile(segs[2].path); err != nil {
+		t.Fatal(err)
+	}
+	end, idxBytes := referenceBlocksEnd(img)
+	if idxBytes == 0 {
+		t.Fatal("third segment has no block index")
+	}
+	img[end+8] ^= 0x01
+	if _, ok := referenceZones(img); ok {
+		t.Fatal("a flipped index bit leaves the index whole")
+	}
+	if err := os.WriteFile(segs[2].path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// The crash: the newest segment stays unsealed, a block torn behind it.
@@ -311,6 +334,70 @@ func TestScanSelectMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBlockIndexPrunesDamage pins what the block index changes about
+// damage: a damaged block matters only to a scan that reads it. In the
+// corpus's second segment, blocks 1 and 3 are damaged. A stamp window
+// over block 2 reads the index and block 2 alone, and returns its rows,
+// which a whole walk never reaches past block 1; a window over blocks 2
+// and 3 reads block 3 too, and tears there. Over the third segment,
+// whose index is damaged, the same kind of window reads the index and
+// then the whole segment.
+func TestBlockIndexPrunesDamage(t *testing.T) {
+	r := selectCorpus(t, t.TempDir())
+	segs := r.Segments()
+	img, err := os.ReadFile(segs[1].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones, _ := referenceZones(img)
+	window := func(z0, z1 refZone) Query { return Query{MinStamp: z0.minStart, MaxStamp: z1.maxStart} }
+	scan := func(q Query) ([]collect.TraceTuple, ScanStats) {
+		t.Helper()
+		got, stats, err := r.Select(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats, err := referenceScan(r, nil, q)
+		if err != nil || stats != wantStats {
+			t.Fatalf("query %+v: stats %+v, reference %+v (%v)", q, stats, wantStats, err)
+		}
+		sameTuples(t, got, want)
+		return got, stats
+	}
+
+	got, stats := scan(window(zones[2], zones[2]))
+	if stats.TornSegments != 0 || uint64(len(got)) != zones[2].tuples {
+		t.Fatalf("window over block 2: %d rows, %d tears; want block 2's %d rows, no tear", len(got), stats.TornSegments, zones[2].tuples)
+	}
+	if want := uint64(segs[1].IndexBytes + zones[2].size); stats.BytesScanned != want {
+		t.Fatalf("window over block 2 read %d bytes, want the index and block 2: %d", stats.BytesScanned, want)
+	}
+	all, _ := scan(Query{})
+	for _, tu := range all {
+		if tu.Start >= zones[2].minStart && tu.Start <= zones[2].maxStart {
+			t.Fatalf("a whole walk reached block 2 past damaged block 1: %+v", tu)
+		}
+	}
+	got, stats = scan(window(zones[2], zones[3]))
+	if stats.TornSegments != 1 || uint64(len(got)) != zones[2].tuples {
+		t.Fatalf("window over blocks 2-3: %d rows, %d tears; want block 2's %d rows and a tear", len(got), stats.TornSegments, zones[2].tuples)
+	}
+
+	if img, err = os.ReadFile(segs[2].Path); err != nil {
+		t.Fatal(err)
+	}
+	end, idxBytes := referenceBlocksEnd(img)
+	tuples, err := scanSegment(img)
+	if err != nil || idxBytes == 0 || len(tuples.Zones) < 3 {
+		t.Fatalf("third segment: index %d bytes, %d blocks, %v", idxBytes, len(tuples.Zones), err)
+	}
+	z := tuples.Zones[1]
+	_, stats = scan(Query{MinStamp: z.MinStamp, MaxStamp: z.MaxStamp})
+	if want := uint64(idxBytes + segs[2].Bytes); stats.BytesScanned != want || end+idxBytes != segs[2].Bytes {
+		t.Fatalf("window over a segment with a damaged index read %d bytes, want the index and the segment: %d", stats.BytesScanned, want)
+	}
+}
+
 // TestIndexStampRangeIgnoresControlPayload is ROADMAP 3a's regression:
 // alert tuples carry their query hash in End, and a segment index that
 // took its upper stamp from End claimed to reach the hash — so no
@@ -390,10 +477,11 @@ func TestIndexStampRangeIgnoresControlPayload(t *testing.T) {
 }
 
 // TestScanSteadyStateAllocs is the read side's allocation gate: a warm
-// scan reads every segment into the reader's one image buffer and
-// decodes into its one batch — a selective one selecting rows in the
-// decoder's one selection vector — so what it allocates is a constant
-// (a file handle per segment), not a function of the archive's size.
+// scan reads every segment — or, selective, a segment's block index and
+// the blocks it leaves — into the reader's one scratch and decodes into
+// its one batch, a selective one selecting rows in the decoder's one
+// selection vector, so what it allocates is a constant (a file handle
+// per segment), not a function of the archive's size.
 // Both a full scan and a selective one (an ECID set and a stamp window)
 // are held to it.
 func TestScanSteadyStateAllocs(t *testing.T) {
@@ -458,6 +546,105 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 		got := after.TotalAlloc - before.TotalAlloc
 		if got > 64<<10 {
 			t.Fatalf("a warm %s scan of %d bytes in %d segments allocated %d bytes, want at most 64 KB", c.name, bytes, len(r.Segments()), got)
+		}
+	}
+}
+
+// TestScanReadVolume is the read side's read-volume gate (make
+// read-gates), a count of bytes and not a timing, on an archive of
+// benchmark-shaped replies at the default segment and block sizes. A
+// selective query — collectors 3 and 7 over a 4 ms window, stepped
+// through 40 strata of the archive's span — reads at most 5 % of the
+// bytes of the segments it does not skip. A cursor scan reads at most
+// its suffix: the cursor segment's blocks that lie wholly past the
+// cursor, one block more (the one the cursor falls in, or the first
+// past it), that segment's block index, and the later segments.
+func TestScanReadVolume(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const replies = 72
+	rng := rand.New(rand.NewSource(4801))
+	for k := 0; k < replies; k++ {
+		if err := w.AppendRaw(encodeTuples(benchReply(rng, uint32(k*replyRunLen)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := r.Segments()
+	if len(segs) < 3 || segs[0].Bytes < DefaultSegmentBytes {
+		t.Fatalf("fixture too small to tell: %d segments, the first %d bytes", len(segs), segs[0].Bytes)
+	}
+
+	const window, strata = 4_000_000, 40
+	stratum := (replies*replyRunLen*500_000 - window) / strata
+	var worst float64
+	for i := 0; i < strata; i++ {
+		from := int64(1 + i*stratum)
+		q := Query{ECIDs: []uint32{3, 7}, MinStamp: from, MaxStamp: from + window - 1}
+		stats, err := r.Scan(q, func(collect.TraceTuple) bool { return true })
+		if err != nil || stats.TuplesMatched == 0 {
+			t.Fatalf("window %d: %d tuples matched, %v", i, stats.TuplesMatched, err)
+		}
+		var read int64
+		for _, s := range segs {
+			if s.Index.meets(&q) {
+				read += s.Bytes
+			}
+		}
+		share := float64(stats.BytesScanned) / float64(read)
+		if share > 0.05 {
+			t.Fatalf("window %d read %d of the %d bytes of the segments it scans (%.1f %%), want at most 5 %%", i, stats.BytesScanned, read, 100*share)
+		}
+		worst = max(worst, share)
+	}
+	t.Logf("the most a selective query read: %.2f %% of its segments' bytes", 100*worst)
+
+	// Cursors in the first segment: at its start, inside its first
+	// block, at a block boundary, inside a middle block and at its last
+	// tuple.
+	img, err := os.ReadFile(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones, ok := referenceZones(img)
+	if !ok {
+		t.Fatal("the first segment's block index does not read")
+	}
+	var later, largest int64
+	for _, s := range segs[1:] {
+		later += s.Bytes
+	}
+	for _, z := range zones {
+		largest = max(largest, z.size)
+	}
+	mid := uint64(len(zones)/2) * DefaultBlockTuples
+	for _, at := range []uint64{0, 5, DefaultBlockTuples, mid + 77, segs[0].Index.Tuples - 1} {
+		cur := Cursor{Tuples: at, Segment: segs[0].ID, SegTuples: at}
+		stats, err := r.ScanBatches(&cur, Query{}, AllColumns, func([]collect.TraceTuple) bool { return true })
+		if err != nil || stats.TuplesScanned != r.Tuples()-at {
+			t.Fatalf("cursor at %d scanned %d tuples, want %d: %v", at, stats.TuplesScanned, r.Tuples()-at, err)
+		}
+		var past, seen uint64
+		var suffix int64
+		for _, z := range zones {
+			if seen >= at {
+				suffix += z.size
+				past += z.tuples
+			}
+			seen += z.tuples
+		}
+		if limit := suffix + largest + segs[0].IndexBytes + later; int64(stats.BytesScanned) > limit {
+			t.Fatalf("cursor at %d read %d bytes, want at most %d: %d bytes of blocks past it (%d tuples), a block of %d, an index of %d and %d bytes of later segments",
+				at, stats.BytesScanned, limit, suffix, past, largest, segs[0].IndexBytes, later)
 		}
 	}
 }

@@ -11,10 +11,11 @@
 // byte-for-byte as a power cut at that instant would leave it.
 //
 // The seal header rewrite (64 bytes at offset 0, a single sector) is
-// modelled as atomic: CrashSeal fires before the rewrite, leaving the
-// provisional unsealed header, and CrashRotate fires after the seal but
-// before the next segment's header write, leaving a header-less empty
-// file — the two states a real crash around rotation produces.
+// modelled as atomic: CrashSeal fires before the block index is written
+// and CrashSealIndex after it, both leaving the provisional unsealed
+// header, and CrashRotate fires after the seal but before the next
+// segment's header write, leaving a header-less empty file — the states
+// a real crash around rotation produces.
 package archive
 
 import (
@@ -37,8 +38,8 @@ type CrashSite uint8
 const (
 	// CrashBlockFlush tears a data-block write mid-payload.
 	CrashBlockFlush CrashSite = iota + 1
-	// CrashSeal fires between the final block flush and the seal
-	// header rewrite: the segment keeps its provisional unsealed header.
+	// CrashSeal fires between the final block flush and the block
+	// index write: the segment keeps its provisional unsealed header.
 	CrashSeal
 	// CrashRotate fires after the old segment sealed but before the new
 	// segment's header write: a header-less empty file is left behind.
@@ -46,6 +47,10 @@ const (
 	// CrashCheckpoint tears a checkpoint-frame write mid-payload,
 	// leaving a torn ckpt-*.eckpt file whose CRC cannot validate.
 	CrashCheckpoint
+	// CrashSealIndex fires between the block index write and the seal
+	// header rewrite: the unsealed segment ends in index bytes, which a
+	// reopen cuts as a torn tail.
+	CrashSealIndex
 
 	numCrashSites
 )
@@ -61,6 +66,8 @@ func (s CrashSite) String() string {
 		return "rotate"
 	case CrashCheckpoint:
 		return "checkpoint"
+	case CrashSealIndex:
+		return "seal-index"
 	default:
 		return fmt.Sprintf("site(%d)", uint8(s))
 	}

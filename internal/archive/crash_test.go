@@ -40,7 +40,7 @@ func runUntilCrash(t *testing.T, w *Writer, n int) int {
 // divergent or reordered one — and the reopened writer's cursor agrees
 // with what the reader can prove.
 func TestCrashInjectionPrefixProperty(t *testing.T) {
-	sites := []CrashSite{CrashBlockFlush, CrashSeal, CrashRotate}
+	sites := []CrashSite{CrashBlockFlush, CrashSeal, CrashSealIndex, CrashRotate}
 	seeds := []uint64{1, 2, 3}
 	for _, site := range sites {
 		for _, seed := range seeds {
@@ -222,6 +222,78 @@ func TestCrashSealKeepsUnsealedHeader(t *testing.T) {
 	if r.Tuples() == 0 {
 		t.Fatal("no tuples survived the seal-site crash")
 	}
+}
+
+// TestCrashSealIndexCutAsTornTail: a crash between the block index
+// write and the header rewrite leaves an unsealed segment ending in the
+// whole index. The index never frames as a block, so the reader reports
+// exactly its bytes as a torn tail, and a reopen truncates them and
+// continues the segment, which its next seal indexes afresh.
+func TestCrashSealIndexCutAsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Create(crashOpts(dir, 1, CrashSealIndex, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runUntilCrash(t, w, 4096)
+	w.Close()
+
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := r.Segments()
+	last := segs[len(segs)-1]
+	if wantTorn := 12 + blockZoneSize*int64(last.Index.Blocks); last.Sealed || !last.Torn || last.TornBytes != wantTorn {
+		t.Fatalf("crashed segment: sealed %v, torn %v with %d bytes; want unsealed with the %d index bytes torn",
+			last.Sealed, last.Torn, last.TornBytes, wantTorn)
+	}
+	before, _, err := r.Select(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := Create(smallOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	more := []collect.TraceTuple{tuple(9, 1, 900_000, 900_005)}
+	if err := w2.Append(more); err != nil {
+		t.Fatal(err)
+	}
+	if st := w2.Stats(); st.TornTruncations != 1 || st.ActiveSegment != last.ID {
+		t.Fatalf("reopen after the index write: %+v", st)
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range r2.Segments() {
+		if !s.Sealed || s.IndexBytes == 0 || s.Torn {
+			t.Fatalf("segment %d after the resealing close: %+v", s.ID, s)
+		}
+	}
+	after, _, err := r2.Select(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTuples(t, after, append(before, more...))
+	// A cursor into the resealed segment plans from its new index.
+	cur := Cursor{Tuples: r2.Tuples() - 1, Segment: last.ID, SegTuples: last.Index.Tuples}
+	want, wantStats, err := referenceScan(r2, &cur, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []collect.TraceTuple
+	stats, err := r2.ScanFrom(cur, Query{}, func(tu collect.TraceTuple) bool { got = append(got, tu); return true })
+	if err != nil || stats != wantStats {
+		t.Fatalf("ScanFrom: %+v, %v; reference %+v", stats, err, wantStats)
+	}
+	sameTuples(t, got, want)
+	sameTuples(t, got, more)
 }
 
 // TestCrashPointsFireOnce verifies the schedule bookkeeping: counts are

@@ -34,10 +34,12 @@ type Cursor struct {
 // ScanFrom streams every tuple archived after cur that matches q, in
 // archive order, through fn — the replay-suffix fast path behind
 // checkpointed recovery. Segments wholly covered by the cursor are
-// skipped without reading a byte; the cursor segment is skipped
-// block-by-block without decoding until the cursor position, then
-// scanned normally, as are all later segments. fn returning false stops
-// the scan early.
+// skipped without reading a byte. A sealed cursor segment is read from
+// the block holding the cursor on, its covered blocks located through
+// its block index and never read; an unsealed one is skipped
+// block-by-block without decoding until the cursor position. Later
+// segments are scanned normally. fn returning false stops the scan
+// early.
 //
 // ScanFrom fails — rather than guessing — when the directory no longer
 // matches the cursor: the cursor segment is gone or torn before the

@@ -1,8 +1,10 @@
 package archive
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"eventspace/internal/collect"
 	"eventspace/internal/hrtime"
@@ -10,15 +12,15 @@ import (
 )
 
 // Segment header: 64 bytes at the front of every segment file, declared
-// by segmentHeader.walk. Its version names the block codec for the whole
-// segment. Version 2 (columnar blocks, see columnar.go) is the only one
-// written or read; version 1 (row blocks: 8-byte header + count ×
-// 28-byte tuples) is retired, and a segment carrying it is refused with
-// an error — never treated as crash damage, so never truncated or
-// deleted.
+// by segmentHeader.walk. Its version names the segment layout. Version 3
+// (columnar blocks, see columnar.go, and a block index behind the last
+// block of a sealed segment, see blockZone) is the only one written or
+// read; versions 1 (row blocks) and 2 (columnar blocks, no block index)
+// are retired, and a segment carrying either is refused with an error —
+// never treated as crash damage, so never truncated or deleted.
 const (
 	segmentMagic      = 0x31475345 // "ESG1" little-endian
-	segmentVersion    = 2
+	segmentVersion    = 3
 	segmentHeaderSize = 64
 
 	flagSealed = 1 << 0
@@ -71,6 +73,10 @@ type segmentHeader struct {
 	ID     uint32
 	Sealed bool
 	Index  SegmentIndex
+	// IndexAt and IndexBytes locate a sealed segment's block index: it
+	// starts where the blocks end. Both are zero while unsealed.
+	IndexAt    uint64
+	IndexBytes uint32
 
 	magic   uint32
 	version uint16
@@ -80,7 +86,7 @@ type segmentHeader struct {
 //
 //	off  size  field
 //	  0     4  magic "ESG1"
-//	  4     2  version (2: columnar blocks)
+//	  4     2  version (3: columnar blocks, block index)
 //	  6     2  flags (bit 0: sealed)
 //	  8     4  segment id
 //	 12     4  min ECID        ┐
@@ -89,7 +95,8 @@ type segmentHeader struct {
 //	 28     8  max stamp       │ block scan otherwise
 //	 36     8  tuple count     │
 //	 44     4  block count     ┘
-//	 48    12  reserved (zero)
+//	 48     8  block index offset  ┐ sealed only: where the blocks
+//	 56     4  block index bytes   ┘ end and the block index starts
 //	 60     4  CRC32(header[0:60])
 func (h *segmentHeader) walk(c *wire.Codec) {
 	c.U32(&h.magic)
@@ -107,8 +114,19 @@ func (h *segmentHeader) walk(c *wire.Codec) {
 	c.I64(&h.Index.MaxStamp)
 	c.U64(&h.Index.Tuples)
 	c.U32(&h.Index.Blocks)
-	c.Pad(12)
+	c.U64(&h.IndexAt)
+	c.U32(&h.IndexBytes)
 	c.CRC32(0)
+}
+
+// blocksEnd is where a segment file of size bytes stops holding blocks:
+// at its block index once sealed (the file's end if the header places
+// the index past it), at the file's end while unsealed.
+func (h *segmentHeader) blocksEnd(size int64) int64 {
+	if h.Sealed && h.IndexAt >= segmentHeaderSize && h.IndexAt <= uint64(size) {
+		return int64(h.IndexAt)
+	}
+	return size
 }
 
 func encodeHeader(h segmentHeader) []byte {
@@ -135,38 +153,157 @@ func decodeHeader(buf []byte) (h segmentHeader, err error) {
 type scanResult struct {
 	Header segmentHeader
 	Index  SegmentIndex // recomputed from the blocks actually read
+	// Zones are the intact blocks' index entries, in order: what a
+	// writer continuing the segment seals into its block index.
+	Zones []blockZone
 	// ValidBytes is the offset just past the last intact block: the
 	// truncation point for a crash-safe reopen.
 	ValidBytes int64
-	// Torn reports that trailing bytes past ValidBytes were dropped
-	// (a partial block header, short payload, bad CRC, or an invalid
-	// count — the torn-tail signature).
+	// Torn reports that bytes between ValidBytes and the end of the
+	// blocks were dropped (a partial block header, short payload, bad
+	// CRC, or an invalid count — the torn-tail signature). Trailing
+	// block-index bytes of a segment whose seal did not finish are one.
 	Torn bool
 }
 
 // scanSegment decodes a whole segment image: the header, then every
-// intact block in order. It never fails on a damaged tail — it stops
-// there and reports how much was valid — but it does fail on a
-// missing/corrupt header, which no crash of an append-only writer can
-// produce (headers are written before the first block).
+// intact block in order, up to the block index of a sealed segment. It
+// never fails on a damaged tail — it stops there and reports how much
+// was valid — but it does fail on a missing/corrupt header, which no
+// crash of an append-only writer can produce (headers are written
+// before the first block).
 func scanSegment(buf []byte) (scanResult, error) {
 	h, err := decodeHeader(buf)
 	if err != nil {
 		return scanResult{}, err
 	}
-	res := scanResult{Header: h}
+	res := scanResult{Header: h, ValidBytes: segmentHeaderSize}
+	end := h.blocksEnd(int64(len(buf)))
 	var dec blockDecoder
-	var stats ScanStats
-	w := blockWalk{q: &Query{}, cols: AllColumns, dec: &dec, stats: &stats, fn: func(batch []collect.TraceTuple) bool {
-		for i := range batch {
-			res.Index.add(batch[i])
+	for res.ValidBytes < end {
+		f, ok := frameColumnarBlock(buf[res.ValidBytes:end])
+		var batch []collect.TraceTuple
+		if ok {
+			batch, ok = dec.decodeColumnar(&f, AllColumns)
 		}
-		return true
-	}}
-	res.ValidBytes, _ = w.blocks(buf, segmentHeaderSize)
-	res.Index.Blocks = uint32(stats.BlocksScanned)
-	res.Torn = stats.TornSegments > 0
+		if !ok {
+			res.Torn = true
+			break
+		}
+		z := blockZone{at: res.ValidBytes, size: f.size}
+		for i := range batch {
+			z.add(batch[i])
+		}
+		res.Index.addBlock(z.SegmentIndex)
+		res.Zones = append(res.Zones, z)
+		res.ValidBytes += f.size
+	}
 	return res, nil
+}
+
+// addBlock folds one block's index into x.
+func (x *SegmentIndex) addBlock(b SegmentIndex) {
+	if x.Tuples == 0 {
+		x.MinECID, x.MaxECID = b.MinECID, b.MaxECID
+		x.MinStamp, x.MaxStamp = b.MinStamp, b.MaxStamp
+	} else {
+		x.MinECID, x.MaxECID = min(x.MinECID, b.MinECID), max(x.MaxECID, b.MaxECID)
+		x.MinStamp, x.MaxStamp = min(x.MinStamp, b.MinStamp), max(x.MaxStamp, b.MaxStamp)
+	}
+	x.Tuples += b.Tuples
+	x.Blocks++
+}
+
+// blockZone is one block's entry in a sealed segment's block index: its
+// byte range in the file and the ECID and Start ranges of its tuples
+// (SegmentIndex with Tuples its count). A filtered or cursor scan plans
+// from the zones which blocks to read at all.
+type blockZone struct {
+	at, size int64
+	SegmentIndex
+}
+
+// blockZoneSize is one zone's encoded size.
+const blockZoneSize = 32
+
+// walk is a zone's declaration: block bytes u32, tuple count u32, min
+// and max ECID u32, min and max Start i64. The offset is not stored: a
+// segment's blocks lie back to back from the header on, so each one
+// starts where the one before it ends.
+func (z *blockZone) walk(c *wire.Codec) {
+	size, count := uint32(z.size), uint32(z.Tuples)
+	c.U32(&size)
+	c.U32(&count)
+	c.U32(&z.MinECID)
+	c.U32(&z.MaxECID)
+	c.I64(&z.MinStamp)
+	c.I64(&z.MaxStamp)
+	z.size, z.Tuples = int64(size), uint64(count)
+}
+
+// walkBlockIndex is the block index's one declaration:
+//
+//	off  size  field
+//	  0     4  zero: where a block holds its tuple count, so the index
+//	           never frames as a block (frameColumnarBlock refuses 0)
+//	  4     4  block count n
+//	  8   32n  n zones (blockZone.walk)
+//	 …      4  CRC32 of the index bytes before it
+//
+// A read fills *zones' storage, grown when short, and leaves the
+// offsets to decodeBlockIndex.
+func walkBlockIndex(c *wire.Codec, zones *[]blockZone) {
+	from := c.Pos()
+	var zero uint32
+	c.U32(&zero)
+	n := c.Count(len(*zones), blockZoneSize)
+	if !c.Writing() {
+		*zones = slices.Grow((*zones)[:0], n)[:n]
+	}
+	for i := range *zones {
+		(*zones)[i].walk(c)
+	}
+	c.CRC32(from)
+}
+
+// appendBlockIndex appends the block index of zones to dst.
+func appendBlockIndex(dst []byte, zones []blockZone) []byte {
+	c := wire.Writer(dst)
+	walkBlockIndex(&c, &zones)
+	return c.Bytes()
+}
+
+// decodeBlockIndex decodes p, the block index of a sealed segment with
+// header index x whose blocks end at end, into zones' storage. ok=false
+// is a damaged index: short, not led by zero, failing its CRC, or not
+// describing exactly the header's blocks — count, tuples, and sizes that
+// tile [header, end) with blocks of 1 to MaxBlockTuples tuples. A
+// damaged index costs a scan its plan, never its answer: the caller
+// walks the blocks instead.
+func decodeBlockIndex(p []byte, x *SegmentIndex, end int64, zones []blockZone) ([]blockZone, bool) {
+	c := wire.Reader(p)
+	walkBlockIndex(&c, &zones)
+	if c.Err() != nil || c.Pos() != len(p) || binary.LittleEndian.Uint32(p) != 0 || len(zones) != int(x.Blocks) {
+		return zones, false
+	}
+	at, tuples := int64(segmentHeaderSize), uint64(0)
+	for i := range zones {
+		z := &zones[i]
+		if z.Tuples == 0 || z.Tuples > MaxBlockTuples || z.size <= v2BlockHeaderSize+v2DirSize {
+			return zones, false
+		}
+		z.at = at
+		at += z.size
+		tuples += z.Tuples
+	}
+	return zones, at == end && tuples == x.Tuples
+}
+
+// meets reports whether the index's ECID and stamp ranges can hold a
+// tuple q keeps.
+func (x *SegmentIndex) meets(q *Query) bool {
+	lo, hi := q.stamps()
+	return x.overlapECIDs(q.ECIDs) && x.overlapStamps(lo, hi)
 }
 
 // overlapECIDs reports whether any queried ECID can fall inside the

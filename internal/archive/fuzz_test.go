@@ -17,15 +17,19 @@ import (
 var colName = [numColumns]string{"ecid", "op", "ret", "seq", "start", "end"}
 
 // FuzzSegmentDecode fuzzes the segment parser the reader and the
-// crash-safe reopen both rely on: arbitrary bytes must never panic, and
-// the recovered prefix must stay internally consistent (ValidBytes
-// inside the buffer, the valid prefix rescanning to the same index).
+// crash-safe reopen both rely on, and the block index decoder planned
+// scans rely on: arbitrary bytes must never panic, the recovered prefix
+// must stay internally consistent (ValidBytes inside the blocks, the
+// valid prefix rescanning to the same index and zones), and the block
+// index must decode exactly as the field-by-field reference reads it.
 func FuzzSegmentDecode(f *testing.F) {
 	// Seed: an empty sealed segment, one with two blocks, torn variants
-	// of it, and an intact header of the retired version 1.
+	// of it, intact headers of the retired versions 1 and 2, and sealed
+	// segments with their block index, whole and damaged.
 	empty := encodeHeader(segmentHeader{ID: 1, Sealed: true})
 	f.Add(empty)
-	f.Add(v1Header(1))
+	f.Add(retiredHeader(1, 1))
+	f.Add(retiredHeader(1, 2))
 	var enc columnarEncoder
 	var whole []byte
 	whole = append(whole, encodeHeader(segmentHeader{ID: 2})...)
@@ -53,24 +57,48 @@ func FuzzSegmentDecode(f *testing.F) {
 	// A version-1 header followed by one of its row blocks (count,
 	// payload CRC, one 28-byte tuple).
 	row := (&collect.TraceTuple{ECID: 1, Seq: 0, Start: 10, End: 20}).Encode()
-	v1 := binary.LittleEndian.AppendUint32(v1Header(2), 1)
+	v1 := binary.LittleEndian.AppendUint32(retiredHeader(2, 1), 1)
 	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(row))
 	f.Add(append(v1, row...))
+	// Sealed by the writer, block index and all; then with a zone's bit
+	// flipped (the index CRC fails), and with the index cut short.
+	dir := f.TempDir()
+	w, err := Create(Options{Dir: dir, BlockTuples: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Append(distinctECIDs(10, 4)); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	sealed, err := os.ReadFile(filepath.Join(dir, segmentFileName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sealed)
+	bad := append([]byte(nil), sealed...)
+	bad[len(bad)-20] ^= 0x04
+	f.Add(bad)
+	f.Add(sealed[:len(sealed)-7])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := scanSegment(data)
 		if err != nil {
 			return // corrupt header: rejected outright
 		}
-		if res.ValidBytes < segmentHeaderSize || res.ValidBytes > int64(len(data)) {
-			t.Fatalf("ValidBytes %d outside [%d, %d]", res.ValidBytes, segmentHeaderSize, len(data))
+		end := res.Header.blocksEnd(int64(len(data)))
+		if res.ValidBytes < segmentHeaderSize || res.ValidBytes > end {
+			t.Fatalf("ValidBytes %d outside [%d, %d]", res.ValidBytes, segmentHeaderSize, end)
 		}
-		if !res.Torn && res.ValidBytes != int64(len(data)) {
-			t.Fatalf("not torn but ValidBytes %d < %d", res.ValidBytes, len(data))
+		if !res.Torn && res.ValidBytes != end {
+			t.Fatalf("not torn but ValidBytes %d < %d", res.ValidBytes, end)
 		}
-		// The recovered index counts exactly what the intact frames
-		// hold, whatever the tuples' stamps — a reopen seals this count
-		// into the header and cursors skip by it.
+		// The recovered index and zones count exactly what the intact
+		// frames hold, whatever the tuples' stamps — a reopen seals
+		// these counts into the header and block index, and cursors skip
+		// by them.
 		var framed uint64
 		var blocks uint32
 		for off := int64(segmentHeaderSize); off < res.ValidBytes; {
@@ -78,13 +106,16 @@ func FuzzSegmentDecode(f *testing.F) {
 			if !ok {
 				t.Fatalf("valid prefix does not frame at offset %d", off)
 			}
+			if z := res.Zones[blocks]; z.at != off || z.size != fr.size || z.Tuples != uint64(fr.count) {
+				t.Fatalf("zone %d = %+v, frame at %d holds %d tuples in %d bytes", blocks, z, off, fr.count, fr.size)
+			}
 			framed += uint64(fr.count)
 			blocks++
 			off += fr.size
 		}
-		if res.Index.Tuples != framed || res.Index.Blocks != blocks {
-			t.Fatalf("index counts %d tuples in %d blocks, frames hold %d in %d",
-				res.Index.Tuples, res.Index.Blocks, framed, blocks)
+		if res.Index.Tuples != framed || res.Index.Blocks != blocks || len(res.Zones) != int(blocks) {
+			t.Fatalf("index counts %d tuples in %d blocks (%d zones), frames hold %d in %d",
+				res.Index.Tuples, res.Index.Blocks, len(res.Zones), framed, blocks)
 		}
 		// The recovered prefix must itself rescan identically — the
 		// invariant behind truncate-and-continue reopens.
@@ -92,8 +123,28 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rescan of valid prefix failed: %v", err)
 		}
-		if again.Torn || again.Index != res.Index {
+		if again.Torn || again.Index != res.Index || !reflect.DeepEqual(again.Zones, res.Zones) {
 			t.Fatalf("rescan diverged: torn=%v index=%+v want %+v", again.Torn, again.Index, res.Index)
+		}
+		// The block index a planned scan reads: present only when it
+		// fills the sealed file's tail, and decoded exactly as the
+		// reference reads it.
+		h := res.Header
+		var zones []blockZone
+		ok := false
+		if h.Sealed && h.IndexBytes > 0 && end+int64(h.IndexBytes) == int64(len(data)) {
+			zones, ok = decodeBlockIndex(data[end:], &h.Index, end, nil)
+		}
+		ref, refOK := referenceZones(data)
+		if ok != refOK {
+			t.Fatalf("block index decodes %v, reference %v", ok, refOK)
+		}
+		for i := range ref {
+			z, r := zones[i], ref[i]
+			if z.at != r.at || z.size != r.size || z.Tuples != r.tuples || z.MinECID != r.minECID ||
+				z.MaxECID != r.maxECID || z.MinStamp != r.minStart || z.MaxStamp != r.maxStart {
+				t.Fatalf("zone %d = %+v, reference %+v", i, z, r)
+			}
 		}
 	})
 }

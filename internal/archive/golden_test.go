@@ -67,7 +67,10 @@ func distinctECIDs(n, distinct int) []collect.TraceTuple {
 // drives a fresh writer over an empty directory and closes it; the
 // files under testdata/<name>/ were written by these same calls at the
 // commit before the hashless encoder and the in-place drain, and are
-// never regenerated from the code under test.
+// not regenerated from the code under test. They were re-recorded once,
+// when version 3 added the block index: each file's blocks are byte for
+// byte that first recording's, behind the new header and ahead of the
+// index.
 var goldenSegments = []struct {
 	name  string
 	opts  Options

@@ -18,12 +18,14 @@ import (
 
 // Query selects tuples out of an archive. The zero value matches
 // everything, and a scan hands its blocks through whole. Filters are
-// pushed down to the per-segment header index — a segment whose ECID or
-// stamp range cannot intersect the query is skipped without reading its
-// blocks — and to each block's ECID and Op dictionaries, which skip a
-// block without decoding it. In a block neither skips, only the filter
-// columns are decoded, to select the rows; the other fields are decoded
-// for the selected rows alone.
+// pushed down three levels. The per-segment header index skips a
+// segment whose ECID or stamp range cannot intersect the query without
+// reading it. A sealed segment's block index skips, the same way, each
+// block whose own ranges cannot — an ECID or stamp filter reads only
+// the index and the blocks it cannot rule out. Each block read has its
+// ECID and Op dictionaries checked, which skip it without decoding. In
+// a block none skips, only the filter columns are decoded, to select the
+// rows; the other fields are decoded for the selected rows alone.
 type Query struct {
 	// ECIDs restricts to these event-collector ids (empty: all).
 	ECIDs []uint32
@@ -82,6 +84,12 @@ type SegmentInfo struct {
 	Torn      bool  // the segment carries a damaged tail (ignored by reads)
 	TornBytes int64 // bytes in the damaged tail beyond the last intact block
 	Index     SegmentIndex
+	// IndexBytes is the size of a sealed segment's block index, which
+	// fills the file's tail from where the blocks end; 0 when it has
+	// none (unsealed, or a header that places it elsewhere).
+	IndexBytes int64
+
+	blocksEnd int64 // where the blocks end: the block index, or the file's end
 }
 
 // ScanStats reports what one query actually touched — the pushdown
@@ -91,11 +99,11 @@ type ScanStats struct {
 	SegmentsSkipped int    // skipped wholesale via the header index
 	SegmentsScanned int    // segments whose blocks were read
 	BlocksScanned   uint64 // blocks whose filter columns were decoded (every column, for the zero Query)
-	BlocksSkipped   uint64 // blocks skipped undecoded (dictionary or cursor skips)
+	BlocksSkipped   uint64 // blocks skipped undecoded (block index, dictionary or cursor skips)
 	TuplesScanned   uint64 // tuples in the scanned blocks (past the cursor)
 	TuplesMatched   uint64 // tuples that passed the filters
 	TuplesSkipped   uint64 // tuples jumped over without decoding (index or cursor skips)
-	BytesScanned    uint64 // segment bytes read off disk
+	BytesScanned    uint64 // segment bytes read off disk, block index included
 	BytesSkipped    uint64 // segment bytes never read (index or cursor skips)
 	TornSegments    int    // scanned segments with a damaged tail
 }
@@ -150,7 +158,10 @@ func OpenReaderMetrics(dir string, reg *metrics.Registry) (*Reader, error) {
 		if err != nil {
 			return nil, fmt.Errorf("archive: segment %s: %v", s.path, err)
 		}
-		info := SegmentInfo{ID: hdr.ID, Path: s.path, Bytes: s.size, Sealed: hdr.Sealed, Index: hdr.Index}
+		info := SegmentInfo{ID: hdr.ID, Path: s.path, Bytes: s.size, Sealed: hdr.Sealed, Index: hdr.Index, blocksEnd: hdr.blocksEnd(s.size)}
+		if info.blocksEnd+int64(hdr.IndexBytes) == s.size {
+			info.IndexBytes = int64(hdr.IndexBytes)
+		}
 		if !hdr.Sealed {
 			// No trustworthy index: recover it from the blocks.
 			if buf, err = os.ReadFile(s.path); err != nil {
@@ -229,9 +240,10 @@ func (r *Reader) Tuples() uint64 {
 // end a segment's scan without failing the query.
 //
 // Segments are walked block by block into one reused decode batch —
-// never materialized whole — and blocks whose ECID/op dictionaries
-// cannot intersect q are skipped after a dictionary-only CRC check,
-// without decoding any column. Every other block has all its columns
+// never materialized whole. Blocks a sealed segment's block index rules
+// out are never read, and blocks whose ECID/op dictionaries cannot
+// intersect q are skipped after a dictionary-only CRC check, without
+// decoding any column. Every other block has all its columns
 // checksummed; under a filter only the filter columns are then decoded
 // whole, and the rest only at the rows q keeps (see Query).
 func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
@@ -272,13 +284,29 @@ func (r *Reader) scanTuples(cur *Cursor, q Query, fn func(collect.TraceTuple) bo
 	return stats, err
 }
 
-// scanScratch is what one scan reads and decodes into: the current
-// segment's image and the block decoder's batch. A Reader keeps the
-// last one between scans, so a warm scan allocates neither; nothing a
-// callback sees aliases img.
+// scanScratch is what one scan reads and decodes into: the bytes read
+// from the current segment (its image, or its block index and then the
+// runs of blocks the index leaves to read), the index's decoded zones
+// and the block decoder's batch. A Reader keeps the last one between
+// scans, so a warm scan allocates none of them; each scan overwrites
+// what the last left there, and nothing a callback sees aliases img.
 type scanScratch struct {
-	img []byte
-	dec blockDecoder
+	img   []byte
+	zones []blockZone
+	dec   blockDecoder
+}
+
+// readAt reads n bytes at offset off of f into buf's storage, growing it
+// when short. A file that ends early yields the bytes it has, no error.
+func readAt(f *os.File, buf []byte, off, n int64) ([]byte, error) {
+	if int64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	got, err := f.ReadAt(buf[:n], off)
+	if err == io.EOF {
+		err = nil
+	}
+	return buf[:got], err
 }
 
 // readSegment reads the whole file at path into buf's storage, growing
@@ -314,13 +342,15 @@ func readSegment(path string, buf []byte) ([]byte, error) {
 // (cur == nil: the whole archive) and ScanFrom (only what was archived
 // after *cur): framing, index and dictionary skips, the cursor prefix,
 // tear accounting and the stats. It decodes cols plus the fields q
-// filters on, and hands fn each block's matches as one batch.
+// filters on, and hands fn each block's matches as one batch. A sealed
+// segment that the query's ECIDs or stamps, or the cursor, can prune
+// block by block is read through its block index (blockWalk.indexed);
+// every other segment is read whole and walked from its first block.
 func (r *Reader) scan(cur *Cursor, q Query, cols Columns, fn func([]collect.TraceTuple) bool) (ScanStats, error) {
 	stats := ScanStats{Segments: len(r.segs)}
 	start := hrtime.Now()
-	var bytes int
 	defer func() {
-		r.opScan.Record(hrtime.Since(start), bytes, nil)
+		r.opScan.Record(hrtime.Since(start), int(stats.BytesScanned), nil)
 	}()
 
 	first := 0 // index of the first segment cur does not wholly cover
@@ -362,29 +392,40 @@ func (r *Reader) scan(cur *Cursor, q Query, cols Columns, fn func([]collect.Trac
 	}
 	defer r.scratch.Store(scr)
 	w := blockWalk{q: &q, cols: cols | q.columns(), dec: &scr.dec, stats: &stats, fn: fn}
-	for _, s := range r.segs[first:] {
+	prunes := q.columns()&(ColECID|ColStart) != 0
+	for i := range r.segs[first:] {
+		s := &r.segs[first+i]
 		covered := uint64(0)
 		if cur != nil && s.ID == cur.Segment {
 			covered = cur.SegTuples
 		}
 		uncovered := s.Index.Tuples - covered
-		if uncovered == 0 || !s.Index.overlapECIDs(q.ECIDs) || !s.Index.overlapStamps(q.stamps()) {
+		if uncovered == 0 || !s.Index.meets(&q) {
 			stats.SegmentsSkipped++
 			stats.BytesSkipped += uint64(s.Bytes)
 			stats.TuplesSkipped += uncovered
 			continue
+		}
+		if s.IndexBytes > 0 && (prunes || covered > 0) {
+			planned, stopped, err := w.indexed(s, covered, scr)
+			if err != nil || stopped {
+				return stats, err
+			}
+			if planned {
+				continue
+			}
 		}
 		buf, err := readSegment(s.Path, scr.img)
 		scr.img = buf
 		if err != nil {
 			return stats, fmt.Errorf("archive: %v", err)
 		}
-		bytes += len(buf)
 		stats.BytesScanned += uint64(len(buf))
 		if _, err := decodeHeader(buf); err != nil {
 			return stats, fmt.Errorf("archive: segment %s: %v", s.Path, err)
 		}
 		stats.SegmentsScanned++
+		buf = buf[:min(s.blocksEnd, int64(len(buf)))]
 		off := int64(segmentHeaderSize)
 		// Jump the covered prefix frame by frame: whole covered blocks
 		// are sized but never decoded; the block straddling the cursor
@@ -412,11 +453,89 @@ func (r *Reader) scan(cur *Cursor, q Query, cols Columns, fn func([]collect.Trac
 			}
 			skip = 0
 		}
-		if _, stopped := w.blocks(buf, off); stopped {
+		if w.blocks(buf, off) {
 			return stats, nil
 		}
 	}
 	return stats, nil
+}
+
+// indexed scans sealed segment s through its block index: blocks the
+// cursor covers (covered tuples) and blocks whose ECID or Start range
+// cannot meet the query are skipped unread, and each run of the blocks
+// left is read with one pread and walked as the whole-segment walk
+// walks them. The header, read at open, is not read again. planned=false,
+// with only the index read, means the index is damaged; the caller then
+// walks the segment whole, so damage costs speed, never answers.
+func (w *blockWalk) indexed(s *SegmentInfo, covered uint64, scr *scanScratch) (planned, stopped bool, err error) {
+	f, err := os.Open(s.Path)
+	if err != nil {
+		return false, false, fmt.Errorf("archive: %v", err)
+	}
+	defer f.Close()
+	scr.img, err = readAt(f, scr.img, s.blocksEnd, s.IndexBytes)
+	if err != nil {
+		return false, false, fmt.Errorf("archive: %v", err)
+	}
+	w.stats.BytesScanned += uint64(len(scr.img))
+	var ok bool
+	if scr.zones, ok = decodeBlockIndex(scr.img, &s.Index, s.blocksEnd, scr.zones); !ok {
+		return false, false, nil
+	}
+	w.stats.SegmentsScanned++
+	w.stats.BytesSkipped += segmentHeaderSize
+	zones, skip := scr.zones, covered
+	var run []byte // the blocks of the last pread, from runAt on
+	var runAt int64
+	for i := range zones {
+		z := &zones[i]
+		if z.Tuples <= skip || !z.meets(w.q) {
+			skip -= min(skip, z.Tuples)
+			w.stats.BlocksSkipped++
+			w.stats.TuplesSkipped += z.Tuples
+			w.stats.BytesSkipped += uint64(z.size)
+			continue
+		}
+		from := skip // nonzero only in the block straddling the cursor
+		skip = 0
+		if z.at >= runAt+int64(len(run)) {
+			// A new run: this block and each next one the query can meet.
+			end := z.at + z.size
+			for j := i + 1; j < len(zones) && zones[j].meets(w.q); j++ {
+				end += zones[j].size
+			}
+			if run, err = readAt(f, scr.img, z.at, end-z.at); err != nil {
+				return true, false, fmt.Errorf("archive: %v", err)
+			}
+			scr.img, runAt = run, z.at
+			w.stats.BytesScanned += uint64(len(run))
+		}
+		var fr columnarFrame
+		ok := z.at+z.size <= runAt+int64(len(run))
+		if ok {
+			fr, ok = frameColumnarBlock(run[z.at-runAt : z.at-runAt+z.size])
+			ok = ok && fr.size == z.size && uint64(fr.count) == z.Tuples
+		}
+		if ok && from == 0 && w.dec.skipColumnar(&fr, w.q) {
+			w.stats.BlocksSkipped++
+			continue
+		}
+		if ok {
+			ok, stopped = w.block(&fr, int(from))
+		}
+		if !ok && from > 0 {
+			return true, false, fmt.Errorf("archive: segment %s: torn before cursor position", s.Path)
+		}
+		if !ok {
+			w.stats.TornSegments++
+			return true, false, nil
+		}
+		w.stats.TuplesSkipped += from
+		if stopped {
+			return true, true, nil
+		}
+	}
+	return true, false, nil
 }
 
 // blockWalk is one scan's state between blocks: what to select and
@@ -450,15 +569,14 @@ func (w *blockWalk) block(f *columnarFrame, from int) (ok, stopped bool) {
 	return true, len(batch) > 0 && !w.fn(batch)
 }
 
-// blocks walks one segment image block by block from byte offset off
+// blocks walks one segment's blocks, buf, from byte offset off
 // (segmentHeaderSize for a whole-segment walk; past it when a cursor
 // scan already skipped a prefix), skipping blocks the query cannot
-// match, and hands each scanned block's rows to fn. It returns the
-// offset just past the last intact block it walked and whether fn
-// stopped the scan. A block that does not frame or decode — partial
+// match, and hands each scanned block's rows to fn. It reports whether
+// fn stopped the scan. A block that does not frame or decode — partial
 // header or directory, short payload, CRC mismatch, invalid count — is
 // a torn tail: it ends the walk and is counted.
-func (w *blockWalk) blocks(buf []byte, off int64) (end int64, stopped bool) {
+func (w *blockWalk) blocks(buf []byte, off int64) (stopped bool) {
 	for off < int64(len(buf)) {
 		f, ok := frameColumnarBlock(buf[off:])
 		if !ok {
@@ -477,8 +595,8 @@ func (w *blockWalk) blocks(buf []byte, off int64) (end int64, stopped bool) {
 		}
 		off += f.size
 		if stopped {
-			return off, true
+			return true
 		}
 	}
-	return off, false
+	return false
 }

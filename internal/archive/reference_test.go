@@ -177,11 +177,15 @@ func (q *Query) match(t *collect.TraceTuple) bool {
 		(q.MaxStamp <= 0 || t.Start <= q.MaxStamp)
 }
 
-// referenceScan is the walk the selective decode replaced, kept as its
-// reference: the same segment, cursor and dictionary skips, but every
-// scanned block decoded whole and its rows tested one at a time by
-// match. cur == nil walks the whole archive. It returns the rows q
-// keeps, in archive order, and the stats a scan must report.
+// referenceScan is the reference every scan is held to: each segment
+// the header index and the cursor leave is read whole, every block it
+// reads is decoded whole and its rows tested one at a time by match.
+// It keeps the scan's skips — the cursor's covered blocks and the
+// dictionaries' — and, for a sealed segment that a scan reads through
+// its block index, the index's pruning, found by referenceZones from the
+// image's bytes; a pruned block is never framed, so its damage does not
+// show. cur == nil walks the whole archive. It returns the rows q keeps,
+// in archive order, and the stats a scan must report.
 func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanStats, error) {
 	stats := ScanStats{Segments: len(r.segs)}
 	first := 0
@@ -213,8 +217,46 @@ func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanS
 		}
 		return true
 	}
+	// meets is the block index's pruning: whether a block's ECID and
+	// Start ranges can hold a row q keeps.
+	meets := func(z refZone) bool {
+		ecids := len(q.ECIDs) == 0
+		for _, id := range q.ECIDs {
+			ecids = ecids || id >= z.minECID && id <= z.maxECID
+		}
+		return ecids && (q.MaxStamp <= 0 || z.minStart <= q.MaxStamp) && (q.MinStamp <= 0 || z.maxStart >= q.MinStamp)
+	}
 	var out []collect.TraceTuple
 	var dec blockDecoder
+	// block scans the framed block at buf[off:], or reports it torn:
+	// skip is the cursor's covered head, 0 past the cursor's block.
+	block := func(buf []byte, off int64, skip uint64, want refZone) (size int64, ok bool) {
+		f, ok := frameColumnarBlock(buf[off:])
+		if ok && want.size > 0 {
+			ok = f.size == want.size && uint64(f.count) == want.tuples
+		}
+		if ok && skip == 0 && (len(q.ECIDs) > 0 && excludes(&f, colECID) || len(q.Ops) > 0 && excludes(&f, colOp)) {
+			stats.BlocksSkipped++
+			return f.size, true
+		}
+		var batch []collect.TraceTuple
+		if ok {
+			batch, ok = dec.decodeColumnar(&f, AllColumns)
+		}
+		if !ok {
+			return 0, false
+		}
+		stats.BlocksScanned++
+		stats.TuplesSkipped += skip
+		stats.TuplesScanned += uint64(len(batch)) - skip
+		for i := range batch[skip:] {
+			if tu := batch[skip:][i]; q.match(&tu) {
+				out = append(out, tu)
+				stats.TuplesMatched++
+			}
+		}
+		return f.size, true
+	}
 	for _, s := range r.segs[first:] {
 		var skip uint64
 		if cur != nil && s.ID == cur.Segment {
@@ -232,8 +274,46 @@ func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanS
 		if err != nil {
 			return out, stats, err
 		}
+		blocksEnd, idxBytes := referenceBlocksEnd(buf)
+		if idxBytes > 0 && (len(q.ECIDs) > 0 || q.MinStamp > 0 || q.MaxStamp > 0 || skip > 0) {
+			stats.BytesScanned += uint64(idxBytes)
+			if zones, ok := referenceZones(buf); ok {
+				stats.SegmentsScanned++
+				stats.BytesSkipped += segmentHeaderSize
+				var runEnd int64 // where the last pread stopped
+				for i, z := range zones {
+					if z.tuples <= skip || !meets(z) {
+						skip -= min(skip, z.tuples)
+						stats.BlocksSkipped++
+						stats.TuplesSkipped += z.tuples
+						stats.BytesSkipped += uint64(z.size)
+						continue
+					}
+					if z.at >= runEnd {
+						runEnd = z.at + z.size
+						for _, next := range zones[i+1:] {
+							if !meets(next) {
+								break
+							}
+							runEnd += next.size
+						}
+						stats.BytesScanned += uint64(min(runEnd, int64(len(buf))) - z.at)
+					}
+					if _, ok := block(buf[:min(z.at+z.size, int64(len(buf)))], z.at, skip, z); !ok {
+						if skip > 0 {
+							return out, stats, fmt.Errorf("segment %s: torn before cursor position", s.Path)
+						}
+						stats.TornSegments++
+						break
+					}
+					skip = 0
+				}
+				continue
+			}
+		}
 		stats.BytesScanned += uint64(len(buf))
 		stats.SegmentsScanned++
+		buf = buf[:blocksEnd]
 		for off := int64(segmentHeaderSize); off < int64(len(buf)) || skip > 0; {
 			f, ok := frameColumnarBlock(buf[off:])
 			if ok && uint64(f.count) <= skip {
@@ -243,15 +323,7 @@ func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanS
 				stats.TuplesSkipped += uint64(f.count)
 				continue
 			}
-			if ok && skip == 0 && (len(q.ECIDs) > 0 && excludes(&f, colECID) || len(q.Ops) > 0 && excludes(&f, colOp)) {
-				off += f.size
-				stats.BlocksSkipped++
-				continue
-			}
-			var batch []collect.TraceTuple
-			if ok {
-				batch, ok = dec.decodeColumnar(&f, AllColumns)
-			}
+			size, ok := block(buf, off, skip, refZone{})
 			if !ok {
 				if skip > 0 {
 					return out, stats, fmt.Errorf("segment %s: torn before cursor position", s.Path)
@@ -259,20 +331,69 @@ func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanS
 				stats.TornSegments++
 				break
 			}
-			off += f.size
-			stats.BlocksScanned++
-			stats.TuplesSkipped += skip
-			stats.TuplesScanned += uint64(len(batch)) - skip
-			for i := range batch[skip:] {
-				if tu := batch[skip:][i]; q.match(&tu) {
-					out = append(out, tu)
-					stats.TuplesMatched++
-				}
-			}
+			off += size
 			skip = 0
 		}
 	}
 	return out, stats, nil
+}
+
+// refZone is one block of a sealed segment's block index, as
+// referenceZones reads it.
+type refZone struct {
+	at, size           int64
+	tuples             uint64
+	minECID, maxECID   uint32
+	minStart, maxStart int64
+}
+
+// referenceBlocksEnd reads a segment image's header the long way: where
+// its blocks end, and the size of the block index behind them — 0
+// unless the segment is sealed and the index fills the file's tail.
+func referenceBlocksEnd(img []byte) (end, idxBytes int64) {
+	end = int64(len(img))
+	at, n := int64(binary.LittleEndian.Uint64(img[48:])), int64(binary.LittleEndian.Uint32(img[56:]))
+	if binary.LittleEndian.Uint16(img[6:])&flagSealed == 0 || at < segmentHeaderSize || at > end {
+		return end, 0
+	}
+	if at+n != end {
+		n = 0
+	}
+	return at, n
+}
+
+// referenceZones reads a sealed segment image's block index the long
+// way, field by field: ok=false unless it is whole — its CRC holds, it
+// starts with a zero word, and its zones tile the blocks with as many
+// blocks and tuples as the header counts.
+func referenceZones(img []byte) ([]refZone, bool) {
+	end, idxBytes := referenceBlocksEnd(img)
+	p := img[end:]
+	if idxBytes < 12 || binary.LittleEndian.Uint32(p) != 0 ||
+		crc32.ChecksumIEEE(p[:len(p)-4]) != binary.LittleEndian.Uint32(p[len(p)-4:]) {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(p[4:]))
+	if int64(8+32*n+4) != idxBytes || uint32(n) != binary.LittleEndian.Uint32(img[44:]) {
+		return nil, false
+	}
+	zones := make([]refZone, n)
+	at, tuples := int64(segmentHeaderSize), uint64(0)
+	for i := range zones {
+		e := p[8+32*i:]
+		z := refZone{
+			at: at, size: int64(binary.LittleEndian.Uint32(e)), tuples: uint64(binary.LittleEndian.Uint32(e[4:])),
+			minECID: binary.LittleEndian.Uint32(e[8:]), maxECID: binary.LittleEndian.Uint32(e[12:]),
+			minStart: int64(binary.LittleEndian.Uint64(e[16:])), maxStart: int64(binary.LittleEndian.Uint64(e[24:])),
+		}
+		if z.tuples == 0 || z.tuples > MaxBlockTuples || z.size <= v2BlockHeaderSize+v2DirSize {
+			return nil, false
+		}
+		zones[i] = z
+		at += z.size
+		tuples += z.tuples
+	}
+	return zones, at == end && tuples == binary.LittleEndian.Uint64(img[36:])
 }
 
 // setColValue is colValue's inverse.

@@ -72,9 +72,11 @@ type Writer struct {
 	f        *os.File
 	active   writerSegment
 	index    SegmentIndex
+	zones    []blockZone          // the active segment's block index so far
 	pending  []collect.TraceTuple // appended tuples not yet in a block
 	enc      columnarEncoder      // reused column scratch
 	out      []byte               // blocks encoded by the running call, not yet handed to f
+	sizes    []int64              // the byte size of each block in out
 	sealed   []writerSegment      // older segments, oldest first
 	total    int64                // bytes on disk across sealed + active
 	closed   bool
@@ -253,6 +255,7 @@ func (w *Writer) reopen() error {
 				w.f = f
 				w.active = last
 				w.index = res.Index
+				w.zones = res.Zones
 				w.stats.TuplesRecovered = res.Index.Tuples
 				w.sealed = segs[:len(segs)-1]
 				w.stats.Segments = len(segs)
@@ -282,6 +285,7 @@ func (w *Writer) newSegment(id uint32) error {
 	w.f = f
 	w.active = writerSegment{id: id, path: path, size: segmentHeaderSize}
 	w.index = SegmentIndex{}
+	w.zones = w.zones[:0]
 	w.total += segmentHeaderSize
 	w.stats.Segments = len(w.sealed) + 1
 	w.stats.ActiveSegment = id
@@ -364,7 +368,9 @@ func (w *Writer) drainLocked(all bool) error {
 			w.writeErr = ErrInjectedCrash
 			return w.writeErr
 		}
+		n := len(w.out)
 		w.out = w.enc.appendBlock(w.out, batch)
+		w.sizes = append(w.sizes, int64(len(w.out)-n))
 		off += len(batch)
 		if w.active.size+int64(len(w.out)) >= w.opts.segmentBytes() {
 			if err := w.writeOutLocked(w.pending[done:off]); err != nil {
@@ -383,8 +389,9 @@ func (w *Writer) drainLocked(all bool) error {
 
 // writeOutLocked hands the blocks in w.out — batch, encoded — to the
 // segment file in one write. Only once the file has them do the index,
-// the sizes and the stats (and so Position) cover them; a failed write
-// leaves all of those where they were and the writer sticky-dead.
+// the block zones, the sizes and the stats (and so Position) cover them;
+// a failed write leaves all of those where they were and the writer
+// sticky-dead.
 func (w *Writer) writeOutLocked(batch []collect.TraceTuple) error {
 	if len(w.out) == 0 {
 		return nil
@@ -396,11 +403,19 @@ func (w *Writer) writeOutLocked(batch []collect.TraceTuple) error {
 		w.writeErr = fmt.Errorf("archive: segment %d: %v", w.active.id, err)
 		return w.writeErr
 	}
-	for i := range batch {
-		w.index.add(batch[i])
+	// The blocks hold batch in runs of bt tuples; only the last can be
+	// short.
+	bt, at := w.opts.blockTuples(), w.active.size
+	for b, size := range w.sizes {
+		z := blockZone{at: at, size: size}
+		for i := b * bt; i < min((b+1)*bt, len(batch)); i++ {
+			z.add(batch[i])
+		}
+		w.index.addBlock(z.SegmentIndex)
+		w.zones = append(w.zones, z)
+		at += size
 	}
-	bt := w.opts.blockTuples()
-	w.index.Blocks += uint32((len(batch) + bt - 1) / bt) // only the last block can be short
+	w.sizes = w.sizes[:0]
 	w.active.size += int64(len(w.out))
 	w.total += int64(len(w.out))
 	w.stats.TuplesWritten += uint64(len(batch))
@@ -410,20 +425,32 @@ func (w *Writer) writeOutLocked(batch []collect.TraceTuple) error {
 	return nil
 }
 
-// sealLocked finalizes the active segment's header in place.
+// sealLocked appends the active segment's block index behind its last
+// block and then finalizes its header in place, pointing at the index.
 func (w *Writer) sealLocked() error {
-	if _, fire := w.opts.CrashPoints.hit(CrashSeal); fire {
-		// Die before the header rewrite: the segment keeps its valid
-		// provisional (unsealed) header and every flushed block. The
-		// 64-byte in-place rewrite itself is modelled as atomic — it
-		// fits one sector — so the only crash states around sealing are
-		// "still unsealed" (here) and "sealed" (after).
-		w.f.Close()
-		w.f = nil
-		w.writeErr = ErrInjectedCrash
+	if w.crashLocked(CrashSeal) {
+		// Died before the index write: the segment keeps its valid
+		// provisional (unsealed) header and every flushed block.
 		return w.writeErr
 	}
-	hdr := encodeHeader(segmentHeader{ID: w.active.id, Sealed: true, Index: w.index})
+	at := w.active.size
+	w.out = appendBlockIndex(w.out[:0], w.zones)
+	n := int64(len(w.out))
+	_, err := w.f.Write(w.out)
+	w.out = w.out[:0]
+	if err != nil {
+		w.writeErr = fmt.Errorf("archive: sealing segment %d: %v", w.active.id, err)
+		return w.writeErr
+	}
+	w.active.size += n
+	w.total += n
+	w.stats.TotalBytes = w.total
+	if w.crashLocked(CrashSealIndex) {
+		// Died between the index write and the header rewrite: still
+		// unsealed, so a reopen cuts the index as a torn tail.
+		return w.writeErr
+	}
+	hdr := encodeHeader(segmentHeader{ID: w.active.id, Sealed: true, Index: w.index, IndexAt: uint64(at), IndexBytes: uint32(n)})
 	if _, err := w.f.WriteAt(hdr, 0); err != nil {
 		w.writeErr = fmt.Errorf("archive: sealing segment %d: %v", w.active.id, err)
 		return w.writeErr
@@ -434,6 +461,21 @@ func (w *Writer) sealLocked() error {
 	}
 	w.f = nil
 	return nil
+}
+
+// crashLocked reports whether an armed crash fires at site, a step of
+// sealing; if so the writer dies there, its file closed. The 64-byte
+// in-place header rewrite itself is modelled as atomic — it fits one
+// sector — so the crash states around sealing are "unsealed" (CrashSeal,
+// CrashSealIndex) and "sealed" (after).
+func (w *Writer) crashLocked(site CrashSite) bool {
+	if _, fire := w.opts.CrashPoints.hit(site); !fire {
+		return false
+	}
+	w.f.Close()
+	w.f = nil
+	w.writeErr = ErrInjectedCrash
+	return true
 }
 
 // rotateLocked seals the active segment, opens the next one, and

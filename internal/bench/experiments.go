@@ -194,7 +194,6 @@ func (o Options) topo(name string) (cluster.TestbedSpec, int, string) {
 func (o Options) lbSpec(topology string, kind MonitorKind, parallel bool, wl Workload) RunSpec {
 	tb, iters, _ := o.topo(topology)
 	cfg := monitor.DefaultConfig()
-	cfg.AnalysisCostPerTuple = 1 * time.Microsecond
 	cfg.AnalysisInterval = 500 * time.Microsecond
 	cfg.PullInterval = 400 * time.Microsecond
 	cfg.IntermediateCap = traceCap(iters)

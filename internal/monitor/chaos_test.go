@@ -45,6 +45,7 @@ func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
 	// lives entirely on tin, so it must stay live throughout.
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
+	cfg.LoadBalanceCostPerTuple = 0
 	cfg.PullInterval = 5 * time.Millisecond
 	cfg.Health = &escope.HealthPolicy{DeadAfter: 2, ProbeBase: time.Millisecond, ProbeMax: 4 * time.Millisecond}
 	cfg.Retry = &paths.RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond}
@@ -203,6 +204,7 @@ func TestLoadBalanceCoverageDipsOnNodeCrash(t *testing.T) {
 	defer tree.Close()
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
+	cfg.LoadBalanceCostPerTuple = 0
 	cfg.PullInterval = 2 * time.Millisecond
 	cfg.Health = &escope.HealthPolicy{DeadAfter: 2, ProbeBase: time.Millisecond, ProbeMax: 4 * time.Millisecond}
 	cfg.Retry = &paths.RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond}

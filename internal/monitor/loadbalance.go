@@ -228,7 +228,7 @@ func (lb *LoadBalance) buildSingleScopeSources(spec *escope.Spec) error {
 		}
 		join := newLBJoin(n.AR.Fanin(), lbMaxPending)
 		floor, floored := lb.floors[n.Name]
-		cost := lb.cfg.AnalysisCostPerTuple
+		cost := lb.cfg.LoadBalanceCostPerTuple
 		host := n.Host
 		reduce := paths.NewTransform("lb/reduce("+n.Name+")", n.Host, gather, func(rep paths.Reply) (paths.Reply, error) {
 			tuples, err := collect.DecodeAll(rep.Data)
@@ -313,8 +313,8 @@ func (lb *LoadBalance) analysisPass(ha *lbHostAnalysis, batch *[]byte) int {
 			})
 		}
 	}
-	if processed > 0 && lb.cfg.AnalysisCostPerTuple > 0 {
-		ha.host.Occupy(time.Duration(processed) * lb.cfg.AnalysisCostPerTuple)
+	if processed > 0 && lb.cfg.LoadBalanceCostPerTuple > 0 {
+		ha.host.Occupy(time.Duration(processed) * lb.cfg.LoadBalanceCostPerTuple)
 	}
 	for _, st := range ha.nodes {
 		id := st.node.CollectiveEC.ID()

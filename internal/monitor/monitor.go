@@ -30,10 +30,14 @@ type Config struct {
 	// PullInterval is the gather thread's pacing (modelled time;
 	// 0 pulls continuously).
 	PullInterval time.Duration
-	// AnalysisCostPerTuple is the modelled CPU occupancy an analysis
-	// thread charges its host per trace tuple processed, standing in
-	// for the statistics computation cost on the paper's hosts.
+	// AnalysisCostPerTuple is the modelled CPU occupancy the statistics
+	// monitor's analysis thread charges its host per trace tuple
+	// processed, standing in for the statistics computation cost on the
+	// paper's hosts.
 	AnalysisCostPerTuple time.Duration
+	// LoadBalanceCostPerTuple is the same charge for the load-balance
+	// monitor, whose analysis only counts last arrivals.
+	LoadBalanceCostPerTuple time.Duration
 	// AnalysisInterval paces the per-host analysis threads between
 	// passes (modelled time).
 	AnalysisInterval time.Duration
@@ -73,11 +77,12 @@ type Config struct {
 // parallel gathering and coscheduling strategy 2.
 func DefaultConfig() Config {
 	return Config{
-		GatewayHelpers:       4,
-		RootHelpers:          4,
-		AnalysisCostPerTuple: 6 * time.Microsecond,
-		Strategy:             cosched.AfterUnblock,
-		IntermediateCap:      5000,
+		GatewayHelpers:          4,
+		RootHelpers:             4,
+		AnalysisCostPerTuple:    6 * time.Microsecond,
+		LoadBalanceCostPerTuple: 1 * time.Microsecond,
+		Strategy:                cosched.AfterUnblock,
+		IntermediateCap:         5000,
 	}
 }
 

@@ -147,6 +147,7 @@ func TestLoadBalanceSingleScopeFindsImbalance(t *testing.T) {
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
+	cfg.LoadBalanceCostPerTuple = 0
 	cfg.PullInterval = 5 * time.Millisecond
 	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil, nil)
 	if err != nil {
@@ -189,6 +190,7 @@ func TestLoadBalanceSummaryOnlySkipsFold(t *testing.T) {
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
+	cfg.LoadBalanceCostPerTuple = 0
 	cfg.PullInterval = 5 * time.Millisecond
 	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil, nil)
 	if err != nil {
@@ -224,6 +226,7 @@ func TestLoadBalanceDistributedTracksCumulativeState(t *testing.T) {
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
+	cfg.LoadBalanceCostPerTuple = 0
 	cfg.PullInterval = 5 * time.Millisecond
 	cfg.AnalysisInterval = 2 * time.Millisecond
 	lb, err := NewLoadBalance(tb, tree, Distributed, cfg, nil, nil)

@@ -23,6 +23,7 @@ func TestLoadBalanceRefusedBuildReleasesBuffers(t *testing.T) {
 			tb, tree := buildRig(t, nil)
 			cfg := DefaultConfig()
 			cfg.AnalysisCostPerTuple = 0
+			cfg.LoadBalanceCostPerTuple = 0
 			cfg.Breaker = &escope.BreakerPolicy{RoundDeadline: time.Millisecond}
 			if _, err := NewLoadBalance(tb, tree, mode, cfg, nil, nil); err == nil {
 				t.Fatal("breaker without health accepted")
@@ -90,6 +91,7 @@ func (r *resumeRig) replacement(t *testing.T) *LoadBalance {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
+	cfg.LoadBalanceCostPerTuple = 0
 	cfg.PullInterval = time.Millisecond
 	lb, err := NewLoadBalance(r.tb, r.tree, SingleScope, cfg, nil, r.handoff.Resume())
 	if err != nil {

@@ -62,6 +62,7 @@ func TestLoadBalanceConcurrentStop(t *testing.T) {
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
+	cfg.LoadBalanceCostPerTuple = 0
 	lb, err := NewLoadBalance(tb, tree, SingleScope, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +77,7 @@ func TestLoadBalanceDistributedConcurrentStop(t *testing.T) {
 	tb, tree := buildRig(t, nil)
 	cfg := DefaultConfig()
 	cfg.AnalysisCostPerTuple = 0
+	cfg.LoadBalanceCostPerTuple = 0
 	lb, err := NewLoadBalance(tb, tree, Distributed, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)

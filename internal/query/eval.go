@@ -198,21 +198,25 @@ func Scan(r *archive.Reader, s *Stmt, fn func(collect.TraceTuple) bool) (archive
 
 // ScanQuery is Scan with an explicit pushdown query — the benchmark
 // harness passes a zero archive.Query to measure the full-scan
-// baseline. aq must be conservative for s (Pushdown's contract).
+// baseline. aq must be conservative for s (Pushdown's contract). It
+// walks the archive a block at a time (Reader.ScanBatches) and hands fn
+// the block's rows the predicate keeps.
 func ScanQuery(r *archive.Reader, s *Stmt, aq archive.Query, fn func(collect.TraceTuple) bool) (archive.ScanStats, error) {
 	if s.Alert || !s.Star {
 		return archive.ScanStats{}, fmt.Errorf("query: Scan wants a select * statement")
 	}
 	var matched uint64
-	stats, err := r.Scan(aq, func(t collect.TraceTuple) bool {
-		if s.Where != nil && !evalRow(s.Where, t).Bool() {
-			return true
+	stats, err := r.ScanBatches(nil, aq, archive.AllColumns, func(batch []collect.TraceTuple) bool {
+		for i := range batch {
+			if s.Where != nil && !evalRow(s.Where, batch[i]).Bool() {
+				continue
+			}
+			matched++
+			if !fn(batch[i]) || s.Limit > 0 && matched >= uint64(s.Limit) {
+				return false
+			}
 		}
-		matched++
-		if !fn(t) {
-			return false
-		}
-		return s.Limit == 0 || matched < uint64(s.Limit)
+		return true
 	})
 	stats.TuplesMatched = matched
 	return stats, err

@@ -84,13 +84,14 @@ func writeDiffArchive(t *testing.T, dir string, seed int64, tear bool) *archive.
 		t.Fatal(err)
 	}
 	if tear {
+		// Cut the last block's tail, and the block index behind it.
 		segs := r.Segments()
-		last := segs[len(segs)-1].Path
-		img, err := os.ReadFile(last)
+		last := segs[len(segs)-1]
+		img, err := os.ReadFile(last.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(last, img[:len(img)-9], 0o644); err != nil {
+		if err := os.WriteFile(last.Path, img[:last.Bytes-last.IndexBytes-9], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if r, err = archive.OpenReader(dir); err != nil {
