@@ -201,12 +201,21 @@ one-clock-switch:
 # clock-determinism holds the virtual clock's run queue to its contract,
 # one seed, one interleaving: the semaphore test that caught the old
 # clock advancing across a hand-off, 10 000 times under the race
-# detector; then the Examples and esbench -markdown (quick preset), each
-# run twice, whose outputs must match byte for byte once go test's
-# wall-clock durations are cut from the Examples' -v lines (esbench
-# writes its wall time to stderr).
+# detector; the model fingerprint (small Table 1-3 rows and a vnet fault
+# scenario under seeds 0 and 1 against a golden file) and the
+# paths-versus-reference test (a contended vnet scenario's full event
+# trace, run through vclock.Path and through the one-goroutine-step-per-
+# delay reference, byte for byte under seeds 0-2), 20 times each under
+# the race detector; a Path run, which must report 0 allocs/op; then the
+# Examples and esbench -markdown (quick preset), each run twice, whose
+# outputs must match byte for byte once go test's wall-clock durations
+# are cut from the Examples' -v lines (esbench writes its wall time and
+# the clock's counters to stderr).
 clock-determinism:
 	$(GO) test -race -count=10000 -run '^TestSemParallelSlots$$' ./internal/vclock/
+	$(GO) test -race -count=20 -run '^TestModelFingerprint$$' ./internal/bench/
+	$(GO) test -race -count=20 -run '^TestPathsMatchReference$$' ./internal/vnet/
+	$(GO) test -run '^$$' -bench 'BenchmarkPathRun' -benchtime 20000x -benchmem ./internal/vclock/ | $(call zero-allocs,1)
 	@d=$$(mktemp -d); strip='s/ \([0-9.]+s\)$$//; s/\t[0-9.]+s$$//'; \
 		for i in 1 2; do $(GO) test -count=1 -run '^Example' -v . > $$d/raw$$i || { cat $$d/raw$$i; rm -rf $$d; exit 1; }; \
 			sed -E "$$strip" $$d/raw$$i > $$d/examples$$i; done; \

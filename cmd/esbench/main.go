@@ -30,6 +30,7 @@ import (
 	"eventspace/internal/bench"
 	"eventspace/internal/cluster"
 	"eventspace/internal/monitor"
+	"eventspace/internal/vclock"
 	"eventspace/internal/viz"
 )
 
@@ -111,10 +112,12 @@ func main() {
 		}
 		fmt.Println()
 	}
-	// The wall time goes to stderr: stdout holds only modelled results,
-	// which one seed reproduces byte for byte.
-	fmt.Fprintf(os.Stderr, "completed in %v (mode: %s, repeats: %d)\n",
-		time.Since(start).Round(time.Millisecond), mode(*full), opts.Repeats)
+	// The wall time and the clock's work counters go to stderr: stdout
+	// holds only modelled results, which one seed reproduces byte for
+	// byte.
+	n := vclock.Counters()
+	fmt.Fprintf(os.Stderr, "completed in %v (mode: %s, repeats: %d); clock: %d goroutine switches, %d path steps in hand-offs, %d fast-path sleeps\n",
+		time.Since(start).Round(time.Millisecond), mode(*full), opts.Repeats, n.Switches, n.PathSteps, n.FastSleeps)
 }
 
 func mode(full bool) string {

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -318,5 +319,70 @@ func TestCrashPointsFireOnce(t *testing.T) {
 	}
 	if nilPlan.Fired() != nil {
 		t.Fatal("nil plan reports fired sites")
+	}
+}
+
+// TestReopenLeavesDamagedSealedSegment: a damaged block inside a sealed
+// newest segment is no crash's torn tail. Reopening the directory
+// leaves the file byte for byte as it is and starts a fresh segment,
+// and the archive's tuple count stays what the sealed header says.
+func TestReopenLeavesDamagedSealedSegment(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, SegmentBytes: 4096, BlockTuples: 16}
+	w, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeCorpus(t, w, 600, 4)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := segs[len(segs)-1]
+	buf, err := os.ReadFile(last.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := scanSegment(buf)
+	if err != nil || !res.Header.Sealed || len(res.Zones) <= 8 {
+		t.Fatalf("newest segment: sealed %v, %d blocks, err %v; want sealed with more than 8 blocks", res.Header.Sealed, len(res.Zones), err)
+	}
+	z := res.Zones[8]
+	buf[z.at+z.size/2] ^= 0xff
+	if err := os.WriteFile(last.path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w2, err := Create(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(last.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, buf) {
+		t.Fatalf("reopen changed the damaged sealed segment: %d bytes, was %d", len(after), len(buf))
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headers uint64
+	for _, s := range segs {
+		n, err := segmentTuples(s.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		headers += n
+	}
+	if got := r.Tuples(); got != headers || got != 600 {
+		t.Fatalf("Tuples() = %d, the segment headers say %d of the 600 written", got, headers)
 	}
 }

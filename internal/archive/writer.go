@@ -185,9 +185,9 @@ func segmentTuples(path string) (uint64, error) {
 }
 
 // reopen restores the writer's state from the directory: older segments
-// count toward retention, and the newest is validated, truncated past
-// its last intact block, and continued if unsealed; after a sealed one
-// a fresh segment starts.
+// count toward retention, and the newest, if unsealed, is validated,
+// truncated past its last intact block and continued; after a sealed
+// one, damaged or not, a fresh segment starts.
 func (w *Writer) reopen() error {
 	segs, err := listSegments(w.opts.Dir)
 	if err != nil {
@@ -231,6 +231,14 @@ func (w *Writer) reopen() error {
 			w.tornTruncations.Add(1)
 			segs = segs[:len(segs)-1]
 			nextID = last.id
+		case res.Header.Sealed:
+			// A sealed segment is whole as its writer left it (the
+			// sealed header is the seal's last write), so damage
+			// inside it is no crash's torn tail, and a reader already
+			// steps around it. Leave the file alone, count its tuples
+			// from its header as for an older segment, and start a
+			// fresh segment.
+			w.baseTuples += res.Header.Index.Tuples
 		case res.Torn:
 			if err := os.Truncate(last.path, res.ValidBytes); err != nil {
 				return fmt.Errorf("archive: %v", err)

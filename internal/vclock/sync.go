@@ -28,13 +28,7 @@ func (w *waiters) wait(l sync.Locker, what string, modelOnly bool) {
 		c.mu.Lock()
 		if c.active {
 			if g := c.self(); g != nil {
-				g.next = nil
-				if w.tail == nil {
-					w.head = g
-				} else {
-					w.tail.next = g
-				}
-				w.tail = g
+				w.push(g)
 				l.Unlock()
 				c.park(g, what)
 				l.Lock()
@@ -47,6 +41,36 @@ func (w *waiters) wait(l sync.Locker, what string, modelOnly bool) {
 		}
 		c.mu.Unlock()
 	}
+	w.waitOut(l)
+}
+
+// push queues model goroutine g last in line.
+func (w *waiters) push(g *gor) {
+	g.next = nil
+	if w.tail == nil {
+		w.head = g
+	} else {
+		w.tail.next = g
+	}
+	w.tail = g
+}
+
+// pop dequeues the longest-parked model goroutine, or returns nil.
+func (w *waiters) pop() *gor {
+	g := w.head
+	if g != nil {
+		w.head = g.next
+		if w.head == nil {
+			w.tail = nil
+		}
+		g.next = nil
+	}
+	return g
+}
+
+// waitOut waits, outside the model, for a signal or broadcast. The
+// caller holds l.
+func (w *waiters) waitOut(l sync.Locker) {
 	if w.out == nil {
 		w.out = sync.NewCond(l)
 	}
@@ -54,24 +78,24 @@ func (w *waiters) wait(l sync.Locker, what string, modelOnly bool) {
 	w.out.Wait()
 }
 
+// signalOut wakes one waiter outside the model, if any.
+func (w *waiters) signalOut() {
+	if w.nout > 0 {
+		w.nout--
+		w.out.Signal()
+	}
+}
+
 // signal wakes the longest-parked waiter. Caller holds the lock.
 func (w *waiters) signal() {
-	if g := w.head; g != nil {
-		w.head = g.next
-		if w.head == nil {
-			w.tail = nil
-		}
-		g.next = nil
+	if g := w.pop(); g != nil {
 		c.mu.Lock()
 		next := c.wakeUp(g)
 		c.mu.Unlock()
 		handOff(next)
 		return
 	}
-	if w.nout > 0 {
-		w.nout--
-		w.out.Signal()
-	}
+	w.signalOut()
 }
 
 // broadcast wakes every waiter. Caller holds the lock.
@@ -123,6 +147,12 @@ func (cv *Cond) Broadcast() { cv.w.broadcast() }
 // releaser took it back first: a goroutine that releases and acquires
 // again at one instant keeps its slot, as a running thread keeps its CPU
 // across back-to-back compute sections. Acquire is a model-only wait.
+//
+// While the clock is on, a Sem's state is guarded by the clock's lock:
+// every change to it happens under c.mu, which the clock already holds
+// when it runs a Path's slot steps in a hand-off, and mu is taken only
+// inside c.mu. With the clock off mu alone guards it. Nothing that holds
+// mu takes c.mu, so the two orders never meet.
 type Sem struct {
 	mu   sync.Mutex
 	free int
@@ -134,9 +164,26 @@ func NewSem(n int) *Sem { return &Sem{free: n} }
 
 // Acquire claims a slot, blocking until one is free.
 func (s *Sem) Acquire() {
+	for c.activeA.Load() {
+		c.mu.Lock()
+		if !c.active {
+			c.mu.Unlock()
+			break
+		}
+		g := c.self()
+		if g == nil {
+			c.mu.Unlock()
+			panic(ErrUnregistered)
+		}
+		if s.take(g) {
+			c.mu.Unlock()
+			return
+		}
+		c.park(g, "Sem.Acquire")
+	}
 	s.mu.Lock()
 	for s.free == 0 {
-		s.w.wait(&s.mu, "Sem.Acquire", true)
+		s.w.waitOut(&s.mu)
 	}
 	s.free--
 	s.mu.Unlock()
@@ -144,10 +191,51 @@ func (s *Sem) Acquire() {
 
 // Release returns a slot.
 func (s *Sem) Release() {
+	if c.activeA.Load() {
+		c.mu.Lock()
+		if c.active {
+			var next *gor
+			if g := s.give(); g != nil {
+				next = c.wakeUp(g)
+			}
+			c.mu.Unlock()
+			handOff(next)
+			return
+		}
+		c.mu.Unlock()
+	}
+	if g := s.give(); g != nil {
+		// A model goroutine left queued when the clock went off.
+		g.wake <- struct{}{}
+	}
+}
+
+// take claims a slot for g, or queues g last in line and reports false.
+// With the clock on the caller holds c.mu.
+func (s *Sem) take(g *gor) bool {
+	s.mu.Lock()
+	if s.free > 0 {
+		s.free--
+		s.mu.Unlock()
+		return true
+	}
+	s.w.push(g)
+	s.mu.Unlock()
+	return false
+}
+
+// give returns a slot and dequeues the longest-waiting model goroutine
+// for the caller to wake, or signals a waiter outside the model. With
+// the clock on the caller holds c.mu.
+func (s *Sem) give() *gor {
 	s.mu.Lock()
 	s.free++
-	s.w.signal()
+	g := s.w.pop()
+	if g == nil {
+		s.w.signalOut()
+	}
 	s.mu.Unlock()
+	return g
 }
 
 // WaitGroup is a clock-aware sync.WaitGroup replacement for joins inside

@@ -28,6 +28,12 @@
 // Disable puts it back: a second processor would only add an idle
 // processor's wakeup to every hand-off.
 //
+// A goroutine whose next few waits are fixed — sleeps and CPU slot
+// claims with nothing observable between them — hands them over as one
+// Path: the clock runs each step inside its hand-offs, exactly as the
+// goroutine would have, and switches the goroutine back in once the
+// chain is done.
+//
 // Participants are spawned with Go, the one way into the model. A model
 // goroutine must never block on a plain channel or sync primitive while
 // the clock is active: it would hold the clock and stall every other
@@ -83,6 +89,11 @@ type gor struct {
 
 	next         *gor // a primitive's waiter list
 	lprev, lnext *gor // the live list
+
+	// path is the Path the goroutine is running, while it runs one:
+	// a ready entry of a goroutine with a path runs the path's next
+	// steps, not the goroutine.
+	path *pathBuf
 }
 
 // outsideTimer is a SleepOutside wait: a driver parked until the clock
@@ -116,6 +127,14 @@ type clock struct {
 	// it woke run at the instant they woke instead of waiting out the
 	// model's time slice on the one processor.
 	woke bool
+
+	spare []*pathBuf // path buffers of exited goroutines, for reuse
+
+	// Counters (see Counters): fast-path sleeps and the path steps
+	// dispatch ran under mu, switches lock-free as handOff counts them.
+	fastSleeps uint64
+	pathSteps  uint64
+	switches   atomic.Uint64
 
 	// Lock-free mirrors of active and now for Active and Now, which every
 	// timestamp calls: written under mu wherever the locked fields change,
@@ -307,8 +326,29 @@ func (c *clock) dispatch() *gor {
 		g := e.g
 		c.cur = g
 		c.dispatches++
+		// A goroutine parked in a Path: run its next steps here, as it
+		// would have run them itself, and switch it in only once the
+		// path is done. After firing outside timers the steps are left
+		// to the goroutine, which runs them after the dispatcher's
+		// yield, so the drivers woken at this instant move first.
+		if pb := g.path; pb != nil && pb.pc < pb.n && !c.woke {
+			done, waiting := c.advance(g, pb.steps[pb.pc:pb.n])
+			pb.pc += done
+			c.pathSteps += uint64(done)
+			if waiting {
+				c.cur = nil
+				continue
+			}
+		}
 		return g
 	}
+}
+
+// nothingDueBy reports whether no ready entry and no outside timer is
+// due by when: a sleep until then may keep the clock and jump. Caller
+// holds c.mu.
+func (c *clock) nothingDueBy(when int64) bool {
+	return (len(c.ready) == 0 || c.ready[0].when > when) && (len(c.outside) == 0 || c.outside[0].when > when)
 }
 
 // enqueue makes g ready at when with a fresh tie-break. Caller holds
@@ -373,6 +413,7 @@ func (c *clock) wakeUp(g *gor) *gor {
 // it after releasing c.mu.
 func handOff(g *gor) {
 	if g != nil {
+		c.switches.Add(1)
 		g.wake <- struct{}{}
 	}
 }
@@ -418,6 +459,10 @@ func (c *clock) exit(g *gor) {
 		return
 	}
 	c.live--
+	if g.path != nil {
+		c.spare = append(c.spare, g.path)
+		g.path = nil
+	}
 	if g.lprev != nil {
 		g.lprev.lnext = g.lnext
 	} else {
@@ -459,8 +504,9 @@ func Sleep(d time.Duration) {
 	}
 	when := c.now + int64(d)
 	// Nothing else is due by the deadline: keep the clock and jump.
-	if (len(c.ready) == 0 || c.ready[0].when > when) && (len(c.outside) == 0 || c.outside[0].when > when) {
+	if c.nothingDueBy(when) {
 		c.setNow(when)
+		c.fastSleeps++
 		c.mu.Unlock()
 		return
 	}
@@ -502,6 +548,18 @@ func SleepOutside(d time.Duration) {
 	c.mu.Unlock()
 	handOff(next)
 	<-ch
+}
+
+// Seq returns the calling model goroutine's spawn sequence (the run
+// queue's last tie-break, and its number in a Stall report), or 0 from a
+// goroutine outside the model or with the clock off.
+func Seq() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if g := c.self(); g != nil {
+		return g.seq
+	}
+	return 0
 }
 
 // Quiesce waits until every registered goroutine has exited and returns
@@ -607,4 +665,26 @@ func Stats() (now int64, running, live, timers int) {
 		}
 	}
 	return c.now, running, c.live, timers + len(c.outside)
+}
+
+// Counts are the clock's work counters, summed over every Enable since
+// the process started.
+type Counts struct {
+	// Switches counts hand-offs to a parked model goroutine: each one
+	// is a goroutine switch through Go's scheduler.
+	Switches uint64
+	// PathSteps counts the Path steps the clock ran in a hand-off, each
+	// one a step the goroutine did not have to be switched in for.
+	PathSteps uint64
+	// FastSleeps counts sleeps — Sleep and Path sleeps — that kept the
+	// clock because nothing else was due by their deadline.
+	FastSleeps uint64
+}
+
+// Counters reports the clock's work counters (for diagnostics and
+// tests; take differences across a run).
+func Counters() Counts {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Counts{Switches: c.switches.Load(), PathSteps: c.pathSteps, FastSleeps: c.fastSleeps}
 }
