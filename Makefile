@@ -201,7 +201,9 @@ one-clock-switch:
 # clock-determinism holds the virtual clock's run queue to its contract,
 # one seed, one interleaving: the semaphore test that caught the old
 # clock advancing across a hand-off, 10 000 times under the race
-# detector; the model fingerprint (small Table 1-3 rows and a vnet fault
+# detector; the driver-first test (a driver woken at T moves before any
+# path step due at T), 1 000 times under the race detector; the model
+# fingerprint (small Table 1-3 rows and a vnet fault
 # scenario under seeds 0 and 1 against a golden file) and the
 # paths-versus-reference test (a contended vnet scenario's full event
 # trace, run through vclock.Path and through the one-goroutine-step-per-
@@ -213,6 +215,7 @@ one-clock-switch:
 # the clock's counters to stderr).
 clock-determinism:
 	$(GO) test -race -count=10000 -run '^TestSemParallelSlots$$' ./internal/vclock/
+	$(GO) test -race -count=1000 -run '^TestDriverWokenAtTSeesNoPathStepDueAtT$$' ./internal/vclock/
 	$(GO) test -race -count=20 -run '^TestModelFingerprint$$' ./internal/bench/
 	$(GO) test -race -count=20 -run '^TestPathsMatchReference$$' ./internal/vnet/
 	$(GO) test -run '^$$' -bench 'BenchmarkPathRun' -benchtime 20000x -benchmem ./internal/vclock/ | $(call zero-allocs,1)
@@ -274,9 +277,11 @@ recovery-e2e:
 # the others' analysis threads running. The same runs hold every
 # self-metrics counter to the count its owner keeps ("one count, two
 # views"), a scope's through faults, a straggler storm and a repair,
-# and a whole System's on one registry.
+# and a whole System's on one registry. The chaos test, whose coverage
+# dip lasts only from a partition to its heal, runs 20 times more.
 monitor-e2e:
 	$(GO) test -race -count=3 ./internal/monitor/
+	$(GO) test -race -count=20 -run '^TestChaosMonitoringSurvivesCrashPartitionHeal$$' ./internal/monitor/
 	$(GO) test -race -count=3 -run 'TestArchiveReplayMatchesLiveLoadBalance|TestFigure3Monitors|TestFigure4Statsm' .
 	$(GO) test -race -count=3 -run 'TestStoppingOneMonitorLeavesOthersRunning|TestRecoverStatsmKeepsAnalysing|TestSystemCountersReadOwners' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestScopeCountersReadOwners' ./internal/escope/

@@ -188,8 +188,8 @@ func RunVirtual(fn func() error) error { return core.RunVirtual(fn) }
 // SleepOutside waits d of model time from the driver goroutine (the
 // function passed to RunVirtual), e.g. between polls of monitor state.
 // The driver is not a model participant, so it must not use a model
-// sleep; this parks it on an outside timer that fires once the model has
-// nothing left to run before it.
+// sleep; this waits on a timer the clock runs first at now+d, and the
+// driver moves at that instant before the model goes on.
 func SleepOutside(d time.Duration) { hrtime.SleepOutside(d) }
 
 // DefaultMonitorConfig returns the configuration the paper converged on:

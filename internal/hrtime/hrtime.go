@@ -63,19 +63,12 @@ func SetScale(f float64) {
 // Sleep waits d of modelled time from a registered model goroutine:
 // exactly d of virtual time under the discrete-event clock, nothing on
 // the wall clock.
-func Sleep(d time.Duration) {
-	if vclock.Active() {
-		vclock.Sleep(d)
-	}
-}
+func Sleep(d time.Duration) { vclock.Sleep(d) }
 
 // SleepOutside waits d of model time from a goroutine that is not a
 // registered model participant — a driver loop polling monitor state
-// between phases. Under the virtual clock it parks on an outside timer
-// that fires once the model has nothing due before it (see
-// vclock.SleepOutside); on the wall clock it returns at once.
-func SleepOutside(d time.Duration) {
-	if vclock.Active() {
-		vclock.SleepOutside(d)
-	}
-}
+// between phases. Under the virtual clock it waits on a timer, a model
+// goroutine due first at now+d, and moves at that instant before the
+// model does (see vclock.SleepOutside); on the wall clock it returns at
+// once.
+func SleepOutside(d time.Duration) { vclock.SleepOutside(d) }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -154,10 +155,24 @@ func TestChaosMonitoringSurvivesCrashPartitionHeal(t *testing.T) {
 	}()
 
 	// Coverage dips: with iron partitioned, every iron host goes missing.
-	waitFor(t, 10*time.Second, func() bool {
-		return len(hb.Coverage().Missing) == len(ironHosts)
-	}, "coverage never dipped under crash+partition")
-	preHeal := seen(1)
+	// The dip lasts only from the partition to the heal, so it is sampled
+	// inside the model: an observer looks every 2 ms of model time, notes
+	// what iron-1 had delivered when it saw the dip, and fires dipped.
+	dipped := vclock.NewEvent()
+	var preHeal uint16
+	vclock.Go(func() {
+		for deadline := hrtime.Now() + int64(10*time.Second); hrtime.Now() <= deadline; hrtime.Sleep(2 * time.Millisecond) {
+			if len(hb.Coverage().Missing) == len(ironHosts) {
+				preHeal = seen(1)
+				dipped.Fire(nil, nil)
+				return
+			}
+		}
+		dipped.Fire(nil, errors.New("coverage never dipped under crash+partition"))
+	})
+	if _, err := dipped.Wait(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Coverage recovers after heal+restart, and the sequence written by
 	// the partitioned (but alive) iron-1 during the outage is delivered:

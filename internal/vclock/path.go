@@ -88,7 +88,7 @@ func (p *Path) Acquire(s *Sem) {
 	if st := p.next(); st != nil {
 		st.op, st.sem = opAcquire, s
 	} else {
-		s.Acquire()
+		s.acquireOff()
 	}
 }
 
@@ -120,6 +120,17 @@ func (p *Path) Run() {
 		return
 	}
 	p.n = 0
+	run(p.steps[:n], "Path")
+}
+
+// run is the one executor of steps — a Path's, and the single step of a
+// Sleep or a Sem.Acquire — and returns when the last is done. Under the
+// active clock advance runs them: on the caller for as long as it need
+// not wait, then from the goroutine's buffer in the hand-offs that
+// dispatch it, while the goroutine stays parked on what; it is switched
+// back in once the chain is done. With the clock off, or once it has
+// gone off while the goroutine waited, runOff runs what is left.
+func run(steps []step, what string) {
 	if c.activeA.Load() {
 		c.mu.Lock()
 		if c.active {
@@ -128,9 +139,13 @@ func (p *Path) Run() {
 				c.mu.Unlock()
 				panic(ErrUnregistered)
 			}
-			done, waiting := c.advance(g, p.steps[:n])
+			done, waiting := c.advance(g, steps)
 			if !waiting {
 				c.mu.Unlock()
+				return
+			}
+			if done == len(steps) {
+				c.park(g, what)
 				return
 			}
 			// g is queued: hand the rest to the clock in g's buffer.
@@ -138,33 +153,17 @@ func (p *Path) Run() {
 				g.path = c.pathBuf()
 			}
 			pb := g.path
-			pb.n, pb.pc = copy(pb.steps[:], p.steps[done:n]), 0
-			for {
-				c.park(g, "Path")
-				// Back in: the clock ran the rest, or handed it to us
-				// (it had woken drivers first, or it was switched off).
-				if pb.pc == pb.n {
-					break
-				}
-				c.mu.Lock()
-				if !c.active || g.epoch != c.epoch {
-					c.mu.Unlock()
-					runOff(pb.steps[pb.pc:pb.n])
-					break
-				}
-				done, waiting = c.advance(g, pb.steps[pb.pc:pb.n])
-				pb.pc += done
-				if !waiting {
-					c.mu.Unlock()
-					break
-				}
+			pb.n, pb.pc = copy(pb.steps[:], steps[done:]), 0
+			c.park(g, what)
+			if pb.pc < pb.n {
+				runOff(pb.steps[pb.pc:pb.n])
 			}
 			pb.clear()
 			return
 		}
 		c.mu.Unlock()
 	}
-	runOff(p.steps[:n])
+	runOff(steps)
 }
 
 // pathBuf is a model goroutine's copy of the Path it is running: the
@@ -191,8 +190,8 @@ func (c *clock) pathBuf() *pathBuf {
 }
 
 // runOff runs steps on the caller with the clock off: sleeps are
-// nothing, a delay is still drawn, slots are claimed and returned as
-// Sem.Acquire and Sem.Release do.
+// nothing, a delay is still drawn, slots are claimed and returned as a
+// plain semaphore's.
 func runOff(steps []step) {
 	for i := range steps {
 		st := &steps[i]
@@ -200,7 +199,7 @@ func runOff(steps []step) {
 		case opSleepDrawn:
 			st.src.Delay(int(st.d))
 		case opAcquire:
-			st.sem.Acquire()
+			st.sem.acquireOff()
 		case opRelease:
 			st.sem.Release()
 		case opAdd:
@@ -229,8 +228,9 @@ func (c *clock) advance(g *gor, steps []step) (done int, waiting bool) {
 			if d <= 0 {
 				continue
 			}
+			// Nothing else is due by the deadline: keep the clock and jump.
 			when := c.now + d
-			if c.nothingDueBy(when) {
+			if len(c.ready) == 0 || c.ready[0].when > when {
 				c.setNow(when)
 				c.fastSleeps++
 				continue

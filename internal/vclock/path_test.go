@@ -164,46 +164,38 @@ func BenchmarkPathRun(b *testing.B) {
 	}
 }
 
-// TestPathLeavesStepsToGoroutineAfterWakingDrivers: when the dispatch
-// that reaches a path's entry has just fired a driver's outside timer,
-// the clock does not run the path's remaining steps in that hand-off;
-// it switches the goroutine in to run them itself after the yield, so
-// the driver woken at that instant moves first.
-func TestPathLeavesStepsToGoroutineAfterWakingDrivers(t *testing.T) {
+// TestDriverWokenAtTSeesNoPathStepDueAtT: a driver's SleepOutside timer
+// runs first at its instant, ahead of a path step queued for that
+// instant before it, and the driver it wakes moves while the timer holds
+// the clock: it reads the model as it stood before the step.
+func TestDriverWokenAtTSeesNoPathStepDueAtT(t *testing.T) {
+	var ctr atomic.Int64
 	withClock(t, func() {
-		var ctr atomic.Int64
-		var before, after Counts
-		done := make(chan struct{})
+		timers := func() int { _, _, _, n := Stats(); return n }
 		Go(func() {
-			defer close(done)
-			// Hold the clock at 0 until the driver's timer is set.
-			for {
-				if _, _, _, timers := Stats(); timers == 1 {
-					break
+			// Ready at 0, this goroutine keeps the path's sleep off the
+			// fast path, then holds the clock until the driver's timer
+			// is set.
+			Go(func() {
+				for timers() < 2 {
+					runtime.Gosched()
 				}
-				runtime.Gosched()
-			}
-			before = Counters()
+			})
 			var p Path
 			p.Sleep(5 * time.Microsecond)
 			p.Add(&ctr, 1)
 			p.Run()
-			after = Counters()
 		})
-		woke := make(chan int64)
-		go func() {
-			SleepOutside(5 * time.Microsecond)
-			woke <- Now()
-		}()
-		if at := <-woke; at != 5000 {
-			t.Errorf("driver woke at %d, want 5000", at)
+		// Set the timer once the path's step due at 5µs is queued.
+		for timers() < 1 {
+			runtime.Gosched()
 		}
-		<-done
-		if ctr.Load() != 1 || Now() != 5000 {
-			t.Fatalf("path ended at %d with counter %d, want 5000 and 1", Now(), ctr.Load())
-		}
-		if n := after.PathSteps - before.PathSteps; n != 0 {
-			t.Fatalf("the clock ran %d of the path's steps in the hand-off that woke the driver, want 0", n)
+		SleepOutside(5 * time.Microsecond)
+		if now, n := Now(), ctr.Load(); now != 5000 || n != 0 {
+			t.Errorf("driver back at %d with counter %d, want 5000 and 0 (no step due at its instant run yet)", now, n)
 		}
 	})
+	if ctr.Load() != 1 || Now() != 5000 {
+		t.Fatalf("path ended at %d with counter %d, want 5000 and 1", Now(), ctr.Load())
+	}
 }

@@ -132,7 +132,7 @@ type Cond struct {
 // NewCond returns a condition variable bound to l.
 func NewCond(l sync.Locker) *Cond { return &Cond{L: l} }
 
-// Wait atomically releases L and suspends the caller until woken.
+// Wait atomically releases L and suspends the caller until signalled.
 func (cv *Cond) Wait() { cv.w.wait(cv.L, "Cond.Wait", true) }
 
 // Signal wakes one waiter.
@@ -162,25 +162,16 @@ type Sem struct {
 // NewSem creates a semaphore with n slots.
 func NewSem(n int) *Sem { return &Sem{free: n} }
 
-// Acquire claims a slot, blocking until one is free.
+// Acquire claims a slot, blocking until one is free: a one-step run of
+// the Path executor.
 func (s *Sem) Acquire() {
-	for c.activeA.Load() {
-		c.mu.Lock()
-		if !c.active {
-			c.mu.Unlock()
-			break
-		}
-		g := c.self()
-		if g == nil {
-			c.mu.Unlock()
-			panic(ErrUnregistered)
-		}
-		if s.take(g) {
-			c.mu.Unlock()
-			return
-		}
-		c.park(g, "Sem.Acquire")
-	}
+	steps := [1]step{{op: opAcquire, sem: s}}
+	run(steps[:], "Sem.Acquire")
+}
+
+// acquireOff claims a slot with the clock off, blocking until one is
+// free.
+func (s *Sem) acquireOff() {
 	s.mu.Lock()
 	for s.free == 0 {
 		s.w.waitOut(&s.mu)

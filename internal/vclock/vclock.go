@@ -15,8 +15,8 @@
 // The clock is a run queue. Exactly one model goroutine runs at a time:
 // it holds the clock until it parks — in Sleep or on one of the
 // clock-aware Cond, Sem, WaitGroup, Event and Queue primitives — and
-// parking hands the clock straight to the next ready entry, woken through
-// the goroutine's own park slot. Ready entries are ordered by (deadline,
+// parking hands the clock straight to the next ready entry through that
+// goroutine's own park slot. Ready entries are ordered by (deadline,
 // tie-break, spawn sequence). The tie-break comes from the seed given to
 // Enable: under seed 0 (DefaultSeed) it is the enqueue count, so entries
 // due at one virtual instant run in the order they became ready; any
@@ -42,8 +42,10 @@
 // model with SleepOutside, Event.Wait or WaitGroup.Wait, and otherwise
 // run concurrently with it; Sleep, Cond.Wait, Sem.Acquire and Queue.Pop
 // from such a goroutine panic with ErrUnregistered, since they can only
-// mean a model goroutine started without Go. With the clock disabled
-// every primitive behaves like its sync counterpart.
+// mean a model goroutine started without Go. A driver's SleepOutside is
+// itself a model goroutine — a timer due first at its instant — so the
+// clock has one kind of waiter. With the clock disabled every primitive
+// behaves like its sync counterpart.
 //
 // A model that stops making progress is reported, not left hanging:
 // Quiesce returns a *Stall naming every goroutine still in the model,
@@ -72,11 +74,6 @@ const DefaultSeed uint64 = 0
 // a goroutine Go did not start.
 var ErrUnregistered = errors.New("vclock: model wait from a goroutine vclock.Go did not start (a driver waits with SleepOutside, Event.Wait or WaitGroup.Wait)")
 
-// ErrSleepOutsideInModel is the panic value of SleepOutside called by a
-// model goroutine, which would hold the clock while it waits for the
-// clock to move: a model goroutine sleeps with Sleep.
-var ErrSleepOutsideInModel = errors.New("vclock: SleepOutside from a model goroutine (a model goroutine sleeps with Sleep)")
-
 // gor is one registered model goroutine: its place in the ready queue,
 // its park slot, and what the stall report says about it.
 type gor struct {
@@ -96,13 +93,6 @@ type gor struct {
 	path *pathBuf
 }
 
-// outsideTimer is a SleepOutside wait: a driver parked until the clock
-// reaches when.
-type outsideTimer struct {
-	when int64
-	ch   chan struct{}
-}
-
 // clock is the process-global virtual clock. A singleton keeps the
 // instrumentation burden on callers low (mirroring package hrtime).
 type clock struct {
@@ -115,18 +105,12 @@ type clock struct {
 	spawned uint64 // spawn sequence
 	cur     *gor   // the goroutine holding the clock; nil: the model is idle
 	ready   readyHeap
-	outside []outsideTimer // by deadline; few, as only drivers sleep outside
 	live    int
 	head    *gor // live list
 	procs   int  // GOMAXPROCS before Enable, put back by Disable
 	// dispatches counts hand-offs, so Quiesce can tell an idle model
 	// from one that is still moving.
 	dispatches uint64
-	// woke is set when a dispatch fired outside timers: the model
-	// goroutine handing off yields its processor first, so the drivers
-	// it woke run at the instant they woke instead of waiting out the
-	// model's time slice on the one processor.
-	woke bool
 
 	spare []*pathBuf // path buffers of exited goroutines, for reuse
 
@@ -139,7 +123,7 @@ type clock struct {
 	// Lock-free mirrors of active and now for Active and Now, which every
 	// timestamp calls: written under mu wherever the locked fields change,
 	// read without it. The time's mirror is stored before the goroutine
-	// due at it is woken, so a goroutine woken from a sleep never reads a
+	// due at it is let go, so a goroutine back from a sleep never reads a
 	// time older than its deadline.
 	activeA atomic.Bool
 	nowA    atomic.Int64
@@ -246,7 +230,6 @@ func Enable(start int64, seed uint64) {
 	c.spawned = 0
 	c.cur = nil
 	c.ready = c.ready[:0]
-	c.outside = nil
 	c.nowA.Store(start)
 	c.activeA.Store(true)
 	// One model goroutine runs at a time, so a second processor only
@@ -274,10 +257,6 @@ func Disable() {
 	for len(c.ready) > 0 {
 		c.ready.pop().g.wake <- struct{}{}
 	}
-	for _, t := range c.outside {
-		close(t.ch)
-	}
-	c.outside = nil
 	c.cur = nil
 	c.live = 0
 	c.head = nil
@@ -298,40 +277,18 @@ func (c *clock) setNow(t int64) {
 	}
 }
 
-// dispatch hands the clock to the next ready entry, firing the outside
-// timers due before it, and returns it (nil: the model is idle). Caller
-// holds c.mu and nobody holds the clock.
+// dispatch hands the clock to the next ready entry and returns it (nil:
+// the model is idle). A goroutine parked in a Path has its next steps
+// run here, as it would have run them itself, and is switched in only
+// once the path is done. Caller holds c.mu and nobody holds the clock.
 func (c *clock) dispatch() *gor {
-	for {
-		next := int64(1<<63 - 1)
-		if len(c.ready) > 0 {
-			next = c.ready[0].when
-		}
-		// Outside sleepers wake once the model has nothing left to run
-		// at the current instant and the clock reaches them.
-		if len(c.outside) > 0 && next > c.now && c.outside[0].when <= next {
-			c.setNow(c.outside[0].when)
-			for len(c.outside) > 0 && c.outside[0].when <= c.now {
-				close(c.outside[0].ch)
-				c.outside = c.outside[1:]
-			}
-			c.woke = true
-			continue
-		}
-		if len(c.ready) == 0 {
-			return nil
-		}
+	for len(c.ready) > 0 {
 		e := c.ready.pop()
 		c.setNow(e.when)
 		g := e.g
 		c.cur = g
 		c.dispatches++
-		// A goroutine parked in a Path: run its next steps here, as it
-		// would have run them itself, and switch it in only once the
-		// path is done. After firing outside timers the steps are left
-		// to the goroutine, which runs them after the dispatcher's
-		// yield, so the drivers woken at this instant move first.
-		if pb := g.path; pb != nil && pb.pc < pb.n && !c.woke {
+		if pb := g.path; pb != nil && pb.pc < pb.n {
 			done, waiting := c.advance(g, pb.steps[pb.pc:pb.n])
 			pb.pc += done
 			c.pathSteps += uint64(done)
@@ -342,13 +299,7 @@ func (c *clock) dispatch() *gor {
 		}
 		return g
 	}
-}
-
-// nothingDueBy reports whether no ready entry and no outside timer is
-// due by when: a sleep until then may keep the clock and jump. Caller
-// holds c.mu.
-func (c *clock) nothingDueBy(when int64) bool {
-	return (len(c.ready) == 0 || c.ready[0].when > when) && (len(c.outside) == 0 || c.outside[0].when > when)
+	return nil
 }
 
 // enqueue makes g ready at when with a fresh tie-break. Caller holds
@@ -373,24 +324,12 @@ func (c *clock) park(g *gor, what string) {
 	g.what = what
 	c.cur = nil
 	next := c.dispatch()
-	yield := c.yieldLocked()
 	c.mu.Unlock()
-	if yield {
-		runtime.Gosched()
-	}
 	if next == g {
 		return
 	}
 	handOff(next)
 	<-g.wake
-}
-
-// yieldLocked reports, and clears, whether the last dispatch woke
-// drivers. Caller holds c.mu.
-func (c *clock) yieldLocked() bool {
-	woke := c.woke
-	c.woke = false
-	return woke
 }
 
 // wakeUp makes a parked g ready at the current instant; under a
@@ -429,14 +368,23 @@ func Go(fn func()) {
 		return
 	}
 	c.spawned++
-	g := &gor{wake: make(chan struct{}, 1), seq: c.spawned, epoch: c.epoch, fn: reflect.ValueOf(fn).Pointer()}
+	c.spawn(fn, entry{when: c.now, tie: c.draw(), seq: c.spawned}, "")
+}
+
+// spawn registers fn as a model goroutine, ready as e says (spawn fills
+// in its goroutine), with what as the stall report's name for it until
+// it first parks, and starts it. Caller holds c.mu with the clock on;
+// spawn releases it.
+func (c *clock) spawn(fn func(), e entry, what string) {
+	g := &gor{wake: make(chan struct{}, 1), seq: e.seq, epoch: c.epoch, what: what, fn: reflect.ValueOf(fn).Pointer()}
 	c.live++
 	g.lnext = c.head
 	if c.head != nil {
 		c.head.lprev = g
 	}
 	c.head = g
-	c.enqueue(g, c.now)
+	e.g = g
+	c.ready.push(e)
 	var next *gor
 	if c.cur == nil {
 		next = c.dispatch()
@@ -476,83 +424,57 @@ func (c *clock) exit(g *gor) {
 		c.cur = nil
 		next = c.dispatch()
 	}
-	yield := c.yieldLocked()
 	c.mu.Unlock()
-	if yield {
-		runtime.Gosched()
-	}
 	handOff(next)
 }
 
-// Sleep suspends the calling model goroutine for d of virtual time.
-// It falls through immediately when the clock is disabled (the caller
-// is expected to have handled real-time sleeping itself), and panics
-// with ErrUnregistered when the caller is not a model goroutine.
+// Sleep suspends the calling model goroutine for d of virtual time, a
+// one-step run of the Path executor. It falls through at once when the
+// clock is disabled, and panics with ErrUnregistered when the caller is
+// not a model goroutine.
 func Sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 && c.activeA.Load() {
+		steps := [1]step{{op: opSleep, d: int64(d)}}
+		run(steps[:], "Sleep")
 	}
-	c.mu.Lock()
-	if !c.active {
-		c.mu.Unlock()
-		return
-	}
-	g := c.self()
-	if g == nil {
-		c.mu.Unlock()
-		panic(ErrUnregistered)
-	}
-	when := c.now + int64(d)
-	// Nothing else is due by the deadline: keep the clock and jump.
-	if c.nothingDueBy(when) {
-		c.setNow(when)
-		c.fastSleeps++
-		c.mu.Unlock()
-		return
-	}
-	c.enqueue(g, when)
-	c.park(g, "Sleep")
 }
 
-// SleepOutside suspends an unregistered (driver) goroutine until the
-// virtual clock reaches now+d. The driver is not part of the model: its
-// timer fires once the model has nothing left to run before the
-// deadline, and waking it hands nothing back to the model. The model
-// goroutine that fires it yields the processor first, so the driver's
-// next step runs at the instant it woke; the model goes on when the
-// driver blocks again (or its time slice runs out).
+// timerWhat names a SleepOutside timer in a Stall report.
+const timerWhat = "SleepOutside"
+
+// SleepOutside suspends the caller until the virtual clock reaches
+// now+d. A driver's wait is a timer: a model goroutine ready at now+d
+// with tie-break 0, so it runs first at its instant, and spawn sequence
+// 0, the driver's, so waiting drivers draw nothing from the seed and
+// renumber none of the model's goroutines. The timer wakes the driver
+// and holds the clock until the driver is back on the processor: the
+// driver's next step runs at the timer's instant, before any other
+// entry due then, and the model goes on when the driver blocks again.
+// (A yield would not do: Go's scheduler runs the yielder again first
+// about one time in 61.) From a model goroutine SleepOutside is Sleep.
 func SleepOutside(d time.Duration) {
-	if d <= 0 {
+	if d <= 0 || !c.activeA.Load() {
 		return
 	}
 	c.mu.Lock()
-	if !c.active {
+	if !c.active || c.self() != nil {
 		c.mu.Unlock()
+		Sleep(d)
 		return
 	}
-	if c.self() != nil {
-		c.mu.Unlock()
-		panic(ErrSleepOutsideInModel)
-	}
-	ch := make(chan struct{})
-	t := outsideTimer{when: c.now + int64(d), ch: ch}
-	i := sort.Search(len(c.outside), func(i int) bool { return c.outside[i].when > t.when })
-	c.outside = append(c.outside, outsideTimer{})
-	copy(c.outside[i+1:], c.outside[i:])
-	c.outside[i] = t
-	var next *gor
-	if c.cur == nil {
-		// The model may already be idle; nobody else would advance then.
-		next = c.dispatch()
-	}
-	c.mu.Unlock()
-	handOff(next)
-	<-ch
+	wake, back := make(chan struct{}), make(chan struct{})
+	c.spawn(func() {
+		close(wake)
+		<-back
+	}, entry{when: c.now + int64(d)}, timerWhat)
+	<-wake
+	close(back)
 }
 
 // Seq returns the calling model goroutine's spawn sequence (the run
 // queue's last tie-break, and its number in a Stall report), or 0 from a
-// goroutine outside the model or with the clock off.
+// goroutine outside the model (a SleepOutside timer included) or with
+// the clock off.
 func Seq() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -577,7 +499,7 @@ func Quiesce(timeout time.Duration) error {
 			c.mu.Unlock()
 			return nil
 		}
-		idle := c.cur == nil && len(c.ready) == 0 && len(c.outside) == 0
+		idle := c.cur == nil && len(c.ready) == 0
 		if idle && idleSeen && c.dispatches == idleAt {
 			s := c.stallLocked("idle with goroutines parked and nothing left to wake them")
 			c.mu.Unlock()
@@ -633,6 +555,8 @@ func (c *clock) stallLocked(reason string) *Stall {
 			state = "running (holding the clock; blocked outside it?)"
 		case ready && g.what == "":
 			state = fmt.Sprintf("ready at %v, not yet started", time.Duration(when))
+		case ready && g.what == timerWhat:
+			state = fmt.Sprintf("%s, due at %v", timerWhat, time.Duration(when))
 		case ready:
 			state = fmt.Sprintf("ready at %v after %s", time.Duration(when), g.what)
 		}
@@ -650,7 +574,7 @@ func (c *clock) stallLocked(reason string) *Stall {
 // Stats reports the clock's bookkeeping (for tests and diagnostics):
 // the virtual time, the goroutines that can run at it (the one holding
 // the clock and those ready now), the live goroutines, and the pending
-// timers (ready entries due later and outside sleepers).
+// timers (ready entries due later, SleepOutside timers among them).
 func Stats() (now int64, running, live, timers int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -664,7 +588,7 @@ func Stats() (now int64, running, live, timers int) {
 			timers++
 		}
 	}
-	return c.now, running, c.live, timers + len(c.outside)
+	return c.now, running, c.live, timers
 }
 
 // Counts are the clock's work counters, summed over every Enable since

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,7 +144,7 @@ func TestCondTransfersRunnability(t *testing.T) {
 			mu.Unlock()
 		})
 		if ts := <-got; ts != int64(3*time.Millisecond) {
-			t.Errorf("waiter woke at %d", ts)
+			t.Errorf("waiter resumed at %d", ts)
 		}
 	})
 }
@@ -153,7 +154,7 @@ func TestCondSignalWakesOne(t *testing.T) {
 		var mu sync.Mutex
 		cond := NewCond(&mu)
 		tokens := 0
-		var woken atomic.Int32
+		var wakes atomic.Int32
 		wg := NewWaitGroup()
 		for i := 0; i < 3; i++ {
 			wg.Add(1)
@@ -165,7 +166,7 @@ func TestCondSignalWakesOne(t *testing.T) {
 				}
 				tokens--
 				mu.Unlock()
-				woken.Add(1)
+				wakes.Add(1)
 			})
 		}
 		Go(func() {
@@ -181,8 +182,8 @@ func TestCondSignalWakesOne(t *testing.T) {
 		done := make(chan struct{})
 		Go(func() { wg.Wait(); close(done) })
 		<-done
-		if woken.Load() != 3 {
-			t.Errorf("woken = %d", woken.Load())
+		if wakes.Load() != 3 {
+			t.Errorf("wakes = %d", wakes.Load())
 		}
 	})
 }
@@ -497,16 +498,18 @@ func TestSleepOutsideWaitsForRunnableModelGoroutines(t *testing.T) {
 		if now := Now(); now != int64(10*time.Millisecond) {
 			t.Errorf("virtual now = %d, want 10ms", now)
 		}
-		if _, running, _, _ := Stats(); running != 0 {
-			t.Errorf("running = %d after outside sleep, want 0", running)
+		// The only goroutine left is the timer that released the driver: it
+		// holds the clock until the driver blocks again.
+		if _, running, live, _ := Stats(); running != 1 || live != 1 {
+			t.Errorf("running = %d, live = %d after outside sleep, want 1 and 1 (the timer)", running, live)
 		}
 	})
 }
 
 func TestSleepOutsideIdleModelJumps(t *testing.T) {
 	withClock(t, func() {
-		// With no registered goroutines at all, the outside timer is the
-		// only event: the clock jumps straight to the deadline.
+		// With no other goroutine in the model, the driver's timer is the
+		// only entry: the clock jumps straight to the deadline.
 		start := time.Now()
 		SleepOutside(time.Second)
 		if real := time.Since(start); real > 100*time.Millisecond {
@@ -526,7 +529,7 @@ func TestSleepOutsideDisabledReturns(t *testing.T) {
 // unregistered goroutines while the clock is enabled, slept through and
 // disabled, cycle after cycle (the race detector checks the mirrors
 // against the locked fields' writers), and holds the ordering a stamp
-// relies on: a registered goroutine woken from a sleep never reads a time
+// relies on: a registered goroutine back from a sleep never reads a time
 // older than the deadline it slept to, and an outside reader never sees
 // time run backwards within one enabled phase.
 func TestNowActiveLockFree(t *testing.T) {
@@ -571,7 +574,7 @@ func TestNowActiveLockFree(t *testing.T) {
 					deadline := Now() + int64(d)
 					Sleep(d)
 					if now := Now(); now < deadline {
-						t.Errorf("woke at %d, before the deadline %d slept to", now, deadline)
+						t.Errorf("resumed at %d, before the deadline %d slept to", now, deadline)
 					}
 				}
 			})
@@ -618,7 +621,7 @@ func storm(t *testing.T, seed uint64) []stormEntry {
 		deadline := Now() + int64(d)
 		Sleep(d)
 		if Now() != deadline {
-			t.Errorf("seed %d: goroutine %d woke at %d, slept to %d", seed, g, Now(), deadline)
+			t.Errorf("seed %d: goroutine %d resumed at %d, slept to %d", seed, g, Now(), deadline)
 		}
 	}
 	const workers, rounds = 6, 20
@@ -728,7 +731,8 @@ func TestSeedsPickLegalInterleavings(t *testing.T) {
 
 // TestUnregisteredModelWaitPanics: a model-only wait from a goroutine
 // Go did not start panics with ErrUnregistered instead of corrupting the
-// run queue, and SleepOutside from a model goroutine panics too.
+// run queue, while SleepOutside from a model goroutine is a sleep that
+// returns at now+d.
 func TestUnregisteredModelWaitPanics(t *testing.T) {
 	withClock(t, func() {
 		waits := map[string]func(){
@@ -751,13 +755,14 @@ func TestUnregisteredModelWaitPanics(t *testing.T) {
 				t.Errorf("%s outside the model: recovered %v, want ErrUnregistered", name, r)
 			}
 		}
-		got := make(chan any, 1)
+		slept := make(chan int64, 1)
 		Go(func() {
-			defer func() { got <- recover() }()
+			start := Now()
 			SleepOutside(time.Millisecond)
+			slept <- Now() - start
 		})
-		if r := <-got; r != ErrSleepOutsideInModel {
-			t.Errorf("SleepOutside in the model: recovered %v, want ErrSleepOutsideInModel", r)
+		if d := <-slept; d != int64(time.Millisecond) {
+			t.Errorf("SleepOutside(1ms) in the model returned after %v", time.Duration(d))
 		}
 	})
 }
@@ -801,7 +806,8 @@ func TestGoroutineIdentity(t *testing.T) {
 // TestStallReportNamesParkedGoroutines: two model goroutines each wait
 // for the other's event. The model goes idle with both parked and
 // nothing left to wake them, and Quiesce says so at once, naming each
-// one's primitive and spawn site.
+// one's primitive and spawn site. Before that, while a third goroutine
+// holds the clock, a driver's pending SleepOutside shows as its timer.
 func TestStallReportNamesParkedGoroutines(t *testing.T) {
 	Enable(0, DefaultSeed)
 	a, b := NewEvent(), NewEvent()
@@ -813,11 +819,33 @@ func TestStallReportNamesParkedGoroutines(t *testing.T) {
 		b.Wait()
 		a.Fire(nil, nil)
 	})
+	block := make(chan struct{})
+	Go(func() { <-block }) // holds the clock, blocked outside it
+	slept := make(chan struct{})
+	go func() {
+		SleepOutside(3 * time.Millisecond)
+		close(slept)
+	}()
+	for {
+		if _, _, _, timers := Stats(); timers == 1 {
+			break
+		}
+		runtime.Gosched()
+	}
+	var s *Stall
+	if err := Quiesce(20 * time.Millisecond); !errors.As(err, &s) {
+		t.Fatalf("Quiesce with the clock held = %v, want a *Stall", err)
+	}
+	if len(s.Goroutines) != 4 || s.Goroutines[0].Seq != 0 || s.Goroutines[0].State != "SleepOutside, due at 3ms" {
+		t.Errorf("the driver's pending wait is not reported as its timer, #0:\n%v", s)
+	}
+	close(block)
+	<-slept
+
 	start := time.Now()
 	err := Quiesce(5 * time.Second)
 	Disable()
 	a.Fire(nil, nil) // release both, now as plain goroutines
-	var s *Stall
 	if !errors.As(err, &s) {
 		t.Fatalf("Quiesce = %v, want a *Stall", err)
 	}

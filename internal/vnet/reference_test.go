@@ -159,10 +159,10 @@ var (
 // every multiple of SendCPU (7 µs) of the first 280 µs, exactly as the
 // send legs of the calls queued on a client host's one CPU end.
 //
-// The drivers only wake: what a driver does when it wakes enters the
-// model at whatever instant Go's scheduler runs it, which the yield to
-// woken drivers makes the timer's instant only as a rule, so their own
-// actions stay out of the compared trace.
+// The drivers only wake: their timers take part in the model (they are
+// due first at their instants and keep the sleeps that span them off the
+// fast path), but what a driver does once woken stays out of the
+// compared trace.
 func contendedTrace(t *testing.T, impl callImpl, seed uint64) string {
 	t.Helper()
 	vclock.Enable(0, seed)
