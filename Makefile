@@ -65,7 +65,8 @@ bench-record:
 
 # bench-check runs the benchmark twice on a fresh seed and -compares the
 # two runs against the bench-record entries of the newest commit that
-# has any (every other kind is another tree or a median). Two,
+# has any (every other kind is another tree or a median), and says
+# which commit that is and how many commits HEAD is past it. Two,
 # because -compare scales a set's runs to reference speed only when it
 # holds more than one; a lone run is read unscaled, at this host's speed.
 # CI runs it as a report that never fails the job (its false-positive
@@ -73,7 +74,7 @@ bench-record:
 bench-check:
 	@newest=$$(grep -F '"kind":"bench-record",' $(TRAJECTORY) | tail -n 1 | sed 's/^{"commit":"\([^"]*\)".*/\1/'); base=$$(mktemp); out=$$(mktemp); \
 		grep -F "{\"commit\":\"$$newest\"," $(TRAJECTORY) | grep -F '"kind":"bench-record",' | $(trajectory-record) > $$base; \
-		echo "bench-check: against $$(wc -l < $$base) records of $$newest"; \
+		echo "bench-check: against $$(wc -l < $$base) records of $$newest (base commit $${newest%%+*}, $$(git rev-list --count $${newest%%+*}..HEAD 2>/dev/null || echo '?') commits behind HEAD)"; \
 		bash benchmark/run.sh -runs 2 -seed $${SEED:-$$(date +%s)} -out $$out > /dev/null && \
 		bash benchmark/run.sh -compare $$base $$out; status=$$?; rm -f $$base $$out; exit $$status
 
@@ -207,8 +208,11 @@ one-clock-switch:
 # scenario under seeds 0 and 1 against a golden file) and the
 # paths-versus-reference test (a contended vnet scenario's full event
 # trace, run through vclock.Path and through the one-goroutine-step-per-
-# delay reference, byte for byte under seeds 0-2), 20 times each under
-# the race detector; a Path run, which must report 0 allocs/op; then the
+# delay reference, byte for byte under seeds 0-2), the hand-off step
+# tests (each Queue and Event step kind against the same operations
+# call by call, and off the clock) and the switch-count gate
+# (TestPathsCutSwitches), 20 times each under the race detector; a Path
+# run, which must report 0 allocs/op; then the
 # Examples and esbench -markdown (quick preset), each run twice, whose
 # outputs must match byte for byte once go test's wall-clock durations
 # are cut from the Examples' -v lines (esbench writes its wall time and
@@ -218,6 +222,8 @@ clock-determinism:
 	$(GO) test -race -count=1000 -run '^TestDriverWokenAtTSeesNoPathStepDueAtT$$' ./internal/vclock/
 	$(GO) test -race -count=20 -run '^TestModelFingerprint$$' ./internal/bench/
 	$(GO) test -race -count=20 -run '^TestPathsMatchReference$$' ./internal/vnet/
+	$(GO) test -race -count=20 -run '^(TestPath(Push|Pop|Wait|Fire|HandOffs)MatchSteps|TestPathHandOffsOffClock|TestPopStepWokenByClose)$$' ./internal/vclock/
+	$(GO) test -race -count=20 -run '^TestPathsCutSwitches$$' ./internal/bench/
 	$(GO) test -run '^$$' -bench 'BenchmarkPathRun' -benchtime 20000x -benchmem ./internal/vclock/ | $(call zero-allocs,1)
 	@d=$$(mktemp -d); strip='s/ \([0-9.]+s\)$$//; s/\t[0-9.]+s$$//'; \
 		for i in 1 2; do $(GO) test -count=1 -run '^Example' -v . > $$d/raw$$i || { cat $$d/raw$$i; rm -rf $$d; exit 1; }; \

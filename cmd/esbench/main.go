@@ -16,8 +16,11 @@
 // The default quick mode scales host counts and iterations down so the
 // whole suite completes in minutes; -full uses the paper's host counts.
 // Everything executes under the discrete-event virtual clock, so results
-// depend on the model and not on the machine (EXPERIMENTS.md gives the
-// run-to-run spread that tie order at one virtual instant leaves).
+// depend on the model and not on the machine. One tie-break seed gives
+// one interleaving, so a run repeats byte for byte; how far the rows
+// move over other seeds is ROADMAP item 26. The wall time and the
+// clock's counters (goroutine switches, split by park site; path steps
+// run in hand-offs; fast-path sleeps) go to stderr.
 package main
 
 import (
@@ -118,6 +121,11 @@ func main() {
 	n := vclock.Counters()
 	fmt.Fprintf(os.Stderr, "completed in %v (mode: %s, repeats: %d); clock: %d goroutine switches, %d path steps in hand-offs, %d fast-path sleeps\n",
 		time.Since(start).Round(time.Millisecond), mode(*full), opts.Repeats, n.Switches, n.PathSteps, n.FastSleeps)
+	var by strings.Builder
+	for i, s := range n.SwitchesBy {
+		fmt.Fprintf(&by, " %s %d", vclock.ParkSites[i], s)
+	}
+	fmt.Fprintf(os.Stderr, "switches by park site:%s\n", by.String())
 }
 
 func mode(full bool) string {

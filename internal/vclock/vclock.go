@@ -28,11 +28,11 @@
 // Disable puts it back: a second processor would only add an idle
 // processor's wakeup to every hand-off.
 //
-// A goroutine whose next few waits are fixed — sleeps and CPU slot
-// claims with nothing observable between them — hands them over as one
-// Path: the clock runs each step inside its hand-offs, exactly as the
-// goroutine would have, and switches the goroutine back in once the
-// chain is done.
+// A goroutine whose next few waits are fixed — sleeps, CPU slot claims,
+// a Queue push or pop, an Event wait or fire, with nothing observable
+// between them — hands them over as one Path: the clock runs each step
+// inside its hand-offs, exactly as the goroutine would have, and
+// switches the goroutine back in once the chain is done.
 //
 // Participants are spawned with Go, the one way into the model. A model
 // goroutine must never block on a plain channel or sync primitive while
@@ -74,6 +74,27 @@ const DefaultSeed uint64 = 0
 // a goroutine Go did not start.
 var ErrUnregistered = errors.New("vclock: model wait from a goroutine vclock.Go did not start (a driver waits with SleepOutside, Event.Wait or WaitGroup.Wait)")
 
+// A site is what a model goroutine is parked on: a Path, one of the
+// clock-aware primitives, or, before its first run, its spawn.
+type site uint8
+
+const (
+	siteSpawn site = iota
+	sitePath
+	siteQueuePop
+	siteEventWait
+	siteCondWait
+	siteSleep
+	siteSemAcquire
+	siteWaitGroupWait
+	siteSleepOutside // a driver's timer, before its one run
+	nSites
+)
+
+// ParkSites names the park sites, in the order Counts.SwitchesBy counts
+// them.
+var ParkSites = [nSites]string{"spawn", "Path", "Queue.Pop", "Event.Wait", "Cond.Wait", "Sleep", "Sem.Acquire", "WaitGroup.Wait", "SleepOutside"}
+
 // gor is one registered model goroutine: its place in the ready queue,
 // its park slot, and what the stall report says about it.
 type gor struct {
@@ -81,7 +102,7 @@ type gor struct {
 	wake  chan struct{}  // the park slot: one send per dispatch
 	seq   uint64         // spawn sequence, the last tie-break
 	epoch uint64         // the Enable it was spawned under
-	what  string         // the primitive it last parked on
+	site  site           // what it last parked on
 	fn    uintptr        // entry PC of the spawned function
 
 	next         *gor // a primitive's waiter list
@@ -118,7 +139,7 @@ type clock struct {
 	// dispatch ran under mu, switches lock-free as handOff counts them.
 	fastSleeps uint64
 	pathSteps  uint64
-	switches   atomic.Uint64
+	switches   [nSites]atomic.Uint64
 
 	// Lock-free mirrors of active and now for Active and Now, which every
 	// timestamp calls: written under mu wherever the locked fields change,
@@ -280,7 +301,7 @@ func (c *clock) setNow(t int64) {
 // dispatch hands the clock to the next ready entry and returns it (nil:
 // the model is idle). A goroutine parked in a Path has its next steps
 // run here, as it would have run them itself, and is switched in only
-// once the path is done. Caller holds c.mu and nobody holds the clock.
+// once the path is done or a step ends it. Caller holds c.mu and nobody holds the clock.
 func (c *clock) dispatch() *gor {
 	for len(c.ready) > 0 {
 		e := c.ready.pop()
@@ -289,9 +310,12 @@ func (c *clock) dispatch() *gor {
 		c.cur = g
 		c.dispatches++
 		if pb := g.path; pb != nil && pb.pc < pb.n {
-			done, waiting := c.advance(g, pb.steps[pb.pc:pb.n])
+			done, waiting, err := c.advance(g, pb.steps[pb.pc:pb.n])
 			pb.pc += done
 			c.pathSteps += uint64(done)
+			if err != nil {
+				pb.err, pb.pc = err, pb.n
+			}
 			if waiting {
 				c.cur = nil
 				continue
@@ -320,8 +344,8 @@ func (c *clock) self() *gor {
 // park gives the clock away on behalf of g, which the caller has queued
 // (on the ready heap or a primitive's waiter list), and blocks until g
 // is dispatched again. Caller holds c.mu; park releases it.
-func (c *clock) park(g *gor, what string) {
-	g.what = what
+func (c *clock) park(g *gor, s site) {
+	g.site = s
 	c.cur = nil
 	next := c.dispatch()
 	c.mu.Unlock()
@@ -332,27 +356,27 @@ func (c *clock) park(g *gor, what string) {
 	<-g.wake
 }
 
-// wakeUp makes a parked g ready at the current instant; under a
-// disabled clock it releases g at once. It returns the goroutine the
-// caller must hand the clock to after unlocking (when the model was
-// idle), or nil. Caller holds c.mu.
-func (c *clock) wakeUp(g *gor) *gor {
-	if !c.active || g.epoch != c.epoch {
-		g.wake <- struct{}{}
-		return nil
+// wakeList makes each goroutine on list (linked by next) ready at the
+// current instant, in order, or, if it is from before the last Enable or
+// the clock is off, releases it at once. Caller holds c.mu.
+func (c *clock) wakeList(g *gor) {
+	for g != nil {
+		next := g.next
+		g.next = nil
+		if !c.active || g.epoch != c.epoch {
+			g.wake <- struct{}{}
+		} else {
+			c.enqueue(g, c.now)
+		}
+		g = next
 	}
-	c.enqueue(g, c.now)
-	if c.cur == nil {
-		return c.dispatch()
-	}
-	return nil
 }
 
-// handOff wakes the goroutine dispatch chose to run next, if any. Call
-// it after releasing c.mu.
+// handOff wakes the goroutine dispatch chose to run next, if any, and
+// counts the switch. Call it after releasing c.mu.
 func handOff(g *gor) {
 	if g != nil {
-		c.switches.Add(1)
+		c.switches[g.site].Add(1)
 		g.wake <- struct{}{}
 	}
 }
@@ -368,15 +392,14 @@ func Go(fn func()) {
 		return
 	}
 	c.spawned++
-	c.spawn(fn, entry{when: c.now, tie: c.draw(), seq: c.spawned}, "")
+	c.spawn(fn, entry{when: c.now, tie: c.draw(), seq: c.spawned}, siteSpawn)
 }
 
 // spawn registers fn as a model goroutine, ready as e says (spawn fills
-// in its goroutine), with what as the stall report's name for it until
-// it first parks, and starts it. Caller holds c.mu with the clock on;
-// spawn releases it.
-func (c *clock) spawn(fn func(), e entry, what string) {
-	g := &gor{wake: make(chan struct{}, 1), seq: e.seq, epoch: c.epoch, what: what, fn: reflect.ValueOf(fn).Pointer()}
+// in its goroutine), parked on s until it first runs, and starts it.
+// Caller holds c.mu with the clock on; spawn releases it.
+func (c *clock) spawn(fn func(), e entry, s site) {
+	g := &gor{wake: make(chan struct{}, 1), seq: e.seq, epoch: c.epoch, site: s, fn: reflect.ValueOf(fn).Pointer()}
 	c.live++
 	g.lnext = c.head
 	if c.head != nil {
@@ -435,12 +458,9 @@ func (c *clock) exit(g *gor) {
 func Sleep(d time.Duration) {
 	if d > 0 && c.activeA.Load() {
 		steps := [1]step{{op: opSleep, d: int64(d)}}
-		run(steps[:], "Sleep")
+		run(steps[:], siteSleep)
 	}
 }
-
-// timerWhat names a SleepOutside timer in a Stall report.
-const timerWhat = "SleepOutside"
 
 // SleepOutside suspends the caller until the virtual clock reaches
 // now+d. A driver's wait is a timer: a model goroutine ready at now+d
@@ -466,7 +486,7 @@ func SleepOutside(d time.Duration) {
 	c.spawn(func() {
 		close(wake)
 		<-back
-	}, entry{when: c.now + int64(d)}, timerWhat)
+	}, entry{when: c.now + int64(d)}, siteSleepOutside)
 	<-wake
 	close(back)
 }
@@ -548,17 +568,18 @@ func (c *clock) stallLocked(reason string) *Stall {
 	}
 	s := &Stall{Reason: reason, Now: c.now}
 	for g := c.head; g != nil; g = g.lnext {
-		state := "parked in " + g.what
+		what := ParkSites[g.site]
+		state := "parked in " + what
 		when, ready := queued[g]
 		switch {
 		case g == c.cur:
 			state = "running (holding the clock; blocked outside it?)"
-		case ready && g.what == "":
+		case ready && g.site == siteSpawn:
 			state = fmt.Sprintf("ready at %v, not yet started", time.Duration(when))
-		case ready && g.what == timerWhat:
-			state = fmt.Sprintf("%s, due at %v", timerWhat, time.Duration(when))
+		case ready && g.site == siteSleepOutside:
+			state = fmt.Sprintf("%s, due at %v", what, time.Duration(when))
 		case ready:
-			state = fmt.Sprintf("ready at %v after %s", time.Duration(when), g.what)
+			state = fmt.Sprintf("ready at %v after %s", time.Duration(when), what)
 		}
 		site := "unknown"
 		if f := runtime.FuncForPC(g.fn); f != nil {
@@ -597,6 +618,9 @@ type Counts struct {
 	// Switches counts hand-offs to a parked model goroutine: each one
 	// is a goroutine switch through Go's scheduler.
 	Switches uint64
+	// SwitchesBy splits Switches by what the goroutine switched in had
+	// parked on, in ParkSites' order.
+	SwitchesBy [nSites]uint64
 	// PathSteps counts the Path steps the clock ran in a hand-off, each
 	// one a step the goroutine did not have to be switched in for.
 	PathSteps uint64
@@ -610,5 +634,10 @@ type Counts struct {
 func Counters() Counts {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Counts{Switches: c.switches.Load(), PathSteps: c.pathSteps, FastSleeps: c.fastSleeps}
+	n := Counts{PathSteps: c.pathSteps, FastSleeps: c.fastSleeps}
+	for i := range c.switches {
+		n.SwitchesBy[i] = c.switches[i].Load()
+		n.Switches += n.SwitchesBy[i]
+	}
+	return n
 }

@@ -63,7 +63,7 @@ func (c *Conn) refServe(handler Handler) {
 			return
 		}
 		c.inflightMu.Lock()
-		c.inflight[req.reply] = struct{}{}
+		c.inflight[req] = struct{}{}
 		c.inflightMu.Unlock()
 		hrtime.Sleep(c.net.cost.WakeLatency)
 		refOccupy(c.server, c.net.cost.RecvCPU)
@@ -75,7 +75,7 @@ func (c *Conn) refServe(handler Handler) {
 		payload, err := handler(req.payload)
 		refOccupy(c.server, c.net.cost.SendCPU)
 		c.inflightMu.Lock()
-		delete(c.inflight, req.reply)
+		delete(c.inflight, req)
 		c.inflightMu.Unlock()
 		req.reply.Fire(payload, err)
 	}
@@ -106,7 +106,7 @@ func (c *Conn) refCall(payload []byte) ([]byte, error) {
 		return nil, ErrTimeout
 	}
 	c.net.refTransit(c.client, c.server, len(payload))
-	req := request{payload: payload, reply: vclock.NewEvent()}
+	req := &roundTrip{payload: payload}
 	if err := c.reqs.Push(req); err != nil {
 		return nil, ErrConnClosed
 	}
@@ -185,7 +185,7 @@ func contendedTrace(t *testing.T, impl callImpl, seed uint64) string {
 	b, _ := n.AddCluster("b", wantrace.Tromso, 2, 1, GigabitEthernet)
 	w, _ := n.AddCluster("w", wantrace.Odense, 2, 1, GigabitEthernet)
 	fe, _ := n.AddStandaloneHost("fe", 2)
-	inj := n.InjectFaults(FaultPlan{
+	plan := FaultPlan{
 		Seed:        3,
 		CallTimeout: 400 * time.Microsecond,
 		Events: []FaultEvent{
@@ -194,7 +194,8 @@ func contendedTrace(t *testing.T, impl callImpl, seed uint64) string {
 			{At: 4 * time.Millisecond, Kind: FaultRestart, Host: "w-1"},
 		},
 		Rules: []FaultRule{{DropProb: 0.08, SpikeProb: 0.15, SpikeDelay: 200 * time.Microsecond}},
-	})
+	}
+	var inj *Injector
 
 	handler := func(server *Host, work time.Duration) Handler {
 		return func(p []byte) ([]byte, error) {
@@ -222,6 +223,7 @@ func contendedTrace(t *testing.T, impl callImpl, seed uint64) string {
 	var connsMu sync.Mutex
 	wg := vclock.NewWaitGroup()
 	start := func() {
+		inj = n.InjectFaults(plan)
 		for i, r := range routes {
 			conns[i] = impl.dial(n, r.from, r.to, handler(r.to, r.work))
 			wg.Add(1)
@@ -255,15 +257,20 @@ func contendedTrace(t *testing.T, impl callImpl, seed uint64) string {
 		})
 	}
 	// The gate holds the clock at 0 until every driver's timer is set,
-	// then starts the scenario.
+	// then starts the scenario. It is the model's only goroutine until
+	// then, and the fault injector's sleep starts with the scenario, so
+	// every pending timer is a driver's: the scenario starts with all of
+	// them or not at all.
 	wg.Add(1)
 	vclock.Go(func() {
 		defer wg.Done()
-		for {
-			if _, _, _, timers := vclock.Stats(); timers >= ticks {
-				break
-			}
+		timers := 0
+		for timers < ticks {
 			runtime.Gosched()
+			_, _, _, timers = vclock.Stats()
+		}
+		if timers != ticks {
+			t.Errorf("the scenario starts with %d timers pending, want the %d drivers' alone", timers, ticks)
 		}
 		start()
 	})

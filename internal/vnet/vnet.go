@@ -16,8 +16,9 @@
 // paper's shared-gateway bottleneck. Modelled delays are waits on the
 // virtual clock: under it they take their modelled value and no real
 // time, and on the wall clock they take none at all, so a hop costs only
-// the host time of its code. A call's stretches of CPU slots, link legs
-// and wake-ups run as vclock Paths, one park each.
+// the host time of its code. Each side of a call — the client's round
+// trip, the communication thread's reply and next request — runs as one
+// vclock Path, one park each.
 package vnet
 
 import (
@@ -276,27 +277,41 @@ func (n *Network) interSegmentDelay(from, to *Cluster, size int) time.Duration {
 	return n.inter.Delay(size)
 }
 
-// route is one direction of a connection: messages from host a to
-// host b.
-type route struct {
+// The segments of a message's way, the argument of a leg's Delay.
+const (
+	segFrom  = iota // a's cluster link, to a's gateway
+	segInter        // gateway to gateway
+	segTo           // b's cluster link, from b's gateway
+)
+
+// leg is one message of a call on its way from host a to host b.
+type leg struct {
 	net  *Network
 	a, b *Host
+	msg  *[]byte
 }
 
-// Delay draws the gateway-to-gateway segment's delay for a message of
-// size bytes when the leg starts: a WAN leg's draw moves the emulator's
+// Delay draws the delay of one segment of the leg for the message's size
+// when the segment starts: a reply's size is known only once its wait
+// step has taken it, and a WAN segment's draw moves the emulator's
 // per-pair cursor, so the order of the draws is part of the model.
-func (r *route) Delay(size int) time.Duration {
-	return r.net.interSegmentDelay(r.a.cluster, r.b.cluster, size)
+func (l *leg) Delay(seg int) time.Duration {
+	size := len(*l.msg)
+	switch seg {
+	case segFrom:
+		return l.a.cluster.intra.Delay(size)
+	case segTo:
+		return l.b.cluster.intra.Delay(size)
+	}
+	return l.net.interSegmentDelay(l.a.cluster, l.b.cluster, size)
 }
 
-// transit appends to p the steps of moving a message of size bytes
-// along r: the message count, link delays on every segment and gateway
-// CPU occupancy for every gateway transited. The caller's Run blocks it
-// for the modelled time, which is how PATHS stubs experience network
-// latency.
-func (n *Network) transit(p *vclock.Path, r *route, size int) {
-	a, b := r.a, r.b
+// transit appends to p the steps of moving l's message: the message
+// count, link delays on every segment and gateway CPU occupancy for every
+// gateway transited. The caller's Run blocks it for the modelled time,
+// which is how PATHS stubs experience network latency.
+func (n *Network) transit(p *vclock.Path, l *leg) {
+	a, b := l.a, l.b
 	p.Add(&n.msgs, 1)
 	if a == b {
 		p.Sleep(n.cost.LocalLatency)
@@ -304,19 +319,19 @@ func (n *Network) transit(p *vclock.Path, r *route, size int) {
 	}
 	ca, cb := a.cluster, b.cluster
 	if ca != nil && ca == cb {
-		p.Sleep(ca.intra.Delay(size))
+		p.SleepDrawn(l, segFrom)
 		return
 	}
 	// Cross-cluster (or to/from a standalone host): hop to our gateway,
 	// cross the inter-cluster segment, hop from the remote gateway.
 	if ca != nil && a != ca.gateway {
-		p.Sleep(ca.intra.Delay(size))
+		p.SleepDrawn(l, segFrom)
 		ca.gateway.occupy(p, n.cost.GatewayCPU)
 	}
-	p.SleepDrawn(r, size)
+	p.SleepDrawn(l, segInter)
 	if cb != nil && b != cb.gateway {
 		cb.gateway.occupy(p, n.cost.GatewayCPU)
-		p.Sleep(cb.intra.Delay(size))
+		p.SleepDrawn(l, segTo)
 	}
 }
 
@@ -361,9 +376,15 @@ type Caller interface {
 	Close() error
 }
 
-type request struct {
+// roundTrip is one Call on its way: the request the communication thread
+// pops, the reply event it fires, the reply as the client's wait step
+// took it, and the two legs whose link steps read their sizes.
+type roundTrip struct {
 	payload []byte
-	reply   *vclock.Event
+	reply   vclock.Event
+	resp    []byte
+	fwd     leg
+	back    leg
 }
 
 // Conn is a modelled connection between a client host and a server host,
@@ -376,12 +397,10 @@ type Conn struct {
 	net    *Network
 	client *Host
 	server *Host
-	reqs   *vclock.Queue[request]
-
-	fwd, back route // client to server, server to client
+	reqs   *vclock.Queue[*roundTrip]
 
 	inflightMu sync.Mutex
-	inflight   map[*vclock.Event]struct{} // picked up, reply not yet fired
+	inflight   map[*roundTrip]struct{} // calls not yet returned, for Close to fail
 }
 
 // Dial opens a connection from client to server whose communication
@@ -400,10 +419,8 @@ func (n *Network) dial(client, server *Host) *Conn {
 		net:      n,
 		client:   client,
 		server:   server,
-		reqs:     vclock.NewQueue[request](),
-		inflight: make(map[*vclock.Event]struct{}),
-		fwd:      route{n, client, server},
-		back:     route{n, server, client},
+		reqs:     vclock.NewQueue[*roundTrip](),
+		inflight: make(map[*roundTrip]struct{}),
 	}
 	n.connsMu.Lock()
 	n.dialled++
@@ -412,22 +429,15 @@ func (n *Network) dial(client, server *Host) *Conn {
 	return c
 }
 
+// serve is the communication thread. The handler runs on it; everything
+// else — the reply's send-side CPU, its fire, the pop of the next
+// request, the wake-up and the receive-side CPU — is one Path after it.
 func (c *Conn) serve(handler Handler) {
 	cost := c.net.cost
-	var p vclock.Path // Run leaves it empty for the next stretch
-	for {
-		req, ok := c.reqs.Pop()
-		if !ok {
-			return
-		}
-		c.inflightMu.Lock()
-		c.inflight[req.reply] = struct{}{}
-		c.inflightMu.Unlock()
-		// The communication thread wakes up, then receive-side
-		// processing charges the server CPU.
-		p.Sleep(cost.WakeLatency)
-		c.server.occupy(&p, cost.RecvCPU)
-		p.Run()
+	var p vclock.Path // Run leaves it empty for the next chain
+	var req *roundTrip
+	c.next(&p, &req)
+	for p.Run() == nil {
 		// A straggler host (FaultSlow) serves every message with inflated
 		// CPU work: the extra time occupies a slot, so the slowdown
 		// contends with everything else running on the host — the same
@@ -440,19 +450,26 @@ func (c *Conn) serve(handler Handler) {
 		payload, err := handler(req.payload)
 		// Send-side processing of the reply charges the server CPU.
 		c.server.occupy(&p, cost.SendCPU)
-		p.Run()
-		c.inflightMu.Lock()
-		delete(c.inflight, req.reply)
-		c.inflightMu.Unlock()
-		req.reply.Fire(payload, err)
+		p.Fire(&req.reply, payload, err)
+		c.next(&p, &req)
 	}
+}
+
+// next appends to p the communication thread's way to its next request:
+// pop it into req, wake up, and charge receive-side processing to the
+// server CPU. A closed queue ends the chain.
+func (c *Conn) next(p *vclock.Path, req **roundTrip) {
+	c.reqs.PopStep(p, req)
+	p.Sleep(c.net.cost.WakeLatency)
+	c.server.occupy(p, c.net.cost.RecvCPU)
 }
 
 // Call sends a request and blocks until the response returns, modelling
 // the full round trip: client send CPU, forward transit, serial CT
-// processing, handler execution, reply transit, client receive CPU.
-// Each stretch between two things another goroutine can see — the
-// request queued, the reply fired — is one Path.
+// processing, handler execution, reply transit, client receive CPU. The
+// client's side of it is one Path: the request's push and the reply's
+// wait are its steps, and the reply legs draw their delays from the
+// reply the wait step took.
 //
 // Under an active fault plan a call can instead fail: ErrHostDown when
 // either endpoint is crashed (after the connect-refused latency),
@@ -492,31 +509,45 @@ func (c *Conn) Call(payload []byte) ([]byte, error) {
 		p.Run()
 		return nil, ErrTimeout
 	}
-	c.net.transit(&p, &c.fwd, len(payload))
-	p.Run()
+	cl := &roundTrip{payload: payload}
+	cl.fwd, cl.back = leg{c.net, c.client, c.server, &cl.payload}, leg{c.net, c.server, c.client, &cl.resp}
+	// In flight until Call returns: Close fails the call whether it is
+	// queued or being served (its reply event is first-fire-wins).
+	c.inflightMu.Lock()
+	c.inflight[cl] = struct{}{}
+	c.inflightMu.Unlock()
+	defer func() {
+		c.inflightMu.Lock()
+		delete(c.inflight, cl)
+		c.inflightMu.Unlock()
+	}()
 
-	req := request{payload: payload, reply: vclock.NewEvent()}
-	if err := c.reqs.Push(req); err != nil {
-		return nil, ErrConnClosed
-	}
+	c.net.transit(&p, &cl.fwd)
+	c.reqs.PushStep(&p, cl)
 	if cf.dropRep {
 		// The reply is lost: the server processes the request (side
 		// effects happen) but the caller never sees the response.
-		hrtime.Sleep(cf.timeout)
+		p.Sleep(cf.timeout)
+		if p.Run() != nil {
+			return nil, ErrConnClosed
+		}
 		return nil, ErrTimeout
 	}
-	resp, err := req.reply.Wait()
-	if err != nil {
-		return nil, err
-	}
+	p.Wait(&cl.reply, &cl.resp)
 	if cf.spikeRep {
 		p.Sleep(cf.spikeDelay)
 	}
-	c.net.transit(&p, &c.back, len(resp))
+	c.net.transit(&p, &cl.back)
 	p.Sleep(cost.WakeLatency)
 	c.client.occupy(&p, cost.RecvCPU)
-	p.Run()
-	return resp, nil
+	if err := p.Run(); err != nil {
+		if errors.Is(err, vclock.ErrClosed) {
+			// The push found the connection closed.
+			return nil, ErrConnClosed
+		}
+		return nil, err
+	}
+	return cl.resp, nil
 }
 
 // Close shuts the connection down. Queued calls and the call currently
@@ -526,12 +557,12 @@ func (c *Conn) Close() error {
 	c.net.connsMu.Lock()
 	delete(c.net.conns, c)
 	c.net.connsMu.Unlock()
-	for _, req := range c.reqs.Close() {
-		req.reply.Fire(nil, ErrConnClosed)
+	for _, cl := range c.reqs.Close() {
+		cl.reply.Fire(nil, ErrConnClosed)
 	}
 	c.inflightMu.Lock()
-	for ev := range c.inflight {
-		ev.Fire(nil, ErrConnClosed)
+	for cl := range c.inflight {
+		cl.reply.Fire(nil, ErrConnClosed)
 	}
 	c.inflightMu.Unlock()
 	return nil
