@@ -212,7 +212,8 @@ one-clock-switch:
 # tests (each Queue and Event step kind against the same operations
 # call by call, and off the clock) and the switch-count gate
 # (TestPathsCutSwitches), 20 times each under the race detector; a Path
-# run, which must report 0 allocs/op; then the
+# run, which must report 0 allocs/op, and a warm queue push and pop
+# cycle, which must allocate nothing on or off the clock; then the
 # Examples and esbench -markdown (quick preset), each run twice, whose
 # outputs must match byte for byte once go test's wall-clock durations
 # are cut from the Examples' -v lines (esbench writes its wall time and
@@ -225,6 +226,7 @@ clock-determinism:
 	$(GO) test -race -count=20 -run '^(TestPath(Push|Pop|Wait|Fire|HandOffs)MatchSteps|TestPathHandOffsOffClock|TestPopStepWokenByClose)$$' ./internal/vclock/
 	$(GO) test -race -count=20 -run '^TestPathsCutSwitches$$' ./internal/bench/
 	$(GO) test -run '^$$' -bench 'BenchmarkPathRun' -benchtime 20000x -benchmem ./internal/vclock/ | $(call zero-allocs,1)
+	$(GO) test -count=1 -v -run '^TestQueueWarmCycleZeroAlloc$$' ./internal/vclock/ | grep -- '--- PASS: TestQueueWarmCycleZeroAlloc'
 	@d=$$(mktemp -d); strip='s/ \([0-9.]+s\)$$//; s/\t[0-9.]+s$$//'; \
 		for i in 1 2; do $(GO) test -count=1 -run '^Example' -v . > $$d/raw$$i || { cat $$d/raw$$i; rm -rf $$d; exit 1; }; \
 			sed -E "$$strip" $$d/raw$$i > $$d/examples$$i; done; \

@@ -270,6 +270,10 @@ func selectCorpus(t *testing.T, dir string) *Reader {
 // row tested by match) under the filter matrix, over the whole archive
 // and from cursors at block boundaries and inside blocks: the same
 // tuples in the same order, the same ScanStats, the same failures.
+// Over aheadCorpus, whose segments run to several chunks, the matrix
+// also stops scans in the first chunk, inside a later one and on a chunk
+// boundary, and checks from inside its callbacks that the decode stage's
+// helper ran.
 func TestScanSelectMatchesReference(t *testing.T) {
 	r := selectCorpus(t, t.TempDir())
 	queries := []Query{
@@ -287,51 +291,257 @@ func TestScanSelectMatchesReference(t *testing.T) {
 	}
 	// Cursors at every segment's start, inside its first block, at its
 	// first block's end, past its damaged block and at its end.
+	cov := matchReference(t, r, queries, segmentCursors(r, 0, 5, 36, 50), []int{0})
+	if cov.matched == 0 || cov.skipped == 0 || cov.torn == 0 || cov.refused == 0 {
+		t.Fatalf("the matrix missed a case: %+v", cov)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	r = aheadCorpus(t, t.TempDir())
+	queries = []Query{
+		{},
+		{Ops: []paths.OpKind{1}},
+		{ECIDs: []uint32{3, 7}},
+		{ECIDs: []uint32{2}, Ops: []paths.OpKind{0, 2}, MinStamp: 1},
+		{MinStamp: 150_000},
+	}
+	const chunk = chunkBlocks * aheadBlockTuples
+	// Cursors at each segment's start, inside its first block, on its
+	// first chunk boundary and inside its third chunk; stops in the first
+	// chunk, inside the second, on the boundary after it, and just past.
+	cov = matchReference(t, r, queries, segmentCursors(r, 0, 3, chunk, 2*chunk+11), []int{0, 5, chunk + 100, 2 * chunk, 2*chunk + 1})
+	if cov.matched == 0 || cov.skipped == 0 || cov.torn == 0 || cov.stopped == 0 || !cov.helper {
+		t.Fatalf("the decode-ahead matrix missed a case: %+v", cov)
+	}
+
+	// Projected batch scans, whole and from a cursor in the unsealed
+	// segment, hold to the reference on the fields they decode.
+	tail := r.Segments()[3]
+	for qi, q := range queries {
+		for _, cur := range []*Cursor{nil, {Tuples: r.Tuples() - tail.Index.Tuples + 7, Segment: tail.ID, SegTuples: 7}} {
+			want, wantStats, err := referenceScan(r, cur, q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cols := range fieldMasks {
+				var got []collect.TraceTuple
+				stats, err := r.ScanBatches(cur, q, cols, func(batch []collect.TraceTuple) bool {
+					got = append(got, batch...)
+					return true
+				})
+				if err != nil || stats != wantStats || len(got) != len(want) {
+					t.Fatalf("query %d cursor %+v mask %06b: %d rows, stats %+v (%v); reference %d rows, %+v", qi, cur, cols, len(got), stats, err, len(want), wantStats)
+				}
+				for i := range want {
+					for c := 0; c < numColumns; c++ {
+						if (cols|q.columns())&(1<<c) != 0 && colValue(&got[i], c) != colValue(&want[i], c) {
+							t.Fatalf("query %d cursor %+v mask %06b: row %d %s = %d, want %d", qi, cur, cols, i, colName[c], colValue(&got[i], c), colValue(&want[i], c))
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Scans that overlap — one started inside another's callback, and
+	// two from goroutines of their own — each see the reference's rows.
+	inner, _, _ := referenceScan(r, nil, queries[1], 0)
+	var outer []collect.TraceTuple
+	nested := 0
+	if _, err := r.Scan(Query{}, func(tu collect.TraceTuple) bool {
+		if len(outer)%700 == 300 {
+			got, _, err := r.Select(queries[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTuples(t, got, inner)
+			nested++
+		}
+		outer = append(outer, tu)
+		return true
+	}); err != nil || nested < 3 {
+		t.Fatalf("outer scan: %d nested scans, %v", nested, err)
+	}
+	whole, _, _ := referenceScan(r, nil, Query{}, 0)
+	sameTuples(t, outer, whole)
+	var wg sync.WaitGroup
+	for _, q := range queries[:2] {
+		want, _, _ := referenceScan(r, nil, q, 0)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if got, _, err := r.Select(q); err != nil || len(got) != len(want) || got[len(got)-1] != want[len(want)-1] {
+					t.Errorf("concurrent scan returned %d of %d rows: %v", len(got), len(want), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// coverage is what a matchReference matrix exercised: rows matched,
+// blocks skipped, tears, refused cursors and stopped scans, and whether
+// a callback ever ran beside a decode helper.
+type coverage struct {
+	matched, skipped, torn, refused, stopped int
+	helper                                   bool
+}
+
+// matchReference runs each query from each cursor (nil: the whole
+// archive) through Scan or ScanFrom, stopped by its callback after each
+// of stops rows (0: never), and holds it to referenceScan. A callback
+// that sees more goroutines than were live when its scan began runs
+// beside the scan's decode helper.
+func matchReference(t *testing.T, r *Reader, queries []Query, cursors []*Cursor, stops []int) (cov coverage) {
+	t.Helper()
+	for qi, q := range queries {
+		for _, cur := range cursors {
+			for _, stopAt := range stops {
+				want, wantStats, wantErr := referenceScan(r, cur, q, stopAt)
+				var got []collect.TraceTuple
+				base := runtime.NumGoroutine()
+				keep := func(tu collect.TraceTuple) bool {
+					cov.helper = cov.helper || runtime.NumGoroutine() > base
+					got = append(got, tu)
+					return len(got) != stopAt
+				}
+				var stats ScanStats
+				var err error
+				if cur == nil {
+					stats, err = r.Scan(q, keep)
+				} else {
+					stats, err = r.ScanFrom(*cur, q, keep)
+				}
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("query %d cursor %+v stop %d: error %v, reference %v", qi, cur, stopAt, err, wantErr)
+				}
+				if err != nil {
+					cov.refused++
+					continue
+				}
+				if stats != wantStats {
+					t.Fatalf("query %d cursor %+v stop %d: stats %+v, reference %+v", qi, cur, stopAt, stats, wantStats)
+				}
+				sameTuples(t, got, want)
+				cov.matched += len(got)
+				cov.skipped += int(stats.BlocksSkipped)
+				cov.torn += stats.TornSegments
+				if len(got) == stopAt {
+					cov.stopped++
+				}
+			}
+		}
+	}
+	return cov
+}
+
+// segmentCursors returns nil (the whole archive) and, in each segment,
+// a cursor at each of at tuples into it that the segment holds, and one
+// at its end.
+func segmentCursors(r *Reader, at ...uint64) []*Cursor {
 	cursors := []*Cursor{nil}
 	var prefix uint64
 	for _, s := range r.Segments() {
-		for _, in := range []uint64{0, 5, 36, 50, s.Index.Tuples} {
+		for _, in := range append(at, s.Index.Tuples) {
 			if in <= s.Index.Tuples {
 				cursors = append(cursors, &Cursor{Tuples: prefix + in, Segment: s.ID, SegTuples: in})
 			}
 		}
 		prefix += s.Index.Tuples
 	}
-	var matched, skipped, torn, refused int
-	for qi, q := range queries {
-		for _, cur := range cursors {
-			want, wantStats, wantErr := referenceScan(r, cur, q)
-			var got []collect.TraceTuple
-			keep := func(tu collect.TraceTuple) bool {
-				got = append(got, tu)
-				return true
-			}
-			var stats ScanStats
-			var err error
-			if cur == nil {
-				stats, err = r.Scan(q, keep)
-			} else {
-				stats, err = r.ScanFrom(*cur, q, keep)
-			}
-			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("query %d cursor %+v: error %v, reference %v", qi, cur, err, wantErr)
-			}
-			if err != nil {
-				refused++
-				continue
-			}
-			if stats != wantStats {
-				t.Fatalf("query %d cursor %+v: stats %+v, reference %+v", qi, cur, stats, wantStats)
-			}
-			sameTuples(t, got, want)
-			matched += len(got)
-			skipped += int(stats.BlocksSkipped)
-			torn += stats.TornSegments
+	return cursors
+}
+
+// aheadBlockTuples is aheadCorpus's block size: a chunk is 256 tuples.
+const aheadBlockTuples = 8
+
+// aheadCorpus writes an archive whose segments each run to several
+// chunks, so a whole-segment walk starts its decode helper: 8-tuple
+// blocks of two collectors and one op each (so ECID and Op filters skip
+// blocks by their dictionaries), the first stamps negative, in 24 KB
+// segments. In the second segment, the Start column of block 69 (inside
+// the third chunk) is damaged; the third segment's block index is
+// damaged, so filtered scans walk it whole; the newest segment is left
+// unsealed, with a torn block behind exactly two chunks of whole ones.
+func aheadCorpus(t *testing.T, dir string) *Reader {
+	t.Helper()
+	w, err := Create(Options{Dir: dir, SegmentBytes: 24 << 10, BlockTuples: aheadBlockTuples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	block := func() []collect.TraceTuple {
+		b := n / aheadBlockTuples
+		batch := make([]collect.TraceTuple, aheadBlockTuples)
+		for i := range batch {
+			start := int64(n)*100 - 50_000
+			batch[i] = collect.TraceTuple{ECID: uint32(1 + (b+3*(i%2))%10), Op: paths.OpKind(b % 3), Ret: int16(i % 2), Seq: uint32(n), Start: start, End: start + 40 + int64(i)}
+			n++
+		}
+		return batch
+	}
+	for w.Position().Segment < 4 {
+		if err := w.Append(block()); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if matched == 0 || skipped == 0 || torn == 0 || refused == 0 {
-		t.Fatalf("the matrix missed a case: %d matched, %d blocks skipped, %d tears, %d cursors refused", matched, skipped, torn, refused)
+	for w.Position().SegTuples < 2*chunkBlocks*aheadBlockTuples {
+		if err := w.Append(block()); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 4 {
+		t.Fatalf("listSegments: %d segments, %v", len(segs), err)
+	}
+	img, err := os.ReadFile(segs[1].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones, ok := referenceZones(img)
+	if !ok || len(zones) < 3*chunkBlocks {
+		t.Fatalf("second segment: %d blocks, index whole %v; want three chunks", len(zones), ok)
+	}
+	at := zones[69].at
+	f, ok := frameColumnarBlock(img[at:])
+	if !ok {
+		t.Fatal("second segment's block 69 does not frame")
+	}
+	img[at+v2BlockHeaderSize+v2DirSize+int64(f.n[colECID]+f.n[colOp]+f.n[colRet]+f.n[colSeq])] ^= 0x10
+	if err := os.WriteFile(segs[1].path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if img, err = os.ReadFile(segs[2].path); err != nil {
+		t.Fatal(err)
+	}
+	end, _ := referenceBlocksEnd(img)
+	img[end+8] ^= 0x01
+	if _, ok := referenceZones(img); ok {
+		t.Fatal("a flipped index bit leaves the index whole")
+	}
+	if err := os.WriteFile(segs[2].path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	last, err := os.OpenFile(segs[3].path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc columnarEncoder
+	torn := enc.encodeBlock(block())
+	if _, err := last.Write(torn[:len(torn)-3]); err != nil {
+		t.Fatal(err)
+	}
+	last.Close()
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestBlockIndexPrunesDamage pins what the block index changes about
@@ -357,7 +567,7 @@ func TestBlockIndexPrunesDamage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantStats, err := referenceScan(r, nil, q)
+		want, wantStats, err := referenceScan(r, nil, q, 0)
 		if err != nil || stats != wantStats {
 			t.Fatalf("query %+v: stats %+v, reference %+v (%v)", q, stats, wantStats, err)
 		}
@@ -479,19 +689,22 @@ func TestIndexStampRangeIgnoresControlPayload(t *testing.T) {
 // TestScanSteadyStateAllocs is the read side's allocation gate: a warm
 // scan reads every segment — or, selective, a segment's block index and
 // the blocks it leaves — into the reader's one scratch and decodes into
-// its one batch, a selective one selecting rows in the decoder's one
-// selection vector, so what it allocates is a constant (a file handle
-// per segment), not a function of the archive's size.
-// Both a full scan and a selective one (an ECID set and a stamp window)
-// are held to it.
+// its one batch, or, walking a segment whole, into the decode stage's
+// ring, a selective one selecting rows in the decoder's one selection
+// vector, so what it allocates is a constant (a file handle per
+// segment, the decode helper's start), not a function of the archive's
+// size. Both a full scan and a selective one (an ECID set and a stamp
+// window) are held to it, on benchmark-sized 1 MiB segments of several
+// chunks each, where the full scan's helper runs.
 func TestScanSteadyStateAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	dir := t.TempDir()
-	w, err := Create(Options{Dir: dir, SegmentBytes: 256 << 10})
+	w, err := Create(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := make([]collect.TraceTuple, 4096)
-	for round := 0; round < 60; round++ {
+	for round := 0; round < 180; round++ {
 		for i := range batch {
 			n := round*len(batch) + i
 			batch[i] = tuple(uint32(1+i%61), uint32(n), int64(n)*100, int64(n)*100+70)
@@ -511,8 +724,8 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	for _, s := range r.Segments() {
 		bytes += s.Bytes
 	}
-	if len(r.Segments()) < 4 || bytes < 1<<20 {
-		t.Fatalf("fixture too small to tell: %d segments, %d bytes", len(r.Segments()), bytes)
+	if segs := r.Segments(); len(segs) < 2 || segs[0].Bytes < DefaultSegmentBytes || segs[0].Index.Tuples < 4*chunkBlocks*DefaultBlockTuples {
+		t.Fatalf("fixture too small to tell: %d segments, the first %d bytes", len(segs), segs[0].Bytes)
 	}
 	selective := Query{ECIDs: []uint32{3, 7}, MinStamp: 10_000_000, MaxStamp: 14_000_000}
 	var inWindow uint64
@@ -527,16 +740,22 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 		want uint64
 	}{{"full", Query{}, r.Tuples()}, {"selective", selective, inWindow}} {
 		var sum int64
+		helper := false
 		scan := func() {
+			base := runtime.NumGoroutine()
 			stats, err := r.Scan(c.q, func(tu collect.TraceTuple) bool {
 				sum += tu.End - tu.Start
+				helper = helper || runtime.NumGoroutine() > base
 				return true
 			})
 			if err != nil || stats.TuplesMatched != c.want {
 				t.Fatalf("%s scan matched %d tuples, want %d: %v", c.name, stats.TuplesMatched, c.want, err)
 			}
 		}
-		scan()       // warm: the reader's image buffer grows to the largest segment
+		scan() // warm: the reader's image buffer grows to the largest segment
+		if c.name == "full" && !helper {
+			t.Fatal("the full scan ran no decode helper")
+		}
 		runtime.GC() // a collection between scans must not cost the buffer
 		runtime.GC()
 		var before, after runtime.MemStats

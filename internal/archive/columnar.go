@@ -342,10 +342,12 @@ type blockDecoder struct {
 }
 
 // grow sizes the batch, the selection vector and the lane for an
-// n-tuple block.
+// n-tuple block, keeping a batch pointed into a chunk's rows with room.
 func (d *blockDecoder) grow(n int) {
 	if cap(d.batch) < n {
 		d.batch = make([]collect.TraceTuple, n)
+	}
+	if cap(d.lane) < n {
 		d.sel = make([]uint16, n)
 		d.lane = make([]uint64, n)
 	}

@@ -284,7 +284,7 @@ func TestCrashSealIndexCutAsTornTail(t *testing.T) {
 	sameTuples(t, after, append(before, more...))
 	// A cursor into the resealed segment plans from its new index.
 	cur := Cursor{Tuples: r2.Tuples() - 1, Segment: last.ID, SegTuples: last.Index.Tuples}
-	want, wantStats, err := referenceScan(r2, &cur, Query{})
+	want, wantStats, err := referenceScan(r2, &cur, Query{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

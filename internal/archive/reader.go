@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"eventspace/internal/hrtime"
 	"eventspace/internal/metrics"
 	"eventspace/internal/paths"
+	"eventspace/internal/vclock"
 )
 
 // Query selects tuples out of an archive. The zero value matches
@@ -239,13 +241,13 @@ func (r *Reader) Tuples() uint64 {
 // through fn. fn returning false stops the scan early. Damaged tails
 // end a segment's scan without failing the query.
 //
-// Segments are walked block by block into one reused decode batch —
-// never materialized whole. Blocks a sealed segment's block index rules
-// out are never read, and blocks whose ECID/op dictionaries cannot
-// intersect q are skipped after a dictionary-only CRC check, without
-// decoding any column. Every other block has all its columns
-// checksummed; under a filter only the filter columns are then decoded
-// whole, and the rest only at the rows q keeps (see Query).
+// Segments are walked a chunk of blocks at a time, decoded into a
+// reused ring — never materialized whole. Blocks a sealed segment's
+// block index rules out are never read, and blocks whose ECID/op
+// dictionaries cannot intersect q are skipped after a dictionary-only
+// CRC check, without decoding any column. Every other block has all its
+// columns checksummed; under a filter only the filter columns are then
+// decoded whole, and the rest only at the rows q keeps (see Query).
 func (r *Reader) Scan(q Query, fn func(collect.TraceTuple) bool) (ScanStats, error) {
 	return r.scanTuples(nil, q, fn)
 }
@@ -286,14 +288,15 @@ func (r *Reader) scanTuples(cur *Cursor, q Query, fn func(collect.TraceTuple) bo
 
 // scanScratch is what one scan reads and decodes into: the bytes read
 // from the current segment (its image, or its block index and then the
-// runs of blocks the index leaves to read), the index's decoded zones
-// and the block decoder's batch. A Reader keeps the last one between
-// scans, so a warm scan allocates none of them; each scan overwrites
-// what the last left there, and nothing a callback sees aliases img.
+// runs of blocks the index leaves to read), the index's decoded zones,
+// the block decoder's batch and the decode stage. A Reader keeps the
+// last one between scans, so a warm scan allocates none of them; each
+// scan overwrites what the last left, and nothing fn sees aliases img.
 type scanScratch struct {
 	img   []byte
 	zones []blockZone
 	dec   blockDecoder
+	ahead stage
 }
 
 // readAt reads n bytes at offset off of f into buf's storage, growing it
@@ -391,7 +394,8 @@ func (r *Reader) scan(cur *Cursor, q Query, cols Columns, fn func([]collect.Trac
 		scr = new(scanScratch)
 	}
 	defer r.scratch.Store(scr)
-	w := blockWalk{q: &q, cols: cols | q.columns(), dec: &scr.dec, stats: &stats, fn: fn}
+	scr.ahead.q, scr.ahead.cols = q, cols|q.columns()
+	w := blockWalk{q: &scr.ahead.q, cols: scr.ahead.cols, dec: &scr.dec, stats: &stats, fn: fn}
 	prunes := q.columns()&(ColECID|ColStart) != 0
 	for i := range r.segs[first:] {
 		s := &r.segs[first+i]
@@ -453,7 +457,7 @@ func (r *Reader) scan(cur *Cursor, q Query, cols Columns, fn func([]collect.Trac
 			}
 			skip = 0
 		}
-		if w.blocks(buf, off) {
+		if w.blocks(buf, off, &scr.ahead) {
 			return stats, nil
 		}
 	}
@@ -549,24 +553,30 @@ type blockWalk struct {
 }
 
 // block decodes one framed block from row from on (0 but in the block
-// that straddles a cursor) and hands q's rows to fn: the whole decoded
-// block under the zero Query, the selected rows under a filter. ok=false
-// means the block is torn; stopped, that fn stopped the scan.
+// that straddles a cursor) and hands q's rows to fn. ok=false means the
+// block is torn; stopped, that fn stopped the scan.
 func (w *blockWalk) block(f *columnarFrame, from int) (ok, stopped bool) {
-	var batch []collect.TraceTuple
-	if w.q.columns() == 0 {
-		batch, ok = w.dec.decodeColumnar(f, w.cols)
-		batch = batch[from:]
-	} else {
-		batch, ok = w.dec.selectColumnar(f, w.q, w.cols, from)
+	batch, ok := decodeBlock(w.dec, f, w.q, w.cols, from)
+	return ok, ok && w.deliver(f, from, batch)
+}
+
+// decodeBlock decodes framed block f from row from on with d: all of it
+// under the zero Query, q's rows under a filter. ok=false: it is torn.
+func decodeBlock(d *blockDecoder, f *columnarFrame, q *Query, cols Columns, from int) (batch []collect.TraceTuple, ok bool) {
+	if q.columns() != 0 {
+		return d.selectColumnar(f, q, cols, from)
 	}
-	if !ok {
-		return false, false
-	}
+	batch, ok = d.decodeColumnar(f, cols)
+	return batch[from:], ok
+}
+
+// deliver counts a scanned block whose rows from row from on decoded to
+// batch, and hands a nonempty batch to fn. It reports whether fn stopped.
+func (w *blockWalk) deliver(f *columnarFrame, from int, batch []collect.TraceTuple) (stopped bool) {
 	w.stats.BlocksScanned++
 	w.stats.TuplesScanned += uint64(int(f.count) - from)
 	w.stats.TuplesMatched += uint64(len(batch))
-	return true, len(batch) > 0 && !w.fn(batch)
+	return len(batch) > 0 && !w.fn(batch)
 }
 
 // blocks walks one segment's blocks, buf, from byte offset off
@@ -575,28 +585,166 @@ func (w *blockWalk) block(f *columnarFrame, from int) (ok, stopped bool) {
 // match, and hands each scanned block's rows to fn. It reports whether
 // fn stopped the scan. A block that does not frame or decode — partial
 // header or directory, short payload, CRC mismatch, invalid count — is
-// a torn tail: it ends the walk and is counted.
-func (w *blockWalk) blocks(buf []byte, off int64) (stopped bool) {
+// a torn tail: it ends the walk and is counted. The blocks are framed
+// first and cut into chunks that s decodes ahead on a helper goroutine
+// while the caller hands them to fn in order, counting only the blocks
+// it reaches (DESIGN §12). No helper starts under the virtual clock (a
+// model goroutine must not wait on a plain channel), on one processor,
+// or for fewer than two chunks: the caller decodes each chunk it takes.
+func (w *blockWalk) blocks(buf []byte, off int64, s *stage) (stopped bool) {
+	s.frames = s.frames[:0]
+	whole := true // no block tore
 	for off < int64(len(buf)) {
 		f, ok := frameColumnarBlock(buf[off:])
-		if !ok {
-			w.stats.TornSegments++
+		if whole = ok; !ok {
 			break
 		}
-		if w.dec.skipColumnar(&f, w.q) {
-			w.stats.BlocksSkipped++
-			off += f.size
-			continue
-		}
-		ok, stopped := w.block(&f, 0)
-		if !ok {
-			w.stats.TornSegments++
-			break
-		}
+		s.frames = append(s.frames, f)
 		off += f.size
-		if stopped {
-			return true
+	}
+	s.n, s.own = (len(s.frames)+chunkBlocks-1)/chunkBlocks, -1
+	s.next.Store(0)
+	s.freed.Store(0)
+	if s.n >= 2 && !vclock.Active() && runtime.GOMAXPROCS(0) > 1 {
+		if s.helper == nil {
+			s.room, s.done, s.exited = make(chan struct{}, 1), make(chan struct{}, ringChunks), make(chan struct{}, 1)
+			s.helper = s.decodeAhead
 		}
+		s.stop.Store(false)
+		vclock.Go(s.helper)
+		defer s.halt()
+	}
+	for k := range s.n {
+		c := s.take(k)
+		for i := range c.n {
+			if c.skipped&(1<<i) != 0 {
+				w.stats.BlocksSkipped++
+			} else if w.deliver(&s.frames[k*chunkBlocks+i], 0, c.batches[i]) {
+				return true
+			}
+		}
+		if c.n < min(chunkBlocks, len(s.frames)-k*chunkBlocks) {
+			whole = false // block c.n did not decode
+			break
+		}
+		s.freed.Store(int32(k + 1))
+		s.wake()
+	}
+	if !whole {
+		w.stats.TornSegments++
 	}
 	return false
+}
+
+const (
+	chunkBlocks = 32 // blocks per chunk: a block decodes faster than a hand-off
+	ringChunks  = 3  // decoded chunks held: the one delivered, two ahead
+)
+
+// stage is a whole-segment walk's decode stage: the framed blocks and a
+// ring of decoded chunks, chunk k in slot k%ringChunks. Both sides claim
+// chunks in order from next; the helper decodes chunk k once chunk
+// k-ringChunks is delivered, and signals done for each.
+type stage struct {
+	q                  Query
+	cols               Columns
+	frames             []columnarFrame
+	n                  int // chunks in frames
+	ring               [ringChunks]chunk
+	next               atomic.Int32  // the first chunk neither side has claimed
+	freed              atomic.Int32  // the chunks the caller has delivered
+	stop               atomic.Bool   // the caller is done with the segment
+	own                int           // a chunk the caller decoded ahead, or -1
+	room, done, exited chan struct{} // a slot freed; a chunk decoded (one per slot); the helper exited
+	helper             func()        // decodeAhead, bound once
+}
+
+// chunk is a ring slot: its first n blocks decoded (block n is torn if
+// n is short), their batches back to back in rows, skipped ones' bits.
+type chunk struct {
+	dec     blockDecoder
+	rows    []collect.TraceTuple
+	batches [chunkBlocks][]collect.TraceTuple
+	skipped uint32
+	n       int
+}
+
+// halt stops the helper, waits for its exit and drops untaken signals.
+func (s *stage) halt() {
+	s.stop.Store(true)
+	s.wake()
+	<-s.exited
+	for len(s.done) > 0 {
+		<-s.done
+	}
+}
+
+// wake nudges a helper waiting for a slot, if one ever started.
+func (s *stage) wake() {
+	select {
+	case s.room <- struct{}{}:
+	default:
+	}
+}
+
+// decodeAhead is the helper: it claims and decodes each next chunk once
+// its slot is free, until the chunks run out or the caller halts it.
+func (s *stage) decodeAhead() {
+	for !s.stop.Load() {
+		if k := s.next.Load(); k >= int32(s.n) {
+			break
+		} else if k >= s.freed.Load()+ringChunks {
+			<-s.room
+		} else if s.next.CompareAndSwap(k, k+1) {
+			s.decode(int(k))
+			s.done <- struct{}{}
+		}
+	}
+	s.exited <- struct{}{}
+}
+
+// take returns chunk k decoded: by the caller, now, if the helper has
+// not claimed it, else by the helper. While it waits for the helper, the
+// caller decodes chunk k+1 if that is unclaimed too (its slot's chunk,
+// k-2, is delivered), so both decode when delivery is the lighter stage.
+// The helper decodes in claim order, so its next signal is chunk k's.
+func (s *stage) take(k int) *chunk {
+	switch {
+	case s.own == k:
+	case s.next.CompareAndSwap(int32(k), int32(k+1)):
+		s.decode(k)
+	default:
+		if j := k + 1; j < s.n && s.next.CompareAndSwap(int32(j), int32(j+1)) {
+			s.decode(j)
+			s.own = j
+		}
+		<-s.done
+	}
+	return &s.ring[k%ringChunks]
+}
+
+// decode decodes chunk k's blocks into its slot, up to the first torn
+// one, each block's batch in place behind the rows the last ones kept.
+func (s *stage) decode(k int) {
+	c, frames := &s.ring[k%ringChunks], s.frames[k*chunkBlocks:min((k+1)*chunkBlocks, len(s.frames))]
+	total, at := 0, 0
+	for i := range frames {
+		total += int(frames[i].count)
+	}
+	if cap(c.rows) < total {
+		c.rows = make([]collect.TraceTuple, total)
+	}
+	for c.skipped, c.n = 0, 0; c.n < len(frames); c.n++ {
+		f := &frames[c.n]
+		if c.dec.skipColumnar(f, &s.q) {
+			c.skipped |= 1 << c.n
+			continue
+		}
+		c.dec.batch = c.rows[at:at]
+		batch, ok := decodeBlock(&c.dec, f, &s.q, s.cols, 0)
+		if !ok {
+			return
+		}
+		c.batches[c.n], at = batch, at+len(batch)
+	}
 }

@@ -185,8 +185,10 @@ func (q *Query) match(t *collect.TraceTuple) bool {
 // its block index, the index's pruning, found by referenceZones from the
 // image's bytes; a pruned block is never framed, so its damage does not
 // show. cur == nil walks the whole archive. It returns the rows q keeps,
-// in archive order, and the stats a scan must report.
-func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanStats, error) {
+// in archive order, and the stats a scan must report. stopAt > 0 is a
+// per-tuple callback that stops the scan at the stopAt-th row it sees:
+// the rows end there, and the stats count the block it stopped in.
+func referenceScan(r *Reader, cur *Cursor, q Query, stopAt int) ([]collect.TraceTuple, ScanStats, error) {
 	stats := ScanStats{Segments: len(r.segs)}
 	first := 0
 	if cur != nil {
@@ -228,6 +230,7 @@ func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanS
 	}
 	var out []collect.TraceTuple
 	var dec blockDecoder
+	stopped := false
 	// block scans the framed block at buf[off:], or reports it torn:
 	// skip is the cursor's covered head, 0 past the cursor's block.
 	block := func(buf []byte, off int64, skip uint64, want refZone) (size int64, ok bool) {
@@ -253,6 +256,9 @@ func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanS
 			if tu := batch[skip:][i]; q.match(&tu) {
 				out = append(out, tu)
 				stats.TuplesMatched++
+				if stopped = len(out) == stopAt; stopped {
+					break
+				}
 			}
 		}
 		return f.size, true
@@ -306,6 +312,9 @@ func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanS
 						stats.TornSegments++
 						break
 					}
+					if stopped {
+						return out, stats, nil
+					}
 					skip = 0
 				}
 				continue
@@ -330,6 +339,9 @@ func referenceScan(r *Reader, cur *Cursor, q Query) ([]collect.TraceTuple, ScanS
 				}
 				stats.TornSegments++
 				break
+			}
+			if stopped {
+				return out, stats, nil
 			}
 			off += size
 			skip = 0

@@ -331,7 +331,8 @@ func (e *Event) take(g *gor, dst any) (queued bool, err error) {
 // (see lockOn).
 type Queue[T any] struct {
 	mu     sync.Mutex
-	items  []T
+	items  []T // the undelivered items are items[head:]
+	head   int
 	closed bool
 	w      waiters
 }
@@ -355,6 +356,12 @@ func (q *Queue[T]) put(v T) (*gor, error) {
 	defer q.mu.Unlock()
 	if q.closed {
 		return nil, ErrClosed
+	}
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Full behind a popped prefix: slide the items down, not grow.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
 	q.items = append(q.items, v)
 	return q.w.wakeOne(), nil
@@ -380,11 +387,14 @@ func (q *Queue[T]) take(g *gor, dst any) (queued bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for !q.closed {
-		if len(q.items) > 0 {
-			v := q.items[0]
+		if q.head < len(q.items) {
+			v := q.items[q.head]
 			var zero T
-			q.items[0] = zero
-			q.items = q.items[1:]
+			q.items[q.head] = zero
+			if q.head++; q.head == len(q.items) {
+				// Empty: the next push reuses the storage from its start.
+				q.items, q.head = q.items[:0], 0
+			}
 			if d, _ := dst.(*T); d != nil {
 				*d = v
 			}
@@ -410,8 +420,8 @@ func (q *Queue[T]) Close() []T {
 		return nil
 	}
 	q.closed = true
-	rest := q.items
-	q.items = nil
+	rest := q.items[q.head:]
+	q.items, q.head = nil, 0
 	list := q.w.wakeAll()
 	q.mu.Unlock()
 	unlockOn(on, list)

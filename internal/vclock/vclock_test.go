@@ -301,6 +301,53 @@ func TestQueueFIFOAndClose(t *testing.T) {
 	}
 }
 
+// TestQueueWarmCycleZeroAlloc: a queue that holds one item at a time,
+// as a connection's request queue does, keeps its storage across pops,
+// so a warm cycle of a connection's hand-offs — a push step, then a pop
+// step into a kept destination — allocates nothing, off the clock and
+// on it. A queue that never empties slides its items down to make room
+// rather than grow, and Close returns the items not yet popped.
+func TestQueueWarmCycleZeroAlloc(t *testing.T) {
+	item, dst := new(int), new(*int)
+	cycle := func(q *Queue[*int]) float64 {
+		var p Path
+		return testing.AllocsPerRun(100, func() {
+			q.PushStep(&p, item)
+			q.PopStep(&p, dst)
+			if err := p.Run(); err != nil || *dst != item {
+				t.Errorf("push and pop: %v", err)
+			}
+		})
+	}
+	if n := cycle(NewQueue[*int]()); n != 0 {
+		t.Errorf("off the clock: %v allocations per push and pop", n)
+	}
+	withClock(t, func() {
+		got := make(chan float64, 1)
+		Go(func() { got <- cycle(NewQueue[*int]()) })
+		if n := <-got; n != 0 {
+			t.Errorf("on the clock: %v allocations per push and pop", n)
+		}
+	})
+
+	q := NewQueue[int]()
+	for i := 0; i < 4; i++ {
+		q.Push(i)
+	}
+	for i := 4; i < 1000; i++ {
+		q.Push(i)
+		if v, _ := q.Pop(); v != i-4 {
+			t.Fatalf("Pop = %d, want %d", v, i-4)
+		}
+	}
+	if c := cap(q.items); c > 8 {
+		t.Fatalf("a queue of four items grew to %d", c)
+	}
+	if rest := q.Close(); len(rest) != 4 || rest[0] != 996 || rest[3] != 999 {
+		t.Fatalf("Close returned %v, want 996..999", rest)
+	}
+}
+
 func TestQueuePopBlocksUntilPush(t *testing.T) {
 	withClock(t, func() {
 		q := NewQueue[int]()

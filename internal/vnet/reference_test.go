@@ -155,9 +155,12 @@ var (
 // CPU; traffic crosses the LAN gateways, the WAN emulator and a
 // standalone host; the fault plan drops and spikes legs, slows one
 // server, and crashes a host in the middle of calls; a goroutine closes
-// a connection mid-call; and drivers sleeping outside the model wake at
-// every multiple of SendCPU (7 µs) of the first 280 µs, exactly as the
-// send legs of the calls queued on a client host's one CPU end.
+// a connection mid-call; a handler's request is closed while its
+// handler occupies the server's CPU; two callers on one connection
+// start together every 150 µs, so their pushes land at one instant and
+// the tie-break orders them; and drivers sleeping outside the model
+// wake at every multiple of SendCPU (7 µs) of the first 280 µs, exactly
+// as the send legs of the calls queued on a client host's one CPU end.
 //
 // The drivers only wake: their timers take part in the model (they are
 // due first at their instants and keep the sleeps that span them off the
@@ -185,6 +188,8 @@ func contendedTrace(t *testing.T, impl callImpl, seed uint64) string {
 	b, _ := n.AddCluster("b", wantrace.Tromso, 2, 1, GigabitEthernet)
 	w, _ := n.AddCluster("w", wantrace.Odense, 2, 1, GigabitEthernet)
 	fe, _ := n.AddStandaloneHost("fe", 2)
+	tie, _ := n.AddStandaloneHost("tie", 2)
+	srv, _ := n.AddStandaloneHost("srv", 1)
 	plan := FaultPlan{
 		Seed:        3,
 		CallTimeout: 400 * time.Microsecond,
@@ -255,6 +260,64 @@ func contendedTrace(t *testing.T, impl callImpl, seed uint64) string {
 			trace("close 0")
 			conn.Close()
 		})
+		// Close a connection 20 µs into its handler's 50 µs of CPU, on
+		// every request of odd size: the call being served fails then.
+		var busy *Conn
+		var busyHandler Handler
+		busyHandler = func(p []byte) ([]byte, error) {
+			trace("serve busy %d", len(p))
+			if len(p)%2 == 1 {
+				connsMu.Lock()
+				conn := busy
+				connsMu.Unlock()
+				vclock.Go(func() {
+					hrtime.Sleep(20 * time.Microsecond)
+					trace("close busy")
+					conn.Close()
+				})
+			}
+			impl.occupy(srv, 50*time.Microsecond)
+			return p, nil
+		}
+		busy = impl.dial(n, tie, srv, busyHandler)
+		wg.Add(1)
+		vclock.Go(func() {
+			defer wg.Done()
+			for k := 0; k < 12; k++ {
+				connsMu.Lock()
+				conn := busy
+				connsMu.Unlock()
+				resp, err := impl.call(conn, make([]byte, 40+k))
+				trace("busy call %d -> %d %v", k, len(resp), err)
+				if errors.Is(err, ErrConnClosed) {
+					connsMu.Lock()
+					busy = impl.dial(n, tie, srv, busyHandler)
+					connsMu.Unlock()
+				}
+			}
+			connsMu.Lock()
+			conns = append(conns, busy)
+			connsMu.Unlock()
+		})
+		// Two callers on one connection, each starting its calls at the
+		// same instants.
+		twin := impl.dial(n, tie, tie, handler(tie, 0))
+		for j := 0; j < 2; j++ {
+			wg.Add(1)
+			vclock.Go(func() {
+				defer wg.Done()
+				for k := 1; k <= 20; k++ {
+					if d := int64(k)*150_000 - vclock.Now(); d > 0 {
+						hrtime.Sleep(time.Duration(d))
+					}
+					resp, err := impl.call(twin, make([]byte, 10+j))
+					trace("twin %d.%d -> %d %v", j, k, len(resp), err)
+				}
+			})
+		}
+		connsMu.Lock()
+		conns = append(conns, twin)
+		connsMu.Unlock()
 	}
 	// The gate holds the clock at 0 until every driver's timer is set,
 	// then starts the scenario. It is the model's only goroutine until
@@ -295,7 +358,7 @@ func contendedTrace(t *testing.T, impl callImpl, seed uint64) string {
 	for _, r := range inj.Log() {
 		trace("fault %v", r)
 	}
-	for _, h := range []*Host{a.hosts[0], a.hosts[1], a.gateway, b.hosts[0], b.hosts[1], b.gateway, w.hosts[0], w.hosts[1], w.gateway, fe} {
+	for _, h := range []*Host{a.hosts[0], a.hosts[1], a.gateway, b.hosts[0], b.hosts[1], b.gateway, w.hosts[0], w.hosts[1], w.gateway, fe, tie, srv} {
 		trace("busy %s %d", h.name, h.busyNS.Load())
 	}
 	trace("messages %d", n.Messages())
